@@ -19,6 +19,17 @@ if grep -rn --include='*.rs' -E 'unsafe (fn|impl|trait|\{)|unsafe\{' src crates 
     exit 1
 fi
 
+echo "== one-loop gate (grep: no second token cursor, no deleted facade) =="
+# `PushTokenizer::drain` is the only token loop. The raw cursor
+# (`RawKind`, `peek_token`/`advance`) survives in push.rs for the frozen
+# benchmark ladder only; the pull reader and the ProjectorCache facade
+# are gone. This gate fails if any of them is used from production code.
+if grep -rn --include='*.rs' -E 'RawKind::|XmlReader|ProjectorCache|legacy_cache|\.next_event\(' src crates/*/src \
+    | grep -v '^crates/xmltree/src/push\.rs:'; then
+    echo "one-loop gate: found a second token cursor or a deleted facade" >&2
+    exit 1
+fi
+
 echo "== build (release, workspace, offline, locked) =="
 cargo build --release --workspace --offline --locked
 
@@ -118,56 +129,36 @@ XPROJ_BENCH_ASSERT=1 \
 grep -q '"bench":"sweep","mode":"reactor"' /tmp/BENCH_server.smoke.jsonl
 grep -q '"mode":"reactor".*"reactor_threads":2' /tmp/BENCH_server.smoke.jsonl
 
-echo "== pipeline bench smoke (fast-path + chunked throughput guards) =="
-# Smoke-mode run of the consolidated pipeline bench: the emitted JSON
-# must parse; the fast path must hold the ISSUE's >= 1.5x bar over
-# chunked-prune throughput at retention <= 30%; and the fast-path
-# speedup over the reference pruner (geometric mean of fast/prune
-# across the (scale, query) cells shared with the committed
-# BENCH_pipeline.json) must not regress by more than 15%. Ratios, not
-# absolute MB/s, so the guard is meaningful across machines.
-#
-# The committed baseline itself must show the chunked-streaming
-# acceptance: fast-forward at least as fast as plain chunked on every
-# row, and the in-memory fast path no more than 2.5x the chunked fast
-# path. The smoke run then guards the chunked_fast/fast ratio the same
-# way fast/prune is guarded: geomean must not worsen by more than 15%.
-XPROJ_BENCH_SAMPLES=3 XPROJ_BENCH_WARMUP=1 XPROJ_BENCH_SCALES=0.5 \
+echo "== pipeline bench smoke (one loop: whole-string vs chunked ratio gate) =="
+# Smoke-mode run of the consolidated pipeline bench. Whole-string and
+# chunked pruning are the same token loop under two feed shapes, so the
+# only gate left is that they stay together: in every (scale, query)
+# cell, fast-forward off and on, whole-string throughput must be at
+# least 0.9x chunked. The four cells of a row are sampled round robin
+# at the bench's default 15 samples (a cell is ~2 ms at this scale; at
+# 3 samples a two-sample noise burst moved a median by 30% here), so
+# the ratio holds on a noisy machine; the bench itself asserts that
+# engaging fast-forward never loses throughput. The committed
+# BENCH_pipeline.json must hold the same ratios.
+XPROJ_BENCH_SCALES=0.5 \
 XPROJ_BENCH_OUT=/tmp/BENCH_pipeline.smoke.json \
     ./target/release/pipeline > /dev/null
 python3 - <<'PY'
-import json, math
-base = json.load(open('BENCH_pipeline.json'))
-smoke = json.load(open('/tmp/BENCH_pipeline.smoke.json'))
-assert base['runs'] and smoke['runs']
-for r in smoke['runs']:
-    if r['retention'] <= 0.30:
-        assert r['fast_mbps'] >= 1.5 * r['chunked_mbps'], \
-            f"fast path below 1.5x chunked-prune: {r}"
-for r in base['runs']:
-    assert r['chunked_fast_mbps'] >= r['chunked_mbps'], \
-        f"baseline has a fast-forward inversion: {r}"
-    assert r['fast_mbps'] <= 2.5 * r['chunked_fast_mbps'], \
-        f"baseline chunked fast path outside 2.5x of in-memory fast: {r}"
-def ratios(doc, num, den):
-    return {(r['scale'], r['query']): r[num] / r[den] for r in doc['runs']}
-def geomean(d, keys):
-    return math.exp(sum(math.log(d[k]) for k in keys) / len(keys))
-b = ratios(base, 'fast_mbps', 'prune_mbps')
-s = ratios(smoke, 'fast_mbps', 'prune_mbps')
-common = sorted(set(b) & set(s))
-assert common, "smoke run shares no (scale, query) cells with the baseline"
-gb, gs = geomean(b, common), geomean(s, common)
-assert gs >= 0.85 * gb, \
-    f"fast-path speedup regressed >15%: {gs:.3f}x vs baseline {gb:.3f}x"
-cb = ratios(base, 'chunked_fast_mbps', 'fast_mbps')
-cs = ratios(smoke, 'chunked_fast_mbps', 'fast_mbps')
-gcb, gcs = geomean(cb, common), geomean(cs, common)
-assert gcs >= 0.85 * gcb, \
-    f"chunked_fast/fast ratio worsened >15%: {gcs:.3f} vs baseline {gcb:.3f}"
-print(f"pipeline bench smoke: fast-path speedup {gs:.2f}x "
-      f"(baseline {gb:.2f}x), chunked_fast/fast {gcs:.2f} "
-      f"(baseline {gcb:.2f}) over {len(common)} cells")
+import json
+for name, path in [('committed baseline', 'BENCH_pipeline.json'),
+                   ('smoke run', '/tmp/BENCH_pipeline.smoke.json')]:
+    runs = json.load(open(path))['runs']
+    assert runs, f"{name}: no runs"
+    worst = 10.0
+    for r in runs:
+        for whole, chunked in [('whole_mbps', 'chunked_mbps'),
+                               ('whole_ff_mbps', 'chunked_ff_mbps')]:
+            ratio = r[whole] / r[chunked]
+            assert ratio >= 0.9, \
+                f"{name}: {whole} below 0.9x {chunked}: {r}"
+            worst = min(worst, ratio)
+    print(f"pipeline bench smoke: {name}: whole/chunked >= {worst:.2f} "
+          f"over {len(runs)} rows")
 PY
 
 echo "== query bench smoke (one-pass vs prune-then-eval ratio gate) =="
@@ -196,6 +187,21 @@ gb, nb = gate(base, 'committed baseline')
 gs, ns = gate(smoke, 'smoke run')
 print(f"query bench smoke: one-pass speedup {gs:.2f}x over {ns} rows "
       f"(committed baseline {gb:.2f}x over {nb} rows)")
+PY
+
+echo "== benchmark ledger (frozen surface builds, contract tests, 2 s smoke) =="
+# benchmark/ is its own workspace building --locked against these
+# crates: a break of the surface it uses, or a response body drifting
+# from benchmark/expected.json ("inputs drifted", verified_share < 1),
+# must fail here and not in the driver's pipeline.
+CARGO_TARGET_DIR="$PWD/target" \
+    cargo test -q --manifest-path benchmark/Cargo.toml --offline --locked
+benchmark/run.sh --seconds 2 > /tmp/BENCH_ledger.smoke.txt
+python3 - <<'PY'
+shares = [l.split()[1] for l in open('/tmp/BENCH_ledger.smoke.txt')
+          if l.startswith('verified_share ')]
+assert len(shares) == 4 and all(float(s) == 1.0 for s in shares), shares
+print("benchmark smoke: verified_share = 1 on all four workloads")
 PY
 
 echo "ci: OK"

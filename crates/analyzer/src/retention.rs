@@ -20,7 +20,9 @@
 
 use xproj_core::Projector;
 use xproj_dtd::{Content, Dtd, Regex};
-use xproj_xmltree::events::{Event, XmlReader};
+use xproj_xmltree::events::decode_entities;
+use xproj_xmltree::push::{drain_str, RawAttrs, TokenSink};
+use xproj_xmltree::ParseError;
 
 /// Tunables of the structural model.
 #[derive(Debug, Clone, Copy)]
@@ -377,51 +379,70 @@ impl SampleStats {
 /// `None` when no declared element was seen.
 pub fn calibrate(dtd: &Dtd, sample: &str) -> Option<SampleStats> {
     let n = dtd.name_count();
-    let mut counts = vec![0.0; n];
-    let mut bytes = vec![0.0; n];
-    let mut edges = vec![0.0; n * n];
-    let mut stack: Vec<Option<xproj_dtd::NameId>> = Vec::new();
-    let mut reader = XmlReader::new(sample);
-    let mut seen = false;
-    loop {
-        match reader.next_event() {
-            Ok(Event::StartElement { name, attrs, .. }) => {
-                let nid = dtd.name_of_tag_str(name);
-                if let Some(id) = nid {
-                    seen = true;
-                    counts[id.index()] += 1.0;
-                    let attr_bytes: usize = attrs
-                        .iter()
-                        .map(|a| a.name.len() + a.value.len() + 4)
-                        .sum();
-                    bytes[id.index()] += (2 * name.len() + 5 + attr_bytes) as f64;
-                    if let Some(Some(top)) = stack.last() {
-                        edges[top.index() * n + id.index()] += 1.0;
-                    }
-                }
-                stack.push(nid);
+    let mut sampler = Sampler {
+        dtd,
+        stats: SampleStats {
+            counts: vec![0.0; n],
+            bytes: vec![0.0; n],
+            edges: vec![0.0; n * n],
+        },
+        stack: Vec::new(),
+        seen: false,
+    };
+    drain_str(sample, &mut sampler, false).ok()?;
+    sampler.seen.then_some(sampler.stats)
+}
+
+/// The sampling sink: tallies every declared element and text run it is
+/// shown against the name the DTD gives it.
+struct Sampler<'a> {
+    dtd: &'a Dtd,
+    stats: SampleStats,
+    /// Names of the open elements (`None`: not declared by the DTD).
+    stack: Vec<Option<xproj_dtd::NameId>>,
+    seen: bool,
+}
+
+impl TokenSink for Sampler<'_> {
+    type Error = ParseError;
+
+    fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, ParseError> {
+        let n = self.dtd.name_count();
+        let nid = self.dtd.name_of_tag_str(name);
+        if let Some(id) = nid {
+            self.seen = true;
+            self.stats.counts[id.index()] += 1.0;
+            let attr_bytes: usize = RawAttrs::new(attrs_raw)
+                .flatten()
+                .map(|(aname, raw)| {
+                    let value = decode_entities(raw).map_or(raw.len(), |v| v.len());
+                    aname.len() + value + 4
+                })
+                .sum();
+            self.stats.bytes[id.index()] += (2 * name.len() + 5 + attr_bytes) as f64;
+            if let Some(Some(top)) = self.stack.last() {
+                self.stats.edges[top.index() * n + id.index()] += 1.0;
             }
-            Ok(Event::EndElement { .. }) => {
-                stack.pop();
-            }
-            Ok(Event::Text(t)) => {
-                if let Some(Some(top)) = stack.last() {
-                    if let Some(tn) = dtd.text_children_of(*top).iter().next() {
-                        counts[tn.index()] += 1.0;
-                        bytes[tn.index()] += t.len() as f64;
-                        edges[top.index() * n + tn.index()] += 1.0;
-                    }
-                }
-            }
-            Ok(Event::Eof) => break,
-            Ok(_) => {}
-            Err(_) => return None,
         }
+        self.stack.push(nid);
+        Ok(false)
     }
-    if seen {
-        Some(SampleStats { counts, bytes, edges })
-    } else {
-        None
+
+    fn end(&mut self, _name: &str) -> Result<(), ParseError> {
+        self.stack.pop();
+        Ok(())
+    }
+
+    fn text(&mut self, decoded: &str) -> Result<(), ParseError> {
+        if let Some(Some(top)) = self.stack.last() {
+            if let Some(tn) = self.dtd.text_children_of(*top).iter().next() {
+                let n = self.dtd.name_count();
+                self.stats.counts[tn.index()] += 1.0;
+                self.stats.bytes[tn.index()] += decoded.len() as f64;
+                self.stats.edges[top.index() * n + tn.index()] += 1.0;
+            }
+        }
+        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@
 
 use xproj_bench::Timer;
 use xproj_core::{prune_str, StaticAnalyzer};
-use xproj_engine::{prune_reader, ProjectorCache};
+use xproj_engine::{prune_reader, ArtifactCache};
 use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         });
     }
 
-    // ---- projector cache: miss (inference) vs hit (clone) ----
+    // ---- artifact cache: miss (inference + lowering) vs hit (Arc clone) ----
     let queries = [
         "/site/people/person/name",
         "//keyword",
@@ -55,21 +55,30 @@ fn main() {
         "/site/regions/europe/item/description",
     ];
     timer.bench("projector_cache", "miss_cold_inference", || {
-        let cache = ProjectorCache::new(16); // fresh cache: every lookup misses
+        let cache = ArtifactCache::new(16); // fresh cache: every lookup misses
         for q in queries {
-            cache.get_or_compute(&dtd, q).unwrap();
+            cache.get_or_compile(&dtd, q).unwrap();
         }
         cache.stats().misses
     });
-    let warm = ProjectorCache::new(16);
+    let warm = ArtifactCache::new(16);
     for q in queries {
-        warm.get_or_compute(&dtd, q).unwrap();
+        warm.get_or_compile(&dtd, q).unwrap();
     }
     timer.bench("projector_cache", "hit_warm_lookup", || {
         for q in queries {
-            warm.get_or_compute(&dtd, q).unwrap();
+            warm.get_or_compile(&dtd, q).unwrap();
         }
         warm.stats().hits
     });
-    println!("{}", warm.stats().to_json_line("warm_cache_counters"));
+    let s = warm.stats();
+    println!(
+        "{{\"group\":\"projector_cache\",\"bench\":\"warm_cache_counters\",\"hits\":{},\
+         \"misses\":{},\"evictions\":{},\"entries\":{},\"hit_rate\":{:.4}}}",
+        s.hits,
+        s.misses,
+        s.evictions,
+        s.entries,
+        s.hit_rate()
+    );
 }

@@ -1,12 +1,15 @@
-//! Consolidated pipeline throughput bench: tokenize-only vs pruning vs
-//! the projection fast path, on XMark documents at several scales and
-//! retention levels.
+//! Consolidated pipeline throughput bench: tokenize-only vs pruning,
+//! whole-string and chunked, fast-forward off and on, on XMark
+//! documents at several scales and retention levels.
 //!
 //! This is the measured form of the paper's §5 claim — pruning is a
 //! single pass that costs *less than parsing itself* — and of this
 //! repo's fast-path work: the dense-verdict projector table plus
 //! pruned-subtree raw fast-forward should beat full tokenization by a
-//! widening margin as retention drops.
+//! widening margin as retention drops. Every column is the same token
+//! loop (`PushTokenizer::drain`) under a different sink and feed shape:
+//! `tokenize` a sink that only counts, `whole` the `prune_str*`
+//! functions, `chunked` a `ChunkedPruner` fed 64 KiB at a time.
 //!
 //! Besides the usual JSON result lines on stdout, the run writes a
 //! consolidated `BENCH_pipeline.json` (path override:
@@ -29,7 +32,8 @@ use xproj_core::{prune_str, prune_str_fast, Projector, StaticAnalyzer};
 use xproj_dtd::Dtd;
 use xproj_engine::ChunkedPruner;
 use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
-use xproj_xmltree::{Event, XmlReader};
+use xproj_xmltree::push::{drain_str, TokenSink};
+use xproj_xmltree::ParseError;
 
 /// Engine chunk size for the streaming measurements.
 const CHUNK: usize = 64 * 1024;
@@ -54,32 +58,45 @@ struct Run {
     doc_bytes: usize,
     retention: f64,
     tokenize_mbps: f64,
-    prune_mbps: f64,
-    fast_mbps: f64,
+    whole_mbps: f64,
+    whole_ff_mbps: f64,
     chunked_mbps: f64,
-    chunked_fast_mbps: f64,
+    chunked_ff_mbps: f64,
 }
 
-fn chunked_throughput(
-    timer: &Timer,
-    label: &str,
+/// The do-nothing sink: what the token loop costs on its own.
+struct CountStarts(usize);
+
+impl TokenSink for CountStarts {
+    type Error = ParseError;
+    fn start(&mut self, _: &str, _: &str) -> Result<bool, ParseError> {
+        self.0 += 1;
+        Ok(false)
+    }
+    fn end(&mut self, _: &str) -> Result<(), ParseError> {
+        Ok(())
+    }
+    fn text(&mut self, _: &str) -> Result<(), ParseError> {
+        Ok(())
+    }
+}
+
+/// One chunked pass over `xml` in [`CHUNK`]-byte feeds into `out`.
+fn chunked_pass(
     xml: &str,
     dtd: &Dtd,
     projector: &Projector,
     fast_forward: bool,
-) -> f64 {
-    let mut out: Vec<u8> = Vec::with_capacity(xml.len() / 2);
-    let t = timer.bench_bytes("pipeline", label, xml.len(), || {
-        out.clear();
-        let mut pruner = ChunkedPruner::new(dtd, projector, &mut out);
-        pruner.set_fast_forward(fast_forward);
-        for chunk in xml.as_bytes().chunks(CHUNK) {
-            pruner.feed(chunk).unwrap();
-        }
-        pruner.finish().unwrap();
-        out.len()
-    });
-    mbps(xml.len(), t)
+    out: &mut Vec<u8>,
+) -> usize {
+    out.clear();
+    let mut pruner = ChunkedPruner::new(dtd, projector, &mut *out);
+    pruner.set_fast_forward(fast_forward);
+    for chunk in xml.as_bytes().chunks(CHUNK) {
+        pruner.feed(chunk).unwrap();
+    }
+    pruner.finish().unwrap();
+    out.len()
 }
 
 fn main() {
@@ -105,14 +122,9 @@ fn main() {
         // Parsing cost alone: the bar the paper says pruning undercuts.
         let tok_label = format!("tokenize_only_s{scale}");
         let t_tok = timer.bench_bytes("pipeline", &tok_label, xml.len(), || {
-            let mut reader = XmlReader::new(&xml);
-            let mut events = 0usize;
-            loop {
-                match reader.next_event().unwrap() {
-                    Event::Eof => break events,
-                    _ => events += 1,
-                }
-            }
+            let mut sink = CountStarts(0);
+            drain_str(&xml, &mut sink, false).unwrap();
+            sink.0
         });
         let tokenize_mbps = mbps(xml.len(), t_tok);
 
@@ -128,41 +140,36 @@ fn main() {
             );
 
             let tag = format!("s{scale}_{}", query.replace(['/', ':'], "_"));
-            let t_prune = timer.bench_bytes(
+            // The four cells of a (scale, query) pair are only ever read
+            // as ratios of one another, so they are sampled round robin.
+            let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+            let t = timer.bench_bytes_interleaved(
                 "pipeline",
-                &format!("prune_{tag}"),
                 xml.len(),
-                || prune_str(&xml, &dtd, &projector).unwrap().output.len(),
+                &mut [
+                    (&format!("whole_{tag}"), &mut || {
+                        prune_str(&xml, &dtd, &projector).unwrap().output.len()
+                    }),
+                    (&format!("whole_ff_{tag}"), &mut || {
+                        prune_str_fast(&xml, &dtd, &projector).unwrap().output.len()
+                    }),
+                    (&format!("chunked_{tag}"), &mut || {
+                        chunked_pass(&xml, &dtd, &projector, false, &mut out_a)
+                    }),
+                    (&format!("chunked_ff_{tag}"), &mut || {
+                        chunked_pass(&xml, &dtd, &projector, true, &mut out_b)
+                    }),
+                ],
             );
-            let t_fast = timer.bench_bytes(
-                "pipeline",
-                &format!("fast_{tag}"),
-                xml.len(),
-                || prune_str_fast(&xml, &dtd, &projector).unwrap().output.len(),
-            );
-            let chunked_mbps = chunked_throughput(
-                &timer,
-                &format!("chunked_{tag}"),
-                &xml,
-                &dtd,
-                &projector,
-                false,
-            );
-            let chunked_fast_mbps = chunked_throughput(
-                &timer,
-                &format!("chunked_fast_{tag}"),
-                &xml,
-                &dtd,
-                &projector,
-                true,
-            );
+            let [whole_mbps, whole_ff_mbps, chunked_mbps, chunked_ff_mbps] =
+                [t[0], t[1], t[2], t[3]].map(|t| mbps(xml.len(), t));
             // Regression guard for the fast-forward inversion: engaging
             // fast-forward must never cost throughput on any row (the
             // 0.9 factor absorbs run-to-run noise).
             assert!(
-                chunked_fast_mbps >= 0.9 * chunked_mbps,
+                chunked_ff_mbps >= 0.9 * chunked_mbps,
                 "chunked fast-forward slower than plain chunked on {query} at scale {scale}: \
-                 {chunked_fast_mbps:.1} < {chunked_mbps:.1} MB/s"
+                 {chunked_ff_mbps:.1} < {chunked_mbps:.1} MB/s"
             );
             runs.push(Run {
                 scale,
@@ -170,10 +177,10 @@ fn main() {
                 doc_bytes: xml.len(),
                 retention,
                 tokenize_mbps,
-                prune_mbps: mbps(xml.len(), t_prune),
-                fast_mbps: mbps(xml.len(), t_fast),
+                whole_mbps,
+                whole_ff_mbps,
                 chunked_mbps,
-                chunked_fast_mbps,
+                chunked_ff_mbps,
             });
         }
     }
@@ -183,17 +190,17 @@ fn main() {
     for (i, r) in runs.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"scale\": {}, \"query\": \"{}\", \"doc_bytes\": {}, \"retention\": {:.4}, \
-             \"tokenize_mbps\": {:.1}, \"prune_mbps\": {:.1}, \"fast_mbps\": {:.1}, \
-             \"chunked_mbps\": {:.1}, \"chunked_fast_mbps\": {:.1}}}{}\n",
+             \"tokenize_mbps\": {:.1}, \"whole_mbps\": {:.1}, \"whole_ff_mbps\": {:.1}, \
+             \"chunked_mbps\": {:.1}, \"chunked_ff_mbps\": {:.1}}}{}\n",
             r.scale,
             r.query,
             r.doc_bytes,
             r.retention,
             r.tokenize_mbps,
-            r.prune_mbps,
-            r.fast_mbps,
+            r.whole_mbps,
+            r.whole_ff_mbps,
             r.chunked_mbps,
-            r.chunked_fast_mbps,
+            r.chunked_ff_mbps,
             if i + 1 == runs.len() { "" } else { "," },
         ));
     }
@@ -204,15 +211,15 @@ fn main() {
     // Human-readable recap on stderr.
     for r in &runs {
         eprintln!(
-            "# scale {} {:<42} retention {:>5.1}%  tokenize {:>7.1}  prune {:>7.1}  fast {:>7.1}  chunked {:>7.1} -> {:>7.1} MB/s",
+            "# scale {} {:<42} retention {:>5.1}%  tokenize {:>7.1}  whole {:>7.1} -> {:>7.1}  chunked {:>7.1} -> {:>7.1} MB/s (ff off -> on)",
             r.scale,
             r.query,
             r.retention * 100.0,
             r.tokenize_mbps,
-            r.prune_mbps,
-            r.fast_mbps,
+            r.whole_mbps,
+            r.whole_ff_mbps,
             r.chunked_mbps,
-            r.chunked_fast_mbps,
+            r.chunked_ff_mbps,
         );
     }
 }

@@ -56,6 +56,34 @@ impl Timer {
         self.run(group, label, Some(bytes), f)
     }
 
+    /// Times several closures over the same `bytes` of input **round
+    /// robin** — sample 1 of each, then sample 2 of each, … — and
+    /// returns their medians in order. For cells that are compared as a
+    /// ratio: a burst of machine noise lands on every cell's sample
+    /// alike instead of on one cell's whole run.
+    pub fn bench_bytes_interleaved(
+        &self,
+        group: &str,
+        bytes: usize,
+        cells: &mut [(&str, &mut dyn FnMut() -> usize)],
+    ) -> Vec<Duration> {
+        let mut times = vec![Vec::with_capacity(self.samples); cells.len()];
+        for round in 0..self.warmup + self.samples {
+            for (i, (_, f)) in cells.iter_mut().enumerate() {
+                let t0 = Instant::now();
+                black_box(f());
+                if round >= self.warmup {
+                    times[i].push(t0.elapsed());
+                }
+            }
+        }
+        cells
+            .iter()
+            .zip(times)
+            .map(|((label, _), times)| self.report(group, label, Some(bytes), times))
+            .collect()
+    }
+
     fn run<R>(
         &self,
         group: &str,
@@ -72,6 +100,17 @@ impl Timer {
             black_box(f());
             times.push(t0.elapsed());
         }
+        self.report(group, label, bytes, times)
+    }
+
+    /// Prints one JSON result line for `times`; returns the median.
+    fn report(
+        &self,
+        group: &str,
+        label: &str,
+        bytes: Option<usize>,
+        mut times: Vec<Duration>,
+    ) -> Duration {
         times.sort();
         let median = times[times.len() / 2];
         let min = times[0];

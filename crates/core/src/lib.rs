@@ -50,6 +50,6 @@ pub use projector::{Projector, ProjectorTable, Verdict};
 pub use infer::{AnalyzeError, TraceEvent, TraceRule};
 pub use prune::prune_document;
 pub use stream::{
-    prune_str, prune_str_fast, prune_validate_str, ErrorCode, PruneCounters, PruneMachine,
-    StartOutcome, StreamPruneError, StreamPruneResult,
+    prune_str, prune_str_fast, prune_validate_str, ErrorCode, MachineSink, PruneCounters,
+    PruneMachine, StartOutcome, StreamPruneError, StreamPruneResult,
 };

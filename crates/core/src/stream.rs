@@ -10,11 +10,11 @@
 
 use crate::projector::{Projector, ProjectorTable, Verdict};
 use std::borrow::Borrow;
-use std::fmt::Write as _;
+use std::marker::PhantomData;
 use xproj_dtd::{Dtd, NameId};
 use xproj_xmltree::document::{escape_attr, escape_text};
-use xproj_xmltree::events::{decode_entities, Event, XmlReader};
-use xproj_xmltree::push::RawAttrs;
+use xproj_xmltree::events::{decode_entities, ParseError};
+use xproj_xmltree::push::{drain_str, RawAttrs, TokenSink};
 
 /// Outcome of a streaming prune.
 #[derive(Debug, Clone)]
@@ -119,6 +119,12 @@ impl std::fmt::Display for StreamPruneError {
 
 impl std::error::Error for StreamPruneError {}
 
+impl From<ParseError> for StreamPruneError {
+    fn from(e: ParseError) -> Self {
+        StreamPruneError::Xml(e.to_string())
+    }
+}
+
 /// Per-event pruning counters, shared by every driver of a
 /// [`PruneMachine`] (in-memory strings, chunked engines, batch runs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -137,13 +143,13 @@ pub struct PruneCounters {
 
 /// The source-generic core of streaming π-projection.
 ///
-/// This is the per-event keep/discard state machine extracted from
-/// [`prune_str`], decoupled from where events come from (a pull
-/// [`XmlReader`], a push tokenizer fed by chunks, …) and where output
-/// bytes go (events append to any `String` scratch buffer the caller
-/// hands in, which the caller may drain to an `io::Write` between
-/// events). Resident state is O(depth): one [`NameId`] per open kept
-/// element plus a skip counter for pruned subtrees.
+/// This is the per-event keep/discard state machine, decoupled from
+/// where events come from (as a [`MachineSink`] it sits under the one
+/// token loop, whole-string or chunked) and where output bytes go
+/// (events append to any `String` scratch buffer the caller hands in,
+/// which the caller may drain to an `io::Write` between events).
+/// Resident state is O(depth): one [`NameId`] per open kept element
+/// plus a skip counter for pruned subtrees.
 ///
 /// `D` is how the machine holds its grammar: `&Dtd` for callers with a
 /// borrowed grammar on the stack (the free functions here), `Arc<Dtd>`
@@ -165,8 +171,8 @@ pub struct PruneMachine<D: Borrow<Dtd>> {
     counters: PruneCounters,
 }
 
-/// What [`PruneMachine::start_element`] decided about the element, so a
-/// driver that owns the byte source can fast-forward.
+/// What [`PruneMachine::start_element_raw`] decided about the element,
+/// so a driver that owns the byte source can fast-forward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StartOutcome {
     /// The element is kept (its start tag is in `out`).
@@ -204,66 +210,20 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
         }
     }
 
-    /// Handles a start tag. `attrs` yields `(name, decoded value)` pairs
-    /// in document order; kept output is appended to `out`. The returned
-    /// [`StartOutcome`] tells a byte-owning driver whether the subtree is
-    /// eligible for raw fast-forward.
-    pub fn start_element<'a>(
-        &mut self,
-        name: &str,
-        attrs: impl IntoIterator<Item = (&'a str, &'a str)>,
-        out: &mut String,
-    ) -> Result<StartOutcome, StreamPruneError> {
-        self.saw_root = true;
-        if self.skip_depth > 0 {
-            self.skip_depth += 1;
-            return Ok(StartOutcome::Pruned);
-        }
-        let nm = self
-            .dtd
-            .borrow()
-            .name_of_tag_str(name)
-            .ok_or_else(|| StreamPruneError::UndeclaredElement(name.to_string()))?;
-        match self.table.verdict(nm) {
-            Verdict::Keep => {
-                if self.open_pending {
-                    out.push('>');
-                }
-                self.stack.push(nm);
-                self.counters.max_depth = self.counters.max_depth.max(self.stack.len());
-                self.counters.elements_kept += 1;
-                out.push('<');
-                out.push_str(name);
-                for (aname, avalue) in attrs {
-                    let _ = write!(out, " {aname}=\"");
-                    escape_attr(avalue, out);
-                    out.push('"');
-                }
-                self.open_pending = true;
-                Ok(StartOutcome::Kept)
-            }
-            Verdict::PruneDescend => {
-                self.counters.elements_pruned += 1;
-                self.skip_depth = 1;
-                Ok(StartOutcome::Pruned)
-            }
-            Verdict::PruneSubtree => {
-                self.counters.elements_pruned += 1;
-                self.skip_depth = 1;
-                Ok(StartOutcome::PrunedSubtree)
-            }
-        }
-    }
-
-    /// [`Self::start_element`] for drivers that hold the start tag as
-    /// raw bytes (the chunked engine): `attrs_raw` is the unparsed
-    /// attribute region from `xproj_xmltree::push::split_start_tag`.
+    /// Handles a start tag held as raw bytes: `attrs_raw` is the
+    /// unparsed attribute region from
+    /// `xproj_xmltree::push::split_start_tag` (what
+    /// [`TokenSink::start`] delivers); kept output is appended to `out`.
+    /// The returned [`StartOutcome`] tells a byte-owning driver whether
+    /// the subtree is eligible for raw fast-forward.
+    ///
     /// Attributes are only parsed — and their values only decoded, and
     /// even then only when they contain an entity — for *kept*
     /// elements, so pruned start tags cost one verdict lookup and zero
     /// allocation. The caller is expected to have validated attribute
-    /// syntax and entities already (the engine does, to report precise
-    /// parse errors); syntax errors surfacing here still fail cleanly.
+    /// syntax and entities already (the token loop does, to report
+    /// precise parse errors); syntax errors surfacing here still fail
+    /// cleanly.
     pub fn start_element_raw(
         &mut self,
         name: &str,
@@ -378,50 +338,207 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
     }
 }
 
+/// A [`PruneMachine`] under the token loop: each event runs the machine,
+/// kept bytes append to `out`. `E` is the driver's error type — the
+/// whole-string functions here use [`StreamPruneError`], the chunked
+/// engine its own — so one sink serves every driver.
+pub struct MachineSink<'a, D: Borrow<Dtd>, E> {
+    machine: &'a mut PruneMachine<D>,
+    out: &'a mut String,
+    error: PhantomData<E>,
+}
+
+impl<'a, D: Borrow<Dtd>, E> MachineSink<'a, D, E> {
+    /// Sits `machine` under a drain, appending kept output to `out`.
+    pub fn new(machine: &'a mut PruneMachine<D>, out: &'a mut String) -> Self {
+        MachineSink {
+            machine,
+            out,
+            error: PhantomData,
+        }
+    }
+}
+
+impl<D: Borrow<Dtd>, E: From<ParseError> + From<StreamPruneError>> TokenSink
+    for MachineSink<'_, D, E>
+{
+    type Error = E;
+
+    fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, E> {
+        let outcome = self.machine.start_element_raw(name, attrs_raw, self.out)?;
+        Ok(outcome == StartOutcome::PrunedSubtree)
+    }
+
+    fn end(&mut self, name: &str) -> Result<(), E> {
+        self.machine.end_element(name, self.out);
+        Ok(())
+    }
+
+    fn text(&mut self, decoded: &str) -> Result<(), E> {
+        self.machine.text(decoded, self.out);
+        Ok(())
+    }
+}
+
+/// DTD validation layered over a pruning sink (§6: "prune the document
+/// while validating it"): every event first advances the content-model
+/// automaton of the open element — pruned elements included, they must
+/// still be valid — and only then reaches the machine.
+struct Validating<'a, S> {
+    dtd: &'a Dtd,
+    /// `(name, NFA state-set)` per open element, kept or pruned.
+    open: Vec<(NameId, Vec<u32>)>,
+    max_depth: usize,
+    inner: S,
+}
+
+fn invalid(m: String) -> StreamPruneError {
+    StreamPruneError::Xml(format!("validation: {m}"))
+}
+
+impl<S: TokenSink<Error = StreamPruneError>> TokenSink for Validating<'_, S> {
+    type Error = StreamPruneError;
+
+    fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, StreamPruneError> {
+        let dtd = self.dtd;
+        let nm = dtd
+            .name_of_tag_str(name)
+            .ok_or_else(|| StreamPruneError::UndeclaredElement(name.to_string()))?;
+        // The root must match; children advance the parent's automaton.
+        match self.open.last_mut() {
+            None => {
+                if nm != dtd.root() {
+                    return Err(invalid(format!(
+                        "root element '{name}' does not match DTD root '{}'",
+                        dtd.label(dtd.root())
+                    )));
+                }
+            }
+            Some((parent, states)) => {
+                let auto = dtd
+                    .automaton(*parent)
+                    .expect("open elements have content models");
+                if !auto.step(states, nm) {
+                    return Err(invalid(format!(
+                        "element '{name}' not allowed here inside '{}'",
+                        dtd.label(*parent)
+                    )));
+                }
+            }
+        }
+        let states = dtd
+            .automaton(nm)
+            .expect("element names have content models")
+            .start();
+        self.open.push((nm, states));
+        self.max_depth = self.max_depth.max(self.open.len());
+        // Never skippable: a validating pass must see every event.
+        self.inner.start(name, attrs_raw)?;
+        Ok(false)
+    }
+
+    fn end(&mut self, name: &str) -> Result<(), StreamPruneError> {
+        let (nm, states) = self.open.pop().expect("the token loop guarantees balance");
+        let auto = self.dtd.automaton(nm).expect("content model");
+        if !auto.accepts(&states) {
+            return Err(invalid(format!(
+                "content of '{name}' does not match its model"
+            )));
+        }
+        self.inner.end(name)
+    }
+
+    fn text(&mut self, decoded: &str) -> Result<(), StreamPruneError> {
+        let dtd = self.dtd;
+        let Some((parent, states)) = self.open.last_mut() else {
+            return Ok(());
+        };
+        let Some(tn) = dtd.text_children_of(*parent).iter().next() else {
+            return Err(invalid(format!(
+                "text not allowed inside '{}'",
+                dtd.label(*parent)
+            )));
+        };
+        let auto = dtd.automaton(*parent).expect("content model");
+        if !auto.step(states, tn) {
+            return Err(invalid(format!(
+                "text not allowed at this position inside '{}'",
+                dtd.label(*parent)
+            )));
+        }
+        self.inner.text(decoded)
+    }
+}
+
+/// What a whole-string pass does besides pruning.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Tokenize everything.
+    Plain,
+    /// Raw-scan past subtrees that can reach nothing in π.
+    FastForward,
+    /// Validate against the DTD (every event: fast-forward stays off).
+    Validate,
+}
+
+/// The whole-string driver: a complete input is the one-chunk case of
+/// the push loop the chunked engine drives.
+fn prune_whole(
+    input: &str,
+    dtd: &Dtd,
+    projector: &Projector,
+    pass: Pass,
+) -> Result<StreamPruneResult, StreamPruneError> {
+    let mut output = String::with_capacity(input.len() / 2);
+    let mut machine = PruneMachine::new(dtd, projector);
+    let mut sink = MachineSink::new(&mut machine, &mut output);
+    // Validation tracks pruned elements too, so its depth is the
+    // document's, not just the kept spine's.
+    let mut validated_depth = None;
+    if pass == Pass::Validate {
+        let mut sink = Validating {
+            dtd,
+            open: Vec::with_capacity(32),
+            max_depth: 0,
+            inner: sink,
+        };
+        drain_str(input, &mut sink, false)?;
+        if sink.max_depth == 0 {
+            return Err(invalid("document has no root element".to_string()));
+        }
+        validated_depth = Some(sink.max_depth);
+    } else {
+        drain_str(input, &mut sink, pass == Pass::FastForward)?;
+    }
+    let c = machine.finish()?;
+    Ok(StreamPruneResult {
+        output,
+        elements_kept: c.elements_kept,
+        elements_pruned: c.elements_pruned,
+        text_kept: c.text_kept,
+        text_pruned: c.text_pruned,
+        max_depth: validated_depth.unwrap_or(c.max_depth),
+    })
+}
+
 /// Prunes a serialized document in one pass.
 ///
 /// Only the open-element name stack is retained (O(depth) memory); kept
-/// events are appended to the output as they arrive. This is the
-/// whole-string driver of [`PruneMachine`]; the chunked `io::Read` →
-/// `io::Write` driver lives in `xproj-engine`.
+/// events are appended to the output as they arrive. The chunked
+/// `io::Read` → `io::Write` driver of the same loop lives in
+/// `xproj-engine`.
 pub fn prune_str(
     input: &str,
     dtd: &Dtd,
     projector: &Projector,
 ) -> Result<StreamPruneResult, StreamPruneError> {
-    let mut reader = XmlReader::new(input);
-    let mut out = String::with_capacity(input.len() / 2);
-    let mut machine = PruneMachine::new(dtd, projector);
-    loop {
-        match reader.next_event().map_err(|e| StreamPruneError::Xml(e.to_string()))? {
-            Event::StartElement { name, attrs, .. } => {
-                machine.start_element(
-                    name,
-                    attrs.iter().map(|a| (a.name, a.value.as_ref())),
-                    &mut out,
-                )?;
-            }
-            Event::EndElement { name } => machine.end_element(name, &mut out),
-            Event::Text(t) => machine.text(&t, &mut out),
-            Event::Comment(_) | Event::ProcessingInstruction(_) | Event::Doctype { .. } => {}
-            Event::Eof => break,
-        }
-    }
-    let c = machine.finish()?;
-    Ok(StreamPruneResult {
-        output: out,
-        elements_kept: c.elements_kept,
-        elements_pruned: c.elements_pruned,
-        text_kept: c.text_kept,
-        text_pruned: c.text_pruned,
-        max_depth: c.max_depth,
-    })
+    prune_whole(input, dtd, projector, Pass::Plain)
 }
 
 /// [`prune_str`] with the pruned-subtree **fast-forward** engaged: when
 /// the machine reports [`StartOutcome::PrunedSubtree`] (the element's
-/// name can reach no π name under ⇒E*), the reader skips the subtree's
-/// raw bytes with a depth counter instead of tokenizing it.
+/// name can reach no π name under ⇒E*), the tokenizer skips the
+/// subtree's raw bytes with a depth counter instead of tokenizing it.
 ///
 /// Output is byte-identical to [`prune_str`] on well-formed input, and
 /// the counters agree except `text_pruned`, which undercounts (text that
@@ -435,45 +552,7 @@ pub fn prune_str_fast(
     dtd: &Dtd,
     projector: &Projector,
 ) -> Result<StreamPruneResult, StreamPruneError> {
-    let mut reader = XmlReader::new(input);
-    let mut out = String::with_capacity(input.len() / 2);
-    let mut machine = PruneMachine::new(dtd, projector);
-    loop {
-        match reader.next_event().map_err(|e| StreamPruneError::Xml(e.to_string()))? {
-            Event::StartElement {
-                name,
-                attrs,
-                self_closing,
-            } => {
-                let outcome = machine.start_element(
-                    name,
-                    attrs.iter().map(|a| (a.name, a.value.as_ref())),
-                    &mut out,
-                )?;
-                // A self-closing element has no raw subtree to skip; its
-                // synthesized end event flows through normally.
-                if outcome == StartOutcome::PrunedSubtree && !self_closing {
-                    reader
-                        .skip_subtree()
-                        .map_err(|e| StreamPruneError::Xml(e.to_string()))?;
-                    machine.end_element(name, &mut out);
-                }
-            }
-            Event::EndElement { name } => machine.end_element(name, &mut out),
-            Event::Text(t) => machine.text(&t, &mut out),
-            Event::Comment(_) | Event::ProcessingInstruction(_) | Event::Doctype { .. } => {}
-            Event::Eof => break,
-        }
-    }
-    let c = machine.finish()?;
-    Ok(StreamPruneResult {
-        output: out,
-        elements_kept: c.elements_kept,
-        elements_pruned: c.elements_pruned,
-        text_kept: c.text_kept,
-        text_pruned: c.text_pruned,
-        max_depth: c.max_depth,
-    })
+    prune_whole(input, dtd, projector, Pass::FastForward)
 }
 
 /// Prunes and *validates* in the same single pass (§6: "an optional
@@ -488,145 +567,7 @@ pub fn prune_validate_str(
     dtd: &Dtd,
     projector: &Projector,
 ) -> Result<StreamPruneResult, StreamPruneError> {
-    let mut reader = XmlReader::new(input);
-    let mut out = String::with_capacity(input.len() / 2);
-    struct Open {
-        name: NameId,
-        states: Vec<u32>,
-        kept: bool,
-    }
-    let mut stack: Vec<Open> = Vec::with_capacity(32);
-    let mut stats = StreamPruneResult {
-        output: String::new(),
-        elements_kept: 0,
-        elements_pruned: 0,
-        text_kept: 0,
-        text_pruned: 0,
-        max_depth: 0,
-    };
-    let mut open_pending = false;
-    let mut saw_root = false;
-    let invalid = |m: String| StreamPruneError::Xml(format!("validation: {m}"));
-    loop {
-        match reader
-            .next_event()
-            .map_err(|e| StreamPruneError::Xml(e.to_string()))?
-        {
-            Event::StartElement { name, attrs, .. } => {
-                saw_root = true;
-                let nm = dtd
-                    .name_of_tag_str(name)
-                    .ok_or_else(|| StreamPruneError::UndeclaredElement(name.to_string()))?;
-                // validate: the root must match; children advance the
-                // parent's automaton.
-                match stack.last_mut() {
-                    None => {
-                        if nm != dtd.root() {
-                            return Err(invalid(format!(
-                                "root element '{name}' does not match DTD root '{}'",
-                                dtd.label(dtd.root())
-                            )));
-                        }
-                    }
-                    Some(parent) => {
-                        let auto = dtd
-                            .automaton(parent.name)
-                            .expect("open elements have content models");
-                        if !auto.step(&mut parent.states, nm) {
-                            return Err(invalid(format!(
-                                "element '{name}' not allowed here inside '{}'",
-                                dtd.label(parent.name)
-                            )));
-                        }
-                    }
-                }
-                let kept = projector.contains(nm)
-                    && stack.last().map(|p| p.kept).unwrap_or(true);
-                if kept {
-                    if open_pending {
-                        out.push('>');
-                    }
-                    stats.elements_kept += 1;
-                    out.push('<');
-                    out.push_str(name);
-                    for a in &attrs {
-                        let _ = write!(out, " {}=\"", a.name);
-                        escape_attr(&a.value, &mut out);
-                        out.push('"');
-                    }
-                    open_pending = true;
-                } else if stack.last().map(|p| p.kept).unwrap_or(true) {
-                    // root of a pruned subtree
-                    stats.elements_pruned += 1;
-                }
-                let states = dtd
-                    .automaton(nm)
-                    .expect("element names have content models")
-                    .start();
-                stack.push(Open {
-                    name: nm,
-                    states,
-                    kept,
-                });
-                stats.max_depth = stats.max_depth.max(stack.len());
-            }
-            Event::EndElement { name } => {
-                let open = stack.pop().expect("reader guarantees balance");
-                let auto = dtd.automaton(open.name).expect("content model");
-                if !auto.accepts(&open.states) {
-                    return Err(invalid(format!(
-                        "content of '{name}' does not match its model"
-                    )));
-                }
-                if open.kept {
-                    if open_pending {
-                        out.push_str("/>");
-                        open_pending = false;
-                    } else {
-                        out.push_str("</");
-                        out.push_str(name);
-                        out.push('>');
-                    }
-                }
-            }
-            Event::Text(t) => {
-                let Some(parent) = stack.last_mut() else {
-                    continue;
-                };
-                let text_name = dtd.text_children_of(parent.name).iter().next();
-                let Some(tn) = text_name else {
-                    return Err(invalid(format!(
-                        "text not allowed inside '{}'",
-                        dtd.label(parent.name)
-                    )));
-                };
-                let auto = dtd.automaton(parent.name).expect("content model");
-                if !auto.step(&mut parent.states, tn) {
-                    return Err(invalid(format!(
-                        "text not allowed at this position inside '{}'",
-                        dtd.label(parent.name)
-                    )));
-                }
-                if parent.kept && projector.contains(tn) {
-                    if open_pending {
-                        out.push('>');
-                        open_pending = false;
-                    }
-                    stats.text_kept += 1;
-                    escape_text(&t, &mut out);
-                } else {
-                    stats.text_pruned += 1;
-                }
-            }
-            Event::Comment(_) | Event::ProcessingInstruction(_) | Event::Doctype { .. } => {}
-            Event::Eof => break,
-        }
-    }
-    if !saw_root {
-        return Err(invalid("document has no root element".to_string()));
-    }
-    stats.output = out;
-    Ok(stats)
+    prune_whole(input, dtd, projector, Pass::Validate)
 }
 
 #[cfg(test)]
@@ -771,49 +712,6 @@ mod tests {
         assert_eq!(fast.output, slow.output);
         assert_eq!(fast.output, "<bib><book id=\"b1\"><title>T</title></book></bib>");
         assert_eq!(fast.elements_pruned, slow.elements_pruned);
-    }
-
-    /// Driving the machine through `start_element_raw` with unparsed
-    /// attribute regions must produce byte-identical output and counters
-    /// to the decoded-attribute path.
-    #[test]
-    fn raw_start_path_matches_decoded_path() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let doc = "<bib><book id=\"a &gt; b\"><title>T&amp;T</title>\
-                   <author>A</author><price>9</price></book></bib>";
-        for q in ["/bib/book/title", "//price", "/bib"] {
-            let p = sa.project_query(q).unwrap();
-            let expected = prune_str(doc, &dtd, &p).unwrap();
-            let mut machine = PruneMachine::new(&dtd, &p);
-            let mut out = String::new();
-            let mut reader = XmlReader::new(doc);
-            loop {
-                match reader.next_event().unwrap() {
-                    Event::StartElement { name, .. } => {
-                        // Re-derive the raw attribute region from the
-                        // source bytes: everything the tag held.
-                        let tag_end = doc[..reader.offset()].rfind('>').unwrap();
-                        let tag_start = doc[..tag_end].rfind('<').unwrap();
-                        let token = &doc[tag_start..=tag_end];
-                        let (n2, attrs_raw, _) =
-                            xproj_xmltree::push::split_start_tag(token).unwrap();
-                        assert_eq!(n2, name);
-                        machine.start_element_raw(name, attrs_raw, &mut out).unwrap();
-                    }
-                    Event::EndElement { name } => machine.end_element(name, &mut out),
-                    Event::Text(t) => machine.text(&t, &mut out),
-                    Event::Comment(_)
-                    | Event::ProcessingInstruction(_)
-                    | Event::Doctype { .. } => {}
-                    Event::Eof => break,
-                }
-            }
-            let c = machine.finish().unwrap();
-            assert_eq!(out, expected.output, "query {q}");
-            assert_eq!(c.elements_kept, expected.elements_kept, "query {q}");
-            assert_eq!(c.text_kept, expected.text_kept, "query {q}");
-        }
     }
 
     #[test]

@@ -40,11 +40,18 @@ impl From<GrammarError> for DtdError {
     }
 }
 
+/// Deepest nesting of content-model groups the parser accepts; the
+/// same bound as every other recursive-descent parser in the workspace
+/// (the regex compiler and automaton builder downstream recurse over
+/// the parsed model too).
+const MAX_NESTING: usize = 128;
+
 /// Parses DTD text; `root_tag` names the root element (the DOCTYPE name).
 pub fn parse_dtd(text: &str, root_tag: &str) -> Result<Dtd, DtdError> {
     let mut p = Parser {
         text,
         pos: 0,
+        depth: 0,
         builder: Dtd::builder(),
         pending: Vec::new(),
         attlists: Vec::new(),
@@ -78,6 +85,8 @@ enum RawRegex {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Content-model groups currently open, against [`MAX_NESTING`].
+    depth: usize,
     builder: DtdBuilder,
     /// (element tag, raw content) in declaration order.
     pending: Vec<(String, RawContent)>,
@@ -242,34 +251,47 @@ impl<'a> Parser<'a> {
     fn parse_primary(&mut self) -> Result<RawRegex, DtdError> {
         self.skip_ws();
         if self.eat("(") {
-            let mut items = vec![self.parse_regex_inner()?];
-            self.skip_ws();
-            let sep = if self.rest().starts_with(',') {
-                ','
-            } else if self.rest().starts_with('|') {
-                '|'
-            } else if self.eat(")") {
-                return Ok(items.pop().unwrap());
-            } else {
-                return self.err("expected ',', '|' or ')' in content model");
-            };
-            while self.eat(&sep.to_string()) {
-                items.push(self.parse_regex_inner()?);
-                self.skip_ws();
+            if self.depth == MAX_NESTING {
+                return self.err(format!(
+                    "content-model nesting exceeds {MAX_NESTING} levels"
+                ));
             }
-            if !self.eat(")") {
-                return self.err("expected ')'");
-            }
-            Ok(if sep == ',' {
-                RawRegex::Seq(items)
-            } else {
-                RawRegex::Alt(items)
-            })
+            self.depth += 1;
+            let group = self.parse_group();
+            self.depth -= 1;
+            group
         } else if self.eat("#PCDATA") {
             Ok(RawRegex::Pcdata)
         } else {
             Ok(RawRegex::Name(self.read_name()?))
         }
+    }
+
+    /// The inside of a `( … )` group, after the opening parenthesis.
+    fn parse_group(&mut self) -> Result<RawRegex, DtdError> {
+        let mut items = vec![self.parse_regex_inner()?];
+        self.skip_ws();
+        let sep = if self.rest().starts_with(',') {
+            ','
+        } else if self.rest().starts_with('|') {
+            '|'
+        } else if self.eat(")") {
+            return Ok(items.pop().unwrap());
+        } else {
+            return self.err("expected ',', '|' or ')' in content model");
+        };
+        while self.eat(&sep.to_string()) {
+            items.push(self.parse_regex_inner()?);
+            self.skip_ws();
+        }
+        if !self.eat(")") {
+            return self.err("expected ')'");
+        }
+        Ok(if sep == ',' {
+            RawRegex::Seq(items)
+        } else {
+            RawRegex::Alt(items)
+        })
     }
 
     fn parse_regex_inner(&mut self) -> Result<RawRegex, DtdError> {
@@ -635,5 +657,23 @@ mod syntax_edge_tests {
         .unwrap();
         let a = d.name_of_tag_str("a").unwrap();
         assert_eq!(d.children_of(a).len(), 2);
+    }
+
+    /// Content-model groups nest at most `MAX_NESTING` deep: beyond
+    /// that a parse error, never a stack overflow.
+    #[test]
+    fn group_nesting_is_bounded() {
+        let model = |n: usize| {
+            format!(
+                "<!ELEMENT a {}b{}> <!ELEMENT b EMPTY>",
+                "(".repeat(n),
+                ")*".repeat(n)
+            )
+        };
+        assert!(parse_dtd(&model(MAX_NESTING), "a").is_ok());
+        for n in [MAX_NESTING + 1, 100_000] {
+            let err = parse_dtd(&model(n), "a").unwrap_err();
+            assert!(err.message.contains("nesting exceeds"), "{err}");
+        }
     }
 }

@@ -4,9 +4,10 @@
 //! This is the deployment mode the paper's §6 (and the journal version's
 //! streaming emphasis) actually measures: π-pruning as a single fused
 //! pass that never holds the document in memory. Bytes are pushed into a
-//! [`PushTokenizer`] in arbitrary chunks; completed events run through
-//! the source-generic [`PruneMachine`]; kept bytes are flushed to the
-//! sink after every feed. The only engine-resident state is the
+//! [`PushTokenizer`] in arbitrary chunks; its one token loop runs every
+//! completed event through the [`PruneMachine`] (as a
+//! [`MachineSink`]); kept bytes are flushed to the sink after every
+//! feed. The only engine-resident state is the
 //! tokenizer's incomplete-token tail, the machine's open-element stack,
 //! and a serialization scratch buffer that is drained each feed —
 //! [`ChunkedPruner::finish`] *asserts* the resulting bound.
@@ -15,12 +16,10 @@ use crate::metrics::EngineStats;
 use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::time::Instant;
-use xproj_core::{PruneMachine, Projector, StartOutcome, StreamPruneError};
+use xproj_core::{MachineSink, Projector, ProjectorTable, PruneMachine, StreamPruneError};
 use xproj_dtd::Dtd;
-use xproj_xmltree::events::{decode_entities, validate_entities, ParseError};
-use xproj_xmltree::push::{
-    parse_end_tag_name, split_start_tag, PushEvent, PushTokenizer, RawAttrs, RawKind,
-};
+use xproj_xmltree::events::ParseError;
+use xproj_xmltree::push::{Drained, PushTokenizer};
 
 /// Default chunk size for [`prune_reader`].
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
@@ -124,9 +123,16 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     /// Pruned-subtree fast-forward is **on**; see
     /// [`Self::set_fast_forward`] for the tradeoff.
     pub fn new(dtd: D, projector: &Projector, sink: W) -> Self {
+        let table = ProjectorTable::new(dtd.borrow(), projector);
+        Self::with_table(dtd, table, sink)
+    }
+
+    /// [`Self::new`] from an already-built verdict table (a compiled
+    /// artifact's), so per-request setup is a table clone, not a build.
+    pub fn with_table(dtd: D, table: ProjectorTable, sink: W) -> Self {
         ChunkedPruner {
             tokenizer: PushTokenizer::new(),
-            machine: PruneMachine::new(dtd, projector),
+            machine: PruneMachine::with_table(dtd, table),
             sink,
             scratch: String::new(),
             stats: EngineStats {
@@ -151,110 +157,35 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
         self.fast_forward = on;
     }
 
-    /// Feeds one chunk of the serialized document.
+    /// Feeds one chunk of the serialized document: every token it
+    /// completes runs through the machine, then the kept bytes go to the
+    /// sink.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
         self.stats.bytes_in += chunk.len() as u64;
         self.max_chunk = self.max_chunk.max(chunk.len());
         let t0 = Instant::now();
         self.tokenizer.push_bytes(chunk)?;
-        self.stats.timings.tokenize += t0.elapsed();
-        self.pump()
+        let done = self.tokenizer.drain(
+            &mut MachineSink::<_, EngineError>::new(&mut self.machine, &mut self.scratch),
+            self.fast_forward,
+        )?;
+        self.flush(done, t0)
     }
 
-    /// Drains every completed token through the machine, engaging
-    /// fast-forward at eligible subtree roots, then flushes the scratch.
-    ///
-    /// This is the zero-copy loop: tokens are *peeked* as borrowed slices
-    /// of the tokenizer buffer, fed to the machine's raw entry points,
-    /// and then advanced past — no per-event `String`/`Vec` allocation.
-    fn pump(&mut self) -> Result<(), EngineError> {
+    /// Books what a drain started at `t0` did and hands the scratch to
+    /// the sink.
+    fn flush(&mut self, done: Drained, t0: Instant) -> Result<(), EngineError> {
+        self.stats.events += done.events;
+        self.stats.subtrees_fast_forwarded += done.fast_forwarded;
         let t1 = Instant::now();
-        while let Some(tok) = self.tokenizer.peek_token()? {
-            match tok.kind {
-                RawKind::StartTag { self_closing } => {
-                    let offset = self.tokenizer.offset();
-                    let raw = self.tokenizer.token_str(&tok);
-                    let (name, attrs_raw, _) = split_start_tag(raw)
-                        .map_err(|message| ParseError { offset, message })?;
-                    // Attribute syntax and entity validity are checked
-                    // for every start tag — kept or pruned — matching
-                    // the full parse this raw path replaces.
-                    for attr in RawAttrs::new(attrs_raw) {
-                        let (_, rawv) =
-                            attr.map_err(|message| ParseError { offset, message })?;
-                        validate_entities(rawv)
-                            .map_err(|message| ParseError { offset, message })?;
-                    }
-                    let outcome =
-                        self.machine
-                            .start_element_raw(name, attrs_raw, &mut self.scratch)?;
-                    self.stats.events += 1;
-                    if self_closing {
-                        // A self-closing element has no raw subtree; its
-                        // synthesized end event flows through normally.
-                        self.stats.events += 1;
-                        self.machine.end_element(name, &mut self.scratch);
-                        self.tokenizer.advance(tok)?;
-                    } else if self.fast_forward && outcome == StartOutcome::PrunedSubtree {
-                        self.machine.end_element(name, &mut self.scratch);
-                        self.stats.subtrees_fast_forwarded += 1;
-                        self.tokenizer.advance(tok)?;
-                        self.tokenizer.skip_current_subtree()?;
-                    } else {
-                        self.tokenizer.advance(tok)?;
-                    }
-                }
-                RawKind::EndTag => {
-                    let offset = self.tokenizer.offset();
-                    let raw = self.tokenizer.token_str(&tok);
-                    let name = parse_end_tag_name(raw)
-                        .map_err(|message| ParseError { offset, message })?;
-                    self.machine.end_element(name, &mut self.scratch);
-                    self.stats.events += 1;
-                    // advance re-checks the name against the open-element
-                    // stack, so mismatched tags still fail here.
-                    self.tokenizer.advance(tok)?;
-                }
-                RawKind::Text => {
-                    let offset = self.tokenizer.offset();
-                    let raw = self.tokenizer.token_str(&tok);
-                    // Whitespace outside the root element is dropped,
-                    // matching XmlReader.
-                    if self.tokenizer.depth() == 0 && raw.trim().is_empty() {
-                        self.tokenizer.advance(tok)?;
-                        continue;
-                    }
-                    let decoded = decode_entities(raw)
-                        .map_err(|message| ParseError { offset, message })?;
-                    self.machine.text(&decoded, &mut self.scratch);
-                    self.stats.events += 1;
-                    self.tokenizer.advance(tok)?;
-                }
-                RawKind::Cdata => {
-                    let raw = self.tokenizer.token_str(&tok);
-                    let inner = &raw["<![CDATA[".len()..raw.len() - "]]>".len()];
-                    self.machine.text(inner, &mut self.scratch);
-                    self.stats.events += 1;
-                    self.tokenizer.advance(tok)?;
-                }
-                RawKind::Comment | RawKind::Pi | RawKind::Doctype => {
-                    self.stats.events += 1;
-                    self.tokenizer.advance(tok)?;
-                }
-                RawKind::XmlDecl => {
-                    self.tokenizer.advance(tok)?;
-                }
-            }
-        }
-        let t2 = Instant::now();
-        self.stats.timings.prune += t2 - t1;
+        self.stats.timings.scan += t1 - t0;
         self.peak_scratch = self.peak_scratch.max(self.scratch.len());
         if !self.scratch.is_empty() {
             self.sink.write_all(self.scratch.as_bytes())?;
             self.stats.bytes_out += self.scratch.len() as u64;
             self.scratch.clear();
         }
-        self.stats.timings.write += t2.elapsed();
+        self.stats.timings.write += t1.elapsed();
         self.stats.peak_resident_bytes = self
             .stats
             .peak_resident_bytes
@@ -277,32 +208,13 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     /// need this: the trailing kept bytes are flushed into the sink
     /// during finish, so dropping it here would lose them.
     pub fn finish_with_sink(mut self) -> Result<(EngineStats, W), EngineError> {
-        self.pump()?;
+        // Only a trailing text run can surface here; subtree starts
+        // always complete before EOF.
         let t0 = Instant::now();
-        // Only a trailing text run or a pending synthesized end event can
-        // surface here; subtree starts always complete before EOF.
-        let events = self.tokenizer.finish()?;
-        self.stats.timings.tokenize += t0.elapsed();
-        self.stats.events += events.len() as u64;
-        for ev in &events {
-            match ev {
-                PushEvent::EndElement { name } => {
-                    self.machine.end_element(name, &mut self.scratch)
-                }
-                PushEvent::Text(t) => self.machine.text(t, &mut self.scratch),
-                _ => {}
-            }
-        }
-        self.peak_scratch = self.peak_scratch.max(self.scratch.len());
-        if !self.scratch.is_empty() {
-            self.sink.write_all(self.scratch.as_bytes())?;
-            self.stats.bytes_out += self.scratch.len() as u64;
-            self.scratch.clear();
-        }
-        self.stats.peak_resident_bytes = self
-            .stats
-            .peak_resident_bytes
-            .max(self.tokenizer.peak_buffered() + self.peak_scratch);
+        let done = self
+            .tokenizer
+            .finish_into(&mut MachineSink::<_, EngineError>::new(&mut self.machine, &mut self.scratch))?;
+        self.flush(done, t0)?;
         let ChunkedPruner {
             tokenizer,
             machine,

@@ -7,22 +7,21 @@
 //! stats; the CLI and the bench binaries serialize them as the
 //! workspace's usual one-JSON-object-per-line format.
 
-use crate::cache::CacheStats;
 use std::time::Duration;
 use xproj_core::{ErrorCode, PruneCounters};
+use xproj_qc::ArtifactCacheStats;
 
 /// Wall-clock time spent in each stage of the chunked pipeline.
 ///
-/// The stages correspond to the three things a feed does: recognising
-/// complete tokens in the byte stream (*tokenize*), running the
-/// keep/discard machine over the resulting events (*prune*), and pushing
-/// kept bytes into the output sink (*write*).
+/// A feed does two things that can be told apart with one clock read
+/// each: the fused token loop — tokenizing *and* running the
+/// keep/discard machine, one pass, not separable without a clock per
+/// token (*scan*) — and pushing kept bytes into the output sink
+/// (*write*).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
-    /// Time spent in the push tokenizer.
-    pub tokenize: Duration,
-    /// Time spent in the pruning state machine.
-    pub prune: Duration,
+    /// Time spent in the token loop: tokenizer plus pruning machine.
+    pub scan: Duration,
     /// Time spent writing kept bytes to the sink.
     pub write: Duration,
 }
@@ -30,13 +29,12 @@ pub struct StageTimings {
 impl StageTimings {
     /// Sum of all stages.
     pub fn total(&self) -> Duration {
-        self.tokenize + self.prune + self.write
+        self.scan + self.write
     }
 
     /// Accumulates another timing set (for batch aggregation).
     pub fn accumulate(&mut self, other: &StageTimings) {
-        self.tokenize += other.tokenize;
-        self.prune += other.prune;
+        self.scan += other.scan;
         self.write += other.write;
     }
 }
@@ -67,9 +65,9 @@ pub struct EngineStats {
     pub timings: StageTimings,
     /// Documents aggregated into this stats object (1 for a single run).
     pub documents: u64,
-    /// Projector-cache counters of the run (all-zero when the run did
-    /// not go through a [`crate::ProjectorCache`]).
-    pub cache: CacheStats,
+    /// Artifact-cache counters of the run (all-zero when the run did
+    /// not go through an [`xproj_qc::ArtifactCache`]).
+    pub cache: ArtifactCacheStats,
 }
 
 impl EngineStats {
@@ -111,7 +109,7 @@ impl EngineStats {
              \"elements_kept\":{},\"elements_pruned\":{},\"text_kept\":{},\"text_pruned\":{},\
              \"max_depth\":{},\"peak_resident_bytes\":{},\"max_token_bytes\":{},\
              \"subtrees_fast_forwarded\":{},\
-             \"tokenize_ns\":{},\"prune_ns\":{},\"write_ns\":{},\
+             \"scan_ns\":{},\"write_ns\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{}}}",
             self.documents,
             self.events,
@@ -126,8 +124,7 @@ impl EngineStats {
             self.peak_resident_bytes,
             self.max_token_bytes,
             self.subtrees_fast_forwarded,
-            self.timings.tokenize.as_nanos(),
-            self.timings.prune.as_nanos(),
+            self.timings.scan.as_nanos(),
             self.timings.write.as_nanos(),
             self.cache.hits,
             self.cache.misses,
@@ -205,11 +202,12 @@ mod tests {
     #[test]
     fn json_line_carries_cache_counters() {
         let s = EngineStats {
-            cache: CacheStats {
+            cache: ArtifactCacheStats {
                 hits: 3,
                 misses: 1,
                 evictions: 2,
                 entries: 1,
+                ..Default::default()
             },
             ..Default::default()
         };

@@ -5,8 +5,8 @@
 //! buffer, then parse the pruned document and run the evaluator. A
 //! [`QueryMachine`] collapses that for the path-shaped fragment the
 //! compiler (`xproj-qc`) lowers to [`Plan::Streaming`]: the compiled
-//! [`PathProgram`](xproj_qc::PathProgram) is executed as an NFA directly over the raw token
-//! stream, candidate subtrees are serialized into per-match capture
+//! [`PathProgram`](xproj_qc::PathProgram) is executed as an NFA — a sink directly under the
+//! tokenizer's one token loop — candidate subtrees are serialized into per-match capture
 //! buffers as their bytes flow past, and everything outside π is
 //! fast-forwarded exactly like the pruner. Engine-resident state stays
 //! O(depth + chunk); only the answer itself (the open captures and the
@@ -44,10 +44,8 @@ use xproj_core::{ErrorCode, ProjectorTable, StreamPruneError, Verdict};
 use xproj_dtd::{Dtd, NameId};
 use xproj_qc::{Plan, QueryArtifact, StepAxis, StepInstr, StepTest};
 use xproj_xmltree::document::{escape_attr, escape_text};
-use xproj_xmltree::events::{decode_entities, validate_entities, ParseError};
-use xproj_xmltree::push::{
-    parse_end_tag_name, split_start_tag, PushEvent, PushTokenizer, RawAttrs, RawKind,
-};
+use xproj_xmltree::events::decode_entities;
+use xproj_xmltree::push::{Drained, PushTokenizer, RawAttrs, TokenSink};
 use xproj_xmltree::{parse_with_options, Document, ParseOptions};
 use xproj_xquery::{evaluate_query_items, serialize_item};
 
@@ -86,18 +84,6 @@ impl std::error::Error for QueryError {}
 impl From<EngineError> for QueryError {
     fn from(e: EngineError) -> Self {
         QueryError::Engine(e)
-    }
-}
-
-impl From<ParseError> for QueryError {
-    fn from(e: ParseError) -> Self {
-        QueryError::Engine(EngineError::Xml(e))
-    }
-}
-
-impl From<StreamPruneError> for QueryError {
-    fn from(e: StreamPruneError) -> Self {
-        QueryError::Engine(EngineError::Prune(e))
     }
 }
 
@@ -425,12 +411,56 @@ impl Matcher {
         self.caps[self.head..].iter().map(|c| c.buf.len()).sum()
     }
 
+    fn finish_document(&mut self) -> Result<(), StreamPruneError> {
+        if !self.saw_root {
+            return Err(StreamPruneError::Xml(
+                "document has no root element".to_string(),
+            ));
+        }
+        for cap in &mut self.caps[self.head..] {
+            if cap.state == CapState::Open && cap.start_depth == 1 {
+                let ok = cap.guard.as_ref().map(|g| g.satisfied).unwrap_or(true);
+                cap.state = if ok { CapState::Done } else { CapState::Failed };
+                self.open_count -= 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Moves every completed front-of-queue capture into `ready`,
+    /// preserving document order. Stops at the first still-open capture.
+    fn drain_ready(&mut self, ready: &mut Vec<String>) {
+        while self.head < self.caps.len() {
+            match self.caps[self.head].state {
+                CapState::Open => break,
+                CapState::Failed => {
+                    self.caps[self.head].buf = String::new();
+                    self.head += 1;
+                }
+                CapState::Done => {
+                    ready.push(std::mem::take(&mut self.caps[self.head].buf));
+                    self.head += 1;
+                }
+            }
+        }
+        if self.head > 64 {
+            self.caps.drain(..self.head);
+            self.head = 0;
+        }
+    }
+}
+
+/// The matcher under the token loop: every event advances the NFA and
+/// feeds the open captures.
+impl TokenSink for Matcher {
+    type Error = EngineError;
+
     /// Processes a start tag. Returns true when the whole subtree is
     /// skippable: the projector says nothing under this name is in π,
     /// no capture is recording, and the node itself is not an answer —
     /// by Thm 4.6 no answer (or guard witness) can live inside it on a
     /// valid document.
-    fn start_element(&mut self, name_str: &str, attrs_raw: &str) -> Result<bool, StreamPruneError> {
+    fn start(&mut self, name_str: &str, attrs_raw: &str) -> Result<bool, EngineError> {
         let name = self
             .dtd
             .name_of_tag_str(name_str)
@@ -510,11 +540,11 @@ impl Matcher {
         Ok(can_ff)
     }
 
-    fn end_element(&mut self, name_str: &str) {
+    fn end(&mut self, name_str: &str) -> Result<(), EngineError> {
         let depth = self.stack.len();
-        let top = self.stack.pop().expect("end_element below document");
+        let top = self.stack.pop().expect("end below the document frame");
         if self.open_count == 0 {
-            return;
+            return Ok(());
         }
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
@@ -541,13 +571,14 @@ impl Matcher {
             }
         }
         self.scratch = scratch;
+        Ok(())
     }
 
-    fn text(&mut self, decoded: &str) {
+    fn text(&mut self, decoded: &str) -> Result<(), EngineError> {
         // The reference parser drops whitespace-only text nodes and text
         // directly under the document node; match that node set exactly.
         if self.stack.len() == 1 || decoded.trim().is_empty() {
-            return;
+            return Ok(());
         }
         let top = *self.stack.last().expect("document frame always present");
         if self.open_count > 0 && top.open_pending {
@@ -600,44 +631,7 @@ impl Matcher {
             append_open(&mut self.caps[self.head..], &scratch);
             self.scratch = scratch;
         }
-    }
-
-    fn finish_document(&mut self) -> Result<(), StreamPruneError> {
-        if !self.saw_root {
-            return Err(StreamPruneError::Xml(
-                "document has no root element".to_string(),
-            ));
-        }
-        for cap in &mut self.caps[self.head..] {
-            if cap.state == CapState::Open && cap.start_depth == 1 {
-                let ok = cap.guard.as_ref().map(|g| g.satisfied).unwrap_or(true);
-                cap.state = if ok { CapState::Done } else { CapState::Failed };
-                self.open_count -= 1;
-            }
-        }
         Ok(())
-    }
-
-    /// Moves every completed front-of-queue capture into `ready`,
-    /// preserving document order. Stops at the first still-open capture.
-    fn drain_ready(&mut self, ready: &mut Vec<String>) {
-        while self.head < self.caps.len() {
-            match self.caps[self.head].state {
-                CapState::Open => break,
-                CapState::Failed => {
-                    self.caps[self.head].buf = String::new();
-                    self.head += 1;
-                }
-                CapState::Done => {
-                    ready.push(std::mem::take(&mut self.caps[self.head].buf));
-                    self.head += 1;
-                }
-            }
-        }
-        if self.head > 64 {
-            self.caps.drain(..self.head);
-            self.head = 0;
-        }
     }
 }
 
@@ -656,92 +650,26 @@ struct StreamExec {
 }
 
 impl StreamExec {
-    fn pump(&mut self) -> Result<(), EngineError> {
-        while let Some(tok) = self.tokenizer.peek_token()? {
-            match tok.kind {
-                RawKind::StartTag { self_closing } => {
-                    let offset = self.tokenizer.offset();
-                    let raw = self.tokenizer.token_str(&tok);
-                    let (name, attrs_raw, _) = split_start_tag(raw)
-                        .map_err(|message| ParseError { offset, message })?;
-                    for attr in RawAttrs::new(attrs_raw) {
-                        let (_, rawv) =
-                            attr.map_err(|message| ParseError { offset, message })?;
-                        validate_entities(rawv)
-                            .map_err(|message| ParseError { offset, message })?;
-                    }
-                    let can_ff = self.m.start_element(name, attrs_raw)?;
-                    self.events += 1;
-                    if self_closing {
-                        self.events += 1;
-                        self.m.end_element(name);
-                        self.tokenizer.advance(tok)?;
-                    } else if self.fast_forward && can_ff {
-                        self.m.end_element(name);
-                        self.ff_subtrees += 1;
-                        self.tokenizer.advance(tok)?;
-                        self.tokenizer.skip_current_subtree()?;
-                    } else {
-                        self.tokenizer.advance(tok)?;
-                    }
-                }
-                RawKind::EndTag => {
-                    let offset = self.tokenizer.offset();
-                    let raw = self.tokenizer.token_str(&tok);
-                    let name = parse_end_tag_name(raw)
-                        .map_err(|message| ParseError { offset, message })?;
-                    self.m.end_element(name);
-                    self.events += 1;
-                    self.tokenizer.advance(tok)?;
-                }
-                RawKind::Text => {
-                    let offset = self.tokenizer.offset();
-                    let raw = self.tokenizer.token_str(&tok);
-                    if self.tokenizer.depth() == 0 && raw.trim().is_empty() {
-                        self.tokenizer.advance(tok)?;
-                        continue;
-                    }
-                    let decoded = decode_entities(raw)
-                        .map_err(|message| ParseError { offset, message })?;
-                    self.m.text(&decoded);
-                    self.events += 1;
-                    self.tokenizer.advance(tok)?;
-                }
-                RawKind::Cdata => {
-                    let raw = self.tokenizer.token_str(&tok);
-                    let inner = &raw["<![CDATA[".len()..raw.len() - "]]>".len()];
-                    self.m.text(inner);
-                    self.events += 1;
-                    self.tokenizer.advance(tok)?;
-                }
-                RawKind::Comment | RawKind::Pi | RawKind::Doctype => {
-                    self.events += 1;
-                    self.tokenizer.advance(tok)?;
-                }
-                RawKind::XmlDecl => {
-                    self.tokenizer.advance(tok)?;
-                }
-            }
-        }
-        self.peak_resident = self
-            .peak_resident
-            .max(self.tokenizer.peak_buffered() + self.m.scratch.len());
+    fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
+        self.bytes_in += chunk.len() as u64;
+        self.tokenizer.push_bytes(chunk)?;
+        let done = self.tokenizer.drain(&mut self.m, self.fast_forward)?;
+        self.book(done);
         Ok(())
     }
 
+    fn book(&mut self, done: Drained) {
+        self.events += done.events;
+        self.ff_subtrees += done.fast_forwarded;
+        self.peak_resident = self
+            .peak_resident
+            .max(self.tokenizer.peak_buffered() + self.m.scratch.len());
+    }
+
     fn finish_stream(&mut self) -> Result<(), EngineError> {
-        self.pump()?;
-        let events = self.tokenizer.finish()?;
-        self.events += events.len() as u64;
-        for ev in &events {
-            match ev {
-                PushEvent::EndElement { name } => self.m.end_element(name),
-                PushEvent::Text(t) => self.m.text(t),
-                _ => {}
-            }
-        }
+        let done = self.tokenizer.finish_into(&mut self.m)?;
+        self.book(done);
         self.m.finish_document()?;
-        self.peak_resident = self.peak_resident.max(self.tokenizer.peak_buffered());
         Ok(())
     }
 }
@@ -835,11 +763,7 @@ impl QueryMachine {
         let mut ready = Vec::new();
         match &mut self.exec {
             Exec::Streaming(s) => {
-                s.bytes_in += chunk.len() as u64;
-                s.tokenizer
-                    .push_bytes(chunk)
-                    .map_err(EngineError::from)?;
-                s.pump()?;
+                s.feed(chunk)?;
                 s.m.drain_ready(&mut ready);
             }
             Exec::Fallback(f) => {

@@ -1,14 +1,15 @@
 //! An owned, movable pruning session — the executor handoff unit.
 //!
-//! [`ChunkedPruner`] borrows its DTD and projector (`&'p Dtd`), which is
-//! the right shape for a blocking worker that sets up and tears down
-//! inside one stack frame. The reactor cannot use that shape: a
+//! A [`ChunkedPruner`] over a borrowed DTD (`&Dtd`) is the right shape
+//! for a blocking worker that sets up and tears down inside one stack
+//! frame. The reactor cannot use that shape: a
 //! connection's pruner must hop between the reactor thread (which owns
 //! the socket) and a CPU worker (which pumps the parse) across `feed`
 //! calls, so the session has to be a self-contained `Send` value.
 //!
 //! [`PruneSession`] packages a pruner that *owns* its grammar — the
-//! `ChunkedPruner<Arc<Dtd>, _>` instantiation — so the session is a
+//! `ChunkedPruner<Arc<Dtd>, _>` instantiation, built from a compiled
+//! artifact's grammar and verdict table — so the session is a
 //! self-contained `Send` value with no lifetime ties to the caller's
 //! frame. Nothing about the engine's memory-bound guarantees changes —
 //! `finish` still runs the same assertion.
@@ -17,8 +18,8 @@ use std::sync::Arc;
 
 use crate::chunked::{ChunkedPruner, EngineError};
 use crate::metrics::EngineStats;
-use xproj_core::Projector;
 use xproj_dtd::Dtd;
+use xproj_qc::QueryArtifact;
 
 /// An owned pruning session: one in-flight document, movable across
 /// threads between `feed` calls.
@@ -32,29 +33,20 @@ pub struct PruneSession {
     /// Trailing kept bytes handed back by `finish` once the pruner is
     /// consumed, still drainable via `take_output`.
     finished_output: Vec<u8>,
-    dtd: Arc<Dtd>,
-    projector: Arc<Projector>,
 }
 
 impl PruneSession {
-    /// Starts a session for one document under `dtd` and `projector`.
-    pub fn new(dtd: Arc<Dtd>, projector: Arc<Projector>) -> PruneSession {
+    /// Starts a session pruning one document to `artifact`'s projector,
+    /// sharing its grammar and copying its precomputed verdict table.
+    pub fn new(artifact: &QueryArtifact) -> PruneSession {
         PruneSession {
-            pruner: Some(ChunkedPruner::new(Arc::clone(&dtd), &projector, Vec::new())),
+            pruner: Some(ChunkedPruner::with_table(
+                Arc::clone(&artifact.dtd),
+                artifact.table.clone(),
+                Vec::new(),
+            )),
             finished_output: Vec::new(),
-            dtd,
-            projector,
         }
-    }
-
-    /// The DTD this session prunes under.
-    pub fn dtd(&self) -> &Arc<Dtd> {
-        &self.dtd
-    }
-
-    /// The projector this session prunes under.
-    pub fn projector(&self) -> &Arc<Projector> {
-        &self.projector
     }
 
     /// Enables or disables pruned-subtree fast-forward (default on); see
@@ -137,9 +129,7 @@ mod tests {
 
     fn session(query: &str) -> PruneSession {
         let dtd = Arc::new(parse_dtd(DTD, "bib").unwrap());
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let projector = Arc::new(sa.project_query(query).unwrap());
-        PruneSession::new(dtd, projector)
+        PruneSession::new(&QueryArtifact::compile(&dtd, query).unwrap())
     }
 
     // The whole point of the type: a session must be movable to a CPU

@@ -1,4 +1,4 @@
-//! Projector-cache correctness: the satellite guarantees from ISSUE 2.
+//! Artifact-cache correctness, seen from the pruning side.
 //!
 //! * Two spellings of the same query (whitespace, abbreviated vs
 //!   explicit axes) normalize identically and share one cache entry.
@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use xproj_core::{prune_str, StaticAnalyzer};
 use xproj_dtd::parse_dtd;
-use xproj_engine::{dtd_fingerprint, normalize_query, ProjectorCache};
+use xproj_engine::{dtd_fingerprint, normalize_query, ArtifactCache};
 
 const BIB: &str = "<!ELEMENT bib (book*)> <!ELEMENT book (title, author*, year?)>\
                    <!ELEMENT title (#PCDATA)> <!ELEMENT author (#PCDATA)>\
@@ -18,7 +18,7 @@ const BIB: &str = "<!ELEMENT bib (book*)> <!ELEMENT book (title, author*, year?)
 #[test]
 fn equivalent_spellings_share_one_entry() {
     let dtd = Arc::new(parse_dtd(BIB, "bib").unwrap());
-    let cache = ProjectorCache::new(8);
+    let cache = ArtifactCache::new(8);
 
     // All four spellings of the same path…
     let spellings = [
@@ -37,10 +37,10 @@ fn equivalent_spellings_share_one_entry() {
         );
     }
 
-    let first = cache.get_or_compute(&dtd, spellings[0]).unwrap();
+    let first = cache.get_or_compile(&dtd, spellings[0]).unwrap();
     for s in &spellings[1..] {
-        let p = cache.get_or_compute(&dtd, s).unwrap();
-        assert_eq!(p, first, "{s:?} must resolve to the shared projector");
+        let a = cache.get_or_compile(&dtd, s).unwrap();
+        assert!(Arc::ptr_eq(&a, &first), "{s:?} must resolve to the shared artifact");
     }
     let stats = cache.stats();
     assert_eq!(stats.misses, 1, "only the first spelling runs the analysis");
@@ -70,9 +70,9 @@ fn dtd_edit_changes_fingerprint_and_misses() {
         dtd_fingerprint(&parse_dtd(BIB, "bib").unwrap())
     );
 
-    let cache = ProjectorCache::new(8);
-    cache.get_or_compute(&dtd_v1, "/bib/book/title").unwrap();
-    cache.get_or_compute(&dtd_v2, "/bib/book/title").unwrap();
+    let cache = ArtifactCache::new(8);
+    cache.get_or_compile(&dtd_v1, "/bib/book/title").unwrap();
+    cache.get_or_compile(&dtd_v2, "/bib/book/title").unwrap();
     let stats = cache.stats();
     assert_eq!(
         (stats.hits, stats.misses, stats.entries),
@@ -84,15 +84,15 @@ fn dtd_edit_changes_fingerprint_and_misses() {
 #[test]
 fn cached_projector_prunes_like_a_fresh_one() {
     let dtd = Arc::new(parse_dtd(BIB, "bib").unwrap());
-    let cache = ProjectorCache::new(8);
+    let cache = ArtifactCache::new(8);
     let doc = "<bib><book><title>T</title><author>A</author><year>1999</year></book></bib>";
 
-    let cached = cache.get_or_compute(&dtd, "/bib/book/author").unwrap();
+    let cached = &cache.get_or_compile(&dtd, "/bib/book/author").unwrap().projector;
     let mut sa = StaticAnalyzer::new(&dtd);
     let fresh = sa.project_query("/bib/book/author").unwrap();
-    assert_eq!(cached, fresh);
+    assert_eq!(*cached, fresh);
     assert_eq!(
-        prune_str(doc, &dtd, &cached).unwrap().output,
+        prune_str(doc, &dtd, cached).unwrap().output,
         prune_str(doc, &dtd, &fresh).unwrap().output
     );
 }

@@ -1,11 +1,14 @@
 //! Differential fuzzing: chunked push-mode pruning is byte-identical to
-//! the whole-string pruner.
+//! the in-memory projection of Def. 2.7.
 //!
 //! Each case draws a random *(DTD, document, query)* triple (as the
 //! Theorem 4.6 soundness fuzzer does) plus a **random chunking** of the
 //! serialized document — including 1-byte chunks and splits that land
 //! mid-tag, mid-entity and mid-CDATA — and checks that feeding the
-//! chunks through the engine produces exactly `prune_str`'s bytes, with
+//! chunks through the engine produces exactly the bytes of
+//! `prune_document` on the tree (an oracle that shares no code with the
+//! token loop: the whole-string `prune_str*` are the one-chunk case of
+//! the same loop, so they are checked here too, not trusted), with
 //! matching counters. The engine's `finish()` additionally asserts the
 //! O(depth + max-token) resident-memory bound on every case.
 //!
@@ -14,9 +17,9 @@
 //! `TESTKIT_FUZZ_CASES=n` scales the run (CI smoke uses 100).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use xproj_core::{prune_str, prune_str_fast, StaticAnalyzer};
+use xproj_core::{prune_document, prune_str, prune_str_fast, StaticAnalyzer};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS};
-use xproj_dtd::Dtd;
+use xproj_dtd::{validate, Dtd};
 use xproj_engine::ChunkedPruner;
 use xproj_testkit::{case_seed, SplitMix64};
 
@@ -83,18 +86,25 @@ fn run_case(seed: u64) {
         .project_query(&q)
         .unwrap_or_else(|e| panic!("query {q:?} failed to project: {e}"));
 
+    let interp = validate(&doc, &dtd).expect("generated document must be valid");
+    let oracle = prune_document(&doc, &dtd, &interp, &projector).to_xml();
+
     let whole = prune_str(&xml, &dtd, &projector)
         .unwrap_or_else(|e| panic!("prune_str failed on generated doc: {e}"));
+    assert_eq!(
+        whole.output, oracle,
+        "prune_str diverged from prune_document for {q}\ndoc: {xml}"
+    );
 
-    // The in-memory fast path (XmlReader::skip_subtree) on the same
-    // triple: byte-identical output, identical counters except
-    // `text_pruned` (text in raw-skipped subtrees is never tokenized,
-    // hence never counted).
+    // The whole-string fast-forward run on the same triple:
+    // byte-identical output, identical counters except `text_pruned`
+    // (text in raw-skipped subtrees is never tokenized, hence never
+    // counted).
     let fast = prune_str_fast(&xml, &dtd, &projector)
         .unwrap_or_else(|e| panic!("prune_str_fast failed for {q}: {e}\ndoc: {xml}"));
     assert_eq!(
-        fast.output, whole.output,
-        "prune_str_fast diverged from prune_str for {q}\ndoc: {xml}"
+        fast.output, oracle,
+        "prune_str_fast diverged from prune_document for {q}\ndoc: {xml}"
     );
     assert_eq!(fast.elements_kept, whole.elements_kept, "for {q}");
     assert_eq!(fast.elements_pruned, whole.elements_pruned, "for {q}");
@@ -123,8 +133,8 @@ fn run_case(seed: u64) {
 
         let chunked = String::from_utf8(out).expect("engine output is UTF-8");
         assert_eq!(
-            chunked, whole.output,
-            "chunked output (ff={fast_forward}) diverged from prune_str for {q}\ndoc: {xml}"
+            chunked, oracle,
+            "chunked output (ff={fast_forward}) diverged from prune_document for {q}\ndoc: {xml}"
         );
         assert_eq!(stats.counters.elements_kept, whole.elements_kept, "for {q}");
         assert_eq!(stats.counters.elements_pruned, whole.elements_pruned, "for {q}");
@@ -223,7 +233,9 @@ fn fast_forward_survives_every_chunk_boundary() {
 fn xmark_chunked_differential() {
     use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
     let dtd = auction_dtd();
-    let xml = generate_auction(&dtd, &XMarkConfig::at_scale(0.05)).to_xml();
+    let doc = generate_auction(&dtd, &XMarkConfig::at_scale(0.05));
+    let interp = validate(&doc, &dtd).expect("generated auction document is valid");
+    let xml = doc.to_xml();
     let mut sa = StaticAnalyzer::new(&dtd);
     for q in [
         "/site/people/person/name",
@@ -231,7 +243,7 @@ fn xmark_chunked_differential() {
         "/site/closed_auctions/closed_auction[descendant::keyword]/date",
     ] {
         let projector = sa.project_query(q).unwrap();
-        let whole = prune_str(&xml, &dtd, &projector).unwrap();
+        let oracle = prune_document(&doc, &dtd, &interp, &projector).to_xml();
         for chunk_size in [1, 17, 4096, 1 << 20] {
             let mut out = Vec::new();
             let stats = xproj_engine::prune_reader(
@@ -244,7 +256,7 @@ fn xmark_chunked_differential() {
             .unwrap();
             assert_eq!(
                 String::from_utf8(out).unwrap(),
-                whole.output,
+                oracle,
                 "xmark differential diverged for {q} at chunk size {chunk_size}"
             );
             // The memory-bound guarantee, observed end-to-end: resident

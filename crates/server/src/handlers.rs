@@ -17,6 +17,7 @@ use crate::state::ServerState;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 use xproj_core::ErrorCode;
 use xproj_engine::{
@@ -117,10 +118,10 @@ pub(crate) fn metrics_reply(state: &ServerState, head: &RequestHead) -> Reply {
             content_type: "text/plain; version=0.0.4",
             body: state
                 .metrics
-                .render_prometheus(state.cache.artifacts().stats()),
+                .render_prometheus(state.cache.stats()),
         }
     } else {
-        Reply::json(state.metrics.render_json(state.cache.artifacts().stats()))
+        Reply::json(state.metrics.render_json(state.cache.stats()))
     }
 }
 
@@ -273,18 +274,13 @@ fn lookup_dtd(
     Ok((id, dtd))
 }
 
-/// Validates a `POST /v1/prune` request's parameters: resolves the DTD
-/// and projector (through the shared cache) or decides the error reply.
-pub(crate) fn prune_setup(
+/// Validates the parameters `POST /v1/prune` and `POST /v1/query`
+/// share: resolves the DTD and the compiled artifact for the query
+/// (through the shared cache), or decides the error reply.
+pub(crate) fn artifact_setup(
     state: &ServerState,
     head: &RequestHead,
-) -> Result<
-    (
-        std::sync::Arc<xproj_dtd::Dtd>,
-        std::sync::Arc<xproj_core::Projector>,
-    ),
-    Reply,
-> {
+) -> Result<Arc<QueryArtifact>, Reply> {
     let (_, dtd) = lookup_dtd(state, head)?;
     let Some(query) = head.query_param("query").filter(|q| !q.is_empty()) else {
         return Err(Reply::err(
@@ -293,35 +289,18 @@ pub(crate) fn prune_setup(
             "the 'query' parameter (XPath/XQuery workload) is required",
         ));
     };
-    match state.cache.get_or_compute(&dtd, &query) {
-        Ok(p) => Ok((dtd, std::sync::Arc::new(p))),
-        Err(e) => Err(Reply::err(400, ErrorCode::BadQuery.as_str(), e)),
-    }
+    state
+        .cache
+        .get_or_compile(&dtd, &query)
+        .map_err(|e| Reply::err(400, ErrorCode::BadQuery.as_str(), e))
 }
 
-/// Validates a `POST /v1/query` request's parameters: resolves the DTD
-/// and compiled artifact (through the shared cache) plus the
-/// fast-forward toggle, or decides the error reply.
-pub(crate) fn query_setup(
-    state: &ServerState,
-    head: &RequestHead,
-) -> Result<(std::sync::Arc<QueryArtifact>, bool), Reply> {
-    let (_, dtd) = lookup_dtd(state, head)?;
-    let Some(query) = head.query_param("query").filter(|q| !q.is_empty()) else {
-        return Err(Reply::err(
-            400,
-            codes::BAD_REQUEST,
-            "the 'query' parameter (XPath/XQuery) is required",
-        ));
-    };
-    let fast_forward = !matches!(
+/// `/v1/query`'s `fast_forward=0|false` toggle (default on).
+pub(crate) fn fast_forward_param(head: &RequestHead) -> bool {
+    !matches!(
         head.query_param("fast_forward").as_deref(),
         Some("0") | Some("false")
-    );
-    match state.cache.get_artifact(&dtd, &query) {
-        Ok(artifact) => Ok((artifact, fast_forward)),
-        Err(e) => Err(Reply::err(400, ErrorCode::BadQuery.as_str(), e)),
-    }
+    )
 }
 
 /// The reply for a query failure (only usable before response headers
@@ -557,8 +536,8 @@ fn handle_prune(
     state: &ServerState,
     scratch: &mut Vec<u8>,
 ) -> Handled {
-    let (dtd, projector) = match prune_setup(state, head) {
-        Ok(pair) => pair,
+    let artifact = match artifact_setup(state, head) {
+        Ok(artifact) => artifact,
         Err(reply) => return send_reply(conn, state, reply, false),
     };
 
@@ -596,7 +575,8 @@ fn handle_prune(
         keep_alive,
     );
     let mut body = BodyReader::new(conn, kind, state.config.max_body_bytes);
-    let mut pruner = ChunkedPruner::new(&*dtd, &projector, &mut response);
+    let mut pruner =
+        ChunkedPruner::with_table(&*artifact.dtd, artifact.table.clone(), &mut response);
     // The connection-lifetime read buffer, sized on first use (the
     // configured chunk size is fixed, so keep-alive requests after the
     // first allocate nothing here).
@@ -657,8 +637,8 @@ fn handle_query(
     state: &ServerState,
     scratch: &mut Vec<u8>,
 ) -> Handled {
-    let (artifact, fast_forward) = match query_setup(state, head) {
-        Ok(pair) => pair,
+    let artifact = match artifact_setup(state, head) {
+        Ok(artifact) => artifact,
         Err(reply) => return send_reply(conn, state, reply, false),
     };
 
@@ -694,7 +674,7 @@ fn handle_query(
     );
     let mut body = BodyReader::new(conn, kind, state.config.max_body_bytes);
     let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
-    machine.set_fast_forward(fast_forward);
+    machine.set_fast_forward(fast_forward_param(head));
     let want = state.config.chunk_size.max(1);
     if scratch.len() != want {
         scratch.resize(want, 0);

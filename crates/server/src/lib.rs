@@ -9,16 +9,17 @@
 //!
 //! * `POST /v1/dtd?root=NAME` — register a DTD (body = DTD text),
 //!   returns its content-derived fingerprint id;
-//! * `POST /v1/prune?dtd=<id>&query=<q>` — prune the request body
-//!   through the shared [`ProjectorCache`](xproj_engine::ProjectorCache).
+//! * `POST /v1/prune?dtd=<id>&query=<q>` — prune the request body to
+//!   the projector of the (DTD, query) pair's compiled artifact, looked
+//!   up in the shared [`ArtifactCache`](xproj_engine::ArtifactCache).
 //!   A `Transfer-Encoding: chunked` body is decoded frame-by-frame into
 //!   the push tokenizer and the pruned output streams back as a chunked
 //!   response, so **document size never enters resident memory**;
 //! * `POST /v1/query?dtd=<id>&query=<q>` — prune **and answer** in one
-//!   pass: the compiled artifact's plan runs against the raw token
-//!   stream and match frames stream back as `application/x-ndjson`
-//!   (add `fast_forward=0` to disable subtree skipping). Artifacts are
-//!   cached alongside projectors and persist across restarts with
+//!   pass: the same artifact's plan runs as a sink under the token loop
+//!   and match frames stream back as `application/x-ndjson` (add
+//!   `fast_forward=0` to disable subtree skipping). One cache entry
+//!   serves both endpoints and persists across restarts with
 //!   `--artifact-dir`;
 //! * `GET /metrics` — aggregated engine stats, cache counters and
 //!   per-endpoint latency histograms (JSON, or Prometheus text with
@@ -28,12 +29,23 @@
 //!   in-flight requests up to a deadline, report drained/aborted.
 //!
 //! The architecture is deliberately in the spirit of the rest of the
-//! workspace (`testkit`, `engine`): hand-rolled on `std` only. A
-//! blocking accept loop feeds a fixed scoped-thread worker pool over an
-//! `mpsc` channel; each worker runs a keep-alive request loop with
-//! per-connection read/write deadlines and configurable header/body
-//! limits (`431`/`413`). Engine and protocol errors map to structured
-//! `4xx` JSON bodies carrying the stable codes of
+//! workspace (`testkit`, `engine`): hand-rolled on `std` only. The
+//! default core (Linux) is an epoll **reactor** (`xproj-reactor`):
+//! `--reactor-threads` event loops, each with its own `SO_REUSEPORT`
+//! listener, timer wheel and executor lane, own every connection as a
+//! state machine — head, body, streaming prune/query, write — with
+//! absolute head/idle/write deadlines, a connection admission limit
+//! (`503`), per-connection output backpressure and an optional
+//! token-bucket rate limit (`429`); CPU work (artifact setup, tokenizer
+//! feeds) is handed to a small executor pool and comes back over an
+//! eventfd waker, so a slow or idle client costs a slab slot, not a
+//! thread. The `--threaded` core — a blocking accept loop feeding a
+//! fixed scoped-thread worker pool over an `mpsc` channel, one
+//! keep-alive connection per worker — is the portable fallback and the
+//! differential reference; both build their responses in
+//! [`handlers`], which keeps them byte-identical. Header/body limits
+//! (`431`/`413`) apply in both, and engine and protocol errors map to
+//! structured `4xx` JSON bodies carrying the stable codes of
 //! [`xproj_core::ErrorCode`].
 //!
 //! ```no_run
@@ -98,7 +110,7 @@ impl Server {
         // resident before the first request, so a repeat (DTD, query)
         // is a cache hit with no compile. A missing dir loads nothing.
         if let Some(dir) = state.config.artifact_dir.clone() {
-            state.cache.artifacts().load_dir(&dir)?;
+            state.cache.load_dir(&dir)?;
         }
         Ok(Server { listeners, state })
     }
@@ -170,7 +182,7 @@ impl Server {
         // Persist the artifact cache for the next boot (best effort:
         // a failed save must not turn a clean shutdown into an error).
         if let Some(dir) = state.config.artifact_dir.as_ref() {
-            let _ = state.cache.artifacts().save_dir(dir);
+            let _ = state.cache.save_dir(dir);
         }
         Ok(report)
     }

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xproj_engine::{ArtifactCacheStats, CacheStats, EngineStats};
+use xproj_engine::{ArtifactCacheStats, EngineStats};
 use xproj_reactor::ReactorMetrics;
 
 /// The endpoints tracked individually (everything else is `other`).
@@ -283,12 +283,9 @@ impl ServerMetrics {
     }
 
     /// The full metrics document as one JSON object. `cache` is the
-    /// live artifact-cache counters (their hit/miss/eviction slice is
-    /// folded into the engine object the same way
-    /// `EngineStats::to_json_line` reports them).
+    /// live artifact-cache counters.
     pub fn render_json(&self, cache: ArtifactCacheStats) -> String {
-        let mut engine = self.engine_snapshot();
-        engine.cache = legacy_cache(&cache);
+        let engine = self.engine_snapshot();
         let mut out = String::with_capacity(1024);
         let _ = write!(
             out,
@@ -388,8 +385,7 @@ impl ServerMetrics {
     /// The same metrics in the Prometheus text exposition format
     /// (counters, gauges, and per-endpoint latency summaries).
     pub fn render_prometheus(&self, cache: ArtifactCacheStats) -> String {
-        let mut engine = self.engine_snapshot();
-        engine.cache = legacy_cache(&cache);
+        let engine = self.engine_snapshot();
         let mut out = String::with_capacity(2048);
         let mut counter = |name: &str, help: &str, v: u64| {
             let _ = write!(
@@ -566,17 +562,6 @@ impl ServerMetrics {
 impl Default for ServerMetrics {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// The artifact-cache counters in the legacy projector-cache shape
-/// (what `EngineStats` embeds).
-fn legacy_cache(s: &ArtifactCacheStats) -> CacheStats {
-    CacheStats {
-        hits: s.hits,
-        misses: s.misses,
-        evictions: s.evictions,
-        entries: s.entries,
     }
 }
 

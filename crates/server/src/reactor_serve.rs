@@ -60,7 +60,8 @@
 //! authoritative deadline moved re-arms itself lazily when it fires.
 
 use crate::handlers::{
-    analyze_reply, codes, dtd_reply, independence_reply, metrics_reply, prune_setup, query_setup,
+    analyze_reply, artifact_setup, codes, dtd_reply, fast_forward_param, independence_reply,
+    metrics_reply,
     reply_for_engine_error, reply_for_http_error, reply_for_query_error, route_endpoint, Reply,
     HEALTHZ_BODY, SHUTDOWN_BODY,
 };
@@ -354,10 +355,9 @@ enum Job {
     },
     /// Run the independence checker (parameters only; body is drained).
     Independence { token: u64, head: RequestHead },
-    /// Resolve DTD + projector for a prune (cache misses compute).
+    /// Resolve the compiled artifact for a prune or a query (cache
+    /// misses compile).
     Setup { token: u64, head: RequestHead },
-    /// Resolve the compiled artifact for a query (cache misses compile).
-    QuerySetup { token: u64, head: RequestHead },
     /// Feed decoded body bytes to (and optionally finish) a session.
     Prune {
         token: u64,
@@ -374,7 +374,6 @@ fn job_token(job: &Job) -> u64 {
         | Job::Analyze { token, .. }
         | Job::Independence { token, .. }
         | Job::Setup { token, .. }
-        | Job::QuerySetup { token, .. }
         | Job::Prune { token, .. } => *token,
     }
 }
@@ -395,12 +394,7 @@ enum Done {
     Setup {
         token: u64,
         head: RequestHead,
-        result: Result<(Arc<xproj_dtd::Dtd>, Arc<xproj_core::Projector>), Reply>,
-    },
-    QuerySetup {
-        token: u64,
-        head: RequestHead,
-        result: Result<(Arc<QueryArtifact>, bool), Reply>,
+        result: Result<Arc<QueryArtifact>, Reply>,
     },
     Prune {
         token: u64,
@@ -447,17 +441,10 @@ fn run_job(job: Job, state: &ServerState) -> Done {
         }
         Job::Setup { token, head } => {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                prune_setup(state, &head)
+                artifact_setup(state, &head)
             }))
             .unwrap_or_else(|_| Err(Reply::internal_error()));
             Done::Setup { token, head, result }
-        }
-        Job::QuerySetup { token, head } => {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                query_setup(state, &head)
-            }))
-            .unwrap_or_else(|_| Err(Reply::internal_error()));
-            Done::QuerySetup { token, head, result }
         }
         Job::Prune {
             token,
@@ -902,6 +889,16 @@ impl EventLoop<'_> {
         self.send_reply(token, reply, false, now);
     }
 
+    /// A connection between requests with nothing buffered either way.
+    fn is_idle(&mut self, token: u64) -> bool {
+        self.conns.get_mut(token).is_some_and(|c| {
+            matches!(c.phase, Phase::Head)
+                && !c.active
+                && c.in_pos >= c.in_buf.len()
+                && c.out.is_empty()
+        })
+    }
+
     /// Reads newly-arrived wire bytes, up to the per-event budget.
     /// Returns `Ok(true)` on EOF, `Err(())` on a socket error.
     fn read_some(&mut self, token: u64) -> Result<bool, ()> {
@@ -1102,19 +1099,11 @@ impl EventLoop<'_> {
             | (Endpoint::Independence, "POST") => {
                 self.enter_body(token, head, endpoint, false, now)
             }
-            (Endpoint::Prune, "POST") => {
+            (Endpoint::Prune, "POST") | (Endpoint::Query, "POST") => {
                 if let Some(conn) = self.conns.get_mut(token) {
                     conn.phase = Phase::Setup;
                 }
                 self.dispatch(Job::Setup { token, head });
-                self.refresh_deadline(token, now);
-                self.refresh_interest(token);
-            }
-            (Endpoint::Query, "POST") => {
-                if let Some(conn) = self.conns.get_mut(token) {
-                    conn.phase = Phase::Setup;
-                }
-                self.dispatch(Job::QuerySetup { token, head });
                 self.refresh_deadline(token, now);
                 self.refresh_interest(token);
             }
@@ -1268,48 +1257,34 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Prune setup finished on the executor: validate framing, send
-    /// `100 Continue` if asked, and enter the streaming phase.
+    /// Artifact setup finished on the executor: build the endpoint's
+    /// session — a pruner, or a compiled [`QueryMachine`] streaming
+    /// x-ndjson — over the artifact and enter the streaming phase.
     fn setup_done(
         &mut self,
         token: u64,
         head: RequestHead,
-        result: Result<(Arc<xproj_dtd::Dtd>, Arc<xproj_core::Projector>), Reply>,
+        result: Result<Arc<QueryArtifact>, Reply>,
         now: Instant,
     ) {
-        let (dtd, projector) = match result {
-            Ok(pair) => pair,
+        let artifact = match result {
+            Ok(artifact) => artifact,
             Err(reply) => {
                 self.send_reply(token, reply, false, now);
                 return;
             }
         };
-        let session = StreamSession::Prune(Box::new(PruneSession::new(dtd, projector)));
+        let session = if route_endpoint(&head) == Endpoint::Query {
+            let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
+            machine.set_fast_forward(fast_forward_param(&head));
+            StreamSession::Query(Box::new(machine))
+        } else {
+            StreamSession::Prune(Box::new(PruneSession::new(&artifact)))
+        };
         self.enter_stream(token, head, session, now);
     }
 
-    /// Query setup finished on the executor: same framing dance, but
-    /// the session is a compiled [`QueryMachine`] streaming x-ndjson.
-    fn query_setup_done(
-        &mut self,
-        token: u64,
-        head: RequestHead,
-        result: Result<(Arc<QueryArtifact>, bool), Reply>,
-        now: Instant,
-    ) {
-        let (artifact, fast_forward) = match result {
-            Ok(pair) => pair,
-            Err(reply) => {
-                self.send_reply(token, reply, false, now);
-                return;
-            }
-        };
-        let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
-        machine.set_fast_forward(fast_forward);
-        self.enter_stream(token, head, StreamSession::Query(Box::new(machine)), now);
-    }
-
-    /// Shared tail of both setups: validate framing, send
+    /// Validate framing, send
     /// `100 Continue` if asked, and enter the streaming phase.
     fn enter_stream(&mut self, token: u64, head: RequestHead, session: StreamSession, now: Instant) {
         let kind = match body_kind(&head) {
@@ -1723,9 +1698,11 @@ impl EventLoop<'_> {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.state.is_shutting_down() {
-                        continue; // raced with shutdown: drop it
-                    }
+                    // A connection the kernel queued before this loop
+                    // closed its listener is admitted even if shutdown
+                    // has begun: its request may already be on the
+                    // wire, and dropping it here would reset it. The
+                    // shutdown transition decides whether it is idle.
                     if self.state.open_conns.load(Ordering::Relaxed)
                         >= self.state.config.max_connections
                     {
@@ -1849,19 +1826,6 @@ impl EventLoop<'_> {
                     return;
                 }
                 self.setup_done(token, head, result, now);
-            }
-            Done::QuerySetup {
-                token,
-                head,
-                result,
-            } => {
-                if !matches!(
-                    self.conns.get_mut(token).map(|c| &c.phase),
-                    Some(Phase::Setup)
-                ) {
-                    return;
-                }
-                self.query_setup_done(token, head, result, now);
             }
             Done::Prune {
                 token,
@@ -2026,24 +1990,26 @@ fn run_loop(
         let aborted = loop {
             let now = Instant::now();
             // Shutdown transition: close the listener, start the drain
-            // clock, drop idle connections.
+            // clock, drop idle connections. "In flight" is judged from
+            // the client's side of the socket: a connection still in
+            // this listener's accept queue (with `SO_REUSEPORT` the
+            // shutdown request may have reached a sibling loop first)
+            // and a head sitting unread in a socket buffer are requests
+            // already sent, so the queue is drained and every
+            // idle-looking connection gets one read before it is
+            // classified.
             if state.is_shutting_down() && listener_open {
+                let _ = lp.accept_ready(&listener, now);
                 if accept_paused_until.take().is_none() {
                     let _ = lp.reactor.deregister(listener.as_raw_fd());
                 }
                 listener_open = false;
                 drain_deadline = Some(now + state.config.drain_deadline);
                 for token in lp.conns.tokens() {
-                    let idle = match lp.conns.get_mut(token) {
-                        Some(c) => {
-                            matches!(c.phase, Phase::Head)
-                                && !c.active
-                                && c.in_pos >= c.in_buf.len()
-                                && c.out.is_empty()
-                        }
-                        None => false,
-                    };
-                    if idle {
+                    if lp.is_idle(token) && lp.read_some(token) == Ok(false) {
+                        lp.advance_conn(token, now);
+                    }
+                    if lp.is_idle(token) {
                         lp.close(token);
                     }
                 }

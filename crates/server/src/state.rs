@@ -1,5 +1,5 @@
 //! Shared server state: configuration, the DTD registry, the shared
-//! projector cache, metrics, and the shutdown flags.
+//! artifact cache, metrics, and the shutdown flags.
 
 use crate::http::ConnFlags;
 use crate::metrics::ServerMetrics;
@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use xproj_dtd::Dtd;
-use xproj_engine::{dtd_fingerprint, ProjectorCache, DEFAULT_CHUNK_SIZE};
+use xproj_engine::{dtd_fingerprint, ArtifactCache, DEFAULT_CHUNK_SIZE};
 
 /// How the server drives its connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,7 +49,7 @@ pub struct ServerConfig {
     /// response commits to `200` + chunked streaming; errors detected
     /// while still buffered become structured `4xx` bodies.
     pub response_buffer_bytes: usize,
-    /// Projector-cache capacity (entries).
+    /// Artifact-cache capacity (entries).
     pub cache_capacity: usize,
     /// How long graceful shutdown waits for in-flight requests.
     pub drain_deadline: Duration,
@@ -121,8 +121,9 @@ pub struct ServerState {
     pub config: ServerConfig,
     /// Live metrics, rendered by `GET /metrics`.
     pub metrics: ServerMetrics,
-    /// The shared projector cache ("analyse once, prune many").
-    pub cache: ProjectorCache,
+    /// The shared compiled-artifact cache ("analyse once, prune and
+    /// query many"): `/v1/prune` and `/v1/query` share its entries.
+    pub cache: ArtifactCache,
     /// Accepted connections waiting for a free worker. Idle keep-alive
     /// connections watch this and yield their worker when it is
     /// nonzero (see [`crate::http::Conn::yield_to_waiters`]).
@@ -143,7 +144,7 @@ pub struct ServerState {
 
 impl ServerState {
     pub(crate) fn new(config: ServerConfig, local_addr: SocketAddr) -> Self {
-        let cache = ProjectorCache::new(config.cache_capacity);
+        let cache = ArtifactCache::new(config.cache_capacity);
         ServerState {
             config,
             metrics: ServerMetrics::new(),

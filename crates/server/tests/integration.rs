@@ -16,7 +16,7 @@ use std::thread;
 use std::time::Duration;
 use xproj_dtd::generate::{generate, GenConfig, RANDOM_DTD_TAGS};
 use xproj_dtd::{parse_dtd, Dtd};
-use xproj_engine::{run_query, ProjectorCache, QueryArtifact, QueryOutput};
+use xproj_engine::{run_query, QueryArtifact, QueryOutput};
 use xproj_server::{ServeMode, Server, ServerConfig, ServerState, ShutdownReport};
 use xproj_testkit::{urlencode, HttpClient, SplitMix64};
 use xproj_xquery::{evaluate_query, parse_xquery};
@@ -172,10 +172,9 @@ fn prune_content_length_roundtrip(mode: ServeMode) {
     let id = srv.register_dtd(BIB_DTD, "bib");
 
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
-    let cache = ProjectorCache::new(4);
     let query = "/bib/book/title";
-    let projector = cache.get_or_compute(&dtd, query).unwrap();
-    let expected = xproj_core::prune_str(BIB_DOC, &dtd, &projector).unwrap().output;
+    let projector = &QueryArtifact::compile(&dtd, query).unwrap().projector;
+    let expected = xproj_core::prune_str(BIB_DOC, &dtd, projector).unwrap().output;
 
     let mut c = srv.client();
     let resp = c
@@ -200,10 +199,9 @@ fn prune_chunked_roundtrip_streams_response(mode: ServeMode) {
     let id = srv.register_dtd(BIB_DTD, "bib");
 
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
-    let cache = ProjectorCache::new(4);
     let query = "/bib/book/title";
-    let projector = cache.get_or_compute(&dtd, query).unwrap();
-    let expected = xproj_core::prune_str(BIB_DOC, &dtd, &projector).unwrap().output;
+    let projector = &QueryArtifact::compile(&dtd, query).unwrap().projector;
+    let expected = xproj_core::prune_str(BIB_DOC, &dtd, projector).unwrap().output;
 
     // Feed the document in deliberately awkward 7-byte chunks so HTTP
     // chunk boundaries land mid-token.
@@ -354,6 +352,26 @@ fn structured_errors_unknown_dtd_bad_query_malformed_xml(mode: ServeMode) {
     assert_eq!(resp.status, 400);
     assert_eq!(extract_json_str(&resp.body_str(), "code"), "bad-query");
 
+    // 3 000 nested parentheses (well inside the head limit) used to
+    // overflow an executor thread's stack and abort the whole process;
+    // now it is one more bad query, and the daemon keeps serving.
+    let deep = format!("{}/bib{}", "(".repeat(3000), ")".repeat(3000));
+    for endpoint in ["query", "prune"] {
+        let mut c = srv.client();
+        let resp = c
+            .request(
+                "POST",
+                &format!("/v1/{endpoint}?dtd={id}&query={deep}"),
+                &[],
+                Some(BIB_DOC.as_bytes()),
+            )
+            .unwrap();
+        assert_eq!(resp.status, 400, "{}", resp.body_str());
+        assert_eq!(extract_json_str(&resp.body_str(), "code"), "bad-query");
+        let resp = srv.client().request("GET", "/healthz", &[], None).unwrap();
+        assert_eq!(resp.status, 200);
+    }
+
     // Malformed document → 400 malformed-xml (buffered, so the
     // structured body is still possible).
     let mut c = srv.client();
@@ -400,9 +418,8 @@ fn pipelined_keep_alive_requests(mode: ServeMode) {
     let target = format!("/v1/prune?dtd={id}&query={}", urlencode("/bib/book/title"));
 
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
-    let cache = ProjectorCache::new(4);
-    let projector = cache.get_or_compute(&dtd, "/bib/book/title").unwrap();
-    let expected = xproj_core::prune_str(BIB_DOC, &dtd, &projector).unwrap().output;
+    let projector = &QueryArtifact::compile(&dtd, "/bib/book/title").unwrap().projector;
+    let expected = xproj_core::prune_str(BIB_DOC, &dtd, projector).unwrap().output;
 
     // Three requests on the wire before reading any response; the
     // server must answer them in order on the same connection.
@@ -475,7 +492,6 @@ fn mid_body_disconnect_leaves_server_healthy(mode: ServeMode) {
 fn differential_http_prune_matches_prune_str(mode: ServeMode) {
     let srv = TestServer::start(small_config(mode));
     let mut rng = SplitMix64::new(0x9e3779b97f4a7c15);
-    let cache = ProjectorCache::new(32);
     let mut cases = 0;
     for case in 0..24u64 {
         // Generate a random grammar as DTD *text* (what the server
@@ -493,11 +509,11 @@ fn differential_http_prune_matches_prune_str(mode: ServeMode) {
         let query = random_query(&mut rng);
 
         let dtd = Arc::new(dtd);
-        let projector = match cache.get_or_compute(&dtd, &query) {
-            Ok(p) => p,
+        let artifact = match QueryArtifact::compile(&dtd, &query) {
+            Ok(a) => a,
             Err(_) => continue, // not a projectable query; skip
         };
-        let expected = xproj_core::prune_str(&xml, &dtd, &projector)
+        let expected = xproj_core::prune_str(&xml, &dtd, &artifact.projector)
             .unwrap_or_else(|e| panic!("case {case}: prune_str failed: {e}"))
             .output;
 
@@ -765,9 +781,8 @@ fn graceful_shutdown_drains_in_flight_load(mode: ServeMode) {
     let target = format!("/v1/prune?dtd={id}&query={}", urlencode("/bib/book/title"));
 
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
-    let cache = ProjectorCache::new(4);
-    let projector = cache.get_or_compute(&dtd, "/bib/book/title").unwrap();
-    let expected = xproj_core::prune_str(BIB_DOC, &dtd, &projector).unwrap().output;
+    let projector = &QueryArtifact::compile(&dtd, "/bib/book/title").unwrap().projector;
+    let expected = xproj_core::prune_str(BIB_DOC, &dtd, projector).unwrap().output;
 
     const CLIENTS: usize = 4;
     let started = Arc::new(Barrier::new(CLIENTS + 1));
@@ -939,15 +954,14 @@ fn slow_reader_backpressure_bounds_residency(mode: ServeMode) {
     let one_book = "<book><title>backpressure backpressure</title><author>A</author></book>";
     let books = 120_000; // ≈ 8.5 MB body
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
-    let cache = ProjectorCache::new(4);
-    let projector = cache.get_or_compute(&dtd, query).unwrap();
+    let projector = &QueryArtifact::compile(&dtd, query).unwrap().projector;
     let mut doc = String::with_capacity(books * one_book.len() + 16);
     doc.push_str("<bib>");
     for _ in 0..books {
         doc.push_str(one_book);
     }
     doc.push_str("</bib>");
-    let expected = xproj_core::prune_str(&doc, &dtd, &projector).unwrap().output;
+    let expected = xproj_core::prune_str(&doc, &dtd, projector).unwrap().output;
     assert!(
         expected.len() > doc.len() / 2,
         "the query must retain most of the document for output \
@@ -1088,10 +1102,16 @@ mode_matrix!(
 mod multi_reactor_mode {
     use super::*;
 
+    /// Twenty rounds: which loop's listener the kernel hands each of
+    /// the four connections (and the shutdown request) to varies run to
+    /// run, and the drain must hold for every split — including a
+    /// connection still queued on one loop when the other sees shutdown.
     #[test]
     fn graceful_shutdown_drains_in_flight_load() {
         with_reactor_threads(2, || {
-            super::graceful_shutdown_drains_in_flight_load(ServeMode::Reactor)
+            for _ in 0..20 {
+                super::graceful_shutdown_drains_in_flight_load(ServeMode::Reactor);
+            }
         });
     }
 
@@ -1205,7 +1225,11 @@ fn admission_limit_rejects_with_503_retry_after() {
     );
     drop(c2);
     drop(c3);
-    let report = srv.shutdown();
+    // Shut down over the admitted connection: a fresh one would race
+    // the server noticing c2's close for the freed admission slot.
+    let resp = c1.request("POST", "/admin/shutdown", &[], None).unwrap();
+    assert_eq!(resp.status, 200);
+    let report = srv.handle.join().expect("serve thread");
     assert_eq!(report.aborted, 0);
 }
 

@@ -98,7 +98,7 @@ fn warm_restart_round_trip(mode: ServeMode) {
     let srv = TestServer::start(mode, &dir);
     let id = srv.register_bib();
     let cold = srv.query(&id, "//title");
-    let s = srv.state.cache.artifacts().stats();
+    let s = srv.state.cache.stats();
     assert_eq!(s.compiles, 1, "cold boot compiles exactly once: {s:?}");
     assert_eq!(s.loads, 0, "nothing on disk yet: {s:?}");
     srv.shutdown(); // persists the artifact cache to `dir`
@@ -106,7 +106,7 @@ fn warm_restart_round_trip(mode: ServeMode) {
     // Warm boot on the same directory: the artifact is resident before
     // the first request, which must therefore be a hit — no compile.
     let srv = TestServer::start(mode, &dir);
-    let before = srv.state.cache.artifacts().stats();
+    let before = srv.state.cache.stats();
     assert!(before.loads >= 1, "restart loads saved artifacts: {before:?}");
     assert_eq!(before.compiles, 0, "restart must not recompile: {before:?}");
     assert!(before.entries >= 1 && before.resident_bytes > 0, "{before:?}");
@@ -114,7 +114,7 @@ fn warm_restart_round_trip(mode: ServeMode) {
     let id = srv.register_bib(); // content-derived id: same as before
     let warm = srv.query(&id, "//title");
     assert_eq!(warm, cold, "warm answer must match the cold answer");
-    let after = srv.state.cache.artifacts().stats();
+    let after = srv.state.cache.stats();
     assert_eq!(after.compiles, 0, "first warm request is a hit: {after:?}");
     assert!(after.hits >= 1, "{after:?}");
 

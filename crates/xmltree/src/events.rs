@@ -1,18 +1,10 @@
-//! Pull-based SAX-style XML event reader.
+//! What the tokenizer's events are made of: the [`ParseError`] every
+//! XML front-end reports, and entity decoding for text and attribute
+//! values (the five predefined entities and numeric character
+//! references, held to the XML 1.0 `Char` production).
 //!
-//! This is the substrate for the paper's *streaming* pruning (§6): the
-//! pruner consumes events from [`XmlReader`] in a single pass, writing out
-//! kept events, with memory bounded by the element-nesting depth. It is
-//! also what the tree parser in [`crate::parser`] is built on.
-//!
-//! The reader handles the XML subset relevant to data-centric documents:
-//! elements, attributes, character data, CDATA sections, comments,
-//! processing instructions, an optional XML declaration, and a DOCTYPE
-//! declaration whose internal subset is captured verbatim (so the DTD
-//! crate can parse it). The five predefined entities and numeric character
-//! references are decoded.
+//! The event loop itself is [`crate::push::PushTokenizer::drain`].
 
-use crate::scan;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -33,432 +25,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// One attribute as read from the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawAttribute<'a> {
-    /// Attribute name (borrowed from the input).
-    pub name: &'a str,
-    /// Decoded attribute value.
-    pub value: Cow<'a, str>,
-}
-
-/// A SAX event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event<'a> {
-    /// `<name attr="v" …>` or `<name …/>`; a self-closing tag is followed
-    /// by a matching [`Event::EndElement`] emitted by the reader itself.
-    StartElement {
-        /// Element name.
-        name: &'a str,
-        /// Attributes in document order.
-        attrs: Vec<RawAttribute<'a>>,
-        /// Whether this came from a `<…/>` empty-element tag.
-        self_closing: bool,
-    },
-    /// `</name>` (or synthesized after a self-closing start tag).
-    EndElement {
-        /// Element name.
-        name: &'a str,
-    },
-    /// Character data (entities decoded) or a CDATA section.
-    Text(Cow<'a, str>),
-    /// `<!-- … -->` (content without the delimiters).
-    Comment(&'a str),
-    /// `<?target data?>` — excludes the XML declaration, which is skipped.
-    ProcessingInstruction(&'a str),
-    /// `<!DOCTYPE name … [internal subset]>`.
-    Doctype {
-        /// Document type name.
-        name: &'a str,
-        /// Raw internal subset between `[` and `]`, if present.
-        internal_subset: Option<&'a str>,
-    },
-    /// End of input.
-    Eof,
-}
-
-/// A pull parser over a complete in-memory XML string.
-pub struct XmlReader<'a> {
-    input: &'a str,
-    pos: usize,
-    /// Name to auto-close after a self-closing start tag.
-    pending_end: Option<&'a str>,
-    /// Open-element stack, used for well-formedness checking.
-    stack: Vec<&'a str>,
-    seen_root: bool,
-}
-
-impl<'a> XmlReader<'a> {
-    /// Creates a reader over `input`.
-    pub fn new(input: &'a str) -> Self {
-        XmlReader {
-            input,
-            pos: 0,
-            pending_end: None,
-            stack: Vec::with_capacity(16),
-            seen_root: false,
-        }
-    }
-
-    /// Current byte offset.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    /// Current element nesting depth.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
-            offset: self.pos,
-            message: message.into(),
-        })
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn bump(&mut self, n: usize) {
-        self.pos += n;
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.rest().starts_with(s)
-    }
-
-    /// Pulls the next event.
-    pub fn next_event(&mut self) -> Result<Event<'a>, ParseError> {
-        if let Some(name) = self.pending_end.take() {
-            self.stack.pop();
-            return Ok(Event::EndElement { name });
-        }
-        if self.pos >= self.input.len() {
-            if let Some(open) = self.stack.last() {
-                return self.err(format!("unexpected end of input, <{open}> not closed"));
-            }
-            return Ok(Event::Eof);
-        }
-        if self.starts_with("<") {
-            self.read_markup()
-        } else {
-            self.read_text()
-        }
-    }
-
-    fn read_text(&mut self) -> Result<Event<'a>, ParseError> {
-        let start = self.pos;
-        let end = self.rest().find('<').map(|i| start + i).unwrap_or(self.input.len());
-        let raw = &self.input[start..end];
-        self.pos = end;
-        if self.stack.is_empty() && raw.trim().is_empty() {
-            // Whitespace outside the root element: skip.
-            return self.next_event();
-        }
-        let decoded = decode_entities(raw).map_err(|m| ParseError {
-            offset: start,
-            message: m,
-        })?;
-        Ok(Event::Text(decoded))
-    }
-
-    fn read_markup(&mut self) -> Result<Event<'a>, ParseError> {
-        if self.starts_with("<?xml") {
-            let end = match self.rest().find("?>") {
-                Some(i) => self.pos + i + 2,
-                None => return self.err("unterminated XML declaration"),
-            };
-            self.pos = end;
-            return self.next_event();
-        }
-        if self.starts_with("<?") {
-            let start = self.pos + 2;
-            let end = match self.rest().find("?>") {
-                Some(i) => self.pos + i,
-                None => return self.err("unterminated processing instruction"),
-            };
-            self.pos = end + 2;
-            return Ok(Event::ProcessingInstruction(&self.input[start..end]));
-        }
-        if self.starts_with("<!--") {
-            let start = self.pos + 4;
-            let end = match self.input[start..].find("-->") {
-                Some(i) => start + i,
-                None => return self.err("unterminated comment"),
-            };
-            self.pos = end + 3;
-            return Ok(Event::Comment(&self.input[start..end]));
-        }
-        if self.starts_with("<![CDATA[") {
-            let start = self.pos + 9;
-            let end = match self.input[start..].find("]]>") {
-                Some(i) => start + i,
-                None => return self.err("unterminated CDATA section"),
-            };
-            self.pos = end + 3;
-            if self.stack.is_empty() {
-                return self.err("CDATA outside the root element");
-            }
-            return Ok(Event::Text(Cow::Borrowed(&self.input[start..end])));
-        }
-        if self.starts_with("<!DOCTYPE") {
-            return self.read_doctype();
-        }
-        if self.starts_with("</") {
-            self.bump(2);
-            let name = self.read_name()?;
-            self.skip_ws();
-            if !self.starts_with(">") {
-                return self.err("expected '>' in end tag");
-            }
-            self.bump(1);
-            match self.stack.pop() {
-                Some(open) if open == name => Ok(Event::EndElement { name }),
-                Some(open) => self.err(format!("mismatched end tag </{name}>, expected </{open}>")),
-                None => self.err(format!("end tag </{name}> with no open element")),
-            }
-        } else {
-            self.bump(1); // consume '<'
-            if self.stack.is_empty() && self.seen_root {
-                return self.err("content after the root element");
-            }
-            let name = self.read_name()?;
-            let mut attrs = Vec::new();
-            loop {
-                self.skip_ws();
-                if self.starts_with("/>") {
-                    self.bump(2);
-                    self.seen_root = true;
-                    self.stack.push(name);
-                    self.pending_end = Some(name);
-                    return Ok(Event::StartElement {
-                        name,
-                        attrs,
-                        self_closing: true,
-                    });
-                }
-                if self.starts_with(">") {
-                    self.bump(1);
-                    self.seen_root = true;
-                    self.stack.push(name);
-                    return Ok(Event::StartElement {
-                        name,
-                        attrs,
-                        self_closing: false,
-                    });
-                }
-                if self.pos >= self.input.len() {
-                    return self.err("unterminated start tag");
-                }
-                attrs.push(self.read_attribute()?);
-            }
-        }
-    }
-
-    fn read_doctype(&mut self) -> Result<Event<'a>, ParseError> {
-        self.bump("<!DOCTYPE".len());
-        self.skip_ws();
-        let name = self.read_name()?;
-        // Scan to the closing '>', capturing an internal subset if present.
-        let mut internal = None;
-        loop {
-            self.skip_ws();
-            if self.starts_with("[") {
-                let start = self.pos + 1;
-                let end = match self.input[start..].find(']') {
-                    Some(i) => start + i,
-                    None => return self.err("unterminated DOCTYPE internal subset"),
-                };
-                internal = Some(&self.input[start..end]);
-                self.pos = end + 1;
-            } else if self.starts_with(">") {
-                self.bump(1);
-                return Ok(Event::Doctype {
-                    name,
-                    internal_subset: internal,
-                });
-            } else if self.pos >= self.input.len() {
-                return self.err("unterminated DOCTYPE");
-            } else {
-                // External id keywords, system literals, etc.: skip a token.
-                let c = self.rest().chars().next().unwrap();
-                if c == '"' || c == '\'' {
-                    self.bump(c.len_utf8());
-                    match self.rest().find(c) {
-                        Some(i) => self.bump(i + 1),
-                        None => return self.err("unterminated literal in DOCTYPE"),
-                    }
-                } else {
-                    self.bump(c.len_utf8());
-                }
-            }
-        }
-    }
-
-    fn read_attribute(&mut self) -> Result<RawAttribute<'a>, ParseError> {
-        let name = self.read_name()?;
-        self.skip_ws();
-        if !self.starts_with("=") {
-            return self.err(format!("expected '=' after attribute name '{name}'"));
-        }
-        self.bump(1);
-        self.skip_ws();
-        let quote = match self.rest().chars().next() {
-            Some(q @ ('"' | '\'')) => q,
-            _ => return self.err("expected quoted attribute value"),
-        };
-        self.bump(1);
-        let start = self.pos;
-        let end = match self.rest().find(quote) {
-            Some(i) => start + i,
-            None => return self.err("unterminated attribute value"),
-        };
-        self.pos = end + 1;
-        let value = decode_entities(&self.input[start..end]).map_err(|m| ParseError {
-            offset: start,
-            message: m,
-        })?;
-        Ok(RawAttribute { name, value })
-    }
-
-    fn read_name(&mut self) -> Result<&'a str, ParseError> {
-        let rest = self.rest();
-        let mut end = 0;
-        for (i, c) in rest.char_indices() {
-            let ok = if i == 0 {
-                c.is_alphabetic() || c == '_' || c == ':'
-            } else {
-                c.is_alphanumeric() || matches!(c, '_' | ':' | '-' | '.')
-            };
-            if !ok {
-                end = i;
-                break;
-            }
-            end = i + c.len_utf8();
-        }
-        if end == 0 {
-            return self.err("expected a name");
-        }
-        let name = &rest[..end];
-        self.bump(end);
-        Ok(name)
-    }
-
-    fn skip_ws(&mut self) {
-        let n = self
-            .rest()
-            .find(|c: char| !c.is_ascii_whitespace())
-            .unwrap_or(self.rest().len());
-        self.bump(n);
-    }
-
-    /// Skips the rest of the current element's subtree with raw byte
-    /// scanning — no tokenization, no entity decoding, just delimiter
-    /// matching and a depth counter. Must be called immediately after
-    /// [`Self::next_event`] returned a non-self-closing
-    /// [`Event::StartElement`]; on success the reader is positioned just
-    /// past the element's end tag, with the element popped from the
-    /// stack, exactly as if every subtree event had been pulled.
-    ///
-    /// Only delimiter structure is checked (comments/CDATA/PIs must
-    /// close, tags must balance *by count*): end-tag names, attribute
-    /// syntax, and entity validity inside the skipped region are **not**
-    /// verified. Callers that need full well-formedness or validation
-    /// must pull events normally instead.
-    pub fn skip_subtree(&mut self) -> Result<(), ParseError> {
-        debug_assert!(
-            self.pending_end.is_none(),
-            "skip_subtree after a self-closing tag"
-        );
-        let mut depth = 1usize;
-        while depth > 0 {
-            // `str::find(char)` lowers to a memchr-style byte scan: this
-            // is the only per-byte work on skipped content.
-            let rel = match self.rest().find('<') {
-                Some(i) => i,
-                None => return self.err("unexpected end of input inside skipped subtree"),
-            };
-            self.pos += rel;
-            if self.starts_with("<!--") {
-                let start = self.pos + 4;
-                match self.input[start..].find("-->") {
-                    Some(i) => self.pos = start + i + 3,
-                    None => return self.err("unterminated comment"),
-                }
-            } else if self.starts_with("<![CDATA[") {
-                let start = self.pos + 9;
-                match self.input[start..].find("]]>") {
-                    Some(i) => self.pos = start + i + 3,
-                    None => return self.err("unterminated CDATA section"),
-                }
-            } else if self.starts_with("<?") {
-                let start = self.pos + 2;
-                match self.input[start..].find("?>") {
-                    Some(i) => self.pos = start + i + 2,
-                    None => return self.err("unterminated processing instruction"),
-                }
-            } else if self.starts_with("</") {
-                let start = self.pos + 2;
-                match self.input[start..].find('>') {
-                    Some(i) => self.pos = start + i + 1,
-                    None => return self.err("unterminated end tag"),
-                }
-                depth -= 1;
-            } else if self.starts_with("<!") {
-                let start = self.pos + 2;
-                match self.input[start..].find('>') {
-                    Some(i) => self.pos = start + i + 1,
-                    None => return self.err("unterminated markup declaration"),
-                }
-            } else {
-                // A start tag: quote-aware jumps to its '>', watching for
-                // the '/' of an empty-element tag. `prev` is the last
-                // byte consumed, so the `/` of `/>` survives the jumps.
-                let bytes = self.input.as_bytes();
-                let mut i = self.pos + 1;
-                let mut quote: Option<u8> = None;
-                let mut prev = 0u8;
-                loop {
-                    match quote {
-                        Some(q) => match scan::memchr(q, &bytes[i..]) {
-                            Some(j) => {
-                                i += j + 1;
-                                quote = None;
-                                prev = q;
-                            }
-                            None => return self.err("unterminated start tag"),
-                        },
-                        None => match scan::memchr3(b'>', b'"', b'\'', &bytes[i..]) {
-                            Some(j) => {
-                                let b = bytes[i + j];
-                                if j > 0 {
-                                    prev = bytes[i + j - 1];
-                                }
-                                i += j;
-                                if b == b'>' {
-                                    break;
-                                }
-                                quote = Some(b);
-                                prev = b;
-                                i += 1;
-                            }
-                            None => return self.err("unterminated start tag"),
-                        },
-                    }
-                }
-                self.pos = i + 1;
-                if prev != b'/' {
-                    depth += 1;
-                }
-            }
-        }
-        self.stack.pop();
-        Ok(())
-    }
-}
-
 /// True iff `c` is in the XML 1.0 `Char` production:
 /// `#x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] | [#x10000-#x10FFFF]`.
 ///
@@ -475,8 +41,7 @@ pub fn is_xml_char(c: char) -> bool {
 
 /// Resolves a numeric character reference, enforcing the XML 1.0 `Char`
 /// production (`&#0;`, `&#x1F;`, surrogates, `&#xFFFF;` are all
-/// ill-formed even though some pass `char::from_u32`). Shared by both the
-/// pull reader and the push tokenizer so the two reject identically.
+/// ill-formed even though some pass `char::from_u32`).
 fn char_ref(code: u32) -> Result<char, String> {
     char::from_u32(code)
         .filter(|&c| is_xml_char(c))
@@ -564,168 +129,12 @@ pub fn validate_entities(raw: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn collect(input: &str) -> Vec<Event<'_>> {
-        let mut r = XmlReader::new(input);
-        let mut out = Vec::new();
-        loop {
-            let e = r.next_event().expect("parse ok");
-            let eof = e == Event::Eof;
-            out.push(e);
-            if eof {
-                break;
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn simple_element_stream() {
-        let ev = collect("<a><b>hi</b></a>");
-        assert_eq!(ev.len(), 6);
-        assert!(matches!(ev[0], Event::StartElement { name: "a", .. }));
-        assert!(matches!(ev[1], Event::StartElement { name: "b", .. }));
-        assert_eq!(ev[2], Event::Text(Cow::Borrowed("hi")));
-        assert!(matches!(ev[3], Event::EndElement { name: "b" }));
-        assert!(matches!(ev[4], Event::EndElement { name: "a" }));
-        assert_eq!(ev[5], Event::Eof);
-    }
-
-    #[test]
-    fn self_closing_emits_end() {
-        let ev = collect("<a><b/></a>");
-        assert!(matches!(
-            ev[1],
-            Event::StartElement {
-                name: "b",
-                self_closing: true,
-                ..
-            }
-        ));
-        assert!(matches!(ev[2], Event::EndElement { name: "b" }));
-    }
-
-    #[test]
-    fn attributes_are_decoded() {
-        let ev = collect(r#"<a x="1 &lt; 2" y='z'/>"#);
-        match &ev[0] {
-            Event::StartElement { attrs, .. } => {
-                assert_eq!(attrs[0].name, "x");
-                assert_eq!(attrs[0].value, "1 < 2");
-                assert_eq!(attrs[1].name, "y");
-                assert_eq!(attrs[1].value, "z");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn doctype_with_internal_subset() {
-        let ev = collect("<!DOCTYPE site [<!ELEMENT site (a)>]><site><a/></site>");
-        match ev[0] {
-            Event::Doctype {
-                name,
-                internal_subset,
-            } => {
-                assert_eq!(name, "site");
-                assert_eq!(internal_subset, Some("<!ELEMENT site (a)>"));
-            }
-            ref other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn doctype_with_system_id() {
-        let ev = collect(r#"<!DOCTYPE site SYSTEM "auction.dtd"><site/>"#);
-        assert!(matches!(
-            ev[0],
-            Event::Doctype {
-                name: "site",
-                internal_subset: None
-            }
-        ));
-    }
-
-    #[test]
-    fn comments_pis_cdata() {
-        let ev = collect("<a><!-- note --><?p d?><![CDATA[1 < 2]]></a>");
-        assert_eq!(ev[1], Event::Comment(" note "));
-        assert_eq!(ev[2], Event::ProcessingInstruction("p d"));
-        assert_eq!(ev[3], Event::Text(Cow::Borrowed("1 < 2")));
-    }
-
-    #[test]
-    fn xml_declaration_is_skipped() {
-        let ev = collect("<?xml version=\"1.0\"?><a/>");
-        assert!(matches!(ev[0], Event::StartElement { name: "a", .. }));
-    }
-
-    #[test]
-    fn mismatched_tags_error() {
-        let mut r = XmlReader::new("<a></b>");
-        r.next_event().unwrap();
-        assert!(r.next_event().is_err());
-    }
-
-    #[test]
-    fn unclosed_root_errors() {
-        let mut r = XmlReader::new("<a>");
-        r.next_event().unwrap();
-        assert!(r.next_event().is_err());
-    }
-
-    #[test]
-    fn text_entities() {
-        let ev = collect("<a>&amp;&#65;&#x42;</a>");
-        assert_eq!(ev[1], Event::Text(Cow::Owned("&AB".to_string())));
-    }
-
     #[test]
     fn decode_borrowed_when_clean() {
         assert!(matches!(
             decode_entities("hello").unwrap(),
             Cow::Borrowed("hello")
         ));
-    }
-
-    #[test]
-    fn content_after_root_rejected() {
-        let mut r = XmlReader::new("<a/><b/>");
-        r.next_event().unwrap(); // <a>
-        r.next_event().unwrap(); // </a>
-        assert!(r.next_event().is_err());
-    }
-
-    #[test]
-    fn non_xml_char_references_rejected() {
-        for bad in ["&#0;", "&#x1F;", "&#8;", "&#xFFFE;", "&#xFFFF;", "&#xD800;", "&#x110000;"] {
-            let doc = format!("<a>{bad}</a>");
-            let mut r = XmlReader::new(&doc);
-            r.next_event().unwrap();
-            assert!(r.next_event().is_err(), "{bad} should be rejected");
-        }
-        // The boundary cases that *are* Chars still decode.
-        let ev = collect("<a>&#x9;&#xA;&#xD;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;</a>");
-        assert!(matches!(ev[1], Event::Text(_)));
-    }
-
-    /// Drives `skip_subtree` against the event stream on the same input:
-    /// the reader must land exactly where pulling all events would.
-    #[test]
-    fn skip_subtree_lands_after_end_tag() {
-        let doc = "<r><skip a=\"1 > 0\" b='/'><x><!-- </skip> --><![CDATA[</skip>]]>\
-                   <?pi </skip> ?><y/>&bogus-not-decoded;</x><empty/></skip><keep/></r>";
-        let mut r = XmlReader::new(doc);
-        assert!(matches!(r.next_event().unwrap(), Event::StartElement { name: "r", .. }));
-        assert!(matches!(
-            r.next_event().unwrap(),
-            Event::StartElement { name: "skip", self_closing: false, .. }
-        ));
-        r.skip_subtree().unwrap();
-        assert_eq!(r.depth(), 1);
-        assert!(matches!(r.next_event().unwrap(), Event::StartElement { name: "keep", .. }));
-        assert!(matches!(r.next_event().unwrap(), Event::EndElement { name: "keep" }));
-        assert!(matches!(r.next_event().unwrap(), Event::EndElement { name: "r" }));
-        assert_eq!(r.next_event().unwrap(), Event::Eof);
     }
 
     #[test]
@@ -746,16 +155,6 @@ mod tests {
         ] {
             let decoded = decode_entities(s).map(|_| ());
             assert_eq!(validate_entities(s), decoded, "input {s:?}");
-        }
-    }
-
-    #[test]
-    fn skip_subtree_errors_on_truncated_input() {
-        for doc in ["<r><s><x>", "<r><s><!-- never closed", "<r><s><![CDATA[open", "<r><s><x attr=\"unterminated"] {
-            let mut r = XmlReader::new(doc);
-            r.next_event().unwrap();
-            r.next_event().unwrap();
-            assert!(r.skip_subtree().is_err(), "{doc:?} should fail to skip");
         }
     }
 }

@@ -14,8 +14,10 @@
 //!   comments, processing instructions, DOCTYPE capture, the five
 //!   predefined entities and numeric character references),
 //! * a [`serializer`](Document::to_xml) producing well-formed XML,
-//! * a pull-based SAX-style event reader ([`events::XmlReader`]) used by
-//!   the streaming pruner in `xproj-core`.
+//! * the one incremental tokenizer ([`push::PushTokenizer`]) whose
+//!   [`drain`](push::PushTokenizer::drain) loop feeds every XML consumer
+//!   in the workspace — the tree parser here, the streaming pruner in
+//!   `xproj-core`, the engines above it — through [`push::TokenSink`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +30,5 @@ pub mod push;
 pub mod scan;
 
 pub use document::{Attribute, Document, Node, NodeId, NodeKind};
-pub use events::{Event, XmlReader};
 pub use interner::{Interner, TagId};
 pub use parser::{parse, parse_with_options, ParseError, ParseOptions};

@@ -1,9 +1,10 @@
-//! Tree parser: builds a [`Document`] from an XML string using the event
-//! reader of [`crate::events`].
+//! Tree parser: builds a [`Document`] from an XML string — a
+//! [`TokenSink`] over the one token loop in [`crate::push`].
 
 use crate::document::{Attribute, Document, NodeId};
-use crate::events::{Event, XmlReader};
+use crate::events::decode_entities;
 use crate::interner::Interner;
+use crate::push::{drain_str, RawAttrs, TokenSink};
 
 pub use crate::events::ParseError;
 
@@ -34,45 +35,64 @@ pub fn parse(input: &str) -> Result<Document, ParseError> {
 
 /// Parses `input` into a [`Document`].
 pub fn parse_with_options(input: &str, options: ParseOptions) -> Result<Document, ParseError> {
-    let mut doc = match options.interner {
-        Some(i) => Document::with_interner(i),
-        None => Document::new(),
+    let mut builder = TreeBuilder {
+        doc: match options.interner {
+            Some(i) => Document::with_interner(i),
+            None => Document::new(),
+        },
+        stack: vec![NodeId::DOCUMENT],
+        ignore_whitespace_text: options.ignore_whitespace_text,
     };
-    let mut reader = XmlReader::new(input);
-    let mut stack: Vec<NodeId> = vec![NodeId::DOCUMENT];
-    loop {
-        match reader.next_event()? {
-            Event::StartElement { name, attrs, .. } => {
-                let tag = doc.tags.intern(name);
-                let attrs: Vec<Attribute> = attrs
-                    .into_iter()
-                    .map(|a| Attribute {
-                        name: doc.tags.intern(a.name),
-                        value: a.value.into_owned().into_boxed_str(),
-                    })
-                    .collect();
-                let parent = *stack.last().expect("stack never empty");
-                let id = doc.push_element_with_attrs(parent, tag, attrs);
-                stack.push(id);
-            }
-            Event::EndElement { .. } => {
-                stack.pop();
-            }
-            Event::Text(t) => {
-                if options.ignore_whitespace_text && t.trim().is_empty() {
-                    continue;
-                }
-                let parent = *stack.last().expect("stack never empty");
-                if parent == NodeId::DOCUMENT {
-                    continue; // no text directly under the document node
-                }
-                doc.push_text(parent, &t);
-            }
-            Event::Comment(_) | Event::ProcessingInstruction(_) | Event::Doctype { .. } => {}
-            Event::Eof => break,
+    drain_str(input, &mut builder, false)?;
+    Ok(builder.doc)
+}
+
+/// The sink that grows the arena: one node per start tag and per kept
+/// text run, parented to the top of the open-element stack.
+struct TreeBuilder {
+    doc: Document,
+    stack: Vec<NodeId>,
+    ignore_whitespace_text: bool,
+}
+
+impl TokenSink for TreeBuilder {
+    type Error = ParseError;
+
+    fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, ParseError> {
+        let tag = self.doc.tags.intern(name);
+        // The tokenizer validated the region; a failure here would be
+        // its bug, reported rather than unwrapped.
+        let bug = |message| ParseError { offset: 0, message };
+        let mut attrs = Vec::new();
+        for attr in RawAttrs::new(attrs_raw) {
+            let (aname, raw) = attr.map_err(bug)?;
+            let value = decode_entities(raw).map_err(bug)?;
+            attrs.push(Attribute {
+                name: self.doc.tags.intern(aname),
+                value: value.into_owned().into_boxed_str(),
+            });
         }
+        let parent = *self.stack.last().expect("stack never empty");
+        let id = self.doc.push_element_with_attrs(parent, tag, attrs);
+        self.stack.push(id);
+        Ok(false)
     }
-    Ok(doc)
+
+    fn end(&mut self, _name: &str) -> Result<(), ParseError> {
+        self.stack.pop();
+        Ok(())
+    }
+
+    fn text(&mut self, decoded: &str) -> Result<(), ParseError> {
+        let parent = *self.stack.last().expect("stack never empty");
+        // No text directly under the document node.
+        if parent != NodeId::DOCUMENT
+            && !(self.ignore_whitespace_text && decoded.trim().is_empty())
+        {
+            self.doc.push_text(parent, decoded);
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

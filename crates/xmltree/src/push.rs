@@ -1,28 +1,29 @@
-//! Incremental *push*-mode XML tokenizer.
+//! The XML tokenizer: one incremental, *push*-mode token loop.
 //!
-//! [`crate::events::XmlReader`] pulls events out of a complete in-memory
-//! string; this module is its chunk-at-a-time dual: bytes are *pushed* in
-//! with [`PushTokenizer::feed`] in arbitrarily-sized pieces (down to one
-//! byte), and complete events come out as soon as their closing delimiter
-//! has arrived. Chunk boundaries may fall anywhere — in the middle of a
-//! tag name, an attribute value, an `&amp;`-style entity, a CDATA
-//! section, a comment, a processing instruction, or a multi-byte UTF-8
-//! sequence — and the event stream is identical to what `XmlReader`
-//! produces on the concatenated input.
+//! Bytes are pushed in with [`PushTokenizer::push_bytes`] in
+//! arbitrarily-sized pieces (down to one byte) and every complete token
+//! is handed to a [`TokenSink`] by [`PushTokenizer::drain`] as soon as
+//! its closing delimiter has arrived. Chunk boundaries may fall anywhere
+//! — in the middle of a tag name, an attribute value, an `&amp;`-style
+//! entity, a CDATA section, a comment, a processing instruction, or a
+//! multi-byte UTF-8 sequence — and the calls the sink sees are identical
+//! to a one-chunk run over the concatenated input. A whole in-memory
+//! document is that one-chunk case: [`drain_str`].
+//!
+//! `drain` is the only place tokens are interpreted. Per token it
+//! classifies, validates UTF-8, parses names and attribute syntax,
+//! checks the open-element stack, decodes entities, counts the event and
+//! — when the sink says a subtree holds nothing it wants — engages the
+//! raw fast-forward scanner. Everything that consumes XML (the pruning
+//! machine, the query matcher, the validating pruner, the tree parser,
+//! the retention sampler, the CLI's DOCTYPE sniff) is a sink over it.
 //!
 //! The hot loop is *bulk-scanning*, not byte-stepping: tokens are
 //! delimited by finding the next structural byte (`<`, `>`, quotes,
 //! `-`, `]`, `?` depending on state) with the word-at-a-time scanners
 //! in [`crate::scan`], and the buffer keeps a cursor instead of
-//! draining per token, so consuming a token is O(1). Two front-ends
-//! sit on top of the same scanner:
-//!
-//! * the owned [`PushTokenizer::next_event`] stream of [`PushEvent`]s
-//!   (allocation per event — convenient, not hot), and
-//! * the raw [`PushTokenizer::peek_token`] / [`PushTokenizer::token_str`] /
-//!   [`PushTokenizer::advance`] interface, which exposes each complete token as
-//!   a borrowed `&str` so a driver (the chunked pruning engine) can
-//!   copy whole runs to its output without per-event allocations.
+//! draining per token, so consuming a token is O(1). Sinks see borrowed
+//! slices of that buffer: no per-event allocation.
 //!
 //! The memory contract that makes constant-memory pruning possible
 //! (paper §6): the tokenizer retains only the bytes of the single
@@ -33,50 +34,80 @@
 //! [`PushTokenizer::buffered`] and [`PushTokenizer::max_token_bytes`]
 //! expose the accounting so downstream code can *assert* the bound.
 
-use crate::events::{decode_entities, ParseError};
+use crate::events::{decode_entities, validate_entities, ParseError};
 use crate::scan;
 
-/// One attribute of an owned [`PushEvent::StartElement`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedAttribute {
-    /// Attribute name.
-    pub name: String,
-    /// Decoded attribute value.
-    pub value: String,
+/// The consumer side of [`PushTokenizer::drain`]: one call per event, in
+/// document order, with names and text borrowed from the tokenizer's
+/// buffer. By the time a method runs, the token has passed every
+/// well-formedness check the tokenizer makes (UTF-8, name and attribute
+/// syntax, entity validity, tag balance).
+///
+/// Comments and processing instructions are counted but not delivered;
+/// the XML declaration is neither.
+pub trait TokenSink {
+    /// What the sink fails with. The tokenizer's own [`ParseError`]s are
+    /// converted into it, so `drain` has a single error channel.
+    type Error: From<ParseError>;
+
+    /// `<name …>` or `<name …/>`. `attrs_raw` is the still-encoded
+    /// attribute region (iterate it with [`RawAttrs`]); its syntax and
+    /// entities have already been validated. A self-closing tag is
+    /// followed immediately by the matching [`Self::end`].
+    ///
+    /// Return `true` when the sink wants nothing from inside this
+    /// element: with fast-forward on, the tokenizer then delivers
+    /// [`Self::end`] at once and raw-scans past the subtree. With
+    /// fast-forward off the subtree's events arrive normally, which must
+    /// be equally correct for the sink.
+    fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, Self::Error>;
+
+    /// `</name>`, already matched against the open element.
+    fn end(&mut self, name: &str) -> Result<(), Self::Error>;
+
+    /// A character-data run with entities decoded, or the contents of a
+    /// CDATA section. Whitespace outside the root element is dropped
+    /// before it gets here.
+    fn text(&mut self, decoded: &str) -> Result<(), Self::Error>;
+
+    /// `<!DOCTYPE name … [internal subset]>`.
+    fn doctype(&mut self, _name: &str, _internal_subset: Option<&str>) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
-/// An owned SAX event, the chunk-friendly counterpart of
-/// [`crate::events::Event`] (which borrows from a complete input).
+/// What one [`PushTokenizer::drain`] (or [`PushTokenizer::finish_into`])
+/// call did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Drained {
+    /// Events processed: start, end (a self-closing tag is both), text,
+    /// CDATA, comment, PI and DOCTYPE count one each; the XML
+    /// declaration and whitespace outside the root count zero.
+    pub events: u64,
+    /// Subtrees handed to the raw fast-forward scanner.
+    pub fast_forwarded: u64,
+}
+
+impl std::ops::AddAssign for Drained {
+    fn add_assign(&mut self, other: Drained) {
+        self.events += other.events;
+        self.fast_forwarded += other.fast_forwarded;
+    }
+}
+
+/// An owned event, as returned by [`PushTokenizer::finish`]. Part of the
+/// frozen cursor surface (see [`PushTokenizer::peek_token`]); sinks get
+/// borrowed data through [`TokenSink`] instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum PushEvent {
-    /// `<name attr="v" …>` or `<name …/>`; a self-closing tag is
-    /// immediately followed by its matching [`PushEvent::EndElement`].
-    StartElement {
-        /// Element name.
-        name: String,
-        /// Attributes in document order.
-        attrs: Vec<OwnedAttribute>,
-        /// Whether this came from a `<…/>` empty-element tag.
-        self_closing: bool,
-    },
-    /// `</name>` (or synthesized after a self-closing start tag).
+    /// `</name>`.
     EndElement {
         /// Element name.
         name: String,
     },
-    /// Character data (entities decoded) or a CDATA section.
+    /// Character data (entities decoded).
     Text(String),
-    /// `<!-- … -->` (content without the delimiters).
-    Comment(String),
-    /// `<?target data?>` — excludes the XML declaration, which is skipped.
-    ProcessingInstruction(String),
-    /// `<!DOCTYPE name … [internal subset]>`.
-    Doctype {
-        /// Document type name.
-        name: String,
-        /// Raw internal subset between `[` and `]`, if present.
-        internal_subset: Option<String>,
-    },
 }
 
 /// What kind of token starts at the cursor, and where it ends
@@ -100,7 +131,8 @@ enum TokenKind {
     Doctype,
 }
 
-/// Classification of a raw token exposed by [`PushTokenizer::peek_token`].
+/// Classification of a raw token exposed by [`PushTokenizer::peek_token`]
+/// (the frozen cursor; [`PushTokenizer::drain`] never surfaces it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RawKind {
     /// A character-data run (still entity-encoded; may be pure
@@ -432,26 +464,37 @@ impl NameStack {
 /// A resumable chunk-at-a-time XML tokenizer.
 ///
 /// ```
-/// use xproj_xmltree::push::{PushEvent, PushTokenizer};
+/// use xproj_xmltree::push::{PushTokenizer, TokenSink};
+/// use xproj_xmltree::ParseError;
+///
+/// /// Counts elements and collects text.
+/// #[derive(Default)]
+/// struct Words(usize, String);
+/// impl TokenSink for Words {
+///     type Error = ParseError;
+///     fn start(&mut self, _: &str, _: &str) -> Result<bool, ParseError> {
+///         self.0 += 1;
+///         Ok(false)
+///     }
+///     fn end(&mut self, _: &str) -> Result<(), ParseError> {
+///         Ok(())
+///     }
+///     fn text(&mut self, t: &str) -> Result<(), ParseError> {
+///         self.1.push_str(t);
+///         Ok(())
+///     }
+/// }
 ///
 /// let mut t = PushTokenizer::new();
-/// let mut events = Vec::new();
+/// let mut sink = Words::default();
 /// // Feed a document in two pieces split mid-tag:
-/// events.extend(t.feed(b"<greeting kind=\"hel").unwrap());
-/// events.extend(t.feed(b"lo\">hi</greeting>").unwrap());
-/// events.extend(t.finish().unwrap());
-/// assert_eq!(events.len(), 3); // start, text, end
-/// assert!(matches!(&events[1], PushEvent::Text(s) if s == "hi"));
+/// for chunk in [&b"<greeting kind=\"hel"[..], b"lo\">hi &amp; bye</greeting>"] {
+///     t.push_bytes(chunk).unwrap();
+///     t.drain(&mut sink, false).unwrap();
+/// }
+/// t.finish_into(&mut sink).unwrap();
+/// assert_eq!((sink.0, sink.1.as_str()), (1, "hi & bye"));
 /// ```
-///
-/// Besides batch [`Self::feed`], the tokenizer has an incremental form —
-/// [`Self::push_bytes`] then [`Self::next_event`] until `None` — which
-/// lets a driver react to an event *before* the rest of the chunk is
-/// tokenized. That is what makes [`Self::skip_current_subtree`]
-/// (pruned-subtree fast-forward) possible. The raw layer underneath —
-/// [`Self::peek_token`], [`Self::token_str`], [`Self::advance`] — gives
-/// the same stream as borrowed, still-encoded tokens for drivers that
-/// copy runs straight to an output buffer.
 #[derive(Debug, Default)]
 pub struct PushTokenizer {
     /// The incomplete-token tail of the input plus the latest chunk.
@@ -464,9 +507,6 @@ pub struct PushTokenizer {
     consumed: usize,
     /// Open-element stack, for well-formedness checking.
     stack: NameStack,
-    /// End event synthesized after a self-closing start tag, waiting to
-    /// be returned by the next [`Self::next_event`] call.
-    pending_end: Option<String>,
     /// Active pruned-subtree fast-forward, if any.
     skip: Option<SkipScan>,
     seen_root: bool,
@@ -495,9 +535,9 @@ impl PushTokenizer {
     }
 
     /// Size in bytes of the largest single complete token seen so far.
-    /// After a successful [`Self::finish`], resident buffering only ever
-    /// held one partial token plus one chunk, and every partial token
-    /// eventually completed.
+    /// After a successful [`Self::finish_into`], resident buffering only
+    /// ever held one partial token plus one chunk, and every partial
+    /// token eventually completed.
     pub fn max_token_bytes(&self) -> usize {
         self.max_token
     }
@@ -507,45 +547,27 @@ impl PushTokenizer {
         self.stack.len()
     }
 
-    /// True while a [`Self::skip_current_subtree`] fast-forward is still
-    /// consuming input (the skipped subtree's end tag has not arrived).
+    /// True while a fast-forward is still consuming input (the skipped
+    /// subtree's end tag has not arrived).
     pub fn is_skipping(&self) -> bool {
         self.skip.is_some()
     }
 
-    /// Total bytes consumed so far (fed minus still buffered).
-    pub fn offset(&self) -> usize {
-        self.consumed
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
+    /// A parse error at the cursor.
+    fn error(&self, message: impl Into<String>) -> ParseError {
+        ParseError {
             offset: self.consumed,
             message: message.into(),
-        })
-    }
-
-    /// Feeds one chunk, returning every event completed by it.
-    ///
-    /// Events arrive in document order; a chunk may complete zero events
-    /// (its bytes were all mid-token) or many.
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<PushEvent>, ParseError> {
-        self.push_bytes(chunk)?;
-        let mut out = Vec::new();
-        while let Some(ev) = self.next_event()? {
-            out.push(ev);
         }
-        Ok(out)
     }
 
-    /// Makes one chunk available for tokenization without pulling any
-    /// events yet — the incremental half of [`Self::feed`]. While a
-    /// [`Self::skip_current_subtree`] fast-forward is active the chunk is
-    /// raw-scanned immediately and **not** buffered; any suffix past the
-    /// skipped subtree's end tag resumes normal tokenization.
+    /// Makes one chunk available for tokenization. While a fast-forward
+    /// is active the chunk is raw-scanned immediately and **not**
+    /// buffered; any suffix past the skipped subtree's end tag resumes
+    /// normal tokenization.
     pub fn push_bytes(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
         if self.finished {
-            return self.err("feed after finish");
+            return Err(self.error("feed after finish"));
         }
         let mut rest = chunk;
         if let Some(scan) = self.skip.as_mut() {
@@ -573,59 +595,256 @@ impl PushTokenizer {
         Ok(())
     }
 
+    /// Runs every complete token buffered so far through `sink` — **the**
+    /// token loop. Stops when the remaining bytes are mid-token (push
+    /// more) or a fast-forward has swallowed the rest of the buffer.
+    ///
+    /// Each token is classified, UTF-8 checked and parsed exactly once,
+    /// in this order: structural position (content after the root, CDATA
+    /// outside it), name syntax, attribute syntax and entity validity,
+    /// *then* the sink (so an undeclared element is reported before a
+    /// later mismatched end tag, and an attribute error before the sink
+    /// sees the tag), then the element stack.
+    ///
+    /// With `fast_forward` on, a non-self-closing start tag for which
+    /// [`TokenSink::start`] returned `true` gets its [`TokenSink::end`]
+    /// at once and every byte up to the matching end tag is consumed by
+    /// a raw scan — delimiter matching and a depth counter, no
+    /// tokenization, no buffering, across as many later
+    /// [`Self::push_bytes`] calls as it takes (a chunk boundary may fall
+    /// anywhere, even inside `-->` or `]]>`: partial delimiter matches
+    /// live in the scan state, not in the buffer). End-tag names,
+    /// attribute syntax and entity validity inside the skipped region
+    /// are **not** checked, so it must stay off when the pass doubles as
+    /// validation.
+    pub fn drain<S: TokenSink>(
+        &mut self,
+        sink: &mut S,
+        fast_forward: bool,
+    ) -> Result<Drained, S::Error> {
+        let mut done = Drained::default();
+        // UTF-8 is validated a window at a time, not per token: `window`
+        // is the valid text of the bytes from `window_at` on, and a token
+        // inside it is a plain slice of it. A token sticking out of the
+        // window (it straddles the window's end, is larger than one, or
+        // overlaps invalid bytes) starts a new window; if it does not
+        // fit that either it is validated on its own — which is where
+        // invalid input gets its error.
+        let (mut window, mut window_at) = ("", self.pos);
+        while self.skip.is_none() {
+            let Token::Complete { kind, len } = classify(&self.buf[self.pos..]) else {
+                break;
+            };
+            self.max_token = self.max_token.max(len);
+            let offset = self.consumed;
+            let fail = |message: String| ParseError { offset, message };
+            let mut at = self.pos - window_at;
+            if window.get(at..at + len).is_none() {
+                (window, window_at, at) = (valid_window(&self.buf[self.pos..]), self.pos, 0);
+            }
+            // All markup tokens are delimited by ASCII, so a complete
+            // token over valid UTF-8 input is itself valid UTF-8.
+            let tok = match window.get(at..at + len) {
+                Some(tok) => tok,
+                None => match std::str::from_utf8(&self.buf[self.pos..self.pos + len]) {
+                    Ok(tok) => tok,
+                    Err(e) => {
+                        let what = if kind == TokenKind::Text { "text" } else { "markup" };
+                        return Err(fail(format!("invalid UTF-8 in {what}: {e}")).into());
+                    }
+                },
+            };
+            let mut skip_subtree = false;
+            match kind {
+                TokenKind::Text => {
+                    if !(self.stack.is_empty() && tok.trim().is_empty()) {
+                        let decoded = decode_entities(tok).map_err(fail)?;
+                        sink.text(&decoded)?;
+                        done.events += 1;
+                    }
+                }
+                TokenKind::StartOrEmptyTag => {
+                    if self.stack.is_empty() && self.seen_root {
+                        return Err(fail("content after the root element".to_string()).into());
+                    }
+                    let (name, attrs_raw, self_closing) = split_start_tag(tok).map_err(fail)?;
+                    for attr in RawAttrs::new(attrs_raw) {
+                        let (_, value) = attr.map_err(fail)?;
+                        validate_entities(value).map_err(fail)?;
+                    }
+                    let skippable = sink.start(name, attrs_raw)?;
+                    self.seen_root = true;
+                    done.events += 1;
+                    if self_closing {
+                        sink.end(name)?;
+                        done.events += 1;
+                    } else {
+                        self.stack.push(name);
+                        if fast_forward && skippable {
+                            sink.end(name)?;
+                            done.fast_forwarded += 1;
+                            skip_subtree = true;
+                        }
+                    }
+                }
+                TokenKind::EndTag => {
+                    let name = parse_end_tag_name(tok).map_err(fail)?;
+                    match self.stack.top() {
+                        Some(open) if open == name => {}
+                        Some(open) => {
+                            return Err(fail(format!(
+                                "mismatched end tag </{name}>, expected </{open}>"
+                            ))
+                            .into())
+                        }
+                        None => {
+                            return Err(
+                                fail(format!("end tag </{name}> with no open element")).into()
+                            )
+                        }
+                    }
+                    sink.end(name)?;
+                    done.events += 1;
+                    self.stack.pop();
+                }
+                TokenKind::Cdata => {
+                    if self.stack.is_empty() {
+                        return Err(fail("CDATA outside the root element".to_string()).into());
+                    }
+                    sink.text(&tok["<![CDATA[".len()..tok.len() - "]]>".len()])?;
+                    done.events += 1;
+                }
+                TokenKind::Comment | TokenKind::Pi => done.events += 1,
+                TokenKind::Doctype => {
+                    let (name, internal_subset) = parse_doctype(tok).map_err(fail)?;
+                    sink.doctype(name, internal_subset)?;
+                    done.events += 1;
+                }
+                // The declaration produces no event.
+                TokenKind::XmlDecl => {}
+            }
+            self.pos += len;
+            self.consumed += len;
+            if skip_subtree {
+                // Raw-scan from the cursor to the end tag closing the
+                // element just pushed. Already-buffered bytes are
+                // scanned right away; if the subtree extends past them
+                // the skip stays active and `push_bytes` continues it.
+                let mut scan = SkipScan {
+                    depth: 1,
+                    state: SkipState::Content,
+                };
+                let outcome = run_skip(&mut scan, &self.buf[self.pos..]);
+                self.pos += outcome.consumed;
+                self.consumed += outcome.consumed;
+                if outcome.done {
+                    self.stack.pop();
+                } else {
+                    self.skip = Some(scan);
+                }
+            }
+        }
+        if self.skip.is_some() {
+            // The whole tail fell inside the skipped subtree: nothing
+            // stays buffered while the fast-forward is active.
+            debug_assert_eq!(self.pos, self.buf.len());
+            self.buf.clear();
+            self.pos = 0;
+        }
+        Ok(done)
+    }
+
+    /// Signals end of input. A trailing text run has no terminating `<`
+    /// and only completes here (delivered to `sink` and counted, unless
+    /// it is whitespace outside the root). Errors if the input ends
+    /// mid-token or with unclosed elements — including an unfinished
+    /// fast-forward, whose element is still on the stack.
+    pub fn finish_into<S: TokenSink>(&mut self, sink: &mut S) -> Result<Drained, S::Error> {
+        let mut done = Drained::default();
+        if self.finished {
+            return Ok(done);
+        }
+        self.finished = true;
+        let tail_len = self.buf.len() - self.pos;
+        let mut trailing = None;
+        if tail_len > 0 {
+            if self.buf[self.pos] == b'<' {
+                return Err(match self.stack.top() {
+                    Some(open) => self.error(format!(
+                        "unexpected end of input inside markup, <{open}> not closed"
+                    )),
+                    None => self.error("unexpected end of input inside markup"),
+                }
+                .into());
+            }
+            self.max_token = self.max_token.max(tail_len);
+            let offset = self.consumed;
+            let fail = |message: String| ParseError { offset, message };
+            let raw = std::str::from_utf8(&self.buf[self.pos..])
+                .map_err(|e| fail(format!("invalid UTF-8 in text: {e}")))?;
+            if !(self.stack.is_empty() && raw.trim().is_empty()) {
+                trailing = Some(decode_entities(raw).map_err(fail)?);
+            }
+            self.consumed += tail_len;
+        }
+        if let Some(open) = self.stack.top() {
+            return Err(self
+                .error(format!("unexpected end of input, <{open}> not closed"))
+                .into());
+        }
+        if let Some(text) = trailing {
+            sink.text(&text)?;
+            done.events += 1;
+        }
+        self.pos = self.buf.len();
+        Ok(done)
+    }
+
+    // -----------------------------------------------------------------
+    // The frozen raw cursor. `benchmark/src/ladder.rs` builds `--locked`
+    // against `peek_token` / `token_str` / `advance` / `finish`, so they
+    // stay — a second cursor over the same `classify` — until the next
+    // benchmark re-baseline, and go then. Nothing under `crates/` or
+    // `src/` may call them: use `drain`.
+    // -----------------------------------------------------------------
+
     /// Looks at the next complete token without consuming it: `None`
     /// when the buffered bytes are mid-token (push more) or a subtree
-    /// fast-forward is active. The returned token's text is UTF-8
-    /// checked and readable via [`Self::token_str`]; pass the token to
-    /// [`Self::advance`] to consume it.
-    ///
-    /// Structural errors that need no parsing (invalid UTF-8, CDATA or
-    /// content outside the root element) surface here; name/attribute
-    /// syntax and tag matching surface in [`Self::advance`] or in the
-    /// parsing helpers ([`split_start_tag`], [`RawAttrs`],
-    /// [`parse_end_tag_name`]).
+    /// fast-forward is active. Benchmark ladder only; see [`Self::drain`].
     pub fn peek_token(&mut self) -> Result<Option<RawToken>, ParseError> {
         if self.skip.is_some() {
             return Ok(None);
         }
-        let Token::Complete { kind, len } = self.classify() else {
+        let Token::Complete { kind, len } = classify(&self.buf[self.pos..]) else {
             return Ok(None);
         };
         self.max_token = self.max_token.max(len);
         let t = &self.buf[self.pos..self.pos + len];
-        let raw = if kind == TokenKind::Text {
-            if let Err(e) = std::str::from_utf8(t) {
-                return self.err(format!("invalid UTF-8 in text: {e}"));
-            }
-            RawKind::Text
-        } else {
-            // All markup tokens are delimited by ASCII, so a complete
-            // token over valid UTF-8 input is itself valid UTF-8.
-            if let Err(e) = std::str::from_utf8(t) {
-                return self.err(format!("invalid UTF-8 in markup: {e}"));
-            }
-            match kind {
-                TokenKind::Cdata => {
-                    if self.stack.is_empty() {
-                        return self.err("CDATA outside the root element");
-                    }
-                    RawKind::Cdata
+        if let Err(e) = std::str::from_utf8(t) {
+            let what = if kind == TokenKind::Text { "text" } else { "markup" };
+            return Err(self.error(format!("invalid UTF-8 in {what}: {e}")));
+        }
+        let raw = match kind {
+            TokenKind::Text => RawKind::Text,
+            TokenKind::Cdata => {
+                if self.stack.is_empty() {
+                    return Err(self.error("CDATA outside the root element"));
                 }
-                TokenKind::StartOrEmptyTag => {
-                    if self.stack.is_empty() && self.seen_root {
-                        return self.err("content after the root element");
-                    }
-                    RawKind::StartTag {
-                        self_closing: t.ends_with(b"/>"),
-                    }
-                }
-                TokenKind::EndTag => RawKind::EndTag,
-                TokenKind::Comment => RawKind::Comment,
-                TokenKind::Pi => RawKind::Pi,
-                TokenKind::XmlDecl => RawKind::XmlDecl,
-                TokenKind::Doctype => RawKind::Doctype,
-                TokenKind::Text => unreachable!("handled above"),
+                RawKind::Cdata
             }
+            TokenKind::StartOrEmptyTag => {
+                if self.stack.is_empty() && self.seen_root {
+                    return Err(self.error("content after the root element"));
+                }
+                RawKind::StartTag {
+                    self_closing: t.ends_with(b"/>"),
+                }
+            }
+            TokenKind::EndTag => RawKind::EndTag,
+            TokenKind::Comment => RawKind::Comment,
+            TokenKind::Pi => RawKind::Pi,
+            TokenKind::XmlDecl => RawKind::XmlDecl,
+            TokenKind::Doctype => RawKind::Doctype,
         };
         Ok(Some(RawToken { kind: raw, len }))
     }
@@ -633,420 +852,257 @@ impl PushTokenizer {
     /// The raw text of a token minted by [`Self::peek_token`] (and not
     /// yet advanced past), delimiters included, entities still encoded.
     pub fn token_str(&self, tok: &RawToken) -> &str {
-        token_slice(&self.buf, self.pos, tok.len)
+        std::str::from_utf8(&self.buf[self.pos..self.pos + tok.len])
+            .expect("token UTF-8 validated in peek_token")
     }
 
     /// Consumes a token minted by [`Self::peek_token`], running the
-    /// well-formedness checks that need the element stack: end tags are
-    /// matched against the open element (and popped), start tags are
-    /// pushed, DOCTYPE syntax is validated. Attribute *syntax* of start
-    /// tags is **not** checked here — callers that care iterate
-    /// [`RawAttrs`] themselves (as both [`Self::next_event`] and the
-    /// pruning engine do).
+    /// well-formedness checks that need the element stack. Attribute
+    /// syntax is **not** checked here.
     pub fn advance(&mut self, tok: RawToken) -> Result<(), ParseError> {
+        let offset = self.consumed;
+        let fail = |message: String| ParseError { offset, message };
+        let text = std::str::from_utf8(&self.buf[self.pos..self.pos + tok.len])
+            .expect("token UTF-8 validated in peek_token");
         match tok.kind {
             RawKind::Doctype => {
-                parse_doctype(token_slice(&self.buf, self.pos, tok.len)).map_err(|m| {
-                    ParseError {
-                        offset: self.consumed,
-                        message: m,
-                    }
-                })?;
+                parse_doctype(text).map_err(fail)?;
             }
             RawKind::EndTag => {
-                let name = parse_end_tag_name(token_slice(&self.buf, self.pos, tok.len))
-                    .map_err(|m| ParseError {
-                        offset: self.consumed,
-                        message: m,
-                    })?;
+                let name = parse_end_tag_name(text).map_err(fail)?;
                 match self.stack.top() {
                     Some(open) if open == name => {}
                     Some(open) => {
-                        return Err(ParseError {
-                            offset: self.consumed,
-                            message: format!(
-                                "mismatched end tag </{name}>, expected </{open}>"
-                            ),
-                        })
+                        return Err(fail(format!(
+                            "mismatched end tag </{name}>, expected </{open}>"
+                        )))
                     }
-                    None => {
-                        return Err(ParseError {
-                            offset: self.consumed,
-                            message: format!("end tag </{name}> with no open element"),
-                        })
-                    }
+                    None => return Err(fail(format!("end tag </{name}> with no open element"))),
                 }
                 self.stack.pop();
             }
             RawKind::StartTag { self_closing } => {
-                let (name, _, _) = split_start_tag(token_slice(&self.buf, self.pos, tok.len))
-                    .map_err(|m| ParseError {
-                        offset: self.consumed,
-                        message: m,
-                    })?;
+                let (name, _, _) = split_start_tag(text).map_err(fail)?;
                 self.seen_root = true;
                 if !self_closing {
                     self.stack.push(name);
                 }
             }
-            RawKind::Text
-            | RawKind::Cdata
-            | RawKind::Comment
-            | RawKind::Pi
-            | RawKind::XmlDecl => {}
+            RawKind::Text | RawKind::Cdata | RawKind::Comment | RawKind::Pi | RawKind::XmlDecl => {}
         }
         self.pos += tok.len;
         self.consumed += tok.len;
         Ok(())
     }
 
-    /// Pulls the next event completed by the bytes pushed so far, or
-    /// `None` when the remaining bytes are mid-token (push more). Always
-    /// `None` while a subtree fast-forward is in progress.
-    pub fn next_event(&mut self) -> Result<Option<PushEvent>, ParseError> {
-        if let Some(name) = self.pending_end.take() {
-            return Ok(Some(PushEvent::EndElement { name }));
-        }
-        loop {
-            let Some(tok) = self.peek_token()? else {
-                return Ok(None);
-            };
-            let ev = match tok.kind {
-                RawKind::XmlDecl => {
-                    // The declaration produces no event.
-                    self.advance(tok)?;
-                    continue;
-                }
-                RawKind::Text => {
-                    let raw = self.token_str(&tok);
-                    // Matches XmlReader::read_text: whitespace outside
-                    // the root element is silently dropped.
-                    if self.stack.is_empty() && raw.trim().is_empty() {
-                        self.advance(tok)?;
-                        continue;
-                    }
-                    let offset = self.consumed;
-                    let decoded = decode_entities(raw)
-                        .map_err(|m| ParseError { offset, message: m })?
-                        .into_owned();
-                    self.advance(tok)?;
-                    PushEvent::Text(decoded)
-                }
-                RawKind::Cdata => {
-                    let t = self.token_str(&tok);
-                    let inner = t["<![CDATA[".len()..t.len() - "]]>".len()].to_string();
-                    self.advance(tok)?;
-                    PushEvent::Text(inner)
-                }
-                RawKind::Comment => {
-                    let t = self.token_str(&tok);
-                    let inner = t["<!--".len()..t.len() - "-->".len()].to_string();
-                    self.advance(tok)?;
-                    PushEvent::Comment(inner)
-                }
-                RawKind::Pi => {
-                    let t = self.token_str(&tok);
-                    let inner = t["<?".len()..t.len() - "?>".len()].to_string();
-                    self.advance(tok)?;
-                    PushEvent::ProcessingInstruction(inner)
-                }
-                RawKind::Doctype => {
-                    let ev = parse_doctype(self.token_str(&tok)).map_err(|m| ParseError {
-                        offset: self.consumed,
-                        message: m,
-                    })?;
-                    self.advance(tok)?;
-                    ev
-                }
-                RawKind::EndTag => {
-                    let name = parse_end_tag_name(self.token_str(&tok))
-                        .map_err(|m| ParseError {
-                            offset: self.consumed,
-                            message: m,
-                        })?
-                        .to_string();
-                    // `advance` performs the match-against-open-element
-                    // check; on mismatch the error surfaces here and no
-                    // event is returned.
-                    self.advance(tok)?;
-                    PushEvent::EndElement { name }
-                }
-                RawKind::StartTag { self_closing } => {
-                    let (name, attrs, _) =
-                        parse_start_tag(self.token_str(&tok)).map_err(|m| ParseError {
-                            offset: self.consumed,
-                            message: m,
-                        })?;
-                    self.advance(tok)?;
-                    if self_closing {
-                        self.pending_end = Some(name.clone());
-                    }
-                    PushEvent::StartElement {
-                        name,
-                        attrs,
-                        self_closing,
-                    }
-                }
-            };
-            return Ok(Some(ev));
-        }
-    }
-
-    /// Engages pruned-subtree **fast-forward**: every byte until the end
-    /// tag closing the current element is consumed by a raw scan —
-    /// delimiter matching and a depth counter, no tokenization, no
-    /// buffering — exactly like `XmlReader::skip_subtree`.
-    ///
-    /// Must be called immediately after [`Self::next_event`] returned a
-    /// non-self-closing [`PushEvent::StartElement`] (or [`Self::advance`]
-    /// consumed the equivalent raw token). Already-buffered bytes are
-    /// scanned right away; if the subtree extends past them the skip
-    /// stays active across subsequent [`Self::push_bytes`] /
-    /// [`Self::feed`] calls (a chunk boundary may fall anywhere, even
-    /// inside `-->` or `]]>`: partial delimiter matches live in the scan
-    /// state, not in the buffer). End-tag names, attribute syntax and
-    /// entity validity inside the skipped region are **not** checked, so
-    /// this must stay off when validation is requested.
-    pub fn skip_current_subtree(&mut self) -> Result<(), ParseError> {
-        if self.finished {
-            return self.err("skip_current_subtree after finish");
-        }
-        if self.pending_end.is_some() {
-            return self.err("skip_current_subtree after a self-closing tag");
-        }
-        if self.skip.is_some() {
-            return self.err("skip_current_subtree while already skipping");
-        }
-        if self.stack.is_empty() {
-            return self.err("skip_current_subtree with no open element");
-        }
-        let mut scan = SkipScan {
-            depth: 1,
-            state: SkipState::Content,
-        };
-        let outcome = run_skip(&mut scan, &self.buf[self.pos..]);
-        self.pos += outcome.consumed;
-        self.consumed += outcome.consumed;
-        if outcome.done {
-            self.stack.pop();
-        } else {
-            // The whole tail fell inside the skipped subtree: nothing
-            // stays buffered while the fast-forward is active.
-            debug_assert_eq!(self.pos, self.buf.len());
-            self.buf.clear();
-            self.pos = 0;
-            self.skip = Some(scan);
-        }
-        Ok(())
-    }
-
-    /// Signals end of input, returning any final events (a trailing text
-    /// run has no terminating `<` and only completes here). Errors if the
-    /// input ends mid-token or with unclosed elements.
+    /// [`Self::finish_into`] returning the trailing text run, if any, as
+    /// an owned event. Benchmark ladder only; see [`Self::drain`].
     pub fn finish(&mut self) -> Result<Vec<PushEvent>, ParseError> {
-        if self.finished {
-            return Ok(Vec::new());
-        }
-        self.finished = true;
-        let mut out = Vec::new();
-        if let Some(name) = self.pending_end.take() {
-            out.push(PushEvent::EndElement { name });
-        }
-        let tail_len = self.buf.len() - self.pos;
-        if tail_len > 0 {
-            if self.buf[self.pos] == b'<' {
-                if let Some(open) = self.stack.top() {
-                    return Err(ParseError {
-                        offset: self.consumed,
-                        message: format!(
-                            "unexpected end of input inside markup, <{open}> not closed"
-                        ),
-                    });
-                }
-                return self.err("unexpected end of input inside markup");
+        struct Trailing(Vec<PushEvent>);
+        impl TokenSink for Trailing {
+            type Error = ParseError;
+            fn start(&mut self, _: &str, _: &str) -> Result<bool, ParseError> {
+                Ok(false)
             }
-            // Trailing text run.
-            self.max_token = self.max_token.max(tail_len);
-            let raw = match std::str::from_utf8(&self.buf[self.pos..]) {
-                Ok(s) => s,
-                Err(e) => return self.err(format!("invalid UTF-8 in text: {e}")),
-            };
-            if !(self.stack.is_empty() && raw.trim().is_empty()) {
-                let offset = self.consumed;
-                let decoded = decode_entities(raw)
-                    .map_err(|m| ParseError { offset, message: m })?
-                    .into_owned();
-                out.push(PushEvent::Text(decoded));
+            fn end(&mut self, _: &str) -> Result<(), ParseError> {
+                Ok(())
             }
-            self.pos = self.buf.len();
-            self.consumed += tail_len;
-        }
-        // An unfinished fast-forward is caught here too: the skipped
-        // element is still on the stack.
-        if let Some(open) = self.stack.top() {
-            return Err(ParseError {
-                offset: self.consumed,
-                message: format!("unexpected end of input, <{open}> not closed"),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Looks for one complete token at the cursor. Never consumes
-    /// anything; [`Self::advance`] moves the cursor on success.
-    fn classify(&self) -> Token {
-        let buf = &self.buf[self.pos..];
-        if buf.is_empty() {
-            return Token::Incomplete;
-        }
-        if buf[0] != b'<' {
-            // Text run: complete once the next '<' is visible ('<' is
-            // ASCII, so it can never be a UTF-8 continuation byte).
-            return match scan::memchr(b'<', buf) {
-                Some(i) => Token::Complete {
-                    kind: TokenKind::Text,
-                    len: i,
-                },
-                None => Token::Incomplete,
-            };
-        }
-        // Markup. Some openers share prefixes ("<!" starts comments,
-        // CDATA and DOCTYPE), so with very short buffers we must wait
-        // rather than misclassify.
-        for (opener, closer, kind) in [
-            (&b"<!--"[..], &b"-->"[..], TokenKind::Comment),
-            (&b"<![CDATA["[..], &b"]]>"[..], TokenKind::Cdata),
-        ] {
-            if prefix_matches(buf, opener) {
-                if buf.len() < opener.len() {
-                    return Token::Incomplete;
-                }
-                return match scan::find_seq(buf, closer, opener.len()) {
-                    Some(i) => Token::Complete {
-                        kind,
-                        len: i + closer.len(),
-                    },
-                    None => Token::Incomplete,
-                };
+            fn text(&mut self, decoded: &str) -> Result<(), ParseError> {
+                self.0.push(PushEvent::Text(decoded.to_string()));
+                Ok(())
             }
         }
-        if prefix_matches(buf, b"<!DOCTYPE") {
-            if buf.len() < b"<!DOCTYPE".len() {
-                return Token::Incomplete;
-            }
-            // '>' ends the DOCTYPE only outside quotes and outside the
-            // `[…]` internal subset — mirroring XmlReader::read_doctype,
-            // which treats the subset as raw up to the first ']'. At
-            // most one DOCTYPE per document: per-byte is fine here.
-            let mut in_subset = false;
-            let mut quote: Option<u8> = None;
-            for (i, &b) in buf.iter().enumerate().skip(b"<!DOCTYPE".len()) {
-                match (in_subset, quote) {
-                    (true, _) => in_subset = b != b']',
-                    (false, Some(q)) => {
-                        if b == q {
-                            quote = None;
-                        }
-                    }
-                    (false, None) => match b {
-                        b'[' => in_subset = true,
-                        b'"' | b'\'' => quote = Some(b),
-                        b'>' => {
-                            return Token::Complete {
-                                kind: TokenKind::Doctype,
-                                len: i + 1,
-                            }
-                        }
-                        _ => {}
-                    },
-                }
-            }
-            return Token::Incomplete;
-        }
-        if prefix_matches(buf, b"<?xml") {
-            // Matches XmlReader: anything starting "<?xml" is the
-            // declaration and is skipped wholesale.
-            if buf.len() < b"<?xml".len() {
-                return Token::Incomplete;
-            }
-            return match scan::find_seq(buf, b"?>", 2) {
-                Some(i) => Token::Complete {
-                    kind: TokenKind::XmlDecl,
-                    len: i + 2,
-                },
-                None => Token::Incomplete,
-            };
-        }
-        if buf.len() >= 2 && buf[1] == b'?' {
-            return match scan::find_seq(buf, b"?>", 2) {
-                Some(i) => Token::Complete {
-                    kind: TokenKind::Pi,
-                    len: i + 2,
-                },
-                None => Token::Incomplete,
-            };
-        }
-        if buf.len() >= 2 && buf[1] == b'!' {
-            // "<!" not (yet) matching a comment/CDATA/DOCTYPE opener:
-            // either we need more bytes, or it is genuinely malformed.
-            // Waiting is always safe; malformed input surfaces as an
-            // "unexpected end of input" at finish() or as a parse error
-            // once the opener is complete and recognisably wrong.
-            if prefix_of_any(buf, &[b"<!--", b"<![CDATA[", b"<!DOCTYPE"]) {
-                return Token::Incomplete;
-            }
-            // Complete enough to know it matches no opener: report at
-            // the '>' (scan like a tag) so the parse error is precise.
-            return match scan::memchr(b'>', &buf[1..]) {
-                Some(i) => Token::Complete {
-                    kind: TokenKind::StartOrEmptyTag,
-                    len: i + 2,
-                },
-                None => Token::Incomplete,
-            };
-        }
-        // Start or end tag: ends at the first '>' outside quotes
-        // (attribute values may legally contain '>'). Jump from
-        // structural byte to structural byte instead of stepping.
-        let kind = if buf.len() >= 2 && buf[1] == b'/' {
-            TokenKind::EndTag
-        } else if buf.len() < 2 {
-            return Token::Incomplete;
-        } else {
-            TokenKind::StartOrEmptyTag
-        };
-        let mut i = 1;
-        let mut quote: Option<u8> = None;
-        loop {
-            match quote {
-                Some(q) => match scan::memchr(q, &buf[i..]) {
-                    Some(j) => {
-                        i += j + 1;
-                        quote = None;
-                    }
-                    None => return Token::Incomplete,
-                },
-                None => match scan::memchr3(b'>', b'"', b'\'', &buf[i..]) {
-                    Some(j) => {
-                        let b = buf[i + j];
-                        i += j + 1;
-                        if b == b'>' {
-                            return Token::Complete { kind, len: i };
-                        }
-                        quote = Some(b);
-                    }
-                    None => return Token::Incomplete,
-                },
-            }
-        }
+        let mut sink = Trailing(Vec::new());
+        self.finish_into(&mut sink)?;
+        Ok(sink.0)
     }
 }
 
-/// Reborrows token bytes as `&str` from the buffer alone, so callers can
-/// mutate other tokenizer fields while the token text is alive. UTF-8
-/// was validated when `peek_token` minted the token.
-fn token_slice(buf: &[u8], pos: usize, len: usize) -> &str {
-    std::str::from_utf8(&buf[pos..pos + len]).expect("token UTF-8 validated in peek_token")
+/// Chunk size [`drain_str`] feeds a whole string in: one 3 MiB push is
+/// slower than fifty 64 KiB ones (the buffer stays cache-resident).
+const STR_CHUNK: usize = 64 * 1024;
+
+/// Runs a complete in-memory document through `sink`: the one-chunk
+/// case of the push loop, for callers that hold the whole input (the
+/// tree parser, `prune_str*`, the retention sampler, the CLI).
+pub fn drain_str<S: TokenSink>(
+    input: &str,
+    sink: &mut S,
+    fast_forward: bool,
+) -> Result<Drained, S::Error> {
+    let mut tokenizer = PushTokenizer::new();
+    let mut done = Drained::default();
+    for chunk in input.as_bytes().chunks(STR_CHUNK) {
+        tokenizer.push_bytes(chunk)?;
+        done += tokenizer.drain(sink, fast_forward)?;
+    }
+    done += tokenizer.finish_into(sink)?;
+    Ok(done)
+}
+
+/// Bytes [`PushTokenizer::drain`] validates as UTF-8 in one go.
+const WINDOW: usize = 4096;
+
+/// The longest valid-UTF-8 prefix of the first [`WINDOW`] bytes of
+/// `bytes`, as text.
+fn valid_window(bytes: &[u8]) -> &str {
+    let mut end = bytes.len().min(WINDOW);
+    // Do not cut a multi-byte scalar in half: back off to its lead byte.
+    while end < bytes.len() && end > 0 && bytes[end] & 0xC0 == 0x80 {
+        end -= 1;
+    }
+    match std::str::from_utf8(&bytes[..end]) {
+        Ok(text) => text,
+        Err(e) => std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap_or_default(),
+    }
+}
+
+/// Looks for one complete token at the front of `buf` (the unconsumed
+/// bytes). Shared by [`PushTokenizer::drain`] and the frozen cursor.
+fn classify(buf: &[u8]) -> Token {
+    if buf.is_empty() {
+        return Token::Incomplete;
+    }
+    if buf[0] != b'<' {
+        // Text run: complete once the next '<' is visible ('<' is
+        // ASCII, so it can never be a UTF-8 continuation byte).
+        return match scan::memchr(b'<', buf) {
+            Some(i) => Token::Complete {
+                kind: TokenKind::Text,
+                len: i,
+            },
+            None => Token::Incomplete,
+        };
+    }
+    // Markup. Some openers share prefixes ("<!" starts comments,
+    // CDATA and DOCTYPE), so with very short buffers we must wait
+    // rather than misclassify.
+    for (opener, closer, kind) in [
+        (&b"<!--"[..], &b"-->"[..], TokenKind::Comment),
+        (&b"<![CDATA["[..], &b"]]>"[..], TokenKind::Cdata),
+    ] {
+        if prefix_matches(buf, opener) {
+            if buf.len() < opener.len() {
+                return Token::Incomplete;
+            }
+            return match scan::find_seq(buf, closer, opener.len()) {
+                Some(i) => Token::Complete {
+                    kind,
+                    len: i + closer.len(),
+                },
+                None => Token::Incomplete,
+            };
+        }
+    }
+    if prefix_matches(buf, b"<!DOCTYPE") {
+        if buf.len() < b"<!DOCTYPE".len() {
+            return Token::Incomplete;
+        }
+        // '>' ends the DOCTYPE only outside quotes and outside the
+        // `[…]` internal subset, which (like `parse_doctype`) is
+        // treated as raw up to the first ']'. At most one DOCTYPE per
+        // document: per-byte is fine here.
+        let mut in_subset = false;
+        let mut quote: Option<u8> = None;
+        for (i, &b) in buf.iter().enumerate().skip(b"<!DOCTYPE".len()) {
+            match (in_subset, quote) {
+                (true, _) => in_subset = b != b']',
+                (false, Some(q)) => {
+                    if b == q {
+                        quote = None;
+                    }
+                }
+                (false, None) => match b {
+                    b'[' => in_subset = true,
+                    b'"' | b'\'' => quote = Some(b),
+                    b'>' => {
+                        return Token::Complete {
+                            kind: TokenKind::Doctype,
+                            len: i + 1,
+                        }
+                    }
+                    _ => {}
+                },
+            }
+        }
+        return Token::Incomplete;
+    }
+    if prefix_matches(buf, b"<?xml") {
+        // Anything starting "<?xml" is the declaration and is skipped
+        // wholesale.
+        if buf.len() < b"<?xml".len() {
+            return Token::Incomplete;
+        }
+        return match scan::find_seq(buf, b"?>", 2) {
+            Some(i) => Token::Complete {
+                kind: TokenKind::XmlDecl,
+                len: i + 2,
+            },
+            None => Token::Incomplete,
+        };
+    }
+    if buf.len() >= 2 && buf[1] == b'?' {
+        return match scan::find_seq(buf, b"?>", 2) {
+            Some(i) => Token::Complete {
+                kind: TokenKind::Pi,
+                len: i + 2,
+            },
+            None => Token::Incomplete,
+        };
+    }
+    if buf.len() >= 2 && buf[1] == b'!' {
+        // "<!" not (yet) matching a comment/CDATA/DOCTYPE opener:
+        // either we need more bytes, or it is genuinely malformed.
+        // Waiting is always safe; malformed input surfaces as an
+        // "unexpected end of input" at finish() or as a parse error
+        // once the opener is complete and recognisably wrong.
+        if prefix_of_any(buf, &[b"<!--", b"<![CDATA[", b"<!DOCTYPE"]) {
+            return Token::Incomplete;
+        }
+        // Complete enough to know it matches no opener: report at
+        // the '>' (scan like a tag) so the parse error is precise.
+        return match scan::memchr(b'>', &buf[1..]) {
+            Some(i) => Token::Complete {
+                kind: TokenKind::StartOrEmptyTag,
+                len: i + 2,
+            },
+            None => Token::Incomplete,
+        };
+    }
+    // Start or end tag: ends at the first '>' outside quotes
+    // (attribute values may legally contain '>'). Jump from
+    // structural byte to structural byte instead of stepping.
+    let kind = if buf.len() >= 2 && buf[1] == b'/' {
+        TokenKind::EndTag
+    } else if buf.len() < 2 {
+        return Token::Incomplete;
+    } else {
+        TokenKind::StartOrEmptyTag
+    };
+    let mut i = 1;
+    let mut quote: Option<u8> = None;
+    loop {
+        match quote {
+            Some(q) => match scan::memchr(q, &buf[i..]) {
+                Some(j) => {
+                    i += j + 1;
+                    quote = None;
+                }
+                None => return Token::Incomplete,
+            },
+            None => match scan::memchr3(b'>', b'"', b'\'', &buf[i..]) {
+                Some(j) => {
+                    let b = buf[i + j];
+                    i += j + 1;
+                    if b == b'>' {
+                        return Token::Complete { kind, len: i };
+                    }
+                    quote = Some(b);
+                }
+                None => return Token::Incomplete,
+            },
+        }
+    }
 }
 
 /// `haystack` starts with `prefix`, or is a proper prefix of it (i.e.
@@ -1144,23 +1200,9 @@ impl<'a> Iterator for RawAttrs<'a> {
     }
 }
 
-/// Parses a complete `<name a="v" …>` / `<name …/>` token to owned form.
-fn parse_start_tag(token: &str) -> Result<(String, Vec<OwnedAttribute>, bool), String> {
-    let (name, rest, self_closing) = split_start_tag(token)?;
-    let mut attrs = Vec::new();
-    for a in RawAttrs::new(rest) {
-        let (aname, raw) = a?;
-        attrs.push(OwnedAttribute {
-            name: aname.to_string(),
-            value: decode_entities(raw)?.into_owned(),
-        });
-    }
-    Ok((name.to_string(), attrs, self_closing))
-}
-
-/// Parses a complete `<!DOCTYPE …>` token, mirroring
-/// `XmlReader::read_doctype`.
-fn parse_doctype(token: &str) -> Result<PushEvent, String> {
+/// Parses a complete `<!DOCTYPE …>` token into its name and raw
+/// internal subset (the text between `[` and `]`), if present.
+fn parse_doctype(token: &str) -> Result<(&str, Option<&str>), String> {
     let body = token["<!DOCTYPE".len()..token.len() - 1].trim_start();
     let (name, mut rest) = read_name(body)?;
     let mut internal = None;
@@ -1168,18 +1210,13 @@ fn parse_doctype(token: &str) -> Result<PushEvent, String> {
         rest = rest.trim_start();
         let mut chars = rest.chars();
         match chars.next() {
-            None => {
-                return Ok(PushEvent::Doctype {
-                    name: name.to_string(),
-                    internal_subset: internal,
-                })
-            }
+            None => return Ok((name, internal)),
             Some('[') => {
                 let after = &rest[1..];
                 let Some(end) = after.find(']') else {
                     return Err("unterminated DOCTYPE internal subset".to_string());
                 };
-                internal = Some(after[..end].to_string());
+                internal = Some(&after[..end]);
                 rest = &after[end + 1..];
             }
             Some(q @ ('"' | '\'')) => {
@@ -1194,8 +1231,8 @@ fn parse_doctype(token: &str) -> Result<PushEvent, String> {
     }
 }
 
-/// Reads an XML name from the front of `s` (same alphabet as
-/// `XmlReader::read_name`), returning the name and the remainder.
+/// Reads an XML name from the front of `s`, returning the name and the
+/// remainder.
 fn read_name(s: &str) -> Result<(&str, &str), String> {
     let mut end = 0;
     for (i, c) in s.char_indices() {
@@ -1214,386 +1251,4 @@ fn read_name(s: &str) -> Result<(&str, &str), String> {
         return Err("expected a name".to_string());
     }
     Ok((&s[..end], &s[end..]))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::events::{Event, XmlReader};
-    use std::borrow::Cow;
-
-    /// Reference events via the pull reader, converted to owned form.
-    fn pull_events(input: &str) -> Vec<PushEvent> {
-        let mut r = XmlReader::new(input);
-        let mut out = Vec::new();
-        loop {
-            match r.next_event().expect("reference parse must succeed") {
-                Event::StartElement {
-                    name,
-                    attrs,
-                    self_closing,
-                } => out.push(PushEvent::StartElement {
-                    name: name.to_string(),
-                    attrs: attrs
-                        .into_iter()
-                        .map(|a| OwnedAttribute {
-                            name: a.name.to_string(),
-                            value: a.value.into_owned(),
-                        })
-                        .collect(),
-                    self_closing,
-                }),
-                Event::EndElement { name } => out.push(PushEvent::EndElement {
-                    name: name.to_string(),
-                }),
-                Event::Text(t) => out.push(PushEvent::Text(match t {
-                    Cow::Borrowed(s) => s.to_string(),
-                    Cow::Owned(s) => s,
-                })),
-                Event::Comment(c) => out.push(PushEvent::Comment(c.to_string())),
-                Event::ProcessingInstruction(p) => {
-                    out.push(PushEvent::ProcessingInstruction(p.to_string()))
-                }
-                Event::Doctype {
-                    name,
-                    internal_subset,
-                } => out.push(PushEvent::Doctype {
-                    name: name.to_string(),
-                    internal_subset: internal_subset.map(str::to_string),
-                }),
-                Event::Eof => break,
-            }
-        }
-        out
-    }
-
-    /// Pushes `input` split at byte `at`, then at every byte (1-byte
-    /// chunks), checking both against the pull reader.
-    fn check_splits(input: &str) {
-        let expected = pull_events(input);
-        let bytes = input.as_bytes();
-        for at in 0..=bytes.len() {
-            let mut t = PushTokenizer::new();
-            let mut got = t.feed(&bytes[..at]).unwrap_or_else(|e| {
-                panic!("split at {at} of {input:?}: {e}")
-            });
-            got.extend(t.feed(&bytes[at..]).unwrap());
-            got.extend(t.finish().unwrap());
-            assert_eq!(got, expected, "two-chunk split at byte {at} of {input:?}");
-        }
-        let mut t = PushTokenizer::new();
-        let mut got = Vec::new();
-        for b in bytes {
-            got.extend(t.feed(std::slice::from_ref(b)).unwrap());
-        }
-        got.extend(t.finish().unwrap());
-        assert_eq!(got, expected, "1-byte chunks of {input:?}");
-    }
-
-    #[test]
-    fn split_inside_tag_names() {
-        check_splits("<catalog><product-item/></catalog>");
-    }
-
-    #[test]
-    fn split_inside_attribute_values() {
-        check_splits(r#"<a long="some >< value" b='x "y" z'><b k="&lt;"/></a>"#);
-    }
-
-    #[test]
-    fn split_inside_entities() {
-        check_splits("<a>fish &amp; chips &#65;&#x42; &quot;done&quot;</a>");
-    }
-
-    #[test]
-    fn split_inside_cdata() {
-        check_splits("<a><![CDATA[raw < & > ]] stuff]]><b/><![CDATA[]]></a>");
-    }
-
-    #[test]
-    fn split_inside_comments_and_pis() {
-        check_splits("<a><!-- a -- b --><?pi some data?><!--x--></a>");
-    }
-
-    #[test]
-    fn split_inside_doctype() {
-        check_splits(
-            "<!DOCTYPE site [<!ELEMENT site (a)*><!ELEMENT a EMPTY>]><site><a/></site>",
-        );
-        check_splits(r#"<!DOCTYPE site SYSTEM "auction.dtd"><site/>"#);
-    }
-
-    #[test]
-    fn split_inside_xml_declaration() {
-        check_splits("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a>x</a>");
-    }
-
-    #[test]
-    fn split_inside_multibyte_utf8_text() {
-        check_splits("<a>héllo wörld — ₤ €</a>");
-        check_splits("<a attr=\"héllo\">…</a>");
-    }
-
-    #[test]
-    fn mixed_content_with_whitespace() {
-        check_splits("<d>text <b>bold</b> tail\n  <i>i</i>\n</d>");
-    }
-
-    #[test]
-    fn self_closing_emits_end_event() {
-        let mut t = PushTokenizer::new();
-        let ev = t.feed(b"<a/>").unwrap();
-        assert_eq!(ev.len(), 2);
-        assert!(matches!(&ev[0], PushEvent::StartElement { self_closing: true, .. }));
-        assert!(matches!(&ev[1], PushEvent::EndElement { name } if name == "a"));
-        assert!(t.finish().unwrap().is_empty());
-    }
-
-    #[test]
-    fn mismatched_end_tag_is_an_error() {
-        let mut t = PushTokenizer::new();
-        t.feed(b"<a>").unwrap();
-        assert!(t.feed(b"</b>").is_err());
-    }
-
-    #[test]
-    fn unclosed_element_errors_at_finish() {
-        let mut t = PushTokenizer::new();
-        t.feed(b"<a><b>").unwrap();
-        assert!(t.finish().is_err());
-    }
-
-    #[test]
-    fn eof_mid_token_errors_at_finish() {
-        let mut t = PushTokenizer::new();
-        t.feed(b"<a>text<![CDATA[never ends").unwrap();
-        assert!(t.finish().is_err());
-    }
-
-    #[test]
-    fn content_after_root_rejected() {
-        let mut t = PushTokenizer::new();
-        t.feed(b"<a/>").unwrap();
-        assert!(t.feed(b"<b/>").is_err());
-    }
-
-    #[test]
-    fn unknown_entity_is_an_error() {
-        let mut t = PushTokenizer::new();
-        // The text run is incomplete until the next '<' (or EOF), so the
-        // bad entity is only decoded — and rejected — at that point.
-        t.feed(b"<a>&nope;").unwrap();
-        assert!(t.feed(b"</a>").is_err());
-        let mut t2 = PushTokenizer::new();
-        t2.feed(b"<a>&nope;").unwrap();
-        assert!(t2.finish().is_err());
-    }
-
-    #[test]
-    fn buffering_is_bounded_by_one_token() {
-        let mut t = PushTokenizer::new();
-        // Feed a long document one byte at a time; the buffer must never
-        // exceed the largest single token.
-        let doc = format!(
-            "<root>{}</root>",
-            "<item attr=\"value\">some text</item>".repeat(50)
-        );
-        for b in doc.as_bytes() {
-            t.feed(std::slice::from_ref(b)).unwrap();
-        }
-        t.finish().unwrap();
-        assert!(t.peak_buffered() <= t.max_token_bytes());
-        assert!(t.max_token_bytes() < 40, "tokens are small in this doc");
-    }
-
-    #[test]
-    fn whitespace_outside_root_dropped_silently() {
-        let mut t = PushTokenizer::new();
-        let mut ev = t.feed(b"  \n <a>x</a> \n ").unwrap();
-        ev.extend(t.finish().unwrap());
-        assert_eq!(ev.len(), 3);
-    }
-
-    #[test]
-    fn feed_after_finish_errors() {
-        let mut t = PushTokenizer::new();
-        t.feed(b"<a/>").unwrap();
-        t.finish().unwrap();
-        assert!(t.feed(b"x").is_err());
-        assert!(t.finish().unwrap().is_empty()); // idempotent
-    }
-
-    #[test]
-    fn incremental_api_matches_feed() {
-        let doc = b"<a x=\"1\"><b/>text &amp; more<!--c--></a>";
-        let mut batch = PushTokenizer::new();
-        let mut expected = batch.feed(doc).unwrap();
-        expected.extend(batch.finish().unwrap());
-        let mut t = PushTokenizer::new();
-        let mut got = Vec::new();
-        for b in doc {
-            t.push_bytes(std::slice::from_ref(b)).unwrap();
-            while let Some(ev) = t.next_event().unwrap() {
-                got.push(ev);
-            }
-        }
-        got.extend(t.finish().unwrap());
-        assert_eq!(got, expected);
-    }
-
-    /// The raw token interface must reconstruct the document verbatim:
-    /// concatenating `token_str` over the stream (at any chunking) gives
-    /// back the input bytes.
-    #[test]
-    fn raw_tokens_roundtrip_the_input() {
-        let doc = "<?xml version=\"1.0\"?><a x=\"1&amp;2\"><b/>text &amp; more\
-                   <![CDATA[raw]]><!--c--><?pi d?></a>";
-        let bytes = doc.as_bytes();
-        for chunk_len in [1usize, 3, 7, bytes.len()] {
-            let mut t = PushTokenizer::new();
-            let mut rebuilt = String::new();
-            for chunk in bytes.chunks(chunk_len) {
-                t.push_bytes(chunk).unwrap();
-                while let Some(tok) = t.peek_token().unwrap() {
-                    rebuilt.push_str(t.token_str(&tok));
-                    t.advance(tok).unwrap();
-                }
-            }
-            t.finish().unwrap();
-            assert_eq!(rebuilt, doc, "chunk_len {chunk_len}");
-        }
-    }
-
-    /// `split_start_tag` + `RawAttrs` agree with the owned parser,
-    /// including on every syntax error.
-    #[test]
-    fn raw_attr_iterator_matches_owned_parser() {
-        for token in [
-            r#"<a>"#,
-            r#"<a/>"#,
-            r#"<a b="1" c='x "y"'/>"#,
-            r#"<a b = "1">"#,
-            r#"<ns:tag attr="&lt;&gt;">"#,
-            r#"<a b>"#,
-            r#"<a b=>"#,
-            r#"<a b=unquoted>"#,
-            r#"<1bad>"#,
-        ] {
-            let owned = parse_start_tag(token);
-            let raw = split_start_tag(token).and_then(|(name, rest, sc)| {
-                let mut attrs = Vec::new();
-                for a in RawAttrs::new(rest) {
-                    let (aname, v) = a?;
-                    attrs.push(OwnedAttribute {
-                        name: aname.to_string(),
-                        value: decode_entities(v)?.into_owned(),
-                    });
-                }
-                Ok((name.to_string(), attrs, sc))
-            });
-            assert_eq!(owned, raw, "token {token:?}");
-        }
-    }
-
-    /// A skipped subtree full of fake end tags, consumed at every
-    /// possible two-chunk split *and* as 1-byte chunks: the scanner's
-    /// partial-delimiter states must survive any boundary.
-    #[test]
-    fn skip_subtree_survives_every_split() {
-        let doc: &str = "<r><s a=\"x > y\" b='/'><t><!-- </s> --><![CDATA[</s>]]]]>\
-                         <?pi </s> ?><u/>raw &broken; text</t><v></v></s><k/></r>";
-        let bytes = doc.as_bytes();
-        let run = |chunks: &[&[u8]]| {
-            let mut t = PushTokenizer::new();
-            let mut after_skip = Vec::new();
-            let mut skipped = false;
-            for chunk in chunks {
-                t.push_bytes(chunk).unwrap();
-                while let Some(ev) = t.next_event().unwrap() {
-                    if skipped {
-                        after_skip.push(ev);
-                    } else if matches!(&ev, PushEvent::StartElement { name, self_closing: false, .. } if name == "s")
-                    {
-                        t.skip_current_subtree().unwrap();
-                        skipped = true;
-                    }
-                }
-            }
-            after_skip.extend(t.finish().unwrap());
-            assert!(skipped);
-            after_skip
-        };
-        let whole = run(&[bytes]);
-        assert_eq!(
-            whole,
-            vec![
-                PushEvent::StartElement {
-                    name: "k".into(),
-                    attrs: vec![],
-                    self_closing: true
-                },
-                PushEvent::EndElement { name: "k".into() },
-                PushEvent::EndElement { name: "r".into() },
-            ]
-        );
-        for at in 0..=bytes.len() {
-            let got = run(&[&bytes[..at], &bytes[at..]]);
-            assert_eq!(got, whole, "two-chunk split at byte {at}");
-        }
-        let one_byte: Vec<&[u8]> = (0..bytes.len()).map(|i| &bytes[i..i + 1]).collect();
-        assert_eq!(run(&one_byte), whole, "1-byte chunks");
-    }
-
-    #[test]
-    fn skip_never_buffers() {
-        let mut t = PushTokenizer::new();
-        t.push_bytes(b"<r><s>").unwrap();
-        while let Some(ev) = t.next_event().unwrap() {
-            if matches!(&ev, PushEvent::StartElement { name, .. } if name == "s") {
-                t.skip_current_subtree().unwrap();
-            }
-        }
-        let before = t.peak_buffered();
-        let filler = "<x>some long run of text</x>".repeat(100);
-        t.push_bytes(filler.as_bytes()).unwrap();
-        assert!(t.is_skipping());
-        assert_eq!(t.buffered(), 0, "skip mode must not buffer");
-        assert_eq!(t.peak_buffered(), before);
-        t.push_bytes(b"</s><k/></r>").unwrap();
-        assert!(!t.is_skipping());
-        let mut names = Vec::new();
-        while let Some(ev) = t.next_event().unwrap() {
-            if let PushEvent::StartElement { name, .. } = &ev {
-                names.push(name.clone());
-            }
-        }
-        t.finish().unwrap();
-        assert_eq!(names, ["k"]);
-    }
-
-    #[test]
-    fn eof_mid_skip_errors_at_finish() {
-        let mut t = PushTokenizer::new();
-        t.push_bytes(b"<r><s>").unwrap();
-        while let Some(ev) = t.next_event().unwrap() {
-            if matches!(&ev, PushEvent::StartElement { name, .. } if name == "s") {
-                t.skip_current_subtree().unwrap();
-            }
-        }
-        t.push_bytes(b"<x>never closed").unwrap();
-        let err = t.finish().unwrap_err();
-        assert!(err.message.contains("<s> not closed"), "{err}");
-    }
-
-    #[test]
-    fn skip_after_self_closing_rejected() {
-        let mut t = PushTokenizer::new();
-        t.push_bytes(b"<r><s/>").unwrap();
-        let ev = t.next_event().unwrap().unwrap();
-        assert!(matches!(&ev, PushEvent::StartElement { name, .. } if name == "r"));
-        let ev = t.next_event().unwrap().unwrap();
-        assert!(matches!(&ev, PushEvent::StartElement { self_closing: true, .. }));
-        // The synthesized </s> is pending: skipping now would desync.
-        assert!(t.skip_current_subtree().is_err());
-    }
 }

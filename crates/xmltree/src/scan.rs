@@ -1,7 +1,7 @@
-//! Branch-light bulk byte scanning for the tokenizers.
+//! Branch-light bulk byte scanning for the tokenizer.
 //!
-//! Both XML front-ends (the pull [`crate::events::XmlReader`] and the
-//! chunked [`crate::push::PushTokenizer`]) spend almost all of their
+//! [`crate::push::PushTokenizer`] (token loop and fast-forward scanner
+//! alike) spends almost all of its
 //! time finding the *next structural byte*: the `<` that ends a text
 //! run, the `>`/quote that delimits a tag, the `]` or `-` that may
 //! close a CDATA section or comment. These helpers replace per-byte

@@ -1,4 +1,4 @@
-//! The every-boundary differential wall for the push tokenizer.
+//! The every-boundary wall for the tokenizer.
 //!
 //! The bulk-scan tokenizer's one dangerous property is that chunk
 //! boundaries can land *anywhere*: mid-tag, mid-entity, between the two
@@ -6,121 +6,198 @@
 //! middle of a multi-byte UTF-8 scalar, or while a pruned-subtree
 //! fast-forward is mid-flight. These tests take a corpus chosen to hit
 //! every scanner state and check that *every* byte offset is a safe
-//! split point: the event stream must be byte-for-byte what the pull
-//! [`XmlReader`] produces on the whole input.
+//! split point: the calls a sink sees, and the event count, must be
+//! exactly those of the one-chunk run — which in turn is pinned to a
+//! committed expected list per document.
 //!
 //! On top of the exhaustive 2-split sweep, a deterministic fuzzer draws
 //! random 3-chunk splits (replayable with `TESTKIT_SEED=0x…`, scaled
 //! with `TESTKIT_FUZZ_CASES=n`).
 
-use std::borrow::Cow;
+mod common;
+
+use common::{d, e, run, run_str, run_with, s, t, Collect, Ev};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xproj_testkit::{case_seed, SplitMix64};
-use xproj_xmltree::events::{Event, XmlReader};
-use xproj_xmltree::push::{OwnedAttribute, PushEvent, PushTokenizer};
 
 /// Documents picked so that split offsets land in every scanner state:
 /// tag names, attribute quotes (with `>`/`/` inside), entities, CDATA
 /// (with lone `]]`), comments (with lone `--`-adjacent dashes), PIs, the
 /// XML declaration, DOCTYPE internal subsets, and multi-byte UTF-8.
-const CORPUS: &[&str] = &[
-    "<catalog><product-item/></catalog>",
-    r#"<a long="some >< value" b='x "y" z' c="tail/"><b k="&lt;&#65;"/></a>"#,
-    "<a>fish &amp; chips &#65;&#x42; &quot;done&quot;</a>",
-    "<a><![CDATA[raw < & > ]] stuff]]><b/><![CDATA[]]></a>",
-    "<a><!-- a -- b --><?pi some data?><!--x--><!-----></a>",
-    "<!DOCTYPE site [<!ELEMENT site (a)*><!ELEMENT a EMPTY>]><site><a/></site>",
-    r#"<!DOCTYPE site SYSTEM "auction.dtd"><site/>"#,
-    "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a>x</a>",
-    "<a>héllo wörld — ₤ €</a>",
-    "<a attr=\"héllo — ₤\">…</a>",
-    " \n <root> <mid\nattr = 'v' >text</mid > </root> \n ",
-    "<d><e><f><g>deep</g></f></e><e/><e></e></d>",
-];
-
-/// Reference events via the pull reader, converted to owned form.
-fn pull_events(input: &str) -> Vec<PushEvent> {
-    let mut r = XmlReader::new(input);
-    let mut out = Vec::new();
-    loop {
-        match r.next_event().expect("reference parse must succeed") {
-            Event::StartElement {
-                name,
-                attrs,
-                self_closing,
-            } => out.push(PushEvent::StartElement {
-                name: name.to_string(),
-                attrs: attrs
-                    .into_iter()
-                    .map(|a| OwnedAttribute {
-                        name: a.name.to_string(),
-                        value: a.value.into_owned(),
-                    })
-                    .collect(),
-                self_closing,
-            }),
-            Event::EndElement { name } => out.push(PushEvent::EndElement {
-                name: name.to_string(),
-            }),
-            Event::Text(t) => out.push(PushEvent::Text(match t {
-                Cow::Borrowed(s) => s.to_string(),
-                Cow::Owned(s) => s,
-            })),
-            Event::Comment(c) => out.push(PushEvent::Comment(c.to_string())),
-            Event::ProcessingInstruction(p) => {
-                out.push(PushEvent::ProcessingInstruction(p.to_string()))
-            }
-            Event::Doctype {
-                name,
-                internal_subset,
-            } => out.push(PushEvent::Doctype {
-                name: name.to_string(),
-                internal_subset: internal_subset.map(str::to_string),
-            }),
-            Event::Eof => break,
-        }
-    }
-    out
-}
-
-/// Feeds `input` in the given chunks and returns the full event stream.
-fn push_events(chunks: &[&[u8]]) -> Vec<PushEvent> {
-    let mut t = PushTokenizer::new();
-    let mut out = Vec::new();
-    for chunk in chunks {
-        out.extend(t.feed(chunk).expect("push parse must succeed"));
-    }
-    out.extend(t.finish().expect("finish must succeed"));
-    out
+/// Each comes with the sink calls and the event count (comments and PIs
+/// count without being delivered) the one-chunk run must produce.
+fn corpus() -> Vec<(&'static str, Vec<Ev>, u64)> {
+    vec![
+        (
+            "<catalog><product-item/></catalog>",
+            vec![
+                s("catalog", &[]),
+                s("product-item", &[]),
+                e("product-item"),
+                e("catalog"),
+            ],
+            4,
+        ),
+        (
+            "<a long=\"some >< value\" b='x \"y\" z' c=\"tail/\"><b k=\"&lt;&#65;\"/></a>",
+            vec![
+                s("a", &[("long", "some >< value"), ("b", "x \"y\" z"), ("c", "tail/")]),
+                s("b", &[("k", "<A")]),
+                e("b"),
+                e("a"),
+            ],
+            4,
+        ),
+        (
+            "<a>fish &amp; chips &#65;&#x42; &quot;done&quot;</a>",
+            vec![
+                s("a", &[]),
+                t("fish & chips AB \"done\""),
+                e("a"),
+            ],
+            3,
+        ),
+        (
+            "<a><![CDATA[raw < & > ]] stuff]]><b/><![CDATA[]]></a>",
+            vec![
+                s("a", &[]),
+                t("raw < & > ]] stuff"),
+                s("b", &[]),
+                e("b"),
+                t(""),
+                e("a"),
+            ],
+            6,
+        ),
+        (
+            "<a><!-- a -- b --><?pi some data?><!--x--><!-----></a>",
+            vec![
+                s("a", &[]),
+                e("a"),
+            ],
+            6,
+        ),
+        (
+            "<!DOCTYPE site [<!ELEMENT site (a)*><!ELEMENT a EMPTY>]><site><a/></site>",
+            vec![
+                d("site", Some("<!ELEMENT site (a)*><!ELEMENT a EMPTY>")),
+                s("site", &[]),
+                s("a", &[]),
+                e("a"),
+                e("site"),
+            ],
+            5,
+        ),
+        (
+            "<!DOCTYPE site SYSTEM \"auction.dtd\"><site/>",
+            vec![
+                d("site", None),
+                s("site", &[]),
+                e("site"),
+            ],
+            3,
+        ),
+        (
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a>x</a>",
+            vec![
+                s("a", &[]),
+                t("x"),
+                e("a"),
+            ],
+            3,
+        ),
+        (
+            "<a>héllo wörld — ₤ €</a>",
+            vec![
+                s("a", &[]),
+                t("héllo wörld — ₤ €"),
+                e("a"),
+            ],
+            3,
+        ),
+        (
+            "<a attr=\"héllo — ₤\">…</a>",
+            vec![
+                s("a", &[("attr", "héllo — ₤")]),
+                t("…"),
+                e("a"),
+            ],
+            3,
+        ),
+        (
+            " \n <root> <mid\nattr = 'v' >text</mid > </root> \n ",
+            vec![
+                s("root", &[]),
+                t(" "),
+                s("mid", &[("attr", "v")]),
+                t("text"),
+                e("mid"),
+                t(" "),
+                e("root"),
+            ],
+            7,
+        ),
+        (
+            "<d><e><f><g>deep</g></f></e><e/><e></e></d>",
+            vec![
+                s("d", &[]),
+                s("e", &[]),
+                s("f", &[]),
+                s("g", &[]),
+                t("deep"),
+                e("g"),
+                e("f"),
+                e("e"),
+                s("e", &[]),
+                e("e"),
+                s("e", &[]),
+                e("e"),
+                e("d"),
+            ],
+            13,
+        ),
+    ]
 }
 
 #[test]
-fn every_two_chunk_split_matches_the_pull_reader() {
-    for doc in CORPUS {
-        let expected = pull_events(doc);
+fn one_chunk_runs_match_the_committed_event_lists() {
+    for (doc, events, count) in corpus() {
+        assert_eq!(run_str(doc).unwrap(), (events, count), "{doc:?}");
+    }
+}
+
+#[test]
+fn every_two_chunk_split_matches_the_one_chunk_run() {
+    for (doc, _, _) in corpus() {
+        let expected = run_str(doc).unwrap();
         let bytes = doc.as_bytes();
         for at in 0..=bytes.len() {
-            let got = push_events(&[&bytes[..at], &bytes[at..]]);
+            let got = run(&[&bytes[..at], &bytes[at..]])
+                .unwrap_or_else(|e| panic!("split at {at} of {doc:?}: {e}"));
             assert_eq!(got, expected, "two-chunk split at byte {at} of {doc:?}");
         }
     }
 }
 
 #[test]
-fn one_byte_chunks_match_the_pull_reader() {
-    for doc in CORPUS {
-        let expected = pull_events(doc);
+fn one_byte_chunks_match_the_one_chunk_run() {
+    for (doc, _, _) in corpus() {
         let chunks: Vec<&[u8]> = doc.as_bytes().chunks(1).collect();
-        assert_eq!(push_events(&chunks), expected, "1-byte chunks of {doc:?}");
+        assert_eq!(
+            run(&chunks).unwrap(),
+            run_str(doc).unwrap(),
+            "1-byte chunks of {doc:?}"
+        );
     }
 }
 
 #[test]
-fn random_three_chunk_splits_match_the_pull_reader() {
-    let name = "random_three_chunk_splits_match_the_pull_reader";
-    let run = |seed: u64| {
+fn random_three_chunk_splits_match_the_one_chunk_run() {
+    let name = "random_three_chunk_splits_match_the_one_chunk_run";
+    let corpus = corpus();
+    let run_case = |seed: u64| {
         let mut rng = SplitMix64::new(seed);
-        let doc = *rng.pick(CORPUS);
+        let doc = rng.pick(&corpus).0;
         let n = doc.len();
         let mut a = rng.range_incl(0, n);
         let mut b = rng.range_incl(0, n);
@@ -128,15 +205,14 @@ fn random_three_chunk_splits_match_the_pull_reader() {
             std::mem::swap(&mut a, &mut b);
         }
         let bytes = doc.as_bytes();
-        let got = push_events(&[&bytes[..a], &bytes[a..b], &bytes[b..]]);
         assert_eq!(
-            got,
-            pull_events(doc),
+            run(&[&bytes[..a], &bytes[a..b], &bytes[b..]]).unwrap(),
+            run_str(doc).unwrap(),
             "3-chunk split at ({a},{b}) of {doc:?}"
         );
     };
     if let Some(seed) = xproj_testkit::runner::parse_seed_env() {
-        run(seed);
+        run_case(seed);
         return;
     }
     let cases = std::env::var("TESTKIT_FUZZ_CASES")
@@ -145,7 +221,7 @@ fn random_three_chunk_splits_match_the_pull_reader() {
         .unwrap_or(500);
     for i in 0..cases {
         let seed = case_seed(name, i as u32);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(seed))) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_case(seed))) {
             let msg = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
@@ -161,48 +237,90 @@ fn random_three_chunk_splits_match_the_pull_reader() {
 
 /// A subtree whose raw bytes contain every skip-scanner hazard: fake end
 /// tags inside CDATA, comments, PI data and attribute values, a nested
-/// same-name element, quoted `>` and `/`, and a self-closing tag.
+/// same-name element, quoted `>` and `/`, a self-closing tag, and an
+/// entity that would not decode.
 const SKIP_BODY: &str = "<x q=\"> ' /\">text</x>\
     <![CDATA[</skipme> ]] >]]>\
     <!-- </skipme> -- almost -->\
     <?pi </skipme> ?>\
     <skipme><y/></skipme>\
+    raw &broken; text\
     <z a='/'/>";
 
 #[test]
 fn skip_state_survives_every_boundary() {
+    let head = "<a><skipme>";
     let tail = "</skipme><keep>t</keep></a>";
-    let rest = format!("{SKIP_BODY}{tail}");
-    let expected = [
-        PushEvent::StartElement {
-            name: "keep".to_string(),
-            attrs: Vec::new(),
-            self_closing: false,
-        },
-        PushEvent::Text("t".to_string()),
-        PushEvent::EndElement {
-            name: "keep".to_string(),
-        },
-        PushEvent::EndElement {
-            name: "a".to_string(),
-        },
+    let doc = format!("{head}{SKIP_BODY}{tail}");
+    let expected = vec![
+        s("a", &[]),
+        s("skipme", &[]),
+        e("skipme"),
+        s("keep", &[]),
+        t("t"),
+        e("keep"),
+        e("a"),
     ];
-    let bytes = rest.as_bytes();
-    for at in 0..=bytes.len() {
-        let mut t = PushTokenizer::new();
-        // Open <a><skipme>, then fast-forward: the whole skipme subtree
-        // is raw-scanned, with the split landing anywhere inside it.
-        let opened = t.feed(b"<a><skipme>").unwrap();
-        assert_eq!(opened.len(), 2, "both start tags should surface");
-        t.skip_current_subtree().unwrap();
-        let mut got = t.feed(&bytes[..at]).unwrap_or_else(|e| {
-            panic!("skip split at {at}: {e}");
-        });
-        got.extend(t.feed(&bytes[at..]).unwrap());
-        got.extend(t.finish().unwrap());
-        assert_eq!(got, expected, "skip-state split at byte {at}");
+    let skipping = || Collect {
+        skippable: Some("skipme"),
+        ..Collect::default()
+    };
+    let bytes = doc.as_bytes();
+    let mut splits: Vec<Vec<&[u8]>> = (0..=bytes.len())
+        .map(|at| vec![&bytes[..at], &bytes[at..]])
+        .collect();
+    splits.push(bytes.chunks(1).collect());
+    for chunks in &splits {
+        let mut sink = skipping();
+        let (done, tok) = run_with(chunks, &mut sink, true)
+            .unwrap_or_else(|e| panic!("skip split {:?}: {e}", chunks[0].len()));
+        assert_eq!(sink.events, expected, "split at byte {}", chunks[0].len());
+        // The synthesized end of the skipped element is not an event.
+        assert_eq!((done.events, done.fast_forwarded), (6, 1));
         // Nothing from the skipped subtree may linger in the buffer
-        // accounting: the peak is bounded by the unskipped suffix.
-        assert!(t.max_token_bytes() <= tail.len().max("<a><skipme>".len()));
+        // accounting: tokens are bounded by the unskipped prefix/suffix.
+        assert!(tok.max_token_bytes() <= "</skipme>".len());
     }
+    // With fast-forward off the same sink sees the whole subtree — and
+    // the undecodable entity inside it is now an error.
+    let mut sink = skipping();
+    assert!(run_with(&[bytes], &mut sink, false).is_err());
+}
+
+#[test]
+fn skip_never_buffers_and_eof_mid_skip_is_an_error() {
+    let mut tok = xproj_xmltree::push::PushTokenizer::new();
+    let mut sink = Collect {
+        skippable: Some("s"),
+        ..Collect::default()
+    };
+    tok.push_bytes(b"<r><s>").unwrap();
+    tok.drain(&mut sink, true).unwrap();
+    assert!(tok.is_skipping());
+    let before = tok.peak_buffered();
+    let filler = "<x>some long run of text</x>".repeat(100);
+    tok.push_bytes(filler.as_bytes()).unwrap();
+    assert!(tok.is_skipping());
+    assert_eq!(tok.buffered(), 0, "skip mode must not buffer");
+    assert_eq!(tok.peak_buffered(), before);
+
+    // Input ending here leaves <s> open.
+    let mut truncated = xproj_xmltree::push::PushTokenizer::new();
+    let mut tsink = Collect {
+        skippable: Some("s"),
+        ..Collect::default()
+    };
+    truncated.push_bytes(b"<r><s><x>never closed").unwrap();
+    truncated.drain(&mut tsink, true).unwrap();
+    let err = truncated.finish_into(&mut tsink).unwrap_err();
+    assert!(err.message.contains("<s> not closed"), "{err}");
+
+    tok.push_bytes(b"</s><k/></r>").unwrap();
+    assert!(!tok.is_skipping());
+    tok.drain(&mut sink, true).unwrap();
+    tok.finish_into(&mut sink).unwrap();
+    assert_eq!(
+        sink.events,
+        [s("r", &[]), s("s", &[]), e("s"), s("k", &[]), e("k"), e("r")]
+    );
 }

@@ -29,9 +29,18 @@ impl fmt::Display for XPathParseError {
 
 impl std::error::Error for XPathParseError {}
 
+/// Deepest expression tree the parser builds: each nested sub-expression
+/// (parentheses, predicates, function arguments, unary minus) and each
+/// further operand of an operator chain (`a | b | c` parses left-deep)
+/// is one level. Every recursive-descent parser in the workspace
+/// (`xpath`, `xquery`, `dtd`, `xupdate`) holds its recursion — and the
+/// depth of the tree its recursive consumers walk — to this same value,
+/// so no input can overflow a stack.
+pub(crate) const MAX_NESTING: usize = 128;
+
 /// Parses a complete XPath expression.
 pub fn parse_xpath(input: &str) -> Result<Expr, XPathParseError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser::new(input);
     let e = p.parse_or()?;
     p.skip_ws();
     if p.pos != input.len() {
@@ -45,7 +54,7 @@ pub fn parse_xpath(input: &str) -> Result<Expr, XPathParseError> {
 /// the XQuery parser uses to embed XPath expressions: parsing stops at
 /// the first token that cannot extend the expression (e.g. `return`).
 pub fn parse_expr_prefix(input: &str) -> Result<(Expr, usize), XPathParseError> {
-    let mut p = Parser { input, pos: 0 };
+    let mut p = Parser::new(input);
     let e = p.parse_or()?;
     Ok((e, p.pos))
 }
@@ -53,9 +62,44 @@ pub fn parse_expr_prefix(input: &str) -> Result<(Expr, usize), XPathParseError> 
 pub(crate) struct Parser<'a> {
     pub(crate) input: &'a str,
     pub(crate) pos: usize,
+    /// Depth of the tree under construction, against [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    pub(crate) fn new(input: &'a str) -> Self {
+        Parser {
+            input,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Charges one tree level, failing instead of growing (and
+    /// recursing) past [`MAX_NESTING`].
+    fn deepen(&mut self) -> Result<(), XPathParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!(
+                "expression nesting exceeds {MAX_NESTING} levels"
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one level down; whatever `f` charged (its own level and
+    /// its operator chains) is released when the sub-expression ends.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, XPathParseError>,
+    ) -> Result<T, XPathParseError> {
+        let outer = self.depth;
+        self.deepen()?;
+        let result = f(self);
+        self.depth = outer;
+        result
+    }
+
     pub(crate) fn err<T>(&self, m: impl Into<String>) -> Result<T, XPathParseError> {
         Err(XPathParseError {
             offset: self.pos,
@@ -128,18 +172,24 @@ impl<'a> Parser<'a> {
         Ok(n)
     }
 
+    /// A full expression — the entry point of every nested
+    /// sub-expression, hence where nesting is counted.
     pub(crate) fn parse_or(&mut self) -> Result<Expr, XPathParseError> {
-        let mut left = self.parse_and()?;
-        while self.eat_kw("or") {
-            let right = self.parse_and()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.nested(|p| {
+            let mut left = p.parse_and()?;
+            while p.eat_kw("or") {
+                p.deepen()?;
+                let right = p.parse_and()?;
+                left = Expr::Or(Box::new(left), Box::new(right));
+            }
+            Ok(left)
+        })
     }
 
     fn parse_and(&mut self) -> Result<Expr, XPathParseError> {
         let mut left = self.parse_equality()?;
         while self.eat_kw("and") {
+            self.deepen()?;
             let right = self.parse_equality()?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
@@ -156,6 +206,7 @@ impl<'a> Parser<'a> {
             } else {
                 break;
             };
+            self.deepen()?;
             let right = self.parse_relational()?;
             left = Expr::Compare(op, Box::new(left), Box::new(right));
         }
@@ -184,6 +235,7 @@ impl<'a> Parser<'a> {
             } else {
                 break;
             };
+            self.deepen()?;
             let right = self.parse_additive()?;
             left = Expr::Compare(op, Box::new(left), Box::new(right));
         }
@@ -201,6 +253,7 @@ impl<'a> Parser<'a> {
             } else {
                 break;
             };
+            self.deepen()?;
             let right = self.parse_multiplicative()?;
             left = Expr::Arith(op, Box::new(left), Box::new(right));
         }
@@ -225,6 +278,7 @@ impl<'a> Parser<'a> {
             } else {
                 break;
             };
+            self.deepen()?;
             let right = self.parse_unary()?;
             left = Expr::Arith(op, Box::new(left), Box::new(right));
         }
@@ -233,7 +287,7 @@ impl<'a> Parser<'a> {
 
     fn parse_unary(&mut self) -> Result<Expr, XPathParseError> {
         if self.eat("-") {
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
             Ok(Expr::Neg(Box::new(e)))
         } else {
             self.parse_union()
@@ -243,6 +297,7 @@ impl<'a> Parser<'a> {
     fn parse_union(&mut self) -> Result<Expr, XPathParseError> {
         let mut left = self.parse_path_expr()?;
         while self.eat("|") {
+            self.deepen()?;
             let right = self.parse_path_expr()?;
             left = Expr::Union(Box::new(left), Box::new(right));
         }
@@ -786,5 +841,36 @@ mod tests {
     fn parenthesised_expr_with_rooted_path() {
         let e = parse_xpath("(a | b)/c").unwrap();
         assert!(matches!(e, Expr::RootedPath(_, _)));
+    }
+
+    /// Nesting and operator chains share one depth budget: at the
+    /// limit the parse succeeds (on a test thread's 2 MiB stack, in a
+    /// debug build), one past it is a parse error — never an overflow,
+    /// however long the input.
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        // The outermost expression is level 1, each parenthesis one more.
+        assert!(parse_xpath(&parens(MAX_NESTING - 1)).is_ok());
+        for deep in [
+            parens(MAX_NESTING),
+            parens(40_000),
+            format!("{}1", "-".repeat(40_000)),
+            format!("a{}{}", "[a".repeat(40_000), "]".repeat(40_000)),
+            format!("{}a{}", "count(".repeat(40_000), ")".repeat(40_000)),
+            vec!["a"; 40_000].join("|"),
+            vec!["a"; 40_000].join(" or "),
+            vec!["1"; 40_000].join("+"),
+        ] {
+            let err = parse_xpath(&deep).unwrap_err();
+            assert!(err.message.contains("nesting exceeds"), "{err}");
+        }
+        // Flat constructs are not nesting: long paths and many
+        // predicates on one step stay accepted.
+        assert!(parse_xpath(&"/a".repeat(1000)).is_ok());
+        assert!(parse_xpath(&format!("a{}", "[b]".repeat(1000))).is_ok());
+        // A chain's charge is released with its sub-expression.
+        let chain = vec!["a"; 100].join("|");
+        assert!(parse_xpath(&format!("({chain}) and ({chain})")).is_ok());
     }
 }

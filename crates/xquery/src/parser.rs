@@ -26,9 +26,20 @@ impl fmt::Display for XQueryParseError {
 
 impl std::error::Error for XQueryParseError {}
 
+/// Deepest query tree the parser builds: each nested item
+/// (parenthesised sequences, FLWR/`if`/quantifier bodies, constructor
+/// content) and each `for`/`let` clause (they desugar into nested
+/// binders) is one level. The same bound as every other
+/// recursive-descent parser in the workspace (see `xproj_xpath`'s).
+const MAX_NESTING: usize = 128;
+
 /// Parses a complete query.
 pub fn parse_xquery(input: &str) -> Result<XQuery, XQueryParseError> {
-    let mut p = P { input, pos: 0 };
+    let mut p = P {
+        input,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.parse_sequence()?;
     p.skip_ws();
     if p.pos != input.len() {
@@ -40,6 +51,8 @@ pub fn parse_xquery(input: &str) -> Result<XQuery, XQueryParseError> {
 struct P<'a> {
     input: &'a str,
     pos: usize,
+    /// Depth of the tree under construction, against [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -148,7 +161,20 @@ impl<'a> P<'a> {
         })
     }
 
+    /// One item — the entry point of every nested construct, hence
+    /// where nesting is counted (and restored on failure: a failed
+    /// parenthesised sequence is retried as XPath).
     fn parse_item(&mut self) -> Result<XQuery, XQueryParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("query nesting exceeds {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let item = self.parse_item_at_depth();
+        self.depth -= 1;
+        item
+    }
+
+    fn parse_item_at_depth(&mut self) -> Result<XQuery, XQueryParseError> {
         self.skip_ws();
         if self.peek_kw("for") || self.peek_kw("let") {
             return self.parse_flwr();
@@ -279,7 +305,14 @@ impl<'a> P<'a> {
         if !self.eat_kw("return") {
             return self.err("expected 'return'");
         }
-        let mut body = self.parse_item()?;
+        // Each clause wraps the body one binder deeper.
+        if self.depth + clauses.len() > MAX_NESTING {
+            return self.err(format!("query nesting exceeds {MAX_NESTING} levels"));
+        }
+        self.depth += clauses.len();
+        let body = self.parse_item();
+        self.depth -= clauses.len();
+        let mut body = body?;
         if let Some(c) = cond {
             body = XQuery::If {
                 cond: Box::new(c),
@@ -430,7 +463,8 @@ impl<'a> P<'a> {
                 break;
             }
             if self.rest().starts_with('<') {
-                parts.push(self.parse_constructor()?);
+                // A nested constructor, through the nesting counter.
+                parts.push(self.parse_item()?);
                 continue;
             }
             if self.rest().starts_with('{') {
@@ -678,5 +712,31 @@ mod quantifier_tests {
     fn quantifier_errors() {
         assert!(parse_xquery("some $x in /a").is_err());
         assert!(parse_xquery("some x in /a satisfies 1").is_err());
+    }
+
+    /// Every way a query can nest is held to `MAX_NESTING`: a parse
+    /// error, never a stack overflow, however long the input.
+    #[test]
+    fn nesting_is_bounded() {
+        // Comfortably inside the budget (a FLWR level costs two: its
+        // clause and its body item), on a test thread's 2 MiB stack.
+        let under = MAX_NESTING / 4;
+        assert!(parse_xquery(&format!("{}/a{}", "(".repeat(under), ")".repeat(under))).is_ok());
+        assert!(parse_xquery(&format!("{}1", "for $x in /a return ".repeat(under))).is_ok());
+        for deep in [
+            format!("{}/a{}", "(".repeat(40_000), ")".repeat(40_000)),
+            format!("{}1", "for $x in /a return ".repeat(5_000)),
+            format!("for {} return 1", vec!["$x in /a"; 5_000].join(", ")),
+            format!("let {} return 1", vec!["$x := /a"; 5_000].join(", ")),
+            format!("{}1{}", "if (a) then ".repeat(5_000), " else 1".repeat(5_000)),
+            format!("{}1{}", "<a>{".repeat(5_000), "}</a>".repeat(5_000)),
+            format!("{}{}", "<a>".repeat(5_000), "</a>".repeat(5_000)),
+            format!("{}1", "some $x in /a satisfies ".repeat(5_000)),
+        ] {
+            let err = parse_xquery(&deep).unwrap_err();
+            assert!(err.message.contains("nesting exceeds"), "{err}");
+        }
+        // Flat sequences are not nesting.
+        assert!(parse_xquery(&vec!["/a"; 2_000].join(", ")).is_ok());
     }
 }

@@ -118,6 +118,11 @@ fn parse_target(s: &str) -> Result<xproj_xpath::LocationPath, UpdateParseError> 
     }
 }
 
+/// Deepest element nesting a fragment may have; the same bound as every
+/// other recursive-descent parser in the workspace (target paths are
+/// held to it by `xproj_xpath`'s own counter).
+const MAX_NESTING: usize = 128;
+
 /// Parses a fragment at the start of `s`; returns it plus the rest.
 /// A fragment is a maximal run of elements and text, where text runs
 /// end at the next `<` (or at the keyword boundary for top-level text —
@@ -132,7 +137,7 @@ fn parse_fragment_prefix(s: &str) -> Result<(Fragment, &str), UpdateParseError> 
             if rest.starts_with("</") {
                 break; // closes an enclosing element — not ours
             }
-            let (node, tail) = parse_element(rest)?;
+            let (node, tail) = parse_element(rest, 1)?;
             nodes.push(node);
             rest = tail;
         } else if nodes.is_empty() && !rest.starts_with('<') {
@@ -177,8 +182,13 @@ fn top_level_text_end(s: &str) -> usize {
     lt
 }
 
-fn parse_element(s: &str) -> Result<(FragmentNode, &str), UpdateParseError> {
+/// Parses the element at the front of `s`, itself `depth` elements deep
+/// in the fragment.
+fn parse_element(s: &str, depth: usize) -> Result<(FragmentNode, &str), UpdateParseError> {
     debug_assert!(s.starts_with('<'));
+    if depth > MAX_NESTING {
+        return err(format!("fragment nesting exceeds {MAX_NESTING} levels"));
+    }
     let body = &s[1..];
     let name_len = body
         .char_indices()
@@ -220,7 +230,7 @@ fn parse_element(s: &str) -> Result<(FragmentNode, &str), UpdateParseError> {
             return Ok((FragmentNode::Element { tag, children }, &tail[close + 1..]));
         }
         if rest.starts_with('<') {
-            let (child, tail) = parse_element(rest)?;
+            let (child, tail) = parse_element(rest, depth + 1)?;
             children.push(child);
             rest = tail;
         } else {
@@ -355,5 +365,26 @@ mod tests {
                 children: vec![FragmentNode::Text("<b> & co".into())],
             }]
         );
+    }
+
+    /// Fragments nest at most `MAX_NESTING` elements deep and target
+    /// paths are held to the XPath parser's bound: beyond either a parse
+    /// error, never a stack overflow.
+    #[test]
+    fn nesting_is_bounded() {
+        let fragment = |n: usize| format!("{}x{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse_update(&format!("insert {} into /x", fragment(MAX_NESTING))).is_ok());
+        for n in [MAX_NESTING + 1, 100_000] {
+            let err = parse_update(&format!("insert {} into /x", fragment(n))).unwrap_err();
+            assert!(err.to_string().contains("nesting exceeds"), "{err}");
+        }
+        let deep_path = format!("/x{}{}", "[a".repeat(100_000), "]".repeat(100_000));
+        for update in [
+            format!("delete {deep_path}"),
+            format!("replace {deep_path} with <a/>"),
+        ] {
+            let err = parse_update(&update).unwrap_err();
+            assert!(err.to_string().contains("nesting exceeds"), "{err}");
+        }
     }
 }

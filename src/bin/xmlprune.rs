@@ -18,7 +18,8 @@
 use std::io::Read;
 use std::process::ExitCode;
 use xml_projection::dtd::{infer_dtd, parse_dtd, validate, Dtd};
-use xml_projection::xmltree::{Event, XmlReader};
+use xml_projection::xmltree::push::{drain_str, TokenSink};
+use xml_projection::xmltree::ParseError;
 use xml_projection::Projection;
 
 fn main() -> ExitCode {
@@ -140,19 +141,39 @@ fn read_input(path: Option<&str>) -> Result<String, String> {
     }
 }
 
-/// Extracts `<!DOCTYPE name [ subset ]>` from a document, if present.
+/// Extracts `<!DOCTYPE name [ subset ]>` from a document's prolog, if
+/// present: a sink that ends the drain at the first thing that is not
+/// prolog (or at the DOCTYPE it was looking for).
 fn internal_subset(xml: &str) -> Option<(String, String)> {
-    let mut r = XmlReader::new(xml);
-    loop {
-        match r.next_event().ok()? {
-            Event::Doctype {
-                name,
-                internal_subset: Some(s),
-            } => return Some((name.to_string(), s.to_string())),
-            Event::Doctype { .. } | Event::Comment(_) | Event::ProcessingInstruction(_) => {}
-            _ => return None,
+    struct Prolog(Option<(String, String)>);
+    struct Stop;
+    impl From<ParseError> for Stop {
+        fn from(_: ParseError) -> Stop {
+            Stop
         }
     }
+    impl TokenSink for Prolog {
+        type Error = Stop;
+        fn start(&mut self, _: &str, _: &str) -> Result<bool, Stop> {
+            Err(Stop)
+        }
+        fn end(&mut self, _: &str) -> Result<(), Stop> {
+            Err(Stop)
+        }
+        fn text(&mut self, _: &str) -> Result<(), Stop> {
+            Err(Stop)
+        }
+        fn doctype(&mut self, name: &str, subset: Option<&str>) -> Result<(), Stop> {
+            self.0 = subset.map(|s| (name.to_string(), s.to_string()));
+            match self.0 {
+                Some(_) => Err(Stop),
+                None => Ok(()),
+            }
+        }
+    }
+    let mut prolog = Prolog(None);
+    let _ = drain_str(xml, &mut prolog, false);
+    prolog.0
 }
 
 /// Resolves the DTD: explicit file > internal subset > dataguide.
@@ -184,7 +205,7 @@ fn resolve_dtd(o: &Opts, xml: Option<&str>) -> Result<(Dtd, &'static str), Strin
 /// the internal-subset and dataguide fallbacks both need the whole
 /// document in memory, which defeats the point of streaming.
 fn run_chunked_prune(o: &Opts) -> Result<(), String> {
-    use xml_projection::engine::{error_json_line, run_batch, BatchJob, ProjectorCache, DEFAULT_CHUNK_SIZE};
+    use xml_projection::engine::{error_json_line, run_batch, ArtifactCache, BatchJob, DEFAULT_CHUNK_SIZE};
     use std::path::PathBuf;
 
     if o.validate {
@@ -203,9 +224,9 @@ fn run_chunked_prune(o: &Opts) -> Result<(), String> {
     let (dtd, source) = resolve_dtd(o, None)?;
     let dtd = std::sync::Arc::new(dtd);
     eprintln!("using {source} ({} names)", dtd.name_count());
-    // Query-derived projectors go through the same ProjectorCache the
+    // Query-derived projectors go through the same ArtifactCache the
     // server uses, so `--stats` reports the cache counters too.
-    let cache = ProjectorCache::new(32);
+    let cache = ArtifactCache::new(32);
     let projector = match &o.projector {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -214,8 +235,8 @@ fn run_chunked_prune(o: &Opts) -> Result<(), String> {
         None => {
             let mut union = xml_projection::core::Projector::empty(&dtd);
             for q in &o.queries {
-                let p = cache.get_or_compute(&dtd, q).map_err(|e| format!("{q}: {e}"))?;
-                union = union.union(&p);
+                let a = cache.get_or_compile(&dtd, q).map_err(|e| format!("{q}: {e}"))?;
+                union = union.union(&a.projector);
             }
             union
         }
@@ -529,15 +550,15 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 // artifact, then prune and answer in a single streaming
                 // pass — the same pipeline `/v1/query` serves.
                 use xml_projection::engine::{
-                    run_query, ProjectorCache, QueryOutput, DEFAULT_CHUNK_SIZE,
+                    run_query, ArtifactCache, QueryOutput, DEFAULT_CHUNK_SIZE,
                 };
                 let (dtd, source) = resolve_dtd(&o, None)?;
                 let dtd = std::sync::Arc::new(dtd);
                 eprintln!("using {source} ({} names)", dtd.name_count());
-                let cache = ProjectorCache::new(o.queries.len().max(1));
+                let cache = ArtifactCache::new(o.queries.len().max(1));
                 let chunk = o.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE);
                 for q in &o.queries {
-                    let artifact = cache.get_artifact(&dtd, q)?;
+                    let artifact = cache.get_or_compile(&dtd, q)?;
                     let (out, stats) =
                         run_query(&artifact, xml.as_bytes(), QueryOutput::Answer, true, chunk)
                             .map_err(|e| e.to_string())?;

@@ -240,6 +240,29 @@ fn analyze_bad_query_carries_stable_code() {
     assert!(stderr.contains("[bad-query]"), "{stderr}");
 }
 
+/// 40 000 nested parentheses used to overflow the main thread's stack
+/// (exit 134); the parsers' nesting counter makes it a bad query.
+#[test]
+fn deeply_nested_query_is_a_bad_query_not_an_abort() {
+    let dtd = write_tmp("books-deepq.dtd", DTD);
+    let query = format!("{}/bib{}", "(".repeat(40_000), ")".repeat(40_000));
+    for command in ["analyze", "prune"] {
+        let mut args = vec![command, "--dtd", dtd.to_str().unwrap(), "--root", "bib"];
+        if command == "prune" {
+            args.extend(["--chunked", "--query"]);
+        }
+        args.push(&query);
+        let out = Command::new(BIN)
+            .args(&args)
+            .stdin(Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command}: {:?}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("nesting exceeds"), "{command}: {stderr}");
+    }
+}
+
 #[test]
 fn validate_ok_and_fail() {
     let dtd = write_tmp("books3.dtd", DTD);
