@@ -5,6 +5,7 @@
 # runs --offline --locked: no registry, no network.
 set -euo pipefail
 cd "$(dirname "$0")"
+ci_started=$SECONDS
 
 echo "== unsafe gate (grep: unsafe only in the two audited modules) =="
 # Every crate carries #![forbid(unsafe_code)] except the reactor and
@@ -27,6 +28,23 @@ echo "== one-loop gate (grep: no second token cursor, no deleted facade) =="
 if grep -rn --include='*.rs' -E 'RawKind::|XmlReader|ProjectorCache|legacy_cache|\.next_event\(' src crates/*/src \
     | grep -v '^crates/xmltree/src/push\.rs:'; then
     echo "one-loop gate: found a second token cursor or a deleted facade" >&2
+    exit 1
+fi
+
+echo "== one-protocol gate (grep: sans-I/O machine, no second serving core) =="
+# `conn::Connection` is the only HTTP implementation, and it stays
+# sans-I/O: no socket, clock, thread, channel or reactor type may enter
+# conn.rs (its drivers hand it bytes and a `now`). And nothing of the
+# deleted blocking core — its flag, its types, its test matrix — may
+# come back anywhere in the sources or tests.
+if grep -nE 'TcpStream|TcpListener|Instant::now|\.elapsed\(\)|SystemTime|thread::|mpsc|xproj_reactor|AsRawFd' \
+    crates/server/src/conn.rs; then
+    echo "one-protocol gate: conn.rs reaches for I/O, a clock or a thread" >&2
+    exit 1
+fi
+if grep -rnE 'ServeMode|--threaded|BodyReader|StreamingBody|serve_connection|yield_to_waiters|mode_matrix' \
+    src crates/*/src crates/*/tests; then
+    echo "one-protocol gate: found a remnant of the blocking serving core" >&2
     exit 1
 fi
 
@@ -100,34 +118,43 @@ echo "== server smoke (xmlpruned binary: health, prune round-trip, drain) =="
 # testkit client, then asserts graceful shutdown exits cleanly.
 cargo test -q --offline --locked -p xproj-server --test binary_smoke
 
-echo "== server integration matrix (reactor + threaded modes) =="
-# The mode_matrix! macro expands every integration test twice — once
-# against the epoll reactor core and once against the blocking
-# --threaded fallback — so one run covers chunked round-trips,
-# 431/413, pipelining, mid-body disconnects, structured errors, the
-# 24-case HTTP-vs-prune_str differential, slowloris 408s, slow-reader
-# backpressure, and drain-under-load in both serving cores.
+echo "== server integration (sockets, default driver; portable driver cases) =="
+# One run on the target's driver covers chunked round-trips, 431/413,
+# pipelining, mid-body disconnects, structured errors, the 24-case
+# HTTP-vs-prune_str and HTTP-vs-reference-evaluator differentials,
+# slowloris 408s, slow-reader backpressure, admission, rate limiting,
+# accept stalls and drain-under-load (plus a 2-loop leg of the hardest
+# three). The portable driver — what non-Linux targets serve with — is
+# driven through Server::serve_portable() for the six things it does
+# itself.
 cargo test -q --offline --locked -p xproj-server --test integration
+cargo test -q --offline --locked -p xproj-server --test portable
+
+echo "== connection-machine simulation + adversarial wall (no sockets, 500 cases) =="
+# The sans-I/O Connection under seeded schedules of read fragmentation,
+# partial writes, reordered completions and clock steps: any schedule
+# must answer like the trivial one and like the in-process engine, hold
+# the configured residency bound, stay live, and fire timers at exact
+# instants; random and mutated HTTP bytes must never panic it. A
+# failure prints the TESTKIT_SEED that replays it.
+TESTKIT_FUZZ_CASES=500 cargo test -q --release --offline --locked \
+    -p xproj-server --test simulation
 
 echo "== reactor sweep smoke (1k mostly-idle keep-alive connections) =="
-# Short run of the bench concurrency sweep at 1000 connections, both
-# fleet styles, single- and dual-loop reactors, with the bench's own
-# cross-cell checks fatal (XPROJ_BENCH_ASSERT=1): the reactor must
-# drain with zero aborted connections, sustain >= 5x the blocking
-# core's requests/sec against a pool-style idle fleet, and keep p99 no
-# worse than the blocking core's best case (shed-style fleet) — all
-# ratios against the --threaded run on the same machine, so the gate
-# is machine-independent. The reactor-thread axis gate is core-aware:
-# with >= 2 cores the 2-loop hot cell must serve at least as many
-# req/s as the 1-loop cell; on a single core the two loops only add
-# coordination, so the bench holds them to a no-regression band
-# instead.
+# Short run of the bench concurrency sweep at 1000 connections, single-
+# and dual-loop, with the bench's own cross-cell checks fatal
+# (XPROJ_BENCH_ASSERT=1): every cell must drain with zero aborted
+# connections and serve its hot subset with zero errors. The
+# reactor-thread axis gate is core-aware: with >= 2 cores the 2-loop
+# cell must serve at least as many req/s as the 1-loop cell; on a
+# single core the two loops only add coordination, so the bench holds
+# them to a no-regression band instead.
 XPROJ_BENCH_SCALE=0.005 XPROJ_BENCH_CLIENTS=2 XPROJ_BENCH_REQUESTS=5 \
 XPROJ_BENCH_SWEEP=1000 XPROJ_BENCH_REACTORS=1,2 XPROJ_BENCH_CELL_MS=2000 \
 XPROJ_BENCH_ASSERT=1 \
     ./target/release/server > /tmp/BENCH_server.smoke.jsonl
-grep -q '"bench":"sweep","mode":"reactor"' /tmp/BENCH_server.smoke.jsonl
-grep -q '"mode":"reactor".*"reactor_threads":2' /tmp/BENCH_server.smoke.jsonl
+grep -q '"bench":"sweep","reactor_threads":1' /tmp/BENCH_server.smoke.jsonl
+grep -q '"bench":"sweep","reactor_threads":2' /tmp/BENCH_server.smoke.jsonl
 
 echo "== pipeline bench smoke (one loop: whole-string vs chunked ratio gate) =="
 # Smoke-mode run of the consolidated pipeline bench. Whole-string and
@@ -204,4 +231,4 @@ assert len(shares) == 4 and all(float(s) == 1.0 for s in shares), shares
 print("benchmark smoke: verified_share = 1 on all four workloads")
 PY
 
-echo "ci: OK"
+echo "ci: OK ($((SECONDS - ci_started)) s wall)"

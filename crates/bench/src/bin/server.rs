@@ -3,28 +3,17 @@
 //! 1. **Throughput**: a small pool of keep-alive clients pruning
 //!    generated auction documents as fast as they can (requests/sec,
 //!    p50/p99 latency per query).
-//! 2. **Concurrency sweep**: the serving-core comparison behind the
-//!    epoll reactor. Each cell opens N keep-alive connections (default
-//!    100 / 1 000 / 10 000) of which all but a small hot subset sit
-//!    idle, then measures the hot subset's request rate for a fixed
-//!    window — once against the reactor event loop and once against
-//!    the blocking `--threaded` worker pool, at equal worker count.
-//!    Idle connections are *maintained*: a fleet thread re-opens any
-//!    connection the server drops, the way a long-lived client pool
-//!    would. Each cell runs in two fleet styles, because they bracket
-//!    the threaded core's behavior:
-//!
-//!    - `shed`: every (re)opened idle connection is warmed with one
-//!      request before parking. This is the blocking core's *best*
-//!      case — its yield-to-waiters defense recognizes warmed
-//!      keep-alive connections and sheds them under pressure, so it
-//!      survives on reconnect churn instead of pinning workers.
-//!    - `pool`: replacements are opened silently, awaiting their next
-//!      use like any pre-established pool connection. A blocking
-//!      worker that picks one up has nothing to read and no yield
-//!      escape until the read deadline — a handful of these pin the
-//!      whole pool and throughput collapses. The reactor holds them
-//!      for the cost of an epoll registration either way.
+//! 2. **Concurrency sweep**: each cell opens N keep-alive connections
+//!    (default 100 / 1 000 / 10 000) of which all but a small hot
+//!    subset sit idle, then measures the hot subset's request rate for
+//!    a fixed window, once per `--reactor-threads` value. Idle
+//!    connections are *maintained*: a fleet thread warms each with one
+//!    request and re-opens any the server drops, the way a long-lived
+//!    client pool would. An idle connection costs the server a slab
+//!    slot and an epoll registration, so the hot subset's rate should
+//!    not depend on N; the cross-cell checks are that nothing is
+//!    aborted at shutdown, no hot request fails, and a second event
+//!    loop does not serve less than one.
 //!
 //! Results stream as JSON lines:
 //!
@@ -58,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xproj_engine::parallel_map;
-use xproj_server::{ServeMode, Server, ServerConfig};
+use xproj_server::{Server, ServerConfig};
 use xproj_testkit::{urlencode, HttpClient};
 use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
 
@@ -88,30 +77,20 @@ fn json_u64(body: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn mode_name(mode: ServeMode) -> &'static str {
-    match mode {
-        ServeMode::Reactor => "reactor",
-        ServeMode::Threaded => "threaded",
-    }
-}
-
-/// One maintained idle connection: open + warmed (one served request,
-/// so the threaded core's yield logic treats it as genuinely idle
-/// keep-alive), re-opened with a small backoff when the server drops it.
+/// One maintained idle connection: open + warmed (one served request),
+/// re-opened with a small backoff when the server drops it.
 struct IdleConn {
     client: Option<HttpClient>,
     retry_at: Instant,
     ever_connected: bool,
 }
 
-fn open_idle(addr: SocketAddr, warm: bool) -> std::io::Result<HttpClient> {
+fn open_idle(addr: SocketAddr) -> std::io::Result<HttpClient> {
     let mut c = HttpClient::connect(addr)?;
     c.set_timeout(Duration::from_secs(2))?;
-    if warm {
-        let resp = c.request("GET", "/healthz", &[], None)?;
-        if resp.status != 200 {
-            return Err(std::io::Error::other("warm-up request failed"));
-        }
+    let resp = c.request("GET", "/healthz", &[], None)?;
+    if resp.status != 200 {
+        return Err(std::io::Error::other("warm-up request failed"));
     }
     // Nonblocking from here on: liveness is probed with a zero-budget
     // read (`WouldBlock` = still parked, anything else = recycle).
@@ -122,7 +101,7 @@ fn open_idle(addr: SocketAddr, warm: bool) -> std::io::Result<HttpClient> {
 fn probe_alive(c: &HttpClient) -> bool {
     let mut b = [0u8; 64];
     match (&mut c.stream_ref()).read(&mut b) {
-        Ok(_) => false, // EOF or an unsolicited byte (408/yield close)
+        Ok(_) => false, // EOF or an unsolicited byte (a 408)
         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => true,
         Err(_) => false,
     }
@@ -139,27 +118,21 @@ struct CellResult {
 /// Key numbers from a sweep cell, for cross-cell assertions.
 struct CellStats {
     rps: f64,
-    p99_us: u128,
-    requests: usize,
+    errors: usize,
     aborted: u64,
 }
 
-/// One sweep cell: a fresh server in `mode` (`reactor_threads` event
-/// loops when reactor), `idle_target` maintained idle connections,
-/// `hot` clients hammering `target` for `cell_ms`. With
-/// `silent_reopen`, dropped idle connections are replaced without a
-/// warm-up request (`pool` fleet style); otherwise every replacement
-/// is warmed first (`shed` style).
+/// One sweep cell: a fresh server with `reactor_threads` event loops,
+/// `idle_target` maintained idle connections, `hot` clients hammering
+/// `target` for `cell_ms`.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
-    mode: ServeMode,
     reactor_threads: usize,
     conns: usize,
     hot: usize,
     cell_ms: u64,
     workers: usize,
     idle_backoff: Duration,
-    silent_reopen: bool,
     dtd_text: &str,
     query: &str,
     xml: &str,
@@ -167,12 +140,9 @@ fn run_cell(
     let idle_target = conns.saturating_sub(hot);
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        mode,
         workers,
         reactor_threads,
-        // Long enough that the reactor never expires a parked
-        // connection mid-cell; warmed threaded connections yield on
-        // pressure well before this.
+        // Long enough that no parked connection expires mid-cell.
         read_timeout: Duration::from_secs(60),
         drain_deadline: Duration::from_secs(20),
         ..Default::default()
@@ -230,12 +200,7 @@ fn run_cell(
                             }
                             Some(_) => {}
                             None if Instant::now() >= slot.retry_at => {
-                                // First open is always warmed — the fleet
-                                // models keep-alive connections that have
-                                // served traffic. Pool-style replacements
-                                // go back silent, awaiting their next use.
-                                let warm = !(silent_reopen && slot.ever_connected);
-                                match open_idle(addr, warm) {
+                                match open_idle(addr) {
                                     Ok(c) => {
                                         slot.client = Some(c);
                                         alive.fetch_add(1, Ordering::Relaxed);
@@ -262,8 +227,7 @@ fn run_cell(
         }
 
         // Setup barrier: wait for the fleet to (mostly) come up, or for
-        // its size to plateau — the threaded core sheds idle
-        // connections by design, so 95% may be unreachable there.
+        // its size to plateau.
         let setup_deadline = Instant::now() + Duration::from_secs(60);
         let mut peak = 0usize;
         let mut peak_at = Instant::now();
@@ -329,13 +293,7 @@ fn run_cell(
                                 client = None;
                             }
                             Err(_) => {
-                                // A quick failure is the threaded core
-                                // yield-closing between requests — normal
-                                // shedding, reconnect and retry. A slow
-                                // one is a real stall (client timeout).
-                                if t.elapsed() > Duration::from_secs(1) {
-                                    errs += 1;
-                                }
+                                errs += 1;
                                 client = None;
                             }
                         }
@@ -376,7 +334,7 @@ fn run_cell(
     let rps = cell.requests as f64 / cell.wall.as_secs_f64();
     let p99 = quantile(&cell.latencies, 0.99).as_micros();
     println!(
-        "{{\"group\":\"server\",\"bench\":\"sweep\",\"mode\":\"{}\",\"idle_style\":\"{}\",\
+        "{{\"group\":\"server\",\"bench\":\"sweep\",\
          \"reactor_threads\":{reactor_threads},\
          \"conns\":{conns},\
          \"idle_target\":{idle_target},\"idle_at_start\":{idle_at_start},\
@@ -386,8 +344,6 @@ fn run_cell(
          \"requests_per_sec\":{rps:.2},\"p50_us\":{},\"p99_us\":{p99},\
          \"doc_bytes\":{},\"max_conn_resident\":{},\"registered_fds\":{},\
          \"drained\":{},\"aborted\":{}}}",
-        mode_name(mode),
-        if silent_reopen { "pool" } else { "shed" },
         idle_reconnects.load(Ordering::Relaxed),
         cell.wall.as_millis(),
         cell.requests,
@@ -400,7 +356,7 @@ fn run_cell(
         report.drained,
         report.aborted,
     );
-    CellStats { rps, p99_us: p99, requests: cell.requests, aborted: report.aborted }
+    CellStats { rps, errors: cell.errors, aborted: report.aborted }
 }
 
 fn main() {
@@ -492,8 +448,8 @@ fn main() {
     assert_eq!(report.aborted, 0, "bench load must drain cleanly");
 
     // ------------------------------------------------------------------
-    // Concurrency sweep: reactor vs threaded under mostly-idle
-    // keep-alive fleets.
+    // Concurrency sweep: a hot subset under a mostly-idle keep-alive
+    // fleet, per event-loop count.
     // ------------------------------------------------------------------
     let mut sweep: Vec<usize> = std::env::var("XPROJ_BENCH_SWEEP")
         .unwrap_or_else(|_| "100,1000,10000".to_string())
@@ -509,7 +465,7 @@ fn main() {
         generate_auction(&dtd, &XMarkConfig::at_scale(sweep_scale)).to_xml()
     } else {
         // Small enough that prune CPU is noise next to connection
-        // handling: the sweep compares serving cores, not the engine.
+        // handling: the sweep measures serving, not the engine.
         let mut s = String::from("<site><open_auctions>");
         for i in 0..6 {
             s.push_str(&format!(
@@ -545,9 +501,8 @@ fn main() {
             Err(e) => eprintln!("# warning: raise_nofile_limit: {e}"),
         }
     }
-    // The reactor-thread axis: each listed count re-runs the reactor
-    // cells with that many SO_REUSEPORT-sharded event loops. The
-    // threaded core has no loop to multiply and runs once per cell.
+    // The reactor-thread axis: each listed count re-runs the cell with
+    // that many SO_REUSEPORT-sharded event loops.
     let reactors: Vec<usize> = std::env::var("XPROJ_BENCH_REACTORS")
         .unwrap_or_else(|_| "1,2".to_string())
         .split(',')
@@ -563,120 +518,60 @@ fn main() {
     );
     let mut check_failures: Vec<String> = Vec::new();
     for &conns in &sweep {
-        let mut stats: Vec<(ServeMode, usize, bool, CellStats)> = Vec::new();
-        for silent_reopen in [false, true] {
-            let style = if silent_reopen { "pool" } else { "shed" };
-            for &nloops in &reactors {
-                eprintln!(
-                    "# sweep cell: reactor x{nloops} x {conns} conns ({style} fleet)"
-                );
-                let cell = run_cell(
-                    ServeMode::Reactor,
-                    nloops,
-                    conns,
-                    hot,
-                    cell_ms,
-                    workers,
-                    idle_backoff,
-                    silent_reopen,
-                    &dtd_text,
-                    query,
-                    &sweep_xml,
-                );
-                stats.push((ServeMode::Reactor, nloops, silent_reopen, cell));
-            }
-            eprintln!("# sweep cell: threaded x {conns} conns ({style} fleet)");
+        let mut stats: Vec<(usize, CellStats)> = Vec::new();
+        for &nloops in &reactors {
+            eprintln!("# sweep cell: reactor x{nloops} x {conns} conns");
             let cell = run_cell(
-                ServeMode::Threaded,
-                1,
+                nloops,
                 conns,
                 hot,
                 cell_ms,
                 workers,
                 idle_backoff,
-                silent_reopen,
                 &dtd_text,
                 query,
                 &sweep_xml,
             );
-            stats.push((ServeMode::Threaded, 1, silent_reopen, cell));
+            stats.push((nloops, cell));
         }
 
         // Cross-cell checks at this connection count, enforced when
-        // XPROJ_BENCH_ASSERT=1 (the CI smoke step): the reactor must
-        // drain cleanly, beat the blocking core's collapse mode by a
-        // wide margin, and stay no worse on tail latency even against
-        // the blocking core's best case.
-        let get = |m: ServeMode, n: usize, silent: bool| {
-            stats
-                .iter()
-                .find(|(sm, sn, ss, _)| *sm == m && *sn == n && *ss == silent)
-                .map(|(_, _, _, c)| c)
-        };
-        // Multi-reactor scaling on the hot (shed) cell: with real
-        // cores to spread over, more loops must not serve less; on a
-        // single core the loops only add coordination, so the gate
-        // degrades to a no-regression band.
-        let base_loops = *reactors.iter().min().unwrap();
-        for &nloops in &reactors {
-            if nloops == base_loops {
-                continue;
-            }
-            if let (Some(one), Some(many)) =
-                (get(ServeMode::Reactor, base_loops, false), get(ServeMode::Reactor, nloops, false))
-            {
-                let ratio = if one.rps > 0.0 { many.rps / one.rps } else { f64::INFINITY };
-                eprintln!(
-                    "# {conns} conns: reactor x{nloops} {:.0} rps vs x{base_loops} {:.0} rps \
-                     ({ratio:.2}x, {cores} cores)",
-                    many.rps, one.rps
-                );
-                // ">= single-loop" with a 5% measurement-noise
-                // allowance; single-core machines cannot scale at all,
-                // so they only guard against outright collapse.
-                let floor = if cores >= 2 { 0.95 } else { 0.80 };
-                if ratio < floor {
-                    check_failures.push(format!(
-                        "{conns} conns: reactor x{nloops} only {ratio:.2}x of x{base_loops} \
-                         (floor {floor:.2} at {cores} cores)"
-                    ));
-                }
-                if many.aborted != 0 {
-                    check_failures.push(format!(
-                        "{conns} conns: reactor x{nloops} aborted connections at shutdown"
-                    ));
-                }
-            }
-        }
-        if let (Some(r_shed), Some(r_pool), Some(t_shed), Some(t_pool)) = (
-            get(ServeMode::Reactor, base_loops, false),
-            get(ServeMode::Reactor, base_loops, true),
-            get(ServeMode::Threaded, 1, false),
-            get(ServeMode::Threaded, 1, true),
-        ) {
-            let pool_ratio = if t_pool.rps > 0.0 { r_pool.rps / t_pool.rps } else { f64::INFINITY };
-            eprintln!(
-                "# {conns} conns: reactor {:.0}/{:.0} rps (shed/pool), \
-                 threaded {:.0}/{:.0}; pool ratio {:.1}x; \
-                 reactor p99 {}us vs threaded shed p99 {}us",
-                r_shed.rps, r_pool.rps, t_shed.rps, t_pool.rps, pool_ratio, r_shed.p99_us,
-                t_shed.p99_us,
-            );
-            if r_shed.aborted != 0 || r_pool.aborted != 0 {
-                check_failures
-                    .push(format!("{conns} conns: reactor aborted connections at shutdown"));
-            }
-            if pool_ratio < 5.0 {
+        // XPROJ_BENCH_ASSERT=1 (the CI smoke step): every cell drains
+        // with nothing aborted and serves its hot subset without an
+        // error, and more loops do not serve less.
+        for (nloops, cell) in &stats {
+            if cell.aborted != 0 {
                 check_failures.push(format!(
-                    "{conns} conns: reactor only {pool_ratio:.1}x threaded (pool fleet)"
+                    "{conns} conns: reactor x{nloops} aborted connections at shutdown"
                 ));
             }
-            // Tail-latency comparison is only meaningful when the
-            // threaded cell actually served a sample worth of load.
-            if t_shed.requests >= 100 && r_shed.p99_us > t_shed.p99_us {
+            if cell.errors != 0 {
                 check_failures.push(format!(
-                    "{conns} conns: reactor p99 {}us worse than threaded {}us (shed fleet)",
-                    r_shed.p99_us, t_shed.p99_us
+                    "{conns} conns: reactor x{nloops} failed {} hot requests",
+                    cell.errors
+                ));
+            }
+        }
+        // Multi-loop scaling: with real cores to spread over, more
+        // loops must not serve less; on a single core the loops only
+        // add coordination, so the gate degrades to a no-regression
+        // band.
+        let (base_loops, one) = stats.iter().min_by_key(|(n, _)| *n).expect("a reactor count");
+        for (nloops, many) in stats.iter().filter(|(n, _)| n != base_loops) {
+            let ratio = if one.rps > 0.0 { many.rps / one.rps } else { f64::INFINITY };
+            eprintln!(
+                "# {conns} conns: reactor x{nloops} {:.0} rps vs x{base_loops} {:.0} rps \
+                 ({ratio:.2}x, {cores} cores)",
+                many.rps, one.rps
+            );
+            // ">= single-loop" with a 5% measurement-noise allowance;
+            // single-core machines cannot scale at all, so they only
+            // guard against outright collapse.
+            let floor = if cores >= 2 { 0.95 } else { 0.80 };
+            if ratio < floor {
+                check_failures.push(format!(
+                    "{conns} conns: reactor x{nloops} only {ratio:.2}x of x{base_loops} \
+                     (floor {floor:.2} at {cores} cores)"
                 ));
             }
         }

@@ -19,7 +19,7 @@
 //! syscall wrappers directly (`std` already links the platform C
 //! library). On non-Linux targets [`supported`] returns `false`, every
 //! constructor fails with `ErrorKind::Unsupported`, and the server
-//! falls back to its blocking `--threaded` loop.
+//! serves with its portable thread-per-connection driver instead.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,8 +7,8 @@
 //! here — `std` already links the platform C library on every supported
 //! target, which makes these symbols available to plain `extern "C"`
 //! declarations. Everything is gated on `target_os = "linux"`; on other
-//! platforms [`supported`] returns `false` and the server falls back to
-//! its blocking `--threaded` loop.
+//! platforms [`supported`] returns `false` and the server serves with
+//! its portable thread-per-connection driver instead.
 
 #![allow(clippy::missing_safety_doc)]
 
@@ -140,7 +140,7 @@ fn last_err() -> io::Error {
 fn unsupported() -> io::Error {
     io::Error::new(
         io::ErrorKind::Unsupported,
-        "the epoll reactor is only available on Linux (use the blocking --threaded server)",
+        "the epoll reactor is only available on Linux",
     )
 }
 

@@ -4,7 +4,7 @@
 //! xmlpruned [--addr HOST:PORT] [--workers N] [--reactor-threads N]
 //!           [--chunk-size BYTES] [--cache N] [--max-header-bytes N]
 //!           [--max-body-bytes N] [--read-timeout-ms N]
-//!           [--write-timeout-ms N] [--drain-ms N] [--threaded]
+//!           [--write-timeout-ms N] [--drain-ms N]
 //!           [--max-connections N] [--rate-limit RPS:BURST]
 //!           [--out-buffer-cap BYTES] [--artifact-dir DIR]
 //!           [--port-file PATH]
@@ -17,7 +17,7 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
-use xproj_server::{ServeMode, Server, ServerConfig};
+use xproj_server::{Server, ServerConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,7 +84,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 config.drain_deadline =
                     Duration::from_millis(parse_num("--drain-ms", &next("--drain-ms")?)?)
             }
-            "--threaded" => config.mode = ServeMode::Threaded,
             "--reactor-threads" => {
                 config.reactor_threads =
                     parse_num("--reactor-threads", &next("--reactor-threads")?)?.max(1) as usize
@@ -152,7 +151,7 @@ const USAGE: &str = r#"
 usage: xmlpruned [--addr HOST:PORT] [--workers N] [--reactor-threads N]
                  [--chunk-size BYTES] [--cache N] [--max-header-bytes N]
                  [--max-body-bytes N] [--read-timeout-ms N]
-                 [--write-timeout-ms N] [--drain-ms N] [--threaded]
+                 [--write-timeout-ms N] [--drain-ms N]
                  [--max-connections N] [--rate-limit RPS:BURST]
                  [--out-buffer-cap BYTES] [--artifact-dir DIR]
                  [--port-file PATH]
@@ -174,14 +173,16 @@ repeat (DTD, query) pairs from the cache without recompiling.
 --port-file, written to PATH). --chunk-size sets the engine feed size for
 both request decoding and the response buffer threshold.
 
-By default connections are driven by epoll reactor event loops, so
+Every connection is one protocol state machine; on Linux epoll event
+loops drive them (elsewhere: one blocking thread per connection), so
 --workers bounds CPU parallelism while --max-connections bounds admission
 (over it: 503 + Retry-After). --reactor-threads spawns N loops, each with
 its own epoll instance, timer wheel, executor lane and SO_REUSEPORT
 listener (default: available cores, capped at 8); the kernel shards
-accepts across them. --rate-limit RPS:BURST arms a per-connection token
-bucket (over it: 429 + Retry-After, connection closed). --out-buffer-cap
-bounds per-connection response residency against slow readers. --threaded
-selects the blocking accept-loop + worker-pool mode instead, where
---workers is also the concurrent-connection limit.
+accepts across them. --read-timeout-ms bounds an idle keep-alive wait, a
+whole request head (absolute, from its first byte) and a stalled body;
+--write-timeout-ms bounds a client that stops reading its response.
+--rate-limit RPS:BURST arms a per-connection token bucket (over it: 429 +
+Retry-After, connection closed). --out-buffer-cap bounds per-connection
+response residency against slow readers.
 "#;

@@ -1,22 +1,8 @@
-//! Hand-rolled HTTP/1.1 wire protocol: incremental request parsing,
-//! bounded body readers (`Content-Length` and `Transfer-Encoding:
-//! chunked`), and response writing including the deferred-header
-//! streaming body the prune endpoint uses.
-//!
-//! Everything is written against `std::net::TcpStream` with a short
-//! socket poll interval; the configured read deadline and the server's
-//! shutdown/abort flags are enforced in software on top of it, so a
-//! worker parked on an idle keep-alive connection notices shutdown
-//! within [`POLL_INTERVAL`] instead of its full read timeout.
-
-use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
-
-/// Socket-level read timeout: the granularity at which blocked reads
-/// re-check deadlines and the shutdown/abort flags.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(50);
+//! Hand-rolled HTTP/1.1 vocabulary: the parsed request head, body
+//! framing rules, and response rendering. Everything here works on
+//! strings and byte buffers; [`crate::wire`] holds the incremental
+//! parsers and [`crate::conn`] the connection state machine that uses
+//! both.
 
 /// Protocol-level failures of one request.
 #[derive(Debug)]
@@ -30,153 +16,6 @@ pub enum HttpError {
     /// The request used a transfer coding this server does not
     /// implement → `501`.
     NotImplemented(String),
-    /// A read deadline expired mid-request → `408`.
-    Timeout,
-    /// The connection failed (or the server is aborting); no response
-    /// is possible.
-    Io(std::io::Error),
-    /// The peer closed (or shutdown arrived) between requests — a
-    /// clean end of the connection, not an error.
-    Closed,
-}
-
-impl From<std::io::Error> for HttpError {
-    fn from(e: std::io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
-
-/// Flags every connection read observes (owned by the server state).
-pub struct ConnFlags {
-    /// Graceful shutdown: stop *starting* requests.
-    pub shutdown: AtomicBool,
-    /// Drain deadline passed: stop *continuing* requests.
-    pub hard_abort: AtomicBool,
-}
-
-impl ConnFlags {
-    /// Both flags clear.
-    pub fn new() -> Self {
-        ConnFlags {
-            shutdown: AtomicBool::new(false),
-            hard_abort: AtomicBool::new(false),
-        }
-    }
-}
-
-impl Default for ConnFlags {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One server-side connection: the stream plus a read-ahead buffer
-/// (pipelined requests land here) and the read deadline machinery.
-pub struct Conn<'f> {
-    stream: TcpStream,
-    flags: &'f ConnFlags,
-    read_deadline: Duration,
-    buf: Vec<u8>,
-    pos: usize,
-    yield_waiters: Option<&'f std::sync::atomic::AtomicUsize>,
-    /// Absolute deadline for the *current operation* (set while a head
-    /// is being read). Without it, each `fill` call would restart its
-    /// own clock, and a client trickling one header byte per poll tick
-    /// could hold a worker forever (slowloris).
-    op_deadline: Option<Instant>,
-}
-
-impl<'f> Conn<'f> {
-    /// Wraps an accepted stream. `read_deadline` bounds each blocking
-    /// read; the write deadline is installed directly on the socket.
-    pub fn new(
-        stream: TcpStream,
-        flags: &'f ConnFlags,
-        read_deadline: Duration,
-        write_deadline: Duration,
-    ) -> std::io::Result<Conn<'f>> {
-        stream.set_read_timeout(Some(POLL_INTERVAL))?;
-        stream.set_write_timeout(Some(write_deadline))?;
-        Ok(Conn {
-            stream,
-            flags,
-            read_deadline,
-            buf: Vec::new(),
-            pos: 0,
-            yield_waiters: None,
-            op_deadline: None,
-        })
-    }
-
-    /// From now on, an *idle* wait for the next request closes the
-    /// connection as soon as `waiters` is nonzero. The worker pool is
-    /// fixed-size, so a keep-alive connection with nothing to say must
-    /// not pin a worker while accepted connections queue behind it —
-    /// closing between requests is legal HTTP/1.1 and clients
-    /// reconnect. Enabled only after the first served request, so a
-    /// fresh connection is never bounced before it is heard.
-    pub fn yield_to_waiters(&mut self, waiters: &'f std::sync::atomic::AtomicUsize) {
-        self.yield_waiters = Some(waiters);
-    }
-
-    /// The underlying stream, for response writing.
-    pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-
-    fn buffered(&self) -> &[u8] {
-        &self.buf[self.pos..]
-    }
-
-    /// Reads more bytes into the buffer. With `idle` set (between
-    /// requests) a shutdown flag or clean EOF maps to [`HttpError::Closed`].
-    fn fill(&mut self, idle: bool) -> Result<(), HttpError> {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        }
-        // A rolling per-call deadline (body reads make progress each
-        // call), unless an absolute operation deadline is in force.
-        let deadline = self
-            .op_deadline
-            .unwrap_or_else(|| Instant::now() + self.read_deadline);
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if self.flags.hard_abort.load(Ordering::Relaxed) {
-                return Err(HttpError::Io(std::io::Error::other("server aborting")));
-            }
-            if idle && self.flags.shutdown.load(Ordering::Relaxed) {
-                return Err(HttpError::Closed);
-            }
-            if idle {
-                if let Some(w) = self.yield_waiters {
-                    if w.load(Ordering::Relaxed) > 0 {
-                        return Err(HttpError::Closed);
-                    }
-                }
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(if idle {
-                        HttpError::Closed
-                    } else {
-                        HttpError::BadRequest("connection closed mid-request".to_string())
-                    })
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
-                    return Ok(());
-                }
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if Instant::now() >= deadline {
-                        return Err(if idle { HttpError::Closed } else { HttpError::Timeout });
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(HttpError::Io(e)),
-            }
-        }
-    }
 }
 
 /// A parsed request head.
@@ -277,42 +116,8 @@ pub fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Reads one request head off the connection, enforcing
-/// `max_header_bytes` on the whole head (request line + headers) and an
-/// *absolute* deadline from the first head byte to the final `CRLFCRLF`
-/// — a trickling client gets a 408 when the configured read deadline
-/// elapses, no matter how often it sends one more byte.
-pub fn read_head(conn: &mut Conn, max_header_bytes: usize) -> Result<RequestHead, HttpError> {
-    // Find the end-of-head marker, reading as needed.
-    let head_end = loop {
-        if let Some(i) = find_subsequence(conn.buffered(), b"\r\n\r\n") {
-            break i;
-        }
-        if conn.buffered().len() > max_header_bytes {
-            conn.op_deadline = None;
-            return Err(HttpError::HeadersTooLarge);
-        }
-        let idle = conn.buffered().is_empty();
-        if !idle && conn.op_deadline.is_none() {
-            conn.op_deadline = Some(Instant::now() + conn.read_deadline);
-        }
-        if let Err(e) = conn.fill(idle) {
-            conn.op_deadline = None;
-            return Err(e);
-        }
-    };
-    conn.op_deadline = None;
-    if head_end > max_header_bytes {
-        return Err(HttpError::HeadersTooLarge);
-    }
-    let head = String::from_utf8_lossy(&conn.buffered()[..head_end]).into_owned();
-    conn.pos += head_end + 4;
-    parse_head_str(&head)
-}
-
-/// Parses a complete request head (everything before `CRLFCRLF`). Shared
-/// by the blocking [`read_head`] and the reactor's buffer-level
-/// [`crate::wire::parse_head`].
+/// Parses a complete request head (everything before `CRLFCRLF`); the
+/// buffer-level entry point is [`crate::wire::parse_head`].
 pub(crate) fn parse_head_str(head: &str) -> Result<RequestHead, HttpError> {
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
@@ -402,155 +207,6 @@ pub fn body_kind(head: &RequestHead) -> Result<BodyKind, HttpError> {
     }
 }
 
-enum BodyState {
-    Length { remaining: u64 },
-    /// Between chunks: the next thing on the wire is a chunk-size line.
-    ChunkSize,
-    /// Inside a chunk's data.
-    ChunkData { remaining: u64 },
-    Done,
-}
-
-/// An incremental reader of one request body, bounded by
-/// `max_body_bytes`. `Content-Length` bodies count down; chunked bodies
-/// are decoded frame by frame, so each [`BodyReader::read_some`] hands
-/// back decoded document bytes as they arrive — this is what feeds the
-/// push tokenizer without ever materializing the document.
-pub struct BodyReader<'c, 'f> {
-    conn: &'c mut Conn<'f>,
-    state: BodyState,
-    max_body_bytes: u64,
-    total: u64,
-}
-
-impl<'c, 'f> BodyReader<'c, 'f> {
-    /// A reader for the body framing `kind`.
-    pub fn new(conn: &'c mut Conn<'f>, kind: BodyKind, max_body_bytes: u64) -> Self {
-        let state = match kind {
-            BodyKind::None => BodyState::Done,
-            BodyKind::Length(0) => BodyState::Done,
-            BodyKind::Length(n) => BodyState::Length { remaining: n },
-            BodyKind::Chunked => BodyState::ChunkSize,
-        };
-        BodyReader {
-            conn,
-            state,
-            max_body_bytes,
-            total: 0,
-        }
-    }
-
-    /// Decoded body bytes consumed so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Reads some decoded body bytes into `buf`; `Ok(0)` means the body
-    /// is complete (keep-alive framing is intact).
-    pub fn read_some(&mut self, buf: &mut [u8]) -> Result<usize, HttpError> {
-        loop {
-            match self.state {
-                BodyState::Done => return Ok(0),
-                BodyState::Length { remaining } => {
-                    let n = self.read_capped(buf, remaining)?;
-                    let remaining = remaining - n as u64;
-                    self.state = if remaining == 0 {
-                        BodyState::Done
-                    } else {
-                        BodyState::Length { remaining }
-                    };
-                    return Ok(n);
-                }
-                BodyState::ChunkSize => {
-                    let line = self.read_line()?;
-                    let size_hex = line.split(';').next().unwrap_or("").trim();
-                    let size = u64::from_str_radix(size_hex, 16).map_err(|_| {
-                        HttpError::BadRequest(format!("bad chunk size line '{line}'"))
-                    })?;
-                    if size == 0 {
-                        // Trailer section: lines until an empty one.
-                        loop {
-                            if self.read_line()?.is_empty() {
-                                break;
-                            }
-                        }
-                        self.state = BodyState::Done;
-                        return Ok(0);
-                    }
-                    self.state = BodyState::ChunkData { remaining: size };
-                }
-                BodyState::ChunkData { remaining } => {
-                    let n = self.read_capped(buf, remaining)?;
-                    let remaining = remaining - n as u64;
-                    if remaining == 0 {
-                        let crlf = self.read_line()?;
-                        if !crlf.is_empty() {
-                            return Err(HttpError::BadRequest(
-                                "chunk data not CRLF-terminated".to_string(),
-                            ));
-                        }
-                        self.state = BodyState::ChunkSize;
-                    } else {
-                        self.state = BodyState::ChunkData { remaining };
-                    }
-                    if n > 0 {
-                        return Ok(n);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Consumes and discards the rest of the body (to keep the
-    /// connection's framing intact for the next request).
-    pub fn drain(&mut self) -> Result<(), HttpError> {
-        let mut sink = [0u8; 16 * 1024];
-        while self.read_some(&mut sink)? > 0 {}
-        Ok(())
-    }
-
-    fn bump_total(&mut self, n: usize) -> Result<(), HttpError> {
-        self.total += n as u64;
-        if self.total > self.max_body_bytes {
-            return Err(HttpError::BodyTooLarge);
-        }
-        Ok(())
-    }
-
-    fn read_capped(&mut self, buf: &mut [u8], cap: u64) -> Result<usize, HttpError> {
-        if self.conn.buffered().is_empty() {
-            self.conn.fill(false)?;
-        }
-        let avail = self.conn.buffered().len();
-        let n = avail.min(buf.len()).min(cap as usize);
-        buf[..n].copy_from_slice(&self.conn.buffered()[..n]);
-        self.conn.pos += n;
-        self.bump_total(n)?;
-        Ok(n)
-    }
-
-    fn read_line(&mut self) -> Result<String, HttpError> {
-        let mut line = Vec::new();
-        loop {
-            while self.conn.pos < self.conn.buf.len() {
-                let b = self.conn.buf[self.conn.pos];
-                self.conn.pos += 1;
-                if b == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return Ok(String::from_utf8_lossy(&line).into_owned());
-                }
-                line.push(b);
-                if line.len() > 1024 {
-                    return Err(HttpError::BadRequest("over-long framing line".to_string()));
-                }
-            }
-            self.conn.fill(false)?;
-        }
-    }
-}
-
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -587,10 +243,8 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes a complete `Content-Length`-framed response. The single
-/// source of the response wire format: the blocking [`write_response`]
-/// and the reactor's output buffers both go through here, which is what
-/// keeps the two serve modes byte-identical.
+/// Serializes a complete `Content-Length`-framed response: the single
+/// source of the response wire format.
 pub(crate) fn render_response(
     status: u16,
     content_type: &str,
@@ -650,32 +304,6 @@ pub(crate) fn render_json_error_with(
     render_response_with(status, "application/json", body.as_bytes(), false, extra_headers)
 }
 
-/// Writes a complete `Content-Length`-framed response.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, content_type, body, keep_alive))?;
-    stream.flush()
-}
-
-/// Writes a structured JSON error body:
-/// `{"error":{"code":"…","message":"…"}}`. Error responses always close
-/// the connection — the request body may not have been consumed, so the
-/// framing cannot be trusted for a next request.
-pub fn write_json_error(
-    stream: &mut TcpStream,
-    status: u16,
-    code: &str,
-    message: &str,
-) -> std::io::Result<()> {
-    stream.write_all(&render_json_error(status, code, message))?;
-    stream.flush()
-}
-
 /// The head of a streaming-body response that committed to chunked
 /// transfer (prune bytes or query frames).
 pub(crate) fn streaming_prune_head(content_type: &str, keep_alive: bool) -> String {
@@ -692,120 +320,6 @@ pub(crate) fn buffered_prune_head(content_type: &str, body_len: usize, keep_aliv
         "HTTP/1.1 200 OK\r\ncontent-type: {content_type}\r\ncontent-length: {body_len}\r\nconnection: {}\r\n\r\n",
         if keep_alive { "keep-alive" } else { "close" },
     )
-}
-
-/// The prune endpoint's response body: buffers pruned output until it
-/// exceeds `threshold`, then commits to a `200` chunked streaming
-/// response. If the whole pruned document fits in the buffer, the
-/// response is sent `Content-Length`-framed instead — and, crucially, a
-/// prune *error* detected before the threshold is crossed can still
-/// become a structured `4xx`, because no header has been written yet.
-///
-/// Resident memory is bounded by `threshold` + one write, preserving
-/// the engine's O(depth + max-token) guarantee at the HTTP layer.
-pub struct StreamingBody<'s> {
-    stream: &'s mut TcpStream,
-    buffer: Vec<u8>,
-    threshold: usize,
-    keep_alive: bool,
-    streaming: bool,
-    content_type: &'static str,
-    /// Largest buffered + in-transit byte count seen (for metrics).
-    peak_buffered: usize,
-}
-
-impl<'s> StreamingBody<'s> {
-    /// A body writer for one prune response (`application/xml`).
-    pub fn new(stream: &'s mut TcpStream, threshold: usize, keep_alive: bool) -> Self {
-        Self::with_content_type(stream, threshold, keep_alive, "application/xml")
-    }
-
-    /// A body writer with an explicit content-type (the query endpoint
-    /// streams `application/x-ndjson` match frames).
-    pub fn with_content_type(
-        stream: &'s mut TcpStream,
-        threshold: usize,
-        keep_alive: bool,
-        content_type: &'static str,
-    ) -> Self {
-        StreamingBody {
-            stream,
-            buffer: Vec::new(),
-            threshold,
-            keep_alive,
-            streaming: false,
-            content_type,
-            peak_buffered: 0,
-        }
-    }
-
-    /// Whether response headers are already on the wire (after which
-    /// errors can only abort the connection).
-    pub fn headers_sent(&self) -> bool {
-        self.streaming
-    }
-
-    /// High-water mark of bytes buffered before streaming began.
-    pub fn peak_buffered(&self) -> usize {
-        self.peak_buffered
-    }
-
-    fn start_streaming(&mut self) -> std::io::Result<()> {
-        let head = streaming_prune_head(self.content_type, self.keep_alive);
-        self.stream.write_all(head.as_bytes())?;
-        self.streaming = true;
-        if !self.buffer.is_empty() {
-            let buffered = std::mem::take(&mut self.buffer);
-            self.write_chunk(&buffered)?;
-        }
-        Ok(())
-    }
-
-    fn write_chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        write!(self.stream, "{:x}\r\n", data.len())?;
-        self.stream.write_all(data)?;
-        self.stream.write_all(b"\r\n")
-    }
-
-    /// Terminates a successful response: the final chunk in streaming
-    /// mode, or the whole `Content-Length` response if everything fit
-    /// in the buffer.
-    pub fn finish_ok(self) -> std::io::Result<()> {
-        if self.streaming {
-            self.stream.write_all(b"0\r\n\r\n")?;
-        } else {
-            let head = buffered_prune_head(self.content_type, self.buffer.len(), self.keep_alive);
-            self.stream.write_all(head.as_bytes())?;
-            self.stream.write_all(&self.buffer)?;
-        }
-        self.stream.flush()
-    }
-}
-
-impl Write for StreamingBody<'_> {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        if self.streaming {
-            self.write_chunk(data)?;
-        } else {
-            self.buffer.extend_from_slice(data);
-            self.peak_buffered = self.peak_buffered.max(self.buffer.len());
-            if self.buffer.len() > self.threshold {
-                self.start_streaming()?;
-            }
-        }
-        Ok(data.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        if self.streaming {
-            self.stream.flush()
-        } else {
-            Ok(())
-        }
-    }
 }
 
 #[cfg(test)]

@@ -29,24 +29,24 @@
 //!   in-flight requests up to a deadline, report drained/aborted.
 //!
 //! The architecture is deliberately in the spirit of the rest of the
-//! workspace (`testkit`, `engine`): hand-rolled on `std` only. The
-//! default core (Linux) is an epoll **reactor** (`xproj-reactor`):
-//! `--reactor-threads` event loops, each with its own `SO_REUSEPORT`
-//! listener, timer wheel and executor lane, own every connection as a
-//! state machine — head, body, streaming prune/query, write — with
-//! absolute head/idle/write deadlines, a connection admission limit
-//! (`503`), per-connection output backpressure and an optional
-//! token-bucket rate limit (`429`); CPU work (artifact setup, tokenizer
-//! feeds) is handed to a small executor pool and comes back over an
-//! eventfd waker, so a slow or idle client costs a slab slot, not a
-//! thread. The `--threaded` core — a blocking accept loop feeding a
-//! fixed scoped-thread worker pool over an `mpsc` channel, one
-//! keep-alive connection per worker — is the portable fallback and the
-//! differential reference; both build their responses in
-//! [`handlers`], which keeps them byte-identical. Header/body limits
-//! (`431`/`413`) apply in both, and engine and protocol errors map to
-//! structured `4xx` JSON bodies carrying the stable codes of
-//! [`xproj_core::ErrorCode`].
+//! workspace (`testkit`, `engine`): hand-rolled on `std` only, and in
+//! two layers. [`conn::Connection`] is the whole protocol as a pure
+//! state machine — head, body, streaming prune/query, response framing,
+//! absolute head/idle/write deadlines, per-connection output
+//! backpressure, an optional token-bucket rate limit (`429`),
+//! header/body limits (`431`/`413`), keep-alive and drain accounting —
+//! with no socket, clock or thread inside; engine and protocol errors
+//! map to structured `4xx` JSON bodies carrying the stable codes of
+//! [`xproj_core::ErrorCode`]. A *driver* feeds it bytes, write
+//! progress, timer expiries and job completions, and there are two,
+//! chosen by the build target, never by a flag: on Linux the epoll
+//! driver (`xproj-reactor`) runs `--reactor-threads` event loops, each
+//! with its own `SO_REUSEPORT` listener, timer wheel and executor lane,
+//! so a slow or idle client costs a slab slot, not a thread, and CPU
+//! work (artifact setup, tokenizer feeds) comes back over an eventfd
+//! waker; elsewhere a small portable driver runs one blocking thread
+//! per connection over the same machine. Both enforce the connection
+//! admission limit (`503`).
 //!
 //! ```no_run
 //! use xproj_server::{Server, ServerConfig};
@@ -61,20 +61,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod conn;
+#[cfg(target_os = "linux")]
+mod epoll;
 pub mod handlers;
 pub mod http;
 pub mod metrics;
-#[cfg(target_os = "linux")]
-mod reactor_serve;
+mod portable;
 pub mod state;
 pub mod wire;
 
 pub use metrics::{Endpoint, LatencyHistogram, ServerMetrics};
-pub use state::{ServeMode, ServerConfig, ServerState};
+pub use state::{ServerConfig, ServerState};
 
+use conn::Connection;
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What graceful shutdown left behind.
@@ -89,9 +92,74 @@ pub struct ShutdownReport {
     pub requests: u64,
 }
 
+impl ShutdownReport {
+    fn new(state: &ServerState, aborted: u64) -> ShutdownReport {
+        ShutdownReport {
+            drained: state.metrics.drained.load(Ordering::Relaxed),
+            aborted,
+            requests: state.metrics.requests.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// How long an accept loop backs off after accept fails persistently
+/// (fd exhaustion). Retrying on a clock instead of on readiness keeps a
+/// level-triggered listener from spinning at 100% CPU while the process
+/// is out of descriptors.
+const ACCEPT_STALL_BACKOFF: Duration = Duration::from_millis(25);
+
+/// What a failed `accept` means for the loop that called it.
+enum AcceptFailure {
+    /// The backlog is empty (non-blocking listener): wait for readiness.
+    Drained,
+    /// This attempt was lost but the listener is fine: accept again.
+    Transient,
+    /// Persistent failure (counted in `accept_stalls`): leave the
+    /// listener alone for [`ACCEPT_STALL_BACKOFF`].
+    Stalled,
+}
+
+/// The one classification of accept errors, shared by both drivers.
+fn classify_accept_error(e: &std::io::Error, state: &ServerState) -> AcceptFailure {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock => AcceptFailure::Drained,
+        // A signal, or a handshake that died before we got to it
+        // (ECONNABORTED): the slot was consumed, keep accepting.
+        std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted => {
+            AcceptFailure::Transient
+        }
+        _ => {
+            state.metrics.accept_stalls.fetch_add(1, Ordering::Relaxed);
+            AcceptFailure::Stalled
+        }
+    }
+}
+
+/// Admission control for a freshly accepted socket: the machine that
+/// will serve it, or — past `config.max_connections` live connections,
+/// summed across every loop — one that only delivers `503` +
+/// `Retry-After: 1` and closes (counted in `admission_rejects`). The
+/// flag says whether the connection was admitted, i.e. counted in
+/// `open_conns` and to be released by the driver when it ends.
+fn admit(state: &ServerState, now: Instant) -> (Connection, bool) {
+    if state.open_conns.load(Ordering::Relaxed) >= state.config.max_connections {
+        state.metrics.admission_rejects.fetch_add(1, Ordering::Relaxed);
+        let reply = http::render_json_error_with(
+            503,
+            "overloaded",
+            "connection limit reached, retry shortly",
+            &[("retry-after", "1")],
+        );
+        return (Connection::refusing(reply, state, now), false);
+    }
+    state.metrics.connections.fetch_add(1, Ordering::Relaxed);
+    state.open_conns.fetch_add(1, Ordering::Relaxed);
+    (Connection::new(state, now), true)
+}
+
 /// A bound, not-yet-serving instance of `xmlpruned`.
 ///
-/// Reactor mode with `reactor_threads > 1` binds one `SO_REUSEPORT`
+/// On Linux with `reactor_threads > 1` it binds one `SO_REUSEPORT`
 /// listener per event loop so the kernel shards accepts across them;
 /// every other configuration holds a single plain listener.
 pub struct Server {
@@ -115,15 +183,15 @@ impl Server {
         Ok(Server { listeners, state })
     }
 
-    /// One plain listener, or — reactor mode on Linux with more than
-    /// one loop — a group of `SO_REUSEPORT` listeners on the same port.
-    /// Port 0 resolves once (on the first bind); the rest of the group
-    /// binds the resolved port so the whole set shares it.
+    /// One plain listener, or — on Linux with more than one event loop
+    /// — a group of `SO_REUSEPORT` listeners on the same port. Port 0
+    /// resolves once (on the first bind); the rest of the group binds
+    /// the resolved port so the whole set shares it.
     fn bind_listeners(config: &ServerConfig) -> std::io::Result<Vec<TcpListener>> {
         #[cfg(target_os = "linux")]
         {
             let n = config.reactor_threads.max(1);
-            if config.mode == ServeMode::Reactor && n > 1 {
+            if n > 1 {
                 use std::net::ToSocketAddrs;
                 let addr = config
                     .addr
@@ -161,118 +229,40 @@ impl Server {
     /// Runs the server until shutdown, then drains and reports. Blocks
     /// the calling thread.
     ///
-    /// Dispatches on [`ServerConfig::mode`]: the default
-    /// [`ServeMode::Reactor`] runs the epoll event loop (one thread
-    /// owns every connection as a state machine; the worker pool only
-    /// executes CPU work), while [`ServeMode::Threaded`] runs the
-    /// blocking accept loop + worker pool. On non-Linux targets the
-    /// reactor is unavailable and both modes take the threaded path.
+    /// The driver is chosen by the build target: the epoll event loops
+    /// on Linux, the portable thread-per-connection loop elsewhere.
+    /// Both drive the same [`conn::Connection`] machine.
     pub fn serve(self) -> std::io::Result<ShutdownReport> {
-        let state = self.state();
-        let report = match self.state.config.mode {
-            #[cfg(target_os = "linux")]
-            ServeMode::Reactor => {
-                let Server { listeners, state } = self;
-                reactor_serve::serve(listeners, &state)
-            }
-            #[cfg(not(target_os = "linux"))]
-            ServeMode::Reactor => self.serve_threaded(),
-            ServeMode::Threaded => self.serve_threaded(),
-        }?;
+        #[cfg(target_os = "linux")]
+        return self.run(epoll::serve);
+        #[cfg(not(target_os = "linux"))]
+        self.serve_portable()
+    }
+
+    /// [`Server::serve`] on the portable driver regardless of target —
+    /// how its tests reach it on Linux. It runs one accept loop on one
+    /// listener, so bind with `reactor_threads: 1` there: the kernel
+    /// deals connections to every member of an `SO_REUSEPORT` group
+    /// from the moment it is bound.
+    #[doc(hidden)]
+    pub fn serve_portable(self) -> std::io::Result<ShutdownReport> {
+        self.run(|mut listeners, state| {
+            listeners.truncate(1);
+            portable::serve(listeners.remove(0), state)
+        })
+    }
+
+    fn run(
+        self,
+        driver: impl FnOnce(Vec<TcpListener>, &Arc<ServerState>) -> std::io::Result<ShutdownReport>,
+    ) -> std::io::Result<ShutdownReport> {
+        let Server { listeners, state } = self;
+        let report = driver(listeners, &state)?;
         // Persist the artifact cache for the next boot (best effort:
         // a failed save must not turn a clean shutdown into an error).
         if let Some(dir) = state.config.artifact_dir.as_ref() {
             let _ = state.cache.save_dir(dir);
         }
         Ok(report)
-    }
-
-    /// The blocking accept loop + fixed worker pool (`--threaded`).
-    ///
-    /// The pool is `config.workers` scoped threads consuming accepted
-    /// connections from a channel (the same zero-dependency
-    /// scoped-thread pattern as `xproj_engine::parallel_map`, extended
-    /// with a work queue because connections arrive over time). On
-    /// shutdown: the acceptor stops, the channel closes, each worker
-    /// finishes its in-flight request (counted *drained*); when the
-    /// drain deadline passes, remaining requests are counted *aborted*
-    /// and their connections torn down via the hard-abort flag.
-    fn serve_threaded(self) -> std::io::Result<ShutdownReport> {
-        let Server { mut listeners, state } = self;
-        let listener = listeners.remove(0);
-        drop(listeners); // threaded mode drives a single listener
-        let (tx, rx) = mpsc::channel::<std::net::TcpStream>();
-        let rx = Mutex::new(rx);
-        let aborted = std::thread::scope(|scope| {
-            for _ in 0..state.config.workers.max(1) {
-                let rx = &rx;
-                let state = &state;
-                scope.spawn(move || loop {
-                    // The guard drops at the end of this statement, so
-                    // the lock is released as soon as recv returns.
-                    let stream = rx.lock().unwrap().recv();
-                    match stream {
-                        Ok(s) => {
-                            state.queued.fetch_sub(1, Ordering::Relaxed);
-                            handlers::serve_connection(s, state);
-                        }
-                        Err(_) => break,
-                    }
-                });
-            }
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if state.is_shutting_down() {
-                            break; // the wake-up connection (or a racer)
-                        }
-                        state.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                        let _ = stream.set_nodelay(true);
-                        state.queued.fetch_add(1, Ordering::Relaxed);
-                        if tx.send(stream).is_err() {
-                            state.queued.fetch_sub(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                        if state.is_shutting_down() {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        // Persistent accept errors (fd exhaustion,
-                        // typically) are survivable: back off and retry
-                        // instead of permanently killing the listener.
-                        if state.is_shutting_down() {
-                            break;
-                        }
-                        state.metrics.accept_stalls.fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                }
-            }
-            // Close the queue: workers finish queued + in-flight work.
-            drop(tx);
-            let deadline = Instant::now() + state.config.drain_deadline;
-            while state.metrics.in_flight.load(Ordering::Relaxed) > 0
-                && Instant::now() < deadline
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            let aborted = state.metrics.in_flight.load(Ordering::Relaxed) as u64;
-            state
-                .metrics
-                .aborted
-                .fetch_add(aborted, Ordering::Relaxed);
-            // Past the deadline: force laggards' reads to fail so the
-            // scope's joins stay bounded by one poll interval.
-            state.hard_abort();
-            aborted
-        });
-        Ok(ShutdownReport {
-            drained: state.metrics.drained.load(Ordering::Relaxed),
-            aborted,
-            requests: state.metrics.requests.load(Ordering::Relaxed),
-        })
     }
 }

@@ -163,27 +163,28 @@ pub struct ServerMetrics {
     /// Requests still in flight when the drain deadline expired.
     pub aborted: AtomicU64,
     /// Connections refused at admission (`503` + `Retry-After`) because
-    /// `max_connections` was reached (reactor mode).
+    /// `max_connections` was reached.
     pub admission_rejects: AtomicU64,
     /// Requests refused by the per-connection token-bucket rate limiter
-    /// (`429` + `Retry-After`, reactor mode with `--rate-limit`).
+    /// (`429` + `Retry-After`, with `--rate-limit`).
     pub rate_limited: AtomicU64,
     /// Accept attempts that failed on a persistent error (fd
     /// exhaustion, typically) and paused the listener for a backoff
     /// instead of spinning on a level-triggered readiness storm.
     pub accept_stalls: AtomicU64,
-    /// CPU jobs handed to the executor pool (reactor mode).
+    /// CPU jobs handed to the executor pool (epoll driver).
     pub executor_jobs: AtomicU64,
     /// CPU jobs currently queued or running on the executor pool.
     pub executor_queue_depth: AtomicUsize,
     /// High-water mark of one connection's application-level residency
-    /// (input + output buffers + the engine session), in bytes
-    /// (reactor mode). The backpressure design bounds this by
-    /// O(out_buffer_cap + chunk + document depth) regardless of
-    /// document size or client behavior.
+    /// (input + output buffers + the engine session), in bytes — see
+    /// [`crate::conn::Connection::resident_bytes`]. The backpressure
+    /// design bounds this by O(out_buffer_cap + chunk + document depth)
+    /// regardless of document size or client behavior.
     pub max_conn_resident: AtomicU64,
-    /// Every event loop's own counters, installed once by reactor mode
-    /// (one entry per reactor thread); empty under `--threaded`.
+    /// Every event loop's own counters, installed once by the epoll
+    /// driver (one entry per reactor thread); empty under the portable
+    /// driver.
     /// `/metrics` sums them at scrape time so the exported keys stay
     /// identical whether one loop runs or eight do.
     reactors: Mutex<Vec<Arc<ReactorMetrics>>>,
@@ -230,8 +231,8 @@ impl ServerMetrics {
         }
     }
 
-    /// Links every event loop's counters into `/metrics` (reactor mode
-    /// calls this once at startup with one entry per reactor thread).
+    /// Links every event loop's counters into `/metrics` (the epoll
+    /// driver calls this once at startup, one entry per loop).
     pub fn set_reactors(&self, metrics: Vec<Arc<ReactorMetrics>>) {
         *self.reactors.lock().unwrap() = metrics;
     }

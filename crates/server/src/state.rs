@@ -1,41 +1,31 @@
 //! Shared server state: configuration, the DTD registry, the shared
 //! artifact cache, metrics, and the shutdown flags.
 
-use crate::http::ConnFlags;
 use crate::metrics::ServerMetrics;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use xproj_dtd::Dtd;
 use xproj_engine::{dtd_fingerprint, ArtifactCache, DEFAULT_CHUNK_SIZE};
 
-/// How the server drives its connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeMode {
-    /// The epoll reactor: one event-loop thread owns every connection
-    /// as a state machine; the worker pool only pumps CPU work. The
-    /// default on Linux (elsewhere it falls back to `Threaded`).
-    #[default]
-    Reactor,
-    /// The blocking accept loop + fixed worker pool (`--threaded`):
-    /// each worker owns one connection at a time. Kept for differential
-    /// testing and non-Linux targets.
-    Threaded,
-}
-
 /// Tunables of one server instance. `Default` is the configuration the
-/// `xmlpruned` binary starts with; every field has a CLI flag.
+/// `xmlpruned` binary starts with.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Fixed worker-pool size — also the max concurrent connections.
+    /// CPU-work executor threads, split across the event loops. Bounds
+    /// parallel engine work, not connections (`max_connections` does).
     pub workers: usize,
-    /// Deadline for each blocking read of one connection.
+    /// The read-side deadlines: how long a connection may sit idle
+    /// between requests, how long a whole request head may take from
+    /// its first byte (absolute), and how long a request body may make
+    /// no progress (rolling).
     pub read_timeout: Duration,
-    /// Socket write deadline.
+    /// How long queued response bytes may make no progress against a
+    /// client that is not reading before the connection is closed.
     pub write_timeout: Duration,
     /// Max bytes of a request head (request line + headers) → `431`.
     pub max_header_bytes: usize,
@@ -53,28 +43,25 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// How long graceful shutdown waits for in-flight requests.
     pub drain_deadline: Duration,
-    /// Connection driving strategy (reactor vs blocking pool).
-    pub mode: ServeMode,
-    /// Reactor-mode event-loop count (`--reactor-threads`). Each loop
-    /// owns its own epoll instance, timer wheel, executor lane, and
-    /// `SO_REUSEPORT`-bound listener; the kernel shards accepts across
-    /// them. Defaults to the available cores, capped at 8. Ignored by
-    /// the threaded mode.
+    /// Event-loop count of the epoll driver (`--reactor-threads`). Each
+    /// loop owns its own epoll instance, timer wheel, executor lane,
+    /// and `SO_REUSEPORT`-bound listener; the kernel shards accepts
+    /// across them. Defaults to the available cores, capped at 8. The
+    /// portable driver (one thread per connection) ignores it.
     pub reactor_threads: usize,
     /// Per-connection token-bucket rate limit as `(requests/second,
     /// burst)` (`--rate-limit rps:burst`). A connection that exhausts
     /// its bucket is answered `429` + `Retry-After` and closed.
-    /// `None` (the default) disables the limiter. Reactor mode only.
+    /// `None` (the default) disables the limiter.
     pub rate_limit: Option<(f64, f64)>,
-    /// Reactor-mode admission limit: connections past this many are
-    /// answered `503` + `Retry-After` and closed. (The threaded mode's
-    /// admission limit is implicitly its worker count.)
+    /// Admission limit: connections past this many are answered `503`
+    /// + `Retry-After` and closed.
     pub max_connections: usize,
-    /// Reactor-mode per-connection output-buffer cap: once this many
-    /// response bytes are waiting on a slow client, the connection
-    /// stops feeding the pruner and stops reading — TCP pushes back on
-    /// the sender. The residency bound per connection is
-    /// O(this + chunk + depth).
+    /// Per-connection output-buffer cap: once this many response bytes
+    /// are waiting on a slow client, the connection stops feeding the
+    /// engine, stops reading and stops starting pipelined requests —
+    /// TCP pushes back on the sender. The residency bound per
+    /// connection is O(this + chunk + depth).
     pub out_buffer_cap: usize,
     /// Where compiled query artifacts persist (`--artifact-dir`).
     /// Loaded at bind, saved at graceful shutdown, so a restarted
@@ -96,7 +83,6 @@ impl Default for ServerConfig {
             response_buffer_bytes: DEFAULT_CHUNK_SIZE,
             cache_capacity: 64,
             drain_deadline: Duration::from_secs(5),
-            mode: ServeMode::default(),
             reactor_threads: default_reactor_threads(),
             rate_limit: None,
             max_connections: 16 * 1024,
@@ -115,7 +101,7 @@ pub fn default_reactor_threads() -> usize {
         .min(8)
 }
 
-/// Everything the worker pool shares.
+/// Everything connections, drivers and executor workers share.
 pub struct ServerState {
     /// The configuration the server was built with.
     pub config: ServerConfig,
@@ -124,41 +110,41 @@ pub struct ServerState {
     /// The shared compiled-artifact cache ("analyse once, prune and
     /// query many"): `/v1/prune` and `/v1/query` share its entries.
     pub cache: ArtifactCache,
-    /// Accepted connections waiting for a free worker. Idle keep-alive
-    /// connections watch this and yield their worker when it is
-    /// nonzero (see [`crate::http::Conn::yield_to_waiters`]).
-    pub(crate) queued: AtomicUsize,
-    /// Admitted connections currently open across *all* reactor loops —
+    /// Admitted connections currently open across *all* event loops —
     /// the `max_connections` admission gate stays a whole-server bound
     /// even with `SO_REUSEPORT` sharding accepts over several loops.
     pub(crate) open_conns: AtomicUsize,
     dtds: Mutex<HashMap<u64, Arc<Dtd>>>,
-    flags: ConnFlags,
+    /// Graceful shutdown: stop *starting* requests.
+    shutdown: AtomicBool,
+    /// Drain deadline passed: stop *continuing* requests.
+    hard_abort: AtomicBool,
     local_addr: SocketAddr,
-    /// How `trigger_shutdown` wakes the serve loop. The reactor
-    /// installs its eventfd waker here; without a hook the threaded
-    /// loop falls back to the self-connect trick that unblocks a
-    /// blocking `accept`.
+    /// How `trigger_shutdown` wakes the driver out of its blocking
+    /// wait (an eventfd wake per event loop, a self-connect for the
+    /// portable accept loop). `None` until a driver is serving.
     wake_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl ServerState {
-    pub(crate) fn new(config: ServerConfig, local_addr: SocketAddr) -> Self {
+    /// The shared state of a server bound (or, for a driverless
+    /// simulation, notionally bound) to `local_addr`.
+    pub fn new(config: ServerConfig, local_addr: SocketAddr) -> Self {
         let cache = ArtifactCache::new(config.cache_capacity);
         ServerState {
             config,
             metrics: ServerMetrics::new(),
             cache,
-            queued: AtomicUsize::new(0),
             open_conns: AtomicUsize::new(0),
             dtds: Mutex::new(HashMap::new()),
-            flags: ConnFlags::new(),
+            shutdown: AtomicBool::new(false),
+            hard_abort: AtomicBool::new(false),
             local_addr,
             wake_hook: Mutex::new(None),
         }
     }
 
-    /// Installs the serve loop's wake callback (reactor mode only).
+    /// Installs the serving driver's wake callback.
     pub(crate) fn set_wake_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
         *self.wake_hook.lock().unwrap() = Some(hook);
     }
@@ -166,11 +152,6 @@ impl ServerState {
     /// The address the listener is actually bound to.
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// The shutdown/abort flags connections poll.
-    pub fn flags(&self) -> &ConnFlags {
-        &self.flags
     }
 
     /// Registers a DTD, returning `(fingerprint id, name count)`.
@@ -195,26 +176,27 @@ impl ServerState {
 
     /// Whether graceful shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.flags.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::Relaxed)
     }
 
     /// Requests graceful shutdown: stop accepting, drain in-flight
     /// requests, then return from `serve`. Safe to call from any
     /// thread (and from the `/admin/shutdown` handler); idempotent.
     pub fn trigger_shutdown(&self) {
-        if !self.flags.shutdown.swap(true, Ordering::SeqCst) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
             if let Some(hook) = self.wake_hook.lock().unwrap().as_ref() {
                 hook();
-            } else {
-                // No waker installed (threaded mode): a throwaway
-                // connection to ourselves unblocks the blocking
-                // accept immediately.
-                let _ = TcpStream::connect(self.local_addr);
             }
         }
     }
 
+    /// Whether the drain deadline has passed: requests finishing now
+    /// were aborted, not drained.
+    pub fn is_hard_aborting(&self) -> bool {
+        self.hard_abort.load(Ordering::Relaxed)
+    }
+
     pub(crate) fn hard_abort(&self) {
-        self.flags.hard_abort.store(true, Ordering::SeqCst);
+        self.hard_abort.store(true, Ordering::SeqCst);
     }
 }

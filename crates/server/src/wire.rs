@@ -1,17 +1,7 @@
-//! Sans-io HTTP/1.1 parsing for the reactor path.
-//!
-//! The blocking [`crate::http`] module parses straight off a
-//! `TcpStream`, pulling more bytes whenever it needs them. A reactor
-//! connection cannot do that — bytes arrive when epoll says so — so
-//! this module re-expresses the same grammar over plain byte buffers:
-//! [`parse_head`] over the connection's read buffer, and [`BodyDecoder`]
-//! as an incremental decoder that consumes input as it arrives and
-//! never blocks. Both return "need more input" instead of reading.
-//!
-//! The grammar itself (head shape, coding lists, chunked framing,
-//! limits) is shared with the blocking path — `parse_head` delegates to
-//! the same parser `read_head` uses, which is what makes the two serve
-//! modes byte-identical in the differential tests.
+//! Sans-I/O HTTP/1.1 parsing over plain byte buffers: [`parse_head`]
+//! over a connection's receive buffer, and [`BodyDecoder`] as an
+//! incremental decoder that consumes input as it arrives. Both return
+//! "need more input" instead of reading; [`crate::conn`] feeds them.
 
 use crate::http::{find_subsequence, parse_head_str, BodyKind, HttpError, RequestHead};
 
@@ -52,9 +42,7 @@ enum DecodeState {
 }
 
 /// An incremental decoder of one request body: push wire bytes in,
-/// decoded document bytes come out. The sans-io mirror of
-/// [`crate::http::BodyReader`], enforcing the same `max_body_bytes`
-/// bound and the same framing errors.
+/// decoded document bytes come out, bounded by `max_body_bytes`.
 pub struct BodyDecoder {
     state: DecodeState,
     max_body_bytes: u64,
