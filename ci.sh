@@ -20,7 +20,7 @@ if grep -rn --include='*.rs' -E 'unsafe (fn|impl|trait|\{)|unsafe\{' src crates 
     exit 1
 fi
 
-echo "== one-loop gate (grep: no second token cursor, no deleted facade) =="
+echo "== one-loop gate (grep: no second token cursor, no second pass object, no deleted facade) =="
 # `PushTokenizer::drain` is the only token loop. The raw cursor
 # (`RawKind`, `peek_token`/`advance`) survives in push.rs for the frozen
 # benchmark ladder only; the pull reader and the ProjectorCache facade
@@ -28,6 +28,20 @@ echo "== one-loop gate (grep: no second token cursor, no deleted facade) =="
 if grep -rn --include='*.rs' -E 'RawKind::|XmlReader|ProjectorCache|legacy_cache|\.next_event\(' src crates/*/src \
     | grep -v '^crates/xmltree/src/push\.rs:'; then
     echo "one-loop gate: found a second token cursor or a deleted facade" >&2
+    exit 1
+fi
+# `QueryMachine` is the only owned per-document pass (the server feeds
+# nothing else) and `xmlprune prune` has one path: the session types,
+# the error chain and the helpers that forked them must not come back,
+# in the sources or in any test; the retired CLI flag may be spelled
+# only by the unknown-flag test in tests/cli.rs.
+if grep -rnE '\b(PruneSession|StreamSession|StreamError|QueryError|prune_reader_buffered|finish_with_sink|run_chunked_prune)\b' \
+    src crates/*/src crates/*/tests tests; then
+    echo "one-loop gate: found a second pass object or its error chain" >&2
+    exit 1
+fi
+if grep -rn -e '--chunked' src crates/*/src; then
+    echo "one-loop gate: found the retired --chunked flag" >&2
     exit 1
 fi
 

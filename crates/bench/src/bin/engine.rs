@@ -13,7 +13,7 @@
 
 use xproj_bench::Timer;
 use xproj_core::{prune_str, StaticAnalyzer};
-use xproj_engine::{prune_reader, ArtifactCache};
+use xproj_engine::{ArtifactCache, ChunkedPruner};
 use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
 
 fn main() {
@@ -41,8 +41,9 @@ fn main() {
         let label = format!("chunked_{}k", chunk_size / 1024);
         timer.bench_bytes("chunked_prune", &label, xml.len(), || {
             let mut out = Vec::with_capacity(xml.len() / 4);
-            let stats =
-                prune_reader(xml.as_bytes(), &mut out, &dtd, &projector, chunk_size).unwrap();
+            let stats = ChunkedPruner::new(&*dtd, &projector, &mut out)
+                .run(xml.as_bytes(), chunk_size)
+                .unwrap();
             (out.len(), stats.peak_resident_bytes)
         });
     }

@@ -51,5 +51,5 @@ pub use infer::{AnalyzeError, TraceEvent, TraceRule};
 pub use prune::prune_document;
 pub use stream::{
     prune_str, prune_str_fast, prune_validate_str, ErrorCode, MachineSink, PruneCounters,
-    PruneMachine, StartOutcome, StreamPruneError, StreamPruneResult,
+    PruneMachine, StartOutcome, StreamPruneError, StreamPruneResult, Validator,
 };

@@ -342,18 +342,32 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
 /// kept bytes append to `out`. `E` is the driver's error type — the
 /// whole-string functions here use [`StreamPruneError`], the chunked
 /// engine its own — so one sink serves every driver.
+///
+/// With a [`Validator`] attached the pass also validates (§6: "prune the
+/// document while validating it"): every event first advances the
+/// content-model automaton of the open element — pruned elements
+/// included, they must still be valid — and only then reaches the
+/// machine, and no subtree is ever reported skippable.
 pub struct MachineSink<'a, D: Borrow<Dtd>, E> {
     machine: &'a mut PruneMachine<D>,
     out: &'a mut String,
+    validator: Option<&'a mut Validator>,
     error: PhantomData<E>,
 }
 
 impl<'a, D: Borrow<Dtd>, E> MachineSink<'a, D, E> {
-    /// Sits `machine` under a drain, appending kept output to `out`.
-    pub fn new(machine: &'a mut PruneMachine<D>, out: &'a mut String) -> Self {
+    /// Sits `machine` under a drain, appending kept output to `out`;
+    /// `validator`, if any, checks every event against the machine's
+    /// grammar first.
+    pub fn new(
+        machine: &'a mut PruneMachine<D>,
+        out: &'a mut String,
+        validator: Option<&'a mut Validator>,
+    ) -> Self {
         MachineSink {
             machine,
             out,
+            validator,
             error: PhantomData,
         }
     }
@@ -365,42 +379,47 @@ impl<D: Borrow<Dtd>, E: From<ParseError> + From<StreamPruneError>> TokenSink
     type Error = E;
 
     fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, E> {
+        if let Some(v) = &mut self.validator {
+            v.start(self.machine.dtd.borrow(), name)?;
+        }
         let outcome = self.machine.start_element_raw(name, attrs_raw, self.out)?;
-        Ok(outcome == StartOutcome::PrunedSubtree)
+        // A validating pass must see every event.
+        Ok(self.validator.is_none() && outcome == StartOutcome::PrunedSubtree)
     }
 
     fn end(&mut self, name: &str) -> Result<(), E> {
+        if let Some(v) = &mut self.validator {
+            v.end(self.machine.dtd.borrow(), name)?;
+        }
         self.machine.end_element(name, self.out);
         Ok(())
     }
 
     fn text(&mut self, decoded: &str) -> Result<(), E> {
+        if let Some(v) = &mut self.validator {
+            v.text(self.machine.dtd.borrow())?;
+        }
         self.machine.text(decoded, self.out);
         Ok(())
     }
 }
 
-/// DTD validation layered over a pruning sink (§6: "prune the document
-/// while validating it"): every event first advances the content-model
-/// automaton of the open element — pruned elements included, they must
-/// still be valid — and only then reaches the machine.
-struct Validating<'a, S> {
-    dtd: &'a Dtd,
-    /// `(name, NFA state-set)` per open element, kept or pruned.
+/// The state of a fused validating pass: one `(name, NFA state-set)`
+/// pair per open element, kept or pruned — O(depth). It lives outside
+/// the per-drain [`MachineSink`] so a chunked driver can carry it from
+/// one feed to the next.
+#[derive(Debug, Default)]
+pub struct Validator {
     open: Vec<(NameId, Vec<u32>)>,
     max_depth: usize,
-    inner: S,
 }
 
 fn invalid(m: String) -> StreamPruneError {
     StreamPruneError::Xml(format!("validation: {m}"))
 }
 
-impl<S: TokenSink<Error = StreamPruneError>> TokenSink for Validating<'_, S> {
-    type Error = StreamPruneError;
-
-    fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, StreamPruneError> {
-        let dtd = self.dtd;
+impl Validator {
+    fn start(&mut self, dtd: &Dtd, name: &str) -> Result<(), StreamPruneError> {
         let nm = dtd
             .name_of_tag_str(name)
             .ok_or_else(|| StreamPruneError::UndeclaredElement(name.to_string()))?;
@@ -432,24 +451,21 @@ impl<S: TokenSink<Error = StreamPruneError>> TokenSink for Validating<'_, S> {
             .start();
         self.open.push((nm, states));
         self.max_depth = self.max_depth.max(self.open.len());
-        // Never skippable: a validating pass must see every event.
-        self.inner.start(name, attrs_raw)?;
-        Ok(false)
+        Ok(())
     }
 
-    fn end(&mut self, name: &str) -> Result<(), StreamPruneError> {
+    fn end(&mut self, dtd: &Dtd, name: &str) -> Result<(), StreamPruneError> {
         let (nm, states) = self.open.pop().expect("the token loop guarantees balance");
-        let auto = self.dtd.automaton(nm).expect("content model");
+        let auto = dtd.automaton(nm).expect("content model");
         if !auto.accepts(&states) {
             return Err(invalid(format!(
                 "content of '{name}' does not match its model"
             )));
         }
-        self.inner.end(name)
+        Ok(())
     }
 
-    fn text(&mut self, decoded: &str) -> Result<(), StreamPruneError> {
-        let dtd = self.dtd;
+    fn text(&mut self, dtd: &Dtd) -> Result<(), StreamPruneError> {
         let Some((parent, states)) = self.open.last_mut() else {
             return Ok(());
         };
@@ -466,7 +482,16 @@ impl<S: TokenSink<Error = StreamPruneError>> TokenSink for Validating<'_, S> {
                 dtd.label(*parent)
             )));
         }
-        self.inner.text(decoded)
+        Ok(())
+    }
+
+    /// Ends the pass: the document's nesting depth (pruned elements
+    /// included), or the error for a document with no root element.
+    pub fn finish(&self) -> Result<usize, StreamPruneError> {
+        if self.max_depth == 0 {
+            return Err(invalid("document has no root element".to_string()));
+        }
+        Ok(self.max_depth)
     }
 }
 
@@ -491,25 +516,15 @@ fn prune_whole(
 ) -> Result<StreamPruneResult, StreamPruneError> {
     let mut output = String::with_capacity(input.len() / 2);
     let mut machine = PruneMachine::new(dtd, projector);
-    let mut sink = MachineSink::new(&mut machine, &mut output);
+    let mut validator = (pass == Pass::Validate).then(Validator::default);
+    drain_str(
+        input,
+        &mut MachineSink::<_, StreamPruneError>::new(&mut machine, &mut output, validator.as_mut()),
+        pass == Pass::FastForward,
+    )?;
     // Validation tracks pruned elements too, so its depth is the
     // document's, not just the kept spine's.
-    let mut validated_depth = None;
-    if pass == Pass::Validate {
-        let mut sink = Validating {
-            dtd,
-            open: Vec::with_capacity(32),
-            max_depth: 0,
-            inner: sink,
-        };
-        drain_str(input, &mut sink, false)?;
-        if sink.max_depth == 0 {
-            return Err(invalid("document has no root element".to_string()));
-        }
-        validated_depth = Some(sink.max_depth);
-    } else {
-        drain_str(input, &mut sink, pass == Pass::FastForward)?;
-    }
+    let validated_depth = validator.map(|v| v.finish()).transpose()?;
     let c = machine.finish()?;
     Ok(StreamPruneResult {
         output,

@@ -7,13 +7,13 @@
 //! queue head) and, on top of it, a file-to-file batch pruning run used
 //! by `xmlprune --jobs`.
 
-use crate::chunked::{prune_reader_buffered, EngineError};
+use crate::chunked::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 use crate::metrics::EngineStats;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use xproj_core::{ErrorCode, Projector};
+use xproj_core::{ErrorCode, Projector, ProjectorTable};
 use xproj_dtd::Dtd;
 
 /// A failed engine run: the stable machine-readable code plus the
@@ -53,43 +53,21 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    parallel_map_init(items, jobs, || (), |(), i, t| f(i, t))
-}
-
-/// [`parallel_map`] where every worker thread carries its own state
-/// built once by `init` — a reusable chunk buffer, a scratch string, a
-/// connection — so per-item work can run allocation-free in steady
-/// state. Results come back in input order.
-pub fn parallel_map_init<T, R, S, I, F>(items: &[T], jobs: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     let jobs = jobs.max(1).min(items.len().max(1));
     if jobs == 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = f(&mut state, i, &items[i]);
-                    *results[i].lock().unwrap() = Some(r);
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
                 }
+                let r = f(i, &items[i]);
+                *results[i].lock().unwrap() = Some(r);
             });
         }
     });
@@ -137,18 +115,20 @@ impl BatchReport {
 
 /// Prunes every job's input file to its output file, `jobs` files at a
 /// time, streaming each through the chunked engine (so a batch of huge
-/// documents needs O(jobs × depth) memory, not O(total size)).
+/// documents needs O(jobs × depth) memory, not O(total size)); with
+/// `validate`, each pass also validates its document against the DTD.
 pub fn run_batch(
     batch: Vec<BatchJob>,
     dtd: &Dtd,
     projector: &Projector,
-    chunk_size: usize,
+    validate: bool,
     jobs: usize,
 ) -> BatchReport {
     let jobs = jobs.max(1).min(batch.len().max(1));
-    // Each worker owns one chunk buffer for its whole share of the batch.
-    let results = parallel_map_init(&batch, jobs, Vec::new, |buf, _, job| {
-        prune_file(job, dtd, projector, chunk_size, buf).map_err(EngineFailure::from)
+    // One verdict table for the batch; each document runs from a copy.
+    let table = ProjectorTable::new(dtd, projector);
+    let results = parallel_map(&batch, jobs, |_, job| {
+        prune_file(job, dtd, &table, validate).map_err(EngineFailure::from)
     });
     let mut aggregate = EngineStats::default();
     let items: Vec<BatchItemReport> = batch
@@ -171,13 +151,14 @@ pub fn run_batch(
 fn prune_file(
     job: &BatchJob,
     dtd: &Dtd,
-    projector: &Projector,
-    chunk_size: usize,
-    buf: &mut Vec<u8>,
+    table: &ProjectorTable,
+    validate: bool,
 ) -> Result<EngineStats, EngineError> {
-    let input = BufReader::new(std::fs::File::open(&job.input)?);
+    let input = std::fs::File::open(&job.input)?;
     let output = BufWriter::new(std::fs::File::create(&job.output)?);
-    prune_reader_buffered(input, output, dtd, projector, chunk_size, buf)
+    let mut pruner = ChunkedPruner::with_table(dtd, table.clone(), output);
+    pruner.set_validate(validate);
+    pruner.run(input, DEFAULT_CHUNK_SIZE)
 }
 
 #[cfg(test)]
@@ -238,7 +219,7 @@ mod tests {
             expected.push(prune_str(&doc, &dtd, &projector).unwrap().output);
             batch.push(BatchJob { input, output });
         }
-        let report = run_batch(batch, &dtd, &projector, 16, 4);
+        let report = run_batch(batch, &dtd, &projector, false, 4);
         assert_eq!(report.failures(), 0);
         assert_eq!(report.aggregate.documents, 8);
         for (item, want) in report.items.iter().zip(&expected) {
@@ -266,7 +247,7 @@ mod tests {
                 output: dir.join("good.out"),
             },
         ];
-        let report = run_batch(batch, &dtd, &p, 64, 2);
+        let report = run_batch(batch, &dtd, &p, false, 2);
         assert_eq!(report.failures(), 1);
         assert_eq!(
             report.items[0].result.as_ref().unwrap_err().code,

@@ -16,12 +16,14 @@ use crate::metrics::EngineStats;
 use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::time::Instant;
-use xproj_core::{MachineSink, Projector, ProjectorTable, PruneMachine, StreamPruneError};
+use xproj_core::{
+    MachineSink, Projector, ProjectorTable, PruneMachine, StreamPruneError, Validator,
+};
 use xproj_dtd::Dtd;
 use xproj_xmltree::events::ParseError;
 use xproj_xmltree::push::{Drained, PushTokenizer};
 
-/// Default chunk size for [`prune_reader`].
+/// Default read size for [`ChunkedPruner::run`].
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
 
 /// Errors from the chunked engine.
@@ -34,6 +36,10 @@ pub enum EngineError {
     Prune(StreamPruneError),
     /// Reading the source or writing the sink failed.
     Io(std::io::Error),
+    /// The reference evaluator rejected the query against this document
+    /// (a [`crate::QueryMachine`] on a fallback plan only; e.g. a type
+    /// error in a comparison).
+    Eval(String),
 }
 
 impl EngineError {
@@ -45,6 +51,7 @@ impl EngineError {
             EngineError::Xml(_) => xproj_core::ErrorCode::MalformedXml,
             EngineError::Prune(e) => e.code(),
             EngineError::Io(_) => xproj_core::ErrorCode::Io,
+            EngineError::Eval(_) => xproj_core::ErrorCode::BadQuery,
         }
     }
 }
@@ -55,6 +62,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Xml(e) => write!(f, "chunked prune: {e}"),
             EngineError::Prune(e) => write!(f, "chunked prune: {e}"),
             EngineError::Io(e) => write!(f, "chunked prune: I/O: {e}"),
+            EngineError::Eval(e) => write!(f, "query evaluation: {e}"),
         }
     }
 }
@@ -104,7 +112,10 @@ impl From<std::io::Error> for EngineError {
 pub struct ChunkedPruner<D: Borrow<Dtd>, W: Write> {
     tokenizer: PushTokenizer,
     machine: PruneMachine<D>,
-    sink: W,
+    /// Fused validation (§6): the open-element automaton states, carried
+    /// from feed to feed. `None` when the pass only prunes.
+    validator: Option<Validator>,
+    pub(crate) sink: W,
     /// Kept bytes of the current feed, drained to the sink afterwards.
     scratch: String,
     stats: EngineStats,
@@ -133,6 +144,7 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
         ChunkedPruner {
             tokenizer: PushTokenizer::new(),
             machine: PruneMachine::with_table(dtd, table),
+            validator: None,
             sink,
             scratch: String::new(),
             stats: EngineStats {
@@ -157,6 +169,17 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
         self.fast_forward = on;
     }
 
+    /// Makes the pass validate the document against the DTD while
+    /// pruning it (§6's "prune while validating"; default off). Call
+    /// before the first feed. A validating pass sees every event —
+    /// pruned subtrees must be valid too — so fast-forward does not
+    /// engage, and `max_depth` reports the document's nesting depth, not
+    /// just the kept spine's. Costs one content-model state set per open
+    /// element: still O(depth).
+    pub fn set_validate(&mut self, on: bool) {
+        self.validator = on.then(Validator::default);
+    }
+
     /// Feeds one chunk of the serialized document: every token it
     /// completes runs through the machine, then the kept bytes go to the
     /// sink.
@@ -166,10 +189,26 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
         let t0 = Instant::now();
         self.tokenizer.push_bytes(chunk)?;
         let done = self.tokenizer.drain(
-            &mut MachineSink::<_, EngineError>::new(&mut self.machine, &mut self.scratch),
+            &mut MachineSink::<_, EngineError>::new(
+                &mut self.machine,
+                &mut self.scratch,
+                self.validator.as_mut(),
+            ),
             self.fast_forward,
         )?;
         self.flush(done, t0)
+    }
+
+    /// Feeds all of `input` in `chunk_size`-byte reads, then finishes.
+    pub fn run<R: Read>(mut self, mut input: R, chunk_size: usize) -> Result<EngineStats, EngineError> {
+        let mut buf = vec![0; chunk_size.max(1)];
+        loop {
+            let n = input.read(&mut buf)?;
+            if n == 0 {
+                return self.finish();
+            }
+            self.feed(&buf[..n])?;
+        }
     }
 
     /// Books what a drain started at `t0` did and hands the scratch to
@@ -200,30 +239,38 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     /// means some path buffered the document, which is exactly the bug
     /// this engine exists to rule out.
     pub fn finish(self) -> Result<EngineStats, EngineError> {
-        self.finish_with_sink().map(|(stats, _)| stats)
+        self.finish_parts().map(|(stats, _)| stats)
     }
 
-    /// [`Self::finish`], additionally handing the sink back to the
-    /// caller. Owned-sink drivers (the server's [`crate::PruneSession`])
-    /// need this: the trailing kept bytes are flushed into the sink
-    /// during finish, so dropping it here would lose them.
-    pub fn finish_with_sink(mut self) -> Result<(EngineStats, W), EngineError> {
+    /// [`Self::finish`], additionally handing the sink back: the
+    /// trailing kept bytes are flushed into it during finish, so an
+    /// owned-sink driver ([`crate::QueryMachine`]) must not lose it.
+    pub(crate) fn finish_parts(mut self) -> Result<(EngineStats, W), EngineError> {
         // Only a trailing text run can surface here; subtree starts
         // always complete before EOF.
         let t0 = Instant::now();
         let done = self
             .tokenizer
-            .finish_into(&mut MachineSink::<_, EngineError>::new(&mut self.machine, &mut self.scratch))?;
+            .finish_into(&mut MachineSink::<_, EngineError>::new(
+                &mut self.machine,
+                &mut self.scratch,
+                self.validator.as_mut(),
+            ))?;
         self.flush(done, t0)?;
         let ChunkedPruner {
             tokenizer,
             machine,
+            validator,
             mut sink,
             mut stats,
             max_chunk,
             ..
         } = self;
+        let validated_depth = validator.map(|v| v.finish()).transpose()?;
         stats.counters = machine.finish()?;
+        if let Some(depth) = validated_depth {
+            stats.counters.max_depth = depth;
+        }
         stats.max_token_bytes = tokenizer.max_token_bytes();
         sink.flush()?;
         // The hard memory-bound assertion: resident buffering is O(depth
@@ -253,57 +300,6 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     pub fn resident_bytes(&self) -> usize {
         self.tokenizer.buffered() + self.scratch.len()
     }
-
-    /// The sink, for owned-sink drivers that drain kept output between
-    /// feeds (e.g. a `Vec<u8>` sink emptied onto a socket).
-    pub fn sink_mut(&mut self) -> &mut W {
-        &mut self.sink
-    }
-
-    /// Read-only view of the sink (backpressure checks).
-    pub fn sink_ref(&self) -> &W {
-        &self.sink
-    }
-}
-
-/// Drives a whole `io::Read` through a [`ChunkedPruner`] in
-/// `chunk_size`-byte reads.
-pub fn prune_reader<R: Read, W: Write>(
-    input: R,
-    sink: W,
-    dtd: &Dtd,
-    projector: &Projector,
-    chunk_size: usize,
-) -> Result<EngineStats, EngineError> {
-    let mut buf = Vec::new();
-    prune_reader_buffered(input, sink, dtd, projector, chunk_size, &mut buf)
-}
-
-/// [`prune_reader`] with a caller-owned chunk buffer, so steady-state
-/// drivers (batch workers, server connections) allocate nothing per
-/// document. The buffer is grown to `chunk_size` once and reused across
-/// calls.
-pub fn prune_reader_buffered<R: Read, W: Write>(
-    mut input: R,
-    sink: W,
-    dtd: &Dtd,
-    projector: &Projector,
-    chunk_size: usize,
-    buf: &mut Vec<u8>,
-) -> Result<EngineStats, EngineError> {
-    let chunk_size = chunk_size.max(1);
-    if buf.len() < chunk_size {
-        buf.resize(chunk_size, 0);
-    }
-    let mut pruner = ChunkedPruner::new(dtd, projector, sink);
-    loop {
-        let n = input.read(&mut buf[..chunk_size])?;
-        if n == 0 {
-            break;
-        }
-        pruner.feed(&buf[..n])?;
-    }
-    pruner.finish()
 }
 
 #[cfg(test)]
@@ -327,7 +323,9 @@ mod tests {
 
     fn chunked(doc: &str, dtd: &xproj_dtd::Dtd, p: &Projector, size: usize) -> (Vec<u8>, EngineStats) {
         let mut out = Vec::new();
-        let stats = prune_reader(doc.as_bytes(), &mut out, dtd, p, size).unwrap();
+        let stats = ChunkedPruner::new(dtd, p, &mut out)
+            .run(doc.as_bytes(), size)
+            .unwrap();
         (out, stats)
     }
 
@@ -415,7 +413,8 @@ mod tests {
         let dtd = parse_dtd(DTD, "bib").unwrap();
         let p = Projector::full(&dtd);
         let mut out = Vec::new();
-        let err = prune_reader("<bib><zzz/></bib>".as_bytes(), &mut out, &dtd, &p, 4)
+        let err = ChunkedPruner::new(&dtd, &p, &mut out)
+            .run("<bib><zzz/></bib>".as_bytes(), 4)
             .unwrap_err();
         assert!(matches!(err, EngineError::Prune(StreamPruneError::UndeclaredElement(_))));
     }
@@ -426,7 +425,7 @@ mod tests {
         let p = Projector::full(&dtd);
         let mut out = Vec::new();
         assert!(matches!(
-            prune_reader("<bib><book>".as_bytes(), &mut out, &dtd, &p, 3),
+            ChunkedPruner::new(&dtd, &p, &mut out).run("<bib><book>".as_bytes(), 3),
             Err(EngineError::Xml(_))
         ));
     }
@@ -437,7 +436,7 @@ mod tests {
         let p = Projector::full(&dtd);
         let mut out = Vec::new();
         assert!(matches!(
-            prune_reader("".as_bytes(), &mut out, &dtd, &p, 8),
+            ChunkedPruner::new(&dtd, &p, &mut out).run("".as_bytes(), 8),
             Err(EngineError::Prune(_))
         ));
     }

@@ -3,30 +3,41 @@
 //! The core crates implement the paper's algorithms over complete
 //! in-memory strings; this crate turns them into a deployable engine
 //! (§6's "faster than parsing, O(depth) memory" deployment mode, and
-//! the journal version's fused streaming emphasis):
+//! the journal version's fused streaming emphasis). One loop, one
+//! machine:
 //!
-//! * [`chunked`] — incremental push-mode pruning over `io::Read` →
-//!   `io::Write`: [`xproj_core::PruneMachine`] as a sink under the one
-//!   token loop of `xproj_xmltree::push`. Resident memory is **asserted** to be
-//!   O(depth + max single-token length), never O(document).
+//! * [`chunked`] — [`ChunkedPruner`]: incremental push-mode pruning,
+//!   bytes in by `feed` (or a whole `io::Read` by `run`), kept bytes out
+//!   to an `io::Write`: [`xproj_core::PruneMachine`] as a sink under the
+//!   one token loop of `xproj_xmltree::push`. Resident memory is
+//!   **asserted** to be O(depth + max single-token length), never
+//!   O(document). Two flags: `set_fast_forward` (default on; off makes
+//!   the pass a full well-formedness check) and `set_validate` (§6's
+//!   "prune while validating", the content-model states carried from
+//!   feed to feed).
+//! * [`query`] — [`QueryMachine`]: the one owned, movable per-document
+//!   pass a server hands between threads. Its [`QueryOutput`] says what
+//!   the answer is — x-ndjson match frames, the bare result sequence, or
+//!   the pruned document itself (by Thm 4.6 just another answer) — and
+//!   the artifact's compiled plan says how: the path NFA as a sink under
+//!   the same loop, or a `ChunkedPruner` into a buffer, evaluated at the
+//!   end (fallback plan) or handed out as it stands (`Pruned`). One
+//!   error type ([`EngineError`]) and one stats value ([`QueryStats`],
+//!   wrapping the pruner's [`EngineStats`]) come out of every mode.
 //! * the query compiler's [`ArtifactCache`] (`xproj-qc`, re-exported
 //!   here) — an LRU over `(DTD fingerprint, normalized query)` so
 //!   repeated workloads skip re-inference ("analyse once, prune many
 //!   documents"); a prune and a query request for the same pair share
-//!   one [`QueryArtifact`], whose verdict table both engines run from.
-//! * [`query`] — the compiled-query [`QueryMachine`]: prune **and
-//!   answer** in one streaming pass, executing the artifact's compiled
-//!   plan (NFA program or prune-then-eval fallback) as a sink under the
-//!   same loop.
+//!   one [`QueryArtifact`], whose verdict table every pass copies.
 //! * [`batch`] — a zero-dependency scoped-thread parallel driver for
 //!   pruning many documents concurrently.
-//! * [`metrics`] — [`EngineStats`] threaded through all of the above:
-//!   events, bytes in/out, retention, depth, peak-resident bytes,
-//!   per-stage timings; serialized as the workspace's JSON-lines format.
+//! * [`metrics`] — [`EngineStats`]: events, bytes in/out, retention,
+//!   depth, peak-resident bytes, per-stage timings; serialized as the
+//!   workspace's JSON-lines format.
 //!
 //! ```
 //! use std::sync::Arc;
-//! use xproj_engine::{prune_reader, ArtifactCache};
+//! use xproj_engine::{ArtifactCache, ChunkedPruner, QueryMachine, QueryOutput};
 //!
 //! let dtd = Arc::new(xproj_dtd::parse_dtd(
 //!     "<!ELEMENT bib (book*)> <!ELEMENT book (title, author*)>\
@@ -38,11 +49,21 @@
 //!
 //! let doc = "<bib><book><title>T</title><author>A</author></book></bib>";
 //! let mut pruned = Vec::new();
-//! let stats = prune_reader(doc.as_bytes(), &mut pruned, &dtd, &artifact.projector, 8).unwrap();
+//! let stats = ChunkedPruner::new(&*dtd, &artifact.projector, &mut pruned)
+//!     .run(doc.as_bytes(), 8)
+//!     .unwrap();
 //! assert_eq!(pruned, b"<bib><book><title>T</title></book></bib>");
 //! assert!(stats.retention() < 1.0);
-//! assert!(cache.get_or_compile(&dtd, "/bib/book/title").is_ok());
-//! assert_eq!(cache.stats().hits, 1);
+//!
+//! // The same pass as an owned machine, fed in arbitrary pieces:
+//! let mut machine = QueryMachine::new(artifact, QueryOutput::Pruned);
+//! let mut out = Vec::new();
+//! machine.feed(&doc.as_bytes()[..20]).unwrap();
+//! machine.feed(&doc.as_bytes()[20..]).unwrap();
+//! machine.finish().unwrap();
+//! machine.take_output(&mut out);
+//! assert_eq!(out, pruned);
+//! assert_eq!(cache.stats().misses, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,15 +73,11 @@ pub mod batch;
 pub mod chunked;
 pub mod metrics;
 pub mod query;
-pub mod session;
 
-pub use batch::{parallel_map, parallel_map_init, run_batch, BatchJob, BatchReport, EngineFailure};
-pub use chunked::{
-    prune_reader, prune_reader_buffered, ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE,
-};
+pub use batch::{parallel_map, run_batch, BatchJob, BatchReport, EngineFailure};
+pub use chunked::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 pub use metrics::{error_json_line, EngineStats, StageTimings};
-pub use query::{json_escape_into, run_query, QueryError, QueryMachine, QueryOutput, QueryStats};
-pub use session::PruneSession;
+pub use query::{json_escape_into, run_query, QueryMachine, QueryOutput, QueryStats};
 pub use xproj_qc::{
     dtd_fingerprint, normalize_query, ArtifactCache, ArtifactCacheStats, QueryArtifact,
 };

@@ -138,21 +138,12 @@ impl EngineStats {
 /// human-readable message (escaped), in the same `grep '^{' | jq`
 /// collectable shape.
 pub fn error_json_line(label: &str, code: ErrorCode, message: &str) -> String {
-    let mut escaped = String::with_capacity(message.len());
-    for c in message.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\r' => escaped.push_str("\\r"),
-            '\t' => escaped.push_str("\\t"),
-            c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-            c => escaped.push(c),
-        }
-    }
+    let mut escaped = Vec::with_capacity(message.len());
+    crate::query::json_escape_into(message, &mut escaped);
     format!(
-        "{{\"group\":\"engine\",\"bench\":\"{label}\",\"error\":\"{}\",\"message\":\"{escaped}\"}}",
-        code.as_str()
+        "{{\"group\":\"engine\",\"bench\":\"{label}\",\"error\":\"{}\",\"message\":\"{}\"}}",
+        code.as_str(),
+        String::from_utf8(escaped).expect("escaping a str byte by byte leaves its UTF-8 intact")
     )
 }
 

@@ -19,6 +19,12 @@
 //! output to evaluating the query on the unpruned document; the
 //! differential fuzzer in `tests/query_pipeline.rs` holds them to that.
 //!
+//! The pruned document is itself an answer ([`QueryOutput::Pruned`]):
+//! the fallback pass without its evaluation step, the kept bytes handed
+//! out as they are produced. So a [`QueryMachine`] is the one
+//! per-document pass object — what `/v1/prune` and `/v1/query` both
+//! drive.
+//!
 //! ## The NFA
 //!
 //! State `k` at a node means "the first `k` steps matched a root-to-here
@@ -40,7 +46,8 @@
 use std::sync::Arc;
 
 use crate::chunked::{ChunkedPruner, EngineError};
-use xproj_core::{ErrorCode, ProjectorTable, StreamPruneError, Verdict};
+use crate::metrics::EngineStats;
+use xproj_core::{ProjectorTable, StreamPruneError, Verdict};
 use xproj_dtd::{Dtd, NameId};
 use xproj_qc::{Plan, QueryArtifact, StepAxis, StepInstr, StepTest};
 use xproj_xmltree::document::{escape_attr, escape_text};
@@ -48,44 +55,6 @@ use xproj_xmltree::events::decode_entities;
 use xproj_xmltree::push::{Drained, PushTokenizer, RawAttrs, TokenSink};
 use xproj_xmltree::{parse_with_options, Document, ParseOptions};
 use xproj_xquery::{evaluate_query_items, serialize_item};
-
-/// Errors from a [`QueryMachine`].
-#[derive(Debug)]
-pub enum QueryError {
-    /// The streaming pass failed (malformed XML, undeclared element,
-    /// I/O) — same failure surface as the pruning engine.
-    Engine(EngineError),
-    /// The reference evaluator rejected the query against this document
-    /// (fallback plan only; e.g. a type error in a comparison).
-    Eval(String),
-}
-
-impl QueryError {
-    /// Stable machine-readable code (CLI `--stats`, HTTP 4xx bodies).
-    pub fn code(&self) -> ErrorCode {
-        match self {
-            QueryError::Engine(e) => e.code(),
-            QueryError::Eval(_) => ErrorCode::BadQuery,
-        }
-    }
-}
-
-impl std::fmt::Display for QueryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueryError::Engine(e) => write!(f, "{e}"),
-            QueryError::Eval(e) => write!(f, "query evaluation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
-
-impl From<EngineError> for QueryError {
-    fn from(e: EngineError) -> Self {
-        QueryError::Engine(e)
-    }
-}
 
 /// What a [`QueryMachine`] writes to its output buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,33 +64,28 @@ pub enum QueryOutput {
     /// The bare serialized result sequence, exactly as
     /// [`xproj_xquery::serialize_items`] would produce it (CLI).
     Answer,
+    /// The pruned document t∖π itself (`/v1/prune`): by Thm 4.6 just
+    /// another answer, and the fallback plan minus its evaluation step.
+    Pruned,
 }
 
-/// End-of-document statistics for one query execution.
-#[derive(Debug, Clone, Copy)]
+/// End-of-document statistics for one pass.
+#[derive(Debug, Clone)]
 pub struct QueryStats {
-    /// Which plan ran: `"streaming"` or `"fallback"`.
+    /// What ran: `"streaming"` or `"fallback"` (the artifact's plan), or
+    /// `"prune"` for [`QueryOutput::Pruned`].
     pub plan: &'static str,
     /// Result items emitted.
     pub matches: u64,
-    /// Parse events processed (undercounts inside fast-forwarded
-    /// subtrees, exactly like the pruner).
-    pub events: u64,
-    /// Input bytes fed.
-    pub bytes_in: u64,
-    /// Output bytes produced (frames or answer).
-    pub bytes_out: u64,
-    /// Pruned subtrees consumed by raw delimiter scan.
-    pub subtrees_fast_forwarded: u64,
-    /// Maximum element nesting depth seen.
-    pub max_depth: usize,
-    /// Peak engine-resident bytes (tokenizer tail + scratch) — the
-    /// O(depth + chunk) side of the ledger.
-    pub peak_resident_bytes: usize,
     /// Peak answer-resident bytes (open captures + undrained output; for
     /// the fallback plan, the buffered pruned document). Scales with the
     /// answer, not the input.
     pub peak_answer_bytes: usize,
+    /// The pass itself, in the pruner's terms: events (undercounted
+    /// inside fast-forwarded subtrees), bytes in and out, depth, the
+    /// O(depth + chunk) `peak_resident_bytes`. The keep/discard counters
+    /// are zero on the streaming plan, which serializes matches only.
+    pub engine: EngineStats,
 }
 
 impl QueryStats {
@@ -133,12 +97,12 @@ impl QueryStats {
              \"peak_answer_bytes\":{}}}",
             self.plan,
             self.matches,
-            self.events,
-            self.bytes_in,
-            self.bytes_out,
-            self.subtrees_fast_forwarded,
-            self.max_depth,
-            self.peak_resident_bytes,
+            self.engine.events,
+            self.engine.bytes_in,
+            self.engine.bytes_out,
+            self.engine.subtrees_fast_forwarded,
+            self.engine.counters.max_depth,
+            self.engine.peak_resident_bytes,
             self.peak_answer_bytes,
         )
     }
@@ -643,15 +607,12 @@ struct StreamExec {
     tokenizer: PushTokenizer,
     m: Matcher,
     fast_forward: bool,
-    events: u64,
-    bytes_in: u64,
-    ff_subtrees: u64,
-    peak_resident: usize,
+    stats: EngineStats,
 }
 
 impl StreamExec {
     fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
-        self.bytes_in += chunk.len() as u64;
+        self.stats.bytes_in += chunk.len() as u64;
         self.tokenizer.push_bytes(chunk)?;
         let done = self.tokenizer.drain(&mut self.m, self.fast_forward)?;
         self.book(done);
@@ -659,10 +620,11 @@ impl StreamExec {
     }
 
     fn book(&mut self, done: Drained) {
-        self.events += done.events;
-        self.ff_subtrees += done.fast_forwarded;
-        self.peak_resident = self
-            .peak_resident
+        self.stats.events += done.events;
+        self.stats.subtrees_fast_forwarded += done.fast_forwarded;
+        self.stats.peak_resident_bytes = self
+            .stats
+            .peak_resident_bytes
             .max(self.tokenizer.peak_buffered() + self.m.scratch.len());
     }
 
@@ -670,18 +632,18 @@ impl StreamExec {
         let done = self.tokenizer.finish_into(&mut self.m)?;
         self.book(done);
         self.m.finish_document()?;
+        self.stats.counters.max_depth = self.m.max_depth;
+        self.stats.max_token_bytes = self.tokenizer.max_token_bytes();
         Ok(())
     }
 }
 
-struct FallbackExec {
-    pruner: ChunkedPruner<Arc<Dtd>, Vec<u8>>,
-    bytes_in: u64,
-}
-
 enum Exec {
+    /// The compiled NFA, serializing matches as they stream past.
     Streaming(Box<StreamExec>),
-    Fallback(Box<FallbackExec>),
+    /// The pruner into an owned buffer: the whole pass for
+    /// [`QueryOutput::Pruned`], the first half of a fallback plan.
+    Pruner(Box<ChunkedPruner<Arc<Dtd>, Vec<u8>>>),
     Done,
 }
 
@@ -689,10 +651,10 @@ enum Exec {
 // The machine
 // ---------------------------------------------------------------------
 
-/// An owned, movable one-document query execution: feed chunks, drain
-/// output, finish for stats. Mirrors [`crate::PruneSession`]'s shape so
-/// both serving cores drive it identically (including backpressure via
-/// [`Self::pending_output`]).
+/// An owned, movable one-document pass: feed chunks, drain output,
+/// finish for stats. A self-contained `Send` value, so a server can hand
+/// it to a CPU worker and back between feeds, and stop reading input when
+/// [`Self::pending_output`] says its peer is not draining.
 pub struct QueryMachine {
     exec: Exec,
     out: Vec<u8>,
@@ -705,23 +667,32 @@ pub struct QueryMachine {
 }
 
 impl QueryMachine {
-    /// Starts an execution of `artifact` for one document.
+    /// Starts a pass of `artifact` over one document, running from the
+    /// artifact's grammar and a copy of its precomputed verdict table.
     pub fn new(artifact: Arc<QueryArtifact>, mode: QueryOutput) -> QueryMachine {
         let art = &artifact;
         let exec = match &art.plan {
-            Plan::Streaming(p) => Exec::Streaming(Box::new(StreamExec {
-                tokenizer: PushTokenizer::new(),
-                m: Matcher::new(Arc::clone(&art.dtd), art.table.clone(), p.steps.clone(), p.guard.clone()),
-                fast_forward: true,
-                events: 0,
-                bytes_in: 0,
-                ff_subtrees: 0,
-                peak_resident: 0,
-            })),
-            Plan::Fallback => Exec::Fallback(Box::new(FallbackExec {
-                pruner: ChunkedPruner::new(Arc::clone(&art.dtd), &art.projector, Vec::new()),
-                bytes_in: 0,
-            })),
+            Plan::Streaming(p) if mode != QueryOutput::Pruned => {
+                Exec::Streaming(Box::new(StreamExec {
+                    tokenizer: PushTokenizer::new(),
+                    m: Matcher::new(
+                        Arc::clone(&art.dtd),
+                        art.table.clone(),
+                        p.steps.clone(),
+                        p.guard.clone(),
+                    ),
+                    fast_forward: true,
+                    stats: EngineStats {
+                        documents: 1,
+                        ..Default::default()
+                    },
+                }))
+            }
+            _ => Exec::Pruner(Box::new(ChunkedPruner::with_table(
+                Arc::clone(&art.dtd),
+                art.table.clone(),
+                Vec::new(),
+            ))),
         };
         QueryMachine {
             exec,
@@ -740,36 +711,37 @@ impl QueryMachine {
         &self.artifact
     }
 
-    /// Which plan is running: `"streaming"` or `"fallback"`.
+    /// What is running: `"streaming"` or `"fallback"` (the artifact's
+    /// plan), or `"prune"` for [`QueryOutput::Pruned`].
     pub fn plan_label(&self) -> &'static str {
-        self.artifact.plan.label()
+        match self.mode {
+            QueryOutput::Pruned => "prune",
+            _ => self.artifact.plan.label(),
+        }
     }
 
     /// Enables or disables pruned-subtree fast-forward (default on).
-    /// Answers are identical either way on valid documents; with it off,
+    /// Output is identical either way on valid documents; with it off,
     /// the pass doubles as a full well-formedness check.
     pub fn set_fast_forward(&mut self, on: bool) {
         match &mut self.exec {
             Exec::Streaming(s) => s.fast_forward = on,
-            Exec::Fallback(f) => f.pruner.set_fast_forward(on),
+            Exec::Pruner(p) => p.set_fast_forward(on),
             Exec::Done => {}
         }
     }
 
     /// Feeds one chunk of the serialized document. Completed match
-    /// frames accumulate in the output buffer — drain with
+    /// frames (or kept bytes) accumulate as pending output — drain with
     /// [`Self::take_output`].
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<(), QueryError> {
+    pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
         let mut ready = Vec::new();
         match &mut self.exec {
             Exec::Streaming(s) => {
                 s.feed(chunk)?;
                 s.m.drain_ready(&mut ready);
             }
-            Exec::Fallback(f) => {
-                f.bytes_in += chunk.len() as u64;
-                f.pruner.feed(chunk)?;
-            }
+            Exec::Pruner(p) => p.feed(chunk)?,
             Exec::Done => panic!("query machine already finished"),
         }
         for v in &ready {
@@ -780,10 +752,11 @@ impl QueryMachine {
     }
 
     /// Ends the document: final matches (all of them, for the fallback
-    /// plan) and the summary frame land in the output buffer; drain with
-    /// a last [`Self::take_output`].
-    pub fn finish(&mut self) -> Result<QueryStats, QueryError> {
-        let mut stats = match std::mem::replace(&mut self.exec, Exec::Done) {
+    /// plan) and the summary frame, or the trailing kept bytes, become
+    /// pending output; drain with a last [`Self::take_output`]. A
+    /// pruner-backed pass also asserts the engine's memory bound here.
+    pub fn finish(&mut self) -> Result<QueryStats, EngineError> {
+        let mut engine = match std::mem::replace(&mut self.exec, Exec::Done) {
             Exec::Streaming(mut s) => {
                 s.finish_stream()?;
                 let mut ready = Vec::new();
@@ -791,84 +764,90 @@ impl QueryMachine {
                 for v in &ready {
                     self.emit_match(false, v);
                 }
-                QueryStats {
-                    plan: "streaming",
-                    matches: 0,
-                    events: s.events,
-                    bytes_in: s.bytes_in,
-                    bytes_out: 0,
-                    subtrees_fast_forwarded: s.ff_subtrees,
-                    max_depth: s.m.max_depth,
-                    peak_resident_bytes: s.peak_resident,
-                    peak_answer_bytes: 0,
-                }
+                s.stats
             }
-            Exec::Fallback(f) => {
-                let bytes_in = f.bytes_in;
-                let (estats, pruned) = f.pruner.finish_with_sink()?;
-                let pruned_len = pruned.len();
-                let text = String::from_utf8(pruned)
-                    .expect("pruned output re-serializes validated UTF-8 tokens");
-                // A fully pruned document (π empty) still evaluates: the
-                // query may construct output without reading any node.
-                let doc = if text.trim().is_empty() {
-                    Document::new()
+            Exec::Pruner(p) => {
+                let (engine, pruned) = p.finish_parts()?;
+                if self.mode == QueryOutput::Pruned {
+                    self.out = pruned;
                 } else {
-                    parse_with_options(
-                        &text,
-                        ParseOptions {
-                            ignore_whitespace_text: true,
-                            interner: Some(self.artifact.dtd.tags.clone()),
-                        },
-                    )
-                    .map_err(EngineError::Xml)?
-                };
-                let items = evaluate_query_items(&doc, &self.artifact.ast)
-                    .map_err(|e| QueryError::Eval(e.to_string()))?;
-                for it in &items {
-                    let v = serialize_item(&doc, it);
-                    self.emit_match(it.is_atom(), &v);
+                    self.evaluate(pruned)?;
                 }
-                self.peak_answer = self.peak_answer.max(pruned_len + self.out.len());
-                QueryStats {
-                    plan: "fallback",
-                    matches: 0,
-                    events: estats.events,
-                    bytes_in,
-                    bytes_out: 0,
-                    subtrees_fast_forwarded: estats.subtrees_fast_forwarded,
-                    max_depth: estats.counters.max_depth,
-                    peak_resident_bytes: estats.peak_resident_bytes,
-                    peak_answer_bytes: 0,
-                }
+                engine
             }
             Exec::Done => panic!("query machine already finished"),
         };
+        let plan = self.plan_label();
         if self.mode == QueryOutput::Frames {
             let summary = format!(
-                "{{\"done\":true,\"plan\":\"{}\",\"matches\":{},\"events\":{},\"bytes_in\":{},\
+                "{{\"done\":true,\"plan\":\"{plan}\",\"matches\":{},\"events\":{},\"bytes_in\":{},\
                  \"fast_forwarded\":{}}}\n",
-                stats.plan, self.emitted, stats.events, stats.bytes_in,
-                stats.subtrees_fast_forwarded,
+                self.emitted, engine.events, engine.bytes_in, engine.subtrees_fast_forwarded,
             );
             self.out.extend_from_slice(summary.as_bytes());
             self.bytes_out += summary.len() as u64;
         }
         self.note_answer_peak();
-        stats.matches = self.emitted;
-        stats.bytes_out = self.bytes_out;
-        stats.peak_answer_bytes = self.peak_answer;
-        Ok(stats)
+        if self.mode != QueryOutput::Pruned {
+            // A query's bytes out are its answer, not the pruned
+            // intermediate a fallback plan buffered.
+            engine.bytes_out = self.bytes_out;
+        }
+        Ok(QueryStats {
+            plan,
+            matches: self.emitted,
+            peak_answer_bytes: self.peak_answer,
+            engine,
+        })
+    }
+
+    /// The fallback plan's second half: parse the pruned document and
+    /// run the reference evaluator over it (sound by Thm 4.6).
+    fn evaluate(&mut self, pruned: Vec<u8>) -> Result<(), EngineError> {
+        let pruned_len = pruned.len();
+        let text =
+            String::from_utf8(pruned).expect("pruned output re-serializes validated UTF-8 tokens");
+        // A fully pruned document (π empty) still evaluates: the
+        // query may construct output without reading any node.
+        let doc = if text.trim().is_empty() {
+            Document::new()
+        } else {
+            parse_with_options(
+                &text,
+                ParseOptions {
+                    ignore_whitespace_text: true,
+                    interner: Some(self.artifact.dtd.tags.clone()),
+                },
+            )?
+        };
+        let items = evaluate_query_items(&doc, &self.artifact.ast)
+            .map_err(|e| EngineError::Eval(e.to_string()))?;
+        for it in &items {
+            let v = serialize_item(&doc, it);
+            self.emit_match(it.is_atom(), &v);
+        }
+        self.peak_answer = self.peak_answer.max(pruned_len + self.out.len());
+        Ok(())
     }
 
     /// Appends all pending output to `dst`, clearing it here.
     pub fn take_output(&mut self, dst: &mut Vec<u8>) {
+        // A pruning pass's kept bytes are output as they stand, straight
+        // from the pruner's buffer (a fallback plan's buffer is input to
+        // the evaluator instead).
+        if let (Exec::Pruner(p), QueryOutput::Pruned) = (&mut self.exec, self.mode) {
+            dst.append(&mut p.sink);
+        }
         dst.append(&mut self.out);
     }
 
     /// Bytes of output waiting to be taken — the backpressure signal.
     pub fn pending_output(&self) -> usize {
-        self.out.len()
+        let kept = match (&self.exec, self.mode) {
+            (Exec::Pruner(p), QueryOutput::Pruned) => p.sink.len(),
+            _ => 0,
+        };
+        kept + self.out.len()
     }
 
     /// Total resident bytes right now: engine-side buffers plus the
@@ -876,7 +855,7 @@ impl QueryMachine {
     pub fn resident_bytes(&self) -> usize {
         let exec = match &self.exec {
             Exec::Streaming(s) => s.tokenizer.buffered() + s.m.capture_bytes(),
-            Exec::Fallback(f) => f.pruner.resident_bytes() + f.pruner.sink_ref().len(),
+            Exec::Pruner(p) => p.resident_bytes() + p.sink.len(),
             Exec::Done => 0,
         };
         exec + self.out.len()
@@ -900,17 +879,18 @@ impl QueryMachine {
                 self.out.extend_from_slice(value.as_bytes());
                 self.prev_atom = atom;
             }
+            QueryOutput::Pruned => unreachable!("a pruning pass emits no matches"),
         }
         self.bytes_out += (self.out.len() - before) as u64;
         self.emitted += 1;
     }
 
     fn note_answer_peak(&mut self) {
-        let caps = match &self.exec {
+        let held = match &self.exec {
             Exec::Streaming(s) => s.m.capture_bytes(),
             _ => 0,
         };
-        self.peak_answer = self.peak_answer.max(caps + self.out.len());
+        self.peak_answer = self.peak_answer.max(held + self.pending_output());
     }
 }
 
@@ -942,7 +922,7 @@ pub fn run_query(
     mode: QueryOutput,
     fast_forward: bool,
     chunk_size: usize,
-) -> Result<(Vec<u8>, QueryStats), QueryError> {
+) -> Result<(Vec<u8>, QueryStats), EngineError> {
     let mut machine = QueryMachine::new(Arc::clone(artifact), mode);
     machine.set_fast_forward(fast_forward);
     let mut out = Vec::new();
@@ -958,6 +938,7 @@ pub fn run_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xproj_core::{prune_str, ErrorCode};
     use xproj_dtd::parse_dtd;
     use xproj_xquery::{evaluate_query, parse_xquery};
 
@@ -1051,7 +1032,7 @@ mod tests {
         );
         assert!(lines[2].starts_with("{\"done\":true,\"plan\":\"streaming\",\"matches\":2,"));
         assert_eq!(stats.matches, 2);
-        assert_eq!(stats.bytes_out, text.len() as u64);
+        assert_eq!(stats.engine.bytes_out, text.len() as u64);
     }
 
     #[test]
@@ -1071,9 +1052,9 @@ mod tests {
         let (fast, fs) = answer("//title", DOC, true, 4096);
         let (plain, ps) = answer("//title", DOC, false, 4096);
         assert_eq!(fast, plain);
-        assert!(fs.subtrees_fast_forwarded > 0, "price/author subtrees skip");
-        assert_eq!(ps.subtrees_fast_forwarded, 0);
-        assert!(fs.events < ps.events);
+        assert!(fs.engine.subtrees_fast_forwarded > 0, "price/author subtrees skip");
+        assert_eq!(ps.engine.subtrees_fast_forwarded, 0);
+        assert!(fs.engine.events < ps.engine.events);
     }
 
     #[test]
@@ -1097,9 +1078,9 @@ mod tests {
         machine.take_output(&mut out);
         assert_eq!(stats.matches, 500);
         assert!(
-            stats.peak_resident_bytes < 2048,
+            stats.engine.peak_resident_bytes < 2048,
             "engine-resident {} should be token-scale",
-            stats.peak_resident_bytes
+            stats.engine.peak_resident_bytes
         );
         assert!(
             peak_waiting < 1024,
@@ -1147,23 +1128,110 @@ mod tests {
         assert_send::<QueryMachine>();
     }
 
+    /// The executor handoff in miniature: each feed happens on a fresh
+    /// thread, with the machine moved there and back.
     #[test]
     fn machine_survives_thread_hops_between_feeds() {
-        let art = artifact("//title");
-        let mut machine = QueryMachine::new(art, QueryOutput::Answer);
-        machine.feed(&DOC.as_bytes()[..20]).unwrap();
-        let mut machine = std::thread::spawn(move || {
-            machine.feed(&DOC.as_bytes()[20..]).unwrap();
-            machine
-        })
-        .join()
-        .unwrap();
-        machine.finish().unwrap();
+        for mode in [QueryOutput::Answer, QueryOutput::Pruned] {
+            let mut machine = QueryMachine::new(artifact("//title"), mode);
+            for chunk in DOC.as_bytes().chunks(7) {
+                let chunk = chunk.to_vec();
+                machine = std::thread::spawn(move || {
+                    machine.feed(&chunk).unwrap();
+                    machine
+                })
+                .join()
+                .unwrap();
+            }
+            machine.finish().unwrap();
+            let mut out = Vec::new();
+            machine.take_output(&mut out);
+            let want = match mode {
+                QueryOutput::Pruned => pruned("//title"),
+                _ => reference("//title", DOC),
+            };
+            assert_eq!(String::from_utf8(out).unwrap(), want);
+        }
+    }
+
+    fn pruned(query: &str) -> String {
+        let art = artifact(query);
+        prune_str(DOC, &art.dtd, &art.projector).unwrap().output
+    }
+
+    #[test]
+    fn pruned_mode_matches_prune_str_with_interleaved_drains() {
+        // A streaming-plan and a fallback-plan artifact: the plan is
+        // irrelevant to a pruning pass.
+        for q in ["/bib/book/title", "count(//book)"] {
+            let art = artifact(q);
+            let want = prune_str(DOC, &art.dtd, &art.projector).unwrap();
+            for size in [1, 3, 16, 4096] {
+                let mut m = QueryMachine::new(Arc::clone(&art), QueryOutput::Pruned);
+                let mut out = Vec::new();
+                for chunk in DOC.as_bytes().chunks(size) {
+                    m.feed(chunk).unwrap();
+                    // Drain mid-document, like a server does after
+                    // every executor round-trip.
+                    m.take_output(&mut out);
+                }
+                let stats = m.finish().unwrap();
+                m.take_output(&mut out);
+                assert_eq!(m.pending_output(), 0);
+                assert_eq!(String::from_utf8(out).unwrap(), want.output, "{q}, chunk {size}");
+                assert_eq!(stats.plan, "prune");
+                assert_eq!(stats.matches, 0);
+                assert_eq!(stats.engine.counters.elements_kept, want.elements_kept);
+                assert_eq!(stats.engine.bytes_out, want.output.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_mode_reports_undrained_bytes_as_pending() {
+        let mut m = QueryMachine::new(artifact("/bib/book/title"), QueryOutput::Pruned);
+        m.feed(DOC.as_bytes()).unwrap();
+        assert!(m.pending_output() > 0);
+        assert!(m.resident_bytes() >= m.pending_output());
         let mut out = Vec::new();
-        machine.take_output(&mut out);
-        assert_eq!(
-            String::from_utf8(out).unwrap(),
-            reference("//title", DOC)
-        );
+        m.take_output(&mut out);
+        assert_eq!(m.pending_output(), 0);
+        assert!(!out.is_empty());
+        // A fallback plan buffers the same bytes, but as evaluator
+        // input: resident, not pending.
+        let mut m = QueryMachine::new(artifact("count(//book)"), QueryOutput::Answer);
+        m.feed(DOC.as_bytes()).unwrap();
+        assert_eq!(m.pending_output(), 0);
+        assert!(m.resident_bytes() > 0);
+    }
+
+    #[test]
+    fn pruned_mode_keeps_trailing_output_drainable_after_finish() {
+        let mut m = QueryMachine::new(artifact("/bib/book/title"), QueryOutput::Pruned);
+        // Feed everything but the closing tag, drain, then finish: the
+        // bytes flushed during finish must still come out.
+        let split = DOC.len() - "</bib>".len();
+        m.feed(&DOC.as_bytes()[..split]).unwrap();
+        let mut out = Vec::new();
+        m.take_output(&mut out);
+        m.feed(&DOC.as_bytes()[split..]).unwrap();
+        m.finish().unwrap();
+        m.take_output(&mut out);
+        assert!(String::from_utf8(out).unwrap().ends_with("</bib>"));
+    }
+
+    #[test]
+    fn pruned_mode_surfaces_engine_errors_and_may_be_dropped_unfinished() {
+        let mut m = QueryMachine::new(artifact("/bib/book/title"), QueryOutput::Pruned);
+        assert!(matches!(
+            m.feed(b"<bib><zzz></zzz></bib>"),
+            Err(EngineError::Prune(_))
+        ));
+        let mut m = QueryMachine::new(artifact("/bib/book/title"), QueryOutput::Pruned);
+        m.feed(b"<bib><book>").unwrap();
+        assert!(matches!(m.finish(), Err(EngineError::Xml(_))));
+        let mut m = QueryMachine::new(artifact("/bib/book/title"), QueryOutput::Pruned);
+        m.feed(b"<bib><book><title>half").unwrap();
+        drop(m);
     }
 }

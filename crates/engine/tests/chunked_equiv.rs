@@ -10,7 +10,11 @@
 //! token loop: the whole-string `prune_str*` are the one-chunk case of
 //! the same loop, so they are checked here too, not trusted), with
 //! matching counters. The engine's `finish()` additionally asserts the
-//! O(depth + max-token) resident-memory bound on every case.
+//! O(depth + max-token) resident-memory bound on every case. The same
+//! triples then go through a `QueryMachine` in `Pruned` mode — the owned
+//! pass a server drives — at every fixed chunk size: same bytes, same
+//! stats, and its `pending_output()`/`resident_bytes()` gauges must
+//! account for every kept byte not yet taken.
 //!
 //! On failure the test panics with a `TESTKIT_SEED=0x…` replay line;
 //! setting that variable re-runs exactly the failing case.
@@ -20,8 +24,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use xproj_core::{prune_document, prune_str, prune_str_fast, StaticAnalyzer};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS};
 use xproj_dtd::{validate, Dtd};
-use xproj_engine::ChunkedPruner;
+use std::sync::Arc;
+use xproj_engine::{ChunkedPruner, QueryArtifact, QueryMachine, QueryOutput};
 use xproj_testkit::{case_seed, SplitMix64};
+use xproj_xmltree::Document;
 
 const FUZZ_CASES: u64 = 300;
 
@@ -66,6 +72,77 @@ fn random_chunks<'a>(rng: &mut SplitMix64, xml: &'a [u8], case: u64) -> Vec<&'a 
         pos += n;
     }
     chunks
+}
+
+/// `QueryMachine` in `Pruned` mode ≡ `ChunkedPruner` ≡ Def. 2.7's
+/// `prune_document`, under the compiled artifact's projector, at every
+/// size in [`FIXED_CHUNK_SIZES`] — drained after every other feed so
+/// both the taken and the still-pending bytes are exercised.
+fn pruned_machine_case(dtd: Dtd, doc: &Document, xml: &str, q: &str) {
+    let dtd = Arc::new(dtd);
+    let artifact = QueryArtifact::compile(&dtd, q)
+        .unwrap_or_else(|e| panic!("query {q:?} failed to compile: {e}"));
+    let interp = validate(doc, &dtd).expect("generated document must be valid");
+    let oracle = prune_document(doc, &dtd, &interp, &artifact.projector).to_xml();
+    for &size in FIXED_CHUNK_SIZES {
+        let size = size.min(xml.len().max(1));
+        let mut reference = Vec::new();
+        let want = ChunkedPruner::new(&*dtd, &artifact.projector, &mut reference)
+            .run(xml.as_bytes(), size)
+            .unwrap_or_else(|e| panic!("chunked run (size {size}) failed for {q}: {e}\ndoc: {xml}"));
+        assert_eq!(
+            String::from_utf8(reference).unwrap(),
+            oracle,
+            "chunked output (size {size}) diverged from prune_document for {q}\ndoc: {xml}"
+        );
+
+        let mut machine = QueryMachine::new(Arc::clone(&artifact), QueryOutput::Pruned);
+        let mut out = Vec::new();
+        // Takes everything pending, checking the gauge announced it.
+        let take = |machine: &mut QueryMachine, out: &mut Vec<u8>| {
+            let (pending, before) = (machine.pending_output(), out.len());
+            machine.take_output(out);
+            assert_eq!(out.len() - before, pending, "size {size}, {q}");
+            assert_eq!(machine.pending_output(), 0);
+            assert!(oracle.as_bytes().starts_with(out), "size {size}, {q}");
+        };
+        for (i, chunk) in xml.as_bytes().chunks(size).enumerate() {
+            machine
+                .feed(chunk)
+                .unwrap_or_else(|e| panic!("machine feed (size {size}) failed for {q}: {e}\ndoc: {xml}"));
+            assert!(machine.resident_bytes() >= machine.pending_output());
+            if i % 2 == 1 {
+                take(&mut machine, &mut out);
+            }
+        }
+        // finish() hard-asserts the resident-memory bound here too.
+        let stats = machine
+            .finish()
+            .unwrap_or_else(|e| panic!("machine finish (size {size}) failed for {q}: {e}\ndoc: {xml}"));
+        take(&mut machine, &mut out);
+        assert_eq!(machine.resident_bytes(), 0);
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            oracle,
+            "machine output (size {size}) diverged from prune_document for {q}\ndoc: {xml}"
+        );
+        assert_eq!(stats.plan, "prune");
+        let got = &stats.engine;
+        assert_eq!(got.counters, want.counters, "size {size}, {q}");
+        assert_eq!(
+            (got.documents, got.events, got.bytes_in, got.bytes_out),
+            (1, want.events, xml.len() as u64, oracle.len() as u64),
+            "size {size}, {q}"
+        );
+        assert_eq!(got.subtrees_fast_forwarded, want.subtrees_fast_forwarded);
+        assert_eq!(got.peak_resident_bytes, want.peak_resident_bytes);
+        assert!(
+            got.peak_resident_bytes
+                <= 8 * (got.max_token_bytes + size) + 64 * (1 + got.counters.max_depth),
+            "resident {} out of bound at chunk size {size} for {q}",
+            got.peak_resident_bytes
+        );
+    }
 }
 
 fn run_case(seed: u64) {
@@ -146,6 +223,8 @@ fn run_case(seed: u64) {
             assert_eq!(stats.counters.text_pruned, whole.text_pruned, "for {q}");
         }
     }
+
+    pruned_machine_case(dtd, &doc, &xml, &q);
 }
 
 #[test]
@@ -246,14 +325,9 @@ fn xmark_chunked_differential() {
         let oracle = prune_document(&doc, &dtd, &interp, &projector).to_xml();
         for chunk_size in [1, 17, 4096, 1 << 20] {
             let mut out = Vec::new();
-            let stats = xproj_engine::prune_reader(
-                xml.as_bytes(),
-                &mut out,
-                &dtd,
-                &projector,
-                chunk_size,
-            )
-            .unwrap();
+            let stats = ChunkedPruner::new(&dtd, &projector, &mut out)
+                .run(xml.as_bytes(), chunk_size)
+                .unwrap();
             assert_eq!(
                 String::from_utf8(out).unwrap(),
                 oracle,

@@ -159,8 +159,8 @@ usage: xmlpruned [--addr HOST:PORT] [--workers N] [--reactor-threads N]
 Serves type-based XML projection over HTTP/1.1:
   POST /v1/dtd?root=NAME        register a DTD (body = DTD text) -> {"id":...}
   POST /v1/prune?dtd=ID&query=Q prune the request body (chunked bodies stream)
-  POST /v1/query?dtd=ID&query=Q prune AND answer in one pass (x-ndjson frames;
-                                fast_forward=0 disables subtree skipping)
+  POST /v1/query?dtd=ID&query=Q prune AND answer in one pass (x-ndjson frames)
+                                on both, fast_forward=0 disables subtree skipping
   GET  /metrics                 JSON (or ?format=prometheus) live metrics
   GET  /healthz                 liveness
   POST /admin/shutdown          graceful shutdown (drain, then exit)

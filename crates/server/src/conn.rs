@@ -57,8 +57,8 @@
 
 use crate::handlers::{
     analyze_reply, artifact_setup, codes, dtd_reply, fast_forward_param, independence_reply,
-    metrics_reply, reply_for_engine_error, reply_for_http_error, reply_for_query_error, route,
-    Reply, HEALTHZ_BODY, SHUTDOWN_BODY,
+    metrics_reply, reply_for_engine_error, reply_for_http_error, route, Reply, HEALTHZ_BODY,
+    SHUTDOWN_BODY,
 };
 use crate::http::{
     body_kind, buffered_prune_head, render_json_error, render_json_error_with, render_response,
@@ -72,9 +72,7 @@ use std::io::IoSlice;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xproj_engine::{
-    EngineError, EngineStats, PruneSession, QueryArtifact, QueryError, QueryMachine, QueryOutput,
-};
+use xproj_engine::{EngineError, QueryArtifact, QueryMachine, QueryOutput};
 
 /// The most bytes a driver hands the machine in one `Input::Bytes`, so
 /// one firehose connection cannot starve its neighbours and so the
@@ -176,71 +174,13 @@ enum RespFraming {
     },
 }
 
-/// The engine driving a streaming request: a prune session emitting
-/// pruned XML bytes, or a query machine emitting x-ndjson match
-/// frames. Same push interface, so the whole streaming phase —
-/// decode, feed jobs, framing, backpressure — is shared.
-pub enum StreamSession {
-    /// `POST /v1/prune`.
-    Prune(Box<PruneSession>),
-    /// `POST /v1/query`.
-    Query(Box<QueryMachine>),
-}
-
-/// A streaming engine failure, tagged by which engine raised it.
-pub enum StreamError {
-    /// The pruner rejected the document.
-    Prune(EngineError),
-    /// The query machine rejected the document or the evaluation failed.
-    Query(QueryError),
-}
-
-impl StreamSession {
-    fn feed(&mut self, chunk: &[u8]) -> Result<(), StreamError> {
-        match self {
-            StreamSession::Prune(s) => s.feed(chunk).map_err(StreamError::Prune),
-            StreamSession::Query(m) => m.feed(chunk).map_err(StreamError::Query),
-        }
-    }
-
-    /// Finishes the stream; engine stats only exist on the prune side
-    /// (the query path reports through the cache + latency metrics).
-    fn finish(&mut self) -> Result<Option<EngineStats>, StreamError> {
-        match self {
-            StreamSession::Prune(s) => s.finish().map(Some).map_err(StreamError::Prune),
-            StreamSession::Query(m) => m.finish().map(|_| None).map_err(StreamError::Query),
-        }
-    }
-
-    fn take_output(&mut self, dst: &mut Vec<u8>) {
-        match self {
-            StreamSession::Prune(s) => s.take_output(dst),
-            StreamSession::Query(m) => m.take_output(dst),
-        }
-    }
-
-    fn resident_bytes(&self) -> usize {
-        match self {
-            StreamSession::Prune(s) => s.resident_bytes(),
-            StreamSession::Query(m) => m.resident_bytes(),
-        }
-    }
-
-    fn content_type(&self) -> &'static str {
-        match self {
-            StreamSession::Prune(_) => "application/xml",
-            StreamSession::Query(_) => "application/x-ndjson",
-        }
-    }
-}
-
 /// An in-progress `POST /v1/prune` or `POST /v1/query`.
 struct PruneState {
-    /// The owned engine session; `None` while a feed job is out (or
-    /// after a worker panic destroyed it).
-    session: Option<StreamSession>,
-    /// Response `content-type` (fixed by the session flavor; kept here
-    /// because the session is absent while a job is out).
+    /// The owned engine pass — emitting pruned XML or x-ndjson match
+    /// frames, the streaming phase does not care which; `None` while a
+    /// feed job is out (or after a worker panic destroyed it).
+    session: Option<Box<QueryMachine>>,
+    /// Response `content-type` (fixed by the endpoint).
     content_type: &'static str,
     decoder: BodyDecoder,
     /// Decoded body bytes not yet fed to the engine.
@@ -322,7 +262,7 @@ pub enum Job {
     /// The session moves to the worker and comes back in the `Done`.
     Prune {
         /// The engine session.
-        session: StreamSession,
+        session: Box<QueryMachine>,
         /// Decoded body bytes.
         input: Vec<u8>,
         /// The body is complete: finish the stream after feeding.
@@ -334,8 +274,8 @@ pub enum Job {
 
 /// Why a streaming feed/finish job failed.
 pub enum PruneFail {
-    /// The engine rejected the document.
-    Engine(StreamError),
+    /// The engine rejected the document (or the evaluation failed).
+    Engine(EngineError),
     /// The worker panicked; the session is gone.
     Panic,
 }
@@ -354,9 +294,9 @@ pub enum Done {
     /// A feed/finish job finished.
     Prune {
         /// The session, home again (`None` after a worker panic).
-        session: Option<StreamSession>,
-        /// Engine stats when a prune finished; the failure otherwise.
-        result: Result<Option<EngineStats>, PruneFail>,
+        session: Option<Box<QueryMachine>>,
+        /// Whether the feed (and the finish, if asked for) went through.
+        result: Result<(), PruneFail>,
     },
 }
 
@@ -397,18 +337,19 @@ pub fn run_job(job: Job, state: &ServerState) -> Done {
         } => {
             let (session, result) = contained(
                 move || {
-                    // Feed in engine-chunk-size slices: the engine's
-                    // memory bound is stated per feed call.
-                    for piece in input.chunks(chunk.max(1)) {
-                        if let Err(e) = session.feed(piece) {
-                            return (Some(session), Err(PruneFail::Engine(e)));
+                    let mut run = || -> Result<(), EngineError> {
+                        // Feed in engine-chunk-size slices: the engine's
+                        // memory bound is stated per feed call.
+                        for piece in input.chunks(chunk.max(1)) {
+                            session.feed(piece)?;
                         }
-                    }
-                    let result = if finish {
-                        session.finish().map_err(PruneFail::Engine)
-                    } else {
-                        Ok(None)
+                        if finish {
+                            let stats = session.finish()?;
+                            state.metrics.record_engine(&stats.engine);
+                        }
+                        Ok(())
                     };
+                    let result = run().map_err(PruneFail::Engine);
                     (Some(session), result)
                 },
                 || (None, Err(PruneFail::Panic)),
@@ -1154,9 +1095,9 @@ impl Connection {
         }
     }
 
-    /// Artifact setup finished: build the endpoint's session — a
-    /// pruner, or a compiled [`QueryMachine`] streaming x-ndjson — over
-    /// the artifact, validate framing, and enter the streaming phase.
+    /// Artifact setup finished: start the endpoint's pass over the
+    /// artifact — pruned XML out, or x-ndjson match frames — validate
+    /// framing, and enter the streaming phase.
     fn setup_done(
         &mut self,
         head: RequestHead,
@@ -1174,18 +1115,18 @@ impl Connection {
             Ok(k) => k,
             Err(e) => return self.protocol_error(&e, cx),
         };
-        let session = if route(&head) == Endpoint::Query {
-            let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
-            machine.set_fast_forward(fast_forward_param(&head));
-            StreamSession::Query(Box::new(machine))
+        let (mode, content_type) = if route(&head) == Endpoint::Query {
+            (QueryOutput::Frames, "application/x-ndjson")
         } else {
-            StreamSession::Prune(Box::new(PruneSession::new(&artifact)))
+            (QueryOutput::Pruned, "application/xml")
         };
+        let mut session = Box::new(QueryMachine::new(artifact, mode));
+        session.set_fast_forward(fast_forward_param(&head));
         if head.expects_continue() {
             self.out.push(b"HTTP/1.1 100 Continue\r\n\r\n".to_vec());
         }
         self.phase = Phase::Prune(Box::new(PruneState {
-            content_type: session.content_type(),
+            content_type,
             session: Some(session),
             decoder: BodyDecoder::new(kind, cx.state.config.max_body_bytes),
             pending_in: Vec::new(),
@@ -1284,8 +1225,8 @@ impl Connection {
     /// framing, finish or continue.
     fn prune_done(
         &mut self,
-        session: Option<StreamSession>,
-        result: Result<Option<EngineStats>, PruneFail>,
+        session: Option<Box<QueryMachine>>,
+        result: Result<(), PruneFail>,
         cx: Cx<'_>,
     ) {
         let Phase::Prune(p) = &mut self.phase else {
@@ -1319,22 +1260,15 @@ impl Connection {
         let finished = p.finishing;
         let headers_sent = p.headers_sent();
         match result {
-            Ok(stats) if finished => {
-                // Query streams finish without engine stats to fold in.
-                if let Some(stats) = stats {
-                    cx.state.metrics.record_engine(&stats);
-                }
-                self.finish_stream(frames, cx);
-            }
-            Ok(_) => self.out.push(frames),
+            Ok(()) if finished => self.finish_stream(frames, cx),
+            Ok(()) => self.out.push(frames),
             Err(_) if headers_sent => {
                 self.out.push(frames);
                 self.abort_streaming(cx);
             }
             Err(fail) => {
                 let reply = match fail {
-                    PruneFail::Engine(StreamError::Prune(e)) => reply_for_engine_error(&e),
-                    PruneFail::Engine(StreamError::Query(e)) => reply_for_query_error(&e),
+                    PruneFail::Engine(e) => reply_for_engine_error(&e),
                     PruneFail::Panic => internal_error(),
                 };
                 self.send_reply(reply, false, cx);

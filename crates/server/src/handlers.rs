@@ -15,7 +15,7 @@ use crate::metrics::Endpoint;
 use crate::state::ServerState;
 use std::sync::Arc;
 use xproj_core::ErrorCode;
-use xproj_engine::{EngineError, QueryArtifact, QueryError};
+use xproj_engine::{EngineError, QueryArtifact};
 
 /// HTTP-layer error codes (the engine-layer ones come from
 /// [`ErrorCode`]). Stable, like everything serialized in error bodies.
@@ -277,24 +277,13 @@ pub(crate) fn artifact_setup(
         .map_err(|e| Reply::err(400, ErrorCode::BadQuery.as_str(), e))
 }
 
-/// `/v1/query`'s `fast_forward=0|false` toggle (default on).
+/// The `fast_forward=0|false` toggle of `/v1/prune` and `/v1/query`
+/// (default on).
 pub(crate) fn fast_forward_param(head: &RequestHead) -> bool {
     !matches!(
         head.query_param("fast_forward").as_deref(),
         Some("0") | Some("false")
     )
-}
-
-/// The reply for a query failure (only usable before response headers
-/// are on the wire).
-pub(crate) fn reply_for_query_error(e: &QueryError) -> Reply {
-    let status = match e.code() {
-        ErrorCode::MalformedXml => 400,
-        ErrorCode::UndeclaredElement => 422,
-        ErrorCode::BadQuery | ErrorCode::BadDtd => 400,
-        _ => 500,
-    };
-    Reply::err(status, e.code().as_str(), e.to_string())
 }
 
 /// The reply for a protocol-level [`HttpError`].
@@ -319,10 +308,8 @@ pub(crate) fn reply_for_http_error(e: &HttpError) -> Reply {
 /// are on the wire).
 pub(crate) fn reply_for_engine_error(e: &EngineError) -> Reply {
     let status = match e.code() {
-        ErrorCode::MalformedXml => 400,
+        ErrorCode::MalformedXml | ErrorCode::BadQuery => 400,
         ErrorCode::UndeclaredElement => 422,
-        ErrorCode::BadQuery => 400,
-        ErrorCode::Io => 500,
         _ => 500,
     };
     Reply::err(status, e.code().as_str(), e.to_string())

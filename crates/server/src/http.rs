@@ -209,19 +209,9 @@ pub fn body_kind(head: &RequestHead) -> Result<BodyKind, HttpError> {
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    let mut out = Vec::with_capacity(s.len());
+    xproj_engine::json_escape_into(s, &mut out);
+    String::from_utf8(out).expect("escaping a str byte by byte leaves its UTF-8 intact")
 }
 
 /// The reason phrase for the status codes this server emits.

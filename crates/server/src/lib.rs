@@ -17,13 +17,17 @@
 //!   response, so **document size never enters resident memory**;
 //! * `POST /v1/query?dtd=<id>&query=<q>` — prune **and answer** in one
 //!   pass: the same artifact's plan runs as a sink under the token loop
-//!   and match frames stream back as `application/x-ndjson` (add
-//!   `fast_forward=0` to disable subtree skipping). One cache entry
-//!   serves both endpoints and persists across restarts with
-//!   `--artifact-dir`;
-//! * `GET /metrics` — aggregated engine stats, cache counters and
-//!   per-endpoint latency histograms (JSON, or Prometheus text with
-//!   `?format=prometheus`);
+//!   and match frames stream back as `application/x-ndjson`. One cache
+//!   entry serves both endpoints and persists across restarts with
+//!   `--artifact-dir`. Both are one
+//!   [`QueryMachine`](xproj_engine::QueryMachine) to the connection —
+//!   only its output mode differs — and both honour `fast_forward=0`
+//!   (no subtree skipping: the pass becomes a full well-formedness
+//!   check);
+//! * `GET /metrics` — engine stats aggregated over every document
+//!   pruned or queried, cache counters and per-endpoint latency
+//!   histograms (JSON, or Prometheus text with `?format=prometheus`;
+//!   one table declares every metric for both);
 //! * `GET /healthz` — liveness;
 //! * `POST /admin/shutdown` — graceful shutdown: stop accepting, drain
 //!   in-flight requests up to a deadline, report drained/aborted.

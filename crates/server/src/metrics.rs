@@ -1,12 +1,12 @@
 //! Live server metrics: request/connection counters, the aggregated
-//! engine statistics of every prune served, and per-endpoint latency
-//! histograms — rendered as JSON (the workspace's native format) or
-//! Prometheus text exposition.
+//! engine statistics of every document served (`/v1/prune` and
+//! `/v1/query` alike), and per-endpoint latency histograms — rendered as
+//! JSON (the workspace's native format) or Prometheus text exposition,
+//! both from the one table `ServerMetrics::table` declares.
 //!
 //! Counters are lock-free atomics; the only lock is around the
-//! aggregated [`EngineStats`], taken once per completed prune request.
+//! aggregated [`EngineStats`], taken once per completed document.
 
-use crate::http::json_escape;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -263,7 +263,7 @@ impl ServerMetrics {
         Some(snap)
     }
 
-    /// Folds one completed prune run into the aggregate.
+    /// Folds one completed pass (a prune or a query) into the aggregate.
     pub fn record_engine(&self, stats: &EngineStats) {
         self.engine.lock().unwrap().accumulate(stats);
     }
@@ -283,95 +283,105 @@ impl ServerMetrics {
         &self.latency[endpoint.index()]
     }
 
-    /// The full metrics document as one JSON object. `cache` is the
-    /// live artifact-cache counters.
-    pub fn render_json(&self, cache: ArtifactCacheStats) -> String {
+    /// Every scalar metric, declared once: its JSON section and key, its
+    /// Prometheus name, help text and type, and its value right now.
+    /// Rows are in JSON document order; the `reactor` section exists
+    /// only under the epoll driver. Per-endpoint latencies are the one
+    /// thing not here (they are labelled summaries, not scalars).
+    fn table(&self, cache: ArtifactCacheStats) -> Vec<Metric> {
+        use Kind::{Counter, Gauge};
         let engine = self.engine_snapshot();
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"server\":{{\"uptime_ms\":{},\"connections\":{},\"requests\":{},\"errors\":{},\
-             \"in_flight\":{},\"drained\":{},\"aborted\":{},\"rate_limited\":{},\
-             \"accept_stalls\":{}}},",
-            self.started.elapsed().as_millis(),
-            self.connections.load(Ordering::Relaxed),
-            self.requests.load(Ordering::Relaxed),
-            self.errors.load(Ordering::Relaxed),
-            self.in_flight.load(Ordering::Relaxed),
-            self.drained.load(Ordering::Relaxed),
-            self.aborted.load(Ordering::Relaxed),
-            self.rate_limited.load(Ordering::Relaxed),
-            self.accept_stalls.load(Ordering::Relaxed),
-        );
-        let _ = write!(
-            out,
-            "\"engine\":{{\"documents\":{},\"events\":{},\"bytes_in\":{},\"bytes_out\":{},\
-             \"retention\":{:.4},\"elements_kept\":{},\"elements_pruned\":{},\"text_kept\":{},\
-             \"text_pruned\":{},\"max_depth\":{},\"peak_resident_bytes\":{},\"max_token_bytes\":{}}},",
-            engine.documents,
-            engine.events,
-            engine.bytes_in,
-            engine.bytes_out,
-            engine.retention(),
-            engine.counters.elements_kept,
-            engine.counters.elements_pruned,
-            engine.counters.text_kept,
-            engine.counters.text_pruned,
-            engine.counters.max_depth,
-            engine.peak_resident_bytes,
-            engine.max_token_bytes,
-        );
+        let n = |a: &AtomicU64| Value::Int(a.load(Ordering::Relaxed));
+        let z = |a: &AtomicUsize| Value::Int(a.load(Ordering::Relaxed) as u64);
+        let int = |v: usize| Value::Int(v as u64);
+        let mut rows = vec![
+            Metric("server", "uptime_ms", "xmlpruned_uptime_ms", "Milliseconds since the server started.", Gauge, Value::Int(self.started.elapsed().as_millis() as u64)),
+            Metric("server", "connections", "xmlpruned_connections_total", "Connections accepted.", Counter, n(&self.connections)),
+            Metric("server", "requests", "xmlpruned_requests_total", "Requests parsed and routed.", Counter, n(&self.requests)),
+            Metric("server", "errors", "xmlpruned_errors_total", "Requests answered 4xx/5xx or dropped.", Counter, n(&self.errors)),
+            Metric("server", "in_flight", "xmlpruned_in_flight", "Requests currently being processed.", Gauge, z(&self.in_flight)),
+            Metric("server", "drained", "xmlpruned_drained_total", "Requests completed after shutdown was requested.", Counter, n(&self.drained)),
+            Metric("server", "aborted", "xmlpruned_aborted_total", "Requests still in flight when the drain deadline expired.", Counter, n(&self.aborted)),
+            Metric("server", "rate_limited", "xmlpruned_rate_limited_total", "Requests refused 429 by the token-bucket rate limiter.", Counter, n(&self.rate_limited)),
+            Metric("server", "accept_stalls", "xmlpruned_accept_stalls_total", "Accept errors (fd exhaustion) that paused the listener.", Counter, n(&self.accept_stalls)),
+            Metric("engine", "documents", "xmlpruned_engine_documents_total", "Documents passed through the engine (pruned or queried).", Counter, Value::Int(engine.documents)),
+            Metric("engine", "events", "xmlpruned_engine_events_total", "Parse events processed.", Counter, Value::Int(engine.events)),
+            Metric("engine", "bytes_in", "xmlpruned_engine_bytes_in_total", "Document bytes received.", Counter, Value::Int(engine.bytes_in)),
+            Metric("engine", "bytes_out", "xmlpruned_engine_bytes_out_total", "Pruned or answer bytes written back.", Counter, Value::Int(engine.bytes_out)),
+            Metric("engine", "retention", "xmlpruned_engine_retention", "Bytes out per byte in, over all documents.", Gauge, Value::Ratio(engine.retention())),
+            Metric("engine", "elements_kept", "xmlpruned_engine_elements_kept_total", "Elements written by pruning passes.", Counter, int(engine.counters.elements_kept)),
+            Metric("engine", "elements_pruned", "xmlpruned_engine_elements_pruned_total", "Elements discarded (with their subtrees) by pruning passes.", Counter, int(engine.counters.elements_pruned)),
+            Metric("engine", "text_kept", "xmlpruned_engine_text_kept_total", "Text nodes written by pruning passes.", Counter, int(engine.counters.text_kept)),
+            Metric("engine", "text_pruned", "xmlpruned_engine_text_pruned_total", "Text nodes discarded by pruning passes.", Counter, int(engine.counters.text_pruned)),
+            Metric("engine", "max_depth", "xmlpruned_engine_max_depth", "Deepest element nesting seen in any document.", Gauge, int(engine.counters.max_depth)),
+            Metric("engine", "peak_resident_bytes", "xmlpruned_engine_peak_resident_bytes", "High-water engine-resident buffering of any document.", Gauge, int(engine.peak_resident_bytes)),
+            Metric("engine", "max_token_bytes", "xmlpruned_engine_max_token_bytes", "Largest single token seen in any document.", Gauge, int(engine.max_token_bytes)),
+        ];
         if let Some(r) = self.reactor_snapshot() {
-            let _ = write!(
-                out,
-                "\"reactor\":{{\"reactor_threads\":{},\"registered_fds\":{},\
-                 \"ready_events\":{},\"polls\":{},\
-                 \"wakes\":{},\"timer_fires\":{},\"executor_jobs\":{},\
-                 \"executor_queue_depth\":{},\"admission_rejects\":{},\
-                 \"max_conn_resident\":{}}},",
-                r.loops,
-                r.registered,
-                r.ready_events,
-                r.polls,
-                r.wakes,
-                r.timer_fires,
-                self.executor_jobs.load(Ordering::Relaxed),
-                self.executor_queue_depth.load(Ordering::Relaxed),
-                self.admission_rejects.load(Ordering::Relaxed),
-                self.max_conn_resident.load(Ordering::Relaxed),
-            );
+            rows.extend([
+                Metric("reactor", "reactor_threads", "xmlpruned_reactor_threads", "Reactor event loops running.", Gauge, int(r.loops)),
+                Metric("reactor", "registered_fds", "xmlpruned_reactor_registered_fds", "Currently registered fds (all loops).", Gauge, int(r.registered)),
+                Metric("reactor", "ready_events", "xmlpruned_reactor_ready_events_total", "Readiness events delivered by epoll (all loops).", Counter, Value::Int(r.ready_events)),
+                Metric("reactor", "polls", "xmlpruned_reactor_polls_total", "epoll_wait calls that returned (all loops).", Counter, Value::Int(r.polls)),
+                Metric("reactor", "wakes", "xmlpruned_reactor_wakes_total", "eventfd waker interrupts observed (all loops).", Counter, Value::Int(r.wakes)),
+                Metric("reactor", "timer_fires", "xmlpruned_reactor_timer_fires_total", "Timer-wheel deadlines fired (all loops).", Counter, Value::Int(r.timer_fires)),
+                Metric("reactor", "executor_jobs", "xmlpruned_executor_jobs_total", "CPU jobs handed to the executor pool.", Counter, n(&self.executor_jobs)),
+                Metric("reactor", "executor_queue_depth", "xmlpruned_executor_queue_depth", "CPU jobs queued or running.", Gauge, z(&self.executor_queue_depth)),
+                Metric("reactor", "admission_rejects", "xmlpruned_admission_rejects_total", "Connections refused 503 at the admission limit.", Counter, n(&self.admission_rejects)),
+                Metric("reactor", "max_conn_resident", "xmlpruned_max_conn_resident_bytes", "High-water per-connection residency.", Gauge, n(&self.max_conn_resident)),
+            ]);
         }
-        let _ = write!(
-            out,
-            "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"compiles\":{},\
-             \"compile_micros\":{},\"loads\":{},\"invalidations\":{},\"entries\":{},\
-             \"resident_bytes\":{},\"hit_rate\":{:.4}}},",
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            cache.compiles,
-            cache.compile_micros,
-            cache.loads,
-            cache.invalidations,
-            cache.entries,
-            cache.resident_bytes,
-            cache.hit_rate(),
-        );
-        out.push_str("\"endpoints\":{");
-        let mut first = true;
-        for ep in Endpoint::ALL {
-            let h = self.latency(ep);
-            if h.count() == 0 {
-                continue;
+        rows.extend([
+            Metric("cache", "hits", "xmlpruned_cache_hits_total", "Artifact cache hits.", Counter, Value::Int(cache.hits)),
+            Metric("cache", "misses", "xmlpruned_cache_misses_total", "Artifact cache misses.", Counter, Value::Int(cache.misses)),
+            Metric("cache", "evictions", "xmlpruned_cache_evictions_total", "Artifact cache evictions.", Counter, Value::Int(cache.evictions)),
+            Metric("cache", "compiles", "xmlpruned_cache_compiles_total", "Query artifacts compiled (inference + lowering).", Counter, Value::Int(cache.compiles)),
+            Metric("cache", "compile_micros", "xmlpruned_cache_compile_micros_total", "Wall-clock microseconds spent compiling artifacts.", Counter, Value::Int(cache.compile_micros)),
+            Metric("cache", "loads", "xmlpruned_cache_loads_total", "Artifacts restored from the on-disk artifact dir.", Counter, Value::Int(cache.loads)),
+            Metric("cache", "invalidations", "xmlpruned_cache_invalidations_total", "Artifacts dropped because a document update overlapped their projector.", Counter, Value::Int(cache.invalidations)),
+            Metric("cache", "entries", "xmlpruned_cache_entries", "Artifacts currently resident.", Gauge, int(cache.entries)),
+            Metric("cache", "resident_bytes", "xmlpruned_cache_resident_bytes", "Approximate bytes held by resident artifacts.", Gauge, int(cache.resident_bytes)),
+            Metric("cache", "hit_rate", "xmlpruned_cache_hit_rate", "Hits per lookup since start.", Gauge, Value::Ratio(cache.hit_rate())),
+        ]);
+        rows
+    }
+
+    /// The endpoints that served at least one request, with their
+    /// histograms.
+    fn served(&self) -> impl Iterator<Item = (&'static str, &LatencyHistogram)> {
+        Endpoint::ALL
+            .into_iter()
+            .map(|ep| (ep.label(), self.latency(ep)))
+            .filter(|(_, h)| h.count() > 0)
+    }
+
+    /// The full metrics document as one JSON object: one object per
+    /// table section, then `endpoints`. `cache` is the live
+    /// artifact-cache counters.
+    pub fn render_json(&self, cache: ArtifactCacheStats) -> String {
+        let mut out = String::with_capacity(1536);
+        let mut section = "";
+        for Metric(sec, key, _, _, _, value) in self.table(cache) {
+            if sec == section {
+                out.push(',');
+            } else {
+                out.push_str(if section.is_empty() { "{" } else { "}," });
+                let _ = write!(out, "\"{sec}\":{{");
+                section = sec;
             }
-            if !first {
+            let _ = match value {
+                Value::Int(v) => write!(out, "\"{key}\":{v}"),
+                Value::Ratio(v) => write!(out, "\"{key}\":{v:.4}"),
+            };
+        }
+        out.push_str("},\"endpoints\":{");
+        for (i, (label, h)) in self.served().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
             let _ = write!(
                 out,
-                "\"{}\":{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{},\"sum_ms\":{}}}",
-                json_escape(ep.label()),
+                "\"{label}\":{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{},\"sum_ms\":{}}}",
                 h.count(),
                 h.quantile(0.5).as_micros(),
                 h.quantile(0.99).as_micros(),
@@ -383,164 +393,27 @@ impl ServerMetrics {
         out
     }
 
-    /// The same metrics in the Prometheus text exposition format
-    /// (counters, gauges, and per-endpoint latency summaries).
+    /// The same metrics in the Prometheus text exposition format: every
+    /// table row as a counter or gauge, then per-endpoint latency
+    /// summaries.
     pub fn render_prometheus(&self, cache: ArtifactCacheStats) -> String {
-        let engine = self.engine_snapshot();
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, v: u64| {
-            let _ = write!(
-                out,
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            );
-        };
-        counter(
-            "xmlpruned_connections_total",
-            "Connections accepted.",
-            self.connections.load(Ordering::Relaxed),
-        );
-        counter(
-            "xmlpruned_requests_total",
-            "Requests parsed and routed.",
-            self.requests.load(Ordering::Relaxed),
-        );
-        counter(
-            "xmlpruned_errors_total",
-            "Requests answered 4xx/5xx or dropped.",
-            self.errors.load(Ordering::Relaxed),
-        );
-        counter(
-            "xmlpruned_accept_stalls_total",
-            "Accept errors (fd exhaustion) that paused the listener.",
-            self.accept_stalls.load(Ordering::Relaxed),
-        );
-        counter(
-            "xmlpruned_engine_documents_total",
-            "Documents pruned.",
-            engine.documents,
-        );
-        counter(
-            "xmlpruned_engine_bytes_in_total",
-            "Document bytes received for pruning.",
-            engine.bytes_in,
-        );
-        counter(
-            "xmlpruned_engine_bytes_out_total",
-            "Pruned bytes written back.",
-            engine.bytes_out,
-        );
-        counter(
-            "xmlpruned_cache_hits_total",
-            "Artifact cache hits.",
-            cache.hits,
-        );
-        counter(
-            "xmlpruned_cache_misses_total",
-            "Artifact cache misses.",
-            cache.misses,
-        );
-        counter(
-            "xmlpruned_cache_evictions_total",
-            "Artifact cache evictions.",
-            cache.evictions,
-        );
-        counter(
-            "xmlpruned_cache_compiles_total",
-            "Query artifacts compiled (inference + lowering).",
-            cache.compiles,
-        );
-        counter(
-            "xmlpruned_cache_compile_micros_total",
-            "Wall-clock microseconds spent compiling artifacts.",
-            cache.compile_micros,
-        );
-        counter(
-            "xmlpruned_cache_loads_total",
-            "Artifacts restored from the on-disk artifact dir.",
-            cache.loads,
-        );
-        counter(
-            "xmlpruned_cache_invalidations_total",
-            "Artifacts dropped because a document update overlapped their projector.",
-            cache.invalidations,
-        );
-        if let Some(r) = self.reactor_snapshot() {
-            counter(
-                "xmlpruned_reactor_ready_events_total",
-                "Readiness events delivered by epoll (all loops).",
-                r.ready_events,
-            );
-            counter(
-                "xmlpruned_reactor_polls_total",
-                "epoll_wait calls that returned (all loops).",
-                r.polls,
-            );
-            counter(
-                "xmlpruned_reactor_wakes_total",
-                "eventfd waker interrupts observed (all loops).",
-                r.wakes,
-            );
-            counter(
-                "xmlpruned_reactor_timer_fires_total",
-                "Timer-wheel deadlines fired (all loops).",
-                r.timer_fires,
-            );
-            counter(
-                "xmlpruned_executor_jobs_total",
-                "CPU jobs handed to the executor pool.",
-                self.executor_jobs.load(Ordering::Relaxed),
-            );
-            counter(
-                "xmlpruned_admission_rejects_total",
-                "Connections refused 503 at the admission limit.",
-                self.admission_rejects.load(Ordering::Relaxed),
-            );
-            counter(
-                "xmlpruned_rate_limited_total",
-                "Requests refused 429 by the token-bucket rate limiter.",
-                self.rate_limited.load(Ordering::Relaxed),
-            );
+        let mut out = String::with_capacity(4096);
+        for Metric(_, _, name, help, kind, value) in self.table(cache) {
+            let kind = match kind {
+                Kind::Counter => "counter",
+                Kind::Gauge => "gauge",
+            };
+            let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} ");
+            let _ = match value {
+                Value::Int(v) => writeln!(out, "{v}"),
+                Value::Ratio(v) => writeln!(out, "{v}"),
+            };
         }
-        let _ = write!(
-            out,
-            "# HELP xmlpruned_in_flight Requests currently being processed.\n\
-             # TYPE xmlpruned_in_flight gauge\nxmlpruned_in_flight {}\n\
-             # HELP xmlpruned_cache_entries Artifacts currently resident.\n\
-             # TYPE xmlpruned_cache_entries gauge\nxmlpruned_cache_entries {}\n\
-             # HELP xmlpruned_cache_resident_bytes Approximate bytes held by resident artifacts.\n\
-             # TYPE xmlpruned_cache_resident_bytes gauge\nxmlpruned_cache_resident_bytes {}\n",
-            self.in_flight.load(Ordering::Relaxed),
-            cache.entries,
-            cache.resident_bytes,
-        );
-        if let Some(r) = self.reactor_snapshot() {
-            let _ = write!(
-                out,
-                "# HELP xmlpruned_reactor_threads Reactor event loops running.\n\
-                 # TYPE xmlpruned_reactor_threads gauge\nxmlpruned_reactor_threads {}\n\
-                 # HELP xmlpruned_reactor_registered_fds Currently registered fds (all loops).\n\
-                 # TYPE xmlpruned_reactor_registered_fds gauge\nxmlpruned_reactor_registered_fds {}\n\
-                 # HELP xmlpruned_executor_queue_depth CPU jobs queued or running.\n\
-                 # TYPE xmlpruned_executor_queue_depth gauge\nxmlpruned_executor_queue_depth {}\n\
-                 # HELP xmlpruned_max_conn_resident_bytes High-water per-connection residency.\n\
-                 # TYPE xmlpruned_max_conn_resident_bytes gauge\nxmlpruned_max_conn_resident_bytes {}\n",
-                r.loops,
-                r.registered,
-                self.executor_queue_depth.load(Ordering::Relaxed),
-                self.max_conn_resident.load(Ordering::Relaxed),
-            );
-        }
-        let _ = write!(
-            out,
+        out.push_str(
             "# HELP xmlpruned_request_duration_seconds Request latency by endpoint.\n\
-             # TYPE xmlpruned_request_duration_seconds summary\n"
+             # TYPE xmlpruned_request_duration_seconds summary\n",
         );
-        for ep in Endpoint::ALL {
-            let h = self.latency(ep);
-            if h.count() == 0 {
-                continue;
-            }
-            let label = ep.label();
+        for (label, h) in self.served() {
             for (q, d) in [(0.5, h.quantile(0.5)), (0.99, h.quantile(0.99))] {
                 let _ = writeln!(
                     out,
@@ -559,6 +432,24 @@ impl ServerMetrics {
         out
     }
 }
+
+/// Whether a metric only ever grows.
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// A metric's value; ratios print to four decimals in JSON.
+#[derive(Clone, Copy)]
+enum Value {
+    Int(u64),
+    Ratio(f64),
+}
+
+/// One row of [`ServerMetrics::table`]: JSON section, JSON key,
+/// Prometheus name, help text, type, value.
+struct Metric(&'static str, &'static str, &'static str, &'static str, Kind, Value);
 
 impl Default for ServerMetrics {
     fn default() -> Self {
@@ -651,6 +542,78 @@ mod tests {
         let json = m.render_json(ArtifactCacheStats::default());
         assert!(json.contains("\"reactor_threads\":2"), "{json}");
         assert!(json.contains("\"polls\":12"), "{json}");
+    }
+
+    /// The JSON document is scraped by the benchmark ledger: its
+    /// sections, keys and their order are pinned here. And the one table
+    /// feeds both renderers, so every JSON key has a Prometheus series
+    /// carrying the same value.
+    #[test]
+    fn one_table_renders_the_pinned_json_keys_and_a_series_per_key() {
+        use xproj_testkit::{parse_json, Json};
+        let m = ServerMetrics::new();
+        m.set_reactors(vec![Arc::new(ReactorMetrics::default())]);
+        m.drained.fetch_add(7, Ordering::Relaxed);
+        m.record_engine(&EngineStats {
+            documents: 1,
+            events: 41,
+            bytes_in: 100,
+            bytes_out: 25,
+            ..Default::default()
+        });
+        let cache = ArtifactCacheStats { hits: 3, misses: 1, ..Default::default() };
+        let Json::Obj(sections) = parse_json(&m.render_json(cache)).unwrap() else {
+            panic!("metrics JSON is not an object");
+        };
+        let keys: Vec<(String, Vec<String>)> = sections
+            .iter()
+            .map(|(name, v)| {
+                let Json::Obj(fields) = v else { panic!("{name} is not an object") };
+                (name.clone(), fields.iter().map(|(k, _)| k.clone()).collect())
+            })
+            .collect();
+        let pinned: [(&str, &[&str]); 5] = [
+            ("server", &["uptime_ms", "connections", "requests", "errors", "in_flight",
+                "drained", "aborted", "rate_limited", "accept_stalls"]),
+            ("engine", &["documents", "events", "bytes_in", "bytes_out", "retention",
+                "elements_kept", "elements_pruned", "text_kept", "text_pruned", "max_depth",
+                "peak_resident_bytes", "max_token_bytes"]),
+            ("reactor", &["reactor_threads", "registered_fds", "ready_events", "polls",
+                "wakes", "timer_fires", "executor_jobs", "executor_queue_depth",
+                "admission_rejects", "max_conn_resident"]),
+            ("cache", &["hits", "misses", "evictions", "compiles", "compile_micros", "loads",
+                "invalidations", "entries", "resident_bytes", "hit_rate"]),
+            ("endpoints", &[]),
+        ];
+        assert_eq!(keys.len(), pinned.len());
+        for ((name, fields), (want_name, want_fields)) in keys.iter().zip(pinned) {
+            assert_eq!(name, want_name);
+            assert_eq!(fields, want_fields, "section {name}");
+        }
+
+        let prom = m.render_prometheus(cache);
+        let table = m.table(cache);
+        assert_eq!(table.len(), 9 + 12 + 10 + 10);
+        let mut names: Vec<&str> = table.iter().map(|r| r.2).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), table.len(), "a Prometheus name is declared twice");
+        for Metric(section, key, name, ..) in &table {
+            assert_eq!(
+                prom.matches(&format!("# TYPE {name} ")).count(),
+                1,
+                "{section}.{key} has no series {name}"
+            );
+        }
+        for line in [
+            "xmlpruned_drained_total 7",
+            "xmlpruned_engine_events_total 41",
+            "xmlpruned_engine_retention 0.25",
+            "xmlpruned_cache_hit_rate 0.75",
+            "xmlpruned_reactor_threads 1",
+        ] {
+            assert!(prom.lines().any(|l| l == line), "missing {line:?}:\n{prom}");
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub struct ServerConfig {
     pub max_header_bytes: usize,
     /// Max decoded bytes of a request body → `413`.
     pub max_body_bytes: u64,
-    /// Engine feed size — deliberately the same default as `xmlprune
-    /// prune --chunked`, so the CLI and the server exercise identical
-    /// engine configurations.
+    /// Engine feed size — the chunk term of the per-connection residency
+    /// bound. The default is `xmlprune prune`'s read size, so the CLI and
+    /// the server exercise identical engine configurations.
     pub chunk_size: usize,
     /// Pruned output is buffered up to this many bytes before the
     /// response commits to `200` + chunked streaming; errors detected

@@ -471,6 +471,30 @@ fn differential_http_prune_matches_prune_str() {
     assert_eq!(report.aborted, 0);
 }
 
+/// `/v1/prune` honours `fast_forward=0`: by default a dead subtree is
+/// raw-scanned, so a mismatched end tag inside it goes unseen; with
+/// fast-forward off the same pass is a full well-formedness check.
+#[test]
+fn prune_fast_forward_param_makes_the_pass_a_full_check() {
+    let srv = TestServer::start(small_config());
+    let id = srv.register_dtd(BIB_DTD, "bib");
+    let doc = "<bib><book><title>T</title><author><b>x</i></author></book></bib>";
+    let target = format!("/v1/prune?dtd={id}&query={}", urlencode("/bib/book/title"));
+
+    let mut c = srv.client();
+    let resp = c.request("POST", &target, &[], Some(doc.as_bytes())).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(resp.body_str(), "<bib><book><title>T</title></book></bib>");
+
+    let mut c = srv.client();
+    let resp = c
+        .request("POST", &format!("{target}&fast_forward=0"), &[], Some(doc.as_bytes()))
+        .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body_str());
+    assert_eq!(extract_json_str(&resp.body_str(), "code"), "malformed-xml");
+    srv.shutdown();
+}
+
 /// `/v1/query` answers in one pass: the response must be byte-for-byte
 /// the `QueryMachine`'s x-ndjson frame stream, under both fast-forward
 /// modes, and the endpoint must surface in the metrics (its own
@@ -522,10 +546,17 @@ fn query_one_pass_roundtrip_and_metrics() {
     assert!(resp.body_str().contains("bad-query"), "{}", resp.body_str());
     let mut c = srv.client();
 
-    // Observability: the query endpoint has its own latency label and
-    // the artifact cache reports compiles in both metric formats.
+    // Observability: the query endpoint has its own latency label, the
+    // artifact cache reports compiles in both metric formats, and the
+    // engine counters count the two documents queried (the 400s above
+    // never reached the engine).
     let resp = c.request("GET", "/metrics", &[], None).unwrap();
     let body = resp.body_str();
+    let engine = srv.state.metrics.engine_snapshot();
+    assert_eq!(engine.documents, 2, "one engine document per /v1/query");
+    assert_eq!(engine.bytes_in, 2 * BIB_DOC.len() as u64);
+    assert!(engine.events > 0 && engine.bytes_out > 0, "{engine:?}");
+    assert!(body.contains("\"engine\":{\"documents\":2,"), "{body}");
     assert!(body.contains("\"query\""), "metrics JSON missing query label: {body}");
     assert!(body.contains("\"compiles\""), "metrics JSON missing compiles: {body}");
     assert!(body.contains("\"resident_bytes\""), "{body}");

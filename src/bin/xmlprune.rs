@@ -3,8 +3,8 @@
 //! ```text
 //! xmlprune analyze  --dtd auction.dtd --root site [--json] [--sample S.xml]
 //!                   [--diff-dtd NEW.dtd] QUERY [QUERY…]
-//! xmlprune prune    --dtd auction.dtd --root site --query QUERY [-o OUT] INPUT.xml
-//! xmlprune prune    --chunked --jobs 4 --stats --dtd auction.dtd --root site \
+//! xmlprune prune    --dtd auction.dtd --root site --query QUERY [--validate] [-o OUT] INPUT.xml
+//! xmlprune prune    --jobs 4 --stats --dtd auction.dtd --root site \
 //!                   --query QUERY -o outdir/ INPUT1.xml INPUT2.xml …
 //! xmlprune validate --dtd auction.dtd --root site INPUT.xml
 //! xmlprune query    [--dtd auction.dtd --root site] --query QUERY INPUT.xml
@@ -13,14 +13,15 @@
 //!
 //! When `--dtd` is omitted, `prune`/`analyze` fall back to the document's
 //! internal DTD subset (`<!DOCTYPE root [ … ]>`) or, failing that, to a
-//! dataguide inferred from the input document itself.
+//! dataguide inferred from the input document itself. With `--dtd`,
+//! `prune` never loads the document: it streams through the
+//! O(depth)-memory engine.
 
 use std::io::Read;
 use std::process::ExitCode;
 use xml_projection::dtd::{infer_dtd, parse_dtd, validate, Dtd};
 use xml_projection::xmltree::push::{drain_str, TokenSink};
 use xml_projection::xmltree::ParseError;
-use xml_projection::Projection;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,8 +42,6 @@ struct Opts {
     save: Option<String>,
     projector: Option<String>,
     validate: bool,
-    chunked: bool,
-    chunk_size: Option<usize>,
     jobs: Option<usize>,
     stats: bool,
     json: bool,
@@ -62,8 +61,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         save: None,
         projector: None,
         validate: false,
-        chunked: false,
-        chunk_size: None,
         jobs: None,
         stats: false,
         json: false,
@@ -89,17 +86,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.projector = Some(it.next().ok_or("--projector needs a path")?.clone())
             }
             "--validate" => o.validate = true,
-            "--chunked" => o.chunked = true,
-            "--chunk-size" => {
-                let v = it.next().ok_or("--chunk-size needs a byte count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--chunk-size: '{v}' is not a number"))?;
-                if n == 0 {
-                    return Err("--chunk-size must be at least 1".to_string());
-                }
-                o.chunk_size = Some(n);
-            }
             "--jobs" | "-j" => {
                 let v = it.next().ok_or("--jobs needs a thread count")?;
                 let n: usize = v
@@ -121,6 +107,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--diff-root" => {
                 o.diff_root = Some(it.next().ok_or("--diff-root needs a name")?.clone())
+            }
+            // A lone `-` is stdin; anything else dash-led is a typo or a
+            // retired flag, not an input path.
+            flag if flag.starts_with('-') && flag != "-" => {
+                return Err(format!("unknown option '{flag}' (see `xmlprune help`)"));
             }
             other => o.positional.push(other.to_string()),
         }
@@ -200,28 +191,34 @@ fn resolve_dtd(o: &Opts, xml: Option<&str>) -> Result<(Dtd, &'static str), Strin
     Err("no DTD given (use --dtd FILE --root NAME) and no input to infer one from".to_string())
 }
 
-/// `prune --chunked`: stream inputs through the engine pipeline instead
-/// of materializing them. Requires an explicit DTD (`--dtd`/`--root`) —
-/// the internal-subset and dataguide fallbacks both need the whole
-/// document in memory, which defeats the point of streaming.
-fn run_chunked_prune(o: &Opts) -> Result<(), String> {
-    use xml_projection::engine::{error_json_line, run_batch, ArtifactCache, BatchJob, DEFAULT_CHUNK_SIZE};
+/// `prune`: stream every input through the engine — `Read` →
+/// [`ChunkedPruner`](xml_projection::engine::ChunkedPruner) → `Write` —
+/// in O(depth) memory. Only when there is no `--dtd` is the (single)
+/// input loaded first: the internal subset or the dataguide has to be
+/// read off the document before its first byte can be pruned.
+fn run_prune(o: &Opts) -> Result<(), String> {
+    use std::io::Write;
     use std::path::PathBuf;
+    use xml_projection::engine::{
+        error_json_line, run_batch, ArtifactCache, BatchJob, ChunkedPruner, DEFAULT_CHUNK_SIZE,
+    };
 
-    if o.validate {
+    if o.queries.is_empty() && o.projector.is_none() {
+        return Err("prune: --query or --projector is required".to_string());
+    }
+    if o.positional.len() > 1 && o.dtd_path.is_none() {
         return Err(
-            "prune: --validate is not supported with --chunked (use the in-memory mode)"
+            "prune: several inputs need --dtd FILE --root NAME (an internal DTD subset or a \
+             dataguide belongs to one document)"
                 .to_string(),
         );
     }
-    if o.dtd_path.is_none() {
-        return Err(
-            "prune --chunked needs --dtd FILE --root NAME: streaming cannot read ahead \
-             for an internal DTD subset or a dataguide"
-                .to_string(),
-        );
-    }
-    let (dtd, source) = resolve_dtd(o, None)?;
+    let input = o.positional.first().map(|s| s.as_str());
+    let sniffed = match o.dtd_path {
+        Some(_) => None,
+        None => Some(read_input(input)?),
+    };
+    let (dtd, source) = resolve_dtd(o, sniffed.as_deref())?;
     let dtd = std::sync::Arc::new(dtd);
     eprintln!("using {source} ({} names)", dtd.name_count());
     // Query-derived projectors go through the same ArtifactCache the
@@ -241,44 +238,24 @@ fn run_chunked_prune(o: &Opts) -> Result<(), String> {
             union
         }
     };
-    let chunk_size = o.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE);
-    let jobs = o.jobs.unwrap_or(1);
-    let files: Vec<&str> = o
-        .positional
-        .iter()
-        .map(|s| s.as_str())
-        .filter(|s| *s != "-")
-        .collect();
 
-    // Single stream (stdin or one file): prune straight through.
-    if files.len() <= 1 && o.positional.len() <= 1 {
-        let result = {
-            let sink: Box<dyn std::io::Write> = match &o.output {
-                Some(p) => Box::new(std::io::BufWriter::new(
-                    std::fs::File::create(p).map_err(|e| format!("{p}: {e}"))?,
-                )),
-                None => Box::new(std::io::stdout().lock()),
-            };
-            match files.first() {
-                Some(p) => xml_projection::engine::prune_reader(
-                    std::io::BufReader::new(
-                        std::fs::File::open(p).map_err(|e| format!("{p}: {e}"))?,
-                    ),
-                    sink,
-                    &dtd,
-                    &projector,
-                    chunk_size,
-                ),
-                None => xml_projection::engine::prune_reader(
-                    std::io::stdin().lock(),
-                    sink,
-                    &dtd,
-                    &projector,
-                    chunk_size,
-                ),
-            }
+    // One stream (stdin or one file): prune straight through. Stdout
+    // gets a closing newline, a file the pruned bytes alone.
+    if o.positional.len() <= 1 {
+        let source: Box<dyn Read> = match (&sniffed, input) {
+            (Some(xml), _) => Box::new(xml.as_bytes()),
+            (None, Some("-") | None) => Box::new(std::io::stdin().lock()),
+            (None, Some(p)) => Box::new(std::fs::File::open(p).map_err(|e| format!("{p}: {e}"))?),
         };
-        let mut stats = match result {
+        let mut sink: Box<dyn Write> = match &o.output {
+            Some(p) => Box::new(std::io::BufWriter::new(
+                std::fs::File::create(p).map_err(|e| format!("{p}: {e}"))?,
+            )),
+            None => Box::new(std::io::stdout().lock()),
+        };
+        let mut pruner = ChunkedPruner::new(&*dtd, &projector, &mut sink);
+        pruner.set_validate(o.validate);
+        let mut stats = match pruner.run(source, DEFAULT_CHUNK_SIZE) {
             Ok(stats) => stats,
             Err(e) => {
                 if o.stats {
@@ -287,6 +264,10 @@ fn run_chunked_prune(o: &Opts) -> Result<(), String> {
                 return Err(e.to_string());
             }
         };
+        if o.output.is_none() {
+            sink.write_all(b"\n").map_err(|e| format!("stdout: {e}"))?;
+        }
+        sink.flush().map_err(|e| format!("output: {e}"))?;
         stats.cache = cache.stats();
         eprintln!(
             "kept {} elements, pruned {} subtrees; {:.1}% of the input retained \
@@ -312,7 +293,8 @@ fn run_chunked_prune(o: &Opts) -> Result<(), String> {
         }
         None => None,
     };
-    let batch: Vec<BatchJob> = files
+    let batch: Vec<BatchJob> = o
+        .positional
         .iter()
         .map(|f| {
             let input = PathBuf::from(f);
@@ -323,7 +305,7 @@ fn run_chunked_prune(o: &Opts) -> Result<(), String> {
             BatchJob { input, output }
         })
         .collect();
-    let mut report = run_batch(batch, &dtd, &projector, chunk_size, jobs);
+    let mut report = run_batch(batch, &dtd, &projector, o.validate, o.jobs.unwrap_or(1));
     report.aggregate.cache = cache.stats();
     for item in &report.items {
         match &item.result {
@@ -484,43 +466,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
     match cmd.as_str() {
         "analyze" => run_analyze(&o),
         "independence" => run_independence(&o),
-        "prune" => {
-            if o.queries.is_empty() && o.projector.is_none() {
-                return Err("prune: --query or --projector is required".to_string());
-            }
-            if o.chunked || o.chunk_size.is_some() || o.jobs.is_some() || o.stats {
-                return run_chunked_prune(&o);
-            }
-            let xml = read_input(o.positional.first().map(|s| s.as_str()))?;
-            let (dtd, source) = resolve_dtd(&o, Some(&xml))?;
-            eprintln!("using {source} ({} names)", dtd.name_count());
-            let projection = match &o.projector {
-                Some(path) => {
-                    let text =
-                        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                    let p = xml_projection::core::Projector::from_text(&dtd, &text)?;
-                    Projection::from_projector(&dtd, p)
-                }
-                None => Projection::for_queries(&dtd, o.queries.iter().map(|s| s.as_str()))
-                    .map_err(|e| e.to_string())?,
-            };
-            let r = if o.validate {
-                projection.prune_validate_str(&xml).map_err(|e| e.to_string())?
-            } else {
-                projection.prune_str(&xml).map_err(|e| e.to_string())?
-            };
-            eprintln!(
-                "kept {} elements, pruned {} subtrees; {:.1}% of the input retained",
-                r.elements_kept,
-                r.elements_pruned,
-                100.0 * r.retention(xml.len())
-            );
-            match &o.output {
-                Some(p) => std::fs::write(p, &r.output).map_err(|e| format!("{p}: {e}"))?,
-                None => println!("{}", r.output),
-            }
-            Ok(())
-        }
+        "prune" => run_prune(&o),
         "validate" => {
             let xml = read_input(o.positional.first().map(|s| s.as_str()))?;
             let (dtd, source) = resolve_dtd(&o, Some(&xml))?;
@@ -556,11 +502,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
                 let dtd = std::sync::Arc::new(dtd);
                 eprintln!("using {source} ({} names)", dtd.name_count());
                 let cache = ArtifactCache::new(o.queries.len().max(1));
-                let chunk = o.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE);
                 for q in &o.queries {
                     let artifact = cache.get_or_compile(&dtd, q)?;
                     let (out, stats) =
-                        run_query(&artifact, xml.as_bytes(), QueryOutput::Answer, true, chunk)
+                        run_query(&artifact, xml.as_bytes(), QueryOutput::Answer, true, DEFAULT_CHUNK_SIZE)
                             .map_err(|e| e.to_string())?;
                     if o.stats {
                         eprintln!("{}", stats.to_json());
@@ -601,15 +546,25 @@ usage:
                     QUERY [QUERY…]
   xmlprune independence --dtd FILE --root NAME --query QUERY --update UPDATE [--json]
   xmlprune prune    [--dtd FILE --root NAME] (--query QUERY | --projector PROJ)
-                    [--validate] [-o OUT] [INPUT.xml]
-  xmlprune prune    --chunked --dtd FILE --root NAME (--query QUERY | --projector PROJ)
-                    [--chunk-size N] [--jobs N] [--stats] [-o OUT|DIR] [INPUT.xml ...]
+                    [--validate] [--stats] [-o OUT] [INPUT.xml]
+  xmlprune prune    --dtd FILE --root NAME (--query QUERY | --projector PROJ)
+                    [--validate] [--stats] [--jobs N] [-o DIR] INPUT.xml INPUT.xml ...
   xmlprune validate [--dtd FILE --root NAME] [INPUT.xml]
   xmlprune query    [--dtd FILE --root NAME] --query QUERY [--stats] [INPUT.xml]
   xmlprune guide    [INPUT.xml]
 
-INPUT defaults to stdin. Without --dtd, prune/validate use the document's
-internal DTD subset or fall back to an inferred dataguide.
+INPUT defaults to stdin ("-" names it too). Without --dtd, prune/validate
+use the document's internal DTD subset or fall back to an inferred
+dataguide.
+
+prune streams each input through the O(depth)-memory engine; only without
+--dtd is the document loaded first (the grammar has to be read off it).
+Subtrees that cannot reach anything the query needs are skipped unparsed,
+so their well-formedness goes unchecked; --validate checks every event
+against the DTD in the same pass and rejects an invalid document. Several
+inputs are pruned --jobs N at a time into the directory -o names (or next
+to each input as <stem>.pruned.xml). --stats prints JSON-lines engine
+metrics to stderr.
 
 analyze prints the full static-analysis report: per-name provenance (which
 query step pulled each name into the projector), the Def. 4.3 verdict with
@@ -629,11 +584,4 @@ an artifact and prunes AND answers in one streaming pass (the same compiled
 pipeline the daemon's /v1/query serves); --stats prints the pass's JSON
 stats to stderr. Without a DTD it parses the whole document and evaluates
 in memory.
-
---chunked streams through the O(depth)-memory engine instead of loading the
-document; it requires an explicit --dtd/--root. --chunk-size sets the read
-size (default 64 KiB). --jobs N prunes several input files in parallel
-(with -o naming an output directory; otherwise each input gets a sibling
-<stem>.pruned.xml). --stats prints JSON-lines engine metrics to stderr.
---chunk-size, --jobs and --stats all imply --chunked.
 "#;

@@ -36,7 +36,7 @@
 //!
 //! The crates re-exported here:
 //!
-//! * [`xmltree`] — arena XML documents, parser, SAX events;
+//! * [`xmltree`] — arena XML documents, parser, the one push token loop;
 //! * [`dtd`] — DTDs as local tree grammars, validation, Def. 4.3 props;
 //! * [`xpath`] — XPath 1.0 parser/evaluator, XPathℓ, approximations;
 //! * [`core`] — the type system (Fig. 1), projector inference (Fig. 2),
@@ -44,8 +44,8 @@
 //! * [`xquery`] — the FLWR core, its evaluator, path extraction (Fig. 3);
 //! * [`xmark`] — the XMark/XPathMark benchmark substrate;
 //! * [`engine`] — the serving pipeline: chunked push-mode pruning over
-//!   `io::Read`/`io::Write`, projector cache, parallel batch driver,
-//!   metrics;
+//!   `io::Read`/`io::Write` (optionally validating), the owned
+//!   per-document `QueryMachine`, parallel batch driver, metrics;
 //! * [`server`] — `xmlpruned`, a zero-dependency HTTP/1.1 daemon that
 //!   serves streaming pruning with live metrics and graceful shutdown;
 //! * [`qc`] — the query compiler: `(DTD, query)` → immutable artifact

@@ -21,6 +21,27 @@ fn write_tmp(name: &str, content: &str) -> std::path::PathBuf {
     p
 }
 
+/// Runs `xmlprune` with `args`, `stdin` on its standard input.
+fn run_with_stdin(args: &[&str], stdin: &[u8]) -> std::process::Output {
+    let mut child = Command::new(BIN)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut pipe = child.stdin.take().unwrap();
+    std::thread::scope(|s| {
+        // Written from a second thread: a large document fills the stdin
+        // pipe while the child's own output waits to be read. A run that
+        // fails on its arguments exits without reading stdin at all.
+        s.spawn(move || {
+            let _ = pipe.write_all(stdin);
+        });
+        child.wait_with_output().unwrap()
+    })
+}
+
 #[test]
 fn prune_with_external_dtd() {
     let dtd = write_tmp("books.dtd", DTD);
@@ -48,20 +69,7 @@ fn prune_with_external_dtd() {
 
 #[test]
 fn prune_from_stdin_with_dataguide() {
-    let mut child = Command::new(BIN)
-        .args(["prune", "--query", "//title"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(DOC.as_bytes())
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
+    let out = run_with_stdin(&["prune", "--query", "//title"], DOC.as_bytes());
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("<title>T</title>"));
@@ -249,7 +257,7 @@ fn deeply_nested_query_is_a_bad_query_not_an_abort() {
     for command in ["analyze", "prune"] {
         let mut args = vec![command, "--dtd", dtd.to_str().unwrap(), "--root", "bib"];
         if command == "prune" {
-            args.extend(["--chunked", "--query"]);
+            args.push("--query");
         }
         args.push(&query);
         let out = Command::new(BIN)
@@ -384,95 +392,165 @@ fn projector_save_and_reuse() {
     assert!(!out.contains("author"));
 }
 
+/// The one prune path: a file input, the same bytes on stdin, and `-o`
+/// all carry exactly what the in-memory `Projection::prune_str*` makes
+/// of the document (stdout plus a closing newline), with and without
+/// `--validate`; `--stats` adds the JSON metrics line and nothing else.
 #[test]
 fn chunked_prune_matches_in_memory_prune() {
-    let dtd = write_tmp("books6.dtd", DTD);
+    let dtd_path = write_tmp("books6.dtd", DTD);
     let doc = write_tmp("books6.xml", DOC);
-    let base = [
-        "--dtd",
-        dtd.to_str().unwrap(),
-        "--root",
-        "bib",
-        "--query",
-        "/bib/book/title",
-        doc.to_str().unwrap(),
-    ];
-    let whole = Command::new(BIN)
-        .arg("prune")
-        .args(base)
-        .output()
-        .unwrap();
-    assert!(whole.status.success());
-    let chunked = Command::new(BIN)
-        .args(["prune", "--chunked", "--chunk-size", "3", "--stats"])
-        .args(base)
-        .output()
-        .unwrap();
-    assert!(
-        chunked.status.success(),
-        "{}",
-        String::from_utf8_lossy(&chunked.stderr)
-    );
-    // The in-memory path prints with a trailing newline; chunked writes
-    // the raw pruned bytes. The documents must match.
-    assert_eq!(
-        String::from_utf8(chunked.stdout).unwrap(),
-        String::from_utf8(whole.stdout).unwrap().trim_end_matches('\n')
-    );
-    let stderr = String::from_utf8_lossy(&chunked.stderr);
-    assert!(
-        stderr.contains("\"group\":\"engine\"") && stderr.contains("\"bytes_in\""),
-        "--stats must emit a JSON metrics line, got:\n{stderr}"
-    );
+    let out_path = std::env::temp_dir().join("xmlprune-cli-tests/books6.out");
+    let dtd = xml_projection::dtd::parse_dtd(DTD, "bib").unwrap();
+    let projection = xml_projection::Projection::for_queries(&dtd, ["/bib/book/title"]).unwrap();
+    let base = ["prune", "--dtd", dtd_path.to_str().unwrap(), "--root", "bib", "--query", "/bib/book/title"];
+    for validate in [false, true] {
+        let want = if validate {
+            projection.prune_validate_str(DOC).unwrap().output
+        } else {
+            projection.prune_str(DOC).unwrap().output
+        };
+        let mut args = base.to_vec();
+        if validate {
+            args.push("--validate");
+        }
+        let from_file = Command::new(BIN).args(&args).arg(&doc).output().unwrap();
+        assert!(from_file.status.success(), "{}", String::from_utf8_lossy(&from_file.stderr));
+        assert_eq!(String::from_utf8(from_file.stdout).unwrap(), format!("{want}\n"));
+
+        let from_stdin = run_with_stdin(&args, DOC.as_bytes());
+        assert!(from_stdin.status.success(), "{}", String::from_utf8_lossy(&from_stdin.stderr));
+        assert_eq!(String::from_utf8(from_stdin.stdout).unwrap(), format!("{want}\n"));
+
+        args.extend(["--stats", "-o", out_path.to_str().unwrap(), "-"]);
+        let to_file = run_with_stdin(&args, DOC.as_bytes());
+        assert!(to_file.status.success(), "{}", String::from_utf8_lossy(&to_file.stderr));
+        assert!(to_file.stdout.is_empty());
+        assert_eq!(std::fs::read_to_string(&out_path).unwrap(), want);
+        let stderr = String::from_utf8_lossy(&to_file.stderr);
+        assert!(
+            stderr.contains("\"group\":\"engine\"") && stderr.contains("\"bytes_in\":58"),
+            "--stats must emit a JSON metrics line, got:\n{stderr}"
+        );
+    }
 }
 
 #[test]
 fn chunked_prune_reads_stdin() {
     let dtd = write_tmp("books7.dtd", DTD);
-    let mut child = Command::new(BIN)
-        .args([
-            "prune",
-            "--chunked",
-            "--dtd",
-            dtd.to_str().unwrap(),
-            "--root",
-            "bib",
-            "--query",
-            "//author",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    child
-        .stdin
-        .as_mut()
-        .unwrap()
-        .write_all(DOC.as_bytes())
-        .unwrap();
-    let out = child.wait_with_output().unwrap();
+    let out = run_with_stdin(
+        &["prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--query", "//author"],
+        DOC.as_bytes(),
+    );
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("<author>A</author>"));
     assert!(!stdout.contains("title"));
 }
 
+/// Fused validation no longer needs the document in memory: it runs on
+/// a stdin stream and rejects what the content models reject.
 #[test]
-fn chunked_prune_requires_explicit_dtd() {
-    let doc = write_tmp("books8.xml", DOC);
+fn prune_validates_a_stdin_stream() {
+    let dtd = write_tmp("books10.dtd", DTD);
+    let args = [
+        "prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--validate", "--query", "//title",
+    ];
+    let ok = run_with_stdin(&args, DOC.as_bytes());
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+    assert_eq!(
+        String::from_utf8(ok.stdout).unwrap(),
+        "<bib><book><title>T</title></book></bib>\n"
+    );
+    // A book without its required title.
+    let bad = run_with_stdin(&args, b"<bib><book><author>A</author></book></bib>");
+    assert_eq!(bad.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("validation:"));
+}
+
+/// Dead subtrees are raw-scanned, so a mismatched end tag inside one
+/// goes unseen — unless the pass validates, which looks at every event.
+#[test]
+fn prune_fast_forwards_dead_subtrees_unless_validating() {
+    let dtd = write_tmp("books11.dtd", DTD);
+    let doc = write_tmp(
+        "dead11.xml",
+        "<bib><book><title>T</title><author><b>x</i></author></book></bib>",
+    );
+    let base = [
+        "prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--stats",
+        "--query", "/bib/book/title", doc.to_str().unwrap(),
+    ];
+    let fast = Command::new(BIN).args(base).output().unwrap();
+    assert!(fast.status.success(), "{}", String::from_utf8_lossy(&fast.stderr));
+    assert_eq!(
+        String::from_utf8(fast.stdout).unwrap(),
+        "<bib><book><title>T</title></book></bib>\n"
+    );
+    assert!(String::from_utf8_lossy(&fast.stderr).contains("\"subtrees_fast_forwarded\":1"));
+    let checked = Command::new(BIN).args(base).arg("--validate").output().unwrap();
+    assert_eq!(checked.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&checked.stderr);
+    assert!(stderr.contains("\"error\":\"undeclared-element\""), "{stderr}");
+}
+
+/// A 3 MB XMark document on stdin, validated while it is pruned: the
+/// run never holds more than the engine's O(depth + token + chunk)
+/// bound, a small fraction of the document.
+#[test]
+fn validated_stdin_prune_of_xmark_stays_under_the_engine_bound() {
+    use xml_projection::xmark::{auction_dtd, generate_auction, XMarkConfig, AUCTION_DTD};
+    let dtd = write_tmp("auction.dtd", AUCTION_DTD);
+    let xml = generate_auction(&auction_dtd(), &XMarkConfig::at_scale(2.0)).to_xml();
+    assert!(xml.len() > 2 << 20, "document is only {} bytes", xml.len());
+    let out = run_with_stdin(
+        &[
+            "prune", "--validate", "--stats", "--dtd", dtd.to_str().unwrap(), "--root", "site",
+            "--query", "//keyword",
+        ],
+        xml.as_bytes(),
+    );
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr.lines().find(|l| l.starts_with('{')).expect("a --stats line");
+    let stats = xproj_testkit::parse_json(line).unwrap();
+    let field = |k: &str| stats.get(k).and_then(|v| v.as_f64()).unwrap() as usize;
+    assert_eq!(field("bytes_in"), xml.len());
+    assert_eq!(field("subtrees_fast_forwarded"), 0, "a validating pass skips nothing");
+    let bound = 8 * (field("max_token_bytes") + 64 * 1024) + 64 * (1 + field("max_depth"));
+    assert!(field("peak_resident_bytes") <= bound, "{line}");
+    assert!(bound < xml.len() / 4, "bound {bound} is not small against {}", xml.len());
+}
+
+#[test]
+fn several_inputs_need_an_explicit_dtd() {
+    let a = write_tmp("books8a.xml", DOC);
+    let b = write_tmp("books8b.xml", DOC);
     let out = Command::new(BIN)
-        .args([
-            "prune",
-            "--chunked",
-            "--query",
-            "//title",
-            doc.to_str().unwrap(),
-        ])
+        .args(["prune", "--query", "//title", a.to_str().unwrap(), b.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--dtd"));
+}
+
+/// An unknown dash-led argument is a usage error naming it, never an
+/// input path — the retired streaming flags included. A lone `-` is
+/// still stdin.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dtd = write_tmp("books12.dtd", DTD);
+    let base = ["prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--query", "//title"];
+    for flag in ["--qeury", "--chunked", "--chunk-size", "-x"] {
+        let out = run_with_stdin(&[&base[..], &[flag]].concat(), DOC.as_bytes());
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown option '{flag}'")), "{flag}: {stderr}");
+        assert!(!stderr.contains("No such file"), "{flag}: {stderr}");
+    }
+    let out = run_with_stdin(&[&base[..], &["-"]].concat(), DOC.as_bytes());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 #[test]
@@ -514,6 +592,33 @@ fn parallel_batch_prunes_into_directory() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(stderr.matches("\"group\":\"engine\"").count(), 5, "{stderr}");
     assert!(stderr.contains("batch_total"));
+}
+
+/// `--validate` reaches every file of a batch: the invalid one fails
+/// with its coded error, the rest are pruned.
+#[test]
+fn batch_with_validation_rejects_only_the_invalid_file() {
+    let dtd = write_tmp("books13.dtd", DTD);
+    let good = write_tmp("batch13-good.xml", DOC);
+    let bad = write_tmp("batch13-bad.xml", "<bib><book><author>A</author></book></bib>");
+    let outdir = std::env::temp_dir().join("xmlprune-cli-tests/batch13-out");
+    let _ = std::fs::remove_dir_all(&outdir);
+    let base = [
+        "prune", "--jobs", "2", "--stats", "--dtd", dtd.to_str().unwrap(), "--root", "bib",
+        "--query", "//author", "-o", outdir.to_str().unwrap(),
+        good.to_str().unwrap(), bad.to_str().unwrap(),
+    ];
+    let plain = Command::new(BIN).args(base).output().unwrap();
+    assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
+    let checked = Command::new(BIN).args(base).arg("--validate").output().unwrap();
+    assert_eq!(checked.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&checked.stderr);
+    assert!(stderr.contains("1 of 2 files failed"), "{stderr}");
+    assert!(stderr.contains("\"error\":\"malformed-xml\""), "{stderr}");
+    assert_eq!(
+        std::fs::read_to_string(outdir.join("batch13-good.xml")).unwrap(),
+        "<bib><book><author>A</author></book></bib>"
+    );
 }
 
 #[test]
