@@ -20,7 +20,7 @@ if grep -rn --include='*.rs' -E 'unsafe (fn|impl|trait|\{)|unsafe\{' src crates 
     exit 1
 fi
 
-echo "== one-loop gate (grep: no second token cursor, no second pass object, no deleted facade) =="
+echo "== one-loop gate (grep: no second token cursor, pass object or artifact constructor, no deleted facade) =="
 # `PushTokenizer::drain` is the only token loop. The raw cursor
 # (`RawKind`, `peek_token`/`advance`) survives in push.rs for the frozen
 # benchmark ladder only; the pull reader and the ProjectorCache facade
@@ -42,6 +42,15 @@ if grep -rnE '\b(PruneSession|StreamSession|StreamError|QueryError|prune_reader_
 fi
 if grep -rn -e '--chunked' src crates/*/src; then
     echo "one-loop gate: found the retired --chunked flag" >&2
+    exit 1
+fi
+# `QueryArtifact::compile` is the only way an artifact comes into being
+# and `Dtd::fingerprint()` the only place a grammar gets its identity:
+# the artifact file format, its directory, its flag and the free
+# fingerprint function must not come back, in the sources or any test.
+if grep -rnE '\b(to_bytes|from_bytes|save_dir|load_dir|artifact_dir|query_hash|dtd_fingerprint)\b|--artifact-dir|\.xqa' \
+    src crates/*/src crates/*/tests tests examples; then
+    echo "one-loop gate: found the artifact file format or a second fingerprint" >&2
     exit 1
 fi
 

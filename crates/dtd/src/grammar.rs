@@ -83,12 +83,23 @@ pub struct Dtd {
     ancestors: Vec<NameSet>,
     /// Text names appearing in each element's content model.
     text_children: Vec<NameSet>,
+    /// See [`Dtd::fingerprint`]; computed once, by `DtdBuilder::finish`.
+    fingerprint: u64,
 }
 
 impl Dtd {
     /// Starts building a DTD.
     pub fn builder() -> DtdBuilder {
         DtdBuilder::default()
+    }
+
+    /// The grammar's identity: 64-bit FNV-1a over the root label and
+    /// the canonical [`Dtd::to_dtd_syntax`] rendering, each closed by a
+    /// `0xff` separator. Any grammar edit changes it; re-parsing the
+    /// rendering reproduces it. It keys compiled artifacts and is the
+    /// `id` `xmlpruned` hands out for a registered DTD.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Number of names (`|DN(E)|`).
@@ -411,7 +422,7 @@ impl DtdBuilder {
         // tens of names for realistic DTDs).
         let descendants = transitive_closure(&children);
         let ancestors = transitive_closure(&parents);
-        Ok(Dtd {
+        let mut dtd = Dtd {
             tags: self.tags,
             names: self.names,
             root,
@@ -422,8 +433,25 @@ impl DtdBuilder {
             descendants,
             ancestors,
             text_children,
-        })
+            fingerprint: 0,
+        };
+        dtd.fingerprint = fnv1a_fields(&[dtd.label(root), &dtd.to_dtd_syntax()]);
+        Ok(dtd)
     }
+}
+
+/// 64-bit FNV-1a over `fields`, a `0xff` byte (never part of UTF-8)
+/// closing each so field boundaries count.
+fn fnv1a_fields(fields: &[&str]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for field in fields {
+        for b in field.bytes().chain([0xff]) {
+            h ^= b as u64;
+            h = h.wrapping_mul(PRIME);
+        }
+    }
+    h
 }
 
 /// Computes `⇒⁺` rows from `⇒` rows by worklist propagation.

@@ -3,13 +3,14 @@
 //! * Two spellings of the same query (whitespace, abbreviated vs
 //!   explicit axes) normalize identically and share one cache entry.
 //! * Editing the DTD changes the fingerprint, so a stale projector is
-//!   never served for a changed grammar.
+//!   never served for a changed grammar; the fingerprints themselves
+//!   are pinned, because clients hold them as DTD ids.
 //! * A cached projector prunes exactly like a freshly-inferred one.
 
 use std::sync::Arc;
 use xproj_core::{prune_str, StaticAnalyzer};
 use xproj_dtd::parse_dtd;
-use xproj_engine::{dtd_fingerprint, normalize_query, ArtifactCache};
+use xproj_engine::{normalize_query, ArtifactCache};
 
 const BIB: &str = "<!ELEMENT bib (book*)> <!ELEMENT book (title, author*, year?)>\
                    <!ELEMENT title (#PCDATA)> <!ELEMENT author (#PCDATA)>\
@@ -60,14 +61,14 @@ fn dtd_edit_changes_fingerprint_and_misses() {
     )
     .unwrap());
     assert_ne!(
-        dtd_fingerprint(&dtd_v1),
-        dtd_fingerprint(&dtd_v2),
+        dtd_v1.fingerprint(),
+        dtd_v2.fingerprint(),
         "a content-model edit must change the fingerprint"
     );
     // Re-parsing the identical grammar keeps the fingerprint stable.
     assert_eq!(
-        dtd_fingerprint(&dtd_v1),
-        dtd_fingerprint(&parse_dtd(BIB, "bib").unwrap())
+        dtd_v1.fingerprint(),
+        parse_dtd(BIB, "bib").unwrap().fingerprint()
     );
 
     let cache = ArtifactCache::new(8);
@@ -79,6 +80,31 @@ fn dtd_edit_changes_fingerprint_and_misses() {
         (0, 2, 2),
         "the edited DTD must not be served the stale projector"
     );
+}
+
+/// `xmlpruned` hands the fingerprint out as the DTD's id, so its value
+/// is an interface: these are the ids clients were given before the
+/// number became a field of the grammar. And the canonical rendering
+/// re-parses to the same identity.
+#[test]
+fn fingerprints_are_pinned_and_survive_a_syntax_round_trip() {
+    let bib = parse_dtd(
+        "<!ELEMENT bib (book*)> <!ELEMENT book (title, author*, price?)>\
+         <!ELEMENT title (#PCDATA)> <!ELEMENT author (#PCDATA)>\
+         <!ELEMENT price (#PCDATA)>",
+        "bib",
+    )
+    .unwrap();
+    let auction = xproj_xmark::auction_dtd();
+    assert_eq!(format!("{:016x}", bib.fingerprint()), "984dac3ff52cdcf0");
+    assert_eq!(format!("{:016x}", auction.fingerprint()), "37cc9625e97e19ab");
+    for (dtd, root) in [(&bib, "bib"), (&auction, "site")] {
+        let reparsed = parse_dtd(&dtd.to_dtd_syntax(), root).unwrap();
+        assert_eq!(reparsed.fingerprint(), dtd.fingerprint(), "{root}");
+    }
+    // The root is part of the identity, not just the productions.
+    let rerooted = parse_dtd(&bib.to_dtd_syntax(), "book").unwrap();
+    assert_ne!(rerooted.fingerprint(), bib.fingerprint());
 }
 
 #[test]

@@ -10,43 +10,24 @@
 //! * the compiled evaluator [`Plan`] — the streaming NFA program for
 //!   path-shaped queries, or the fallback marker;
 //! * the parsed AST (for the fallback evaluator) and the normalized
-//!   query spelling + DTD fingerprint that key the artifact cache;
-//! * an owned `Arc<Dtd>` so machines built from the artifact are
-//!   self-contained `Send` values.
+//!   query spelling, one half of the artifact cache's key;
+//! * the caller's `Arc<Dtd>` (its fingerprint is the other half), so
+//!   machines built from the artifact are self-contained `Send` values
+//!   and every artifact of a grammar shares the one copy of it.
 //!
-//! Artifacts serialize to a small binary format (`to_bytes` /
-//! `from_bytes`) so a restarted daemon can boot warm from
-//! `--artifact-dir`: loading reparses the canonical DTD syntax and the
-//! normalized query (deterministic, microseconds) but **never re-runs
-//! projector inference** — the load path does not touch the compile
-//! counters, which is exactly what the warm-restart test asserts.
+//! [`QueryArtifact::compile`] is the only way an artifact comes into
+//! being. Compiling is tens of microseconds (inference is most of it),
+//! cheaper than parsing the grammar a stored artifact would have to be
+//! checked against, so nothing is ever persisted: a restarted daemon
+//! compiles on the first request per pair.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::program::{lower, Plan, PathProgram, StepAxis, StepInstr, StepTest};
-use xproj_core::{Projector, ProjectorTable, StaticAnalyzer, Verdict};
-use xproj_dtd::{parse_dtd, Dtd, NameSet};
+use crate::program::{lower, Plan, StepInstr};
+use xproj_core::{Projector, ProjectorTable, StaticAnalyzer};
+use xproj_dtd::{Dtd, NameSet};
 use xproj_xquery::{parse_xquery, project_xquery, XQuery};
-
-/// A 64-bit FNV-1a fingerprint of a DTD: its canonical `<!ELEMENT …>`
-/// serialization plus the root name. Any grammar edit changes it.
-pub fn dtd_fingerprint(dtd: &Dtd) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xff;
-        h = h.wrapping_mul(PRIME);
-    };
-    eat(dtd.label(dtd.root()));
-    eat(&dtd.to_dtd_syntax());
-    h
-}
 
 /// Normalizes a workload query to its canonical form: parse as XQuery
 /// (of which XPath is a sub-language here) and pretty-print the AST.
@@ -58,23 +39,12 @@ pub fn normalize_query(query: &str) -> Result<String, String> {
         .map_err(|e| e.to_string())
 }
 
-/// FNV-1a over a string — used for artifact file names.
-pub fn query_hash(normalized: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in normalized.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One compiled, immutable query artifact. See the module docs.
 pub struct QueryArtifact {
-    /// DTD fingerprint half of the cache key.
-    pub fingerprint: u64,
     /// Normalized-query half of the cache key.
     pub normalized_query: String,
-    /// The grammar, owned so machines are self-contained.
+    /// The grammar (shared with the caller), so machines are
+    /// self-contained; its `fingerprint()` is the other half of the key.
     pub dtd: Arc<Dtd>,
     /// The parsed (normalized) query — the fallback evaluator's input.
     pub ast: XQuery,
@@ -84,24 +54,34 @@ pub struct QueryArtifact {
     pub table: ProjectorTable,
     /// The compiled evaluator program.
     pub plan: Plan,
-    /// Wall-clock cost of the original compile (0 for loaded artifacts).
+    /// Wall-clock cost of the compile (parsing excluded).
     pub compile_micros: u64,
 }
 
 impl QueryArtifact {
     /// Compiles `query` against `dtd`: parse → normalize → infer the
     /// projector → build the dense tables → lower the evaluator
-    /// program. This is the only inference-running entry point.
+    /// program. The only way an artifact comes into being.
     pub fn compile(dtd: &Arc<Dtd>, query: &str) -> Result<Arc<QueryArtifact>, String> {
         let ast = parse_xquery(query).map_err(|e| e.to_string())?;
-        let start = Instant::now();
         let normalized_query = ast.to_string();
+        Ok(Self::from_ast(dtd, ast, normalized_query))
+    }
+
+    /// [`Self::compile`] from a query already parsed and normalized —
+    /// what the cache holds after computing its key, so a miss parses
+    /// the query text once.
+    pub(crate) fn from_ast(
+        dtd: &Arc<Dtd>,
+        ast: XQuery,
+        normalized_query: String,
+    ) -> Arc<QueryArtifact> {
+        let start = Instant::now();
         let mut sa = StaticAnalyzer::new(dtd);
         let projector = project_xquery(&mut sa, &ast);
         let table = ProjectorTable::new(dtd, &projector);
         let plan = lower(&ast, dtd);
-        Ok(Arc::new(QueryArtifact {
-            fingerprint: dtd_fingerprint(dtd),
+        Arc::new(QueryArtifact {
             normalized_query,
             dtd: Arc::clone(dtd),
             ast,
@@ -109,12 +89,7 @@ impl QueryArtifact {
             table,
             plan,
             compile_micros: start.elapsed().as_micros() as u64,
-        }))
-    }
-
-    /// The cache key: `(DTD fingerprint, normalized query)`.
-    pub fn key(&self) -> (u64, String) {
-        (self.fingerprint, self.normalized_query.clone())
+        })
     }
 
     /// True when an update whose updated-name set is `updated` (as
@@ -127,9 +102,11 @@ impl QueryArtifact {
         self.projector.names().intersects(updated)
     }
 
-    /// Approximate resident size, for the cache's size accounting:
-    /// per-name table rows plus the grammar's reachability bitsets
-    /// (`name_count²/8` bits per table, four tables) plus strings.
+    /// Approximate bytes this artifact owns, for the cache's size
+    /// accounting: the projector's bitset, the two table rows per
+    /// name, the program and the strings. The grammar is not counted —
+    /// it is the caller's `Arc<Dtd>`, shared by every artifact compiled
+    /// against it.
     pub fn approx_bytes(&self) -> usize {
         let n = self.dtd.name_count();
         let program = match &self.plan {
@@ -138,231 +115,18 @@ impl QueryArtifact {
             }
             Plan::Fallback => 0,
         };
-        n * 2 // verdict byte + text bit
-            + 4 * (n * n / 8).max(n) // Dtd reachability bitsets
+        n.div_ceil(8) // projector bitset
+            + n * 2 // verdict byte + text-keep byte
             + self.normalized_query.len() * 2 // key string + AST (rough)
             + program
             + 256 // fixed overheads
     }
-
-    /// The canonical artifact file name for this key.
-    pub fn file_name(&self) -> String {
-        format!(
-            "{:016x}-{:016x}.xqa",
-            self.fingerprint,
-            query_hash(&self.normalized_query)
-        )
-    }
-
-    /// Serializes the artifact to its binary wire form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1024);
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u64(&mut out, self.fingerprint);
-        put_str(&mut out, self.dtd.label(self.dtd.root()));
-        put_str(&mut out, &self.dtd.to_dtd_syntax());
-        put_str(&mut out, &self.normalized_query);
-        put_str(&mut out, &self.projector.to_text(&self.dtd));
-        let n = self.dtd.name_count();
-        put_u32(&mut out, n as u32);
-        for name in self.dtd.all_names() {
-            out.push(match self.table.verdict(name) {
-                Verdict::Keep => 0,
-                Verdict::PruneDescend => 1,
-                Verdict::PruneSubtree => 2,
-            });
-            out.push(self.table.keep_text_under(name) as u8);
-        }
-        match &self.plan {
-            Plan::Fallback => out.push(0),
-            Plan::Streaming(p) => {
-                out.push(1);
-                put_steps(&mut out, &p.steps);
-                put_steps(&mut out, &p.guard);
-            }
-        }
-        out
-    }
-
-    /// Deserializes an artifact, reparsing the embedded canonical DTD
-    /// syntax and normalized query. Tables and the plan are rebuilt
-    /// from the reparsed grammar and **cross-checked against the stored
-    /// dense tables** — a mismatch (e.g. a non-deterministic name
-    /// interning change between versions) rejects the file instead of
-    /// serving wrong verdicts. No inference runs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Arc<QueryArtifact>, String> {
-        let mut c = Cursor { b: bytes, at: 0 };
-        if c.take(MAGIC.len())? != MAGIC {
-            return Err("not an artifact file (bad magic)".into());
-        }
-        let version = c.u32()?;
-        if version != VERSION {
-            return Err(format!("unsupported artifact version {version}"));
-        }
-        let fingerprint = c.u64()?;
-        let root = c.str()?;
-        let syntax = c.str()?;
-        let normalized_query = c.str()?;
-        let projector_text = c.str()?;
-
-        let dtd = Arc::new(parse_dtd(&syntax, &root).map_err(|e| e.to_string())?);
-        if dtd_fingerprint(&dtd) != fingerprint {
-            return Err("artifact fingerprint does not match embedded DTD".into());
-        }
-        let ast = parse_xquery(&normalized_query).map_err(|e| e.to_string())?;
-        if ast.to_string() != normalized_query {
-            return Err("embedded query is not in normal form".into());
-        }
-        let projector = Projector::from_text(&dtd, &projector_text)?;
-        let table = ProjectorTable::new(&dtd, &projector);
-
-        let n = c.u32()? as usize;
-        if n != dtd.name_count() {
-            return Err("artifact table size does not match DTD".into());
-        }
-        for name in dtd.all_names() {
-            let v = c.u8()?;
-            let t = c.u8()?;
-            let expect = match table.verdict(name) {
-                Verdict::Keep => 0,
-                Verdict::PruneDescend => 1,
-                Verdict::PruneSubtree => 2,
-            };
-            if v != expect || t != table.keep_text_under(name) as u8 {
-                return Err("artifact verdict table does not match rebuilt table".into());
-            }
-        }
-        let plan = match c.u8()? {
-            0 => Plan::Fallback,
-            1 => {
-                let steps = take_steps(&mut c, n)?;
-                let guard = take_steps(&mut c, n)?;
-                Plan::Streaming(PathProgram { steps, guard })
-            }
-            other => return Err(format!("unknown plan tag {other}")),
-        };
-        if plan != lower(&ast, &dtd) {
-            return Err("artifact program does not match recompiled program".into());
-        }
-        Ok(Arc::new(QueryArtifact {
-            fingerprint,
-            normalized_query,
-            dtd,
-            ast,
-            projector,
-            table,
-            plan,
-            compile_micros: 0,
-        }))
-    }
-}
-
-const MAGIC: &[u8] = b"XPQA";
-const VERSION: u32 = 1;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_steps(out: &mut Vec<u8>, steps: &[StepInstr]) {
-    put_u32(out, steps.len() as u32);
-    for s in steps {
-        out.push(match s.axis {
-            StepAxis::Child => 0,
-            StepAxis::Descendant => 1,
-            StepAxis::DescendantOrSelf => 2,
-            StepAxis::SelfStep => 3,
-        });
-        let (kind, name) = match s.test {
-            StepTest::Tag(t) => (0u8, t),
-            StepTest::AnyElement => (1, 0),
-            StepTest::AnyNode => (2, 0),
-            StepTest::Text => (3, 0),
-        };
-        out.push(kind);
-        put_u32(out, name);
-    }
-}
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.at + n > self.b.len() {
-            return Err("truncated artifact".into());
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "artifact string not UTF-8".into())
-    }
-}
-
-fn take_steps(c: &mut Cursor<'_>, name_count: usize) -> Result<Vec<StepInstr>, String> {
-    let n = c.u32()? as usize;
-    if n > crate::program::MAX_STEPS {
-        return Err("artifact program too long".into());
-    }
-    let mut steps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let axis = match c.u8()? {
-            0 => StepAxis::Child,
-            1 => StepAxis::Descendant,
-            2 => StepAxis::DescendantOrSelf,
-            3 => StepAxis::SelfStep,
-            other => return Err(format!("unknown axis tag {other}")),
-        };
-        let kind = c.u8()?;
-        let name = c.u32()?;
-        let test = match kind {
-            0 => {
-                if name != crate::program::UNDECLARED && name as usize >= name_count {
-                    return Err("artifact name id out of range".into());
-                }
-                StepTest::Tag(name)
-            }
-            1 => StepTest::AnyElement,
-            2 => StepTest::AnyNode,
-            3 => StepTest::Text,
-            other => return Err(format!("unknown test tag {other}")),
-        };
-        steps.push(StepInstr { axis, test });
-    }
-    Ok(steps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xproj_dtd::parse_dtd;
 
     fn dtd() -> Arc<Dtd> {
         Arc::new(
@@ -391,45 +155,9 @@ mod tests {
     fn compile_produces_consistent_key_and_plan() {
         let d = dtd();
         let art = QueryArtifact::compile(&d, "//b[c]").unwrap();
-        assert_eq!(art.fingerprint, dtd_fingerprint(&d));
+        assert!(Arc::ptr_eq(&art.dtd, &d), "the grammar is shared, not copied");
         assert_eq!(art.normalized_query, normalize_query("//b[c]").unwrap());
         assert!(matches!(art.plan, Plan::Streaming(_)));
         assert!(art.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn binary_round_trip_preserves_everything() {
-        let d = dtd();
-        for q in ["//b[c]", "/a/b/c", "for $x in /a/b return <r>{$x}</r>"] {
-            let art = QueryArtifact::compile(&d, q).unwrap();
-            let bytes = art.to_bytes();
-            let back = QueryArtifact::from_bytes(&bytes).unwrap();
-            assert_eq!(back.fingerprint, art.fingerprint, "{q}");
-            assert_eq!(back.normalized_query, art.normalized_query, "{q}");
-            assert_eq!(back.plan, art.plan, "{q}");
-            assert_eq!(back.projector, art.projector, "{q}");
-            assert_eq!(back.compile_micros, 0, "loaded artifacts report no compile");
-            // The reparsed DTD must agree name-for-name (interning is
-            // deterministic from the canonical syntax).
-            assert_eq!(back.dtd.name_count(), art.dtd.name_count());
-            for n in art.dtd.all_names() {
-                assert_eq!(back.dtd.label(n), art.dtd.label(n));
-                assert_eq!(back.table.verdict(n), art.table.verdict(n));
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_artifacts_are_rejected() {
-        let d = dtd();
-        let art = QueryArtifact::compile(&d, "/a/b").unwrap();
-        let bytes = art.to_bytes();
-        assert!(QueryArtifact::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut bad = bytes.clone();
-        bad[0] = b'Y';
-        assert!(QueryArtifact::from_bytes(&bad).is_err());
-        let mut fp = bytes;
-        fp[8] ^= 0xff; // flip a fingerprint byte
-        assert!(QueryArtifact::from_bytes(&fp).is_err());
     }
 }

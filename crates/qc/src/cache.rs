@@ -1,27 +1,25 @@
 //! The artifact cache: compile once, serve many connections.
 //!
-//! Replaces the engine's per-request projector inference with an LRU of
-//! immutable [`QueryArtifact`]s keyed by `(DTD fingerprint, normalized
-//! query)`. Artifacts are `Arc`'d, so cache hits hand out shareable
-//! values with no copying and no lock held while a machine runs; the
-//! compile for a miss runs *outside* the lock, so concurrent misses on
+//! An LRU of immutable [`QueryArtifact`]s keyed by `(DTD fingerprint,
+//! normalized query)`. The fingerprint is a field of the grammar
+//! ([`Dtd::fingerprint`], computed when the grammar was built), so a
+//! hit costs one parse of the query text to normalize it and one map
+//! lookup — nothing grammar-sized. Artifacts are `Arc`'d, so hits hand
+//! out shareable values with no copying and no lock held while a
+//! machine runs; the compile for a miss reuses the AST the lookup
+//! parsed and runs *outside* the lock, so concurrent misses on
 //! different keys do not serialize (two racing misses on the same key
 //! both compile and the second insert wins — harmless, compilation is
 //! deterministic).
 //!
 //! Beyond hit/miss/eviction counts the cache keeps the compile counter
-//! and cumulative compile time (the warm-restart test asserts the
-//! counter does **not** move when an artifact comes from disk) and a
-//! resident-bytes gauge fed by [`QueryArtifact::approx_bytes`]. With
-//! [`ArtifactCache::save_dir`] / [`ArtifactCache::load_dir`] the whole
-//! cache round-trips through a directory of `.xqa` files, which is how
-//! `xmlpruned --artifact-dir` boots warm.
+//! and cumulative compile time, and a resident-bytes gauge fed by
+//! [`QueryArtifact::approx_bytes`].
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use crate::artifact::{dtd_fingerprint, QueryArtifact};
+use crate::artifact::QueryArtifact;
 use xproj_dtd::{Dtd, NameSet};
 use xproj_xquery::parse_xquery;
 
@@ -34,12 +32,10 @@ pub struct ArtifactCacheStats {
     pub misses: u64,
     /// Entries evicted to respect the capacity.
     pub evictions: u64,
-    /// Artifacts compiled (inference + lowering). Loads don't count.
+    /// Artifacts compiled (inference + lowering).
     pub compiles: u64,
     /// Cumulative wall-clock microseconds spent compiling.
     pub compile_micros: u64,
-    /// Artifacts restored from disk by `load_dir`.
-    pub loads: u64,
     /// Entries dropped by `invalidate_update` because a document
     /// update overlapped their projector.
     pub invalidations: u64,
@@ -125,10 +121,8 @@ impl ArtifactCache {
         dtd: &Arc<Dtd>,
         query: &str,
     ) -> Result<Arc<QueryArtifact>, String> {
-        let normalized = parse_xquery(query)
-            .map(|q| q.to_string())
-            .map_err(|e| e.to_string())?;
-        let key = (dtd_fingerprint(dtd), normalized);
+        let ast = parse_xquery(query).map_err(|e| e.to_string())?;
+        let key = (dtd.fingerprint(), ast.to_string());
         {
             let mut inner = self.inner.lock().unwrap();
             inner.tick += 1;
@@ -143,7 +137,7 @@ impl ArtifactCache {
         }
         // Compile outside the lock: misses on different keys
         // parallelize across worker threads.
-        let artifact = QueryArtifact::compile(dtd, query)?;
+        let artifact = QueryArtifact::from_ast(dtd, ast, key.1.clone());
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
@@ -159,24 +153,6 @@ impl ArtifactCache {
         );
         inner.refresh_gauges();
         Ok(artifact)
-    }
-
-    /// Inserts an already-built artifact (the warm-restart load path).
-    /// Does not touch the hit/miss/compile counters.
-    pub fn insert(&self, artifact: Arc<QueryArtifact>) {
-        let key = artifact.key();
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.evict_for(self.capacity, &key);
-        inner.map.insert(
-            key,
-            Entry {
-                artifact,
-                last_used: tick,
-            },
-        );
-        inner.refresh_gauges();
     }
 
     /// Drops every resident artifact compiled against the DTD with
@@ -209,51 +185,6 @@ impl ArtifactCache {
         let mut inner = self.inner.lock().unwrap();
         inner.refresh_gauges();
         inner.stats
-    }
-
-    /// Writes every resident artifact into `dir` (created if missing)
-    /// as `<fingerprint>-<queryhash>.xqa`. Returns how many were
-    /// written.
-    pub fn save_dir(&self, dir: &Path) -> std::io::Result<usize> {
-        std::fs::create_dir_all(dir)?;
-        let artifacts: Vec<Arc<QueryArtifact>> = {
-            let inner = self.inner.lock().unwrap();
-            inner.map.values().map(|e| Arc::clone(&e.artifact)).collect()
-        };
-        for a in &artifacts {
-            std::fs::write(dir.join(a.file_name()), a.to_bytes())?;
-        }
-        Ok(artifacts.len())
-    }
-
-    /// Loads every `.xqa` file in `dir` (ignored if the directory does
-    /// not exist). Unreadable or corrupt files are skipped, not fatal —
-    /// a stale artifact dir must never stop the daemon from booting.
-    /// Returns how many artifacts were restored; each load bumps the
-    /// `loads` counter but leaves `compiles` untouched.
-    pub fn load_dir(&self, dir: &Path) -> std::io::Result<usize> {
-        let entries = match std::fs::read_dir(dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let mut loaded = 0usize;
-        for entry in entries {
-            let path = entry?.path();
-            if path.extension().map(|e| e != "xqa").unwrap_or(true) {
-                continue;
-            }
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            let Ok(artifact) = QueryArtifact::from_bytes(&bytes) else {
-                continue;
-            };
-            self.insert(artifact);
-            loaded += 1;
-        }
-        self.inner.lock().unwrap().stats.loads += loaded as u64;
-        Ok(loaded)
     }
 }
 
@@ -322,22 +253,22 @@ mod tests {
         let mut touched = d.empty_set();
         touched.insert(d.name_of_tag_str("c").unwrap());
         assert!(!ab.depends_on(&touched));
-        assert_eq!(cache.invalidate_update(dtd_fingerprint(&d), &touched), 1);
+        assert_eq!(cache.invalidate_update(d.fingerprint(), &touched), 1);
         let s = cache.stats();
         assert_eq!((s.invalidations, s.entries), (1, 1));
 
         // An independent update (empty footprint) drops nothing.
-        assert_eq!(cache.invalidate_update(dtd_fingerprint(&d), &d.empty_set()), 0);
+        assert_eq!(cache.invalidate_update(d.fingerprint(), &d.empty_set()), 0);
 
         // A different DTD's fingerprint never touches this grammar's
         // artifacts, overlap or not.
         let mut root = d.empty_set();
         root.insert(d.root());
-        assert_eq!(cache.invalidate_update(dtd_fingerprint(&d) ^ 1, &root), 0);
+        assert_eq!(cache.invalidate_update(d.fingerprint() ^ 1, &root), 0);
         assert_eq!(cache.stats().entries, 1);
 
         // The root is in every projector: everything goes.
-        assert_eq!(cache.invalidate_update(dtd_fingerprint(&d), &root), 1);
+        assert_eq!(cache.invalidate_update(d.fingerprint(), &root), 1);
         let s = cache.stats();
         assert_eq!((s.invalidations, s.entries), (2, 0));
     }
@@ -347,37 +278,5 @@ mod tests {
         let cache = ArtifactCache::new(2);
         assert!(cache.get_or_compile(&dtd(), "///").is_err());
         assert_eq!(cache.stats().misses, 0);
-    }
-
-    #[test]
-    fn directory_round_trip_restores_without_compiling() {
-        let dir = std::env::temp_dir().join(format!("xqa-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let cache = ArtifactCache::new(8);
-        let d = dtd();
-        cache.get_or_compile(&d, "/a/b").unwrap();
-        cache.get_or_compile(&d, "//c").unwrap();
-        assert_eq!(cache.save_dir(&dir).unwrap(), 2);
-
-        let warm = ArtifactCache::new(8);
-        assert_eq!(warm.load_dir(&dir).unwrap(), 2);
-        let before = warm.stats();
-        assert_eq!((before.compiles, before.loads, before.entries), (0, 2, 2));
-
-        // First request on the warm cache is a hit: no compile.
-        let a = warm.get_or_compile(&d, "/a/b").unwrap();
-        assert_eq!(a.fingerprint, dtd_fingerprint(&d));
-        let after = warm.stats();
-        assert_eq!((after.hits, after.misses, after.compiles), (1, 0, 0));
-
-        // A corrupt file is skipped, not fatal.
-        std::fs::write(dir.join("junk.xqa"), b"not an artifact").unwrap();
-        let tolerant = ArtifactCache::new(8);
-        assert_eq!(tolerant.load_dir(&dir).unwrap(), 2);
-
-        // A missing dir is an empty load, not an error.
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(ArtifactCache::new(8).load_dir(&dir).unwrap(), 0);
     }
 }

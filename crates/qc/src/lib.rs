@@ -13,11 +13,11 @@
 //!   [`Plan::Fallback`].
 //! * [`artifact`] — [`QueryArtifact`]: one immutable, `Arc`-shareable
 //!   bundle of projector + dense [`xproj_core::ProjectorTable`] +
-//!   compiled plan + normalized query fingerprint, with a binary wire
-//!   form for warm restarts.
+//!   compiled plan + normalized query, made by one constructor
+//!   ([`QueryArtifact::compile`]) and never persisted.
 //! * [`cache`] — [`ArtifactCache`]: the LRU keyed by `(DTD
 //!   fingerprint, normalized query)` with hit/miss/eviction/compile
-//!   counters, a resident-bytes gauge, and directory save/load.
+//!   counters and a resident-bytes gauge.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -43,6 +43,6 @@ pub mod artifact;
 pub mod cache;
 pub mod program;
 
-pub use artifact::{dtd_fingerprint, normalize_query, query_hash, QueryArtifact};
+pub use artifact::{normalize_query, QueryArtifact};
 pub use cache::{ArtifactCache, ArtifactCacheStats};
 pub use program::{PathProgram, Plan, StepAxis, StepInstr, StepTest, MAX_STEPS, UNDECLARED};

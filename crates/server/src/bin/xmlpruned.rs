@@ -6,8 +6,7 @@
 //!           [--max-body-bytes N] [--read-timeout-ms N]
 //!           [--write-timeout-ms N] [--drain-ms N]
 //!           [--max-connections N] [--rate-limit RPS:BURST]
-//!           [--out-buffer-cap BYTES] [--artifact-dir DIR]
-//!           [--port-file PATH]
+//!           [--out-buffer-cap BYTES] [--port-file PATH]
 //! ```
 //!
 //! Binds, prints `listening on HOST:PORT`, and serves until
@@ -115,9 +114,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 config.out_buffer_cap =
                     parse_num("--out-buffer-cap", &next("--out-buffer-cap")?)?.max(1) as usize
             }
-            "--artifact-dir" => {
-                config.artifact_dir = Some(std::path::PathBuf::from(next("--artifact-dir")?))
-            }
             "--port-file" => port_file = Some(next("--port-file")?),
             "--help" | "-h" => {
                 println!("{}", USAGE.trim());
@@ -153,8 +149,7 @@ usage: xmlpruned [--addr HOST:PORT] [--workers N] [--reactor-threads N]
                  [--max-body-bytes N] [--read-timeout-ms N]
                  [--write-timeout-ms N] [--drain-ms N]
                  [--max-connections N] [--rate-limit RPS:BURST]
-                 [--out-buffer-cap BYTES] [--artifact-dir DIR]
-                 [--port-file PATH]
+                 [--out-buffer-cap BYTES] [--port-file PATH]
 
 Serves type-based XML projection over HTTP/1.1:
   POST /v1/dtd?root=NAME        register a DTD (body = DTD text) -> {"id":...}
@@ -165,9 +160,9 @@ Serves type-based XML projection over HTTP/1.1:
   GET  /healthz                 liveness
   POST /admin/shutdown          graceful shutdown (drain, then exit)
 
---artifact-dir persists compiled query artifacts across restarts: loaded
-at startup, saved at graceful shutdown, so a restarted daemon answers
-repeat (DTD, query) pairs from the cache without recompiling.
+Compiled (DTD, query) artifacts live in an in-memory LRU (--cache N
+entries) and are never written to disk: after a restart, register the DTD
+again and the first request per pair recompiles (tens of microseconds).
 
 --addr with port 0 picks an ephemeral port (printed on stdout and, with
 --port-file, written to PATH). --chunk-size sets the engine feed size for

@@ -218,8 +218,9 @@ enum Phase {
     /// A reply-building job (DTD parse, analyzer run) is out.
     /// `client_keep` is the request's `head.keep_alive()`.
     Waiting { client_keep: bool },
-    /// Artifact setup for a prune or a query is out.
-    Setup,
+    /// Artifact setup for a prune or a query (`endpoint` says which)
+    /// is out.
+    Setup { endpoint: Endpoint },
     /// Streaming a prune or a query: decode → feed jobs → frames.
     Prune(Box<PruneState>),
     /// Response queued; flush the out queue, then linger or close.
@@ -538,7 +539,7 @@ impl Connection {
                 Phase::Linger { .. } => true,
                 // The executor owns the request: anything more the
                 // client sends can wait in the transport's buffer.
-                Phase::Waiting { .. } | Phase::Setup => false,
+                Phase::Waiting { .. } | Phase::Setup { .. } => false,
                 // A stream drains `in_buf` only as fast as the engine
                 // keeps up, so the undecoded backlog gates reads too —
                 // otherwise a fast sender turns `in_buf` into an
@@ -686,7 +687,9 @@ impl Connection {
             (Done::Reply(reply), &Phase::Waiting { client_keep }) => {
                 self.send_reply(reply, client_keep, cx)
             }
-            (Done::Setup { head, result }, Phase::Setup) => self.setup_done(head, result, cx),
+            (Done::Setup { head, result }, &Phase::Setup { endpoint }) => {
+                self.setup_done(head, endpoint, result, cx)
+            }
             (Done::Prune { session, result }, Phase::Prune(_)) => {
                 self.prune_done(session, result, cx)
             }
@@ -973,7 +976,7 @@ impl Connection {
             | (Endpoint::Analyze, "POST")
             | (Endpoint::Independence, "POST") => self.enter_body(head, endpoint, false, cx),
             (Endpoint::Prune, "POST") | (Endpoint::Query, "POST") => {
-                self.phase = Phase::Setup;
+                self.phase = Phase::Setup { endpoint };
                 self.dispatch(Job::Setup { head });
             }
             (Endpoint::Other, _) => self.send_reply(
@@ -1101,6 +1104,7 @@ impl Connection {
     fn setup_done(
         &mut self,
         head: RequestHead,
+        endpoint: Endpoint,
         result: Result<Arc<QueryArtifact>, Reply>,
         cx: Cx<'_>,
     ) {
@@ -1115,7 +1119,7 @@ impl Connection {
             Ok(k) => k,
             Err(e) => return self.protocol_error(&e, cx),
         };
-        let (mode, content_type) = if route(&head) == Endpoint::Query {
+        let (mode, content_type) = if endpoint == Endpoint::Query {
             (QueryOutput::Frames, "application/x-ndjson")
         } else {
             (QueryOutput::Pruned, "application/xml")

@@ -10,7 +10,7 @@
 //! defined here, and always close the connection (the body may be
 //! half-read, so the keep-alive framing cannot be trusted afterwards).
 
-use crate::http::{HttpError, RequestHead};
+use crate::http::{parse_digits, HttpError, RequestHead};
 use crate::metrics::Endpoint;
 use crate::state::ServerState;
 use std::sync::Arc;
@@ -94,7 +94,7 @@ pub(crate) const SHUTDOWN_BODY: &str =
 
 /// Builds the `GET /metrics` response.
 pub(crate) fn metrics_reply(state: &ServerState, head: &RequestHead) -> Reply {
-    if head.query_param("format").as_deref() == Some("prometheus") {
+    if head.query_param("format") == Some("prometheus") {
         Reply::Ok {
             status: 200,
             content_type: "text/plain; version=0.0.4",
@@ -119,12 +119,12 @@ pub(crate) fn dtd_reply(state: &ServerState, head: &RequestHead, body: &[u8]) ->
     let Ok(text) = std::str::from_utf8(body) else {
         return Reply::err(400, codes::DTD_PARSE, "DTD text is not UTF-8");
     };
-    match xproj_dtd::parse_dtd(text, &root) {
+    match xproj_dtd::parse_dtd(text, root) {
         Ok(dtd) => {
             let (id, names) = state.register_dtd(dtd);
             Reply::json(format!(
                 "{{\"id\":\"{id:016x}\",\"root\":\"{}\",\"names\":{names}}}",
-                crate::http::json_escape(&root)
+                crate::http::json_escape(root)
             ))
         }
         Err(e) => Reply::err(400, codes::DTD_PARSE, e.to_string()),
@@ -134,15 +134,15 @@ pub(crate) fn dtd_reply(state: &ServerState, head: &RequestHead, body: &[u8]) ->
 /// Builds the `POST /v1/analyze` response from the (complete) optional
 /// sample body.
 pub(crate) fn analyze_reply(state: &ServerState, head: &RequestHead, body: &[u8]) -> Reply {
-    let (_dtd_id, dtd) = match lookup_dtd(state, head) {
+    let dtd = match lookup_dtd(state, head) {
         Ok(d) => d,
         Err(r) => return r,
     };
     let queries: Vec<String> = head
         .query_params()
-        .into_iter()
+        .iter()
         .filter(|(k, v)| k == "query" && !v.is_empty())
-        .map(|(_, v)| v)
+        .map(|(_, v)| v.clone())
         .collect();
     if queries.is_empty() {
         return Reply::err(
@@ -178,7 +178,7 @@ pub(crate) fn analyze_reply(state: &ServerState, head: &RequestHead, body: &[u8]
 /// Builds the `POST /v1/independence` response: one JSON line per
 /// (query, update) pair from the request's parameters.
 pub(crate) fn independence_reply(state: &ServerState, head: &RequestHead) -> Reply {
-    let (_dtd_id, dtd) = match lookup_dtd(state, head) {
+    let dtd = match lookup_dtd(state, head) {
         Ok(d) => d,
         Err(r) => return r,
     };
@@ -189,8 +189,8 @@ pub(crate) fn independence_reply(state: &ServerState, head: &RequestHead) -> Rep
             continue;
         }
         match k.as_str() {
-            "query" => queries.push(v),
-            "update" => updates.push(v),
+            "query" => queries.push(v.as_str()),
+            "update" => updates.push(v.as_str()),
             _ => {}
         }
     }
@@ -227,11 +227,9 @@ pub(crate) fn independence_reply(state: &ServerState, head: &RequestHead) -> Rep
     }
 }
 
-/// Resolves `?dtd=<id>` to a registered DTD.
-fn lookup_dtd(
-    state: &ServerState,
-    head: &RequestHead,
-) -> Result<(u64, std::sync::Arc<xproj_dtd::Dtd>), Reply> {
+/// Resolves `?dtd=<id>` — 1 to 16 hex digits after at most one `0x` —
+/// to a registered DTD.
+fn lookup_dtd(state: &ServerState, head: &RequestHead) -> Result<Arc<xproj_dtd::Dtd>, Reply> {
     let Some(id_hex) = head.query_param("dtd") else {
         return Err(Reply::err(
             400,
@@ -239,7 +237,8 @@ fn lookup_dtd(
             "the 'dtd' query parameter (id from POST /v1/dtd) is required",
         ));
     };
-    let Ok(id) = u64::from_str_radix(id_hex.trim_start_matches("0x"), 16) else {
+    let digits = id_hex.strip_prefix("0x").unwrap_or(id_hex);
+    let Some(id) = parse_digits(digits, 16).filter(|_| digits.len() <= 16) else {
         return Err(Reply::err(
             400,
             codes::BAD_REQUEST,
@@ -253,7 +252,7 @@ fn lookup_dtd(
             format!("no DTD registered under id {id_hex} (register via POST /v1/dtd)"),
         ));
     };
-    Ok((id, dtd))
+    Ok(dtd)
 }
 
 /// Validates the parameters `POST /v1/prune` and `POST /v1/query`
@@ -263,7 +262,7 @@ pub(crate) fn artifact_setup(
     state: &ServerState,
     head: &RequestHead,
 ) -> Result<Arc<QueryArtifact>, Reply> {
-    let (_, dtd) = lookup_dtd(state, head)?;
+    let dtd = lookup_dtd(state, head)?;
     let Some(query) = head.query_param("query").filter(|q| !q.is_empty()) else {
         return Err(Reply::err(
             400,
@@ -273,7 +272,7 @@ pub(crate) fn artifact_setup(
     };
     state
         .cache
-        .get_or_compile(&dtd, &query)
+        .get_or_compile(&dtd, query)
         .map_err(|e| Reply::err(400, ErrorCode::BadQuery.as_str(), e))
 }
 
@@ -281,7 +280,7 @@ pub(crate) fn artifact_setup(
 /// (default on).
 pub(crate) fn fast_forward_param(head: &RequestHead) -> bool {
     !matches!(
-        head.query_param("fast_forward").as_deref(),
+        head.query_param("fast_forward"),
         Some("0") | Some("false")
     )
 }

@@ -25,8 +25,9 @@ pub struct RequestHead {
     pub method: String,
     /// Decoded path (before `?`).
     pub path: String,
-    /// Raw query string (after `?`), still percent-encoded.
-    pub raw_query: String,
+    /// The query string (after `?`), split and percent-decoded once, in
+    /// order; a parameter without `=` has an empty value.
+    params: Vec<(String, String)>,
     /// Headers in arrival order, names lower-cased, values trimmed.
     pub headers: Vec<(String, String)>,
 }
@@ -42,23 +43,16 @@ impl RequestHead {
     }
 
     /// Decoded query parameters in order.
-    pub fn query_params(&self) -> Vec<(String, String)> {
-        self.raw_query
-            .split('&')
-            .filter(|s| !s.is_empty())
-            .map(|pair| match pair.split_once('=') {
-                Some((k, v)) => (percent_decode(k), percent_decode(v)),
-                None => (percent_decode(pair), String::new()),
-            })
-            .collect()
+    pub fn query_params(&self) -> &[(String, String)] {
+        &self.params
     }
 
     /// First decoded value of a query parameter.
-    pub fn query_param(&self, name: &str) -> Option<String> {
-        self.query_params()
-            .into_iter()
+    pub fn query_param(&self, name: &str) -> Option<&str> {
+        self.params
+            .iter()
             .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+            .map(|(_, v)| v.as_str())
     }
 
     /// All comma-separated tokens of a (case-insensitive) header,
@@ -76,11 +70,17 @@ impl RequestHead {
             .collect()
     }
 
-    /// Whether the client asked to keep the connection open
-    /// (HTTP/1.1 default yes, overridden by a `close` token in any
-    /// `Connection` header — `Connection: close, te` still closes).
+    /// Whether the connection may stay open after this request:
+    /// HTTP/1.1 default yes, overridden by a `close` token in any
+    /// `Connection` header (`Connection: close, te` still closes) and by
+    /// `Content-Length` alongside `Transfer-Encoding` — a proxy that
+    /// framed such a request by its length would read what follows the
+    /// chunked body as the next request, so nothing may follow it
+    /// (RFC 9112 §6.1).
     pub fn keep_alive(&self) -> bool {
-        !self.header_tokens("connection").iter().any(|t| t == "close")
+        let has = |name: &str| self.headers.iter().any(|(n, _)| n == name);
+        let ambiguous_framing = has("transfer-encoding") && has("content-length");
+        !ambiguous_framing && !self.header_tokens("connection").iter().any(|t| t == "close")
     }
 
     /// Whether the client sent `Expect: 100-continue`.
@@ -89,7 +89,20 @@ impl RequestHead {
     }
 }
 
-/// Decodes `%XX` escapes and `+`-as-space in a query component.
+/// Parses an unsigned number written as one or more digits of `radix`
+/// and nothing else. Every number that frames or addresses a request
+/// (`Content-Length`, chunk sizes, `%XX`, DTD ids) goes through here:
+/// `str::parse` and `from_str_radix` also accept a leading `+`, which a
+/// strict proxy in front would read differently.
+pub(crate) fn parse_digits(s: &str, radix: u32) -> Option<u64> {
+    if s.is_empty() || !s.chars().all(|c| c.is_digit(radix)) {
+        return None;
+    }
+    u64::from_str_radix(s, radix).ok()
+}
+
+/// Decodes `%XX` escapes (exactly two hex digits; any other `%` stays
+/// literal) and `+`-as-space in a query component.
 pub fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -98,12 +111,10 @@ pub fn percent_decode(s: &str) -> String {
         match bytes[i] {
             b'+' => out.push(b' '),
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
-                });
+                let hex = s.get(i + 1..i + 3).and_then(|h| parse_digits(h, 16));
                 match hex {
                     Some(b) => {
-                        out.push(b);
+                        out.push(b as u8);
                         i += 2;
                     }
                     None => out.push(b'%'),
@@ -149,10 +160,18 @@ pub(crate) fn parse_head_str(head: &str) -> Result<RequestHead, HttpError> {
             .ok_or_else(|| HttpError::BadRequest(format!("malformed header line '{line}'")))?;
         headers.push((n.trim().to_ascii_lowercase(), v.trim().to_string()));
     }
+    let params = raw_query
+        .split('&')
+        .filter(|s| !s.is_empty())
+        .map(|pair| {
+            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+            (percent_decode(k), percent_decode(v))
+        })
+        .collect();
     Ok(RequestHead {
         method,
         path: percent_decode(path),
-        raw_query: raw_query.to_string(),
+        params,
         headers,
     })
 }
@@ -180,7 +199,9 @@ pub enum BodyKind {
 /// is chunked only when `chunked` is the **final** coding. Any coding
 /// this server does not implement (gzip, deflate, …) is a `501`;
 /// `chunked` anywhere but last (the framing would be ambiguous) is a
-/// `400`.
+/// `400`. A chunked body ignores any `Content-Length` (and
+/// [`RequestHead::keep_alive`] closes after it); otherwise every
+/// `Content-Length` must be `1*DIGIT` and all must agree, else `400`.
 pub fn body_kind(head: &RequestHead) -> Result<BodyKind, HttpError> {
     let codings = head.header_tokens("transfer-encoding");
     if !codings.is_empty() {
@@ -196,15 +217,18 @@ pub fn body_kind(head: &RequestHead) -> Result<BodyKind, HttpError> {
         }
         return Ok(BodyKind::Chunked);
     }
-    match head.header("content-length") {
-        Some(v) => {
-            let n: u64 = v
-                .parse()
-                .map_err(|_| HttpError::BadRequest(format!("bad content-length '{v}'")))?;
-            Ok(BodyKind::Length(n))
+    let mut kind = BodyKind::None;
+    for (_, v) in head.headers.iter().filter(|(n, _)| n == "content-length") {
+        let n = parse_digits(v, 10)
+            .ok_or_else(|| HttpError::BadRequest(format!("bad content-length '{v}'")))?;
+        if kind != BodyKind::None && kind != BodyKind::Length(n) {
+            return Err(HttpError::BadRequest(
+                "conflicting content-length headers".to_string(),
+            ));
         }
-        None => Ok(BodyKind::None),
+        kind = BodyKind::Length(n);
     }
+    Ok(kind)
 }
 
 /// Escapes a string for inclusion in a JSON string literal.
@@ -322,6 +346,25 @@ mod tests {
         assert_eq!(percent_decode("a+b%20c"), "a b c");
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+        // `from_str_radix("+f", 16)` is 15: a sign is not a hex digit,
+        // so the `%` stays and the `+` is the usual space.
+        assert_eq!(percent_decode("%+f"), "% f");
+        assert_eq!(percent_decode("%-1"), "%-1");
+        assert_eq!(percent_decode("%4"), "%4");
+        assert_eq!(percent_decode("%é"), "%é");
+    }
+
+    #[test]
+    fn numbers_are_digits_only() {
+        assert_eq!(parse_digits("19", 10), Some(19));
+        assert_eq!(parse_digits("1F", 16), Some(0x1f));
+        assert_eq!(parse_digits("ffffffffffffffff", 16), Some(u64::MAX));
+        for bad in ["", "+19", "-0", " 19", "19 ", "0x13", "1_9", "٣"] {
+            assert_eq!(parse_digits(bad, 10), None, "{bad:?}");
+            assert_eq!(parse_digits(bad, 16), None, "{bad:?}");
+        }
+        assert_eq!(parse_digits("1f", 10), None);
+        assert_eq!(parse_digits("10000000000000000", 16), None, "overflow");
     }
 
     #[test]
@@ -332,23 +375,22 @@ mod tests {
 
     #[test]
     fn query_param_parsing() {
-        let head = RequestHead {
-            method: "GET".to_string(),
-            path: "/x".to_string(),
-            raw_query: "dtd=abc&query=%2Fsite%2F%2Fitem&flag".to_string(),
-            headers: Vec::new(),
-        };
-        assert_eq!(head.query_param("dtd").as_deref(), Some("abc"));
-        assert_eq!(head.query_param("query").as_deref(), Some("/site//item"));
-        assert_eq!(head.query_param("flag").as_deref(), Some(""));
+        let head =
+            parse_head_str("GET /x?dtd=abc&query=%2Fsite%2F%2Fitem&&flag&dtd=2 HTTP/1.1").unwrap();
+        assert_eq!(head.path, "/x");
+        assert_eq!(head.query_param("dtd"), Some("abc"));
+        assert_eq!(head.query_param("query"), Some("/site//item"));
+        assert_eq!(head.query_param("flag"), Some(""));
         assert_eq!(head.query_param("missing"), None);
+        let keys: Vec<&str> = head.query_params().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["dtd", "query", "flag", "dtd"]);
     }
 
     fn head_with(headers: &[(&str, &str)]) -> RequestHead {
         RequestHead {
             method: "GET".to_string(),
             path: "/".to_string(),
-            raw_query: String::new(),
+            params: Vec::new(),
             headers: headers
                 .iter()
                 .map(|(n, v)| (n.to_string(), v.to_string()))
@@ -441,5 +483,39 @@ mod tests {
             body_kind(&head_with(&[("content-length", "12")])).unwrap(),
             BodyKind::Length(12)
         );
+    }
+
+    #[test]
+    fn content_length_is_digits_and_unanimous() {
+        for bad in ["+19", "-5", "", "19, 19", "0x13", "99999999999999999999"] {
+            assert!(
+                matches!(
+                    body_kind(&head_with(&[("content-length", bad)])),
+                    Err(HttpError::BadRequest(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        assert!(matches!(
+            body_kind(&head_with(&[("content-length", "19"), ("content-length", "3")])),
+            Err(HttpError::BadRequest(_))
+        ));
+        assert!(matches!(
+            body_kind(&head_with(&[("content-length", "0"), ("content-length", "3")])),
+            Err(HttpError::BadRequest(_))
+        ));
+        assert_eq!(
+            body_kind(&head_with(&[("content-length", "19"), ("content-length", "19")])).unwrap(),
+            BodyKind::Length(19)
+        );
+    }
+
+    #[test]
+    fn content_length_with_transfer_encoding_is_chunked_and_closes() {
+        let both = head_with(&[("content-length", "7"), ("transfer-encoding", "chunked")]);
+        assert_eq!(body_kind(&both).unwrap(), BodyKind::Chunked);
+        assert!(!both.keep_alive());
+        assert!(head_with(&[("transfer-encoding", "chunked")]).keep_alive());
+        assert!(head_with(&[("content-length", "7")]).keep_alive());
     }
 }

@@ -18,8 +18,9 @@
 //! * `POST /v1/query?dtd=<id>&query=<q>` — prune **and answer** in one
 //!   pass: the same artifact's plan runs as a sink under the token loop
 //!   and match frames stream back as `application/x-ndjson`. One cache
-//!   entry serves both endpoints and persists across restarts with
-//!   `--artifact-dir`. Both are one
+//!   entry serves both endpoints; nothing is persisted — a restarted
+//!   daemon is handed the DTD again and compiles each pair on its
+//!   first request (tens of microseconds). Both are one
 //!   [`QueryMachine`](xproj_engine::QueryMachine) to the connection —
 //!   only its output mode differs — and both honour `fast_forward=0`
 //!   (no subtree skipping: the pass becomes a full well-formedness
@@ -178,12 +179,6 @@ impl Server {
         let listeners = Self::bind_listeners(&config)?;
         let local_addr = listeners[0].local_addr()?;
         let state = Arc::new(ServerState::new(config, local_addr));
-        // Warm restart: previously-saved compiled artifacts come back
-        // resident before the first request, so a repeat (DTD, query)
-        // is a cache hit with no compile. A missing dir loads nothing.
-        if let Some(dir) = state.config.artifact_dir.clone() {
-            state.cache.load_dir(&dir)?;
-        }
         Ok(Server { listeners, state })
     }
 
@@ -238,7 +233,7 @@ impl Server {
     /// Both drive the same [`conn::Connection`] machine.
     pub fn serve(self) -> std::io::Result<ShutdownReport> {
         #[cfg(target_os = "linux")]
-        return self.run(epoll::serve);
+        return epoll::serve(self.listeners, &self.state);
         #[cfg(not(target_os = "linux"))]
         self.serve_portable()
     }
@@ -249,24 +244,8 @@ impl Server {
     /// deals connections to every member of an `SO_REUSEPORT` group
     /// from the moment it is bound.
     #[doc(hidden)]
-    pub fn serve_portable(self) -> std::io::Result<ShutdownReport> {
-        self.run(|mut listeners, state| {
-            listeners.truncate(1);
-            portable::serve(listeners.remove(0), state)
-        })
-    }
-
-    fn run(
-        self,
-        driver: impl FnOnce(Vec<TcpListener>, &Arc<ServerState>) -> std::io::Result<ShutdownReport>,
-    ) -> std::io::Result<ShutdownReport> {
-        let Server { listeners, state } = self;
-        let report = driver(listeners, &state)?;
-        // Persist the artifact cache for the next boot (best effort:
-        // a failed save must not turn a clean shutdown into an error).
-        if let Some(dir) = state.config.artifact_dir.as_ref() {
-            let _ = state.cache.save_dir(dir);
-        }
-        Ok(report)
+    pub fn serve_portable(mut self) -> std::io::Result<ShutdownReport> {
+        self.listeners.truncate(1);
+        portable::serve(self.listeners.remove(0), &self.state)
     }
 }

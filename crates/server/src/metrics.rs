@@ -337,7 +337,6 @@ impl ServerMetrics {
             Metric("cache", "evictions", "xmlpruned_cache_evictions_total", "Artifact cache evictions.", Counter, Value::Int(cache.evictions)),
             Metric("cache", "compiles", "xmlpruned_cache_compiles_total", "Query artifacts compiled (inference + lowering).", Counter, Value::Int(cache.compiles)),
             Metric("cache", "compile_micros", "xmlpruned_cache_compile_micros_total", "Wall-clock microseconds spent compiling artifacts.", Counter, Value::Int(cache.compile_micros)),
-            Metric("cache", "loads", "xmlpruned_cache_loads_total", "Artifacts restored from the on-disk artifact dir.", Counter, Value::Int(cache.loads)),
             Metric("cache", "invalidations", "xmlpruned_cache_invalidations_total", "Artifacts dropped because a document update overlapped their projector.", Counter, Value::Int(cache.invalidations)),
             Metric("cache", "entries", "xmlpruned_cache_entries", "Artifacts currently resident.", Gauge, int(cache.entries)),
             Metric("cache", "resident_bytes", "xmlpruned_cache_resident_bytes", "Approximate bytes held by resident artifacts.", Gauge, int(cache.resident_bytes)),
@@ -581,7 +580,7 @@ mod tests {
             ("reactor", &["reactor_threads", "registered_fds", "ready_events", "polls",
                 "wakes", "timer_fires", "executor_jobs", "executor_queue_depth",
                 "admission_rejects", "max_conn_resident"]),
-            ("cache", &["hits", "misses", "evictions", "compiles", "compile_micros", "loads",
+            ("cache", &["hits", "misses", "evictions", "compiles", "compile_micros",
                 "invalidations", "entries", "resident_bytes", "hit_rate"]),
             ("endpoints", &[]),
         ];
@@ -593,7 +592,7 @@ mod tests {
 
         let prom = m.render_prometheus(cache);
         let table = m.table(cache);
-        assert_eq!(table.len(), 9 + 12 + 10 + 10);
+        assert_eq!(table.len(), 9 + 12 + 10 + 9);
         let mut names: Vec<&str> = table.iter().map(|r| r.2).collect();
         names.sort_unstable();
         names.dedup();
@@ -634,7 +633,6 @@ mod tests {
             misses: 2,
             compiles: 2,
             compile_micros: 1234,
-            loads: 1,
             entries: 3,
             resident_bytes: 4096,
             ..Default::default()
@@ -646,7 +644,6 @@ mod tests {
         assert!(json.contains("\"query\""));
         assert!(json.contains("\"compiles\":2"));
         assert!(json.contains("\"compile_micros\":1234"));
-        assert!(json.contains("\"loads\":1"));
         assert!(json.contains("\"resident_bytes\":4096"));
         let prom = m.render_prometheus(cache);
         assert!(prom.contains("xmlpruned_requests_total 3"));
@@ -654,7 +651,6 @@ mod tests {
         assert!(prom.contains("endpoint=\"query\""));
         assert!(prom.contains("xmlpruned_cache_compiles_total 2"));
         assert!(prom.contains("xmlpruned_cache_compile_micros_total 1234"));
-        assert!(prom.contains("xmlpruned_cache_loads_total 1"));
         assert!(prom.contains("xmlpruned_cache_resident_bytes 4096"));
     }
 }

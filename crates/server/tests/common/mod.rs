@@ -376,73 +376,3 @@ pub fn accept_stalls_in(body: &str) -> u64 {
         .and_then(|s| s.parse().ok())
         .expect("accept_stalls counter in /metrics")
 }
-
-/// Warm-restart round trip for the compiled-artifact cache: serve,
-/// query, shut down (saving to `--artifact-dir`), restart on the same
-/// directory, and assert the first request is a cache **hit** — the
-/// compile counter stays at zero while the load counter shows the
-/// artifacts came from disk — with a byte-identical answer.
-pub fn warm_restart_round_trip(tag: &str, driver: Driver) {
-    let dir = std::env::temp_dir().join(format!("xproj_warm_restart_{}_{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let start = || {
-        let config = ServerConfig {
-            workers: 2,
-            artifact_dir: Some(dir.clone()),
-            ..Default::default()
-        };
-        TestServer::start_on(config, driver)
-    };
-    let query = |srv: &TestServer, id: &str| {
-        let resp = srv
-            .client()
-            .request(
-                "POST",
-                &format!("/v1/query?dtd={id}&query={}", urlencode("//title")),
-                &[],
-                Some(BIB_DOC.as_bytes()),
-            )
-            .expect("query");
-        assert_eq!(resp.status, 200, "{}", resp.body_str());
-        resp.body
-    };
-
-    // Cold boot: the first query compiles its artifact.
-    let srv = start();
-    let id = srv.register_dtd(BIB_DTD, "bib");
-    let cold = query(&srv, &id);
-    let s = srv.state.cache.stats();
-    assert_eq!(s.compiles, 1, "cold boot compiles exactly once: {s:?}");
-    assert_eq!(s.loads, 0, "nothing on disk yet: {s:?}");
-    srv.shutdown(); // persists the artifact cache to `dir`
-
-    // Warm boot on the same directory: the artifact is resident before
-    // the first request, which must therefore be a hit — no compile.
-    let srv = start();
-    let before = srv.state.cache.stats();
-    assert!(
-        before.loads >= 1,
-        "restart loads saved artifacts: {before:?}"
-    );
-    assert_eq!(before.compiles, 0, "restart must not recompile: {before:?}");
-    assert!(
-        before.entries >= 1 && before.resident_bytes > 0,
-        "{before:?}"
-    );
-
-    let id = srv.register_dtd(BIB_DTD, "bib"); // content-derived id: same as before
-    let warm = query(&srv, &id);
-    assert_eq!(warm, cold, "warm answer must match the cold answer");
-    let after = srv.state.cache.stats();
-    assert_eq!(after.compiles, 0, "first warm request is a hit: {after:?}");
-    assert!(after.hits >= 1, "{after:?}");
-
-    // The counters are also visible over the wire.
-    let resp = srv.client().request("GET", "/metrics", &[], None).unwrap();
-    let body = resp.body_str();
-    assert!(body.contains("\"loads\":"), "metrics expose loads: {body}");
-
-    let report = srv.shutdown();
-    assert_eq!(report.aborted, 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}

@@ -120,11 +120,6 @@ fn graceful_shutdown_drains_in_flight_load() {
     }
 }
 
-#[test]
-fn warm_restart_round_trip() {
-    common::warm_restart_round_trip("portable", Driver::Portable);
-}
-
 /// The accept loop sleeps out fd exhaustion instead of exiting. The
 /// server is this test binary re-executed under `ulimit -n 48`, running
 /// [`portable_server_child`].

@@ -33,7 +33,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xproj_dtd::parse_dtd;
-use xproj_engine::{dtd_fingerprint, run_query, QueryArtifact, QueryOutput};
+use xproj_engine::{run_query, QueryArtifact, QueryOutput};
 use xproj_server::conn::{
     run_job, Connection, Done, Input, PruneFail, LINGER_MAX_BYTES, LINGER_TIMEOUT, READ_BUDGET,
 };
@@ -138,10 +138,7 @@ fn request(method: &str, target: &str, headers: &[(&str, &str)], body: Body<'_>)
 }
 
 fn bib_id() -> String {
-    format!(
-        "{:016x}",
-        dtd_fingerprint(&parse_dtd(BIB_DTD, "bib").unwrap())
-    )
+    format!("{:016x}", parse_dtd(BIB_DTD, "bib").unwrap().fingerprint())
 }
 
 fn register_bib() -> Vec<u8> {
@@ -1412,6 +1409,83 @@ fn fuzz_wall_case(seed: u64) {
 #[test]
 fn fuzz_wall_raw_http_bytes_never_panic() {
     seeded("fuzz_wall_raw_http_bytes_never_panic", 300, fuzz_wall_case);
+}
+
+/// Framing a strict proxy in front would read differently is refused,
+/// not guessed at: Rust's number parsers take a leading `+`, and a
+/// first-wins `Content-Length` or a kept-alive `Content-Length` +
+/// `Transfer-Encoding` request is how two parsers come to disagree on
+/// where the next request starts. Each probe is followed by a pipelined
+/// `GET /healthz` that must never be answered: the connection closes.
+#[test]
+fn fuzz_wall_framing_disagreements_are_refused_and_close() {
+    let doc = bib_doc(2);
+    let (len, id) = (doc.len(), bib_id());
+    let target = stream_target("prune", "//title");
+    let with_head = |target: &str, framing: &str, body: &str| {
+        format!("POST {target} HTTP/1.1\r\nhost: sim\r\n{framing}\r\n{body}").into_bytes()
+    };
+    let chunked = format!("{len:x}\r\n{doc}\r\n0\r\n\r\n");
+    let length = format!("content-length: {len}\r\n");
+    let id_target = |dtd: &str| format!("/v1/prune?dtd={dtd}&query=//title");
+    // (probe, status, what the body must contain)
+    let probes = [
+        (
+            with_head(&target, &format!("content-length: +{len}\r\n"), &doc),
+            400,
+            "bad content-length",
+        ),
+        (
+            with_head(&target, &format!("{length}content-length: 3\r\n"), &doc),
+            400,
+            "conflicting content-length",
+        ),
+        (
+            with_head(&target, "transfer-encoding: chunked\r\n", &format!("+{chunked}")),
+            400,
+            "bad chunk size",
+        ),
+        (
+            with_head(
+                &target,
+                &format!("{length}transfer-encoding: chunked\r\n"),
+                &chunked,
+            ),
+            200,
+            "<title>Title 1</title>",
+        ),
+        // `%+f` is not the byte 0x0F: the `%` stays, `+` is a space.
+        (with_head(&id_target("1%+f"), &length, &doc), 400, "'1% f' is not a DTD id"),
+        (with_head(&id_target(&format!("+{id}")), &length, &doc), 400, "is not a DTD id"),
+        (with_head(&id_target(&format!("0x0x{id}")), &length, &doc), 400, "is not a DTD id"),
+    ];
+    seeded(
+        "fuzz_wall_framing_disagreements_are_refused_and_close",
+        20,
+        |seed| {
+            let mut sim = Sim::new(sim_config());
+            for (probe, _, _) in &probes {
+                let mut script = register_bib();
+                script.extend_from_slice(probe);
+                script.extend(request("GET", "/healthz", &[], Body::None));
+                sim.connect(script, true);
+            }
+            sim.run(&mut SplitMix64::new(seed));
+            for (i, (_, status, needle)) in probes.iter().enumerate() {
+                assert!(sim.peers[i].conn.is_closed(), "probe {i}");
+                let got = sim.responses(i);
+                assert_eq!(got.len(), 2, "probe {i}: the connection served on: {got:?}");
+                let last = &got[1];
+                assert_eq!((last.status, last.connection.as_str()), (*status, "close"), "probe {i}");
+                let body = String::from_utf8_lossy(&last.body);
+                assert!(body.contains(needle), "probe {i}: {body}");
+            }
+            assert_eq!(
+                sim.counter(|m| m.in_flight.load(Ordering::Relaxed) as u64),
+                0
+            );
+        },
+    );
 }
 
 /// The large shapes a random mutation will not find: 10⁵ headers, a

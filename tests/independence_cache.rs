@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use xml_projection::analyzer::parse_update_footprint;
 use xml_projection::dtd::parse_dtd;
-use xml_projection::qc::{dtd_fingerprint, ArtifactCache};
+use xml_projection::qc::ArtifactCache;
 
 const BIB: &str = "<!ELEMENT bib (book*)>\
                    <!ELEMENT book (title, author*, price?)>\
@@ -20,7 +20,7 @@ const BIB: &str = "<!ELEMENT bib (book*)>\
 #[test]
 fn update_footprint_drives_cache_invalidation() {
     let dtd = Arc::new(parse_dtd(BIB, "bib").unwrap());
-    let fp = dtd_fingerprint(&dtd);
+    let fp = dtd.fingerprint();
     let cache = ArtifactCache::new(8);
     let titles = cache.get_or_compile(&dtd, "/bib/book/title").unwrap();
     let prices = cache
