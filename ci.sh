@@ -54,6 +54,34 @@ if grep -rnE '\b(to_bytes|from_bytes|save_dir|load_dir|artifact_dir|query_hash|d
     exit 1
 fi
 
+echo "== one-path gate (grep: no batch driver, projector file, DTD diff or second residency knob) =="
+# Every `xmlprune` subcommand has one execution path and every
+# connection one buffer size: the batch driver, the saved-projector
+# format, the DTD diff and the two derived `ServerConfig` fields must
+# not come back, in the sources or in any test; their flags may be
+# spelled only by the unknown-flag tests (tests/cli.rs whole, xmlpruned's
+# in two halves), and `query` has no second evaluator to fall back to.
+if grep -rnE '\b(run_batch|parallel_map|BatchJob|diff_projectors|ProjectorDiff|out_buffer_cap|response_buffer_bytes)\b' \
+    src crates/*/src crates/*/tests tests; then
+    echo "one-path gate: found a deleted batch, diff or residency name" >&2
+    exit 1
+fi
+if grep -rnE -e '--(jobs|save|projector|diff-dtd|diff-root|out-buffer-cap|max-header-bytes)\b' \
+    src crates/*/src crates/*/tests; then
+    echo "one-path gate: found a retired flag" >&2
+    exit 1
+fi
+if grep -n 'legacy' src/bin/xmlprune.rs; then
+    echo "one-path gate: xmlprune grew a legacy path" >&2
+    exit 1
+fi
+
+echo "== docs gate (README + DESIGN.md describe the system in <= 1000 lines) =="
+if [ "$(cat README.md DESIGN.md | wc -l)" -gt 1000 ]; then
+    echo "docs gate: README.md + DESIGN.md exceed 1000 lines" >&2
+    exit 1
+fi
+
 echo "== one-protocol gate (grep: sans-I/O machine, no second serving core) =="
 # `conn::Connection` is the only HTTP implementation, and it stays
 # sans-I/O: no socket, clock, thread, channel or reactor type may enter
@@ -105,7 +133,10 @@ TESTKIT_FUZZ_CASES=30 cargo test -q --offline --locked \
 echo "== engine smoke (chunked-vs-whole differential + 100-case fuzz) =="
 # The xmark differential: generated auction document streamed at several
 # chunk sizes must be byte-identical to the whole-string pruner, with the
-# O(depth + max-token) resident-memory bound holding end-to-end.
+# O(depth + max-token) resident-memory bound holding end-to-end. (Whole
+# and chunked pruning are one loop, so this byte-for-byte pin is the
+# gate; their speed is ledger rows `xmltree.tokenize_ns_per_byte` and
+# `engine.prune_ns_per_byte.*`.)
 cargo test -q --offline --locked -p xproj-engine \
     --test chunked_equiv xmark_chunked_differential
 TESTKIT_FUZZ_CASES=100 cargo test -q --offline --locked -p xproj-engine \
@@ -178,38 +209,6 @@ XPROJ_BENCH_ASSERT=1 \
     ./target/release/server > /tmp/BENCH_server.smoke.jsonl
 grep -q '"bench":"sweep","reactor_threads":1' /tmp/BENCH_server.smoke.jsonl
 grep -q '"bench":"sweep","reactor_threads":2' /tmp/BENCH_server.smoke.jsonl
-
-echo "== pipeline bench smoke (one loop: whole-string vs chunked ratio gate) =="
-# Smoke-mode run of the consolidated pipeline bench. Whole-string and
-# chunked pruning are the same token loop under two feed shapes, so the
-# only gate left is that they stay together: in every (scale, query)
-# cell, fast-forward off and on, whole-string throughput must be at
-# least 0.9x chunked. The four cells of a row are sampled round robin
-# at the bench's default 15 samples (a cell is ~2 ms at this scale; at
-# 3 samples a two-sample noise burst moved a median by 30% here), so
-# the ratio holds on a noisy machine; the bench itself asserts that
-# engaging fast-forward never loses throughput. The committed
-# BENCH_pipeline.json must hold the same ratios.
-XPROJ_BENCH_SCALES=0.5 \
-XPROJ_BENCH_OUT=/tmp/BENCH_pipeline.smoke.json \
-    ./target/release/pipeline > /dev/null
-python3 - <<'PY'
-import json
-for name, path in [('committed baseline', 'BENCH_pipeline.json'),
-                   ('smoke run', '/tmp/BENCH_pipeline.smoke.json')]:
-    runs = json.load(open(path))['runs']
-    assert runs, f"{name}: no runs"
-    worst = 10.0
-    for r in runs:
-        for whole, chunked in [('whole_mbps', 'chunked_mbps'),
-                               ('whole_ff_mbps', 'chunked_ff_mbps')]:
-            ratio = r[whole] / r[chunked]
-            assert ratio >= 0.9, \
-                f"{name}: {whole} below 0.9x {chunked}: {r}"
-            worst = min(worst, ratio)
-    print(f"pipeline bench smoke: {name}: whole/chunked >= {worst:.2f} "
-          f"over {len(runs)} rows")
-PY
 
 echo "== query bench smoke (one-pass vs prune-then-eval ratio gate) =="
 # Smoke-mode run of the one-pass query bench. The bench itself asserts

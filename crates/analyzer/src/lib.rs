@@ -15,9 +15,7 @@
 //! * [`retention`] — a DTD-driven expected-size model predicting the
 //!   retention ratio before any document is pruned, optionally
 //!   calibrated against a sample document;
-//! * [`lints`] — dead names, recursive blowup, weak pruning, undeclared
-//!   query tags;
-//! * [`diff`] — projector diffing across two DTD versions;
+//! * [`lints`] — undeclared query tags, recursive blowup, weak pruning;
 //! * [`report`] — text and JSON-lines rendering shared by the CLI and
 //!   the HTTP server.
 //!
@@ -28,14 +26,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod independence;
 pub mod lints;
 pub mod provenance;
 pub mod report;
 pub mod retention;
 
-pub use diff::{diff_projectors, ProjectorDiff};
 pub use independence::{
     check_independence, parse_update_footprint, update_footprint, IndependenceReport,
     IndependenceVerdict, IndependenceWitness, UpdateFootprint,
@@ -59,9 +55,6 @@ use xproj_xquery::{parse_xquery, XQuery};
 pub enum AnalyzerError {
     /// A workload query failed to parse.
     BadQuery(String),
-    /// A DTD failed to parse or does not fit the request (e.g. the
-    /// second grammar of a projector diff).
-    BadDtd(String),
     /// An update failed to parse (independence analysis only).
     BadUpdate(String),
 }
@@ -73,7 +66,6 @@ impl AnalyzerError {
             // Updates share the query wire code: both are "the
             // workload side of the request failed to parse".
             AnalyzerError::BadQuery(_) | AnalyzerError::BadUpdate(_) => ErrorCode::BadQuery,
-            AnalyzerError::BadDtd(_) => ErrorCode::BadDtd,
         }
     }
 }
@@ -82,7 +74,6 @@ impl std::fmt::Display for AnalyzerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AnalyzerError::BadQuery(m) => write!(f, "bad query: {m}"),
-            AnalyzerError::BadDtd(m) => write!(f, "bad dtd: {m}"),
             AnalyzerError::BadUpdate(m) => write!(f, "bad update: {m}"),
         }
     }
@@ -133,9 +124,6 @@ pub struct Analysis {
     pub retention: RetentionEstimate,
     /// Lint findings.
     pub lints: Vec<Lint>,
-    /// Optional projector diff against a second DTD version (attached by
-    /// the caller via [`diff_projectors`]).
-    pub diff: Option<ProjectorDiff>,
 }
 
 /// Runs the whole static analysis for a workload against a DTD.
@@ -153,7 +141,7 @@ pub fn analyze(
         }
         None => estimate(dtd, &provenance.projector, &opts.retention),
     };
-    let lints = run_lints(dtd, queries, &provenance.projector, &provenance.paths, &retention);
+    let lints = run_lints(dtd, &provenance.projector, &provenance.paths, &retention);
     Ok(Analysis {
         root: dtd.label(dtd.root()).to_string(),
         reachable: dtd.reachable_from_root().len(),
@@ -163,7 +151,6 @@ pub fn analyze(
         optimality,
         retention,
         lints,
-        diff: None,
     })
 }
 
@@ -371,10 +358,6 @@ mod tests {
         assert_eq!(
             AnalyzerError::BadQuery(String::new()).code().as_str(),
             "bad-query"
-        );
-        assert_eq!(
-            AnalyzerError::BadDtd(String::new()).code().as_str(),
-            "bad-dtd"
         );
     }
 }

@@ -1,5 +1,8 @@
-//! Workload lints: dead names, recursive blowup, weak pruning,
-//! undeclared query tags.
+//! Workload lints, one per way the paper says projection stops paying:
+//! `undeclared-element` (Fig. 1 types the step to the empty type: it can
+//! never match), `recursive-blowup` (§6: a descendant axis over a
+//! recursive DTD keeps unbounded depth) and `weak-pruning` (§6, Table 1:
+//! the pruned document is nearly the whole one).
 //!
 //! Lints are advisory — the projector stays sound regardless — but each
 //! one flags a (DTD, query) interaction that usually means the workload
@@ -8,7 +11,7 @@
 use crate::provenance::ExtractedPath;
 use crate::retention::RetentionEstimate;
 use xproj_core::Projector;
-use xproj_dtd::{Content, Dtd, NameId, NameSet, Regex};
+use xproj_dtd::Dtd;
 use xproj_xpath::xpathl::{LAxis, LStep, LTest};
 
 /// Lint severity.
@@ -44,21 +47,16 @@ pub struct Lint {
 /// Retention at or above this fraction flags the `weak-pruning` lint.
 pub const WEAK_PRUNING_THRESHOLD: f64 = 0.9;
 
-/// Runs every lint over an analysed workload. `queries` is the workload
-/// verbatim (one entry per request query) for the workload-level lints.
+/// Runs every lint over an analysed workload.
 pub fn run_lints(
     dtd: &Dtd,
-    queries: &[String],
     projector: &Projector,
     paths: &[ExtractedPath],
     retention: &RetentionEstimate,
 ) -> Vec<Lint> {
     let mut out = Vec::new();
     undeclared_tags(dtd, paths, &mut out);
-    dead_names(dtd, projector, &mut out);
     recursive_blowup(dtd, projector, paths, &mut out);
-    duplicate_queries(queries, &mut out);
-    no_pruning(dtd, projector, &mut out);
     if retention.predicted >= WEAK_PRUNING_THRESHOLD {
         out.push(Lint {
             code: "weak-pruning",
@@ -107,113 +105,6 @@ fn undeclared_tags(dtd: &Dtd, paths: &[ExtractedPath], out: &mut Vec<Lint>) {
     };
     for p in paths {
         visit(&p.lpath.steps, &mut seen, out);
-    }
-}
-
-/// `true` when `re` can match some word using only names in `ok`.
-fn can_complete(re: &Regex, ok: &NameSet) -> bool {
-    match re {
-        Regex::Epsilon => true,
-        Regex::Name(n) => ok.contains(*n),
-        Regex::Seq(rs) => rs.iter().all(|r| can_complete(r, ok)),
-        Regex::Alt(rs) => rs.iter().any(|r| can_complete(r, ok)),
-        Regex::Star(_) | Regex::Opt(_) => true,
-        Regex::Plus(r) => can_complete(r, ok),
-    }
-}
-
-/// `true` when `re` can match some word *containing* `n`, using only
-/// names in `ok`.
-fn can_emit(re: &Regex, n: NameId, ok: &NameSet) -> bool {
-    match re {
-        Regex::Epsilon => false,
-        Regex::Name(m) => *m == n,
-        Regex::Seq(rs) => rs.iter().enumerate().any(|(i, r)| {
-            can_emit(r, n, ok)
-                && rs
-                    .iter()
-                    .enumerate()
-                    .all(|(j, s)| j == i || can_complete(s, ok))
-        }),
-        Regex::Alt(rs) => rs.iter().any(|r| can_emit(r, n, ok)),
-        Regex::Star(r) | Regex::Plus(r) | Regex::Opt(r) => can_emit(r, n, ok),
-    }
-}
-
-/// Names that can appear in *some* finite valid document rooted at the
-/// DTD root. Two fixpoints: productivity (the name's own subtree can
-/// terminate), then top-down viability (some productive parent can
-/// actually emit the name inside a completable word).
-fn viable_names(dtd: &Dtd) -> NameSet {
-    let n = dtd.name_count();
-    // Productivity fixpoint.
-    let mut productive = NameSet::empty(n);
-    loop {
-        let mut changed = false;
-        for x in dtd.all_names() {
-            if productive.contains(x) {
-                continue;
-            }
-            let ok = match &dtd.info(x).content {
-                Content::Text => true,
-                Content::Element(re) => can_complete(re, &productive),
-            };
-            if ok && productive.insert(x) {
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Viability from the root through productive emissions.
-    let mut viable = NameSet::empty(n);
-    if !productive.contains(dtd.root()) {
-        return viable;
-    }
-    viable.insert(dtd.root());
-    let mut queue = std::collections::VecDeque::from([dtd.root()]);
-    while let Some(y) = queue.pop_front() {
-        let Content::Element(re) = &dtd.info(y).content else {
-            continue;
-        };
-        for c in dtd.children_of(y) {
-            if !viable.contains(c) && productive.contains(c) && can_emit(re, c, &productive) {
-                viable.insert(c);
-                queue.push_back(c);
-            }
-        }
-    }
-    viable
-}
-
-/// Root-reachable names that no finite valid document can contain.
-/// Keeping them in π is harmless but indicates grammar rot.
-fn dead_names(dtd: &Dtd, projector: &Projector, out: &mut Vec<Lint>) {
-    let reachable = dtd.reachable_from_root();
-    let viable = viable_names(dtd);
-    for x in dtd.all_names() {
-        if reachable.contains(x) && !viable.contains(x) {
-            let in_pi = projector.contains(x);
-            out.push(Lint {
-                code: "dead-name",
-                level: if in_pi {
-                    LintLevel::Warning
-                } else {
-                    LintLevel::Info
-                },
-                message: format!(
-                    "'{}' is reachable in the grammar but can never occur in a \
-                     finite valid document{}",
-                    dtd.label(x),
-                    if in_pi {
-                        " (and the projector keeps it)"
-                    } else {
-                        ""
-                    }
-                ),
-            });
-        }
     }
 }
 
@@ -272,57 +163,6 @@ fn recursive_blowup(
     });
 }
 
-/// Two queries in one request with identical *normalized* ASTs: they
-/// share a compiled-artifact cache key, so one of them is redundant —
-/// usually a copy-paste slip in the workload.
-fn duplicate_queries(queries: &[String], out: &mut Vec<Lint>) {
-    let mut normals: Vec<(String, usize)> = Vec::new();
-    let mut reported: Vec<String> = Vec::new();
-    for (i, q) in queries.iter().enumerate() {
-        let Ok(ast) = xproj_xquery::parse_xquery(q) else {
-            continue;
-        };
-        let normal = ast.to_string();
-        if let Some((_, first)) = normals.iter().find(|(n, _)| *n == normal) {
-            if !reported.contains(&normal) {
-                reported.push(normal.clone());
-                out.push(Lint {
-                    code: "duplicate-query",
-                    level: LintLevel::Warning,
-                    message: format!(
-                        "queries #{first} and #{i} normalize to the same AST \
-                         ({normal}) — they share one cache key and one answer \
-                         serves both"
-                    ),
-                });
-            }
-        } else {
-            normals.push((normal, i));
-        }
-    }
-}
-
-/// The projector keeps every root-reachable name: pruning is the
-/// identity on valid documents and the pass is pure overhead. Stronger
-/// than `weak-pruning` (an estimate crossing a threshold) — this is a
-/// structural fact about π.
-fn no_pruning(dtd: &Dtd, projector: &Projector, out: &mut Vec<Lint>) {
-    let reachable = dtd.reachable_from_root();
-    let kept = projector.names();
-    if !reachable.is_empty() && reachable.iter().all(|n| kept.contains(n)) {
-        out.push(Lint {
-            code: "no-pruning",
-            level: LintLevel::Warning,
-            message: format!(
-                "the projector keeps all {} root-reachable names — pruning \
-                 is the identity on valid documents, the pass is pure \
-                 overhead for this workload",
-                reachable.len()
-            ),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,15 +171,11 @@ mod tests {
     use xproj_dtd::parse_dtd;
 
     fn lints_for(dtd_src: &str, root: &str, query: &str) -> Vec<Lint> {
-        lints_for_workload(dtd_src, root, &[query])
-    }
-
-    fn lints_for_workload(dtd_src: &str, root: &str, queries: &[&str]) -> Vec<Lint> {
         let d = parse_dtd(dtd_src, root).unwrap();
-        let qs: Vec<String> = queries.iter().map(|q| q.to_string()).collect();
+        let qs = [query.to_string()];
         let p = trace_workload(&d, &qs).unwrap();
         let r = estimate(&d, &p.projector, &RetentionOptions::default());
-        run_lints(&d, &qs, &p.projector, &p.paths, &r)
+        run_lints(&d, &p.projector, &p.paths, &r)
     }
 
     #[test]
@@ -352,36 +188,6 @@ mod tests {
         let hits: Vec<_> = ls.iter().filter(|l| l.code == "undeclared-element").collect();
         assert_eq!(hits.len(), 1, "{ls:?}");
         assert!(hits[0].message.contains("boook"));
-    }
-
-    #[test]
-    fn dead_name_is_flagged() {
-        // b requires c, c requires b: neither subtree can terminate.
-        let ls = lints_for(
-            "<!ELEMENT a (x*, b*)> <!ELEMENT x (#PCDATA)>\
-             <!ELEMENT b (c)> <!ELEMENT c (b)>",
-            "a",
-            "/a/x",
-        );
-        let dead: Vec<_> = ls.iter().filter(|l| l.code == "dead-name").collect();
-        assert_eq!(dead.len(), 2, "{ls:?}");
-    }
-
-    #[test]
-    fn viable_names_handles_seq_constraints() {
-        // y's content (x, b) needs b, and b is unproductive → y dead too.
-        let d = parse_dtd(
-            "<!ELEMENT a (y?, x?)> <!ELEMENT y (x, b)>\
-             <!ELEMENT x EMPTY> <!ELEMENT b (b)>",
-            "a",
-        )
-        .unwrap();
-        let v = viable_names(&d);
-        let label = |s: &str| d.name_of_tag_str(s).unwrap();
-        assert!(v.contains(label("a")));
-        assert!(v.contains(label("x")));
-        assert!(!v.contains(label("y")));
-        assert!(!v.contains(label("b")));
     }
 
     #[test]
@@ -405,60 +211,19 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_spellings_of_one_query_are_flagged_once() {
-        // Same normalized AST under different spellings: one warning
-        // naming the first occurrence and the first duplicate index,
-        // not one per pair.
-        let ls = lints_for_workload(
-            "<!ELEMENT bib (book*)> <!ELEMENT book (#PCDATA)>",
-            "bib",
-            &["/bib/book", "//book", "/bib/child::book", "/bib/ child :: book"],
-        );
-        let dups: Vec<_> = ls.iter().filter(|l| l.code == "duplicate-query").collect();
-        assert_eq!(dups.len(), 1, "{ls:?}");
-        assert!(dups[0].message.contains("#0") && dups[0].message.contains("#2"));
-    }
-
-    #[test]
-    fn distinct_queries_are_not_flagged_as_duplicates() {
-        let ls = lints_for_workload(
-            "<!ELEMENT bib (book*)> <!ELEMENT book (#PCDATA)>",
-            "bib",
-            &["/bib/book", "//book"],
-        );
-        assert!(!ls.iter().any(|l| l.code == "duplicate-query"), "{ls:?}");
-    }
-
-    #[test]
-    fn full_retention_projector_is_flagged_no_pruning() {
-        // //node() keeps every name; weak-pruning (estimate) and
-        // no-pruning (structural) should both fire.
-        let ls = lints_for(
-            "<!ELEMENT bib (book*)> <!ELEMENT book (#PCDATA)>",
-            "bib",
-            "//node()",
-        );
-        assert!(ls.iter().any(|l| l.code == "no-pruning"), "{ls:?}");
-    }
-
-    #[test]
-    fn selective_projector_is_not_flagged_no_pruning() {
+    fn weak_pruning_flagged_for_keep_everything_query() {
+        // `//node()` puts every name in π: the structural extreme of the
+        // same finding.
+        for q in ["/bib", "//node()"] {
+            let ls = lints_for("<!ELEMENT bib (book*)> <!ELEMENT book (#PCDATA)>", "bib", q);
+            assert!(ls.iter().any(|l| l.code == "weak-pruning"), "{q}: {ls:?}");
+        }
         let ls = lints_for(
             "<!ELEMENT bib (book*, note*)> <!ELEMENT book (#PCDATA)>\
              <!ELEMENT note (#PCDATA)>",
             "bib",
             "/bib/book",
         );
-        assert!(!ls.iter().any(|l| l.code == "no-pruning"), "{ls:?}");
-    }
-
-    #[test]
-    fn weak_pruning_flagged_for_keep_everything_query() {
-        let ls = lints_for(
-            "<!ELEMENT bib (book*)> <!ELEMENT book (#PCDATA)>",
-            "bib",
-            "/bib",
-        );
-        assert!(ls.iter().any(|l| l.code == "weak-pruning"), "{ls:?}");
+        assert!(!ls.iter().any(|l| l.code == "weak-pruning"), "{ls:?}");
     }
 }

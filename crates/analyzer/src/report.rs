@@ -3,7 +3,7 @@
 //!
 //! The JSON form is one object per line, each tagged with a `"type"`
 //! field (`meta`, `path`, `name`, `dtd`, `optimality`, `retention`,
-//! `lint`, `diff`) so consumers can stream it and ignore record kinds
+//! `lint`) so consumers can stream it and ignore record kinds
 //! they do not know.
 
 use crate::Analysis;
@@ -138,19 +138,6 @@ pub fn render_json_lines(a: &Analysis) -> String {
             json_escape(&l.message)
         );
     }
-    if let Some(d) = &a.diff {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"diff\",\"old_size\":{},\"new_size\":{},\"added\":{},\
-             \"removed\":{},\"old_retention\":{},\"new_retention\":{}}}",
-            d.old_size,
-            d.new_size,
-            json_str_list(&d.added),
-            json_str_list(&d.removed),
-            json_num(d.old_retention),
-            json_num(d.new_retention),
-        );
-    }
     out
 }
 
@@ -231,22 +218,6 @@ pub fn render_text(a: &Analysis) -> String {
         }
     }
 
-    if let Some(d) = &a.diff {
-        let _ = writeln!(
-            out,
-            "\nprojector diff: {} names -> {} names (retention {:.1}% -> {:.1}%)",
-            d.old_size,
-            d.new_size,
-            d.old_retention * 100.0,
-            d.new_retention * 100.0
-        );
-        if !d.added.is_empty() {
-            let _ = writeln!(out, "  added: {}", d.added.join(", "));
-        }
-        if !d.removed.is_empty() {
-            let _ = writeln!(out, "  removed: {}", d.removed.join(", "));
-        }
-    }
     out
 }
 

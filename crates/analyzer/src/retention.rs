@@ -20,7 +20,7 @@
 
 use xproj_core::Projector;
 use xproj_dtd::{Content, Dtd, Regex};
-use xproj_xmltree::events::decode_entities;
+use xproj_xmltree::entities::decode_entities;
 use xproj_xmltree::push::{drain_str, RawAttrs, TokenSink};
 use xproj_xmltree::ParseError;
 

@@ -46,7 +46,6 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use xproj_engine::parallel_map;
 use xproj_server::{Server, ServerConfig};
 use xproj_testkit::{urlencode, HttpClient};
 use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
@@ -406,20 +405,26 @@ fn main() {
         let wall = Instant::now();
         // One keep-alive connection per client thread, hammering the
         // same endpoint; per-request latency collected client-side.
-        let ids: Vec<usize> = (0..clients).collect();
-        let per_client: Vec<Vec<Duration>> = parallel_map(&ids, clients, |_, _| {
-            let mut c = HttpClient::connect(addr).expect("connect");
-            c.set_timeout(Duration::from_secs(30)).unwrap();
-            let mut lat = Vec::with_capacity(requests);
-            for _ in 0..requests {
-                let t0 = Instant::now();
-                let resp = c
-                    .request("POST", &target, &[], Some(xml.as_bytes()))
-                    .expect("prune request");
-                assert_eq!(resp.status, 200, "{}", resp.body_str());
-                lat.push(t0.elapsed());
-            }
-            lat
+        let per_client: Vec<Vec<Duration>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..clients)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut c = HttpClient::connect(addr).expect("connect");
+                        c.set_timeout(Duration::from_secs(30)).unwrap();
+                        let mut lat = Vec::with_capacity(requests);
+                        for _ in 0..requests {
+                            let t0 = Instant::now();
+                            let resp = c
+                                .request("POST", &target, &[], Some(xml.as_bytes()))
+                                .expect("prune request");
+                            assert_eq!(resp.status, 200, "{}", resp.body_str());
+                            lat.push(t0.elapsed());
+                        }
+                        lat
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("client thread")).collect()
         });
         let wall = wall.elapsed();
         let mut lat: Vec<Duration> = per_client.into_iter().flatten().collect();

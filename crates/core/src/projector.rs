@@ -86,41 +86,6 @@ impl Projector {
         v.sort_unstable();
         v
     }
-
-    /// Serialises the projector as one label per line — a portable format
-    /// for the CLI ("analyse once, prune many documents later").
-    pub fn to_text(&self, dtd: &Dtd) -> String {
-        let mut s = String::new();
-        for l in self.labels(dtd) {
-            s.push_str(l);
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Parses the [`Self::to_text`] format against a DTD. Unknown labels
-    /// are reported; the result is normalised.
-    pub fn from_text(dtd: &Dtd, text: &str) -> Result<Projector, String> {
-        let mut names = NameSet::empty(dtd.name_count());
-        let mut by_label: std::collections::HashMap<&str, NameId> =
-            std::collections::HashMap::new();
-        for n in dtd.all_names() {
-            by_label.insert(dtd.label(n), n);
-        }
-        for line in text.lines() {
-            let l = line.trim();
-            if l.is_empty() || l.starts_with('#') {
-                continue;
-            }
-            match by_label.get(l) {
-                Some(&n) => {
-                    names.insert(n);
-                }
-                None => return Err(format!("unknown name '{l}' for this DTD")),
-            }
-        }
-        Ok(Projector::normalized(dtd, names))
-    }
 }
 
 impl fmt::Debug for Projector {
@@ -357,45 +322,5 @@ mod table_tests {
         for n in dtd.all_names() {
             assert_eq!(t.verdict(n), Verdict::Keep);
         }
-    }
-}
-
-#[cfg(test)]
-mod text_format_tests {
-    use super::*;
-    use xproj_dtd::parse_dtd;
-
-    #[test]
-    fn text_round_trip() {
-        let d = parse_dtd(
-            "<!ELEMENT a (b, c)> <!ELEMENT b (#PCDATA)> <!ELEMENT c EMPTY>",
-            "a",
-        )
-        .unwrap();
-        let p = Projector::full(&d);
-        let text = p.to_text(&d);
-        let back = Projector::from_text(&d, &text).unwrap();
-        assert_eq!(p, back);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_skipped() {
-        let d = parse_dtd("<!ELEMENT a (b)> <!ELEMENT b EMPTY>", "a").unwrap();
-        let p = Projector::from_text(&d, "# keep these\na\n\nb\n").unwrap();
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn unknown_label_errors() {
-        let d = parse_dtd("<!ELEMENT a EMPTY>", "a").unwrap();
-        assert!(Projector::from_text(&d, "zzz\n").is_err());
-    }
-
-    #[test]
-    fn loaded_projector_is_normalised() {
-        let d = parse_dtd("<!ELEMENT a (b)> <!ELEMENT b EMPTY>", "a").unwrap();
-        // b without a: normalisation drops it
-        let p = Projector::from_text(&d, "b\n").unwrap();
-        assert!(p.is_empty());
     }
 }

@@ -13,7 +13,7 @@ use std::borrow::Borrow;
 use std::marker::PhantomData;
 use xproj_dtd::{Dtd, NameId};
 use xproj_xmltree::document::{escape_attr, escape_text};
-use xproj_xmltree::events::{decode_entities, ParseError};
+use xproj_xmltree::entities::{decode_entities, ParseError};
 use xproj_xmltree::push::{drain_str, RawAttrs, TokenSink};
 
 /// Outcome of a streaming prune.
@@ -46,11 +46,10 @@ impl StreamPruneResult {
 /// Stable machine-readable error codes for pruning failures.
 ///
 /// These are the contract between every surface that reports a pruning
-/// error — the CLI's `--stats` JSON lines, the batch driver's per-file
-/// reports, and the HTTP server's `4xx` bodies all serialize
-/// [`ErrorCode::as_str`] instead of a `Display` string, so clients can
-/// switch on the code while the human-readable message stays free to
-/// change.
+/// error — the CLI's `--stats` JSON lines and the HTTP server's `4xx`
+/// bodies both serialize [`ErrorCode::as_str`] instead of a `Display`
+/// string, so clients can switch on the code while the human-readable
+/// message stays free to change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ErrorCode {
@@ -60,9 +59,6 @@ pub enum ErrorCode {
     UndeclaredElement,
     /// The workload query failed to parse.
     BadQuery,
-    /// A DTD failed to parse or does not match the rest of the request
-    /// (e.g. the second grammar of a projector diff).
-    BadDtd,
     /// Reading the source or writing the sink failed.
     Io,
 }
@@ -74,7 +70,6 @@ impl ErrorCode {
             ErrorCode::MalformedXml => "malformed-xml",
             ErrorCode::UndeclaredElement => "undeclared-element",
             ErrorCode::BadQuery => "bad-query",
-            ErrorCode::BadDtd => "bad-dtd",
             ErrorCode::Io => "io",
         }
     }
@@ -126,7 +121,7 @@ impl From<ParseError> for StreamPruneError {
 }
 
 /// Per-event pruning counters, shared by every driver of a
-/// [`PruneMachine`] (in-memory strings, chunked engines, batch runs).
+/// [`PruneMachine`] (in-memory strings, chunked engines).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneCounters {
     /// Elements written.

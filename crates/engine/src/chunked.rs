@@ -20,7 +20,7 @@ use xproj_core::{
     MachineSink, Projector, ProjectorTable, PruneMachine, StreamPruneError, Validator,
 };
 use xproj_dtd::Dtd;
-use xproj_xmltree::events::ParseError;
+use xproj_xmltree::entities::ParseError;
 use xproj_xmltree::push::{Drained, PushTokenizer};
 
 /// Default read size for [`ChunkedPruner::run`].

@@ -29,8 +29,6 @@
 //!   repeated workloads skip re-inference ("analyse once, prune many
 //!   documents"); a prune and a query request for the same pair share
 //!   one [`QueryArtifact`], whose verdict table every pass copies.
-//! * [`batch`] — a zero-dependency scoped-thread parallel driver for
-//!   pruning many documents concurrently.
 //! * [`metrics`] — [`EngineStats`]: events, bytes in/out, retention,
 //!   depth, peak-resident bytes, per-stage timings; serialized as the
 //!   workspace's JSON-lines format.
@@ -69,12 +67,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod chunked;
 pub mod metrics;
 pub mod query;
 
-pub use batch::{parallel_map, run_batch, BatchJob, BatchReport, EngineFailure};
 pub use chunked::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 pub use metrics::{error_json_line, EngineStats, StageTimings};
 pub use query::{json_escape_into, run_query, QueryMachine, QueryOutput, QueryStats};

@@ -3,9 +3,9 @@
 //!
 //! Every layer of the engine threads an [`EngineStats`] through: the
 //! chunked pruner fills in event/byte counts, per-stage timings and the
-//! peak-resident high-water mark; the batch driver aggregates per-file
-//! stats; the CLI and the bench binaries serialize them as the
-//! workspace's usual one-JSON-object-per-line format.
+//! peak-resident high-water mark; the server aggregates them over every
+//! pass for `/metrics`; the CLI and the bench binaries serialize them as
+//! the workspace's usual one-JSON-object-per-line format.
 
 use std::time::Duration;
 use xproj_core::{ErrorCode, PruneCounters};
@@ -32,7 +32,7 @@ impl StageTimings {
         self.scan + self.write
     }
 
-    /// Accumulates another timing set (for batch aggregation).
+    /// Accumulates another timing set.
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.scan += other.scan;
         self.write += other.write;
@@ -40,7 +40,7 @@ impl StageTimings {
 }
 
 /// End-to-end statistics for one chunked pruning run (or an aggregate
-/// over a batch of runs).
+/// over many, as `/metrics` reports).
 #[derive(Debug, Clone, Default)]
 pub struct EngineStats {
     /// SAX events processed (start/end/text/comment/PI/doctype).

@@ -51,7 +51,7 @@ use xproj_core::{ProjectorTable, StreamPruneError, Verdict};
 use xproj_dtd::{Dtd, NameId};
 use xproj_qc::{Plan, QueryArtifact, StepAxis, StepInstr, StepTest};
 use xproj_xmltree::document::{escape_attr, escape_text};
-use xproj_xmltree::events::decode_entities;
+use xproj_xmltree::entities::decode_entities;
 use xproj_xmltree::push::{Drained, PushTokenizer, RawAttrs, TokenSink};
 use xproj_xmltree::{parse_with_options, Document, ParseOptions};
 use xproj_xquery::{evaluate_query_items, serialize_item};

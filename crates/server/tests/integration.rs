@@ -133,9 +133,9 @@ fn prune_content_length_roundtrip() {
 
 #[test]
 fn prune_chunked_roundtrip_streams_response() {
-    // A tiny response buffer forces the response into chunked
-    // streaming mode even for a small document.
-    let config = ServerConfig { response_buffer_bytes: 16, ..small_config() };
+    // A tiny buffer unit forces the response into chunked streaming
+    // mode even for a small document.
+    let config = ServerConfig { chunk_size: 16, ..small_config() };
     let srv = TestServer::start(config);
     let id = srv.register_dtd(BIB_DTD, "bib");
 
@@ -833,6 +833,42 @@ fn analyze_endpoint_reports_and_calibrates() {
     srv.shutdown();
 }
 
+/// `POST /v1/independence`: one x-ndjson verdict line per (query,
+/// update) pair, `independent` or `may-conflict` with witnesses; a
+/// request without `update=` is a `400`.
+#[test]
+fn independence_endpoint_gives_one_verdict_per_pair() {
+    let srv = TestServer::start(small_config());
+    let id = srv.register_dtd(BIB_DTD, "bib");
+    let mut c = srv.client();
+    let target = format!(
+        "/v1/independence?dtd={id}&query={}&update={}&update={}",
+        urlencode("/bib/book/title"),
+        urlencode("delete /bib/book/author"),
+        urlencode("delete /bib/book/title"),
+    );
+    let resp = c.request("POST", &target, &[], None).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let verdicts: Vec<String> = resp
+        .body_str()
+        .lines()
+        .map(|l| {
+            let v = xproj_testkit::parse_json(l).unwrap_or_else(|e| panic!("bad JSON ({e}): {l}"));
+            assert_eq!(v.get("type").and_then(|t| t.as_str()), Some("independence"));
+            v.get("verdict").and_then(|t| t.as_str()).unwrap().to_string()
+        })
+        .collect();
+    assert_eq!(verdicts, ["independent", "may-conflict"]);
+
+    let mut c = srv.client();
+    let resp = c
+        .request("POST", &format!("/v1/independence?dtd={id}&query=//title"), &[], None)
+        .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body_str());
+    assert!(resp.body_str().contains("bad-request"), "{}", resp.body_str());
+    srv.shutdown();
+}
+
 /// Shrinks a test socket's kernel send/receive buffers so flow
 /// control becomes observable at test-sized payloads (Linux-only
 /// direct syscall, mirroring the reactor's zero-dependency FFI).
@@ -847,16 +883,14 @@ fn clamp_socket_buffers(stream: &std::net::TcpStream) {
 }
 
 /// A streaming prune against a client that writes a large body but
-/// does not read the response: the output cap must stop the pipeline
+/// does not read the response: the output gate must stop the pipeline
 /// (flow control reaches the sender instead of response bytes piling
 /// up in server memory), and draining the response afterwards must
 /// resume and complete it byte-identically.
 #[test]
 fn slow_reader_backpressure_bounds_residency() {
     let config = ServerConfig {
-        chunk_size: 1024,
-        response_buffer_bytes: 16,
-        out_buffer_cap: 32 * 1024,
+        chunk_size: 8 * 1024, // output gate: 4 units = 32 KiB
         ..small_config()
     };
     let srv = TestServer::start(config);
@@ -947,13 +981,13 @@ fn slow_reader_backpressure_bounds_residency() {
     assert_eq!(resp.body, expected.as_bytes(), "stalled prune diverged");
 
     // The acceptance bound: per-connection residency stays
-    // O(out_buffer_cap + chunk + depth) — a small constant against the
+    // O(chunk size + depth) — a small constant against the
     // 8.5 MB document — no matter how the client behaves.
     let max_resident = srv.state.metrics.max_conn_resident.load(Ordering::SeqCst);
     assert!(max_resident > 0, "residency tracking never ran");
     assert!(
         max_resident < 192 * 1024,
-        "per-connection residency should stay near out_buffer_cap \
+        "per-connection residency should stay near the output gate \
          (32 KiB) + read budget, got {max_resident} bytes against a \
          {} byte document",
         doc.len()

@@ -25,10 +25,10 @@ fn prune_target(srv: &TestServer, query: &str) -> String {
 
 #[test]
 fn chunked_prune_round_trip_streams_response() {
-    // A tiny response buffer forces the response into chunked
-    // streaming mode even for a small document.
+    // A tiny buffer unit forces the response into chunked streaming
+    // mode even for a small document.
     let srv = start(ServerConfig {
-        response_buffer_bytes: 16,
+        chunk_size: 16,
         ..small_config()
     });
     let target = prune_target(&srv, "/bib/book/title");

@@ -68,41 +68,33 @@ fn bib_doc(books: usize) -> String {
 fn sim_config() -> ServerConfig {
     ServerConfig {
         chunk_size: 512,
-        response_buffer_bytes: 256,
-        out_buffer_cap: 2048,
         read_timeout: Duration::from_secs(3600),
         write_timeout: Duration::from_secs(3600),
         ..Default::default()
     }
 }
 
-/// Property 2's bound, from the configuration alone (plus the two
-/// things no configuration bounds: the largest buffered-endpoint body a
-/// script sends, and the engine's own O(depth + max-token + chunk)
-/// session bound for the documents used). Term by term:
+/// Property 2's bound, a function of the one buffer unit `u` =
+/// `chunk_size` (plus the three things it does not bound: the head
+/// limit, the largest buffered-endpoint body a script sends, and the
+/// engine's own O(depth + max-token + u) session bound for the
+/// documents used). Term by term:
 ///
 /// * `in_buf`: ≤ one read budget of consumed prefix awaiting
 ///   compaction, plus the backlog a read is still allowed on top of (an
-///   unfinished head, or the stream's 2 × chunk backlog gate), plus one
-///   read;
-/// * `pending_in`: the 2 × chunk input gate;
+///   unfinished head, or the stream's 2u backlog gate), plus one read;
+/// * `pending_in`: the 2u input gate;
 /// * out queue + response buffer: a feed job is only dispatched below
-///   `out_buffer_cap`, and its output (≤ its ≤ 2 × chunk input, at most
-///   doubled by JSON escaping, plus framing) lands either in the
-///   buffer (≤ `response_buffer_bytes` before it commits) or the queue;
+///   the 4u output gate, and its output (≤ its ≤ 2u input, at most
+///   doubled by JSON escaping, plus framing) lands either in the buffer
+///   (≤ u before it commits) or the queue;
 /// * a buffered endpoint's body; the session.
 fn residency_bound(config: &ServerConfig, buffered_body: usize) -> usize {
-    let high_water = 2 * config.chunk_size;
-    let job_output = 2 * high_water + 512;
-    let session = 8 * (MAX_TOKEN + config.chunk_size) + 64 * (1 + MAX_DEPTH) + job_output;
-    2 * READ_BUDGET
-        + high_water.max(config.max_header_bytes)
-        + high_water
-        + config.out_buffer_cap
-        + config.response_buffer_bytes
-        + 2 * job_output
-        + buffered_body
-        + session
+    let u = config.chunk_size;
+    let job_output = 4 * u + 512;
+    let session = 8 * (MAX_TOKEN + u) + 64 * (1 + MAX_DEPTH) + job_output;
+    let in_buf = 2 * READ_BUDGET + (2 * u).max(config.max_header_bytes);
+    in_buf + (2 + 4 + 1) * u + 2 * job_output + buffered_body + session
 }
 
 // ---- requests ------------------------------------------------------
@@ -719,7 +711,7 @@ fn any_schedule_equals_trivial_case(seed: u64) {
             );
             assert_eq!(
                 got[*k].chunked,
-                body.len() > sim.state.config.response_buffer_bytes
+                body.len() > sim.state.config.chunk_size
             );
         }
         // Every response but the last kept the connection; the error
@@ -792,7 +784,7 @@ fn residency_is_independent_of_document_size() {
                 !p.conn.wants_read() && p.sent < p.script.len(),
                 "output gate never shut"
             );
-            assert!(p.conn.pending_out() >= config.out_buffer_cap);
+            assert!(p.conn.pending_out() >= 4 * config.chunk_size);
             assert!(doc.len() > 4 * bound, "the document must dwarf the bound");
         }
         // Then it drains, and the stream completes byte-identically.
@@ -1178,10 +1170,10 @@ fn admin_shutdown_reply_announces_its_own_close() {
 #[test]
 fn eof_mid_body_releases_the_request() {
     for chunked in [false, true] {
-        // A response buffer the output never outgrows: no header is on
-        // the wire when the peer vanishes, so a `400` is still possible.
+        // A buffer unit the output never outgrows: no header is on the
+        // wire when the peer vanishes, so a `400` is still possible.
         let mut sim = Sim::new(ServerConfig {
-            response_buffer_bytes: 1 << 16,
+            chunk_size: 1 << 16,
             ..sim_config()
         });
         let doc = bib_doc(50);

@@ -1,9 +1,7 @@
-//! What the tokenizer's events are made of: the [`ParseError`] every
-//! XML front-end reports, and entity decoding for text and attribute
-//! values (the five predefined entities and numeric character
-//! references, held to the XML 1.0 `Char` production).
-//!
-//! The event loop itself is [`crate::push::PushTokenizer::drain`].
+//! Entity decoding for text and attribute values (the five predefined
+//! entities and numeric character references, held to the XML 1.0
+//! `Char` production), and the [`ParseError`] that it and every XML
+//! front-end report.
 
 use std::borrow::Cow;
 use std::fmt;

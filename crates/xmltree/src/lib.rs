@@ -23,7 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod document;
-pub mod events;
+pub mod entities;
 pub mod interner;
 pub mod parser;
 pub mod push;

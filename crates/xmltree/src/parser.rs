@@ -2,11 +2,11 @@
 //! [`TokenSink`] over the one token loop in [`crate::push`].
 
 use crate::document::{Attribute, Document, NodeId};
-use crate::events::decode_entities;
+use crate::entities::decode_entities;
 use crate::interner::Interner;
 use crate::push::{drain_str, RawAttrs, TokenSink};
 
-pub use crate::events::ParseError;
+pub use crate::entities::ParseError;
 
 /// Parser configuration.
 #[derive(Clone, Debug)]

@@ -34,7 +34,7 @@
 //! [`PushTokenizer::buffered`] and [`PushTokenizer::max_token_bytes`]
 //! expose the accounting so downstream code can *assert* the bound.
 
-use crate::events::{decode_entities, validate_entities, ParseError};
+use crate::entities::{decode_entities, validate_entities, ParseError};
 use crate::scan;
 
 /// The consumer side of [`PushTokenizer::drain`]: one call per event, in

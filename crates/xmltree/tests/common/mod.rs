@@ -4,7 +4,7 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
-use xproj_xmltree::events::decode_entities;
+use xproj_xmltree::entities::decode_entities;
 use xproj_xmltree::push::{Drained, PushTokenizer, RawAttrs, TokenSink};
 use xproj_xmltree::ParseError;
 

@@ -45,18 +45,17 @@
 //! * [`xmark`] — the XMark/XPathMark benchmark substrate;
 //! * [`engine`] — the serving pipeline: chunked push-mode pruning over
 //!   `io::Read`/`io::Write` (optionally validating), the owned
-//!   per-document `QueryMachine`, parallel batch driver, metrics;
+//!   per-document `QueryMachine`, metrics;
 //! * [`server`] — `xmlpruned`, a zero-dependency HTTP/1.1 daemon that
 //!   serves streaming pruning with live metrics and graceful shutdown;
 //! * [`qc`] — the query compiler: `(DTD, query)` → immutable artifact
-//!   (projector tables + evaluator plan) with an LRU cache, on-disk
-//!   round-trip, and update-driven invalidation;
+//!   (projector tables + evaluator plan) with an LRU cache and
+//!   update-driven invalidation;
 //! * [`xupdate`] — a minimal XQuery-Update-style language (insert /
 //!   delete / replace) with a reference tree-update executor;
 //! * [`analyzer`] — static analysis of (DTD, workload) pairs: projector
 //!   provenance, Def. 4.3 witness diagnostics, retention estimation,
-//!   lints, projector diffs across DTD versions, and query–update
-//!   independence checking.
+//!   lints, and query–update independence checking.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -177,59 +177,6 @@ fn analyze_sample_calibrates_retention() {
 }
 
 #[test]
-fn analyze_diffs_two_dtd_versions() {
-    let dtd = write_tmp("books-old.dtd", DTD);
-    let new = write_tmp(
-        "books-new.dtd",
-        "<!ELEMENT bib (book*)>\n\
-         <!ELEMENT book (title, subtitle?, author*)>\n\
-         <!ELEMENT title (#PCDATA)>\n\
-         <!ELEMENT subtitle (#PCDATA)>\n\
-         <!ELEMENT author (#PCDATA)>\n",
-    );
-    let out = Command::new(BIN)
-        .args([
-            "analyze",
-            "--dtd",
-            dtd.to_str().unwrap(),
-            "--root",
-            "bib",
-            "--diff-dtd",
-            new.to_str().unwrap(),
-            "/bib/book",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("projector diff:"), "{stdout}");
-    assert!(stdout.contains("added: "), "{stdout}");
-    assert!(stdout.contains("subtitle"), "{stdout}");
-}
-
-#[test]
-fn analyze_bad_diff_dtd_carries_stable_code() {
-    let dtd = write_tmp("books-badnew.dtd", DTD);
-    let garbage = write_tmp("garbage.dtd", "<!NOT-A-DTD");
-    let out = Command::new(BIN)
-        .args([
-            "analyze",
-            "--dtd",
-            dtd.to_str().unwrap(),
-            "--root",
-            "bib",
-            "--diff-dtd",
-            garbage.to_str().unwrap(),
-            "/bib/book",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("[bad-dtd]"), "{stderr}");
-}
-
-#[test]
 fn analyze_bad_query_carries_stable_code() {
     let dtd = write_tmp("books-badq.dtd", DTD);
     let out = Command::new(BIN)
@@ -319,6 +266,57 @@ fn query_evaluates_xquery() {
     assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "T");
 }
 
+/// `query` resolves its grammar exactly as `prune` does. With an internal
+/// subset it honours it: the same answer as with the grammar in a file,
+/// and a document that breaks its own subset is rejected, not answered.
+#[test]
+fn query_uses_the_internal_subset() {
+    let subset = "<!DOCTYPE bib [<!ELEMENT bib (book*)><!ELEMENT book (title, author*)>\
+                  <!ELEMENT title (#PCDATA)><!ELEMENT author (#PCDATA)>]>";
+    let query = "for $b in /bib/book return <t>{$b/title/text()}</t>";
+    let out = run_with_stdin(&["query", "-q", query], format!("{subset}{DOC}").as_bytes());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("internal DTD subset"));
+    let dtd = write_tmp("books14.dtd", DTD);
+    let external = run_with_stdin(
+        &["query", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "-q", query],
+        DOC.as_bytes(),
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "<t>T</t>");
+    assert_eq!(out.stdout, external.stdout);
+
+    let undeclared = format!("{subset}<bib><book><title>T</title><isbn>1</isbn></book></bib>");
+    let out = run_with_stdin(&["query", "-q", "//title"], undeclared.as_bytes());
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("'isbn' not declared"));
+}
+
+/// With neither `--dtd` nor an internal subset, `query` compiles against
+/// the dataguide inferred from the document — XPath, FLWR, `count()` and
+/// attribute queries alike go through the one compiled pipeline.
+#[test]
+fn query_without_any_grammar_infers_a_dataguide() {
+    let doc = "<bib><book year=\"1999\"><title>T</title><author>A</author></book>\
+               <book year=\"2005\"><title>U</title></book></bib>";
+    for (query, answer) in [
+        ("/bib/book/title", "<title>T</title><title>U</title>"),
+        ("//book[@year=\"2005\"]/title/text()", "U"),
+        ("//book/@year", "19992005"),
+        ("count(//book)", "2"),
+        ("for $b in /bib/book where $b/author return $b/title", "<title>T</title>"),
+        ("//nothing", ""),
+    ] {
+        let out = run_with_stdin(&["query", "--stats", "-q", query], doc.as_bytes());
+        assert!(out.status.success(), "{query}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), answer, "{query}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("inferred dataguide"), "{query}: {stderr}");
+        // `--stats` is the compiled pipeline's own line: there is no
+        // second evaluator to fall back to.
+        assert!(stderr.contains("\"plan\":"), "{query}: {stderr}");
+    }
+}
+
 #[test]
 fn guide_round_trips_through_the_dtd_parser() {
     let doc = write_tmp("g.xml", DOC);
@@ -348,48 +346,50 @@ fn internal_subset_is_used() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("internal DTD subset"));
 }
 
+/// `independence`: one verdict per (query, update) pair, text or one
+/// `--json` line each; a may-conflict verdict is output, not a failure,
+/// while a missing or unparsable `--update` is.
+#[test]
+fn independence_prints_one_verdict_per_pair() {
+    let dtd = write_tmp("books15.dtd", DTD);
+    let base = ["independence", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "-q", "/bib/book/title"];
+    let updates = ["-u", "delete /bib/book/author", "--update", "delete /bib/book/title"];
+    let out = Command::new(BIN).args(base).args(updates).arg("--json").output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let verdicts: Vec<String> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(|l| {
+            let v = xproj_testkit::parse_json(l).unwrap_or_else(|e| panic!("bad JSON ({e}): {l}"));
+            v.get("verdict").and_then(|t| t.as_str()).unwrap().to_string()
+        })
+        .collect();
+    assert_eq!(verdicts, ["independent", "may-conflict"]);
+    let text = Command::new(BIN).args(base).args(updates).output().unwrap();
+    let text = String::from_utf8(text.stdout).unwrap();
+    assert!(text.contains("verdict: independent") && text.contains("witness: title"), "{text}");
+
+    let missing = Command::new(BIN).args(base).output().unwrap();
+    assert_eq!(missing.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&missing.stderr).contains("--update is required"));
+    let bad = Command::new(BIN).args(base).args(["-u", "zap /bib"]).output().unwrap();
+    assert_eq!(bad.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("[bad-query]"));
+}
+
+#[test]
+fn help_prints_the_usage() {
+    for spelling in ["help", "--help", "-h"] {
+        let out = Command::new(BIN).arg(spelling).output().unwrap();
+        assert!(out.status.success(), "{spelling}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage:"), "{spelling}");
+    }
+}
+
 #[test]
 fn unknown_command_fails() {
     let out = Command::new(BIN).args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
-}
-
-#[test]
-fn projector_save_and_reuse() {
-    let dtd = write_tmp("books4.dtd", DTD);
-    let doc = write_tmp("books4.xml", DOC);
-    let proj = std::env::temp_dir().join("xmlprune-cli-tests/proj.txt");
-    let save = Command::new(BIN)
-        .args([
-            "analyze",
-            "--dtd",
-            dtd.to_str().unwrap(),
-            "--root",
-            "bib",
-            "--save",
-            proj.to_str().unwrap(),
-            "/bib/book/title",
-        ])
-        .output()
-        .unwrap();
-    assert!(save.status.success(), "{}", String::from_utf8_lossy(&save.stderr));
-    let prune = Command::new(BIN)
-        .args([
-            "prune",
-            "--dtd",
-            dtd.to_str().unwrap(),
-            "--root",
-            "bib",
-            "--projector",
-            proj.to_str().unwrap(),
-            doc.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(prune.status.success());
-    let out = String::from_utf8(prune.stdout).unwrap();
-    assert!(out.contains("<title>T</title>"));
-    assert!(!out.contains("author"));
 }
 
 /// The one prune path: a file input, the same bytes on stdin, and `-o`
@@ -522,26 +522,44 @@ fn validated_stdin_prune_of_xmark_stays_under_the_engine_bound() {
     assert!(bound < xml.len() / 4, "bound {bound} is not small against {}", xml.len());
 }
 
+/// One run, one input: a second input is a usage error (exit 1, nothing
+/// on stdout) for every subcommand that reads a document — and an
+/// explicit `--dtd`, which the retired batch mode asked for, no longer
+/// changes that. Many files are one `xmlprune` each (`xargs -P`).
 #[test]
 fn several_inputs_need_an_explicit_dtd() {
+    let dtd = write_tmp("books8.dtd", DTD);
     let a = write_tmp("books8a.xml", DOC);
     let b = write_tmp("books8b.xml", DOC);
-    let out = Command::new(BIN)
-        .args(["prune", "--query", "//title", a.to_str().unwrap(), b.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--dtd"));
+    let (a, b, dtd) = (a.to_str().unwrap(), b.to_str().unwrap(), dtd.to_str().unwrap());
+    for args in [
+        vec!["prune", "--query", "//title", a, b],
+        vec!["prune", "--dtd", dtd, "--root", "bib", "--query", "//title", a, b],
+        vec!["query", "--query", "//title", a, b],
+        vec!["validate", a, b],
+        vec!["guide", a, b],
+    ] {
+        let out = Command::new(BIN).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("takes one input"), "{args:?}: {stderr}");
+    }
 }
 
 /// An unknown dash-led argument is a usage error naming it, never an
-/// input path — the retired streaming flags included. A lone `-` is
-/// still stdin.
+/// input path — every retired flag included (the streaming pair, the
+/// batch's `--jobs`, the saved-projector pair, the DTD-diff pair). A lone
+/// `-` is still stdin.
 #[test]
 fn unknown_flags_are_usage_errors() {
     let dtd = write_tmp("books12.dtd", DTD);
     let base = ["prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--query", "//title"];
-    for flag in ["--qeury", "--chunked", "--chunk-size", "-x"] {
+    let retired = [
+        "--chunked", "--chunk-size", "--jobs", "-j", "--save", "--projector", "--diff-dtd",
+        "--diff-root",
+    ];
+    for flag in ["--qeury", "-x"].into_iter().chain(retired) {
         let out = run_with_stdin(&[&base[..], &[flag]].concat(), DOC.as_bytes());
         assert_eq!(out.status.code(), Some(1), "{flag}");
         assert!(out.stdout.is_empty(), "{flag}");
@@ -551,74 +569,6 @@ fn unknown_flags_are_usage_errors() {
     }
     let out = run_with_stdin(&[&base[..], &["-"]].concat(), DOC.as_bytes());
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-}
-
-#[test]
-fn parallel_batch_prunes_into_directory() {
-    let dtd = write_tmp("books9.dtd", DTD);
-    let mut inputs = Vec::new();
-    for i in 0..4 {
-        let doc = format!(
-            "<bib><book><title>T{i}</title><author>A{i}</author></book></bib>"
-        );
-        inputs.push(write_tmp(&format!("batch{i}.xml"), &doc));
-    }
-    let outdir = std::env::temp_dir().join("xmlprune-cli-tests/batch-out");
-    let _ = std::fs::remove_dir_all(&outdir);
-    let out = Command::new(BIN)
-        .args([
-            "prune",
-            "--jobs",
-            "3",
-            "--stats",
-            "--dtd",
-            dtd.to_str().unwrap(),
-            "--root",
-            "bib",
-            "--query",
-            "/bib/book/title",
-            "-o",
-            outdir.to_str().unwrap(),
-        ])
-        .args(inputs.iter().map(|p| p.to_str().unwrap()))
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    for i in 0..4 {
-        let pruned = std::fs::read_to_string(outdir.join(format!("batch{i}.xml"))).unwrap();
-        assert_eq!(pruned, format!("<bib><book><title>T{i}</title></book></bib>"));
-    }
-    // Per-file JSON lines plus the aggregate line.
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(stderr.matches("\"group\":\"engine\"").count(), 5, "{stderr}");
-    assert!(stderr.contains("batch_total"));
-}
-
-/// `--validate` reaches every file of a batch: the invalid one fails
-/// with its coded error, the rest are pruned.
-#[test]
-fn batch_with_validation_rejects_only_the_invalid_file() {
-    let dtd = write_tmp("books13.dtd", DTD);
-    let good = write_tmp("batch13-good.xml", DOC);
-    let bad = write_tmp("batch13-bad.xml", "<bib><book><author>A</author></book></bib>");
-    let outdir = std::env::temp_dir().join("xmlprune-cli-tests/batch13-out");
-    let _ = std::fs::remove_dir_all(&outdir);
-    let base = [
-        "prune", "--jobs", "2", "--stats", "--dtd", dtd.to_str().unwrap(), "--root", "bib",
-        "--query", "//author", "-o", outdir.to_str().unwrap(),
-        good.to_str().unwrap(), bad.to_str().unwrap(),
-    ];
-    let plain = Command::new(BIN).args(base).output().unwrap();
-    assert!(plain.status.success(), "{}", String::from_utf8_lossy(&plain.stderr));
-    let checked = Command::new(BIN).args(base).arg("--validate").output().unwrap();
-    assert_eq!(checked.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&checked.stderr);
-    assert!(stderr.contains("1 of 2 files failed"), "{stderr}");
-    assert!(stderr.contains("\"error\":\"malformed-xml\""), "{stderr}");
-    assert_eq!(
-        std::fs::read_to_string(outdir.join("batch13-good.xml")).unwrap(),
-        "<bib><book><author>A</author></book></bib>"
-    );
 }
 
 #[test]
