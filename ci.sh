@@ -30,6 +30,15 @@ if grep -rn --include='*.rs' -E 'RawKind::|XmlReader|ProjectorCache|legacy_cache
     echo "one-loop gate: found a second token cursor or a deleted facade" >&2
     exit 1
 fi
+# One private `Scanner` in push.rs decides where every token ends, for
+# the token loop, fast-forward and the frozen cursor alike: the restart-
+# from-the-token-head scanner, the separate skip scanner and the two
+# helpers only they called must not come back. (Scoped to xmltree: the
+# DTD parser has an unrelated `classify`.)
+if grep -rnE '\b(classify|run_skip|SkipState|SkipScan|SkipOutcome|find_seq|memchr2)\b' crates/xmltree/src; then
+    echo "one-loop gate: found a second boundary scanner" >&2
+    exit 1
+fi
 # `QueryMachine` is the only owned per-document pass (the server feeds
 # nothing else) and `xmlprune prune` has one path: the session types,
 # the error chain and the helpers that forked them must not come back,
@@ -141,6 +150,14 @@ cargo test -q --offline --locked -p xproj-engine \
     --test chunked_equiv xmark_chunked_differential
 TESTKIT_FUZZ_CASES=100 cargo test -q --offline --locked -p xproj-engine \
     --test chunked_equiv fuzz_chunked_equals_whole_string_pruning
+
+echo "== hostile-token wall, release leg (32 MiB tokens of every kind at 64 KiB feeds) =="
+# The workspace run above covers 1 MiB tokens at feeds of 1, 7, 4096 and
+# 64 Ki bytes; this leg is the size at which a scanner that rescans the
+# incomplete token on every feed takes seconds per token instead of
+# milliseconds. The assertion is a byte counter, not a clock.
+TESTKIT_HOSTILE_MIB=32 cargo test -q --release --offline --locked \
+    -p xproj-xmltree --test hostile_tokens
 
 echo "== analyzer smoke (XMark provenance + retention prediction) =="
 # The rigorous form: on the generated XMark document, the predicted

@@ -344,3 +344,30 @@ fn xmark_chunked_differential() {
         }
     }
 }
+
+/// The engine-level twin of xmltree's hostile-token wall: an 8 MiB
+/// attribute value that never closes, in the 64 KiB feeds the CLI and the
+/// daemon read in, is malformed XML at end of input for every pass — and
+/// costs each of them one scan of the bytes, not one per feed.
+#[test]
+fn giant_unterminated_attribute_is_malformed_xml_for_every_pass() {
+    let dtd = Arc::new(xproj_xmark::auction_dtd());
+    let artifact = QueryArtifact::compile(&dtd, "//keyword").unwrap();
+    let mut doc = b"<site a=\"".to_vec();
+    doc.resize(doc.len() + (8 << 20), b'x');
+    for validate in [false, true] {
+        let mut pruner = ChunkedPruner::new(&*artifact.dtd, &artifact.projector, Vec::new());
+        pruner.set_validate(validate);
+        for chunk in doc.chunks(64 * 1024) {
+            pruner.feed(chunk).unwrap();
+        }
+        let err = pruner.finish().unwrap_err();
+        assert!(matches!(err, xproj_engine::EngineError::Xml(_)), "validate {validate}: {err}");
+    }
+    let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
+    for chunk in doc.chunks(64 * 1024) {
+        machine.feed(chunk).unwrap();
+    }
+    let err = machine.finish().unwrap_err();
+    assert!(matches!(err, xproj_engine::EngineError::Xml(_)), "{err}");
+}

@@ -46,81 +46,57 @@ fn char_ref(code: u32) -> Result<char, String> {
         .ok_or_else(|| format!("character reference to non-XML-Char code point {code:#x}"))
 }
 
+/// Walks the entity and character references of `raw` in order, handing
+/// `each` the literal run before a reference and the character it
+/// resolves to; returns the literal run after the last one.
+fn walk_entities<'a>(raw: &'a str, mut each: impl FnMut(&'a str, char)) -> Result<&'a str, String> {
+    let mut rest = raw;
+    while let Some(amp) = rest.find('&') {
+        let (literal, reference) = rest.split_at(amp);
+        let semi = reference
+            .find(';')
+            .ok_or_else(|| "unterminated entity reference".to_string())?;
+        let ent = &reference[1..semi];
+        let bad = |_| format!("bad character reference &{ent};");
+        let resolved = match ent {
+            "lt" => '<',
+            "gt" => '>',
+            "amp" => '&',
+            "apos" => '\'',
+            "quot" => '"',
+            _ if ent.starts_with("#x") || ent.starts_with("#X") => {
+                char_ref(u32::from_str_radix(&ent[2..], 16).map_err(bad)?)?
+            }
+            _ if ent.starts_with('#') => char_ref(ent[1..].parse().map_err(bad)?)?,
+            _ => return Err(format!("unknown entity &{ent};")),
+        };
+        each(literal, resolved);
+        rest = &reference[semi + 1..];
+    }
+    Ok(rest)
+}
+
 /// Decodes the five predefined entities and numeric character references.
 /// Returns `Cow::Borrowed` when no entity occurs.
 pub fn decode_entities(raw: &str) -> Result<Cow<'_, str>, String> {
-    let Some(first) = raw.find('&') else {
+    if !raw.contains('&') {
         return Ok(Cow::Borrowed(raw));
-    };
-    let mut out = String::with_capacity(raw.len());
-    out.push_str(&raw[..first]);
-    let mut rest = &raw[first..];
-    while let Some(amp) = rest.find('&') {
-        out.push_str(&rest[..amp]);
-        rest = &rest[amp..];
-        let semi = rest
-            .find(';')
-            .ok_or_else(|| "unterminated entity reference".to_string())?;
-        let ent = &rest[1..semi];
-        match ent {
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "amp" => out.push('&'),
-            "apos" => out.push('\''),
-            "quot" => out.push('"'),
-            _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                let code = u32::from_str_radix(&ent[2..], 16)
-                    .map_err(|_| format!("bad character reference &{ent};"))?;
-                out.push(char_ref(code)?);
-            }
-            _ if ent.starts_with('#') => {
-                let code: u32 = ent[1..]
-                    .parse()
-                    .map_err(|_| format!("bad character reference &{ent};"))?;
-                out.push(char_ref(code)?);
-            }
-            _ => return Err(format!("unknown entity &{ent};")),
-        }
-        rest = &rest[semi + 1..];
     }
-    out.push_str(rest);
+    let mut out = String::with_capacity(raw.len());
+    let tail = walk_entities(raw, |literal, resolved| {
+        out.push_str(literal);
+        out.push(resolved);
+    })?;
+    out.push_str(tail);
     Ok(Cow::Owned(out))
 }
 
 /// Checks that `raw` would decode cleanly with [`decode_entities`],
-/// without allocating the decoded text — the validation half of the
-/// decoder, for callers (the chunked pruning engine) that copy the raw
-/// encoded bytes through to their output. The two functions accept and
-/// reject identically, with identical error messages.
+/// without allocating the decoded text — the same walk with nothing
+/// kept, for callers (the chunked pruning engine) that copy the raw
+/// encoded bytes through to their output.
 pub fn validate_entities(raw: &str) -> Result<(), String> {
-    let Some(first) = raw.find('&') else {
-        return Ok(());
-    };
-    let mut rest = &raw[first..];
-    while let Some(amp) = rest.find('&') {
-        rest = &rest[amp..];
-        let semi = rest
-            .find(';')
-            .ok_or_else(|| "unterminated entity reference".to_string())?;
-        let ent = &rest[1..semi];
-        match ent {
-            "lt" | "gt" | "amp" | "apos" | "quot" => {}
-            _ if ent.starts_with("#x") || ent.starts_with("#X") => {
-                let code = u32::from_str_radix(&ent[2..], 16)
-                    .map_err(|_| format!("bad character reference &{ent};"))?;
-                char_ref(code)?;
-            }
-            _ if ent.starts_with('#') => {
-                let code: u32 = ent[1..]
-                    .parse()
-                    .map_err(|_| format!("bad character reference &{ent};"))?;
-                char_ref(code)?;
-            }
-            _ => return Err(format!("unknown entity &{ent};")),
-        }
-        rest = &rest[semi + 1..];
-    }
-    Ok(())
+    walk_entities(raw, |_, _| {}).map(|_| ())
 }
 
 #[cfg(test)]

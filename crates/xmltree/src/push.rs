@@ -10,20 +10,25 @@
 //! to a one-chunk run over the concatenated input. A whole in-memory
 //! document is that one-chunk case: [`drain_str`].
 //!
-//! `drain` is the only place tokens are interpreted. Per token it
-//! classifies, validates UTF-8, parses names and attribute syntax,
-//! checks the open-element stack, decodes entities, counts the event and
-//! — when the sink says a subtree holds nothing it wants — engages the
-//! raw fast-forward scanner. Everything that consumes XML (the pruning
+//! Where a token ends is decided by one private, resumable `Scanner` —
+//! the only delimiter grammar in the crate — and `drain` is the only
+//! place tokens are interpreted. Per token it validates UTF-8, parses
+//! names and attribute syntax, checks the open-element stack, decodes
+//! entities, counts the event and — when the sink says a subtree holds
+//! nothing it wants — lets the same scanner run on to the matching end
+//! tag, interpreting nothing. Everything that consumes XML (the pruning
 //! machine, the query matcher, the validating pruner, the tree parser,
 //! the retention sampler, the CLI's DOCTYPE sniff) is a sink over it.
 //!
-//! The hot loop is *bulk-scanning*, not byte-stepping: tokens are
+//! The scanner is *bulk-scanning*, not byte-stepping: tokens are
 //! delimited by finding the next structural byte (`<`, `>`, quotes,
 //! `-`, `]`, `?` depending on state) with the word-at-a-time scanners
-//! in [`crate::scan`], and the buffer keeps a cursor instead of
-//! draining per token, so consuming a token is O(1). Sinks see borrowed
-//! slices of that buffer: no per-event allocation.
+//! in [`crate::scan`]. And it resumes: a token cut short by the end of a
+//! chunk is continued from that byte on the next push, not rescanned, so
+//! every byte is examined once at any chunk size
+//! ([`PushTokenizer::scanned_bytes`] counts them). The buffer keeps a
+//! cursor instead of draining per token, so consuming a token is O(1).
+//! Sinks see borrowed slices of that buffer: no per-event allocation.
 //!
 //! The memory contract that makes constant-memory pruning possible
 //! (paper §6): the tokenizer retains only the bytes of the single
@@ -57,7 +62,7 @@ pub trait TokenSink {
     ///
     /// Return `true` when the sink wants nothing from inside this
     /// element: with fast-forward on, the tokenizer then delivers
-    /// [`Self::end`] at once and raw-scans past the subtree. With
+    /// [`Self::end`] at once and scans past the subtree. With
     /// fast-forward off the subtree's events arrive normally, which must
     /// be equally correct for the sink.
     fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, Self::Error>;
@@ -84,7 +89,7 @@ pub struct Drained {
     /// CDATA, comment, PI and DOCTYPE count one each; the XML
     /// declaration and whitespace outside the root count zero.
     pub events: u64,
-    /// Subtrees handed to the raw fast-forward scanner.
+    /// Subtrees fast-forwarded.
     pub fast_forwarded: u64,
 }
 
@@ -110,25 +115,22 @@ pub enum PushEvent {
     Text(String),
 }
 
-/// What kind of token starts at the cursor, and where it ends
-/// (exclusive, relative to the cursor) once fully buffered.
-enum Token {
-    /// Not enough bytes yet to finish (or even classify) the token.
-    Incomplete,
-    /// A complete token of `len` bytes at the cursor.
-    Complete { kind: TokenKind, len: usize },
-}
-
+/// What the boundary scanner found at the cursor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum TokenKind {
     Text,
-    StartOrEmptyTag,
+    StartTag {
+        /// The byte before the closing `>` was `/`.
+        self_closing: bool,
+    },
     EndTag,
     Comment,
     Cdata,
+    /// `<? … ?>`, the XML declaration included.
     Pi,
-    XmlDecl,
     Doctype,
+    /// Any other `<! … >`: no XML token, `drain` rejects it.
+    Misc,
 }
 
 /// Classification of a raw token exposed by [`PushTokenizer::peek_token`]
@@ -173,249 +175,258 @@ pub struct RawToken {
     len: usize,
 }
 
-/// Where the raw-scanning skip mode is within the markup of a skipped
-/// subtree. Partial delimiter matches are encoded in the state itself, so
-/// a chunk boundary can fall anywhere (even inside `]]>` or `-->`)
-/// without buffering a single byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SkipState {
+/// Where the boundary scanner is within the token at the cursor. Partial
+/// delimiter matches are encoded in the state itself, so the input may
+/// stop anywhere (even inside `]]>` or `-->`) and resume without a byte
+/// being looked at again.
+#[derive(Debug, Clone, Copy, Default)]
+enum Scan {
+    /// Between tokens.
+    #[default]
+    Start,
     /// Character data: scanning for the next `<`.
-    Content,
+    Text,
     /// Saw `<`.
     Lt,
     /// Saw `<!`.
     LtBang,
-    /// Saw `<!-`.
-    LtBangDash,
-    /// Saw `<![` plus `n` bytes of `CDATA[`.
-    CdataOpen(u8),
-    /// Inside `<!-- … -->`; `n` = trailing `-` count (capped at 2).
-    InComment(u8),
-    /// Inside `<![CDATA[ … ]]>`; `n` = trailing `]` count (capped at 2).
-    InCdata(u8),
-    /// Inside `<? … ?>`; `true` iff the previous byte was `?`.
-    InPi(bool),
-    /// Inside a start tag; quote context plus whether the previous
-    /// unquoted byte was the `/` of an empty-element tag.
-    InStartTag {
-        /// Active attribute-value quote, if any.
-        quote: Option<u8>,
-        /// Previous unquoted byte was `/`.
-        slash: bool,
+    /// Saw `<!` plus the first `at` bytes of `word` (`--`, `[CDATA[` or
+    /// `DOCTYPE`).
+    Opener { word: &'static [u8], at: u8 },
+    /// Inside a comment, CDATA section or PI, which ends at `need` or
+    /// more `close` bytes followed by `>`; `run` counts the `close`
+    /// bytes just seen (capped at `need`).
+    Body {
+        kind: TokenKind,
+        close: u8,
+        need: u8,
+        run: u8,
     },
+    /// Inside `<!DOCTYPE … >`, where `>` counts only outside a quoted
+    /// literal and outside the `[…]` subset (raw up to the first `]`,
+    /// like `parse_doctype`): the byte that ends the one the scan is in.
+    Doctype(Option<u8>),
+    /// Inside a start tag: the open attribute-value quote, and whether
+    /// the last byte of the previous feed was an unquoted `/`.
+    StartTag { quote: Option<u8>, slash: bool },
     /// Inside `</ … >`.
-    InEndTag,
-    /// Inside an unrecognised `<! … >` declaration (permissive).
-    InMisc,
+    EndTag,
+    /// Inside an unrecognised `<! … >`.
+    Misc,
 }
 
-/// Progress of an active pruned-subtree fast-forward.
-#[derive(Debug, Clone, Copy)]
-struct SkipScan {
-    /// Unclosed element count within the skipped subtree (starts at 1).
-    depth: usize,
-    state: SkipState,
+impl Scan {
+    fn body(kind: TokenKind, close: u8, need: u8) -> Scan {
+        Scan::Body { kind, close, need, run: 0 }
+    }
 }
 
-/// Result of driving the skip scanner over one byte run.
-struct SkipOutcome {
-    /// Bytes of the run consumed by the scan (all of it unless `done`).
-    consumed: usize,
-    /// The skipped subtree's end tag was fully consumed.
-    done: bool,
+/// The one grammar for token boundaries: a resumable state machine that
+/// finds where the token at the cursor ends and interprets nothing. The
+/// token loop hands it the unexamined bytes of its buffer, fast-forward
+/// hands it the input unbuffered; either way each byte is examined once,
+/// by a bulk scan for the one byte that can change the state.
+#[derive(Debug, Default)]
+struct Scanner {
+    state: Scan,
+    /// Bytes of the current, still incomplete token examined so far.
+    examined: usize,
+    /// Bytes examined in total.
+    scanned: u64,
 }
 
-/// Advances the skip scanner over `chunk` with bulk scans: each state
-/// knows the single byte that can change it (`<` in content, the quote
-/// or `>` in a tag, `-`/`]`/`?` before a closing delimiter) and jumps
-/// straight to it. Returns how much was consumed and whether the
-/// subtree closed; the caller pops the element stack on `done`.
-fn run_skip(scan: &mut SkipScan, chunk: &[u8]) -> SkipOutcome {
-    use SkipState::*;
-    const CDATA_OPEN: &[u8] = b"CDATA[";
-    let n = chunk.len();
-    let mut i = 0;
-    while i < n {
-        match scan.state {
-            Content => match scan::memchr(b'<', &chunk[i..]) {
-                Some(j) => {
-                    i += j + 1;
-                    scan.state = Lt;
+impl Scanner {
+    /// Continues over `bytes`, which follow the ones of earlier calls,
+    /// asking `stop` at the end of each token whether to go on to the
+    /// next one: the kind of the token it stopped at and where in
+    /// `bytes` that ends (exclusive), or `None` when `bytes` ran out.
+    fn feed(
+        &mut self,
+        bytes: &[u8],
+        mut stop: impl FnMut(TokenKind) -> bool,
+    ) -> Option<(TokenKind, usize)> {
+        use Scan::*;
+        let n = bytes.len();
+        let mut state = self.state;
+        // The cursor; where the token it is in starts, and how much of
+        // that token earlier calls examined.
+        let (mut i, mut token_at, mut examined) = (0, 0, self.examined);
+        // Moves `i` past the next `needle`, or to the end if there is none.
+        let seek = |needle: u8, i: &mut usize| match scan::memchr(needle, &bytes[*i..]) {
+            Some(j) => {
+                *i += j + 1;
+                true
+            }
+            None => {
+                *i = n;
+                false
+            }
+        };
+        // What the byte after `<` opens, and whether that byte is part
+        // of the opener (a start tag examines its first byte itself).
+        let open = |b: u8| match b {
+            b'/' => (EndTag, 1),
+            b'!' => (LtBang, 1),
+            b'?' => (Scan::body(TokenKind::Pi, b'?', 1), 1),
+            _ => (StartTag { quote: None, slash: false }, 0),
+        };
+        loop {
+            let kind = 'token: loop {
+                if i == n {
+                    self.state = state;
+                    self.examined = examined + (n - token_at);
+                    self.scanned += n as u64;
+                    return None;
                 }
-                None => i = n,
-            },
-            Lt => {
-                let b = chunk[i];
-                i += 1;
-                scan.state = match b {
-                    b'/' => InEndTag,
-                    b'?' => InPi(false),
-                    b'!' => LtBang,
-                    b'>' => {
-                        scan.depth += 1;
-                        Content
-                    }
-                    _ => InStartTag {
-                        quote: None,
-                        slash: false,
-                    },
-                };
-            }
-            LtBang => {
-                let b = chunk[i];
-                i += 1;
-                scan.state = match b {
-                    b'-' => LtBangDash,
-                    b'[' => CdataOpen(0),
-                    b'>' => Content,
-                    _ => InMisc,
-                };
-            }
-            LtBangDash => {
-                let b = chunk[i];
-                i += 1;
-                scan.state = match b {
-                    b'-' => InComment(0),
-                    b'>' => Content,
-                    _ => InMisc,
-                };
-            }
-            CdataOpen(k) => {
-                let b = chunk[i];
-                i += 1;
-                scan.state = if b == CDATA_OPEN[k as usize] {
-                    if k as usize + 1 == CDATA_OPEN.len() {
-                        InCdata(0)
-                    } else {
-                        CdataOpen(k + 1)
-                    }
-                } else if b == b'>' {
-                    Content
-                } else {
-                    InMisc
-                };
-            }
-            InComment(k) => {
-                if k >= 1 {
-                    let b = chunk[i];
-                    i += 1;
-                    scan.state = match b {
-                        b'-' => InComment(2),
-                        b'>' if k >= 2 => Content,
-                        _ => InComment(0),
-                    };
-                } else {
-                    // No partial `-->`: jump to the next '-'.
-                    match scan::memchr(b'-', &chunk[i..]) {
-                        Some(j) => {
-                            i += j + 1;
-                            scan.state = InComment(1);
+                // Each arm scans as far as it can: every trip round
+                // this loop is an indirect jump, and a small token
+                // should cost two. An arm that does not advance `i`
+                // leaves the byte to the state it switches to.
+                match state {
+                    Start if bytes[i] == b'<' => {
+                        (state, i) = (Lt, i + 1);
+                        if let Some(&b) = bytes.get(i) {
+                            let (opened, used) = open(b);
+                            (state, i) = (opened, i + used);
                         }
-                        None => i = n,
                     }
-                }
-            }
-            InCdata(k) => {
-                if k >= 1 {
-                    let b = chunk[i];
-                    i += 1;
-                    scan.state = match b {
-                        b']' => InCdata(2),
-                        b'>' if k >= 2 => Content,
-                        _ => InCdata(0),
-                    };
-                } else {
-                    match scan::memchr(b']', &chunk[i..]) {
-                        Some(j) => {
-                            i += j + 1;
-                            scan.state = InCdata(1);
+                    Start | Text => {
+                        state = Text;
+                        if seek(b'<', &mut i) {
+                            // The `<` belongs to the next token.
+                            i -= 1;
+                            break TokenKind::Text;
                         }
-                        None => i = n,
                     }
-                }
-            }
-            InPi(prev) => {
-                if prev {
-                    let b = chunk[i];
-                    i += 1;
-                    scan.state = if b == b'>' { Content } else { InPi(b == b'?') };
-                } else {
-                    match scan::memchr(b'?', &chunk[i..]) {
-                        Some(j) => {
-                            i += j + 1;
-                            scan.state = InPi(true);
+                    Lt => {
+                        let (opened, used) = open(bytes[i]);
+                        (state, i) = (opened, i + used);
+                    }
+                    LtBang => {
+                        state = match bytes[i] {
+                            b'-' => Opener { word: b"--", at: 0 },
+                            b'[' => Opener { word: b"[CDATA[", at: 0 },
+                            b'D' => Opener { word: b"DOCTYPE", at: 0 },
+                            _ => Misc,
                         }
-                        None => i = n,
                     }
-                }
-            }
-            InStartTag { quote: Some(q), .. } => match scan::memchr(q, &chunk[i..]) {
-                Some(j) => {
-                    i += j + 1;
-                    scan.state = InStartTag {
-                        quote: None,
-                        slash: false,
-                    };
-                }
-                None => i = n,
-            },
-            InStartTag { quote: None, slash } => {
-                match scan::memchr3(b'>', b'"', b'\'', &chunk[i..]) {
-                    Some(j) => {
-                        let b = chunk[i + j];
-                        // Whether the byte *before* the structural one
-                        // was the '/' of an empty-element tag; at the
-                        // very front of the run that is the carried
-                        // cross-chunk state.
-                        let prev_slash = if j == 0 { slash } else { chunk[i + j - 1] == b'/' };
+                    Opener { word, at } => {
+                        if bytes[i] != word[at as usize] {
+                            state = Misc;
+                            continue;
+                        }
+                        i += 1;
+                        state = match word[0] {
+                            _ if at as usize + 1 < word.len() => Opener { word, at: at + 1 },
+                            b'-' => Scan::body(TokenKind::Comment, b'-', 2),
+                            b'[' => Scan::body(TokenKind::Cdata, b']', 2),
+                            _ => Doctype(None),
+                        };
+                    }
+                    Body { kind, close, need, run: 0 } => {
+                        if seek(close, &mut i) {
+                            state = Body { kind, close, need, run: 1 };
+                        }
+                    }
+                    Body { kind, close, need, run } => {
+                        let b = bytes[i];
+                        i += 1;
+                        if b == b'>' && run == need {
+                            break kind;
+                        }
+                        let run = if b == close { need.min(run + 1) } else { 0 };
+                        state = Body { kind, close, need, run };
+                    }
+                    Doctype(Some(end)) => {
+                        if seek(end, &mut i) {
+                            state = Doctype(None);
+                        }
+                    }
+                    Doctype(None) => {
+                        let structural = |b: &u8| matches!(b, b'>' | b'[' | b'"' | b'\'');
+                        let Some(j) = bytes[i..].iter().position(structural) else {
+                            i = n;
+                            continue;
+                        };
                         i += j + 1;
-                        scan.state = if b == b'>' {
-                            if !prev_slash {
-                                scan.depth += 1;
-                            }
-                            Content
-                        } else {
-                            InStartTag {
-                                quote: Some(b),
-                                slash: false,
-                            }
-                        };
+                        match bytes[i - 1] {
+                            b'>' => break TokenKind::Doctype,
+                            b'[' => state = Doctype(Some(b']')),
+                            quote => state = Doctype(Some(quote)),
+                        }
                     }
-                    None => {
-                        scan.state = InStartTag {
-                            quote: None,
-                            slash: chunk[n - 1] == b'/',
+                    // `>` ends the tag only outside quotes (attribute
+                    // values may contain it): jump from structural byte
+                    // to structural byte.
+                    StartTag { mut quote, slash } => loop {
+                        if quote.is_some_and(|q| !seek(q, &mut i)) {
+                            state = StartTag { quote, slash: false };
+                            break;
+                        }
+                        let Some(j) = scan::memchr3(b'>', b'"', b'\'', &bytes[i..]) else {
+                            state = StartTag { quote: None, slash: bytes[n - 1] == b'/' };
+                            i = n;
+                            break;
                         };
-                        i = n;
+                        let at = i + j;
+                        i = at + 1;
+                        if bytes[at] == b'>' {
+                            // The byte before it; at the very front of
+                            // `bytes` that is the carried state.
+                            let self_closing = if at == 0 { slash } else { bytes[at - 1] == b'/' };
+                            break 'token TokenKind::StartTag { self_closing };
+                        }
+                        quote = Some(bytes[at]);
+                    },
+                    EndTag => {
+                        if seek(b'>', &mut i) {
+                            break TokenKind::EndTag;
+                        }
+                    }
+                    Misc => {
+                        if seek(b'>', &mut i) {
+                            break TokenKind::Misc;
+                        }
                     }
                 }
+            };
+            if stop(kind) {
+                self.state = Start;
+                self.examined = 0;
+                self.scanned += i as u64;
+                return Some((kind, i));
             }
-            InEndTag => match scan::memchr(b'>', &chunk[i..]) {
-                Some(j) => {
-                    i += j + 1;
-                    scan.depth -= 1;
-                    if scan.depth == 0 {
-                        return SkipOutcome {
-                            consumed: i,
-                            done: true,
-                        };
-                    }
-                    scan.state = Content;
-                }
-                None => i = n,
-            },
-            InMisc => match scan::memchr(b'>', &chunk[i..]) {
-                Some(j) => {
-                    i += j + 1;
-                    scan.state = Content;
-                }
-                None => i = n,
-            },
+            (state, token_at, examined) = (Start, i, 0);
         }
     }
-    SkipOutcome {
-        consumed: n,
-        done: false,
+
+    /// The token at the cursor, for a caller that buffers: `unconsumed`
+    /// holds it from its first byte, only the part not yet examined is
+    /// fed, and the end is relative to `unconsumed`. (Not inlined, nor
+    /// is [`Self::skip`]: each is the state machine compiled once, with
+    /// registers of its own, rather than into every `drain::<S>`.)
+    #[inline(never)]
+    fn token_end(&mut self, unconsumed: &[u8]) -> Option<(TokenKind, usize)> {
+        let seen = self.examined;
+        let (kind, end) = self.feed(&unconsumed[seen..], |_| true)?;
+        Some((kind, seen + end))
+    }
+
+    /// Fast-forward: runs over `bytes` interpreting nothing but the
+    /// nesting `depth` (the unclosed elements of the skipped subtree, 1
+    /// on entry) until the end tag that takes it to 0 has been consumed.
+    /// Returns how many bytes that took — all of them while `depth > 0`.
+    #[inline(never)]
+    fn skip(&mut self, depth: &mut usize, bytes: &[u8]) -> usize {
+        let closed = self.feed(bytes, |kind| {
+            match kind {
+                TokenKind::StartTag { self_closing: false } => *depth += 1,
+                TokenKind::EndTag => *depth -= 1,
+                _ => {}
+            }
+            *depth == 0
+        });
+        closed.map_or(bytes.len(), |(_, end)| end)
     }
 }
 
@@ -507,9 +518,13 @@ pub struct PushTokenizer {
     consumed: usize,
     /// Open-element stack, for well-formedness checking.
     stack: NameStack,
-    /// Active pruned-subtree fast-forward, if any.
-    skip: Option<SkipScan>,
+    /// Where the token at the cursor ends: the one boundary grammar.
+    scanner: Scanner,
+    /// Unclosed elements of the subtree being fast-forwarded; 0 when no
+    /// fast-forward is active.
+    skip_depth: usize,
     seen_root: bool,
+    seen_doctype: bool,
     finished: bool,
     /// Largest single complete token seen, in bytes: the memory bound.
     max_token: usize,
@@ -550,7 +565,14 @@ impl PushTokenizer {
     /// True while a fast-forward is still consuming input (the skipped
     /// subtree's end tag has not arrived).
     pub fn is_skipping(&self) -> bool {
-        self.skip.is_some()
+        self.skip_depth > 0
+    }
+
+    /// Bytes the boundary scanner has examined in total. Every byte is
+    /// examined once however the input is chunked, so this tracks the
+    /// bytes pushed — the linear-work promise, as a counter tests assert.
+    pub fn scanned_bytes(&self) -> u64 {
+        self.scanner.scanned
     }
 
     /// A parse error at the cursor.
@@ -562,7 +584,7 @@ impl PushTokenizer {
     }
 
     /// Makes one chunk available for tokenization. While a fast-forward
-    /// is active the chunk is raw-scanned immediately and **not**
+    /// is active the chunk is scanned immediately and **not**
     /// buffered; any suffix past the skipped subtree's end tag resumes
     /// normal tokenization.
     pub fn push_bytes(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
@@ -570,17 +592,14 @@ impl PushTokenizer {
             return Err(self.error("feed after finish"));
         }
         let mut rest = chunk;
-        if let Some(scan) = self.skip.as_mut() {
-            let outcome = run_skip(scan, chunk);
-            self.consumed += outcome.consumed;
-            if outcome.done {
-                self.skip = None;
-                self.stack.pop();
-                rest = &chunk[outcome.consumed..];
-            } else {
-                debug_assert_eq!(outcome.consumed, chunk.len());
+        if self.skip_depth > 0 {
+            let skipped = self.scanner.skip(&mut self.skip_depth, chunk);
+            self.consumed += skipped;
+            if self.skip_depth > 0 {
                 return Ok(());
             }
+            self.stack.pop();
+            rest = &chunk[skipped..];
         }
         // Compact: drop the consumed prefix in one move so the buffer
         // holds only the incomplete-token tail plus this chunk.
@@ -599,9 +618,9 @@ impl PushTokenizer {
     /// token loop. Stops when the remaining bytes are mid-token (push
     /// more) or a fast-forward has swallowed the rest of the buffer.
     ///
-    /// Each token is classified, UTF-8 checked and parsed exactly once,
+    /// Each token is delimited, UTF-8 checked and parsed exactly once,
     /// in this order: structural position (content after the root, CDATA
-    /// outside it), name syntax, attribute syntax and entity validity,
+    /// outside it, a late or second DOCTYPE), name syntax, attribute syntax and entity validity,
     /// *then* the sink (so an undeclared element is reported before a
     /// later mismatched end tag, and an attribute error before the sink
     /// sees the tag), then the element stack.
@@ -609,11 +628,11 @@ impl PushTokenizer {
     /// With `fast_forward` on, a non-self-closing start tag for which
     /// [`TokenSink::start`] returned `true` gets its [`TokenSink::end`]
     /// at once and every byte up to the matching end tag is consumed by
-    /// a raw scan — delimiter matching and a depth counter, no
-    /// tokenization, no buffering, across as many later
-    /// [`Self::push_bytes`] calls as it takes (a chunk boundary may fall
-    /// anywhere, even inside `-->` or `]]>`: partial delimiter matches
-    /// live in the scan state, not in the buffer). End-tag names,
+    /// the boundary scanner alone — the same token boundaries and a
+    /// depth counter, no interpretation, no buffering, across as many
+    /// later [`Self::push_bytes`] calls as it takes (a chunk boundary may
+    /// fall anywhere, even inside `-->` or `]]>`: partial delimiter
+    /// matches live in the scan state, not in the buffer). End-tag names,
     /// attribute syntax and entity validity inside the skipped region
     /// are **not** checked, so it must stay off when the pass doubles as
     /// validation.
@@ -631,8 +650,8 @@ impl PushTokenizer {
         // fit that either it is validated on its own — which is where
         // invalid input gets its error.
         let (mut window, mut window_at) = ("", self.pos);
-        while self.skip.is_none() {
-            let Token::Complete { kind, len } = classify(&self.buf[self.pos..]) else {
+        while self.skip_depth == 0 {
+            let Some((kind, len)) = self.scanner.token_end(&self.buf[self.pos..]) else {
                 break;
             };
             self.max_token = self.max_token.max(len);
@@ -663,7 +682,8 @@ impl PushTokenizer {
                         done.events += 1;
                     }
                 }
-                TokenKind::StartOrEmptyTag => {
+                // `<!foo>` fails the name check like `<1bad>` does.
+                TokenKind::StartTag { .. } | TokenKind::Misc => {
                     if self.stack.is_empty() && self.seen_root {
                         return Err(fail("content after the root element".to_string()).into());
                     }
@@ -714,37 +734,40 @@ impl PushTokenizer {
                     sink.text(&tok["<![CDATA[".len()..tok.len() - "]]>".len()])?;
                     done.events += 1;
                 }
+                // Anything starting `<?xml` is the declaration: no event.
+                TokenKind::Pi if tok.starts_with(XML_DECL) => {}
                 TokenKind::Comment | TokenKind::Pi => done.events += 1,
                 TokenKind::Doctype => {
+                    if self.seen_root {
+                        let late = "DOCTYPE after the start of the root element";
+                        return Err(fail(late.to_string()).into());
+                    }
+                    if self.seen_doctype {
+                        return Err(fail("more than one DOCTYPE".to_string()).into());
+                    }
                     let (name, internal_subset) = parse_doctype(tok).map_err(fail)?;
                     sink.doctype(name, internal_subset)?;
+                    self.seen_doctype = true;
                     done.events += 1;
                 }
-                // The declaration produces no event.
-                TokenKind::XmlDecl => {}
             }
             self.pos += len;
             self.consumed += len;
             if skip_subtree {
-                // Raw-scan from the cursor to the end tag closing the
+                // Scan from the cursor to the end tag closing the
                 // element just pushed. Already-buffered bytes are
                 // scanned right away; if the subtree extends past them
                 // the skip stays active and `push_bytes` continues it.
-                let mut scan = SkipScan {
-                    depth: 1,
-                    state: SkipState::Content,
-                };
-                let outcome = run_skip(&mut scan, &self.buf[self.pos..]);
-                self.pos += outcome.consumed;
-                self.consumed += outcome.consumed;
-                if outcome.done {
+                self.skip_depth = 1;
+                let skipped = self.scanner.skip(&mut self.skip_depth, &self.buf[self.pos..]);
+                self.pos += skipped;
+                self.consumed += skipped;
+                if self.skip_depth == 0 {
                     self.stack.pop();
-                } else {
-                    self.skip = Some(scan);
                 }
             }
         }
-        if self.skip.is_some() {
+        if self.skip_depth > 0 {
             // The whole tail fell inside the skipped subtree: nothing
             // stays buffered while the fast-forward is active.
             debug_assert_eq!(self.pos, self.buf.len());
@@ -803,7 +826,7 @@ impl PushTokenizer {
     // -----------------------------------------------------------------
     // The frozen raw cursor. `benchmark/src/ladder.rs` builds `--locked`
     // against `peek_token` / `token_str` / `advance` / `finish`, so they
-    // stay — a second cursor over the same `classify` — until the next
+    // stay — a second cursor over the same `Scanner` — until the next
     // benchmark re-baseline, and go then. Nothing under `crates/` or
     // `src/` may call them: use `drain`.
     // -----------------------------------------------------------------
@@ -812,10 +835,10 @@ impl PushTokenizer {
     /// when the buffered bytes are mid-token (push more) or a subtree
     /// fast-forward is active. Benchmark ladder only; see [`Self::drain`].
     pub fn peek_token(&mut self) -> Result<Option<RawToken>, ParseError> {
-        if self.skip.is_some() {
+        if self.skip_depth > 0 {
             return Ok(None);
         }
-        let Token::Complete { kind, len } = classify(&self.buf[self.pos..]) else {
+        let Some((kind, len)) = self.scanner.token_end(&self.buf[self.pos..]) else {
             return Ok(None);
         };
         self.max_token = self.max_token.max(len);
@@ -832,18 +855,18 @@ impl PushTokenizer {
                 }
                 RawKind::Cdata
             }
-            TokenKind::StartOrEmptyTag => {
+            TokenKind::StartTag { .. } | TokenKind::Misc => {
                 if self.stack.is_empty() && self.seen_root {
                     return Err(self.error("content after the root element"));
                 }
                 RawKind::StartTag {
-                    self_closing: t.ends_with(b"/>"),
+                    self_closing: kind == TokenKind::StartTag { self_closing: true },
                 }
             }
             TokenKind::EndTag => RawKind::EndTag,
             TokenKind::Comment => RawKind::Comment,
+            TokenKind::Pi if t.starts_with(XML_DECL.as_bytes()) => RawKind::XmlDecl,
             TokenKind::Pi => RawKind::Pi,
-            TokenKind::XmlDecl => RawKind::XmlDecl,
             TokenKind::Doctype => RawKind::Doctype,
         };
         Ok(Some(RawToken { kind: raw, len }))
@@ -940,6 +963,10 @@ pub fn drain_str<S: TokenSink>(
     Ok(done)
 }
 
+/// How the XML declaration starts — and, as far as this tokenizer cares,
+/// any PI whose target starts with `xml`.
+const XML_DECL: &str = "<?xml";
+
 /// Bytes [`PushTokenizer::drain`] validates as UTF-8 in one go.
 const WINDOW: usize = 4096;
 
@@ -955,168 +982,6 @@ fn valid_window(bytes: &[u8]) -> &str {
         Ok(text) => text,
         Err(e) => std::str::from_utf8(&bytes[..e.valid_up_to()]).unwrap_or_default(),
     }
-}
-
-/// Looks for one complete token at the front of `buf` (the unconsumed
-/// bytes). Shared by [`PushTokenizer::drain`] and the frozen cursor.
-fn classify(buf: &[u8]) -> Token {
-    if buf.is_empty() {
-        return Token::Incomplete;
-    }
-    if buf[0] != b'<' {
-        // Text run: complete once the next '<' is visible ('<' is
-        // ASCII, so it can never be a UTF-8 continuation byte).
-        return match scan::memchr(b'<', buf) {
-            Some(i) => Token::Complete {
-                kind: TokenKind::Text,
-                len: i,
-            },
-            None => Token::Incomplete,
-        };
-    }
-    // Markup. Some openers share prefixes ("<!" starts comments,
-    // CDATA and DOCTYPE), so with very short buffers we must wait
-    // rather than misclassify.
-    for (opener, closer, kind) in [
-        (&b"<!--"[..], &b"-->"[..], TokenKind::Comment),
-        (&b"<![CDATA["[..], &b"]]>"[..], TokenKind::Cdata),
-    ] {
-        if prefix_matches(buf, opener) {
-            if buf.len() < opener.len() {
-                return Token::Incomplete;
-            }
-            return match scan::find_seq(buf, closer, opener.len()) {
-                Some(i) => Token::Complete {
-                    kind,
-                    len: i + closer.len(),
-                },
-                None => Token::Incomplete,
-            };
-        }
-    }
-    if prefix_matches(buf, b"<!DOCTYPE") {
-        if buf.len() < b"<!DOCTYPE".len() {
-            return Token::Incomplete;
-        }
-        // '>' ends the DOCTYPE only outside quotes and outside the
-        // `[…]` internal subset, which (like `parse_doctype`) is
-        // treated as raw up to the first ']'. At most one DOCTYPE per
-        // document: per-byte is fine here.
-        let mut in_subset = false;
-        let mut quote: Option<u8> = None;
-        for (i, &b) in buf.iter().enumerate().skip(b"<!DOCTYPE".len()) {
-            match (in_subset, quote) {
-                (true, _) => in_subset = b != b']',
-                (false, Some(q)) => {
-                    if b == q {
-                        quote = None;
-                    }
-                }
-                (false, None) => match b {
-                    b'[' => in_subset = true,
-                    b'"' | b'\'' => quote = Some(b),
-                    b'>' => {
-                        return Token::Complete {
-                            kind: TokenKind::Doctype,
-                            len: i + 1,
-                        }
-                    }
-                    _ => {}
-                },
-            }
-        }
-        return Token::Incomplete;
-    }
-    if prefix_matches(buf, b"<?xml") {
-        // Anything starting "<?xml" is the declaration and is skipped
-        // wholesale.
-        if buf.len() < b"<?xml".len() {
-            return Token::Incomplete;
-        }
-        return match scan::find_seq(buf, b"?>", 2) {
-            Some(i) => Token::Complete {
-                kind: TokenKind::XmlDecl,
-                len: i + 2,
-            },
-            None => Token::Incomplete,
-        };
-    }
-    if buf.len() >= 2 && buf[1] == b'?' {
-        return match scan::find_seq(buf, b"?>", 2) {
-            Some(i) => Token::Complete {
-                kind: TokenKind::Pi,
-                len: i + 2,
-            },
-            None => Token::Incomplete,
-        };
-    }
-    if buf.len() >= 2 && buf[1] == b'!' {
-        // "<!" not (yet) matching a comment/CDATA/DOCTYPE opener:
-        // either we need more bytes, or it is genuinely malformed.
-        // Waiting is always safe; malformed input surfaces as an
-        // "unexpected end of input" at finish() or as a parse error
-        // once the opener is complete and recognisably wrong.
-        if prefix_of_any(buf, &[b"<!--", b"<![CDATA[", b"<!DOCTYPE"]) {
-            return Token::Incomplete;
-        }
-        // Complete enough to know it matches no opener: report at
-        // the '>' (scan like a tag) so the parse error is precise.
-        return match scan::memchr(b'>', &buf[1..]) {
-            Some(i) => Token::Complete {
-                kind: TokenKind::StartOrEmptyTag,
-                len: i + 2,
-            },
-            None => Token::Incomplete,
-        };
-    }
-    // Start or end tag: ends at the first '>' outside quotes
-    // (attribute values may legally contain '>'). Jump from
-    // structural byte to structural byte instead of stepping.
-    let kind = if buf.len() >= 2 && buf[1] == b'/' {
-        TokenKind::EndTag
-    } else if buf.len() < 2 {
-        return Token::Incomplete;
-    } else {
-        TokenKind::StartOrEmptyTag
-    };
-    let mut i = 1;
-    let mut quote: Option<u8> = None;
-    loop {
-        match quote {
-            Some(q) => match scan::memchr(q, &buf[i..]) {
-                Some(j) => {
-                    i += j + 1;
-                    quote = None;
-                }
-                None => return Token::Incomplete,
-            },
-            None => match scan::memchr3(b'>', b'"', b'\'', &buf[i..]) {
-                Some(j) => {
-                    let b = buf[i + j];
-                    i += j + 1;
-                    if b == b'>' {
-                        return Token::Complete { kind, len: i };
-                    }
-                    quote = Some(b);
-                }
-                None => return Token::Incomplete,
-            },
-        }
-    }
-}
-
-/// `haystack` starts with `prefix`, or is a proper prefix of it (i.e.
-/// could still become it with more bytes).
-fn prefix_matches(haystack: &[u8], prefix: &[u8]) -> bool {
-    let n = haystack.len().min(prefix.len());
-    haystack[..n] == prefix[..n]
-}
-
-/// `buf` (shorter than every candidate) is a prefix of at least one.
-fn prefix_of_any(buf: &[u8], candidates: &[&[u8]]) -> bool {
-    candidates
-        .iter()
-        .any(|c| buf.len() < c.len() && c[..buf.len()] == *buf)
 }
 
 /// Extracts the name from a complete `</name>` token without allocating.

@@ -1,7 +1,7 @@
 //! Branch-light bulk byte scanning for the tokenizer.
 //!
-//! [`crate::push::PushTokenizer`] (token loop and fast-forward scanner
-//! alike) spends almost all of its
+//! The boundary scanner of [`crate::push::PushTokenizer`] (tokenizing and
+//! fast-forwarding alike) spends almost all of its
 //! time finding the *next structural byte*: the `<` that ends a text
 //! run, the `>`/quote that delimits a tag, the `]` or `-` that may
 //! close a CDATA section or comment. These helpers replace per-byte
@@ -51,24 +51,6 @@ pub fn memchr(needle: u8, hay: &[u8]) -> Option<usize> {
     hay[i..].iter().position(|&b| b == needle).map(|p| i + p)
 }
 
-/// Index of the first occurrence of `a` or `b` in `hay`.
-#[inline]
-pub fn memchr2(a: u8, b: u8, hay: &[u8]) -> Option<usize> {
-    let (na, nb) = (splat(a), splat(b));
-    let mut i = 0;
-    while i + W <= hay.len() {
-        let x = load(hay, i);
-        if has_zero_byte(x ^ na) || has_zero_byte(x ^ nb) {
-            break;
-        }
-        i += W;
-    }
-    hay[i..]
-        .iter()
-        .position(|&x| x == a || x == b)
-        .map(|p| i + p)
-}
-
 /// Index of the first occurrence of `a`, `b` or `c` in `hay`.
 #[inline]
 pub fn memchr3(a: u8, b: u8, c: u8, hay: &[u8]) -> Option<usize> {
@@ -87,32 +69,6 @@ pub fn memchr3(a: u8, b: u8, c: u8, hay: &[u8]) -> Option<usize> {
         .map(|p| i + p)
 }
 
-/// Index of the first occurrence of the byte sequence `needle` in `hay`
-/// at a position `>= from` (the bulk counterpart of `str::find` for the
-/// short fixed delimiters `-->`, `]]>`, `?>`). Returns `None` for an
-/// empty or impossible window; an empty needle matches at `from`.
-#[inline]
-pub fn find_seq(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    let n = needle.len();
-    if n == 0 {
-        return (from <= hay.len()).then_some(from);
-    }
-    if hay.len() < n || from > hay.len() - n {
-        return None;
-    }
-    let last = hay.len() - n;
-    let mut i = from;
-    while i <= last {
-        let j = memchr(needle[0], &hay[i..=last])?;
-        let s = i + j;
-        if &hay[s..s + n] == needle {
-            return Some(s);
-        }
-        i = s + 1;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,12 +76,6 @@ mod tests {
     /// Reference implementations to differentiate against.
     fn naive1(n: u8, h: &[u8]) -> Option<usize> {
         h.iter().position(|&b| b == n)
-    }
-    fn naive_seq(h: &[u8], n: &[u8], from: usize) -> Option<usize> {
-        if h.len() < from + n.len() {
-            return None;
-        }
-        (from..=h.len() - n.len()).find(|&i| &h[i..i + n.len()] == n)
     }
 
     #[test]
@@ -147,39 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn memchr2_and_3_find_earliest_of_set() {
+    fn memchr3_finds_the_earliest_of_its_set() {
         let hay = b"xxxxxxxxxxxxxxxxxxxxxxxxx\"yyyyyyyyyyyy'zzzzzzzzzz>";
-        assert_eq!(memchr2(b'"', b'\'', hay), Some(25));
         assert_eq!(memchr3(b'>', b'"', b'\'', hay), Some(25));
         assert_eq!(memchr3(b'>', b'%', b'!', hay), Some(hay.len() - 1));
         assert_eq!(memchr3(b'%', b'!', b'@', hay), None);
-        assert_eq!(memchr2(b'a', b'b', b""), None);
-    }
-
-    #[test]
-    fn find_seq_matches_naive() {
-        let hay = b"ab-->cd--->ee-->";
-        for from in 0..=hay.len() {
-            assert_eq!(
-                find_seq(hay, b"-->", from),
-                naive_seq(hay, b"-->", from),
-                "from {from}"
-            );
-        }
-        // needles straddling word boundaries
-        let long = [b"x".repeat(W * 2), b"]]>".to_vec(), b"x".repeat(W)].concat();
-        assert_eq!(find_seq(&long, b"]]>", 0), Some(W * 2));
-        assert_eq!(find_seq(&long, b"]]>", W * 2 + 1), None);
-        assert_eq!(find_seq(b"ab", b"abc", 0), None);
-        assert_eq!(find_seq(b"ab", b"", 1), Some(1));
-    }
-
-    #[test]
-    fn partial_first_byte_matches_are_skipped() {
-        // runs of the needle's first byte that never complete the needle
-        let hay = b"]]]]]]]]]]]]]]]]]]]]]]]]]]]>x";
-        assert_eq!(find_seq(hay, b"]]>", 0), Some(25));
-        let hay2 = b"-------------------------x";
-        assert_eq!(find_seq(hay2, b"-->", 0), None);
+        assert_eq!(memchr3(b'a', b'b', b'c', b""), None);
     }
 }

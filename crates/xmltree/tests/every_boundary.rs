@@ -287,6 +287,49 @@ fn skip_state_survives_every_boundary() {
     assert!(run_with(&[bytes], &mut sink, false).is_err());
 }
 
+/// Markup that is no XML token, inside an element the sink skips. The
+/// token loop and fast-forward share one boundary scanner, so with
+/// fast-forward on the skip ends at the same end tag the token loop would
+/// pair with `<skipme>` — at every split — and with it off the token loop
+/// rejects the markup. `<>` opens an element as far as nesting goes, so
+/// its row needs an end tag of its own.
+#[test]
+fn malformed_markup_inside_a_skipped_subtree() {
+    let expected = vec![
+        s("a", &[]),
+        s("skipme", &[]),
+        e("skipme"),
+        s("keep", &[]),
+        e("keep"),
+        e("a"),
+    ];
+    for (body, error) in [
+        ("<!foo>", "expected a name"),
+        ("<!>", "expected a name"),
+        ("<!-x>", "expected a name"),
+        ("<![CDAT>x]]>", "expected a name"),
+        ("<!ELEMENT a (b)>", "expected a name"),
+        ("<>x</y>", "expected a name"),
+        ("<!DOCTYPE a>", "DOCTYPE after the start of the root element"),
+        ("<!DOCTYPE a [<!ELEMENT a EMPTY>]>", "DOCTYPE after the start of the root element"),
+    ] {
+        let doc = format!("<a><skipme>{body}</skipme><keep/></a>");
+        let bytes = doc.as_bytes();
+        for at in 0..=bytes.len() {
+            let mut sink = Collect {
+                skippable: Some("skipme"),
+                ..Collect::default()
+            };
+            let (done, _) = run_with(&[&bytes[..at], &bytes[at..]], &mut sink, true)
+                .unwrap_or_else(|e| panic!("{body:?} split at {at}: {e}"));
+            assert_eq!(sink.events, expected, "{body:?} split at {at}");
+            assert_eq!((done.events, done.fast_forwarded), (5, 1), "{body:?} split at {at}");
+        }
+        let err = run_str(&doc).expect_err(body);
+        assert_eq!((err.offset, err.message.as_str()), ("<a><skipme>".len(), error), "{body:?}");
+    }
+}
+
 #[test]
 fn skip_never_buffers_and_eof_mid_skip_is_an_error() {
     let mut tok = xproj_xmltree::push::PushTokenizer::new();

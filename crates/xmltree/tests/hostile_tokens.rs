@@ -1,0 +1,135 @@
+//! The hostile-token wall: one giant token of every kind, terminated and
+//! not, tokenized and fast-forwarded, fed in pieces from one byte to
+//! 64 KiB.
+//!
+//! The promise under test is linear work: the boundary scanner resumes
+//! where the previous feed stopped, so [`PushTokenizer::scanned_bytes`]
+//! stays within a constant factor of the bytes pushed however small the
+//! feeds are. (A scanner that restarts at the head of the incomplete
+//! token examines n²/2·chunk bytes instead — at one-byte feeds this test
+//! does not finish.) Chunking must not change anything else either: sink
+//! calls, event counts and the error at end of input equal the
+//! whole-document run's.
+//!
+//! `TESTKIT_HOSTILE_MIB=n` raises the token size from 1 MiB to n MiB and
+//! keeps only the 64 KiB feed (what `xmlprune` and the daemon read in):
+//! the release-mode leg of `ci.sh`.
+
+mod common;
+
+use common::{Collect, Ev};
+use xproj_xmltree::push::{Drained, PushTokenizer};
+use xproj_xmltree::ParseError;
+
+/// A token as `(name, opener, filler byte, closer, what is unexpected
+/// about its end of input at top level)`: the opener, then the filler
+/// repeated to the token size, then — when terminated — the closer.
+/// Fillers are the bytes a lazier scanner trips over: the other quote, a
+/// quoted `>`, a body made of its own closing delimiter's first byte.
+type Token = (&'static str, &'static str, u8, &'static str, &'static str);
+
+const TOKENS: &[Token] = &[
+    ("attribute value in double quotes", "<k a=\"", b'>', "\"/>", " inside markup, <r> not closed"),
+    ("attribute value in single quotes", "<k a='", b'"', "'/>", " inside markup, <r> not closed"),
+    ("start tag without quotes", "<k", b'k', "/>", " inside markup, <r> not closed"),
+    ("end tag", "<k></k", b' ', ">", " inside markup, <k> not closed"),
+    ("comment", "<!--", b'x', "-->", " inside markup, <r> not closed"),
+    ("comment of dashes", "<!--", b'-', "-->", " inside markup, <r> not closed"),
+    ("CDATA of brackets", "<![CDATA[", b']', "]]>", " inside markup, <r> not closed"),
+    ("PI of question marks", "<?p ", b'?', "?>", " inside markup, <r> not closed"),
+    ("DOCTYPE with a quoted >", "<!DOCTYPE r SYSTEM \"", b'>', "\">", " inside markup"),
+    ("DOCTYPE with > in its subset", "<!DOCTYPE r [", b'>', "]>", " inside markup"),
+    ("text run", "", b'x', "", ", <r> not closed"),
+];
+
+/// The token size and the feed sizes: 1 MiB at {1, 7, 4096, 64 Ki}, or
+/// `TESTKIT_HOSTILE_MIB` MiB at 64 KiB.
+fn scale() -> (usize, &'static [usize]) {
+    match std::env::var("TESTKIT_HOSTILE_MIB").ok().and_then(|v| v.parse::<usize>().ok()) {
+        Some(mib) => (mib << 20, &[64 * 1024]),
+        None => (1 << 20, &[1, 7, 4096, 64 * 1024]),
+    }
+}
+
+struct Run {
+    events: Vec<Ev>,
+    outcome: Result<Drained, ParseError>,
+    scanned: u64,
+}
+
+/// Feeds `doc` in `chunk`-byte pieces, fast-forwarding past `<s>` when
+/// `skip` is set.
+fn drive(doc: &[u8], chunk: usize, skip: bool) -> Run {
+    let mut tok = PushTokenizer::new();
+    let mut sink = Collect {
+        skippable: skip.then_some("s"),
+        ..Collect::default()
+    };
+    let outcome = (|| {
+        let mut done = Drained::default();
+        for piece in doc.chunks(chunk) {
+            tok.push_bytes(piece)?;
+            done += tok.drain(&mut sink, skip)?;
+        }
+        done += tok.finish_into(&mut sink)?;
+        Ok(done)
+    })();
+    Run {
+        events: sink.events,
+        outcome,
+        scanned: tok.scanned_bytes(),
+    }
+}
+
+/// Every token of [`TOKENS`], terminated and not, either directly under
+/// the root (a DOCTYPE: before it) or inside a subtree the sink skips.
+fn wall(skip: bool) {
+    let (size, chunks) = scale();
+    for &(name, opener, filler, closer, top_level_eof) in TOKENS {
+        let (head, tail) = match (skip, opener.starts_with("<!DOCTYPE")) {
+            (true, _) => ("<r><s>", "</s></r>"),
+            (false, true) => ("", "<r></r>"),
+            (false, false) => ("<r>", "</r>"),
+        };
+        for terminated in [true, false] {
+            let mut doc = [head, opener].concat().into_bytes();
+            doc.resize(doc.len() + size, filler);
+            if terminated {
+                doc.extend_from_slice([closer, tail].concat().as_bytes());
+            }
+            let what = format!("{name}, terminated: {terminated}, skipped: {skip}");
+            let whole = drive(&doc, doc.len(), skip);
+            match (&whole.outcome, terminated) {
+                (Ok(done), true) => assert_eq!(done.fast_forwarded, u64::from(skip), "{what}"),
+                (Err(e), false) => {
+                    let eof = if skip { ", <s> not closed" } else { top_level_eof };
+                    assert_eq!(e.message, format!("unexpected end of input{eof}"), "{what}");
+                }
+                (other, _) => panic!("{what}: {other:?}"),
+            }
+            for &chunk in chunks {
+                let run = drive(&doc, chunk, skip);
+                let bound = 2 * doc.len() as u64 + 64;
+                assert!(
+                    run.scanned <= bound,
+                    "{what}: {chunk}-byte feeds examined {} bytes of {}",
+                    run.scanned,
+                    doc.len()
+                );
+                assert_eq!(run.outcome, whole.outcome, "{what}, {chunk}-byte feeds");
+                // Not `assert_eq!`: a failure would print the token.
+                assert!(run.events == whole.events, "{what}: sink calls differ, {chunk}-byte feeds");
+            }
+        }
+    }
+}
+
+#[test]
+fn giant_tokens_are_scanned_once_when_tokenized() {
+    wall(false);
+}
+
+#[test]
+fn giant_tokens_are_scanned_once_when_fast_forwarded() {
+    wall(true);
+}

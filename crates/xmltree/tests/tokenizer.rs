@@ -119,6 +119,11 @@ fn content_after_root_and_cdata_outside_it_rejected() {
     assert!(message("<a/><b/>").contains("content after the root element"));
     assert!(message("<a></a><b>").contains("content after the root element"));
     assert!(message("<![CDATA[x]]><a/>").contains("CDATA outside the root element"));
+    // A DOCTYPE belongs before the root element, once.
+    for doc in ["<a><!DOCTYPE a><b>x</b></a>", "<a/><!DOCTYPE a>"] {
+        assert!(message(doc).contains("DOCTYPE after the start of the root element"), "{doc}");
+    }
+    assert!(message("<!DOCTYPE a><!DOCTYPE a><a/>").contains("more than one DOCTYPE"));
     // …but comments, PIs and whitespace after the root are fine.
     assert!(run_str("<a/> <!--c--><?p?>\n").is_ok());
 }

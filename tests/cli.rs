@@ -448,6 +448,24 @@ fn chunked_prune_reads_stdin() {
     assert!(!stdout.contains("title"));
 }
 
+/// A DOCTYPE belongs before the root element, once: anywhere else it is
+/// malformed XML, not a second grammar delivered mid-document.
+#[test]
+fn prune_rejects_a_misplaced_doctype() {
+    let dtd = write_tmp("books12.dtd", DTD);
+    let args = ["prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--query", "//title"];
+    for doc in [
+        "<bib><!DOCTYPE bib><book><title>T</title></book></bib>",
+        "<bib/><!DOCTYPE bib>",
+        "<!DOCTYPE bib><!DOCTYPE bib><bib/>",
+    ] {
+        let out = run_with_stdin(&args, doc.as_bytes());
+        assert_eq!(out.status.code(), Some(1), "{doc}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("XML parse error") && stderr.contains("DOCTYPE"), "{doc}: {stderr}");
+    }
+}
+
 /// Fused validation no longer needs the document in memory: it runs on
 /// a stdin stream and rejects what the content models reject.
 #[test]
