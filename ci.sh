@@ -102,6 +102,13 @@ if grep -nE 'TcpStream|TcpListener|Instant::now|\.elapsed\(\)|SystemTime|thread:
     echo "one-protocol gate: conn.rs reaches for I/O, a clock or a thread" >&2
     exit 1
 fi
+# Where a job runs is the machine's `Job::bounded()`, in conn.rs: the
+# drivers name the type and never a variant (nor, in their docs, a
+# path through it), so neither can grow a placement rule of its own.
+if grep -n 'Job::' crates/server/src/epoll.rs crates/server/src/portable.rs; then
+    echo "one-protocol gate: a driver names a job kind; placement lives in conn.rs" >&2
+    exit 1
+fi
 if grep -rnE 'ServeMode|--threaded|BodyReader|StreamingBody|serve_connection|yield_to_waiters|mode_matrix' \
     src crates/*/src crates/*/tests; then
     echo "one-protocol gate: found a remnant of the blocking serving core" >&2
@@ -159,6 +166,14 @@ echo "== hostile-token wall, release leg (32 MiB tokens of every kind at 64 KiB 
 TESTKIT_HOSTILE_MIB=32 cargo test -q --release --offline --locked \
     -p xproj-xmltree --test hostile_tokens
 
+echo "== capture-visit gate, release leg (XMark scale 4, 6.6 MB) =="
+# The workspace run above holds `capture_visits <= events * (max_depth +
+# 1)` at two small scales; this leg is the size at which a matcher that
+# walks the queue of completed captures on every event takes half a
+# minute for `//*` instead of a third of a second. A counter, not a clock.
+TESTKIT_XMARK_SCALE=4 cargo test -q --release --offline --locked \
+    -p xproj-engine --test capture_visits
+
 echo "== analyzer smoke (XMark provenance + retention prediction) =="
 # The rigorous form: on the generated XMark document, the predicted
 # retention must land within 2x of what pruning actually retains, and
@@ -194,8 +209,9 @@ echo "== server integration (sockets, default driver; portable driver cases) =="
 # pipelining, mid-body disconnects, structured errors, the 24-case
 # HTTP-vs-prune_str and HTTP-vs-reference-evaluator differentials,
 # slowloris 408s, slow-reader backpressure, admission, rate limiting,
-# accept stalls and drain-under-load (plus a 2-loop leg of the hardest
-# three). The portable driver — what non-Linux targets serve with — is
+# accept stalls, lane isolation (a parked executor lane delays no cached
+# prune), the loop-job budget's overflow and drain-under-load (plus a
+# 2-loop leg of the hardest three). The portable driver — what non-Linux targets serve with — is
 # driven through Server::serve_portable() for the six things it does
 # itself.
 cargo test -q --offline --locked -p xproj-server --test integration

@@ -75,5 +75,5 @@ pub use chunked::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 pub use metrics::{error_json_line, EngineStats, StageTimings};
 pub use query::{json_escape_into, run_query, QueryMachine, QueryOutput, QueryStats};
 pub use xproj_qc::{
-    normalize_query, ArtifactCache, ArtifactCacheStats, QueryArtifact,
+    normalize_query, ArtifactCache, ArtifactCacheStats, Lookup, PendingCompile, QueryArtifact,
 };

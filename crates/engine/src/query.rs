@@ -81,6 +81,11 @@ pub struct QueryStats {
     /// the fallback plan, the buffered pruned document). Scales with the
     /// answer, not the input.
     pub peak_answer_bytes: usize,
+    /// Open captures touched, summed over events: at most `events ·
+    /// (max_depth + 1)` on the streaming plan, zero elsewhere. The
+    /// counter behind the matcher's O(open depth)-per-event gate; not
+    /// part of any serialized form.
+    pub capture_visits: u64,
     /// The pass itself, in the pruner's terms: events (undercounted
     /// inside fast-forwarded subtrees), bytes in and out, depth, the
     /// O(depth + chunk) `peak_resident_bytes`. The keep/discard counters
@@ -295,20 +300,29 @@ struct Matcher {
     caps: Vec<Capture>,
     /// Index of the first not-yet-emitted capture.
     head: usize,
-    /// Captures in `CapState::Open` (fast path: zero means no capture
-    /// bookkeeping at all for this event).
-    open_count: usize,
+    /// Indices into `caps` of the captures in `CapState::Open`,
+    /// outermost first. A recording capture is an ancestor-or-self of
+    /// the current node, so they nest: a stack, pushed in `start`, popped
+    /// in `end`, and the only captures an event visits — however many
+    /// completed ones queue behind an open front one.
+    open: Vec<usize>,
+    /// Bytes held by `caps[head..]`: the not-yet-emitted answer, kept as
+    /// a running sum so reading the gauge costs nothing per capture.
+    held: usize,
+    /// Open captures touched, summed over events.
+    visits: u64,
+    /// The current event's serialized bytes, rendered once for every
+    /// recording capture.
     scratch: String,
     saw_root: bool,
     max_depth: usize,
 }
 
-fn append_open(caps: &mut [Capture], s: &str) {
-    for c in caps {
-        if c.state == CapState::Open {
-            c.buf.push_str(s);
-        }
-    }
+/// What an event is to the guard NFA of a capture recording it.
+#[derive(Clone, Copy)]
+enum GuardStep {
+    Enter(NameId),
+    Text,
 }
 
 impl Matcher {
@@ -353,14 +367,16 @@ impl Matcher {
             stack: Vec::with_capacity(16),
             caps: Vec::new(),
             head: 0,
-            open_count: 0,
+            open: Vec::new(),
+            held: 0,
+            visits: 0,
             scratch: String::new(),
             saw_root: false,
             max_depth: 0,
         };
         if let Some(cap) = doc_capture {
             m.caps.push(cap);
-            m.open_count = 1;
+            m.open.push(0);
         }
         m.stack.push(MatchFrame {
             a,
@@ -370,9 +386,37 @@ impl Matcher {
         m
     }
 
-    /// Sum of not-yet-emitted capture bytes (answer-resident gauge).
-    fn capture_bytes(&self) -> usize {
-        self.caps[self.head..].iter().map(|c| c.buf.len()).sum()
+    /// The one pass an event makes over the recording captures: close
+    /// the parent's pending start tag, step each guard, append `scratch`.
+    fn record(&mut self, close_parent: bool, step: GuardStep) {
+        let Matcher { caps, open, scratch, guard, gmask, gaccept, .. } = self;
+        for &i in open.iter() {
+            let cap = &mut caps[i];
+            if close_parent {
+                cap.buf.push('>');
+            }
+            if let Some(g) = &mut cap.guard {
+                match step {
+                    GuardStep::Enter(name) => g.enter_element(guard, *gmask, *gaccept, name),
+                    GuardStep::Text => g.visit_text(guard, *gmask, *gaccept),
+                }
+            }
+            cap.buf.push_str(scratch);
+        }
+        self.visits += self.open.len() as u64;
+        self.held += self.open.len() * (self.scratch.len() + close_parent as usize);
+        if close_parent {
+            self.stack
+                .last_mut()
+                .expect("document frame always present")
+                .open_pending = false;
+        }
+    }
+
+    /// Settles a capture whose node has ended: its guard verdict is final.
+    fn close(cap: &mut Capture) {
+        let ok = cap.guard.as_ref().map(|g| g.satisfied).unwrap_or(true);
+        cap.state = if ok { CapState::Done } else { CapState::Failed };
     }
 
     fn finish_document(&mut self) -> Result<(), StreamPruneError> {
@@ -381,12 +425,11 @@ impl Matcher {
                 "document has no root element".to_string(),
             ));
         }
-        for cap in &mut self.caps[self.head..] {
-            if cap.state == CapState::Open && cap.start_depth == 1 {
-                let ok = cap.guard.as_ref().map(|g| g.satisfied).unwrap_or(true);
-                cap.state = if ok { CapState::Done } else { CapState::Failed };
-                self.open_count -= 1;
-            }
+        // Every element has ended, so only the whole-document capture
+        // can still be recording.
+        if let Some(i) = self.open.pop() {
+            debug_assert!(self.open.is_empty() && self.caps[i].start_depth == 1);
+            Self::close(&mut self.caps[i]);
         }
         Ok(())
     }
@@ -395,22 +438,28 @@ impl Matcher {
     /// preserving document order. Stops at the first still-open capture.
     fn drain_ready(&mut self, ready: &mut Vec<String>) {
         while self.head < self.caps.len() {
-            match self.caps[self.head].state {
+            let cap = &mut self.caps[self.head];
+            match cap.state {
                 CapState::Open => break,
-                CapState::Failed => {
-                    self.caps[self.head].buf = String::new();
-                    self.head += 1;
-                }
+                CapState::Failed => self.held -= std::mem::take(&mut cap.buf).len(),
                 CapState::Done => {
-                    ready.push(std::mem::take(&mut self.caps[self.head].buf));
-                    self.head += 1;
+                    self.held -= cap.buf.len();
+                    ready.push(std::mem::take(&mut cap.buf));
                 }
             }
+            self.head += 1;
         }
         if self.head > 64 {
             self.caps.drain(..self.head);
+            for i in &mut self.open {
+                *i -= self.head;
+            }
             self.head = 0;
         }
+        debug_assert_eq!(
+            self.held,
+            self.caps[self.head..].iter().map(|c| c.buf.len()).sum::<usize>()
+        );
     }
 }
 
@@ -437,27 +486,26 @@ impl TokenSink for Matcher {
             });
         closure(&self.steps, self.mask, &mut a, |t| t.matches_element(name));
         let matched = a & self.accept != 0;
-        let can_ff = self.table.verdict(name) == Verdict::PruneSubtree
-            && !matched
-            && self.open_count == 0;
+        let recording = !self.open.is_empty();
+        let can_ff = self.table.verdict(name) == Verdict::PruneSubtree && !matched && !recording;
 
-        if self.open_count > 0 {
-            if parent.open_pending {
-                append_open(&mut self.caps[self.head..], ">");
-                self.stack
-                    .last_mut()
-                    .expect("document frame always present")
-                    .open_pending = false;
+        if matched || recording {
+            // Render `<name a="v" …` (no closing `>` yet) once, for
+            // every recording capture. Values are decoded then
+            // re-escaped — byte-identical to the reference serializer.
+            self.scratch.clear();
+            self.scratch.push('<');
+            self.scratch.push_str(name_str);
+            for attr in RawAttrs::new(attrs_raw) {
+                let (an, rawv) = attr.map_err(StreamPruneError::Xml)?;
+                let decoded = decode_entities(rawv).map_err(StreamPruneError::Xml)?;
+                self.scratch.push(' ');
+                self.scratch.push_str(an);
+                self.scratch.push_str("=\"");
+                escape_attr(&decoded, &mut self.scratch);
+                self.scratch.push('"');
             }
-            if !self.guard.is_empty() {
-                for cap in &mut self.caps[self.head..] {
-                    if cap.state == CapState::Open {
-                        if let Some(g) = &mut cap.guard {
-                            g.enter_element(&self.guard, self.gmask, self.gaccept, name);
-                        }
-                    }
-                }
-            }
+            self.record(recording && parent.open_pending, GuardStep::Enter(name));
         }
         if matched {
             let guard_exec = if self.guard.is_empty() {
@@ -467,33 +515,15 @@ impl TokenSink for Matcher {
                     t.matches_element(name)
                 }))
             };
+            self.open.push(self.caps.len());
+            self.held += self.scratch.len();
+            self.visits += 1;
             self.caps.push(Capture {
-                buf: String::new(),
+                buf: self.scratch.clone(),
                 start_depth: self.stack.len() + 1,
                 state: CapState::Open,
                 guard: guard_exec,
             });
-            self.open_count += 1;
-        }
-        if self.open_count > 0 {
-            // Render `<name a="v" …` (no closing `>` yet) once, append
-            // to every recording capture. Values are decoded then
-            // re-escaped — byte-identical to the reference serializer.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            scratch.push('<');
-            scratch.push_str(name_str);
-            for attr in RawAttrs::new(attrs_raw) {
-                let (an, rawv) = attr.map_err(StreamPruneError::Xml)?;
-                let decoded = decode_entities(rawv).map_err(StreamPruneError::Xml)?;
-                scratch.push(' ');
-                scratch.push_str(an);
-                scratch.push_str("=\"");
-                escape_attr(&decoded, &mut scratch);
-                scratch.push('"');
-            }
-            append_open(&mut self.caps[self.head..], &scratch);
-            self.scratch = scratch;
         }
         self.stack.push(MatchFrame {
             a,
@@ -507,34 +537,34 @@ impl TokenSink for Matcher {
     fn end(&mut self, name_str: &str) -> Result<(), EngineError> {
         let depth = self.stack.len();
         let top = self.stack.pop().expect("end below the document frame");
-        if self.open_count == 0 {
+        if self.open.is_empty() {
             return Ok(());
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
+        self.scratch.clear();
         if top.open_pending {
-            scratch.push_str("/>");
+            self.scratch.push_str("/>");
         } else {
-            scratch.push_str("</");
-            scratch.push_str(name_str);
-            scratch.push('>');
+            self.scratch.push_str("</");
+            self.scratch.push_str(name_str);
+            self.scratch.push('>');
         }
-        for cap in &mut self.caps[self.head..] {
-            if cap.state != CapState::Open {
-                continue;
-            }
-            cap.buf.push_str(&scratch);
-            if cap.start_depth == depth {
-                // The candidate itself is closing: its guard verdict is
-                // final.
-                let ok = cap.guard.as_ref().map(|g| g.satisfied).unwrap_or(true);
-                cap.state = if ok { CapState::Done } else { CapState::Failed };
-                self.open_count -= 1;
+        // Open captures nest, so only the innermost can be the element
+        // that is ending.
+        let closing = self.open.last().copied().filter(|&i| self.caps[i].start_depth == depth);
+        for &i in &self.open {
+            let cap = &mut self.caps[i];
+            cap.buf.push_str(&self.scratch);
+            if Some(i) == closing {
+                Self::close(cap);
             } else if let Some(g) = &mut cap.guard {
                 g.leave_element();
             }
         }
-        self.scratch = scratch;
+        self.visits += self.open.len() as u64;
+        self.held += self.open.len() * self.scratch.len();
+        if closing.is_some() {
+            self.open.pop();
+        }
         Ok(())
     }
 
@@ -545,55 +575,32 @@ impl TokenSink for Matcher {
             return Ok(());
         }
         let top = *self.stack.last().expect("document frame always present");
-        if self.open_count > 0 && top.open_pending {
-            append_open(&mut self.caps[self.head..], ">");
-            self.stack
-                .last_mut()
-                .expect("document frame always present")
-                .open_pending = false;
-        }
         let (mut a, _) = child_transition(&self.steps, self.mask, top.a, top.s, |t| {
             t.matches_text()
         });
         closure(&self.steps, self.mask, &mut a, |t| t.matches_text());
-        if self.open_count > 0 && !self.guard.is_empty() {
-            for cap in &mut self.caps[self.head..] {
-                if cap.state == CapState::Open {
-                    if let Some(g) = &mut cap.guard {
-                        g.visit_text(&self.guard, self.gmask, self.gaccept);
-                    }
-                }
-            }
+        // A text node answer is born complete — its guard can only hold
+        // via self-matching steps, settled on the spot.
+        let answer = a & self.accept != 0
+            && (self.guard.is_empty()
+                || GuardExec::start(&self.guard, self.gmask, self.gaccept, |t| t.matches_text())
+                    .satisfied);
+        if !answer && self.open.is_empty() {
+            return Ok(());
         }
-        if a & self.accept != 0 {
-            // A text node answer is born complete — serialize and settle
-            // its guard (which can only hold via self-matching steps) on
-            // the spot.
-            let ok = if self.guard.is_empty() {
-                true
-            } else {
-                let g = GuardExec::start(&self.guard, self.gmask, self.gaccept, |t| {
-                    t.matches_text()
-                });
-                g.satisfied
-            };
-            if ok {
-                let mut buf = String::new();
-                escape_text(decoded, &mut buf);
-                self.caps.push(Capture {
-                    buf,
-                    start_depth: usize::MAX,
-                    state: CapState::Done,
-                    guard: None,
-                });
-            }
+        self.scratch.clear();
+        escape_text(decoded, &mut self.scratch);
+        if !self.open.is_empty() {
+            self.record(top.open_pending, GuardStep::Text);
         }
-        if self.open_count > 0 {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            scratch.clear();
-            escape_text(decoded, &mut scratch);
-            append_open(&mut self.caps[self.head..], &scratch);
-            self.scratch = scratch;
+        if answer {
+            self.held += self.scratch.len();
+            self.caps.push(Capture {
+                buf: self.scratch.clone(),
+                start_depth: usize::MAX,
+                state: CapState::Done,
+                guard: None,
+            });
         }
         Ok(())
     }
@@ -756,6 +763,7 @@ impl QueryMachine {
     /// pending output; drain with a last [`Self::take_output`]. A
     /// pruner-backed pass also asserts the engine's memory bound here.
     pub fn finish(&mut self) -> Result<QueryStats, EngineError> {
+        let mut capture_visits = 0;
         let mut engine = match std::mem::replace(&mut self.exec, Exec::Done) {
             Exec::Streaming(mut s) => {
                 s.finish_stream()?;
@@ -764,6 +772,7 @@ impl QueryMachine {
                 for v in &ready {
                     self.emit_match(false, v);
                 }
+                capture_visits = s.m.visits;
                 s.stats
             }
             Exec::Pruner(p) => {
@@ -797,6 +806,7 @@ impl QueryMachine {
             plan,
             matches: self.emitted,
             peak_answer_bytes: self.peak_answer,
+            capture_visits,
             engine,
         })
     }
@@ -854,7 +864,7 @@ impl QueryMachine {
     /// answer-side captures and undrained output.
     pub fn resident_bytes(&self) -> usize {
         let exec = match &self.exec {
-            Exec::Streaming(s) => s.tokenizer.buffered() + s.m.capture_bytes(),
+            Exec::Streaming(s) => s.tokenizer.buffered() + s.m.held,
             Exec::Pruner(p) => p.resident_bytes() + p.sink.len(),
             Exec::Done => 0,
         };
@@ -887,7 +897,7 @@ impl QueryMachine {
 
     fn note_answer_peak(&mut self) {
         let held = match &self.exec {
-            Exec::Streaming(s) => s.m.capture_bytes(),
+            Exec::Streaming(s) => s.m.held,
             _ => 0,
         };
         self.peak_answer = self.peak_answer.max(held + self.pending_output());

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::artifact::QueryArtifact;
 use xproj_dtd::{Dtd, NameSet};
-use xproj_xquery::parse_xquery;
+use xproj_xquery::{parse_xquery, XQuery};
 
 /// Counter snapshot of an [`ArtifactCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,6 +94,22 @@ impl Inner {
     }
 }
 
+/// What [`ArtifactCache::lookup`] found.
+pub enum Lookup {
+    /// The resident artifact.
+    Hit(Arc<QueryArtifact>),
+    /// Nothing resident: the compile still to run.
+    Miss(PendingCompile),
+}
+
+/// A counted cache miss: the grammar, the parsed query and its cache
+/// key, waiting for [`ArtifactCache::compile`].
+pub struct PendingCompile {
+    dtd: Arc<Dtd>,
+    ast: XQuery,
+    key: (u64, String),
+}
+
 /// An LRU cache of compiled [`QueryArtifact`]s. See the module docs.
 pub struct ArtifactCache {
     inner: Mutex<Inner>,
@@ -114,30 +130,50 @@ impl ArtifactCache {
     }
 
     /// Returns the artifact for `query` against `dtd`, compiling only
-    /// on a cache miss. An unparsable query is an error and counts as
+    /// on a cache miss: [`Self::lookup`], then [`Self::compile`] on the
+    /// caller's thread. An unparsable query is an error and counts as
     /// neither hit nor miss.
     pub fn get_or_compile(
         &self,
         dtd: &Arc<Dtd>,
         query: &str,
     ) -> Result<Arc<QueryArtifact>, String> {
+        Ok(match self.lookup(dtd, query)? {
+            Lookup::Hit(artifact) => artifact,
+            Lookup::Miss(pending) => self.compile(pending),
+        })
+    }
+
+    /// The cheap half of a lookup — parse, normalize, probe, about a
+    /// microsecond — counting exactly one hit or one miss. A miss hands
+    /// back what the parse produced, so a caller that must not run an
+    /// unbounded compile where it stands (an event loop) can move it
+    /// elsewhere and nothing is parsed twice.
+    pub fn lookup(&self, dtd: &Arc<Dtd>, query: &str) -> Result<Lookup, String> {
         let ast = parse_xquery(query).map_err(|e| e.to_string())?;
         let key = (dtd.fingerprint(), ast.to_string());
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(e) = inner.map.get_mut(&key) {
-                e.last_used = tick;
-                let a = Arc::clone(&e.artifact);
-                inner.stats.hits += 1;
-                return Ok(a);
-            }
-            inner.stats.misses += 1;
+        let mut inner = self.inner.lock().unwrap();
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(e) = inner.map.get_mut(&key) {
+            e.last_used = tick;
+            let artifact = Arc::clone(&e.artifact);
+            inner.stats.hits += 1;
+            return Ok(Lookup::Hit(artifact));
         }
-        // Compile outside the lock: misses on different keys
-        // parallelize across worker threads.
-        let artifact = QueryArtifact::from_ast(dtd, ast, key.1.clone());
+        inner.stats.misses += 1;
+        Ok(Lookup::Miss(PendingCompile {
+            dtd: Arc::clone(dtd),
+            ast,
+            key,
+        }))
+    }
+
+    /// The expensive half: compiles a miss (outside the lock, so misses
+    /// on different keys parallelize across threads) and inserts it.
+    pub fn compile(&self, pending: PendingCompile) -> Arc<QueryArtifact> {
+        let PendingCompile { dtd, ast, key } = pending;
+        let artifact = QueryArtifact::from_ast(&dtd, ast, key.1.clone());
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
@@ -152,7 +188,7 @@ impl ArtifactCache {
             },
         );
         inner.refresh_gauges();
-        Ok(artifact)
+        artifact
     }
 
     /// Drops every resident artifact compiled against the DTD with
@@ -213,6 +249,28 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.compiles, s.entries), (1, 1, 1, 1));
         assert!(s.resident_bytes > 0);
+    }
+
+    #[test]
+    fn lookup_counts_once_and_a_miss_carries_its_own_compile() {
+        let cache = ArtifactCache::new(8);
+        let d = dtd();
+        let counts = || {
+            let s = cache.stats();
+            (s.hits, s.misses, s.compiles)
+        };
+        let Ok(Lookup::Miss(pending)) = cache.lookup(&d, "/a/b") else {
+            panic!("an empty cache cannot hit");
+        };
+        assert_eq!(counts(), (0, 1, 0));
+        let compiled = cache.compile(pending);
+        assert_eq!(counts(), (0, 1, 1));
+        let Ok(Lookup::Hit(hit)) = cache.lookup(&d, "/a /b") else {
+            panic!("the compiled artifact is resident");
+        };
+        assert!(Arc::ptr_eq(&compiled, &hit));
+        assert!(cache.lookup(&d, "///").is_err());
+        assert_eq!(counts(), (1, 1, 1));
     }
 
     #[test]

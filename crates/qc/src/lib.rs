@@ -44,5 +44,5 @@ pub mod cache;
 pub mod program;
 
 pub use artifact::{normalize_query, QueryArtifact};
-pub use cache::{ArtifactCache, ArtifactCacheStats};
+pub use cache::{ArtifactCache, ArtifactCacheStats, Lookup, PendingCompile};
 pub use program::{PathProgram, Plan, StepAxis, StepInstr, StepTest, MAX_STEPS, UNDECLARED};

@@ -167,15 +167,19 @@ plus document depth, whatever the document's size. --max-body-bytes
 bounds a decoded request body (over it: 413).
 
 Every connection is one protocol state machine; on Linux epoll event
-loops drive them (elsewhere: one blocking thread per connection), so
---workers bounds CPU parallelism while --max-connections bounds admission
-(over it: 503 + Retry-After). --reactor-threads spawns N loops, each with
-its own epoll instance, timer wheel, executor lane and SO_REUSEPORT
-listener (default: available cores, capped at 8); the kernel shards
-accepts across them. --read-timeout-ms bounds an idle keep-alive wait, a
-whole request head (absolute, from its first byte) and a stalled body;
---write-timeout-ms bounds a client that stops reading its response;
---drain-ms bounds how long shutdown waits for requests in flight.
---rate-limit RPS:BURST arms a per-connection token bucket (over it: 429 +
-Retry-After, connection closed).
+loops drive them (elsewhere: one blocking thread per connection).
+--reactor-threads spawns N loops, each with its own epoll instance, timer
+wheel, executor lane and SO_REUSEPORT listener (default: available cores,
+capped at 8); the kernel shards accepts across them. A loop feeds the
+engine itself, at most two buffer units a job: it is the daemon's
+parallelism. --workers threads, split across the loops' lanes, take only
+the work nothing bounds (query compiles, DTDs, analyses, fallback-plan
+evaluation), so a slow one never delays a cached prune or query.
+--max-connections bounds admission (over it: 503 + Retry-After).
+--read-timeout-ms bounds an idle keep-alive wait, a whole request head
+(absolute, from its first byte) and a stalled body; --write-timeout-ms
+bounds a client that stops reading its response; --drain-ms bounds how
+long shutdown waits for requests in flight. --rate-limit RPS:BURST arms a
+per-connection token bucket (over it: 429 + Retry-After, connection
+closed).
 "#;

@@ -18,17 +18,23 @@
 //!
 //! [`Connection::handle`] returns at most one [`Job`] per input — the
 //! machine keeps one job in flight per connection — and the driver
-//! turns it into a [`Done`] with the free function [`run_job`], on
-//! whatever it has for an executor, delivering it back as
-//! `Input::Done`. Every other effect is *read back*: the frame queue to
-//! write, whether to read, when the one deadline expires. Nothing is
-//! allocated per input to describe effects.
+//! turns it into a [`Done`] with the free function [`run_job`],
+//! delivering it back as `Input::Done`. *Where* it runs is the
+//! machine's call too: [`Job::bounded`] says whether the buffer unit
+//! bounds the job's cost (a feed, a streaming finish — a driver with an
+//! event loop runs those on it) or nothing does (a compile, a DTD, an
+//! analysis, a fallback evaluation — those take its executor lane).
+//! What takes microseconds is no job at all: `/healthz`, `/metrics` and
+//! an artifact-cache *hit* are decided while routing. Every other
+//! effect is *read back*: the frame queue to write, whether to read,
+//! when the one deadline expires. Nothing is allocated per input to
+//! describe effects.
 //!
 //! ## A request's life
 //!
 //! ```text
 //! Head ── route ──→ Body (buffered endpoints) → job → reply ────────────────┐
-//!   │   └─ prune/query → Setup → Prune { decode → feed jobs → frames } ─────┤
+//!   │   └─ prune/query → (miss: Setup →) Prune { decode → feed jobs → frames } ┤
 //!   ▲                                                                       │
 //!   ├── keep-alive (pipelined bytes already in `in_buf`) ←──────────────────┤
 //!   Closing (flush) → Linger (request bytes unread) → Closed ←──────────────┘
@@ -58,7 +64,7 @@
 //!   [`LINGER_MAX_BYTES`] or [`LINGER_TIMEOUT`].
 
 use crate::handlers::{
-    analyze_reply, artifact_setup, codes, dtd_reply, fast_forward_param, independence_reply,
+    analyze_reply, artifact_lookup, codes, dtd_reply, fast_forward_param, independence_reply,
     metrics_reply, reply_for_engine_error, reply_for_http_error, route, Reply, HEALTHZ_BODY,
     SHUTDOWN_BODY,
 };
@@ -70,11 +76,11 @@ use crate::metrics::Endpoint;
 use crate::state::ServerState;
 use crate::wire::{parse_head, BodyDecoder};
 use std::collections::VecDeque;
-use std::io::IoSlice;
+use std::io::{IoSlice, Write as _};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xproj_engine::{EngineError, QueryArtifact, QueryMachine, QueryOutput};
+use xproj_engine::{EngineError, Lookup, PendingCompile, QueryArtifact, QueryMachine, QueryOutput};
 
 /// The most bytes a driver hands the machine in one `Input::Bytes`, so
 /// one firehose connection cannot starve its neighbours and so the
@@ -226,8 +232,8 @@ enum Phase {
     /// A reply-building job (DTD parse, analyzer run) is out.
     /// `client_keep` is the request's `head.keep_alive()`.
     Waiting { client_keep: bool },
-    /// Artifact setup for a prune or a query (`endpoint` says which)
-    /// is out.
+    /// The compile of a prune's or a query's (`endpoint` says which)
+    /// cache miss is out.
     Setup { endpoint: Endpoint },
     /// Streaming a prune or a query: decode → feed jobs → frames.
     Prune(Box<PruneState>),
@@ -261,11 +267,13 @@ pub enum Job {
         /// The request head (parameters).
         head: RequestHead,
     },
-    /// Resolve the compiled artifact for a prune or a query (cache
-    /// misses compile).
+    /// Compile the artifact of a prune or a query whose cache lookup
+    /// missed (a hit never becomes a job).
     Setup {
-        /// The request head (parameters).
+        /// The request head, carried for [`Done::Setup`].
         head: RequestHead,
+        /// The counted miss: grammar, parsed query, cache key.
+        pending: PendingCompile,
     },
     /// Feed decoded body bytes to (and optionally finish) a session.
     /// The session moves to the worker and comes back in the `Done`.
@@ -279,6 +287,30 @@ pub enum Job {
         /// Engine feed size.
         chunk: usize,
     },
+}
+
+impl Job {
+    /// Where a job may run — the placement policy, and the one place
+    /// that knows job kinds. `true`: the cost is bounded by the buffer
+    /// unit `u`, so a driver with an event loop runs it there rather
+    /// than pay two thread hand-offs for microseconds of work. That is
+    /// a feed (≤ 2`u` decoded bytes — the input gate — through the one
+    /// token loop, O(`u` · open depth)) and the finish of a pruning or
+    /// streaming-plan pass (a flush). `false`: nothing bounds it — a
+    /// compile, a DTD, an analysis, and the finish of a *fallback* plan,
+    /// which parses the buffered projection and runs the tree evaluator
+    /// (nested-loop joins) over it — so it must not stall a loop's other
+    /// connections.
+    pub fn bounded(&self) -> bool {
+        match self {
+            Job::Prune { session, finish, .. } => {
+                !(*finish && session.plan_label() == "fallback")
+            }
+            Job::Dtd { .. } | Job::Analyze { .. } | Job::Independence { .. } | Job::Setup { .. } => {
+                false
+            }
+        }
+    }
 }
 
 /// Why a streaming feed/finish job failed.
@@ -334,8 +366,8 @@ pub fn run_job(job: Job, state: &ServerState) -> Done {
             || independence_reply(state, &head),
             internal_error,
         )),
-        Job::Setup { head } => {
-            let result = contained(|| artifact_setup(state, &head), || Err(internal_error()));
+        Job::Setup { head, pending } => {
+            let result = contained(|| Ok(state.cache.compile(pending)), || Err(internal_error()));
             Done::Setup { head, result }
         }
         Job::Prune {
@@ -981,9 +1013,18 @@ impl Connection {
             (Endpoint::Dtd, "POST")
             | (Endpoint::Analyze, "POST")
             | (Endpoint::Independence, "POST") => self.enter_body(head, endpoint, false, cx),
+            // A cache hit is decided here, like `/healthz`: only the
+            // compile of a miss is work worth a job.
             (Endpoint::Prune, "POST") | (Endpoint::Query, "POST") => {
-                self.phase = Phase::Setup { endpoint };
-                self.dispatch(Job::Setup { head });
+                let lookup = || artifact_lookup(cx.state, &head);
+                match contained(lookup, || Err(internal_error())) {
+                    Ok(Lookup::Hit(artifact)) => self.setup_done(head, endpoint, Ok(artifact), cx),
+                    Ok(Lookup::Miss(pending)) => {
+                        self.phase = Phase::Setup { endpoint };
+                        self.dispatch(Job::Setup { head, pending });
+                    }
+                    Err(reply) => self.send_reply(reply, false, cx),
+                }
             }
             (Endpoint::Other, _) => self.send_reply(
                 Reply::err(404, codes::NOT_FOUND, "no such endpoint"),
@@ -1246,14 +1287,14 @@ impl Connection {
         p.session = session;
         let content_type = p.content_type;
 
-        let mut produced = Vec::new();
-        if let Some(s) = p.session.as_mut() {
-            s.take_output(&mut produced);
-        }
+        // The session's output is drained straight into the buffer it
+        // is going to: the response buffer, or a chunk frame.
         let mut frames: Vec<u8> = Vec::new();
-        match &mut p.resp {
-            RespFraming::Buffering(buf) => {
-                buf.extend_from_slice(&produced);
+        match (&mut p.resp, p.session.as_mut()) {
+            (RespFraming::Buffering(buf), session) => {
+                if let Some(s) = session {
+                    s.take_output(buf);
+                }
                 if buf.len() > self.unit {
                     // Commit to streaming: head + everything buffered
                     // so far as the first chunk. This holds even when
@@ -1261,11 +1302,14 @@ impl Connection {
                     // output above the threshold is always chunked.
                     let keep = Self::keep_alive(p.client_keep, cx);
                     frames.extend_from_slice(streaming_prune_head(content_type, keep).as_bytes());
-                    push_chunk_frame(&mut frames, buf);
+                    push_chunk_frame(&mut frames, buf.len(), |out| out.extend_from_slice(buf));
                     p.resp = RespFraming::Streaming { keep };
                 }
             }
-            RespFraming::Streaming { .. } => push_chunk_frame(&mut frames, &produced),
+            (RespFraming::Streaming { .. }, Some(s)) => {
+                push_chunk_frame(&mut frames, s.pending_output(), |out| s.take_output(out))
+            }
+            (RespFraming::Streaming { .. }, None) => {}
         }
         let finished = p.finishing;
         let headers_sent = p.headers_sent();
@@ -1325,13 +1369,14 @@ impl Connection {
     }
 }
 
-/// Appends one chunked-transfer frame (empty data appends nothing: a
-/// zero-length chunk would terminate the stream).
-fn push_chunk_frame(out: &mut Vec<u8>, data: &[u8]) {
-    if data.is_empty() {
+/// Appends one chunked-transfer frame of the `len` bytes `fill` writes
+/// (an empty one appends nothing: a zero-length chunk would terminate
+/// the stream).
+fn push_chunk_frame(out: &mut Vec<u8>, len: usize, fill: impl FnOnce(&mut Vec<u8>)) {
+    if len == 0 {
         return;
     }
-    out.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
-    out.extend_from_slice(data);
+    let _ = write!(out, "{len:x}\r\n"); // into the `Vec`: infallible
+    fill(out);
     out.extend_from_slice(b"\r\n");
 }

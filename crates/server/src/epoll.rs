@@ -11,9 +11,14 @@
 //! listener (the kernel shards accepts across the loops — no shared
 //! accept lock), and its own executor lane: scoped threads that pull
 //! `(token, Job)` off a bounded channel, [`run_job`] them, and push
-//! `(token, Done)` back through a queue + waker. A loop never blocks on
-//! anything but `epoll_wait`. Everything cross-cutting — caches, the
-//! DTD registry, metrics, the admission count — lives behind the shared
+//! `(token, Done)` back through a queue + waker. The loop is the
+//! engine's thread: a job the machine calls `bounded()` — a feed of at
+//! most two buffer units, a streaming finish — runs right here, where
+//! it was produced, and only work nothing bounds crosses to the lane. A
+//! loop runs at most one such unit-bounded slice per job and
+//! [`LOOP_JOBS_PER_EVENT`] jobs per event, and blocks on nothing but
+//! `epoll_wait`. Everything cross-cutting — caches, the DTD registry,
+//! metrics, the admission count — lives behind the shared
 //! [`ServerState`]; `/admin/shutdown` fans out to every loop's waker.
 //!
 //! ## What the driver does, and nothing else
@@ -22,7 +27,9 @@
 //! [`EventLoop::drive`], which then *settles* the slot from what the
 //! machine reports back:
 //!
-//! * a returned [`Job`] goes to the executor lane;
+//! * a returned [`Job`] runs where the machine's `bounded()` says — on
+//!   this thread, its `Done` fed straight back, or on the executor lane
+//!   (also the overflow once an event has run its budget of jobs here);
 //! * queued frames are written with gathered `writev` until the socket
 //!   would block, each success fed back as `Input::Written`;
 //! * [`Connection::wants_read`] + pending output become epoll interest;
@@ -33,8 +40,8 @@
 //!   [`Connection::is_closed`] frees the slot.
 //!
 //! The driver never looks inside a request: no phase, no endpoint, no
-//! response bytes — except the admission `503` it hands a refusing
-//! machine (see [`crate::admit`]).
+//! job kind, no response bytes — except the admission `503` it hands a
+//! refusing machine (see [`crate::admit`]).
 
 use crate::conn::{run_job, Connection, Done, Input, Job, READ_BUDGET};
 use crate::state::ServerState;
@@ -56,6 +63,12 @@ const LISTENER_TOKEN: u64 = u64::MAX - 1;
 const WHEEL_SLOTS: usize = 512;
 /// Gather slices handed to one `writev` call (well under IOV_MAX).
 const MAX_WRITE_IOV: usize = 64;
+/// The fairness bound: the most jobs one event runs on the loop for one
+/// connection. A loop-run job feeds at most two buffer units (the
+/// machine's input gate), so an event costs its neighbours at most this
+/// many such slices; the job after that takes the executor lane. Only
+/// pipelining reaches it — one read can hold ≈ 2 000 tiny requests.
+const LOOP_JOBS_PER_EVENT: usize = 8;
 
 /// One connection as the loop holds it: the socket, the machine, and
 /// the driver-side bookkeeping of what is registered and armed.
@@ -140,6 +153,23 @@ impl Slab {
     }
 }
 
+/// One event's turn at a connection: the clock reading its inputs are
+/// stamped with (refreshed after every job run here) and what is left
+/// of its [`LOOP_JOBS_PER_EVENT`].
+struct Turn {
+    now: Instant,
+    loop_jobs: usize,
+}
+
+impl Turn {
+    fn at(now: Instant) -> Turn {
+        Turn {
+            now,
+            loop_jobs: LOOP_JOBS_PER_EVENT,
+        }
+    }
+}
+
 /// Everything one event loop threads through its helpers.
 struct EventLoop<'s> {
     state: &'s ServerState,
@@ -157,21 +187,44 @@ struct EventLoop<'s> {
 
 impl EventLoop<'_> {
     /// Feeds one input to a connection's machine at clock reading
-    /// `now`, ships the job it asks for, and settles the slot.
+    /// `now`, places the job it asks for, and settles the slot.
     fn drive(&mut self, token: u64, input: Input<'_>, now: Instant) {
         let Some(slot) = self.conns.get_mut(token) else {
             return; // the connection died before this event reached it
         };
-        if let Some(job) = slot.conn.handle(input, now, self.state) {
-            self.dispatch(token, job);
+        let job = slot.conn.handle(input, now, self.state);
+        let mut turn = Turn::at(now);
+        self.place(token, job, &mut turn);
+        self.settle(token, &mut turn);
+    }
+
+    /// Runs a job where the machine's own policy puts it. One it calls
+    /// `bounded()` runs here, its `Done` fed back at a fresh clock
+    /// reading — and so does whatever the machine asks for next (a loop,
+    /// not recursion: a read full of pipelined requests must not deepen
+    /// the stack) until it asks for nothing. A job nothing bounds, or
+    /// the one after this turn's budget is spent, takes the executor
+    /// lane and comes back as an event of its own.
+    fn place(&mut self, token: u64, mut job: Option<Job>, turn: &mut Turn) {
+        while let Some(j) = job.take() {
+            if turn.loop_jobs == 0 || !j.bounded() {
+                return self.dispatch(token, j);
+            }
+            turn.loop_jobs -= 1;
+            self.state.metrics.loop_jobs.fetch_add(1, Ordering::Relaxed);
+            let done = run_job(j, self.state);
+            turn.now = Instant::now();
+            let Some(slot) = self.conns.get_mut(token) else {
+                return;
+            };
+            job = slot.conn.handle(Input::Done(done), turn.now, self.state);
         }
-        self.settle(token, now);
     }
 
     /// Brings the socket, epoll and the wheel in line with what the
     /// machine now reports: write what is queued, then close, half-
     /// close, re-register and re-arm as needed.
-    fn settle(&mut self, token: u64, now: Instant) {
+    fn settle(&mut self, token: u64, turn: &mut Turn) {
         loop {
             let Some(slot) = self.conns.get_mut(token) else {
                 return;
@@ -193,9 +246,8 @@ impl EventLoop<'_> {
             };
             // Write progress can reopen the machine's out-queue gate
             // and make it ask for the next feed job.
-            if let Some(job) = slot.conn.handle(input, now, self.state) {
-                self.dispatch(token, job);
-            }
+            let job = slot.conn.handle(input, turn.now, self.state);
+            self.place(token, job, turn);
         }
         let Some(slot) = self.conns.get_mut(token) else {
             return;
@@ -241,8 +293,8 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Hands a job to the executor (or queues it when the channel is
-    /// full — the machine keeps one job in flight per connection, so
+    /// Hands a job to the executor lane (or queues it when the channel
+    /// is full — the machine keeps one job in flight per connection, so
     /// per-connection ordering is preserved).
     fn dispatch(&mut self, token: u64, job: Job) {
         self.state
@@ -314,7 +366,7 @@ impl EventLoop<'_> {
             return;
         }
         if ev.writable {
-            self.settle(token, now);
+            self.settle(token, &mut Turn::at(now));
         }
         if ev.readable {
             self.read_ready(token, now);
@@ -394,7 +446,7 @@ impl EventLoop<'_> {
             }
             return;
         }
-        self.settle(token, now);
+        self.settle(token, &mut Turn::at(now));
     }
 
     /// Shutdown began: tell every machine. "In flight" is judged from
@@ -624,3 +676,6 @@ fn run_loop(
         }
     })
 }
+
+#[cfg(test)]
+mod tests;

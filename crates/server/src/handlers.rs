@@ -15,7 +15,7 @@ use crate::metrics::Endpoint;
 use crate::state::ServerState;
 use std::sync::Arc;
 use xproj_core::ErrorCode;
-use xproj_engine::{EngineError, QueryArtifact};
+use xproj_engine::{EngineError, Lookup};
 
 /// HTTP-layer error codes (the engine-layer ones come from
 /// [`ErrorCode`]). Stable, like everything serialized in error bodies.
@@ -256,12 +256,11 @@ fn lookup_dtd(state: &ServerState, head: &RequestHead) -> Result<Arc<xproj_dtd::
 }
 
 /// Validates the parameters `POST /v1/prune` and `POST /v1/query`
-/// share: resolves the DTD and the compiled artifact for the query
-/// (through the shared cache), or decides the error reply.
-pub(crate) fn artifact_setup(
-    state: &ServerState,
-    head: &RequestHead,
-) -> Result<Arc<QueryArtifact>, Reply> {
+/// share and probes the shared cache — microseconds, so the machine
+/// calls it inline: the resident artifact, the counted miss whose
+/// compile is still to run, or the error reply (unknown DTD, missing or
+/// unparsable query).
+pub(crate) fn artifact_lookup(state: &ServerState, head: &RequestHead) -> Result<Lookup, Reply> {
     let dtd = lookup_dtd(state, head)?;
     let Some(query) = head.query_param("query").filter(|q| !q.is_empty()) else {
         return Err(Reply::err(
@@ -272,7 +271,7 @@ pub(crate) fn artifact_setup(
     };
     state
         .cache
-        .get_or_compile(&dtd, query)
+        .lookup(&dtd, query)
         .map_err(|e| Reply::err(400, ErrorCode::BadQuery.as_str(), e))
 }
 

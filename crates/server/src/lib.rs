@@ -47,8 +47,10 @@
 //! chosen by the build target, never by a flag: on Linux the epoll
 //! driver (`xproj-reactor`) runs `--reactor-threads` event loops, each
 //! with its own `SO_REUSEPORT` listener, timer wheel and executor lane,
-//! so a slow or idle client costs a slab slot, not a thread, and CPU
-//! work (artifact setup, tokenizer feeds) comes back over an eventfd
+//! so a slow or idle client costs a slab slot, not a thread; a loop runs
+//! the unit-bounded engine work (tokenizer feeds, streaming finishes)
+//! itself, and only what nothing bounds (compiles, DTDs, analyses,
+//! fallback evaluation) goes to the lane and comes back over an eventfd
 //! waker; elsewhere a small portable driver runs one blocking thread
 //! per connection over the same machine. Both enforce the connection
 //! admission limit (`503`).

@@ -172,10 +172,15 @@ pub struct ServerMetrics {
     /// exhaustion, typically) and paused the listener for a backoff
     /// instead of spinning on a level-triggered readiness storm.
     pub accept_stalls: AtomicU64,
-    /// CPU jobs handed to the executor pool (epoll driver).
+    /// CPU jobs handed to the executor lane (epoll driver): the work
+    /// nothing bounds — compiles, DTDs, analyses, fallback evaluation —
+    /// and the overflow of a turn's loop-job budget.
     pub executor_jobs: AtomicU64,
-    /// CPU jobs currently queued or running on the executor pool.
+    /// CPU jobs currently queued or running on the executor lane.
     pub executor_queue_depth: AtomicUsize,
+    /// Unit-bounded CPU jobs (feeds, streaming finishes) run on an
+    /// event loop, where they were produced (epoll driver).
+    pub loop_jobs: AtomicU64,
     /// High-water mark of one connection's application-level residency
     /// (input + output buffers + the engine session), in bytes — see
     /// [`crate::conn::Connection::resident_bytes`]. The backpressure
@@ -224,6 +229,7 @@ impl ServerMetrics {
             accept_stalls: AtomicU64::new(0),
             executor_jobs: AtomicU64::new(0),
             executor_queue_depth: AtomicUsize::new(0),
+            loop_jobs: AtomicU64::new(0),
             max_conn_resident: AtomicU64::new(0),
             reactors: Mutex::new(Vec::new()),
             engine: Mutex::new(EngineStats::default()),
@@ -325,8 +331,9 @@ impl ServerMetrics {
                 Metric("reactor", "polls", "xmlpruned_reactor_polls_total", "epoll_wait calls that returned (all loops).", Counter, Value::Int(r.polls)),
                 Metric("reactor", "wakes", "xmlpruned_reactor_wakes_total", "eventfd waker interrupts observed (all loops).", Counter, Value::Int(r.wakes)),
                 Metric("reactor", "timer_fires", "xmlpruned_reactor_timer_fires_total", "Timer-wheel deadlines fired (all loops).", Counter, Value::Int(r.timer_fires)),
-                Metric("reactor", "executor_jobs", "xmlpruned_executor_jobs_total", "CPU jobs handed to the executor pool.", Counter, n(&self.executor_jobs)),
-                Metric("reactor", "executor_queue_depth", "xmlpruned_executor_queue_depth", "CPU jobs queued or running.", Gauge, z(&self.executor_queue_depth)),
+                Metric("reactor", "executor_jobs", "xmlpruned_executor_jobs_total", "CPU jobs handed to the executor lane.", Counter, n(&self.executor_jobs)),
+                Metric("reactor", "executor_queue_depth", "xmlpruned_executor_queue_depth", "CPU jobs queued or running on the executor lane.", Gauge, z(&self.executor_queue_depth)),
+                Metric("reactor", "loop_jobs", "xmlpruned_loop_jobs_total", "Unit-bounded CPU jobs run on an event loop.", Counter, n(&self.loop_jobs)),
                 Metric("reactor", "admission_rejects", "xmlpruned_admission_rejects_total", "Connections refused 503 at the admission limit.", Counter, n(&self.admission_rejects)),
                 Metric("reactor", "max_conn_resident", "xmlpruned_max_conn_resident_bytes", "High-water per-connection residency.", Gauge, n(&self.max_conn_resident)),
             ]);
@@ -546,7 +553,9 @@ mod tests {
     /// The JSON document is scraped by the benchmark ledger: its
     /// sections, keys and their order are pinned here. And the one table
     /// feeds both renderers, so every JSON key has a Prometheus series
-    /// carrying the same value.
+    /// carrying the same value. (`reactor.loop_jobs` joined when
+    /// unit-bounded jobs left the executor lane: `executor_jobs` alone
+    /// no longer says how much engine work a daemon did.)
     #[test]
     fn one_table_renders_the_pinned_json_keys_and_a_series_per_key() {
         use xproj_testkit::{parse_json, Json};
@@ -578,7 +587,7 @@ mod tests {
                 "elements_kept", "elements_pruned", "text_kept", "text_pruned", "max_depth",
                 "peak_resident_bytes", "max_token_bytes"]),
             ("reactor", &["reactor_threads", "registered_fds", "ready_events", "polls",
-                "wakes", "timer_fires", "executor_jobs", "executor_queue_depth",
+                "wakes", "timer_fires", "executor_jobs", "executor_queue_depth", "loop_jobs",
                 "admission_rejects", "max_conn_resident"]),
             ("cache", &["hits", "misses", "evictions", "compiles", "compile_micros",
                 "invalidations", "entries", "resident_bytes", "hit_rate"]),
@@ -592,7 +601,7 @@ mod tests {
 
         let prom = m.render_prometheus(cache);
         let table = m.table(cache);
-        assert_eq!(table.len(), 9 + 12 + 10 + 9);
+        assert_eq!(table.len(), 9 + 12 + 11 + 9);
         let mut names: Vec<&str> = table.iter().map(|r| r.2).collect();
         names.sort_unstable();
         names.dedup();

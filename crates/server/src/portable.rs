@@ -3,8 +3,10 @@
 //! The same [`Connection`] machine the epoll driver runs, driven the
 //! simplest way that is correct everywhere: a blocking read whose
 //! timeout is the machine's deadline, a blocking write of its frame
-//! queue, and [`run_job`] inline on the connection's own thread. It is
-//! the serving path on targets without epoll and carries no protocol
+//! queue, and [`run_job`] inline on the connection's own thread —
+//! placement has nothing to decide where every connection is its own
+//! thread, so the machine's `bounded()` goes unasked. It is the serving
+//! path on targets without epoll and carries no protocol
 //! of its own — limits, deadlines, backpressure, admission and drain
 //! all come from the machine and [`crate::admit`].
 

@@ -16,8 +16,10 @@ use xproj_engine::{ArtifactCache, DEFAULT_CHUNK_SIZE};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// CPU-work executor threads, split across the event loops. Bounds
-    /// parallel engine work, not connections (`max_connections` does).
+    /// Executor-lane threads, split across the event loops, for the
+    /// jobs nothing bounds (`conn::Job::bounded` is false: compiles,
+    /// DTDs, analyses, fallback evaluation). Unit-bounded engine work
+    /// runs on the loops themselves and never waits for these.
     pub workers: usize,
     /// The read-side deadlines: how long a connection may sit idle
     /// between requests, how long a whole request head may take from
@@ -47,10 +49,11 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// How long graceful shutdown waits for in-flight requests.
     pub drain_deadline: Duration,
-    /// Event-loop count of the epoll driver (`--reactor-threads`). Each
-    /// loop owns its own epoll instance, timer wheel, executor lane,
-    /// and `SO_REUSEPORT`-bound listener; the kernel shards accepts
-    /// across them. Defaults to the available cores, capped at 8. The
+    /// Event-loop count of the epoll driver (`--reactor-threads`), and
+    /// so the engine's parallelism: a loop runs its connections' feeds
+    /// itself. Each owns its own epoll instance, timer wheel, executor
+    /// lane, and `SO_REUSEPORT`-bound listener; the kernel shards
+    /// accepts across them. Defaults to the available cores, capped at 8. The
     /// portable driver (one thread per connection) ignores it.
     pub reactor_threads: usize,
     /// Per-connection token-bucket rate limit as `(requests/second,

@@ -751,6 +751,106 @@ fn idle_keep_alive_peer_does_not_delay_a_second_connection_or_shutdown() {
     assert_eq!(report.aborted, 0);
 }
 
+/// Lane isolation: work nothing bounds parks the executor lane, never a
+/// loop. One loop, one lane thread: connection A's slow job (a cold
+/// query's compile — ROADMAP item 1's `ancestor`/`descendant` family,
+/// over a second at k = 5 in a debug build — then the same query under
+/// `/v1/analyze`) is on the lane when connection B asks for a prune
+/// whose artifact is cached, which is the loop's own work. Asserted by
+/// order, not by clock: B's complete `200` is read while A's job is
+/// still out and A's socket has nothing to read; then A answers too.
+#[test]
+fn a_parked_executor_lane_does_not_delay_a_cached_prune() {
+    const SITE_DOC: &[u8] = b"<site><regions><africa/><asia/><australia/><europe/><namerica/>\
+        <samerica/></regions><categories><category id=\"c\"><name>n</name><description>\
+        <text>t <keyword>k</keyword></text></description></category></categories><catgraph/>\
+        <people/><open_auctions/><closed_auctions/></site>";
+    let srv = TestServer::start(ServerConfig {
+        workers: 1,
+        reactor_threads: 1,
+        read_timeout: Duration::from_secs(60),
+        ..small_config()
+    });
+    let id = srv.register_dtd(xproj_xmark::AUCTION_DTD, "site");
+    let slow = urlencode(&format!("//keyword{}", "/ancestor::*/descendant::*".repeat(5)));
+    let cached = format!("/v1/prune?dtd={id}&query={}", urlencode("//keyword"));
+    let warm = srv.client().request("POST", &cached, &[], Some(SITE_DOC)).unwrap();
+    assert_eq!(warm.status, 200, "{}", warm.body_str());
+    let lane_depth = || srv.state.metrics.executor_queue_depth.load(Ordering::Relaxed);
+
+    for endpoint in ["query", "analyze"] {
+        let mut a = srv.client();
+        a.set_timeout(Duration::from_secs(60)).unwrap();
+        let target = format!("/v1/{endpoint}?dtd={id}&query={slow}");
+        a.send_request("POST", &target, &[], Some(SITE_DOC)).unwrap();
+        let t0 = std::time::Instant::now();
+        while lane_depth() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "{endpoint}: no job reached the lane");
+            thread::sleep(Duration::from_millis(1));
+        }
+
+        let resp = srv.client().request("POST", &cached, &[], Some(SITE_DOC)).unwrap();
+        assert_eq!((resp.status, &resp.body), (200, &warm.body));
+        assert_eq!(lane_depth(), 1, "{endpoint}: B's 200 was read after A's job came back");
+        a.stream_ref().set_nonblocking(true).unwrap();
+        match a.stream_ref().peek(&mut [0u8; 1]) {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            other => panic!("{endpoint}: A answered before B's cached prune: {other:?}"),
+        }
+        a.stream_ref().set_nonblocking(false).unwrap();
+        let resp = a.read_response().unwrap();
+        assert_eq!(resp.status, 200, "{endpoint}: {}", resp.body_str());
+    }
+    assert_eq!(srv.shutdown().aborted, 0);
+}
+
+/// The fairness bound and its overflow path. One event gives one
+/// connection a fixed number of loop-run jobs (`epoll.rs`'s
+/// `LOOP_JOBS_PER_EVENT`, 8), each feeding at most two buffer units;
+/// the job after that takes the executor lane, like every job did
+/// before. 64 cached prunes pipelined in a single write are far over
+/// the budget even if the kernel delivers the write in two reads:
+/// answers come back in order and byte-exact, and both placements ran.
+#[test]
+fn pipelined_cached_prunes_overflow_the_loop_budget_onto_the_lane() {
+    const PIPELINED: u64 = 64;
+    let srv = TestServer::start(ServerConfig {
+        reactor_threads: 1,
+        ..small_config()
+    });
+    let id = srv.register_dtd(BIB_DTD, "bib");
+    let target = format!("/v1/prune?dtd={id}&query={}", urlencode("/bib/book/title"));
+    let expected = expected_bib_prune("/bib/book/title");
+    let mut c = srv.client();
+    let warm = c.request("POST", &target, &[], Some(BIB_DOC.as_bytes())).unwrap();
+    assert_eq!(warm.body, expected.as_bytes());
+    let jobs = || {
+        let m = &srv.state.metrics;
+        (m.executor_jobs.load(Ordering::Relaxed), m.loop_jobs.load(Ordering::Relaxed))
+    };
+    let (lane0, loop0) = jobs();
+
+    let one = format!(
+        "POST {target} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{BIB_DOC}",
+        BIB_DOC.len()
+    );
+    c.write_raw(one.repeat(PIPELINED as usize).as_bytes()).unwrap();
+    for i in 0..PIPELINED {
+        let resp = c.read_response().unwrap();
+        assert_eq!(resp.status, 200, "response {i}");
+        assert_eq!(resp.body, expected.as_bytes(), "response {i}");
+    }
+    let (lane1, loop1) = jobs();
+    // A hit is no job; each request is one feed-and-finish (two, if a
+    // read boundary split its body).
+    assert!((lane1 - lane0) + (loop1 - loop0) >= PIPELINED);
+    assert!(loop1 > loop0, "no job ran on the loop");
+    assert!(lane1 > lane0, "the overflow never took the lane");
+    let stats = srv.state.cache.stats();
+    assert_eq!((stats.hits, stats.misses), (PIPELINED, 1));
+    srv.shutdown();
+}
+
 /// `POST /v1/analyze`: the JSON-lines report comes back parseable, with
 /// per-name provenance, a Def. 4.3 verdict, and a retention prediction;
 /// posting a sample body calibrates the model; analyzer failures carry

@@ -1371,6 +1371,10 @@ fn fuzz_wall_case(seed: u64) {
             match rng.below(8) {
                 0 => script.extend((0..rng.range_incl(1, 300)).map(|_| rng.below(256) as u8)),
                 1 => script.extend(rng.pick::<Vec<u8>>(&valid).iter()),
+                // A stream request twice running: the second finds its
+                // artifact resident and goes from routed to streaming
+                // with no job in between (a hit is not a job).
+                2 => script.extend(valid[rng.range_incl(3, 4)].repeat(2)),
                 _ => {
                     let base = rng.pick(&valid).clone();
                     script.extend(mutate(&mut rng, &base));
