@@ -85,6 +85,28 @@ if grep -n 'legacy' src/bin/xmlprune.rs; then
     exit 1
 fi
 
+echo "== one-analysis gate (grep: one name universe, one A_E / T_E, no deleted static API) =="
+# The grammar's reachability rows are built once, over one universe that
+# already holds the document name, and A_E / T_E (`Analyzer::axis` /
+# `::test`) are defined once: no conversion between universes may come
+# back outside crates/core, no second definition anywhere, and the dead
+# static API this gate was born with stays deleted (naming
+# `Dtd::doc_name()` is not a conversion and is allowed everywhere).
+if grep -rnE 'to_dtd_set|analyzer\(\)\.universe\(\)' src crates/*/src crates/*/tests tests examples \
+    | grep -v '^crates/core/src/'; then
+    echo "one-analysis gate: found a conversion between name universes" >&2
+    exit 1
+fi
+if [ "$(grep -rlE 'fn (axis|test)\b' src crates/*/src)" != "crates/core/src/analysis.rs" ]; then
+    echo "one-analysis gate: A_E / T_E must be defined in crates/core/src/analysis.rs only" >&2
+    exit 1
+fi
+if grep -rnE '\b(chains_from|is_rooted_chain|select_(children|parents|descendants|ancestors)|filter_(tag|text|element|has_attribute)|is_non_recursive|is_parent_unambiguous|disable_trace|set_trace_source|path_count|render_path|simple_path_to_string|is_expr|project_queries|project_approximation(_materialized)?)\b' \
+    src crates/*/src crates/*/tests tests examples; then
+    echo "one-analysis gate: found a deleted static-analysis name" >&2
+    exit 1
+fi
+
 echo "== docs gate (README + DESIGN.md describe the system in <= 1000 lines) =="
 if [ "$(cat README.md DESIGN.md | wc -l)" -gt 1000 ]; then
     echo "docs gate: README.md + DESIGN.md exceed 1000 lines" >&2

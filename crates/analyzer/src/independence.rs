@@ -45,9 +45,10 @@
 use crate::provenance::{root_chain, trace_workload};
 use crate::AnalyzerError;
 use std::collections::BTreeSet;
-use xproj_core::{Projector, StaticAnalyzer};
+use xproj_core::{Analyzer, Projector, StaticAnalyzer};
 use xproj_dtd::{Dtd, NameId, NameSet};
 use xproj_xpath::approx::approximate_query;
+use xproj_xpath::xpathl::LAxis;
 use xproj_xupdate::{parse_update, Update};
 
 /// Witness cap per report (the `overlap` count is still exact).
@@ -159,10 +160,11 @@ impl UpdateFootprint {
 pub fn update_footprint(dtd: &Dtd, update: &Update) -> UpdateFootprint {
     let approx = approximate_query(update.target());
     let sa = StaticAnalyzer::new(dtd);
+    let an = sa.analyzer();
     // The *final* type of the target path (⊢ judgement), not the full
     // used-name set: the update only touches selected nodes.
-    let raw = sa.type_of_lpath(&approx.path, approx.absolute);
-    let n_t = sa.analyzer().to_dtd_set(&raw);
+    let mut n_t = sa.type_of_lpath(&approx.path, approx.absolute);
+    n_t.remove(dtd.doc_name());
 
     let mut fp = UpdateFootprint {
         updated: dtd.empty_set(),
@@ -175,14 +177,14 @@ pub fn update_footprint(dtd: &Dtd, update: &Update) -> UpdateFootprint {
     }
 
     match update {
-        Update::Delete { .. } => fp.add_deletion(dtd, &n_t),
+        Update::Delete { .. } => fp.add_deletion(an, &n_t),
         Update::Insert { fragment, pos, .. } => {
-            let ctx = insertion_context(dtd, &n_t, *pos);
+            let ctx = insertion_context(an, &n_t, *pos);
             fp.add_insertion(dtd, fragment, &ctx);
         }
         Update::Replace { fragment, .. } => {
-            fp.add_deletion(dtd, &n_t);
-            let ctx = insertion_context(dtd, &n_t, xproj_xupdate::InsertPos::Before);
+            fp.add_deletion(an, &n_t);
+            let ctx = insertion_context(an, &n_t, xproj_xupdate::InsertPos::Before);
             fp.add_insertion(dtd, fragment, &ctx);
         }
     }
@@ -192,13 +194,13 @@ pub fn update_footprint(dtd: &Dtd, update: &Update) -> UpdateFootprint {
 /// Where inserted nodes land: the target itself for `into`, the
 /// target's parents for `before`/`after` (plus the root when the
 /// target can be the root — its "parent" is the document node).
-fn insertion_context(dtd: &Dtd, n_t: &NameSet, pos: xproj_xupdate::InsertPos) -> NameSet {
+fn insertion_context(an: &Analyzer, n_t: &NameSet, pos: xproj_xupdate::InsertPos) -> NameSet {
     match pos {
         xproj_xupdate::InsertPos::Into => n_t.clone(),
         _ => {
-            let mut ctx = dtd.select_parents(n_t);
-            if n_t.contains(dtd.root()) {
-                ctx.insert(dtd.root());
+            let mut ctx = an.axis(n_t, LAxis::Parent);
+            if ctx.remove(an.dtd.doc_name()) {
+                ctx.insert(an.dtd.root());
             }
             ctx
         }
@@ -218,9 +220,9 @@ impl UpdateFootprint {
         }
     }
 
-    fn add_deletion(&mut self, dtd: &Dtd, n_t: &NameSet) {
+    fn add_deletion(&mut self, an: &Analyzer, n_t: &NameSet) {
         self.add_set(n_t, "deleted target");
-        self.add_set(&dtd.select_descendants(n_t), "deleted descendant");
+        self.add_set(&an.axis(n_t, LAxis::Descendant), "deleted descendant");
     }
 
     fn add_insertion(&mut self, dtd: &Dtd, fragment: &xproj_xupdate::Fragment, ctx: &NameSet) {

@@ -1,15 +1,16 @@
 //! Provenance-tracked projector inference.
 //!
-//! Runs the same extraction + Figure 2 inference pipeline the facade and
-//! the projector cache use (`extract_paths` + `infer_lpath` per path),
-//! but with the [`StaticAnalyzer`] trace recorder on, then condenses the
+//! Runs the extraction + Figure 2 inference pipeline the facade and the
+//! artifact compiler use (`extract_paths` into
+//! [`StaticAnalyzer::project_paths`]) with the trace recorder on, then
+//! condenses the
 //! raw event log into one human-readable derivation per projector name:
 //! which query, which extracted path, which step and rule admitted it,
 //! and through which `⇒E` chain it hangs off the root.
 
 use crate::AnalyzerError;
 use xproj_core::{NormPaths, Projector, StaticAnalyzer, TraceEvent, TraceRule};
-use xproj_dtd::{Dtd, NameId, NameSet};
+use xproj_dtd::{Dtd, NameId};
 use xproj_xpath::xpathl::LPath;
 use xproj_xquery::extract::extract_paths;
 use xproj_xquery::parse_xquery;
@@ -79,14 +80,8 @@ pub fn trace_workload(dtd: &Dtd, queries: &[String]) -> Result<Provenance, Analy
 
     let mut sa = StaticAnalyzer::new(dtd);
     sa.enable_trace();
-    let mut raw = NameSet::empty(sa.analyzer().universe());
-    for (i, p) in paths.iter().enumerate() {
-        sa.set_trace_source(i);
-        raw.union_with(&sa.infer_lpath(&p.lpath, true));
-    }
+    let projector = sa.project_paths(paths.iter().map(|p| (&p.lpath, true)), false);
     let events = sa.take_trace();
-    let doc_name = sa.analyzer().doc_name();
-    let projector = Projector::normalized(dtd, sa.analyzer().to_dtd_set(&raw));
 
     // (pid, idx) pairs in events refer to the NormPaths arena of the
     // path being inferred; normalisation is deterministic, so rebuild.
@@ -98,7 +93,7 @@ pub fn trace_workload(dtd: &Dtd, queries: &[String]) -> Result<Provenance, Analy
             continue; // only reachable via normalisation, should not happen
         };
         let count = events.iter().filter(|e| e.name == n).count();
-        entries.push(render_entry(dtd, doc_name, &projector, &arenas, first, count));
+        entries.push(render_entry(dtd, &projector, &arenas, first, count));
     }
     entries.sort_by(|a, b| (a.chain.len(), &a.name).cmp(&(b.chain.len(), &b.name)));
 
@@ -111,7 +106,6 @@ pub fn trace_workload(dtd: &Dtd, queries: &[String]) -> Result<Provenance, Analy
 
 fn render_entry(
     dtd: &Dtd,
-    doc_name: NameId,
     projector: &Projector,
     arenas: &[NormPaths],
     event: &TraceEvent,
@@ -124,7 +118,7 @@ fn render_entry(
         np.render_step(event.pid, event.idx)
     };
     let via = event.via.map(|v| {
-        if v == doc_name {
+        if v == dtd.doc_name() {
             "the document node".to_string()
         } else {
             dtd.label(v).to_string()
@@ -148,9 +142,8 @@ pub(crate) fn root_chain(dtd: &Dtd, projector: &Projector, target: NameId) -> Ve
     if target == root {
         return vec![dtd.label(root).to_string()];
     }
-    let n = dtd.name_count();
-    let mut prev: Vec<Option<NameId>> = vec![None; n];
-    let mut seen = NameSet::singleton(n, root);
+    let mut prev: Vec<Option<NameId>> = vec![None; dtd.name_count()];
+    let mut seen = dtd.singleton(root);
     let mut queue = std::collections::VecDeque::from([root]);
     while let Some(x) = queue.pop_front() {
         for c in dtd.children_of(x) {

@@ -33,7 +33,7 @@ pub use counter::CountingAllocator;
 pub use harness::*;
 pub use timing::Timer;
 
-/// All binaries and benches in this crate account allocations through
+/// All binaries and tests in this crate account allocations through
 /// this counter.
 #[global_allocator]
 pub static ALLOCATOR: CountingAllocator = CountingAllocator::new();

@@ -1,12 +1,13 @@
-//! The analysis context: the DTD's name universe extended with a
-//! synthetic *document name*, plus the normalised path representation the
-//! type system and projector inference operate on.
+//! The analysis context: `A_E` / `T_E` (Def. 4.1) over the grammar's
+//! one name universe, plus the normalised path representation the type
+//! system and projector inference operate on.
 //!
 //! **Document name.** XPath absolute paths start at the document node,
-//! which no DTD name generates. We extend `DN(E)` with a fresh name
-//! `DOC` (id = `|DN(E)|`) whose single child is the DTD root `X`; the
-//! analysis of an absolute path then starts from the uniform environment
-//! `({DOC}, {DOC})`, and `DOC` is stripped from the final projector.
+//! which no DTD name generates; the grammar's universe therefore holds
+//! one more name, [`Dtd::doc_name`], whose single child is the DTD root
+//! `X` (its rows are built with the grammar's, once). The analysis of an
+//! absolute path starts from the uniform environment `({DOC}, {DOC})`,
+//! and normalising the inferred set into a projector drops `DOC`.
 //!
 //! **Normalisation.** Figure 1 and Figure 2 work on three primitive step
 //! shapes — `self::Test`, `self::node()[Cond]` and `Axis::node()` — with
@@ -59,11 +60,6 @@ impl NormPaths {
         &self.arena[id.0 as usize]
     }
 
-    /// Number of paths in the arena (diagnostics).
-    pub fn path_count(&self) -> usize {
-        self.arena.len()
-    }
-
     /// Human-readable rendering of one primitive step, for provenance
     /// reports. `idx` one past the end renders as the match point.
     pub fn render_step(&self, pid: PathId, idx: usize) -> String {
@@ -74,32 +70,15 @@ impl NormPaths {
             Some(PStep::SelfTest(test)) => {
                 SimpleStep::new(LAxis::SelfAxis, test.clone()).to_string()
             }
+            // Condition disjuncts are relative: no leading `/`.
             Some(PStep::Cond(ids)) => {
-                let mut out = String::from("[");
-                for (i, id) in ids.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(" or ");
-                    }
-                    out.push_str(&self.render_path(*id));
-                }
-                out.push(']');
-                out
+                let disjunct = |&id: &PathId| {
+                    let steps = 0..self.steps(id).len();
+                    steps.map(|i| self.render_step(id, i)).collect::<Vec<_>>().join("/")
+                };
+                format!("[{}]", ids.iter().map(disjunct).collect::<Vec<_>>().join(" or "))
             }
         }
-    }
-
-    /// Renders a whole arena path step by step (condition disjuncts are
-    /// relative, so no leading `/`).
-    pub fn render_path(&self, pid: PathId) -> String {
-        let steps = self.steps(pid);
-        let mut out = String::new();
-        for (i, _) in steps.iter().enumerate() {
-            if i > 0 {
-                out.push('/');
-            }
-            out.push_str(&self.render_step(pid, i));
-        }
-        out
     }
 
     fn norm_steps(&mut self, steps: &[LStep]) -> Vec<PStep> {
@@ -150,18 +129,13 @@ impl NormPaths {
     }
 }
 
-/// The DTD wrapped with the synthetic document name and extended
-/// reachability rows; owns the primitive set operations `A_E` / `T_E`
-/// (Def. 4.1) over the extended universe.
+/// `A_E` and `T_E` (Def. 4.1) over a grammar's reachability rows: a
+/// borrow of the [`Dtd`] plus the context ablation switch, so building
+/// one costs nothing.
+#[derive(Clone, Copy)]
 pub struct Analyzer<'d> {
     /// The underlying DTD.
     pub dtd: &'d Dtd,
-    universe: usize,
-    doc_name: NameId,
-    children: Vec<NameSet>,
-    parents: Vec<NameSet>,
-    descendants: Vec<NameSet>,
-    ancestors: Vec<NameSet>,
     /// Ablation switch: when `false`, contexts are not intersected
     /// (upward axes use raw `A_E` and `restrict_context` is the
     /// identity). Used to quantify what the κ component of Fig. 1 buys;
@@ -170,150 +144,60 @@ pub struct Analyzer<'d> {
 }
 
 impl<'d> Analyzer<'d> {
-    /// Builds the extended tables for a DTD.
+    /// The analysis context of a DTD, contexts on.
     pub fn new(dtd: &'d Dtd) -> Self {
-        let n = dtd.name_count();
-        let universe = n + 1;
-        let doc_name = NameId(n as u32);
-        let extend = |s: &NameSet| -> NameSet {
-            NameSet::from_iter(universe, s.iter())
+        Analyzer { dtd, use_contexts: true }
+    }
+
+    /// The starting environment `({S}, {S})`: `S` is the document name
+    /// for absolute paths, the DTD root `X` for relative ones (the
+    /// paper's Theorem 4.4/4.5 set-up).
+    pub fn start_env(&self, absolute: bool) -> (NameSet, NameSet) {
+        let start = if absolute { self.dtd.doc_name() } else { self.dtd.root() };
+        let s = self.dtd.singleton(start);
+        (s.clone(), s)
+    }
+
+    /// `A_E(τ, Axis)` (Def. 4.1): the union of the axis' rows over τ.
+    /// `-or-self` axes include τ itself.
+    pub fn axis(&self, tau: &NameSet, axis: LAxis) -> NameSet {
+        let (row, or_self): (fn(&'d Dtd, NameId) -> &'d NameSet, bool) = match axis {
+            LAxis::SelfAxis => return tau.clone(),
+            LAxis::Child => (Dtd::children_of, false),
+            LAxis::Parent => (Dtd::parents_of, false),
+            LAxis::Descendant => (Dtd::descendants_of, false),
+            LAxis::Ancestor => (Dtd::ancestors_of, false),
+            LAxis::DescendantOrSelf => (Dtd::descendants_of, true),
+            LAxis::AncestorOrSelf => (Dtd::ancestors_of, true),
         };
-        let mut children: Vec<NameSet> = (0..n)
-            .map(|i| extend(dtd.children_of(NameId(i as u32))))
-            .collect();
-        let mut parents: Vec<NameSet> = (0..n)
-            .map(|i| extend(dtd.parents_of(NameId(i as u32))))
-            .collect();
-        let mut descendants: Vec<NameSet> = (0..n)
-            .map(|i| extend(dtd.descendants_of(NameId(i as u32))))
-            .collect();
-        let mut ancestors: Vec<NameSet> = (0..n)
-            .map(|i| extend(dtd.ancestors_of(NameId(i as u32))))
-            .collect();
-        // DOC → root; every name reachable from the root gains DOC as an
-        // ancestor.
-        let root = dtd.root();
-        children.push(NameSet::singleton(universe, root));
-        parents.push(NameSet::empty(universe));
-        let mut doc_desc = extend(dtd.descendants_of(root));
-        doc_desc.insert(root);
-        descendants.push(doc_desc.clone());
-        ancestors.push(NameSet::empty(universe));
-        parents[root.index()].insert(doc_name);
-        for m in &doc_desc {
-            ancestors[m.index()].insert(doc_name);
-        }
-        Analyzer {
-            dtd,
-            universe,
-            doc_name,
-            children,
-            parents,
-            descendants,
-            ancestors,
-            use_contexts: true,
-        }
-    }
-
-    /// Universe size (names + DOC).
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
-    /// The synthetic document name.
-    pub fn doc_name(&self) -> NameId {
-        self.doc_name
-    }
-
-    /// Empty set over the extended universe.
-    pub fn empty(&self) -> NameSet {
-        NameSet::empty(self.universe)
-    }
-
-    /// Singleton over the extended universe.
-    pub fn singleton(&self, n: NameId) -> NameSet {
-        NameSet::singleton(self.universe, n)
-    }
-
-    /// The starting environment for absolute paths: `({DOC}, {DOC})`.
-    pub fn doc_env(&self) -> (NameSet, NameSet) {
-        (self.singleton(self.doc_name), self.singleton(self.doc_name))
-    }
-
-    /// The starting environment for relative paths: `({X}, {X})` with `X`
-    /// the DTD root (the paper's Theorem 4.4/4.5 set-up).
-    pub fn root_env(&self) -> (NameSet, NameSet) {
-        let x = self.dtd.root();
-        (self.singleton(x), self.singleton(x))
-    }
-
-    fn select(&self, tau: &NameSet, rows: &[NameSet]) -> NameSet {
-        let mut out = self.empty();
+        let mut out = if or_self { tau.clone() } else { self.dtd.empty_set() };
         for n in tau {
-            out.union_with(&rows[n.index()]);
+            out.union_with(row(self.dtd, n));
         }
         out
     }
 
-    /// `A_E(τ, Axis)` over the extended universe (Def. 4.1). `-or-self`
-    /// axes include τ itself.
-    pub fn axis(&self, tau: &NameSet, axis: LAxis) -> NameSet {
-        match axis {
-            LAxis::SelfAxis => tau.clone(),
-            LAxis::Child => self.select(tau, &self.children),
-            LAxis::Parent => self.select(tau, &self.parents),
-            LAxis::Descendant => self.select(tau, &self.descendants),
-            LAxis::Ancestor => self.select(tau, &self.ancestors),
-            LAxis::DescendantOrSelf => {
-                let mut s = self.select(tau, &self.descendants);
-                s.union_with(tau);
-                s
-            }
-            LAxis::AncestorOrSelf => {
-                let mut s = self.select(tau, &self.ancestors);
-                s.union_with(tau);
-                s
-            }
-        }
-    }
-
-    /// `T_E(τ, Test)` over the extended universe (Def. 4.1, extended with
-    /// the §6 `element()` wildcard and attribute tests).
+    /// `T_E(τ, Test)` (Def. 4.1, extended with the §6 `element()`
+    /// wildcard and attribute tests). The document name passes `node()`
+    /// only.
     pub fn test(&self, tau: &NameSet, test: &LTest) -> NameSet {
+        let dtd = self.dtd;
+        let keep = |pred: &dyn Fn(NameId) -> bool| {
+            dtd.set_of(tau.iter().filter(|&n| n != dtd.doc_name() && pred(n)))
+        };
         match test {
             LTest::Node => tau.clone(),
-            LTest::Text => NameSet::from_iter(
-                self.universe,
-                tau.iter()
-                    .filter(|&n| n != self.doc_name && self.dtd.is_text_name(n)),
-            ),
-            LTest::Element => NameSet::from_iter(
-                self.universe,
-                tau.iter()
-                    .filter(|&n| n != self.doc_name && !self.dtd.is_text_name(n)),
-            ),
-            LTest::Tag(t) => match self.dtd.name_of_tag_str(t) {
-                Some(n) if tau.contains(n) => self.singleton(n),
-                _ => self.empty(),
+            LTest::Text => keep(&|n| dtd.is_text_name(n)),
+            LTest::Element => keep(&|n| !dtd.is_text_name(n)),
+            LTest::Tag(t) => match dtd.name_of_tag_str(t) {
+                Some(n) if tau.contains(n) => dtd.singleton(n),
+                _ => dtd.empty_set(),
             },
-            LTest::HasAttribute(att) => NameSet::from_iter(
-                self.universe,
-                tau.iter().filter(|&n| {
-                    if n == self.doc_name || self.dtd.is_text_name(n) {
-                        return false;
-                    }
-                    let attrs = &self.dtd.info(n).attributes;
-                    match att {
-                        None => !attrs.is_empty(),
-                        Some(a) => self
-                            .dtd
-                            .tags
-                            .get(a)
-                            .map(|t| attrs.contains(&t))
-                            .unwrap_or(false),
-                    }
-                }),
-            ),
+            LTest::HasAttribute(None) => keep(&|n| !dtd.info(n).attributes.is_empty()),
+            LTest::HasAttribute(Some(att)) => match dtd.tags.get(att) {
+                Some(t) => keep(&|n| dtd.info(n).attributes.contains(&t)),
+                None => dtd.empty_set(),
+            },
         }
     }
 
@@ -325,21 +209,11 @@ impl<'d> Analyzer<'d> {
     /// τ ∪ A_E(τ, ancestor) — so upward axes fall back to raw
     /// reachability.
     pub fn restrict_context(&self, kappa: &NameSet, tau: &NameSet) -> NameSet {
-        let mut bound = self.axis(tau, LAxis::Ancestor);
-        bound.union_with(tau);
-        if !self.use_contexts {
-            return bound;
+        let mut bound = self.axis(tau, LAxis::AncestorOrSelf);
+        if self.use_contexts {
+            bound.intersect_with(kappa);
         }
-        kappa.intersection(&bound)
-    }
-
-    /// Projects an extended-universe set back onto the DTD universe,
-    /// dropping the document name.
-    pub fn to_dtd_set(&self, s: &NameSet) -> NameSet {
-        NameSet::from_iter(
-            self.dtd.name_count(),
-            s.iter().filter(|&n| n != self.doc_name),
-        )
+        bound
     }
 }
 
@@ -364,16 +238,16 @@ mod tests {
     fn doc_name_wiring() {
         let d = dtd();
         let an = Analyzer::new(&d);
-        let (tau, kappa) = an.doc_env();
+        let (tau, kappa) = an.start_env(true);
         assert_eq!(tau, kappa);
         let kids = an.axis(&tau, LAxis::Child);
-        assert_eq!(kids, an.singleton(d.root()));
+        assert_eq!(kids, d.singleton(d.root()));
         // DOC is an ancestor of everything
         let a = d.name_of_tag_str("a").unwrap();
-        assert!(an.axis(&an.singleton(a), LAxis::Ancestor).contains(an.doc_name()));
+        assert!(an.axis(&d.singleton(a), LAxis::Ancestor).contains(d.doc_name()));
         // and has no ancestors itself
         assert!(an
-            .axis(&an.singleton(an.doc_name()), LAxis::Ancestor)
+            .axis(&d.singleton(d.doc_name()), LAxis::Ancestor)
             .is_empty());
     }
 
@@ -384,9 +258,9 @@ mod tests {
         let a = d.name_of_tag_str("a").unwrap();
         let dd = d.name_of_tag_str("d").unwrap();
         // a ⇒ d and d ⇒ a (mutual recursion)
-        assert!(an.axis(&an.singleton(a), LAxis::Child).contains(dd));
-        assert!(an.axis(&an.singleton(a), LAxis::Descendant).contains(a));
-        let parents_of_a = an.axis(&an.singleton(a), LAxis::Parent);
+        assert!(an.axis(&d.singleton(a), LAxis::Child).contains(dd));
+        assert!(an.axis(&d.singleton(a), LAxis::Descendant).contains(a));
+        let parents_of_a = an.axis(&d.singleton(a), LAxis::Parent);
         assert!(parents_of_a.contains(d.root()) && parents_of_a.contains(dd));
     }
 
@@ -394,14 +268,8 @@ mod tests {
     fn tests_filter() {
         let d = dtd();
         let an = Analyzer::new(&d);
-        let all = {
-            let mut s = an.empty();
-            for n in d.all_names() {
-                s.insert(n);
-            }
-            s.insert(an.doc_name());
-            s
-        };
+        let mut all = d.full_set();
+        all.insert(d.doc_name());
         let texts = an.test(&all, &LTest::Text);
         assert_eq!(texts.len(), 2); // a#text, b#text
         let elems = an.test(&all, &LTest::Element);
@@ -409,8 +277,8 @@ mod tests {
         let tag_b = an.test(&all, &LTest::Tag("b".into()));
         assert_eq!(tag_b.len(), 1);
         // doc name only passes node()
-        assert!(an.test(&all, &LTest::Node).contains(an.doc_name()));
-        assert!(!elems.contains(an.doc_name()));
+        assert!(an.test(&all, &LTest::Node).contains(d.doc_name()));
+        assert!(!elems.contains(d.doc_name()));
     }
 
     #[test]
@@ -419,11 +287,11 @@ mod tests {
         let an = Analyzer::new(&d);
         let a = d.name_of_tag_str("a").unwrap();
         let b = d.name_of_tag_str("b").unwrap();
-        let mut kappa = an.empty();
+        let mut kappa = d.empty_set();
         kappa.insert(a);
         kappa.insert(b);
         kappa.insert(d.root());
-        let tau = an.singleton(a);
+        let tau = d.singleton(a);
         let k2 = an.restrict_context(&kappa, &tau);
         assert!(k2.contains(a) && k2.contains(d.root()));
         assert!(!k2.contains(b)); // b is not an ancestor of a
@@ -448,7 +316,6 @@ mod tests {
         assert!(matches!(main[0], PStep::AxisNode(LAxis::Child)));
         assert!(matches!(main[1], PStep::SelfTest(LTest::Tag(_))));
         assert!(matches!(main[2], PStep::Cond(_)));
-        assert_eq!(np.path_count(), 2);
         // the condition path: AxisNode(child), SelfTest(b)
         if let PStep::Cond(ids) = &main[2] {
             assert_eq!(np.steps(ids[0]).len(), 2);

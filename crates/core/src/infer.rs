@@ -13,7 +13,7 @@ use crate::projector::Projector;
 use crate::typeinf::{type_axis, type_path, Env};
 use std::collections::HashMap;
 use xproj_dtd::{Dtd, NameId, NameSet};
-use xproj_xpath::approx::{approximate_query, Approximation};
+use xproj_xpath::approx::approximate_query;
 use xproj_xpath::ast::Expr;
 use xproj_xpath::parse_xpath;
 use xproj_xpath::xpathl::{LAxis, LPath};
@@ -70,15 +70,14 @@ impl TraceRule {
 }
 
 /// One provenance event: `name` was admitted by `rule` while inferring
-/// step `(pid, idx)` of source path number `source` (the caller decides
-/// source numbering via [`StaticAnalyzer::set_trace_source`]). Events
+/// step `(pid, idx)` of source path number `source` (its position in
+/// the workload handed to [`StaticAnalyzer::project_paths`]). Events
 /// are recorded the *first* time each memoised sub-inference runs, so
 /// every name in the raw inferred set has at least one event; memo hits
 /// do not duplicate events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// The admitted name (extended-universe; the synthetic document name
-    /// is filtered out).
+    /// The admitted name (never the document name).
     pub name: NameId,
     /// The rule that admitted it.
     pub rule: TraceRule,
@@ -94,9 +93,10 @@ pub struct TraceEvent {
     pub via: Option<NameId>,
 }
 
-/// The static analyser: owns the extended-universe tables and the
-/// inference memo. One instance can analyse any number of queries against
-/// the same DTD; projectors for a workload are unioned.
+/// The static analyser: a borrow of the grammar (whose reachability
+/// rows are already built) and the inference memo, so creating one
+/// allocates nothing. One instance can analyse any number of queries
+/// against the same DTD; projectors for a workload are unioned.
 pub struct StaticAnalyzer<'d> {
     an: Analyzer<'d>,
     memo: HashMap<MemoKey, NameSet>,
@@ -121,18 +121,6 @@ impl<'d> StaticAnalyzer<'d> {
     /// on.
     pub fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
-        self.trace_source = 0;
-    }
-
-    /// Stops recording and discards any pending events.
-    pub fn disable_trace(&mut self) {
-        self.trace = None;
-    }
-
-    /// Tags subsequent events with a source-path number (e.g. the index
-    /// of the extracted XQuery path being inferred).
-    pub fn set_trace_source(&mut self, source: usize) {
-        self.trace_source = source;
     }
 
     /// Drains the recorded events, leaving tracing enabled.
@@ -142,7 +130,7 @@ impl<'d> StaticAnalyzer<'d> {
 
     fn record(&mut self, name: NameId, rule: TraceRule, pid: PathId, idx: usize, via: Option<NameId>) {
         if let Some(events) = self.trace.as_mut() {
-            if name != self.an.doc_name() {
+            if name != self.an.dtd.doc_name() {
                 events.push(TraceEvent {
                     name,
                     rule,
@@ -170,7 +158,7 @@ impl<'d> StaticAnalyzer<'d> {
         }
     }
 
-    /// The underlying analysis context.
+    /// The underlying analysis context (`A_E` / `T_E`).
     pub fn analyzer(&self) -> &Analyzer<'d> {
         &self.an
     }
@@ -184,104 +172,80 @@ impl<'d> StaticAnalyzer<'d> {
         self.memo.clear();
     }
 
-    /// The DTD being analysed.
-    pub fn dtd(&self) -> &'d Dtd {
-        self.an.dtd
-    }
-
     /// Infers the *materialised* projector for an XPath query string: the
     /// exact projector of Thm. 4.5 extended with all descendants of the
     /// result type (τ′ ∪ A_E(τ″, descendant), end of §4.2), so that
     /// serialising the selected nodes is also preserved. This is the
     /// practical default.
     pub fn project_query(&mut self, query: &str) -> Result<Projector, AnalyzeError> {
-        let a = self.parse_and_approximate(query)?;
-        Ok(self.project_approximation_materialized(&a))
+        self.project_xpath(query, true)
     }
 
     /// Infers the exact (non-materialised) projector of Thm. 4.5 for an
     /// XPath query string: result *identity* is preserved, result subtrees
     /// may be pruned.
     pub fn project_query_exact(&mut self, query: &str) -> Result<Projector, AnalyzeError> {
-        let a = self.parse_and_approximate(query)?;
-        Ok(self.project_approximation(&a))
+        self.project_xpath(query, false)
     }
 
-    /// Materialised projector for a whole workload (union, §5).
-    pub fn project_queries<I, S>(&mut self, queries: I) -> Result<Projector, AnalyzeError>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut acc = Projector::empty(self.an.dtd);
-        for q in queries {
-            acc = acc.union(&self.project_query(q.as_ref())?);
-        }
-        Ok(acc)
-    }
-
-    fn parse_and_approximate(&self, query: &str) -> Result<Approximation, AnalyzeError> {
+    /// Parse → approximate → the workload loop over the main path
+    /// (source 0) and the auxiliary paths (source k + 1).
+    fn project_xpath(&mut self, query: &str, materialize: bool) -> Result<Projector, AnalyzeError> {
         let expr = parse_xpath(query).map_err(|e| AnalyzeError::Parse(e.to_string()))?;
-        match expr {
-            Expr::Path(p) => Ok(approximate_query(&p)),
-            other => Err(AnalyzeError::NotAPath(other.to_string())),
-        }
+        let Expr::Path(p) = expr else {
+            return Err(AnalyzeError::NotAPath(expr.to_string()));
+        };
+        let a = approximate_query(&p);
+        let aux = a.auxiliary.iter().map(|aux| (aux, true));
+        Ok(self.project_paths(std::iter::once((&a.path, a.absolute)).chain(aux), materialize))
     }
 
-    /// Projector for an already-approximated query. With tracing on, the
-    /// main path records as source 0, auxiliary path *k* as source k+1.
-    pub fn project_approximation(&mut self, a: &Approximation) -> Projector {
-        self.set_trace_source(0);
-        let mut raw = self.infer_lpath(&a.path, a.absolute);
-        for (k, aux) in a.auxiliary.iter().enumerate() {
-            self.set_trace_source(k + 1);
-            raw.union_with(&self.infer_lpath(aux, true));
+    /// The workload loop (§5), the one place a set of data-need paths
+    /// becomes a projector: infer each `(path, absolute)` pair (with
+    /// tracing on, its position is the events' `source`), union the raw
+    /// sets, optionally *materialise* the first path — add every
+    /// descendant of its result type (§4.2 end) — and normalise, which
+    /// also drops the document name.
+    pub fn project_paths<'p>(
+        &mut self,
+        paths: impl IntoIterator<Item = (&'p LPath, bool)>,
+        materialize: bool,
+    ) -> Projector {
+        let mut raw = self.an.dtd.empty_set();
+        let mut main = None;
+        for (source, (path, absolute)) in paths.into_iter().enumerate() {
+            self.trace_source = source;
+            raw.union_with(&self.infer_lpath(path, absolute));
+            main.get_or_insert((path, absolute));
         }
-        self.set_trace_source(0);
-        Projector::normalized(self.an.dtd, self.an.to_dtd_set(&raw))
-    }
-
-    /// Materialised projector for an approximation (§4.2 end).
-    pub fn project_approximation_materialized(&mut self, a: &Approximation) -> Projector {
-        self.set_trace_source(0);
-        let mut raw = self.infer_lpath(&a.path, a.absolute);
-        for (k, aux) in a.auxiliary.iter().enumerate() {
-            self.set_trace_source(k + 1);
-            raw.union_with(&self.infer_lpath(aux, true));
+        self.trace_source = 0;
+        if let (true, Some((path, absolute))) = (materialize, main) {
+            // τ″: the result type of the main path.
+            let tau = self.type_of_lpath(path, absolute);
+            let subtree = self.an.axis(&tau, LAxis::Descendant);
+            self.record_set(&subtree, TraceRule::Materialize, PathId(0), 0, None);
+            raw.union_with(&subtree);
         }
-        self.set_trace_source(0);
-        // τ″: the result type of the main path.
-        let tau = self.type_of_lpath(&a.path, a.absolute);
-        let subtree = self.an.axis(&tau, LAxis::Descendant);
-        self.record_set(&subtree, TraceRule::Materialize, PathId(0), 0, None);
-        raw.union_with(&subtree);
-        Projector::normalized(self.an.dtd, self.an.to_dtd_set(&raw))
+        Projector::normalized(self.an.dtd, raw)
     }
 
     /// Result type of an XPathℓ path (the ⊢ judgement from the start
-    /// environment), over the extended universe.
+    /// environment); contains the document name when the path can select
+    /// the document node.
     pub fn type_of_lpath(&self, path: &LPath, absolute: bool) -> NameSet {
         let np = NormPaths::new(path);
-        let (tau, kappa) = if absolute {
-            self.an.doc_env()
-        } else {
-            self.an.root_env()
-        };
+        let (tau, kappa) = self.an.start_env(absolute);
         type_path(&self.an, &np, Env::new(tau, kappa), np.main(), 0).tau
     }
 
-    /// Raw inferred name-set (⊩ judgement) for an XPathℓ path, over the
-    /// extended universe (includes the synthetic document name).
-    pub fn infer_lpath(&mut self, path: &LPath, absolute: bool) -> NameSet {
+    /// Raw inferred name-set (⊩ judgement) for an XPathℓ path (includes
+    /// the document name for absolute paths).
+    fn infer_lpath(&mut self, path: &LPath, absolute: bool) -> NameSet {
         // Memo entries are keyed by (PathId, index) pairs which are only
         // meaningful within one NormPaths arena.
         self.memo.clear();
         let np = NormPaths::new(path);
-        let (tau, kappa) = if absolute {
-            self.an.doc_env()
-        } else {
-            self.an.root_env()
-        };
+        let (tau, kappa) = self.an.start_env(absolute);
         let start = tau.iter().next().expect("start environment is a singleton");
         self.proj(&np, start, &kappa, np.main(), 0)
     }
@@ -322,14 +286,14 @@ impl<'d> StaticAnalyzer<'d> {
         pid: PathId,
         idx: usize,
     ) -> NameSet {
-        let an_singleton = self.an.singleton(y);
+        let an_singleton = self.an.dtd.singleton(y);
         match &np.steps(pid)[idx] {
             PStep::SelfTest(test) => {
                 // ({Y},κ) ⊢ self::Test : Σ    Σ ⊩ P : τ
                 // ──────────────────────────────────────
                 //      ({Y},κ) ⊩ self::Test/P : {Y} ∪ τ
                 let tau = self.an.test(&an_singleton, test);
-                let mut out = self.an.singleton(y);
+                let mut out = self.an.dtd.singleton(y);
                 self.record(y, TraceRule::Spine, pid, idx, None);
                 if !tau.is_empty() {
                     let kappa2 = self.an.restrict_context(kappa, &tau);
@@ -343,7 +307,7 @@ impl<'d> StaticAnalyzer<'d> {
                 // ⊩ … : {Y} ∪ τ ∪ τ₁ ∪ … ∪ τₙ
                 let paths = paths.clone();
                 let holds = crate::typeinf::cond_may_hold(&self.an, np, y, kappa, &paths);
-                let mut out = self.an.singleton(y);
+                let mut out = self.an.dtd.singleton(y);
                 self.record(y, TraceRule::Spine, pid, idx, None);
                 if holds {
                     let kappa2 = self.an.restrict_context(kappa, &an_singleton);
@@ -368,7 +332,7 @@ impl<'d> StaticAnalyzer<'d> {
                     }
                     LAxis::DescendantOrSelf => {
                         // dos::node/P  ≡  self::node/P  ∪  descendant::node/P
-                        let mut out = self.an.singleton(y);
+                        let mut out = self.an.dtd.singleton(y);
                         self.record(y, TraceRule::Spine, pid, idx, None);
                         out.union_with(&self.proj(np, y, kappa, pid, idx + 1));
                         out.union_with(&self.proj_recursive(
@@ -382,7 +346,7 @@ impl<'d> StaticAnalyzer<'d> {
                         out
                     }
                     LAxis::AncestorOrSelf => {
-                        let mut out = self.an.singleton(y);
+                        let mut out = self.an.dtd.singleton(y);
                         self.record(y, TraceRule::Spine, pid, idx, None);
                         out.union_with(&self.proj(np, y, kappa, pid, idx + 1));
                         out.union_with(&self.proj_recursive(
@@ -429,15 +393,15 @@ impl<'d> StaticAnalyzer<'d> {
     ) -> NameSet {
         let env = type_axis(
             &self.an,
-            Env::new(self.an.singleton(y), kappa.clone()),
+            Env::new(self.an.dtd.singleton(y), kappa.clone()),
             axis,
         );
-        let mut useful = self.an.empty();
+        let mut useful = self.an.dtd.empty_set();
         for xi in &env.tau {
             let sub = Env::new(
-                self.an.singleton(xi),
+                self.an.dtd.singleton(xi),
                 self.an
-                    .restrict_context(&env.kappa, &self.an.singleton(xi)),
+                    .restrict_context(&env.kappa, &self.an.dtd.singleton(xi)),
             );
             if !type_path(&self.an, np, sub, pid, rest_idx).is_empty() {
                 useful.insert(xi);
@@ -445,16 +409,16 @@ impl<'d> StaticAnalyzer<'d> {
         }
         let mut out = if include_y {
             self.record(y, TraceRule::Spine, pid, rest_idx.saturating_sub(1), None);
-            self.an.singleton(y)
+            self.an.dtd.singleton(y)
         } else {
-            self.an.empty()
+            self.an.dtd.empty_set()
         };
         out.union_with(&useful);
         self.record_set(&useful, TraceRule::Axis, pid, rest_idx.saturating_sub(1), Some(y));
         for xi in &useful {
             let kx = self
                 .an
-                .restrict_context(&env.kappa, &self.an.singleton(xi));
+                .restrict_context(&env.kappa, &self.an.dtd.singleton(xi));
             out.union_with(&self.proj(np, xi, &kx, pid, rest_idx));
         }
         out
@@ -485,17 +449,17 @@ impl<'d> StaticAnalyzer<'d> {
         };
         let env = type_axis(
             &self.an,
-            Env::new(self.an.singleton(y), kappa.clone()),
+            Env::new(self.an.dtd.singleton(y), kappa.clone()),
             axis,
         );
         // τ: Y plus the axis-names from which the rest of the path can
         // still select something strictly further along the axis.
-        let mut tau = self.an.singleton(y);
+        let mut tau = self.an.dtd.singleton(y);
         for xi in &env.tau {
             let kx = self
                 .an
-                .restrict_context(&env.kappa, &self.an.singleton(xi));
-            let after_axis = type_axis(&self.an, Env::new(self.an.singleton(xi), kx), axis);
+                .restrict_context(&env.kappa, &self.an.dtd.singleton(xi));
+            let after_axis = type_axis(&self.an, Env::new(self.an.dtd.singleton(xi), kx), axis);
             if !after_axis.tau.is_empty()
                 && !type_path(&self.an, np, after_axis, pid, rest_idx).is_empty()
             {
@@ -509,7 +473,7 @@ impl<'d> StaticAnalyzer<'d> {
         for z in &tau {
             let kz = self
                 .an
-                .restrict_context(&env.kappa, &self.an.singleton(z));
+                .restrict_context(&env.kappa, &self.an.dtd.singleton(z));
             out.union_with(&self.proj_single_level(np, z, &kz, single, pid, rest_idx, false));
         }
         out
@@ -602,8 +566,9 @@ mod tests {
         let d = paper_dtd();
         let mut sa = StaticAnalyzer::new(&d);
         let p = sa
-            .project_queries(["/c/a[child::d]", "/c/b"])
-            .unwrap();
+            .project_query("/c/a[child::d]")
+            .unwrap()
+            .union(&sa.project_query("/c/b").unwrap());
         let l = labels(&d, &p);
         assert!(l.contains(&"b".to_string()));
         assert!(l.contains(&"d".to_string()));

@@ -19,11 +19,12 @@ pub struct Projector {
 impl Projector {
     /// Wraps a name-set (over the DTD universe) as a projector,
     /// normalising it: names not reachable from the root *inside* the set
-    /// are dropped. Dropping them never changes the pruning semantics —
-    /// a node whose ancestors are pruned disappears with them — it only
-    /// restores the chain property of Def. 2.6.
+    /// are dropped (the document name, which nothing reaches, with them).
+    /// Dropping them never changes the pruning semantics — a node whose
+    /// ancestors are pruned disappears with them — it only restores the
+    /// chain property of Def. 2.6.
     pub fn normalized(dtd: &Dtd, names: NameSet) -> Self {
-        let mut keep = NameSet::empty(dtd.name_count());
+        let mut keep = dtd.empty_set();
         if names.contains(dtd.root()) {
             // BFS from the root through edges staying inside `names`.
             let mut stack = vec![dtd.root()];
@@ -42,7 +43,7 @@ impl Projector {
     /// The empty projector (prunes everything).
     pub fn empty(dtd: &Dtd) -> Self {
         Projector {
-            names: NameSet::empty(dtd.name_count()),
+            names: dtd.empty_set(),
         }
     }
 
@@ -204,11 +205,11 @@ mod tests {
         let b = d.name_of_tag_str("b").unwrap();
         let dd = d.name_of_tag_str("d").unwrap();
         // {b, d} without the root: nothing survives
-        let p = Projector::normalized(&d, NameSet::from_iter(d.name_count(), [b, dd]));
+        let p = Projector::normalized(&d, d.set_of([b, dd]));
         assert!(p.is_empty());
         // {a, d} without b: d is unreachable inside the set
         let a = d.name_of_tag_str("a").unwrap();
-        let p2 = Projector::normalized(&d, NameSet::from_iter(d.name_count(), [a, dd]));
+        let p2 = Projector::normalized(&d, d.set_of([a, dd]));
         assert_eq!(p2.labels(&d), vec!["a"]);
     }
 
@@ -232,8 +233,8 @@ mod tests {
         let a = d.name_of_tag_str("a").unwrap();
         let b = d.name_of_tag_str("b").unwrap();
         let c = d.name_of_tag_str("c").unwrap();
-        let p1 = Projector::normalized(&d, NameSet::from_iter(d.name_count(), [a, b]));
-        let p2 = Projector::normalized(&d, NameSet::from_iter(d.name_count(), [a, c]));
+        let p1 = Projector::normalized(&d, d.set_of([a, b]));
+        let p2 = Projector::normalized(&d, d.set_of([a, c]));
         let u = p1.union(&p2);
         assert_eq!(u.labels(&d), vec!["a", "b", "c"]);
         assert!(u.contains(b) && u.contains(c));
@@ -280,7 +281,7 @@ mod table_tests {
         // craft π missing author but containing name by hand.
         let dtd = parse_dtd(DTD, "bib").unwrap();
         let n = |s: &str| dtd.name_of_tag_str(s).unwrap();
-        let mut names = NameSet::empty(dtd.name_count());
+        let mut names = dtd.empty_set();
         for s in ["bib", "book", "name"] {
             names.insert(n(s));
         }

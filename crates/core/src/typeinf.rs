@@ -34,8 +34,8 @@ impl Env {
     /// The environment with both components empty.
     pub fn empty(an: &Analyzer) -> Self {
         Env {
-            tau: an.empty(),
-            kappa: an.empty(),
+            tau: an.dtd.empty_set(),
+            kappa: an.dtd.empty_set(),
         }
     }
 
@@ -60,7 +60,7 @@ pub fn type_path(an: &Analyzer, np: &NormPaths, env: Env, pid: PathId, idx: usiz
 }
 
 /// Applies one primitive step.
-pub fn type_step(an: &Analyzer, np: &NormPaths, env: Env, step: &PStep) -> Env {
+fn type_step(an: &Analyzer, np: &NormPaths, env: Env, step: &PStep) -> Env {
     match step {
         PStep::AxisNode(axis) => type_axis(an, env, *axis),
         PStep::SelfTest(test) => {
@@ -115,7 +115,7 @@ pub fn type_axis(an: &Analyzer, env: Env, axis: LAxis) -> Env {
 /// disjunct may select something from it; the conditions are typed one
 /// context-name at a time.
 fn type_cond(an: &Analyzer, np: &NormPaths, env: Env, paths: &[PathId]) -> Env {
-    let mut tau = an.empty();
+    let mut tau = an.dtd.empty_set();
     for x in &env.tau {
         if cond_may_hold(an, np, x, &env.kappa, paths) {
             tau.insert(x);
@@ -133,7 +133,7 @@ pub fn cond_may_hold(
     kappa: &NameSet,
     paths: &[PathId],
 ) -> bool {
-    let singleton = an.singleton(x);
+    let singleton = an.dtd.singleton(x);
     let kx = an.restrict_context(kappa, &singleton);
     paths.iter().any(|&pid| {
         !type_path(an, np, Env::new(singleton.clone(), kx.clone()), pid, 0).is_empty()
@@ -157,11 +157,12 @@ mod tests {
         };
         let a = approximate_query(&p);
         let np = NormPaths::new(&a.path);
-        let (tau, kappa) = if a.absolute { an.doc_env() } else { an.root_env() };
+        let (tau, kappa) = an.start_env(a.absolute);
         let res = type_path(&an, &np, Env::new(tau, kappa), np.main(), 0);
-        let mut v: Vec<String> = an
-            .to_dtd_set(&res.tau)
+        let mut v: Vec<String> = res
+            .tau
             .iter()
+            .filter(|&n| n != dtd.doc_name())
             .map(|n| dtd.label(n).to_string())
             .collect();
         v.sort();
@@ -232,7 +233,7 @@ mod tests {
         assert_eq!(type_of(&d, "/c/a"), vec!["a"]);
         assert_eq!(type_of(&d, "//a"), vec!["a"]);
         // the root has no parent in the data model but DOC in the analysis;
-        // projecting back to the DTD universe leaves nothing
+        // no DTD name is selected
         assert_eq!(type_of(&d, "/c/parent::node()"), Vec::<String>::new());
     }
 

@@ -2,9 +2,9 @@
 //! `Y ⇒E X₁ ⇒E … ⇒E Xₙ`.
 //!
 //! `Chains(X,E)(Y)` is infinite for recursive DTDs, so the API offers
-//! bounded enumeration plus the decision procedures the definitions
-//! need: is a given word a chain, and is a set of names chain-closed
-//! (i.e., a type projector in the sense of Def. 2.6).
+//! the decision procedures the definitions need: is a given word a
+//! chain, and is a set of names chain-closed (i.e., a type projector in
+//! the sense of Def. 2.6).
 
 use crate::grammar::Dtd;
 use crate::nameset::{NameId, NameSet};
@@ -17,38 +17,6 @@ pub fn is_chain(dtd: &Dtd, chain: &[NameId]) -> bool {
     chain.windows(2).all(|w| dtd.children_of(w[0]).contains(w[1]))
 }
 
-/// Checks a chain rooted at the DTD root (`∈ Chains(X,E)(X)`).
-pub fn is_rooted_chain(dtd: &Dtd, chain: &[NameId]) -> bool {
-    chain.first() == Some(&dtd.root()) && is_chain(dtd, chain)
-}
-
-/// Enumerates all chains rooted at `from`, of length ≤ `max_len`
-/// (inclusive; lengths count names). Exponential in general — intended
-/// for tests and small DTDs.
-pub fn chains_from(dtd: &Dtd, from: NameId, max_len: usize) -> Vec<Vec<NameId>> {
-    let mut out = Vec::new();
-    let mut cur = vec![from];
-    fn go(
-        dtd: &Dtd,
-        cur: &mut Vec<NameId>,
-        max_len: usize,
-        out: &mut Vec<Vec<NameId>>,
-    ) {
-        out.push(cur.clone());
-        if cur.len() >= max_len {
-            return;
-        }
-        let last = *cur.last().expect("non-empty");
-        for c in dtd.children_of(last) {
-            cur.push(c);
-            go(dtd, cur, max_len, out);
-            cur.pop();
-        }
-    }
-    go(dtd, &mut cur, max_len, &mut out);
-    out
-}
-
 /// Def. 2.6: is `names` a type projector — the union of the name-sets of
 /// some set of root-rooted chains? Equivalent (for finite checks) to:
 /// every member is reachable from the root through members only.
@@ -59,8 +27,7 @@ pub fn is_projector_set(dtd: &Dtd, names: &NameSet) -> bool {
     if !names.contains(dtd.root()) {
         return false;
     }
-    let mut reach = NameSet::empty(dtd.name_count());
-    reach.insert(dtd.root());
+    let mut reach = dtd.singleton(dtd.root());
     let mut stack = vec![dtd.root()];
     while let Some(x) = stack.pop() {
         for y in dtd.children_of(x) {
@@ -106,25 +73,6 @@ mod tests {
         assert!(is_chain(&d, &[b]));
         assert!(!is_chain(&d, &[a, dd])); // d is not a child of a
         assert!(!is_chain(&d, &[]));
-        assert!(is_rooted_chain(&d, &[a, b]));
-        assert!(!is_rooted_chain(&d, &[b, dd]));
-    }
-
-    #[test]
-    fn enumeration_bounded() {
-        let d = dtd();
-        let a = d.name_of_tag_str("a").unwrap();
-        let cs = chains_from(&d, a, 3);
-        // a; a b; a c; a b d
-        assert_eq!(cs.len(), 4);
-        assert!(cs.iter().all(|c| is_rooted_chain(&d, c)));
-    }
-
-    #[test]
-    fn enumeration_on_recursive_dtd_terminates() {
-        let d = parse_dtd("<!ELEMENT a (a?)>", "a").unwrap();
-        let a = d.name_of_tag_str("a").unwrap();
-        assert_eq!(chains_from(&d, a, 4).len(), 4); // a, aa, aaa, aaaa
     }
 
     #[test]
@@ -133,13 +81,12 @@ mod tests {
         let a = d.name_of_tag_str("a").unwrap();
         let b = d.name_of_tag_str("b").unwrap();
         let dd = d.name_of_tag_str("d").unwrap();
-        let n = d.name_count();
-        assert!(is_projector_set(&d, &NameSet::empty(n)));
-        assert!(is_projector_set(&d, &NameSet::from_iter(n, [a])));
-        assert!(is_projector_set(&d, &NameSet::from_iter(n, [a, b, dd])));
+        assert!(is_projector_set(&d, &d.empty_set()));
+        assert!(is_projector_set(&d, &d.set_of([a])));
+        assert!(is_projector_set(&d, &d.set_of([a, b, dd])));
         // gaps break the chain property
-        assert!(!is_projector_set(&d, &NameSet::from_iter(n, [a, dd])));
-        assert!(!is_projector_set(&d, &NameSet::from_iter(n, [b])));
+        assert!(!is_projector_set(&d, &d.set_of([a, dd])));
+        assert!(!is_projector_set(&d, &d.set_of([b])));
     }
 
     #[test]

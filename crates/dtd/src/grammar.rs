@@ -14,6 +14,14 @@
 //!   (parents) and both transitive closures, all as [`NameSet`] rows, so
 //!   the single-step typing functions `A_E` of Fig. 1 are unions of
 //!   bitset rows.
+//!
+//! **One universe.** XPath absolute paths start at the document node,
+//! which no DTD name generates, so the grammar's universe is `DN(E)` plus
+//! one *document name* ([`Dtd::doc_name`], id `|DN(E)|`) whose single
+//! child is the root `X`. Every [`NameSet`] of a grammar — rows, types,
+//! contexts, projectors — ranges over that one universe, built once by
+//! [`DtdBuilder::finish`]; the document name has rows but no
+//! [`NameInfo`], and a normalised projector never contains it.
 
 use crate::nameset::{NameId, NameSet};
 use crate::regex::{ContentAutomaton, Regex};
@@ -75,7 +83,8 @@ pub struct Dtd {
     tag_to_name: HashMap<TagId, NameId>,
     /// Compiled content automata, indexed by name.
     automata: Vec<Option<ContentAutomaton>>,
-    /// `children[X] = {Y | X ⇒E Y}`.
+    /// `children[X] = {Y | X ⇒E Y}`. The four reachability tables have
+    /// one more row than `names`: the document name's.
     children: Vec<NameSet>,
     parents: Vec<NameSet>,
     /// `descendants[X] = {Y | X ⇒E⁺ Y}`.
@@ -147,19 +156,35 @@ impl Dtd {
         (0..self.names.len() as u32).map(NameId)
     }
 
-    /// An empty set over this DTD's name universe.
-    pub fn empty_set(&self) -> NameSet {
-        NameSet::empty(self.names.len())
+    /// The synthetic document name: parent of the root, ancestor of
+    /// every reachable name, in no content model.
+    pub fn doc_name(&self) -> NameId {
+        NameId(self.names.len() as u32)
     }
 
-    /// The full set over this DTD's name universe.
+    /// Size of the one universe: every name plus the document name.
+    fn universe(&self) -> usize {
+        self.names.len() + 1
+    }
+
+    /// An empty set over this DTD's name universe.
+    pub fn empty_set(&self) -> NameSet {
+        NameSet::empty(self.universe())
+    }
+
+    /// The set of `names` over this DTD's name universe.
+    pub fn set_of(&self, names: impl IntoIterator<Item = NameId>) -> NameSet {
+        NameSet::from_iter(self.universe(), names)
+    }
+
+    /// Every name of `DN(E)` (the document name is not one).
     pub fn full_set(&self) -> NameSet {
-        NameSet::full(self.names.len())
+        self.set_of(self.all_names())
     }
 
     /// A singleton set over this DTD's name universe.
     pub fn singleton(&self, n: NameId) -> NameSet {
-        NameSet::singleton(self.names.len(), n)
+        NameSet::singleton(self.universe(), n)
     }
 
     /// Direct children of one name: `{Y | X ⇒E Y}`.
@@ -167,7 +192,7 @@ impl Dtd {
         &self.children[n.index()]
     }
 
-    /// Direct parents of one name.
+    /// Direct parents of one name (the document name for the root).
     pub fn parents_of(&self, n: NameId) -> &NameSet {
         &self.parents[n.index()]
     }
@@ -177,7 +202,8 @@ impl Dtd {
         &self.descendants[n.index()]
     }
 
-    /// Strict ancestors of one name.
+    /// Strict ancestors of one name (the document name included, for
+    /// names reachable from the root).
     pub fn ancestors_of(&self, n: NameId) -> &NameSet {
         &self.ancestors[n.index()]
     }
@@ -187,79 +213,17 @@ impl Dtd {
         &self.text_children[n.index()]
     }
 
-    /// `A_E(τ, child)` — union of children rows.
-    pub fn select_children(&self, tau: &NameSet) -> NameSet {
-        self.select(tau, &self.children)
-    }
-
-    /// `A_E(τ, parent)`.
-    pub fn select_parents(&self, tau: &NameSet) -> NameSet {
-        self.select(tau, &self.parents)
-    }
-
-    /// `A_E(τ, descendant)`.
-    pub fn select_descendants(&self, tau: &NameSet) -> NameSet {
-        self.select(tau, &self.descendants)
-    }
-
-    /// `A_E(τ, ancestor)`.
-    pub fn select_ancestors(&self, tau: &NameSet) -> NameSet {
-        self.select(tau, &self.ancestors)
-    }
-
-    fn select(&self, tau: &NameSet, rows: &[NameSet]) -> NameSet {
-        let mut out = self.empty_set();
-        for n in tau {
-            out.union_with(&rows[n.index()]);
-        }
-        out
-    }
-
-    /// Names reachable from the root, root included (`⇒E*` from `X`).
+    /// Names reachable from the root, root included (`⇒E*` from `X`):
+    /// the document name's descendants.
     pub fn reachable_from_root(&self) -> NameSet {
-        let mut s = self.descendants[self.root.index()].clone();
-        s.insert(self.root);
-        s
-    }
-
-    /// `T_E(τ, tag)` — keep element names with this tag.
-    pub fn filter_tag(&self, tau: &NameSet, tag: TagId) -> NameSet {
-        match self.name_of_tag(tag) {
-            Some(n) if tau.contains(n) => self.singleton(n),
-            _ => self.empty_set(),
-        }
-    }
-
-    /// `T_E(τ, text)` — keep text names.
-    pub fn filter_text(&self, tau: &NameSet) -> NameSet {
-        NameSet::from_iter(
-            self.names.len(),
-            tau.iter().filter(|&n| self.is_text_name(n)),
-        )
-    }
-
-    /// Keep element names (the `element()` wildcard test of §6).
-    pub fn filter_element(&self, tau: &NameSet) -> NameSet {
-        NameSet::from_iter(
-            self.names.len(),
-            tau.iter().filter(|&n| !self.is_text_name(n)),
-        )
-    }
-
-    /// Keep names declaring attribute `att`.
-    pub fn filter_has_attribute(&self, tau: &NameSet, att: TagId) -> NameSet {
-        NameSet::from_iter(
-            self.names.len(),
-            tau.iter()
-                .filter(|&n| self.names[n.index()].attributes.contains(&att)),
-        )
+        self.descendants_of(self.doc_name()).clone()
     }
 
     /// Renders the whole DTD in `<!ELEMENT …>` syntax (text names are
     /// folded back into `#PCDATA`).
     pub fn to_dtd_syntax(&self) -> String {
         let mut out = String::new();
-        for (i, info) in self.names.iter().enumerate() {
+        for info in &self.names {
             let Some(tag) = info.tag else { continue };
             let resolve = |n: NameId| -> String {
                 let ni = &self.names[n.index()];
@@ -299,7 +263,6 @@ impl Dtd {
                 }
                 out.push_str(">\n");
             }
-            let _ = i;
         }
         out
     }
@@ -373,7 +336,9 @@ impl DtdBuilder {
         self.tags.get(tag).and_then(|t| self.tag_to_name.get(&t)).copied()
     }
 
-    /// Finalizes the DTD with root `root`, computing reachability tables.
+    /// Finalizes the DTD with root `root`, computing the reachability
+    /// tables over the grammar's one universe (every name plus the
+    /// document name).
     pub fn finish(mut self, root: NameId) -> Result<Dtd, GrammarError> {
         if let Some(e) = self.errors.pop() {
             return Err(e);
@@ -382,26 +347,27 @@ impl DtdBuilder {
             return Err(GrammarError::BadRoot);
         }
         let n = self.names.len();
+        let universe = n + 1;
         // Validate references and build children rows.
-        let mut children = Vec::with_capacity(n);
+        let mut children = Vec::with_capacity(universe);
         let mut text_children = Vec::with_capacity(n);
         let mut automata = Vec::with_capacity(n);
         for info in &self.names {
             match &info.content {
                 Content::Text => {
-                    children.push(NameSet::empty(n));
-                    text_children.push(NameSet::empty(n));
+                    children.push(NameSet::empty(universe));
+                    text_children.push(NameSet::empty(universe));
                     automata.push(None);
                 }
                 Content::Element(re) => {
-                    let ns = re.names(n);
+                    let ns = re.names(universe);
                     for m in &ns {
                         if m.index() >= n {
                             return Err(GrammarError::UndeclaredName(format!("{m:?}")));
                         }
                     }
                     let texts = NameSet::from_iter(
-                        n,
+                        universe,
                         ns.iter()
                             .filter(|&m| matches!(self.names[m.index()].content, Content::Text)),
                     );
@@ -411,8 +377,10 @@ impl DtdBuilder {
                 }
             }
         }
+        // The document name's row: its one child is the root.
+        children.push(NameSet::singleton(universe, root));
         // Parents = transpose.
-        let mut parents = vec![NameSet::empty(n); n];
+        let mut parents = vec![NameSet::empty(universe); universe];
         for (x, row) in children.iter().enumerate() {
             for y in row {
                 parents[y.index()].insert(NameId(x as u32));
@@ -505,7 +473,7 @@ mod tests {
         assert!(d.children_of(x).contains(z));
         assert!(d.parents_of(y).contains(x));
         assert!(d.parents_of(y).contains(w));
-        assert_eq!(d.parents_of(x).len(), 0);
+        assert_eq!(d.parents_of(x), &d.singleton(d.doc_name()));
     }
 
     #[test]
@@ -527,28 +495,18 @@ mod tests {
     }
 
     #[test]
-    fn select_axes() {
-        let (d, x, y, z, w) = paper_dtd();
-        let t = d.singleton(x);
-        let kids = d.select_children(&t);
-        assert!(kids.contains(y) && kids.contains(z) && !kids.contains(w));
-        let desc = d.select_descendants(&t);
-        assert!(desc.contains(w));
-        let par = d.select_parents(&d.singleton(y));
-        assert_eq!(par.len(), 2);
-    }
-
-    #[test]
-    fn filters() {
-        let (d, x, y, _, _) = paper_dtd();
-        let all = d.full_set();
-        let texts = d.filter_text(&all);
-        assert_eq!(texts.len(), 2);
-        let elems = d.filter_element(&all);
-        assert_eq!(elems.len(), 4);
-        let a_tag = d.tags.get("a").unwrap();
-        assert_eq!(d.filter_tag(&all, a_tag), d.singleton(y));
-        let _ = x;
+    fn document_name_is_wired_once() {
+        let (d, x, y, _, w) = paper_dtd();
+        let doc = d.doc_name();
+        assert_eq!(doc.index(), d.name_count());
+        assert_eq!(d.children_of(doc), &d.singleton(x));
+        assert_eq!(d.parents_of(x), &d.singleton(doc));
+        assert!(d.parents_of(doc).is_empty() && d.ancestors_of(doc).is_empty());
+        // ancestor of every reachable name, descendant of none
+        assert!(d.ancestors_of(y).contains(doc) && d.ancestors_of(w).contains(doc));
+        assert!(d.all_names().all(|n| !d.descendants_of(n).contains(doc)));
+        assert_eq!(d.descendants_of(doc), &d.full_set());
+        assert!(!d.full_set().contains(doc));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! always trustworthy.
 
 use crate::grammar::{Content, Dtd};
-use crate::nameset::{NameId, NameSet};
+use crate::nameset::NameId;
 use std::collections::VecDeque;
 
 /// Summary of the Def. 4.3 properties for a DTD.
@@ -39,58 +39,10 @@ impl DtdProperties {
     }
 }
 
-/// Computes all three properties.
+/// Computes all three properties: each is its witness search coming
+/// back empty, so a verdict and its evidence cannot disagree.
 pub fn properties(dtd: &Dtd) -> DtdProperties {
-    DtdProperties {
-        star_guarded: is_star_guarded(dtd),
-        non_recursive: is_non_recursive(dtd),
-        parent_unambiguous: is_parent_unambiguous(dtd),
-    }
-}
-
-/// Def. 4.3(1): every root-reachable content model is \*-guarded.
-pub fn is_star_guarded(dtd: &Dtd) -> bool {
-    let reachable = dtd.reachable_from_root();
-    dtd.all_names()
-        .filter(|&n| reachable.contains(n))
-        .all(|n| match &dtd.info(n).content {
-            Content::Text => true,
-            Content::Element(re) => re.is_star_guarded(),
-        })
-}
-
-/// Def. 4.3(2): no root-reachable name reaches itself.
-pub fn is_non_recursive(dtd: &Dtd) -> bool {
-    let reachable = dtd.reachable_from_root();
-    dtd.all_names()
-        .filter(|&n| reachable.contains(n))
-        .all(|n| !dtd.descendants_of(n).contains(n))
-}
-
-/// Def. 4.3(3), conservative: for root-reachable `Y` with `Y ⇒E Z`,
-/// reject if `Z` is also reachable from `Y` through at least one
-/// intermediate name.
-pub fn is_parent_unambiguous(dtd: &Dtd) -> bool {
-    let reachable = dtd.reachable_from_root();
-    for y in dtd.all_names() {
-        if !reachable.contains(y) {
-            continue;
-        }
-        for z in dtd.children_of(y) {
-            // Is there W with Y ⇒ ⋯ ⇒ W ⇒ Z and W ≠ Y on a longer path?
-            for w in dtd.parents_of(z) {
-                if w != y && dtd.descendants_of(y).contains(w) {
-                    return false;
-                }
-            }
-            // Self-loop through recursion: Y ⇒+ Y ⇒ Z also makes the
-            // parent of Z ambiguous in depth.
-            if dtd.descendants_of(y).contains(y) {
-                return false;
-            }
-        }
-    }
-    true
+    diagnostics(dtd).properties()
 }
 
 /// Witness that a content model violates \*-guardedness (Def. 4.3(1)):
@@ -136,9 +88,8 @@ pub struct ParentAmbiguityWitness {
 /// Shortest chain `from ⇒E … ⇒E to` with at least one step (so
 /// `from == to` asks for a cycle), by BFS over the `⇒E` edges.
 fn shortest_chain(dtd: &Dtd, from: NameId, to: NameId) -> Option<Vec<NameId>> {
-    let n = dtd.name_count();
-    let mut prev: Vec<Option<NameId>> = vec![None; n];
-    let mut seen = NameSet::empty(n);
+    let mut prev: Vec<Option<NameId>> = vec![None; dtd.name_count()];
+    let mut seen = dtd.empty_set();
     let mut queue = VecDeque::new();
     for c in dtd.children_of(from) {
         if seen.insert(c) {
@@ -170,9 +121,9 @@ fn shortest_chain(dtd: &Dtd, from: NameId, to: NameId) -> Option<Vec<NameId>> {
     None
 }
 
-/// Witness-producing variant of [`is_star_guarded`]: `None` iff the
-/// property holds. Scans names in id order, so the witness is
-/// deterministic.
+/// Def. 4.3(1): every root-reachable content model is \*-guarded —
+/// `None` iff the property holds. Scans names in id order, so the
+/// witness is deterministic.
 pub fn star_guard_witness(dtd: &Dtd) -> Option<StarGuardWitness> {
     let reachable = dtd.reachable_from_root();
     let resolve = |n: NameId| dtd.label(n).to_string();
@@ -191,7 +142,7 @@ pub fn star_guard_witness(dtd: &Dtd) -> Option<StarGuardWitness> {
     None
 }
 
-/// Witness-producing variant of [`is_non_recursive`]: a concrete
+/// Def. 4.3(2): no root-reachable name reaches itself — a concrete
 /// root-reachable cycle, or `None` iff the DTD is non-recursive.
 pub fn recursion_witness(dtd: &Dtd) -> Option<RecursionWitness> {
     let reachable = dtd.reachable_from_root();
@@ -203,9 +154,10 @@ pub fn recursion_witness(dtd: &Dtd) -> Option<RecursionWitness> {
     Some(RecursionWitness { cycle })
 }
 
-/// Witness-producing variant of [`is_parent_unambiguous`] (same
-/// conservative check): `None` iff the property holds. The search
-/// mirrors the boolean's iteration order, so the two always agree.
+/// Def. 4.3(3), conservative: for root-reachable `Y` with `Y ⇒E Z`,
+/// `Z` must not also be reachable from `Y` through at least one
+/// intermediate name (`Y`'s own recursion counts: `Y ⇒E⁺ Y ⇒E Z` makes
+/// the parent of `Z` ambiguous in depth). `None` iff the property holds.
 pub fn parent_ambiguity_witness(dtd: &Dtd) -> Option<ParentAmbiguityWitness> {
     let reachable = dtd.reachable_from_root();
     for y in dtd.all_names() {
@@ -263,7 +215,7 @@ impl DtdDiagnostics {
 
     /// True when the DTD-side preconditions of Thm. 4.7 all hold.
     pub fn completeness_ready(&self) -> bool {
-        self.star_guard.is_none() && self.recursion.is_none() && self.parent_ambiguity.is_none()
+        self.properties().completeness_ready()
     }
 }
 
@@ -279,7 +231,7 @@ pub fn diagnostics(dtd: &Dtd) -> DtdDiagnostics {
 /// Maximum document depth for non-recursive DTDs (root element at depth 1),
 /// counting text levels. Returns `None` for recursive DTDs.
 pub fn max_depth(dtd: &Dtd) -> Option<usize> {
-    if !is_non_recursive(dtd) {
+    if recursion_witness(dtd).is_some() {
         return None;
     }
     fn depth_of(dtd: &Dtd, n: NameId, memo: &mut Vec<Option<usize>>) -> usize {
@@ -388,8 +340,6 @@ mod tests {
         )
         .unwrap();
         // junk is recursive but unreachable from the root
-        assert!(is_non_recursive(&d));
-        // …and the witness checkers agree.
         assert!(recursion_witness(&d).is_none());
         assert!(diagnostics(&d).completeness_ready());
     }
@@ -457,18 +407,5 @@ mod tests {
         assert_eq!(w.direct, w.distant);
         assert_eq!(w.chain.first(), w.chain.last());
         assert!(w.chain.len() >= 2);
-    }
-
-    #[test]
-    fn diagnostics_match_booleans() {
-        for (src, root) in [
-            ("<!ELEMENT bib (book*)> <!ELEMENT book (#PCDATA)>", "bib"),
-            ("<!ELEMENT c (a | b)> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>", "c"),
-            ("<!ELEMENT c (a)> <!ELEMENT a (a*, b)> <!ELEMENT b EMPTY>", "c"),
-            ("<!ELEMENT a (b, c)> <!ELEMENT b (c)> <!ELEMENT c EMPTY>", "a"),
-        ] {
-            let d = parse_dtd(src, root).unwrap();
-            assert_eq!(diagnostics(&d).properties(), properties(&d), "{src}");
-        }
     }
 }

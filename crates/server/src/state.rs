@@ -94,6 +94,30 @@ pub fn default_reactor_threads() -> usize {
         .min(8)
 }
 
+/// How many grammars the registry keeps. Past it a registration evicts
+/// the least recently *used* one (registered, or named by a request's
+/// `?dtd=`); its id then answers `unknown-dtd` until the client registers
+/// the text again, which — ids being content-derived — returns the same id.
+pub const DTD_REGISTRY_CAPACITY: usize = 256;
+
+/// The registered grammars, an LRU on the artifact cache's tick scheme.
+#[derive(Default)]
+struct DtdRegistry {
+    /// id → (grammar, tick of its last use).
+    map: HashMap<u64, (Arc<Dtd>, u64)>,
+    tick: u64,
+}
+
+impl DtdRegistry {
+    /// The grammar under `id`, marked used now.
+    fn touch(&mut self, id: u64) -> Option<Arc<Dtd>> {
+        self.tick += 1;
+        let (dtd, last_used) = self.map.get_mut(&id)?;
+        *last_used = self.tick;
+        Some(Arc::clone(dtd))
+    }
+}
+
 /// Everything connections, drivers and executor workers share.
 pub struct ServerState {
     /// The configuration the server was built with.
@@ -107,7 +131,7 @@ pub struct ServerState {
     /// the `max_connections` admission gate stays a whole-server bound
     /// even with `SO_REUSEPORT` sharding accepts over several loops.
     pub(crate) open_conns: AtomicUsize,
-    dtds: Mutex<HashMap<u64, Arc<Dtd>>>,
+    dtds: Mutex<DtdRegistry>,
     /// Graceful shutdown: stop *starting* requests.
     shutdown: AtomicBool,
     /// Drain deadline passed: stop *continuing* requests.
@@ -129,7 +153,7 @@ impl ServerState {
             metrics: ServerMetrics::new(),
             cache,
             open_conns: AtomicUsize::new(0),
-            dtds: Mutex::new(HashMap::new()),
+            dtds: Mutex::default(),
             shutdown: AtomicBool::new(false),
             hard_abort: AtomicBool::new(false),
             local_addr,
@@ -149,22 +173,34 @@ impl ServerState {
 
     /// Registers a DTD, returning `(fingerprint id, name count)`.
     /// Idempotent: the id is content-derived, so re-registering the
-    /// same grammar returns the same id.
+    /// same grammar returns the same id. A new grammar past
+    /// [`DTD_REGISTRY_CAPACITY`] evicts the least recently used one.
     pub fn register_dtd(&self, dtd: Dtd) -> (u64, usize) {
         let id = dtd.fingerprint();
         let names = dtd.name_count();
-        self.dtds.lock().unwrap().entry(id).or_insert_with(|| Arc::new(dtd));
+        let mut registry = self.dtds.lock().unwrap();
+        if registry.touch(id).is_none() {
+            if registry.map.len() >= DTD_REGISTRY_CAPACITY {
+                // O(n) scan, like the artifact cache's: n is the cap.
+                let lru = registry.map.iter().min_by_key(|(_, e)| e.1).map(|(&id, _)| id);
+                if let Some(lru) = lru {
+                    registry.map.remove(&lru);
+                }
+            }
+            let tick = registry.tick;
+            registry.map.insert(id, (Arc::new(dtd), tick));
+        }
         (id, names)
     }
 
-    /// Looks up a registered DTD by id.
+    /// Looks up a registered DTD by id; a hit counts as a use.
     pub fn dtd(&self, id: u64) -> Option<Arc<Dtd>> {
-        self.dtds.lock().unwrap().get(&id).cloned()
+        self.dtds.lock().unwrap().touch(id)
     }
 
     /// Number of registered DTDs.
     pub fn dtd_count(&self) -> usize {
-        self.dtds.lock().unwrap().len()
+        self.dtds.lock().unwrap().map.len()
     }
 
     /// Whether graceful shutdown has been requested.

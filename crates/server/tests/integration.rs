@@ -80,6 +80,49 @@ fn dtd_registration_is_idempotent() {
     srv.shutdown();
 }
 
+/// The registry holds at most `DTD_REGISTRY_CAPACITY` grammars, evicts
+/// the least recently *used*, and an evicted id is an unknown one until
+/// the same text is registered again — under the same id, with the same
+/// answers.
+#[test]
+fn the_dtd_registry_is_a_bounded_lru() {
+    use xproj_server::state::DTD_REGISTRY_CAPACITY as CAP;
+    let srv = TestServer::start(small_config());
+    let prune = |id: &str, query: &str, doc: &str| {
+        let target = format!("/v1/prune?dtd={id}&query={}", urlencode(query));
+        srv.client().request("POST", &target, &[], Some(doc.as_bytes())).unwrap()
+    };
+    let filler = |i: usize| srv.register_dtd(&format!("<!ELEMENT g{i} (#PCDATA)>"), &format!("g{i}"));
+
+    let bib = srv.register_dtd(BIB_DTD, "bib");
+    let bib_answer = prune(&bib, "//title", BIB_DOC);
+    assert_eq!(bib_answer.status, 200, "{}", bib_answer.body_str());
+    let first = filler(0);
+    let first_answer = prune(&first, "/g0", "<g0>kept</g0>");
+    assert_eq!(first_answer.body_str(), "<g0>kept</g0>");
+
+    for i in 1..2 * CAP {
+        filler(i);
+        assert!(srv.state.dtd_count() <= CAP, "{} grammars after {i}", srv.state.dtd_count());
+        if i % (CAP / 4) == 0 {
+            // Used between registrations: never the least recently used.
+            assert_eq!(prune(&bib, "//title", BIB_DOC).body, bib_answer.body);
+        }
+    }
+    assert_eq!(srv.state.dtd_count(), CAP);
+    assert_eq!(prune(&bib, "//title", BIB_DOC).body, bib_answer.body);
+
+    // The first filler was not used again: evicted, unknown, and back
+    // under the same id with the same bytes once its text is re-sent.
+    let gone = prune(&first, "/g0", "<g0>kept</g0>");
+    assert_eq!(gone.status, 404);
+    assert_eq!(extract_json_str(&gone.body_str(), "code"), "unknown-dtd");
+    assert_eq!(filler(0), first);
+    let back = prune(&first, "/g0", "<g0>kept</g0>");
+    assert_eq!((back.status, &back.body), (200, &first_answer.body));
+    srv.shutdown();
+}
+
 /// Nothing is persisted, so a restart costs one registration and one
 /// compile per (DTD, query) — and changes no answer and no id.
 #[test]

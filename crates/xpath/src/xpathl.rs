@@ -106,16 +106,6 @@ impl SimpleStep {
 /// used inside conditions).
 pub type SimplePath = Vec<SimpleStep>;
 
-/// Renders a [`SimplePath`] in step syntax (`child::a/child::b`) — the
-/// canonical spelling diagnostics and provenance reports use for
-/// condition paths.
-pub fn simple_path_to_string(p: &SimplePath) -> String {
-    p.iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
 /// A conditional step of XPathℓ: a step plus an optional disjunction of
 /// simple paths.
 #[derive(Clone, Debug, PartialEq)]

@@ -78,14 +78,6 @@ pub enum XQuery {
     },
 }
 
-impl XQuery {
-    /// `true` when this query is an atomic expression (used by the
-    /// extraction rules to distinguish `AExp` from structured queries).
-    pub fn is_expr(&self) -> bool {
-        matches!(self, XQuery::Expr(_))
-    }
-}
-
 impl fmt::Display for XQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

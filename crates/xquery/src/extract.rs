@@ -70,12 +70,7 @@ pub fn extract_paths(q: &XQuery) -> Vec<LPath> {
 /// Infers the projector for a parsed query: the union of the projectors
 /// of every extracted path (§5).
 pub fn project_xquery(sa: &mut StaticAnalyzer<'_>, q: &XQuery) -> Projector {
-    let paths = extract_paths(q);
-    let mut raw = xproj_dtd::NameSet::empty(sa.analyzer().universe());
-    for p in &paths {
-        raw.union_with(&sa.infer_lpath(p, true));
-    }
-    Projector::normalized(sa.dtd(), sa.analyzer().to_dtd_set(&raw))
+    sa.project_paths(extract_paths(q).iter().map(|p| (p, true)), false)
 }
 
 /// Parses and projects a query string.

@@ -25,6 +25,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use xml_projection::analyzer::{check_independence, IndependenceVerdict};
 use xml_projection::dtd::generate::{
     generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS,
@@ -34,13 +35,21 @@ use xml_projection::xmltree::Document;
 use xml_projection::xpath::ast::Expr;
 use xml_projection::xquery::{evaluate_query, parse_xquery};
 use xml_projection::xupdate::{apply_update, random_update, ApplyError};
-use xproj_testkit::{case_seed, SplitMix64};
+use xproj_testkit::{case_seed, fnv1a, SplitMix64};
 
 const FUZZ_CASES: u64 = 300;
 
 static INDEPENDENT: AtomicU64 = AtomicU64::new(0);
 static CONFLICT: AtomicU64 = AtomicU64::new(0);
 static CONFLICT_REAL: AtomicU64 = AtomicU64::new(0);
+
+/// Every report's verdict line (cases run in order on one thread).
+/// After `PINNED_CASES` cases their FNV-1a must equal `PINNED_VERDICTS`:
+/// a refactor of the static side must move no verdict, updated-name set
+/// or witness of the CI smoke.
+static VERDICTS: Mutex<String> = Mutex::new(String::new());
+const PINNED_CASES: u64 = 200;
+const PINNED_VERDICTS: u64 = 0x536a_244d_ecc2_99eb;
 
 const AXES: &[&str] = &[
     "child::",
@@ -126,6 +135,15 @@ fn check_leg(
 ) {
     let report = check_independence(dtd, query, update)
         .unwrap_or_else(|e| panic!("checker rejected query {query:?} / update {update:?}: {e}"));
+    let witnesses: Vec<String> = report
+        .witnesses
+        .iter()
+        .map(|w| format!("{}/{}/{}", w.kind, w.name, w.role))
+        .collect();
+    VERDICTS.lock().unwrap().push_str(&format!(
+        "{:?} {} {} {} {} {witnesses:?}\n",
+        report.verdict, report.query_names, report.updated_names, report.overlap, report.empty_target
+    ));
     let before = answers(doc);
     let after = answers(updated);
     let changed = before != after;
@@ -226,6 +244,10 @@ fn fuzz_independence_verdicts() {
                 "independence fuzzer failed at case {i}/{cases}:\n{msg}\n\
                  [testkit] replay: TESTKIT_SEED={seed:#x} cargo test {name}"
             );
+        }
+        if i + 1 == PINNED_CASES {
+            let got = fnv1a(&VERDICTS.lock().unwrap());
+            assert!(got == PINNED_VERDICTS, "verdicts of the first {PINNED_CASES} cases moved: {got:#018x}");
         }
     }
     let ind = INDEPENDENT.load(Ordering::Relaxed);
