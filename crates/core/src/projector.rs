@@ -101,14 +101,15 @@ impl fmt::Debug for Projector {
 pub enum Verdict {
     /// The name is in π: serialize the element.
     Keep,
-    /// The name is not in π, but some name reachable from it (⇒E\*) is:
-    /// the subtree must still be *descended* because — on an invalid
-    /// document — π names could appear below. (On valid documents the
-    /// chain property makes descendants of a pruned node unreachable,
-    /// but the pruner must not assume validity unless asked to check it.)
+    /// The name is not in π, but some name reachable from it (⇒E\*) is.
+    /// The element goes with its whole subtree — `PruneMachine` keeps
+    /// nothing below a pruned element, π names included — so all this
+    /// verdict decides is that the subtree is still *tokenized*, and so
+    /// checked for well-formedness, rather than fast-forwarded.
     PruneDescend,
     /// Neither the name nor anything reachable from it is in π: the
-    /// whole subtree can be skipped without tokenizing it.
+    /// whole subtree can be fast-forwarded — scanned to its end tag
+    /// without tokenizing it, so nothing inside it is checked.
     PruneSubtree,
 }
 
@@ -116,7 +117,7 @@ pub enum Verdict {
 /// the per-event decisions of the streaming hot loop are single indexed
 /// loads instead of set probes:
 ///
-/// * `verdict(n)` — keep / prune-but-descend / prune-and-fast-forward,
+/// * `verdict(n)` — keep / prune-and-tokenize / prune-and-fast-forward,
 ///   folding the π-membership test together with the "can anything below
 ///   still be kept?" reachability question (π ∩ ⇒E\*(n) = ∅);
 /// * `keep_text_under(n)` — whether text directly under element name

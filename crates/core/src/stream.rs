@@ -4,9 +4,9 @@
 //! linear in the document size, memory is bounded by the element-nesting
 //! depth (one name per open element, one skip counter), and the pass can
 //! be fused with parsing/validation. Because a DTD is a *local* tree
-//! grammar the decision per start-tag is one hash lookup plus one bitset
-//! probe; a discarded element just bumps a depth counter until its end
-//! tag.
+//! grammar the decision per start-tag is one hash lookup (tag → name)
+//! plus one indexed load (the verdict); a discarded element just bumps a
+//! depth counter until its end tag.
 
 use crate::projector::{Projector, ProjectorTable, Verdict};
 use std::borrow::Borrow;

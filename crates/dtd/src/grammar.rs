@@ -25,7 +25,6 @@
 
 use crate::nameset::{NameId, NameSet};
 use crate::regex::{ContentAutomaton, Regex};
-use std::collections::HashMap;
 use xproj_xmltree::{Interner, TagId};
 
 /// Right-hand side of a production.
@@ -80,7 +79,10 @@ pub struct Dtd {
     pub tags: Interner,
     names: Vec<NameInfo>,
     root: NameId,
-    tag_to_name: HashMap<TagId, NameId>,
+    /// The element name of each tag, indexed by [`TagId`] (`None` for an
+    /// attribute-only name): a tag's name is one load after its one
+    /// interner probe.
+    tag_to_name: Vec<Option<NameId>>,
     /// Compiled content automata, indexed by name.
     automata: Vec<Option<ContentAutomaton>>,
     /// `children[X] = {Y | X ⇒E Y}`. The four reachability tables have
@@ -138,10 +140,12 @@ impl Dtd {
 
     /// The name for an element tag, if declared.
     pub fn name_of_tag(&self, tag: TagId) -> Option<NameId> {
-        self.tag_to_name.get(&tag).copied()
+        self.tag_to_name.get(tag.index()).copied().flatten()
     }
 
-    /// The name for an element tag given as a string.
+    /// The name for an element tag given as a string: one hash probe
+    /// (std's randomly keyed SipHash — tags come from client input) and
+    /// one indexed load.
     pub fn name_of_tag_str(&self, tag: &str) -> Option<NameId> {
         self.tags.get(tag).and_then(|t| self.name_of_tag(t))
     }
@@ -284,7 +288,7 @@ impl std::fmt::Debug for Dtd {
 pub struct DtdBuilder {
     tags: Interner,
     names: Vec<NameInfo>,
-    tag_to_name: HashMap<TagId, NameId>,
+    tag_to_name: Vec<Option<NameId>>,
     errors: Vec<GrammarError>,
 }
 
@@ -293,7 +297,7 @@ impl DtdBuilder {
     /// is already declared (locality).
     pub fn element(&mut self, tag: &str) -> NameId {
         let t = self.tags.intern(tag);
-        if let Some(&existing) = self.tag_to_name.get(&t) {
+        if let Some(&Some(existing)) = self.tag_to_name.get(t.index()) {
             self.errors.push(GrammarError::DuplicateTag(tag.to_string()));
             return existing;
         }
@@ -304,7 +308,10 @@ impl DtdBuilder {
             content: Content::Element(Regex::Epsilon),
             attributes: Vec::new(),
         });
-        self.tag_to_name.insert(t, id);
+        if self.tag_to_name.len() <= t.index() {
+            self.tag_to_name.resize(t.index() + 1, None);
+        }
+        self.tag_to_name[t.index()] = Some(id);
         id
     }
 
@@ -333,7 +340,8 @@ impl DtdBuilder {
 
     /// Looks up an already-declared element name by tag.
     pub fn lookup(&self, tag: &str) -> Option<NameId> {
-        self.tags.get(tag).and_then(|t| self.tag_to_name.get(&t)).copied()
+        let t = self.tags.get(tag)?;
+        self.tag_to_name.get(t.index()).copied().flatten()
     }
 
     /// Finalizes the DTD with root `root`, computing the reachability

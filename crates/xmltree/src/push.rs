@@ -13,15 +13,18 @@
 //! Where a token ends is decided by one private, resumable `Scanner` —
 //! the only delimiter grammar in the crate — and `drain` is the only
 //! place tokens are interpreted. Per token it validates UTF-8, parses
-//! names and attribute syntax, checks the open-element stack, decodes
-//! entities, counts the event and — when the sink says a subtree holds
-//! nothing it wants — lets the same scanner run on to the matching end
-//! tag, interpreting nothing. Everything that consumes XML (the pruning
-//! machine, the query matcher, the validating pruner, the tree parser,
-//! the retention sampler, the CLI's DOCTYPE sniff) is a sink over it.
+//! names (a byte-class table per ASCII byte) and attribute syntax,
+//! checks the open-element stack (an end tag spelling the open name is
+//! one byte compare), decodes entities (only in a text run the scanner
+//! saw an `&` in), counts the event and — when the sink says a subtree
+//! holds nothing it wants — lets the same scanner run on to the matching
+//! end tag, interpreting nothing. Everything that consumes XML — the
+//! pruning machine, the query matcher, the validating pruner, the tree
+//! parser, the retention sampler, the CLI's DOCTYPE sniff — is a sink
+//! over it.
 //!
 //! The scanner is *bulk-scanning*, not byte-stepping: tokens are
-//! delimited by finding the next structural byte (`<`, `>`, quotes,
+//! delimited by finding the next structural byte (`<`, `&`, `>`, quotes,
 //! `-`, `]`, `?` depending on state) with the word-at-a-time scanners
 //! in [`crate::scan`]. And it resumes: a token cut short by the end of a
 //! chunk is continued from that byte on the next push, not rescanned, so
@@ -71,8 +74,9 @@ pub trait TokenSink {
     fn end(&mut self, name: &str) -> Result<(), Self::Error>;
 
     /// A character-data run with entities decoded, or the contents of a
-    /// CDATA section. Whitespace outside the root element is dropped
-    /// before it gets here.
+    /// CDATA section. Whitespace (XML's `S`) outside the root element is
+    /// dropped before it gets here; other text before the root is an
+    /// error, after it is delivered.
     fn text(&mut self, decoded: &str) -> Result<(), Self::Error>;
 
     /// `<!DOCTYPE name … [internal subset]>`.
@@ -118,7 +122,10 @@ pub enum PushEvent {
 /// What the boundary scanner found at the cursor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum TokenKind {
-    Text,
+    Text {
+        /// The run holds an `&` (looked for only when tokenizing).
+        amp: bool,
+    },
     StartTag {
         /// The byte before the closing `>` was `/`.
         self_closing: bool,
@@ -184,8 +191,9 @@ enum Scan {
     /// Between tokens.
     #[default]
     Start,
-    /// Character data: scanning for the next `<`.
-    Text,
+    /// Character data: scanning for the next `<` — and, until one turns
+    /// up, for an `&`.
+    Text { amp: bool },
     /// Saw `<`.
     Lt,
     /// Saw `<!`.
@@ -240,7 +248,8 @@ impl Scanner {
     /// asking `stop` at the end of each token whether to go on to the
     /// next one: the kind of the token it stopped at and where in
     /// `bytes` that ends (exclusive), or `None` when `bytes` ran out.
-    fn feed(
+    /// With `AMP` a text run is also searched for `&`, up to the first.
+    fn feed<const AMP: bool>(
         &mut self,
         bytes: &[u8],
         mut stop: impl FnMut(TokenKind) -> bool,
@@ -290,12 +299,27 @@ impl Scanner {
                             (state, i) = (opened, i + used);
                         }
                     }
-                    Start | Text => {
-                        state = Text;
+                    // Until its first `&` a run is searched for both
+                    // bytes, after it (or fast-forwarding) for `<` only.
+                    Start | Text { amp: false } if AMP => {
+                        match scan::memchr2(b'<', b'&', &bytes[i..]) {
+                            Some(j) if bytes[i + j] == b'&' => {
+                                (state, i) = (Text { amp: true }, i + j + 1);
+                            }
+                            Some(j) => {
+                                i += j;
+                                break TokenKind::Text { amp: false };
+                            }
+                            None => (state, i) = (Text { amp: false }, n),
+                        }
+                    }
+                    Start | Text { .. } => {
+                        let amp = matches!(state, Text { amp: true });
+                        state = Text { amp };
                         if seek(b'<', &mut i) {
                             // The `<` belongs to the next token.
                             i -= 1;
-                            break TokenKind::Text;
+                            break TokenKind::Text { amp };
                         }
                     }
                     Lt => {
@@ -408,7 +432,7 @@ impl Scanner {
     #[inline(never)]
     fn token_end(&mut self, unconsumed: &[u8]) -> Option<(TokenKind, usize)> {
         let seen = self.examined;
-        let (kind, end) = self.feed(&unconsumed[seen..], |_| true)?;
+        let (kind, end) = self.feed::<true>(&unconsumed[seen..], |_| true)?;
         Some((kind, seen + end))
     }
 
@@ -418,7 +442,7 @@ impl Scanner {
     /// Returns how many bytes that took — all of them while `depth > 0`.
     #[inline(never)]
     fn skip(&mut self, depth: &mut usize, bytes: &[u8]) -> usize {
-        let closed = self.feed(bytes, |kind| {
+        let closed = self.feed::<false>(bytes, |kind| {
             match kind {
                 TokenKind::StartTag { self_closing: false } => *depth += 1,
                 TokenKind::EndTag => *depth -= 1,
@@ -583,6 +607,41 @@ impl PushTokenizer {
         }
     }
 
+    /// Whether the text run at the cursor, outside the root element,
+    /// reaches the sink. XML whitespace there is dropped; before the root
+    /// nothing else may come but a byte-order mark opening the input,
+    /// after it anything goes.
+    fn keeps_outside_root(&self, run: &str) -> Result<bool, String> {
+        let run = match self.consumed {
+            0 => run.strip_prefix('\u{FEFF}').unwrap_or(run),
+            _ => run,
+        };
+        if run.bytes().all(is_xml_space) {
+            Ok(false)
+        } else if self.seen_root {
+            Ok(true)
+        } else {
+            Err("text before the root element".to_string())
+        }
+    }
+
+    /// The name a complete end tag closes, checked against the open
+    /// element. A token spelling exactly `</` + that element's name + `>`
+    /// is one byte compare — the name was read when it was pushed — and
+    /// any other is parsed.
+    fn closed_name<'t>(&self, tok: &'t str) -> Result<&'t str, String> {
+        let raw = &tok[2..tok.len() - 1];
+        if self.stack.top() == Some(raw) {
+            return Ok(raw);
+        }
+        let name = parse_end_tag_name(tok)?;
+        match self.stack.top() {
+            Some(open) if open == name => Ok(name),
+            Some(open) => Err(format!("mismatched end tag </{name}>, expected </{open}>")),
+            None => Err(format!("end tag </{name}> with no open element")),
+        }
+    }
+
     /// Makes one chunk available for tokenization. While a fast-forward
     /// is active the chunk is scanned immediately and **not**
     /// buffered; any suffix past the skipped subtree's end tag resumes
@@ -620,7 +679,8 @@ impl PushTokenizer {
     ///
     /// Each token is delimited, UTF-8 checked and parsed exactly once,
     /// in this order: structural position (content after the root, CDATA
-    /// outside it, a late or second DOCTYPE), name syntax, attribute syntax and entity validity,
+    /// or text other than whitespace before it, a late or second
+    /// DOCTYPE), name syntax, attribute syntax and entity validity,
     /// *then* the sink (so an undeclared element is reported before a
     /// later mismatched end tag, and an attribute error before the sink
     /// sees the tag), then the element stack.
@@ -668,16 +728,26 @@ impl PushTokenizer {
                 None => match std::str::from_utf8(&self.buf[self.pos..self.pos + len]) {
                     Ok(tok) => tok,
                     Err(e) => {
-                        let what = if kind == TokenKind::Text { "text" } else { "markup" };
+                        let what = if matches!(kind, TokenKind::Text { .. }) {
+                            "text"
+                        } else {
+                            "markup"
+                        };
                         return Err(fail(format!("invalid UTF-8 in {what}: {e}")).into());
                     }
                 },
             };
             let mut skip_subtree = false;
             match kind {
-                TokenKind::Text => {
-                    if !(self.stack.is_empty() && tok.trim().is_empty()) {
-                        let decoded = decode_entities(tok).map_err(fail)?;
+                TokenKind::Text { amp } => {
+                    if !self.stack.is_empty() || self.keeps_outside_root(tok).map_err(fail)? {
+                        // The scanner saw every byte of the run: no `&`,
+                        // nothing to decode.
+                        let decoded = if amp {
+                            decode_entities(tok).map_err(fail)?
+                        } else {
+                            tok.into()
+                        };
                         sink.text(&decoded)?;
                         done.events += 1;
                     }
@@ -708,21 +778,7 @@ impl PushTokenizer {
                     }
                 }
                 TokenKind::EndTag => {
-                    let name = parse_end_tag_name(tok).map_err(fail)?;
-                    match self.stack.top() {
-                        Some(open) if open == name => {}
-                        Some(open) => {
-                            return Err(fail(format!(
-                                "mismatched end tag </{name}>, expected </{open}>"
-                            ))
-                            .into())
-                        }
-                        None => {
-                            return Err(
-                                fail(format!("end tag </{name}> with no open element")).into()
-                            )
-                        }
-                    }
+                    let name = self.closed_name(tok).map_err(fail)?;
                     sink.end(name)?;
                     done.events += 1;
                     self.stack.pop();
@@ -805,7 +861,7 @@ impl PushTokenizer {
             let fail = |message: String| ParseError { offset, message };
             let raw = std::str::from_utf8(&self.buf[self.pos..])
                 .map_err(|e| fail(format!("invalid UTF-8 in text: {e}")))?;
-            if !(self.stack.is_empty() && raw.trim().is_empty()) {
+            if !self.stack.is_empty() || self.keeps_outside_root(raw).map_err(fail)? {
                 trailing = Some(decode_entities(raw).map_err(fail)?);
             }
             self.consumed += tail_len;
@@ -844,11 +900,15 @@ impl PushTokenizer {
         self.max_token = self.max_token.max(len);
         let t = &self.buf[self.pos..self.pos + len];
         if let Err(e) = std::str::from_utf8(t) {
-            let what = if kind == TokenKind::Text { "text" } else { "markup" };
+            let what = if matches!(kind, TokenKind::Text { .. }) {
+                "text"
+            } else {
+                "markup"
+            };
             return Err(self.error(format!("invalid UTF-8 in {what}: {e}")));
         }
         let raw = match kind {
-            TokenKind::Text => RawKind::Text,
+            TokenKind::Text { .. } => RawKind::Text,
             TokenKind::Cdata => {
                 if self.stack.is_empty() {
                     return Err(self.error("CDATA outside the root element"));
@@ -892,16 +952,7 @@ impl PushTokenizer {
                 parse_doctype(text).map_err(fail)?;
             }
             RawKind::EndTag => {
-                let name = parse_end_tag_name(text).map_err(fail)?;
-                match self.stack.top() {
-                    Some(open) if open == name => {}
-                    Some(open) => {
-                        return Err(fail(format!(
-                            "mismatched end tag </{name}>, expected </{open}>"
-                        )))
-                    }
-                    None => return Err(fail(format!("end tag </{name}> with no open element"))),
-                }
+                self.closed_name(text).map_err(fail)?;
                 self.stack.pop();
             }
             RawKind::StartTag { self_closing } => {
@@ -988,10 +1039,10 @@ fn valid_window(bytes: &[u8]) -> &str {
 pub fn parse_end_tag_name(token: &str) -> Result<&str, String> {
     let inner = &token[2..token.len() - 1];
     let (name, rest) = read_name(inner)?;
-    if !rest.trim_start().is_empty() {
-        return Err(format!("unexpected '{}' in end tag", rest.trim_start()));
+    match trim_xml_space(rest) {
+        "" => Ok(name),
+        rest => Err(format!("unexpected '{rest}' in end tag")),
     }
-    Ok(name)
 }
 
 /// Splits a complete `<name a="v" …>` / `<name …/>` token into its name,
@@ -1031,17 +1082,22 @@ impl<'a> Iterator for RawAttrs<'a> {
         if self.failed {
             return None;
         }
-        let trimmed = self.rest.trim_start();
+        let trimmed = trim_xml_space(self.rest);
         if trimmed.is_empty() {
             return None;
         }
         let step = (|| {
             let (aname, after) = read_name(trimmed)?;
-            let after = after.trim_start();
+            // Only after a value can a name follow with no space before
+            // it: the tag name's reader stops at no name character.
+            if trimmed.len() == self.rest.len() {
+                return Err(format!("missing whitespace before attribute '{aname}'"));
+            }
+            let after = trim_xml_space(after);
             let Some(after) = after.strip_prefix('=') else {
                 return Err(format!("expected '=' after attribute name '{aname}'"));
             };
-            let after = after.trim_start();
+            let after = trim_xml_space(after);
             let quote = match after.bytes().next() {
                 Some(q @ (b'"' | b'\'')) => q,
                 _ => return Err("expected quoted attribute value".to_string()),
@@ -1068,11 +1124,11 @@ impl<'a> Iterator for RawAttrs<'a> {
 /// Parses a complete `<!DOCTYPE …>` token into its name and raw
 /// internal subset (the text between `[` and `]`), if present.
 fn parse_doctype(token: &str) -> Result<(&str, Option<&str>), String> {
-    let body = token["<!DOCTYPE".len()..token.len() - 1].trim_start();
+    let body = trim_xml_space(&token["<!DOCTYPE".len()..token.len() - 1]);
     let (name, mut rest) = read_name(body)?;
     let mut internal = None;
     loop {
-        rest = rest.trim_start();
+        rest = trim_xml_space(rest);
         let mut chars = rest.chars();
         match chars.next() {
             None => return Ok((name, internal)),
@@ -1096,24 +1152,72 @@ fn parse_doctype(token: &str) -> Result<(&str, Option<&str>), String> {
     }
 }
 
-/// Reads an XML name from the front of `s`, returning the name and the
-/// remainder.
-fn read_name(s: &str) -> Result<(&str, &str), String> {
-    let mut end = 0;
-    for (i, c) in s.char_indices() {
-        let ok = if i == 0 {
-            c.is_alphabetic() || c == '_' || c == ':'
-        } else {
-            c.is_alphanumeric() || matches!(c, '_' | ':' | '-' | '.')
+/// XML's `S` production: space, tab, CR, LF — not Unicode White_Space.
+fn is_xml_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
+
+/// `s` without its leading `S`.
+fn trim_xml_space(s: &str) -> &str {
+    s.trim_start_matches([' ', '\t', '\r', '\n'])
+}
+
+/// [`read_name`]'s byte classes: an ASCII byte that may start a name (a
+/// letter, `_`, `:`), one that may continue it (those, a digit, `-`,
+/// `.`), and a non-ASCII byte, whose char the Unicode predicates decide.
+const FIRST: u8 = 1;
+const LATER: u8 = 2;
+const WIDE: u8 = 4;
+static NAME_BYTES: [u8; 256] = {
+    let mut classes = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        classes[b] = match b as u8 {
+            b'A'..=b'Z' | b'a'..=b'z' | b'_' | b':' => FIRST | LATER,
+            b'0'..=b'9' | b'-' | b'.' => LATER,
+            0x80..=0xff => WIDE,
+            _ => 0,
         };
-        if !ok {
-            end = i;
-            break;
+        b += 1;
+    }
+    classes
+};
+
+/// Reads an XML name from the front of `s`, returning the name and the
+/// remainder: a table load per ASCII byte, the Unicode predicates from
+/// the first non-ASCII one on.
+fn read_name(s: &str) -> Result<(&str, &str), String> {
+    let class = |i: usize| s.as_bytes().get(i).map_or(0, |&b| NAME_BYTES[b as usize]);
+    let mut end = 0;
+    if class(0) & FIRST != 0 {
+        end = 1;
+        while class(end) & LATER != 0 {
+            end += 1;
         }
-        end = i + c.len_utf8();
+    }
+    if class(end) == WIDE {
+        end = read_wide_name(s, end);
     }
     if end == 0 {
         return Err("expected a name".to_string());
     }
     Ok((&s[..end], &s[end..]))
+}
+
+/// Where the name in `s` ends, reading char by char from `from`, the
+/// first non-ASCII byte.
+fn read_wide_name(s: &str, from: usize) -> usize {
+    let mut end = from;
+    for c in s[from..].chars() {
+        let ok = if end == 0 {
+            c.is_alphabetic() || c == '_' || c == ':'
+        } else {
+            c.is_alphanumeric() || matches!(c, '_' | ':' | '-' | '.')
+        };
+        if !ok {
+            break;
+        }
+        end += c.len_utf8();
+    }
+    end
 }

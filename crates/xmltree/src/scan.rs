@@ -3,7 +3,8 @@
 //! The boundary scanner of [`crate::push::PushTokenizer`] (tokenizing and
 //! fast-forwarding alike) spends almost all of its
 //! time finding the *next structural byte*: the `<` that ends a text
-//! run, the `>`/quote that delimits a tag, the `]` or `-` that may
+//! run (or, tokenizing, the `&` that says the run needs decoding), the
+//! `>`/quote that delimits a tag, the `]` or `-` that may
 //! close a CDATA section or comment. These helpers replace per-byte
 //! state stepping with word-at-a-time SWAR scans (the classic
 //! `memchr` zero-byte trick), with no external dependencies and no
@@ -51,6 +52,24 @@ pub fn memchr(needle: u8, hay: &[u8]) -> Option<usize> {
     hay[i..].iter().position(|&b| b == needle).map(|p| i + p)
 }
 
+/// Index of the first occurrence of `a` or `b` in `hay`.
+#[inline]
+pub fn memchr2(a: u8, b: u8, hay: &[u8]) -> Option<usize> {
+    let (na, nb) = (splat(a), splat(b));
+    let mut i = 0;
+    while i + W <= hay.len() {
+        let x = load(hay, i);
+        if has_zero_byte(x ^ na) || has_zero_byte(x ^ nb) {
+            break;
+        }
+        i += W;
+    }
+    hay[i..]
+        .iter()
+        .position(|&x| x == a || x == b)
+        .map(|p| i + p)
+}
+
 /// Index of the first occurrence of `a`, `b` or `c` in `hay`.
 #[inline]
 pub fn memchr3(a: u8, b: u8, c: u8, hay: &[u8]) -> Option<usize> {
@@ -94,6 +113,27 @@ mod tests {
         }
         assert_eq!(memchr(b'<', &hay), None);
         assert_eq!(memchr(b'<', &[]), None);
+    }
+
+    #[test]
+    fn memchr2_matches_naive_on_all_offsets() {
+        let mut hay = vec![b'a'; 3 * W + 5];
+        for pos in 0..hay.len() {
+            for needle in [b'<', b'&'] {
+                hay[pos] = needle;
+                for start in 0..hay.len() {
+                    assert_eq!(
+                        memchr2(b'<', b'&', &hay[start..]),
+                        naive1(needle, &hay[start..]),
+                        "pos {pos} start {start}"
+                    );
+                }
+            }
+            hay[pos] = b'a';
+        }
+        assert_eq!(memchr2(b'<', b'&', &hay), None);
+        assert_eq!(memchr2(b'<', b'&', &[]), None);
+        assert_eq!(memchr2(b'<', b'&', b"xxxxxxxxxx&xx<"), Some(10));
     }
 
     #[test]

@@ -21,25 +21,34 @@ use common::{Collect, Ev};
 use xproj_xmltree::push::{Drained, PushTokenizer};
 use xproj_xmltree::ParseError;
 
-/// A token as `(name, opener, filler byte, closer, what is unexpected
-/// about its end of input at top level)`: the opener, then the filler
-/// repeated to the token size, then — when terminated — the closer.
-/// Fillers are the bytes a lazier scanner trips over: the other quote, a
-/// quoted `>`, a body made of its own closing delimiter's first byte.
-type Token = (&'static str, &'static str, u8, &'static str, &'static str);
+/// A token as `(name, opener, filler, closer, what is unexpected about
+/// its end of input at top level)`: the opener, then the filler repeated
+/// to the token size, then — when terminated — the closer. Fillers are
+/// what a lazier scanner trips over: the other quote, a quoted `>`, a
+/// body made of its own closing delimiter's first byte, a text run of
+/// references (its first `&` turns the scan to `<` alone; decoding walks
+/// them all).
+type Token = (
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+);
 
 const TOKENS: &[Token] = &[
-    ("attribute value in double quotes", "<k a=\"", b'>', "\"/>", " inside markup, <r> not closed"),
-    ("attribute value in single quotes", "<k a='", b'"', "'/>", " inside markup, <r> not closed"),
-    ("start tag without quotes", "<k", b'k', "/>", " inside markup, <r> not closed"),
-    ("end tag", "<k></k", b' ', ">", " inside markup, <k> not closed"),
-    ("comment", "<!--", b'x', "-->", " inside markup, <r> not closed"),
-    ("comment of dashes", "<!--", b'-', "-->", " inside markup, <r> not closed"),
-    ("CDATA of brackets", "<![CDATA[", b']', "]]>", " inside markup, <r> not closed"),
-    ("PI of question marks", "<?p ", b'?', "?>", " inside markup, <r> not closed"),
-    ("DOCTYPE with a quoted >", "<!DOCTYPE r SYSTEM \"", b'>', "\">", " inside markup"),
-    ("DOCTYPE with > in its subset", "<!DOCTYPE r [", b'>', "]>", " inside markup"),
-    ("text run", "", b'x', "", ", <r> not closed"),
+    ("attribute value in double quotes", "<k a=\"", ">", "\"/>", " inside markup, <r> not closed"),
+    ("attribute value in single quotes", "<k a='", "\"", "'/>", " inside markup, <r> not closed"),
+    ("start tag without quotes", "<k", "k", "/>", " inside markup, <r> not closed"),
+    ("end tag", "<k></k", " ", ">", " inside markup, <k> not closed"),
+    ("comment", "<!--", "x", "-->", " inside markup, <r> not closed"),
+    ("comment of dashes", "<!--", "-", "-->", " inside markup, <r> not closed"),
+    ("CDATA of brackets", "<![CDATA[", "]", "]]>", " inside markup, <r> not closed"),
+    ("PI of question marks", "<?p ", "?", "?>", " inside markup, <r> not closed"),
+    ("DOCTYPE with a quoted >", "<!DOCTYPE r SYSTEM \"", ">", "\">", " inside markup"),
+    ("DOCTYPE with > in its subset", "<!DOCTYPE r [", ">", "]>", " inside markup"),
+    ("text run", "", "x", "", ", <r> not closed"),
+    ("text run of &amp;", "", "&amp;", "", ", <r> not closed"),
 ];
 
 /// The token size and the feed sizes: 1 MiB at {1, 7, 4096, 64 Ki}, or
@@ -92,8 +101,9 @@ fn wall(skip: bool) {
             (false, false) => ("<r>", "</r>"),
         };
         for terminated in [true, false] {
-            let mut doc = [head, opener].concat().into_bytes();
-            doc.resize(doc.len() + size, filler);
+            let mut doc = [head, opener, &filler.repeat(size / filler.len())]
+                .concat()
+                .into_bytes();
             if terminated {
                 doc.extend_from_slice([closer, tail].concat().as_bytes());
             }

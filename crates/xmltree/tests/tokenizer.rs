@@ -68,6 +68,11 @@ fn event_counting_rules() {
     assert_eq!(count("<?pi d?><a/>"), 3, "PI: 1");
     assert_eq!(count("<!DOCTYPE a><a/>"), 3, "DOCTYPE: 1");
     assert_eq!(count(" \n<a/>\n "), 2, "whitespace outside the root: 0");
+    assert_eq!(
+        count("\u{FEFF}\r\t<a/>"),
+        2,
+        "a byte-order mark opening the input: 0"
+    );
     assert_eq!(count("<a> </a>"), 3, "whitespace inside the root: 1");
     assert_eq!(count("<a><![CDATA[]]></a>"), 3, "CDATA, even empty: 1");
     // A trailing text run only completes at finish; it still counts.
@@ -141,9 +146,21 @@ fn malformed_markup_rejected() {
         "<a>&nope;</a>",
         "<a>&unterminated</a>",
         "<a b=\"&nope;\"/>",
+        // XML's `S` is #x20 #x9 #xD #xA, not Unicode White_Space, and
+        // attributes need it between them.
+        "<a b=\"1\"\u{A0}c=\"2\"/>",
+        "<a\u{3000}></a>",
+        "<a></a\u{2028}>",
+        "\u{A0}<a/>",
+        "<a b=\"1\"c=\"2\"/>",
     ] {
         assert!(run_str(doc).is_err(), "{doc:?} should be rejected");
     }
+    assert_eq!(
+        message("<a b=\"1\"c=\"2\"/>"),
+        "missing whitespace before attribute 'c'"
+    );
+    assert_eq!(message("x<a/>"), "text before the root element");
 }
 
 #[test]

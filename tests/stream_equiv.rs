@@ -62,3 +62,70 @@ fn streamed_prune_reparses_and_revalidates_interpretation() {
     let reparsed = xml_projection::xmltree::parse(&r.output).unwrap();
     assert!(xml_projection::dtd::interpret(&reparsed, &dtd).is_ok());
 }
+
+/// What a pruned element's verdict decides, under `large_prune_stream`'s
+/// q1 (`/site/people/person/name`): never what is kept — nothing under a
+/// pruned element is, not even a π name like `<regions>`' item `name` —
+/// only whether its subtree is tokenized, and so checked. `regions` can
+/// reach `name` (PruneDescend): a mismatched end tag or a bad attribute
+/// inside it fails with the same message and offset, fast-forward on or
+/// off. `catgraph` can reach nothing in π (PruneSubtree): the same
+/// faults pass with fast-forward on and fail with it off.
+#[test]
+fn verdicts_decide_what_is_checked_not_what_is_kept() {
+    use xml_projection::core::{prune_str_fast, ProjectorTable, StreamPruneError, Verdict};
+    let dtd = auction_dtd();
+    let p = StaticAnalyzer::new(&dtd)
+        .project_query("/site/people/person/name")
+        .unwrap();
+    let table = ProjectorTable::new(&dtd, &p);
+    let verdict = |tag: &str| table.verdict(dtd.name_of_tag_str(tag).unwrap());
+    assert_eq!(verdict("regions"), Verdict::PruneDescend);
+    assert_eq!(verdict("catgraph"), Verdict::PruneSubtree);
+
+    let doc = |regions: &str, catgraph: &str| {
+        format!(
+            "<site><regions>{regions}</regions><catgraph>{catgraph}</catgraph>\
+             <people><person id=\"p0\"><name>Kept</name></person></people></site>"
+        )
+    };
+    let good = doc(
+        "<africa><item id=\"i0\"><name>Dropped</name></item></africa>",
+        "<edge/>",
+    );
+    let kept = "<site><people><person id=\"p0\"><name>Kept</name></person></people></site>";
+    assert_eq!(prune_str(&good, &dtd, &p).unwrap().output, kept);
+    assert_eq!(prune_str_fast(&good, &dtd, &p).unwrap().output, kept);
+
+    // A fault under `regions`, where it is reported, and the same
+    // fault under `catgraph`.
+    let faults = [
+        (
+            "<africa></asia>",
+            "</asia>",
+            "mismatched end tag </asia>, expected </africa>",
+            "<edge></asia>",
+        ),
+        (
+            "<africa><item id/></africa>",
+            "<item",
+            "expected '=' after attribute name 'id'",
+            "<edge from/>",
+        ),
+    ];
+    for (under_regions, at, message, under_catgraph) in faults {
+        let faulty = doc(under_regions, "");
+        let offset = faulty.find(at).unwrap();
+        let expected =
+            StreamPruneError::Xml(format!("XML parse error at byte {offset}: {message}"));
+        assert_eq!(prune_str(&faulty, &dtd, &p).unwrap_err(), expected);
+        assert_eq!(prune_str_fast(&faulty, &dtd, &p).unwrap_err(), expected);
+        let skipped = doc("", under_catgraph);
+        assert_eq!(
+            prune_str_fast(&skipped, &dtd, &p).unwrap().output,
+            kept,
+            "{under_catgraph}"
+        );
+        assert!(prune_str(&skipped, &dtd, &p).is_err(), "{under_catgraph}");
+    }
+}
