@@ -169,7 +169,7 @@ echo "== query-pipeline fuzzer smoke (every-2-chunk-split differential) =="
 TESTKIT_FUZZ_CASES=30 cargo test -q --offline --locked \
     -p xml-projection --test query_pipeline
 
-echo "== engine smoke (chunked-vs-whole differential + 100-case fuzz) =="
+echo "== engine smoke (chunked-vs-whole differential + 100-case fuzz, tree-vs-stream validation at 500 cases) =="
 # The xmark differential: generated auction document streamed at several
 # chunk sizes must be byte-identical to the whole-string pruner, with the
 # O(depth + max-token) resident-memory bound holding end-to-end. (Whole
@@ -180,6 +180,10 @@ cargo test -q --offline --locked -p xproj-engine \
     --test chunked_equiv xmark_chunked_differential
 TESTKIT_FUZZ_CASES=100 cargo test -q --offline --locked -p xproj-engine \
     --test chunked_equiv fuzz_chunked_equals_whole_string_pruning
+# `xmlprune validate` streams: the validating pass must accept exactly
+# what `dtd::validate` accepts on the tree, indented documents included.
+TESTKIT_FUZZ_CASES=500 cargo test -q --offline --locked -p xproj-engine \
+    --test validate_equiv
 
 echo "== tokenizer walls, release leg (32 MiB hostile tokens, every boundary, behaviour and error-parity pins) =="
 # The workspace run above covers 1 MiB tokens at feeds of 1, 7, 4096 and

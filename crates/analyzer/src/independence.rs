@@ -120,7 +120,7 @@ pub struct IndependenceReport {
 }
 
 /// The update side of the analysis: the updated-name set U plus the
-/// evidence needed for witnesses and for cache invalidation.
+/// evidence needed for witnesses.
 #[derive(Debug, Clone)]
 pub struct UpdateFootprint {
     /// The updated-name set U over the DTD universe.
@@ -136,17 +136,6 @@ pub struct UpdateFootprint {
 }
 
 impl UpdateFootprint {
-    /// Whether this update can invalidate an artifact (a cached query
-    /// answer, a compiled plan, …) whose answer depends only on
-    /// `names`. This is the [`IndependenceVerdict`] reduced to a
-    /// boolean: `false` is a proof of independence.
-    pub fn invalidates(&self, names: &NameSet) -> bool {
-        if self.empty_target {
-            return false;
-        }
-        !self.undeclared.is_empty() || self.updated.intersects(names)
-    }
-
     fn role_of(&self, n: NameId) -> &'static str {
         self.roles
             .iter()
@@ -327,18 +316,6 @@ pub fn check_independence(
     })
 }
 
-/// Parses and analyses an update on its own — the cache-invalidation
-/// entry point (`xproj-qc` keys artifacts by projector name set; see
-/// [`UpdateFootprint::invalidates`]).
-pub fn parse_update_footprint(
-    dtd: &Dtd,
-    update_src: &str,
-) -> Result<UpdateFootprint, AnalyzerError> {
-    let update =
-        parse_update(update_src).map_err(|e| AnalyzerError::BadUpdate(e.to_string()))?;
-    Ok(update_footprint(dtd, &update))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,22 +441,6 @@ mod tests {
         assert!(roles.contains(&("phone".to_string(), "deleted descendant")));
         assert!(roles.contains(&("people".to_string(), "insertion context")));
         assert!(roles.contains(&("item".to_string(), "inserted element")));
-    }
-
-    #[test]
-    fn footprint_invalidation_matches_verdict() {
-        let d = site();
-        let q = "/site/regions/item/price";
-        let prov = trace_workload(&d, &[q.to_string()]).unwrap();
-        let fp = parse_update_footprint(&d, "delete /site/people/person").unwrap();
-        assert!(!fp.invalidates(prov.projector.names()));
-        let fp = parse_update_footprint(&d, "delete //price").unwrap();
-        assert!(fp.invalidates(prov.projector.names()));
-        // Empty targets never invalidate; undeclared tags always do.
-        let fp = parse_update_footprint(&d, "delete /site/phone").unwrap();
-        assert!(!fp.invalidates(prov.projector.names()));
-        let fp = parse_update_footprint(&d, "insert <zzz/> into /site").unwrap();
-        assert!(fp.invalidates(prov.projector.names()));
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub mod report;
 pub mod retention;
 
 pub use independence::{
-    check_independence, parse_update_footprint, update_footprint, IndependenceReport,
-    IndependenceVerdict, IndependenceWitness, UpdateFootprint,
+    check_independence, update_footprint, IndependenceReport, IndependenceVerdict,
+    IndependenceWitness, UpdateFootprint,
 };
 pub use lints::{run_lints, Lint, LintLevel};
 pub use provenance::{trace_workload, ExtractedPath, Provenance, ProvenanceEntry};

@@ -39,56 +39,13 @@ impl Timer {
         }
     }
 
-    /// Times `f`, printing a JSON result line; returns the median.
-    pub fn bench<R>(&self, group: &str, label: &str, f: impl FnMut() -> R) -> Duration {
-        self.run(group, label, None, f)
-    }
-
-    /// Like [`Timer::bench`] but also reports throughput over `bytes`
-    /// of input per iteration.
+    /// Times `f`, printing a JSON result line with the throughput over
+    /// `bytes` of input per iteration; returns the median.
     pub fn bench_bytes<R>(
         &self,
         group: &str,
         label: &str,
         bytes: usize,
-        f: impl FnMut() -> R,
-    ) -> Duration {
-        self.run(group, label, Some(bytes), f)
-    }
-
-    /// Times several closures over the same `bytes` of input **round
-    /// robin** — sample 1 of each, then sample 2 of each, … — and
-    /// returns their medians in order. For cells that are compared as a
-    /// ratio: a burst of machine noise lands on every cell's sample
-    /// alike instead of on one cell's whole run.
-    pub fn bench_bytes_interleaved(
-        &self,
-        group: &str,
-        bytes: usize,
-        cells: &mut [(&str, &mut dyn FnMut() -> usize)],
-    ) -> Vec<Duration> {
-        let mut times = vec![Vec::with_capacity(self.samples); cells.len()];
-        for round in 0..self.warmup + self.samples {
-            for (i, (_, f)) in cells.iter_mut().enumerate() {
-                let t0 = Instant::now();
-                black_box(f());
-                if round >= self.warmup {
-                    times[i].push(t0.elapsed());
-                }
-            }
-        }
-        cells
-            .iter()
-            .zip(times)
-            .map(|((label, _), times)| self.report(group, label, Some(bytes), times))
-            .collect()
-    }
-
-    fn run<R>(
-        &self,
-        group: &str,
-        label: &str,
-        bytes: Option<usize>,
         mut f: impl FnMut() -> R,
     ) -> Duration {
         for _ in 0..self.warmup {
@@ -100,34 +57,18 @@ impl Timer {
             black_box(f());
             times.push(t0.elapsed());
         }
-        self.report(group, label, bytes, times)
-    }
-
-    /// Prints one JSON result line for `times`; returns the median.
-    fn report(
-        &self,
-        group: &str,
-        label: &str,
-        bytes: Option<usize>,
-        mut times: Vec<Duration>,
-    ) -> Duration {
         times.sort();
         let median = times[times.len() / 2];
         let min = times[0];
         let mean = times.iter().sum::<Duration>() / times.len() as u32;
-        let mut line = format!(
-            "{{\"group\":\"{group}\",\"bench\":\"{label}\",\"median_ns\":{},\"min_ns\":{},\"mean_ns\":{},\"samples\":{}",
+        let mib_s = bytes as f64 / (1 << 20) as f64 / median.as_secs_f64().max(1e-12);
+        println!(
+            "{{\"group\":\"{group}\",\"bench\":\"{label}\",\"median_ns\":{},\"min_ns\":{},\"mean_ns\":{},\"samples\":{},\"throughput_mib_s\":{mib_s:.1}}}",
             median.as_nanos(),
             min.as_nanos(),
             mean.as_nanos(),
             self.samples,
         );
-        if let Some(b) = bytes {
-            let mib_s = b as f64 / (1 << 20) as f64 / median.as_secs_f64().max(1e-12);
-            line.push_str(&format!(",\"throughput_mib_s\":{mib_s:.1}"));
-        }
-        line.push('}');
-        println!("{line}");
         median
     }
 }
@@ -143,7 +84,7 @@ mod tests {
             samples: 5,
         };
         let mut n = 0u64;
-        let d = t.bench("test", "spin", || {
+        let d = t.bench_bytes("test", "spin", 1, || {
             n = n.wrapping_add(1);
             std::hint::black_box(n)
         });

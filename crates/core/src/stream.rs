@@ -14,7 +14,7 @@ use std::marker::PhantomData;
 use xproj_dtd::{Dtd, NameId};
 use xproj_xmltree::document::{escape_attr, escape_text};
 use xproj_xmltree::entities::{decode_entities, ParseError};
-use xproj_xmltree::push::{drain_str, RawAttrs, TokenSink};
+use xproj_xmltree::push::{drain_str, is_xml_space, RawAttrs, TokenSink};
 
 /// Outcome of a streaming prune.
 #[derive(Debug, Clone)]
@@ -317,11 +317,6 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
         self.stack.len() + self.skip_depth
     }
 
-    /// Counters so far (readable mid-pass for progress metrics).
-    pub fn counters(&self) -> PruneCounters {
-        self.counters
-    }
-
     /// Ends the pass, checking that a root element was seen.
     pub fn finish(self) -> Result<PruneCounters, StreamPruneError> {
         if !self.saw_root {
@@ -392,7 +387,7 @@ impl<D: Borrow<Dtd>, E: From<ParseError> + From<StreamPruneError>> TokenSink
 
     fn text(&mut self, decoded: &str) -> Result<(), E> {
         if let Some(v) = &mut self.validator {
-            v.text(self.machine.dtd.borrow())?;
+            v.text(self.machine.dtd.borrow(), decoded)?;
         }
         self.machine.text(decoded, self.out);
         Ok(())
@@ -460,10 +455,16 @@ impl Validator {
         Ok(())
     }
 
-    fn text(&mut self, dtd: &Dtd) -> Result<(), StreamPruneError> {
+    /// Steps the open element's model on a text run. A run that is all
+    /// XML `S` is no text node (the tree parser drops it too), so it is
+    /// valid anywhere.
+    fn text(&mut self, dtd: &Dtd, decoded: &str) -> Result<(), StreamPruneError> {
         let Some((parent, states)) = self.open.last_mut() else {
             return Ok(());
         };
+        if decoded.bytes().all(is_xml_space) {
+            return Ok(());
+        }
         let Some(tn) = dtd.text_children_of(*parent).iter().next() else {
             return Err(invalid(format!(
                 "text not allowed inside '{}'",
@@ -794,6 +795,16 @@ mod validate_tests {
         let dtd = parse_dtd(DTD, "bib").unwrap();
         let p = Projector::full(&dtd);
         assert!(prune_validate_str("<bib>oops</bib>", &dtd, &p).is_err());
+        // U+00A0 is character data, not XML whitespace.
+        assert!(prune_validate_str("<bib>\u{A0}</bib>", &dtd, &p).is_err());
+    }
+
+    #[test]
+    fn indentation_is_not_text() {
+        let dtd = parse_dtd(DTD, "bib").unwrap();
+        let p = Projector::full(&dtd);
+        let doc = "<bib>\n<book>\r\n\t<title>T</title> </book>\n</bib>";
+        assert!(prune_validate_str(doc, &dtd, &p).is_ok());
     }
 
     #[test]

@@ -44,15 +44,6 @@ impl NameSet {
         }
     }
 
-    /// The full set over a universe of `universe` names.
-    pub fn full(universe: usize) -> Self {
-        let mut s = Self::empty(universe);
-        for i in 0..universe {
-            s.insert(NameId(i as u32));
-        }
-        s
-    }
-
     /// A singleton set.
     pub fn singleton(universe: usize, n: NameId) -> Self {
         let mut s = Self::empty(universe);
@@ -129,7 +120,7 @@ impl NameSet {
         }
     }
 
-    /// In-place difference (`self \ other`).
+    /// Removes every member of `other`, in place (`self \ other`).
     pub fn difference_with(&mut self, other: &NameSet) {
         debug_assert_eq!(self.universe, other.universe);
         for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
@@ -148,13 +139,6 @@ impl NameSet {
     pub fn intersection(&self, other: &NameSet) -> NameSet {
         let mut s = self.clone();
         s.intersect_with(other);
-        s
-    }
-
-    /// Fresh difference.
-    pub fn difference(&self, other: &NameSet) -> NameSet {
-        let mut s = self.clone();
-        s.difference_with(other);
         s
     }
 
@@ -248,9 +232,11 @@ mod tests {
         assert_eq!(a.union(&b).len(), 4);
         assert_eq!(a.intersection(&b).len(), 1);
         assert!(a.intersection(&b).contains(NameId(64)));
-        assert_eq!(a.difference(&b).len(), 2);
         assert!(a.intersects(&b));
-        assert!(!a.difference(&b).intersects(&b));
+        let mut d = a.clone();
+        d.difference_with(&b);
+        assert_eq!(d.len(), 2);
+        assert!(!d.intersects(&b));
     }
 
     #[test]
@@ -267,13 +253,6 @@ mod tests {
         let s = NameSet::from_iter(200, [NameId(199), NameId(0), NameId(63), NameId(64)]);
         let v: Vec<u32> = s.iter().map(|n| n.0).collect();
         assert_eq!(v, vec![0, 63, 64, 199]);
-    }
-
-    #[test]
-    fn full_set() {
-        let s = NameSet::full(70);
-        assert_eq!(s.len(), 70);
-        assert!(s.contains(NameId(69)));
     }
 
     #[test]

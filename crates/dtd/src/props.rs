@@ -228,29 +228,6 @@ pub fn diagnostics(dtd: &Dtd) -> DtdDiagnostics {
     }
 }
 
-/// Maximum document depth for non-recursive DTDs (root element at depth 1),
-/// counting text levels. Returns `None` for recursive DTDs.
-pub fn max_depth(dtd: &Dtd) -> Option<usize> {
-    if recursion_witness(dtd).is_some() {
-        return None;
-    }
-    fn depth_of(dtd: &Dtd, n: NameId, memo: &mut Vec<Option<usize>>) -> usize {
-        if let Some(d) = memo[n.index()] {
-            return d;
-        }
-        let d = 1 + dtd
-            .children_of(n)
-            .iter()
-            .map(|c| depth_of(dtd, c, memo))
-            .max()
-            .unwrap_or(0);
-        memo[n.index()] = Some(d);
-        d
-    }
-    let mut memo = vec![None; dtd.name_count()];
-    Some(depth_of(dtd, dtd.root(), &mut memo))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,7 +248,6 @@ mod tests {
         assert!(p.non_recursive);
         assert!(p.parent_unambiguous);
         assert!(p.completeness_ready());
-        assert_eq!(max_depth(&d), Some(4)); // bib > book > title > text
     }
 
     #[test]
@@ -299,7 +275,6 @@ mod tests {
         .unwrap();
         let p = properties(&d);
         assert!(!p.non_recursive);
-        assert_eq!(max_depth(&d), None);
         assert!(!p.parent_unambiguous); // a is its own ancestor-parent
     }
 

@@ -27,11 +27,6 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    /// Sum of all stages.
-    pub fn total(&self) -> Duration {
-        self.scan + self.write
-    }
-
     /// Accumulates another timing set.
     pub fn accumulate(&mut self, other: &StageTimings) {
         self.scan += other.scan;

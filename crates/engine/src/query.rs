@@ -52,7 +52,7 @@ use xproj_dtd::{Dtd, NameId};
 use xproj_qc::{Plan, QueryArtifact, StepAxis, StepInstr, StepTest};
 use xproj_xmltree::document::{escape_attr, escape_text};
 use xproj_xmltree::entities::decode_entities;
-use xproj_xmltree::push::{Drained, PushTokenizer, RawAttrs, TokenSink};
+use xproj_xmltree::push::{is_xml_space, Drained, PushTokenizer, RawAttrs, TokenSink};
 use xproj_xmltree::{parse_with_options, Document, ParseOptions};
 use xproj_xquery::{evaluate_query_items, serialize_item};
 
@@ -571,7 +571,7 @@ impl TokenSink for Matcher {
     fn text(&mut self, decoded: &str) -> Result<(), EngineError> {
         // The reference parser drops whitespace-only text nodes and text
         // directly under the document node; match that node set exactly.
-        if self.stack.len() == 1 || decoded.trim().is_empty() {
+        if self.stack.len() == 1 || decoded.bytes().all(is_xml_space) {
             return Ok(());
         }
         let top = *self.stack.last().expect("document frame always present");
@@ -1114,12 +1114,17 @@ mod tests {
 
     #[test]
     fn cdata_and_entities_round_trip_through_captures() {
-        let doc = "<bib><book id=\"x&amp;y\"><title>a<![CDATA[<raw>]]>b</title>\
-                   <author>&lt;A&gt;</author></book></bib>";
-        for q in ["//title", "//author", "/bib/book"] {
-            let want = reference(q, doc);
-            let (got, _) = answer(q, doc, true, 3);
-            assert_eq!(got, want, "query {q}");
+        for doc in [
+            "<bib><book id=\"x&amp;y\"><title>a<![CDATA[<raw>]]>b</title>\
+             <author>&lt;A&gt;</author></book></bib>",
+            // A run of XML `S` is no text node; U+00A0 is character data.
+            "<bib><book><title>\u{A0}</title><author> \t</author></book></bib>",
+        ] {
+            for q in ["//title", "//author", "/bib/book", "//book//text()"] {
+                let want = reference(q, doc);
+                let (got, _) = answer(q, doc, true, 3);
+                assert_eq!(got, want, "query {q} on {doc:?}");
+            }
         }
     }
 

@@ -13,12 +13,18 @@
 //! whole-string pruners to, plus models where text tokens can be
 //! adjacent (mixed content; text broken up by comments and CDATA) — the
 //! shape on which tree-side and stream-side validation once diverged.
+//!
+//! Every document, and its copy re-indented with XML `S` between tags,
+//! also gets the verdict `xmlprune validate` gave before it streamed:
+//! `dtd::validate` on the tree parsed with `ignore_whitespace_text`
+//! accepts exactly what the validating pass accepts.
 
 use xproj_core::{prune_validate_str, Projector, StaticAnalyzer, StreamPruneError};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig};
-use xproj_dtd::{parse_dtd, Dtd};
-use xproj_engine::{ChunkedPruner, EngineError};
+use xproj_dtd::{parse_dtd, validate, Dtd};
+use xproj_engine::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 use xproj_testkit::{case_seed, SplitMix64};
+use xproj_xmltree::{parse_with_options, ParseOptions};
 
 /// The streamed validating prune of `a` then `b`, in the whole-string
 /// function's terms.
@@ -50,7 +56,24 @@ fn streamed(
     ))
 }
 
+/// Tree and stream accept the same documents: `input`, and `input`
+/// with every `S` character between each pair of adjacent tags.
+fn assert_verdicts_agree(dtd: &Dtd, input: &str) {
+    for doc in [input.to_string(), input.replace("><", ">\r\n\t <")] {
+        let options = ParseOptions {
+            ignore_whitespace_text: true,
+            interner: Some(dtd.tags.clone()),
+        };
+        let tree = parse_with_options(&doc, options).is_ok_and(|t| validate(&t, dtd).is_ok());
+        let mut pruner = ChunkedPruner::new(dtd, &Projector::empty(dtd), std::io::sink());
+        pruner.set_validate(true);
+        let stream = pruner.run(doc.as_bytes(), DEFAULT_CHUNK_SIZE).is_ok();
+        assert_eq!(stream, tree, "streamed vs tree verdict on {doc:?}");
+    }
+}
+
 fn assert_every_split_agrees(dtd: &Dtd, p: &Projector, input: &str) {
+    assert_verdicts_agree(dtd, input);
     let want = prune_validate_str(input, dtd, p);
     let bytes = input.as_bytes();
     for at in 0..=bytes.len() {
@@ -171,10 +194,14 @@ fn adjacent_text_models_agree_at_every_split() {
 }
 
 /// Random DTDs and documents, whole and chopped mid-stream, each at a
-/// handful of random splits.
+/// handful of random splits (`TESTKIT_FUZZ_CASES`, default 200).
 #[test]
 fn random_documents_and_truncations_agree() {
-    for i in 0..200 {
+    let cases = std::env::var("TESTKIT_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(200);
+    for i in 0..cases {
         let mut rng = SplitMix64::new(case_seed("random_documents_and_truncations_agree", i));
         let dtd = random_dtd(&mut rng, &RandomDtdConfig::default());
         let xml = generate(&dtd, rng.next_u64(), &GenConfig::default()).to_xml();
@@ -186,6 +213,7 @@ fn random_documents_and_truncations_agree() {
             cut -= 1;
         }
         for input in [&xml[..], &xml[..cut]] {
+            assert_verdicts_agree(&dtd, input);
             let want = prune_validate_str(input, &dtd, &p).map(|r| r.output);
             for _ in 0..8 {
                 let at = rng.below(input.len() + 1);

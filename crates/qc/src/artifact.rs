@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use crate::program::{lower, Plan, StepInstr};
 use xproj_core::{Projector, ProjectorTable, StaticAnalyzer};
-use xproj_dtd::{Dtd, NameSet};
+use xproj_dtd::Dtd;
 use xproj_xquery::{parse_xquery, project_xquery, XQuery};
 
 /// Normalizes a workload query to its canonical form: parse as XQuery
@@ -90,16 +90,6 @@ impl QueryArtifact {
             plan,
             compile_micros: start.elapsed().as_micros() as u64,
         })
-    }
-
-    /// True when an update whose updated-name set is `updated` (as
-    /// inferred by the analyzer's independence checker against the
-    /// *same* DTD this artifact was compiled for) can change this
-    /// query's answers: the set intersects the artifact's projector.
-    /// `false` is a proof of independence — the cached artifact and
-    /// any answers derived from it stay valid across the update.
-    pub fn depends_on(&self, updated: &NameSet) -> bool {
-        self.projector.names().intersects(updated)
     }
 
     /// Approximate bytes this artifact owns, for the cache's size

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::artifact::QueryArtifact;
-use xproj_dtd::{Dtd, NameSet};
+use xproj_dtd::Dtd;
 use xproj_xquery::{parse_xquery, XQuery};
 
 /// Counter snapshot of an [`ArtifactCache`].
@@ -36,9 +36,6 @@ pub struct ArtifactCacheStats {
     pub compiles: u64,
     /// Cumulative wall-clock microseconds spent compiling.
     pub compile_micros: u64,
-    /// Entries dropped by `invalidate_update` because a document
-    /// update overlapped their projector.
-    pub invalidations: u64,
     /// Entries currently resident.
     pub entries: usize,
     /// Approximate bytes held by resident artifacts.
@@ -191,31 +188,6 @@ impl ArtifactCache {
         artifact
     }
 
-    /// Drops every resident artifact compiled against the DTD with
-    /// `fingerprint` whose projector intersects `updated` — the
-    /// "does this update invalidate this cached artifact?" hook for
-    /// the independence analysis. `updated` must be a name set over
-    /// the *same* DTD (the analyzer's `UpdateFootprint` provides it);
-    /// artifacts for other DTD fingerprints are never touched, and an
-    /// artifact whose projector is disjoint from the update survives —
-    /// by Thm 4.6 the update cannot change its answers. Returns how
-    /// many entries were dropped.
-    pub fn invalidate_update(&self, fingerprint: u64, updated: &NameSet) -> usize {
-        let mut inner = self.inner.lock().unwrap();
-        let victims: Vec<(u64, String)> = inner
-            .map
-            .iter()
-            .filter(|(k, e)| k.0 == fingerprint && e.artifact.depends_on(updated))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &victims {
-            inner.map.remove(k);
-        }
-        inner.stats.invalidations += victims.len() as u64;
-        inner.refresh_gauges();
-        victims.len()
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> ArtifactCacheStats {
         let mut inner = self.inner.lock().unwrap();
@@ -298,37 +270,6 @@ mod tests {
         assert_eq!((s.evictions, s.entries), (1, 2));
         cache.get_or_compile(&d, "/a/c").unwrap(); // evicted → miss again
         assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    fn invalidate_update_drops_only_overlapping_artifacts() {
-        let cache = ArtifactCache::new(8);
-        let d = dtd();
-        let ab = cache.get_or_compile(&d, "/a/b").unwrap();
-        cache.get_or_compile(&d, "/a/c").unwrap();
-
-        // An update touching only `c` invalidates `/a/c` but not `/a/b`.
-        let mut touched = d.empty_set();
-        touched.insert(d.name_of_tag_str("c").unwrap());
-        assert!(!ab.depends_on(&touched));
-        assert_eq!(cache.invalidate_update(d.fingerprint(), &touched), 1);
-        let s = cache.stats();
-        assert_eq!((s.invalidations, s.entries), (1, 1));
-
-        // An independent update (empty footprint) drops nothing.
-        assert_eq!(cache.invalidate_update(d.fingerprint(), &d.empty_set()), 0);
-
-        // A different DTD's fingerprint never touches this grammar's
-        // artifacts, overlap or not.
-        let mut root = d.empty_set();
-        root.insert(d.root());
-        assert_eq!(cache.invalidate_update(d.fingerprint() ^ 1, &root), 0);
-        assert_eq!(cache.stats().entries, 1);
-
-        // The root is in every projector: everything goes.
-        assert_eq!(cache.invalidate_update(d.fingerprint(), &root), 1);
-        let s = cache.stats();
-        assert_eq!((s.invalidations, s.entries), (2, 0));
     }
 
     #[test]

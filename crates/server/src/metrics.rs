@@ -344,7 +344,6 @@ impl ServerMetrics {
             Metric("cache", "evictions", "xmlpruned_cache_evictions_total", "Artifact cache evictions.", Counter, Value::Int(cache.evictions)),
             Metric("cache", "compiles", "xmlpruned_cache_compiles_total", "Query artifacts compiled (inference + lowering).", Counter, Value::Int(cache.compiles)),
             Metric("cache", "compile_micros", "xmlpruned_cache_compile_micros_total", "Wall-clock microseconds spent compiling artifacts.", Counter, Value::Int(cache.compile_micros)),
-            Metric("cache", "invalidations", "xmlpruned_cache_invalidations_total", "Artifacts dropped because a document update overlapped their projector.", Counter, Value::Int(cache.invalidations)),
             Metric("cache", "entries", "xmlpruned_cache_entries", "Artifacts currently resident.", Gauge, int(cache.entries)),
             Metric("cache", "resident_bytes", "xmlpruned_cache_resident_bytes", "Approximate bytes held by resident artifacts.", Gauge, int(cache.resident_bytes)),
             Metric("cache", "hit_rate", "xmlpruned_cache_hit_rate", "Hits per lookup since start.", Gauge, Value::Ratio(cache.hit_rate())),
@@ -590,7 +589,7 @@ mod tests {
                 "wakes", "timer_fires", "executor_jobs", "executor_queue_depth", "loop_jobs",
                 "admission_rejects", "max_conn_resident"]),
             ("cache", &["hits", "misses", "evictions", "compiles", "compile_micros",
-                "invalidations", "entries", "resident_bytes", "hit_rate"]),
+                "entries", "resident_bytes", "hit_rate"]),
             ("endpoints", &[]),
         ];
         assert_eq!(keys.len(), pinned.len());
@@ -601,7 +600,7 @@ mod tests {
 
         let prom = m.render_prometheus(cache);
         let table = m.table(cache);
-        assert_eq!(table.len(), 9 + 12 + 11 + 9);
+        assert_eq!(table.len(), 9 + 12 + 11 + 8);
         let mut names: Vec<&str> = table.iter().map(|r| r.2).collect();
         names.sort_unstable();
         names.dedup();

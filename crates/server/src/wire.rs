@@ -75,11 +75,6 @@ impl BodyDecoder {
         matches!(self.state, DecodeState::Done)
     }
 
-    /// Decoded body bytes produced so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Consumes wire bytes from the front of `input`, appending decoded
     /// body bytes to `out`. Returns how many input bytes were consumed;
     /// anything less than `input.len()` with [`Self::is_done`] false

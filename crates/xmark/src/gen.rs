@@ -485,8 +485,12 @@ mod tests {
     #[test]
     fn scaling_is_roughly_linear() {
         let dtd = auction_dtd();
-        let small = generate_auction(&dtd, &XMarkConfig::at_scale(0.05)).serialized_size();
-        let large = generate_auction(&dtd, &XMarkConfig::at_scale(0.2)).serialized_size();
+        let small = generate_auction(&dtd, &XMarkConfig::at_scale(0.05))
+            .to_xml()
+            .len();
+        let large = generate_auction(&dtd, &XMarkConfig::at_scale(0.2))
+            .to_xml()
+            .len();
         let ratio = large as f64 / small as f64;
         assert!((2.0..8.0).contains(&ratio), "ratio {ratio}");
     }
@@ -495,7 +499,7 @@ mod tests {
     fn descriptions_dominate_size() {
         let dtd = auction_dtd();
         let doc = generate_auction(&dtd, &XMarkConfig::at_scale(0.1));
-        let total = doc.serialized_size();
+        let total = doc.to_xml().len();
         let mut desc_bytes = 0usize;
         for n in doc.all_nodes() {
             if doc.tag_name(n) == Some("description") {

@@ -409,12 +409,6 @@ impl Document {
         }
     }
 
-    /// Serialized size in bytes (what "document size" means in the
-    /// benchmark tables).
-    pub fn serialized_size(&self) -> usize {
-        self.to_xml().len()
-    }
-
     /// Counts element nodes.
     pub fn element_count(&self) -> usize {
         self.nodes

@@ -4,15 +4,16 @@
 use crate::document::{Attribute, Document, NodeId};
 use crate::entities::decode_entities;
 use crate::interner::Interner;
-use crate::push::{drain_str, RawAttrs, TokenSink};
+use crate::push::{drain_str, is_xml_space, RawAttrs, TokenSink};
 
 pub use crate::entities::ParseError;
 
 /// Parser configuration.
 #[derive(Clone, Debug)]
 pub struct ParseOptions {
-    /// Drop text nodes consisting only of whitespace (useful for
-    /// data-centric documents with pretty-printing). Default: `true`.
+    /// Drop text nodes consisting only of XML whitespace (`S`: space,
+    /// tab, CR, LF; useful for data-centric documents with
+    /// pretty-printing). Default: `true`.
     pub ignore_whitespace_text: bool,
     /// Reuse an existing interner so the document shares tag ids with,
     /// e.g., a DTD.
@@ -87,7 +88,7 @@ impl TokenSink for TreeBuilder {
         let parent = *self.stack.last().expect("stack never empty");
         // No text directly under the document node.
         if parent != NodeId::DOCUMENT
-            && !(self.ignore_whitespace_text && decoded.trim().is_empty())
+            && !(self.ignore_whitespace_text && decoded.bytes().all(is_xml_space))
         {
             self.doc.push_text(parent, decoded);
         }
@@ -112,6 +113,10 @@ mod tests {
         let doc = parse("<a>\n  <b/>\n</a>").unwrap();
         let a = doc.root_element().unwrap();
         assert_eq!(doc.children(a).count(), 1);
+        // U+00A0 is not XML `S`: a run of it is character data.
+        let doc = parse("<a>\u{A0}<b/></a>").unwrap();
+        let a = doc.root_element().unwrap();
+        assert_eq!(doc.children(a).count(), 2);
     }
 
     #[test]

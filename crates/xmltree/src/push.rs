@@ -1152,8 +1152,11 @@ fn parse_doctype(token: &str) -> Result<(&str, Option<&str>), String> {
     }
 }
 
-/// XML's `S` production: space, tab, CR, LF — not Unicode White_Space.
-fn is_xml_space(b: u8) -> bool {
+/// XML's `S` production: space, tab, CR, LF — not Unicode White_Space,
+/// so U+00A0 is character data. The one whitespace test of every text
+/// run: a run that is all `S` is no text node in a tree, and fused
+/// validation does not step a content model on it.
+pub fn is_xml_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\r' | b'\n')
 }
 

@@ -59,11 +59,6 @@ pub fn check_strongly_specified(q: &LocationPath) -> Result<(), SpecViolation> {
     Ok(())
 }
 
-/// Boolean convenience over [`check_strongly_specified`].
-pub fn is_strongly_specified(q: &LocationPath) -> bool {
-    check_strongly_specified(q).is_ok()
-}
-
 fn is_node_test(s: &Step) -> bool {
     s.test == NodeTest::Node
 }

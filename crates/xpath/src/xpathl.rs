@@ -16,7 +16,6 @@
 //! by [`crate::approx`]; the projector inferred for the approximation is
 //! a sound projector for the original query.
 
-use crate::ast::{Axis, Expr, LocationPath, NodeTest, Step};
 use std::fmt;
 
 /// XPathℓ axes: the paper's five plus the `-or-self` variants handled by
@@ -40,11 +39,6 @@ pub enum LAxis {
 }
 
 impl LAxis {
-    /// Upward axes intersect with the context in the type rules.
-    pub fn is_upward(self) -> bool {
-        matches!(self, LAxis::Parent | LAxis::Ancestor | LAxis::AncestorOrSelf)
-    }
-
     /// Concrete syntax.
     pub fn name(self) -> &'static str {
         match self {
@@ -140,65 +134,6 @@ impl LPath {
     pub fn empty() -> Self {
         LPath { steps: Vec::new() }
     }
-
-    /// Converts back to a general [`LocationPath`] (used by tests to
-    /// compare semantics and by diagnostics). `HasAttribute` becomes a
-    /// `self::node()[attribute::…]` filter.
-    pub fn to_location_path(&self) -> LocationPath {
-        LocationPath {
-            absolute: true,
-            steps: self.steps.iter().map(lstep_to_step).collect(),
-        }
-    }
-}
-
-fn laxis_to_axis(a: LAxis) -> Axis {
-    match a {
-        LAxis::SelfAxis => Axis::SelfAxis,
-        LAxis::Child => Axis::Child,
-        LAxis::Descendant => Axis::Descendant,
-        LAxis::DescendantOrSelf => Axis::DescendantOrSelf,
-        LAxis::Parent => Axis::Parent,
-        LAxis::Ancestor => Axis::Ancestor,
-        LAxis::AncestorOrSelf => Axis::AncestorOrSelf,
-    }
-}
-
-fn simple_step_to_step(s: &SimpleStep) -> Step {
-    match &s.test {
-        LTest::HasAttribute(name) => {
-            let attr_test = match name {
-                Some(n) => NodeTest::Tag(n.clone()),
-                None => NodeTest::Node,
-            };
-            let mut st = Step::new(laxis_to_axis(s.axis), NodeTest::Node);
-            st.predicates.push(Expr::Path(LocationPath {
-                absolute: false,
-                steps: vec![Step::new(Axis::Attribute, attr_test)],
-            }));
-            st
-        }
-        LTest::Tag(t) => Step::new(laxis_to_axis(s.axis), NodeTest::Tag(t.clone())),
-        LTest::Node => Step::new(laxis_to_axis(s.axis), NodeTest::Node),
-        LTest::Text => Step::new(laxis_to_axis(s.axis), NodeTest::Text),
-        LTest::Element => Step::new(laxis_to_axis(s.axis), NodeTest::Element),
-    }
-}
-
-fn lstep_to_step(ls: &LStep) -> Step {
-    let mut st = simple_step_to_step(&ls.step);
-    if !ls.cond.is_empty() {
-        let mut disjuncts = ls.cond.iter().map(|p| {
-            Expr::Path(LocationPath {
-                absolute: false,
-                steps: p.iter().map(simple_step_to_step).collect(),
-            })
-        });
-        let first = disjuncts.next().expect("non-empty cond");
-        let expr = disjuncts.fold(first, |acc, d| Expr::Or(Box::new(acc), Box::new(d)));
-        st.predicates.push(expr);
-    }
-    st
 }
 
 impl fmt::Display for SimpleStep {
@@ -266,46 +201,5 @@ mod tests {
             ],
         };
         assert_eq!(p.to_string(), "/child::site/descendant::node()[child::a]");
-    }
-
-    #[test]
-    fn upwardness() {
-        assert!(LAxis::Parent.is_upward());
-        assert!(LAxis::AncestorOrSelf.is_upward());
-        assert!(!LAxis::DescendantOrSelf.is_upward());
-        assert!(!LAxis::SelfAxis.is_upward());
-    }
-
-    #[test]
-    fn conversion_to_location_path() {
-        let p = LPath {
-            steps: vec![LStep {
-                step: SimpleStep::new(LAxis::Child, LTest::Tag("person".into())),
-                cond: vec![
-                    vec![SimpleStep::new(LAxis::Child, LTest::Tag("phone".into()))],
-                    vec![SimpleStep::new(LAxis::Child, LTest::Tag("homepage".into()))],
-                ],
-            }],
-        };
-        let lp = p.to_location_path();
-        assert!(lp.absolute);
-        assert_eq!(lp.steps.len(), 1);
-        assert_eq!(lp.steps[0].predicates.len(), 1);
-        assert_eq!(
-            lp.to_string(),
-            "/child::person[(child::phone or child::homepage)]"
-        );
-    }
-
-    #[test]
-    fn has_attribute_conversion() {
-        let p = LPath {
-            steps: vec![LStep::plain(SimpleStep::new(
-                LAxis::SelfAxis,
-                LTest::HasAttribute(Some("id".into())),
-            ))],
-        };
-        let lp = p.to_location_path();
-        assert_eq!(lp.to_string(), "/self::node()[attribute::id]");
     }
 }

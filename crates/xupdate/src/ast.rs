@@ -139,15 +139,6 @@ impl Update {
             Update::Delete { .. } => None,
         }
     }
-
-    /// Short verb for diagnostics (`insert` / `delete` / `replace`).
-    pub fn verb(&self) -> &'static str {
-        match self {
-            Update::Insert { .. } => "insert",
-            Update::Delete { .. } => "delete",
-            Update::Replace { .. } => "replace",
-        }
-    }
 }
 
 fn fmt_fragment_node(n: &FragmentNode, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -1,14 +1,11 @@
 //! Seeded random-update generation for the differential fuzzer.
 //!
 //! Generation is tag-alphabet driven (pass the DTD's element tags), so
-//! the same generator works for random grammars and for XMark. Both a
-//! plain seeded function ([`random_update`]) and a testkit
-//! [`Strategy`] ([`update_strategy`]) are provided; the strategy makes
-//! updates composable with `forall!` properties and tuple strategies.
+//! the same generator works for random grammars and for XMark:
+//! [`random_update`] draws one update from a seeded generator.
 
 use crate::ast::{Fragment, FragmentNode, InsertPos, Update};
 use crate::parser::parse_update;
-use xproj_testkit::strategy::Strategy;
 use xproj_testkit::SplitMix64;
 
 const AXES: &[&str] = &["child::", "descendant::", "descendant-or-self::"];
@@ -112,26 +109,6 @@ fn parse_target(s: &str) -> xproj_xpath::LocationPath {
     }
 }
 
-/// A testkit [`Strategy`] over updates for a fixed tag alphabet.
-pub struct UpdateStrategy {
-    tags: Vec<String>,
-}
-
-/// Builds an update strategy over the given tag alphabet.
-pub fn update_strategy<S: Into<String>>(tags: impl IntoIterator<Item = S>) -> UpdateStrategy {
-    let tags: Vec<String> = tags.into_iter().map(Into::into).collect();
-    assert!(!tags.is_empty(), "update strategy needs at least one tag");
-    UpdateStrategy { tags }
-}
-
-impl Strategy for UpdateStrategy {
-    type Value = Update;
-    fn generate(&self, rng: &mut SplitMix64) -> Update {
-        let refs: Vec<&str> = self.tags.iter().map(String::as_str).collect();
-        random_update(rng, &refs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,13 +130,5 @@ mod tests {
             }
         }
         assert_eq!(seen, [true; 3], "all three update forms generated");
-    }
-
-    #[test]
-    fn strategy_is_deterministic_per_seed() {
-        let s = update_strategy(TAGS.iter().copied());
-        let a = s.generate(&mut SplitMix64::new(7)).to_string();
-        let b = s.generate(&mut SplitMix64::new(7)).to_string();
-        assert_eq!(a, b);
     }
 }

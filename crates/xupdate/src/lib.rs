@@ -38,5 +38,5 @@ pub mod parser;
 
 pub use apply::{apply_update, ApplyError};
 pub use ast::{Fragment, FragmentNode, InsertPos, Update};
-pub use gen::{random_update, update_strategy, UpdateStrategy};
+pub use gen::random_update;
 pub use parser::{parse_update, UpdateParseError};

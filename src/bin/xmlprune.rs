@@ -12,12 +12,14 @@
 //! Every subcommand has one execution path. When `--dtd` is omitted the
 //! grammar is the document's internal DTD subset (`<!DOCTYPE root [ … ]>`)
 //! or, failing that, a dataguide inferred from the document itself. With
-//! `--dtd`, `prune` never loads the document: it streams through the
-//! O(depth)-memory engine.
+//! `--dtd`, `prune`, `query` and `validate` never load the document: they
+//! stream it, 64 KiB at a time, through the O(depth)-memory engine.
 
 use std::io::Read;
 use std::process::ExitCode;
-use xml_projection::dtd::{infer_dtd, parse_dtd, validate, Dtd};
+use std::sync::Arc;
+use xml_projection::dtd::{infer_dtd, parse_dtd, Dtd};
+use xml_projection::engine::{ArtifactCache, ChunkedPruner, DEFAULT_CHUNK_SIZE};
 use xml_projection::xmltree::push::{drain_str, TokenSink};
 use xml_projection::xmltree::ParseError;
 
@@ -170,25 +172,50 @@ fn single_input<'a>(cmd: &str, o: &'a Opts) -> Result<Option<&'a str>, String> {
     }
 }
 
+/// What `prune`, `query` and `validate` run on.
+struct Input {
+    dtd: Arc<Dtd>,
+    /// Where the grammar came from ("external DTD", …).
+    source: &'static str,
+    document: Box<dyn Read>,
+}
+
+/// The grammar and the document of `prune`, `query` and `validate`. With
+/// `--dtd` the document is left unread, to be streamed; without it, the
+/// document is loaded first, because the grammar has to be read off it.
+fn grammar_and_input(cmd: &str, o: &Opts) -> Result<Input, String> {
+    let input = single_input(cmd, o)?;
+    let loaded = match o.dtd_path {
+        Some(_) => None,
+        None => Some(read_input(input)?),
+    };
+    let (dtd, source) = resolve_dtd(o, loaded.as_deref())?;
+    let document: Box<dyn Read> = match (loaded, input) {
+        (Some(xml), _) => Box::new(std::io::Cursor::new(xml)),
+        (None, Some("-") | None) => Box::new(std::io::stdin().lock()),
+        (None, Some(p)) => Box::new(std::fs::File::open(p).map_err(|e| format!("{p}: {e}"))?),
+    };
+    Ok(Input {
+        dtd: Arc::new(dtd),
+        source,
+        document,
+    })
+}
+
 /// `prune`: stream the input through the engine — `Read` →
-/// [`ChunkedPruner`](xml_projection::engine::ChunkedPruner) → `Write` —
-/// in O(depth) memory. Only when there is no `--dtd` is the input loaded
-/// first: the internal subset or the dataguide has to be read off the
-/// document before its first byte can be pruned.
+/// [`ChunkedPruner`] → `Write` — in O(depth) memory.
 fn run_prune(o: &Opts) -> Result<(), String> {
     use std::io::Write;
-    use xml_projection::engine::{error_json_line, ArtifactCache, ChunkedPruner, DEFAULT_CHUNK_SIZE};
+    use xml_projection::engine::error_json_line;
 
     if o.queries.is_empty() {
         return Err("prune: --query is required".to_string());
     }
-    let input = single_input("prune", o)?;
-    let sniffed = match o.dtd_path {
-        Some(_) => None,
-        None => Some(read_input(input)?),
-    };
-    let (dtd, source) = resolve_dtd(o, sniffed.as_deref())?;
-    let dtd = std::sync::Arc::new(dtd);
+    let Input {
+        dtd,
+        source,
+        document,
+    } = grammar_and_input("prune", o)?;
     eprintln!("using {source} ({} names)", dtd.name_count());
     // The projectors go through the same ArtifactCache the server uses,
     // so `--stats` reports the cache counters too.
@@ -200,11 +227,6 @@ fn run_prune(o: &Opts) -> Result<(), String> {
     }
 
     // Stdout gets a closing newline, a file the pruned bytes alone.
-    let source: Box<dyn Read> = match (&sniffed, input) {
-        (Some(xml), _) => Box::new(xml.as_bytes()),
-        (None, Some("-") | None) => Box::new(std::io::stdin().lock()),
-        (None, Some(p)) => Box::new(std::fs::File::open(p).map_err(|e| format!("{p}: {e}"))?),
-    };
     let mut sink: Box<dyn Write> = match &o.output {
         Some(p) => Box::new(std::io::BufWriter::new(
             std::fs::File::create(p).map_err(|e| format!("{p}: {e}"))?,
@@ -213,7 +235,7 @@ fn run_prune(o: &Opts) -> Result<(), String> {
     };
     let mut pruner = ChunkedPruner::new(&*dtd, &projector, &mut sink);
     pruner.set_validate(o.validate);
-    let mut stats = match pruner.run(source, DEFAULT_CHUNK_SIZE) {
+    let mut stats = match pruner.run(document, DEFAULT_CHUNK_SIZE) {
         Ok(stats) => stats,
         Err(e) => {
             if o.stats {
@@ -243,28 +265,63 @@ fn run_prune(o: &Opts) -> Result<(), String> {
 
 /// `query`: lower (grammar, query) to an artifact, then prune and answer
 /// in a single streaming pass — the same compiled pipeline `/v1/query`
-/// serves. The grammar is resolved exactly as `prune` resolves it.
+/// serves. Every read goes to one machine per query, so several queries
+/// still take one pass; the answers print in query order.
 fn run_query_cmd(o: &Opts) -> Result<(), String> {
-    use xml_projection::engine::{run_query, ArtifactCache, QueryOutput, DEFAULT_CHUNK_SIZE};
+    use xml_projection::engine::{QueryMachine, QueryOutput};
 
     if o.queries.is_empty() {
         return Err("query: --query is required".to_string());
     }
-    let xml = read_input(single_input("query", o)?)?;
-    let (dtd, source) = resolve_dtd(o, Some(&xml))?;
-    let dtd = std::sync::Arc::new(dtd);
+    let Input {
+        dtd,
+        source,
+        mut document,
+    } = grammar_and_input("query", o)?;
     eprintln!("using {source} ({} names)", dtd.name_count());
     let cache = ArtifactCache::new(o.queries.len());
+    let mut machines = Vec::with_capacity(o.queries.len());
     for q in &o.queries {
         let artifact = cache.get_or_compile(&dtd, q)?;
-        let (out, stats) =
-            run_query(&artifact, xml.as_bytes(), QueryOutput::Answer, true, DEFAULT_CHUNK_SIZE)
-                .map_err(|e| e.to_string())?;
+        machines.push((QueryMachine::new(artifact, QueryOutput::Answer), Vec::new()));
+    }
+    let mut buf = vec![0; DEFAULT_CHUNK_SIZE];
+    loop {
+        let n = document.read(&mut buf).map_err(|e| format!("input: {e}"))?;
+        if n == 0 {
+            break;
+        }
+        for (machine, answer) in &mut machines {
+            machine.feed(&buf[..n]).map_err(|e| e.to_string())?;
+            machine.take_output(answer);
+        }
+    }
+    for (mut machine, mut answer) in machines {
+        let stats = machine.finish().map_err(|e| e.to_string())?;
+        machine.take_output(&mut answer);
         if o.stats {
             eprintln!("{}", stats.to_json());
         }
-        println!("{}", String::from_utf8_lossy(&out));
+        println!("{}", String::from_utf8_lossy(&answer));
     }
+    Ok(())
+}
+
+/// `validate`: `prune --validate` with nothing kept — every event checked
+/// against the content models in one pass, in O(depth) memory.
+fn run_validate(o: &Opts) -> Result<(), String> {
+    let Input {
+        dtd,
+        source,
+        document,
+    } = grammar_and_input("validate", o)?;
+    let nothing = xml_projection::core::Projector::empty(&dtd);
+    let mut pruner = ChunkedPruner::new(&*dtd, &nothing, std::io::sink());
+    pruner.set_validate(true);
+    pruner
+        .run(document, DEFAULT_CHUNK_SIZE)
+        .map_err(|e| format!("invalid: {e}"))?;
+    println!("valid against {source}");
     Ok(())
 }
 
@@ -365,25 +422,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
         "analyze" => run_analyze(&o),
         "independence" => run_independence(&o),
         "prune" => run_prune(&o),
-        "validate" => {
-            let xml = read_input(single_input("validate", &o)?)?;
-            let (dtd, source) = resolve_dtd(&o, Some(&xml))?;
-            let doc = xml_projection::xmltree::parser::parse_with_options(
-                &xml,
-                xml_projection::xmltree::parser::ParseOptions {
-                    ignore_whitespace_text: true,
-                    interner: Some(dtd.tags.clone()),
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            match validate(&doc, &dtd) {
-                Ok(_) => {
-                    println!("valid against {source}");
-                    Ok(())
-                }
-                Err(e) => Err(format!("invalid: {e}")),
-            }
-        }
+        "validate" => run_validate(&o),
         "query" => run_query_cmd(&o),
         "guide" => {
             let xml = read_input(single_input("guide", &o)?)?;
@@ -417,13 +456,13 @@ document's internal DTD subset or fall back to a dataguide inferred from it.
 Each run takes one input: for many files, run one xmlprune per file (xargs -P
 runs them in parallel; the whole analysis is a few milliseconds).
 
-prune streams the input through the O(depth)-memory engine; only without
---dtd is the document loaded first (the grammar has to be read off it).
-Repeat --query to keep what any of several queries needs. Subtrees that
-cannot reach anything the query needs are skipped unparsed, so their
-well-formedness goes unchecked; --validate checks every event against the
-DTD in the same pass and rejects an invalid document. --stats prints
-JSON-lines engine metrics to stderr.
+prune, query and validate stream the input, 64 KiB at a time, through the
+O(depth)-memory engine; only without --dtd is the document loaded first
+(the grammar has to be read off it). prune keeps what any --query needs.
+Subtrees that cannot reach anything the query needs are skipped unparsed,
+so their well-formedness goes unchecked; --validate checks every event
+against the DTD in the same pass and rejects an invalid document. --stats
+prints JSON-lines engine metrics to stderr.
 
 analyze prints the full static-analysis report: per-name provenance (which
 query step pulled each name into the projector), the Def. 4.3 verdict with
@@ -440,7 +479,10 @@ verdicts; --json prints one JSON object per pair.
 
 query evaluates XPath/XQuery: it compiles (grammar, query) into an artifact
 and prunes AND answers in one streaming pass (the same compiled pipeline the
-daemon's /v1/query serves); --stats prints the pass's JSON stats to stderr.
+daemon's /v1/query serves); repeated --query answers each, in order, from the
+same pass; --stats prints the pass's JSON stats to stderr.
+
+validate is the pass of `prune --validate` that keeps nothing.
 
 guide prints the dataguide DTD inferred from the input.
 "#;

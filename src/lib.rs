@@ -49,8 +49,7 @@
 //! * [`server`] — `xmlpruned`, a zero-dependency HTTP/1.1 daemon that
 //!   serves streaming pruning with live metrics and graceful shutdown;
 //! * [`qc`] — the query compiler: `(DTD, query)` → immutable artifact
-//!   (projector tables + evaluator plan) with an LRU cache and
-//!   update-driven invalidation;
+//!   (projector tables + evaluator plan) with an LRU cache;
 //! * [`xupdate`] — a minimal XQuery-Update-style language (insert /
 //!   delete / replace) with a reference tree-update executor;
 //! * [`analyzer`] — static analysis of (DTD, workload) pairs: projector

@@ -23,8 +23,14 @@ fn write_tmp(name: &str, content: &str) -> std::path::PathBuf {
 
 /// Runs `xmlprune` with `args`, `stdin` on its standard input.
 fn run_with_stdin(args: &[&str], stdin: &[u8]) -> std::process::Output {
-    let mut child = Command::new(BIN)
-        .args(args)
+    let mut cmd = Command::new(BIN);
+    cmd.args(args);
+    pipe_into(cmd, stdin)
+}
+
+/// Runs `cmd` with `stdin` on its standard input.
+fn pipe_into(mut cmd: Command, stdin: &[u8]) -> std::process::Output {
+    let mut child = cmd
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -247,7 +253,44 @@ fn validate_ok_and_fail() {
         ])
         .output()
         .unwrap();
-    assert!(!fail.status.success());
+    assert_eq!(fail.status.code(), Some(1));
+    assert!(fail.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&fail.stderr).lines().next(),
+        Some("xmlprune: invalid: chunked prune: streaming prune: validation: element 'author' not allowed here inside 'book'")
+    );
+}
+
+/// `query` and `validate` stream with `--dtd` as `prune` does: under an
+/// address-space limit smaller than the document, a stdin document
+/// still streams through in 64 KiB reads. Reading it whole, or building
+/// its tree, would run out of memory.
+#[cfg(unix)]
+#[test]
+fn query_and_validate_stream_a_document_larger_than_their_memory_limit() {
+    const LIMIT_KIB: usize = 12 << 10;
+    let dtd = write_tmp("books-limit.dtd", DTD);
+    let record = "<book><title>Some title text here</title>\
+                  <author>An Author Name</author><author>Another</author></book>\n";
+    let doc = format!("<bib>{}</bib>", record.repeat((13 << 20) / record.len()));
+    assert!(doc.len() > LIMIT_KIB << 10);
+    let limited = ["-c", "ulimit -v \"$1\"; shift; exec \"$0\" \"$@\"", BIN];
+    let limit = LIMIT_KIB.to_string();
+    let grammar = ["--dtd", dtd.to_str().unwrap(), "--root", "bib"];
+    for (args, stdout) in [
+        (&["query", "-q", "//nothing"][..], "\n"),
+        (&["validate"][..], "valid against external DTD\n"),
+    ] {
+        let mut cmd = Command::new("sh");
+        cmd.args(limited).arg(&limit).args(args).args(grammar);
+        let out = pipe_into(cmd, doc.as_bytes());
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), stdout, "{args:?}");
+    }
 }
 
 #[test]
@@ -293,11 +336,13 @@ fn query_uses_the_internal_subset() {
 
 /// With neither `--dtd` nor an internal subset, `query` compiles against
 /// the dataguide inferred from the document — XPath, FLWR, `count()` and
-/// attribute queries alike go through the one compiled pipeline.
+/// attribute queries alike go through the one compiled pipeline. All of
+/// them at once take one pass and print what one run each prints.
 #[test]
 fn query_without_any_grammar_infers_a_dataguide() {
     let doc = "<bib><book year=\"1999\"><title>T</title><author>A</author></book>\
                <book year=\"2005\"><title>U</title></book></bib>";
+    let (mut all, mut one_each) = (vec!["query"], Vec::new());
     for (query, answer) in [
         ("/bib/book/title", "<title>T</title><title>U</title>"),
         ("//book[@year=\"2005\"]/title/text()", "U"),
@@ -314,7 +359,10 @@ fn query_without_any_grammar_infers_a_dataguide() {
         // `--stats` is the compiled pipeline's own line: there is no
         // second evaluator to fall back to.
         assert!(stderr.contains("\"plan\":"), "{query}: {stderr}");
+        all.extend(["-q", query]);
+        one_each.extend(out.stdout);
     }
+    assert_eq!(run_with_stdin(&all, doc.as_bytes()).stdout, one_each);
 }
 
 #[test]
@@ -479,6 +527,13 @@ fn prune_validates_a_stdin_stream() {
     assert_eq!(
         String::from_utf8(ok.stdout).unwrap(),
         "<bib><book><title>T</title></book></bib>\n"
+    );
+    // Indentation is XML whitespace, not text inside `bib`.
+    let indented = run_with_stdin(&args, b"<bib>\n<book><title>T</title></book>\n</bib>");
+    assert!(
+        indented.status.success(),
+        "{}",
+        String::from_utf8_lossy(&indented.stderr)
     );
     // A book without its required title.
     let bad = run_with_stdin(&args, b"<bib><book><author>A</author></book></bib>");

@@ -204,3 +204,201 @@ fn parsers_usage_texts_and_readme_name_the_same_surface() {
         }
     }
 }
+
+/// `src` with comments dropped and string and char literals emptied:
+/// a name left in it is named by code.
+fn code_only(src: &str) -> String {
+    let mut out = String::with_capacity(src.len());
+    let mut rest = src;
+    while let Some(c) = rest.chars().next() {
+        let after_ident = out.ends_with(|p: char| p.is_alphanumeric() || p == '_');
+        let skip = if rest.starts_with("//") {
+            rest.find('\n').unwrap_or(rest.len())
+        } else if rest.starts_with("/*") {
+            rest.find("*/").map_or(rest.len(), |n| n + 2)
+        } else if let Some(n) = string_len(rest, after_ident) {
+            out.push_str("\"\"");
+            n
+        } else if let Some(n) = rest.strip_prefix('\'').and_then(char_len) {
+            out.push_str("' '");
+            n + 1
+        } else {
+            out.push(c);
+            c.len_utf8()
+        };
+        rest = &rest[skip..];
+    }
+    out
+}
+
+/// The length of the string or raw string literal `s` starts with.
+fn string_len(s: &str, after_ident: bool) -> Option<usize> {
+    if s.starts_with('"') {
+        let mut chars = s.char_indices().skip(1);
+        while let Some((i, c)) = chars.next() {
+            match c {
+                '\\' => _ = chars.next(),
+                '"' => return Some(i + 1),
+                _ => {}
+            }
+        }
+        return Some(s.len());
+    }
+    let body = s.strip_prefix('r').filter(|_| !after_ident)?;
+    let hashes = body.len() - body.trim_start_matches('#').len();
+    body[hashes..].strip_prefix('"')?;
+    let close = format!("\"{}", "#".repeat(hashes));
+    let open = 2 + hashes;
+    Some(
+        s[open..]
+            .find(&close)
+            .map_or(s.len(), |n| open + n + close.len()),
+    )
+}
+
+/// The length after the opening quote of the char literal (`'x'`, `'\n'`,
+/// `'é'`) that `s` continues, if any: otherwise the quote is a lifetime's.
+fn char_len(s: &str) -> Option<usize> {
+    match s.chars().next()? {
+        '\\' => s[1..].find('\'').map(|n| n + 2),
+        c => s[c.len_utf8()..]
+            .starts_with('\'')
+            .then(|| c.len_utf8() + 1),
+    }
+}
+
+/// Every `.rs` file under `dir`, as (path from the package root, text).
+fn rust_files(dir: &str) -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut out, mut stack) = (Vec::new(), vec![root.join(dir)]);
+    while let Some(d) = stack.pop() {
+        for e in std::fs::read_dir(&d).into_iter().flatten() {
+            let path = e.unwrap().path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                let rel = path
+                    .strip_prefix(root)
+                    .unwrap()
+                    .to_string_lossy()
+                    .into_owned();
+                out.push((rel.clone(), read(&rel)));
+            }
+        }
+    }
+    out
+}
+
+/// Whether `text` holds `name` as a whole identifier that is not a
+/// definition (`fn name`), a field (`.name` with no call, `name: T`) or
+/// a field's initializer.
+fn names(text: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(name).any(|(i, _)| {
+        let (before, after) = (&text[..i], text[i + name.len()..].trim_start());
+        !before.ends_with(ident)
+            && !after.starts_with(ident)
+            && !before.trim_end().ends_with("fn")
+            && (!before.ends_with('.') || after.starts_with('('))
+            && (!after.starts_with(':') || after.starts_with("::"))
+    })
+}
+
+/// The census of public functions. Every `pub fn` in the production part
+/// of `src` and `crates/*/src` but the test kit's (each file up to its
+/// first `#[cfg(test)]`, comments and literals stripped) is named by
+/// production code, `examples/` or the frozen `benchmark/src` — `pub use`
+/// items do not count — or is test API, listed in `tests/test_api.txt`
+/// with the tests that need it. The list is exact: every entry exists,
+/// has no production caller and is named by a test, so it only shrinks.
+#[test]
+fn every_public_function_has_a_production_caller_or_is_listed_test_api() {
+    let mut dirs = vec!["src".to_string()];
+    for e in std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")).unwrap() {
+        let name = e.unwrap().file_name().to_string_lossy().into_owned();
+        if name != "testkit" {
+            dirs.push(format!("crates/{name}/src"));
+        }
+    }
+    let production: Vec<(String, String)> = dirs
+        .iter()
+        .flat_map(|d| rust_files(d))
+        .map(|(path, text)| (path, code_only(text.split("#[cfg(test)]").next().unwrap())))
+        .collect();
+    let callers: Vec<String> = production
+        .iter()
+        .map(|(_, code)| code.clone())
+        .chain(
+            ["examples", "benchmark/src"]
+                .iter()
+                .flat_map(|d| rust_files(d))
+                .map(|f| code_only(&f.1)),
+        )
+        .map(|code| {
+            // Re-exporting is not calling: drop every `pub use …;`.
+            let mut parts = code.split("pub use ");
+            let head = parts.next().unwrap().to_string();
+            parts.fold(head, |acc, p| acc + p.split_once(';').map_or("", |x| x.1))
+        })
+        .collect();
+    let mut uncalled = Set::new();
+    for (path, code) in &production {
+        for (at, _) in code
+            .match_indices("pub fn ")
+            .chain(code.match_indices("pub const fn "))
+        {
+            let rest = &code[at..];
+            let rest = &rest[rest.find("fn ").unwrap() + 3..];
+            let name = &rest[..rest
+                .find(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                .unwrap()];
+            if !callers.iter().any(|c| names(c, name)) {
+                uncalled.insert(format!("{path}::{name}"));
+            }
+        }
+    }
+
+    let listed: Set = read("tests/test_api.txt")
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| match l.split_once(" — ") {
+            Some((entry, tests)) if !tests.trim().is_empty() => entry.trim().to_string(),
+            _ => panic!("tests/test_api.txt: `path::name — the tests that need it`, got {l:?}"),
+        })
+        .collect();
+    let unlisted: Vec<&String> = uncalled.iter().filter(|e| !listed.contains(*e)).collect();
+    assert!(
+        unlisted.is_empty(),
+        "public functions nothing in production calls — delete them, or list \
+         them in tests/test_api.txt with the tests that need them: {unlisted:#?}"
+    );
+    let stale: Vec<&String> = listed.iter().filter(|e| !uncalled.contains(*e)).collect();
+    assert!(
+        stale.is_empty(),
+        "tests/test_api.txt entries that are gone or now have a production \
+         caller — drop them from the list: {stale:#?}"
+    );
+    // Named by a test: an integration test, the test kit, a unit test or
+    // a doc example.
+    let tests: Vec<String> = ["tests", "crates"]
+        .iter()
+        .flat_map(|d| rust_files(d))
+        .map(|(path, text)| {
+            if !dirs.iter().any(|d| path.starts_with(&format!("{d}/"))) {
+                return text;
+            }
+            let docs: Vec<&str> = text
+                .lines()
+                .filter(|l| l.trim_start().starts_with("//"))
+                .collect();
+            docs.join("\n") + text.split_once("#[cfg(test)]").map_or("", |x| x.1)
+        })
+        .collect();
+    for entry in &listed {
+        let name = entry.rsplit("::").next().unwrap();
+        assert!(
+            tests.iter().any(|t| names(t, name)),
+            "tests/test_api.txt: no test names {entry}"
+        );
+    }
+}
