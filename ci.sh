@@ -205,6 +205,17 @@ echo "== capture-visit gate, release leg (XMark scale 4, 6.6 MB) =="
 TESTKIT_XMARK_SCALE=4 cargo test -q --release --offline --locked \
     -p xproj-engine --test capture_visits
 
+echo "== compile step budget, release leg (exact counts, the up/down family to k = 8, placement) =="
+# The workspace run above pins the step counts of the up/down family to
+# k = 3; this leg pins all eight (k = 8 is 0.4 s optimised, far longer
+# unoptimised), and drives the placement test against an optimised
+# server: a friendly cold compile stays on the loop, an over-budget one
+# crosses to the lane, and a /healthz overtakes it. The error-parity
+# leg above carries the unique-attribute rows.
+cargo test -q --release --offline --locked -p xml-projection --test compile_steps
+cargo test -q --release --offline --locked -p xproj-server --test integration \
+    cold_compiles_run_on_the_loop_within_the_step_budget
+
 echo "== analyzer smoke (XMark provenance + retention prediction) =="
 # The rigorous form: on the generated XMark document, the predicted
 # retention must land within 2x of what pruning actually retains, and
@@ -241,7 +252,8 @@ echo "== server integration (sockets, default driver; portable driver cases) =="
 # HTTP-vs-prune_str and HTTP-vs-reference-evaluator differentials,
 # slowloris 408s, slow-reader backpressure, admission, rate limiting,
 # accept stalls, lane isolation (a parked executor lane delays no cached
-# prune), the loop-job budget's overflow and drain-under-load (plus a
+# prune), cold compiles on the loop within the step budget, the loop-job
+# budget's overflow and drain-under-load (plus a
 # 2-loop leg of the hardest three). The portable driver — what non-Linux targets serve with — is
 # driven through Server::serve_portable() for the six things it does
 # itself.

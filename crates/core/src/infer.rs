@@ -96,7 +96,9 @@ pub struct TraceEvent {
 /// The static analyser: a borrow of the grammar (whose reachability
 /// rows are already built) and the inference memo, so creating one
 /// allocates nothing. One instance can analyse any number of queries
-/// against the same DTD; projectors for a workload are unioned.
+/// against the same DTD; projectors for a workload are unioned. Its
+/// [`steps`](Self::steps) count the work all of them took (see
+/// [`Analyzer`]).
 pub struct StaticAnalyzer<'d> {
     an: Analyzer<'d>,
     memo: HashMap<MemoKey, NameSet>,
@@ -107,9 +109,16 @@ pub struct StaticAnalyzer<'d> {
 impl<'d> StaticAnalyzer<'d> {
     /// Builds an analyser for a DTD.
     pub fn new(dtd: &'d Dtd) -> Self {
+        StaticAnalyzer::with_budget(dtd, u64::MAX)
+    }
+
+    /// Builds an analyser that stops inferring once it has spent more
+    /// than `budget` steps. Past that, [`Self::over_budget`] holds and
+    /// every projector it returns is meaningless.
+    pub fn with_budget(dtd: &'d Dtd, budget: u64) -> Self {
         StaticAnalyzer {
-            an: Analyzer::new(dtd),
-            memo: HashMap::new(),
+            an: Analyzer::with_budget(dtd, budget),
+            memo: HashMap::default(),
             trace: None,
             trace_source: 0,
         }
@@ -156,6 +165,17 @@ impl<'d> StaticAnalyzer<'d> {
                 self.record(n, rule, pid, idx, via);
             }
         }
+    }
+
+    /// Steps spent so far: a count of set operations weighted by the
+    /// words they touch, exact and repeatable (see [`Analyzer`]).
+    pub fn steps(&self) -> u64 {
+        self.an.steps()
+    }
+
+    /// Whether the steps spent passed the budget.
+    pub fn over_budget(&self) -> bool {
+        self.an.over_budget()
     }
 
     /// The underlying analysis context (`A_E` / `T_E`).
@@ -226,6 +246,10 @@ impl<'d> StaticAnalyzer<'d> {
             self.record_set(&subtree, TraceRule::Materialize, PathId(0), 0, None);
             raw.union_with(&subtree);
         }
+        // Normalising visits each name's child row at most once.
+        if !self.an.charge(self.an.dtd.name_count() as u64) {
+            return Projector::empty(self.an.dtd);
+        }
         Projector::normalized(self.an.dtd, raw)
     }
 
@@ -259,6 +283,11 @@ impl<'d> StaticAnalyzer<'d> {
         pid: PathId,
         idx: usize,
     ) -> NameSet {
+        // One copy of κ, or a memo probe that hashes it (and on a miss
+        // copies it and the result).
+        if !self.an.charge(1) {
+            return self.an.dtd.empty_set();
+        }
         let steps = np.steps(pid);
         if idx >= steps.len() {
             // Base: the final environment's type and context are all kept
@@ -396,15 +425,18 @@ impl<'d> StaticAnalyzer<'d> {
             Env::new(self.an.dtd.singleton(y), kappa.clone()),
             axis,
         );
+        // Each useful Xᵢ with its context κ′|Xᵢ, in name order.
         let mut useful = self.an.dtd.empty_set();
+        let mut contexts = Vec::new();
         for xi in &env.tau {
-            let sub = Env::new(
-                self.an.dtd.singleton(xi),
-                self.an
-                    .restrict_context(&env.kappa, &self.an.dtd.singleton(xi)),
-            );
-            if !type_path(&self.an, np, sub, pid, rest_idx).is_empty() {
+            if self.an.over_budget() {
+                break;
+            }
+            let xs = self.an.dtd.singleton(xi);
+            let kx = self.an.restrict_context(&env.kappa, &xs);
+            if !type_path(&self.an, np, Env::new(xs, kx.clone()), pid, rest_idx).is_empty() {
                 useful.insert(xi);
+                contexts.push((xi, kx));
             }
         }
         let mut out = if include_y {
@@ -415,10 +447,10 @@ impl<'d> StaticAnalyzer<'d> {
         };
         out.union_with(&useful);
         self.record_set(&useful, TraceRule::Axis, pid, rest_idx.saturating_sub(1), Some(y));
-        for xi in &useful {
-            let kx = self
-                .an
-                .restrict_context(&env.kappa, &self.an.dtd.singleton(xi));
+        for (xi, kx) in contexts {
+            if self.an.over_budget() {
+                break;
+            }
             out.union_with(&self.proj(np, xi, &kx, pid, rest_idx));
         }
         out
@@ -454,26 +486,35 @@ impl<'d> StaticAnalyzer<'d> {
         );
         // τ: Y plus the axis-names from which the rest of the path can
         // still select something strictly further along the axis.
+        // Each name of τ with its context κ′|Z, in name order.
         let mut tau = self.an.dtd.singleton(y);
+        let mut contexts = Vec::new();
         for xi in &env.tau {
-            let kx = self
-                .an
-                .restrict_context(&env.kappa, &self.an.dtd.singleton(xi));
-            let after_axis = type_axis(&self.an, Env::new(self.an.dtd.singleton(xi), kx), axis);
+            if self.an.over_budget() {
+                break;
+            }
+            let xs = self.an.dtd.singleton(xi);
+            let kx = self.an.restrict_context(&env.kappa, &xs);
+            let after_axis = type_axis(&self.an, Env::new(xs, kx.clone()), axis);
             if !after_axis.tau.is_empty()
                 && !type_path(&self.an, np, after_axis, pid, rest_idx).is_empty()
             {
                 tau.insert(xi);
+                contexts.push((xi, kx));
             }
+        }
+        if let Err(at) = contexts.binary_search_by_key(&y, |&(z, _)| z) {
+            let ky = self.an.restrict_context(&env.kappa, &self.an.dtd.singleton(y));
+            contexts.insert(at, (y, ky));
         }
         // τ′ = (τ, κ′) ⊩ single::node/P — re-enter through one level.
         let mut out = tau.clone();
         self.record(y, TraceRule::Spine, pid, rest_idx.saturating_sub(1), None);
         self.record_set(&tau, TraceRule::Axis, pid, rest_idx.saturating_sub(1), Some(y));
-        for z in &tau {
-            let kz = self
-                .an
-                .restrict_context(&env.kappa, &self.an.dtd.singleton(z));
+        for (z, kz) in contexts {
+            if self.an.over_budget() {
+                break;
+            }
             out.union_with(&self.proj_single_level(np, z, &kz, single, pid, rest_idx, false));
         }
         out

@@ -80,6 +80,7 @@ pub fn type_axis(an: &Analyzer, env: Env, axis: LAxis) -> Env {
         LAxis::Child | LAxis::Descendant | LAxis::DescendantOrSelf => {
             let tau = an.axis(&env.tau, axis);
             let kappa = if an.use_contexts {
+                an.charge(1);
                 let mut kappa = env.kappa;
                 kappa.union_with(&tau);
                 kappa
@@ -92,6 +93,7 @@ pub fn type_axis(an: &Analyzer, env: Env, axis: LAxis) -> Env {
         LAxis::Parent | LAxis::Ancestor => {
             let mut tau = an.axis(&env.tau, axis);
             if an.use_contexts {
+                an.charge(1);
                 tau.intersect_with(&env.kappa);
             }
             let kappa = an.restrict_context(&env.kappa, &tau);
@@ -103,6 +105,7 @@ pub fn type_axis(an: &Analyzer, env: Env, axis: LAxis) -> Env {
             if an.use_contexts {
                 anc.intersect_with(&env.kappa);
             }
+            an.charge(2);
             let mut tau = env.tau.clone();
             tau.union_with(&anc);
             let kappa = an.restrict_context(&env.kappa, &tau);
@@ -117,6 +120,9 @@ pub fn type_axis(an: &Analyzer, env: Env, axis: LAxis) -> Env {
 fn type_cond(an: &Analyzer, np: &NormPaths, env: Env, paths: &[PathId]) -> Env {
     let mut tau = an.dtd.empty_set();
     for x in &env.tau {
+        if an.over_budget() {
+            break;
+        }
         if cond_may_hold(an, np, x, &env.kappa, paths) {
             tau.insert(x);
         }
@@ -136,6 +142,7 @@ pub fn cond_may_hold(
     let singleton = an.dtd.singleton(x);
     let kx = an.restrict_context(kappa, &singleton);
     paths.iter().any(|&pid| {
+        an.charge(1);
         !type_path(an, np, Env::new(singleton.clone(), kx.clone()), pid, 0).is_empty()
     })
 }

@@ -25,22 +25,62 @@ impl fmt::Debug for NameId {
     }
 }
 
+/// Universes of up to `64 × INLINE_WORDS` names keep their bits inline.
+const INLINE_WORDS: usize = 4;
+
 /// A set of [`NameId`]s over a fixed universe, stored as a bitset.
 ///
 /// All binary operations require both operands to share the same universe
-/// size (debug-asserted).
+/// size (debug-asserted). Over a universe of at most 256 names the bits
+/// live inline, so creating or copying a set allocates nothing — the
+/// inference makes one per set operation.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct NameSet {
-    words: Box<[u64]>,
+    words: Words,
     universe: u32,
 }
 
+/// The representation is a function of the universe, and the inline
+/// words past the universe stay zero, so the derived `Eq`/`Hash` agree
+/// with set equality.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
+
 impl NameSet {
+    /// The largest universe whose sets keep their bits inline; sets over
+    /// a larger one allocate.
+    pub const INLINE_NAMES: usize = 64 * INLINE_WORDS;
+
     /// The empty set over a universe of `universe` names.
     pub fn empty(universe: usize) -> Self {
-        NameSet {
-            words: vec![0u64; universe.div_ceil(64)].into_boxed_slice(),
-            universe: universe as u32,
+        let n = universe.div_ceil(64);
+        let words = if n <= INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0u64; n].into_boxed_slice())
+        };
+        NameSet { words, universe: universe as u32 }
+    }
+
+    /// The bit words. Inline ones are all of them: those past the
+    /// universe are zero in every set, so whole-array operations keep
+    /// them zero.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => w,
+            Words::Heap(w) => w,
         }
     }
 
@@ -68,7 +108,7 @@ impl NameSet {
     /// Inserts `n`; returns whether it was newly inserted.
     pub fn insert(&mut self, n: NameId) -> bool {
         debug_assert!(n.0 < self.universe);
-        let w = &mut self.words[n.index() / 64];
+        let w = &mut self.words_mut()[n.index() / 64];
         let bit = 1u64 << (n.index() % 64);
         let new = *w & bit == 0;
         *w |= bit;
@@ -78,7 +118,7 @@ impl NameSet {
     /// Removes `n`; returns whether it was present.
     pub fn remove(&mut self, n: NameId) -> bool {
         debug_assert!(n.0 < self.universe);
-        let w = &mut self.words[n.index() / 64];
+        let w = &mut self.words_mut()[n.index() / 64];
         let bit = 1u64 << (n.index() % 64);
         let present = *w & bit != 0;
         *w &= !bit;
@@ -91,23 +131,23 @@ impl NameSet {
         if n.0 >= self.universe {
             return false;
         }
-        self.words[n.index() / 64] & (1u64 << (n.index() % 64)) != 0
+        self.words()[n.index() / 64] & (1u64 << (n.index() % 64)) != 0
     }
 
     /// Number of names in the set.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True when no name is present.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// In-place union.
     pub fn union_with(&mut self, other: &NameSet) {
         debug_assert_eq!(self.universe, other.universe);
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words().iter()) {
             *a |= b;
         }
     }
@@ -115,7 +155,7 @@ impl NameSet {
     /// In-place intersection.
     pub fn intersect_with(&mut self, other: &NameSet) {
         debug_assert_eq!(self.universe, other.universe);
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words().iter()) {
             *a &= b;
         }
     }
@@ -123,7 +163,7 @@ impl NameSet {
     /// Removes every member of `other`, in place (`self \ other`).
     pub fn difference_with(&mut self, other: &NameSet) {
         debug_assert_eq!(self.universe, other.universe);
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words().iter()) {
             *a &= !b;
         }
     }
@@ -145,27 +185,28 @@ impl NameSet {
     /// True if `self ⊆ other`.
     pub fn is_subset(&self, other: &NameSet) -> bool {
         debug_assert_eq!(self.universe, other.universe);
-        self.words
+        self.words()
             .iter()
-            .zip(other.words.iter())
+            .zip(other.words().iter())
             .all(|(a, b)| a & !b == 0)
     }
 
     /// True if the two sets share at least one name.
     pub fn intersects(&self, other: &NameSet) -> bool {
         debug_assert_eq!(self.universe, other.universe);
-        self.words
+        self.words()
             .iter()
-            .zip(other.words.iter())
+            .zip(other.words().iter())
             .any(|(a, b)| a & b != 0)
     }
 
     /// Iterates over the members in increasing id order.
     pub fn iter(&self) -> NameSetIter<'_> {
+        let words = self.words();
         NameSetIter {
-            set: self,
+            words,
             word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
+            current: words.first().copied().unwrap_or(0),
         }
     }
 }
@@ -178,7 +219,7 @@ impl fmt::Debug for NameSet {
 
 /// Iterator over a [`NameSet`]'s members.
 pub struct NameSetIter<'a> {
-    set: &'a NameSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
@@ -193,10 +234,10 @@ impl Iterator for NameSetIter<'_> {
                 return Some(NameId((self.word_idx * 64) as u32 + bit));
             }
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
+            if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_idx];
+            self.current = self.words[self.word_idx];
         }
     }
 }
@@ -253,6 +294,19 @@ mod tests {
         let s = NameSet::from_iter(200, [NameId(199), NameId(0), NameId(63), NameId(64)]);
         let v: Vec<u32> = s.iter().map(|n| n.0).collect();
         assert_eq!(v, vec![0, 63, 64, 199]);
+    }
+
+    #[test]
+    fn inline_and_heap_sets_agree() {
+        for universe in [2, 64, 256, 257, 1000] {
+            let last = NameId(universe as u32 - 1);
+            let a = NameSet::from_iter(universe, [NameId(0), last]);
+            let mut b = NameSet::singleton(universe, last);
+            assert_ne!(a, b);
+            b.insert(NameId(0));
+            assert_eq!(a, b);
+            assert_eq!(a.iter().collect::<Vec<_>>(), vec![NameId(0), last]);
+        }
     }
 
     #[test]

@@ -76,4 +76,5 @@ pub use metrics::{error_json_line, EngineStats, StageTimings};
 pub use query::{json_escape_into, run_query, QueryMachine, QueryOutput, QueryStats};
 pub use xproj_qc::{
     normalize_query, ArtifactCache, ArtifactCacheStats, Lookup, PendingCompile, QueryArtifact,
+    LOOP_COMPILE_STEPS,
 };

@@ -16,10 +16,12 @@
 //!   and every artifact of a grammar shares the one copy of it.
 //!
 //! [`QueryArtifact::compile`] is the only way an artifact comes into
-//! being. Compiling is tens of microseconds (inference is most of it),
-//! cheaper than parsing the grammar a stored artifact would have to be
-//! checked against, so nothing is ever persisted: a restarted daemon
-//! compiles on the first request per pair.
+//! being. Every stage of a compile charges one step counter
+//! ([`StaticAnalyzer::steps`]): inference, normalising π, the dense
+//! table and lowering. So a compile can run under a budget, and one
+//! within [`LOOP_COMPILE_STEPS`] is bounded by it whatever the grammar
+//! or the query. Nothing is ever persisted: a restarted daemon compiles
+//! on the first request per pair.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,6 +30,13 @@ use crate::program::{lower, Plan, StepInstr};
 use xproj_core::{Projector, ProjectorTable, StaticAnalyzer};
 use xproj_dtd::Dtd;
 use xproj_xquery::{parse_xquery, project_xquery, XQuery};
+
+/// The steps a compile may spend on an event loop (see
+/// [`crate::ArtifactCache::compile_within`]): 0.4–1.5 ms on a 2-vCPU
+/// x86-64 box. Every XMark, XPathMark, cold-workload and Use
+/// Cases query fits in a quarter of it but QP13 (`/site//node()`), which
+/// fits in a half (`tests/compile_steps.rs`).
+pub const LOOP_COMPILE_STEPS: u64 = 1_000_000;
 
 /// Normalizes a workload query to its canonical form: parse as XQuery
 /// (of which XPath is a sub-language here) and pretty-print the AST.
@@ -56,6 +65,8 @@ pub struct QueryArtifact {
     pub plan: Plan,
     /// Wall-clock cost of the compile (parsing excluded).
     pub compile_micros: u64,
+    /// Steps the compile spent (see [`StaticAnalyzer::steps`]).
+    pub compile_steps: u64,
 }
 
 impl QueryArtifact {
@@ -65,23 +76,38 @@ impl QueryArtifact {
     pub fn compile(dtd: &Arc<Dtd>, query: &str) -> Result<Arc<QueryArtifact>, String> {
         let ast = parse_xquery(query).map_err(|e| e.to_string())?;
         let normalized_query = ast.to_string();
-        Ok(Self::from_ast(dtd, ast, normalized_query))
+        let artifact = Self::from_ast(dtd, ast, normalized_query, u64::MAX);
+        Ok(artifact.unwrap_or_else(|_| unreachable!("an unbudgeted compile cannot overrun")))
     }
 
     /// [`Self::compile`] from a query already parsed and normalized —
     /// what the cache holds after computing its key, so a miss parses
-    /// the query text once.
+    /// the query text once — spending at most `budget` steps. On an
+    /// overrun the AST comes back with the steps spent, and nothing of
+    /// the partial work survives.
     pub(crate) fn from_ast(
         dtd: &Arc<Dtd>,
         ast: XQuery,
         normalized_query: String,
-    ) -> Arc<QueryArtifact> {
+        budget: u64,
+    ) -> Result<Arc<QueryArtifact>, (XQuery, u64)> {
         let start = Instant::now();
-        let mut sa = StaticAnalyzer::new(dtd);
+        let mut sa = StaticAnalyzer::with_budget(dtd, budget);
         let projector = project_xquery(&mut sa, &ast);
+        // The table intersects two rows per name.
+        if !sa.analyzer().charge(2 * dtd.name_count() as u64) {
+            return Err((ast, sa.steps()));
+        }
         let table = ProjectorTable::new(dtd, &projector);
         let plan = lower(&ast, dtd);
-        Arc::new(QueryArtifact {
+        // Lowering looks up one tag per step, cheaper than a set operation.
+        if let Plan::Streaming(p) = &plan {
+            sa.analyzer().charge((p.steps.len() + p.guard.len()) as u64);
+        }
+        if sa.over_budget() {
+            return Err((ast, sa.steps()));
+        }
+        Ok(Arc::new(QueryArtifact {
             normalized_query,
             dtd: Arc::clone(dtd),
             ast,
@@ -89,7 +115,8 @@ impl QueryArtifact {
             table,
             plan,
             compile_micros: start.elapsed().as_micros() as u64,
-        })
+            compile_steps: sa.steps(),
+        }))
     }
 
     /// Approximate bytes this artifact owns, for the cache's size

@@ -36,6 +36,12 @@ pub struct ArtifactCacheStats {
     pub compiles: u64,
     /// Cumulative wall-clock microseconds spent compiling.
     pub compile_micros: u64,
+    /// Steps spent compiling ([`QueryArtifact::compile_steps`]),
+    /// budgeted attempts that overran included.
+    pub compile_steps: u64,
+    /// Budgeted compiles that overran their budget and were handed
+    /// back ([`ArtifactCache::compile_within`]).
+    pub lane_compiles: u64,
     /// Entries currently resident.
     pub entries: usize,
     /// Approximate bytes held by resident artifacts.
@@ -144,8 +150,9 @@ impl ArtifactCache {
     /// The cheap half of a lookup — parse, normalize, probe, about a
     /// microsecond — counting exactly one hit or one miss. A miss hands
     /// back what the parse produced, so a caller that must not run an
-    /// unbounded compile where it stands (an event loop) can move it
-    /// elsewhere and nothing is parsed twice.
+    /// unbounded compile where it stands (an event loop) can compile it
+    /// under a budget ([`Self::compile_within`]) or move it elsewhere,
+    /// and nothing is parsed twice.
     pub fn lookup(&self, dtd: &Arc<Dtd>, query: &str) -> Result<Lookup, String> {
         let ast = parse_xquery(query).map_err(|e| e.to_string())?;
         let key = (dtd.fingerprint(), ast.to_string());
@@ -169,13 +176,38 @@ impl ArtifactCache {
     /// The expensive half: compiles a miss (outside the lock, so misses
     /// on different keys parallelize across threads) and inserts it.
     pub fn compile(&self, pending: PendingCompile) -> Arc<QueryArtifact> {
+        self.compile_within(pending, u64::MAX)
+            .unwrap_or_else(|_| unreachable!("an unbudgeted compile cannot overrun"))
+    }
+
+    /// [`Self::compile`] spending at most `budget` steps (see
+    /// [`crate::LOOP_COMPILE_STEPS`]). A
+    /// compile that would spend more stops as soon as it has, and
+    /// its miss comes back unchanged, to be compiled elsewhere; the
+    /// steps it spent count in [`ArtifactCacheStats::compile_steps`]
+    /// and the overrun in [`ArtifactCacheStats::lane_compiles`].
+    #[allow(clippy::result_large_err)] // the miss itself, moved once on an overrun
+    pub fn compile_within(
+        &self,
+        pending: PendingCompile,
+        budget: u64,
+    ) -> Result<Arc<QueryArtifact>, PendingCompile> {
         let PendingCompile { dtd, ast, key } = pending;
-        let artifact = QueryArtifact::from_ast(&dtd, ast, key.1.clone());
+        let compiled = QueryArtifact::from_ast(&dtd, ast, key.1.clone(), budget);
         let mut inner = self.inner.lock().unwrap();
+        let artifact = match compiled {
+            Ok(artifact) => artifact,
+            Err((ast, steps)) => {
+                inner.stats.compile_steps += steps;
+                inner.stats.lane_compiles += 1;
+                return Err(PendingCompile { dtd, ast, key });
+            }
+        };
         inner.tick += 1;
         let tick = inner.tick;
         inner.stats.compiles += 1;
         inner.stats.compile_micros += artifact.compile_micros;
+        inner.stats.compile_steps += artifact.compile_steps;
         inner.evict_for(self.capacity, &key);
         inner.map.insert(
             key,
@@ -185,7 +217,7 @@ impl ArtifactCache {
             },
         );
         inner.refresh_gauges();
-        artifact
+        Ok(artifact)
     }
 
     /// Counters snapshot.

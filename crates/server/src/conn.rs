@@ -20,10 +20,12 @@
 //! machine keeps one job in flight per connection — and the driver
 //! turns it into a [`Done`] with the free function [`run_job`],
 //! delivering it back as `Input::Done`. *Where* it runs is the
-//! machine's call too: [`Job::bounded`] says whether the buffer unit
-//! bounds the job's cost (a feed, a streaming finish — a driver with an
-//! event loop runs those on it) or nothing does (a compile, a DTD, an
-//! analysis, a fallback evaluation — those take its executor lane).
+//! machine's call too: [`Job::bounded`] says whether something bounds
+//! the job's cost — the buffer unit (a feed, a streaming finish) or the
+//! step budget (a compile) — so a driver with an event loop runs it
+//! there, or nothing does (a DTD, an analysis, a fallback evaluation,
+//! and a compile that overran its budget — those take its executor
+//! lane).
 //! What takes microseconds is no job at all: `/healthz`, `/metrics` and
 //! an artifact-cache *hit* are decided while routing. Every other
 //! effect is *read back*: the frame queue to write, whether to read,
@@ -80,7 +82,10 @@ use std::io::{IoSlice, Write as _};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xproj_engine::{EngineError, Lookup, PendingCompile, QueryArtifact, QueryMachine, QueryOutput};
+use xproj_engine::{
+    EngineError, Lookup, PendingCompile, QueryArtifact, QueryMachine, QueryOutput,
+    LOOP_COMPILE_STEPS,
+};
 
 /// The most bytes a driver hands the machine in one `Input::Bytes`, so
 /// one firehose connection cannot starve its neighbours and so the
@@ -291,24 +296,24 @@ pub enum Job {
 
 impl Job {
     /// Where a job may run — the placement policy, and the one place
-    /// that knows job kinds. `true`: the cost is bounded by the buffer
-    /// unit `u`, so a driver with an event loop runs it there rather
+    /// that knows job kinds. `true`: something bounds the cost, so a
+    /// driver with an event loop runs it there ([`run_on_loop`]) rather
     /// than pay two thread hand-offs for microseconds of work. That is
     /// a feed (≤ 2`u` decoded bytes — the input gate — through the one
-    /// token loop, O(`u` · open depth)) and the finish of a pruning or
-    /// streaming-plan pass (a flush). `false`: nothing bounds it — a
-    /// compile, a DTD, an analysis, and the finish of a *fallback* plan,
-    /// which parses the buffered projection and runs the tree evaluator
-    /// (nested-loop joins) over it — so it must not stall a loop's other
-    /// connections.
+    /// token loop, O(`u` · open depth)), the finish of a pruning or
+    /// streaming-plan pass (a flush), and a compile, which the loop runs
+    /// under [`LOOP_COMPILE_STEPS`] and hands back if it overruns.
+    /// `false`: nothing bounds it — a DTD, an analysis, and the finish
+    /// of a *fallback* plan, which parses the buffered projection and
+    /// runs the tree evaluator (nested-loop joins) over it — so it must
+    /// not stall a loop's other connections.
     pub fn bounded(&self) -> bool {
         match self {
             Job::Prune { session, finish, .. } => {
                 !(*finish && session.plan_label() == "fallback")
             }
-            Job::Dtd { .. } | Job::Analyze { .. } | Job::Independence { .. } | Job::Setup { .. } => {
-                false
-            }
+            Job::Setup { .. } => true,
+            Job::Dtd { .. } | Job::Analyze { .. } | Job::Independence { .. } => false,
         }
     }
 }
@@ -349,6 +354,26 @@ fn internal_error() -> Reply {
 /// `on_panic` so one poisoned request costs one `500`, not a worker.
 fn contained<T>(f: impl FnOnce() -> T, on_panic: impl FnOnce() -> T) -> T {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|_| on_panic())
+}
+
+/// Runs a [`Job::bounded`] job on an event loop: [`run_job`], except
+/// that a compile spends at most [`LOOP_COMPILE_STEPS`]. One that
+/// overruns comes back as the job, to be handed to the executor lane,
+/// where [`run_job`] starts it over with no budget — so a loop
+/// spends at most one budget on any request.
+#[allow(clippy::result_large_err)] // the job itself, moved once on an overrun
+pub fn run_on_loop(job: Job, state: &ServerState) -> Result<Done, Job> {
+    let Job::Setup { head, pending } = job else {
+        return Ok(run_job(job, state));
+    };
+    let compiled = contained(
+        || state.cache.compile_within(pending, LOOP_COMPILE_STEPS).map(Ok),
+        || Ok(Err(internal_error())),
+    );
+    match compiled {
+        Ok(result) => Ok(Done::Setup { head, result }),
+        Err(pending) => Err(Job::Setup { head, pending }),
+    }
 }
 
 /// Runs one job to completion. Pure CPU work over the shared state —

@@ -13,8 +13,10 @@
 //! `(token, Job)` off a bounded channel, [`run_job`] them, and push
 //! `(token, Done)` back through a queue + waker. The loop is the
 //! engine's thread: a job the machine calls `bounded()` — a feed of at
-//! most two buffer units, a streaming finish — runs right here, where
-//! it was produced, and only work nothing bounds crosses to the lane. A
+//! most two buffer units, a streaming finish, a compile within its step
+//! budget — runs right here, where it was produced, and only work
+//! nothing bounds (a compile past its budget among it) crosses to the
+//! lane. A
 //! loop runs at most one such unit-bounded slice per job and
 //! [`LOOP_JOBS_PER_EVENT`] jobs per event, and blocks on nothing but
 //! `epoll_wait`. Everything cross-cutting — caches, the DTD registry,
@@ -43,7 +45,7 @@
 //! job kind, no response bytes — except the admission `503` it hands a
 //! refusing machine (see [`crate::admit`]).
 
-use crate::conn::{run_job, Connection, Done, Input, Job, READ_BUDGET};
+use crate::conn::{run_job, run_on_loop, Connection, Done, Input, Job, READ_BUDGET};
 use crate::state::ServerState;
 use crate::{admit, classify_accept_error, AcceptFailure, ShutdownReport, ACCEPT_STALL_BACKOFF};
 use std::collections::VecDeque;
@@ -199,12 +201,14 @@ impl EventLoop<'_> {
     }
 
     /// Runs a job where the machine's own policy puts it. One it calls
-    /// `bounded()` runs here, its `Done` fed back at a fresh clock
-    /// reading — and so does whatever the machine asks for next (a loop,
-    /// not recursion: a read full of pipelined requests must not deepen
-    /// the stack) until it asks for nothing. A job nothing bounds, or
-    /// the one after this turn's budget is spent, takes the executor
-    /// lane and comes back as an event of its own.
+    /// `bounded()` runs here ([`run_on_loop`]: a compile under the step
+    /// budget), its `Done` fed back at a fresh clock reading — and so
+    /// does whatever the machine asks for next (a loop, not recursion: a
+    /// read full of pipelined requests must not deepen the stack) until
+    /// it asks for nothing. A job nothing bounds, a compile that overran
+    /// its budget (it restarts there), or the job after this turn's
+    /// budget is spent, takes the executor lane and comes back as an
+    /// event of its own.
     fn place(&mut self, token: u64, mut job: Option<Job>, turn: &mut Turn) {
         while let Some(j) = job.take() {
             if turn.loop_jobs == 0 || !j.bounded() {
@@ -212,7 +216,10 @@ impl EventLoop<'_> {
             }
             turn.loop_jobs -= 1;
             self.state.metrics.loop_jobs.fetch_add(1, Ordering::Relaxed);
-            let done = run_job(j, self.state);
+            let done = match run_on_loop(j, self.state) {
+                Ok(done) => done,
+                Err(overran) => return self.dispatch(token, overran),
+            };
             turn.now = Instant::now();
             let Some(slot) = self.conns.get_mut(token) else {
                 return;

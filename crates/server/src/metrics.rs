@@ -344,6 +344,8 @@ impl ServerMetrics {
             Metric("cache", "evictions", "xmlpruned_cache_evictions_total", "Artifact cache evictions.", Counter, Value::Int(cache.evictions)),
             Metric("cache", "compiles", "xmlpruned_cache_compiles_total", "Query artifacts compiled (inference + lowering).", Counter, Value::Int(cache.compiles)),
             Metric("cache", "compile_micros", "xmlpruned_cache_compile_micros_total", "Wall-clock microseconds spent compiling artifacts.", Counter, Value::Int(cache.compile_micros)),
+            Metric("cache", "compile_steps", "xmlpruned_cache_compile_steps_total", "Analysis steps spent compiling artifacts, overruns included.", Counter, Value::Int(cache.compile_steps)),
+            Metric("cache", "lane_compiles", "xmlpruned_cache_lane_compiles_total", "Compiles that overran the event-loop step budget.", Counter, Value::Int(cache.lane_compiles)),
             Metric("cache", "entries", "xmlpruned_cache_entries", "Artifacts currently resident.", Gauge, int(cache.entries)),
             Metric("cache", "resident_bytes", "xmlpruned_cache_resident_bytes", "Approximate bytes held by resident artifacts.", Gauge, int(cache.resident_bytes)),
             Metric("cache", "hit_rate", "xmlpruned_cache_hit_rate", "Hits per lookup since start.", Gauge, Value::Ratio(cache.hit_rate())),
@@ -589,7 +591,7 @@ mod tests {
                 "wakes", "timer_fires", "executor_jobs", "executor_queue_depth", "loop_jobs",
                 "admission_rejects", "max_conn_resident"]),
             ("cache", &["hits", "misses", "evictions", "compiles", "compile_micros",
-                "entries", "resident_bytes", "hit_rate"]),
+                "compile_steps", "lane_compiles", "entries", "resident_bytes", "hit_rate"]),
             ("endpoints", &[]),
         ];
         assert_eq!(keys.len(), pinned.len());
@@ -600,7 +602,7 @@ mod tests {
 
         let prom = m.render_prometheus(cache);
         let table = m.table(cache);
-        assert_eq!(table.len(), 9 + 12 + 11 + 8);
+        assert_eq!(table.len(), 9 + 12 + 11 + 10);
         let mut names: Vec<&str> = table.iter().map(|r| r.2).collect();
         names.sort_unstable();
         names.dedup();
@@ -641,6 +643,8 @@ mod tests {
             misses: 2,
             compiles: 2,
             compile_micros: 1234,
+            compile_steps: 56_789,
+            lane_compiles: 1,
             entries: 3,
             resident_bytes: 4096,
             ..Default::default()
@@ -659,6 +663,8 @@ mod tests {
         assert!(prom.contains("endpoint=\"query\""));
         assert!(prom.contains("xmlpruned_cache_compiles_total 2"));
         assert!(prom.contains("xmlpruned_cache_compile_micros_total 1234"));
+        assert!(prom.contains("xmlpruned_cache_compile_steps_total 56789"));
+        assert!(prom.contains("xmlpruned_cache_lane_compiles_total 1"));
         assert!(prom.contains("xmlpruned_cache_resident_bytes 4096"));
     }
 }

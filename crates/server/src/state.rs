@@ -17,9 +17,10 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
     /// Executor-lane threads, split across the event loops, for the
-    /// jobs nothing bounds (`conn::Job::bounded` is false: compiles,
-    /// DTDs, analyses, fallback evaluation). Unit-bounded engine work
-    /// runs on the loops themselves and never waits for these.
+    /// jobs nothing bounds (`conn::Job::bounded` is false: DTDs,
+    /// analyses, fallback evaluation) and for compiles that overran a
+    /// loop's step budget. Bounded work runs on the loops themselves and
+    /// never waits for these.
     pub workers: usize,
     /// The read-side deadlines: how long a connection may sit idle
     /// between requests, how long a whole request head may take from

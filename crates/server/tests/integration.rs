@@ -794,20 +794,28 @@ fn idle_keep_alive_peer_does_not_delay_a_second_connection_or_shutdown() {
     assert_eq!(report.aborted, 0);
 }
 
+const SITE_DOC: &[u8] = b"<site><regions><africa><item id=\"i\"><location>L</location>\
+    <quantity>1</quantity><name>n</name><payment>p</payment><description><text>t \
+    <keyword>k</keyword></text></description><shipping>s</shipping><mailbox/></item></africa>\
+    <asia/><australia/><europe/><namerica/><samerica/></regions><categories/><catgraph/>\
+    <people/><open_auctions/><closed_auctions/></site>";
+
+/// ROADMAP item 1's up/down family: `//keyword` + k × `/ancestor::*/descendant::*`.
+fn up_down(k: usize) -> String {
+    format!("//keyword{}", "/ancestor::*/descendant::*".repeat(k))
+}
+
 /// Lane isolation: work nothing bounds parks the executor lane, never a
 /// loop. One loop, one lane thread: connection A's slow job (a cold
-/// query's compile — ROADMAP item 1's `ancestor`/`descendant` family,
-/// over a second at k = 5 in a debug build — then the same query under
+/// query's compile past the loop's step budget — ROADMAP item 1's
+/// `ancestor`/`descendant` family, over a second at k = 5 in a debug
+/// build — then the same query under
 /// `/v1/analyze`) is on the lane when connection B asks for a prune
 /// whose artifact is cached, which is the loop's own work. Asserted by
 /// order, not by clock: B's complete `200` is read while A's job is
 /// still out and A's socket has nothing to read; then A answers too.
 #[test]
 fn a_parked_executor_lane_does_not_delay_a_cached_prune() {
-    const SITE_DOC: &[u8] = b"<site><regions><africa/><asia/><australia/><europe/><namerica/>\
-        <samerica/></regions><categories><category id=\"c\"><name>n</name><description>\
-        <text>t <keyword>k</keyword></text></description></category></categories><catgraph/>\
-        <people/><open_auctions/><closed_auctions/></site>";
     let srv = TestServer::start(ServerConfig {
         workers: 1,
         reactor_threads: 1,
@@ -815,7 +823,7 @@ fn a_parked_executor_lane_does_not_delay_a_cached_prune() {
         ..small_config()
     });
     let id = srv.register_dtd(xproj_xmark::AUCTION_DTD, "site");
-    let slow = urlencode(&format!("//keyword{}", "/ancestor::*/descendant::*".repeat(5)));
+    let slow = urlencode(&up_down(5));
     let cached = format!("/v1/prune?dtd={id}&query={}", urlencode("//keyword"));
     let warm = srv.client().request("POST", &cached, &[], Some(SITE_DOC)).unwrap();
     assert_eq!(warm.status, 200, "{}", warm.body_str());
@@ -844,6 +852,82 @@ fn a_parked_executor_lane_does_not_delay_a_cached_prune() {
         let resp = a.read_response().unwrap();
         assert_eq!(resp.status, 200, "{endpoint}: {}", resp.body_str());
     }
+    assert_eq!(srv.shutdown().aborted, 0);
+}
+
+/// Where a cold compile runs. Within `LOOP_COMPILE_STEPS` it runs on the
+/// loop, with no lane job. Past the budget (the family's k = 1, the
+/// smallest member that overruns: `tests/compile_steps.rs`) the loop
+/// hands it to the lane, counted in `cache.lane_compiles`, and the answer
+/// is the same. Then, while a slower member's compile is on the lane, a
+/// `/healthz` on a second connection to the same loop is answered
+/// first. That is asserted by order, as above: A's job is still out and
+/// A's socket has nothing to read.
+#[test]
+fn cold_compiles_run_on_the_loop_within_the_step_budget() {
+    let srv = TestServer::start(ServerConfig {
+        workers: 1,
+        reactor_threads: 1,
+        read_timeout: Duration::from_secs(60),
+        ..small_config()
+    });
+    let id = srv.register_dtd(xproj_xmark::AUCTION_DTD, "site");
+    let dtd = Arc::new(parse_dtd(xproj_xmark::AUCTION_DTD, "site").unwrap());
+    let counters = || {
+        let m = &srv.state.metrics;
+        let lane_compiles = srv.state.cache.stats().lane_compiles;
+        (m.executor_jobs.load(Ordering::Relaxed), m.loop_jobs.load(Ordering::Relaxed), lane_compiles)
+    };
+    // (lane jobs, loop jobs, lane compiles) one request moved.
+    let request = |endpoint: &str, q: &str| {
+        let target = format!("/v1/{endpoint}?dtd={id}&query={}", urlencode(q));
+        let before = counters();
+        let resp = srv.client().request("POST", &target, &[], Some(SITE_DOC)).unwrap();
+        assert_eq!(resp.status, 200, "{q}: {}", resp.body_str());
+        let artifact = QueryArtifact::compile(&dtd, q).unwrap();
+        let expected = if endpoint == "query" {
+            run_query(&artifact, SITE_DOC, QueryOutput::Frames, true, 7).unwrap().0
+        } else {
+            let doc = std::str::from_utf8(SITE_DOC).unwrap();
+            xproj_core::prune_str(doc, &dtd, &artifact.projector).unwrap().output.into_bytes()
+        };
+        assert_eq!(resp.body, expected, "{endpoint} {q}");
+        let after = counters();
+        (after.0 - before.0, after.1 - before.1, after.2 - before.2)
+    };
+
+    let (lane, on_loop, overruns) = request("query", "/site/regions/africa/item/location");
+    assert_eq!((lane, overruns), (0, 0), "a friendly compile took the lane");
+    assert!(on_loop >= 1, "the compile and the feed ran on the loop");
+    let (lane, _, overruns) = request("prune", &up_down(1));
+    assert_eq!((lane, overruns), (1, 1), "an over-budget compile stayed on the loop");
+    // Now a hit: its one lane job is the finish of the fallback plan (an
+    // upward axis does not stream), which nothing bounds.
+    let (lane, _, overruns) = request("query", &up_down(1));
+    assert_eq!((lane, overruns), (1, 0));
+
+    let lane_depth = || srv.state.metrics.executor_queue_depth.load(Ordering::Relaxed);
+    let mut a = srv.client();
+    a.set_timeout(Duration::from_secs(60)).unwrap();
+    let target = format!("/v1/query?dtd={id}&query={}", urlencode(&up_down(5)));
+    a.send_request("POST", &target, &[], Some(SITE_DOC)).unwrap();
+    let t0 = std::time::Instant::now();
+    while lane_depth() == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "the compile never reached the lane");
+        thread::sleep(Duration::from_millis(1));
+    }
+    let resp = srv.client().request("GET", "/healthz", &[], None).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(lane_depth(), 1, "/healthz was read after A's compile came back");
+    a.stream_ref().set_nonblocking(true).unwrap();
+    match a.stream_ref().peek(&mut [0u8; 1]) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("A answered before /healthz: {other:?}"),
+    }
+    a.stream_ref().set_nonblocking(false).unwrap();
+    let resp = a.read_response().unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(srv.state.cache.stats().lane_compiles, 2);
     assert_eq!(srv.shutdown().aborted, 0);
 }
 

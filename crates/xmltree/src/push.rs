@@ -44,12 +44,13 @@
 
 use crate::entities::{decode_entities, validate_entities, ParseError};
 use crate::scan;
+use std::collections::HashSet;
 
 /// The consumer side of [`PushTokenizer::drain`]: one call per event, in
 /// document order, with names and text borrowed from the tokenizer's
 /// buffer. By the time a method runs, the token has passed every
 /// well-formedness check the tokenizer makes (UTF-8, name and attribute
-/// syntax, entity validity, tag balance).
+/// syntax, unique attribute names, entity validity, tag balance).
 ///
 /// Comments and processing instructions are counted but not delivered;
 /// the XML declaration is neither.
@@ -758,8 +759,12 @@ impl PushTokenizer {
                         return Err(fail("content after the root element".to_string()).into());
                     }
                     let (name, attrs_raw, self_closing) = split_start_tag(tok).map_err(fail)?;
+                    let mut seen = AttrNames::default();
                     for attr in RawAttrs::new(attrs_raw) {
-                        let (_, value) = attr.map_err(fail)?;
+                        let (aname, value) = attr.map_err(fail)?;
+                        if !seen.insert(aname) {
+                            return Err(fail(format!("duplicate attribute '{aname}'")).into());
+                        }
                         validate_entities(value).map_err(fail)?;
                     }
                     let skippable = sink.start(name, attrs_raw)?;
@@ -1118,6 +1123,38 @@ impl<'a> Iterator for RawAttrs<'a> {
                 Some(Err(e))
             }
         }
+    }
+}
+
+/// A start tag's attribute names so far, for XML's "Unique Att Spec".
+/// The first [`LINEAR_ATTRS`] are compared linearly, without allocating;
+/// a tag with more moves them into a hash set, so a tag of 10⁵
+/// attributes is still checked in linear time.
+#[derive(Default)]
+struct AttrNames<'a> {
+    linear: [&'a str; LINEAR_ATTRS],
+    len: usize,
+    spilled: Option<HashSet<&'a str>>,
+}
+
+const LINEAR_ATTRS: usize = 8;
+
+impl<'a> AttrNames<'a> {
+    /// Adds `name`; `false` when the tag already named it.
+    fn insert(&mut self, name: &'a str) -> bool {
+        if let Some(set) = &mut self.spilled {
+            return set.insert(name);
+        }
+        if self.linear[..self.len].contains(&name) {
+            return false;
+        }
+        if self.len < LINEAR_ATTRS {
+            self.linear[self.len] = name;
+            self.len += 1;
+        } else {
+            self.spilled = Some(self.linear.iter().copied().chain([name]).collect());
+        }
+        true
     }
 }
 

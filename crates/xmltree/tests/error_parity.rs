@@ -5,7 +5,8 @@
 //! scanner-found `&`, so those rewrites are held to the checks they
 //! replaced: each row must come out identical whole, at feeds of 1, 7,
 //! 4096 and 64 Ki bytes, and at every 2-chunk split. (The XML-whitespace
-//! fix amended exactly its own rows: part of CORPUS's last block.)
+//! fix amended exactly its own rows, part of CORPUS's second-last block;
+//! the unique-attribute check added the last block.)
 //!
 //! Beside it, the char-based name reader the token loop used to run on
 //! every name is kept as an oracle for the byte-class one, through the
@@ -95,6 +96,12 @@ const CORPUS: &[&str] = &[
     "\u{feff}<a/>",
     "\u{feff}\n<a/>",
     "\n\u{feff}<a/>",
+    // An attribute name appears once per start tag (WFC "Unique Att
+    // Spec"), past the linear compare too; names are case-sensitive.
+    "<a x=\"1\" x=\"2\">t</a>",
+    "<a><b x='1' y='2' x='1'/></a>",
+    "<a a0='' a1='' a2='' a3='' a4='' a5='' a6='' a7='' a8='' a3=''/>",
+    "<a x='1' X='2'/>",
 ];
 
 /// The pinned outcome of feeding `chunks`: the event count and sink calls,

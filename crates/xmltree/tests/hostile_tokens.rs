@@ -143,3 +143,36 @@ fn giant_tokens_are_scanned_once_when_tokenized() {
 fn giant_tokens_are_scanned_once_when_fast_forwarded() {
     wall(true);
 }
+
+/// A start tag of 10⁵ attributes, distinct or all one name, at every
+/// feed size: distinct ones pass and a repeated one fails at its second
+/// occurrence, with names compared in linear time (a hash set past the
+/// first few). Inside a fast-forwarded subtree the tag is never parsed,
+/// so the duplicate passes by design.
+#[test]
+fn a_tag_of_many_attributes_is_checked_for_duplicates() {
+    const N: usize = 100_000;
+    let distinct: String = (0..N).map(|i| format!(" a{i}=''")).collect();
+    for (attrs, duplicate) in [(distinct, false), (" a=''".repeat(N), true)] {
+        for skip in [false, true] {
+            let (head, tail) = if skip { ("<r><s>", "</s></r>") } else { ("<r>", "</r>") };
+            let doc = format!("{head}<k{attrs}/>{tail}").into_bytes();
+            let what = format!("duplicate: {duplicate}, skipped: {skip}");
+            let whole = drive(&doc, doc.len(), skip);
+            match &whole.outcome {
+                Err(e) if duplicate && !skip => {
+                    assert_eq!(e.message, "duplicate attribute 'a'", "{what}");
+                    assert_eq!(e.offset, 3, "{what}");
+                }
+                Ok(_) if !duplicate || skip => {}
+                other => panic!("{what}: {other:?}"),
+            }
+            for chunk in [1, 7, 4096, 64 * 1024] {
+                let run = drive(&doc, chunk, skip);
+                assert!(run.scanned <= 2 * doc.len() as u64 + 64, "{what}, {chunk}-byte feeds");
+                assert_eq!(run.outcome, whole.outcome, "{what}, {chunk}-byte feeds");
+                assert!(run.events == whole.events, "{what}: sink calls differ, {chunk}-byte feeds");
+            }
+        }
+    }
+}

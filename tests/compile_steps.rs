@@ -1,0 +1,193 @@
+//! The compile step counter (`StaticAnalyzer::steps`, summed into
+//! `QueryArtifact::compile_steps`) and the event loop's budget
+//! (`LOOP_COMPILE_STEPS`).
+//!
+//! * The count is exact: the same compile spends the same steps.
+//! * A budget a compile fits in changes nothing: the budgeted compile's
+//!   normalized query, projector, table and plan are the unbudgeted
+//!   ones (contexts on through the artifact cache, contexts off through
+//!   the analyser).
+//! * The friendly queries — the 43 XMark/XPathMark queries, the 96
+//!   `small_query_cold` paths and the Use Cases grammars' axis family —
+//!   compile in a quarter of the budget, except QP13 (`/site//node()`),
+//!   which compiles in a half.
+//! * ROADMAP item 1's up/down family is pinned as counts, so the
+//!   quadratic shows up as numbers and a fix to it as a changed table.
+
+use std::sync::Arc;
+use xml_projection::core::{Projector, StaticAnalyzer};
+use xml_projection::dtd::Dtd;
+use xml_projection::qc::{ArtifactCache, Lookup, QueryArtifact, LOOP_COMPILE_STEPS};
+use xml_projection::xmark::{
+    auction_dtd, parse_use_case, use_case_dtds, xmark_queries, xpathmark_queries,
+};
+use xml_projection::xquery::{parse_xquery, project_xquery};
+
+const REGIONS: [&str; 6] = ["africa", "asia", "australia", "europe", "namerica", "samerica"];
+const ITEM_PATHS: [&str; 16] = [
+    "location",
+    "quantity",
+    "name",
+    "payment",
+    "shipping",
+    "incategory",
+    "description",
+    "description/text",
+    "description/parlist",
+    "description/parlist/listitem",
+    "mailbox",
+    "mailbox/mail",
+    "mailbox/mail/from",
+    "mailbox/mail/to",
+    "mailbox/mail/date",
+    "mailbox/mail/text",
+];
+const AXIS_FAMILY: [&str; 5] = [
+    "//*",
+    "/*/*",
+    "//*/parent::*",
+    "//text()/ancestor::*",
+    "//*[*]/following-sibling::*",
+];
+
+/// Every friendly (grammar, id, query) triple.
+fn friendly() -> Vec<(Arc<Dtd>, String, String)> {
+    let auction = Arc::new(auction_dtd());
+    let mut out = Vec::new();
+    for q in xmark_queries().into_iter().chain(xpathmark_queries()) {
+        out.push((Arc::clone(&auction), q.id.to_string(), q.text.to_string()));
+    }
+    for region in REGIONS {
+        for path in ITEM_PATHS {
+            let q = format!("/site/regions/{region}/item/{path}");
+            out.push((Arc::clone(&auction), q.clone(), q));
+        }
+    }
+    for uc in use_case_dtds() {
+        let dtd = Arc::new(parse_use_case(&uc));
+        for path in AXIS_FAMILY {
+            out.push((Arc::clone(&dtd), format!("{} {path}", uc.name), path.to_string()));
+        }
+    }
+    assert_eq!(out.len(), 43 + 96 + 5 * use_case_dtds().len());
+    out
+}
+
+/// The budgeted compile, through the cache as the event loop runs it.
+fn compile_on_loop(dtd: &Arc<Dtd>, query: &str) -> Arc<QueryArtifact> {
+    let cache = ArtifactCache::new(1);
+    let Lookup::Miss(pending) = cache.lookup(dtd, query).unwrap() else {
+        panic!("{query}: a fresh cache hit");
+    };
+    let artifact = cache
+        .compile_within(pending, LOOP_COMPILE_STEPS)
+        .unwrap_or_else(|_| panic!("{query}: overran the loop budget"));
+    let stats = cache.stats();
+    assert_eq!((stats.compiles, stats.lane_compiles), (1, 0), "{query}");
+    assert_eq!(stats.compile_steps, artifact.compile_steps, "{query}");
+    artifact
+}
+
+/// The contexts-off projector and its steps, under `budget`.
+fn contexts_off(dtd: &Dtd, query: &str, budget: u64) -> (Projector, u64) {
+    let mut sa = StaticAnalyzer::with_budget(dtd, budget);
+    sa.set_use_contexts(false);
+    let projector = project_xquery(&mut sa, &parse_xquery(query).unwrap());
+    assert!(!sa.over_budget(), "{query}: contexts off overran {budget}");
+    (projector, sa.steps())
+}
+
+#[test]
+fn friendly_compiles_are_exact_fit_the_budget_and_budgeting_changes_nothing() {
+    let mut over_quarter = Vec::new();
+    for (dtd, id, query) in friendly() {
+        // Two runs of one compile, budgeted or not, spend the same steps.
+        let free = QueryArtifact::compile(&dtd, &query).unwrap();
+        let budgeted = compile_on_loop(&dtd, &query);
+        assert_eq!(budgeted.compile_steps, free.compile_steps, "{id}: steps are not exact");
+        assert_eq!(budgeted.normalized_query, free.normalized_query, "{id}");
+        assert_eq!(budgeted.projector, free.projector, "{id}");
+        assert_eq!(budgeted.plan, free.plan, "{id}");
+        for n in dtd.all_names() {
+            assert_eq!(budgeted.table.verdict(n), free.table.verdict(n), "{id}");
+            let text = |a: &QueryArtifact| a.table.keep_text_under(n);
+            assert_eq!(text(&budgeted), text(&free), "{id}");
+        }
+
+        let (off, off_steps) = contexts_off(&dtd, &query, u64::MAX);
+        assert_eq!(contexts_off(&dtd, &query, LOOP_COMPILE_STEPS), (off, off_steps), "{id}");
+
+        if free.compile_steps > LOOP_COMPILE_STEPS / 4 {
+            over_quarter.push((id, free.compile_steps));
+        }
+    }
+    // QP13 is `/site//node()`: the extraction appends `//node()` again,
+    // and the inference walks every name's children with its own
+    // context. It is the one friendly query past a quarter.
+    assert_eq!(over_quarter.len(), 1, "{over_quarter:?}");
+    assert_eq!(over_quarter[0].0, "QP13");
+    assert!(over_quarter[0].1 <= LOOP_COMPILE_STEPS / 2, "{over_quarter:?}");
+}
+
+/// ROADMAP item 1's `//keyword` + k × `/ancestor::*/descendant::*` on
+/// the auction grammar: the steps of its unbudgeted compile, k = 1..8.
+/// Doubling k multiplies them by 9.2 (k = 2 → 4) and by 6.2 (4 → 8):
+/// worse than quadratic at this range. k = 1 already overruns the loop
+/// budget, so every member compiles on the executor lane. The debug
+/// build checks k ≤ 3 (all eight take 17 s unoptimised); ci.sh's release
+/// leg checks all eight.
+#[test]
+fn the_up_down_family_is_pinned_as_counts() {
+    const PINNED: [u64; 8] = [
+        1_585_998,
+        15_802_290,
+        60_779_502,
+        145_918_836,
+        272_877_390,
+        441_655_164,
+        652_252_158,
+        904_668_372,
+    ];
+    let dtd = Arc::new(auction_dtd());
+    let upto = if cfg!(debug_assertions) { 3 } else { PINNED.len() };
+    let steps: Vec<u64> = (1..=upto)
+        .map(|k| {
+            let query = format!("//keyword{}", "/ancestor::*/descendant::*".repeat(k));
+            QueryArtifact::compile(&dtd, &query).unwrap().compile_steps
+        })
+        .collect();
+    assert_eq!(steps, PINNED[..upto], "steps of k = 1..={upto}");
+    let first_over = steps.iter().position(|&s| s > LOOP_COMPILE_STEPS).map(|i| i + 1);
+    assert_eq!(first_over, Some(1), "the first k that overruns the loop budget");
+}
+
+/// An overrun stops within one set operation's worth of rows past the
+/// budget — not at the end of the compile — and hands the miss back
+/// unchanged: compiled again with no budget, it is the fresh artifact.
+#[test]
+fn an_overrun_stops_at_the_budget_and_hands_the_miss_back() {
+    let dtd = Arc::new(auction_dtd());
+    let query = format!("//keyword{}", "/ancestor::*/descendant::*".repeat(2));
+    let cache = ArtifactCache::new(4);
+    let Lookup::Miss(pending) = cache.lookup(&dtd, &query).unwrap() else {
+        panic!("a fresh cache hit");
+    };
+    let Err(pending) = cache.compile_within(pending, LOOP_COMPILE_STEPS) else {
+        panic!("k = 2 fit the loop budget");
+    };
+    let stats = cache.stats();
+    assert_eq!((stats.compiles, stats.lane_compiles, stats.entries), (0, 1, 0));
+    // One row union per name of the 111-name grammar, at 18 steps each.
+    let slack = 111 * 18;
+    assert!(stats.compile_steps > LOOP_COMPILE_STEPS, "{stats:?}");
+    assert!(stats.compile_steps <= LOOP_COMPILE_STEPS + slack, "{stats:?}");
+
+    let artifact = cache.compile(pending);
+    let fresh = QueryArtifact::compile(&dtd, &query).unwrap();
+    assert_eq!(artifact.compile_steps, fresh.compile_steps);
+    assert_eq!(artifact.projector, fresh.projector);
+    assert_eq!(artifact.plan, fresh.plan);
+    let stats = cache.stats();
+    assert_eq!((stats.compiles, stats.lane_compiles, stats.entries), (1, 1, 1));
+    assert!(matches!(cache.lookup(&dtd, &query).unwrap(), Lookup::Hit(_)));
+}
