@@ -108,6 +108,18 @@ if grep -rnE '\b(chains_from|is_rooted_chain|select_(children|parents|descendant
     exit 1
 fi
 
+echo "== one-harness gate (grep: speed is measured by the benchmark/ ledger alone) =="
+# The stand-alone timing binaries, their median-of-N timer, their env
+# knobs, their committed result files and the engine's per-feed stage
+# clocks are gone: what they checked is counter-gated tests now, and
+# speed is the ledger's. None of it may come back. (`Timer-wheel` and
+# `TimerWheel` are the reactor's and stay.)
+if grep -rnE '\bTimer\b([^-]|$)|\b(bench_bytes|StageTimings|scan_ns)\b|XPROJ_BENCH_|BENCH_(query|server)' \
+    src crates tests; then
+    echo "one-harness gate: found a retired timing binary, knob, result file or engine clock" >&2
+    exit 1
+fi
+
 echo "== docs gate (README + DESIGN.md describe the system in <= 1000 lines) =="
 if [ "$(cat README.md DESIGN.md | wc -l)" -gt 1000 ]; then
     echo "docs gate: README.md + DESIGN.md exceed 1000 lines" >&2
@@ -243,11 +255,14 @@ PY
 echo "== server smoke (xmlpruned binary: health, prune round-trip, drain) =="
 # Spawns the real daemon on an ephemeral port, health-checks it,
 # registers a DTD, prunes a document through the HTTP surface via the
-# testkit client, then asserts graceful shutdown exits cleanly.
+# testkit client, then asserts graceful shutdown exits cleanly; and,
+# under a soft fd limit of 256, that it raises the limit to fit
+# --max-connections and serves 400 connections with no accept stall.
 cargo test -q --offline --locked -p xproj-server --test binary_smoke
 
 echo "== server integration (sockets, default driver; portable driver cases) =="
-# One run on the target's driver covers chunked round-trips, 431/413,
+# One run on the target's driver covers chunked round-trips, 431/413
+# (and /v1/dtd's own 64 KiB cap),
 # pipelining, mid-body disconnects, structured errors, the 24-case
 # HTTP-vs-prune_str and HTTP-vs-reference-evaluator differentials,
 # slowloris 408s, slow-reader backpressure, admission, rate limiting,
@@ -270,49 +285,17 @@ echo "== connection-machine simulation + adversarial wall (no sockets, 500 cases
 TESTKIT_FUZZ_CASES=500 cargo test -q --release --offline --locked \
     -p xproj-server --test simulation
 
-echo "== reactor sweep smoke (1k mostly-idle keep-alive connections) =="
-# Short run of the bench concurrency sweep at 1000 connections, single-
-# and dual-loop, with the bench's own cross-cell checks fatal
-# (XPROJ_BENCH_ASSERT=1): every cell must drain with zero aborted
-# connections and serve its hot subset with zero errors. The
-# reactor-thread axis gate is core-aware: with >= 2 cores the 2-loop
-# cell must serve at least as many req/s as the 1-loop cell; on a
-# single core the two loops only add coordination, so the bench holds
-# them to a no-regression band instead.
-XPROJ_BENCH_SCALE=0.005 XPROJ_BENCH_CLIENTS=2 XPROJ_BENCH_REQUESTS=5 \
-XPROJ_BENCH_SWEEP=1000 XPROJ_BENCH_REACTORS=1,2 XPROJ_BENCH_CELL_MS=2000 \
-XPROJ_BENCH_ASSERT=1 \
-    ./target/release/server > /tmp/BENCH_server.smoke.jsonl
-grep -q '"bench":"sweep","reactor_threads":1' /tmp/BENCH_server.smoke.jsonl
-grep -q '"bench":"sweep","reactor_threads":2' /tmp/BENCH_server.smoke.jsonl
-
-echo "== query bench smoke (one-pass vs prune-then-eval ratio gate) =="
-# Smoke-mode run of the one-pass query bench. The bench itself asserts
-# byte-identical answers before timing; here the emitted JSON must
-# parse and the one-pass machine must hold the >= 1.3x bar over
-# prune-then-eval at retention <= 30% — in the smoke run and in the
-# committed BENCH_query.json. The gate is a ratio of the two pipelines
-# on the same machine, so it is machine-independent.
-XPROJ_BENCH_SAMPLES=3 XPROJ_BENCH_WARMUP=1 XPROJ_BENCH_SCALES=0.5 \
-XPROJ_BENCH_OUT=/tmp/BENCH_query.smoke.json \
-    ./target/release/query > /dev/null
-python3 - <<'PY'
-import json, math
-base = json.load(open('BENCH_query.json'))
-smoke = json.load(open('/tmp/BENCH_query.smoke.json'))
-assert base['runs'] and smoke['runs']
-def gate(doc, name):
-    rows = [r for r in doc['runs'] if r['retention'] <= 0.30]
-    assert rows, f"{name}: no rows at retention <= 30%"
-    g = math.exp(sum(math.log(r['ratio']) for r in rows) / len(rows))
-    assert g >= 1.3, \
-        f"{name}: one-pass speedup {g:.2f}x below the 1.3x gate"
-    return g, len(rows)
-gb, nb = gate(base, 'committed baseline')
-gs, ns = gate(smoke, 'smoke run')
-print(f"query bench smoke: one-pass speedup {gs:.2f}x over {ns} rows "
-      f"(committed baseline {gb:.2f}x over {nb} rows)")
-PY
+echo "== one-pass residency and idle-connection sweep, release leg (counters, not clocks) =="
+# What the retired query bench and server sweep checked, as exact tests
+# on optimised builds: the one-pass answer equals prune -> parse ->
+# evaluate, tokenizes no more than the pruning pass, and its peak
+# allocation tracks the answer while the pipeline's tracks the document
+# (XMark 0.1 vs 0.5); and a thousand idle keep-alive connections, on one
+# loop and on two, leave 200 cached prunes byte-exact with every idle
+# connection open, no error, no accept stall and nothing aborted.
+cargo test -q --release --offline --locked -p xproj-bench --test one_pass_alloc
+cargo test -q --release --offline --locked -p xproj-server --test integration \
+    a_thousand_idle_keep_alive_connections_cost_slots_not_service
 
 echo "== benchmark ledger (frozen surface builds, contract tests, 2 s smoke) =="
 # benchmark/ is its own workspace building --locked against these

@@ -15,7 +15,6 @@
 use crate::metrics::EngineStats;
 use std::borrow::Borrow;
 use std::io::{Read, Write};
-use std::time::Instant;
 use xproj_core::{
     MachineSink, Projector, ProjectorTable, PruneMachine, StreamPruneError, Validator,
 };
@@ -186,7 +185,6 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
         self.stats.bytes_in += chunk.len() as u64;
         self.max_chunk = self.max_chunk.max(chunk.len());
-        let t0 = Instant::now();
         self.tokenizer.push_bytes(chunk)?;
         let done = self.tokenizer.drain(
             &mut MachineSink::<_, EngineError>::new(
@@ -196,7 +194,7 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
             ),
             self.fast_forward,
         )?;
-        self.flush(done, t0)
+        self.flush(done)
     }
 
     /// Feeds all of `input` in `chunk_size`-byte reads, then finishes.
@@ -211,20 +209,16 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
         }
     }
 
-    /// Books what a drain started at `t0` did and hands the scratch to
-    /// the sink.
-    fn flush(&mut self, done: Drained, t0: Instant) -> Result<(), EngineError> {
+    /// Books what a drain did and hands the scratch to the sink.
+    fn flush(&mut self, done: Drained) -> Result<(), EngineError> {
         self.stats.events += done.events;
         self.stats.subtrees_fast_forwarded += done.fast_forwarded;
-        let t1 = Instant::now();
-        self.stats.timings.scan += t1 - t0;
         self.peak_scratch = self.peak_scratch.max(self.scratch.len());
         if !self.scratch.is_empty() {
             self.sink.write_all(self.scratch.as_bytes())?;
             self.stats.bytes_out += self.scratch.len() as u64;
             self.scratch.clear();
         }
-        self.stats.timings.write += t1.elapsed();
         self.stats.peak_resident_bytes = self
             .stats
             .peak_resident_bytes
@@ -248,7 +242,6 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     pub(crate) fn finish_parts(mut self) -> Result<(EngineStats, W), EngineError> {
         // Only a trailing text run can surface here; subtree starts
         // always complete before EOF.
-        let t0 = Instant::now();
         let done = self
             .tokenizer
             .finish_into(&mut MachineSink::<_, EngineError>::new(
@@ -256,7 +249,7 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
                 &mut self.scratch,
                 self.validator.as_mut(),
             ))?;
-        self.flush(done, t0)?;
+        self.flush(done)?;
         let ChunkedPruner {
             tokenizer,
             machine,

@@ -30,8 +30,8 @@
 //!   documents"); a prune and a query request for the same pair share
 //!   one [`QueryArtifact`], whose verdict table every pass copies.
 //! * [`metrics`] — [`EngineStats`]: events, bytes in/out, retention,
-//!   depth, peak-resident bytes, per-stage timings; serialized as the
-//!   workspace's JSON-lines format.
+//!   depth, peak-resident bytes — counts, never a clock; serialized as
+//!   the workspace's JSON-lines format.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -72,8 +72,8 @@ pub mod metrics;
 pub mod query;
 
 pub use chunked::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
-pub use metrics::{error_json_line, EngineStats, StageTimings};
-pub use query::{json_escape_into, run_query, QueryMachine, QueryOutput, QueryStats};
+pub use metrics::{error_json_line, EngineStats};
+pub use query::{json_escape_into, QueryMachine, QueryOutput, QueryStats};
 pub use xproj_qc::{
     normalize_query, ArtifactCache, ArtifactCacheStats, Lookup, PendingCompile, QueryArtifact,
     LOOP_COMPILE_STEPS,

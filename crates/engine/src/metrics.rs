@@ -1,38 +1,14 @@
-//! Pipeline metrics: what the engine did, how fast, and how much it
-//! kept resident.
+//! Pipeline metrics: what the engine did and how much it kept resident.
 //!
 //! Every layer of the engine threads an [`EngineStats`] through: the
-//! chunked pruner fills in event/byte counts, per-stage timings and the
-//! peak-resident high-water mark; the server aggregates them over every
-//! pass for `/metrics`; the CLI and the bench binaries serialize them as
-//! the workspace's usual one-JSON-object-per-line format.
+//! chunked pruner fills in event/byte counts and the peak-resident
+//! high-water mark; the server aggregates them over every pass for
+//! `/metrics`; the CLI serializes them as the workspace's usual
+//! one-JSON-object-per-line format. They are counts, not times: how long
+//! a layer takes is the `benchmark/` ledger's to measure.
 
-use std::time::Duration;
 use xproj_core::{ErrorCode, PruneCounters};
 use xproj_qc::ArtifactCacheStats;
-
-/// Wall-clock time spent in each stage of the chunked pipeline.
-///
-/// A feed does two things that can be told apart with one clock read
-/// each: the fused token loop — tokenizing *and* running the
-/// keep/discard machine, one pass, not separable without a clock per
-/// token (*scan*) — and pushing kept bytes into the output sink
-/// (*write*).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
-    /// Time spent in the token loop: tokenizer plus pruning machine.
-    pub scan: Duration,
-    /// Time spent writing kept bytes to the sink.
-    pub write: Duration,
-}
-
-impl StageTimings {
-    /// Accumulates another timing set.
-    pub fn accumulate(&mut self, other: &StageTimings) {
-        self.scan += other.scan;
-        self.write += other.write;
-    }
-}
 
 /// End-to-end statistics for one chunked pruning run (or an aggregate
 /// over many, as `/metrics` reports).
@@ -56,8 +32,6 @@ pub struct EngineStats {
     /// Pruned subtrees consumed by the raw fast-forward scanner instead
     /// of the tokenizer (0 when fast-forward is off or never eligible).
     pub subtrees_fast_forwarded: u64,
-    /// Per-stage wall-clock timings.
-    pub timings: StageTimings,
     /// Documents aggregated into this stats object (1 for a single run).
     pub documents: u64,
     /// Artifact-cache counters of the run (all-zero when the run did
@@ -87,7 +61,6 @@ impl EngineStats {
         self.peak_resident_bytes = self.peak_resident_bytes.max(other.peak_resident_bytes);
         self.max_token_bytes = self.max_token_bytes.max(other.max_token_bytes);
         self.subtrees_fast_forwarded += other.subtrees_fast_forwarded;
-        self.timings.accumulate(&other.timings);
         self.documents += other.documents;
         self.cache.hits += other.cache.hits;
         self.cache.misses += other.cache.misses;
@@ -95,8 +68,8 @@ impl EngineStats {
         self.cache.entries = self.cache.entries.max(other.cache.entries);
     }
 
-    /// One JSON object on a single line, in the same shape the bench
-    /// binaries emit (collectable with `grep '^{' | jq`).
+    /// One JSON object on a single line (collectable with
+    /// `grep '^{' | jq`).
     pub fn to_json_line(&self, label: &str) -> String {
         format!(
             "{{\"group\":\"engine\",\"bench\":\"{label}\",\"documents\":{},\"events\":{},\
@@ -104,7 +77,6 @@ impl EngineStats {
              \"elements_kept\":{},\"elements_pruned\":{},\"text_kept\":{},\"text_pruned\":{},\
              \"max_depth\":{},\"peak_resident_bytes\":{},\"max_token_bytes\":{},\
              \"subtrees_fast_forwarded\":{},\
-             \"scan_ns\":{},\"write_ns\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{}}}",
             self.documents,
             self.events,
@@ -119,8 +91,6 @@ impl EngineStats {
             self.peak_resident_bytes,
             self.max_token_bytes,
             self.subtrees_fast_forwarded,
-            self.timings.scan.as_nanos(),
-            self.timings.write.as_nanos(),
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,

@@ -923,34 +923,33 @@ pub fn json_escape_into(s: &str, out: &mut Vec<u8>) {
     }
 }
 
-/// Convenience driver: runs `artifact` over a whole in-memory document,
-/// returning the output and stats. Test and CLI entry point; the servers
-/// drive [`QueryMachine`] incrementally instead.
-pub fn run_query(
-    artifact: &Arc<QueryArtifact>,
-    doc: &[u8],
-    mode: QueryOutput,
-    fast_forward: bool,
-    chunk_size: usize,
-) -> Result<(Vec<u8>, QueryStats), EngineError> {
-    let mut machine = QueryMachine::new(Arc::clone(artifact), mode);
-    machine.set_fast_forward(fast_forward);
-    let mut out = Vec::new();
-    for chunk in doc.chunks(chunk_size.max(1)) {
-        machine.feed(chunk)?;
-        machine.take_output(&mut out);
-    }
-    let stats = machine.finish()?;
-    machine.take_output(&mut out);
-    Ok((out, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xproj_core::{prune_str, ErrorCode};
     use xproj_dtd::parse_dtd;
     use xproj_xquery::{evaluate_query, parse_xquery};
+
+    /// Runs `artifact` over a whole in-memory document in `chunk_size`
+    /// feeds, returning the output and stats.
+    fn run_query(
+        artifact: &Arc<QueryArtifact>,
+        doc: &[u8],
+        mode: QueryOutput,
+        fast_forward: bool,
+        chunk_size: usize,
+    ) -> Result<(Vec<u8>, QueryStats), EngineError> {
+        let mut machine = QueryMachine::new(Arc::clone(artifact), mode);
+        machine.set_fast_forward(fast_forward);
+        let mut out = Vec::new();
+        for chunk in doc.chunks(chunk_size) {
+            machine.feed(chunk)?;
+            machine.take_output(&mut out);
+        }
+        let stats = machine.finish()?;
+        machine.take_output(&mut out);
+        Ok((out, stats))
+    }
 
     const DTD: &str = "\
         <!ELEMENT bib (book*)>\

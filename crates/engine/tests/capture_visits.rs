@@ -17,7 +17,7 @@
 //! the quadratic walk takes half a minute).
 
 use std::sync::Arc;
-use xproj_engine::{run_query, QueryArtifact, QueryOutput, DEFAULT_CHUNK_SIZE};
+use xproj_engine::{QueryArtifact, QueryMachine, QueryOutput, DEFAULT_CHUNK_SIZE};
 use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
 
 /// `(query, streams)`: the union lowers to the fallback plan, which has
@@ -44,14 +44,14 @@ fn capture_visits_are_bounded_by_events_times_depth() {
         let xml = generate_auction(&dtd, &XMarkConfig::at_scale(scale)).to_xml();
         for &(query, streams) in QUERIES {
             let artifact = QueryArtifact::compile(&dtd, query).unwrap();
-            let (_, stats) = run_query(
-                &artifact,
-                xml.as_bytes(),
-                QueryOutput::Frames,
-                true,
-                DEFAULT_CHUNK_SIZE,
-            )
-            .unwrap();
+            let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
+            let mut frames = Vec::new();
+            for chunk in xml.as_bytes().chunks(DEFAULT_CHUNK_SIZE) {
+                machine.feed(chunk).unwrap();
+                machine.take_output(&mut frames);
+                frames.clear();
+            }
+            let stats = machine.finish().unwrap();
             let engine = &stats.engine;
             let bound = engine.events * (engine.counters.max_depth as u64 + 1);
             assert!(

@@ -291,8 +291,10 @@ pub fn close(fd: i32) {
 }
 
 /// Raises `RLIMIT_NOFILE` toward `want` fds (capped at the hard limit)
-/// and returns the resulting soft limit. Benchmarks opening thousands of
-/// keep-alive connections call this first.
+/// and returns the resulting soft limit; never lowers it. `xmlpruned`
+/// calls this at startup with `--max-connections` plus a reserve, and the
+/// server's connection-sweep test, which holds both ends of a thousand
+/// sockets, before opening them.
 pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
     #[cfg(target_os = "linux")]
     {

@@ -17,6 +17,10 @@ use std::process::ExitCode;
 use std::time::Duration;
 use xproj_server::{Server, ServerConfig};
 
+/// Descriptors kept beyond `--max-connections`: listeners, epoll and
+/// eventfd per loop, stdio, and sockets accepted only to be refused 503.
+const NOFILE_RESERVE: u64 = 256;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -113,6 +117,19 @@ fn run(args: &[String]) -> Result<(), String> {
         }
     }
 
+    // Every admitted connection is a descriptor: without room for
+    // --max-connections of them, accept fails (EMFILE, `accept_stalls`)
+    // long before admission would answer 503.
+    let want = (config.max_connections as u64).saturating_add(NOFILE_RESERVE);
+    if let Ok(got) = xproj_reactor::raise_nofile_limit(want) {
+        if got < want {
+            eprintln!(
+                "xmlpruned: fd limit {got} < --max-connections {} + {NOFILE_RESERVE}: \
+                 accepts will stall before admission refuses with 503",
+                config.max_connections
+            );
+        }
+    }
     let server = Server::bind(config).map_err(|e| format!("bind: {e}"))?;
     let addr = server.local_addr();
     if let Some(path) = &port_file {
@@ -175,7 +192,8 @@ engine itself, at most two buffer units a job: it is the daemon's
 parallelism. --workers threads, split across the loops' lanes, take only
 the work nothing bounds (query compiles, DTDs, analyses, fallback-plan
 evaluation), so a slow one never delays a cached prune or query.
---max-connections bounds admission (over it: 503 + Retry-After).
+--max-connections bounds admission (over it: 503 + Retry-After); the soft
+fd limit is raised to fit it, as far as the hard limit allows.
 --read-timeout-ms bounds an idle keep-alive wait, a whole request head
 (absolute, from its first byte) and a stalled body; --write-timeout-ms
 bounds a client that stops reading its response; --drain-ms bounds how

@@ -75,7 +75,7 @@ use crate::http::{
     streaming_prune_head, BodyKind, HttpError, RequestHead,
 };
 use crate::metrics::Endpoint;
-use crate::state::ServerState;
+use crate::state::{ServerState, MAX_DTD_BODY_BYTES};
 use crate::wire::{parse_head, BodyDecoder};
 use std::collections::VecDeque;
 use std::io::{IoSlice, Write as _};
@@ -1077,10 +1077,14 @@ impl Connection {
         if !discard && kind != BodyKind::None && head.expects_continue() {
             self.out.push(b"HTTP/1.1 100 Continue\r\n\r\n".to_vec());
         }
+        let mut limit = cx.state.config.max_body_bytes;
+        if endpoint == Endpoint::Dtd {
+            limit = limit.min(MAX_DTD_BODY_BYTES);
+        }
         self.phase = Phase::Body {
             head,
             endpoint,
-            decoder: BodyDecoder::new(kind, cx.state.config.max_body_bytes),
+            decoder: BodyDecoder::new(kind, limit),
             body: Vec::new(),
             discard,
         };

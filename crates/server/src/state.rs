@@ -101,6 +101,12 @@ pub fn default_reactor_threads() -> usize {
 /// the text again, which — ids being content-derived — returns the same id.
 pub const DTD_REGISTRY_CAPACITY: usize = 256;
 
+/// The largest `POST /v1/dtd` body (over it: `413`), however large
+/// `--max-body-bytes` lets a document be: a grammar is buffered whole and
+/// then compiled in time superlinear in its size. 64 KiB is ~19× the
+/// largest grammar shipped (`examples/auction.dtd`, 3 405 B).
+pub const MAX_DTD_BODY_BYTES: u64 = 64 * 1024;
+
 /// The registered grammars, an LRU on the artifact cache's tick scheme.
 #[derive(Default)]
 struct DtdRegistry {

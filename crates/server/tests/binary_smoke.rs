@@ -102,6 +102,45 @@ fn binary_serves_and_shuts_down_cleanly() {
     );
 }
 
+/// The daemon raises its own fd limit to fit `--max-connections`: started
+/// under a soft limit of 256 (the hard one untouched), it still accepts
+/// and serves 400 keep-alive connections at once without an accept stall.
+/// Left at 256 it would stall (EMFILE) near 250 and never reach its 503.
+#[test]
+#[cfg(target_os = "linux")]
+fn the_daemon_raises_a_low_soft_fd_limit_to_fit_its_connections() {
+    let mut child = Command::new("sh")
+        .args(["-c", "ulimit -Sn 256 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_xmlpruned"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "1", "--reactor-threads", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("spawn xmlpruned under ulimit -Sn 256");
+    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
+    let mut child = Reap(child);
+    let first = lines.next().expect("exited before binding").expect("read stdout");
+    let addr = first.strip_prefix("listening on ").unwrap_or_else(|| panic!("{first}")).to_string();
+
+    let mut conns: Vec<HttpClient> = (0..400)
+        .map(|i| {
+            let mut c = HttpClient::connect(addr.as_str()).expect("connect to daemon");
+            c.set_timeout(Duration::from_secs(5)).unwrap();
+            let resp = c.request("GET", "/healthz", &[], None);
+            let status = resp.unwrap_or_else(|e| panic!("connection {i}: {e}")).status;
+            assert_eq!(status, 200, "connection {i}");
+            c
+        })
+        .collect();
+    let body = conns[0].request("GET", "/metrics", &[], None).unwrap().body_str();
+    let metrics = xproj_testkit::parse_json(&body).unwrap();
+    let stalls = metrics.get("server").and_then(|s| s.get("accept_stalls"));
+    assert_eq!(stalls.and_then(|v| v.as_f64()), Some(0.0), "{body}");
+    assert_eq!(conns[0].request("POST", "/admin/shutdown", &[], None).unwrap().status, 200);
+    drop(conns);
+    assert!(child.0.wait().expect("wait for exit").success());
+}
+
 /// Every flag the daemon has, with a value it accepts and one it must
 /// refuse. `tests/surface.rs` at the workspace root holds the parser,
 /// the usage text and README's surface table to one set of flags, and

@@ -10,7 +10,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 use xproj_dtd::parse_dtd;
-use xproj_engine::QueryArtifact;
+use xproj_engine::{QueryArtifact, QueryMachine, QueryOutput};
 use xproj_server::{Server, ServerConfig, ServerState, ShutdownReport};
 use xproj_testkit::{urlencode, HttpClient};
 
@@ -153,6 +153,27 @@ pub fn expected_bib_prune(query: &str) -> String {
     xproj_core::prune_str(BIB_DOC, &dtd, projector)
         .unwrap()
         .output
+}
+
+/// What the in-process engine makes of `doc` under `artifact`, fed
+/// `chunk` bytes at a time: the bytes a `/v1/query` response must equal.
+pub fn run_query(
+    artifact: &Arc<QueryArtifact>,
+    doc: &[u8],
+    mode: QueryOutput,
+    fast_forward: bool,
+    chunk: usize,
+) -> Vec<u8> {
+    let mut machine = QueryMachine::new(Arc::clone(artifact), mode);
+    machine.set_fast_forward(fast_forward);
+    let mut out = Vec::new();
+    for piece in doc.chunks(chunk) {
+        machine.feed(piece).unwrap();
+        machine.take_output(&mut out);
+    }
+    machine.finish().unwrap();
+    machine.take_output(&mut out);
+    out
 }
 
 /// The drain criterion: `POST /admin/shutdown` under in-flight

@@ -8,8 +8,9 @@
 //! bytes pruned over HTTP are identical to [`xproj_core::prune_str`],
 //! and `/v1/query` answers are identical to the reference evaluator
 //! over the unpruned tree, on testkit-generated (DTD, document, query)
-//! triples; and the drain, backpressure, admission, rate-limit and
-//! accept-stall behaviour that needs a kernel to show. Schedules no
+//! triples; and the drain, backpressure, admission, rate-limit,
+//! accept-stall and thousand-idle-connection behaviour that needs a kernel
+//! to show. Schedules no
 //! socket can force (read fragmentation, partial writes, completion
 //! order, exact timer instants) are `simulation.rs`'s.
 
@@ -22,7 +23,7 @@ use std::thread;
 use std::time::Duration;
 use xproj_dtd::generate::{generate, GenConfig, RANDOM_DTD_TAGS};
 use xproj_dtd::{parse_dtd, Dtd};
-use xproj_engine::{run_query, QueryArtifact, QueryOutput};
+use xproj_engine::{QueryArtifact, QueryOutput};
 use xproj_server::ServerConfig;
 use xproj_testkit::{urlencode, HttpClient, SplitMix64};
 use xproj_xquery::{evaluate_query, parse_xquery};
@@ -316,6 +317,30 @@ fn oversized_body_rejected_413() {
     srv.shutdown();
 }
 
+/// A grammar is buffered whole, so `/v1/dtd` has its own cap far below
+/// the default `--max-body-bytes`: a DTD of exactly 64 KiB registers, one
+/// byte more is `413 body-too-large`.
+#[test]
+fn dtd_bodies_over_64_kib_are_rejected_413() {
+    use xproj_server::state::MAX_DTD_BODY_BYTES as CAP;
+    let srv = TestServer::start(small_config());
+    assert!(srv.state.config.max_body_bytes > CAP);
+    let padded = |len: u64| BIB_DTD.to_string() + &" ".repeat(len as usize - BIB_DTD.len());
+    let mut c = srv.client();
+    let resp = c.request("POST", "/v1/dtd?root=bib", &[], Some(padded(CAP).as_bytes())).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(extract_json_str(&resp.body_str(), "id"), srv.register_dtd(BIB_DTD, "bib"));
+
+    let mut c = srv.client();
+    let resp = c
+        .request("POST", "/v1/dtd?root=bib", &[], Some(padded(CAP + 1).as_bytes()))
+        .unwrap();
+    assert_eq!(resp.status, 413);
+    assert_eq!(extract_json_str(&resp.body_str(), "code"), "body-too-large");
+    assert_eq!(srv.state.dtd_count(), 1);
+    srv.shutdown();
+}
+
 #[test]
 fn structured_errors_unknown_dtd_bad_query_malformed_xml() {
     let srv = TestServer::start(small_config());
@@ -578,8 +603,7 @@ fn query_one_pass_roundtrip_and_metrics() {
     let artifact = QueryArtifact::compile(&dtd, query).unwrap();
 
     for ff in [true, false] {
-        let expected =
-            run_query(&artifact, BIB_DOC.as_bytes(), QueryOutput::Frames, ff, 7).unwrap().0;
+        let expected = run_query(&artifact, BIB_DOC.as_bytes(), QueryOutput::Frames, ff, 7);
         let target = format!(
             "/v1/query?dtd={id}&query={}{}",
             urlencode(query),
@@ -673,15 +697,13 @@ fn differential_http_query_matches_reference() {
             Ok(r) => r,
             Err(_) => continue,
         };
-        let (answer, _) =
-            run_query(&artifact, xml.as_bytes(), QueryOutput::Answer, true, 101).unwrap();
+        let answer = run_query(&artifact, xml.as_bytes(), QueryOutput::Answer, true, 101);
         assert_eq!(
             String::from_utf8(answer).unwrap(),
             reference,
             "case {case}: one-pass answer diverged from unpruned reference\nquery: {query}\ndoc: {xml}"
         );
-        let expected =
-            run_query(&artifact, xml.as_bytes(), QueryOutput::Frames, true, 101).unwrap().0;
+        let expected = run_query(&artifact, xml.as_bytes(), QueryOutput::Frames, true, 101);
 
         let id = srv.register_dtd(&text, root);
         let step = [1usize, 3, 7, 64, 255, 1024][case as usize % 6];
@@ -886,7 +908,7 @@ fn cold_compiles_run_on_the_loop_within_the_step_budget() {
         assert_eq!(resp.status, 200, "{q}: {}", resp.body_str());
         let artifact = QueryArtifact::compile(&dtd, q).unwrap();
         let expected = if endpoint == "query" {
-            run_query(&artifact, SITE_DOC, QueryOutput::Frames, true, 7).unwrap().0
+            run_query(&artifact, SITE_DOC, QueryOutput::Frames, true, 7)
         } else {
             let doc = std::str::from_utf8(SITE_DOC).unwrap();
             xproj_core::prune_str(doc, &dtd, &artifact.projector).unwrap().output.into_bytes()
@@ -1511,6 +1533,87 @@ fn rate_limit_429_after_burst_with_retry_after() {
 
     let report = srv.shutdown();
     assert_eq!(report.aborted, 0);
+}
+
+/// An idle keep-alive connection costs the epoll driver a slab slot and a
+/// registration, never service. With a thousand of them open and warmed,
+/// four hot connections get 200 cached prunes, each byte-identical to
+/// `prune_str`; afterwards every idle connection is still open, and
+/// `/metrics` counts exactly N + 4 connections, no error, no accept stall
+/// and one compile; shutdown aborts nothing. Once on one event loop, once
+/// on two. Both ends of every socket live in this process, so N shrinks
+/// to what the fd limit allows.
+#[test]
+#[cfg(target_os = "linux")]
+fn a_thousand_idle_keep_alive_connections_cost_slots_not_service() {
+    use std::io::Read;
+    const HOT: usize = 4;
+    const REQUESTS: usize = 200;
+    let want = 2 * 1000 + 512;
+    let limit = xproj_reactor::raise_nofile_limit(want).expect("raise RLIMIT_NOFILE");
+    let idle = limit.min(want).saturating_sub(512) as usize / 2;
+    let query = "/bib/book/title";
+    let expected = expected_bib_prune(query);
+
+    for loops in [1, 2] {
+        let config = ServerConfig { read_timeout: Duration::from_secs(60), ..small_config() };
+        let srv = with_reactor_threads(loops, || TestServer::start(config));
+        // Registration, the one compile and the scrape ride hot connection
+        // 0, so the server sees exactly idle + HOT connections.
+        let mut hot: Vec<HttpClient> = (0..HOT).map(|_| srv.client()).collect();
+        let resp = hot[0]
+            .request("POST", "/v1/dtd?root=bib", &[], Some(BIB_DTD.as_bytes()))
+            .unwrap();
+        let target = format!(
+            "/v1/prune?dtd={}&query={}",
+            extract_json_str(&resp.body_str(), "id"),
+            urlencode(query)
+        );
+        let resp = hot[0].request("POST", &target, &[], Some(BIB_DOC.as_bytes())).unwrap();
+        assert_eq!(resp.body_str(), expected);
+
+        let parked: Vec<HttpClient> = (0..idle)
+            .map(|_| {
+                let mut c = srv.client();
+                assert_eq!(c.request("GET", "/healthz", &[], None).unwrap().status, 200);
+                c.stream_ref().set_nonblocking(true).unwrap();
+                c
+            })
+            .collect();
+        let (target, expected) = (&target, &expected);
+        thread::scope(|s| {
+            for c in &mut hot {
+                s.spawn(move || {
+                    for _ in 0..REQUESTS / HOT {
+                        let resp = c.request("POST", target, &[], Some(BIB_DOC.as_bytes())).unwrap();
+                        assert_eq!(resp.status, 200, "{}", resp.body_str());
+                        assert_eq!(resp.body_str(), *expected);
+                    }
+                });
+            }
+        });
+        for (i, c) in parked.iter().enumerate() {
+            let probe = (&mut c.stream_ref()).read(&mut [0u8; 64]);
+            assert!(
+                matches!(&probe, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+                "{loops} loop(s): idle connection {i} of {idle} was dropped: {probe:?}"
+            );
+        }
+
+        let body = hot[0].request("GET", "/metrics", &[], None).unwrap().body_str();
+        let metrics = xproj_testkit::parse_json(&body).unwrap();
+        let count = |section: &str, key: &str| {
+            let v = metrics.get(section).and_then(|s| s.get(key)).and_then(|v| v.as_f64());
+            v.unwrap_or_else(|| panic!("no {section}.{key} in {body}")) as usize
+        };
+        assert_eq!(count("server", "connections"), idle + HOT, "{body}");
+        assert_eq!(count("server", "errors"), 0, "{body}");
+        assert_eq!(count("server", "accept_stalls"), 0, "{body}");
+        assert_eq!(count("reactor", "reactor_threads"), loops, "{body}");
+        assert_eq!((count("cache", "misses"), count("cache", "hits")), (1, REQUESTS), "{body}");
+        assert_eq!(srv.shutdown().aborted, 0, "{loops} loop(s)");
+        drop(parked);
+    }
 }
 
 /// The epoll driver parks its listener for a backoff instead of

@@ -27,13 +27,16 @@
 //! `TESTKIT_FUZZ_CASES=n` scales the seeded tests; a failure prints the
 //! `TESTKIT_SEED=0x…` that replays it.
 
+mod common;
+
+use common::run_query;
 use std::io::IoSlice;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xproj_dtd::parse_dtd;
-use xproj_engine::{run_query, QueryArtifact, QueryOutput};
+use xproj_engine::{QueryArtifact, QueryOutput};
 use xproj_server::conn::{
     run_job, Connection, Done, Input, PruneFail, LINGER_MAX_BYTES, LINGER_TIMEOUT, READ_BUDGET,
 };
@@ -622,10 +625,8 @@ fn random_script(rng: &mut SplitMix64) -> Script {
             }
             _ => {
                 let q = *rng.pick(&query_queries);
-                let artifact = Arc::new(QueryArtifact::compile(&dtd, q).unwrap());
-                let frames = run_query(&artifact, doc.as_bytes(), QueryOutput::Frames, true, 512)
-                    .unwrap()
-                    .0;
+                let artifact = QueryArtifact::compile(&dtd, q).unwrap();
+                let frames = run_query(&artifact, doc.as_bytes(), QueryOutput::Frames, true, 512);
                 engine_bodies.push((responses, frames));
                 bytes.extend(request("POST", &stream_target("query", q), expect, body));
             }
