@@ -50,6 +50,20 @@ if grep -rnE '\b(PruneSession|StreamSession|StreamError|QueryError|prune_reader_
     echo "one-loop gate: found a second pass object or its error chain" >&2
     exit 1
 fi
+# Both engine passes run one private driver of the token loop, and the
+# residency bound is spelled once, in `residency_bound`.
+if [ "$(grep -rF 'PushTokenizer::new()' crates/engine/src | wc -l)" -ne 1 ]; then
+    echo "one-loop gate: the engine must construct exactly one PushTokenizer" >&2
+    exit 1
+fi
+if grep -rnE '\b(StreamExec|finish_parts)\b' src crates tests; then
+    echo "one-loop gate: found a second engine driver" >&2
+    exit 1
+fi
+if [ "$(grep -rnF '64 * (1 +' src crates tests | cut -d: -f1)" != "crates/engine/src/chunked.rs" ]; then
+    echo "one-loop gate: the residency bound is spelled outside residency_bound" >&2
+    exit 1
+fi
 if grep -rn -e '--chunked' src crates/*/src; then
     echo "one-loop gate: found the retired --chunked flag" >&2
     exit 1

@@ -40,8 +40,7 @@ pub use lints::{run_lints, Lint, LintLevel};
 pub use provenance::{trace_workload, ExtractedPath, Provenance, ProvenanceEntry};
 pub use report::{render_independence_json, render_independence_text, render_json_lines, render_text};
 pub use retention::{
-    calibrate, estimate, estimate_calibrated, NameWeight, RetentionEstimate, RetentionOptions,
-    SampleStats,
+    calibrate, estimate, estimate_calibrated, NameWeight, RetentionEstimate, SampleStats,
 };
 
 use xproj_core::stream::ErrorCode;
@@ -86,8 +85,6 @@ impl std::error::Error for AnalyzerError {}
 pub struct AnalysisOptions<'a> {
     /// Sample document for calibrating the retention model.
     pub sample: Option<&'a str>,
-    /// Structural-model tunables.
-    pub retention: RetentionOptions,
 }
 
 /// Whether Thm. 4.7 (optimality of the inferred projector) applies to a
@@ -136,10 +133,8 @@ pub fn analyze(
     let diags = diagnostics(dtd);
     let optimality = optimality_claim(dtd, &diags, queries);
     let retention = match opts.sample {
-        Some(sample) => {
-            estimate_calibrated(dtd, &provenance.projector, sample, &opts.retention)
-        }
-        None => estimate(dtd, &provenance.projector, &opts.retention),
+        Some(sample) => estimate_calibrated(dtd, &provenance.projector, sample),
+        None => estimate(dtd, &provenance.projector),
     };
     let lints = run_lints(dtd, &provenance.projector, &provenance.paths, &retention);
     Ok(Analysis {

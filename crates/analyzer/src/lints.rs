@@ -167,14 +167,14 @@ fn recursive_blowup(
 mod tests {
     use super::*;
     use crate::provenance::trace_workload;
-    use crate::retention::{estimate, RetentionOptions};
+    use crate::retention::estimate;
     use xproj_dtd::parse_dtd;
 
     fn lints_for(dtd_src: &str, root: &str, query: &str) -> Vec<Lint> {
         let d = parse_dtd(dtd_src, root).unwrap();
         let qs = [query.to_string()];
         let p = trace_workload(&d, &qs).unwrap();
-        let r = estimate(&d, &p.projector, &RetentionOptions::default());
+        let r = estimate(&d, &p.projector);
         run_lints(&d, &p.projector, &p.paths, &r)
     }
 

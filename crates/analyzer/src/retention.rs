@@ -3,9 +3,9 @@
 //! Predicts, before pruning anything, what fraction of a document's
 //! bytes a projector retains. The model is DTD-driven: content-model
 //! structure gives an expected number of occurrences of each child name
-//! per occurrence of its parent (`a*` ≈ [`RetentionOptions::star_weight`]
-//! repetitions, `a?` ≈ ½, unions split their weight evenly), occurrence
-//! counts propagate level by level from the root, and per-name byte
+//! per occurrence of its parent (`a*` ≈ 3 repetitions, `a?` ≈ ½, unions
+//! split their weight evenly), occurrence counts propagate level by level
+//! from the root, and per-name byte
 //! weights come from tag lengths and attribute counts. When a sample
 //! document is available, [`calibrate`] replaces the structural counts
 //! and byte weights with observed per-name statistics.
@@ -24,23 +24,10 @@ use xproj_xmltree::entities::decode_entities;
 use xproj_xmltree::push::{drain_str, RawAttrs, TokenSink};
 use xproj_xmltree::ParseError;
 
-/// Tunables of the structural model.
-#[derive(Debug, Clone, Copy)]
-pub struct RetentionOptions {
-    /// Expected repetitions of a `*`/`+` factor.
-    pub star_weight: f64,
-    /// Expected serialised bytes of one text node.
-    pub text_bytes: f64,
-}
-
-impl Default for RetentionOptions {
-    fn default() -> Self {
-        RetentionOptions {
-            star_weight: 3.0,
-            text_bytes: 20.0,
-        }
-    }
-}
+/// Expected repetitions of a `*`/`+` factor in the structural model.
+const STAR_WEIGHT: f64 = 3.0;
+/// Expected serialised bytes of one text node in the structural model.
+const TEXT_BYTES: f64 = 20.0;
 
 /// Per-name weight: expected occurrence count and expected serialised
 /// bytes per occurrence.
@@ -86,21 +73,17 @@ pub struct RetentionEstimate {
 /// masses converge: the attenuated model describes *some* finite
 /// document from the grammar, which is what a retention ratio needs.
 /// The `diverged` flag reports that attenuation happened.
-pub fn estimate(dtd: &Dtd, projector: &Projector, opts: &RetentionOptions) -> RetentionEstimate {
-    let mut sw = opts.star_weight;
+pub fn estimate(dtd: &Dtd, projector: &Projector) -> RetentionEstimate {
+    let mut sw = STAR_WEIGHT;
     let mut attenuated = false;
     loop {
-        let o = RetentionOptions {
-            star_weight: sw,
-            ..*opts
-        };
-        let (counts, kept_counts, diverged) = structural_counts(dtd, &o, projector);
+        let (counts, kept_counts, diverged) = structural_counts(dtd, sw, projector);
         if diverged && sw > 0.25 {
             attenuated = true;
             sw *= 0.5;
             continue;
         }
-        let bytes = structural_bytes(dtd, &o);
+        let bytes = structural_bytes(dtd);
         return combine(
             dtd,
             projector,
@@ -120,7 +103,6 @@ pub fn estimate_calibrated(
     dtd: &Dtd,
     projector: &Projector,
     sample: &str,
-    opts: &RetentionOptions,
 ) -> RetentionEstimate {
     match calibrate(dtd, sample) {
         Some(stats) => {
@@ -140,7 +122,7 @@ pub fn estimate_calibrated(
                 .collect();
             combine(dtd, projector, &stats.counts, &kept_counts, &bytes, true, false)
         }
-        None => estimate(dtd, projector, opts),
+        None => estimate(dtd, projector),
     }
 }
 
@@ -187,25 +169,26 @@ fn combine(
     }
 }
 
-/// Expected multiplicity of each child name in one match of `re`.
-fn multiplicities(re: &Regex, opts: &RetentionOptions, scale: f64, out: &mut [f64]) {
+/// Expected multiplicity of each child name in one match of `re`, a
+/// `*`/`+` factor repeating `star_weight` times.
+fn multiplicities(re: &Regex, star_weight: f64, scale: f64, out: &mut [f64]) {
     match re {
         Regex::Epsilon => {}
         Regex::Name(n) => out[n.index()] += scale,
         Regex::Seq(rs) => {
             for r in rs {
-                multiplicities(r, opts, scale, out);
+                multiplicities(r, star_weight, scale, out);
             }
         }
         Regex::Alt(rs) => {
             let branch = scale / rs.len() as f64;
             for r in rs {
-                multiplicities(r, opts, branch, out);
+                multiplicities(r, star_weight, branch, out);
             }
         }
-        Regex::Star(r) => multiplicities(r, opts, scale * opts.star_weight, out),
-        Regex::Plus(r) => multiplicities(r, opts, scale * opts.star_weight.max(1.0), out),
-        Regex::Opt(r) => multiplicities(r, opts, scale * 0.5, out),
+        Regex::Star(r) => multiplicities(r, star_weight, scale * star_weight, out),
+        Regex::Plus(r) => multiplicities(r, star_weight, scale * star_weight.max(1.0), out),
+        Regex::Opt(r) => multiplicities(r, star_weight, scale * 0.5, out),
     }
 }
 
@@ -216,18 +199,14 @@ fn multiplicities(re: &Regex, opts: &RetentionOptions, scale: f64, out: &mut [f6
 /// Lockstep matters on divergent grammars — both truncate at the same
 /// level, so kept ≤ total holds even under truncation. Returns
 /// `(total, kept, diverged)`.
-fn structural_counts(
-    dtd: &Dtd,
-    opts: &RetentionOptions,
-    keep: &Projector,
-) -> (Vec<f64>, Vec<f64>, bool) {
+fn structural_counts(dtd: &Dtd, star_weight: f64, keep: &Projector) -> (Vec<f64>, Vec<f64>, bool) {
     let n = dtd.name_count();
     // m[y] = expected children-per-occurrence vector of y.
     let mut m: Vec<Vec<f64>> = vec![Vec::new(); n];
     for y in dtd.all_names() {
         let mut row = vec![0.0; n];
         if let Content::Element(re) = &dtd.info(y).content {
-            multiplicities(re, opts, 1.0, &mut row);
+            multiplicities(re, star_weight, 1.0, &mut row);
             // Mixed content repeats text slots structurally; one logical
             // text node per parent occurrence is the better prior.
             for t in dtd.text_children_of(y) {
@@ -292,13 +271,12 @@ fn structural_counts(
 }
 
 /// Expected serialised bytes per occurrence: `<tag>` + `</tag>` plus a
-/// rough per-attribute cost for elements, [`RetentionOptions::text_bytes`]
-/// for text names.
-fn structural_bytes(dtd: &Dtd, opts: &RetentionOptions) -> Vec<f64> {
+/// rough per-attribute cost for elements, `TEXT_BYTES` for text names.
+fn structural_bytes(dtd: &Dtd) -> Vec<f64> {
     dtd.all_names()
         .map(|n| {
             if dtd.is_text_name(n) {
-                opts.text_bytes
+                TEXT_BYTES
             } else {
                 let tag = dtd.label(n).len() as f64;
                 let attrs: f64 = dtd
@@ -467,7 +445,7 @@ mod tests {
     #[test]
     fn full_projector_retains_everything() {
         let d = books();
-        let e = estimate(&d, &Projector::full(&d), &RetentionOptions::default());
+        let e = estimate(&d, &Projector::full(&d));
         assert!((e.predicted - 1.0).abs() < 1e-12);
         assert!(!e.diverged);
     }
@@ -475,7 +453,7 @@ mod tests {
     #[test]
     fn empty_projector_retains_nothing() {
         let d = books();
-        let e = estimate(&d, &Projector::empty(&d), &RetentionOptions::default());
+        let e = estimate(&d, &Projector::empty(&d));
         assert_eq!(e.predicted, 0.0);
     }
 
@@ -485,9 +463,8 @@ mod tests {
         let mut sa = StaticAnalyzer::new(&d);
         let narrow = sa.project_query("/bib/book/title").unwrap();
         let wide = sa.project_query("/bib/book").unwrap();
-        let opts = RetentionOptions::default();
-        let en = estimate(&d, &narrow, &opts);
-        let ew = estimate(&d, &wide, &opts);
+        let en = estimate(&d, &narrow);
+        let ew = estimate(&d, &wide);
         assert!(en.predicted < ew.predicted, "{} vs {}", en.predicted, ew.predicted);
         assert!(en.predicted > 0.0 && en.predicted < 1.0);
     }
@@ -497,7 +474,7 @@ mod tests {
         // a* under itself with star_weight 3 → expected mass triples per
         // level and never dies out.
         let d = parse_dtd("<!ELEMENT a (a*)>", "a").unwrap();
-        let e = estimate(&d, &Projector::full(&d), &RetentionOptions::default());
+        let e = estimate(&d, &Projector::full(&d));
         assert!(e.diverged);
         assert!(e.predicted.is_finite());
     }
@@ -510,7 +487,7 @@ mod tests {
                       <price>12</price></book></bib>";
         let mut sa = StaticAnalyzer::new(&d);
         let p = sa.project_query("/bib/book/title").unwrap();
-        let e = estimate_calibrated(&d, &p, sample, &RetentionOptions::default());
+        let e = estimate_calibrated(&d, &p, sample);
         assert!(e.calibrated);
         let author = e.per_name.iter().find(|w| w.name == "author").unwrap();
         assert_eq!(author.count, 2.0);
@@ -536,27 +513,22 @@ mod tests {
                       <category><name>b</name></category>\
                       <category><name>c</name></category>\
                       <category><name>d</name></category></site>";
-        let cal = estimate_calibrated(&d, &p, sample, &RetentionOptions::default());
+        let cal = estimate_calibrated(&d, &p, sample);
         assert!(cal.calibrated);
         let stats = calibrate(&d, sample).unwrap();
         let fr = stats.keep_fractions(&d, &p);
         let name_id = d.name_of_tag_str("name").unwrap();
         assert!((fr[name_id.index()] - 0.25).abs() < 1e-9, "{fr:?}");
         // Structural: kept 'name' mass flows only through person.
-        let st = estimate(&d, &p, &RetentionOptions::default());
-        let full = estimate(&d, &Projector::full(&d), &RetentionOptions::default());
+        let st = estimate(&d, &p);
+        let full = estimate(&d, &Projector::full(&d));
         assert!(st.predicted < full.predicted);
     }
 
     #[test]
     fn unusable_sample_falls_back_to_structural() {
         let d = books();
-        let e = estimate_calibrated(
-            &d,
-            &Projector::full(&d),
-            "<unrelated/>",
-            &RetentionOptions::default(),
-        );
+        let e = estimate_calibrated(&d, &Projector::full(&d), "<unrelated/>");
         assert!(!e.calibrated);
     }
 }

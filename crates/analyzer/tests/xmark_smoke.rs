@@ -60,10 +60,7 @@ fn predicted_retention_within_2x_of_observed() {
 
     for ids in [&["QM01"][..], &["QM13"], &["QM15"]] {
         let queries = workload(ids);
-        let opts = AnalysisOptions {
-            sample: Some(&xml),
-            ..AnalysisOptions::default()
-        };
+        let opts = AnalysisOptions { sample: Some(&xml) };
         let a = analyze(&dtd, &queries, &opts).unwrap();
         assert!(a.retention.calibrated);
 

@@ -51,10 +51,7 @@ fn main() {
                 continue;
             }
         };
-        let opts = AnalysisOptions {
-            sample: Some(&xml),
-            ..AnalysisOptions::default()
-        };
+        let opts = AnalysisOptions { sample: Some(&xml) };
         let calibrated = analyze(&dtd, &queries, &opts).expect("same workload");
         let observed = prune_str(&xml, &dtd, &structural.provenance.projector)
             .expect("valid document")

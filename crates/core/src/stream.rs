@@ -341,6 +341,8 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
 pub struct MachineSink<'a, D: Borrow<Dtd>, E> {
     machine: &'a mut PruneMachine<D>,
     out: &'a mut String,
+    /// `out`'s length when the sink was made.
+    from: usize,
     validator: Option<&'a mut Validator>,
     error: PhantomData<E>,
 }
@@ -356,10 +358,16 @@ impl<'a, D: Borrow<Dtd>, E> MachineSink<'a, D, E> {
     ) -> Self {
         MachineSink {
             machine,
+            from: out.len(),
             out,
             validator,
             error: PhantomData,
         }
+    }
+
+    /// Kept bytes this sink has appended to `out`.
+    pub fn rendered(&self) -> usize {
+        self.out.len() - self.from
     }
 }
 

@@ -1,26 +1,27 @@
 //! Chunked push-mode pruning: `io::Read` → `io::Write` in O(depth +
-//! max-token) memory.
+//! max-token) memory, and the one pass every engine driver runs.
 //!
 //! This is the deployment mode the paper's §6 (and the journal version's
 //! streaming emphasis) actually measures: π-pruning as a single fused
 //! pass that never holds the document in memory. Bytes are pushed into a
 //! [`PushTokenizer`] in arbitrary chunks; its one token loop runs every
-//! completed event through the [`PruneMachine`] (as a
-//! [`MachineSink`]); kept bytes are flushed to the sink after every
-//! feed. The only engine-resident state is the
-//! tokenizer's incomplete-token tail, the machine's open-element stack,
-//! and a serialization scratch buffer that is drained each feed —
-//! [`ChunkedPruner::finish`] *asserts* the resulting bound.
+//! completed event through a sink — here the [`PruneMachine`] (as a
+//! [`MachineSink`]), whose kept bytes are flushed to the writer after
+//! every feed; in a [`crate::QueryMachine`] that or the path NFA. The
+//! only engine-resident state is the tokenizer's incomplete-token tail,
+//! the sink's open-element stack, and the bytes the sink has rendered
+//! but not yet handed on — every pass's `finish` *asserts* the resulting
+//! [`residency_bound`].
 
 use crate::metrics::EngineStats;
 use std::borrow::Borrow;
 use std::io::{Read, Write};
 use xproj_core::{
-    MachineSink, Projector, ProjectorTable, PruneMachine, StreamPruneError, Validator,
+    MachineSink, Projector, PruneCounters, PruneMachine, StreamPruneError, Validator,
 };
 use xproj_dtd::Dtd;
 use xproj_xmltree::entities::ParseError;
-use xproj_xmltree::push::{Drained, PushTokenizer};
+use xproj_xmltree::push::{Drained, PushTokenizer, TokenSink};
 
 /// Default read size for [`ChunkedPruner::run`].
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
@@ -86,6 +87,114 @@ impl From<std::io::Error> for EngineError {
     }
 }
 
+/// The engine's memory bound on what a pass holds resident, from its
+/// largest token, largest chunk and deepest nesting — never the document
+/// size. Tokenizer bytes are one partial token plus one chunk; staged
+/// bytes, what one feed's events render to: a chunk plus a token, times
+/// the ≤ 6× escaping expansion; the element stack, a few words a level.
+pub fn residency_bound(max_token_bytes: usize, max_chunk: usize, max_depth: usize) -> usize {
+    8 * (max_token_bytes + max_chunk) + 64 * (1 + max_depth)
+}
+
+/// A sink under the [`Pass`], which also reports the bytes it rendered
+/// and has not handed on: the most it held at once during the drain
+/// just run (a running maximum over earlier drains is as good).
+pub(crate) trait Stage: TokenSink<Error = EngineError> {
+    fn staged(&self) -> usize;
+}
+
+/// The one driver of the token loop, owned by every per-document pass
+/// ([`ChunkedPruner`], [`crate::QueryMachine`]), which differ only in the
+/// [`Stage`] each call hands it: it pushes the bytes, drains them through
+/// the sink, books the [`EngineStats`] and, when they are taken, asserts
+/// the [`residency_bound`].
+pub(crate) struct Pass {
+    tokenizer: PushTokenizer,
+    /// Pruned-subtree fast-forward: the tokenizer raw-scans past every
+    /// subtree the sink says nothing under can matter.
+    pub(crate) fast_forward: bool,
+    stats: EngineStats,
+    /// Largest chunk fed: the caller's term of the bound.
+    max_chunk: usize,
+    peak_staged: usize,
+}
+
+impl Pass {
+    pub(crate) fn new() -> Pass {
+        Pass {
+            tokenizer: PushTokenizer::new(),
+            fast_forward: true,
+            stats: EngineStats {
+                documents: 1,
+                ..Default::default()
+            },
+            max_chunk: 0,
+            peak_staged: 0,
+        }
+    }
+
+    /// Feeds one chunk: every token it completes runs through `sink`.
+    pub(crate) fn feed(&mut self, chunk: &[u8], sink: &mut impl Stage) -> Result<(), EngineError> {
+        self.stats.bytes_in += chunk.len() as u64;
+        self.max_chunk = self.max_chunk.max(chunk.len());
+        self.tokenizer.push_bytes(chunk)?;
+        let done = self.tokenizer.drain(sink, self.fast_forward)?;
+        self.book(done, sink);
+        Ok(())
+    }
+
+    /// Ends the input: a trailing text run goes through `sink`, and the
+    /// tokenizer checks that every element was closed.
+    pub(crate) fn finish(&mut self, sink: &mut impl Stage) -> Result<(), EngineError> {
+        let done = self.tokenizer.finish_into(sink)?;
+        self.book(done, sink);
+        Ok(())
+    }
+
+    fn book(&mut self, done: Drained, sink: &impl Stage) {
+        self.stats.events += done.events;
+        self.stats.subtrees_fast_forwarded += done.fast_forwarded;
+        self.peak_staged = self.peak_staged.max(sink.staged());
+        self.stats.peak_resident_bytes = self
+            .stats
+            .peak_resident_bytes
+            .max(self.tokenizer.peak_buffered() + self.peak_staged);
+    }
+
+    /// Tokenizer bytes resident right now.
+    pub(crate) fn buffered(&self) -> usize {
+        self.tokenizer.buffered()
+    }
+
+    /// The finished pass's stats, with the sink's `counters`, after
+    /// **asserting the memory bound**: a violation means some path
+    /// buffered the document, the bug this engine exists to rule out.
+    pub(crate) fn stats(&mut self, counters: PruneCounters) -> EngineStats {
+        let stats = EngineStats {
+            counters,
+            max_token_bytes: self.tokenizer.max_token_bytes(),
+            ..std::mem::take(&mut self.stats)
+        };
+        let bound = residency_bound(stats.max_token_bytes, self.max_chunk, counters.max_depth);
+        assert!(
+            stats.peak_resident_bytes <= bound,
+            "engine memory bound violated: resident {} > bound {bound} (max token {}, max chunk {}, depth {})",
+            stats.peak_resident_bytes,
+            stats.max_token_bytes,
+            self.max_chunk,
+            counters.max_depth,
+        );
+        stats
+    }
+}
+
+/// The pruning sink stages the kept bytes it appended.
+impl<D: Borrow<Dtd>> Stage for MachineSink<'_, D, EngineError> {
+    fn staged(&self) -> usize {
+        self.rendered()
+    }
+}
+
 /// An incremental push-mode pruner writing kept bytes to an `io::Write`
 /// sink.
 ///
@@ -109,23 +218,15 @@ impl From<std::io::Error> for EngineError {
 /// assert_eq!(out, b"<a><b>keep</b></a>");
 /// ```
 pub struct ChunkedPruner<D: Borrow<Dtd>, W: Write> {
-    tokenizer: PushTokenizer,
+    pass: Pass,
     machine: PruneMachine<D>,
     /// Fused validation (§6): the open-element automaton states, carried
     /// from feed to feed. `None` when the pass only prunes.
     validator: Option<Validator>,
-    pub(crate) sink: W,
-    /// Kept bytes of the current feed, drained to the sink afterwards.
-    scratch: String,
-    stats: EngineStats,
-    peak_scratch: usize,
-    /// Largest single chunk fed (the caller-controlled term of the
-    /// memory bound: scratch output is drained once per feed).
-    max_chunk: usize,
-    /// Pruned-subtree fast-forward: when the machine reports that no
-    /// name reachable from a dropped element is in π, tell the tokenizer
-    /// to raw-scan past the whole subtree instead of tokenizing it.
-    fast_forward: bool,
+    sink: W,
+    /// Kept bytes of the current feed, written to the sink afterwards.
+    kept: String,
+    bytes_out: u64,
 }
 
 impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
@@ -133,26 +234,13 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     /// Pruned-subtree fast-forward is **on**; see
     /// [`Self::set_fast_forward`] for the tradeoff.
     pub fn new(dtd: D, projector: &Projector, sink: W) -> Self {
-        let table = ProjectorTable::new(dtd.borrow(), projector);
-        Self::with_table(dtd, table, sink)
-    }
-
-    /// [`Self::new`] from an already-built verdict table (a compiled
-    /// artifact's), so per-request setup is a table clone, not a build.
-    pub fn with_table(dtd: D, table: ProjectorTable, sink: W) -> Self {
         ChunkedPruner {
-            tokenizer: PushTokenizer::new(),
-            machine: PruneMachine::with_table(dtd, table),
+            pass: Pass::new(),
+            machine: PruneMachine::new(dtd, projector),
             validator: None,
             sink,
-            scratch: String::new(),
-            stats: EngineStats {
-                documents: 1,
-                ..Default::default()
-            },
-            peak_scratch: 0,
-            max_chunk: 0,
-            fast_forward: true,
+            kept: String::new(),
+            bytes_out: 0,
         }
     }
 
@@ -165,7 +253,7 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     /// counted). Kept output is identical either way. Turn it off when
     /// the pass doubles as a well-formedness check of the whole input.
     pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
+        self.pass.fast_forward = on;
     }
 
     /// Makes the pass validate the document against the DTD while
@@ -183,18 +271,9 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
     /// completes runs through the machine, then the kept bytes go to the
     /// sink.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
-        self.stats.bytes_in += chunk.len() as u64;
-        self.max_chunk = self.max_chunk.max(chunk.len());
-        self.tokenizer.push_bytes(chunk)?;
-        let done = self.tokenizer.drain(
-            &mut MachineSink::<_, EngineError>::new(
-                &mut self.machine,
-                &mut self.scratch,
-                self.validator.as_mut(),
-            ),
-            self.fast_forward,
-        )?;
-        self.flush(done)
+        let validator = self.validator.as_mut();
+        self.pass.feed(chunk, &mut MachineSink::new(&mut self.machine, &mut self.kept, validator))?;
+        self.flush()
     }
 
     /// Feeds all of `input` in `chunk_size`-byte reads, then finishes.
@@ -209,89 +288,34 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
         }
     }
 
-    /// Books what a drain did and hands the scratch to the sink.
-    fn flush(&mut self, done: Drained) -> Result<(), EngineError> {
-        self.stats.events += done.events;
-        self.stats.subtrees_fast_forwarded += done.fast_forwarded;
-        self.peak_scratch = self.peak_scratch.max(self.scratch.len());
-        if !self.scratch.is_empty() {
-            self.sink.write_all(self.scratch.as_bytes())?;
-            self.stats.bytes_out += self.scratch.len() as u64;
-            self.scratch.clear();
-        }
-        self.stats.peak_resident_bytes = self
-            .stats
-            .peak_resident_bytes
-            .max(self.tokenizer.peak_buffered() + self.peak_scratch);
+    /// Hands the feed's kept bytes to the sink.
+    fn flush(&mut self) -> Result<(), EngineError> {
+        self.sink.write_all(self.kept.as_bytes())?;
+        self.bytes_out += self.kept.len() as u64;
+        self.kept.clear();
         Ok(())
     }
 
-    /// Ends the document: flushes the sink, checks well-formedness, and
-    /// **asserts the memory bound** — engine-resident buffering never
-    /// exceeded the largest single token plus the bytes that token (and
-    /// the events sharing its feed) serialized to. A violated assertion
-    /// means some path buffered the document, which is exactly the bug
-    /// this engine exists to rule out.
-    pub fn finish(self) -> Result<EngineStats, EngineError> {
-        self.finish_parts().map(|(stats, _)| stats)
-    }
-
-    /// [`Self::finish`], additionally handing the sink back: the
-    /// trailing kept bytes are flushed into it during finish, so an
-    /// owned-sink driver ([`crate::QueryMachine`]) must not lose it.
-    pub(crate) fn finish_parts(mut self) -> Result<(EngineStats, W), EngineError> {
+    /// Ends the document: flushes the sink, checks well-formedness (and
+    /// validity), and **asserts the memory bound** — engine-resident
+    /// buffering never exceeded [`residency_bound`] of the largest single
+    /// token, the largest chunk and the depth.
+    pub fn finish(mut self) -> Result<EngineStats, EngineError> {
         // Only a trailing text run can surface here; subtree starts
         // always complete before EOF.
-        let done = self
-            .tokenizer
-            .finish_into(&mut MachineSink::<_, EngineError>::new(
-                &mut self.machine,
-                &mut self.scratch,
-                self.validator.as_mut(),
-            ))?;
-        self.flush(done)?;
-        let ChunkedPruner {
-            tokenizer,
-            machine,
-            validator,
-            mut sink,
-            mut stats,
-            max_chunk,
-            ..
-        } = self;
-        let validated_depth = validator.map(|v| v.finish()).transpose()?;
-        stats.counters = machine.finish()?;
+        let validator = self.validator.as_mut();
+        self.pass.finish(&mut MachineSink::new(&mut self.machine, &mut self.kept, validator))?;
+        self.flush()?;
+        let validated_depth = self.validator.map(|v| v.finish()).transpose()?;
+        let mut counters = self.machine.finish()?;
         if let Some(depth) = validated_depth {
-            stats.counters.max_depth = depth;
+            counters.max_depth = depth;
         }
-        stats.max_token_bytes = tokenizer.max_token_bytes();
-        sink.flush()?;
-        // The hard memory-bound assertion: resident buffering is O(depth
-        // + max single-token length + max chunk length), never O(document).
-        // Tokenizer-resident bytes are bounded by the largest single
-        // token (every partial token eventually completed);
-        // scratch-resident bytes are bounded by what one feed's events
-        // serialize to — at most one chunk plus one token, times the ≤6×
-        // entity-escaping expansion. A violated assertion means some
-        // path buffered the document, which is exactly the bug this
-        // engine exists to rule out.
-        let bound =
-            8 * (stats.max_token_bytes + max_chunk) + 64 * (1 + stats.counters.max_depth);
-        assert!(
-            stats.peak_resident_bytes <= bound,
-            "engine memory bound violated: resident {} > bound {} (max token {}, max chunk {}, depth {})",
-            stats.peak_resident_bytes,
-            bound,
-            stats.max_token_bytes,
-            max_chunk,
-            stats.counters.max_depth,
-        );
-        Ok((stats, sink))
-    }
-
-    /// Engine-resident bytes right now (tokenizer tail + scratch).
-    pub fn resident_bytes(&self) -> usize {
-        self.tokenizer.buffered() + self.scratch.len()
+        self.sink.flush()?;
+        Ok(EngineStats {
+            bytes_out: self.bytes_out,
+            ..self.pass.stats(counters)
+        })
     }
 }
 

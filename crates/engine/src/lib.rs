@@ -3,27 +3,27 @@
 //! The core crates implement the paper's algorithms over complete
 //! in-memory strings; this crate turns them into a deployable engine
 //! (§6's "faster than parsing, O(depth) memory" deployment mode, and
-//! the journal version's fused streaming emphasis). One loop, one
-//! machine:
+//! the journal version's fused streaming emphasis). One loop, one pass,
+//! one bound — every pass owns the same private driver of the
+//! `xproj_xmltree::push` token loop and differs only in the sink under
+//! it, and every pass's `finish` **asserts** its resident peak under
+//! [`residency_bound`]: O(depth + max token + max chunk), never
+//! O(document).
 //!
 //! * [`chunked`] — [`ChunkedPruner`]: incremental push-mode pruning,
 //!   bytes in by `feed` (or a whole `io::Read` by `run`), kept bytes out
-//!   to an `io::Write`: [`xproj_core::PruneMachine`] as a sink under the
-//!   one token loop of `xproj_xmltree::push`. Resident memory is
-//!   **asserted** to be O(depth + max single-token length), never
-//!   O(document). Two flags: `set_fast_forward` (default on; off makes
-//!   the pass a full well-formedness check) and `set_validate` (§6's
-//!   "prune while validating", the content-model states carried from
-//!   feed to feed).
+//!   to an `io::Write`, with [`xproj_core::PruneMachine`] as the sink.
+//!   Two flags: `set_fast_forward` (default on; off makes the pass a full
+//!   well-formedness check) and `set_validate` (§6's "prune while
+//!   validating", the content-model states carried from feed to feed).
 //! * [`query`] — [`QueryMachine`]: the one owned, movable per-document
 //!   pass a server hands between threads. Its [`QueryOutput`] says what
 //!   the answer is — x-ndjson match frames, the bare result sequence, or
 //!   the pruned document itself (by Thm 4.6 just another answer) — and
-//!   the artifact's compiled plan says how: the path NFA as a sink under
-//!   the same loop, or a `ChunkedPruner` into a buffer, evaluated at the
-//!   end (fallback plan) or handed out as it stands (`Pruned`). One
-//!   error type ([`EngineError`]) and one stats value ([`QueryStats`],
-//!   wrapping the pruner's [`EngineStats`]) come out of every mode.
+//!   the artifact's compiled plan which sink runs: the path NFA, or the
+//!   `PruneMachine` into a buffer evaluated at the end (fallback plan)
+//!   or straight into the output (`Pruned`). One [`EngineError`] and
+//!   one [`QueryStats`] (wrapping [`EngineStats`]) for every mode.
 //! * the query compiler's [`ArtifactCache`] (`xproj-qc`, re-exported
 //!   here) — an LRU over `(DTD fingerprint, normalized query)` so
 //!   repeated workloads skip re-inference ("analyse once, prune many
@@ -71,7 +71,7 @@ pub mod chunked;
 pub mod metrics;
 pub mod query;
 
-pub use chunked::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
+pub use chunked::{residency_bound, ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 pub use metrics::{error_json_line, EngineStats};
 pub use query::{json_escape_into, QueryMachine, QueryOutput, QueryStats};
 pub use xproj_qc::{

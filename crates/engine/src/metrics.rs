@@ -103,12 +103,11 @@ impl EngineStats {
 /// human-readable message (escaped), in the same `grep '^{' | jq`
 /// collectable shape.
 pub fn error_json_line(label: &str, code: ErrorCode, message: &str) -> String {
-    let mut escaped = Vec::with_capacity(message.len());
+    let mut escaped = String::with_capacity(message.len());
     crate::query::json_escape_into(message, &mut escaped);
     format!(
-        "{{\"group\":\"engine\",\"bench\":\"{label}\",\"error\":\"{}\",\"message\":\"{}\"}}",
+        "{{\"group\":\"engine\",\"bench\":\"{label}\",\"error\":\"{}\",\"message\":\"{escaped}\"}}",
         code.as_str(),
-        String::from_utf8(escaped).expect("escaping a str byte by byte leaves its UTF-8 intact")
     )
 }
 

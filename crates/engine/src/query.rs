@@ -45,14 +45,16 @@
 
 use std::sync::Arc;
 
-use crate::chunked::{ChunkedPruner, EngineError};
+use crate::chunked::{EngineError, Pass, Stage};
 use crate::metrics::EngineStats;
-use xproj_core::{ProjectorTable, StreamPruneError, Verdict};
+use xproj_core::{
+    MachineSink, ProjectorTable, PruneCounters, PruneMachine, StreamPruneError, Verdict,
+};
 use xproj_dtd::{Dtd, NameId};
 use xproj_qc::{Plan, QueryArtifact, StepAxis, StepInstr, StepTest};
 use xproj_xmltree::document::{escape_attr, escape_text};
 use xproj_xmltree::entities::decode_entities;
-use xproj_xmltree::push::{is_xml_space, Drained, PushTokenizer, RawAttrs, TokenSink};
+use xproj_xmltree::push::{is_xml_space, RawAttrs, TokenSink};
 use xproj_xmltree::{parse_with_options, Document, ParseOptions};
 use xproj_xquery::{evaluate_query_items, serialize_item};
 
@@ -314,6 +316,9 @@ struct Matcher {
     /// The current event's serialized bytes, rendered once for every
     /// recording capture.
     scratch: String,
+    /// The largest rendering `scratch` has held: the matcher's staged
+    /// bytes.
+    peak_scratch: usize,
     saw_root: bool,
     max_depth: usize,
 }
@@ -371,6 +376,7 @@ impl Matcher {
             held: 0,
             visits: 0,
             scratch: String::new(),
+            peak_scratch: 0,
             saw_root: false,
             max_depth: 0,
         };
@@ -384,6 +390,13 @@ impl Matcher {
             open_pending: false,
         });
         m
+    }
+
+    /// Empties `scratch` for the next event's rendering, keeping the
+    /// high-water mark.
+    fn restage(&mut self) {
+        self.peak_scratch = self.peak_scratch.max(self.scratch.len());
+        self.scratch.clear();
     }
 
     /// The one pass an event makes over the recording captures: close
@@ -493,7 +506,7 @@ impl TokenSink for Matcher {
             // Render `<name a="v" …` (no closing `>` yet) once, for
             // every recording capture. Values are decoded then
             // re-escaped — byte-identical to the reference serializer.
-            self.scratch.clear();
+            self.restage();
             self.scratch.push('<');
             self.scratch.push_str(name_str);
             for attr in RawAttrs::new(attrs_raw) {
@@ -540,7 +553,7 @@ impl TokenSink for Matcher {
         if self.open.is_empty() {
             return Ok(());
         }
-        self.scratch.clear();
+        self.restage();
         if top.open_pending {
             self.scratch.push_str("/>");
         } else {
@@ -588,7 +601,7 @@ impl TokenSink for Matcher {
         if !answer && self.open.is_empty() {
             return Ok(());
         }
-        self.scratch.clear();
+        self.restage();
         escape_text(decoded, &mut self.scratch);
         if !self.open.is_empty() {
             self.record(top.open_pending, GuardStep::Text);
@@ -606,51 +619,19 @@ impl TokenSink for Matcher {
     }
 }
 
-// ---------------------------------------------------------------------
-// Execution backends
-// ---------------------------------------------------------------------
-
-struct StreamExec {
-    tokenizer: PushTokenizer,
-    m: Matcher,
-    fast_forward: bool,
-    stats: EngineStats,
-}
-
-impl StreamExec {
-    fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
-        self.stats.bytes_in += chunk.len() as u64;
-        self.tokenizer.push_bytes(chunk)?;
-        let done = self.tokenizer.drain(&mut self.m, self.fast_forward)?;
-        self.book(done);
-        Ok(())
-    }
-
-    fn book(&mut self, done: Drained) {
-        self.stats.events += done.events;
-        self.stats.subtrees_fast_forwarded += done.fast_forwarded;
-        self.stats.peak_resident_bytes = self
-            .stats
-            .peak_resident_bytes
-            .max(self.tokenizer.peak_buffered() + self.m.scratch.len());
-    }
-
-    fn finish_stream(&mut self) -> Result<(), EngineError> {
-        let done = self.tokenizer.finish_into(&mut self.m)?;
-        self.book(done);
-        self.m.finish_document()?;
-        self.stats.counters.max_depth = self.m.max_depth;
-        self.stats.max_token_bytes = self.tokenizer.max_token_bytes();
-        Ok(())
+impl Stage for Matcher {
+    fn staged(&self) -> usize {
+        self.peak_scratch.max(self.scratch.len())
     }
 }
 
-enum Exec {
+/// What the plan puts under the pass.
+enum Sink {
     /// The compiled NFA, serializing matches as they stream past.
-    Streaming(Box<StreamExec>),
-    /// The pruner into an owned buffer: the whole pass for
-    /// [`QueryOutput::Pruned`], the first half of a fallback plan.
-    Pruner(Box<ChunkedPruner<Arc<Dtd>, Vec<u8>>>),
+    Match(Box<Matcher>),
+    /// The pruner: the whole answer for [`QueryOutput::Pruned`], the
+    /// first half of a fallback plan.
+    Prune(Box<PruneMachine<Arc<Dtd>>>),
     Done,
 }
 
@@ -663,12 +644,17 @@ enum Exec {
 /// it to a CPU worker and back between feeds, and stop reading input when
 /// [`Self::pending_output`] says its peer is not draining.
 pub struct QueryMachine {
-    exec: Exec,
-    out: Vec<u8>,
+    pass: Pass,
+    sink: Sink,
+    /// A fallback plan's pruned document, evaluated at `finish`; without
+    /// one, kept bytes are output as they are produced.
+    pruned: Option<String>,
+    out: String,
     mode: QueryOutput,
     emitted: u64,
     prev_atom: bool,
-    bytes_out: u64,
+    /// Output bytes already taken.
+    taken: u64,
     peak_answer: usize,
     artifact: Arc<QueryArtifact>,
 }
@@ -677,45 +663,29 @@ impl QueryMachine {
     /// Starts a pass of `artifact` over one document, running from the
     /// artifact's grammar and a copy of its precomputed verdict table.
     pub fn new(artifact: Arc<QueryArtifact>, mode: QueryOutput) -> QueryMachine {
-        let art = &artifact;
-        let exec = match &art.plan {
+        let (dtd, table) = (Arc::clone(&artifact.dtd), artifact.table.clone());
+        let (sink, pruned) = match &artifact.plan {
             Plan::Streaming(p) if mode != QueryOutput::Pruned => {
-                Exec::Streaming(Box::new(StreamExec {
-                    tokenizer: PushTokenizer::new(),
-                    m: Matcher::new(
-                        Arc::clone(&art.dtd),
-                        art.table.clone(),
-                        p.steps.clone(),
-                        p.guard.clone(),
-                    ),
-                    fast_forward: true,
-                    stats: EngineStats {
-                        documents: 1,
-                        ..Default::default()
-                    },
-                }))
+                let m = Matcher::new(dtd, table, p.steps.clone(), p.guard.clone());
+                (Sink::Match(Box::new(m)), None)
             }
-            _ => Exec::Pruner(Box::new(ChunkedPruner::with_table(
-                Arc::clone(&art.dtd),
-                art.table.clone(),
-                Vec::new(),
-            ))),
+            _ => (
+                Sink::Prune(Box::new(PruneMachine::with_table(dtd, table))),
+                (mode != QueryOutput::Pruned).then(String::new),
+            ),
         };
         QueryMachine {
-            exec,
-            out: Vec::new(),
+            pass: Pass::new(),
+            sink,
+            pruned,
+            out: String::new(),
             mode,
             emitted: 0,
             prev_atom: false,
-            bytes_out: 0,
+            taken: 0,
             peak_answer: 0,
             artifact,
         }
-    }
-
-    /// The artifact this machine executes.
-    pub fn artifact(&self) -> &Arc<QueryArtifact> {
-        &self.artifact
     }
 
     /// What is running: `"streaming"` or `"fallback"` (the artifact's
@@ -731,11 +701,7 @@ impl QueryMachine {
     /// Output is identical either way on valid documents; with it off,
     /// the pass doubles as a full well-formedness check.
     pub fn set_fast_forward(&mut self, on: bool) {
-        match &mut self.exec {
-            Exec::Streaming(s) => s.fast_forward = on,
-            Exec::Pruner(p) => p.set_fast_forward(on),
-            Exec::Done => {}
-        }
+        self.pass.fast_forward = on;
     }
 
     /// Feeds one chunk of the serialized document. Completed match
@@ -743,13 +709,16 @@ impl QueryMachine {
     /// [`Self::take_output`].
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), EngineError> {
         let mut ready = Vec::new();
-        match &mut self.exec {
-            Exec::Streaming(s) => {
-                s.feed(chunk)?;
-                s.m.drain_ready(&mut ready);
+        match &mut self.sink {
+            Sink::Match(m) => {
+                self.pass.feed(chunk, &mut **m)?;
+                m.drain_ready(&mut ready);
             }
-            Exec::Pruner(p) => p.feed(chunk)?,
-            Exec::Done => panic!("query machine already finished"),
+            Sink::Prune(machine) => {
+                let kept = self.pruned.as_mut().unwrap_or(&mut self.out);
+                self.pass.feed(chunk, &mut MachineSink::new(machine, kept, None))?
+            }
+            Sink::Done => panic!("query machine already finished"),
         }
         for v in &ready {
             self.emit_match(false, v);
@@ -760,48 +729,49 @@ impl QueryMachine {
 
     /// Ends the document: final matches (all of them, for the fallback
     /// plan) and the summary frame, or the trailing kept bytes, become
-    /// pending output; drain with a last [`Self::take_output`]. A
-    /// pruner-backed pass also asserts the engine's memory bound here.
+    /// pending output; drain with a last [`Self::take_output`]. Every
+    /// plan asserts the engine's memory bound here.
     pub fn finish(&mut self) -> Result<QueryStats, EngineError> {
-        let mut capture_visits = 0;
-        let mut engine = match std::mem::replace(&mut self.exec, Exec::Done) {
-            Exec::Streaming(mut s) => {
-                s.finish_stream()?;
-                let mut ready = Vec::new();
-                s.m.drain_ready(&mut ready);
-                for v in &ready {
-                    self.emit_match(false, v);
+        let (mut ready, mut capture_visits) = (Vec::new(), 0);
+        let counters = match std::mem::replace(&mut self.sink, Sink::Done) {
+            Sink::Match(mut m) => {
+                self.pass.finish(&mut *m)?;
+                m.finish_document()?;
+                m.drain_ready(&mut ready);
+                capture_visits = m.visits;
+                PruneCounters {
+                    max_depth: m.max_depth,
+                    ..Default::default()
                 }
-                capture_visits = s.m.visits;
-                s.stats
             }
-            Exec::Pruner(p) => {
-                let (engine, pruned) = p.finish_parts()?;
-                if self.mode == QueryOutput::Pruned {
-                    self.out = pruned;
-                } else {
-                    self.evaluate(pruned)?;
-                }
-                engine
+            Sink::Prune(mut machine) => {
+                let kept = self.pruned.as_mut().unwrap_or(&mut self.out);
+                self.pass.finish(&mut MachineSink::new(&mut machine, kept, None))?;
+                machine.finish()?
             }
-            Exec::Done => panic!("query machine already finished"),
+            Sink::Done => panic!("query machine already finished"),
         };
+        let mut engine = self.pass.stats(counters);
+        for v in &ready {
+            self.emit_match(false, v);
+        }
+        if let Some(pruned) = self.pruned.take() {
+            self.evaluate(pruned)?;
+        }
         let plan = self.plan_label();
         if self.mode == QueryOutput::Frames {
-            let summary = format!(
+            use std::fmt::Write as _;
+            let _ = writeln!(
+                self.out,
                 "{{\"done\":true,\"plan\":\"{plan}\",\"matches\":{},\"events\":{},\"bytes_in\":{},\
-                 \"fast_forwarded\":{}}}\n",
+                 \"fast_forwarded\":{}}}",
                 self.emitted, engine.events, engine.bytes_in, engine.subtrees_fast_forwarded,
             );
-            self.out.extend_from_slice(summary.as_bytes());
-            self.bytes_out += summary.len() as u64;
         }
         self.note_answer_peak();
-        if self.mode != QueryOutput::Pruned {
-            // A query's bytes out are its answer, not the pruned
-            // intermediate a fallback plan buffered.
-            engine.bytes_out = self.bytes_out;
-        }
+        // A query's bytes out are its answer, not the pruned intermediate
+        // a fallback plan buffered.
+        engine.bytes_out = self.taken + self.out.len() as u64;
         Ok(QueryStats {
             plan,
             matches: self.emitted,
@@ -813,17 +783,14 @@ impl QueryMachine {
 
     /// The fallback plan's second half: parse the pruned document and
     /// run the reference evaluator over it (sound by Thm 4.6).
-    fn evaluate(&mut self, pruned: Vec<u8>) -> Result<(), EngineError> {
-        let pruned_len = pruned.len();
-        let text =
-            String::from_utf8(pruned).expect("pruned output re-serializes validated UTF-8 tokens");
+    fn evaluate(&mut self, pruned: String) -> Result<(), EngineError> {
         // A fully pruned document (π empty) still evaluates: the
         // query may construct output without reading any node.
-        let doc = if text.trim().is_empty() {
+        let doc = if pruned.trim().is_empty() {
             Document::new()
         } else {
             parse_with_options(
-                &text,
+                &pruned,
                 ParseOptions {
                     ignore_whitespace_text: true,
                     interner: Some(self.artifact.dtd.tags.clone()),
@@ -836,91 +803,86 @@ impl QueryMachine {
             let v = serialize_item(&doc, it);
             self.emit_match(it.is_atom(), &v);
         }
-        self.peak_answer = self.peak_answer.max(pruned_len + self.out.len());
+        self.peak_answer = self.peak_answer.max(pruned.len() + self.out.len());
         Ok(())
     }
 
     /// Appends all pending output to `dst`, clearing it here.
     pub fn take_output(&mut self, dst: &mut Vec<u8>) {
-        // A pruning pass's kept bytes are output as they stand, straight
-        // from the pruner's buffer (a fallback plan's buffer is input to
-        // the evaluator instead).
-        if let (Exec::Pruner(p), QueryOutput::Pruned) = (&mut self.exec, self.mode) {
-            dst.append(&mut p.sink);
-        }
-        dst.append(&mut self.out);
+        dst.extend_from_slice(self.out.as_bytes());
+        self.taken += self.out.len() as u64;
+        self.out.clear();
     }
 
     /// Bytes of output waiting to be taken — the backpressure signal.
     pub fn pending_output(&self) -> usize {
-        let kept = match (&self.exec, self.mode) {
-            (Exec::Pruner(p), QueryOutput::Pruned) => p.sink.len(),
-            _ => 0,
-        };
-        kept + self.out.len()
+        self.out.len()
     }
 
     /// Total resident bytes right now: engine-side buffers plus the
     /// answer-side captures and undrained output.
     pub fn resident_bytes(&self) -> usize {
-        let exec = match &self.exec {
-            Exec::Streaming(s) => s.tokenizer.buffered() + s.m.held,
-            Exec::Pruner(p) => p.resident_bytes() + p.sink.len(),
-            Exec::Done => 0,
+        self.pass.buffered() + self.held() + self.out.len()
+    }
+
+    /// Answer-side bytes held besides the output: the open and queued
+    /// captures, or a fallback plan's pruned document.
+    fn held(&self) -> usize {
+        let captures = match &self.sink {
+            Sink::Match(m) => m.held,
+            _ => 0,
         };
-        exec + self.out.len()
+        captures + self.pruned.as_ref().map_or(0, String::len)
     }
 
     fn emit_match(&mut self, atom: bool, value: &str) {
-        let before = self.out.len();
         match self.mode {
             QueryOutput::Frames => {
-                use std::io::Write as _;
+                use std::fmt::Write as _;
                 let _ = write!(self.out, "{{\"match\":{},\"atom\":{},\"value\":\"", self.emitted, atom);
                 json_escape_into(value, &mut self.out);
-                self.out.extend_from_slice(b"\"}\n");
+                self.out.push_str("\"}\n");
             }
             QueryOutput::Answer => {
                 // The sequence-level spacing rule: one space between
                 // adjacent atoms, nothing elsewhere.
                 if self.prev_atom && atom {
-                    self.out.push(b' ');
+                    self.out.push(' ');
                 }
-                self.out.extend_from_slice(value.as_bytes());
+                self.out.push_str(value);
                 self.prev_atom = atom;
             }
             QueryOutput::Pruned => unreachable!("a pruning pass emits no matches"),
         }
-        self.bytes_out += (self.out.len() - before) as u64;
         self.emitted += 1;
     }
 
     fn note_answer_peak(&mut self) {
-        let held = match &self.exec {
-            Exec::Streaming(s) => s.m.held,
-            _ => 0,
-        };
-        self.peak_answer = self.peak_answer.max(held + self.pending_output());
+        self.peak_answer = self.peak_answer.max(self.held() + self.out.len());
     }
 }
 
 /// Escapes `s` into `out` as JSON string contents (UTF-8 passes through
 /// verbatim; only quotes, backslashes and control bytes are escaped).
-pub fn json_escape_into(s: &str, out: &mut Vec<u8>) {
-    for &b in s.as_bytes() {
-        match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
-            0x00..=0x1f => {
-                use std::io::Write as _;
-                let _ = write!(out, "\\u{:04x}", b);
+pub fn json_escape_into(s: &str, out: &mut String) {
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                use std::fmt::Write as _;
+                let _ = write!(out, "\\u{b:04x}");
             }
-            _ => out.push(b),
         }
+        // The escaped byte is ASCII, so a char boundary follows it.
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
 }
 
 #[cfg(test)]
@@ -1096,6 +1058,22 @@ mod tests {
             "undrained output {} should be chunk-scale when drained per feed",
             peak_waiting
         );
+    }
+
+    #[test]
+    fn streaming_gauge_keeps_the_largest_rendering_not_the_last() {
+        // 4 096 `>` render to 16 384 bytes of `&gt;`; the one-byte answer
+        // after them must not hide that from the gauge (or the bound).
+        let dtd = Arc::new(parse_dtd("<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>", "r").unwrap());
+        let art = QueryArtifact::compile(&dtd, "//a/text()").unwrap();
+        let doc = format!("<r><a>{}</a><a>x</a></r>", ">".repeat(4096));
+        for chunk in [doc.len(), 1024, 64] {
+            let (_, stats) =
+                run_query(&art, doc.as_bytes(), QueryOutput::Frames, true, chunk).unwrap();
+            assert_eq!((stats.plan, stats.matches), ("streaming", 2));
+            let peak = stats.engine.peak_resident_bytes;
+            assert!(peak >= 16_384, "feeds of {chunk}: peak resident {peak}");
+        }
     }
 
     #[test]

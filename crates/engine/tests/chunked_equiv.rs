@@ -14,7 +14,8 @@
 //! triples then go through a `QueryMachine` in `Pruned` mode — the owned
 //! pass a server drives — at every fixed chunk size: same bytes, same
 //! stats, and its `pending_output()`/`resident_bytes()` gauges must
-//! account for every kept byte not yet taken.
+//! account for every kept byte not yet taken; and in `Frames` mode, on
+//! the streaming and the fallback plan, under the same bound.
 //!
 //! On failure the test panics with a `TESTKIT_SEED=0x…` replay line;
 //! setting that variable re-runs exactly the failing case.
@@ -25,7 +26,7 @@ use xproj_core::{prune_document, prune_str, prune_str_fast, StaticAnalyzer};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS};
 use xproj_dtd::{validate, Dtd};
 use std::sync::Arc;
-use xproj_engine::{ChunkedPruner, QueryArtifact, QueryMachine, QueryOutput};
+use xproj_engine::{residency_bound, ChunkedPruner, QueryArtifact, QueryMachine, QueryOutput};
 use xproj_testkit::{case_seed, SplitMix64};
 use xproj_xmltree::Document;
 
@@ -77,7 +78,9 @@ fn random_chunks<'a>(rng: &mut SplitMix64, xml: &'a [u8], case: u64) -> Vec<&'a 
 /// `QueryMachine` in `Pruned` mode ≡ `ChunkedPruner` ≡ Def. 2.7's
 /// `prune_document`, under the compiled artifact's projector, at every
 /// size in [`FIXED_CHUNK_SIZES`] — drained after every other feed so
-/// both the taken and the still-pending bytes are exercised.
+/// both the taken and the still-pending bytes are exercised. In `Frames`
+/// mode the streaming plan of `q` and the fallback plan of `count(q)`
+/// stay under the same bound.
 fn pruned_machine_case(dtd: Dtd, doc: &Document, xml: &str, q: &str) {
     let dtd = Arc::new(dtd);
     let artifact = QueryArtifact::compile(&dtd, q)
@@ -136,12 +139,23 @@ fn pruned_machine_case(dtd: Dtd, doc: &Document, xml: &str, q: &str) {
         );
         assert_eq!(got.subtrees_fast_forwarded, want.subtrees_fast_forwarded);
         assert_eq!(got.peak_resident_bytes, want.peak_resident_bytes);
-        assert!(
-            got.peak_resident_bytes
-                <= 8 * (got.max_token_bytes + size) + 64 * (1 + got.counters.max_depth),
-            "resident {} out of bound at chunk size {size} for {q}",
-            got.peak_resident_bytes
-        );
+        let check_bound = |got: &xproj_engine::EngineStats, what: &str| {
+            let bound = residency_bound(got.max_token_bytes, size, got.counters.max_depth);
+            let peak = got.peak_resident_bytes;
+            assert!(peak <= bound, "{what}: resident {peak} > {bound} at chunk size {size}");
+        };
+        check_bound(got, q);
+
+        for (query, plan) in [(q.to_string(), "streaming"), (format!("count({q})"), "fallback")] {
+            let artifact = QueryArtifact::compile(&dtd, &query).unwrap();
+            let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
+            for chunk in xml.as_bytes().chunks(size) {
+                machine.feed(chunk).unwrap();
+            }
+            let stats = machine.finish().unwrap();
+            assert_eq!(stats.plan, plan, "{query}");
+            check_bound(&stats.engine, &query);
+        }
     }
 }
 
@@ -335,9 +349,10 @@ fn xmark_chunked_differential() {
             );
             // The memory-bound guarantee, observed end-to-end: resident
             // buffering tracks tokens and chunks, not the document.
+            let (token, depth) = (stats.max_token_bytes, stats.counters.max_depth);
+            let bound = residency_bound(token, chunk_size, depth);
             assert!(
-                stats.peak_resident_bytes
-                    <= 8 * (stats.max_token_bytes + chunk_size) + 64 * (1 + stats.counters.max_depth),
+                stats.peak_resident_bytes <= bound,
                 "resident {} out of bound at chunk size {chunk_size}",
                 stats.peak_resident_bytes
             );

@@ -71,8 +71,8 @@ use crate::handlers::{
     SHUTDOWN_BODY,
 };
 use crate::http::{
-    body_kind, buffered_prune_head, render_json_error, render_json_error_with, render_response,
-    streaming_prune_head, BodyKind, HttpError, RequestHead,
+    body_kind, render_json_error, render_response, response_head,
+    BodyKind, HttpError, RequestHead,
 };
 use crate::metrics::Endpoint;
 use crate::state::{ServerState, MAX_DTD_BODY_BYTES};
@@ -896,7 +896,7 @@ impl Connection {
             } => {
                 let keep = Self::keep_alive(client_keep, cx);
                 (
-                    render_response(status, content_type, body.as_bytes(), keep),
+                    render_response(status, content_type, body.as_bytes(), keep, &[]),
                     keep,
                 )
             }
@@ -906,7 +906,7 @@ impl Connection {
                 message,
             } => {
                 cx.state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                (render_json_error(status, &code, &message), false)
+                (render_json_error(status, &code, &message, &[]), false)
             }
         };
         self.out.push(bytes);
@@ -1021,7 +1021,7 @@ impl Connection {
             .rate_limited
             .fetch_add(1, Ordering::Relaxed);
         cx.state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-        self.out.push(render_json_error_with(
+        self.out.push(render_json_error(
             429,
             codes::RATE_LIMITED,
             "per-connection rate limit exceeded, slow down",
@@ -1330,7 +1330,8 @@ impl Connection {
                     // the commit happens on the finishing job, so total
                     // output above the threshold is always chunked.
                     let keep = Self::keep_alive(p.client_keep, cx);
-                    frames.extend_from_slice(streaming_prune_head(content_type, keep).as_bytes());
+                    let head = response_head(200, content_type, None, keep, &[]);
+                    frames.extend_from_slice(head.as_bytes());
                     push_chunk_frame(&mut frames, buf.len(), |out| out.extend_from_slice(buf));
                     p.resp = RespFraming::Streaming { keep };
                 }
@@ -1372,7 +1373,7 @@ impl Connection {
                 // are two gathered frames — the body is moved, not
                 // copied.
                 let keep = Self::keep_alive(p.client_keep, cx);
-                let head = buffered_prune_head(p.content_type, buf.len(), keep);
+                let head = response_head(200, p.content_type, Some(buf.len()), keep, &[]);
                 self.out.push(head.into_bytes());
                 self.out.push(buf);
                 keep

@@ -161,10 +161,7 @@ pub(crate) fn analyze_reply(state: &ServerState, head: &RequestHead, body: &[u8]
             }
         }
     };
-    let opts = xproj_analyzer::AnalysisOptions {
-        sample,
-        ..xproj_analyzer::AnalysisOptions::default()
-    };
+    let opts = xproj_analyzer::AnalysisOptions { sample };
     match xproj_analyzer::analyze(&dtd, &queries, &opts) {
         Ok(analysis) => Reply::Ok {
             status: 200,

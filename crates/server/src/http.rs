@@ -158,7 +158,14 @@ pub(crate) fn parse_head_str(head: &str) -> Result<RequestHead, HttpError> {
         let (n, v) = line
             .split_once(':')
             .ok_or_else(|| HttpError::BadRequest(format!("malformed header line '{line}'")))?;
-        headers.push((n.trim().to_ascii_lowercase(), v.trim().to_string()));
+        // A field name is a token, flush against the colon and the line
+        // start (RFC 9112 §5.1, §5.2: no obsolete line folding). A proxy
+        // that read `Transfer-Encoding : chunked` or a folded line another
+        // way would frame the body, and so the next request, differently.
+        if n.is_empty() || !n.bytes().all(is_tchar) {
+            return Err(HttpError::BadRequest(format!("malformed header field name in '{line}'")));
+        }
+        headers.push((n.to_ascii_lowercase(), v.trim().to_string()));
     }
     let params = raw_query
         .split('&')
@@ -174,6 +181,11 @@ pub(crate) fn parse_head_str(head: &str) -> Result<RequestHead, HttpError> {
         params,
         headers,
     })
+}
+
+/// RFC 9110's `tchar`: the bytes a header field name is made of.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 pub(crate) fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
@@ -233,9 +245,9 @@ pub fn body_kind(head: &RequestHead) -> Result<BodyKind, HttpError> {
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
-    let mut out = Vec::with_capacity(s.len());
+    let mut out = String::with_capacity(s.len());
     xproj_engine::json_escape_into(s, &mut out);
-    String::from_utf8(out).expect("escaping a str byte by byte leaves its UTF-8 intact")
+    out
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -257,55 +269,53 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Serializes a complete `Content-Length`-framed response: the single
-/// source of the response wire format.
-pub(crate) fn render_response(
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> Vec<u8> {
-    render_response_with(status, content_type, body, keep_alive, &[])
-}
-
-/// [`render_response`] with extra response headers (name, value) spliced
+/// A response head through its blank line — the single source of the
+/// response wire format. `body_len` frames the body: `Some(n)` is
+/// `Content-Length: n`, `None` chunked. Extra headers (name, value) go
 /// in before the blank line — how `Retry-After` gets onto 429/503
 /// replies without hand-editing rendered bytes.
-pub(crate) fn render_response_with(
+pub(crate) fn response_head(
+    status: u16,
+    content_type: &str,
+    body_len: Option<usize>,
+    keep_alive: bool,
+    extra_headers: &[(&str, &str)],
+) -> String {
+    use std::fmt::Write as _;
+    let mut head = String::with_capacity(128);
+    let _ = write!(head, "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n", reason(status));
+    let _ = match body_len {
+        Some(n) => write!(head, "content-length: {n}\r\n"),
+        None => head.write_str("transfer-encoding: chunked\r\n"),
+    };
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let _ = write!(head, "connection: {connection}\r\n");
+    for (name, value) in extra_headers {
+        let _ = write!(head, "{name}: {value}\r\n");
+    }
+    head.push_str("\r\n");
+    head
+}
+
+/// Serializes a complete `Content-Length`-framed response.
+pub(crate) fn render_response(
     status: u16,
     content_type: &str,
     body: &[u8],
     keep_alive: bool,
     extra_headers: &[(&str, &str)],
 ) -> Vec<u8> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-        reason(status),
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    let mut out = Vec::with_capacity(head.len() + body.len());
-    out.extend_from_slice(head.as_bytes());
+    let mut out = response_head(status, content_type, Some(body.len()), keep_alive, extra_headers)
+        .into_bytes();
     out.extend_from_slice(body);
     out
 }
 
 /// Serializes the structured JSON error body:
-/// `{"error":{"code":"…","message":"…"}}` (always `connection: close`).
-pub(crate) fn render_json_error(status: u16, code: &str, message: &str) -> Vec<u8> {
-    render_json_error_with(status, code, message, &[])
-}
-
-/// [`render_json_error`] with extra response headers, e.g.
-/// `Retry-After` on overload (503) and rate-limit (429) replies.
-pub(crate) fn render_json_error_with(
+/// `{"error":{"code":"…","message":"…"}}` (always `connection: close`),
+/// with any extra response headers, e.g. `Retry-After` on overload (503)
+/// and rate-limit (429) replies.
+pub(crate) fn render_json_error(
     status: u16,
     code: &str,
     message: &str,
@@ -315,25 +325,7 @@ pub(crate) fn render_json_error_with(
         "{{\"error\":{{\"code\":\"{code}\",\"message\":\"{}\"}}}}",
         json_escape(message)
     );
-    render_response_with(status, "application/json", body.as_bytes(), false, extra_headers)
-}
-
-/// The head of a streaming-body response that committed to chunked
-/// transfer (prune bytes or query frames).
-pub(crate) fn streaming_prune_head(content_type: &str, keep_alive: bool) -> String {
-    format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: {content_type}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" },
-    )
-}
-
-/// The head of a streaming-body response whose whole output fit in the
-/// buffer.
-pub(crate) fn buffered_prune_head(content_type: &str, body_len: usize, keep_alive: bool) -> String {
-    format!(
-        "HTTP/1.1 200 OK\r\ncontent-type: {content_type}\r\ncontent-length: {body_len}\r\nconnection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" },
-    )
+    render_response(status, "application/json", body.as_bytes(), false, extra_headers)
 }
 
 #[cfg(test)]
@@ -398,6 +390,27 @@ mod tests {
         }
     }
 
+    /// Whitespace around or inside a field name, and folded lines, are
+    /// refused: each of these once framed the body as chunked (or hid a
+    /// `Content-Length`) where a strict proxy would not.
+    #[test]
+    fn header_names_are_tokens_and_lines_never_fold() {
+        for field in [
+            "Transfer-Encoding : chunked",
+            "X-Pad: a\r\n Transfer-Encoding: chunked",
+            "X-Pad: a\r\n\tTransfer-Encoding: chunked",
+            "Content Length: 5",
+        ] {
+            let head = format!("POST /v1/prune HTTP/1.1\r\nContent-Length: 5\r\n{field}");
+            assert!(
+                matches!(parse_head_str(&head), Err(HttpError::BadRequest(_))),
+                "{field:?}"
+            );
+        }
+        let head = parse_head_str("GET / HTTP/1.1\r\nX-A_b.c~1:  v  ").unwrap();
+        assert_eq!(head.header("x-a_b.c~1"), Some("v"));
+    }
+
     #[test]
     fn keep_alive_defaults() {
         let mut head = head_with(&[]);
@@ -408,7 +421,7 @@ mod tests {
 
     #[test]
     fn extra_headers_land_before_the_blank_line() {
-        let bytes = render_json_error_with(503, "overloaded", "try later", &[("retry-after", "1")]);
+        let bytes = render_json_error(503, "overloaded", "try later", &[("retry-after", "1")]);
         let text = String::from_utf8(bytes).unwrap();
         let (head, body) = text.split_once("\r\n\r\n").unwrap();
         assert!(head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{head}");

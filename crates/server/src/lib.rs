@@ -151,7 +151,7 @@ fn classify_accept_error(e: &std::io::Error, state: &ServerState) -> AcceptFailu
 fn admit(state: &ServerState, now: Instant) -> (Connection, bool) {
     if state.open_conns.load(Ordering::Relaxed) >= state.config.max_connections {
         state.metrics.admission_rejects.fetch_add(1, Ordering::Relaxed);
-        let reply = http::render_json_error_with(
+        let reply = http::render_json_error(
             503,
             "overloaded",
             "connection limit reached, retry shortly",

@@ -95,7 +95,7 @@ fn sim_config() -> ServerConfig {
 fn residency_bound(config: &ServerConfig, buffered_body: usize) -> usize {
     let u = config.chunk_size;
     let job_output = 4 * u + 512;
-    let session = 8 * (MAX_TOKEN + u) + 64 * (1 + MAX_DEPTH) + job_output;
+    let session = xproj_engine::residency_bound(MAX_TOKEN, u, MAX_DEPTH) + job_output;
     let in_buf = 2 * READ_BUDGET + (2 * u).max(config.max_header_bytes);
     in_buf + (2 + 4 + 1) * u + 2 * job_output + buffered_body + session
 }
@@ -1412,8 +1412,10 @@ fn fuzz_wall_raw_http_bytes_never_panic() {
 /// not guessed at: Rust's number parsers take a leading `+`, and a
 /// first-wins `Content-Length` or a kept-alive `Content-Length` +
 /// `Transfer-Encoding` request is how two parsers come to disagree on
-/// where the next request starts. Each probe is followed by a pipelined
-/// `GET /healthz` that must never be answered: the connection closes.
+/// where the next request starts; so is a header name with whitespace in
+/// or around it, or a folded line. Each probe is followed by a pipelined
+/// `GET /healthz` that must never be answered, nor one smuggled in its
+/// body: the connection closes.
 #[test]
 fn fuzz_wall_framing_disagreements_are_refused_and_close() {
     let doc = bib_doc(2);
@@ -1425,6 +1427,10 @@ fn fuzz_wall_framing_disagreements_are_refused_and_close() {
     let chunked = format!("{len:x}\r\n{doc}\r\n0\r\n\r\n");
     let length = format!("content-length: {len}\r\n");
     let id_target = |dtd: &str| format!("/v1/prune?dtd={dtd}&query=//title");
+    let field = |f: &str| with_head(&target, &format!("{length}x-pad: a\r\n{f}\r\n"), &chunked);
+    let smuggled = String::from_utf8(request("GET", "/healthz", &[], Body::None)).unwrap();
+    let smuggling =
+        format!("GET /healthz HTTP/1.1\r\ncontent length: {}\r\n\r\n{smuggled}", smuggled.len());
     // (probe, status, what the body must contain)
     let probes = [
         (
@@ -1455,6 +1461,10 @@ fn fuzz_wall_framing_disagreements_are_refused_and_close() {
         (with_head(&id_target("1%+f"), &length, &doc), 400, "'1% f' is not a DTD id"),
         (with_head(&id_target(&format!("+{id}")), &length, &doc), 400, "is not a DTD id"),
         (with_head(&id_target(&format!("0x0x{id}")), &length, &doc), 400, "is not a DTD id"),
+        (field("transfer-encoding : chunked"), 400, "malformed header field name"),
+        (field(" transfer-encoding: chunked"), 400, "malformed header field name"),
+        (field("\ttransfer-encoding: chunked"), 400, "malformed header field name"),
+        (smuggling.into_bytes(), 400, "malformed header field name"),
     ];
     seeded(
         "fuzz_wall_framing_disagreements_are_refused_and_close",

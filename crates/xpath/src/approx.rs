@@ -152,10 +152,11 @@ fn convert_test(t: &NodeTest) -> LTest {
     }
 }
 
-/// Whether paths flowing into position `i` of function `f` need the whole
+/// Whether paths flowing into an argument of function `f` need the whole
 /// subtree (`descendant-or-self::node()` suffix) or just the node itself —
-/// the `F(f, i)` table of §3.3.
-fn function_needs_subtree(f: &str, _i: usize) -> bool {
+/// the `F(f, i)` table of §3.3 (the same for every position `i` of the
+/// functions supported). The XQuery extractor reads the same table.
+pub fn function_needs_subtree(f: &str) -> bool {
     let plain = f.strip_prefix("fn:").unwrap_or(f);
     !matches!(
         plain,
@@ -221,9 +222,9 @@ pub fn extract_expr(e: &Expr) -> PredicatePaths {
                 needs_self: true,
                 ..Default::default()
             };
-            for (i, a) in args.iter().enumerate() {
+            for a in args {
                 let pa = extract_expr(a);
-                out.merge(if function_needs_subtree(f, i) {
+                out.merge(if function_needs_subtree(f) {
                     suffix_dos(pa)
                 } else {
                     pa
@@ -285,20 +286,24 @@ fn comparison_operand(e: &Expr) -> PredicatePaths {
 
 fn suffix_dos(mut p: PredicatePaths) -> PredicatePaths {
     for d in &mut p.disjuncts {
-        // A path ending in an attribute test needs no subtree: the
-        // attribute value lives on the element itself.
-        let ends_in_attr = matches!(
-            d.last(),
-            Some(SimpleStep {
-                test: LTest::HasAttribute(_),
-                ..
-            })
-        );
-        if !ends_in_attr && d.last() != Some(&SimpleStep::dos()) {
+        if needs_dos(d.last(), true) {
             d.push(SimpleStep::dos());
         }
     }
     p
+}
+
+/// The dos-suffix rule, shared with the XQuery extractor: a path read for
+/// its whole subtree gets a final `descendant-or-self::node()` step,
+/// unless it ends in an attribute test (the value lives on the element
+/// itself) or already ends in that step — with no condition attached
+/// (`last_plain`).
+pub fn needs_dos(last: Option<&SimpleStep>, last_plain: bool) -> bool {
+    match last {
+        Some(s) if matches!(s.test, LTest::HasAttribute(_)) => false,
+        Some(s) => !(last_plain && *s == SimpleStep::dos()),
+        None => true,
+    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@
 use crate::ast::XQuery;
 use std::collections::HashMap;
 use xproj_core::{Projector, StaticAnalyzer};
-use xproj_xpath::approx::approximate_steps;
+use xproj_xpath::approx::{approximate_steps, function_needs_subtree, needs_dos};
 use xproj_xpath::ast::{Axis, Expr, LocationPath, NodeTest, Step};
-use xproj_xpath::xpathl::{LPath, LStep, LTest, SimpleStep};
+use xproj_xpath::xpathl::{LPath, LStep, SimpleStep};
 
 /// How a variable was bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,20 +100,8 @@ fn dos_step() -> LStep {
 }
 
 fn with_dos(mut p: LPath) -> LPath {
-    // Attribute-final paths need no subtree: the value is on the element.
-    let ends_in_attr = matches!(
-        p.steps.last(),
-        Some(LStep {
-            step: SimpleStep {
-                test: LTest::HasAttribute(_),
-                ..
-            },
-            ..
-        })
-    );
-    if !ends_in_attr
-        && p.steps.last().map(|s| s.step == SimpleStep::dos() && s.cond.is_empty()) != Some(true)
-    {
+    let last = p.steps.last();
+    if needs_dos(last.map(|s| &s.step), last.is_some_and(|s| s.cond.is_empty())) {
         p.steps.push(dos_step());
     }
     p
@@ -257,7 +245,7 @@ fn extract_from_expr(e: &Expr, gamma: &Gamma, m: u8) -> Vec<LPath> {
             let mut out = Vec::new();
             for a in args {
                 let needs = extract_from_expr(a, gamma, 0);
-                if call_needs_subtree(f) {
+                if function_needs_subtree(f) {
                     out.extend(needs.into_iter().map(with_dos));
                 } else {
                     out.extend(needs);
@@ -286,25 +274,6 @@ fn operand_needs(e: &Expr, gamma: &Gamma) -> Vec<LPath> {
         }
         _ => extract_from_expr(e, gamma, 0),
     }
-}
-
-fn call_needs_subtree(f: &str) -> bool {
-    let plain = f.strip_prefix("fn:").unwrap_or(f);
-    !matches!(
-        plain,
-        "count"
-            | "not"
-            | "empty"
-            | "exists"
-            | "boolean"
-            | "position"
-            | "last"
-            | "zero-or-one"
-            | "exactly-one"
-            | "one-or-more"
-            | "name"
-            | "local-name"
-    )
 }
 
 /// Data needs of a path, optionally rooted at variable binding paths.

@@ -350,10 +350,7 @@ fn run_analyze(o: &Opts) -> Result<(), String> {
     eprintln!("using {source} ({} names)", dtd.name_count());
 
     let coded = |e: AnalyzerError| format!("analyze: [{}] {e}", e.code().as_str());
-    let opts = AnalysisOptions {
-        sample: sample.as_deref(),
-        ..AnalysisOptions::default()
-    };
+    let opts = AnalysisOptions { sample: sample.as_deref() };
     let analysis = analyzer::analyze(&dtd, &queries, &opts).map_err(coded)?;
 
     if o.json {

@@ -590,7 +590,11 @@ fn validated_stdin_prune_of_xmark_stays_under_the_engine_bound() {
     let field = |k: &str| stats.get(k).and_then(|v| v.as_f64()).unwrap() as usize;
     assert_eq!(field("bytes_in"), xml.len());
     assert_eq!(field("subtrees_fast_forwarded"), 0, "a validating pass skips nothing");
-    let bound = 8 * (field("max_token_bytes") + 64 * 1024) + 64 * (1 + field("max_depth"));
+    let bound = xml_projection::engine::residency_bound(
+        field("max_token_bytes"),
+        xml_projection::engine::DEFAULT_CHUNK_SIZE,
+        field("max_depth"),
+    );
     assert!(field("peak_resident_bytes") <= bound, "{line}");
     assert!(bound < xml.len() / 4, "bound {bound} is not small against {}", xml.len());
 }
