@@ -7,7 +7,18 @@ set -euo pipefail
 cd "$(dirname "$0")"
 ci_started=$SECONDS
 
-echo "== unsafe gate (grep: unsafe only in the two audited modules) =="
+# `leg TITLE` prints a leg's header and books the seconds of the leg
+# before it (a bare `leg` books the last); the run ends by printing each
+# header with its seconds beside it, then the total.
+legs=""
+leg() {
+    [ -z "${leg_title:-}" ] ||
+        legs+="$(printf '%4d s  == %s ==' $((SECONDS - leg_started)) "$leg_title")"$'\n'
+    leg_title=${1:-} leg_started=$SECONDS
+    [ -z "$leg_title" ] || echo "== $leg_title =="
+}
+
+leg "unsafe gate (grep: unsafe only in the two audited modules)"
 # Every crate carries #![forbid(unsafe_code)] except the reactor and
 # the bench harness, which deny it crate-wide and scope an #[allow] to
 # exactly one audited module each: the raw epoll/eventfd/setsockopt/
@@ -20,7 +31,7 @@ if grep -rn --include='*.rs' -E 'unsafe (fn|impl|trait|\{)|unsafe\{' src crates 
     exit 1
 fi
 
-echo "== one-loop gate (grep: no second token cursor, pass object or artifact constructor, no deleted facade) =="
+leg "one-loop gate (grep: no second token cursor, pass object or artifact constructor, no deleted facade)"
 # `PushTokenizer::drain` is the only token loop. The raw cursor
 # (`RawKind`, `peek_token`/`advance`) survives in push.rs for the frozen
 # benchmark ladder only; the pull reader and the ProjectorCache facade
@@ -78,7 +89,7 @@ if grep -rnE '\b(to_bytes|from_bytes|save_dir|load_dir|artifact_dir|query_hash|d
     exit 1
 fi
 
-echo "== one-path gate (grep: no batch driver, projector file, DTD diff or second residency knob) =="
+leg "one-path gate (grep: no batch driver, projector file, DTD diff or second residency knob)"
 # Every `xmlprune` subcommand has one execution path and every
 # connection one buffer size: the batch driver, the saved-projector
 # format, the DTD diff and the two derived `ServerConfig` fields must
@@ -100,7 +111,7 @@ if grep -n 'legacy' src/bin/xmlprune.rs; then
     exit 1
 fi
 
-echo "== one-analysis gate (grep: one name universe, one A_E / T_E, no deleted static API) =="
+leg "one-analysis gate (grep: one name universe, one A_E / T_E, no deleted static API)"
 # The grammar's reachability rows are built once, over one universe that
 # already holds the document name, and A_E / T_E (`Analyzer::axis` /
 # `::test`) are defined once: no conversion between universes may come
@@ -122,7 +133,7 @@ if grep -rnE '\b(chains_from|is_rooted_chain|select_(children|parents|descendant
     exit 1
 fi
 
-echo "== one-harness gate (grep: speed is measured by the benchmark/ ledger alone) =="
+leg "one-harness gate (grep: speed is measured by the benchmark/ ledger alone)"
 # The stand-alone timing binaries, their median-of-N timer, their env
 # knobs, their committed result files and the engine's per-feed stage
 # clocks are gone: what they checked is counter-gated tests now, and
@@ -134,13 +145,13 @@ if grep -rnE '\bTimer\b([^-]|$)|\b(bench_bytes|StageTimings|scan_ns)\b|XPROJ_BEN
     exit 1
 fi
 
-echo "== docs gate (README + DESIGN.md describe the system in <= 1000 lines) =="
+leg "docs gate (README + DESIGN.md describe the system in <= 1000 lines)"
 if [ "$(cat README.md DESIGN.md | wc -l)" -gt 1000 ]; then
     echo "docs gate: README.md + DESIGN.md exceed 1000 lines" >&2
     exit 1
 fi
 
-echo "== one-protocol gate (grep: sans-I/O machine, no second serving core) =="
+leg "one-protocol gate (grep: sans-I/O machine, no second serving core)"
 # `conn::Connection` is the only HTTP implementation, and it stays
 # sans-I/O: no socket, clock, thread, channel or reactor type may enter
 # conn.rs (its drivers hand it bytes and a `now`). And nothing of the
@@ -164,20 +175,20 @@ if grep -rnE 'ServeMode|--threaded|BodyReader|StreamingBody|serve_connection|yie
     exit 1
 fi
 
-echo "== build (release, workspace, offline, locked) =="
+leg "build (release, workspace, offline, locked)"
 cargo build --release --workspace --offline --locked
 
-echo "== clippy (workspace, all targets, deny warnings) =="
+leg "clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
-echo "== test (workspace, offline, locked) =="
+leg "test (workspace, offline, locked)"
 cargo test -q --workspace --offline --locked
 
-echo "== soundness fuzzer smoke (deterministic, 200 cases) =="
+leg "soundness fuzzer smoke (deterministic, 200 cases)"
 TESTKIT_FUZZ_CASES=200 cargo test -q --offline --locked \
     -p xml-projection --test fuzz_soundness
 
-echo "== independence fuzzer smoke (200 quadruples, differential) =="
+leg "independence fuzzer smoke (200 quadruples, differential)"
 # Every statically-Independent (DTD, doc, query, update) quadruple must
 # answer byte-identically before and after applying the update, for
 # XPath and XQuery alike; every MayConflict must carry a witness. Set
@@ -185,17 +196,21 @@ echo "== independence fuzzer smoke (200 quadruples, differential) =="
 TESTKIT_FUZZ_CASES=200 cargo test -q --offline --locked \
     -p xml-projection --test fuzz_independence
 
-echo "== rustdoc (workspace, no deps, deny warnings) =="
+leg "rustdoc (workspace, no deps, deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 
-echo "== query-pipeline fuzzer smoke (every-2-chunk-split differential) =="
+leg "query-pipeline fuzzer smoke (every-2-chunk-split differential)"
 # The one-pass QueryMachine must answer byte-identically to the
 # reference evaluator over the *unpruned* tree, at every 2-chunk split
-# of the document, in both fast-forward modes, XPath and XQuery.
+# of the document, in both fast-forward modes: random-DTD documents under
+# XPath and XQuery, and the mixed-content family (text runs, comments
+# and whitespace between elements; paths to text() and node(), counted
+# or positional), where a fallback that joined the text runs pruning
+# made adjacent would answer differently.
 TESTKIT_FUZZ_CASES=30 cargo test -q --offline --locked \
     -p xml-projection --test query_pipeline
 
-echo "== engine smoke (chunked-vs-whole differential + 100-case fuzz, tree-vs-stream validation at 500 cases) =="
+leg "engine smoke (chunked-vs-whole differential + 100-case fuzz, tree-vs-stream validation at 500 cases)"
 # The xmark differential: generated auction document streamed at several
 # chunk sizes must be byte-identical to the whole-string pruner, with the
 # O(depth + max-token) resident-memory bound holding end-to-end. (Whole
@@ -211,7 +226,7 @@ TESTKIT_FUZZ_CASES=100 cargo test -q --offline --locked -p xproj-engine \
 TESTKIT_FUZZ_CASES=500 cargo test -q --offline --locked -p xproj-engine \
     --test validate_equiv
 
-echo "== tokenizer walls, release leg (32 MiB hostile tokens, every boundary, behaviour and error-parity pins) =="
+leg "tokenizer walls, release leg (32 MiB hostile tokens, every boundary, behaviour and error-parity pins)"
 # The workspace run above covers 1 MiB tokens at feeds of 1, 7, 4096 and
 # 64 Ki bytes; this leg is the size at which a scanner that rescans the
 # incomplete token on every feed takes seconds per token instead of
@@ -223,7 +238,7 @@ TESTKIT_HOSTILE_MIB=32 cargo test -q --release --offline --locked \
 cargo test -q --release --offline --locked -p xproj-xmltree \
     --test every_boundary --test tokenizer --test error_parity
 
-echo "== capture-visit gate, release leg (XMark scale 4, 6.6 MB) =="
+leg "capture-visit gate, release leg (XMark scale 4, 6.6 MB)"
 # The workspace run above holds `capture_visits <= events * (max_depth +
 # 1)` at two small scales; this leg is the size at which a matcher that
 # walks the queue of completed captures on every event takes half a
@@ -231,7 +246,7 @@ echo "== capture-visit gate, release leg (XMark scale 4, 6.6 MB) =="
 TESTKIT_XMARK_SCALE=4 cargo test -q --release --offline --locked \
     -p xproj-engine --test capture_visits
 
-echo "== compile step budget, release leg (exact counts, the up/down family to k = 8, placement) =="
+leg "compile step budget, release leg (exact counts, the up/down family to k = 8, placement)"
 # The workspace run above pins the step counts of the up/down family to
 # k = 3; this leg pins all eight (k = 8 is 0.4 s optimised, far longer
 # unoptimised), and drives the placement test against an optimised
@@ -242,7 +257,7 @@ cargo test -q --release --offline --locked -p xml-projection --test compile_step
 cargo test -q --release --offline --locked -p xproj-server --test integration \
     cold_compiles_run_on_the_loop_within_the_step_budget
 
-echo "== analyzer smoke (XMark provenance + retention prediction) =="
+leg "analyzer smoke (XMark provenance + retention prediction)"
 # The rigorous form: on the generated XMark document, the predicted
 # retention must land within 2x of what pruning actually retains, and
 # the JSON-lines report must parse record by record.
@@ -266,7 +281,7 @@ print(f"analyzer smoke: {len(names)} provenance records, "
       f"predicted retention {ret['predicted']:.1%}")
 PY
 
-echo "== server smoke (xmlpruned binary: health, prune round-trip, drain) =="
+leg "server smoke (xmlpruned binary: health, prune round-trip, drain)"
 # Spawns the real daemon on an ephemeral port, health-checks it,
 # registers a DTD, prunes a document through the HTTP surface via the
 # testkit client, then asserts graceful shutdown exits cleanly; and,
@@ -274,7 +289,7 @@ echo "== server smoke (xmlpruned binary: health, prune round-trip, drain) =="
 # --max-connections and serves 400 connections with no accept stall.
 cargo test -q --offline --locked -p xproj-server --test binary_smoke
 
-echo "== server integration (sockets, default driver; portable driver cases) =="
+leg "server integration (sockets, default driver; portable driver cases)"
 # One run on the target's driver covers chunked round-trips, 431/413
 # (and /v1/dtd's own 64 KiB cap),
 # pipelining, mid-body disconnects, structured errors, the 24-case
@@ -289,7 +304,7 @@ echo "== server integration (sockets, default driver; portable driver cases) =="
 cargo test -q --offline --locked -p xproj-server --test integration
 cargo test -q --offline --locked -p xproj-server --test portable
 
-echo "== connection-machine simulation + adversarial wall (no sockets, 500 cases) =="
+leg "connection-machine simulation + adversarial wall (no sockets, 500 cases)"
 # The sans-I/O Connection under seeded schedules of read fragmentation,
 # partial writes, reordered completions and clock steps: any schedule
 # must answer like the trivial one and like the in-process engine, hold
@@ -299,19 +314,21 @@ echo "== connection-machine simulation + adversarial wall (no sockets, 500 cases
 TESTKIT_FUZZ_CASES=500 cargo test -q --release --offline --locked \
     -p xproj-server --test simulation
 
-echo "== one-pass residency and idle-connection sweep, release leg (counters, not clocks) =="
+leg "one-pass residency and idle-connection sweep, release leg (counters, not clocks)"
 # What the retired query bench and server sweep checked, as exact tests
 # on optimised builds: the one-pass answer equals prune -> parse ->
 # evaluate, tokenizes no more than the pruning pass, and its peak
 # allocation tracks the answer while the pipeline's tracks the document
-# (XMark 0.1 vs 0.5); and a thousand idle keep-alive connections, on one
+# (XMark 0.1 vs 0.5); a fallback plan, which builds t∖π from its kept
+# events, peaks below that pipeline on XMark 0.5; and a thousand idle
+# keep-alive connections, on one
 # loop and on two, leave 200 cached prunes byte-exact with every idle
 # connection open, no error, no accept stall and nothing aborted.
 cargo test -q --release --offline --locked -p xproj-bench --test one_pass_alloc
 cargo test -q --release --offline --locked -p xproj-server --test integration \
     a_thousand_idle_keep_alive_connections_cost_slots_not_service
 
-echo "== benchmark ledger (frozen surface builds, contract tests, 2 s smoke) =="
+leg "benchmark ledger (frozen surface builds, contract tests, 2 s smoke)"
 # benchmark/ is its own workspace building --locked against these
 # crates: a break of the surface it uses, or a response body drifting
 # from benchmark/expected.json ("inputs drifted", verified_share < 1),
@@ -326,4 +343,6 @@ assert len(shares) == 4 and all(float(s) == 1.0 for s in shares), shares
 print("benchmark smoke: verified_share = 1 on all four workloads")
 PY
 
+leg
+printf '%s' "$legs"
 echo "ci: OK ($((SECONDS - ci_started)) s wall)"

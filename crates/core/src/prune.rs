@@ -67,7 +67,7 @@ mod tests {
     use super::*;
     use crate::infer::StaticAnalyzer;
     use xproj_dtd::{parse_dtd, validate};
-    use xproj_xmltree::parser::{parse_with_options, ParseOptions};
+    use xproj_xmltree::parse_with_interner;
 
     const DTD: &str = "\
         <!ELEMENT bib (book*)>\
@@ -84,14 +84,7 @@ mod tests {
 
     fn setup() -> (xproj_dtd::Dtd, Document, Interpretation) {
         let dtd = parse_dtd(DTD, "bib").unwrap();
-        let doc = parse_with_options(
-            DOC,
-            ParseOptions {
-                ignore_whitespace_text: true,
-                interner: Some(dtd.tags.clone()),
-            },
-        )
-        .unwrap();
+        let doc = parse_with_interner(DOC, dtd.tags.clone()).unwrap();
         let interp = validate(&doc, &dtd).unwrap();
         (dtd, doc, interp)
     }

@@ -12,9 +12,9 @@ use crate::projector::{Projector, ProjectorTable, Verdict};
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 use xproj_dtd::{Dtd, NameId};
-use xproj_xmltree::document::{escape_attr, escape_text};
-use xproj_xmltree::entities::{decode_entities, ParseError};
-use xproj_xmltree::push::{drain_str, is_xml_space, RawAttrs, TokenSink};
+use xproj_xmltree::entities::ParseError;
+use xproj_xmltree::push::{drain_str, is_xml_space, TokenSink};
+use xproj_xmltree::KeptEvents;
 
 /// Outcome of a streaming prune.
 #[derive(Debug, Clone)]
@@ -140,9 +140,9 @@ pub struct PruneCounters {
 ///
 /// This is the per-event keep/discard state machine, decoupled from
 /// where events come from (as a [`MachineSink`] it sits under the one
-/// token loop, whole-string or chunked) and where output bytes go
-/// (events append to any `String` scratch buffer the caller hands in,
-/// which the caller may drain to an `io::Write` between events).
+/// token loop, whole-string or chunked) and where kept events go (any
+/// [`KeptEvents`] the caller hands in: a `String` it may drain to an
+/// `io::Write` between events, or a tree).
 /// Resident state is O(depth): one [`NameId`] per open kept element
 /// plus a skip counter for pruned subtrees.
 ///
@@ -159,8 +159,9 @@ pub struct PruneMachine<D: Borrow<Dtd>> {
     stack: Vec<NameId>,
     /// When > 0 we are inside a pruned subtree.
     skip_depth: usize,
-    /// A start tag whose '>' is not yet written (lets us emit `<x/>` for
-    /// kept elements that end up empty, matching the tree serializer).
+    /// The innermost kept element has no kept child yet (lets a
+    /// rendering emit `<x/>` for kept elements that end up empty,
+    /// matching the tree serializer).
     open_pending: bool,
     saw_root: bool,
     counters: PruneCounters,
@@ -170,7 +171,7 @@ pub struct PruneMachine<D: Borrow<Dtd>> {
 /// so a driver that owns the byte source can fast-forward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StartOutcome {
-    /// The element is kept (its start tag is in `out`).
+    /// The element is kept (and went to `out`).
     Kept,
     /// The element is pruned; its subtree events must still be fed (they
     /// are discarded by the skip counter).
@@ -208,7 +209,7 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
     /// Handles a start tag held as raw bytes: `attrs_raw` is the
     /// unparsed attribute region from
     /// `xproj_xmltree::push::split_start_tag` (what
-    /// [`TokenSink::start`] delivers); kept output is appended to `out`.
+    /// [`TokenSink::start`] delivers); a kept element goes to `out`.
     /// The returned [`StartOutcome`] tells a byte-owning driver whether
     /// the subtree is eligible for raw fast-forward.
     ///
@@ -223,7 +224,7 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
         &mut self,
         name: &str,
         attrs_raw: &str,
-        out: &mut String,
+        out: &mut impl KeptEvents,
     ) -> Result<StartOutcome, StreamPruneError> {
         self.saw_root = true;
         if self.skip_depth > 0 {
@@ -237,23 +238,10 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
             .ok_or_else(|| StreamPruneError::UndeclaredElement(name.to_string()))?;
         match self.table.verdict(nm) {
             Verdict::Keep => {
-                if self.open_pending {
-                    out.push('>');
-                }
                 self.stack.push(nm);
                 self.counters.max_depth = self.counters.max_depth.max(self.stack.len());
                 self.counters.elements_kept += 1;
-                out.push('<');
-                out.push_str(name);
-                for a in RawAttrs::new(attrs_raw) {
-                    let (aname, raw) = a.map_err(StreamPruneError::Xml)?;
-                    out.push(' ');
-                    out.push_str(aname);
-                    out.push_str("=\"");
-                    let decoded = decode_entities(raw).map_err(StreamPruneError::Xml)?;
-                    escape_attr(&decoded, out);
-                    out.push('"');
-                }
+                out.start(name, attrs_raw, self.open_pending)?;
                 self.open_pending = true;
                 Ok(StartOutcome::Kept)
             }
@@ -271,24 +259,18 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
     }
 
     /// Handles an end tag.
-    pub fn end_element(&mut self, name: &str, out: &mut String) {
+    pub fn end_element(&mut self, name: &str, out: &mut impl KeptEvents) {
         if self.skip_depth > 0 {
             self.skip_depth -= 1;
             return;
         }
         self.stack.pop();
-        if self.open_pending {
-            out.push_str("/>");
-            self.open_pending = false;
-        } else {
-            out.push_str("</");
-            out.push_str(name);
-            out.push('>');
-        }
+        out.end(name, self.open_pending);
+        self.open_pending = false;
     }
 
     /// Handles a text node (already entity-decoded).
-    pub fn text(&mut self, t: &str, out: &mut String) {
+    pub fn text(&mut self, t: &str, out: &mut impl KeptEvents) {
         if self.skip_depth > 0 {
             self.counters.text_pruned += 1;
             return;
@@ -301,20 +283,12 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
         // precomputed into one indexed load.
         let keep = self.table.keep_text_under(parent);
         if keep {
-            if self.open_pending {
-                out.push('>');
-                self.open_pending = false;
-            }
+            out.text(t, self.open_pending);
+            self.open_pending = false;
             self.counters.text_kept += 1;
-            escape_text(t, out);
         } else {
             self.counters.text_pruned += 1;
         }
-    }
-
-    /// Current element nesting depth (kept stack + pruned skip levels).
-    pub fn depth(&self) -> usize {
-        self.stack.len() + self.skip_depth
     }
 
     /// Ends the pass, checking that a root element was seen.
@@ -329,7 +303,7 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
 }
 
 /// A [`PruneMachine`] under the token loop: each event runs the machine,
-/// kept bytes append to `out`. `E` is the driver's error type — the
+/// kept events go to `out`. `E` is the driver's error type — the
 /// whole-string functions here use [`StreamPruneError`], the chunked
 /// engine its own — so one sink serves every driver.
 ///
@@ -338,41 +312,41 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
 /// content-model automaton of the open element — pruned elements
 /// included, they must still be valid — and only then reaches the
 /// machine, and no subtree is ever reported skippable.
-pub struct MachineSink<'a, D: Borrow<Dtd>, E> {
+pub struct MachineSink<'a, D: Borrow<Dtd>, E, K> {
     machine: &'a mut PruneMachine<D>,
-    out: &'a mut String,
-    /// `out`'s length when the sink was made.
+    out: &'a mut K,
+    /// What `out` had rendered when the sink was made.
     from: usize,
     validator: Option<&'a mut Validator>,
     error: PhantomData<E>,
 }
 
-impl<'a, D: Borrow<Dtd>, E> MachineSink<'a, D, E> {
-    /// Sits `machine` under a drain, appending kept output to `out`;
+impl<'a, D: Borrow<Dtd>, E, K: KeptEvents> MachineSink<'a, D, E, K> {
+    /// Sits `machine` under a drain, sending kept events to `out`;
     /// `validator`, if any, checks every event against the machine's
     /// grammar first.
     pub fn new(
         machine: &'a mut PruneMachine<D>,
-        out: &'a mut String,
+        out: &'a mut K,
         validator: Option<&'a mut Validator>,
     ) -> Self {
         MachineSink {
             machine,
-            from: out.len(),
+            from: out.rendered(),
             out,
             validator,
             error: PhantomData,
         }
     }
 
-    /// Kept bytes this sink has appended to `out`.
+    /// Kept bytes this sink has rendered into `out` (none into a tree).
     pub fn rendered(&self) -> usize {
-        self.out.len() - self.from
+        self.out.rendered() - self.from
     }
 }
 
-impl<D: Borrow<Dtd>, E: From<ParseError> + From<StreamPruneError>> TokenSink
-    for MachineSink<'_, D, E>
+impl<D: Borrow<Dtd>, E: From<ParseError> + From<StreamPruneError>, K: KeptEvents> TokenSink
+    for MachineSink<'_, D, E, K>
 {
     type Error = E;
 
@@ -523,7 +497,7 @@ fn prune_whole(
     let mut validator = (pass == Pass::Validate).then(Validator::default);
     drain_str(
         input,
-        &mut MachineSink::<_, StreamPruneError>::new(&mut machine, &mut output, validator.as_mut()),
+        &mut MachineSink::<_, StreamPruneError, _>::new(&mut machine, &mut output, validator.as_mut()),
         pass == Pass::FastForward,
     )?;
     // Validation tracks pruned elements too, so its depth is the
@@ -616,14 +590,7 @@ mod tests {
             let p = sa.project_query(q).unwrap();
             let streamed = prune_str(DOC, &dtd, &p).unwrap();
             // reparse + in-memory prune must agree
-            let doc = xproj_xmltree::parser::parse_with_options(
-                DOC,
-                xproj_xmltree::parser::ParseOptions {
-                    ignore_whitespace_text: true,
-                    interner: Some(dtd.tags.clone()),
-                },
-            )
-            .unwrap();
+            let doc = xproj_xmltree::parse_with_interner(DOC, dtd.tags.clone()).unwrap();
             let interp = xproj_dtd::validate(&doc, &dtd).unwrap();
             let in_mem = crate::prune::prune_document(&doc, &dtd, &interp, &p);
             assert_eq!(streamed.output, in_mem.to_xml(), "query {q}");

@@ -146,14 +146,7 @@ mod tests {
         .unwrap();
         let dtd = infer_dtd(&doc).unwrap();
         // Re-parse with the inferred interner so ids line up.
-        let doc2 = xproj_xmltree::parser::parse_with_options(
-            &doc.to_xml(),
-            xproj_xmltree::parser::ParseOptions {
-                ignore_whitespace_text: true,
-                interner: Some(dtd.tags.clone()),
-            },
-        )
-        .unwrap();
+        let doc2 = xproj_xmltree::parse_with_interner(&doc.to_xml(), dtd.tags.clone()).unwrap();
         assert!(validate(&doc2, &dtd).is_ok());
     }
 
@@ -162,14 +155,7 @@ mod tests {
         let doc = parse("<a><b/><c/></a>").unwrap();
         let dtd = infer_dtd(&doc).unwrap();
         for variant in ["<a><c/><b/></a>", "<a><b/><b/><c/></a>", "<a/>"] {
-            let d = xproj_xmltree::parser::parse_with_options(
-                variant,
-                xproj_xmltree::parser::ParseOptions {
-                    ignore_whitespace_text: true,
-                    interner: Some(dtd.tags.clone()),
-                },
-            )
-            .unwrap();
+            let d = xproj_xmltree::parse_with_interner(variant, dtd.tags.clone()).unwrap();
             assert!(validate(&d, &dtd).is_ok(), "{variant}");
         }
     }

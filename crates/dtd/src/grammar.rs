@@ -75,7 +75,8 @@ impl std::error::Error for GrammarError {}
 /// A DTD `(X, E)` with precomputed reachability tables.
 pub struct Dtd {
     /// Interner for element tags and attribute names; share it with
-    /// documents (via `ParseOptions::interner`) so tag ids line up.
+    /// documents (via `xproj_xmltree::parse_with_interner`) so tag ids
+    /// line up.
     pub tags: Interner,
     names: Vec<NameInfo>,
     root: NameId,

@@ -59,7 +59,7 @@ impl std::error::Error for ValidationError {}
 /// Validates `doc` against `dtd`, producing the interpretation.
 ///
 /// The document's interner must be compatible with the DTD's (parse the
-/// document with `ParseOptions { interner: Some(dtd.tags.clone()), .. }`,
+/// document with `parse_with_interner(input, dtd.tags.clone())`,
 /// or look tags up by string, which this function does as a fallback).
 pub fn validate(doc: &Document, dtd: &Dtd) -> Result<Interpretation, ValidationError> {
     let mut interp = Interpretation::new(doc.len());
@@ -177,7 +177,7 @@ pub fn interpret(doc: &Document, dtd: &Dtd) -> Result<Interpretation, Validation
 mod tests {
     use super::*;
     use crate::parser::parse_dtd;
-    use xproj_xmltree::parser::{parse_with_options, ParseOptions};
+    use xproj_xmltree::parse_with_interner;
 
     const BOOKS: &str = "\
         <!ELEMENT bib (book*)>\
@@ -188,14 +188,7 @@ mod tests {
 
     fn setup(xml: &str) -> (Document, Dtd) {
         let dtd = parse_dtd(BOOKS, "bib").unwrap();
-        let doc = parse_with_options(
-            xml,
-            ParseOptions {
-                ignore_whitespace_text: true,
-                interner: Some(dtd.tags.clone()),
-            },
-        )
-        .unwrap();
+        let doc = parse_with_interner(xml, dtd.tags.clone()).unwrap();
         (doc, dtd)
     }
 

@@ -22,6 +22,7 @@ use xproj_core::{
 use xproj_dtd::Dtd;
 use xproj_xmltree::entities::ParseError;
 use xproj_xmltree::push::{Drained, PushTokenizer, TokenSink};
+use xproj_xmltree::KeptEvents;
 
 /// Default read size for [`ChunkedPruner::run`].
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
@@ -188,8 +189,9 @@ impl Pass {
     }
 }
 
-/// The pruning sink stages the kept bytes it appended.
-impl<D: Borrow<Dtd>> Stage for MachineSink<'_, D, EngineError> {
+/// The pruning sink stages the kept bytes it rendered and has not
+/// handed on — none when it builds a tree, which is answer-side.
+impl<D: Borrow<Dtd>, K: KeptEvents> Stage for MachineSink<'_, D, EngineError, K> {
     fn staged(&self) -> usize {
         self.rendered()
     }

@@ -21,7 +21,7 @@
 //!   the answer is — x-ndjson match frames, the bare result sequence, or
 //!   the pruned document itself (by Thm 4.6 just another answer) — and
 //!   the artifact's compiled plan which sink runs: the path NFA, or the
-//!   `PruneMachine` into a buffer evaluated at the end (fallback plan)
+//!   `PruneMachine` into a tree evaluated at the end (fallback plan)
 //!   or straight into the output (`Pruned`). One [`EngineError`] and
 //!   one [`QueryStats`] (wrapping [`EngineStats`]) for every mode.
 //! * the query compiler's [`ArtifactCache`] (`xproj-qc`, re-exported

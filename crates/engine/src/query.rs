@@ -13,17 +13,19 @@
 //! not-yet-drained output frames) scales with the result.
 //!
 //! Out-of-fragment artifacts carry [`Plan::Fallback`]: the same feed
-//! loop prunes into an in-memory buffer (sound by the paper's Thm 4.6 —
-//! pruning preserves answers), and `finish` parses the pruned tree and
-//! runs the reference evaluator. Both plans produce **byte-identical**
-//! output to evaluating the query on the unpruned document; the
-//! differential fuzzer in `tests/query_pipeline.rs` holds them to that.
+//! loop prunes, its kept events building the pruned tree t∖π node by
+//! node (each kept byte is tokenized once, and siblings that pruning
+//! made adjacent stay separate nodes, as Def. 2.7 deletes and never
+//! joins), and `finish` runs the reference evaluator over that tree
+//! (sound by the paper's Thm 4.6 — pruning preserves answers). Both
+//! plans produce **byte-identical** output to evaluating the query on
+//! the unpruned document; the differential fuzzer in
+//! `tests/query_pipeline.rs` holds them to that.
 //!
 //! The pruned document is itself an answer ([`QueryOutput::Pruned`]):
-//! the fallback pass without its evaluation step, the kept bytes handed
-//! out as they are produced. So a [`QueryMachine`] is the one
-//! per-document pass object — what `/v1/prune` and `/v1/query` both
-//! drive.
+//! the same pass with its kept events rendered as bytes and handed out
+//! as they are produced. So a [`QueryMachine`] is the one per-document
+//! pass object — what `/v1/prune` and `/v1/query` both drive.
 //!
 //! ## The NFA
 //!
@@ -52,10 +54,8 @@ use xproj_core::{
 };
 use xproj_dtd::{Dtd, NameId};
 use xproj_qc::{Plan, QueryArtifact, StepAxis, StepInstr, StepTest};
-use xproj_xmltree::document::{escape_attr, escape_text};
-use xproj_xmltree::entities::decode_entities;
-use xproj_xmltree::push::{is_xml_space, RawAttrs, TokenSink};
-use xproj_xmltree::{parse_with_options, Document, ParseOptions};
+use xproj_xmltree::push::{is_xml_space, TokenSink};
+use xproj_xmltree::{KeptEvents, TreeBuilder};
 use xproj_xquery::{evaluate_query_items, serialize_item};
 
 /// What a [`QueryMachine`] writes to its output buffer.
@@ -67,7 +67,8 @@ pub enum QueryOutput {
     /// [`xproj_xquery::serialize_items`] would produce it (CLI).
     Answer,
     /// The pruned document t∖π itself (`/v1/prune`): by Thm 4.6 just
-    /// another answer, and the fallback plan minus its evaluation step.
+    /// another answer — the fallback plan's pass, its kept events
+    /// rendered as bytes instead of built into a tree.
     Pruned,
 }
 
@@ -80,8 +81,8 @@ pub struct QueryStats {
     /// Result items emitted.
     pub matches: u64,
     /// Peak answer-resident bytes (open captures + undrained output; for
-    /// the fallback plan, the buffered pruned document). Scales with the
-    /// answer, not the input.
+    /// the fallback plan, the heap bytes of the pruned tree). Scales with
+    /// the answer, not the input.
     pub peak_answer_bytes: usize,
     /// Open captures touched, summed over events: at most `events ·
     /// (max_depth + 1)` on the streaming plan, zero elsewhere. The
@@ -504,20 +505,10 @@ impl TokenSink for Matcher {
 
         if matched || recording {
             // Render `<name a="v" …` (no closing `>` yet) once, for
-            // every recording capture. Values are decoded then
-            // re-escaped — byte-identical to the reference serializer.
+            // every recording capture, as the pruner renders a kept
+            // start tag: byte-identical to the reference serializer.
             self.restage();
-            self.scratch.push('<');
-            self.scratch.push_str(name_str);
-            for attr in RawAttrs::new(attrs_raw) {
-                let (an, rawv) = attr.map_err(StreamPruneError::Xml)?;
-                let decoded = decode_entities(rawv).map_err(StreamPruneError::Xml)?;
-                self.scratch.push(' ');
-                self.scratch.push_str(an);
-                self.scratch.push_str("=\"");
-                escape_attr(&decoded, &mut self.scratch);
-                self.scratch.push('"');
-            }
+            self.scratch.start(name_str, attrs_raw, false)?;
             self.record(recording && parent.open_pending, GuardStep::Enter(name));
         }
         if matched {
@@ -554,13 +545,7 @@ impl TokenSink for Matcher {
             return Ok(());
         }
         self.restage();
-        if top.open_pending {
-            self.scratch.push_str("/>");
-        } else {
-            self.scratch.push_str("</");
-            self.scratch.push_str(name_str);
-            self.scratch.push('>');
-        }
+        self.scratch.end(name_str, top.open_pending);
         // Open captures nest, so only the innermost can be the element
         // that is ending.
         let closing = self.open.last().copied().filter(|&i| self.caps[i].start_depth == depth);
@@ -602,7 +587,7 @@ impl TokenSink for Matcher {
             return Ok(());
         }
         self.restage();
-        escape_text(decoded, &mut self.scratch);
+        self.scratch.text(decoded, false);
         if !self.open.is_empty() {
             self.record(top.open_pending, GuardStep::Text);
         }
@@ -629,9 +614,12 @@ impl Stage for Matcher {
 enum Sink {
     /// The compiled NFA, serializing matches as they stream past.
     Match(Box<Matcher>),
-    /// The pruner: the whole answer for [`QueryOutput::Pruned`], the
-    /// first half of a fallback plan.
+    /// The pruner, its kept events rendered as the output: the whole
+    /// answer for [`QueryOutput::Pruned`].
     Prune(Box<PruneMachine<Arc<Dtd>>>),
+    /// The pruner, its kept events building t∖π: a fallback plan, whose
+    /// `finish` evaluates the query over the tree.
+    Tree(Box<PruneMachine<Arc<Dtd>>>, Box<TreeBuilder>),
     Done,
 }
 
@@ -646,9 +634,6 @@ enum Sink {
 pub struct QueryMachine {
     pass: Pass,
     sink: Sink,
-    /// A fallback plan's pruned document, evaluated at `finish`; without
-    /// one, kept bytes are output as they are produced.
-    pruned: Option<String>,
     out: String,
     mode: QueryOutput,
     emitted: u64,
@@ -664,20 +649,21 @@ impl QueryMachine {
     /// artifact's grammar and a copy of its precomputed verdict table.
     pub fn new(artifact: Arc<QueryArtifact>, mode: QueryOutput) -> QueryMachine {
         let (dtd, table) = (Arc::clone(&artifact.dtd), artifact.table.clone());
-        let (sink, pruned) = match &artifact.plan {
+        let sink = match &artifact.plan {
             Plan::Streaming(p) if mode != QueryOutput::Pruned => {
-                let m = Matcher::new(dtd, table, p.steps.clone(), p.guard.clone());
-                (Sink::Match(Box::new(m)), None)
+                Sink::Match(Box::new(Matcher::new(dtd, table, p.steps.clone(), p.guard.clone())))
             }
-            _ => (
-                Sink::Prune(Box::new(PruneMachine::with_table(dtd, table))),
-                (mode != QueryOutput::Pruned).then(String::new),
-            ),
+            _ => {
+                let machine = Box::new(PruneMachine::with_table(dtd, table));
+                match mode {
+                    QueryOutput::Pruned => Sink::Prune(machine),
+                    _ => Sink::Tree(machine, Box::new(TreeBuilder::new(artifact.dtd.tags.clone()))),
+                }
+            }
         };
         QueryMachine {
             pass: Pass::new(),
             sink,
-            pruned,
             out: String::new(),
             mode,
             emitted: 0,
@@ -715,8 +701,10 @@ impl QueryMachine {
                 m.drain_ready(&mut ready);
             }
             Sink::Prune(machine) => {
-                let kept = self.pruned.as_mut().unwrap_or(&mut self.out);
-                self.pass.feed(chunk, &mut MachineSink::new(machine, kept, None))?
+                self.pass.feed(chunk, &mut MachineSink::new(machine, &mut self.out, None))?
+            }
+            Sink::Tree(machine, tree) => {
+                self.pass.feed(chunk, &mut MachineSink::new(machine, &mut **tree, None))?
             }
             Sink::Done => panic!("query machine already finished"),
         }
@@ -732,7 +720,7 @@ impl QueryMachine {
     /// pending output; drain with a last [`Self::take_output`]. Every
     /// plan asserts the engine's memory bound here.
     pub fn finish(&mut self) -> Result<QueryStats, EngineError> {
-        let (mut ready, mut capture_visits) = (Vec::new(), 0);
+        let (mut ready, mut capture_visits, mut tree) = (Vec::new(), 0, None);
         let counters = match std::mem::replace(&mut self.sink, Sink::Done) {
             Sink::Match(mut m) => {
                 self.pass.finish(&mut *m)?;
@@ -745,8 +733,12 @@ impl QueryMachine {
                 }
             }
             Sink::Prune(mut machine) => {
-                let kept = self.pruned.as_mut().unwrap_or(&mut self.out);
-                self.pass.finish(&mut MachineSink::new(&mut machine, kept, None))?;
+                self.pass.finish(&mut MachineSink::new(&mut machine, &mut self.out, None))?;
+                machine.finish()?
+            }
+            Sink::Tree(mut machine, mut builder) => {
+                self.pass.finish(&mut MachineSink::new(&mut machine, &mut *builder, None))?;
+                tree = Some(builder);
                 machine.finish()?
             }
             Sink::Done => panic!("query machine already finished"),
@@ -755,8 +747,8 @@ impl QueryMachine {
         for v in &ready {
             self.emit_match(false, v);
         }
-        if let Some(pruned) = self.pruned.take() {
-            self.evaluate(pruned)?;
+        if let Some(builder) = tree {
+            self.evaluate(*builder)?;
         }
         let plan = self.plan_label();
         if self.mode == QueryOutput::Frames {
@@ -769,8 +761,8 @@ impl QueryMachine {
             );
         }
         self.note_answer_peak();
-        // A query's bytes out are its answer, not the pruned intermediate
-        // a fallback plan buffered.
+        // A query's bytes out are its answer, not the pruned tree a
+        // fallback plan built.
         engine.bytes_out = self.taken + self.out.len() as u64;
         Ok(QueryStats {
             plan,
@@ -781,29 +773,21 @@ impl QueryMachine {
         })
     }
 
-    /// The fallback plan's second half: parse the pruned document and
-    /// run the reference evaluator over it (sound by Thm 4.6).
-    fn evaluate(&mut self, pruned: String) -> Result<(), EngineError> {
-        // A fully pruned document (π empty) still evaluates: the
-        // query may construct output without reading any node.
-        let doc = if pruned.trim().is_empty() {
-            Document::new()
-        } else {
-            parse_with_options(
-                &pruned,
-                ParseOptions {
-                    ignore_whitespace_text: true,
-                    interner: Some(self.artifact.dtd.tags.clone()),
-                },
-            )?
-        };
+    /// The fallback plan's second half: run the reference evaluator over
+    /// the pruned tree the pass built (sound by Thm 4.6). A fully pruned
+    /// document (π empty) is the bare document node, and still
+    /// evaluates: the query may construct output without reading any
+    /// node.
+    fn evaluate(&mut self, tree: TreeBuilder) -> Result<(), EngineError> {
+        let held = tree.held();
+        let doc = tree.finish();
         let items = evaluate_query_items(&doc, &self.artifact.ast)
             .map_err(|e| EngineError::Eval(e.to_string()))?;
         for it in &items {
             let v = serialize_item(&doc, it);
             self.emit_match(it.is_atom(), &v);
         }
-        self.peak_answer = self.peak_answer.max(pruned.len() + self.out.len());
+        self.peak_answer = self.peak_answer.max(held + self.out.len());
         Ok(())
     }
 
@@ -826,13 +810,13 @@ impl QueryMachine {
     }
 
     /// Answer-side bytes held besides the output: the open and queued
-    /// captures, or a fallback plan's pruned document.
+    /// captures, or a fallback plan's pruned tree.
     fn held(&self) -> usize {
-        let captures = match &self.sink {
+        match &self.sink {
             Sink::Match(m) => m.held,
+            Sink::Tree(_, tree) => tree.held(),
             _ => 0,
-        };
-        captures + self.pruned.as_ref().map_or(0, String::len)
+        }
     }
 
     fn emit_match(&mut self, atom: bool, value: &str) {
@@ -1189,12 +1173,15 @@ mod tests {
         m.take_output(&mut out);
         assert_eq!(m.pending_output(), 0);
         assert!(!out.is_empty());
-        // A fallback plan buffers the same bytes, but as evaluator
+        // A fallback plan builds a tree of the same events, evaluator
         // input: resident, not pending.
+        // The answer gauge counts the tree.
         let mut m = QueryMachine::new(artifact("count(//book)"), QueryOutput::Answer);
         m.feed(DOC.as_bytes()).unwrap();
         assert_eq!(m.pending_output(), 0);
-        assert!(m.resident_bytes() > 0);
+        let tree = m.held();
+        assert!(tree > 0 && m.resident_bytes() >= tree);
+        assert!(m.finish().unwrap().peak_answer_bytes >= tree);
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!
 //! Every document, and its copy re-indented with XML `S` between tags,
 //! also gets the verdict `xmlprune validate` gave before it streamed:
-//! `dtd::validate` on the tree parsed with `ignore_whitespace_text`
-//! accepts exactly what the validating pass accepts.
+//! `dtd::validate` on the parsed tree (whose parser drops runs of XML
+//! `S`) accepts exactly what the validating pass accepts.
 
 use xproj_core::{prune_validate_str, Projector, StaticAnalyzer, StreamPruneError};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig};
 use xproj_dtd::{parse_dtd, validate, Dtd};
 use xproj_engine::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 use xproj_testkit::{case_seed, SplitMix64};
-use xproj_xmltree::{parse_with_options, ParseOptions};
+use xproj_xmltree::parse_with_interner;
 
 /// The streamed validating prune of `a` then `b`, in the whole-string
 /// function's terms.
@@ -60,11 +60,7 @@ fn streamed(
 /// with every `S` character between each pair of adjacent tags.
 fn assert_verdicts_agree(dtd: &Dtd, input: &str) {
     for doc in [input.to_string(), input.replace("><", ">\r\n\t <")] {
-        let options = ParseOptions {
-            ignore_whitespace_text: true,
-            interner: Some(dtd.tags.clone()),
-        };
-        let tree = parse_with_options(&doc, options).is_ok_and(|t| validate(&t, dtd).is_ok());
+        let tree = parse_with_interner(&doc, dtd.tags.clone()).is_ok_and(|t| validate(&t, dtd).is_ok());
         let mut pruner = ChunkedPruner::new(dtd, &Projector::empty(dtd), std::io::sink());
         pruner.set_validate(true);
         let stream = pruner.run(doc.as_bytes(), DEFAULT_CHUNK_SIZE).is_ok();

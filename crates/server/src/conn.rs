@@ -304,9 +304,9 @@ impl Job {
     /// streaming-plan pass (a flush), and a compile, which the loop runs
     /// under [`LOOP_COMPILE_STEPS`] and hands back if it overruns.
     /// `false`: nothing bounds it — a DTD, an analysis, and the finish
-    /// of a *fallback* plan, which parses the buffered projection and
-    /// runs the tree evaluator (nested-loop joins) over it — so it must
-    /// not stall a loop's other connections.
+    /// of a *fallback* plan, which runs the tree evaluator (nested-loop
+    /// joins) over the pruned tree its feeds built — so it must not
+    /// stall a loop's other connections.
     pub fn bounded(&self) -> bool {
         match self {
             Job::Prune { session, finish, .. } => {

@@ -31,4 +31,4 @@ pub mod scan;
 
 pub use document::{Attribute, Document, Node, NodeId, NodeKind};
 pub use interner::{Interner, TagId};
-pub use parser::{parse, parse_with_options, ParseError, ParseOptions};
+pub use parser::{parse, parse_with_interner, KeptEvents, ParseError, TreeBuilder};

@@ -402,3 +402,17 @@ fn every_public_function_has_a_production_caller_or_is_listed_test_api() {
         );
     }
 }
+
+/// One tokenization per kept byte: a fallback plan's kept events build
+/// the tree it evaluates, so nothing in the engine's production code runs
+/// a tree parser or a second token loop over bytes it rendered itself.
+#[test]
+fn no_engine_pass_parses_what_it_rendered() {
+    for (path, text) in rust_files("crates/engine/src") {
+        let code = code_only(text.split("#[cfg(test)]").next().unwrap());
+        for name in ["parse", "drain_str"] {
+            assert!(!names(&code, name), "{path} calls `{name}`");
+        }
+        assert!(!code.contains("parse_with_"), "{path} calls a `parse_with_*`");
+    }
+}
