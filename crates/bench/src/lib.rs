@@ -28,7 +28,7 @@
 
 // The only other `unsafe` in the workspace besides the reactor's
 // syscall shims: a `GlobalAlloc` wrapper cannot be written in safe
-// Rust. CI greps for `unsafe` outside these two audited files.
+// Rust. tests/surface.rs fails on `unsafe` outside these two files.
 #[allow(unsafe_code)]
 pub mod counter;
 pub mod harness;

@@ -19,18 +19,17 @@
 //!
 //! On failure the test panics with a `TESTKIT_SEED=0x…` replay line;
 //! setting that variable re-runs exactly the failing case.
-//! `TESTKIT_FUZZ_CASES=n` scales the run (CI smoke uses 100).
+//! `TESTKIT_CASES=n` overrides the case count.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use xproj_core::{prune_document, prune_str, prune_str_fast, StaticAnalyzer};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS};
 use xproj_dtd::{validate, Dtd};
 use std::sync::Arc;
 use xproj_engine::{residency_bound, ChunkedPruner, QueryArtifact, QueryMachine, QueryOutput};
-use xproj_testkit::{case_seed, SplitMix64};
+use xproj_testkit::{seeded, SplitMix64};
 use xproj_xmltree::Document;
 
-const FUZZ_CASES: u64 = 300;
+const FUZZ_CASES: u32 = 300;
 
 /// A random XPathℓ query over the random-DTD tag alphabet.
 fn random_query(rng: &mut SplitMix64) -> String {
@@ -243,29 +242,7 @@ fn run_case(seed: u64) {
 
 #[test]
 fn fuzz_chunked_equals_whole_string_pruning() {
-    let name = "fuzz_chunked_equals_whole_string_pruning";
-    if let Some(seed) = xproj_testkit::runner::parse_seed_env() {
-        run_case(seed);
-        return;
-    }
-    let cases = std::env::var("TESTKIT_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(FUZZ_CASES);
-    for i in 0..cases {
-        let seed = case_seed(name, i as u32);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_case(seed))) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!(
-                "chunked-equivalence fuzzer failed at case {i}/{cases}:\n{msg}\n\
-                 [testkit] replay: TESTKIT_SEED={seed:#x} cargo test -p xproj-engine {name}"
-            );
-        }
-    }
+    seeded("fuzz_chunked_equals_whole_string_pruning", FUZZ_CASES, run_case);
 }
 
 /// A document whose pruned subtrees are all fast-forward-eligible,
@@ -319,7 +296,7 @@ fn fast_forward_survives_every_chunk_boundary() {
     assert_eq!(run(&one_byte), whole.output, "1-byte chunks");
 }
 
-/// The CI smoke differential: a realistic XMark auction document (deep
+/// The XMark differential: a realistic XMark auction document (deep
 /// mixed content, attributes, every description element full of
 /// entities) streamed at several chunk sizes.
 #[test]

@@ -23,7 +23,7 @@ use xproj_core::{prune_validate_str, Projector, StaticAnalyzer, StreamPruneError
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig};
 use xproj_dtd::{parse_dtd, validate, Dtd};
 use xproj_engine::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
-use xproj_testkit::{case_seed, SplitMix64};
+use xproj_testkit::{seeded, SplitMix64};
 use xproj_xmltree::parse_with_interner;
 
 /// The streamed validating prune of `a` then `b`, in the whole-string
@@ -190,15 +190,11 @@ fn adjacent_text_models_agree_at_every_split() {
 }
 
 /// Random DTDs and documents, whole and chopped mid-stream, each at a
-/// handful of random splits (`TESTKIT_FUZZ_CASES`, default 200).
+/// handful of random splits (200 cases).
 #[test]
 fn random_documents_and_truncations_agree() {
-    let cases = std::env::var("TESTKIT_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    for i in 0..cases {
-        let mut rng = SplitMix64::new(case_seed("random_documents_and_truncations_agree", i));
+    seeded("random_documents_and_truncations_agree", 200, |seed| {
+        let mut rng = SplitMix64::new(seed);
         let dtd = random_dtd(&mut rng, &RandomDtdConfig::default());
         let xml = generate(&dtd, rng.next_u64(), &GenConfig::default()).to_xml();
         let p = StaticAnalyzer::new(&dtd)
@@ -215,8 +211,8 @@ fn random_documents_and_truncations_agree() {
                 let at = rng.below(input.len() + 1);
                 let got = streamed(&dtd, &p, &input.as_bytes()[..at], &input.as_bytes()[at..])
                     .map(|r| r.0);
-                assert_eq!(got, want, "case {i}, split {at} of {input:?}");
+                assert_eq!(got, want, "split {at} of {input:?}");
             }
         }
-    }
+    });
 }

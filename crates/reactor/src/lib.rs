@@ -31,8 +31,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 // The one module in the workspace allowed to contain `unsafe`: the raw
-// epoll/eventfd/setsockopt FFI, kept behind safe wrappers. CI greps for
-// `unsafe` outside this file (and the bench crate's allocator).
+// epoll/eventfd/setsockopt FFI, kept behind safe wrappers; tests/surface.rs
+// fails on `unsafe` outside this file (and the bench crate's allocator).
 #[allow(unsafe_code)]
 mod sys;
 pub mod timer;

@@ -664,7 +664,7 @@ impl Connection {
     /// bounded by configuration alone, independent of document size:
     ///
     /// ```text
-    /// in_buf      ≤ 2·READ_BUDGET + max(2u, max_header_bytes)
+    /// in_buf      ≤ 2·READ_BUDGET + max(2u, MAX_HEADER_BYTES)
     ///               (consumed prefix awaiting compaction + one read + the backlog gate)
     /// pending_in  ≤ 2u                            (the input gate)
     /// out         ≤ 4u + one job's frames         (the output gate)
@@ -984,7 +984,7 @@ impl Connection {
         if self.out.len >= OUT_GATE_UNITS * self.unit {
             return false;
         }
-        match parse_head(buf, cx.state.config.max_header_bytes) {
+        match parse_head(buf) {
             Ok(None) => {
                 if self.peer_eof {
                     self.peer_eof_mid_request(cx);

@@ -1,6 +1,6 @@
 //! Driver-level cases the socket tests cannot force. (In a file of its
 //! own because it builds a job by hand, and `epoll.rs` itself never
-//! names a job variant — ci.sh's one-protocol gate.)
+//! names a job variant — a gate in tests/surface.rs.)
 
 use super::*;
 use crate::state::ServerConfig;

@@ -293,7 +293,7 @@ pub(crate) fn reply_for_http_error(e: &HttpError) -> Reply {
         HttpError::HeadersTooLarge => Reply::err(
             431,
             codes::HEADERS_TOO_LARGE,
-            "request head exceeds the configured limit",
+            format!("request head exceeds {} bytes", crate::wire::MAX_HEADER_BYTES),
         ),
         HttpError::NotImplemented(m) => Reply::err(501, codes::NOT_IMPLEMENTED, m.clone()),
     }

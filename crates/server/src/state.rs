@@ -30,9 +30,6 @@ pub struct ServerConfig {
     /// How long queued response bytes may make no progress against a
     /// client that is not reading before the connection is closed.
     pub write_timeout: Duration,
-    /// Max bytes of a request head (request line + headers) → `431`.
-    /// A constant of the binary (16 KiB); a field so tests can shrink it.
-    pub max_header_bytes: usize,
     /// Max decoded bytes of a request body → `413`.
     pub max_body_bytes: u64,
     /// The per-connection buffer unit `u` (`--chunk-size`), the one
@@ -74,7 +71,6 @@ impl Default for ServerConfig {
             workers: 4,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            max_header_bytes: 16 * 1024,
             max_body_bytes: 1 << 30,
             chunk_size: DEFAULT_CHUNK_SIZE,
             cache_capacity: 64,

@@ -7,26 +7,23 @@ use crate::http::{
     find_subsequence, parse_digits, parse_head_str, BodyKind, HttpError, RequestHead,
 };
 
+/// Max bytes of a request head (request line + headers) → `431`.
+pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+
 /// Tries to parse one request head from the front of `buf`.
 ///
 /// Returns `Ok(Some((head, consumed)))` when a complete head is present
 /// (`consumed` covers the terminating blank line; body bytes start
 /// there), `Ok(None)` when more input is needed, and an error for an
 /// oversized or malformed head.
-pub fn parse_head(
-    buf: &[u8],
-    max_header_bytes: usize,
-) -> Result<Option<(RequestHead, usize)>, HttpError> {
+pub fn parse_head(buf: &[u8]) -> Result<Option<(RequestHead, usize)>, HttpError> {
     match find_subsequence(buf, b"\r\n\r\n") {
-        Some(i) => {
-            if i > max_header_bytes {
-                return Err(HttpError::HeadersTooLarge);
-            }
+        Some(i) if i <= MAX_HEADER_BYTES => {
             let head = parse_head_str(&String::from_utf8_lossy(&buf[..i]))?;
             Ok(Some((head, i + 4)))
         }
-        None if buf.len() > max_header_bytes => Err(HttpError::HeadersTooLarge),
-        None => Ok(None),
+        None if buf.len() <= MAX_HEADER_BYTES => Ok(None),
+        _ => Err(HttpError::HeadersTooLarge),
     }
 }
 
@@ -184,9 +181,9 @@ mod tests {
         let wire = b"GET /metrics?x=1 HTTP/1.1\r\nhost: a\r\n\r\nGET /next";
         // Every strict prefix short of the blank line: need more input.
         for cut in 0..wire.len() - "\r\n\r\nGET /next".len() {
-            assert!(parse_head(&wire[..cut], 16 * 1024).unwrap().is_none(), "cut {cut}");
+            assert!(parse_head(&wire[..cut]).unwrap().is_none(), "cut {cut}");
         }
-        let (head, consumed) = parse_head(wire, 16 * 1024).unwrap().unwrap();
+        let (head, consumed) = parse_head(wire).unwrap().unwrap();
         assert_eq!(head.method, "GET");
         assert_eq!(head.path, "/metrics");
         assert_eq!(head.query_param("x"), Some("1"));
@@ -197,17 +194,17 @@ mod tests {
     #[test]
     fn head_limits_and_errors() {
         assert!(matches!(
-            parse_head(&[b'a'; 100], 64),
+            parse_head(&[b'a'; MAX_HEADER_BYTES + 1]),
             Err(HttpError::HeadersTooLarge)
         ));
         assert!(matches!(
-            parse_head(b"GET / SPDY/3\r\n\r\n", 1024),
+            parse_head(b"GET / SPDY/3\r\n\r\n"),
             Err(HttpError::BadRequest(_))
         ));
         // A too-large but complete head is still rejected.
-        let wire = format!("GET / HTTP/1.1\r\nh: {}\r\n\r\n", "v".repeat(100));
+        let wire = format!("GET / HTTP/1.1\r\nh: {}\r\n\r\n", "v".repeat(MAX_HEADER_BYTES));
         assert!(matches!(
-            parse_head(wire.as_bytes(), 64),
+            parse_head(wire.as_bytes()),
             Err(HttpError::HeadersTooLarge)
         ));
     }

@@ -1,7 +1,7 @@
 //! Smoke test of the actual `xmlpruned` binary: spawn it on an
 //! ephemeral port, health-check, register a DTD, prune a document
 //! through the HTTP surface, shut down gracefully, and assert a clean
-//! exit. This is the server step `ci.sh` runs.
+//! exit.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
@@ -236,13 +236,10 @@ fn every_flag_is_accepted_and_rejects_garbage() {
 }
 
 /// The retired flags are gone, not ignored: naming one is a usage error.
-/// (Each is spelled in two halves — ci.sh's gates grep these sources for
-/// the retired names.)
 #[test]
 fn retired_flags_are_usage_errors() {
-    for halves in [["--artifact", "-dir"], ["--out-buffer", "-cap"], ["--max-header", "-bytes"]] {
-        let flag = halves.concat();
-        let out = exits(&[flag.as_str(), "x"]);
+    for flag in ["--artifact-dir", "--out-buffer-cap", "--max-header-bytes"] {
+        let out = exits(&[flag, "x"]);
         assert_eq!(out.status.code(), Some(1));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("unknown flag '{flag}'")), "{stderr}");

@@ -24,6 +24,7 @@ use std::time::Duration;
 use xproj_dtd::generate::{generate, GenConfig, RANDOM_DTD_TAGS};
 use xproj_dtd::{parse_dtd, Dtd};
 use xproj_engine::{QueryArtifact, QueryOutput};
+use xproj_server::wire::MAX_HEADER_BYTES;
 use xproj_server::ServerConfig;
 use xproj_testkit::{urlencode, HttpClient, SplitMix64};
 use xproj_xquery::{evaluate_query, parse_xquery};
@@ -255,17 +256,22 @@ fn transfer_coding_list_and_connection_tokens() {
     srv.shutdown();
 }
 
+/// A head (request line and header lines) one byte over the limit.
 #[test]
 fn oversized_header_rejected_431() {
-    let config = ServerConfig { max_header_bytes: 256, ..small_config() };
-    let srv = TestServer::start(config);
-    let mut c = srv.client();
-    let huge = "x".repeat(1024);
-    let resp = c
-        .request("GET", "/healthz", &[("x-padding", huge.as_str())], None)
-        .unwrap();
-    assert_eq!(resp.status, 431);
-    assert_eq!(extract_json_str(&resp.body_str(), "code"), "headers-too-large");
+    use std::io::{Read, Write};
+    let srv = TestServer::start(small_config());
+    let start = "GET /healthz HTTP/1.1\r\nx-padding: ";
+    let pad = "x".repeat(MAX_HEADER_BYTES + 1 - start.len());
+    let mut stream = std::net::TcpStream::connect(srv.addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(format!("{start}{pad}\r\n\r\n").as_bytes()).unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("read 431");
+    let text = String::from_utf8_lossy(&raw);
+    assert!(text.starts_with("HTTP/1.1 431"), "{text}");
+    assert!(text.contains("\"code\":\"headers-too-large\""), "{text}");
+    assert!(text.contains("exceeds 16384 bytes"), "{text}");
     srv.shutdown();
 }
 
@@ -822,14 +828,14 @@ const SITE_DOC: &[u8] = b"<site><regions><africa><item id=\"i\"><location>L</loc
     <asia/><australia/><europe/><namerica/><samerica/></regions><categories/><catgraph/>\
     <people/><open_auctions/><closed_auctions/></site>";
 
-/// ROADMAP item 1's up/down family: `//keyword` + k × `/ancestor::*/descendant::*`.
+/// The up/down family: `//keyword` + k × `/ancestor::*/descendant::*`.
 fn up_down(k: usize) -> String {
     format!("//keyword{}", "/ancestor::*/descendant::*".repeat(k))
 }
 
 /// Lane isolation: work nothing bounds parks the executor lane, never a
 /// loop. One loop, one lane thread: connection A's slow job (a cold
-/// query's compile past the loop's step budget — ROADMAP item 1's
+/// query's compile past the loop's step budget — the up/down
 /// `ancestor`/`descendant` family, over a second at k = 5 in a debug
 /// build — then the same query under
 /// `/v1/analyze`) is on the lane when connection B asks for a prune

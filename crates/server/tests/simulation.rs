@@ -24,14 +24,13 @@
 //! valid requests at the same harness and asserts no panic, liveness
 //! and the residency bound.
 //!
-//! `TESTKIT_FUZZ_CASES=n` scales the seeded tests; a failure prints the
-//! `TESTKIT_SEED=0x…` that replays it.
+//! `TESTKIT_CASES=n` overrides the seeded tests' case counts; a failure
+//! prints the `TESTKIT_SEED=0x…` that replays it.
 
 mod common;
 
 use common::run_query;
 use std::io::IoSlice;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,8 +39,9 @@ use xproj_engine::{QueryArtifact, QueryOutput};
 use xproj_server::conn::{
     run_job, Connection, Done, Input, PruneFail, LINGER_MAX_BYTES, LINGER_TIMEOUT, READ_BUDGET,
 };
+use xproj_server::wire::MAX_HEADER_BYTES;
 use xproj_server::{ServerConfig, ServerState};
-use xproj_testkit::{case_seed, urlencode, SplitMix64};
+use xproj_testkit::{seeded, urlencode, SplitMix64};
 
 const BIB_DTD: &str = "<!ELEMENT bib (book*)>\
      <!ELEMENT book (title, author*, price?)>\
@@ -96,7 +96,7 @@ fn residency_bound(config: &ServerConfig, buffered_body: usize) -> usize {
     let u = config.chunk_size;
     let job_output = 4 * u + 512;
     let session = xproj_engine::residency_bound(MAX_TOKEN, u, MAX_DEPTH) + job_output;
-    let in_buf = 2 * READ_BUDGET + (2 * u).max(config.max_header_bytes);
+    let in_buf = 2 * READ_BUDGET + (2 * u).max(MAX_HEADER_BYTES);
     in_buf + (2 + 4 + 1) * u + 2 * job_output + buffered_body + session
 }
 
@@ -530,34 +530,6 @@ impl Sim {
 
     fn counter(&self, pick: impl Fn(&xproj_server::ServerMetrics) -> u64) -> u64 {
         pick(&self.state.metrics)
-    }
-}
-
-/// Runs `case(seed)` over `TESTKIT_FUZZ_CASES` seeds (default
-/// `default_cases`), or over the one `TESTKIT_SEED`; a failure names
-/// the seed that replays it.
-fn seeded(name: &str, default_cases: u64, case: impl Fn(u64)) {
-    if let Some(seed) = xproj_testkit::runner::parse_seed_env() {
-        return case(seed);
-    }
-    let cases = std::env::var("TESTKIT_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(default_cases);
-    for i in 0..cases {
-        let seed = case_seed(name, i as u32);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| case(seed))) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!(
-                "{name} failed at case {i}/{cases}:\n{msg}\n\
-                 [testkit] replay: TESTKIT_SEED={seed:#x} cargo test -p xproj-server \
-                 --test simulation {name}"
-            );
-        }
     }
 }
 

@@ -8,7 +8,7 @@
 //!   generators in `xproj-dtd` and `xproj-xmark`);
 //! * [`strategy`] — generator combinators with bounded, value-based
 //!   shrinking;
-//! * [`runner`] — the case loop with failing-seed reporting;
+//! * [`runner`] — the case loops (`check`, `seeded`), failing-seed reports;
 //! * [`http`] — a minimal blocking HTTP/1.1 client (keep-alive,
 //!   chunked bodies, pipelining) for exercising the `xmlpruned` server;
 //! * [`forall!`] — a `proptest!`-shaped macro so ported tests keep
@@ -24,7 +24,7 @@
 //!
 //! Setting `TESTKIT_SEED` re-runs exactly that case (generation is a
 //! pure function of the seed). `TESTKIT_CASES=n` overrides the case
-//! count of every property, e.g. for longer fuzzing sessions in CI.
+//! count of every property and fuzzer, e.g. for longer CI fuzzing runs.
 //!
 //! # Example
 //!
@@ -59,7 +59,7 @@ pub mod strategy;
 pub use http::{urlencode, HttpClient, HttpResponse};
 pub use json::{parse_json, Json};
 pub use rng::{fnv1a, mix, SplitMix64};
-pub use runner::{check, case_seed, Config};
+pub use runner::{case_seed, check, seeded, Config};
 pub use strategy::{
     charset, ident, one_of, recursive, string_of, vec_of, weighted, Just, RcStrategy, Strategy,
     StrategyExt,

@@ -14,7 +14,7 @@ use std::panic::{self, AssertUnwindSafe};
 /// Runner configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Number of generated cases (scaled by `TESTKIT_CASES` if set).
+    /// Number of generated cases.
     pub cases: u32,
     /// Upper bound on accepted shrink steps.
     pub max_shrink_steps: u32,
@@ -23,11 +23,12 @@ pub struct Config {
 }
 
 impl Config {
-    /// A config running `cases` cases, honouring the `TESTKIT_CASES`
-    /// multiplier and `TESTKIT_SEED` replay variables.
+    /// A config running `cases` cases — or `TESTKIT_CASES` of them, an
+    /// override (not a multiplier) for every property and fuzzer, where a
+    /// value that is no count panics — or the one `TESTKIT_SEED` case.
     pub fn cases(cases: u32) -> Config {
         let cases = match std::env::var("TESTKIT_CASES") {
-            Ok(v) => v.parse().unwrap_or(cases),
+            Ok(v) => v.trim().parse().unwrap_or_else(|_| panic!("TESTKIT_CASES={v:?} is no count")),
             Err(_) => cases,
         };
         Config {
@@ -101,6 +102,26 @@ pub fn case_seed(name: &str, i: u32) -> u64 {
     mix(fnv1a(name) ^ mix(i as u64))
 }
 
+/// Runs `case(seed)` over the seeds of `name`'s stream, as many as
+/// [`Config::cases`]`(default_cases)` says, and returns how many ran: the
+/// fuzzers' driver. Each case draws its input from its seed, so a failure
+/// is never shrunk: it prints its panic and location as it happens (the
+/// panic hook stays on), then the seed; a replayed case runs uncaught.
+pub fn seeded(name: &str, default_cases: u32, case: impl Fn(u64)) -> u32 {
+    let cfg = Config::cases(default_cases);
+    if let Some(seed) = cfg.replay {
+        case(seed);
+        return 1;
+    }
+    for i in 0..cfg.cases {
+        let seed = case_seed(name, i);
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| case(seed))) {
+            report(name, seed, i + 1, 0, &seed, &payload_message(&payload));
+        }
+    }
+    cfg.cases
+}
+
 /// Checks `prop` over `cfg.cases` values drawn from `strat`.
 ///
 /// On failure: shrinks (bounded), then panics with the minimal failing
@@ -160,12 +181,13 @@ fn report<V: std::fmt::Debug>(
         "[testkit] property '{name}' failed{} ({shrink_steps} shrink steps)\n\
          [testkit] minimal failing input: {value:#?}\n\
          [testkit] assertion: {msg}\n\
-         [testkit] replay: TESTKIT_SEED={seed:#x} cargo test {name}",
+         [testkit] replay: TESTKIT_SEED={seed:#x} cargo test {}{name}",
         if after_cases > 0 {
             format!(" after {after_cases} cases")
         } else {
             " on replay".to_string()
-        }
+        },
+        std::env::var("CARGO_PKG_NAME").map_or(String::new(), |p| format!("-p {p} ")),
     );
 }
 
@@ -197,7 +219,8 @@ mod tests {
         });
         let msg = payload_message(&caught.unwrap_err());
         assert!(msg.contains("TESTKIT_SEED="), "{msg}");
-        assert!(msg.contains("find_big"), "{msg}");
+        assert!(msg.contains("failed after "), "{msg}");
+        assert!(msg.contains("cargo test -p xproj-testkit find_big"), "{msg}");
         // greedy halving toward 0 lands on the boundary value 10
         assert!(msg.contains("input: 10"), "{msg}");
     }
@@ -252,6 +275,34 @@ mod tests {
         });
         let msg = payload_message(&caught.unwrap_err());
         assert!(msg.contains("vec_shrink"), "{msg}");
+    }
+
+    #[test]
+    fn a_failing_seeded_case_reports_its_seed() {
+        let caught = panic::catch_unwind(|| {
+            seeded("seeded_fails", 50, |seed| panic!("case {seed:#x} fails"));
+        });
+        let msg = payload_message(&caught.unwrap_err());
+        let seed = case_seed("seeded_fails", 0);
+        assert!(msg.contains("property 'seeded_fails' failed after 1 cases"), "{msg}");
+        assert!(msg.contains(&format!("case {seed:#x} fails")), "{msg}");
+        assert!(msg.contains(&format!("TESTKIT_SEED={seed:#x}")), "{msg}");
+    }
+
+    #[test]
+    fn a_case_count_that_is_no_number_panics() {
+        if std::env::var("TESTKIT_CASES").is_ok_and(|v| v == "many") {
+            Config::cases(1); // the child run: must panic
+            return;
+        }
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "runner::tests::a_case_count_that_is_no_number_panics"])
+            .env("TESTKIT_CASES", "many")
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!out.status.success(), "{stdout}");
+        assert!(stdout.contains("TESTKIT_CASES=\"many\" is no count"), "{stdout}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The committed `examples/auction.dtd` must stay in sync with the
-//! programmatic `auction_dtd()` grammar (the CLI smoke in ci.sh and the
-//! README quick-start both feed the file to `xmlprune analyze`).
+//! programmatic `auction_dtd()` grammar (`tests/cli.rs` and the README
+//! quick-start both feed the file to `xmlprune analyze`).
 //! Regenerate with `cargo run -p xproj-xmark --example dump_dtd`.
 
 use xproj_dtd::parse_dtd;

@@ -11,14 +11,13 @@
 //! committed expected list per document.
 //!
 //! On top of the exhaustive 2-split sweep, a deterministic fuzzer draws
-//! random 3-chunk splits (replayable with `TESTKIT_SEED=0x…`, scaled
-//! with `TESTKIT_FUZZ_CASES=n`).
+//! random 3-chunk splits (replayable with `TESTKIT_SEED=0x…`, counted
+//! by `TESTKIT_CASES=n`).
 
 mod common;
 
 use common::{d, e, run, run_str, run_with, s, t, Collect, Ev};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use xproj_testkit::{case_seed, SplitMix64};
+use xproj_testkit::{seeded, SplitMix64};
 
 /// Documents picked so that split offsets land in every scanner state:
 /// tag names, attribute quotes (with `>`/`/` inside), entities, CDATA
@@ -193,7 +192,6 @@ fn one_byte_chunks_match_the_one_chunk_run() {
 
 #[test]
 fn random_three_chunk_splits_match_the_one_chunk_run() {
-    let name = "random_three_chunk_splits_match_the_one_chunk_run";
     let corpus = corpus();
     let run_case = |seed: u64| {
         let mut rng = SplitMix64::new(seed);
@@ -211,28 +209,7 @@ fn random_three_chunk_splits_match_the_one_chunk_run() {
             "3-chunk split at ({a},{b}) of {doc:?}"
         );
     };
-    if let Some(seed) = xproj_testkit::runner::parse_seed_env() {
-        run_case(seed);
-        return;
-    }
-    let cases = std::env::var("TESTKIT_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(500);
-    for i in 0..cases {
-        let seed = case_seed(name, i as u32);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_case(seed))) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!(
-                "split fuzzer failed at case {i}/{cases}:\n{msg}\n\
-                 [testkit] replay: TESTKIT_SEED={seed:#x} cargo test {name}"
-            );
-        }
-    }
+    seeded("random_three_chunk_splits_match_the_one_chunk_run", 500, run_case);
 }
 
 /// A subtree whose raw bytes contain every skip-scanner hazard: fake end

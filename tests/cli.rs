@@ -132,31 +132,49 @@ fn analyze_report_has_analysis_sections() {
     assert!(stdout.contains("chain bib → book → title"), "{stdout}");
 }
 
+/// The JSON-lines report parses record by record, for the books grammar
+/// and for the committed auction grammar with a selective XMark path:
+/// the predicted retention sits in (0, 0.5) and every provenance chain
+/// starts at the root.
 #[test]
 fn analyze_json_lines_parse() {
-    let dtd = write_tmp("books-json.dtd", DTD);
-    let out = Command::new(BIN)
-        .args([
-            "analyze",
-            "--dtd",
-            dtd.to_str().unwrap(),
-            "--root",
-            "bib",
-            "--json",
-            "/bib/book/title",
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    let mut types = Vec::new();
-    for line in stdout.lines() {
-        let v = xproj_testkit::parse_json(line)
-            .unwrap_or_else(|e| panic!("bad JSON ({e}): {line}"));
-        types.push(v.get("type").and_then(|t| t.as_str()).unwrap().to_string());
-    }
-    for t in ["meta", "path", "name", "dtd", "optimality", "retention"] {
-        assert!(types.iter().any(|x| x == t), "missing {t} record:\n{stdout}");
+    let books = write_tmp("books-json.dtd", DTD);
+    let auction = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/auction.dtd");
+    let keyword = "/site/closed_auctions/closed_auction/annotation/description/text/keyword";
+    for (dtd, root, query) in [
+        (books.to_str().unwrap(), "bib", "/bib/book/title"),
+        (auction, "site", keyword),
+    ] {
+        let out = Command::new(BIN)
+            .args(["analyze", "--dtd", dtd, "--root", root, "--json", query])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let records: Vec<_> = stdout
+            .lines()
+            .map(|line| {
+                xproj_testkit::parse_json(line).unwrap_or_else(|e| panic!("bad JSON ({e}): {line}"))
+            })
+            .collect();
+        let of_type = |t: &str| {
+            records
+                .iter()
+                .filter(|r| r.get("type").and_then(|x| x.as_str()) == Some(t))
+                .collect::<Vec<_>>()
+        };
+        for t in ["meta", "path", "name", "dtd", "optimality", "retention"] {
+            assert!(!of_type(t).is_empty(), "{query}: missing {t} record:\n{stdout}");
+        }
+        let predicted = of_type("retention")[0].get("predicted").and_then(|p| p.as_f64());
+        assert!(
+            predicted.is_some_and(|p| 0.0 < p && p < 0.5),
+            "{query}: predicted retention {predicted:?}"
+        );
+        for name in of_type("name") {
+            let chain = name.get("chain").and_then(|c| c.as_arr()).unwrap();
+            assert_eq!(chain[0].as_str(), Some(root), "{query}: {name:?}");
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 //!   `small_query_cold` paths and the Use Cases grammars' axis family —
 //!   compile in a quarter of the budget, except QP13 (`/site//node()`),
 //!   which compiles in a half.
-//! * ROADMAP item 1's up/down family is pinned as counts, so the
+//! * The up/down family is pinned as counts, so the
 //!   quadratic shows up as numbers and a fix to it as a changed table.
 
 use std::sync::Arc;
@@ -129,7 +129,7 @@ fn friendly_compiles_are_exact_fit_the_budget_and_budgeting_changes_nothing() {
     assert!(over_quarter[0].1 <= LOOP_COMPILE_STEPS / 2, "{over_quarter:?}");
 }
 
-/// ROADMAP item 1's `//keyword` + k × `/ancestor::*/descendant::*` on
+/// The up/down family, `//keyword` + k × `/ancestor::*/descendant::*`, on
 /// the auction grammar: the steps of its unbudgeted compile, k = 1..8.
 /// Doubling k multiplies them by 9.2 (k = 2 → 4) and by 6.2 (4 → 8):
 /// worse than quadratic at this range. k = 1 already overruns the loop

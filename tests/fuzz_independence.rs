@@ -20,10 +20,9 @@
 //! informational — only soundness is asserted).
 //!
 //! Runs `FUZZ_CASES` (default 300) deterministic cases. On failure it
-//! panics with a `TESTKIT_SEED=0x…` replay line; `TESTKIT_FUZZ_CASES=n`
-//! scales the run (CI smoke uses 200).
+//! panics with a `TESTKIT_SEED=0x…` replay line; `TESTKIT_CASES=n`
+//! overrides the count.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use xml_projection::analyzer::{check_independence, IndependenceVerdict};
@@ -35,20 +34,20 @@ use xml_projection::xmltree::Document;
 use xml_projection::xpath::ast::Expr;
 use xml_projection::xquery::{evaluate_query, parse_xquery};
 use xml_projection::xupdate::{apply_update, random_update, ApplyError};
-use xproj_testkit::{case_seed, fnv1a, SplitMix64};
+use xproj_testkit::{fnv1a, seeded, SplitMix64};
 
-const FUZZ_CASES: u64 = 300;
+const FUZZ_CASES: u32 = 300;
 
 static INDEPENDENT: AtomicU64 = AtomicU64::new(0);
 static CONFLICT: AtomicU64 = AtomicU64::new(0);
 static CONFLICT_REAL: AtomicU64 = AtomicU64::new(0);
 
-/// Every report's verdict line (cases run in order on one thread).
-/// After `PINNED_CASES` cases their FNV-1a must equal `PINNED_VERDICTS`:
-/// a refactor of the static side must move no verdict, updated-name set
-/// or witness of the CI smoke.
-static VERDICTS: Mutex<String> = Mutex::new(String::new());
-const PINNED_CASES: u64 = 200;
+/// Every report's verdict line, one string per case (cases run in order
+/// on one thread). The FNV-1a of the first `PINNED_CASES` must equal
+/// `PINNED_VERDICTS`: a refactor of the static side must move no
+/// verdict, updated-name set or witness of those cases.
+static VERDICTS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+const PINNED_CASES: usize = 200;
 const PINNED_VERDICTS: u64 = 0x536a_244d_ecc2_99eb;
 
 const AXES: &[&str] = &[
@@ -140,7 +139,7 @@ fn check_leg(
         .iter()
         .map(|w| format!("{}/{}/{}", w.kind, w.name, w.role))
         .collect();
-    VERDICTS.lock().unwrap().push_str(&format!(
+    VERDICTS.lock().unwrap().last_mut().unwrap().push_str(&format!(
         "{:?} {} {} {} {} {witnesses:?}\n",
         report.verdict, report.query_names, report.updated_names, report.overlap, report.empty_target
     ));
@@ -181,6 +180,7 @@ fn check_leg(
 
 /// One fuzz case; panics (with context) on any soundness violation.
 fn run_case(seed: u64) {
+    VERDICTS.lock().unwrap().push(String::new());
     let mut rng = SplitMix64::new(seed);
     let dtd: Dtd = random_dtd(&mut rng, &RandomDtdConfig::default());
     let doc_seed = rng.next_u64();
@@ -223,32 +223,14 @@ fn run_case(seed: u64) {
 
 #[test]
 fn fuzz_independence_verdicts() {
-    let name = "fuzz_independence_verdicts";
-    if let Some(seed) = xproj_testkit::runner::parse_seed_env() {
-        run_case(seed);
-        return;
+    let cases = seeded("fuzz_independence_verdicts", FUZZ_CASES, run_case);
+    if xproj_testkit::runner::parse_seed_env().is_some() {
+        return; // a replayed case is no verdict mix
     }
-    let cases = std::env::var("TESTKIT_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(FUZZ_CASES);
-    for i in 0..cases {
-        let seed = case_seed(name, i as u32);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_case(seed))) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!(
-                "independence fuzzer failed at case {i}/{cases}:\n{msg}\n\
-                 [testkit] replay: TESTKIT_SEED={seed:#x} cargo test {name}"
-            );
-        }
-        if i + 1 == PINNED_CASES {
-            let got = fnv1a(&VERDICTS.lock().unwrap());
-            assert!(got == PINNED_VERDICTS, "verdicts of the first {PINNED_CASES} cases moved: {got:#018x}");
-        }
+    let verdicts = VERDICTS.lock().unwrap();
+    if verdicts.len() >= PINNED_CASES {
+        let got = fnv1a(&verdicts[..PINNED_CASES].concat());
+        assert!(got == PINNED_VERDICTS, "verdicts of the first {PINNED_CASES} cases moved: {got:#018x}");
     }
     let ind = INDEPENDENT.load(Ordering::Relaxed);
     let conf = CONFLICT.load(Ordering::Relaxed);

@@ -19,11 +19,9 @@
 //!
 //! Runs `FUZZ_CASES` (default 500) deterministic cases. On failure it
 //! panics with a `TESTKIT_SEED=0x…` replay line; setting that variable
-//! re-runs exactly the failing triple. `TESTKIT_FUZZ_CASES=n` scales
-//! the run up or down (CI smoke runs use a few hundred, soak runs can
-//! use tens of thousands).
+//! re-runs exactly the failing triple. `TESTKIT_CASES=n` overrides the
+//! count (soak runs can use tens of thousands).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use xml_projection::core::{
     prune_document, prune_str, prune_str_fast, prune_validate_str, StaticAnalyzer,
 };
@@ -34,9 +32,9 @@ use xml_projection::dtd::{interpret, validate, Dtd};
 use xml_projection::xmltree::Document;
 use xml_projection::xpath::ast::Expr;
 use xml_projection::xquery::{evaluate_query, parse_xquery, project_xquery_str};
-use xproj_testkit::{case_seed, SplitMix64};
+use xproj_testkit::{seeded, SplitMix64};
 
-const FUZZ_CASES: u64 = 500;
+const FUZZ_CASES: u32 = 500;
 
 const AXES: &[&str] = &[
     "child::",
@@ -214,27 +212,5 @@ fn run_case(seed: u64) {
 
 #[test]
 fn fuzz_theorem_4_6_soundness() {
-    let name = "fuzz_theorem_4_6_soundness";
-    if let Some(seed) = xproj_testkit::runner::parse_seed_env() {
-        run_case(seed);
-        return;
-    }
-    let cases = std::env::var("TESTKIT_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(FUZZ_CASES);
-    for i in 0..cases {
-        let seed = case_seed(name, i as u32);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run_case(seed))) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!(
-                "soundness fuzzer failed at case {i}/{cases}:\n{msg}\n\
-                 [testkit] replay: TESTKIT_SEED={seed:#x} cargo test {name}"
-            );
-        }
-    }
+    seeded("fuzz_theorem_4_6_soundness", FUZZ_CASES, run_case);
 }

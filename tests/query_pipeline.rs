@@ -28,11 +28,10 @@
 //!
 //! Each family runs `FUZZ_CASES` (default 60; the per-case cost is
 //! quadratic in document size) deterministic cases. On failure it panics
-//! with a `TESTKIT_SEED=0x…` replay line; `TESTKIT_FUZZ_CASES=n` scales
-//! the run. Documents longer than `MAX_EXHAUSTIVE_BYTES` fall back to a
+//! with a `TESTKIT_SEED=0x…` replay line; `TESTKIT_CASES=n` overrides
+//! the count. Documents longer than `MAX_EXHAUSTIVE_BYTES` fall back to a
 //! strided split sample so soak runs stay bounded.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use xml_projection::dtd::generate::{
     generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS,
@@ -43,9 +42,9 @@ use xml_projection::xmark::{auction_dtd, generate_auction, XMarkConfig};
 use xml_projection::xmltree::parse;
 use xml_projection::xquery::{evaluate_query, parse_xquery};
 use xproj_qc::QueryArtifact;
-use xproj_testkit::{case_seed, SplitMix64};
+use xproj_testkit::{seeded, SplitMix64};
 
-const FUZZ_CASES: u64 = 60;
+const FUZZ_CASES: u32 = 60;
 
 /// Above this size the split sweep samples every `len/512`-th position
 /// instead of all of them (keeps a case quadratic only on small docs).
@@ -185,36 +184,9 @@ fn run_case(seed: u64) {
     check_query(&xq, &dtd, &doc, &xml);
 }
 
-/// Runs `case` over the fuzz seeds of the test `name`, or the one seed
-/// `TESTKIT_SEED` names.
-fn fuzz(name: &str, case: fn(u64)) {
-    if let Some(seed) = xproj_testkit::runner::parse_seed_env() {
-        case(seed);
-        return;
-    }
-    let cases = std::env::var("TESTKIT_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(FUZZ_CASES);
-    for i in 0..cases {
-        let seed = case_seed(name, i as u32);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| case(seed))) {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("<non-string panic>");
-            panic!(
-                "query-pipeline fuzzer failed at case {i}/{cases}:\n{msg}\n\
-                 [testkit] replay: TESTKIT_SEED={seed:#x} cargo test {name}"
-            );
-        }
-    }
-}
-
 #[test]
 fn fuzz_query_machine_matches_unpruned_reference() {
-    fuzz("fuzz_query_machine_matches_unpruned_reference", run_case);
+    seeded("fuzz_query_machine_matches_unpruned_reference", FUZZ_CASES, run_case);
 }
 
 /// Mixed content at every level below the root: `p` and `x` interleave
@@ -289,7 +261,7 @@ fn run_mixed_case(seed: u64) {
 
 #[test]
 fn fuzz_mixed_content_keeps_adjacent_text_nodes_apart() {
-    fuzz("fuzz_mixed_content_keeps_adjacent_text_nodes_apart", run_mixed_case);
+    seeded("fuzz_mixed_content_keeps_adjacent_text_nodes_apart", FUZZ_CASES, run_mixed_case);
 }
 
 /// Runs `q` on the whole of `xml` in `Answer` form.

@@ -1,14 +1,21 @@
-//! The standing surface gate (ROADMAP item 5): every subcommand, flag and
-//! endpoint is named by four places at once — the argument parser (or
-//! route table) that implements it, the binary's `USAGE` text, README's
-//! surface table, and through that table a test that exercises it — or
-//! this test fails. A flag cannot be added to either binary without
-//! saying what it means and what shows it is needed, and a retired one
-//! cannot linger in the docs.
+//! The standing gates over the tree's text, each a test, so `cargo test`
+//! runs every one of them:
+//!
+//! * the surface gate: every subcommand, flag and endpoint is named by
+//!   four places at once — the argument parser (or route table) that
+//!   implements it, the binary's `USAGE` text, README's surface table,
+//!   and through that table a test that exercises it. A flag cannot be
+//!   added to either binary without saying what it means and what shows
+//!   it is needed, and a retired one cannot linger in the docs;
+//! * the census of public functions (`tests/test_api.txt`);
+//! * retired names stay retired (`tests/retired.txt`);
+//! * the structural gates: `unsafe` in two audited modules, one token
+//!   loop and one residency bound in the engine, one A_E / T_E, a
+//!   sans-I/O connection machine, and the docs' line budget.
 //!
 //! The sources are read as text: the parsers are plain `match` blocks
-//! over string literals, and reading them keeps the gate independent of
-//! how the binaries choose to structure their options.
+//! over string literals, and reading them keeps the gates independent of
+//! how the code chooses to structure itself.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -267,26 +274,48 @@ fn char_len(s: &str) -> Option<usize> {
     }
 }
 
-/// Every `.rs` file under `dir`, as (path from the package root, text).
-fn rust_files(dir: &str) -> Vec<(String, String)> {
+/// Every file at or under `path` (a file or a directory; a `*`
+/// component stands for every directory at that level), as (path from
+/// the package root, text). A path that names nothing panics, so a
+/// misspelled scope cannot pass by scanning no file.
+fn files(path: &str) -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (mut out, mut stack) = (Vec::new(), vec![root.join(dir)]);
-    while let Some(d) = stack.pop() {
-        for e in std::fs::read_dir(&d).into_iter().flatten() {
-            let path = e.unwrap().path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|x| x == "rs") {
-                let rel = path
-                    .strip_prefix(root)
-                    .unwrap()
-                    .to_string_lossy()
-                    .into_owned();
-                out.push((rel.clone(), read(&rel)));
-            }
+    let mut stack = vec![root.to_path_buf()];
+    for part in path.split('/') {
+        stack = stack
+            .iter()
+            .flat_map(|d| match part {
+                "*" => std::fs::read_dir(d)
+                    .into_iter()
+                    .flatten()
+                    .map(|e| e.unwrap().path())
+                    .filter(|p| p.is_dir())
+                    .collect(),
+                _ => vec![d.join(part)],
+            })
+            .filter(|p| p.exists())
+            .collect();
+    }
+    assert!(!stack.is_empty(), "no file or directory matches {path}");
+    let mut out = Vec::new();
+    while let Some(p) = stack.pop() {
+        if p.is_dir() {
+            stack.extend(std::fs::read_dir(&p).unwrap().map(|e| e.unwrap().path()));
+        } else {
+            let rel = p.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+            let text = String::from_utf8_lossy(&std::fs::read(&p).unwrap()).into_owned();
+            out.push((rel, text));
         }
     }
     out
+}
+
+/// Every `.rs` file under `dir`, as (path from the package root, text).
+fn rust_files(dir: &str) -> Vec<(String, String)> {
+    files(dir)
+        .into_iter()
+        .filter(|(path, _)| path.ends_with(".rs"))
+        .collect()
 }
 
 /// Whether `text` holds `name` as a whole identifier that is not a
@@ -415,4 +444,131 @@ fn no_engine_pass_parses_what_it_rendered() {
         }
         assert!(!code.contains("parse_with_"), "{path} calls a `parse_with_*`");
     }
+}
+
+/// Whether `text` spells `name`: anywhere, or, for a `whole_word`, with
+/// no letter, digit, `_` or `-` touching it (`ab_c`, `abc` and `ab-c`
+/// do not spell `ab`).
+fn spells(text: &str, name: &str, whole_word: bool) -> bool {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    text.match_indices(name).any(|(i, _)| {
+        !whole_word || !(text[..i].ends_with(word) || text[i + name.len()..].starts_with(word))
+    })
+}
+
+/// Each row of `tests/retired.txt` (its header gives the format): no
+/// file in the row's scope spells one of its names unless the row allows
+/// that file, and each allowance is used.
+#[test]
+fn retired_names_stay_retired() {
+    let mut back = Vec::new();
+    for row in read("tests/retired.txt")
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+    {
+        let cells: Vec<&str> = row.split(" | ").map(str::trim).collect();
+        let [names, how, scope, allowed, retired] = cells[..] else {
+            panic!("tests/retired.txt: `names | match | scope | allowed | retired`, got {row:?}");
+        };
+        let whole_word = match how {
+            "ident" => true,
+            "text" => false,
+            _ => panic!("tests/retired.txt: match is `ident` or `text`, got {row:?}"),
+        };
+        let names: Vec<&str> = names.split_whitespace().collect();
+        let allowed: Vec<&str> = allowed.split_whitespace().filter(|a| *a != "-").collect();
+        let in_allowed = |path: &str, a: &str| path == a || path.starts_with(&format!("{a}/"));
+        let mut used = Set::new();
+        for (path, text) in scope.split_whitespace().flat_map(files) {
+            let spelled: Vec<&str> = names
+                .iter()
+                .copied()
+                .filter(|n| spells(&text, n, whole_word))
+                .collect();
+            if spelled.is_empty() || path == "tests/retired.txt" {
+                continue;
+            }
+            match allowed.iter().find(|a| in_allowed(&path, a)) {
+                Some(a) => _ = used.insert(a.to_string()),
+                None => back.push(format!("{path}: {spelled:?} (retired by {retired})")),
+            }
+        }
+        for a in &allowed {
+            assert!(
+                used.contains(*a),
+                "tests/retired.txt: {a} is allowed {names:?} but spells none of them"
+            );
+        }
+    }
+    assert!(back.is_empty(), "retired names are back: {back:#?}");
+}
+
+/// `unsafe` appears only in the two audited modules — the raw epoll /
+/// eventfd / setsockopt / writev FFI and the `GlobalAlloc` wrapper — and
+/// every library root forbids unsafe code, or (the two crates holding
+/// those modules) denies it and allows it in that module.
+#[test]
+fn unsafe_is_confined_to_the_two_audited_modules() {
+    let audited = ["crates/reactor/src/sys.rs", "crates/bench/src/counter.rs"];
+    for (path, text) in ["src", "crates"].into_iter().flat_map(rust_files) {
+        let unsafe_code = ["unsafe fn", "unsafe impl", "unsafe trait", "unsafe {", "unsafe{"]
+            .iter()
+            .any(|u| text.contains(u));
+        assert!(
+            !unsafe_code || audited.contains(&path.as_str()),
+            "{path}: `unsafe` outside the audited modules"
+        );
+    }
+    for (path, text) in files("src/lib.rs").into_iter().chain(files("crates/*/src/lib.rs")) {
+        assert!(
+            text.contains("#![forbid(unsafe_code)]") || text.contains("#![deny(unsafe_code)]"),
+            "{path} neither forbids nor denies unsafe code"
+        );
+    }
+}
+
+/// One token loop in the engine: both passes run one private driver,
+/// which constructs the one `PushTokenizer`.
+#[test]
+fn the_engine_constructs_one_push_tokenizer() {
+    let constructions: usize = rust_files("crates/engine/src")
+        .iter()
+        .map(|(_, text)| text.matches("PushTokenizer::new()").count())
+        .sum();
+    assert_eq!(constructions, 1, "PushTokenizer::new() in crates/engine/src");
+}
+
+/// The residency bound's depth term is spelled once, in
+/// `residency_bound` (this file, which names it, aside).
+#[test]
+fn the_residency_bound_is_spelled_once() {
+    let spelled: Vec<String> = ["src", "crates", "tests"]
+        .into_iter()
+        .flat_map(files)
+        .filter(|(path, _)| path != "tests/surface.rs")
+        .flat_map(|(path, text)| {
+            let n = text.lines().filter(|l| l.contains("64 * (1 +")).count();
+            vec![path; n]
+        })
+        .collect();
+    assert_eq!(spelled, ["crates/engine/src/chunked.rs"]);
+}
+
+/// A_E and T_E (`Analyzer::axis` / `::test`) are defined once.
+#[test]
+fn a_e_and_t_e_are_defined_in_analysis_rs_only() {
+    let defining: Vec<String> = ["src", "crates/*/src"]
+        .into_iter()
+        .flat_map(rust_files)
+        .filter(|(_, text)| spells(text, "fn axis", true) || spells(text, "fn test", true))
+        .map(|(path, _)| path)
+        .collect();
+    assert_eq!(defining, ["crates/core/src/analysis.rs"]);
+}
+
+/// README and DESIGN.md describe the system in at most 1 000 lines.
+#[test]
+fn readme_and_design_fit_in_a_thousand_lines() {
+    let lines = read("README.md").matches('\n').count() + read("DESIGN.md").matches('\n').count();
+    assert!(lines <= 1000, "README.md + DESIGN.md: {lines} lines");
 }
