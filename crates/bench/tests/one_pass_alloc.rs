@@ -22,11 +22,18 @@
 //! evaluator's over the unpruned tree (the pipeline's re-parse joins text
 //! runs that pruning made adjacent, so it may not be).
 //!
+//! Starting a fallback pass copies nothing of the grammar: its tree
+//! interns into the grammar's names until the document names something
+//! the grammar does not, and the verdict table is the artifact's. So
+//! building the machine allocates the same bytes for a 500-name grammar
+//! as for the auction one.
+//!
 //! Its own test binary with a single test: the counting allocator is
 //! process-global, so a second test thread would be measured too.
 
 use std::sync::Arc;
 use xproj_bench::ALLOCATOR;
+use xproj_dtd::{parse_dtd, Dtd};
 use xproj_engine::{ChunkedPruner, QueryArtifact, QueryMachine, QueryOutput, DEFAULT_CHUNK_SIZE};
 use xproj_xmark::{auction_dtd, generate_auction, XMarkConfig};
 use xproj_xmltree::{parse_with_interner, Document};
@@ -122,9 +129,28 @@ fn cell(artifact: &Arc<QueryArtifact>, xml: &[u8]) -> Cell {
     }
 }
 
+/// Bytes allocated building a fallback-plan machine for `query`.
+fn fallback_machine_bytes(dtd: &Arc<Dtd>, query: &str) -> usize {
+    let artifact = QueryArtifact::compile(dtd, query).unwrap();
+    assert_eq!(artifact.plan.label(), "fallback", "{query}");
+    ALLOCATOR.measure(|| QueryMachine::new(Arc::clone(&artifact), QueryOutput::Answer)).1
+}
+
 #[test]
 fn one_pass_memory_tracks_the_answer_and_the_pipeline_memory_the_document() {
     let dtd = Arc::new(auction_dtd());
+    let names: Vec<String> = (0..500).map(|i| format!("e{i}")).collect();
+    let wide = format!(
+        "<!ELEMENT root ({})*>{}",
+        names.join("|"),
+        names.iter().map(|n| format!("<!ELEMENT {n} (#PCDATA)>")).collect::<String>()
+    );
+    let wide = Arc::new(parse_dtd(&wide, "root").unwrap());
+    assert_eq!(
+        fallback_machine_bytes(&dtd, FALLBACK_QUERIES[0]),
+        fallback_machine_bytes(&wide, "//e1[e2='x']"),
+        "a fallback machine copied grammar-sized tables"
+    );
     let small = generate_auction(&dtd, &XMarkConfig::at_scale(0.1)).to_xml();
     let large = generate_auction(&dtd, &XMarkConfig::at_scale(0.5)).to_xml();
     let mut report = String::new();

@@ -2,6 +2,7 @@
 //! to prune documents.
 
 use std::fmt;
+use std::sync::Arc;
 use xproj_dtd::{Dtd, NameId, NameSet};
 
 /// A type projector π for a DTD `(X, E)`.
@@ -126,11 +127,12 @@ pub enum Verdict {
 ///
 /// Building the table is O(|names|² / 64) bitset work — microseconds for
 /// realistic DTDs — and is done once per document pass (or once per
-/// cached projector), never per event.
+/// cached projector), never per event. Clones share the tables, so a
+/// pass that copies a cached one allocates nothing.
 #[derive(Clone)]
 pub struct ProjectorTable {
-    verdicts: Box<[Verdict]>,
-    keep_text: Box<[bool]>,
+    verdicts: Arc<[Verdict]>,
+    keep_text: Arc<[bool]>,
 }
 
 impl ProjectorTable {
@@ -152,8 +154,8 @@ impl ProjectorTable {
             keep_text.push(dtd.text_children_of(name).intersects(pi));
         }
         ProjectorTable {
-            verdicts: verdicts.into_boxed_slice(),
-            keep_text: keep_text.into_boxed_slice(),
+            verdicts: verdicts.into(),
+            keep_text: keep_text.into(),
         }
     }
 

@@ -4,9 +4,10 @@
 //! linear in the document size, memory is bounded by the element-nesting
 //! depth (one name per open element, one skip counter), and the pass can
 //! be fused with parsing/validation. Because a DTD is a *local* tree
-//! grammar the decision per start-tag is one hash lookup (tag → name)
-//! plus one indexed load (the verdict); a discarded element just bumps a
-//! depth counter until its end tag.
+//! grammar the decision per start-tag is one tag lookup (tag → name, a
+//! binary search among the grammar's tags of that length, hashing
+//! nothing) plus one indexed load (the verdict); a discarded element
+//! just bumps a depth counter until its end tag.
 
 use crate::projector::{Projector, ProjectorTable, Verdict};
 use std::borrow::Borrow;
@@ -215,11 +216,11 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
     ///
     /// Attributes are only parsed — and their values only decoded, and
     /// even then only when they contain an entity — for *kept*
-    /// elements, so pruned start tags cost one verdict lookup and zero
-    /// allocation. The caller is expected to have validated attribute
-    /// syntax and entities already (the token loop does, to report
-    /// precise parse errors); syntax errors surfacing here still fail
-    /// cleanly.
+    /// elements, so pruned start tags cost one tag lookup, one verdict
+    /// load and zero allocation. The caller is expected to have
+    /// validated attribute syntax and entities already (the token loop
+    /// does, to report precise parse errors); syntax errors surfacing
+    /// here still fail cleanly.
     pub fn start_element_raw(
         &mut self,
         name: &str,

@@ -80,10 +80,9 @@ pub struct Dtd {
     pub tags: Interner,
     names: Vec<NameInfo>,
     root: NameId,
-    /// The element name of each tag, indexed by [`TagId`] (`None` for an
-    /// attribute-only name): a tag's name is one load after its one
-    /// interner probe.
-    tag_to_name: Vec<Option<NameId>>,
+    /// The element name of each tag: what every start tag of a streamed
+    /// document is looked up in.
+    tag_index: TagIndex,
     /// Compiled content automata, indexed by name.
     automata: Vec<Option<ContentAutomaton>>,
     /// `children[X] = {Y | X ⇒E Y}`. The four reachability tables have
@@ -139,16 +138,11 @@ impl Dtd {
         matches!(self.names[n.index()].content, Content::Text)
     }
 
-    /// The name for an element tag, if declared.
-    pub fn name_of_tag(&self, tag: TagId) -> Option<NameId> {
-        self.tag_to_name.get(tag.index()).copied().flatten()
-    }
-
-    /// The name for an element tag given as a string: one hash probe
-    /// (std's randomly keyed SipHash — tags come from client input) and
-    /// one indexed load.
+    /// The name for an element tag given as a string: a binary search of
+    /// the grammar's tags of its length, hashing no byte of it (tags come
+    /// from client input; see `TagIndex` for the bound).
     pub fn name_of_tag_str(&self, tag: &str) -> Option<NameId> {
-        self.tags.get(tag).and_then(|t| self.name_of_tag(t))
+        self.tag_index.get(tag)
     }
 
     /// Compiled content automaton of an element name.
@@ -399,11 +393,14 @@ impl DtdBuilder {
         // tens of names for realistic DTDs).
         let descendants = transitive_closure(&children);
         let ancestors = transitive_closure(&parents);
+        let tag_index = TagIndex::new(self.names.iter().enumerate().filter_map(|(i, info)| {
+            info.tag.map(|t| (self.tags.resolve(t), NameId(i as u32)))
+        }));
         let mut dtd = Dtd {
+            tag_index,
             tags: self.tags,
             names: self.names,
             root,
-            tag_to_name: self.tag_to_name,
             automata,
             children,
             parents,
@@ -415,6 +412,67 @@ impl DtdBuilder {
         dtd.fingerprint = fnv1a_fields(&[dtd.label(root), &dtd.to_dtd_syntax()]);
         Ok(dtd)
     }
+}
+
+/// Element tags resolved without hashing client bytes: each tag with its
+/// first byte and its element name, sorted by (length, bytes), and where
+/// the tags of each length start. A lookup binary-searches the tags of
+/// its length (those of [`LONG_TAG`] bytes or more share one run), so no
+/// grammar makes it compare more than ⌈log₂ n⌉ + 1 tags of n, and a
+/// comparison reads the tag text only when the first bytes agree.
+#[derive(Debug)]
+struct TagIndex {
+    tags: Box<[TagEntry]>,
+    /// `tags[by_len[l]..by_len[l + 1]]` are `l` bytes long, for `l <
+    /// LONG_TAG`; the last run holds every longer tag.
+    by_len: [u32; LONG_TAG + 2],
+}
+
+/// A tag's first byte, the tag, and its element name.
+type TagEntry = (u8, Box<str>, NameId);
+
+/// Tags at least this long share the last run of a [`TagIndex`].
+const LONG_TAG: usize = 32;
+
+impl TagIndex {
+    fn new<'a>(tags: impl Iterator<Item = (&'a str, NameId)>) -> TagIndex {
+        let mut tags: Vec<TagEntry> = tags
+            .filter_map(|(t, n)| Some((*t.as_bytes().first()?, t.into(), n)))
+            .collect();
+        tags.sort_unstable_by(|a, b| tag_order(a, &b.1));
+        let mut by_len = [0; LONG_TAG + 2];
+        for (i, (_, tag, _)) in tags.iter().enumerate() {
+            // Every run from this tag's on starts after it.
+            for next in &mut by_len[tag.len().min(LONG_TAG) + 1..] {
+                *next = i as u32 + 1;
+            }
+        }
+        TagIndex { tags: tags.into(), by_len }
+    }
+
+    /// The tags as long as `tag` (or all long ones), in order.
+    fn run(&self, tag: &str) -> &[TagEntry] {
+        let l = tag.len().min(LONG_TAG);
+        &self.tags[self.by_len[l] as usize..self.by_len[l + 1] as usize]
+    }
+
+    #[inline]
+    fn get(&self, tag: &str) -> Option<NameId> {
+        let run = self.run(tag);
+        let i = run.binary_search_by(|e| tag_order(e, tag)).ok()?;
+        Some(run[i].2)
+    }
+}
+
+/// An entry of a [`TagIndex`] against `tag` (never empty): by length,
+/// then first byte, then the other bytes.
+#[inline]
+fn tag_order((first, t, _): &TagEntry, tag: &str) -> std::cmp::Ordering {
+    let tag = tag.as_bytes();
+    t.len()
+        .cmp(&tag.len())
+        .then(first.cmp(&tag[0]))
+        .then_with(|| t.as_bytes()[1..].cmp(&tag[1..]))
 }
 
 /// 64-bit FNV-1a over `fields`, a `0xff` byte (never part of UTF-8)
@@ -501,6 +559,44 @@ mod tests {
         let (d, x, _, _, _) = paper_dtd();
         assert_eq!(d.name_of_tag_str("c"), Some(x));
         assert_eq!(d.name_of_tag_str("zzz"), None);
+    }
+
+    /// The hostile case for the tag index: every tag of one length and
+    /// one first byte, so they all share a run. Each lookup, hit or near
+    /// miss, compares at most ⌈log₂ n⌉ + 1 of the n tags.
+    #[test]
+    fn a_tag_lookup_compares_at_most_log_n_plus_one_tags() {
+        for n in [1usize, 2, 3, 7, 64, 1000, 2500] {
+            let tags: Vec<String> = (0..n).map(|i| format!("x{i:05}")).collect();
+            let named = tags.iter().enumerate().map(|(i, t)| (t.as_str(), NameId(i as u32)));
+            let index = TagIndex::new(named);
+            let bound = (n as f64).log2().ceil() as usize + 1;
+            let probes = tags.iter().map(|t| (t.clone(), true));
+            let misses = (0..n).map(|i| (format!("x{i:04}_"), false));
+            for (probe, declared) in probes.chain(misses) {
+                let mut comparisons = 0;
+                let found = index.run(&probe).binary_search_by(|e| {
+                    comparisons += 1;
+                    tag_order(e, &probe)
+                });
+                assert_eq!(found.is_ok(), declared, "{probe}");
+                assert_eq!(index.get(&probe).is_some(), declared, "{probe}");
+                assert!(comparisons <= bound, "{probe}: {comparisons} comparisons of {n} tags");
+            }
+        }
+    }
+
+    #[test]
+    fn long_tags_share_a_run_and_resolve() {
+        let (y, z) = ("y".repeat(LONG_TAG + 1), "z".repeat(99));
+        let tags = ["a", "b", "ab", &y[1..], &y, &z];
+        let index = TagIndex::new(tags.iter().enumerate().map(|(i, t)| (*t, NameId(i as u32))));
+        for (i, tag) in tags.iter().enumerate() {
+            assert_eq!(index.get(tag), Some(NameId(i as u32)), "{tag}");
+        }
+        for miss in ["", "c", "ba", &"y".repeat(LONG_TAG + 2), &"z".repeat(98)] {
+            assert_eq!(index.get(miss), None, "{miss}");
+        }
     }
 
     #[test]

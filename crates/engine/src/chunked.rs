@@ -3,7 +3,7 @@
 //!
 //! This is the deployment mode the paper's §6 (and the journal version's
 //! streaming emphasis) actually measures: π-pruning as a single fused
-//! pass that never holds the document in memory. Bytes are pushed into a
+//! pass that never holds the document in memory. Bytes are fed to a
 //! [`PushTokenizer`] in arbitrary chunks; its one token loop runs every
 //! completed event through a sink — here the [`PruneMachine`] (as a
 //! [`MachineSink`]), whose kept bytes are flushed to the writer after
@@ -90,9 +90,10 @@ impl From<std::io::Error> for EngineError {
 
 /// The engine's memory bound on what a pass holds resident, from its
 /// largest token, largest chunk and deepest nesting — never the document
-/// size. Tokenizer bytes are one partial token plus one chunk; staged
-/// bytes, what one feed's events render to: a chunk plus a token, times
-/// the ≤ 6× escaping expansion; the element stack, a few words a level.
+/// size. Tokenizer bytes are one partial token (a chunk is tokenized
+/// where it lies); staged bytes, what one feed's events render to: a
+/// chunk plus a token, times the ≤ 6× escaping expansion; the element
+/// stack, a few words a level.
 pub fn residency_bound(max_token_bytes: usize, max_chunk: usize, max_depth: usize) -> usize {
     8 * (max_token_bytes + max_chunk) + 64 * (1 + max_depth)
 }
@@ -106,8 +107,8 @@ pub(crate) trait Stage: TokenSink<Error = EngineError> {
 
 /// The one driver of the token loop, owned by every per-document pass
 /// ([`ChunkedPruner`], [`crate::QueryMachine`]), which differ only in the
-/// [`Stage`] each call hands it: it pushes the bytes, drains them through
-/// the sink, books the [`EngineStats`] and, when they are taken, asserts
+/// [`Stage`] each call hands it: it feeds the bytes through the sink,
+/// books the [`EngineStats`] and, when they are taken, asserts
 /// the [`residency_bound`].
 pub(crate) struct Pass {
     tokenizer: PushTokenizer,
@@ -138,8 +139,7 @@ impl Pass {
     pub(crate) fn feed(&mut self, chunk: &[u8], sink: &mut impl Stage) -> Result<(), EngineError> {
         self.stats.bytes_in += chunk.len() as u64;
         self.max_chunk = self.max_chunk.max(chunk.len());
-        self.tokenizer.push_bytes(chunk)?;
-        let done = self.tokenizer.drain(sink, self.fast_forward)?;
+        let done = self.tokenizer.feed(chunk, sink, self.fast_forward)?;
         self.book(done, sink);
         Ok(())
     }

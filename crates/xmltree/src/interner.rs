@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dense identifier for an interned tag (element or attribute name).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,9 +29,17 @@ impl fmt::Debug for TagId {
 /// A bidirectional map between strings and dense [`TagId`]s.
 ///
 /// Ids are handed out in first-seen order starting at 0 and are never
-/// reused, so `len()` is also the next id.
+/// reused, so `len()` is also the next id. Clones share the names until
+/// one of them interns a name it has not seen: a document built from a
+/// grammar's interner copies it only if the document names something
+/// the grammar does not.
 #[derive(Default, Clone)]
 pub struct Interner {
+    shared: Arc<Names>,
+}
+
+#[derive(Default, Clone)]
+struct Names {
     map: HashMap<Box<str>, TagId>,
     names: Vec<Box<str>>,
 }
@@ -43,19 +52,20 @@ impl Interner {
 
     /// Interns `name`, returning its id (existing or fresh).
     pub fn intern(&mut self, name: &str) -> TagId {
-        if let Some(&id) = self.map.get(name) {
+        if let Some(id) = self.get(name) {
             return id;
         }
-        let id = TagId(self.names.len() as u32);
+        let shared = Arc::make_mut(&mut self.shared);
+        let id = TagId(shared.names.len() as u32);
         let boxed: Box<str> = name.into();
-        self.names.push(boxed.clone());
-        self.map.insert(boxed, id);
+        shared.names.push(boxed.clone());
+        shared.map.insert(boxed, id);
         id
     }
 
     /// Looks up a previously interned name without inserting.
     pub fn get(&self, name: &str) -> Option<TagId> {
-        self.map.get(name).copied()
+        self.shared.map.get(name).copied()
     }
 
     /// Returns the string for `id`.
@@ -63,22 +73,23 @@ impl Interner {
     /// # Panics
     /// Panics if `id` was not produced by this interner.
     pub fn resolve(&self, id: TagId) -> &str {
-        &self.names[id.index()]
+        &self.shared.names[id.index()]
     }
 
     /// Number of distinct interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.shared.names.len()
     }
 
     /// True if nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.shared.names.is_empty()
     }
 
     /// Iterates over `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TagId, &str)> {
-        self.names
+        self.shared
+            .names
             .iter()
             .enumerate()
             .map(|(i, n)| (TagId(i as u32), n.as_ref()))
@@ -88,7 +99,7 @@ impl Interner {
 impl fmt::Debug for Interner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
-            .entries(self.names.iter().enumerate())
+            .entries(self.shared.names.iter().enumerate())
             .finish()
     }
 }
@@ -123,6 +134,18 @@ mod tests {
         i.intern("x");
         assert_eq!(i.get("x"), Some(TagId(0)));
         assert_eq!(i.len(), 1);
+    }
+
+    #[test]
+    fn clones_share_names_until_one_interns_a_new_one() {
+        let mut grammar = Interner::new();
+        grammar.intern("a");
+        let mut doc = grammar.clone();
+        assert_eq!(doc.intern("a"), TagId(0));
+        assert!(Arc::ptr_eq(&grammar.shared, &doc.shared));
+        assert_eq!(doc.intern("b"), TagId(1));
+        assert!(!Arc::ptr_eq(&grammar.shared, &doc.shared));
+        assert_eq!((grammar.len(), grammar.get("b")), (1, None));
     }
 
     #[test]

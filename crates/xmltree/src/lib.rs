@@ -15,7 +15,7 @@
 //!   predefined entities and numeric character references),
 //! * a [`serializer`](Document::to_xml) producing well-formed XML,
 //! * the one incremental tokenizer ([`push::PushTokenizer`]) whose
-//!   [`drain`](push::PushTokenizer::drain) loop feeds every XML consumer
+//!   [`feed`](push::PushTokenizer::feed) loop feeds every XML consumer
 //!   in the workspace — the tree parser here, the streaming pruner in
 //!   `xproj-core`, the engines above it — through [`push::TokenSink`].
 

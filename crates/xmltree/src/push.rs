@@ -1,52 +1,53 @@
 //! The XML tokenizer: one incremental, *push*-mode token loop.
 //!
-//! Bytes are pushed in with [`PushTokenizer::push_bytes`] in
-//! arbitrarily-sized pieces (down to one byte) and every complete token
-//! is handed to a [`TokenSink`] by [`PushTokenizer::drain`] as soon as
-//! its closing delimiter has arrived. Chunk boundaries may fall anywhere
-//! — in the middle of a tag name, an attribute value, an `&amp;`-style
-//! entity, a CDATA section, a comment, a processing instruction, or a
-//! multi-byte UTF-8 sequence — and the calls the sink sees are identical
-//! to a one-chunk run over the concatenated input. A whole in-memory
-//! document is that one-chunk case: [`drain_str`].
+//! Bytes are fed in with [`PushTokenizer::feed`] in arbitrarily-sized
+//! pieces (down to one byte) and every complete token is handed to a
+//! [`TokenSink`] as soon as its closing delimiter has arrived. Chunk
+//! boundaries may fall anywhere — in the middle of a tag name, an
+//! attribute value, an `&amp;`-style entity, a CDATA section, a comment,
+//! a processing instruction, or a multi-byte UTF-8 sequence — and the
+//! calls the sink sees are identical to a one-chunk run over the
+//! concatenated input. A whole in-memory document is that one-chunk
+//! case: [`drain_str`].
 //!
 //! Where a token ends is decided by one private, resumable `Scanner` —
-//! the only delimiter grammar in the crate — and `drain` is the only
-//! place tokens are interpreted. Per token it validates UTF-8, parses
-//! names (a byte-class table per ASCII byte) and attribute syntax,
-//! checks the open-element stack (an end tag spelling the open name is
-//! one byte compare), decodes entities (only in a text run the scanner
-//! saw an `&` in), counts the event and — when the sink says a subtree
-//! holds nothing it wants — lets the same scanner run on to the matching
-//! end tag, interpreting nothing. Everything that consumes XML — the
-//! pruning machine, the query matcher, the validating pruner, the tree
-//! parser, the retention sampler, the CLI's DOCTYPE sniff — is a sink
-//! over it.
+//! the only delimiter grammar in the crate — and one loop interprets
+//! tokens. Per token it validates UTF-8, parses names (a byte-class
+//! table per ASCII byte) and attribute syntax, checks the open-element
+//! stack (an end tag spelling the open name is one byte compare),
+//! decodes entities (only in a text run the scanner saw an `&` in),
+//! counts the event and — when the sink says a subtree holds nothing it
+//! wants — lets the same scanner run on to the matching end tag,
+//! interpreting nothing. Everything that consumes XML — the pruning
+//! machine, the query matcher, the validating pruner, the tree parser,
+//! the retention sampler, the CLI's DOCTYPE sniff — is a sink over it.
 //!
 //! The scanner is *bulk-scanning*, not byte-stepping: tokens are
 //! delimited by finding the next structural byte (`<`, `&`, `>`, quotes,
 //! `-`, `]`, `?` depending on state) with the word-at-a-time scanners
 //! in [`crate::scan`]. And it resumes: a token cut short by the end of a
-//! chunk is continued from that byte on the next push, not rescanned, so
+//! chunk is continued from that byte on the next feed, not rescanned, so
 //! every byte is examined once at any chunk size
-//! ([`PushTokenizer::scanned_bytes`] counts them). The buffer keeps a
-//! cursor instead of draining per token, so consuming a token is O(1).
-//! Sinks see borrowed slices of that buffer: no per-event allocation.
+//! ([`PushTokenizer::scanned_bytes`] counts them).
 //!
-//! The memory contract that makes constant-memory pruning possible
-//! (paper §6): the tokenizer retains only the bytes of the single
-//! incomplete token at the end of the last chunk. The consumed prefix
-//! is compacted away on the next push, so resident buffering is bounded
-//! by the largest single token in the document plus one chunk (one tag,
-//! one comment, one text run, …), never by the document size.
+//! A chunk is tokenized where it lies: sinks see borrowed slices of it,
+//! with no per-event allocation, and only the bytes of the one token
+//! that straddles its end are copied into a carry buffer, where the next
+//! feed completes it ([`PushTokenizer::carried_bytes`] counts them).
+//! That is the memory contract that makes constant-memory pruning
+//! possible (paper §6): resident buffering is bounded by the largest
+//! single token in the document (one tag, one comment, one text run,
+//! …), never by the document size or the chunk size.
 //! [`PushTokenizer::buffered`] and [`PushTokenizer::max_token_bytes`]
 //! expose the accounting so downstream code can *assert* the bound.
+//! (The frozen cursor's [`PushTokenizer::push_bytes`] copies whole
+//! chunks into the carry instead.)
 
 use crate::entities::{decode_entities, validate_entities, ParseError};
 use crate::scan;
 use std::collections::HashSet;
 
-/// The consumer side of [`PushTokenizer::drain`]: one call per event, in
+/// The consumer side of [`PushTokenizer::feed`]: one call per event, in
 /// document order, with names and text borrowed from the tokenizer's
 /// buffer. By the time a method runs, the token has passed every
 /// well-formedness check the tokenizer makes (UTF-8, name and attribute
@@ -56,7 +57,7 @@ use std::collections::HashSet;
 /// the XML declaration is neither.
 pub trait TokenSink {
     /// What the sink fails with. The tokenizer's own [`ParseError`]s are
-    /// converted into it, so `drain` has a single error channel.
+    /// converted into it, so `feed` has a single error channel.
     type Error: From<ParseError>;
 
     /// `<name …>` or `<name …/>`. `attrs_raw` is the still-encoded
@@ -86,7 +87,7 @@ pub trait TokenSink {
     }
 }
 
-/// What one [`PushTokenizer::drain`] (or [`PushTokenizer::finish_into`])
+/// What one [`PushTokenizer::feed`] (or [`PushTokenizer::finish_into`])
 /// call did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Drained {
@@ -137,12 +138,12 @@ enum TokenKind {
     /// `<? … ?>`, the XML declaration included.
     Pi,
     Doctype,
-    /// Any other `<! … >`: no XML token, `drain` rejects it.
+    /// Any other `<! … >`: no XML token, the token loop rejects it.
     Misc,
 }
 
 /// Classification of a raw token exposed by [`PushTokenizer::peek_token`]
-/// (the frozen cursor; [`PushTokenizer::drain`] never surfaces it).
+/// (the frozen cursor; [`PushTokenizer::feed`] never surfaces it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RawKind {
     /// A character-data run (still entity-encoded; may be pure
@@ -425,16 +426,24 @@ impl Scanner {
         }
     }
 
-    /// The token at the cursor, for a caller that buffers: `unconsumed`
-    /// holds it from its first byte, only the part not yet examined is
-    /// fed, and the end is relative to `unconsumed`. (Not inlined, nor
-    /// is [`Self::skip`]: each is the state machine compiled once, with
-    /// registers of its own, rather than into every `drain::<S>`.)
-    #[inline(never)]
+    /// The token at the cursor, for a caller that holds it whole:
+    /// `unconsumed` holds it from its first byte, only the part not yet
+    /// examined is fed, and the end is relative to `unconsumed`.
+    #[inline]
     fn token_end(&mut self, unconsumed: &[u8]) -> Option<(TokenKind, usize)> {
         let seen = self.examined;
-        let (kind, end) = self.feed::<true>(&unconsumed[seen..], |_| true)?;
+        let (kind, end) = self.resume(&unconsumed[seen..])?;
         Some((kind, seen + end))
+    }
+
+    /// Continues the token at the cursor over `more`, the bytes after
+    /// the ones examined so far: its kind and where in `more` it ends.
+    /// (Not inlined, nor is [`Self::skip`]: each is the state machine
+    /// compiled once, with registers of its own, rather than into every
+    /// `feed::<S>`.)
+    #[inline(never)]
+    fn resume(&mut self, more: &[u8]) -> Option<(TokenKind, usize)> {
+        self.feed::<true>(more, |_| true)
     }
 
     /// Fast-forward: runs over `bytes` interpreting nothing but the
@@ -525,21 +534,23 @@ impl NameStack {
 /// let mut sink = Words::default();
 /// // Feed a document in two pieces split mid-tag:
 /// for chunk in [&b"<greeting kind=\"hel"[..], b"lo\">hi &amp; bye</greeting>"] {
-///     t.push_bytes(chunk).unwrap();
-///     t.drain(&mut sink, false).unwrap();
+///     t.feed(chunk, &mut sink, false).unwrap();
 /// }
 /// t.finish_into(&mut sink).unwrap();
 /// assert_eq!((sink.0, sink.1.as_str()), (1, "hi & bye"));
 /// ```
 #[derive(Debug, Default)]
 pub struct PushTokenizer {
-    /// The incomplete-token tail of the input plus the latest chunk.
-    /// `buf[pos..]` is the unconsumed part; the consumed prefix is
-    /// compacted away on the next push (never `drain`ed per token).
+    /// The carry: the bytes of the token the last [`Self::feed`] could
+    /// not complete, from its first byte — or, under the frozen cursor,
+    /// everything [`Self::push_bytes`] buffered. `buf[pos..]` is the
+    /// unconsumed part; the consumed prefix is compacted away on the
+    /// next copy in (never removed per token).
     buf: Vec<u8>,
     /// Cursor: start of the unconsumed bytes within `buf`.
     pos: usize,
-    /// Absolute offset of `buf[pos]` in the overall stream (for errors).
+    /// Absolute offset of the token at the cursor in the overall stream
+    /// (for errors).
     consumed: usize,
     /// Open-element stack, for well-formedness checking.
     stack: NameStack,
@@ -555,6 +566,8 @@ pub struct PushTokenizer {
     max_token: usize,
     /// High-water mark of `buf.len()`.
     peak_buffered: usize,
+    /// Bytes copied into `buf` in total.
+    carried: u64,
 }
 
 impl PushTokenizer {
@@ -568,8 +581,9 @@ impl PushTokenizer {
         self.buf.len() - self.pos
     }
 
-    /// High-water mark of resident buffer bytes over the whole run
-    /// (incomplete-token tail plus the freshest chunk).
+    /// High-water mark of resident buffer bytes over the whole run: one
+    /// incomplete token under [`Self::feed`], that plus the freshest
+    /// chunk under [`Self::push_bytes`].
     pub fn peak_buffered(&self) -> usize {
         self.peak_buffered
     }
@@ -598,6 +612,14 @@ impl PushTokenizer {
     /// bytes pushed — the linear-work promise, as a counter tests assert.
     pub fn scanned_bytes(&self) -> u64 {
         self.scanner.scanned
+    }
+
+    /// Bytes copied into the carry buffer in total. [`Self::feed`]
+    /// tokenizes a chunk where it lies and copies only the bytes of a
+    /// token that straddles the chunk's end (a text run straddles it
+    /// until its `<` has come); [`Self::push_bytes`] copies everything.
+    pub fn carried_bytes(&self) -> u64 {
+        self.carried
     }
 
     /// A parse error at the cursor.
@@ -643,40 +665,35 @@ impl PushTokenizer {
         }
     }
 
-    /// Makes one chunk available for tokenization. While a fast-forward
-    /// is active the chunk is scanned immediately and **not**
-    /// buffered; any suffix past the skipped subtree's end tag resumes
-    /// normal tokenization.
-    pub fn push_bytes(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
-        if self.finished {
-            return Err(self.error("feed after finish"));
-        }
-        let mut rest = chunk;
-        if self.skip_depth > 0 {
-            let skipped = self.scanner.skip(&mut self.skip_depth, chunk);
-            self.consumed += skipped;
-            if self.skip_depth > 0 {
-                return Ok(());
-            }
+    /// Runs the active fast-forward over `bytes`: how many it consumed,
+    /// all of them while the skipped subtree's end tag has not come.
+    fn skip(&mut self, bytes: &[u8]) -> usize {
+        let skipped = self.scanner.skip(&mut self.skip_depth, bytes);
+        self.consumed += skipped;
+        if self.skip_depth == 0 {
             self.stack.pop();
-            rest = &chunk[skipped..];
         }
-        // Compact: drop the consumed prefix in one move so the buffer
-        // holds only the incomplete-token tail plus this chunk.
+        skipped
+    }
+
+    /// Copies `bytes` to the end of the carry, first compacting away the
+    /// consumed prefix in one move.
+    fn carry(&mut self, bytes: &[u8]) {
         if self.pos > 0 {
             let tail = self.buf.len() - self.pos;
             self.buf.copy_within(self.pos.., 0);
             self.buf.truncate(tail);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(rest);
+        self.buf.extend_from_slice(bytes);
+        self.carried += bytes.len() as u64;
         self.peak_buffered = self.peak_buffered.max(self.buf.len());
-        Ok(())
     }
 
-    /// Runs every complete token buffered so far through `sink` — **the**
-    /// token loop. Stops when the remaining bytes are mid-token (push
-    /// more) or a fast-forward has swallowed the rest of the buffer.
+    /// Tokenizes one chunk where it lies — **the** token loop. Every
+    /// token the chunk completes runs through `sink`; only the bytes of
+    /// a token that straddles its end are copied, into the carry, and a
+    /// subtree being fast-forwarded is scanned past and never copied.
     ///
     /// Each token is delimited, UTF-8 checked and parsed exactly once,
     /// in this order: structural position (content after the root, CDATA
@@ -691,18 +708,87 @@ impl PushTokenizer {
     /// at once and every byte up to the matching end tag is consumed by
     /// the boundary scanner alone — the same token boundaries and a
     /// depth counter, no interpretation, no buffering, across as many
-    /// later [`Self::push_bytes`] calls as it takes (a chunk boundary may
-    /// fall anywhere, even inside `-->` or `]]>`: partial delimiter
-    /// matches live in the scan state, not in the buffer). End-tag names,
-    /// attribute syntax and entity validity inside the skipped region
-    /// are **not** checked, so it must stay off when the pass doubles as
-    /// validation.
-    pub fn drain<S: TokenSink>(
+    /// later feeds as it takes (a chunk boundary may fall anywhere, even
+    /// inside `-->` or `]]>`: partial delimiter matches live in the scan
+    /// state, not in the buffer). End-tag names, attribute syntax and
+    /// entity validity inside the skipped region are **not** checked, so
+    /// it must stay off when the pass doubles as validation.
+    ///
+    /// Between feeds the carry holds at most that one partial token.
+    ///
+    /// # Panics
+    ///
+    /// If the frozen cursor left complete or unexamined bytes in the
+    /// carry: a [`Self::push_bytes`] must be read with
+    /// [`Self::peek_token`] / [`Self::advance`] until `peek_token` says
+    /// the rest is mid-token, before the next feed.
+    pub fn feed<S: TokenSink>(
         &mut self,
+        chunk: &[u8],
         sink: &mut S,
         fast_forward: bool,
     ) -> Result<Drained, S::Error> {
+        if self.finished {
+            return Err(self.error("feed after finish").into());
+        }
         let mut done = Drained::default();
+        let mut rest = chunk;
+        if self.skip_depth > 0 {
+            rest = &rest[self.skip(rest)..];
+        }
+        if self.pos < self.buf.len() {
+            assert_eq!(
+                self.scanner.examined,
+                self.buf.len() - self.pos,
+                "feed after push_bytes left unread tokens in the carry"
+            );
+            let Some((kind, end)) = self.scanner.resume(rest) else {
+                self.carry(rest);
+                return Ok(done);
+            };
+            self.carry(&rest[..end]);
+            rest = &rest[end..];
+            let carried = std::mem::take(&mut self.buf);
+            let token = &carried[self.pos..];
+            let interpreted = match std::str::from_utf8(token) {
+                Ok(tok) => self.token(kind, tok, sink, fast_forward, &mut done),
+                Err(e) => Err(self.invalid_utf8(kind, e).into()),
+            };
+            self.buf = carried;
+            self.buf.clear();
+            self.pos = 0;
+            interpreted?;
+            if self.skip_depth > 0 {
+                rest = &rest[self.skip(rest)..];
+            }
+        }
+        let used = self.run(rest, sink, fast_forward, &mut done)?;
+        self.carry(&rest[used..]);
+        Ok(done)
+    }
+
+    /// Makes one chunk available to the frozen cursor by copying it
+    /// into the carry. The frozen cursor never fast-forwards, so nothing
+    /// is skipped here.
+    pub fn push_bytes(&mut self, chunk: &[u8]) -> Result<(), ParseError> {
+        if self.finished {
+            return Err(self.error("feed after finish"));
+        }
+        self.carry(chunk);
+        Ok(())
+    }
+
+    /// The token loop over `bytes`, which start a token: interprets
+    /// every token completed there and fast-forwards where the sink says
+    /// so, and returns how many bytes that used. What it leaves is one
+    /// incomplete token, or nothing while a fast-forward is active.
+    fn run<S: TokenSink>(
+        &mut self,
+        bytes: &[u8],
+        sink: &mut S,
+        fast_forward: bool,
+        done: &mut Drained,
+    ) -> Result<usize, S::Error> {
         // UTF-8 is validated a window at a time, not per token: `window`
         // is the valid text of the bytes from `window_at` on, and a token
         // inside it is a plain slice of it. A token sticking out of the
@@ -710,55 +796,84 @@ impl PushTokenizer {
         // overlaps invalid bytes) starts a new window; if it does not
         // fit that either it is validated on its own — which is where
         // invalid input gets its error.
-        let (mut window, mut window_at) = ("", self.pos);
+        let (mut window, mut window_at) = ("", 0);
+        let mut used = 0;
         while self.skip_depth == 0 {
-            let Some((kind, len)) = self.scanner.token_end(&self.buf[self.pos..]) else {
+            let at = used;
+            let Some((kind, len)) = self.scanner.token_end(&bytes[at..]) else {
                 break;
             };
-            self.max_token = self.max_token.max(len);
-            let offset = self.consumed;
-            let fail = |message: String| ParseError { offset, message };
-            let mut at = self.pos - window_at;
-            if window.get(at..at + len).is_none() {
-                (window, window_at, at) = (valid_window(&self.buf[self.pos..]), self.pos, 0);
-            }
             // All markup tokens are delimited by ASCII, so a complete
             // token over valid UTF-8 input is itself valid UTF-8.
-            let tok = match window.get(at..at + len) {
+            let tok = match window.get(at - window_at..at - window_at + len) {
                 Some(tok) => tok,
-                None => match std::str::from_utf8(&self.buf[self.pos..self.pos + len]) {
-                    Ok(tok) => tok,
-                    Err(e) => {
-                        let what = if matches!(kind, TokenKind::Text { .. }) {
-                            "text"
-                        } else {
-                            "markup"
-                        };
-                        return Err(fail(format!("invalid UTF-8 in {what}: {e}")).into());
-                    }
-                },
-            };
-            let mut skip_subtree = false;
-            match kind {
-                TokenKind::Text { amp } => {
-                    if !self.stack.is_empty() || self.keeps_outside_root(tok).map_err(fail)? {
-                        // The scanner saw every byte of the run: no `&`,
-                        // nothing to decode.
-                        let decoded = if amp {
-                            decode_entities(tok).map_err(fail)?
-                        } else {
-                            tok.into()
-                        };
-                        sink.text(&decoded)?;
-                        done.events += 1;
+                None => {
+                    (window, window_at) = (valid_window(&bytes[at..]), at);
+                    match window.get(..len) {
+                        Some(tok) => tok,
+                        None => std::str::from_utf8(&bytes[at..at + len])
+                            .map_err(|e| self.invalid_utf8(kind, e))?,
                     }
                 }
-                // `<!foo>` fails the name check like `<1bad>` does.
-                TokenKind::StartTag { .. } | TokenKind::Misc => {
-                    if self.stack.is_empty() && self.seen_root {
-                        return Err(fail("content after the root element".to_string()).into());
-                    }
-                    let (name, attrs_raw, self_closing) = split_start_tag(tok).map_err(fail)?;
+            };
+            self.token(kind, tok, sink, fast_forward, done)?;
+            used += len;
+            if self.skip_depth > 0 {
+                // Scan from the cursor to the end tag closing the
+                // element just pushed. The bytes at hand are scanned
+                // right away; if the subtree extends past them the skip
+                // stays active and the next feed continues it.
+                used += self.skip(&bytes[used..]);
+            }
+        }
+        Ok(used)
+    }
+
+    /// The error for a token that is not UTF-8.
+    fn invalid_utf8(&self, kind: TokenKind, e: std::str::Utf8Error) -> ParseError {
+        let what = if matches!(kind, TokenKind::Text { .. }) {
+            "text"
+        } else {
+            "markup"
+        };
+        self.error(format!("invalid UTF-8 in {what}: {e}"))
+    }
+
+    /// Interprets one complete token at the cursor and moves the cursor
+    /// past it; a start tag the sink lets go sets `skip_depth` to 1.
+    #[inline]
+    fn token<S: TokenSink>(
+        &mut self,
+        kind: TokenKind,
+        tok: &str,
+        sink: &mut S,
+        fast_forward: bool,
+        done: &mut Drained,
+    ) -> Result<(), S::Error> {
+        self.max_token = self.max_token.max(tok.len());
+        let offset = self.consumed;
+        let fail = |message: String| ParseError { offset, message };
+        match kind {
+            TokenKind::Text { amp } => {
+                if !self.stack.is_empty() || self.keeps_outside_root(tok).map_err(fail)? {
+                    // The scanner saw every byte of the run: no `&`,
+                    // nothing to decode.
+                    let decoded = if amp {
+                        decode_entities(tok).map_err(fail)?
+                    } else {
+                        tok.into()
+                    };
+                    sink.text(&decoded)?;
+                    done.events += 1;
+                }
+            }
+            // `<!foo>` fails the name check like `<1bad>` does.
+            TokenKind::StartTag { .. } | TokenKind::Misc => {
+                if self.stack.is_empty() && self.seen_root {
+                    return Err(fail("content after the root element".to_string()).into());
+                }
+                let (name, attrs_raw, self_closing) = split_start_tag(tok).map_err(fail)?;
+                if !attrs_raw.is_empty() {
                     let mut seen = AttrNames::default();
                     for attr in RawAttrs::new(attrs_raw) {
                         let (aname, value) = attr.map_err(fail)?;
@@ -767,75 +882,54 @@ impl PushTokenizer {
                         }
                         validate_entities(value).map_err(fail)?;
                     }
-                    let skippable = sink.start(name, attrs_raw)?;
-                    self.seen_root = true;
-                    done.events += 1;
-                    if self_closing {
-                        sink.end(name)?;
-                        done.events += 1;
-                    } else {
-                        self.stack.push(name);
-                        if fast_forward && skippable {
-                            sink.end(name)?;
-                            done.fast_forwarded += 1;
-                            skip_subtree = true;
-                        }
-                    }
                 }
-                TokenKind::EndTag => {
-                    let name = self.closed_name(tok).map_err(fail)?;
+                let skippable = sink.start(name, attrs_raw)?;
+                self.seen_root = true;
+                done.events += 1;
+                if self_closing {
                     sink.end(name)?;
                     done.events += 1;
-                    self.stack.pop();
-                }
-                TokenKind::Cdata => {
-                    if self.stack.is_empty() {
-                        return Err(fail("CDATA outside the root element".to_string()).into());
+                } else {
+                    self.stack.push(name);
+                    if fast_forward && skippable {
+                        sink.end(name)?;
+                        done.fast_forwarded += 1;
+                        self.skip_depth = 1;
                     }
-                    sink.text(&tok["<![CDATA[".len()..tok.len() - "]]>".len()])?;
-                    done.events += 1;
-                }
-                // Anything starting `<?xml` is the declaration: no event.
-                TokenKind::Pi if tok.starts_with(XML_DECL) => {}
-                TokenKind::Comment | TokenKind::Pi => done.events += 1,
-                TokenKind::Doctype => {
-                    if self.seen_root {
-                        let late = "DOCTYPE after the start of the root element";
-                        return Err(fail(late.to_string()).into());
-                    }
-                    if self.seen_doctype {
-                        return Err(fail("more than one DOCTYPE".to_string()).into());
-                    }
-                    let (name, internal_subset) = parse_doctype(tok).map_err(fail)?;
-                    sink.doctype(name, internal_subset)?;
-                    self.seen_doctype = true;
-                    done.events += 1;
                 }
             }
-            self.pos += len;
-            self.consumed += len;
-            if skip_subtree {
-                // Scan from the cursor to the end tag closing the
-                // element just pushed. Already-buffered bytes are
-                // scanned right away; if the subtree extends past them
-                // the skip stays active and `push_bytes` continues it.
-                self.skip_depth = 1;
-                let skipped = self.scanner.skip(&mut self.skip_depth, &self.buf[self.pos..]);
-                self.pos += skipped;
-                self.consumed += skipped;
-                if self.skip_depth == 0 {
-                    self.stack.pop();
+            TokenKind::EndTag => {
+                let name = self.closed_name(tok).map_err(fail)?;
+                sink.end(name)?;
+                done.events += 1;
+                self.stack.pop();
+            }
+            TokenKind::Cdata => {
+                if self.stack.is_empty() {
+                    return Err(fail("CDATA outside the root element".to_string()).into());
                 }
+                sink.text(&tok["<![CDATA[".len()..tok.len() - "]]>".len()])?;
+                done.events += 1;
+            }
+            // Anything starting `<?xml` is the declaration: no event.
+            TokenKind::Pi if tok.starts_with(XML_DECL) => {}
+            TokenKind::Comment | TokenKind::Pi => done.events += 1,
+            TokenKind::Doctype => {
+                if self.seen_root {
+                    let late = "DOCTYPE after the start of the root element";
+                    return Err(fail(late.to_string()).into());
+                }
+                if self.seen_doctype {
+                    return Err(fail("more than one DOCTYPE".to_string()).into());
+                }
+                let (name, internal_subset) = parse_doctype(tok).map_err(fail)?;
+                sink.doctype(name, internal_subset)?;
+                self.seen_doctype = true;
+                done.events += 1;
             }
         }
-        if self.skip_depth > 0 {
-            // The whole tail fell inside the skipped subtree: nothing
-            // stays buffered while the fast-forward is active.
-            debug_assert_eq!(self.pos, self.buf.len());
-            self.buf.clear();
-            self.pos = 0;
-        }
-        Ok(done)
+        self.consumed += tok.len();
+        Ok(())
     }
 
     /// Signals end of input. A trailing text run has no terminating `<`
@@ -889,12 +983,12 @@ impl PushTokenizer {
     // against `peek_token` / `token_str` / `advance` / `finish`, so they
     // stay — a second cursor over the same `Scanner` — until the next
     // benchmark re-baseline, and go then. Nothing under `crates/` or
-    // `src/` may call them: use `drain`.
+    // `src/` may call them: use `feed`.
     // -----------------------------------------------------------------
 
     /// Looks at the next complete token without consuming it: `None`
     /// when the buffered bytes are mid-token (push more) or a subtree
-    /// fast-forward is active. Benchmark ladder only; see [`Self::drain`].
+    /// fast-forward is active. Benchmark ladder only; see [`Self::feed`].
     pub fn peek_token(&mut self) -> Result<Option<RawToken>, ParseError> {
         if self.skip_depth > 0 {
             return Ok(None);
@@ -975,7 +1069,7 @@ impl PushTokenizer {
     }
 
     /// [`Self::finish_into`] returning the trailing text run, if any, as
-    /// an owned event. Benchmark ladder only; see [`Self::drain`].
+    /// an owned event. Benchmark ladder only; see [`Self::feed`].
     pub fn finish(&mut self) -> Result<Vec<PushEvent>, ParseError> {
         struct Trailing(Vec<PushEvent>);
         impl TokenSink for Trailing {
@@ -997,24 +1091,17 @@ impl PushTokenizer {
     }
 }
 
-/// Chunk size [`drain_str`] feeds a whole string in: one 3 MiB push is
-/// slower than fifty 64 KiB ones (the buffer stays cache-resident).
-const STR_CHUNK: usize = 64 * 1024;
-
 /// Runs a complete in-memory document through `sink`: the one-chunk
 /// case of the push loop, for callers that hold the whole input (the
-/// tree parser, `prune_str*`, the retention sampler, the CLI).
+/// tree parser, `prune_str*`, the retention sampler, the CLI). Only a
+/// trailing text run is copied.
 pub fn drain_str<S: TokenSink>(
     input: &str,
     sink: &mut S,
     fast_forward: bool,
 ) -> Result<Drained, S::Error> {
     let mut tokenizer = PushTokenizer::new();
-    let mut done = Drained::default();
-    for chunk in input.as_bytes().chunks(STR_CHUNK) {
-        tokenizer.push_bytes(chunk)?;
-        done += tokenizer.drain(sink, fast_forward)?;
-    }
+    let mut done = tokenizer.feed(input.as_bytes(), sink, fast_forward)?;
     done += tokenizer.finish_into(sink)?;
     Ok(done)
 }
@@ -1023,7 +1110,7 @@ pub fn drain_str<S: TokenSink>(
 /// any PI whose target starts with `xml`.
 const XML_DECL: &str = "<?xml";
 
-/// Bytes [`PushTokenizer::drain`] validates as UTF-8 in one go.
+/// Bytes the token loop validates as UTF-8 in one go.
 const WINDOW: usize = 4096;
 
 /// The longest valid-UTF-8 prefix of the first [`WINDOW`] bytes of
@@ -1199,7 +1286,8 @@ pub fn is_xml_space(b: u8) -> bool {
 
 /// `s` without its leading `S`.
 fn trim_xml_space(s: &str) -> &str {
-    s.trim_start_matches([' ', '\t', '\r', '\n'])
+    let n = s.bytes().take_while(|&b| is_xml_space(b)).count();
+    &s[n..]
 }
 
 /// [`read_name`]'s byte classes: an ASCII byte that may start a name (a

@@ -39,7 +39,7 @@ pub fn d(name: &str, subset: Option<&str>) -> Ev {
 }
 
 /// Records every call; reports the subtree of any element named
-/// `skippable` as unwanted (so a fast-forwarding drain skips it).
+/// `skippable` as unwanted (so a fast-forwarding feed skips it).
 #[derive(Default)]
 pub struct Collect {
     pub events: Vec<Ev>,
@@ -52,8 +52,8 @@ impl TokenSink for Collect {
     fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, ParseError> {
         let attrs = RawAttrs::new(attrs_raw)
             .map(|a| {
-                let (k, v) = a.expect("drain validated attribute syntax");
-                let v = decode_entities(v).expect("drain validated attribute entities");
+                let (k, v) = a.expect("feed validated attribute syntax");
+                let v = decode_entities(v).expect("feed validated attribute entities");
                 (k.to_string(), v.into_owned())
             })
             .collect();
@@ -77,8 +77,8 @@ impl TokenSink for Collect {
     }
 }
 
-/// Pushes `chunks` one by one, draining after each, then finishes.
-/// Returns the tokenizer too, for tests that inspect its accounting.
+/// Feeds `chunks` one by one, then finishes. Returns the tokenizer too,
+/// for tests that inspect its accounting.
 pub fn run_with(
     chunks: &[&[u8]],
     sink: &mut Collect,
@@ -87,8 +87,7 @@ pub fn run_with(
     let mut tok = PushTokenizer::new();
     let mut done = Drained::default();
     for chunk in chunks {
-        tok.push_bytes(chunk)?;
-        done += tok.drain(sink, fast_forward)?;
+        done += tok.feed(chunk, sink, fast_forward)?;
     }
     done += tok.finish_into(sink)?;
     Ok((done, tok))

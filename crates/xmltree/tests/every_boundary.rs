@@ -314,12 +314,11 @@ fn skip_never_buffers_and_eof_mid_skip_is_an_error() {
         skippable: Some("s"),
         ..Collect::default()
     };
-    tok.push_bytes(b"<r><s>").unwrap();
-    tok.drain(&mut sink, true).unwrap();
+    tok.feed(b"<r><s>", &mut sink, true).unwrap();
     assert!(tok.is_skipping());
     let before = tok.peak_buffered();
     let filler = "<x>some long run of text</x>".repeat(100);
-    tok.push_bytes(filler.as_bytes()).unwrap();
+    tok.feed(filler.as_bytes(), &mut sink, true).unwrap();
     assert!(tok.is_skipping());
     assert_eq!(tok.buffered(), 0, "skip mode must not buffer");
     assert_eq!(tok.peak_buffered(), before);
@@ -330,14 +329,14 @@ fn skip_never_buffers_and_eof_mid_skip_is_an_error() {
         skippable: Some("s"),
         ..Collect::default()
     };
-    truncated.push_bytes(b"<r><s><x>never closed").unwrap();
-    truncated.drain(&mut tsink, true).unwrap();
+    truncated
+        .feed(b"<r><s><x>never closed", &mut tsink, true)
+        .unwrap();
     let err = truncated.finish_into(&mut tsink).unwrap_err();
     assert!(err.message.contains("<s> not closed"), "{err}");
 
-    tok.push_bytes(b"</s><k/></r>").unwrap();
+    tok.feed(b"</s><k/></r>", &mut sink, true).unwrap();
     assert!(!tok.is_skipping());
-    tok.drain(&mut sink, true).unwrap();
     tok.finish_into(&mut sink).unwrap();
     assert_eq!(
         sink.events,

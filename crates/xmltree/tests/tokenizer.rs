@@ -198,13 +198,10 @@ fn unknown_entity_surfaces_when_the_text_run_completes() {
     let mut sink = Collect::default();
     // The run is incomplete until the next '<' (or EOF), so the bad
     // entity is only decoded — and rejected — at that point.
-    tok.push_bytes(b"<a>&nope;").unwrap();
-    tok.drain(&mut sink, false).unwrap();
-    tok.push_bytes(b"</a>").unwrap();
-    assert!(tok.drain(&mut sink, false).is_err());
+    tok.feed(b"<a>&nope;", &mut sink, false).unwrap();
+    assert!(tok.feed(b"</a>", &mut sink, false).is_err());
     let mut tok = PushTokenizer::new();
-    tok.push_bytes(b"<a>&nope;").unwrap();
-    tok.drain(&mut sink, false).unwrap();
+    tok.feed(b"<a>&nope;", &mut sink, false).unwrap();
     assert!(tok.finish_into(&mut sink).is_err());
 }
 
@@ -233,9 +230,9 @@ fn buffering_is_bounded_by_one_token() {
 fn push_after_finish_errors_and_finish_is_idempotent() {
     let mut tok = PushTokenizer::new();
     let mut sink = Collect::default();
-    tok.push_bytes(b"<a/>").unwrap();
-    tok.drain(&mut sink, false).unwrap();
+    tok.feed(b"<a/>", &mut sink, false).unwrap();
     tok.finish_into(&mut sink).unwrap();
+    assert!(tok.feed(b"x", &mut sink, false).is_err());
     assert!(tok.push_bytes(b"x").is_err());
     assert_eq!(tok.finish_into(&mut sink).unwrap(), Drained::default());
 }
@@ -288,7 +285,7 @@ fn error_precedence() {
 
 /// The frozen raw cursor (`peek_token` / `token_str` / `advance` /
 /// `finish`, kept for `benchmark/src/ladder.rs`) reconstructs the
-/// document verbatim at any chunking, and rejects what `drain` rejects
+/// document verbatim at any chunking, and rejects what `feed` rejects
 /// at the stack level.
 #[test]
 fn raw_cursor_roundtrips_the_input() {
@@ -319,6 +316,32 @@ fn raw_cursor_roundtrips_the_input() {
     tok.advance(start).unwrap();
     let end = tok.peek_token().unwrap().unwrap();
     assert!(tok.advance(end).is_err());
+}
+
+/// A `feed` after a `push_bytes` whose tokens were never read would
+/// tokenize from the wrong place: it panics instead.
+#[test]
+#[should_panic(expected = "feed after push_bytes left unread tokens in the carry")]
+fn feed_after_unread_push_bytes_panics() {
+    let mut tok = PushTokenizer::new();
+    tok.push_bytes(b"<a><b/>").unwrap();
+    let _ = tok.feed(b"</a>", &mut Collect::default(), false);
+}
+
+/// A `push_bytes` read until the rest is mid-token may be continued by
+/// `feed`: the carried part is completed, not rescanned.
+#[test]
+fn feed_continues_a_raw_cursor_left_mid_token() {
+    let mut tok = PushTokenizer::new();
+    tok.push_bytes(b"<a><b x=\"1").unwrap();
+    let start = tok.peek_token().unwrap().unwrap();
+    tok.advance(start).unwrap();
+    assert!(tok.peek_token().unwrap().is_none());
+    let mut sink = Collect::default();
+    tok.feed(b"\"/></a>", &mut sink, false).unwrap();
+    tok.finish_into(&mut sink).unwrap();
+    assert_eq!(sink.events, [s("b", &[("x", "1")]), e("b"), e("a")]);
+    assert_eq!(tok.scanned_bytes(), 17);
 }
 
 #[test]
