@@ -14,8 +14,14 @@
 //! all other steps encoded into them (the "encoded rules"). [`NormPaths`]
 //! performs that encoding once, arena-allocating every path (the main one
 //! and every condition disjunct) so that a path suffix is identified by a
-//! `(PathId, index)` pair — the key that makes memoisation of the
-//! inference O(names × suffixes).
+//! `(PathId, index)` pair, numbered densely as a *slot* — the key that
+//! makes memoisation of the inference O(names × suffixes).
+//!
+//! **Usefulness.** Along downward steps the type never reads the context,
+//! so whether a suffix types non-empty from `({x}, κ)` depends on `x`
+//! alone. [`Analyzer::usefulness`] decides it for every name at once, one
+//! backward pass per path ([`Usefulness`]), and the inference tests
+//! membership where Fig. 2 would type the suffix once per name.
 
 use std::cell::Cell;
 use xproj_dtd::{Dtd, NameId, NameSet};
@@ -40,15 +46,39 @@ pub enum PStep {
 #[derive(Clone, Debug, Default)]
 pub struct NormPaths {
     arena: Vec<Vec<PStep>>,
+    /// The slot of each path's first suffix: path `p`'s suffixes
+    /// `0..=len` are slots `first_slot[p]..=first_slot[p] + len`.
+    first_slot: Vec<usize>,
 }
 
 impl NormPaths {
     /// Normalises an XPathℓ path into primitive steps.
     pub fn new(path: &LPath) -> Self {
-        let mut np = NormPaths { arena: vec![Vec::new()] };
+        let mut np = NormPaths { arena: vec![Vec::new()], first_slot: Vec::new() };
         let main = np.norm_steps(&path.steps);
         np.arena[0] = main;
+        let mut next = 0;
+        for steps in &np.arena {
+            np.first_slot.push(next);
+            next += steps.len() + 1;
+        }
         np
+    }
+
+    /// Every path id, the main path first.
+    pub fn path_ids(&self) -> impl DoubleEndedIterator<Item = PathId> {
+        (0..self.arena.len() as u32).map(PathId)
+    }
+
+    /// The dense number of suffix `steps(pid)[idx..]`, `idx` up to the
+    /// path's length.
+    pub fn slot(&self, pid: PathId, idx: usize) -> usize {
+        self.first_slot[pid.0 as usize] + idx
+    }
+
+    /// How many suffixes there are: one more than the steps of each path.
+    pub fn slot_count(&self) -> usize {
+        self.first_slot.last().map_or(0, |&s| s + self.arena.last().map_or(0, Vec::len) + 1)
     }
 
     /// The main path id.
@@ -149,8 +179,8 @@ const ALLOC_STEPS: u64 = 16;
 /// n is past [`NameSet::INLINE_NAMES`], for the set it allocates). The
 /// count is a pure function of (grammar, query, contexts), so it
 /// repeats exactly, and it tracks the time spent whatever the grammar's
-/// size: 0.4–1.5 ns a step on a 2-vCPU x86-64 box, by the query's mix
-/// of operations.
+/// size: a whole compile takes 0.8–2.0 ns a step on a 2-vCPU x86-64
+/// box, by the query's mix of operations.
 /// Once it passes the budget ([`Analyzer::with_budget`]) `A_E` and
 /// `T_E` answer ∅ without touching a row, the inference unwinds, and
 /// whatever it returns is meaningless: a caller that set a budget
@@ -271,6 +301,67 @@ impl<'d> Analyzer<'d> {
         }
     }
 
+    /// `U` of every suffix of `np` that reads no context (see
+    /// [`Usefulness`]), by one backward pass per path: the condition
+    /// disjuncts first, since a condition step reads theirs.
+    pub fn usefulness(&self, np: &NormPaths) -> Usefulness {
+        let mut useful: Vec<Option<NameSet>> = vec![None; np.slot_count()];
+        let mut below: Vec<Option<NameSet>> = vec![None; np.slot_count()];
+        for pid in np.path_ids().rev() {
+            let steps = np.steps(pid);
+            let first = np.slot(pid, 0);
+            self.charge(1);
+            useful[first + steps.len()] = Some(self.dtd.universe_set().clone());
+            for (idx, step) in steps.iter().enumerate().rev() {
+                let Some(next) = &useful[first + idx + 1] else { break };
+                let u = match step {
+                    PStep::SelfTest(test) => self.test(next, test),
+                    PStep::AxisNode(LAxis::Child) => self.above(next, LAxis::Parent),
+                    PStep::AxisNode(LAxis::Descendant) => {
+                        let u = self.above(next, LAxis::Ancestor);
+                        self.charge(1);
+                        below[first + idx + 1] = Some(u.clone());
+                        u
+                    }
+                    PStep::AxisNode(LAxis::DescendantOrSelf) => {
+                        let strict = self.above(next, LAxis::Ancestor);
+                        self.charge(1);
+                        let u = strict.union(next);
+                        below[first + idx + 1] = Some(strict);
+                        u
+                    }
+                    PStep::AxisNode(_) => break,
+                    PStep::Cond(ids) => {
+                        let disjuncts: Option<Vec<&NameSet>> =
+                            ids.iter().map(|&id| useful[np.slot(id, 0)].as_ref()).collect();
+                        let Some(disjuncts) = disjuncts else { break };
+                        self.charge(disjuncts.len() as u64 + 1);
+                        let mut any = self.dtd.empty_set();
+                        for u in disjuncts {
+                            any.union_with(u);
+                        }
+                        any.intersect_with(next);
+                        any
+                    }
+                };
+                useful[first + idx] = Some(u);
+            }
+        }
+        Usefulness { useful, below }
+    }
+
+    /// `A_E(u, axis)` for `parent` or `ancestor`, one copy of the
+    /// grammar's [`Dtd::names_with_children`] when `u` is the whole
+    /// universe (every name's parents are the names with a child, and so
+    /// are its ancestors).
+    fn above(&self, u: &NameSet, axis: LAxis) -> NameSet {
+        if u == self.dtd.universe_set() {
+            self.charge(1);
+            return self.dtd.names_with_children().clone();
+        }
+        self.axis(u, axis)
+    }
+
     /// Restricts a context to ancestors-or-self of `tau`, preserving the
     /// environment well-formedness invariant κ ⊆ τ ∪ A_E(τ, ancestor).
     ///
@@ -285,6 +376,44 @@ impl<'d> Analyzer<'d> {
             bound.intersect_with(kappa);
         }
         bound
+    }
+}
+
+/// `U(pid, idx)`, by slot: the names `x` from which the suffix
+/// `steps(pid)[idx..]` types non-empty, `({x}, κ) ⊢ … : Σ` with
+/// `Σ_τ ≠ ∅`. It is defined for a suffix in which neither a step nor a
+/// condition has an upward axis, and there it is exact for every
+/// well-formed κ, contexts on or off: a downward step's type reads no
+/// context, and `A_E`, `T_E` and the condition filter distribute over
+/// union, so backwards from the end
+///
+/// ```text
+/// U(end) = every name and the document name
+/// self::t → T_E(U′, t)          child → A_E(U′, parent)
+/// desc → A_E(U′, ancestor)      dos → A_E(U′, ancestor-or-self)
+/// [P₁ or … or Pₙ] → U′ ∩ ⋃ U(Pᵢ, 0)    an upward axis → undefined
+/// ```
+///
+/// (which rests on children/parents and descendants/ancestors being
+/// inverse rows).
+#[derive(Clone, Debug, Default)]
+pub struct Usefulness {
+    useful: Vec<Option<NameSet>>,
+    /// After a `descendant` or `descendant-or-self` step, `A_E(U,
+    /// ancestor)`: the names with a strict descendant in `U`.
+    below: Vec<Option<NameSet>>,
+}
+
+impl Usefulness {
+    /// `U` of the suffix at `slot`, if it reads no context.
+    pub fn of(&self, slot: usize) -> Option<&NameSet> {
+        self.useful[slot].as_ref()
+    }
+
+    /// `A_E(U, ancestor)` of the suffix at `slot`, if it follows a
+    /// `descendant` or `descendant-or-self` step and reads no context.
+    pub fn below(&self, slot: usize) -> Option<&NameSet> {
+        self.below[slot].as_ref()
     }
 }
 

@@ -1,17 +1,21 @@
 //! Projector inference — the rules of Figure 2.
 //!
 //! The inference works one name at a time (the union rule), memoised on
-//! `(name, context, path, suffix index)`. The recursive `descendant` /
-//! `ancestor` rules follow the paper's unrolled-fixpoint formulation:
-//! a descendant name is *useful* iff the remainder of the path can select
-//! something strictly below it (checked with the type system), and the
-//! data needs at the actual match points are collected by re-entering the
-//! inference through a synthesised `child::node()` (resp. `parent`) step.
+//! `(name, context)` within each suffix's slot. The recursive
+//! `descendant` / `ancestor` rules follow the paper's unrolled-fixpoint
+//! formulation: a descendant name is *useful* iff the remainder of the
+//! path can select something strictly below it, and the data needs at
+//! the actual match points are collected by re-entering the inference
+//! through a synthesised `child::node()` (resp. `parent`) step.
+//!
+//! Every premise `Σⁱ_τ ≠ ∅` whose suffix reads no context is decided by
+//! membership in that suffix's usefulness set ([`Usefulness`], one
+//! backward pass per path before the inference); a suffix with an upward
+//! axis is typed once per name, as the rule reads.
 
-use crate::analysis::{Analyzer, NormPaths, PStep, PathId};
+use crate::analysis::{Analyzer, NormPaths, PStep, PathId, Usefulness};
 use crate::projector::Projector;
 use crate::typeinf::{type_axis, type_path, Env};
-use std::collections::HashMap;
 use xproj_dtd::{Dtd, NameId, NameSet};
 use xproj_xpath::approx::approximate_query;
 use xproj_xpath::ast::Expr;
@@ -38,7 +42,9 @@ impl std::fmt::Display for AnalyzeError {
 
 impl std::error::Error for AnalyzeError {}
 
-type MemoKey = (u32, u32, usize, NameSet);
+/// One memoised sub-inference of a slot: `({y}, κ) ⊩ suffix : result`.
+/// The slot stands for `(path, index)`, so `(slot, y, κ)` is the key.
+type MemoEntry = (NameId, NameSet, NameSet);
 
 /// Which Figure 2 rule admitted a name into the raw inferred set (the
 /// provenance vocabulary of the analyzer layer).
@@ -101,7 +107,10 @@ pub struct TraceEvent {
 /// [`Analyzer`]).
 pub struct StaticAnalyzer<'d> {
     an: Analyzer<'d>,
-    memo: HashMap<MemoKey, NameSet>,
+    /// By slot of the path being inferred, its memoised sub-inferences.
+    memo: Vec<Vec<MemoEntry>>,
+    /// The path being inferred's usefulness sets.
+    useful: Usefulness,
     trace: Option<Vec<TraceEvent>>,
     trace_source: usize,
 }
@@ -118,7 +127,8 @@ impl<'d> StaticAnalyzer<'d> {
     pub fn with_budget(dtd: &'d Dtd, budget: u64) -> Self {
         StaticAnalyzer {
             an: Analyzer::with_budget(dtd, budget),
-            memo: HashMap::default(),
+            memo: Vec::new(),
+            useful: Usefulness::default(),
             trace: None,
             trace_source: 0,
         }
@@ -265,10 +275,12 @@ impl<'d> StaticAnalyzer<'d> {
     /// Raw inferred name-set (⊩ judgement) for an XPathℓ path (includes
     /// the document name for absolute paths).
     fn infer_lpath(&mut self, path: &LPath, absolute: bool) -> NameSet {
-        // Memo entries are keyed by (PathId, index) pairs which are only
-        // meaningful within one NormPaths arena.
-        self.memo.clear();
+        // Slots and usefulness sets are only meaningful within one
+        // NormPaths arena.
         let np = NormPaths::new(path);
+        self.memo.clear();
+        self.memo.resize_with(np.slot_count(), Vec::new);
+        self.useful = self.an.usefulness(&np);
         let (tau, kappa) = self.an.start_env(absolute);
         let start = tau.iter().next().expect("start environment is a singleton");
         self.proj(&np, start, &kappa, np.main(), 0)
@@ -283,7 +295,7 @@ impl<'d> StaticAnalyzer<'d> {
         pid: PathId,
         idx: usize,
     ) -> NameSet {
-        // One copy of κ, or a memo probe that hashes it (and on a miss
+        // One copy of κ, or a memo probe that compares it (and on a miss
         // copies it and the result).
         if !self.an.charge(1) {
             return self.an.dtd.empty_set();
@@ -298,12 +310,12 @@ impl<'d> StaticAnalyzer<'d> {
             self.record_set(kappa, TraceRule::Final, pid, idx, Some(y));
             return out;
         }
-        let key: MemoKey = (y.0, pid.0, idx, kappa.clone());
-        if let Some(hit) = self.memo.get(&key) {
+        let slot = np.slot(pid, idx);
+        if let Some((_, _, hit)) = self.memo[slot].iter().find(|(z, k, _)| *z == y && k == kappa) {
             return hit.clone();
         }
         let result = self.proj_uncached(np, y, kappa, pid, idx);
-        self.memo.insert(key, result.clone());
+        self.memo[slot].push((y, kappa.clone(), result.clone()));
         result
     }
 
@@ -335,7 +347,13 @@ impl<'d> StaticAnalyzer<'d> {
                 // Σ ⊩ P : τ    Σ ⊩ Pᵢ : τᵢ
                 // ⊩ … : {Y} ∪ τ ∪ τ₁ ∪ … ∪ τₙ
                 let paths = paths.clone();
-                let holds = crate::typeinf::cond_may_hold(&self.an, np, y, kappa, &paths);
+                // By the disjuncts' usefulness sets while they decide it.
+                let decided = paths.iter().try_fold(false, |holds, &c| {
+                    Some(holds || self.useful.of(np.slot(c, 0))?.contains(y))
+                });
+                let holds = decided.unwrap_or_else(|| {
+                    crate::typeinf::cond_may_hold(&self.an, np, y, kappa, &paths)
+                });
                 let mut out = self.an.dtd.singleton(y);
                 self.record(y, TraceRule::Spine, pid, idx, None);
                 if holds {
@@ -425,16 +443,28 @@ impl<'d> StaticAnalyzer<'d> {
             Env::new(self.an.dtd.singleton(y), kappa.clone()),
             axis,
         );
-        // Each useful Xᵢ with its context κ′|Xᵢ, in name order.
+        // Each useful Xᵢ with its context κ′|Xᵢ, in name order: the names
+        // in the suffix's usefulness set, or, when the suffix reads the
+        // context, the names it types non-empty from.
+        let decided = self.useful.of(np.slot(pid, rest_idx));
+        let candidates = match decided {
+            Some(u) => {
+                self.an.charge(1);
+                env.tau.intersection(u)
+            }
+            None => env.tau.clone(),
+        };
         let mut useful = self.an.dtd.empty_set();
         let mut contexts = Vec::new();
-        for xi in &env.tau {
+        for xi in &candidates {
             if self.an.over_budget() {
                 break;
             }
             let xs = self.an.dtd.singleton(xi);
             let kx = self.an.restrict_context(&env.kappa, &xs);
-            if !type_path(&self.an, np, Env::new(xs, kx.clone()), pid, rest_idx).is_empty() {
+            if decided.is_some()
+                || !type_path(&self.an, np, Env::new(xs, kx.clone()), pid, rest_idx).is_empty()
+            {
                 useful.insert(xi);
                 contexts.push((xi, kx));
             }
@@ -485,20 +515,33 @@ impl<'d> StaticAnalyzer<'d> {
             axis,
         );
         // τ: Y plus the axis-names from which the rest of the path can
-        // still select something strictly further along the axis.
+        // still select something strictly further along the axis: below,
+        // when the rest reads no context, the names with a strict
+        // descendant in its usefulness set; else the names the rest types
+        // non-empty from, one by one.
         // Each name of τ with its context κ′|Z, in name order.
+        let below = self.useful.below(np.slot(pid, rest_idx));
+        let candidates = match below {
+            Some(below) => {
+                self.an.charge(1);
+                env.tau.intersection(below)
+            }
+            None => env.tau.clone(),
+        };
         let mut tau = self.an.dtd.singleton(y);
         let mut contexts = Vec::new();
-        for xi in &env.tau {
+        for xi in &candidates {
             if self.an.over_budget() {
                 break;
             }
             let xs = self.an.dtd.singleton(xi);
             let kx = self.an.restrict_context(&env.kappa, &xs);
-            let after_axis = type_axis(&self.an, Env::new(xs, kx.clone()), axis);
-            if !after_axis.tau.is_empty()
-                && !type_path(&self.an, np, after_axis, pid, rest_idx).is_empty()
-            {
+            let reaches = below.is_some() || {
+                let after_axis = type_axis(&self.an, Env::new(xs, kx.clone()), axis);
+                !after_axis.tau.is_empty()
+                    && !type_path(&self.an, np, after_axis, pid, rest_idx).is_empty()
+            };
+            if reaches {
                 tau.insert(xi);
                 contexts.push((xi, kx));
             }

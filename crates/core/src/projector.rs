@@ -125,10 +125,10 @@ pub enum Verdict {
 ///   `n` survives, replacing the per-text-node iteration over
 ///   `text_children_of(n)`.
 ///
-/// Building the table is O(|names|² / 64) bitset work — microseconds for
-/// realistic DTDs — and is done once per document pass (or once per
-/// cached projector), never per event. Clones share the tables, so a
-/// pass that copies a cached one allocates nothing.
+/// Building the table unions one row per name of π — the ancestors of
+/// each, the parents of each text name — and is done once per document
+/// pass (or once per cached projector), never per event. Clones share
+/// the tables, so a pass that copies a cached one allocates nothing.
 #[derive(Clone)]
 pub struct ProjectorTable {
     verdicts: Arc<[Verdict]>,
@@ -140,18 +140,29 @@ impl ProjectorTable {
     pub fn new(dtd: &Dtd, projector: &Projector) -> Self {
         let n = dtd.name_count();
         let pi = projector.names();
+        // A name has a descendant in π iff it is an ancestor of one, and
+        // a text child in π iff it is a parent of one (the rows are
+        // inverse pairs).
+        let mut above_pi = dtd.empty_set();
+        let mut over_pi_text = dtd.empty_set();
+        for p in pi {
+            above_pi.union_with(dtd.ancestors_of(p));
+            if dtd.is_text_name(p) {
+                over_pi_text.union_with(dtd.parents_of(p));
+            }
+        }
         let mut verdicts = Vec::with_capacity(n);
         let mut keep_text = Vec::with_capacity(n);
         for name in dtd.all_names() {
             let v = if pi.contains(name) {
                 Verdict::Keep
-            } else if dtd.descendants_of(name).intersects(pi) {
+            } else if above_pi.contains(name) {
                 Verdict::PruneDescend
             } else {
                 Verdict::PruneSubtree
             };
             verdicts.push(v);
-            keep_text.push(dtd.text_children_of(name).intersects(pi));
+            keep_text.push(over_pi_text.contains(name));
         }
         ProjectorTable {
             verdicts: verdicts.into(),
@@ -316,6 +327,34 @@ mod table_tests {
         for n in dtd.all_names() {
             assert_eq!(t.verdict(n), Verdict::PruneSubtree);
         }
+    }
+
+    /// The table read from rows answers the per-name definitions —
+    /// `⇒E⁺(n) ∩ π ≠ ∅` and `text_children(n) ∩ π ≠ ∅` — for any name
+    /// set, normalised or not, on random grammars.
+    #[test]
+    fn rows_answer_the_per_name_definitions() {
+        use xproj_dtd::generate::{random_dtd, RandomDtdConfig};
+        use xproj_testkit::{seeded, SplitMix64};
+        seeded("rows_answer_the_per_name_definitions", 256, |seed| {
+            let mut rng = SplitMix64::new(seed);
+            let dtd = random_dtd(&mut rng, &RandomDtdConfig::default());
+            let names = dtd.set_of(dtd.all_names().filter(|_| rng.below(3) == 0));
+            for p in [Projector { names: names.clone() }, Projector::normalized(&dtd, names)] {
+                let t = ProjectorTable::new(&dtd, &p);
+                for n in dtd.all_names() {
+                    let below = !dtd.descendants_of(n).intersection(p.names()).is_empty();
+                    let v = match (p.contains(n), below) {
+                        (true, _) => Verdict::Keep,
+                        (false, true) => Verdict::PruneDescend,
+                        (false, false) => Verdict::PruneSubtree,
+                    };
+                    assert_eq!(t.verdict(n), v, "{}", dtd.label(n));
+                    let text = !dtd.text_children_of(n).intersection(p.names()).is_empty();
+                    assert_eq!(t.keep_text_under(n), text, "{}", dtd.label(n));
+                }
+            }
+        });
     }
 
     #[test]

@@ -92,6 +92,11 @@ pub struct Dtd {
     /// `descendants[X] = {Y | X ⇒E⁺ Y}`.
     descendants: Vec<NameSet>,
     ancestors: Vec<NameSet>,
+    /// Every name plus the document name: the whole universe.
+    universe_set: NameSet,
+    /// The names with a child, the document name included: `A_E` of the
+    /// whole universe along `parent` and along `ancestor`.
+    with_children: NameSet,
     /// Text names appearing in each element's content model.
     text_children: Vec<NameSet>,
     /// See [`Dtd::fingerprint`]; computed once, by `DtdBuilder::finish`.
@@ -205,6 +210,17 @@ impl Dtd {
     /// names reachable from the root).
     pub fn ancestors_of(&self, n: NameId) -> &NameSet {
         &self.ancestors[n.index()]
+    }
+
+    /// Every name plus the document name, built once with the rows.
+    pub fn universe_set(&self) -> &NameSet {
+        &self.universe_set
+    }
+
+    /// The names with a child (the document name included), built once
+    /// with the rows: every name's parents, and every name's ancestors.
+    pub fn names_with_children(&self) -> &NameSet {
+        &self.with_children
     }
 
     /// Text names occurring in the content model of element name `n`.
@@ -393,6 +409,11 @@ impl DtdBuilder {
         // tens of names for realistic DTDs).
         let descendants = transitive_closure(&children);
         let ancestors = transitive_closure(&parents);
+        let universe_set = NameSet::from_iter(universe, (0..universe as u32).map(NameId));
+        let with_children = NameSet::from_iter(
+            universe,
+            (0..universe).filter(|&x| !children[x].is_empty()).map(|x| NameId(x as u32)),
+        );
         let tag_index = TagIndex::new(self.names.iter().enumerate().filter_map(|(i, info)| {
             info.tag.map(|t| (self.tags.resolve(t), NameId(i as u32)))
         }));
@@ -406,6 +427,8 @@ impl DtdBuilder {
             parents,
             descendants,
             ancestors,
+            universe_set,
+            with_children,
             text_children,
             fingerprint: 0,
         };

@@ -191,15 +191,6 @@ impl NameSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// True if the two sets share at least one name.
-    pub fn intersects(&self, other: &NameSet) -> bool {
-        debug_assert_eq!(self.universe, other.universe);
-        self.words()
-            .iter()
-            .zip(other.words().iter())
-            .any(|(a, b)| a & b != 0)
-    }
-
     /// Iterates over the members in increasing id order.
     pub fn iter(&self) -> NameSetIter<'_> {
         let words = self.words();
@@ -273,11 +264,10 @@ mod tests {
         assert_eq!(a.union(&b).len(), 4);
         assert_eq!(a.intersection(&b).len(), 1);
         assert!(a.intersection(&b).contains(NameId(64)));
-        assert!(a.intersects(&b));
         let mut d = a.clone();
         d.difference_with(&b);
         assert_eq!(d.len(), 2);
-        assert!(!d.intersects(&b));
+        assert!(d.intersection(&b).is_empty());
     }
 
     #[test]

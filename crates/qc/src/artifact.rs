@@ -32,8 +32,10 @@ use xproj_dtd::Dtd;
 use xproj_xquery::{parse_xquery, project_xquery, XQuery};
 
 /// The steps a compile may spend on an event loop (see
-/// [`crate::ArtifactCache::compile_within`]): 0.4–1.5 ms on a 2-vCPU
-/// x86-64 box. Every XMark, XPathMark, cold-workload and Use
+/// [`crate::ArtifactCache::compile_within`]): 0.8–2 ms on a 2-vCPU
+/// x86-64 box, at the 0.8–2.0 ns a whole compile takes per step (the
+/// up/down family at the low end, the XMark/XPathMark set at the high
+/// one). Every XMark, XPathMark, cold-workload and Use
 /// Cases query fits in a quarter of it but QP13 (`/site//node()`), which
 /// fits in a half (`tests/compile_steps.rs`).
 pub const LOOP_COMPILE_STEPS: u64 = 1_000_000;

@@ -14,7 +14,8 @@
 //!
 //! Beyond hit/miss/eviction counts the cache keeps the compile counter
 //! and cumulative compile time, and a resident-bytes gauge fed by
-//! [`QueryArtifact::approx_bytes`].
+//! [`QueryArtifact::approx_bytes`], moved by each insert, eviction and
+//! replacement rather than re-summed.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -81,19 +82,26 @@ impl Inner {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
             {
-                self.map.remove(&victim);
+                self.remove(&victim);
                 self.stats.evictions += 1;
             }
         }
     }
 
-    fn refresh_gauges(&mut self) {
+    /// Inserts an entry, replacing (and un-counting) any under `key`.
+    fn insert(&mut self, key: (u64, String), entry: Entry) {
+        self.stats.resident_bytes += entry.artifact.approx_bytes();
+        if let Some(old) = self.map.insert(key, entry) {
+            self.stats.resident_bytes -= old.artifact.approx_bytes();
+        }
         self.stats.entries = self.map.len();
-        self.stats.resident_bytes = self
-            .map
-            .values()
-            .map(|e| e.artifact.approx_bytes())
-            .sum();
+    }
+
+    fn remove(&mut self, key: &(u64, String)) {
+        if let Some(old) = self.map.remove(key) {
+            self.stats.resident_bytes -= old.artifact.approx_bytes();
+        }
+        self.stats.entries = self.map.len();
     }
 }
 
@@ -209,22 +217,17 @@ impl ArtifactCache {
         inner.stats.compile_micros += artifact.compile_micros;
         inner.stats.compile_steps += artifact.compile_steps;
         inner.evict_for(self.capacity, &key);
-        inner.map.insert(
-            key,
-            Entry {
-                artifact: Arc::clone(&artifact),
-                last_used: tick,
-            },
-        );
-        inner.refresh_gauges();
+        let entry = Entry {
+            artifact: Arc::clone(&artifact),
+            last_used: tick,
+        };
+        inner.insert(key, entry);
         Ok(artifact)
     }
 
     /// Counters snapshot.
     pub fn stats(&self) -> ArtifactCacheStats {
-        let mut inner = self.inner.lock().unwrap();
-        inner.refresh_gauges();
-        inner.stats
+        self.inner.lock().unwrap().stats
     }
 }
 
@@ -302,6 +305,42 @@ mod tests {
         assert_eq!((s.evictions, s.entries), (1, 2));
         cache.get_or_compile(&d, "/a/c").unwrap(); // evicted → miss again
         assert_eq!(cache.stats().misses, 4);
+    }
+
+    /// The resident-bytes gauge moves on insert, eviction and
+    /// replacement; it must equal a walk over the entries after 96 keys
+    /// cycle through 64 slots, one of them compiled twice by two racing
+    /// misses (the second insert replaces a resident artifact).
+    #[test]
+    fn resident_bytes_tracks_every_insert_eviction_and_replacement() {
+        let cache = ArtifactCache::new(64);
+        let d = dtd();
+        let key = |i: usize| format!("/a/b[{}]", i + 1);
+        let miss = |q: &str| match cache.lookup(&d, q).unwrap() {
+            Lookup::Miss(pending) => pending,
+            Lookup::Hit(_) => panic!("{q}: the cold cycle must never hit"),
+        };
+        let walk = || {
+            let inner = cache.inner.lock().unwrap();
+            inner.map.values().map(|e| e.artifact.approx_bytes()).sum::<usize>()
+        };
+        for round in 0..2 {
+            for i in 0..96 {
+                if (round, i) == (1, 10) {
+                    let (first, second) = (miss(&key(i)), miss(&key(i)));
+                    cache.compile(second);
+                    cache.compile(first);
+                } else {
+                    cache.compile(miss(&key(i)));
+                }
+                assert_eq!(cache.stats().resident_bytes, walk(), "round {round}, key {i}");
+            }
+        }
+        let s = cache.stats();
+        assert_eq!(s.hits, 0);
+        assert_eq!((s.misses, s.compiles, s.entries), (193, 193, 64));
+        assert_eq!(s.evictions, 192 - 64);
+        assert_eq!(s.resident_bytes, walk());
     }
 
     #[test]

@@ -172,6 +172,18 @@ mod tests {
                 let declared = dtd.all_names().find(|&n| dtd.info(n).tag == Some(tag));
                 assert_eq!(dtd.name_of_tag_str(text), declared, "{}: {text}", uc.name);
             }
+            // The rows come in inverse pairs, the document name's edge
+            // to the root included (crates/dtd/tests/inverse_rows.rs).
+            let universe: Vec<_> = dtd.all_names().chain([dtd.doc_name()]).collect();
+            for &x in &universe {
+                for &y in &universe {
+                    let (down, up) = (dtd.children_of(x), dtd.parents_of(y));
+                    assert_eq!(down.contains(y), up.contains(x), "{}", uc.name);
+                    let (down, up) = (dtd.descendants_of(x), dtd.ancestors_of(y));
+                    assert_eq!(down.contains(y), up.contains(x), "{}", uc.name);
+                }
+            }
+            assert!(dtd.parents_of(dtd.root()).contains(dtd.doc_name()), "{}", uc.name);
         }
     }
 

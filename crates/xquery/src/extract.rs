@@ -82,17 +82,15 @@ pub fn project_xquery_str(
     Ok(project_xquery(sa, &q))
 }
 
+/// Drops every path equal to an earlier one, keeping the first.
 fn dedup_paths(paths: &mut Vec<LPath>) {
-    let mut seen = Vec::new();
-    paths.retain(|p| {
-        let key = p.to_string();
-        if seen.contains(&key) {
-            false
-        } else {
-            seen.push(key);
-            true
+    let mut kept: Vec<LPath> = Vec::with_capacity(paths.len());
+    for p in paths.drain(..) {
+        if !kept.contains(&p) {
+            kept.push(p);
         }
-    });
+    }
+    *paths = kept;
 }
 
 fn dos_step() -> LStep {
