@@ -29,8 +29,8 @@ cargo build --release --workspace --offline --locked
 leg "clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
-leg "test (workspace, offline, locked)"
-cargo test -q --workspace --offline --locked
+leg "test (tier-1: the default members are the whole workspace)"
+cargo test -q --offline --locked
 
 leg "rustdoc (workspace, no deps, deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked

@@ -12,7 +12,7 @@
 use crate::projector::{Projector, ProjectorTable, Verdict};
 use std::borrow::Borrow;
 use std::marker::PhantomData;
-use xproj_dtd::{Dtd, NameId};
+use xproj_dtd::{Dtd, LivePositions, NameId};
 use xproj_xmltree::entities::ParseError;
 use xproj_xmltree::push::{drain_str, is_xml_space, TokenSink};
 use xproj_xmltree::KeptEvents;
@@ -377,13 +377,13 @@ impl<D: Borrow<Dtd>, E: From<ParseError> + From<StreamPruneError>, K: KeptEvents
     }
 }
 
-/// The state of a fused validating pass: one `(name, NFA state-set)`
+/// The state of a fused validating pass: one `(name, live positions)`
 /// pair per open element, kept or pruned — O(depth). It lives outside
 /// the per-drain [`MachineSink`] so a chunked driver can carry it from
 /// one feed to the next.
 #[derive(Debug, Default)]
 pub struct Validator {
-    open: Vec<(NameId, Vec<u32>)>,
+    open: Vec<(NameId, LivePositions)>,
     max_depth: usize,
 }
 
@@ -554,7 +554,7 @@ pub fn prune_str_fast(
 /// validating it. Programs that use an external validator can therefore
 /// prune their document without any overhead").
 ///
-/// Memory stays O(depth): one `(name, NFA state-set)` pair per open
+/// Memory stays O(depth): one `(name, live positions)` pair per open
 /// element — including pruned ones, which must still be validated.
 pub fn prune_validate_str(
     input: &str,

@@ -25,6 +25,7 @@
 
 use crate::nameset::{NameId, NameSet};
 use crate::regex::{ContentAutomaton, Regex};
+use std::sync::OnceLock;
 use xproj_xmltree::{Interner, TagId};
 
 /// Right-hand side of a production.
@@ -83,8 +84,9 @@ pub struct Dtd {
     /// The element name of each tag: what every start tag of a streamed
     /// document is looked up in.
     tag_index: TagIndex,
-    /// Compiled content automata, indexed by name.
-    automata: Vec<Option<ContentAutomaton>>,
+    /// Content automata by name, each built by its first [`Dtd::automaton`]
+    /// call: only validation runs them, so a grammar that never does holds none.
+    automata: Vec<OnceLock<ContentAutomaton>>,
     /// `children[X] = {Y | X ⇒E Y}`. The four reachability tables have
     /// one more row than `names`: the document name's.
     children: Vec<NameSet>,
@@ -150,9 +152,13 @@ impl Dtd {
         self.tag_index.get(tag)
     }
 
-    /// Compiled content automaton of an element name.
+    /// The content automaton of an element name, built on the first
+    /// call for it; `None` for a text name.
     pub fn automaton(&self, n: NameId) -> Option<&ContentAutomaton> {
-        self.automata[n.index()].as_ref()
+        match &self.names[n.index()].content {
+            Content::Element(re) => Some(self.automata[n.index()].get_or_init(|| re.compile())),
+            Content::Text => None,
+        }
     }
 
     /// Iterates over all name ids.
@@ -370,13 +376,11 @@ impl DtdBuilder {
         // Validate references and build children rows.
         let mut children = Vec::with_capacity(universe);
         let mut text_children = Vec::with_capacity(n);
-        let mut automata = Vec::with_capacity(n);
         for info in &self.names {
             match &info.content {
                 Content::Text => {
                     children.push(NameSet::empty(universe));
                     text_children.push(NameSet::empty(universe));
-                    automata.push(None);
                 }
                 Content::Element(re) => {
                     let ns = re.names(universe);
@@ -392,7 +396,6 @@ impl DtdBuilder {
                     );
                     children.push(ns);
                     text_children.push(texts);
-                    automata.push(Some(re.compile()));
                 }
             }
         }
@@ -422,7 +425,7 @@ impl DtdBuilder {
             tags: self.tags,
             names: self.names,
             root,
-            automata,
+            automata: (0..n).map(|_| OnceLock::new()).collect(),
             children,
             parents,
             descendants,

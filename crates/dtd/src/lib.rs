@@ -37,6 +37,6 @@ pub use props::{
     diagnostics, properties, DtdDiagnostics, DtdProperties, ParentAmbiguityWitness,
     RecursionWitness, StarGuardWitness,
 };
-pub use regex::Regex;
+pub use regex::{LivePositions, Regex};
 pub use dataguide::{infer_dtd, DataGuide};
 pub use validate::{interpret, validate, Interpretation, ValidationError};

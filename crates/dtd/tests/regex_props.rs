@@ -115,3 +115,63 @@ forall! {
         }
     }
 }
+
+/// Models wide enough to cross a bit word (63 / 64 / 65 positions, one
+/// more bit each for the start) and up to the inline limit of a
+/// `NameSet` (`NameSet::INLINE_NAMES`: 255 positions), which the random
+/// regexes above never reach.
+#[test]
+fn models_across_bit_words_agree_with_derivatives() {
+    wide_models_agree_with_derivatives(&[63, 64, 65, 255]);
+}
+
+/// Models past the inline limit, whose bit rows are on the heap.
+#[test]
+fn models_on_the_heap_agree_with_derivatives() {
+    wide_models_agree_with_derivatives(&[256, 257, 300]);
+}
+
+/// A sequence of one repeated name and a starred union, `k` positions
+/// each, for every `k` of `widths`.
+fn wide_models_agree_with_derivatives(widths: &[usize]) {
+    let a = NameId(0);
+    let word = |ids: &[u32]| ids.iter().map(|&i| NameId(i)).collect::<Vec<_>>();
+    for &k in widths {
+        let seq = Regex::Seq(vec![Regex::Name(a); k]);
+        // Only a word as long as the model reaches its last position, and
+        // the oracle's cost is cubic in that length: beyond 65 positions
+        // the long word is the accepted one, and the rejected ones die at
+        // the first bit word's end and the second's start.
+        let lengths = if k <= 65 {
+            vec![k - 1, k, k + 1]
+        } else {
+            vec![k]
+        };
+        let mut seq_words: Vec<Vec<NameId>> = lengths.into_iter().map(|len| vec![a; len]).collect();
+        for at in [0, 62, 63] {
+            let mut w = vec![a; at + 1];
+            w[at] = NameId(1);
+            seq_words.push(w);
+        }
+        let alt = Regex::Star(Box::new(Regex::Alt(
+            (0..k as u32).map(|i| Regex::Name(NameId(i % 3))).collect(),
+        )));
+        let alt_words = [
+            word(&[]),
+            word(&[2, 0, 1, 1, 2]),
+            word(&[0, 1, 2, 3]),
+            word(&[3]),
+        ];
+        for (re, words) in [(&seq, &seq_words[..]), (&alt, &alt_words[..])] {
+            let auto = re.compile();
+            for w in words {
+                assert_eq!(
+                    auto.matches(w.iter().copied()),
+                    matches_ref(re, w),
+                    "{k} positions, word of {} names",
+                    w.len()
+                );
+            }
+        }
+    }
+}

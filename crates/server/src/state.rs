@@ -99,8 +99,11 @@ pub const DTD_REGISTRY_CAPACITY: usize = 256;
 
 /// The largest `POST /v1/dtd` body (over it: `413`), however large
 /// `--max-body-bytes` lets a document be: a grammar is buffered whole and
-/// then compiled in time superlinear in its size. 64 KiB is ~19× the
-/// largest grammar shipped (`examples/auction.dtd`, 3 405 B).
+/// parsed, retaining 10–13 B per DTD byte on the dense family
+/// (`crates/bench/tests/grammar_alloc.rs`), and up to ~100 B per byte
+/// for thousands of short names, whose reachability rows are quadratic
+/// in the name count. 64 KiB is ~19× the largest grammar shipped
+/// (`examples/auction.dtd`, 3 405 B).
 pub const MAX_DTD_BODY_BYTES: u64 = 64 * 1024;
 
 /// The registered grammars, an LRU on the artifact cache's tick scheme.
