@@ -4,7 +4,7 @@
 //! generated document actually retains.
 
 use xproj_analyzer::{analyze, AnalysisOptions};
-use xproj_core::stream::prune_str;
+use xproj_engine::ChunkedPruner;
 use xproj_testkit::parse_json;
 use xproj_xmark::{auction_dtd, generate_auction, xmark_queries, XMarkConfig};
 
@@ -64,8 +64,10 @@ fn predicted_retention_within_2x_of_observed() {
         let a = analyze(&dtd, &queries, &opts).unwrap();
         assert!(a.retention.calibrated);
 
-        let pruned = prune_str(&xml, &dtd, &a.provenance.projector).unwrap();
-        let observed = pruned.output.len() as f64 / xml.len() as f64;
+        let mut pruner = ChunkedPruner::new(&dtd, &a.provenance.projector, std::io::sink());
+        pruner.set_fast_forward(false);
+        pruner.feed(xml.as_bytes()).unwrap();
+        let observed = pruner.finish().unwrap().retention();
         let predicted = a.retention.predicted;
         assert!(observed > 0.0, "{ids:?}: pruning kept nothing");
         let ratio = predicted / observed;

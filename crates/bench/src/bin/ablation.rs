@@ -46,8 +46,8 @@ fn main() {
             bq.id
         );
 
-        let pruned_ctx = pruned_document(&xml, &dtd, &p_ctx).len();
-        let pruned_no = pruned_document(&xml, &dtd, &p_no).len();
+        let pruned_ctx = pruned_document(&xml, &dtd, &p_ctx).0.len();
+        let pruned_no = pruned_document(&xml, &dtd, &p_no).0.len();
         total += 1;
         if p_no.len() > p_ctx.len() {
             affected += 1;

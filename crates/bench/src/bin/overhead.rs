@@ -11,8 +11,8 @@
 //! ```
 
 use std::time::Instant;
-use xproj_bench::{document_at, mb, workload, AnyQuery, Knobs};
-use xproj_core::{prune_str, StaticAnalyzer};
+use xproj_bench::{document_at, mb, pruned_document, workload, AnyQuery, Knobs};
+use xproj_core::StaticAnalyzer;
 use xproj_dtd::{Dtd, Regex};
 use xproj_xmark::auction_dtd;
 
@@ -69,7 +69,7 @@ fn main() {
     for &s in &knobs.ladder {
         let xml = document_at(&dtd, s);
         let t = Instant::now();
-        let r = prune_str(&xml, &dtd, &projector).unwrap();
+        let (_, stats) = pruned_document(&xml, &dtd, &projector);
         let dt = t.elapsed();
         let rate = mb(xml.len()) / dt.as_secs_f64();
         rates.push(rate);
@@ -78,7 +78,7 @@ fn main() {
             mb(xml.len()),
             dt.as_secs_f64() * 1e3,
             rate,
-            r.max_depth
+            stats.counters.max_depth
         );
     }
     let (lo, hi) = rates

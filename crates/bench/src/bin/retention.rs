@@ -14,8 +14,7 @@
 //! is a perfect prediction, and the analyzer's acceptance band is 2×.
 
 use xproj_analyzer::{analyze, AnalysisOptions};
-use xproj_bench::{document_at, workload};
-use xproj_core::stream::prune_str;
+use xproj_bench::{document_at, pruned_document, workload};
 use xproj_xmark::auction_dtd;
 
 fn error_factor(predicted: f64, observed: f64) -> f64 {
@@ -53,11 +52,9 @@ fn main() {
         };
         let opts = AnalysisOptions { sample: Some(&xml) };
         let calibrated = analyze(&dtd, &queries, &opts).expect("same workload");
-        let observed = prune_str(&xml, &dtd, &structural.provenance.projector)
-            .expect("valid document")
-            .output
-            .len() as f64
-            / xml.len() as f64;
+        let observed = pruned_document(&xml, &dtd, &structural.provenance.projector)
+            .1
+            .retention();
         let sp = structural.retention.predicted;
         let cp = calibrated.retention.predicted;
         let ce = error_factor(cp, observed);

@@ -75,7 +75,7 @@ fn main() {
         // ---- absolute columns: climb the ladder under the budget ----
         let mut best: Option<(usize, usize, usize)> = None; // orig, pruned, mem
         for (_, xml) in &ladder_docs {
-            let pruned = pruned_document(xml, &dtd, &projector);
+            let pruned = pruned_document(xml, &dtd, &projector).0;
             let p = process(&pruned, &q);
             if p.peak_bytes <= knobs.budget_bytes {
                 best = Some((xml.len(), pruned.len(), p.peak_bytes));
@@ -86,7 +86,7 @@ fn main() {
         let (orig_b, pruned_b, mem_b) = best.unwrap_or((0, 0, 0));
 
         // ---- relative columns on the reference document ----
-        let ref_pruned = pruned_document(&ref_xml, &dtd, &projector);
+        let ref_pruned = pruned_document(&ref_xml, &dtd, &projector).0;
         let on_orig = process(&ref_xml, &q);
         let on_pruned = process(&ref_pruned, &q);
         assert_eq!(

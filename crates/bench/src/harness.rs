@@ -1,8 +1,9 @@
 //! Shared measurement machinery for the experiment binaries.
 
 use std::time::{Duration, Instant};
-use xproj_core::{prune_str, Projector, StaticAnalyzer};
+use xproj_core::{Projector, StaticAnalyzer};
 use xproj_dtd::Dtd;
+use xproj_engine::{ChunkedPruner, EngineStats};
 use xproj_xmark::{generate_auction, BenchQuery, QueryKind, XMarkConfig};
 use xproj_xmltree::Document;
 use xproj_xpath::ast::Expr;
@@ -102,9 +103,15 @@ pub fn document_at(dtd: &Dtd, scale: f64) -> String {
     generate_auction(dtd, &XMarkConfig { scale, seed: 42 }).to_xml()
 }
 
-/// Prunes `xml` with `projector` (streaming) and returns the output.
-pub fn pruned_document(xml: &str, dtd: &Dtd, projector: &Projector) -> String {
-    prune_str(xml, dtd, projector).expect("valid input").output
+/// Prunes `xml` with `projector` in one streaming pass with fast-forward
+/// off (every byte is tokenized): the output and the pass's stats.
+pub fn pruned_document(xml: &str, dtd: &Dtd, projector: &Projector) -> (String, EngineStats) {
+    let mut out = Vec::with_capacity(xml.len() / 2);
+    let mut pruner = ChunkedPruner::new(dtd, projector, &mut out);
+    pruner.set_fast_forward(false);
+    pruner.feed(xml.as_bytes()).expect("valid input");
+    let stats = pruner.finish().expect("valid input");
+    (String::from_utf8(out).expect("kept bytes are UTF-8"), stats)
 }
 
 /// Environment knobs shared by the binaries.

@@ -10,9 +10,11 @@
 //! (\*-guarded, non-recursive, parent-unambiguous) and strongly-specified
 //! queries the projector is furthermore optimal (Thm. 4.7).
 //!
-//! Pruning itself ([`prune`] in memory, [`stream`] over SAX events) is a
-//! single bufferless pass: because element tags determine names in a local
-//! tree grammar, the keep/discard decision per element is one bitset probe.
+//! Pruning itself ([`prune`] in memory, [`stream`]'s [`PruneMachine`] over
+//! SAX events) is a single bufferless pass: because element tags determine
+//! names in a local tree grammar, the keep/discard decision per element is
+//! one indexed load. `xproj-engine` drives the machine under the token loop
+//! (`ChunkedPruner`, a whole string being one `feed`).
 //!
 //! ```
 //! use xproj_core::StaticAnalyzer;
@@ -26,12 +28,9 @@
 //! let mut analyzer = StaticAnalyzer::new(&dtd);
 //! let projector = analyzer.project_query("/bib/book/title").unwrap();
 //! // `author` is pruned away, `title` (and its text) survive:
-//! let pruned = xproj_core::stream::prune_str(
-//!     "<bib><book><title>T</title><author>A</author></book></bib>",
-//!     &dtd,
-//!     &projector,
-//! ).unwrap();
-//! assert_eq!(pruned.output, "<bib><book><title>T</title></book></bib>");
+//! let kept = projector.labels(&dtd);
+//! assert!(kept.contains(&"title") && kept.contains(&"title#text"));
+//! assert!(!kept.contains(&"author"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,6 +49,6 @@ pub use projector::{Projector, ProjectorTable, Verdict};
 pub use infer::{AnalyzeError, TraceEvent, TraceRule};
 pub use prune::prune_document;
 pub use stream::{
-    prune_str, prune_str_fast, prune_validate_str, ErrorCode, MachineSink, PruneCounters,
-    PruneMachine, StartOutcome, StreamPruneError, StreamPruneResult, Validator,
+    json_escape, json_escape_into, ErrorCode, PruneCounters, PruneMachine, StartOutcome,
+    StreamPruneError,
 };

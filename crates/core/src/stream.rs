@@ -1,4 +1,5 @@
-//! Streaming π-projection: a single bufferless pass over SAX events.
+//! Streaming π-projection: the per-event machine of a single bufferless
+//! pass over SAX events.
 //!
 //! This is the deployment mode the paper's §6 measures: pruning time is
 //! linear in the document size, memory is bounded by the element-nesting
@@ -7,42 +8,15 @@
 //! grammar the decision per start-tag is one tag lookup (tag → name, a
 //! binary search among the grammar's tags of that length, hashing
 //! nothing) plus one indexed load (the verdict); a discarded element
-//! just bumps a depth counter until its end tag.
+//! just bumps a depth counter until its end tag. The pass that drives
+//! the machine under the token loop, and checks its memory bound, is
+//! `xproj-engine`'s.
 
 use crate::projector::{Projector, ProjectorTable, Verdict};
 use std::borrow::Borrow;
-use std::marker::PhantomData;
-use xproj_dtd::{Dtd, LivePositions, NameId};
+use xproj_dtd::{Dtd, NameId};
 use xproj_xmltree::entities::ParseError;
-use xproj_xmltree::push::{drain_str, is_xml_space, TokenSink};
 use xproj_xmltree::KeptEvents;
-
-/// Outcome of a streaming prune.
-#[derive(Debug, Clone)]
-pub struct StreamPruneResult {
-    /// The pruned serialized document.
-    pub output: String,
-    /// Elements written.
-    pub elements_kept: usize,
-    /// Elements discarded (with their whole subtrees).
-    pub elements_pruned: usize,
-    /// Text nodes written.
-    pub text_kept: usize,
-    /// Text nodes discarded.
-    pub text_pruned: usize,
-    /// Maximum element nesting depth seen (the memory bound).
-    pub max_depth: usize,
-}
-
-impl StreamPruneResult {
-    /// Fraction of the input retained, in bytes, against `input_len`.
-    pub fn retention(&self, input_len: usize) -> f64 {
-        if input_len == 0 {
-            return 1.0;
-        }
-        self.output.len() as f64 / input_len as f64
-    }
-}
 
 /// Stable machine-readable error codes for pruning failures.
 ///
@@ -80,6 +54,39 @@ impl std::fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
+}
+
+/// Escapes `s` into `out` as JSON string contents: the one escaper of
+/// every JSON line and body the workspace writes (error objects around
+/// an [`ErrorCode`], match frames, analysis reports). UTF-8 passes
+/// through verbatim; only quotes, backslashes and control bytes are
+/// escaped.
+pub fn json_escape_into(s: &str, out: &mut String) {
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                use std::fmt::Write as _;
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        // The escaped byte is ASCII, so a char boundary follows it.
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// [`json_escape_into`] a new `String`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    json_escape_into(s, &mut out);
+    out
 }
 
 /// Errors from streaming pruning.
@@ -121,8 +128,7 @@ impl From<ParseError> for StreamPruneError {
     }
 }
 
-/// Per-event pruning counters, shared by every driver of a
-/// [`PruneMachine`] (in-memory strings, chunked engines).
+/// Per-event pruning counters of a [`PruneMachine`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneCounters {
     /// Elements written.
@@ -140,15 +146,15 @@ pub struct PruneCounters {
 /// The source-generic core of streaming π-projection.
 ///
 /// This is the per-event keep/discard state machine, decoupled from
-/// where events come from (as a [`MachineSink`] it sits under the one
-/// token loop, whole-string or chunked) and where kept events go (any
-/// [`KeptEvents`] the caller hands in: a `String` it may drain to an
-/// `io::Write` between events, or a tree).
+/// where events come from (the engine's pass sits it under the one
+/// token loop) and where kept events go (any [`KeptEvents`] the caller
+/// hands in: a `String` it may drain to an `io::Write` between events,
+/// or a tree).
 /// Resident state is O(depth): one [`NameId`] per open kept element
 /// plus a skip counter for pruned subtrees.
 ///
 /// `D` is how the machine holds its grammar: `&Dtd` for callers with a
-/// borrowed grammar on the stack (the free functions here), `Arc<Dtd>`
+/// borrowed grammar on the stack (a `ChunkedPruner` over `&Dtd`), `Arc<Dtd>`
 /// for owned, movable machines (the engine's sessions) — the latter is
 /// what lets long-lived pruners avoid `unsafe` lifetime extension.
 pub struct PruneMachine<D: Borrow<Dtd>> {
@@ -207,10 +213,16 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
         }
     }
 
+    /// The grammar the machine decides against.
+    pub fn dtd(&self) -> &Dtd {
+        self.dtd.borrow()
+    }
+
     /// Handles a start tag held as raw bytes: `attrs_raw` is the
     /// unparsed attribute region from
     /// `xproj_xmltree::push::split_start_tag` (what
-    /// [`TokenSink::start`] delivers); a kept element goes to `out`.
+    /// [`TokenSink::start`](xproj_xmltree::push::TokenSink::start)
+    /// delivers); a kept element goes to `out`.
     /// The returned [`StartOutcome`] tells a byte-owning driver whether
     /// the subtree is eligible for raw fast-forward.
     ///
@@ -303,520 +315,54 @@ impl<D: Borrow<Dtd>> PruneMachine<D> {
     }
 }
 
-/// A [`PruneMachine`] under the token loop: each event runs the machine,
-/// kept events go to `out`. `E` is the driver's error type — the
-/// whole-string functions here use [`StreamPruneError`], the chunked
-/// engine its own — so one sink serves every driver.
-///
-/// With a [`Validator`] attached the pass also validates (§6: "prune the
-/// document while validating it"): every event first advances the
-/// content-model automaton of the open element — pruned elements
-/// included, they must still be valid — and only then reaches the
-/// machine, and no subtree is ever reported skippable.
-pub struct MachineSink<'a, D: Borrow<Dtd>, E, K> {
-    machine: &'a mut PruneMachine<D>,
-    out: &'a mut K,
-    /// What `out` had rendered when the sink was made.
-    from: usize,
-    validator: Option<&'a mut Validator>,
-    error: PhantomData<E>,
-}
-
-impl<'a, D: Borrow<Dtd>, E, K: KeptEvents> MachineSink<'a, D, E, K> {
-    /// Sits `machine` under a drain, sending kept events to `out`;
-    /// `validator`, if any, checks every event against the machine's
-    /// grammar first.
-    pub fn new(
-        machine: &'a mut PruneMachine<D>,
-        out: &'a mut K,
-        validator: Option<&'a mut Validator>,
-    ) -> Self {
-        MachineSink {
-            machine,
-            from: out.rendered(),
-            out,
-            validator,
-            error: PhantomData,
-        }
-    }
-
-    /// Kept bytes this sink has rendered into `out` (none into a tree).
-    pub fn rendered(&self) -> usize {
-        self.out.rendered() - self.from
-    }
-}
-
-impl<D: Borrow<Dtd>, E: From<ParseError> + From<StreamPruneError>, K: KeptEvents> TokenSink
-    for MachineSink<'_, D, E, K>
-{
-    type Error = E;
-
-    fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, E> {
-        if let Some(v) = &mut self.validator {
-            v.start(self.machine.dtd.borrow(), name)?;
-        }
-        let outcome = self.machine.start_element_raw(name, attrs_raw, self.out)?;
-        // A validating pass must see every event.
-        Ok(self.validator.is_none() && outcome == StartOutcome::PrunedSubtree)
-    }
-
-    fn end(&mut self, name: &str) -> Result<(), E> {
-        if let Some(v) = &mut self.validator {
-            v.end(self.machine.dtd.borrow(), name)?;
-        }
-        self.machine.end_element(name, self.out);
-        Ok(())
-    }
-
-    fn text(&mut self, decoded: &str) -> Result<(), E> {
-        if let Some(v) = &mut self.validator {
-            v.text(self.machine.dtd.borrow(), decoded)?;
-        }
-        self.machine.text(decoded, self.out);
-        Ok(())
-    }
-}
-
-/// The state of a fused validating pass: one `(name, live positions)`
-/// pair per open element, kept or pruned — O(depth). It lives outside
-/// the per-drain [`MachineSink`] so a chunked driver can carry it from
-/// one feed to the next.
-#[derive(Debug, Default)]
-pub struct Validator {
-    open: Vec<(NameId, LivePositions)>,
-    max_depth: usize,
-}
-
-fn invalid(m: String) -> StreamPruneError {
-    StreamPruneError::Xml(format!("validation: {m}"))
-}
-
-impl Validator {
-    fn start(&mut self, dtd: &Dtd, name: &str) -> Result<(), StreamPruneError> {
-        let nm = dtd
-            .name_of_tag_str(name)
-            .ok_or_else(|| StreamPruneError::UndeclaredElement(name.to_string()))?;
-        // The root must match; children advance the parent's automaton.
-        match self.open.last_mut() {
-            None => {
-                if nm != dtd.root() {
-                    return Err(invalid(format!(
-                        "root element '{name}' does not match DTD root '{}'",
-                        dtd.label(dtd.root())
-                    )));
-                }
-            }
-            Some((parent, states)) => {
-                let auto = dtd
-                    .automaton(*parent)
-                    .expect("open elements have content models");
-                if !auto.step(states, nm) {
-                    return Err(invalid(format!(
-                        "element '{name}' not allowed here inside '{}'",
-                        dtd.label(*parent)
-                    )));
-                }
-            }
-        }
-        let states = dtd
-            .automaton(nm)
-            .expect("element names have content models")
-            .start();
-        self.open.push((nm, states));
-        self.max_depth = self.max_depth.max(self.open.len());
-        Ok(())
-    }
-
-    fn end(&mut self, dtd: &Dtd, name: &str) -> Result<(), StreamPruneError> {
-        let (nm, states) = self.open.pop().expect("the token loop guarantees balance");
-        let auto = dtd.automaton(nm).expect("content model");
-        if !auto.accepts(&states) {
-            return Err(invalid(format!(
-                "content of '{name}' does not match its model"
-            )));
-        }
-        Ok(())
-    }
-
-    /// Steps the open element's model on a text run. A run that is all
-    /// XML `S` is no text node (the tree parser drops it too), so it is
-    /// valid anywhere.
-    fn text(&mut self, dtd: &Dtd, decoded: &str) -> Result<(), StreamPruneError> {
-        let Some((parent, states)) = self.open.last_mut() else {
-            return Ok(());
-        };
-        if decoded.bytes().all(is_xml_space) {
-            return Ok(());
-        }
-        let Some(tn) = dtd.text_children_of(*parent).iter().next() else {
-            return Err(invalid(format!(
-                "text not allowed inside '{}'",
-                dtd.label(*parent)
-            )));
-        };
-        let auto = dtd.automaton(*parent).expect("content model");
-        if !auto.step(states, tn) {
-            return Err(invalid(format!(
-                "text not allowed at this position inside '{}'",
-                dtd.label(*parent)
-            )));
-        }
-        Ok(())
-    }
-
-    /// Ends the pass: the document's nesting depth (pruned elements
-    /// included), or the error for a document with no root element.
-    pub fn finish(&self) -> Result<usize, StreamPruneError> {
-        if self.max_depth == 0 {
-            return Err(invalid("document has no root element".to_string()));
-        }
-        Ok(self.max_depth)
-    }
-}
-
-/// What a whole-string pass does besides pruning.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    /// Tokenize everything.
-    Plain,
-    /// Raw-scan past subtrees that can reach nothing in π.
-    FastForward,
-    /// Validate against the DTD (every event: fast-forward stays off).
-    Validate,
-}
-
-/// The whole-string driver: a complete input is the one-chunk case of
-/// the push loop the chunked engine drives.
-fn prune_whole(
-    input: &str,
-    dtd: &Dtd,
-    projector: &Projector,
-    pass: Pass,
-) -> Result<StreamPruneResult, StreamPruneError> {
-    let mut output = String::with_capacity(input.len() / 2);
-    let mut machine = PruneMachine::new(dtd, projector);
-    let mut validator = (pass == Pass::Validate).then(Validator::default);
-    drain_str(
-        input,
-        &mut MachineSink::<_, StreamPruneError, _>::new(&mut machine, &mut output, validator.as_mut()),
-        pass == Pass::FastForward,
-    )?;
-    // Validation tracks pruned elements too, so its depth is the
-    // document's, not just the kept spine's.
-    let validated_depth = validator.map(|v| v.finish()).transpose()?;
-    let c = machine.finish()?;
-    Ok(StreamPruneResult {
-        output,
-        elements_kept: c.elements_kept,
-        elements_pruned: c.elements_pruned,
-        text_kept: c.text_kept,
-        text_pruned: c.text_pruned,
-        max_depth: validated_depth.unwrap_or(c.max_depth),
-    })
-}
-
-/// Prunes a serialized document in one pass.
-///
-/// Only the open-element name stack is retained (O(depth) memory); kept
-/// events are appended to the output as they arrive. The chunked
-/// `io::Read` → `io::Write` driver of the same loop lives in
-/// `xproj-engine`.
-pub fn prune_str(
-    input: &str,
-    dtd: &Dtd,
-    projector: &Projector,
-) -> Result<StreamPruneResult, StreamPruneError> {
-    prune_whole(input, dtd, projector, Pass::Plain)
-}
-
-/// [`prune_str`] with the pruned-subtree **fast-forward** engaged: when
-/// the machine reports [`StartOutcome::PrunedSubtree`] (the element's
-/// name can reach no π name under ⇒E*), the tokenizer skips the
-/// subtree's raw bytes with a depth counter instead of tokenizing it.
-///
-/// Output is byte-identical to [`prune_str`] on well-formed input, and
-/// the counters agree except `text_pruned`, which undercounts (text that
-/// is never tokenized is never counted). Inside skipped subtrees,
-/// end-tag names and entity validity are not checked — this path trades
-/// dead-subtree diagnostics for throughput. It never validates; when
-/// fused validation is requested use [`prune_validate_str`], which must
-/// see every event.
-pub fn prune_str_fast(
-    input: &str,
-    dtd: &Dtd,
-    projector: &Projector,
-) -> Result<StreamPruneResult, StreamPruneError> {
-    prune_whole(input, dtd, projector, Pass::FastForward)
-}
-
-/// Prunes and *validates* in the same single pass (§6: "an optional
-/// validation option … makes it possible to prune the document while
-/// validating it. Programs that use an external validator can therefore
-/// prune their document without any overhead").
-///
-/// Memory stays O(depth): one `(name, live positions)` pair per open
-/// element — including pruned ones, which must still be validated.
-pub fn prune_validate_str(
-    input: &str,
-    dtd: &Dtd,
-    projector: &Projector,
-) -> Result<StreamPruneResult, StreamPruneError> {
-    prune_whole(input, dtd, projector, Pass::Validate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::infer::StaticAnalyzer;
-    use xproj_dtd::parse_dtd;
-
-    const DTD: &str = "\
-        <!ELEMENT bib (book*)>\
-        <!ELEMENT book (title, author*, price?)>\
-        <!ATTLIST book id CDATA #IMPLIED>\
-        <!ELEMENT title (#PCDATA)>\
-        <!ELEMENT author (#PCDATA)>\
-        <!ELEMENT price (#PCDATA)>";
-
-    const DOC: &str = "<bib>\
-        <book id=\"b1\"><title>T1</title><author>A</author><price>10</price></book>\
-        <book id=\"b2\"><title>T2</title></book>\
-        </bib>";
+    use xproj_testkit::{parse_json, seeded, SplitMix64};
 
     #[test]
-    fn stream_matches_in_memory_prune() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        for q in ["/bib/book/title", "/bib/book[price]/author", "//price"] {
-            let p = sa.project_query(q).unwrap();
-            let streamed = prune_str(DOC, &dtd, &p).unwrap();
-            // reparse + in-memory prune must agree
-            let doc = xproj_xmltree::parse_with_interner(DOC, dtd.tags.clone()).unwrap();
-            let interp = xproj_dtd::validate(&doc, &dtd).unwrap();
-            let in_mem = crate::prune::prune_document(&doc, &dtd, &interp, &p);
-            assert_eq!(streamed.output, in_mem.to_xml(), "query {q}");
+    fn json_escape_pins_every_ascii_byte() {
+        for b in 0u8..0x80 {
+            let want = match b {
+                b'"' => "\\\"".to_string(),
+                b'\\' => "\\\\".to_string(),
+                b'\n' => "\\n".to_string(),
+                b'\r' => "\\r".to_string(),
+                b'\t' => "\\t".to_string(),
+                0..=0x1f => format!("\\u{b:04x}"),
+                _ => char::from(b).to_string(),
+            };
+            assert_eq!(
+                json_escape(&char::from(b).to_string()),
+                want,
+                "byte {b:#04x}"
+            );
         }
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}é\u{7f}"), "\\u0001é\u{7f}");
     }
 
     #[test]
-    fn stats_reflect_pruning() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let p = sa.project_query("/bib/book/title").unwrap();
-        let r = prune_str(DOC, &dtd, &p).unwrap();
-        assert_eq!(r.elements_kept, 5); // bib, 2×book, 2×title
-        assert_eq!(r.elements_pruned, 2); // author, price
-        assert_eq!(r.text_kept, 2); // the two titles
-        assert!(r.retention(DOC.len()) < 1.0);
-        assert_eq!(r.max_depth, 3);
-    }
-
-    #[test]
-    fn whitespace_outside_kept_regions() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let p = sa.project_query("/bib/book/title").unwrap();
-        let r = prune_str(
-            "<bib>\n  <book><title>T</title><author>A</author></book>\n</bib>",
-            &dtd,
-            &p,
-        )
-        .unwrap();
-        // bib allows no text: whitespace dropped
-        assert_eq!(r.output, "<bib><book><title>T</title></book></bib>");
-    }
-
-    #[test]
-    fn undeclared_element_is_an_error() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let p = Projector::full(&dtd);
-        let err = prune_str("<bib><pamphlet/></bib>", &dtd, &p).unwrap_err();
-        assert!(matches!(err, StreamPruneError::UndeclaredElement(_)));
-    }
-
-    #[test]
-    fn malformed_xml_is_an_error() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let p = Projector::full(&dtd);
-        assert!(matches!(
-            prune_str("<bib><book>", &dtd, &p),
-            Err(StreamPruneError::Xml(_))
-        ));
-    }
-
-    #[test]
-    fn empty_projector_streams_to_empty() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let p = Projector::empty(&dtd);
-        let r = prune_str(DOC, &dtd, &p).unwrap();
-        assert_eq!(r.output, "");
-        assert_eq!(r.elements_kept, 0);
-    }
-
-    #[test]
-    fn doctype_and_comments_are_dropped() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let p = Projector::full(&dtd);
-        let r = prune_str(
-            "<!DOCTYPE bib SYSTEM \"b.dtd\"><!-- hi --><bib/>",
-            &dtd,
-            &p,
-        )
-        .unwrap();
-        assert_eq!(r.output, "<bib/>");
-    }
-
-    #[test]
-    fn fast_path_matches_reference_on_every_query() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        for q in ["/bib/book/title", "/bib/book[price]/author", "//price", "/bib"] {
-            let p = sa.project_query(q).unwrap();
-            let slow = prune_str(DOC, &dtd, &p).unwrap();
-            let fast = prune_str_fast(DOC, &dtd, &p).unwrap();
-            assert_eq!(fast.output, slow.output, "query {q}");
-            assert_eq!(fast.elements_kept, slow.elements_kept, "query {q}");
-            assert_eq!(fast.elements_pruned, slow.elements_pruned, "query {q}");
-            assert_eq!(fast.text_kept, slow.text_kept, "query {q}");
-            assert_eq!(fast.max_depth, slow.max_depth, "query {q}");
-        }
-    }
-
-    /// For `/bib/book/title`, the `author` subtrees are
-    /// fast-forward-eligible (no name reachable from `author` is in π);
-    /// the raw scanner must step over markup full of fake end tags.
-    #[test]
-    fn fast_path_skips_subtrees_with_tricky_markup() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let p = sa.project_query("/bib/book/title").unwrap();
-        let doc = "<bib><book id=\"b1\"><title>T</title>\
-                   <author a=\"a &gt; b\"><!-- </author> -->\
-                   <price><![CDATA[</author>]]></price>A&amp;B</author>\
-                   <author/></book></bib>";
-        let slow = prune_str(doc, &dtd, &p).unwrap();
-        let fast = prune_str_fast(doc, &dtd, &p).unwrap();
-        assert_eq!(fast.output, slow.output);
-        assert_eq!(fast.output, "<bib><book id=\"b1\"><title>T</title></book></bib>");
-        assert_eq!(fast.elements_pruned, slow.elements_pruned);
-    }
-
-    #[test]
-    fn fast_path_reports_truncation_inside_skipped_subtree() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let p = sa.project_query("/bib/book/title").unwrap();
-        assert!(matches!(
-            prune_str_fast("<bib><book><title>T</title><author>unfinished", &dtd, &p),
-            Err(StreamPruneError::Xml(_))
-        ));
-    }
-}
-
-#[cfg(test)]
-mod validate_tests {
-    use super::*;
-    use crate::infer::StaticAnalyzer;
-    use xproj_dtd::parse_dtd;
-
-    const DTD: &str = "\
-        <!ELEMENT bib (book*)>\
-        <!ELEMENT book (title, author*, price?)>\
-        <!ELEMENT title (#PCDATA)>\
-        <!ELEMENT author (#PCDATA)>\
-        <!ELEMENT price (#PCDATA)>";
-
-    #[test]
-    fn valid_document_prunes_identically() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let p = sa.project_query("/bib/book/title").unwrap();
-        let doc = "<bib><book><title>T</title><author>A</author></book></bib>";
-        let plain = prune_str(doc, &dtd, &p).unwrap();
-        let validated = prune_validate_str(doc, &dtd, &p).unwrap();
-        assert_eq!(plain.output, validated.output);
-        assert_eq!(plain.elements_kept, validated.elements_kept);
-    }
-
-    #[test]
-    fn invalid_content_detected_even_inside_pruned_subtrees() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let p = sa.project_query("/bib/book/title").unwrap();
-        // author before title: invalid, although author is pruned anyway
-        let doc = "<bib><book><author>A</author><title>T</title></book></bib>";
-        assert!(prune_str(doc, &dtd, &p).is_ok()); // plain pruner ignores it
-        let err = prune_validate_str(doc, &dtd, &p).unwrap_err();
-        assert!(matches!(err, StreamPruneError::Xml(m) if m.contains("not allowed")));
-    }
-
-    #[test]
-    fn missing_required_child_detected() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let p = Projector::full(&dtd);
-        let err = prune_validate_str("<bib><book><author>A</author></book></bib>", &dtd, &p)
-            .unwrap_err();
-        assert!(matches!(err, StreamPruneError::Xml(_)));
-    }
-
-    #[test]
-    fn wrong_root_detected() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let p = Projector::full(&dtd);
-        assert!(prune_validate_str("<book/>", &dtd, &p).is_err());
-    }
-
-    #[test]
-    fn stray_text_detected() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let p = Projector::full(&dtd);
-        assert!(prune_validate_str("<bib>oops</bib>", &dtd, &p).is_err());
-        // U+00A0 is character data, not XML whitespace.
-        assert!(prune_validate_str("<bib>\u{A0}</bib>", &dtd, &p).is_err());
-    }
-
-    #[test]
-    fn indentation_is_not_text() {
-        let dtd = parse_dtd(DTD, "bib").unwrap();
-        let p = Projector::full(&dtd);
-        let doc = "<bib>\n<book>\r\n\t<title>T</title> </book>\n</bib>";
-        assert!(prune_validate_str(doc, &dtd, &p).is_ok());
-    }
-
-    #[test]
-    fn agrees_with_tree_validation_on_xmark() {
-        let dtd = xproj_xmark_stub::auction_dtd();
-        let doc = xproj_xmark_stub::generate(&dtd, 0.05);
-        let xml = doc.to_xml();
-        let mut sa = StaticAnalyzer::new(&dtd);
-        let p = sa.project_query("//keyword").unwrap();
-        let r = prune_validate_str(&xml, &dtd, &p).unwrap();
-        let plain = prune_str(&xml, &dtd, &p).unwrap();
-        assert_eq!(r.output, plain.output);
-    }
-
-    /// Tiny local stand-ins to avoid a dev-dependency cycle with the
-    /// xmark crate: a miniature auction-like recursive DTD and generator.
-    mod xproj_xmark_stub {
-        use xproj_dtd::generate::{generate as gen, GenConfig};
-        use xproj_dtd::{parse_dtd, Dtd};
-        use xproj_xmltree::Document;
-
-        pub fn auction_dtd() -> Dtd {
-            parse_dtd(
-                "<!ELEMENT site (item*)>\
-                 <!ELEMENT item (name, description)>\
-                 <!ELEMENT name (#PCDATA)>\
-                 <!ELEMENT description (#PCDATA | keyword | bold)*>\
-                 <!ELEMENT keyword (#PCDATA)>\
-                 <!ELEMENT bold (#PCDATA | keyword)*>",
-                "site",
-            )
-            .unwrap()
-        }
-
-        pub fn generate(dtd: &Dtd, _scale: f64) -> Document {
-            gen(dtd, 7, &GenConfig::default())
-        }
+    fn json_escape_round_trips_through_a_json_parser() {
+        let alphabet: Vec<char> = (0u8..0x80)
+            .map(char::from)
+            .chain("éß€😀\u{a0}".chars())
+            .collect();
+        let round_trip = |seed| {
+            let mut rng = SplitMix64::new(seed);
+            let s: String = (0..rng.below(40)).map(|_| *rng.pick(&alphabet)).collect();
+            let line = format!("{{\"s\":\"{}\"}}", json_escape(&s));
+            let parsed = parse_json(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(
+                parsed.get("s").and_then(|v| v.as_str()),
+                Some(s.as_str()),
+                "{line}"
+            );
+        };
+        seeded(
+            "json_escape_round_trips_through_a_json_parser",
+            500,
+            round_trip,
+        );
     }
 }

@@ -5,9 +5,10 @@
 //! streaming emphasis) actually measures: π-pruning as a single fused
 //! pass that never holds the document in memory. Bytes are fed to a
 //! [`PushTokenizer`] in arbitrary chunks; its one token loop runs every
-//! completed event through a sink — here the [`PruneMachine`] (as a
-//! [`MachineSink`]), whose kept bytes are flushed to the writer after
-//! every feed; in a [`crate::QueryMachine`] that or the path NFA. The
+//! completed event through a sink — here the [`PruneMachine`] (under a
+//! `MachineSink`, optionally validating), whose kept bytes are flushed to
+//! the writer after every feed; in a [`crate::QueryMachine`] that or the
+//! path NFA. A whole in-memory string is the one-feed case. The
 //! only engine-resident state is the tokenizer's incomplete-token tail,
 //! the sink's open-element stack, and the bytes the sink has rendered
 //! but not yet handed on — every pass's `finish` *asserts* the resulting
@@ -16,12 +17,10 @@
 use crate::metrics::EngineStats;
 use std::borrow::Borrow;
 use std::io::{Read, Write};
-use xproj_core::{
-    MachineSink, Projector, PruneCounters, PruneMachine, StreamPruneError, Validator,
-};
-use xproj_dtd::Dtd;
+use xproj_core::{Projector, PruneCounters, PruneMachine, StartOutcome, StreamPruneError};
+use xproj_dtd::{Dtd, LivePositions, NameId};
 use xproj_xmltree::entities::ParseError;
-use xproj_xmltree::push::{Drained, PushTokenizer, TokenSink};
+use xproj_xmltree::push::{is_xml_space, Drained, PushTokenizer, TokenSink};
 use xproj_xmltree::KeptEvents;
 
 /// Default read size for [`ChunkedPruner::run`].
@@ -189,11 +188,171 @@ impl Pass {
     }
 }
 
+/// A [`PruneMachine`] under the token loop: each event runs the machine,
+/// kept events go to `out`.
+///
+/// With a [`Validator`] attached the pass also validates (§6: "prune the
+/// document while validating it"): every event first advances the
+/// content-model automaton of the open element — pruned elements
+/// included, they must still be valid — and only then reaches the
+/// machine, and no subtree is ever reported skippable.
+pub(crate) struct MachineSink<'a, D: Borrow<Dtd>, K> {
+    machine: &'a mut PruneMachine<D>,
+    out: &'a mut K,
+    /// What `out` had rendered when the sink was made.
+    from: usize,
+    validator: Option<&'a mut Validator>,
+}
+
+impl<'a, D: Borrow<Dtd>, K: KeptEvents> MachineSink<'a, D, K> {
+    /// Sits `machine` under a drain, sending kept events to `out`;
+    /// `validator`, if any, checks every event against the machine's
+    /// grammar first.
+    pub(crate) fn new(
+        machine: &'a mut PruneMachine<D>,
+        out: &'a mut K,
+        validator: Option<&'a mut Validator>,
+    ) -> Self {
+        MachineSink {
+            machine,
+            from: out.rendered(),
+            out,
+            validator,
+        }
+    }
+}
+
+impl<D: Borrow<Dtd>, K: KeptEvents> TokenSink for MachineSink<'_, D, K> {
+    type Error = EngineError;
+
+    fn start(&mut self, name: &str, attrs_raw: &str) -> Result<bool, EngineError> {
+        if let Some(v) = &mut self.validator {
+            v.start(self.machine.dtd(), name)?;
+        }
+        let outcome = self.machine.start_element_raw(name, attrs_raw, self.out)?;
+        // A validating pass must see every event.
+        Ok(self.validator.is_none() && outcome == StartOutcome::PrunedSubtree)
+    }
+
+    fn end(&mut self, name: &str) -> Result<(), EngineError> {
+        if let Some(v) = &mut self.validator {
+            v.end(self.machine.dtd(), name)?;
+        }
+        self.machine.end_element(name, self.out);
+        Ok(())
+    }
+
+    fn text(&mut self, decoded: &str) -> Result<(), EngineError> {
+        if let Some(v) = &mut self.validator {
+            v.text(self.machine.dtd(), decoded)?;
+        }
+        self.machine.text(decoded, self.out);
+        Ok(())
+    }
+}
+
 /// The pruning sink stages the kept bytes it rendered and has not
 /// handed on — none when it builds a tree, which is answer-side.
-impl<D: Borrow<Dtd>, K: KeptEvents> Stage for MachineSink<'_, D, EngineError, K> {
+impl<D: Borrow<Dtd>, K: KeptEvents> Stage for MachineSink<'_, D, K> {
     fn staged(&self) -> usize {
-        self.rendered()
+        self.out.rendered() - self.from
+    }
+}
+
+/// The state of a fused validating pass: one `(name, live positions)`
+/// pair per open element, kept or pruned — O(depth). It lives outside
+/// the per-drain [`MachineSink`] so a [`ChunkedPruner`] can carry it from
+/// one feed to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Validator {
+    open: Vec<(NameId, LivePositions)>,
+    max_depth: usize,
+}
+
+fn invalid(m: String) -> StreamPruneError {
+    StreamPruneError::Xml(format!("validation: {m}"))
+}
+
+impl Validator {
+    fn start(&mut self, dtd: &Dtd, name: &str) -> Result<(), StreamPruneError> {
+        let nm = dtd
+            .name_of_tag_str(name)
+            .ok_or_else(|| StreamPruneError::UndeclaredElement(name.to_string()))?;
+        // The root must match; children advance the parent's automaton.
+        match self.open.last_mut() {
+            None => {
+                if nm != dtd.root() {
+                    return Err(invalid(format!(
+                        "root element '{name}' does not match DTD root '{}'",
+                        dtd.label(dtd.root())
+                    )));
+                }
+            }
+            Some((parent, states)) => {
+                let auto = dtd
+                    .automaton(*parent)
+                    .expect("open elements have content models");
+                if !auto.step(states, nm) {
+                    return Err(invalid(format!(
+                        "element '{name}' not allowed here inside '{}'",
+                        dtd.label(*parent)
+                    )));
+                }
+            }
+        }
+        let states = dtd
+            .automaton(nm)
+            .expect("element names have content models")
+            .start();
+        self.open.push((nm, states));
+        self.max_depth = self.max_depth.max(self.open.len());
+        Ok(())
+    }
+
+    fn end(&mut self, dtd: &Dtd, name: &str) -> Result<(), StreamPruneError> {
+        let (nm, states) = self.open.pop().expect("the token loop guarantees balance");
+        let auto = dtd.automaton(nm).expect("content model");
+        if !auto.accepts(&states) {
+            return Err(invalid(format!(
+                "content of '{name}' does not match its model"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Steps the open element's model on a text run. A run that is all
+    /// XML `S` is no text node (the tree parser drops it too), so it is
+    /// valid anywhere.
+    fn text(&mut self, dtd: &Dtd, decoded: &str) -> Result<(), StreamPruneError> {
+        let Some((parent, states)) = self.open.last_mut() else {
+            return Ok(());
+        };
+        if decoded.bytes().all(is_xml_space) {
+            return Ok(());
+        }
+        let Some(tn) = dtd.text_children_of(*parent).iter().next() else {
+            return Err(invalid(format!(
+                "text not allowed inside '{}'",
+                dtd.label(*parent)
+            )));
+        };
+        let auto = dtd.automaton(*parent).expect("content model");
+        if !auto.step(states, tn) {
+            return Err(invalid(format!(
+                "text not allowed at this position inside '{}'",
+                dtd.label(*parent)
+            )));
+        }
+        Ok(())
+    }
+
+    /// Ends the pass: the document's nesting depth (pruned elements
+    /// included), or the error for a document with no root element.
+    fn finish(&self) -> Result<usize, StreamPruneError> {
+        if self.max_depth == 0 {
+            return Err(invalid("document has no root element".to_string()));
+        }
+        Ok(self.max_depth)
     }
 }
 
@@ -322,10 +481,27 @@ impl<D: Borrow<Dtd>, W: Write> ChunkedPruner<D, W> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use xproj_core::{prune_str, StaticAnalyzer};
+    use xproj_core::StaticAnalyzer;
     use xproj_dtd::parse_dtd;
+
+    /// The whole-string pass: `doc` as one feed, then `finish`.
+    pub(crate) fn one_feed(
+        doc: &str,
+        dtd: &Dtd,
+        p: &Projector,
+        fast_forward: bool,
+        validate: bool,
+    ) -> Result<(String, EngineStats), EngineError> {
+        let mut out = Vec::new();
+        let mut pruner = ChunkedPruner::new(dtd, p, &mut out);
+        pruner.set_fast_forward(fast_forward);
+        pruner.set_validate(validate);
+        pruner.feed(doc.as_bytes())?;
+        let stats = pruner.finish()?;
+        Ok((String::from_utf8(out).expect("kept bytes are UTF-8"), stats))
+    }
 
     const DTD: &str = "\
         <!ELEMENT bib (book*)>\
@@ -354,19 +530,19 @@ mod tests {
         let mut sa = StaticAnalyzer::new(&dtd);
         for q in ["/bib/book/title", "/bib/book[price]/author", "//price"] {
             let p = sa.project_query(q).unwrap();
-            let whole = prune_str(DOC, &dtd, &p).unwrap();
+            let (whole, c) = one_feed(DOC, &dtd, &p, false, false).unwrap();
             for size in [1, 2, 3, 7, 16, 64, 4096] {
                 let (out, stats) = chunked(DOC, &dtd, &p, size);
                 assert_eq!(
                     String::from_utf8(out).unwrap(),
-                    whole.output,
+                    whole,
                     "query {q}, chunk size {size}"
                 );
-                assert_eq!(stats.counters.elements_kept, whole.elements_kept);
-                assert_eq!(stats.counters.text_kept, whole.text_kept);
-                assert_eq!(stats.counters.max_depth, whole.max_depth);
+                assert_eq!(stats.counters.elements_kept, c.counters.elements_kept);
+                assert_eq!(stats.counters.text_kept, c.counters.text_kept);
+                assert_eq!(stats.counters.max_depth, c.counters.max_depth);
                 assert_eq!(stats.bytes_in, DOC.len() as u64);
-                assert_eq!(stats.bytes_out, whole.output.len() as u64);
+                assert_eq!(stats.bytes_out, whole.len() as u64);
             }
         }
     }

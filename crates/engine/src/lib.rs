@@ -1,18 +1,19 @@
 //! **xproj-engine** — the serving-shaped projection pipeline.
 //!
-//! The core crates implement the paper's algorithms over complete
-//! in-memory strings; this crate turns them into a deployable engine
-//! (§6's "faster than parsing, O(depth) memory" deployment mode, and
-//! the journal version's fused streaming emphasis). One loop, one pass,
-//! one bound — every pass owns the same private driver of the
-//! `xproj_xmltree::push` token loop and differs only in the sink under
-//! it, and every pass's `finish` **asserts** its resident peak under
-//! [`residency_bound`]: O(depth + max token + max chunk), never
-//! O(document).
+//! The core crates implement the paper's analysis and its per-event
+//! pruning machine; this crate is the one pass that drives that machine
+//! over bytes, and turns it into a deployable engine (§6's "faster than
+//! parsing, O(depth) memory" deployment mode, and the journal version's
+//! fused streaming emphasis). One loop, one pass, one bound — every pass
+//! owns the same private driver of the `xproj_xmltree::push` token loop
+//! and differs only in the sink under it, and every pass's `finish`
+//! **asserts** its resident peak under [`residency_bound`]: O(depth +
+//! max token + max chunk), never O(document).
 //!
 //! * [`chunked`] — [`ChunkedPruner`]: incremental push-mode pruning,
-//!   bytes in by `feed` (or a whole `io::Read` by `run`), kept bytes out
-//!   to an `io::Write`, with [`xproj_core::PruneMachine`] as the sink.
+//!   bytes in by `feed` (a whole in-memory string is one `feed`, a whole
+//!   `io::Read` is `run`), kept bytes out to an `io::Write`, with
+//!   [`xproj_core::PruneMachine`] as the sink.
 //!   Two flags: `set_fast_forward` (default on; off makes the pass a full
 //!   well-formedness check) and `set_validate` (§6's "prune while
 //!   validating", the content-model states carried from feed to feed).
@@ -73,8 +74,12 @@ pub mod query;
 
 pub use chunked::{residency_bound, ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 pub use metrics::{error_json_line, EngineStats};
-pub use query::{json_escape_into, QueryMachine, QueryOutput, QueryStats};
+pub use query::{QueryMachine, QueryOutput, QueryStats};
 pub use xproj_qc::{
     normalize_query, ArtifactCache, ArtifactCacheStats, Lookup, PendingCompile, QueryArtifact,
     LOOP_COMPILE_STEPS,
 };
+
+#[cfg(test)]
+#[path = "stream_tests.rs"]
+mod stream;

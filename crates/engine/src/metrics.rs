@@ -7,7 +7,7 @@
 //! one-JSON-object-per-line format. They are counts, not times: how long
 //! a layer takes is the `benchmark/` ledger's to measure.
 
-use xproj_core::{ErrorCode, PruneCounters};
+use xproj_core::{json_escape, ErrorCode, PruneCounters};
 use xproj_qc::ArtifactCacheStats;
 
 /// End-to-end statistics for one chunked pruning run (or an aggregate
@@ -103,11 +103,10 @@ impl EngineStats {
 /// human-readable message (escaped), in the same `grep '^{' | jq`
 /// collectable shape.
 pub fn error_json_line(label: &str, code: ErrorCode, message: &str) -> String {
-    let mut escaped = String::with_capacity(message.len());
-    crate::query::json_escape_into(message, &mut escaped);
     format!(
-        "{{\"group\":\"engine\",\"bench\":\"{label}\",\"error\":\"{}\",\"message\":\"{escaped}\"}}",
+        "{{\"group\":\"engine\",\"bench\":\"{label}\",\"error\":\"{}\",\"message\":\"{}\"}}",
         code.as_str(),
+        json_escape(message),
     )
 }
 

@@ -47,10 +47,10 @@
 
 use std::sync::Arc;
 
-use crate::chunked::{EngineError, Pass, Stage};
+use crate::chunked::{EngineError, MachineSink, Pass, Stage};
 use crate::metrics::EngineStats;
 use xproj_core::{
-    MachineSink, ProjectorTable, PruneCounters, PruneMachine, StreamPruneError, Verdict,
+    json_escape_into, ProjectorTable, PruneCounters, PruneMachine, StreamPruneError, Verdict,
 };
 use xproj_dtd::{Dtd, NameId};
 use xproj_qc::{Plan, QueryArtifact, StepAxis, StepInstr, StepTest};
@@ -846,33 +846,11 @@ impl QueryMachine {
     }
 }
 
-/// Escapes `s` into `out` as JSON string contents (UTF-8 passes through
-/// verbatim; only quotes, backslashes and control bytes are escaped).
-pub fn json_escape_into(s: &str, out: &mut String) {
-    let mut rest = s;
-    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        out.push_str(&rest[..i]);
-        match rest.as_bytes()[i] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            b => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-        // The escaped byte is ASCII, so a char boundary follows it.
-        rest = &rest[i + 1..];
-    }
-    out.push_str(rest);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xproj_core::{prune_str, ErrorCode};
+    use crate::chunked::tests::one_feed;
+    use xproj_core::ErrorCode;
     use xproj_dtd::parse_dtd;
     use xproj_xquery::{evaluate_query, parse_xquery};
 
@@ -1132,7 +1110,7 @@ mod tests {
 
     fn pruned(query: &str) -> String {
         let art = artifact(query);
-        prune_str(DOC, &art.dtd, &art.projector).unwrap().output
+        one_feed(DOC, &art.dtd, &art.projector, false, false).unwrap().0
     }
 
     #[test]
@@ -1141,7 +1119,7 @@ mod tests {
         // irrelevant to a pruning pass.
         for q in ["/bib/book/title", "count(//book)"] {
             let art = artifact(q);
-            let want = prune_str(DOC, &art.dtd, &art.projector).unwrap();
+            let (want, c) = one_feed(DOC, &art.dtd, &art.projector, false, false).unwrap();
             for size in [1, 3, 16, 4096] {
                 let mut m = QueryMachine::new(Arc::clone(&art), QueryOutput::Pruned);
                 let mut out = Vec::new();
@@ -1154,11 +1132,11 @@ mod tests {
                 let stats = m.finish().unwrap();
                 m.take_output(&mut out);
                 assert_eq!(m.pending_output(), 0);
-                assert_eq!(String::from_utf8(out).unwrap(), want.output, "{q}, chunk {size}");
+                assert_eq!(String::from_utf8(out).unwrap(), want, "{q}, chunk {size}");
                 assert_eq!(stats.plan, "prune");
                 assert_eq!(stats.matches, 0);
-                assert_eq!(stats.engine.counters.elements_kept, want.elements_kept);
-                assert_eq!(stats.engine.bytes_out, want.output.len() as u64);
+                assert_eq!(stats.engine.counters.elements_kept, c.counters.elements_kept);
+                assert_eq!(stats.engine.bytes_out, want.len() as u64);
             }
         }
     }

@@ -7,8 +7,9 @@
 //! mid-tag, mid-entity and mid-CDATA — and checks that feeding the
 //! chunks through the engine produces exactly the bytes of
 //! `prune_document` on the tree (an oracle that shares no code with the
-//! token loop: the whole-string `prune_str*` are the one-chunk case of
-//! the same loop, so they are checked here too, not trusted), with
+//! token loop: the whole string as one feed, fast-forward off and on, is
+//! the one-chunk case of the same loop, so it is checked here too, not
+//! trusted), with
 //! matching counters. The engine's `finish()` additionally asserts the
 //! O(depth + max-token) resident-memory bound on every case. The same
 //! triples then go through a `QueryMachine` in `Pruned` mode — the owned
@@ -21,15 +22,37 @@
 //! setting that variable re-runs exactly the failing case.
 //! `TESTKIT_CASES=n` overrides the case count.
 
-use xproj_core::{prune_document, prune_str, prune_str_fast, StaticAnalyzer};
+use xproj_core::{prune_document, Projector, StaticAnalyzer};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS};
 use xproj_dtd::{validate, Dtd};
 use std::sync::Arc;
-use xproj_engine::{residency_bound, ChunkedPruner, QueryArtifact, QueryMachine, QueryOutput};
+use xproj_engine::{
+    residency_bound, ChunkedPruner, EngineError, EngineStats, QueryArtifact, QueryMachine,
+    QueryOutput,
+};
 use xproj_testkit::{seeded, SplitMix64};
 use xproj_xmltree::Document;
 
 const FUZZ_CASES: u32 = 300;
+
+/// The whole string as one `ChunkedPruner` feed: the pruned bytes and
+/// the pass's stats.
+fn one_feed(
+    xml: &str,
+    dtd: &Dtd,
+    p: &Projector,
+    fast_forward: bool,
+) -> Result<(String, EngineStats), EngineError> {
+    let mut out = Vec::new();
+    let mut pruner = ChunkedPruner::new(dtd, p, &mut out);
+    pruner.set_fast_forward(fast_forward);
+    pruner.feed(xml.as_bytes())?;
+    let stats = pruner.finish()?;
+    Ok((
+        String::from_utf8(out).expect("engine output is UTF-8"),
+        stats,
+    ))
+}
 
 /// A random XPathℓ query over the random-DTD tag alphabet.
 fn random_query(rng: &mut SplitMix64) -> String {
@@ -179,22 +202,24 @@ fn run_case(seed: u64) {
     let interp = validate(&doc, &dtd).expect("generated document must be valid");
     let oracle = prune_document(&doc, &dtd, &interp, &projector).to_xml();
 
-    let whole = prune_str(&xml, &dtd, &projector)
-        .unwrap_or_else(|e| panic!("prune_str failed on generated doc: {e}"));
+    let (whole_out, whole) = one_feed(&xml, &dtd, &projector, false)
+        .unwrap_or_else(|e| panic!("one feed failed on generated doc: {e}"));
+    let whole = whole.counters;
     assert_eq!(
-        whole.output, oracle,
-        "prune_str diverged from prune_document for {q}\ndoc: {xml}"
+        whole_out, oracle,
+        "one feed diverged from prune_document for {q}\ndoc: {xml}"
     );
 
     // The whole-string fast-forward run on the same triple:
     // byte-identical output, identical counters except `text_pruned`
     // (text in raw-skipped subtrees is never tokenized, hence never
     // counted).
-    let fast = prune_str_fast(&xml, &dtd, &projector)
-        .unwrap_or_else(|e| panic!("prune_str_fast failed for {q}: {e}\ndoc: {xml}"));
+    let (fast_out, fast) = one_feed(&xml, &dtd, &projector, true)
+        .unwrap_or_else(|e| panic!("one fast-forward feed failed for {q}: {e}\ndoc: {xml}"));
+    let fast = fast.counters;
     assert_eq!(
-        fast.output, oracle,
-        "prune_str_fast diverged from prune_document for {q}\ndoc: {xml}"
+        fast_out, oracle,
+        "one fast-forward feed diverged from prune_document for {q}\ndoc: {xml}"
     );
     assert_eq!(fast.elements_kept, whole.elements_kept, "for {q}");
     assert_eq!(fast.elements_pruned, whole.elements_pruned, "for {q}");
@@ -231,7 +256,7 @@ fn run_case(seed: u64) {
         assert_eq!(stats.counters.text_kept, whole.text_kept, "for {q}");
         assert_eq!(stats.counters.max_depth, whole.max_depth, "for {q}");
         assert_eq!(stats.bytes_in, xml.len() as u64);
-        assert_eq!(stats.bytes_out, whole.output.len() as u64);
+        assert_eq!(stats.bytes_out, whole_out.len() as u64);
         if !fast_forward {
             assert_eq!(stats.counters.text_pruned, whole.text_pruned, "for {q}");
         }
@@ -269,9 +294,10 @@ fn fast_forward_survives_every_chunk_boundary() {
                <note k=\"a > b\"><!-- </note> --><note><![CDATA[</note>]]]]></note>\
                t &amp; t<?pi </note> ?></note><note/></book>\
                <book><title>T2</title><note>x</note></book></bib>";
-    let whole = prune_str(xml, &dtd, &projector).unwrap();
+    let (whole_out, whole) = one_feed(xml, &dtd, &projector, false).unwrap();
+    let whole = whole.counters;
     assert_eq!(
-        whole.output,
+        whole_out,
         "<bib><book><title>T1</title></book><book><title>T2</title></book></bib>"
     );
     let bytes = xml.as_bytes();
@@ -288,12 +314,12 @@ fn fast_forward_survives_every_chunk_boundary() {
     for at in 0..=bytes.len() {
         assert_eq!(
             run(&[&bytes[..at], &bytes[at..]]),
-            whole.output,
+            whole_out,
             "two-chunk split at byte {at}"
         );
     }
     let one_byte: Vec<&[u8]> = (0..bytes.len()).map(|i| &bytes[i..i + 1]).collect();
-    assert_eq!(run(&one_byte), whole.output, "1-byte chunks");
+    assert_eq!(run(&one_byte), whole_out, "1-byte chunks");
 }
 
 /// The XMark differential: a realistic XMark auction document (deep

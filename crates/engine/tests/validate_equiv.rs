@@ -1,16 +1,16 @@
 //! Streamed validation ≡ whole-string validation.
 //!
 //! `ChunkedPruner::set_validate` carries the validator's open-element
-//! automaton states from feed to feed; `prune_validate_str` runs the same
-//! sink over the whole input in one go. At **every** two-chunk split of
-//! every document below — valid, DTD-invalid, malformed, truncated,
-//! mutated — both must agree exactly: the same pruned bytes and counters
-//! on success, the same *first* error otherwise. A validator that was
-//! rebuilt per feed (or lost its stack at a boundary) fails the first
+//! automaton states from feed to feed; the whole string as one feed
+//! needs no carrying. At **every** two-chunk split of every document
+//! below — valid, DTD-invalid, malformed, truncated, mutated — both must
+//! agree exactly: the same pruned bytes and counters on success, the
+//! same *first* error (variant and message) otherwise. A validator that
+//! was rebuilt per feed (or lost its stack at a boundary) fails the first
 //! split that lands inside the root element.
 //!
-//! The corpus is the one `crates/core/tests/stream_errors.rs` holds the
-//! whole-string pruners to, plus models where text tokens can be
+//! The corpus is the one `stream_errors.rs` holds the one-feed passes
+//! to, plus models where text tokens can be
 //! adjacent (mixed content; text broken up by comments and CDATA) — the
 //! shape on which tree-side and stream-side validation once diverged.
 //!
@@ -19,31 +19,26 @@
 //! `dtd::validate` on the parsed tree (whose parser drops runs of XML
 //! `S`) accepts exactly what the validating pass accepts.
 
-use xproj_core::{prune_validate_str, Projector, StaticAnalyzer, StreamPruneError};
+use xproj_core::{Projector, PruneCounters, StaticAnalyzer};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig};
 use xproj_dtd::{parse_dtd, validate, Dtd};
 use xproj_engine::{ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 use xproj_testkit::{seeded, SplitMix64};
 use xproj_xmltree::parse_with_interner;
 
-/// The streamed validating prune of `a` then `b`, in the whole-string
-/// function's terms.
-fn streamed(
-    dtd: &Dtd,
-    p: &Projector,
-    a: &[u8],
-    b: &[u8],
-) -> Result<(String, xproj_core::PruneCounters), StreamPruneError> {
+/// The validating prune of `chunks`, fed in order: the pruned bytes and
+/// counters, or the error's variant and message (`EngineError` is not
+/// `PartialEq`: it may hold an `io::Error`).
+fn streamed(dtd: &Dtd, p: &Projector, chunks: &[&[u8]]) -> Result<(String, PruneCounters), String> {
     let mut out = Vec::new();
     let mut pruner = ChunkedPruner::new(dtd, p, &mut out);
     pruner.set_validate(true);
-    let stats = pruner
-        .feed(a)
-        .and_then(|()| pruner.feed(b))
+    let stats = chunks
+        .iter()
+        .try_for_each(|chunk| pruner.feed(chunk))
         .and_then(|()| pruner.finish())
         .map_err(|e| match e {
-            EngineError::Xml(e) => StreamPruneError::from(e),
-            EngineError::Prune(e) => e,
+            EngineError::Xml(_) | EngineError::Prune(_) => format!("{e:?}"),
             other => panic!("unexpected engine error: {other}"),
         })?;
     assert_eq!(
@@ -70,38 +65,11 @@ fn assert_verdicts_agree(dtd: &Dtd, input: &str) {
 
 fn assert_every_split_agrees(dtd: &Dtd, p: &Projector, input: &str) {
     assert_verdicts_agree(dtd, input);
-    let want = prune_validate_str(input, dtd, p);
+    let want = streamed(dtd, p, &[input.as_bytes()]);
     let bytes = input.as_bytes();
     for at in 0..=bytes.len() {
-        let got = streamed(dtd, p, &bytes[..at], &bytes[at..]);
-        match (&want, &got) {
-            (Ok(w), Ok((output, c))) => {
-                assert_eq!(output, &w.output, "split {at} of {input:?}");
-                assert_eq!(
-                    (
-                        c.elements_kept,
-                        c.elements_pruned,
-                        c.text_kept,
-                        c.text_pruned,
-                        c.max_depth
-                    ),
-                    (
-                        w.elements_kept,
-                        w.elements_pruned,
-                        w.text_kept,
-                        w.text_pruned,
-                        w.max_depth
-                    ),
-                    "split {at} of {input:?}"
-                );
-            }
-            (Err(w), Err(g)) => assert_eq!(g, w, "split {at} of {input:?}"),
-            _ => panic!(
-                "split {at} of {input:?}: whole-string {:?}, streamed {:?}",
-                want.as_ref().map(|r| &r.output),
-                got.as_ref().map(|r| &r.0)
-            ),
-        }
+        let got = streamed(dtd, p, &[&bytes[..at], &bytes[at..]]);
+        assert_eq!(got, want, "split {at} of {input:?}");
     }
 }
 
@@ -206,11 +174,15 @@ fn random_documents_and_truncations_agree() {
         }
         for input in [&xml[..], &xml[..cut]] {
             assert_verdicts_agree(&dtd, input);
-            let want = prune_validate_str(input, &dtd, &p).map(|r| r.output);
+            let want = streamed(&dtd, &p, &[input.as_bytes()]).map(|r| r.0);
             for _ in 0..8 {
                 let at = rng.below(input.len() + 1);
-                let got = streamed(&dtd, &p, &input.as_bytes()[..at], &input.as_bytes()[at..])
-                    .map(|r| r.0);
+                let got = streamed(
+                    &dtd,
+                    &p,
+                    &[&input.as_bytes()[..at], &input.as_bytes()[at..]],
+                )
+                .map(|r| r.0);
                 assert_eq!(got, want, "split {at} of {input:?}");
             }
         }

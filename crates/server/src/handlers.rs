@@ -124,7 +124,7 @@ pub(crate) fn dtd_reply(state: &ServerState, head: &RequestHead, body: &[u8]) ->
             let (id, names) = state.register_dtd(dtd);
             Reply::json(format!(
                 "{{\"id\":\"{id:016x}\",\"root\":\"{}\",\"names\":{names}}}",
-                crate::http::json_escape(root)
+                xproj_core::json_escape(root)
             ))
         }
         Err(e) => Reply::err(400, codes::DTD_PARSE, e.to_string()),

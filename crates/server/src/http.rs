@@ -4,6 +4,8 @@
 //! parsers and [`crate::conn`] the connection state machine that uses
 //! both.
 
+use xproj_core::json_escape;
+
 /// Protocol-level failures of one request.
 #[derive(Debug)]
 pub enum HttpError {
@@ -241,13 +243,6 @@ pub fn body_kind(head: &RequestHead) -> Result<BodyKind, HttpError> {
         kind = BodyKind::Length(n);
     }
     Ok(kind)
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    xproj_engine::json_escape_into(s, &mut out);
-    out
 }
 
 /// The reason phrase for the status codes this server emits.

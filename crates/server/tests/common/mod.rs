@@ -9,8 +9,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
-use xproj_dtd::parse_dtd;
-use xproj_engine::{QueryArtifact, QueryMachine, QueryOutput};
+use xproj_core::Projector;
+use xproj_dtd::{parse_dtd, Dtd};
+use xproj_engine::{ChunkedPruner, EngineError, QueryArtifact, QueryMachine, QueryOutput};
 use xproj_server::{Server, ServerConfig, ServerState, ShutdownReport};
 use xproj_testkit::{urlencode, HttpClient};
 
@@ -146,13 +147,23 @@ pub fn small_config() -> ServerConfig {
     }
 }
 
+/// `doc` pruned by `projector` as one `ChunkedPruner` feed with
+/// fast-forward off (every byte tokenized): the bytes a `/v1/prune`
+/// response must equal.
+pub fn prune_str(doc: &str, dtd: &Dtd, projector: &Projector) -> Result<String, EngineError> {
+    let mut out = Vec::new();
+    let mut pruner = ChunkedPruner::new(dtd, projector, &mut out);
+    pruner.set_fast_forward(false);
+    pruner.feed(doc.as_bytes())?;
+    pruner.finish()?;
+    Ok(String::from_utf8(out).expect("kept bytes are UTF-8"))
+}
+
 /// What `prune_str` makes of [`BIB_DOC`] under `query`.
 pub fn expected_bib_prune(query: &str) -> String {
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
     let projector = &QueryArtifact::compile(&dtd, query).unwrap().projector;
-    xproj_core::prune_str(BIB_DOC, &dtd, projector)
-        .unwrap()
-        .output
+    prune_str(BIB_DOC, &dtd, projector).unwrap()
 }
 
 /// What the in-process engine makes of `doc` under `artifact`, fed

@@ -5,10 +5,10 @@
 //! Covers the protocol edges — chunked request/response round-trips,
 //! oversized-header/body rejection, pipelined keep-alive requests,
 //! mid-body client disconnect — plus the two differential oracles:
-//! bytes pruned over HTTP are identical to [`xproj_core::prune_str`],
-//! and `/v1/query` answers are identical to the reference evaluator
-//! over the unpruned tree, on testkit-generated (DTD, document, query)
-//! triples; and the drain, backpressure, admission, rate-limit,
+//! bytes pruned over HTTP are identical to the engine's pass over the
+//! whole document as one feed (`common::prune_str`), and `/v1/query`
+//! answers are identical to the reference evaluator over the unpruned
+//! tree, on testkit-generated (DTD, document, query) triples; and the drain, backpressure, admission, rate-limit,
 //! accept-stall and thousand-idle-connection behaviour that needs a kernel
 //! to show. Schedules no
 //! socket can force (read fragmentation, partial writes, completion
@@ -159,7 +159,7 @@ fn prune_content_length_roundtrip() {
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
     let query = "/bib/book/title";
     let projector = &QueryArtifact::compile(&dtd, query).unwrap().projector;
-    let expected = xproj_core::prune_str(BIB_DOC, &dtd, projector).unwrap().output;
+    let expected = prune_str(BIB_DOC, &dtd, projector).unwrap();
 
     let mut c = srv.client();
     let resp = c
@@ -187,7 +187,7 @@ fn prune_chunked_roundtrip_streams_response() {
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
     let query = "/bib/book/title";
     let projector = &QueryArtifact::compile(&dtd, query).unwrap().projector;
-    let expected = xproj_core::prune_str(BIB_DOC, &dtd, projector).unwrap().output;
+    let expected = prune_str(BIB_DOC, &dtd, projector).unwrap();
 
     // Feed the document in deliberately awkward 7-byte chunks so HTTP
     // chunk boundaries land mid-token.
@@ -446,7 +446,7 @@ fn pipelined_keep_alive_requests() {
 
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
     let projector = &QueryArtifact::compile(&dtd, "/bib/book/title").unwrap().projector;
-    let expected = xproj_core::prune_str(BIB_DOC, &dtd, projector).unwrap().output;
+    let expected = prune_str(BIB_DOC, &dtd, projector).unwrap();
 
     // Three requests on the wire before reading any response; the
     // server must answer them in order on the same connection.
@@ -515,7 +515,7 @@ fn mid_body_disconnect_leaves_server_healthy() {
 }
 
 /// The differential criterion: HTTP-streamed pruning is
-/// byte-identical to `core::prune_str` on testkit-generated
+/// byte-identical to `common::prune_str` on testkit-generated
 /// (DTD, document, query) triples.
 #[test]
 fn differential_http_prune_matches_prune_str() {
@@ -542,9 +542,8 @@ fn differential_http_prune_matches_prune_str() {
             Ok(a) => a,
             Err(_) => continue, // not a projectable query; skip
         };
-        let expected = xproj_core::prune_str(&xml, &dtd, &artifact.projector)
-            .unwrap_or_else(|e| panic!("case {case}: prune_str failed: {e}"))
-            .output;
+        let expected = prune_str(&xml, &dtd, &artifact.projector)
+            .unwrap_or_else(|e| panic!("case {case}: prune_str failed: {e}"));
 
         let id = srv.register_dtd(&text, root);
         // Chunk size varies per case so boundaries shift around.
@@ -917,7 +916,7 @@ fn cold_compiles_run_on_the_loop_within_the_step_budget() {
             run_query(&artifact, SITE_DOC, QueryOutput::Frames, true, 7)
         } else {
             let doc = std::str::from_utf8(SITE_DOC).unwrap();
-            xproj_core::prune_str(doc, &dtd, &artifact.projector).unwrap().output.into_bytes()
+            prune_str(doc, &dtd, &artifact.projector).unwrap().into_bytes()
         };
         assert_eq!(resp.body, expected, "{endpoint} {q}");
         let after = counters();
@@ -1165,7 +1164,7 @@ fn slow_reader_backpressure_bounds_residency() {
         doc.push_str(one_book);
     }
     doc.push_str("</bib>");
-    let expected = xproj_core::prune_str(&doc, &dtd, projector).unwrap().output;
+    let expected = prune_str(&doc, &dtd, projector).unwrap();
     assert!(
         expected.len() > doc.len() / 2,
         "the query must retain most of the document for output \

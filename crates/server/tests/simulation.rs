@@ -29,7 +29,7 @@
 
 mod common;
 
-use common::run_query;
+use common::{prune_str, run_query};
 use std::io::IoSlice;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -591,8 +591,8 @@ fn random_script(rng: &mut SplitMix64) -> Script {
             2 | 3 => {
                 let q = *rng.pick(&prune_queries);
                 let artifact = QueryArtifact::compile(&dtd, q).unwrap();
-                let pruned = xproj_core::prune_str(&doc, &dtd, &artifact.projector).unwrap();
-                engine_bodies.push((responses, pruned.output.into_bytes()));
+                let pruned = prune_str(&doc, &dtd, &artifact.projector).unwrap();
+                engine_bodies.push((responses, pruned.into_bytes()));
                 bytes.extend(request("POST", &stream_target("prune", q), expect, body));
             }
             _ => {

@@ -16,8 +16,8 @@
 //! * a [`serializer`](Document::to_xml) producing well-formed XML,
 //! * the one incremental tokenizer ([`push::PushTokenizer`]) whose
 //!   [`feed`](push::PushTokenizer::feed) loop feeds every XML consumer
-//!   in the workspace — the tree parser here, the streaming pruner in
-//!   `xproj-core`, the engines above it — through [`push::TokenSink`].
+//!   in the workspace — the tree parser here, the engine's pruning and
+//!   query passes above it — through [`push::TokenSink`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

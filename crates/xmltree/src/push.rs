@@ -1092,9 +1092,9 @@ impl PushTokenizer {
 }
 
 /// Runs a complete in-memory document through `sink`: the one-chunk
-/// case of the push loop, for callers that hold the whole input (the
-/// tree parser, `prune_str*`, the retention sampler, the CLI). Only a
-/// trailing text run is copied.
+/// case of the push loop, for callers that hold the whole input and
+/// render no pruned bytes (the tree parser, the retention sampler, the
+/// CLI's DOCTYPE sniff). Only a trailing text run is copied.
 pub fn drain_str<S: TokenSink>(
     input: &str,
     sink: &mut S,

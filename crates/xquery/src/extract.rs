@@ -9,12 +9,13 @@
 //! environment Γ maps in-scope variables to the paths of their bindings,
 //! tagged `for` or `let`.
 //!
-//! The heuristic rewrites
+//! The heuristic extracts
 //! `for $y in Q/descendant-or-self::node() return if C($y) then q else ()`
-//! into `for $y in Q/descendant-or-self::node()[C(self)] return q`
-//! *for extraction only* — evaluation uses the original query — which is
-//! what lets predicates keep pruning where purely path-based extraction
-//! (Marian–Siméon) degenerates to "keep everything" (§5).
+//! as `for $y in Q/descendant-or-self::node()[C(self)] return q`
+//! *for extraction only* — evaluation uses the original query, and the
+//! query itself is never rewritten — which is what lets predicates keep
+//! pruning where purely path-based extraction (Marian–Siméon)
+//! degenerates to "keep everything" (§5).
 
 use crate::ast::XQuery;
 use std::collections::HashMap;
@@ -61,8 +62,7 @@ impl Gamma {
 
 /// Extracts the data-need paths of a closed query (`E(q, ∅, 1)`).
 pub fn extract_paths(q: &XQuery) -> Vec<LPath> {
-    let rewritten = rewrite_for_extraction(q.clone());
-    let mut out = extract(&rewritten, &Gamma::default(), 1);
+    let mut out = extract(q, &Gamma::default(), 1);
     dedup_paths(&mut out);
     out
 }
@@ -147,8 +147,13 @@ fn extract(q: &XQuery, gamma: &Gamma, m: u8) -> Vec<LPath> {
             out.extend(extract(cond, &g2, 0));
             out
         }
-        // 16. for
+        // 16. for, with the §5 heuristic applied in place
         XQuery::For { var, source, body } => {
+            let filtered = filtered_for(var, source, body);
+            let (source, body) = match &filtered {
+                Some((source, then)) => (source, *then),
+                None => (source.as_ref(), body.as_ref()),
+            };
             let src = extract(source, gamma, 0);
             let mut g2 = gamma.clone();
             g2.vars
@@ -337,92 +342,31 @@ fn nested_var_needs(e: &Expr, gamma: &Gamma) -> Vec<LPath> {
     }
 }
 
-/// The §5 heuristic, applied recursively. Only used for extraction.
-pub fn rewrite_for_extraction(q: XQuery) -> XQuery {
-    match q {
-        XQuery::For { var, source, body } => {
-            let source = Box::new(rewrite_for_extraction(*source));
-            let body = Box::new(rewrite_for_extraction(*body));
-            // match: source is a path ending in descendant-or-self::node()
-            // (or any step), body is `if C($var) then q else ()` with C
-            // referring only to $var.
-            if let XQuery::If { cond, then, els } = body.as_ref() {
-                if let (XQuery::Expr(cond), true, true) = (
-                    cond.as_ref(),
-                    matches!(els.as_ref(), XQuery::Empty),
-                    !matches!(then.as_ref(), XQuery::If { .. }),
-                ) {
-                    if !only_refers_to(cond, &var) {
-                        return XQuery::For { var, source, body };
-                    }
-                    if let XQuery::Expr(Expr::Path(p)) = source.as_ref() {
-                        if let Some(new_path) = push_predicate(p, cond, &var) {
-                            return XQuery::For {
-                                var,
-                                source: Box::new(XQuery::Expr(Expr::Path(new_path))),
-                                body: then.clone(),
-                            };
-                        }
-                    }
-                    if let XQuery::Expr(Expr::RootedPath(base, p)) = source.as_ref() {
-                        if let Some(new_path) = push_predicate(p, cond, &var) {
-                            return XQuery::For {
-                                var,
-                                source: Box::new(XQuery::Expr(Expr::RootedPath(
-                                    base.clone(),
-                                    new_path,
-                                ))),
-                                body: then.clone(),
-                            };
-                        }
-                    }
-                }
-            }
-            XQuery::For { var, source, body }
-        }
-        XQuery::SortedFor {
-            var,
-            source,
-            key,
-            descending,
-            body,
-        } => XQuery::SortedFor {
-            var,
-            source: Box::new(rewrite_for_extraction(*source)),
-            key,
-            descending,
-            body: Box::new(rewrite_for_extraction(*body)),
-        },
-        XQuery::Let { var, value, body } => XQuery::Let {
-            var,
-            value: Box::new(rewrite_for_extraction(*value)),
-            body: Box::new(rewrite_for_extraction(*body)),
-        },
-        XQuery::If { cond, then, els } => XQuery::If {
-            cond,
-            then: Box::new(rewrite_for_extraction(*then)),
-            els: Box::new(rewrite_for_extraction(*els)),
-        },
-        XQuery::Quantified {
-            every,
-            var,
-            source,
-            cond,
-        } => XQuery::Quantified {
-            every,
-            var,
-            source: Box::new(rewrite_for_extraction(*source)),
-            cond: Box::new(rewrite_for_extraction(*cond)),
-        },
-        XQuery::Sequence(qs) => {
-            XQuery::Sequence(qs.into_iter().map(rewrite_for_extraction).collect())
-        }
-        XQuery::Element { tag, content } => XQuery::Element {
-            tag,
-            content: Box::new(rewrite_for_extraction(*content)),
-        },
-        other => other,
+/// The §5 heuristic's pattern: a path `source` and a `body` of
+/// `if C($var) then q else ()`, where `C` refers to no other variable and
+/// `q` is not an `if`. Returns the source with `[C(self)]` on its last
+/// step, and `q`.
+fn filtered_for<'q>(var: &str, source: &XQuery, body: &'q XQuery) -> Option<(XQuery, &'q XQuery)> {
+    let XQuery::If { cond, then, els } = body else {
+        return None;
+    };
+    let XQuery::Expr(cond) = cond.as_ref() else {
+        return None;
+    };
+    if !matches!(els.as_ref(), XQuery::Empty)
+        || matches!(then.as_ref(), XQuery::If { .. })
+        || !only_refers_to(cond, var)
+    {
+        return None;
     }
+    let filtered = match source {
+        XQuery::Expr(Expr::Path(p)) => Expr::Path(push_predicate(p, cond, var)?),
+        XQuery::Expr(Expr::RootedPath(base, p)) => {
+            Expr::RootedPath(base.clone(), push_predicate(p, cond, var)?)
+        }
+        _ => return None,
+    };
+    Some((XQuery::Expr(filtered), then))
 }
 
 /// Appends `[C(self)]` to the last step of `p`.
@@ -573,40 +517,23 @@ mod tests {
 
     #[test]
     fn dos_filter_heuristic_applies() {
-        let q = parse_xquery(
-            "for $y in /site//node() return if ($y/k) then <hit/> else ()",
-        )
-        .unwrap();
-        let rewritten = rewrite_for_extraction(q);
-        match rewritten {
-            XQuery::For { source, body, .. } => {
-                // condition pushed into the source path predicate
-                let s = format!("{source}");
-                assert!(s.contains("[child::k]") || s.contains("child::k"), "{s}");
-                assert!(!matches!(*body, XQuery::If { .. }));
-            }
-            other => panic!("{other:?}"),
-        }
+        let ps = paths_of("for $y in /site//node() return if ($y/k) then <hit/> else ()");
+        // condition pushed into the source path predicate
+        assert!(ps.iter().any(|p| p.contains("[child::k]")), "{ps:?}");
+        // the body is `<hit/>`, not the `if`: its condition is no path of
+        // its own
+        assert!(!ps.iter().any(|p| p.ends_with("child::k")), "{ps:?}");
     }
 
     #[test]
     fn heuristic_respects_foreign_variables() {
-        let q = parse_xquery(
+        let ps = paths_of(
             "for $a in /x/y return for $b in /x/z return \
              if ($a/w) then <h/> else ()",
-        )
-        .unwrap();
-        let rewritten = rewrite_for_extraction(q);
+        );
         // inner if refers to $a, not $b: must NOT be pushed into $b's source
-        match rewritten {
-            XQuery::For { body, .. } => match *body {
-                XQuery::For { body: inner, .. } => {
-                    assert!(matches!(*inner, XQuery::If { .. }))
-                }
-                other => panic!("{other:?}"),
-            },
-            other => panic!("{other:?}"),
-        }
+        assert!(ps.contains(&"/child::x/child::z".to_string()), "{ps:?}");
+        assert!(!ps.iter().any(|p| p.contains('[')), "{ps:?}");
     }
 
     #[test]

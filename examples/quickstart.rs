@@ -36,19 +36,18 @@ fn main() {
         <book><title>Rime</title><author>Dante</author><price>8</price></book>\
         </bib>";
     let projection = Projection::from_projector(&dtd, projector);
-    let pruned = projection.prune_str(doc).expect("document prunes");
+    let (pruned, stats) = projection.prune_str(doc).expect("document prunes");
 
     println!("\noriginal ({} bytes):\n  {doc}", doc.len());
     println!(
-        "\npruned   ({} bytes, {:.0}% of original):\n  {}",
-        pruned.output.len(),
-        100.0 * pruned.retention(doc.len()),
-        pruned.output
+        "\npruned   ({} bytes, {:.0}% of original):\n  {pruned}",
+        pruned.len(),
+        100.0 * stats.retention(),
     );
 
     // 5. The query gives the same answer on both documents.
     let original_doc = xml_projection::xmltree::parse(doc).unwrap();
-    let pruned_doc = xml_projection::xmltree::parse(&pruned.output).unwrap();
+    let pruned_doc = xml_projection::xmltree::parse(&pruned).unwrap();
     let path = match xml_projection::xpath::parse_xpath(query).unwrap() {
         xml_projection::xpath::ast::Expr::Path(p) => p,
         _ => unreachable!(),

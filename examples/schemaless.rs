@@ -32,19 +32,19 @@ fn main() {
         "//open_auction/bidder/increase",
     ];
     let with_guide = Projection::for_queries(&guide, workload).unwrap();
-    let pruned_guide = with_guide.prune_str(&xml).unwrap();
+    let (_, pruned_guide) = with_guide.prune_str(&xml).unwrap();
 
     // Compare with the projector from the genuine DTD.
     let with_dtd = Projection::for_queries(&real_dtd, workload).unwrap();
-    let pruned_dtd = with_dtd.prune_str(&xml).unwrap();
+    let (_, pruned_dtd) = with_dtd.prune_str(&xml).unwrap();
 
     println!(
         "pruned with dataguide: {:.1}% of the original",
-        100.0 * pruned_guide.retention(xml.len())
+        100.0 * pruned_guide.retention()
     );
     println!(
         "pruned with real DTD:  {:.1}% of the original",
-        100.0 * pruned_dtd.retention(xml.len())
+        100.0 * pruned_dtd.retention()
     );
     println!(
         "\nthe dataguide's star-closed content models lose ordering and\n\

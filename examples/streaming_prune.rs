@@ -10,7 +10,8 @@
 //! ```
 
 use std::time::Instant;
-use xml_projection::core::{prune_str, StaticAnalyzer};
+use xml_projection::core::StaticAnalyzer;
+use xml_projection::engine::{ChunkedPruner, DEFAULT_CHUNK_SIZE};
 use xml_projection::xmark::{auction_dtd, generate_auction, XMarkConfig};
 
 fn main() {
@@ -33,19 +34,21 @@ fn main() {
         let doc = generate_auction(&dtd, &XMarkConfig::at_scale(scale));
         let xml = doc.to_xml();
         let t = Instant::now();
-        let r = prune_str(&xml, &dtd, &projector).expect("valid input");
+        let stats = ChunkedPruner::new(&dtd, &projector, std::io::sink())
+            .run(xml.as_bytes(), DEFAULT_CHUNK_SIZE)
+            .expect("valid input");
         let dt = t.elapsed();
         println!(
             "{:>9.2}M {:>11.2}M {:>9.1}% {:>12.2?} {:>10.1}",
             xml.len() as f64 / 1e6,
-            r.output.len() as f64 / 1e6,
-            100.0 * r.retention(xml.len()),
+            stats.bytes_out as f64 / 1e6,
+            100.0 * stats.retention(),
             dt,
             xml.len() as f64 / 1e6 / dt.as_secs_f64(),
         );
         // the memory bound: names stacked = element depth, never the
         // document size
-        assert!(r.max_depth < 32);
+        assert!(stats.counters.max_depth < 32);
     }
 
     println!("\npruner state is bounded by element depth (≤ 32 here), not document size —");

@@ -28,10 +28,10 @@
 //!
 //! let doc = "<bib><book><title>T</title><author>A</author>\
 //!            <price>12</price></book></bib>";
-//! let pruned = projection.prune_str(doc).unwrap();
+//! let (pruned, stats) = projection.prune_str(doc).unwrap();
 //! // authors are irrelevant to the workload:
-//! assert_eq!(pruned.output,
-//!     "<bib><book><title>T</title><price>12</price></book></bib>");
+//! assert_eq!(pruned, "<bib><book><title>T</title><price>12</price></book></bib>");
+//! assert!(stats.retention() < 1.0);
 //! ```
 //!
 //! The crates re-exported here:
@@ -73,6 +73,7 @@ pub use xproj_xupdate as xupdate;
 
 use xproj_core::{Projector, StaticAnalyzer};
 use xproj_dtd::{Dtd, Interpretation};
+use xproj_engine::{ChunkedPruner, EngineStats};
 use xproj_xmltree::Document;
 
 /// Errors from the high-level facade.
@@ -138,23 +139,34 @@ impl<'d> Projection<'d> {
     }
 
     /// Streaming prune of a serialized document (one pass, O(depth)
-    /// memory — §6's deployment mode).
-    pub fn prune_str(
-        &self,
-        xml: &str,
-    ) -> Result<xproj_core::stream::StreamPruneResult, ProjectionError> {
-        xproj_core::stream::prune_str(xml, self.dtd, &self.projector)
-            .map_err(|e| ProjectionError::Prune(e.to_string()))
+    /// memory — §6's deployment mode): the pruned document and the pass's
+    /// stats. Every byte is tokenized, so malformed markup fails the call
+    /// even inside a pruned subtree.
+    pub fn prune_str(&self, xml: &str) -> Result<(String, EngineStats), ProjectionError> {
+        self.one_pass(xml, false)
     }
 
     /// Streaming prune fused with DTD validation (§6's "prune while
     /// validating" option): same single pass, rejects invalid input.
-    pub fn prune_validate_str(
+    pub fn prune_validate_str(&self, xml: &str) -> Result<(String, EngineStats), ProjectionError> {
+        self.one_pass(xml, true)
+    }
+
+    /// The engine's pass over `xml` as one feed, fast-forward off.
+    fn one_pass(
         &self,
         xml: &str,
-    ) -> Result<xproj_core::stream::StreamPruneResult, ProjectionError> {
-        xproj_core::stream::prune_validate_str(xml, self.dtd, &self.projector)
-            .map_err(|e| ProjectionError::Prune(e.to_string()))
+        validate: bool,
+    ) -> Result<(String, EngineStats), ProjectionError> {
+        let mut out = Vec::with_capacity(xml.len() / 2);
+        let mut pruner = ChunkedPruner::new(self.dtd, &self.projector, &mut out);
+        pruner.set_fast_forward(false);
+        pruner.set_validate(validate);
+        let stats = pruner
+            .feed(xml.as_bytes())
+            .and_then(|()| pruner.finish())
+            .map_err(|e| ProjectionError::Prune(e.to_string()))?;
+        Ok((String::from_utf8(out).expect("kept bytes are UTF-8"), stats))
     }
 
     /// In-memory prune of a validated document.
@@ -175,8 +187,27 @@ mod tests {
         )
         .unwrap();
         let p = Projection::for_queries(&dtd, ["/a/b"]).unwrap();
-        let r = p.prune_str("<a><b>x</b><c>y</c></a>").unwrap();
-        assert_eq!(r.output, "<a><b>x</b></a>");
+        let (pruned, _) = p.prune_str("<a><b>x</b><c>y</c></a>").unwrap();
+        assert_eq!(pruned, "<a><b>x</b></a>");
+    }
+
+    /// Every byte is tokenized: malformed markup inside a subtree the
+    /// projector prunes whole (`c`) fails the call, as it would anywhere.
+    #[test]
+    fn facade_checks_markup_inside_pruned_subtrees() {
+        let dtd = xproj_dtd::parse_dtd(
+            "<!ELEMENT a (b, c)> <!ELEMENT b (#PCDATA)> <!ELEMENT c (#PCDATA)>",
+            "a",
+        )
+        .unwrap();
+        let p = Projection::for_queries(&dtd, ["/a/b"]).unwrap();
+        for doc in ["<a><b>x</b><c>y</b></a>", "<a><b>x</b><c>&bogus;</c></a>"] {
+            assert!(
+                matches!(p.prune_str(doc), Err(ProjectionError::Prune(_))),
+                "{doc}"
+            );
+            assert!(p.prune_validate_str(doc).is_err(), "{doc}");
+        }
     }
 
     #[test]

@@ -471,10 +471,10 @@ fn chunked_prune_matches_in_memory_prune() {
     let projection = xml_projection::Projection::for_queries(&dtd, ["/bib/book/title"]).unwrap();
     let base = ["prune", "--dtd", dtd_path.to_str().unwrap(), "--root", "bib", "--query", "/bib/book/title"];
     for validate in [false, true] {
-        let want = if validate {
-            projection.prune_validate_str(DOC).unwrap().output
+        let (want, _) = if validate {
+            projection.prune_validate_str(DOC).unwrap()
         } else {
-            projection.prune_str(DOC).unwrap().output
+            projection.prune_str(DOC).unwrap()
         };
         let mut args = base.to_vec();
         if validate {

@@ -5,7 +5,7 @@
 //! conclusion: "adapt the approach to work in the absence of DTDs, by
 //! using data-guides / path-summaries instead").
 
-use xml_projection::core::{prune_document, prune_str, StaticAnalyzer};
+use xml_projection::core::{prune_document, StaticAnalyzer};
 use xml_projection::dtd::generate::{
     generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS,
 };
@@ -13,6 +13,7 @@ use xml_projection::dtd::{infer_dtd, validate, DataGuide};
 use xml_projection::xmltree::Document;
 use xml_projection::xpath::ast::Expr;
 use xml_projection::xquery::project_xquery_str;
+use xml_projection::Projection;
 use xproj_testkit::forall;
 use xproj_testkit::SplitMix64;
 
@@ -93,8 +94,8 @@ forall! {
             eval_ids(&pruned, &path),
             "schema-less pruning changed results of {q}"
         );
-        let streamed = prune_str(&doc.to_xml(), &inferred, &projector).unwrap();
-        assert_eq!(streamed.output, pruned.to_xml(), "streaming diverged for {q}");
+        let (streamed, _) = Projection::from_projector(&inferred, projector).prune_str(&doc.to_xml()).unwrap();
+        assert_eq!(streamed, pruned.to_xml(), "streaming diverged for {q}");
     }
 
     /// A guide built from several documents stays sound for all of them.

@@ -22,19 +22,39 @@
 //! re-runs exactly the failing triple. `TESTKIT_CASES=n` overrides the
 //! count (soak runs can use tens of thousands).
 
-use xml_projection::core::{
-    prune_document, prune_str, prune_str_fast, prune_validate_str, StaticAnalyzer,
-};
+use xml_projection::core::{prune_document, Projector, StaticAnalyzer};
 use xml_projection::dtd::generate::{
     generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS,
 };
 use xml_projection::dtd::{interpret, validate, Dtd};
+use xml_projection::engine::{ChunkedPruner, EngineError, EngineStats};
 use xml_projection::xmltree::Document;
 use xml_projection::xpath::ast::Expr;
 use xml_projection::xquery::{evaluate_query, parse_xquery, project_xquery_str};
 use xproj_testkit::{seeded, SplitMix64};
 
 const FUZZ_CASES: u32 = 500;
+
+/// The whole string as one `ChunkedPruner` feed: the pruned bytes and
+/// the pass's stats.
+fn one_feed(
+    xml: &str,
+    dtd: &Dtd,
+    p: &Projector,
+    fast_forward: bool,
+    validate: bool,
+) -> Result<(String, EngineStats), EngineError> {
+    let mut out = Vec::new();
+    let mut pruner = ChunkedPruner::new(dtd, p, &mut out);
+    pruner.set_fast_forward(fast_forward);
+    pruner.set_validate(validate);
+    pruner.feed(xml.as_bytes())?;
+    let stats = pruner.finish()?;
+    Ok((
+        String::from_utf8(out).expect("engine output is UTF-8"),
+        stats,
+    ))
+}
 
 const AXES: &[&str] = &[
     "child::",
@@ -145,18 +165,26 @@ fn run_case(seed: u64) {
 
     // --- streaming agrees with in-memory, with and without validation ---
     let pruned_xml = pruned.to_xml();
-    let streamed = prune_str(&xml, &dtd, &projector)
-        .unwrap_or_else(|e| panic!("prune_str failed on valid doc: {e}"));
-    assert_eq!(streamed.output, pruned_xml, "streaming pruner diverged for {q}");
-    let validated = prune_validate_str(&xml, &dtd, &projector)
-        .unwrap_or_else(|e| panic!("prune_validate_str rejected a valid doc: {e}"));
-    assert_eq!(validated.output, pruned_xml, "validating pruner diverged for {q}");
+    let (streamed_out, streamed) = one_feed(&xml, &dtd, &projector, false, false)
+        .unwrap_or_else(|e| panic!("streaming pruner failed on valid doc: {e}"));
+    let streamed = streamed.counters;
+    assert_eq!(
+        streamed_out, pruned_xml,
+        "streaming pruner diverged for {q}"
+    );
+    let (validated_out, _) = one_feed(&xml, &dtd, &projector, false, true)
+        .unwrap_or_else(|e| panic!("validating pruner rejected a valid doc: {e}"));
+    assert_eq!(
+        validated_out, pruned_xml,
+        "validating pruner diverged for {q}"
+    );
     // The fast path (pruned-subtree raw fast-forward) must stay
     // byte-identical too, with matching counters except `text_pruned`
     // (never-tokenized text is never counted).
-    let fast = prune_str_fast(&xml, &dtd, &projector)
-        .unwrap_or_else(|e| panic!("prune_str_fast failed on valid doc: {e}"));
-    assert_eq!(fast.output, pruned_xml, "fast-path pruner diverged for {q}");
+    let (fast_out, fast) = one_feed(&xml, &dtd, &projector, true, false)
+        .unwrap_or_else(|e| panic!("fast-path pruner failed on valid doc: {e}"));
+    let fast = fast.counters;
+    assert_eq!(fast_out, pruned_xml, "fast-path pruner diverged for {q}");
     assert_eq!(fast.elements_kept, streamed.elements_kept, "for {q}");
     assert_eq!(fast.elements_pruned, streamed.elements_pruned, "for {q}");
     assert_eq!(fast.text_kept, streamed.text_kept, "for {q}");
@@ -175,7 +203,7 @@ fn run_case(seed: u64) {
 
     // --- chunked engine leg: the push pipeline, fed the same document
     // at a drawn chunk size (1-byte up to whole-document), must emit
-    // prune_str's exact bytes in both fast-forward modes ---
+    // the one-feed pass's exact bytes in both fast-forward modes ---
     let sizes: &[usize] = &[1, 2, 3, 7, 101, 4096, usize::MAX];
     let chunk_size = sizes[rng.below(sizes.len())].min(xml.len().max(1));
     for fast_forward in [true, false] {

@@ -2,16 +2,17 @@
 //! scale (the bench binaries regenerate the full-size numbers).
 
 use std::time::Instant;
-use xml_projection::core::{prune_str, StaticAnalyzer};
+use xml_projection::core::StaticAnalyzer;
 use xml_projection::xmark::{auction_dtd, generate_auction, XMarkConfig};
+use xml_projection::Projection;
 
 fn retention(query: &str, scale: f64) -> f64 {
     let dtd = auction_dtd();
     let xml = generate_auction(&dtd, &XMarkConfig::at_scale(scale)).to_xml();
     let mut sa = StaticAnalyzer::new(&dtd);
     let p = sa.project_query(query).unwrap();
-    let r = prune_str(&xml, &dtd, &p).unwrap();
-    r.retention(xml.len())
+    let (_, stats) = Projection::from_projector(&dtd, p).prune_str(&xml).unwrap();
+    stats.retention()
 }
 
 /// §4.3: "by applying the above rewriting to XPathMark queries Q9 and

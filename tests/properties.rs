@@ -5,10 +5,11 @@
 //! pruning, projector monotonicity under union, serialisation round
 //! trips, and streaming/in-memory agreement.
 
-use xml_projection::core::{prune_document, prune_str, Projector, StaticAnalyzer};
+use xml_projection::core::{prune_document, Projector, StaticAnalyzer};
 use xml_projection::dtd::generate::{generate, GenConfig};
 use xml_projection::dtd::{parse_dtd, validate, Dtd};
 use xml_projection::xpath::ast::Expr;
+use xml_projection::Projection;
 use xproj_testkit::forall;
 use xproj_testkit::strategy::{one_of, vec_of, Just, RcStrategy, StrategyExt};
 
@@ -188,7 +189,7 @@ forall! {
         let doc = generate(&dtd, seed, &GenConfig::default());
         let interp = validate(&doc, &dtd).unwrap();
         let in_mem = prune_document(&doc, &dtd, &interp, &projector).to_xml();
-        let streamed = prune_str(&doc.to_xml(), &dtd, &projector).unwrap().output;
+        let (streamed, _) = Projection::from_projector(&dtd, projector).prune_str(&doc.to_xml()).unwrap();
         assert_eq!(in_mem, streamed);
     }
 

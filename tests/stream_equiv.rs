@@ -1,13 +1,15 @@
 //! The two pruning implementations — the in-memory Def. 2.7 projection
-//! and the one-pass streaming pruner of §6 — must produce byte-identical
-//! documents for every benchmark projector.
+//! and the one-pass streaming pruner of §6 (`Projection::prune_str`, the
+//! engine's pass over the whole string as one feed) — must produce
+//! byte-identical documents for every benchmark projector.
 
-use xml_projection::core::{prune_document, prune_str, StaticAnalyzer};
+use xml_projection::core::{prune_document, StaticAnalyzer};
 use xml_projection::dtd::validate;
 use xml_projection::xmark::{
     auction_dtd, generate_auction, xmark_queries, xpathmark_queries, XMarkConfig,
 };
 use xml_projection::xquery;
+use xml_projection::Projection;
 
 #[test]
 fn streaming_equals_in_memory_on_the_whole_workload() {
@@ -19,16 +21,16 @@ fn streaming_equals_in_memory_on_the_whole_workload() {
 
     for q in xpathmark_queries() {
         let p = sa.project_query(q.text).unwrap();
-        let streamed = prune_str(&xml, &dtd, &p).unwrap();
         let in_memory = prune_document(&doc, &dtd, &interp, &p);
-        assert_eq!(streamed.output, in_memory.to_xml(), "{}", q.id);
+        let (streamed, _) = Projection::from_projector(&dtd, p).prune_str(&xml).unwrap();
+        assert_eq!(streamed, in_memory.to_xml(), "{}", q.id);
     }
     for q in xmark_queries() {
         let parsed = xquery::parse_xquery(q.text).unwrap();
         let p = xquery::project_xquery(&mut sa, &parsed);
-        let streamed = prune_str(&xml, &dtd, &p).unwrap();
         let in_memory = prune_document(&doc, &dtd, &interp, &p);
-        assert_eq!(streamed.output, in_memory.to_xml(), "{}", q.id);
+        let (streamed, _) = Projection::from_projector(&dtd, p).prune_str(&xml).unwrap();
+        assert_eq!(streamed, in_memory.to_xml(), "{}", q.id);
     }
 }
 
@@ -39,13 +41,14 @@ fn streaming_stats_are_consistent() {
     let xml = doc.to_xml();
     let mut sa = StaticAnalyzer::new(&dtd);
     let p = sa.project_query("/site/people/person/name").unwrap();
-    let r = prune_str(&xml, &dtd, &p).unwrap();
+    let (_, stats) = Projection::from_projector(&dtd, p).prune_str(&xml).unwrap();
+    let r = stats.counters;
     // elements_pruned counts discarded subtree *roots* (inner elements
     // are skipped without event processing), so kept + pruned ≤ total.
     let total_elements = doc.element_count();
     assert!(r.elements_kept + r.elements_pruned <= total_elements);
     assert!(r.elements_kept > 0 && r.elements_pruned > 0);
-    assert!(r.retention(xml.len()) < 0.5, "people-only keeps little");
+    assert!(stats.retention() < 0.5, "people-only keeps little");
     // depth bound: the streaming pruner's memory is O(depth)
     assert!(r.max_depth <= 4); // site/people/person/name
 }
@@ -58,8 +61,8 @@ fn streamed_prune_reparses_and_revalidates_interpretation() {
     let xml = doc.to_xml();
     let mut sa = StaticAnalyzer::new(&dtd);
     let p = sa.project_query("//keyword").unwrap();
-    let r = prune_str(&xml, &dtd, &p).unwrap();
-    let reparsed = xml_projection::xmltree::parse(&r.output).unwrap();
+    let (pruned, _) = Projection::from_projector(&dtd, p).prune_str(&xml).unwrap();
+    let reparsed = xml_projection::xmltree::parse(&pruned).unwrap();
     assert!(xml_projection::dtd::interpret(&reparsed, &dtd).is_ok());
 }
 
@@ -73,11 +76,25 @@ fn streamed_prune_reparses_and_revalidates_interpretation() {
 /// faults pass with fast-forward on and fail with it off.
 #[test]
 fn verdicts_decide_what_is_checked_not_what_is_kept() {
-    use xml_projection::core::{prune_str_fast, ProjectorTable, StreamPruneError, Verdict};
+    use xml_projection::core::{ProjectorTable, Verdict};
+    use xml_projection::engine::{ChunkedPruner, EngineError};
+    use xml_projection::xmltree::entities::ParseError;
     let dtd = auction_dtd();
     let p = StaticAnalyzer::new(&dtd)
         .project_query("/site/people/person/name")
         .unwrap();
+    // The document as one feed: the kept bytes, or the error's variant
+    // and message.
+    let prune = |doc: &str, fast_forward: bool| -> Result<String, String> {
+        let mut out = Vec::new();
+        let mut pruner = ChunkedPruner::new(&dtd, &p, &mut out);
+        pruner.set_fast_forward(fast_forward);
+        let done = pruner.feed(doc.as_bytes()).and_then(|()| pruner.finish());
+        done.map_err(|e| format!("{e:?}"))?;
+        Ok(String::from_utf8(out).unwrap())
+    };
+    let prune_str = |doc: &str| prune(doc, false);
+    let prune_fast = |doc: &str| prune(doc, true);
     let table = ProjectorTable::new(&dtd, &p);
     let verdict = |tag: &str| table.verdict(dtd.name_of_tag_str(tag).unwrap());
     assert_eq!(verdict("regions"), Verdict::PruneDescend);
@@ -94,8 +111,8 @@ fn verdicts_decide_what_is_checked_not_what_is_kept() {
         "<edge/>",
     );
     let kept = "<site><people><person id=\"p0\"><name>Kept</name></person></people></site>";
-    assert_eq!(prune_str(&good, &dtd, &p).unwrap().output, kept);
-    assert_eq!(prune_str_fast(&good, &dtd, &p).unwrap().output, kept);
+    assert_eq!(prune_str(&good).unwrap(), kept);
+    assert_eq!(prune_fast(&good).unwrap(), kept);
 
     // A fault under `regions`, where it is reported, and the same
     // fault under `catgraph`.
@@ -116,16 +133,17 @@ fn verdicts_decide_what_is_checked_not_what_is_kept() {
     for (under_regions, at, message, under_catgraph) in faults {
         let faulty = doc(under_regions, "");
         let offset = faulty.find(at).unwrap();
-        let expected =
-            StreamPruneError::Xml(format!("XML parse error at byte {offset}: {message}"));
-        assert_eq!(prune_str(&faulty, &dtd, &p).unwrap_err(), expected);
-        assert_eq!(prune_str_fast(&faulty, &dtd, &p).unwrap_err(), expected);
-        let skipped = doc("", under_catgraph);
-        assert_eq!(
-            prune_str_fast(&skipped, &dtd, &p).unwrap().output,
-            kept,
-            "{under_catgraph}"
+        let expected = format!(
+            "{:?}",
+            EngineError::Xml(ParseError {
+                offset,
+                message: message.to_string()
+            })
         );
-        assert!(prune_str(&skipped, &dtd, &p).is_err(), "{under_catgraph}");
+        assert_eq!(prune_str(&faulty).unwrap_err(), expected);
+        assert_eq!(prune_fast(&faulty).unwrap_err(), expected);
+        let skipped = doc("", under_catgraph);
+        assert_eq!(prune_fast(&skipped).unwrap(), kept, "{under_catgraph}");
+        assert!(prune_str(&skipped).is_err(), "{under_catgraph}");
     }
 }

@@ -5,9 +5,10 @@
 //! cargo test --release --test xmark_scale -- --ignored
 //! ```
 
-use xml_projection::core::{prune_str, StaticAnalyzer};
+use xml_projection::core::StaticAnalyzer;
 use xml_projection::xmark::{auction_dtd, generate_auction, xpathmark_queries, XMarkConfig};
 use xml_projection::xpath::ast::Expr;
+use xml_projection::Projection;
 
 #[test]
 #[ignore = "generates a ~25 MB document; run explicitly in release mode"]
@@ -19,9 +20,11 @@ fn full_workload_at_scale_20() {
     let mut sa = StaticAnalyzer::new(&dtd);
     for q in xpathmark_queries() {
         let projector = sa.project_query(q.text).unwrap();
-        let r = prune_str(&xml, &dtd, &projector).unwrap();
+        let (output, stats) = Projection::from_projector(&dtd, projector)
+            .prune_str(&xml)
+            .unwrap();
         // pruned output re-parses and yields identical results
-        let pruned = xml_projection::xmltree::parse(&r.output).unwrap();
+        let pruned = xml_projection::xmltree::parse(&output).unwrap();
         let Expr::Path(p) = xml_projection::xpath::parse_xpath(q.text).unwrap() else {
             unreachable!()
         };
@@ -29,6 +32,7 @@ fn full_workload_at_scale_20() {
         let b = xml_projection::xpath::evaluate(&pruned, &p).unwrap().len();
         assert_eq!(a, b, "{}", q.id);
         // streaming memory bound
-        assert!(r.max_depth < 40, "{}: depth {}", q.id, r.max_depth);
+        let depth = stats.counters.max_depth;
+        assert!(depth < 40, "{}: depth {depth}", q.id);
     }
 }
