@@ -255,8 +255,7 @@ pub fn check_independence(
     query: &str,
     update_src: &str,
 ) -> Result<IndependenceReport, AnalyzerError> {
-    let update =
-        parse_update(update_src).map_err(|e| AnalyzerError::BadUpdate(e.to_string()))?;
+    let update = parse_update(update_src).map_err(|e| AnalyzerError::BadUpdate(e.to_string()))?;
     let prov = trace_workload(dtd, std::slice::from_ref(&query.to_string()))?;
     let fp = update_footprint(dtd, &update);
 
@@ -342,7 +341,10 @@ mod tests {
 
     #[test]
     fn disjoint_subtrees_are_independent() {
-        let r = check("/site/regions/item/price", "delete /site/people/person/phone");
+        let r = check(
+            "/site/regions/item/price",
+            "delete /site/people/person/phone",
+        );
         assert_eq!(r.verdict, IndependenceVerdict::Independent);
         assert_eq!(r.overlap, 0);
         assert!(r.witnesses.is_empty());
@@ -372,8 +374,10 @@ mod tests {
         // `phone` descendants.
         let r = check("//phone", "delete /site/people/person");
         assert_eq!(r.verdict, IndependenceVerdict::MayConflict);
-        assert!(r.witnesses.iter().any(|w| w.name == "phone"
-            && w.role == "deleted descendant"));
+        assert!(r
+            .witnesses
+            .iter()
+            .any(|w| w.name == "phone" && w.role == "deleted descendant"));
     }
 
     #[test]
@@ -395,7 +399,12 @@ mod tests {
             "/site/people/person/phone",
             "insert <name>x</name> into /site/regions/item",
         );
-        assert_eq!(r.verdict, IndependenceVerdict::Independent, "{:?}", r.witnesses);
+        assert_eq!(
+            r.verdict,
+            IndependenceVerdict::Independent,
+            "{:?}",
+            r.witnesses
+        );
     }
 
     #[test]
@@ -431,12 +440,11 @@ mod tests {
     #[test]
     fn replace_covers_both_sides() {
         let d = site();
-        let u = parse_update("replace /site/people/person with <item><name>i</name></item>")
-            .unwrap();
+        let u =
+            parse_update("replace /site/people/person with <item><name>i</name></item>").unwrap();
         let fp = update_footprint(&d, &u);
         let label = |n: NameId| d.label(n).to_string();
-        let roles: Vec<(String, &str)> =
-            fp.roles.iter().map(|&(n, r)| (label(n), r)).collect();
+        let roles: Vec<(String, &str)> = fp.roles.iter().map(|&(n, r)| (label(n), r)).collect();
         assert!(roles.contains(&("person".to_string(), "deleted target")));
         assert!(roles.contains(&("phone".to_string(), "deleted descendant")));
         assert!(roles.contains(&("people".to_string(), "insertion context")));

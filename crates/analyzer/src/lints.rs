@@ -124,8 +124,7 @@ fn recursive_blowup(
         let steps = &p.lpath.steps;
         let end = match steps.last() {
             Some(last)
-                if last.cond.is_empty()
-                    && last.step == xproj_xpath::xpathl::SimpleStep::dos() =>
+                if last.cond.is_empty() && last.step == xproj_xpath::xpathl::SimpleStep::dos() =>
             {
                 steps.len() - 1
             }
@@ -133,9 +132,10 @@ fn recursive_blowup(
         };
         steps[..end].iter().any(|s| {
             matches!(s.step.axis, LAxis::Descendant | LAxis::DescendantOrSelf)
-                || s.cond.iter().flatten().any(|cs| {
-                    matches!(cs.axis, LAxis::Descendant | LAxis::DescendantOrSelf)
-                })
+                || s.cond
+                    .iter()
+                    .flatten()
+                    .any(|cs| matches!(cs.axis, LAxis::Descendant | LAxis::DescendantOrSelf))
         })
     });
     if !uses_descendant {
@@ -185,7 +185,10 @@ mod tests {
             "bib",
             "/bib/boook | /bib/boook",
         );
-        let hits: Vec<_> = ls.iter().filter(|l| l.code == "undeclared-element").collect();
+        let hits: Vec<_> = ls
+            .iter()
+            .filter(|l| l.code == "undeclared-element")
+            .collect();
         assert_eq!(hits.len(), 1, "{ls:?}");
         assert!(hits[0].message.contains("boook"));
     }

@@ -224,8 +224,7 @@ mod tests {
         let queries = vec!["for $b in /bib/book return $b/author".to_string()];
         let p = trace_workload(&d, &queries).unwrap();
         let mut sa = StaticAnalyzer::new(&d);
-        let expected =
-            xproj_xquery::project_xquery_str(&mut sa, &queries[0]).unwrap();
+        let expected = xproj_xquery::project_xquery_str(&mut sa, &queries[0]).unwrap();
         assert_eq!(p.projector, expected);
     }
 

@@ -127,12 +127,7 @@ pub fn render_json_lines(a: &Analysis) -> String {
 pub fn render_text(a: &Analysis) -> String {
     let mut out = String::new();
     let pi = &a.provenance.projector;
-    let _ = writeln!(
-        out,
-        "projector: {} of {} names",
-        pi.len(),
-        a.reachable
-    );
+    let _ = writeln!(out, "projector: {} of {} names", pi.len(), a.reachable);
 
     let _ = writeln!(out, "\nprovenance:");
     for e in &a.provenance.entries {
@@ -188,7 +183,11 @@ pub fn render_text(a: &Analysis) -> String {
         } else {
             "structural model"
         },
-        if ret.diverged { ", diverged — truncated" } else { "" },
+        if ret.diverged {
+            ", diverged — truncated"
+        } else {
+            ""
+        },
     );
 
     if a.lints.is_empty() {
@@ -295,7 +294,12 @@ mod tests {
             "bib",
         )
         .unwrap();
-        analyze(&d, &["/bib/book/title".to_string()], &AnalysisOptions::default()).unwrap()
+        analyze(
+            &d,
+            &["/bib/book/title".to_string()],
+            &AnalysisOptions::default(),
+        )
+        .unwrap()
     }
 
     #[test]

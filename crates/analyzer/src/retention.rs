@@ -99,11 +99,7 @@ pub fn estimate(dtd: &Dtd, projector: &Projector) -> RetentionEstimate {
 /// Calibrated estimate: per-name counts and byte weights observed in
 /// `sample`. Falls back to [`estimate`] when the sample contains no
 /// element declared by the DTD.
-pub fn estimate_calibrated(
-    dtd: &Dtd,
-    projector: &Projector,
-    sample: &str,
-) -> RetentionEstimate {
+pub fn estimate_calibrated(dtd: &Dtd, projector: &Projector, sample: &str) -> RetentionEstimate {
     match calibrate(dtd, sample) {
         Some(stats) => {
             // Convert per-name byte totals into per-occurrence weights.
@@ -120,7 +116,15 @@ pub fn estimate_calibrated(
                 .zip(&fractions)
                 .map(|(&c, &f)| c * f)
                 .collect();
-            combine(dtd, projector, &stats.counts, &kept_counts, &bytes, true, false)
+            combine(
+                dtd,
+                projector,
+                &stats.counts,
+                &kept_counts,
+                &bytes,
+                true,
+                false,
+            )
         }
         None => estimate(dtd, projector),
     }
@@ -335,10 +339,8 @@ impl SampleStats {
                 if !projector.contains(cid) {
                     continue;
                 }
-                let next: f64 = (0..n)
-                    .map(|p| f[p] * self.edges[p * n + c])
-                    .sum::<f64>()
-                    / incoming[c];
+                let next: f64 =
+                    (0..n).map(|p| f[p] * self.edges[p * n + c]).sum::<f64>() / incoming[c];
                 delta = delta.max((next - f[c]).abs());
                 f[c] = next;
             }
@@ -465,7 +467,12 @@ mod tests {
         let wide = sa.project_query("/bib/book").unwrap();
         let en = estimate(&d, &narrow);
         let ew = estimate(&d, &wide);
-        assert!(en.predicted < ew.predicted, "{} vs {}", en.predicted, ew.predicted);
+        assert!(
+            en.predicted < ew.predicted,
+            "{} vs {}",
+            en.predicted,
+            ew.predicted
+        );
         assert!(en.predicted > 0.0 && en.predicted < 1.0);
     }
 

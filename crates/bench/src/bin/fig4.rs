@@ -40,10 +40,7 @@ fn main() {
         ));
     }
 
-    let max = rows
-        .iter()
-        .map(|r| r.1.max(r.2))
-        .fold(0.0f64, f64::max);
+    let max = rows.iter().map(|r| r.1.max(r.2)).fold(0.0f64, f64::max);
     println!(
         "{:<6} {:>10} {:>10} {:>8}   orig #### / pruned ----",
         "query", "orig(ms)", "pruned(ms)", "ratio"
@@ -57,10 +54,6 @@ fn main() {
             orig / pruned.max(1e-9),
             bar(orig, max, 30)
         );
-        println!(
-            "{:>39} {}",
-            "",
-            bar(pruned, max, 30).replace('#', "-")
-        );
+        println!("{:>39} {}", "", bar(pruned, max, 30).replace('#', "-"));
     }
 }

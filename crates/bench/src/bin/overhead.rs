@@ -35,7 +35,11 @@ fn main() {
         assert!(dt < 0.5, "{} took {dt:.3}s", bq.id);
         let _ = projector;
     }
-    println!("  worst query: {} at {:.3} ms — all under 0.5 s\n", worst.0, worst.1 * 1e3);
+    println!(
+        "  worst query: {} at {:.3} ms — all under 0.5 s\n",
+        worst.0,
+        worst.1 * 1e3
+    );
 
     // ---- large synthetic DTD + a 20-step path (paper: XHTML, 20 steps) ----
     println!("## large-DTD analysis (synthetic 300-element DTD, 20-step path)");
@@ -43,7 +47,10 @@ fn main() {
     let mut sa = StaticAnalyzer::new(&big);
     let deep_query = format!(
         "/{}",
-        (0..20).map(|i| format!("e{i}")).collect::<Vec<_>>().join("/")
+        (0..20)
+            .map(|i| format!("e{i}"))
+            .collect::<Vec<_>>()
+            .join("/")
     );
     let t = Instant::now();
     let p = sa.project_query(&deep_query).unwrap();

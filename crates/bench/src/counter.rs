@@ -56,12 +56,10 @@ impl CountingAllocator {
         // racy max is fine for a measurement tool
         let mut peak = self.peak.load(Ordering::Relaxed);
         while live > peak {
-            match self.peak.compare_exchange_weak(
-                peak,
-                live,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
+            match self
+                .peak
+                .compare_exchange_weak(peak, live, Ordering::Relaxed, Ordering::Relaxed)
+            {
                 Ok(_) => break,
                 Err(p) => peak = p,
             }

@@ -54,8 +54,10 @@ const QUERIES: [&str; 5] = [
 /// `emph` children go). Each keeps more than a feed of t∖π; where t∖π is
 /// smaller than a feed, the feed buffer the pass holds while the tree
 /// grows outweighs the bytes the pipeline holds twice.
-const FALLBACK_QUERIES: [&str; 2] =
-    ["//item[location='Paris']/description", "count(//text/text())"];
+const FALLBACK_QUERIES: [&str; 2] = [
+    "//item[location='Paris']/description",
+    "count(//text/text())",
+];
 
 /// One query on one document, both ways.
 struct Cell {
@@ -133,7 +135,9 @@ fn cell(artifact: &Arc<QueryArtifact>, xml: &[u8]) -> Cell {
 fn fallback_machine_bytes(dtd: &Arc<Dtd>, query: &str) -> usize {
     let artifact = QueryArtifact::compile(dtd, query).unwrap();
     assert_eq!(artifact.plan.label(), "fallback", "{query}");
-    ALLOCATOR.measure(|| QueryMachine::new(Arc::clone(&artifact), QueryOutput::Answer)).1
+    ALLOCATOR
+        .measure(|| QueryMachine::new(Arc::clone(&artifact), QueryOutput::Answer))
+        .1
 }
 
 #[test]
@@ -143,7 +147,10 @@ fn one_pass_memory_tracks_the_answer_and_the_pipeline_memory_the_document() {
     let wide = format!(
         "<!ELEMENT root ({})*>{}",
         names.join("|"),
-        names.iter().map(|n| format!("<!ELEMENT {n} (#PCDATA)>")).collect::<String>()
+        names
+            .iter()
+            .map(|n| format!("<!ELEMENT {n} (#PCDATA)>"))
+            .collect::<String>()
     );
     let wide = Arc::new(parse_dtd(&wide, "root").unwrap());
     assert_eq!(
@@ -215,7 +222,10 @@ fn one_pass_memory_tracks_the_answer_and_the_pipeline_memory_the_document() {
         report += &format!(
             "\n{query} (fallback, scale 0.5): one pass {one_pass_peak} B, pipeline {pipeline_peak} B"
         );
-        assert!(one_pass_events <= prune_events, "{query}: tokenized more than pruning");
+        assert!(
+            one_pass_events <= prune_events,
+            "{query}: tokenized more than pruning"
+        );
         assert!(
             one_pass_peak < pipeline_peak,
             "the fallback held t∖π twice:{report}"

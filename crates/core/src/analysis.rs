@@ -54,7 +54,10 @@ pub struct NormPaths {
 impl NormPaths {
     /// Normalises an XPathℓ path into primitive steps.
     pub fn new(path: &LPath) -> Self {
-        let mut np = NormPaths { arena: vec![Vec::new()], first_slot: Vec::new() };
+        let mut np = NormPaths {
+            arena: vec![Vec::new()],
+            first_slot: Vec::new(),
+        };
         let main = np.norm_steps(&path.steps);
         np.arena[0] = main;
         let mut next = 0;
@@ -78,7 +81,9 @@ impl NormPaths {
 
     /// How many suffixes there are: one more than the steps of each path.
     pub fn slot_count(&self) -> usize {
-        self.first_slot.last().map_or(0, |&s| s + self.arena.last().map_or(0, Vec::len) + 1)
+        self.first_slot
+            .last()
+            .map_or(0, |&s| s + self.arena.last().map_or(0, Vec::len) + 1)
     }
 
     /// The main path id.
@@ -105,9 +110,15 @@ impl NormPaths {
             Some(PStep::Cond(ids)) => {
                 let disjunct = |&id: &PathId| {
                     let steps = 0..self.steps(id).len();
-                    steps.map(|i| self.render_step(id, i)).collect::<Vec<_>>().join("/")
+                    steps
+                        .map(|i| self.render_step(id, i))
+                        .collect::<Vec<_>>()
+                        .join("/")
                 };
-                format!("[{}]", ids.iter().map(disjunct).collect::<Vec<_>>().join(" or "))
+                format!(
+                    "[{}]",
+                    ids.iter().map(disjunct).collect::<Vec<_>>().join(" or ")
+                )
             }
         }
     }
@@ -209,7 +220,11 @@ impl<'d> Analyzer<'d> {
     /// once more than `budget` steps are spent.
     pub fn with_budget(dtd: &'d Dtd, budget: u64) -> Self {
         let universe = dtd.empty_set().universe();
-        let alloc = if universe > NameSet::INLINE_NAMES { ALLOC_STEPS } else { 0 };
+        let alloc = if universe > NameSet::INLINE_NAMES {
+            ALLOC_STEPS
+        } else {
+            0
+        };
         Analyzer {
             dtd,
             use_contexts: true,
@@ -236,7 +251,11 @@ impl<'d> Analyzer<'d> {
         if self.over_budget() {
             return false;
         }
-        self.steps.set(self.steps.get().saturating_add(ops.saturating_mul(self.op_steps)));
+        self.steps.set(
+            self.steps
+                .get()
+                .saturating_add(ops.saturating_mul(self.op_steps)),
+        );
         !self.over_budget()
     }
 
@@ -244,7 +263,11 @@ impl<'d> Analyzer<'d> {
     /// for absolute paths, the DTD root `X` for relative ones (the
     /// paper's Theorem 4.4/4.5 set-up).
     pub fn start_env(&self, absolute: bool) -> (NameSet, NameSet) {
-        let start = if absolute { self.dtd.doc_name() } else { self.dtd.root() };
+        let start = if absolute {
+            self.dtd.doc_name()
+        } else {
+            self.dtd.root()
+        };
         let s = self.dtd.singleton(start);
         (s.clone(), s)
     }
@@ -264,7 +287,11 @@ impl<'d> Analyzer<'d> {
         if !self.charge(1) {
             return self.dtd.empty_set();
         }
-        let mut out = if or_self { tau.clone() } else { self.dtd.empty_set() };
+        let mut out = if or_self {
+            tau.clone()
+        } else {
+            self.dtd.empty_set()
+        };
         let mut rows = 0;
         for n in tau {
             out.union_with(row(self.dtd, n));
@@ -313,7 +340,9 @@ impl<'d> Analyzer<'d> {
             self.charge(1);
             useful[first + steps.len()] = Some(self.dtd.universe_set().clone());
             for (idx, step) in steps.iter().enumerate().rev() {
-                let Some(next) = &useful[first + idx + 1] else { break };
+                let Some(next) = &useful[first + idx + 1] else {
+                    break;
+                };
                 let u = match step {
                     PStep::SelfTest(test) => self.test(next, test),
                     PStep::AxisNode(LAxis::Child) => self.above(next, LAxis::Parent),
@@ -332,8 +361,10 @@ impl<'d> Analyzer<'d> {
                     }
                     PStep::AxisNode(_) => break,
                     PStep::Cond(ids) => {
-                        let disjuncts: Option<Vec<&NameSet>> =
-                            ids.iter().map(|&id| useful[np.slot(id, 0)].as_ref()).collect();
+                        let disjuncts: Option<Vec<&NameSet>> = ids
+                            .iter()
+                            .map(|&id| useful[np.slot(id, 0)].as_ref())
+                            .collect();
                         let Some(disjuncts) = disjuncts else { break };
                         self.charge(disjuncts.len() as u64 + 1);
                         let mut any = self.dtd.empty_set();
@@ -444,7 +475,9 @@ mod tests {
         assert_eq!(kids, d.singleton(d.root()));
         // DOC is an ancestor of everything
         let a = d.name_of_tag_str("a").unwrap();
-        assert!(an.axis(&d.singleton(a), LAxis::Ancestor).contains(d.doc_name()));
+        assert!(an
+            .axis(&d.singleton(a), LAxis::Ancestor)
+            .contains(d.doc_name()));
         // and has no ancestors itself
         assert!(an
             .axis(&d.singleton(d.doc_name()), LAxis::Ancestor)
@@ -526,7 +559,10 @@ mod tests {
     fn axis_node_steps_skip_redundant_test() {
         use xproj_xpath::xpathl::LPath;
         let p = LPath {
-            steps: vec![LStep::plain(SimpleStep::new(LAxis::Descendant, LTest::Node))],
+            steps: vec![LStep::plain(SimpleStep::new(
+                LAxis::Descendant,
+                LTest::Node,
+            ))],
         };
         let np = NormPaths::new(&p);
         assert_eq!(np.steps(np.main()).len(), 1);

@@ -147,7 +147,14 @@ impl<'d> StaticAnalyzer<'d> {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    fn record(&mut self, name: NameId, rule: TraceRule, pid: PathId, idx: usize, via: Option<NameId>) {
+    fn record(
+        &mut self,
+        name: NameId,
+        rule: TraceRule,
+        pid: PathId,
+        idx: usize,
+        via: Option<NameId>,
+    ) {
         if let Some(events) = self.trace.as_mut() {
             if name != self.an.dtd.doc_name() {
                 events.push(TraceEvent {
@@ -227,7 +234,10 @@ impl<'d> StaticAnalyzer<'d> {
         };
         let a = approximate_query(&p);
         let aux = a.auxiliary.iter().map(|aux| (aux, true));
-        Ok(self.project_paths(std::iter::once((&a.path, a.absolute)).chain(aux), materialize))
+        Ok(self.project_paths(
+            std::iter::once((&a.path, a.absolute)).chain(aux),
+            materialize,
+        ))
     }
 
     /// The workload loop (§5), the one place a set of data-need paths
@@ -311,7 +321,10 @@ impl<'d> StaticAnalyzer<'d> {
             return out;
         }
         let slot = np.slot(pid, idx);
-        if let Some((_, _, hit)) = self.memo[slot].iter().find(|(z, k, _)| *z == y && k == kappa) {
+        if let Some((_, _, hit)) = self.memo[slot]
+            .iter()
+            .find(|(z, k, _)| *z == y && k == kappa)
+        {
             return hit.clone();
         }
         let result = self.proj_uncached(np, y, kappa, pid, idx);
@@ -476,7 +489,13 @@ impl<'d> StaticAnalyzer<'d> {
             self.an.dtd.empty_set()
         };
         out.union_with(&useful);
-        self.record_set(&useful, TraceRule::Axis, pid, rest_idx.saturating_sub(1), Some(y));
+        self.record_set(
+            &useful,
+            TraceRule::Axis,
+            pid,
+            rest_idx.saturating_sub(1),
+            Some(y),
+        );
         for (xi, kx) in contexts {
             if self.an.over_budget() {
                 break;
@@ -547,13 +566,21 @@ impl<'d> StaticAnalyzer<'d> {
             }
         }
         if let Err(at) = contexts.binary_search_by_key(&y, |&(z, _)| z) {
-            let ky = self.an.restrict_context(&env.kappa, &self.an.dtd.singleton(y));
+            let ky = self
+                .an
+                .restrict_context(&env.kappa, &self.an.dtd.singleton(y));
             contexts.insert(at, (y, ky));
         }
         // τ′ = (τ, κ′) ⊩ single::node/P — re-enter through one level.
         let mut out = tau.clone();
         self.record(y, TraceRule::Spine, pid, rest_idx.saturating_sub(1), None);
-        self.record_set(&tau, TraceRule::Axis, pid, rest_idx.saturating_sub(1), Some(y));
+        self.record_set(
+            &tau,
+            TraceRule::Axis,
+            pid,
+            rest_idx.saturating_sub(1),
+            Some(y),
+        );
         for (z, kz) in contexts {
             if self.an.over_budget() {
                 break;
@@ -662,8 +689,12 @@ mod tests {
     fn memoisation_consistency() {
         let d = paper_dtd();
         let mut sa = StaticAnalyzer::new(&d);
-        let p1 = sa.project_query_exact("//a[child::d]/child::text()").unwrap();
-        let p2 = sa.project_query_exact("//a[child::d]/child::text()").unwrap();
+        let p1 = sa
+            .project_query_exact("//a[child::d]/child::text()")
+            .unwrap();
+        let p2 = sa
+            .project_query_exact("//a[child::d]/child::text()")
+            .unwrap();
         assert_eq!(p1, p2);
     }
 

@@ -45,8 +45,8 @@ pub mod typeinf;
 
 pub use analysis::{Analyzer, NormPaths, PStep, PathId};
 pub use infer::StaticAnalyzer;
-pub use projector::{Projector, ProjectorTable, Verdict};
 pub use infer::{AnalyzeError, TraceEvent, TraceRule};
+pub use projector::{Projector, ProjectorTable, Verdict};
 pub use prune::prune_document;
 pub use stream::{
     json_escape, json_escape_into, ErrorCode, PruneCounters, PruneMachine, StartOutcome,

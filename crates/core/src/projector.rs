@@ -186,7 +186,11 @@ impl ProjectorTable {
 
 impl fmt::Debug for ProjectorTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let kept = self.verdicts.iter().filter(|v| **v == Verdict::Keep).count();
+        let kept = self
+            .verdicts
+            .iter()
+            .filter(|v| **v == Verdict::Keep)
+            .count();
         let ff = self
             .verdicts
             .iter()
@@ -340,7 +344,12 @@ mod table_tests {
             let mut rng = SplitMix64::new(seed);
             let dtd = random_dtd(&mut rng, &RandomDtdConfig::default());
             let names = dtd.set_of(dtd.all_names().filter(|_| rng.below(3) == 0));
-            for p in [Projector { names: names.clone() }, Projector::normalized(&dtd, names)] {
+            for p in [
+                Projector {
+                    names: names.clone(),
+                },
+                Projector::normalized(&dtd, names),
+            ] {
                 let t = ProjectorTable::new(&dtd, &p);
                 for n in dtd.all_names() {
                     let below = !dtd.descendants_of(n).intersection(p.names()).is_empty();

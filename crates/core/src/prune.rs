@@ -25,10 +25,7 @@ pub fn prune_document(
     // Walk kept nodes only; the stack carries (src node, dest parent).
     let mut stack: Vec<(NodeId, NodeId)> = Vec::new();
     if let Some(root) = doc.root_element() {
-        if interp
-            .name_of(root)
-            .is_some_and(|n| projector.contains(n))
-        {
+        if interp.name_of(root).is_some_and(|n| projector.contains(n)) {
             stack.push((root, NodeId::DOCUMENT));
         }
     }
@@ -49,11 +46,7 @@ pub fn prune_document(
         out.set_src_id(dst, src);
         let children: Vec<NodeId> = doc
             .children(src)
-            .filter(|&c| {
-                interp
-                    .name_of(c)
-                    .is_some_and(|n| projector.contains(n))
-            })
+            .filter(|&c| interp.name_of(c).is_some_and(|n| projector.contains(n)))
             .collect();
         for &c in children.iter().rev() {
             stack.push((c, dst));

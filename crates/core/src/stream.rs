@@ -63,7 +63,10 @@ impl std::fmt::Display for ErrorCode {
 /// escaped.
 pub fn json_escape_into(s: &str, out: &mut String) {
     let mut rest = s;
-    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
         out.push_str(&rest[..i]);
         match rest.as_bytes()[i] {
             b'"' => out.push_str("\\\""),

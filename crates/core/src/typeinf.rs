@@ -221,7 +221,10 @@ mod tests {
     #[test]
     fn text_test() {
         let d = paper_dtd();
-        assert_eq!(type_of(&d, "self::c/child::b/child::text()"), vec!["b#text"]);
+        assert_eq!(
+            type_of(&d, "self::c/child::b/child::text()"),
+            vec!["b#text"]
+        );
         // text() under c directly: nothing (c has only element children)
         assert_eq!(type_of(&d, "self::c/child::text()"), Vec::<String>::new());
     }
@@ -353,6 +356,9 @@ mod tests {
         .unwrap();
         assert_eq!(type_of(&d, "self::a/child::node()[@id]"), vec!["b"]);
         assert_eq!(type_of(&d, "//b/@id"), vec!["b"]);
-        assert_eq!(type_of(&d, "self::a/child::node()[@nope]"), Vec::<String>::new());
+        assert_eq!(
+            type_of(&d, "self::a/child::node()[@nope]"),
+            Vec::<String>::new()
+        );
     }
 }

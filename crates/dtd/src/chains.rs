@@ -14,7 +14,9 @@ pub fn is_chain(dtd: &Dtd, chain: &[NameId]) -> bool {
     if chain.is_empty() {
         return false;
     }
-    chain.windows(2).all(|w| dtd.children_of(w[0]).contains(w[1]))
+    chain
+        .windows(2)
+        .all(|w| dtd.children_of(w[0]).contains(w[1]))
 }
 
 /// Def. 2.6: is `names` a type projector — the union of the name-sets of

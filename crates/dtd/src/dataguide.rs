@@ -101,10 +101,7 @@ impl DataGuide {
             }
         }
         for (tag, (children, has_text)) in &self.observed {
-            let mut alts: Vec<Regex> = children
-                .iter()
-                .map(|c| Regex::Name(ids[c]))
-                .collect();
+            let mut alts: Vec<Regex> = children.iter().map(|c| Regex::Name(ids[c])).collect();
             if *has_text {
                 alts.push(Regex::Name(text_ids[tag]));
             }

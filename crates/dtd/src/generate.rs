@@ -48,7 +48,15 @@ const WORDS: &[&str] = &[
 pub fn generate(dtd: &Dtd, seed: u64, config: &GenConfig) -> Document {
     let mut doc = Document::with_interner(dtd.tags.clone());
     let mut rng = SplitMix::new(seed);
-    emit(dtd, dtd.root(), NodeId::DOCUMENT, &mut doc, &mut rng, 0, config);
+    emit(
+        dtd,
+        dtd.root(),
+        NodeId::DOCUMENT,
+        &mut doc,
+        &mut rng,
+        0,
+        config,
+    );
     doc
 }
 
@@ -234,7 +242,8 @@ pub fn random_dtd(rng: &mut SplitMix64, cfg: &RandomDtdConfig) -> Dtd {
             b.attributes(ids[i], &[a]);
         }
     }
-    b.finish(ids[0]).expect("random DTDs are well-formed by construction")
+    b.finish(ids[0])
+        .expect("random DTDs are well-formed by construction")
 }
 
 /// A random content-model regex over the given leaf regexes.
@@ -288,11 +297,7 @@ mod tests {
 
     #[test]
     fn recursive_dtds_terminate() {
-        let dtd = parse_dtd(
-            "<!ELEMENT a (a*, b?)> <!ELEMENT b (#PCDATA)>",
-            "a",
-        )
-        .unwrap();
+        let dtd = parse_dtd("<!ELEMENT a (a*, b?)> <!ELEMENT b (#PCDATA)>", "a").unwrap();
         for seed in 0..30 {
             let doc = generate(&dtd, seed, &GenConfig::default());
             assert!(validate(&doc, &dtd).is_ok(), "seed {seed}");
@@ -373,7 +378,10 @@ mod tests {
                 recursive_seen += 1;
             }
         }
-        assert!(recursive_seen > 5, "only {recursive_seen}/50 recursive DTDs");
+        assert!(
+            recursive_seen > 5,
+            "only {recursive_seen}/50 recursive DTDs"
+        );
     }
 
     #[test]

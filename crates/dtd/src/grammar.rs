@@ -315,7 +315,8 @@ impl DtdBuilder {
     pub fn element(&mut self, tag: &str) -> NameId {
         let t = self.tags.intern(tag);
         if let Some(&Some(existing)) = self.tag_to_name.get(t.index()) {
-            self.errors.push(GrammarError::DuplicateTag(tag.to_string()));
+            self.errors
+                .push(GrammarError::DuplicateTag(tag.to_string()));
             return existing;
         }
         let id = NameId(self.names.len() as u32);
@@ -415,11 +416,14 @@ impl DtdBuilder {
         let universe_set = NameSet::from_iter(universe, (0..universe as u32).map(NameId));
         let with_children = NameSet::from_iter(
             universe,
-            (0..universe).filter(|&x| !children[x].is_empty()).map(|x| NameId(x as u32)),
+            (0..universe)
+                .filter(|&x| !children[x].is_empty())
+                .map(|x| NameId(x as u32)),
         );
-        let tag_index = TagIndex::new(self.names.iter().enumerate().filter_map(|(i, info)| {
-            info.tag.map(|t| (self.tags.resolve(t), NameId(i as u32)))
-        }));
+        let tag_index =
+            TagIndex::new(self.names.iter().enumerate().filter_map(|(i, info)| {
+                info.tag.map(|t| (self.tags.resolve(t), NameId(i as u32)))
+            }));
         let mut dtd = Dtd {
             tag_index,
             tags: self.tags,
@@ -473,7 +477,10 @@ impl TagIndex {
                 *next = i as u32 + 1;
             }
         }
-        TagIndex { tags: tags.into(), by_len }
+        TagIndex {
+            tags: tags.into(),
+            by_len,
+        }
     }
 
     /// The tags as long as `tag` (or all long ones), in order.
@@ -594,7 +601,10 @@ mod tests {
     fn a_tag_lookup_compares_at_most_log_n_plus_one_tags() {
         for n in [1usize, 2, 3, 7, 64, 1000, 2500] {
             let tags: Vec<String> = (0..n).map(|i| format!("x{i:05}")).collect();
-            let named = tags.iter().enumerate().map(|(i, t)| (t.as_str(), NameId(i as u32)));
+            let named = tags
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.as_str(), NameId(i as u32)));
             let index = TagIndex::new(named);
             let bound = (n as f64).log2().ceil() as usize + 1;
             let probes = tags.iter().map(|t| (t.clone(), true));
@@ -607,7 +617,10 @@ mod tests {
                 });
                 assert_eq!(found.is_ok(), declared, "{probe}");
                 assert_eq!(index.get(&probe).is_some(), declared, "{probe}");
-                assert!(comparisons <= bound, "{probe}: {comparisons} comparisons of {n} tags");
+                assert!(
+                    comparisons <= bound,
+                    "{probe}: {comparisons} comparisons of {n} tags"
+                );
             }
         }
     }

@@ -30,6 +30,7 @@ pub mod props;
 pub mod regex;
 pub mod validate;
 
+pub use dataguide::{infer_dtd, DataGuide};
 pub use grammar::{Content, Dtd, NameInfo};
 pub use nameset::{NameId, NameSet};
 pub use parser::{parse_dtd, DtdError};
@@ -38,5 +39,4 @@ pub use props::{
     RecursionWitness, StarGuardWitness,
 };
 pub use regex::{LivePositions, Regex};
-pub use dataguide::{infer_dtd, DataGuide};
 pub use validate::{interpret, validate, Interpretation, ValidationError};

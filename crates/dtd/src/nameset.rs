@@ -62,7 +62,10 @@ impl NameSet {
         } else {
             Words::Heap(vec![0u64; n].into_boxed_slice())
         };
-        NameSet { words, universe: universe as u32 }
+        NameSet {
+            words,
+            universe: universe as u32,
+        }
     }
 
     /// The bit words. Inline ones are all of them: those past the

@@ -309,11 +309,7 @@ mod tests {
 
     #[test]
     fn unreachable_names_ignored() {
-        let d = parse_dtd(
-            "<!ELEMENT a EMPTY> <!ELEMENT junk (junk)>",
-            "a",
-        )
-        .unwrap();
+        let d = parse_dtd("<!ELEMENT a EMPTY> <!ELEMENT junk (junk)>", "a").unwrap();
         // junk is recursive but unreachable from the root
         assert!(recursion_witness(&d).is_none());
         assert!(diagnostics(&d).completeness_ready());
@@ -347,11 +343,7 @@ mod tests {
 
     #[test]
     fn recursion_witness_is_a_cycle() {
-        let d = parse_dtd(
-            "<!ELEMENT c (a)> <!ELEMENT a (b?)> <!ELEMENT b (a*)>",
-            "c",
-        )
-        .unwrap();
+        let d = parse_dtd("<!ELEMENT c (a)> <!ELEMENT a (b?)> <!ELEMENT b (a*)>", "c").unwrap();
         let w = recursion_witness(&d).expect("a and b are mutually recursive");
         let labels: Vec<&str> = w.cycle.iter().map(|&n| d.label(n)).collect();
         assert_eq!(labels, ["a", "b", "a"]);

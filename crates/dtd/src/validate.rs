@@ -71,10 +71,11 @@ pub fn validate(doc: &Document, dtd: &Dtd) -> Result<Interpretation, ValidationE
     // identical ids; otherwise translate through strings once.
     let name_for = |n: NodeId| -> Result<NameId, ValidationError> {
         let tag_name = doc.tag_name(n).expect("element node");
-        dtd.name_of_tag_str(tag_name).ok_or_else(|| ValidationError {
-            node: n,
-            message: format!("element '{tag_name}' is not declared in the DTD"),
-        })
+        dtd.name_of_tag_str(tag_name)
+            .ok_or_else(|| ValidationError {
+                node: n,
+                message: format!("element '{tag_name}' is not declared in the DTD"),
+            })
     };
     let root_name = name_for(root)?;
     if root_name != dtd.root() {
@@ -105,10 +106,7 @@ pub fn validate(doc: &Document, dtd: &Dtd) -> Result<Interpretation, ValidationE
             } else {
                 let t = text_name.ok_or_else(|| ValidationError {
                     node: c,
-                    message: format!(
-                        "text content not allowed inside '{}'",
-                        dtd.label(name)
-                    ),
+                    message: format!("text content not allowed inside '{}'", dtd.label(name)),
                 })?;
                 interp.assign(c, t);
                 word.push(t);
@@ -220,9 +218,7 @@ mod tests {
 
     #[test]
     fn wrong_order() {
-        let (doc, dtd) = setup(
-            "<bib><book><author>A</author><title>T</title></book></bib>",
-        );
+        let (doc, dtd) = setup("<bib><book><author>A</author><title>T</title></book></bib>");
         assert!(validate(&doc, &dtd).is_err());
     }
 
@@ -255,9 +251,7 @@ mod tests {
 
     #[test]
     fn interpretation_is_total_on_nodes() {
-        let (doc, dtd) = setup(
-            "<bib><book><title>T</title><author>A</author></book></bib>",
-        );
+        let (doc, dtd) = setup("<bib><book><title>T</title><author>A</author></book></bib>");
         let interp = validate(&doc, &dtd).unwrap();
         for n in doc.all_nodes().skip(1) {
             assert!(interp.name_of(n).is_some(), "{n:?} unassigned");

@@ -33,7 +33,10 @@ fn assert_rows_inverse(dtd: &Dtd) {
     assert!(dtd.parents_of(dtd.root()).contains(doc));
     assert_eq!(dtd.universe_set(), &dtd.set_of(universe.iter().copied()));
     let with_children = universe.iter().filter(|&&x| !dtd.children_of(x).is_empty());
-    assert_eq!(dtd.names_with_children(), &dtd.set_of(with_children.copied()));
+    assert_eq!(
+        dtd.names_with_children(),
+        &dtd.set_of(with_children.copied())
+    );
 }
 
 #[test]

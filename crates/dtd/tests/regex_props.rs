@@ -3,8 +3,8 @@
 //! Brzozowski-derivative matcher on random regexes and random words.
 
 use xproj_dtd::{NameId, Regex};
-use xproj_testkit::strategy::{one_of, recursive, vec_of, Just, RcStrategy, StrategyExt};
 use xproj_testkit::forall;
+use xproj_testkit::strategy::{one_of, recursive, vec_of, Just, RcStrategy, StrategyExt};
 
 /// Reference matcher: Brzozowski derivatives.
 fn matches_ref(re: &Regex, word: &[NameId]) -> bool {

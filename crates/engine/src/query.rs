@@ -178,8 +178,10 @@ fn closure(steps: &[StepInstr], mask: u64, a: &mut u64, matches: impl Fn(StepTes
         while live != 0 {
             let k = live.trailing_zeros() as usize;
             live &= live - 1;
-            if matches!(steps[k].axis, StepAxis::SelfStep | StepAxis::DescendantOrSelf)
-                && matches(steps[k].test)
+            if matches!(
+                steps[k].axis,
+                StepAxis::SelfStep | StepAxis::DescendantOrSelf
+            ) && matches(steps[k].test)
             {
                 added |= 1 << (k + 1);
             }
@@ -208,7 +210,12 @@ struct GuardExec {
 }
 
 impl GuardExec {
-    fn start(guard: &[StepInstr], mask: u64, accept: u64, matches: impl Fn(StepTest) -> bool) -> GuardExec {
+    fn start(
+        guard: &[StepInstr],
+        mask: u64,
+        accept: u64,
+        matches: impl Fn(StepTest) -> bool,
+    ) -> GuardExec {
         let mut a = 1u64;
         closure(guard, mask, &mut a, matches);
         GuardExec {
@@ -332,7 +339,12 @@ enum GuardStep {
 }
 
 impl Matcher {
-    fn new(dtd: Arc<Dtd>, table: ProjectorTable, steps: Vec<StepInstr>, guard: Vec<StepInstr>) -> Matcher {
+    fn new(
+        dtd: Arc<Dtd>,
+        table: ProjectorTable,
+        steps: Vec<StepInstr>,
+        guard: Vec<StepInstr>,
+    ) -> Matcher {
         let accept = 1u64 << steps.len();
         let mask = accept - 1;
         let gaccept = 1u64 << guard.len();
@@ -403,7 +415,15 @@ impl Matcher {
     /// The one pass an event makes over the recording captures: close
     /// the parent's pending start tag, step each guard, append `scratch`.
     fn record(&mut self, close_parent: bool, step: GuardStep) {
-        let Matcher { caps, open, scratch, guard, gmask, gaccept, .. } = self;
+        let Matcher {
+            caps,
+            open,
+            scratch,
+            guard,
+            gmask,
+            gaccept,
+            ..
+        } = self;
         for &i in open.iter() {
             let cap = &mut caps[i];
             if close_parent {
@@ -472,7 +492,10 @@ impl Matcher {
         }
         debug_assert_eq!(
             self.held,
-            self.caps[self.head..].iter().map(|c| c.buf.len()).sum::<usize>()
+            self.caps[self.head..]
+                .iter()
+                .map(|c| c.buf.len())
+                .sum::<usize>()
         );
     }
 }
@@ -494,10 +517,9 @@ impl TokenSink for Matcher {
             .ok_or_else(|| StreamPruneError::UndeclaredElement(name_str.to_string()))?;
         self.saw_root = true;
         let parent = *self.stack.last().expect("document frame always present");
-        let (mut a, s) =
-            child_transition(&self.steps, self.mask, parent.a, parent.s, |t| {
-                t.matches_element(name)
-            });
+        let (mut a, s) = child_transition(&self.steps, self.mask, parent.a, parent.s, |t| {
+            t.matches_element(name)
+        });
         closure(&self.steps, self.mask, &mut a, |t| t.matches_element(name));
         let matched = a & self.accept != 0;
         let recording = !self.open.is_empty();
@@ -515,9 +537,12 @@ impl TokenSink for Matcher {
             let guard_exec = if self.guard.is_empty() {
                 None
             } else {
-                Some(GuardExec::start(&self.guard, self.gmask, self.gaccept, |t| {
-                    t.matches_element(name)
-                }))
+                Some(GuardExec::start(
+                    &self.guard,
+                    self.gmask,
+                    self.gaccept,
+                    |t| t.matches_element(name),
+                ))
             };
             self.open.push(self.caps.len());
             self.held += self.scratch.len();
@@ -548,7 +573,11 @@ impl TokenSink for Matcher {
         self.scratch.end(name_str, top.open_pending);
         // Open captures nest, so only the innermost can be the element
         // that is ending.
-        let closing = self.open.last().copied().filter(|&i| self.caps[i].start_depth == depth);
+        let closing = self
+            .open
+            .last()
+            .copied()
+            .filter(|&i| self.caps[i].start_depth == depth);
         for &i in &self.open {
             let cap = &mut self.caps[i];
             cap.buf.push_str(&self.scratch);
@@ -573,9 +602,8 @@ impl TokenSink for Matcher {
             return Ok(());
         }
         let top = *self.stack.last().expect("document frame always present");
-        let (mut a, _) = child_transition(&self.steps, self.mask, top.a, top.s, |t| {
-            t.matches_text()
-        });
+        let (mut a, _) =
+            child_transition(&self.steps, self.mask, top.a, top.s, |t| t.matches_text());
         closure(&self.steps, self.mask, &mut a, |t| t.matches_text());
         // A text node answer is born complete — its guard can only hold
         // via self-matching steps, settled on the spot.
@@ -650,14 +678,17 @@ impl QueryMachine {
     pub fn new(artifact: Arc<QueryArtifact>, mode: QueryOutput) -> QueryMachine {
         let (dtd, table) = (Arc::clone(&artifact.dtd), artifact.table.clone());
         let sink = match &artifact.plan {
-            Plan::Streaming(p) if mode != QueryOutput::Pruned => {
-                Sink::Match(Box::new(Matcher::new(dtd, table, p.steps.clone(), p.guard.clone())))
-            }
+            Plan::Streaming(p) if mode != QueryOutput::Pruned => Sink::Match(Box::new(
+                Matcher::new(dtd, table, p.steps.clone(), p.guard.clone()),
+            )),
             _ => {
                 let machine = Box::new(PruneMachine::with_table(dtd, table));
                 match mode {
                     QueryOutput::Pruned => Sink::Prune(machine),
-                    _ => Sink::Tree(machine, Box::new(TreeBuilder::new(artifact.dtd.tags.clone()))),
+                    _ => Sink::Tree(
+                        machine,
+                        Box::new(TreeBuilder::new(artifact.dtd.tags.clone())),
+                    ),
                 }
             }
         };
@@ -700,12 +731,12 @@ impl QueryMachine {
                 self.pass.feed(chunk, &mut **m)?;
                 m.drain_ready(&mut ready);
             }
-            Sink::Prune(machine) => {
-                self.pass.feed(chunk, &mut MachineSink::new(machine, &mut self.out, None))?
-            }
-            Sink::Tree(machine, tree) => {
-                self.pass.feed(chunk, &mut MachineSink::new(machine, &mut **tree, None))?
-            }
+            Sink::Prune(machine) => self
+                .pass
+                .feed(chunk, &mut MachineSink::new(machine, &mut self.out, None))?,
+            Sink::Tree(machine, tree) => self
+                .pass
+                .feed(chunk, &mut MachineSink::new(machine, &mut **tree, None))?,
             Sink::Done => panic!("query machine already finished"),
         }
         for v in &ready {
@@ -733,11 +764,13 @@ impl QueryMachine {
                 }
             }
             Sink::Prune(mut machine) => {
-                self.pass.finish(&mut MachineSink::new(&mut machine, &mut self.out, None))?;
+                self.pass
+                    .finish(&mut MachineSink::new(&mut machine, &mut self.out, None))?;
                 machine.finish()?
             }
             Sink::Tree(mut machine, mut builder) => {
-                self.pass.finish(&mut MachineSink::new(&mut machine, &mut *builder, None))?;
+                self.pass
+                    .finish(&mut MachineSink::new(&mut machine, &mut *builder, None))?;
                 tree = Some(builder);
                 machine.finish()?
             }
@@ -823,7 +856,11 @@ impl QueryMachine {
         match self.mode {
             QueryOutput::Frames => {
                 use std::fmt::Write as _;
-                let _ = write!(self.out, "{{\"match\":{},\"atom\":{},\"value\":\"", self.emitted, atom);
+                let _ = write!(
+                    self.out,
+                    "{{\"match\":{},\"atom\":{},\"value\":\"",
+                    self.emitted, atom
+                );
                 json_escape_into(value, &mut self.out);
                 self.out.push_str("\"}\n");
             }
@@ -900,8 +937,7 @@ mod tests {
 
     fn answer(query: &str, doc: &str, ff: bool, chunk: usize) -> (String, QueryStats) {
         let art = artifact(query);
-        let (out, stats) =
-            run_query(&art, doc.as_bytes(), QueryOutput::Answer, ff, chunk).unwrap();
+        let (out, stats) = run_query(&art, doc.as_bytes(), QueryOutput::Answer, ff, chunk).unwrap();
         (String::from_utf8(out).unwrap(), stats)
     }
 
@@ -985,7 +1021,10 @@ mod tests {
         let (fast, fs) = answer("//title", DOC, true, 4096);
         let (plain, ps) = answer("//title", DOC, false, 4096);
         assert_eq!(fast, plain);
-        assert!(fs.engine.subtrees_fast_forwarded > 0, "price/author subtrees skip");
+        assert!(
+            fs.engine.subtrees_fast_forwarded > 0,
+            "price/author subtrees skip"
+        );
         assert_eq!(ps.engine.subtrees_fast_forwarded, 0);
         assert!(fs.engine.events < ps.engine.events);
     }
@@ -1041,11 +1080,9 @@ mod tests {
     #[test]
     fn undeclared_element_and_malformed_input_error() {
         let art = artifact("//title");
-        let err = run_query(&art, b"<bib><zzz/></bib>", QueryOutput::Answer, false, 7)
-            .unwrap_err();
+        let err = run_query(&art, b"<bib><zzz/></bib>", QueryOutput::Answer, false, 7).unwrap_err();
         assert_eq!(err.code(), ErrorCode::UndeclaredElement);
-        let err =
-            run_query(&art, b"<bib><book>", QueryOutput::Answer, true, 7).unwrap_err();
+        let err = run_query(&art, b"<bib><book>", QueryOutput::Answer, true, 7).unwrap_err();
         assert_eq!(err.code(), ErrorCode::MalformedXml);
         let err = run_query(&art, b"", QueryOutput::Answer, true, 7).unwrap_err();
         assert_eq!(err.code(), ErrorCode::MalformedXml);
@@ -1110,7 +1147,9 @@ mod tests {
 
     fn pruned(query: &str) -> String {
         let art = artifact(query);
-        one_feed(DOC, &art.dtd, &art.projector, false, false).unwrap().0
+        one_feed(DOC, &art.dtd, &art.projector, false, false)
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -1135,7 +1174,10 @@ mod tests {
                 assert_eq!(String::from_utf8(out).unwrap(), want, "{q}, chunk {size}");
                 assert_eq!(stats.plan, "prune");
                 assert_eq!(stats.matches, 0);
-                assert_eq!(stats.engine.counters.elements_kept, c.counters.elements_kept);
+                assert_eq!(
+                    stats.engine.counters.elements_kept,
+                    c.counters.elements_kept
+                );
                 assert_eq!(stats.engine.bytes_out, want.len() as u64);
             }
         }

@@ -31,7 +31,10 @@ const QUERIES: &[(&str, bool)] = &[
 ];
 
 fn scales() -> Vec<f64> {
-    match std::env::var("TESTKIT_XMARK_SCALE").ok().and_then(|v| v.parse().ok()) {
+    match std::env::var("TESTKIT_XMARK_SCALE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+    {
         Some(scale) => vec![scale],
         None => vec![0.05, 0.2],
     }

@@ -22,10 +22,10 @@
 //! setting that variable re-runs exactly the failing case.
 //! `TESTKIT_CASES=n` overrides the case count.
 
+use std::sync::Arc;
 use xproj_core::{prune_document, Projector, StaticAnalyzer};
 use xproj_dtd::generate::{generate, random_dtd, GenConfig, RandomDtdConfig, RANDOM_DTD_TAGS};
 use xproj_dtd::{validate, Dtd};
-use std::sync::Arc;
 use xproj_engine::{
     residency_bound, ChunkedPruner, EngineError, EngineStats, QueryArtifact, QueryMachine,
     QueryOutput,
@@ -114,7 +114,9 @@ fn pruned_machine_case(dtd: Dtd, doc: &Document, xml: &str, q: &str) {
         let mut reference = Vec::new();
         let want = ChunkedPruner::new(&*dtd, &artifact.projector, &mut reference)
             .run(xml.as_bytes(), size)
-            .unwrap_or_else(|e| panic!("chunked run (size {size}) failed for {q}: {e}\ndoc: {xml}"));
+            .unwrap_or_else(|e| {
+                panic!("chunked run (size {size}) failed for {q}: {e}\ndoc: {xml}")
+            });
         assert_eq!(
             String::from_utf8(reference).unwrap(),
             oracle,
@@ -132,18 +134,18 @@ fn pruned_machine_case(dtd: Dtd, doc: &Document, xml: &str, q: &str) {
             assert!(oracle.as_bytes().starts_with(out), "size {size}, {q}");
         };
         for (i, chunk) in xml.as_bytes().chunks(size).enumerate() {
-            machine
-                .feed(chunk)
-                .unwrap_or_else(|e| panic!("machine feed (size {size}) failed for {q}: {e}\ndoc: {xml}"));
+            machine.feed(chunk).unwrap_or_else(|e| {
+                panic!("machine feed (size {size}) failed for {q}: {e}\ndoc: {xml}")
+            });
             assert!(machine.resident_bytes() >= machine.pending_output());
             if i % 2 == 1 {
                 take(&mut machine, &mut out);
             }
         }
         // finish() hard-asserts the resident-memory bound here too.
-        let stats = machine
-            .finish()
-            .unwrap_or_else(|e| panic!("machine finish (size {size}) failed for {q}: {e}\ndoc: {xml}"));
+        let stats = machine.finish().unwrap_or_else(|e| {
+            panic!("machine finish (size {size}) failed for {q}: {e}\ndoc: {xml}")
+        });
         take(&mut machine, &mut out);
         assert_eq!(machine.resident_bytes(), 0);
         assert_eq!(
@@ -164,11 +166,17 @@ fn pruned_machine_case(dtd: Dtd, doc: &Document, xml: &str, q: &str) {
         let check_bound = |got: &xproj_engine::EngineStats, what: &str| {
             let bound = residency_bound(got.max_token_bytes, size, got.counters.max_depth);
             let peak = got.peak_resident_bytes;
-            assert!(peak <= bound, "{what}: resident {peak} > {bound} at chunk size {size}");
+            assert!(
+                peak <= bound,
+                "{what}: resident {peak} > {bound} at chunk size {size}"
+            );
         };
         check_bound(got, q);
 
-        for (query, plan) in [(q.to_string(), "streaming"), (format!("count({q})"), "fallback")] {
+        for (query, plan) in [
+            (q.to_string(), "streaming"),
+            (format!("count({q})"), "fallback"),
+        ] {
             let artifact = QueryArtifact::compile(&dtd, &query).unwrap();
             let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
             for chunk in xml.as_bytes().chunks(size) {
@@ -252,7 +260,10 @@ fn run_case(seed: u64) {
             "chunked output (ff={fast_forward}) diverged from prune_document for {q}\ndoc: {xml}"
         );
         assert_eq!(stats.counters.elements_kept, whole.elements_kept, "for {q}");
-        assert_eq!(stats.counters.elements_pruned, whole.elements_pruned, "for {q}");
+        assert_eq!(
+            stats.counters.elements_pruned, whole.elements_pruned,
+            "for {q}"
+        );
         assert_eq!(stats.counters.text_kept, whole.text_kept, "for {q}");
         assert_eq!(stats.counters.max_depth, whole.max_depth, "for {q}");
         assert_eq!(stats.bytes_in, xml.len() as u64);
@@ -267,7 +278,11 @@ fn run_case(seed: u64) {
 
 #[test]
 fn fuzz_chunked_equals_whole_string_pruning() {
-    seeded("fuzz_chunked_equals_whole_string_pruning", FUZZ_CASES, run_case);
+    seeded(
+        "fuzz_chunked_equals_whole_string_pruning",
+        FUZZ_CASES,
+        run_case,
+    );
 }
 
 /// A document whose pruned subtrees are all fast-forward-eligible,
@@ -380,7 +395,10 @@ fn giant_unterminated_attribute_is_malformed_xml_for_every_pass() {
             pruner.feed(chunk).unwrap();
         }
         let err = pruner.finish().unwrap_err();
-        assert!(matches!(err, xproj_engine::EngineError::Xml(_)), "validate {validate}: {err}");
+        assert!(
+            matches!(err, xproj_engine::EngineError::Xml(_)),
+            "validate {validate}: {err}"
+        );
     }
     let mut machine = QueryMachine::new(artifact, QueryOutput::Frames);
     for chunk in doc.chunks(64 * 1024) {

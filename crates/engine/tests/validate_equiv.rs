@@ -55,7 +55,8 @@ fn streamed(dtd: &Dtd, p: &Projector, chunks: &[&[u8]]) -> Result<(String, Prune
 /// with every `S` character between each pair of adjacent tags.
 fn assert_verdicts_agree(dtd: &Dtd, input: &str) {
     for doc in [input.to_string(), input.replace("><", ">\r\n\t <")] {
-        let tree = parse_with_interner(&doc, dtd.tags.clone()).is_ok_and(|t| validate(&t, dtd).is_ok());
+        let tree =
+            parse_with_interner(&doc, dtd.tags.clone()).is_ok_and(|t| validate(&t, dtd).is_ok());
         let mut pruner = ChunkedPruner::new(dtd, &Projector::empty(dtd), std::io::sink());
         pruner.set_validate(true);
         let stream = pruner.run(doc.as_bytes(), DEFAULT_CHUNK_SIZE).is_ok();

@@ -174,7 +174,10 @@ mod tests {
     fn compile_produces_consistent_key_and_plan() {
         let d = dtd();
         let art = QueryArtifact::compile(&d, "//b[c]").unwrap();
-        assert!(Arc::ptr_eq(&art.dtd, &d), "the grammar is shared, not copied");
+        assert!(
+            Arc::ptr_eq(&art.dtd, &d),
+            "the grammar is shared, not copied"
+        );
         assert_eq!(art.normalized_query, normalize_query("//b[c]").unwrap());
         assert!(matches!(art.plan, Plan::Streaming(_)));
         assert!(art.approx_bytes() > 0);

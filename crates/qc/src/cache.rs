@@ -322,7 +322,11 @@ mod tests {
         };
         let walk = || {
             let inner = cache.inner.lock().unwrap();
-            inner.map.values().map(|e| e.artifact.approx_bytes()).sum::<usize>()
+            inner
+                .map
+                .values()
+                .map(|e| e.artifact.approx_bytes())
+                .sum::<usize>()
         };
         for round in 0..2 {
             for i in 0..96 {
@@ -333,7 +337,11 @@ mod tests {
                 } else {
                     cache.compile(miss(&key(i)));
                 }
-                assert_eq!(cache.stats().resident_bytes, walk(), "round {round}, key {i}");
+                assert_eq!(
+                    cache.stats().resident_bytes,
+                    walk(),
+                    "round {round}, key {i}"
+                );
             }
         }
         let s = cache.stats();

@@ -147,9 +147,9 @@ fn lower_axis(axis: Axis) -> Option<StepAxis> {
 
 fn lower_test(test: &NodeTest, dtd: &Dtd) -> StepTest {
     match test {
-        NodeTest::Tag(t) => StepTest::Tag(
-            dtd.name_of_tag_str(t).map(|n| n.0).unwrap_or(UNDECLARED),
-        ),
+        NodeTest::Tag(t) => {
+            StepTest::Tag(dtd.name_of_tag_str(t).map(|n| n.0).unwrap_or(UNDECLARED))
+        }
         NodeTest::Node => StepTest::AnyNode,
         NodeTest::Text => StepTest::Text,
         NodeTest::Element => StepTest::AnyElement,

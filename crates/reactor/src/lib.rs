@@ -61,14 +61,26 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READABLE: Interest = Interest { readable: true, writable: false };
+    pub const READABLE: Interest = Interest {
+        readable: true,
+        writable: false,
+    };
     /// Write-only interest.
-    pub const WRITABLE: Interest = Interest { readable: false, writable: true };
+    pub const WRITABLE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
     /// Both directions.
-    pub const BOTH: Interest = Interest { readable: true, writable: true };
+    pub const BOTH: Interest = Interest {
+        readable: true,
+        writable: true,
+    };
     /// Registered but silent (only `ERR`/`HUP`, which epoll always
     /// reports). Used to park a connection during backpressure.
-    pub const NONE: Interest = Interest { readable: false, writable: false };
+    pub const NONE: Interest = Interest {
+        readable: false,
+        writable: false,
+    };
 
     fn bits(self) -> u32 {
         let mut b = 0;
@@ -176,7 +188,9 @@ impl Reactor {
                 return Err(e);
             }
         };
-        let waker = Waker { fd: Arc::new(EventFd(efd)) };
+        let waker = Waker {
+            fd: Arc::new(EventFd(efd)),
+        };
         // Level-triggered read interest on the waker: poll drains it, so
         // it only reports while a wake is actually pending.
         if let Err(e) = sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, efd, sys::EPOLLIN, WAKER_TOKEN) {
@@ -204,8 +218,17 @@ impl Reactor {
     /// Registers `fd` for readiness events carrying `token`. The caller
     /// keeps ownership of the fd and must [`Self::deregister`] before
     /// closing it. `token` must be below [`WAKER_TOKEN`].
-    pub fn register(&self, fd: RawFd, token: Token, interest: Interest, mode: Mode) -> io::Result<()> {
-        debug_assert!(token.0 < WAKER_TOKEN, "token {token:?} collides with the waker");
+    pub fn register(
+        &self,
+        fd: RawFd,
+        token: Token,
+        interest: Interest,
+        mode: Mode,
+    ) -> io::Result<()> {
+        debug_assert!(
+            token.0 < WAKER_TOKEN,
+            "token {token:?} collides with the waker"
+        );
         sys::epoll_ctl(
             self.epfd,
             sys::EPOLL_CTL_ADD,
@@ -218,7 +241,13 @@ impl Reactor {
     }
 
     /// Changes the interest set or mode of a registered fd.
-    pub fn modify(&self, fd: RawFd, token: Token, interest: Interest, mode: Mode) -> io::Result<()> {
+    pub fn modify(
+        &self,
+        fd: RawFd,
+        token: Token,
+        interest: Interest,
+        mode: Mode,
+    ) -> io::Result<()> {
         sys::epoll_ctl(
             self.epfd,
             sys::EPOLL_CTL_MOD,
@@ -270,7 +299,8 @@ impl Reactor {
         // A full buffer means more events may be pending; grow so big
         // fleets drain in one syscall next time.
         if n == self.buf.len() && n < 65_536 {
-            self.buf.resize(n * 2, sys::EpollEvent { events: 0, data: 0 });
+            self.buf
+                .resize(n * 2, sys::EpollEvent { events: 0, data: 0 });
         }
         Ok(woken)
     }

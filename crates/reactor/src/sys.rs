@@ -110,8 +110,7 @@ mod ffi {
     extern "C" {
         pub fn epoll_create1(flags: i32) -> i32;
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32)
-            -> i32;
+        pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         pub fn eventfd(initval: u32, flags: i32) -> i32;
         pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
@@ -122,13 +121,7 @@ mod ffi {
         pub fn listen(fd: i32, backlog: i32) -> i32;
         pub fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
         pub fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-        pub fn setsockopt(
-            fd: i32,
-            level: i32,
-            name: i32,
-            value: *const u8,
-            len: u32,
-        ) -> i32;
+        pub fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
     }
 }
 
@@ -298,7 +291,10 @@ pub fn close(fd: i32) {
 pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
     #[cfg(target_os = "linux")]
     {
-        let mut lim = ffi::Rlimit { rlim_cur: 0, rlim_max: 0 };
+        let mut lim = ffi::Rlimit {
+            rlim_cur: 0,
+            rlim_max: 0,
+        };
         // SAFETY: the pointer targets a live Rlimit the kernel fills in.
         if unsafe { ffi::getrlimit(ffi::RLIMIT_NOFILE, &mut lim) } < 0 {
             return Err(last_err());

@@ -52,7 +52,11 @@ impl TimerWheel {
     pub fn new(slots: usize, tick: Duration) -> TimerWheel {
         let slots = slots.max(2);
         TimerWheel {
-            slots: (0..slots).map(|_| Slot { entries: Vec::new() }).collect(),
+            slots: (0..slots)
+                .map(|_| Slot {
+                    entries: Vec::new(),
+                })
+                .collect(),
             tick: tick.max(Duration::from_millis(1)),
             start: Instant::now(),
             cursor: 0,
@@ -77,7 +81,9 @@ impl TimerWheel {
         // round up so the deadline has fully elapsed when it fires.
         let tick = self.tick_of(deadline).max(self.cursor) + 1;
         let slot = (tick % self.slots.len() as u64) as usize;
-        self.slots[slot].entries.push((tick, TimerEntry { token, gen }));
+        self.slots[slot]
+            .entries
+            .push((tick, TimerEntry { token, gen }));
         self.armed += 1;
     }
 
@@ -194,7 +200,13 @@ mod tests {
         // staleness compare must discard exactly the cancelled one.
         assert_eq!(fired.len(), 2);
         let live: Vec<&TimerEntry> = fired.iter().filter(|e| e.gen == live_gen).collect();
-        assert_eq!(live, vec![&TimerEntry { token: 7, gen: live_gen }]);
+        assert_eq!(
+            live,
+            vec![&TimerEntry {
+                token: 7,
+                gen: live_gen
+            }]
+        );
         assert_eq!(w.armed(), 0);
     }
 

@@ -62,8 +62,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 config.cache_capacity = parse_num("--cache", &next("--cache")?)?.max(1) as usize
             }
             "--max-body-bytes" => {
-                config.max_body_bytes =
-                    parse_num("--max-body-bytes", &next("--max-body-bytes")?)?
+                config.max_body_bytes = parse_num("--max-body-bytes", &next("--max-body-bytes")?)?
             }
             "--read-timeout-ms" => {
                 config.read_timeout = Duration::from_millis(parse_num(

@@ -71,8 +71,7 @@ use crate::handlers::{
     SHUTDOWN_BODY,
 };
 use crate::http::{
-    body_kind, render_json_error, render_response, response_head,
-    BodyKind, HttpError, RequestHead,
+    body_kind, render_json_error, render_response, response_head, BodyKind, HttpError, RequestHead,
 };
 use crate::metrics::Endpoint;
 use crate::state::{ServerState, MAX_DTD_BODY_BYTES};
@@ -309,9 +308,9 @@ impl Job {
     /// stall a loop's other connections.
     pub fn bounded(&self) -> bool {
         match self {
-            Job::Prune { session, finish, .. } => {
-                !(*finish && session.plan_label() == "fallback")
-            }
+            Job::Prune {
+                session, finish, ..
+            } => !(*finish && session.plan_label() == "fallback"),
             Job::Setup { .. } => true,
             Job::Dtd { .. } | Job::Analyze { .. } | Job::Independence { .. } => false,
         }
@@ -367,7 +366,12 @@ pub fn run_on_loop(job: Job, state: &ServerState) -> Result<Done, Job> {
         return Ok(run_job(job, state));
     };
     let compiled = contained(
-        || state.cache.compile_within(pending, LOOP_COMPILE_STEPS).map(Ok),
+        || {
+            state
+                .cache
+                .compile_within(pending, LOOP_COMPILE_STEPS)
+                .map(Ok)
+        },
         || Ok(Err(internal_error())),
     );
     match compiled {
@@ -392,7 +396,10 @@ pub fn run_job(job: Job, state: &ServerState) -> Done {
             internal_error,
         )),
         Job::Setup { head, pending } => {
-            let result = contained(|| Ok(state.cache.compile(pending)), || Err(internal_error()));
+            let result = contained(
+                || Ok(state.cache.compile(pending)),
+                || Err(internal_error()),
+            );
             Done::Setup { head, result }
         }
         Job::Prune {

@@ -98,9 +98,7 @@ pub(crate) fn metrics_reply(state: &ServerState, head: &RequestHead) -> Reply {
         Reply::Ok {
             status: 200,
             content_type: "text/plain; version=0.0.4",
-            body: state
-                .metrics
-                .render_prometheus(state.cache.stats()),
+            body: state.metrics.render_prometheus(state.cache.stats()),
         }
     } else {
         Reply::json(state.metrics.render_json(state.cache.stats()))
@@ -275,10 +273,7 @@ pub(crate) fn artifact_lookup(state: &ServerState, head: &RequestHead) -> Result
 /// The `fast_forward=0|false` toggle of `/v1/prune` and `/v1/query`
 /// (default on).
 pub(crate) fn fast_forward_param(head: &RequestHead) -> bool {
-    !matches!(
-        head.query_param("fast_forward"),
-        Some("0") | Some("false")
-    )
+    !matches!(head.query_param("fast_forward"), Some("0") | Some("false"))
 }
 
 /// The reply for a protocol-level [`HttpError`].
@@ -293,7 +288,10 @@ pub(crate) fn reply_for_http_error(e: &HttpError) -> Reply {
         HttpError::HeadersTooLarge => Reply::err(
             431,
             codes::HEADERS_TOO_LARGE,
-            format!("request head exceeds {} bytes", crate::wire::MAX_HEADER_BYTES),
+            format!(
+                "request head exceeds {} bytes",
+                crate::wire::MAX_HEADER_BYTES
+            ),
         ),
         HttpError::NotImplemented(m) => Reply::err(501, codes::NOT_IMPLEMENTED, m.clone()),
     }

@@ -82,7 +82,11 @@ impl RequestHead {
     pub fn keep_alive(&self) -> bool {
         let has = |name: &str| self.headers.iter().any(|(n, _)| n == name);
         let ambiguous_framing = has("transfer-encoding") && has("content-length");
-        !ambiguous_framing && !self.header_tokens("connection").iter().any(|t| t == "close")
+        !ambiguous_framing
+            && !self
+                .header_tokens("connection")
+                .iter()
+                .any(|t| t == "close")
     }
 
     /// Whether the client sent `Expect: 100-continue`.
@@ -165,7 +169,9 @@ pub(crate) fn parse_head_str(head: &str) -> Result<RequestHead, HttpError> {
         // that read `Transfer-Encoding : chunked` or a folded line another
         // way would frame the body, and so the next request, differently.
         if n.is_empty() || !n.bytes().all(is_tchar) {
-            return Err(HttpError::BadRequest(format!("malformed header field name in '{line}'")));
+            return Err(HttpError::BadRequest(format!(
+                "malformed header field name in '{line}'"
+            )));
         }
         headers.push((n.to_ascii_lowercase(), v.trim().to_string()));
     }
@@ -191,9 +197,7 @@ fn is_tchar(b: u8) -> bool {
 }
 
 pub(crate) fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack
-        .windows(needle.len())
-        .position(|w| w == needle)
+    haystack.windows(needle.len()).position(|w| w == needle)
 }
 
 /// How the request body is framed.
@@ -278,7 +282,11 @@ pub(crate) fn response_head(
 ) -> String {
     use std::fmt::Write as _;
     let mut head = String::with_capacity(128);
-    let _ = write!(head, "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n", reason(status));
+    let _ = write!(
+        head,
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\n",
+        reason(status)
+    );
     let _ = match body_len {
         Some(n) => write!(head, "content-length: {n}\r\n"),
         None => head.write_str("transfer-encoding: chunked\r\n"),
@@ -300,8 +308,14 @@ pub(crate) fn render_response(
     keep_alive: bool,
     extra_headers: &[(&str, &str)],
 ) -> Vec<u8> {
-    let mut out = response_head(status, content_type, Some(body.len()), keep_alive, extra_headers)
-        .into_bytes();
+    let mut out = response_head(
+        status,
+        content_type,
+        Some(body.len()),
+        keep_alive,
+        extra_headers,
+    )
+    .into_bytes();
     out.extend_from_slice(body);
     out
 }
@@ -320,7 +334,13 @@ pub(crate) fn render_json_error(
         "{{\"error\":{{\"code\":\"{code}\",\"message\":\"{}\"}}}}",
         json_escape(message)
     );
-    render_response(status, "application/json", body.as_bytes(), false, extra_headers)
+    render_response(
+        status,
+        "application/json",
+        body.as_bytes(),
+        false,
+        extra_headers,
+    )
 }
 
 #[cfg(test)]
@@ -369,7 +389,11 @@ mod tests {
         assert_eq!(head.query_param("query"), Some("/site//item"));
         assert_eq!(head.query_param("flag"), Some(""));
         assert_eq!(head.query_param("missing"), None);
-        let keys: Vec<&str> = head.query_params().iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = head
+            .query_params()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, ["dtd", "query", "flag", "dtd"]);
     }
 
@@ -410,7 +434,8 @@ mod tests {
     fn keep_alive_defaults() {
         let mut head = head_with(&[]);
         assert!(head.keep_alive());
-        head.headers.push(("connection".to_string(), "close".to_string()));
+        head.headers
+            .push(("connection".to_string(), "close".to_string()));
         assert!(!head.keep_alive());
     }
 
@@ -419,12 +444,21 @@ mod tests {
         let bytes = render_json_error(503, "overloaded", "try later", &[("retry-after", "1")]);
         let text = String::from_utf8(bytes).unwrap();
         let (head, body) = text.split_once("\r\n\r\n").unwrap();
-        assert!(head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{head}");
+        assert!(
+            head.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{head}"
+        );
         assert!(head.contains("\r\nretry-after: 1"), "{head}");
         assert!(head.contains("\r\nconnection: close"), "{head}");
-        assert_eq!(body, "{\"error\":{\"code\":\"overloaded\",\"message\":\"try later\"}}");
+        assert_eq!(
+            body,
+            "{\"error\":{\"code\":\"overloaded\",\"message\":\"try later\"}}"
+        );
         // content-length frames the body exactly.
-        assert!(head.contains(&format!("content-length: {}", body.len())), "{head}");
+        assert!(
+            head.contains(&format!("content-length: {}", body.len())),
+            "{head}"
+        );
         // 429 has a proper reason phrase for the rate limiter.
         assert_eq!(reason(429), "Too Many Requests");
     }
@@ -505,15 +539,25 @@ mod tests {
             );
         }
         assert!(matches!(
-            body_kind(&head_with(&[("content-length", "19"), ("content-length", "3")])),
+            body_kind(&head_with(&[
+                ("content-length", "19"),
+                ("content-length", "3")
+            ])),
             Err(HttpError::BadRequest(_))
         ));
         assert!(matches!(
-            body_kind(&head_with(&[("content-length", "0"), ("content-length", "3")])),
+            body_kind(&head_with(&[
+                ("content-length", "0"),
+                ("content-length", "3")
+            ])),
             Err(HttpError::BadRequest(_))
         ));
         assert_eq!(
-            body_kind(&head_with(&[("content-length", "19"), ("content-length", "19")])).unwrap(),
+            body_kind(&head_with(&[
+                ("content-length", "19"),
+                ("content-length", "19")
+            ]))
+            .unwrap(),
             BodyKind::Length(19)
         );
     }

@@ -150,7 +150,10 @@ fn classify_accept_error(e: &std::io::Error, state: &ServerState) -> AcceptFailu
 /// `open_conns` and to be released by the driver when it ends.
 fn admit(state: &ServerState, now: Instant) -> (Connection, bool) {
     if state.open_conns.load(Ordering::Relaxed) >= state.config.max_connections {
-        state.metrics.admission_rejects.fetch_add(1, Ordering::Relaxed);
+        state
+            .metrics
+            .admission_rejects
+            .fetch_add(1, Ordering::Relaxed);
         let reply = http::render_json_error(
             503,
             "overloaded",
@@ -194,16 +197,12 @@ impl Server {
             let n = config.reactor_threads.max(1);
             if n > 1 {
                 use std::net::ToSocketAddrs;
-                let addr = config
-                    .addr
-                    .to_socket_addrs()?
-                    .next()
-                    .ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidInput,
-                            "bind address resolved to nothing",
-                        )
-                    })?;
+                let addr = config.addr.to_socket_addrs()?.next().ok_or_else(|| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        "bind address resolved to nothing",
+                    )
+                })?;
                 let first = xproj_reactor::bind_reuseport(addr)?;
                 let resolved = first.local_addr()?;
                 let mut listeners = vec![first];

@@ -109,8 +109,10 @@ impl LatencyHistogram {
         };
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-        self.max_ns.fetch_max(d.as_nanos() as u64, Ordering::Relaxed);
+        self.sum_ns
+            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+        self.max_ns
+            .fetch_max(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Observations recorded.
@@ -301,54 +303,348 @@ impl ServerMetrics {
         let z = |a: &AtomicUsize| Value::Int(a.load(Ordering::Relaxed) as u64);
         let int = |v: usize| Value::Int(v as u64);
         let mut rows = vec![
-            Metric("server", "uptime_ms", "xmlpruned_uptime_ms", "Milliseconds since the server started.", Gauge, Value::Int(self.started.elapsed().as_millis() as u64)),
-            Metric("server", "connections", "xmlpruned_connections_total", "Connections accepted.", Counter, n(&self.connections)),
-            Metric("server", "requests", "xmlpruned_requests_total", "Requests parsed and routed.", Counter, n(&self.requests)),
-            Metric("server", "errors", "xmlpruned_errors_total", "Requests answered 4xx/5xx or dropped.", Counter, n(&self.errors)),
-            Metric("server", "in_flight", "xmlpruned_in_flight", "Requests currently being processed.", Gauge, z(&self.in_flight)),
-            Metric("server", "drained", "xmlpruned_drained_total", "Requests completed after shutdown was requested.", Counter, n(&self.drained)),
-            Metric("server", "aborted", "xmlpruned_aborted_total", "Requests still in flight when the drain deadline expired.", Counter, n(&self.aborted)),
-            Metric("server", "rate_limited", "xmlpruned_rate_limited_total", "Requests refused 429 by the token-bucket rate limiter.", Counter, n(&self.rate_limited)),
-            Metric("server", "accept_stalls", "xmlpruned_accept_stalls_total", "Accept errors (fd exhaustion) that paused the listener.", Counter, n(&self.accept_stalls)),
-            Metric("engine", "documents", "xmlpruned_engine_documents_total", "Documents passed through the engine (pruned or queried).", Counter, Value::Int(engine.documents)),
-            Metric("engine", "events", "xmlpruned_engine_events_total", "Parse events processed.", Counter, Value::Int(engine.events)),
-            Metric("engine", "bytes_in", "xmlpruned_engine_bytes_in_total", "Document bytes received.", Counter, Value::Int(engine.bytes_in)),
-            Metric("engine", "bytes_out", "xmlpruned_engine_bytes_out_total", "Pruned or answer bytes written back.", Counter, Value::Int(engine.bytes_out)),
-            Metric("engine", "retention", "xmlpruned_engine_retention", "Bytes out per byte in, over all documents.", Gauge, Value::Ratio(engine.retention())),
-            Metric("engine", "elements_kept", "xmlpruned_engine_elements_kept_total", "Elements written by pruning passes.", Counter, int(engine.counters.elements_kept)),
-            Metric("engine", "elements_pruned", "xmlpruned_engine_elements_pruned_total", "Elements discarded (with their subtrees) by pruning passes.", Counter, int(engine.counters.elements_pruned)),
-            Metric("engine", "text_kept", "xmlpruned_engine_text_kept_total", "Text nodes written by pruning passes.", Counter, int(engine.counters.text_kept)),
-            Metric("engine", "text_pruned", "xmlpruned_engine_text_pruned_total", "Text nodes discarded by pruning passes.", Counter, int(engine.counters.text_pruned)),
-            Metric("engine", "max_depth", "xmlpruned_engine_max_depth", "Deepest element nesting seen in any document.", Gauge, int(engine.counters.max_depth)),
-            Metric("engine", "peak_resident_bytes", "xmlpruned_engine_peak_resident_bytes", "High-water engine-resident buffering of any document.", Gauge, int(engine.peak_resident_bytes)),
-            Metric("engine", "max_token_bytes", "xmlpruned_engine_max_token_bytes", "Largest single token seen in any document.", Gauge, int(engine.max_token_bytes)),
+            Metric(
+                "server",
+                "uptime_ms",
+                "xmlpruned_uptime_ms",
+                "Milliseconds since the server started.",
+                Gauge,
+                Value::Int(self.started.elapsed().as_millis() as u64),
+            ),
+            Metric(
+                "server",
+                "connections",
+                "xmlpruned_connections_total",
+                "Connections accepted.",
+                Counter,
+                n(&self.connections),
+            ),
+            Metric(
+                "server",
+                "requests",
+                "xmlpruned_requests_total",
+                "Requests parsed and routed.",
+                Counter,
+                n(&self.requests),
+            ),
+            Metric(
+                "server",
+                "errors",
+                "xmlpruned_errors_total",
+                "Requests answered 4xx/5xx or dropped.",
+                Counter,
+                n(&self.errors),
+            ),
+            Metric(
+                "server",
+                "in_flight",
+                "xmlpruned_in_flight",
+                "Requests currently being processed.",
+                Gauge,
+                z(&self.in_flight),
+            ),
+            Metric(
+                "server",
+                "drained",
+                "xmlpruned_drained_total",
+                "Requests completed after shutdown was requested.",
+                Counter,
+                n(&self.drained),
+            ),
+            Metric(
+                "server",
+                "aborted",
+                "xmlpruned_aborted_total",
+                "Requests still in flight when the drain deadline expired.",
+                Counter,
+                n(&self.aborted),
+            ),
+            Metric(
+                "server",
+                "rate_limited",
+                "xmlpruned_rate_limited_total",
+                "Requests refused 429 by the token-bucket rate limiter.",
+                Counter,
+                n(&self.rate_limited),
+            ),
+            Metric(
+                "server",
+                "accept_stalls",
+                "xmlpruned_accept_stalls_total",
+                "Accept errors (fd exhaustion) that paused the listener.",
+                Counter,
+                n(&self.accept_stalls),
+            ),
+            Metric(
+                "engine",
+                "documents",
+                "xmlpruned_engine_documents_total",
+                "Documents passed through the engine (pruned or queried).",
+                Counter,
+                Value::Int(engine.documents),
+            ),
+            Metric(
+                "engine",
+                "events",
+                "xmlpruned_engine_events_total",
+                "Parse events processed.",
+                Counter,
+                Value::Int(engine.events),
+            ),
+            Metric(
+                "engine",
+                "bytes_in",
+                "xmlpruned_engine_bytes_in_total",
+                "Document bytes received.",
+                Counter,
+                Value::Int(engine.bytes_in),
+            ),
+            Metric(
+                "engine",
+                "bytes_out",
+                "xmlpruned_engine_bytes_out_total",
+                "Pruned or answer bytes written back.",
+                Counter,
+                Value::Int(engine.bytes_out),
+            ),
+            Metric(
+                "engine",
+                "retention",
+                "xmlpruned_engine_retention",
+                "Bytes out per byte in, over all documents.",
+                Gauge,
+                Value::Ratio(engine.retention()),
+            ),
+            Metric(
+                "engine",
+                "elements_kept",
+                "xmlpruned_engine_elements_kept_total",
+                "Elements written by pruning passes.",
+                Counter,
+                int(engine.counters.elements_kept),
+            ),
+            Metric(
+                "engine",
+                "elements_pruned",
+                "xmlpruned_engine_elements_pruned_total",
+                "Elements discarded (with their subtrees) by pruning passes.",
+                Counter,
+                int(engine.counters.elements_pruned),
+            ),
+            Metric(
+                "engine",
+                "text_kept",
+                "xmlpruned_engine_text_kept_total",
+                "Text nodes written by pruning passes.",
+                Counter,
+                int(engine.counters.text_kept),
+            ),
+            Metric(
+                "engine",
+                "text_pruned",
+                "xmlpruned_engine_text_pruned_total",
+                "Text nodes discarded by pruning passes.",
+                Counter,
+                int(engine.counters.text_pruned),
+            ),
+            Metric(
+                "engine",
+                "max_depth",
+                "xmlpruned_engine_max_depth",
+                "Deepest element nesting seen in any document.",
+                Gauge,
+                int(engine.counters.max_depth),
+            ),
+            Metric(
+                "engine",
+                "peak_resident_bytes",
+                "xmlpruned_engine_peak_resident_bytes",
+                "High-water engine-resident buffering of any document.",
+                Gauge,
+                int(engine.peak_resident_bytes),
+            ),
+            Metric(
+                "engine",
+                "max_token_bytes",
+                "xmlpruned_engine_max_token_bytes",
+                "Largest single token seen in any document.",
+                Gauge,
+                int(engine.max_token_bytes),
+            ),
         ];
         if let Some(r) = self.reactor_snapshot() {
             rows.extend([
-                Metric("reactor", "reactor_threads", "xmlpruned_reactor_threads", "Reactor event loops running.", Gauge, int(r.loops)),
-                Metric("reactor", "registered_fds", "xmlpruned_reactor_registered_fds", "Currently registered fds (all loops).", Gauge, int(r.registered)),
-                Metric("reactor", "ready_events", "xmlpruned_reactor_ready_events_total", "Readiness events delivered by epoll (all loops).", Counter, Value::Int(r.ready_events)),
-                Metric("reactor", "polls", "xmlpruned_reactor_polls_total", "epoll_wait calls that returned (all loops).", Counter, Value::Int(r.polls)),
-                Metric("reactor", "wakes", "xmlpruned_reactor_wakes_total", "eventfd waker interrupts observed (all loops).", Counter, Value::Int(r.wakes)),
-                Metric("reactor", "timer_fires", "xmlpruned_reactor_timer_fires_total", "Timer-wheel deadlines fired (all loops).", Counter, Value::Int(r.timer_fires)),
-                Metric("reactor", "executor_jobs", "xmlpruned_executor_jobs_total", "CPU jobs handed to the executor lane.", Counter, n(&self.executor_jobs)),
-                Metric("reactor", "executor_queue_depth", "xmlpruned_executor_queue_depth", "CPU jobs queued or running on the executor lane.", Gauge, z(&self.executor_queue_depth)),
-                Metric("reactor", "loop_jobs", "xmlpruned_loop_jobs_total", "Unit-bounded CPU jobs run on an event loop.", Counter, n(&self.loop_jobs)),
-                Metric("reactor", "admission_rejects", "xmlpruned_admission_rejects_total", "Connections refused 503 at the admission limit.", Counter, n(&self.admission_rejects)),
-                Metric("reactor", "max_conn_resident", "xmlpruned_max_conn_resident_bytes", "High-water per-connection residency.", Gauge, n(&self.max_conn_resident)),
+                Metric(
+                    "reactor",
+                    "reactor_threads",
+                    "xmlpruned_reactor_threads",
+                    "Reactor event loops running.",
+                    Gauge,
+                    int(r.loops),
+                ),
+                Metric(
+                    "reactor",
+                    "registered_fds",
+                    "xmlpruned_reactor_registered_fds",
+                    "Currently registered fds (all loops).",
+                    Gauge,
+                    int(r.registered),
+                ),
+                Metric(
+                    "reactor",
+                    "ready_events",
+                    "xmlpruned_reactor_ready_events_total",
+                    "Readiness events delivered by epoll (all loops).",
+                    Counter,
+                    Value::Int(r.ready_events),
+                ),
+                Metric(
+                    "reactor",
+                    "polls",
+                    "xmlpruned_reactor_polls_total",
+                    "epoll_wait calls that returned (all loops).",
+                    Counter,
+                    Value::Int(r.polls),
+                ),
+                Metric(
+                    "reactor",
+                    "wakes",
+                    "xmlpruned_reactor_wakes_total",
+                    "eventfd waker interrupts observed (all loops).",
+                    Counter,
+                    Value::Int(r.wakes),
+                ),
+                Metric(
+                    "reactor",
+                    "timer_fires",
+                    "xmlpruned_reactor_timer_fires_total",
+                    "Timer-wheel deadlines fired (all loops).",
+                    Counter,
+                    Value::Int(r.timer_fires),
+                ),
+                Metric(
+                    "reactor",
+                    "executor_jobs",
+                    "xmlpruned_executor_jobs_total",
+                    "CPU jobs handed to the executor lane.",
+                    Counter,
+                    n(&self.executor_jobs),
+                ),
+                Metric(
+                    "reactor",
+                    "executor_queue_depth",
+                    "xmlpruned_executor_queue_depth",
+                    "CPU jobs queued or running on the executor lane.",
+                    Gauge,
+                    z(&self.executor_queue_depth),
+                ),
+                Metric(
+                    "reactor",
+                    "loop_jobs",
+                    "xmlpruned_loop_jobs_total",
+                    "Unit-bounded CPU jobs run on an event loop.",
+                    Counter,
+                    n(&self.loop_jobs),
+                ),
+                Metric(
+                    "reactor",
+                    "admission_rejects",
+                    "xmlpruned_admission_rejects_total",
+                    "Connections refused 503 at the admission limit.",
+                    Counter,
+                    n(&self.admission_rejects),
+                ),
+                Metric(
+                    "reactor",
+                    "max_conn_resident",
+                    "xmlpruned_max_conn_resident_bytes",
+                    "High-water per-connection residency.",
+                    Gauge,
+                    n(&self.max_conn_resident),
+                ),
             ]);
         }
         rows.extend([
-            Metric("cache", "hits", "xmlpruned_cache_hits_total", "Artifact cache hits.", Counter, Value::Int(cache.hits)),
-            Metric("cache", "misses", "xmlpruned_cache_misses_total", "Artifact cache misses.", Counter, Value::Int(cache.misses)),
-            Metric("cache", "evictions", "xmlpruned_cache_evictions_total", "Artifact cache evictions.", Counter, Value::Int(cache.evictions)),
-            Metric("cache", "compiles", "xmlpruned_cache_compiles_total", "Query artifacts compiled (inference + lowering).", Counter, Value::Int(cache.compiles)),
-            Metric("cache", "compile_micros", "xmlpruned_cache_compile_micros_total", "Wall-clock microseconds spent compiling artifacts.", Counter, Value::Int(cache.compile_micros)),
-            Metric("cache", "compile_steps", "xmlpruned_cache_compile_steps_total", "Analysis steps spent compiling artifacts, overruns included.", Counter, Value::Int(cache.compile_steps)),
-            Metric("cache", "lane_compiles", "xmlpruned_cache_lane_compiles_total", "Compiles that overran the event-loop step budget.", Counter, Value::Int(cache.lane_compiles)),
-            Metric("cache", "entries", "xmlpruned_cache_entries", "Artifacts currently resident.", Gauge, int(cache.entries)),
-            Metric("cache", "resident_bytes", "xmlpruned_cache_resident_bytes", "Approximate bytes held by resident artifacts.", Gauge, int(cache.resident_bytes)),
-            Metric("cache", "hit_rate", "xmlpruned_cache_hit_rate", "Hits per lookup since start.", Gauge, Value::Ratio(cache.hit_rate())),
+            Metric(
+                "cache",
+                "hits",
+                "xmlpruned_cache_hits_total",
+                "Artifact cache hits.",
+                Counter,
+                Value::Int(cache.hits),
+            ),
+            Metric(
+                "cache",
+                "misses",
+                "xmlpruned_cache_misses_total",
+                "Artifact cache misses.",
+                Counter,
+                Value::Int(cache.misses),
+            ),
+            Metric(
+                "cache",
+                "evictions",
+                "xmlpruned_cache_evictions_total",
+                "Artifact cache evictions.",
+                Counter,
+                Value::Int(cache.evictions),
+            ),
+            Metric(
+                "cache",
+                "compiles",
+                "xmlpruned_cache_compiles_total",
+                "Query artifacts compiled (inference + lowering).",
+                Counter,
+                Value::Int(cache.compiles),
+            ),
+            Metric(
+                "cache",
+                "compile_micros",
+                "xmlpruned_cache_compile_micros_total",
+                "Wall-clock microseconds spent compiling artifacts.",
+                Counter,
+                Value::Int(cache.compile_micros),
+            ),
+            Metric(
+                "cache",
+                "compile_steps",
+                "xmlpruned_cache_compile_steps_total",
+                "Analysis steps spent compiling artifacts, overruns included.",
+                Counter,
+                Value::Int(cache.compile_steps),
+            ),
+            Metric(
+                "cache",
+                "lane_compiles",
+                "xmlpruned_cache_lane_compiles_total",
+                "Compiles that overran the event-loop step budget.",
+                Counter,
+                Value::Int(cache.lane_compiles),
+            ),
+            Metric(
+                "cache",
+                "entries",
+                "xmlpruned_cache_entries",
+                "Artifacts currently resident.",
+                Gauge,
+                int(cache.entries),
+            ),
+            Metric(
+                "cache",
+                "resident_bytes",
+                "xmlpruned_cache_resident_bytes",
+                "Approximate bytes held by resident artifacts.",
+                Gauge,
+                int(cache.resident_bytes),
+            ),
+            Metric(
+                "cache",
+                "hit_rate",
+                "xmlpruned_cache_hit_rate",
+                "Hits per lookup since start.",
+                Gauge,
+                Value::Ratio(cache.hit_rate()),
+            ),
         ]);
         rows
     }
@@ -456,7 +752,14 @@ enum Value {
 
 /// One row of [`ServerMetrics::table`]: JSON section, JSON key,
 /// Prometheus name, help text, type, value.
-struct Metric(&'static str, &'static str, &'static str, &'static str, Kind, Value);
+struct Metric(
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    Kind,
+    Value,
+);
 
 impl Default for ServerMetrics {
     fn default() -> Self {
@@ -495,7 +798,10 @@ mod tests {
         h.record(Duration::ZERO);
         assert_eq!(h.count(), 2);
         let p99 = h.quantile(0.99);
-        assert!(p99 > Duration::ZERO && p99 <= Duration::from_micros(2), "{p99:?}");
+        assert!(
+            p99 > Duration::ZERO && p99 <= Duration::from_micros(2),
+            "{p99:?}"
+        );
         assert_eq!(h.max(), Duration::from_nanos(300));
     }
 
@@ -514,7 +820,10 @@ mod tests {
             m.record_latency(Endpoint::Healthz, d);
         }
         let h = m.latency(Endpoint::Healthz);
-        assert!(h.quantile(0.5) <= h.quantile(0.99), "p50 must not exceed p99");
+        assert!(
+            h.quantile(0.5) <= h.quantile(0.99),
+            "p50 must not exceed p99"
+        );
         // The Prometheus summary renders both quantiles; parse them back
         // and check the exposition itself is monotone and non-negative.
         let prom = m.render_prometheus(ArtifactCacheStats::default());
@@ -570,28 +879,89 @@ mod tests {
             bytes_out: 25,
             ..Default::default()
         });
-        let cache = ArtifactCacheStats { hits: 3, misses: 1, ..Default::default() };
+        let cache = ArtifactCacheStats {
+            hits: 3,
+            misses: 1,
+            ..Default::default()
+        };
         let Json::Obj(sections) = parse_json(&m.render_json(cache)).unwrap() else {
             panic!("metrics JSON is not an object");
         };
         let keys: Vec<(String, Vec<String>)> = sections
             .iter()
             .map(|(name, v)| {
-                let Json::Obj(fields) = v else { panic!("{name} is not an object") };
-                (name.clone(), fields.iter().map(|(k, _)| k.clone()).collect())
+                let Json::Obj(fields) = v else {
+                    panic!("{name} is not an object")
+                };
+                (
+                    name.clone(),
+                    fields.iter().map(|(k, _)| k.clone()).collect(),
+                )
             })
             .collect();
         let pinned: [(&str, &[&str]); 5] = [
-            ("server", &["uptime_ms", "connections", "requests", "errors", "in_flight",
-                "drained", "aborted", "rate_limited", "accept_stalls"]),
-            ("engine", &["documents", "events", "bytes_in", "bytes_out", "retention",
-                "elements_kept", "elements_pruned", "text_kept", "text_pruned", "max_depth",
-                "peak_resident_bytes", "max_token_bytes"]),
-            ("reactor", &["reactor_threads", "registered_fds", "ready_events", "polls",
-                "wakes", "timer_fires", "executor_jobs", "executor_queue_depth", "loop_jobs",
-                "admission_rejects", "max_conn_resident"]),
-            ("cache", &["hits", "misses", "evictions", "compiles", "compile_micros",
-                "compile_steps", "lane_compiles", "entries", "resident_bytes", "hit_rate"]),
+            (
+                "server",
+                &[
+                    "uptime_ms",
+                    "connections",
+                    "requests",
+                    "errors",
+                    "in_flight",
+                    "drained",
+                    "aborted",
+                    "rate_limited",
+                    "accept_stalls",
+                ],
+            ),
+            (
+                "engine",
+                &[
+                    "documents",
+                    "events",
+                    "bytes_in",
+                    "bytes_out",
+                    "retention",
+                    "elements_kept",
+                    "elements_pruned",
+                    "text_kept",
+                    "text_pruned",
+                    "max_depth",
+                    "peak_resident_bytes",
+                    "max_token_bytes",
+                ],
+            ),
+            (
+                "reactor",
+                &[
+                    "reactor_threads",
+                    "registered_fds",
+                    "ready_events",
+                    "polls",
+                    "wakes",
+                    "timer_fires",
+                    "executor_jobs",
+                    "executor_queue_depth",
+                    "loop_jobs",
+                    "admission_rejects",
+                    "max_conn_resident",
+                ],
+            ),
+            (
+                "cache",
+                &[
+                    "hits",
+                    "misses",
+                    "evictions",
+                    "compiles",
+                    "compile_micros",
+                    "compile_steps",
+                    "lane_compiles",
+                    "entries",
+                    "resident_bytes",
+                    "hit_rate",
+                ],
+            ),
             ("endpoints", &[]),
         ];
         assert_eq!(keys.len(), pinned.len());
@@ -606,7 +976,11 @@ mod tests {
         let mut names: Vec<&str> = table.iter().map(|r| r.2).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), table.len(), "a Prometheus name is declared twice");
+        assert_eq!(
+            names.len(),
+            table.len(),
+            "a Prometheus name is declared twice"
+        );
         for Metric(section, key, name, ..) in &table {
             assert_eq!(
                 prom.matches(&format!("# TYPE {name} ")).count(),

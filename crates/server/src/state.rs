@@ -188,7 +188,11 @@ impl ServerState {
         if registry.touch(id).is_none() {
             if registry.map.len() >= DTD_REGISTRY_CAPACITY {
                 // O(n) scan, like the artifact cache's: n is the cap.
-                let lru = registry.map.iter().min_by_key(|(_, e)| e.1).map(|(&id, _)| id);
+                let lru = registry
+                    .map
+                    .iter()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(&id, _)| id);
                 if let Some(lru) = lru {
                     registry.map.remove(&lru);
                 }

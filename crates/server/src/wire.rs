@@ -28,11 +28,15 @@ pub fn parse_head(buf: &[u8]) -> Result<Option<(RequestHead, usize)>, HttpError>
 }
 
 enum DecodeState {
-    Length { remaining: u64 },
+    Length {
+        remaining: u64,
+    },
     /// Next on the wire: a chunk-size line.
     ChunkSize,
     /// Inside a chunk's data.
-    ChunkData { remaining: u64 },
+    ChunkData {
+        remaining: u64,
+    },
     /// The CRLF that terminates a chunk's data.
     ChunkDataEnd,
     /// Trailer lines after the `0` chunk, up to a blank line.
@@ -202,7 +206,10 @@ mod tests {
             Err(HttpError::BadRequest(_))
         ));
         // A too-large but complete head is still rejected.
-        let wire = format!("GET / HTTP/1.1\r\nh: {}\r\n\r\n", "v".repeat(MAX_HEADER_BYTES));
+        let wire = format!(
+            "GET / HTTP/1.1\r\nh: {}\r\n\r\n",
+            "v".repeat(MAX_HEADER_BYTES)
+        );
         assert!(matches!(
             parse_head(wire.as_bytes()),
             Err(HttpError::HeadersTooLarge)
@@ -216,7 +223,10 @@ mod tests {
         while pos < wire.len() && !d.is_done() {
             let end = (pos + step).min(wire.len());
             let n = d.decode(&wire[pos..end], &mut out)?;
-            assert!(d.is_done() || pos + n == end, "decoder must consume all input");
+            assert!(
+                d.is_done() || pos + n == end,
+                "decoder must consume all input"
+            );
             pos += n;
         }
         Ok((out, pos))

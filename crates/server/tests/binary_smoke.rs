@@ -30,7 +30,14 @@ impl Drop for Reap {
 #[test]
 fn binary_serves_and_shuts_down_cleanly() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_xmlpruned"))
-        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--drain-ms", "10000"])
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "2",
+            "--drain-ms",
+            "10000",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -81,12 +88,19 @@ fn binary_serves_and_shuts_down_cleanly() {
     assert_eq!(resp.status, 200, "{}", resp.body_str());
     let pruned = resp.body_str();
     assert!(pruned.contains("<title>T</title>"), "{pruned}");
-    assert!(!pruned.contains("author"), "projection should drop authors: {pruned}");
+    assert!(
+        !pruned.contains("author"),
+        "projection should drop authors: {pruned}"
+    );
 
     // Metrics reflect the traffic.
     let resp = c.request("GET", "/metrics", &[], None).unwrap();
     assert_eq!(resp.status, 200);
-    assert!(resp.body_str().contains("\"requests\""), "{}", resp.body_str());
+    assert!(
+        resp.body_str().contains("\"requests\""),
+        "{}",
+        resp.body_str()
+    );
 
     // Graceful shutdown; the process must exit 0 (zero aborted).
     let resp = c.request("POST", "/admin/shutdown", &[], None).unwrap();
@@ -112,31 +126,55 @@ fn the_daemon_raises_a_low_soft_fd_limit_to_fit_its_connections() {
     let mut child = Command::new("sh")
         .args(["-c", "ulimit -Sn 256 && exec \"$0\" \"$@\""])
         .arg(env!("CARGO_BIN_EXE_xmlpruned"))
-        .args(["--addr", "127.0.0.1:0", "--workers", "1", "--reactor-threads", "1"])
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--reactor-threads",
+            "1",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
         .expect("spawn xmlpruned under ulimit -Sn 256");
     let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
     let mut child = Reap(child);
-    let first = lines.next().expect("exited before binding").expect("read stdout");
-    let addr = first.strip_prefix("listening on ").unwrap_or_else(|| panic!("{first}")).to_string();
+    let first = lines
+        .next()
+        .expect("exited before binding")
+        .expect("read stdout");
+    let addr = first
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("{first}"))
+        .to_string();
 
     let mut conns: Vec<HttpClient> = (0..400)
         .map(|i| {
             let mut c = HttpClient::connect(addr.as_str()).expect("connect to daemon");
             c.set_timeout(Duration::from_secs(5)).unwrap();
             let resp = c.request("GET", "/healthz", &[], None);
-            let status = resp.unwrap_or_else(|e| panic!("connection {i}: {e}")).status;
+            let status = resp
+                .unwrap_or_else(|e| panic!("connection {i}: {e}"))
+                .status;
             assert_eq!(status, 200, "connection {i}");
             c
         })
         .collect();
-    let body = conns[0].request("GET", "/metrics", &[], None).unwrap().body_str();
+    let body = conns[0]
+        .request("GET", "/metrics", &[], None)
+        .unwrap()
+        .body_str();
     let metrics = xproj_testkit::parse_json(&body).unwrap();
     let stalls = metrics.get("server").and_then(|s| s.get("accept_stalls"));
     assert_eq!(stalls.and_then(|v| v.as_f64()), Some(0.0), "{body}");
-    assert_eq!(conns[0].request("POST", "/admin/shutdown", &[], None).unwrap().status, 200);
+    assert_eq!(
+        conns[0]
+            .request("POST", "/admin/shutdown", &[], None)
+            .unwrap()
+            .status,
+        200
+    );
     drop(conns);
     assert!(child.0.wait().expect("wait for exit").success());
 }
@@ -191,7 +229,14 @@ fn every_flag_is_accepted_and_rejects_garbage() {
     let _ = std::fs::remove_file(&port_file);
     let mut args: Vec<&str> = Vec::new();
     for (flag, good, _) in FLAGS {
-        args.extend([flag, if flag == "--port-file" { port_file.to_str().unwrap() } else { good }]);
+        args.extend([
+            flag,
+            if flag == "--port-file" {
+                port_file.to_str().unwrap()
+            } else {
+                good
+            },
+        ]);
     }
     let mut child = Command::new(bin)
         .args(&args)
@@ -201,14 +246,28 @@ fn every_flag_is_accepted_and_rejects_garbage() {
         .expect("spawn xmlpruned");
     let mut lines = BufReader::new(child.stdout.take().expect("piped stdout")).lines();
     let mut child = Reap(child);
-    let first = lines.next().expect("exited before binding").expect("read stdout");
-    let addr = first.strip_prefix("listening on ").unwrap_or_else(|| panic!("{first}")).to_string();
+    let first = lines
+        .next()
+        .expect("exited before binding")
+        .expect("read stdout");
+    let addr = first
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("{first}"))
+        .to_string();
     let port = std::fs::read_to_string(&port_file).expect("port file written");
-    assert!(addr.ends_with(&format!(":{port}")), "{addr} vs port file {port}");
+    assert!(
+        addr.ends_with(&format!(":{port}")),
+        "{addr} vs port file {port}"
+    );
     let mut c = HttpClient::connect(addr.as_str()).expect("connect to daemon");
     c.set_timeout(Duration::from_secs(10)).unwrap();
     assert_eq!(c.request("GET", "/healthz", &[], None).unwrap().status, 200);
-    assert_eq!(c.request("POST", "/admin/shutdown", &[], None).unwrap().status, 200);
+    assert_eq!(
+        c.request("POST", "/admin/shutdown", &[], None)
+            .unwrap()
+            .status,
+        200
+    );
     assert!(child.0.wait().expect("wait for exit").success());
     let _ = std::fs::remove_file(&port_file);
 
@@ -218,7 +277,10 @@ fn every_flag_is_accepted_and_rejects_garbage() {
         let out = exits(&["--addr", "127.0.0.1:0", flag, garbage]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{flag} {garbage}: {stderr}");
-        assert!(out.stdout.is_empty() || flag == "--port-file", "{flag}: served anyway");
+        assert!(
+            out.stdout.is_empty() || flag == "--port-file",
+            "{flag}: served anyway"
+        );
         // A number names its flag; the two that fail past the parser
         // name what failed: the bind, the unwritable path.
         let named = match flag {
@@ -231,7 +293,10 @@ fn every_flag_is_accepted_and_rejects_garbage() {
         let out = exits(&[flag]);
         assert_eq!(out.status.code(), Some(1), "{flag} without a value");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("{flag} needs a value")), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs a value")),
+            "{flag}: {stderr}"
+        );
     }
 }
 
@@ -242,6 +307,9 @@ fn retired_flags_are_usage_errors() {
         let out = exits(&[flag, "x"]);
         assert_eq!(out.status.code(), Some(1));
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("unknown flag '{flag}'")), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
+        );
     }
 }

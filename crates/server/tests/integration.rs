@@ -41,11 +41,19 @@ fn healthz_metrics_and_prometheus() {
     let resp = c.request("GET", "/metrics", &[], None).unwrap();
     assert_eq!(resp.status, 200);
     let body = resp.body_str();
-    for key in ["\"server\"", "\"engine\"", "\"cache\"", "\"endpoints\"", "\"in_flight\""] {
+    for key in [
+        "\"server\"",
+        "\"engine\"",
+        "\"cache\"",
+        "\"endpoints\"",
+        "\"in_flight\"",
+    ] {
         assert!(body.contains(key), "metrics JSON missing {key}: {body}");
     }
 
-    let resp = c.request("GET", "/metrics?format=prometheus", &[], None).unwrap();
+    let resp = c
+        .request("GET", "/metrics?format=prometheus", &[], None)
+        .unwrap();
     assert_eq!(resp.status, 200);
     let text = resp.body_str();
     assert!(text.contains("xmlpruned_requests_total"), "{text}");
@@ -68,14 +76,21 @@ fn dtd_registration_is_idempotent() {
     // A broken DTD gets a structured 400.
     let mut c = srv.client();
     let resp = c
-        .request("POST", "/v1/dtd?root=bib", &[], Some(b"<!ELEMENT bib (unclosed"))
+        .request(
+            "POST",
+            "/v1/dtd?root=bib",
+            &[],
+            Some(b"<!ELEMENT bib (unclosed"),
+        )
         .unwrap();
     assert_eq!(resp.status, 400);
     assert_eq!(extract_json_str(&resp.body_str(), "code"), "dtd-parse");
 
     // Missing root parameter.
     let mut c = srv.client();
-    let resp = c.request("POST", "/v1/dtd", &[], Some(BIB_DTD.as_bytes())).unwrap();
+    let resp = c
+        .request("POST", "/v1/dtd", &[], Some(BIB_DTD.as_bytes()))
+        .unwrap();
     assert_eq!(resp.status, 400);
     assert_eq!(extract_json_str(&resp.body_str(), "code"), "bad-request");
 
@@ -92,9 +107,12 @@ fn the_dtd_registry_is_a_bounded_lru() {
     let srv = TestServer::start(small_config());
     let prune = |id: &str, query: &str, doc: &str| {
         let target = format!("/v1/prune?dtd={id}&query={}", urlencode(query));
-        srv.client().request("POST", &target, &[], Some(doc.as_bytes())).unwrap()
+        srv.client()
+            .request("POST", &target, &[], Some(doc.as_bytes()))
+            .unwrap()
     };
-    let filler = |i: usize| srv.register_dtd(&format!("<!ELEMENT g{i} (#PCDATA)>"), &format!("g{i}"));
+    let filler =
+        |i: usize| srv.register_dtd(&format!("<!ELEMENT g{i} (#PCDATA)>"), &format!("g{i}"));
 
     let bib = srv.register_dtd(BIB_DTD, "bib");
     let bib_answer = prune(&bib, "//title", BIB_DOC);
@@ -105,7 +123,11 @@ fn the_dtd_registry_is_a_bounded_lru() {
 
     for i in 1..2 * CAP {
         filler(i);
-        assert!(srv.state.dtd_count() <= CAP, "{} grammars after {i}", srv.state.dtd_count());
+        assert!(
+            srv.state.dtd_count() <= CAP,
+            "{} grammars after {i}",
+            srv.state.dtd_count()
+        );
         if i % (CAP / 4) == 0 {
             // Used between registrations: never the least recently used.
             assert_eq!(prune(&bib, "//title", BIB_DOC).body, bib_answer.body);
@@ -171,8 +193,15 @@ fn prune_content_length_roundtrip() {
         )
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
-    assert_eq!(resp.body, expected.as_bytes(), "HTTP prune diverged from prune_str");
-    assert!(!expected.contains("author"), "projection should drop authors");
+    assert_eq!(
+        resp.body,
+        expected.as_bytes(),
+        "HTTP prune diverged from prune_str"
+    );
+    assert!(
+        !expected.contains("author"),
+        "projection should drop authors"
+    );
     srv.shutdown();
 }
 
@@ -180,7 +209,10 @@ fn prune_content_length_roundtrip() {
 fn prune_chunked_roundtrip_streams_response() {
     // A tiny buffer unit forces the response into chunked streaming
     // mode even for a small document.
-    let config = ServerConfig { chunk_size: 16, ..small_config() };
+    let config = ServerConfig {
+        chunk_size: 16,
+        ..small_config()
+    };
     let srv = TestServer::start(config);
     let id = srv.register_dtd(BIB_DTD, "bib");
 
@@ -204,7 +236,9 @@ fn prune_chunked_roundtrip_streams_response() {
         .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
     assert_eq!(
-        resp.header("transfer-encoding").map(str::to_ascii_lowercase).as_deref(),
+        resp.header("transfer-encoding")
+            .map(str::to_ascii_lowercase)
+            .as_deref(),
         Some("chunked"),
         "response should stream once it outgrows the buffer"
     );
@@ -230,7 +264,10 @@ fn transfer_coding_list_and_connection_tokens() {
         )
         .unwrap();
     assert_eq!(resp.status, 501, "{}", resp.body_str());
-    assert_eq!(extract_json_str(&resp.body_str(), "code"), "not-implemented");
+    assert_eq!(
+        extract_json_str(&resp.body_str(), "code"),
+        "not-implemented"
+    );
 
     // `chunked` applied anywhere but last is a framing error, not 501.
     let mut c = srv.client();
@@ -264,8 +301,12 @@ fn oversized_header_rejected_431() {
     let start = "GET /healthz HTTP/1.1\r\nx-padding: ";
     let pad = "x".repeat(MAX_HEADER_BYTES + 1 - start.len());
     let mut stream = std::net::TcpStream::connect(srv.addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    stream.write_all(format!("{start}{pad}\r\n\r\n").as_bytes()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(format!("{start}{pad}\r\n\r\n").as_bytes())
+        .unwrap();
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read 431");
     let text = String::from_utf8_lossy(&raw);
@@ -278,14 +319,14 @@ fn oversized_header_rejected_431() {
 #[test]
 fn oversized_body_rejected_413() {
     // Big enough for the DTD registration, smaller than the documents.
-    let config = ServerConfig { max_body_bytes: 256, ..small_config() };
+    let config = ServerConfig {
+        max_body_bytes: 256,
+        ..small_config()
+    };
     let srv = TestServer::start(config);
     let id = srv.register_dtd(BIB_DTD, "bib");
 
-    let big_doc = format!(
-        "<bib>{}</bib>",
-        "<book><title>T</title></book>".repeat(40)
-    );
+    let big_doc = format!("<bib>{}</bib>", "<book><title>T</title></book>".repeat(40));
 
     // Content-Length over the limit.
     let mut c = srv.client();
@@ -333,13 +374,28 @@ fn dtd_bodies_over_64_kib_are_rejected_413() {
     assert!(srv.state.config.max_body_bytes > CAP);
     let padded = |len: u64| BIB_DTD.to_string() + &" ".repeat(len as usize - BIB_DTD.len());
     let mut c = srv.client();
-    let resp = c.request("POST", "/v1/dtd?root=bib", &[], Some(padded(CAP).as_bytes())).unwrap();
+    let resp = c
+        .request(
+            "POST",
+            "/v1/dtd?root=bib",
+            &[],
+            Some(padded(CAP).as_bytes()),
+        )
+        .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
-    assert_eq!(extract_json_str(&resp.body_str(), "id"), srv.register_dtd(BIB_DTD, "bib"));
+    assert_eq!(
+        extract_json_str(&resp.body_str(), "id"),
+        srv.register_dtd(BIB_DTD, "bib")
+    );
 
     let mut c = srv.client();
     let resp = c
-        .request("POST", "/v1/dtd?root=bib", &[], Some(padded(CAP + 1).as_bytes()))
+        .request(
+            "POST",
+            "/v1/dtd?root=bib",
+            &[],
+            Some(padded(CAP + 1).as_bytes()),
+        )
         .unwrap();
     assert_eq!(resp.status, 413);
     assert_eq!(extract_json_str(&resp.body_str(), "code"), "body-too-large");
@@ -423,7 +479,10 @@ fn structured_errors_unknown_dtd_bad_query_malformed_xml() {
         )
         .unwrap();
     assert_eq!(resp.status, 422, "{}", resp.body_str());
-    assert_eq!(extract_json_str(&resp.body_str(), "code"), "undeclared-element");
+    assert_eq!(
+        extract_json_str(&resp.body_str(), "code"),
+        "undeclared-element"
+    );
 
     // Unroutable path / wrong method.
     let mut c = srv.client();
@@ -433,7 +492,10 @@ fn structured_errors_unknown_dtd_bad_query_malformed_xml() {
     let mut c = srv.client();
     let resp = c.request("DELETE", "/v1/prune", &[], None).unwrap();
     assert_eq!(resp.status, 405);
-    assert_eq!(extract_json_str(&resp.body_str(), "code"), "method-not-allowed");
+    assert_eq!(
+        extract_json_str(&resp.body_str(), "code"),
+        "method-not-allowed"
+    );
 
     srv.shutdown();
 }
@@ -445,14 +507,17 @@ fn pipelined_keep_alive_requests() {
     let target = format!("/v1/prune?dtd={id}&query={}", urlencode("/bib/book/title"));
 
     let dtd = Arc::new(parse_dtd(BIB_DTD, "bib").unwrap());
-    let projector = &QueryArtifact::compile(&dtd, "/bib/book/title").unwrap().projector;
+    let projector = &QueryArtifact::compile(&dtd, "/bib/book/title")
+        .unwrap()
+        .projector;
     let expected = prune_str(BIB_DOC, &dtd, projector).unwrap();
 
     // Three requests on the wire before reading any response; the
     // server must answer them in order on the same connection.
     let mut c = srv.client();
     c.send_request("GET", "/healthz", &[], None).unwrap();
-    c.send_request("POST", &target, &[], Some(BIB_DOC.as_bytes())).unwrap();
+    c.send_request("POST", &target, &[], Some(BIB_DOC.as_bytes()))
+        .unwrap();
     c.send_request("GET", "/healthz", &[], None).unwrap();
     let r1 = c.read_response().unwrap();
     let r2 = c.read_response().unwrap();
@@ -465,7 +530,10 @@ fn pipelined_keep_alive_requests() {
 
 #[test]
 fn mid_body_disconnect_leaves_server_healthy() {
-    let config = ServerConfig { read_timeout: Duration::from_millis(500), ..small_config() };
+    let config = ServerConfig {
+        read_timeout: Duration::from_millis(500),
+        ..small_config()
+    };
     let srv = TestServer::start(config);
     let id = srv.register_dtd(BIB_DTD, "bib");
 
@@ -532,7 +600,11 @@ fn differential_http_prune_matches_prune_str() {
         let doc = generate(
             &dtd,
             rng.next_u64(),
-            &GenConfig { fanout: 1.6, max_depth: 7, text_words: 2 },
+            &GenConfig {
+                fanout: 1.6,
+                max_depth: 7,
+                text_words: 2,
+            },
         );
         let xml = doc.to_xml();
         let query = random_query(&mut rng);
@@ -558,7 +630,12 @@ fn differential_http_prune_matches_prune_str() {
                 &chunks,
             )
             .unwrap();
-        assert_eq!(resp.status, 200, "case {case} query {query}: {}", resp.body_str());
+        assert_eq!(
+            resp.status,
+            200,
+            "case {case} query {query}: {}",
+            resp.body_str()
+        );
         assert_eq!(
             resp.body,
             expected.as_bytes(),
@@ -582,13 +659,20 @@ fn prune_fast_forward_param_makes_the_pass_a_full_check() {
     let target = format!("/v1/prune?dtd={id}&query={}", urlencode("/bib/book/title"));
 
     let mut c = srv.client();
-    let resp = c.request("POST", &target, &[], Some(doc.as_bytes())).unwrap();
+    let resp = c
+        .request("POST", &target, &[], Some(doc.as_bytes()))
+        .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body_str());
     assert_eq!(resp.body_str(), "<bib><book><title>T</title></book></bib>");
 
     let mut c = srv.client();
     let resp = c
-        .request("POST", &format!("{target}&fast_forward=0"), &[], Some(doc.as_bytes()))
+        .request(
+            "POST",
+            &format!("{target}&fast_forward=0"),
+            &[],
+            Some(doc.as_bytes()),
+        )
         .unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body_str());
     assert_eq!(extract_json_str(&resp.body_str(), "code"), "malformed-xml");
@@ -615,21 +699,31 @@ fn query_one_pass_roundtrip_and_metrics() {
             if ff { "" } else { "&fast_forward=0" }
         );
         let mut c = srv.client();
-        let resp = c.request("POST", &target, &[], Some(BIB_DOC.as_bytes())).unwrap();
+        let resp = c
+            .request("POST", &target, &[], Some(BIB_DOC.as_bytes()))
+            .unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_str());
         assert_eq!(
             resp.header("content-type"),
             Some("application/x-ndjson"),
             "query responses are ndjson frames"
         );
-        assert_eq!(resp.body, expected, "HTTP query diverged from QueryMachine (ff={ff})");
+        assert_eq!(
+            resp.body, expected,
+            "HTTP query diverged from QueryMachine (ff={ff})"
+        );
     }
 
     // Protocol edges: a missing query parameter and an unparseable
     // query are both structured 400s, before any body is consumed.
     let mut c = srv.client();
     let resp = c
-        .request("POST", &format!("/v1/query?dtd={id}"), &[], Some(BIB_DOC.as_bytes()))
+        .request(
+            "POST",
+            &format!("/v1/query?dtd={id}"),
+            &[],
+            Some(BIB_DOC.as_bytes()),
+        )
         .unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body_str());
     let mut c = srv.client();
@@ -656,10 +750,18 @@ fn query_one_pass_roundtrip_and_metrics() {
     assert_eq!(engine.bytes_in, 2 * BIB_DOC.len() as u64);
     assert!(engine.events > 0 && engine.bytes_out > 0, "{engine:?}");
     assert!(body.contains("\"engine\":{\"documents\":2,"), "{body}");
-    assert!(body.contains("\"query\""), "metrics JSON missing query label: {body}");
-    assert!(body.contains("\"compiles\""), "metrics JSON missing compiles: {body}");
+    assert!(
+        body.contains("\"query\""),
+        "metrics JSON missing query label: {body}"
+    );
+    assert!(
+        body.contains("\"compiles\""),
+        "metrics JSON missing compiles: {body}"
+    );
     assert!(body.contains("\"resident_bytes\""), "{body}");
-    let resp = c.request("GET", "/metrics?format=prometheus", &[], None).unwrap();
+    let resp = c
+        .request("GET", "/metrics?format=prometheus", &[], None)
+        .unwrap();
     let text = resp.body_str();
     assert!(text.contains("xmlpruned_cache_compiles_total"), "{text}");
     assert!(text.contains("endpoint=\"query\""), "{text}");
@@ -686,7 +788,11 @@ fn differential_http_query_matches_reference() {
         let doc = generate(
             &dtd,
             rng.next_u64(),
-            &GenConfig { fanout: 1.6, max_depth: 7, text_words: 2 },
+            &GenConfig {
+                fanout: 1.6,
+                max_depth: 7,
+                text_words: 2,
+            },
         );
         let xml = doc.to_xml();
         let query = random_query(&mut rng);
@@ -722,10 +828,14 @@ fn differential_http_query_matches_reference() {
                 &chunks,
             )
             .unwrap();
-        assert_eq!(resp.status, 200, "case {case} query {query}: {}", resp.body_str());
         assert_eq!(
-            resp.body,
-            expected,
+            resp.status,
+            200,
+            "case {case} query {query}: {}",
+            resp.body_str()
+        );
+        assert_eq!(
+            resp.body, expected,
             "case {case}: HTTP query diverged from QueryMachine\nquery: {query}\ndoc: {xml}"
         );
         cases += 1;
@@ -852,24 +962,43 @@ fn a_parked_executor_lane_does_not_delay_a_cached_prune() {
     let id = srv.register_dtd(xproj_xmark::AUCTION_DTD, "site");
     let slow = urlencode(&up_down(5));
     let cached = format!("/v1/prune?dtd={id}&query={}", urlencode("//keyword"));
-    let warm = srv.client().request("POST", &cached, &[], Some(SITE_DOC)).unwrap();
+    let warm = srv
+        .client()
+        .request("POST", &cached, &[], Some(SITE_DOC))
+        .unwrap();
     assert_eq!(warm.status, 200, "{}", warm.body_str());
-    let lane_depth = || srv.state.metrics.executor_queue_depth.load(Ordering::Relaxed);
+    let lane_depth = || {
+        srv.state
+            .metrics
+            .executor_queue_depth
+            .load(Ordering::Relaxed)
+    };
 
     for endpoint in ["query", "analyze"] {
         let mut a = srv.client();
         a.set_timeout(Duration::from_secs(60)).unwrap();
         let target = format!("/v1/{endpoint}?dtd={id}&query={slow}");
-        a.send_request("POST", &target, &[], Some(SITE_DOC)).unwrap();
+        a.send_request("POST", &target, &[], Some(SITE_DOC))
+            .unwrap();
         let t0 = std::time::Instant::now();
         while lane_depth() == 0 {
-            assert!(t0.elapsed() < Duration::from_secs(10), "{endpoint}: no job reached the lane");
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "{endpoint}: no job reached the lane"
+            );
             thread::sleep(Duration::from_millis(1));
         }
 
-        let resp = srv.client().request("POST", &cached, &[], Some(SITE_DOC)).unwrap();
+        let resp = srv
+            .client()
+            .request("POST", &cached, &[], Some(SITE_DOC))
+            .unwrap();
         assert_eq!((resp.status, &resp.body), (200, &warm.body));
-        assert_eq!(lane_depth(), 1, "{endpoint}: B's 200 was read after A's job came back");
+        assert_eq!(
+            lane_depth(),
+            1,
+            "{endpoint}: B's 200 was read after A's job came back"
+        );
         a.stream_ref().set_nonblocking(true).unwrap();
         match a.stream_ref().peek(&mut [0u8; 1]) {
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
@@ -903,20 +1032,29 @@ fn cold_compiles_run_on_the_loop_within_the_step_budget() {
     let counters = || {
         let m = &srv.state.metrics;
         let lane_compiles = srv.state.cache.stats().lane_compiles;
-        (m.executor_jobs.load(Ordering::Relaxed), m.loop_jobs.load(Ordering::Relaxed), lane_compiles)
+        (
+            m.executor_jobs.load(Ordering::Relaxed),
+            m.loop_jobs.load(Ordering::Relaxed),
+            lane_compiles,
+        )
     };
     // (lane jobs, loop jobs, lane compiles) one request moved.
     let request = |endpoint: &str, q: &str| {
         let target = format!("/v1/{endpoint}?dtd={id}&query={}", urlencode(q));
         let before = counters();
-        let resp = srv.client().request("POST", &target, &[], Some(SITE_DOC)).unwrap();
+        let resp = srv
+            .client()
+            .request("POST", &target, &[], Some(SITE_DOC))
+            .unwrap();
         assert_eq!(resp.status, 200, "{q}: {}", resp.body_str());
         let artifact = QueryArtifact::compile(&dtd, q).unwrap();
         let expected = if endpoint == "query" {
             run_query(&artifact, SITE_DOC, QueryOutput::Frames, true, 7)
         } else {
             let doc = std::str::from_utf8(SITE_DOC).unwrap();
-            prune_str(doc, &dtd, &artifact.projector).unwrap().into_bytes()
+            prune_str(doc, &dtd, &artifact.projector)
+                .unwrap()
+                .into_bytes()
         };
         assert_eq!(resp.body, expected, "{endpoint} {q}");
         let after = counters();
@@ -927,25 +1065,42 @@ fn cold_compiles_run_on_the_loop_within_the_step_budget() {
     assert_eq!((lane, overruns), (0, 0), "a friendly compile took the lane");
     assert!(on_loop >= 1, "the compile and the feed ran on the loop");
     let (lane, _, overruns) = request("prune", &up_down(1));
-    assert_eq!((lane, overruns), (1, 1), "an over-budget compile stayed on the loop");
+    assert_eq!(
+        (lane, overruns),
+        (1, 1),
+        "an over-budget compile stayed on the loop"
+    );
     // Now a hit: its one lane job is the finish of the fallback plan (an
     // upward axis does not stream), which nothing bounds.
     let (lane, _, overruns) = request("query", &up_down(1));
     assert_eq!((lane, overruns), (1, 0));
 
-    let lane_depth = || srv.state.metrics.executor_queue_depth.load(Ordering::Relaxed);
+    let lane_depth = || {
+        srv.state
+            .metrics
+            .executor_queue_depth
+            .load(Ordering::Relaxed)
+    };
     let mut a = srv.client();
     a.set_timeout(Duration::from_secs(60)).unwrap();
     let target = format!("/v1/query?dtd={id}&query={}", urlencode(&up_down(5)));
-    a.send_request("POST", &target, &[], Some(SITE_DOC)).unwrap();
+    a.send_request("POST", &target, &[], Some(SITE_DOC))
+        .unwrap();
     let t0 = std::time::Instant::now();
     while lane_depth() == 0 {
-        assert!(t0.elapsed() < Duration::from_secs(10), "the compile never reached the lane");
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the compile never reached the lane"
+        );
         thread::sleep(Duration::from_millis(1));
     }
     let resp = srv.client().request("GET", "/healthz", &[], None).unwrap();
     assert_eq!(resp.status, 200);
-    assert_eq!(lane_depth(), 1, "/healthz was read after A's compile came back");
+    assert_eq!(
+        lane_depth(),
+        1,
+        "/healthz was read after A's compile came back"
+    );
     a.stream_ref().set_nonblocking(true).unwrap();
     match a.stream_ref().peek(&mut [0u8; 1]) {
         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
@@ -976,11 +1131,16 @@ fn pipelined_cached_prunes_overflow_the_loop_budget_onto_the_lane() {
     let target = format!("/v1/prune?dtd={id}&query={}", urlencode("/bib/book/title"));
     let expected = expected_bib_prune("/bib/book/title");
     let mut c = srv.client();
-    let warm = c.request("POST", &target, &[], Some(BIB_DOC.as_bytes())).unwrap();
+    let warm = c
+        .request("POST", &target, &[], Some(BIB_DOC.as_bytes()))
+        .unwrap();
     assert_eq!(warm.body, expected.as_bytes());
     let jobs = || {
         let m = &srv.state.metrics;
-        (m.executor_jobs.load(Ordering::Relaxed), m.loop_jobs.load(Ordering::Relaxed))
+        (
+            m.executor_jobs.load(Ordering::Relaxed),
+            m.loop_jobs.load(Ordering::Relaxed),
+        )
     };
     let (lane0, loop0) = jobs();
 
@@ -988,7 +1148,8 @@ fn pipelined_cached_prunes_overflow_the_loop_budget_onto_the_lane() {
         "POST {target} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{BIB_DOC}",
         BIB_DOC.len()
     );
-    c.write_raw(one.repeat(PIPELINED as usize).as_bytes()).unwrap();
+    c.write_raw(one.repeat(PIPELINED as usize).as_bytes())
+        .unwrap();
     for i in 0..PIPELINED {
         let resp = c.read_response().unwrap();
         assert_eq!(resp.status, 200, "response {i}");
@@ -1019,7 +1180,10 @@ fn analyze_endpoint_reports_and_calibrates() {
     let resp = c
         .request(
             "POST",
-            &format!("/v1/analyze?dtd={id}&query={}", urlencode("/bib/book/title")),
+            &format!(
+                "/v1/analyze?dtd={id}&query={}",
+                urlencode("/bib/book/title")
+            ),
             &[],
             None,
         )
@@ -1028,8 +1192,8 @@ fn analyze_endpoint_reports_and_calibrates() {
     let body = resp.body_str();
     let mut types = Vec::new();
     for line in body.lines() {
-        let v = xproj_testkit::parse_json(line)
-            .unwrap_or_else(|e| panic!("bad JSON ({e}): {line}"));
+        let v =
+            xproj_testkit::parse_json(line).unwrap_or_else(|e| panic!("bad JSON ({e}): {line}"));
         types.push(v.get("type").and_then(|t| t.as_str()).unwrap().to_string());
     }
     for t in ["meta", "path", "name", "dtd", "optimality", "retention"] {
@@ -1049,7 +1213,10 @@ fn analyze_endpoint_reports_and_calibrates() {
     let resp = c
         .request(
             "POST",
-            &format!("/v1/analyze?dtd={id}&query={}", urlencode("/bib/book/title")),
+            &format!(
+                "/v1/analyze?dtd={id}&query={}",
+                urlencode("/bib/book/title")
+            ),
             &[],
             Some(BIB_DOC.as_bytes()),
         )
@@ -1082,7 +1249,11 @@ fn analyze_endpoint_reports_and_calibrates() {
     let mut c = srv.client();
     let resp = c.request("GET", "/metrics", &[], None).unwrap();
     assert_eq!(resp.status, 200);
-    assert!(resp.body_str().contains("\"analyze\""), "{}", resp.body_str());
+    assert!(
+        resp.body_str().contains("\"analyze\""),
+        "{}",
+        resp.body_str()
+    );
 
     srv.shutdown();
 }
@@ -1109,17 +1280,29 @@ fn independence_endpoint_gives_one_verdict_per_pair() {
         .map(|l| {
             let v = xproj_testkit::parse_json(l).unwrap_or_else(|e| panic!("bad JSON ({e}): {l}"));
             assert_eq!(v.get("type").and_then(|t| t.as_str()), Some("independence"));
-            v.get("verdict").and_then(|t| t.as_str()).unwrap().to_string()
+            v.get("verdict")
+                .and_then(|t| t.as_str())
+                .unwrap()
+                .to_string()
         })
         .collect();
     assert_eq!(verdicts, ["independent", "may-conflict"]);
 
     let mut c = srv.client();
     let resp = c
-        .request("POST", &format!("/v1/independence?dtd={id}&query=//title"), &[], None)
+        .request(
+            "POST",
+            &format!("/v1/independence?dtd={id}&query=//title"),
+            &[],
+            None,
+        )
         .unwrap();
     assert_eq!(resp.status, 400, "{}", resp.body_str());
-    assert!(resp.body_str().contains("bad-request"), "{}", resp.body_str());
+    assert!(
+        resp.body_str().contains("bad-request"),
+        "{}",
+        resp.body_str()
+    );
     srv.shutdown();
 }
 
@@ -1203,7 +1386,8 @@ fn slow_reader_backpressure_bounds_residency() {
         let mut w = stream.try_clone().unwrap();
         thread::spawn(move || {
             for piece in doc.as_bytes().chunks(8 * 1024) {
-                w.write_all(format!("{:x}\r\n", piece.len()).as_bytes()).unwrap();
+                w.write_all(format!("{:x}\r\n", piece.len()).as_bytes())
+                    .unwrap();
                 w.write_all(piece).unwrap();
                 w.write_all(b"\r\n").unwrap();
                 written.fetch_add(piece.len(), Ordering::SeqCst);
@@ -1363,9 +1547,15 @@ fn admission_limit_rejects_with_503_retry_after() {
     // budget (in reactor mode idle connections are nearly free, so the
     // cap is the only thing refusing the third).
     let mut c1 = srv.client();
-    assert_eq!(c1.request("GET", "/healthz", &[], None).unwrap().status, 200);
+    assert_eq!(
+        c1.request("GET", "/healthz", &[], None).unwrap().status,
+        200
+    );
     let mut c2 = srv.client();
-    assert_eq!(c2.request("GET", "/healthz", &[], None).unwrap().status, 200);
+    assert_eq!(
+        c2.request("GET", "/healthz", &[], None).unwrap().status,
+        200
+    );
 
     let mut c3 = srv.client();
     let resp = c3.read_response().expect("immediate 503");
@@ -1446,10 +1636,15 @@ fn metrics_counters_sum_exactly_across_reactors() {
     // 1000 healthz + this metrics request itself, counted at head
     // parse before the body renders.
     let expected = format!("\"requests\":{}", CONNS * REQS + 1);
-    assert!(body.contains(&expected), "exact request count lost in aggregation: {body}");
+    assert!(
+        body.contains(&expected),
+        "exact request count lost in aggregation: {body}"
+    );
     assert!(body.contains("\"reactor_threads\":2"), "{body}");
 
-    let resp = c.request("GET", "/metrics?format=prometheus", &[], None).unwrap();
+    let resp = c
+        .request("GET", "/metrics?format=prometheus", &[], None)
+        .unwrap();
     let text = resp.body_str();
     assert!(text.contains("xmlpruned_reactor_threads 2"), "{text}");
 
@@ -1470,7 +1665,10 @@ fn overload_503_delivers_complete_body_at_max_connections_1() {
     };
     let srv = TestServer::start(config);
     let mut c1 = srv.client();
-    assert_eq!(c1.request("GET", "/healthz", &[], None).unwrap().status, 200);
+    assert_eq!(
+        c1.request("GET", "/healthz", &[], None).unwrap().status,
+        200
+    );
 
     let mut c2 = srv.client();
     let resp = c2.read_response().expect("full 503 response");
@@ -1485,7 +1683,9 @@ fn overload_503_delivers_complete_body_at_max_connections_1() {
     // The reject closes the socket after the flush: EOF, not a hang.
     use std::io::Read;
     let mut rest = Vec::new();
-    (&mut c2.stream_ref()).read_to_end(&mut rest).expect("clean close after 503");
+    (&mut c2.stream_ref())
+        .read_to_end(&mut rest)
+        .expect("clean close after 503");
     assert!(rest.is_empty(), "bytes after the framed 503: {rest:?}");
 
     // Free the single admission slot so the shutdown request itself is
@@ -1528,8 +1728,14 @@ fn rate_limit_429_after_burst_with_retry_after() {
     let mut c = srv.client();
     let resp = c.request("GET", "/metrics", &[], None).unwrap();
     assert_eq!(resp.status, 200);
-    assert!(resp.body_str().contains("\"rate_limited\":1"), "{}", resp.body_str());
-    let resp = c.request("GET", "/metrics?format=prometheus", &[], None).unwrap();
+    assert!(
+        resp.body_str().contains("\"rate_limited\":1"),
+        "{}",
+        resp.body_str()
+    );
+    let resp = c
+        .request("GET", "/metrics?format=prometheus", &[], None)
+        .unwrap();
     assert!(
         resp.body_str().contains("xmlpruned_rate_limited_total 1"),
         "{}",
@@ -1561,7 +1767,10 @@ fn a_thousand_idle_keep_alive_connections_cost_slots_not_service() {
     let expected = expected_bib_prune(query);
 
     for loops in [1, 2] {
-        let config = ServerConfig { read_timeout: Duration::from_secs(60), ..small_config() };
+        let config = ServerConfig {
+            read_timeout: Duration::from_secs(60),
+            ..small_config()
+        };
         let srv = with_reactor_threads(loops, || TestServer::start(config));
         // Registration, the one compile and the scrape ride hot connection
         // 0, so the server sees exactly idle + HOT connections.
@@ -1574,7 +1783,9 @@ fn a_thousand_idle_keep_alive_connections_cost_slots_not_service() {
             extract_json_str(&resp.body_str(), "id"),
             urlencode(query)
         );
-        let resp = hot[0].request("POST", &target, &[], Some(BIB_DOC.as_bytes())).unwrap();
+        let resp = hot[0]
+            .request("POST", &target, &[], Some(BIB_DOC.as_bytes()))
+            .unwrap();
         assert_eq!(resp.body_str(), expected);
 
         let parked: Vec<HttpClient> = (0..idle)
@@ -1590,7 +1801,9 @@ fn a_thousand_idle_keep_alive_connections_cost_slots_not_service() {
             for c in &mut hot {
                 s.spawn(move || {
                     for _ in 0..REQUESTS / HOT {
-                        let resp = c.request("POST", target, &[], Some(BIB_DOC.as_bytes())).unwrap();
+                        let resp = c
+                            .request("POST", target, &[], Some(BIB_DOC.as_bytes()))
+                            .unwrap();
                         assert_eq!(resp.status, 200, "{}", resp.body_str());
                         assert_eq!(resp.body_str(), *expected);
                     }
@@ -1605,17 +1818,27 @@ fn a_thousand_idle_keep_alive_connections_cost_slots_not_service() {
             );
         }
 
-        let body = hot[0].request("GET", "/metrics", &[], None).unwrap().body_str();
+        let body = hot[0]
+            .request("GET", "/metrics", &[], None)
+            .unwrap()
+            .body_str();
         let metrics = xproj_testkit::parse_json(&body).unwrap();
         let count = |section: &str, key: &str| {
-            let v = metrics.get(section).and_then(|s| s.get(key)).and_then(|v| v.as_f64());
+            let v = metrics
+                .get(section)
+                .and_then(|s| s.get(key))
+                .and_then(|v| v.as_f64());
             v.unwrap_or_else(|| panic!("no {section}.{key} in {body}")) as usize
         };
         assert_eq!(count("server", "connections"), idle + HOT, "{body}");
         assert_eq!(count("server", "errors"), 0, "{body}");
         assert_eq!(count("server", "accept_stalls"), 0, "{body}");
         assert_eq!(count("reactor", "reactor_threads"), loops, "{body}");
-        assert_eq!((count("cache", "misses"), count("cache", "hits")), (1, REQUESTS), "{body}");
+        assert_eq!(
+            (count("cache", "misses"), count("cache", "hits")),
+            (1, REQUESTS),
+            "{body}"
+        );
         assert_eq!(srv.shutdown().aborted, 0, "{loops} loop(s)");
         drop(parked);
     }

@@ -682,10 +682,7 @@ fn any_schedule_equals_trivial_case(seed: u64) {
                 got[*k].body == *body,
                 "connection {i} response {k} ≠ the in-process engine"
             );
-            assert_eq!(
-                got[*k].chunked,
-                body.len() > sim.state.config.chunk_size
-            );
+            assert_eq!(got[*k].chunked, body.len() > sim.state.config.chunk_size);
         }
         // Every response but the last kept the connection; the error
         // reply announced the close the machine then carried out.
@@ -1401,8 +1398,10 @@ fn fuzz_wall_framing_disagreements_are_refused_and_close() {
     let id_target = |dtd: &str| format!("/v1/prune?dtd={dtd}&query=//title");
     let field = |f: &str| with_head(&target, &format!("{length}x-pad: a\r\n{f}\r\n"), &chunked);
     let smuggled = String::from_utf8(request("GET", "/healthz", &[], Body::None)).unwrap();
-    let smuggling =
-        format!("GET /healthz HTTP/1.1\r\ncontent length: {}\r\n\r\n{smuggled}", smuggled.len());
+    let smuggling = format!(
+        "GET /healthz HTTP/1.1\r\ncontent length: {}\r\n\r\n{smuggled}",
+        smuggled.len()
+    );
     // (probe, status, what the body must contain)
     let probes = [
         (
@@ -1416,7 +1415,11 @@ fn fuzz_wall_framing_disagreements_are_refused_and_close() {
             "conflicting content-length",
         ),
         (
-            with_head(&target, "transfer-encoding: chunked\r\n", &format!("+{chunked}")),
+            with_head(
+                &target,
+                "transfer-encoding: chunked\r\n",
+                &format!("+{chunked}"),
+            ),
             400,
             "bad chunk size",
         ),
@@ -1430,12 +1433,36 @@ fn fuzz_wall_framing_disagreements_are_refused_and_close() {
             "<title>Title 1</title>",
         ),
         // `%+f` is not the byte 0x0F: the `%` stays, `+` is a space.
-        (with_head(&id_target("1%+f"), &length, &doc), 400, "'1% f' is not a DTD id"),
-        (with_head(&id_target(&format!("+{id}")), &length, &doc), 400, "is not a DTD id"),
-        (with_head(&id_target(&format!("0x0x{id}")), &length, &doc), 400, "is not a DTD id"),
-        (field("transfer-encoding : chunked"), 400, "malformed header field name"),
-        (field(" transfer-encoding: chunked"), 400, "malformed header field name"),
-        (field("\ttransfer-encoding: chunked"), 400, "malformed header field name"),
+        (
+            with_head(&id_target("1%+f"), &length, &doc),
+            400,
+            "'1% f' is not a DTD id",
+        ),
+        (
+            with_head(&id_target(&format!("+{id}")), &length, &doc),
+            400,
+            "is not a DTD id",
+        ),
+        (
+            with_head(&id_target(&format!("0x0x{id}")), &length, &doc),
+            400,
+            "is not a DTD id",
+        ),
+        (
+            field("transfer-encoding : chunked"),
+            400,
+            "malformed header field name",
+        ),
+        (
+            field(" transfer-encoding: chunked"),
+            400,
+            "malformed header field name",
+        ),
+        (
+            field("\ttransfer-encoding: chunked"),
+            400,
+            "malformed header field name",
+        ),
         (smuggling.into_bytes(), 400, "malformed header field name"),
     ];
     seeded(
@@ -1455,7 +1482,11 @@ fn fuzz_wall_framing_disagreements_are_refused_and_close() {
                 let got = sim.responses(i);
                 assert_eq!(got.len(), 2, "probe {i}: the connection served on: {got:?}");
                 let last = &got[1];
-                assert_eq!((last.status, last.connection.as_str()), (*status, "close"), "probe {i}");
+                assert_eq!(
+                    (last.status, last.connection.as_str()),
+                    (*status, "close"),
+                    "probe {i}"
+                );
                 let body = String::from_utf8_lossy(&last.body);
                 assert!(body.contains(needle), "probe {i}: {body}");
             }

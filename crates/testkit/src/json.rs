@@ -109,10 +109,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
@@ -219,9 +216,7 @@ impl Parser<'_> {
                                 // must follow; combine them (RFC 8259 §7).
                                 0xD800..=0xDBFF => {
                                     if self.bytes.get(self.pos..self.pos + 2) != Some(b"\\u") {
-                                        return Err(format!(
-                                            "lone high surrogate \\u{cp:04X}"
-                                        ));
+                                        return Err(format!("lone high surrogate \\u{cp:04X}"));
                                     }
                                     self.pos += 2;
                                     let lo = self.hex4()?;
@@ -230,8 +225,7 @@ impl Parser<'_> {
                                             "high surrogate \\u{cp:04X} followed by \\u{lo:04X}, not a low surrogate"
                                         ));
                                     }
-                                    let combined =
-                                        0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(combined)
                                         .expect("paired surrogates are a valid scalar")
                                 }
@@ -253,9 +247,7 @@ impl Parser<'_> {
                     // the input is a &str).
                     let start = self.pos;
                     self.pos += 1;
-                    while self.pos < self.bytes.len()
-                        && (self.bytes[self.pos] & 0xC0) == 0x80
-                    {
+                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
                         self.pos += 1;
                     }
                     out.push_str(
@@ -303,10 +295,8 @@ mod tests {
 
     #[test]
     fn round_trip_shapes() {
-        let v = parse_json(
-            r#"{"a":1,"b":[true,false,null],"c":{"d":"x\ny","e":-2.5e1},"f":""}"#,
-        )
-        .unwrap();
+        let v = parse_json(r#"{"a":1,"b":[true,false,null],"c":{"d":"x\ny","e":-2.5e1},"f":""}"#)
+            .unwrap();
         assert_eq!(v.get("a").and_then(Json::as_f64), Some(1.0));
         let arr = v.get("b").and_then(Json::as_arr).unwrap();
         assert_eq!(arr.len(), 3);

@@ -28,7 +28,10 @@ impl Config {
     /// value that is no count panics — or the one `TESTKIT_SEED` case.
     pub fn cases(cases: u32) -> Config {
         let cases = match std::env::var("TESTKIT_CASES") {
-            Ok(v) => v.trim().parse().unwrap_or_else(|_| panic!("TESTKIT_CASES={v:?} is no count")),
+            Ok(v) => v
+                .trim()
+                .parse()
+                .unwrap_or_else(|_| panic!("TESTKIT_CASES={v:?} is no count")),
             Err(_) => cases,
         };
         Config {
@@ -220,7 +223,10 @@ mod tests {
         let msg = payload_message(&caught.unwrap_err());
         assert!(msg.contains("TESTKIT_SEED="), "{msg}");
         assert!(msg.contains("failed after "), "{msg}");
-        assert!(msg.contains("cargo test -p xproj-testkit find_big"), "{msg}");
+        assert!(
+            msg.contains("cargo test -p xproj-testkit find_big"),
+            "{msg}"
+        );
         // greedy halving toward 0 lands on the boundary value 10
         assert!(msg.contains("input: 10"), "{msg}");
     }
@@ -284,7 +290,10 @@ mod tests {
         });
         let msg = payload_message(&caught.unwrap_err());
         let seed = case_seed("seeded_fails", 0);
-        assert!(msg.contains("property 'seeded_fails' failed after 1 cases"), "{msg}");
+        assert!(
+            msg.contains("property 'seeded_fails' failed after 1 cases"),
+            "{msg}"
+        );
         assert!(msg.contains(&format!("case {seed:#x} fails")), "{msg}");
         assert!(msg.contains(&format!("TESTKIT_SEED={seed:#x}")), "{msg}");
     }
@@ -296,13 +305,19 @@ mod tests {
             return;
         }
         let out = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "runner::tests::a_case_count_that_is_no_number_panics"])
+            .args([
+                "--exact",
+                "runner::tests::a_case_count_that_is_no_number_panics",
+            ])
             .env("TESTKIT_CASES", "many")
             .output()
             .unwrap();
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!out.status.success(), "{stdout}");
-        assert!(stdout.contains("TESTKIT_CASES=\"many\" is no count"), "{stdout}");
+        assert!(
+            stdout.contains("TESTKIT_CASES=\"many\" is no count"),
+            "{stdout}"
+        );
     }
 
     #[test]

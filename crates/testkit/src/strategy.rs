@@ -67,7 +67,11 @@ pub trait StrategyExt: Strategy + Sized {
 
     /// Discards generated values failing `pred`, with bounded retries
     /// (proptest: `prop_filter`).
-    fn prop_filter<P: Fn(&Self::Value) -> bool>(self, what: &'static str, pred: P) -> Filter<Self, P> {
+    fn prop_filter<P: Fn(&Self::Value) -> bool>(
+        self,
+        what: &'static str,
+        pred: P,
+    ) -> Filter<Self, P> {
         Filter {
             inner: self,
             what,
@@ -126,7 +130,10 @@ impl<S: Strategy, P: Fn(&S::Value) -> bool> Strategy for Filter<S, P> {
                 return v;
             }
         }
-        panic!("[testkit] filter '{}' rejected 1000 candidates in a row", self.what);
+        panic!(
+            "[testkit] filter '{}' rejected 1000 candidates in a row",
+            self.what
+        );
     }
     fn shrink(&self, value: &S::Value) -> Vec<S::Value> {
         self.inner
@@ -454,7 +461,9 @@ mod tests {
     fn tuples_shrink_componentwise() {
         let s = (0u32..10, 0u32..10);
         let shrunk = s.shrink(&(4, 6));
-        assert!(shrunk.iter().all(|&(a, b)| (a == 4) != (b == 6) || a < 4 || b < 6));
+        assert!(shrunk
+            .iter()
+            .all(|&(a, b)| (a == 4) != (b == 6) || a < 4 || b < 6));
         assert!(shrunk.iter().any(|&(a, _)| a < 4));
         assert!(shrunk.iter().any(|&(_, b)| b < 6));
     }

@@ -1,1 +1,3 @@
-fn main() { print!("{}", xproj_xmark::auction_dtd().to_dtd_syntax()); }
+fn main() {
+    print!("{}", xproj_xmark::auction_dtd().to_dtd_syntax());
+}

@@ -7,8 +7,8 @@
 //! the majority of the bytes (the paper measures ~70%), which is why
 //! queries that do not touch descriptions prune so well.
 
-use xproj_testkit::SplitMix64;
 use xproj_dtd::Dtd;
+use xproj_testkit::SplitMix64;
 use xproj_xmltree::{Attribute, Document, NodeId, TagId};
 
 /// Generator configuration.
@@ -41,14 +41,53 @@ impl XMarkConfig {
 }
 
 const WORDS: &[&str] = &[
-    "gold", "silver", "vintage", "rare", "mint", "original", "preferred", "duteous", "hither",
-    "sorrow", "cassio", "wherefore", "mistress", "enforced", "shipping", "condition", "penalty",
-    "reserve", "jealous", "cunning", "honest", "purse", "monster", "heaven", "lieutenant",
-    "handkerchief", "willow", "reputation", "serpent", "commodity", "merchant", "argosy",
+    "gold",
+    "silver",
+    "vintage",
+    "rare",
+    "mint",
+    "original",
+    "preferred",
+    "duteous",
+    "hither",
+    "sorrow",
+    "cassio",
+    "wherefore",
+    "mistress",
+    "enforced",
+    "shipping",
+    "condition",
+    "penalty",
+    "reserve",
+    "jealous",
+    "cunning",
+    "honest",
+    "purse",
+    "monster",
+    "heaven",
+    "lieutenant",
+    "handkerchief",
+    "willow",
+    "reputation",
+    "serpent",
+    "commodity",
+    "merchant",
+    "argosy",
 ];
 
-const CITIES: &[&str] = &["Paris", "Seoul", "Tokyo", "Lima", "Cairo", "Oslo", "Quito", "Perth"];
-const COUNTRIES: &[&str] = &["France", "Korea", "Japan", "Peru", "Egypt", "Norway", "Ecuador", "Australia"];
+const CITIES: &[&str] = &[
+    "Paris", "Seoul", "Tokyo", "Lima", "Cairo", "Oslo", "Quito", "Perth",
+];
+const COUNTRIES: &[&str] = &[
+    "France",
+    "Korea",
+    "Japan",
+    "Peru",
+    "Egypt",
+    "Norway",
+    "Ecuador",
+    "Australia",
+];
 
 struct Gen<'d> {
     dtd: &'d Dtd,
@@ -78,7 +117,10 @@ pub fn generate_auction(dtd: &Dtd, config: &XMarkConfig) -> Document {
 
 impl Gen<'_> {
     fn tag(&self, name: &str) -> TagId {
-        self.dtd.tags.get(name).expect("tag declared in auction DTD")
+        self.dtd
+            .tags
+            .get(name)
+            .expect("tag declared in auction DTD")
     }
 
     fn elem(&mut self, parent: NodeId, tag: &str) -> NodeId {
@@ -287,8 +329,12 @@ impl Gen<'_> {
             self.leaf(p, "name", &name);
             self.leaf(p, "emailaddress", &format!("mailto:person{i}@example.org"));
             if self.rng.chance(0.5) {
-                let ph = format!("+{} ({}) {}", self.rng.range(1, 99),
-                    self.rng.range(10, 999), self.rng.range(1000000, 9999999));
+                let ph = format!(
+                    "+{} ({}) {}",
+                    self.rng.range(1, 99),
+                    self.rng.range(10, 999),
+                    self.rng.range(1000000, 9999999)
+                );
                 self.leaf(p, "phone", &ph);
             }
             if self.rng.chance(0.4) {
@@ -333,7 +379,11 @@ impl Gen<'_> {
                     self.leaf(prof, "education", ed);
                 }
                 if self.rng.chance(0.8) {
-                    let g = if self.rng.chance(0.5) { "male" } else { "female" };
+                    let g = if self.rng.chance(0.5) {
+                        "male"
+                    } else {
+                        "female"
+                    };
                     self.leaf(prof, "gender", g);
                 }
                 let b = if self.rng.chance(0.5) { "Yes" } else { "No" };
@@ -507,14 +557,31 @@ mod tests {
             }
         }
         let frac = desc_bytes as f64 / total as f64;
-        assert!(frac > 0.45, "descriptions are only {frac:.2} of the document");
+        assert!(
+            frac > 0.45,
+            "descriptions are only {frac:.2} of the document"
+        );
     }
 
     #[test]
     fn deterministic_per_seed() {
         let dtd = auction_dtd();
-        let a = generate_auction(&dtd, &XMarkConfig { scale: 0.05, seed: 9 }).to_xml();
-        let b = generate_auction(&dtd, &XMarkConfig { scale: 0.05, seed: 9 }).to_xml();
+        let a = generate_auction(
+            &dtd,
+            &XMarkConfig {
+                scale: 0.05,
+                seed: 9,
+            },
+        )
+        .to_xml();
+        let b = generate_auction(
+            &dtd,
+            &XMarkConfig {
+                scale: 0.05,
+                seed: 9,
+            },
+        )
+        .to_xml();
         assert_eq!(a, b);
     }
 

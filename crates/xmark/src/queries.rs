@@ -35,46 +35,126 @@ pub struct BenchQuery {
 pub fn xmark_queries() -> Vec<BenchQuery> {
     use QueryKind::XQuery as XQ;
     vec![
-        BenchQuery { id: "QM01", kind: XQ, note: "exact-match lookup on person id",
-            text: r#"for $b in /site/people/person[@id = "person0"] return $b/name/text()"# },
-        BenchQuery { id: "QM02", kind: XQ, note: "positional access to first bidder",
-            text: r#"for $b in /site/open_auctions/open_auction return <increase>{$b/bidder[1]/increase/text()}</increase>"# },
-        BenchQuery { id: "QM03", kind: XQ, note: "first vs last bidder comparison; attribute constructor rewritten as content",
-            text: r#"for $b in /site/open_auctions/open_auction where $b/bidder[1]/increase/text() * 2 <= $b/bidder[last()]/increase/text() return <increase>{$b/bidder[1]/increase/text(), $b/bidder[last()]/increase/text()}</increase>"# },
-        BenchQuery { id: "QM04", kind: XQ, note: "existential quantifier over bidders",
-            text: r#"for $b in /site/open_auctions/open_auction where some $pr in $b/bidder/personref satisfies $pr/@person = "person18" return <history>{$b/reserve/text()}</history>"# },
-        BenchQuery { id: "QM05", kind: XQ, note: "aggregation over value predicate",
-            text: r#"<count>{count(/site/closed_auctions/closed_auction[price >= 40])}</count>"# },
-        BenchQuery { id: "QM06", kind: XQ, note: "descendant count per region",
-            text: r#"for $b in /site/regions return <items>{count($b//item)}</items>"# },
-        BenchQuery { id: "QM07", kind: XQ, note: "counts across three descendant paths",
-            text: r#"<pieces>{count(/site//description) + count(/site//annotation) + count(/site//emailaddress)}</pieces>"# },
-        BenchQuery { id: "QM08", kind: XQ, note: "value join buyers/persons",
-            text: r#"for $p in /site/people/person let $a := count(/site/closed_auctions/closed_auction[buyer/@person = $p/@id]) return <item>{$p/name/text(), $a}</item>"# },
-        BenchQuery { id: "QM09", kind: XQ, note: "three-way join persons/auctions/european items",
-            text: r#"for $p in /site/people/person let $a := for $t in /site/closed_auctions/closed_auction where $p/@id = $t/buyer/@person return /site/regions/europe/item[@id = $t/itemref/@item]/name return <person>{$p/name/text(), count($a)}</person>"# },
-        BenchQuery { id: "QM10", kind: XQ, note: "grouping by interest category, materialising person records",
-            text: r#"for $i in /site/categories/category let $p := /site/people/person[profile/interest/@category = $i/@id] return <categoryGroup>{$i/name/text(), $p}</categoryGroup>"# },
-        BenchQuery { id: "QM11", kind: XQ, note: "value join on income vs initial price",
-            text: r#"for $p in /site/people/person let $l := /site/open_auctions/open_auction/initial[. * 5000 < $p/profile/@income] return <items>{$p/name/text(), count($l)}</items>"# },
-        BenchQuery { id: "QM12", kind: XQ, note: "as QM11 restricted to high incomes",
-            text: r#"for $p in /site/people/person[profile/@income > 50000] let $l := /site/open_auctions/open_auction/initial[. * 5000 < $p/profile/@income] return <items>{count($l)}</items>"# },
-        BenchQuery { id: "QM13", kind: XQ, note: "materialises item descriptions of one region",
-            text: r#"for $i in /site/regions/australia/item return <item>{$i/name/text(), $i/description}</item>"# },
-        BenchQuery { id: "QM14", kind: XQ, note: "full-text containment over descriptions (keeps them whole)",
-            text: r#"for $i in /site//item where contains(string($i/description), "gold") return $i/name/text()"# },
-        BenchQuery { id: "QM15", kind: XQ, note: "very long, very selective path",
-            text: r#"for $a in /site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text() return <text>{$a}</text>"# },
-        BenchQuery { id: "QM16", kind: XQ, note: "long path as existential condition",
-            text: r#"for $a in /site/closed_auctions/closed_auction where $a/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text() return <person>{$a/seller/@person}</person>"# },
-        BenchQuery { id: "QM17", kind: XQ, note: "emptiness test on homepage",
-            text: r#"for $p in /site/people/person where empty($p/homepage/text()) return <person>{$p/name/text()}</person>"# },
-        BenchQuery { id: "QM18", kind: XQ, note: "user-defined currency conversion inlined",
-            text: r#"for $i in /site/open_auctions/open_auction return $i/reserve * 2.20371"# },
-        BenchQuery { id: "QM19", kind: XQ, note: "global ordering by item name",
-            text: r#"for $b in /site/regions//item order by $b/name/text() return <item>{$b/location/text(), $b/name/text()}</item>"# },
-        BenchQuery { id: "QM20", kind: XQ, note: "income bands over profiles",
-            text: r#"<result><preferred>{count(/site/people/person/profile[@income >= 100000])}</preferred><standard>{count(/site/people/person/profile[@income < 100000][@income >= 30000])}</standard><challenge>{count(/site/people/person/profile[@income < 30000])}</challenge><na>{count(/site/people/person[not(profile/@income)])}</na></result>"# },
+        BenchQuery {
+            id: "QM01",
+            kind: XQ,
+            note: "exact-match lookup on person id",
+            text: r#"for $b in /site/people/person[@id = "person0"] return $b/name/text()"#,
+        },
+        BenchQuery {
+            id: "QM02",
+            kind: XQ,
+            note: "positional access to first bidder",
+            text: r#"for $b in /site/open_auctions/open_auction return <increase>{$b/bidder[1]/increase/text()}</increase>"#,
+        },
+        BenchQuery {
+            id: "QM03",
+            kind: XQ,
+            note: "first vs last bidder comparison; attribute constructor rewritten as content",
+            text: r#"for $b in /site/open_auctions/open_auction where $b/bidder[1]/increase/text() * 2 <= $b/bidder[last()]/increase/text() return <increase>{$b/bidder[1]/increase/text(), $b/bidder[last()]/increase/text()}</increase>"#,
+        },
+        BenchQuery {
+            id: "QM04",
+            kind: XQ,
+            note: "existential quantifier over bidders",
+            text: r#"for $b in /site/open_auctions/open_auction where some $pr in $b/bidder/personref satisfies $pr/@person = "person18" return <history>{$b/reserve/text()}</history>"#,
+        },
+        BenchQuery {
+            id: "QM05",
+            kind: XQ,
+            note: "aggregation over value predicate",
+            text: r#"<count>{count(/site/closed_auctions/closed_auction[price >= 40])}</count>"#,
+        },
+        BenchQuery {
+            id: "QM06",
+            kind: XQ,
+            note: "descendant count per region",
+            text: r#"for $b in /site/regions return <items>{count($b//item)}</items>"#,
+        },
+        BenchQuery {
+            id: "QM07",
+            kind: XQ,
+            note: "counts across three descendant paths",
+            text: r#"<pieces>{count(/site//description) + count(/site//annotation) + count(/site//emailaddress)}</pieces>"#,
+        },
+        BenchQuery {
+            id: "QM08",
+            kind: XQ,
+            note: "value join buyers/persons",
+            text: r#"for $p in /site/people/person let $a := count(/site/closed_auctions/closed_auction[buyer/@person = $p/@id]) return <item>{$p/name/text(), $a}</item>"#,
+        },
+        BenchQuery {
+            id: "QM09",
+            kind: XQ,
+            note: "three-way join persons/auctions/european items",
+            text: r#"for $p in /site/people/person let $a := for $t in /site/closed_auctions/closed_auction where $p/@id = $t/buyer/@person return /site/regions/europe/item[@id = $t/itemref/@item]/name return <person>{$p/name/text(), count($a)}</person>"#,
+        },
+        BenchQuery {
+            id: "QM10",
+            kind: XQ,
+            note: "grouping by interest category, materialising person records",
+            text: r#"for $i in /site/categories/category let $p := /site/people/person[profile/interest/@category = $i/@id] return <categoryGroup>{$i/name/text(), $p}</categoryGroup>"#,
+        },
+        BenchQuery {
+            id: "QM11",
+            kind: XQ,
+            note: "value join on income vs initial price",
+            text: r#"for $p in /site/people/person let $l := /site/open_auctions/open_auction/initial[. * 5000 < $p/profile/@income] return <items>{$p/name/text(), count($l)}</items>"#,
+        },
+        BenchQuery {
+            id: "QM12",
+            kind: XQ,
+            note: "as QM11 restricted to high incomes",
+            text: r#"for $p in /site/people/person[profile/@income > 50000] let $l := /site/open_auctions/open_auction/initial[. * 5000 < $p/profile/@income] return <items>{count($l)}</items>"#,
+        },
+        BenchQuery {
+            id: "QM13",
+            kind: XQ,
+            note: "materialises item descriptions of one region",
+            text: r#"for $i in /site/regions/australia/item return <item>{$i/name/text(), $i/description}</item>"#,
+        },
+        BenchQuery {
+            id: "QM14",
+            kind: XQ,
+            note: "full-text containment over descriptions (keeps them whole)",
+            text: r#"for $i in /site//item where contains(string($i/description), "gold") return $i/name/text()"#,
+        },
+        BenchQuery {
+            id: "QM15",
+            kind: XQ,
+            note: "very long, very selective path",
+            text: r#"for $a in /site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text() return <text>{$a}</text>"#,
+        },
+        BenchQuery {
+            id: "QM16",
+            kind: XQ,
+            note: "long path as existential condition",
+            text: r#"for $a in /site/closed_auctions/closed_auction where $a/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword/text() return <person>{$a/seller/@person}</person>"#,
+        },
+        BenchQuery {
+            id: "QM17",
+            kind: XQ,
+            note: "emptiness test on homepage",
+            text: r#"for $p in /site/people/person where empty($p/homepage/text()) return <person>{$p/name/text()}</person>"#,
+        },
+        BenchQuery {
+            id: "QM18",
+            kind: XQ,
+            note: "user-defined currency conversion inlined",
+            text: r#"for $i in /site/open_auctions/open_auction return $i/reserve * 2.20371"#,
+        },
+        BenchQuery {
+            id: "QM19",
+            kind: XQ,
+            note: "global ordering by item name",
+            text: r#"for $b in /site/regions//item order by $b/name/text() return <item>{$b/location/text(), $b/name/text()}</item>"#,
+        },
+        BenchQuery {
+            id: "QM20",
+            kind: XQ,
+            note: "income bands over profiles",
+            text: r#"<result><preferred>{count(/site/people/person/profile[@income >= 100000])}</preferred><standard>{count(/site/people/person/profile[@income < 100000][@income >= 30000])}</standard><challenge>{count(/site/people/person/profile[@income < 30000])}</challenge><na>{count(/site/people/person[not(profile/@income)])}</na></result>"#,
+        },
     ]
 }
 

@@ -183,7 +183,11 @@ mod tests {
                     assert_eq!(down.contains(y), up.contains(x), "{}", uc.name);
                 }
             }
-            assert!(dtd.parents_of(dtd.root()).contains(dtd.doc_name()), "{}", uc.name);
+            assert!(
+                dtd.parents_of(dtd.root()).contains(dtd.doc_name()),
+                "{}",
+                uc.name
+            );
         }
     }
 

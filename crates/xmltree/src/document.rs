@@ -459,7 +459,14 @@ pub fn escape_attr(s: &str, out: &mut String) {
 /// copy the clean run before it in one `push_str`. The special set is
 /// pure ASCII, so slicing at special-byte positions always lands on
 /// char boundaries.
-fn escape_runs(s: &str, out: &mut String, s1: u8, s2: u8, s3: u8, escape: impl Fn(u8) -> &'static str) {
+fn escape_runs(
+    s: &str,
+    out: &mut String,
+    s1: u8,
+    s2: u8,
+    s3: u8,
+    escape: impl Fn(u8) -> &'static str,
+) {
     let bytes = s.as_bytes();
     let mut start = 0;
     while let Some(j) = crate::scan::memchr3(s1, s2, s3, &bytes[start..]) {

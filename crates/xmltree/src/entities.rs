@@ -17,7 +17,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "XML parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "XML parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 

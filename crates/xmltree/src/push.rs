@@ -227,7 +227,12 @@ enum Scan {
 
 impl Scan {
     fn body(kind: TokenKind, close: u8, need: u8) -> Scan {
-        Scan::Body { kind, close, need, run: 0 }
+        Scan::Body {
+            kind,
+            close,
+            need,
+            run: 0,
+        }
     }
 }
 
@@ -279,7 +284,13 @@ impl Scanner {
             b'/' => (EndTag, 1),
             b'!' => (LtBang, 1),
             b'?' => (Scan::body(TokenKind::Pi, b'?', 1), 1),
-            _ => (StartTag { quote: None, slash: false }, 0),
+            _ => (
+                StartTag {
+                    quote: None,
+                    slash: false,
+                },
+                0,
+            ),
         };
         loop {
             let kind = 'token: loop {
@@ -331,8 +342,14 @@ impl Scanner {
                     LtBang => {
                         state = match bytes[i] {
                             b'-' => Opener { word: b"--", at: 0 },
-                            b'[' => Opener { word: b"[CDATA[", at: 0 },
-                            b'D' => Opener { word: b"DOCTYPE", at: 0 },
+                            b'[' => Opener {
+                                word: b"[CDATA[",
+                                at: 0,
+                            },
+                            b'D' => Opener {
+                                word: b"DOCTYPE",
+                                at: 0,
+                            },
                             _ => Misc,
                         }
                     }
@@ -349,19 +366,39 @@ impl Scanner {
                             _ => Doctype(None),
                         };
                     }
-                    Body { kind, close, need, run: 0 } => {
+                    Body {
+                        kind,
+                        close,
+                        need,
+                        run: 0,
+                    } => {
                         if seek(close, &mut i) {
-                            state = Body { kind, close, need, run: 1 };
+                            state = Body {
+                                kind,
+                                close,
+                                need,
+                                run: 1,
+                            };
                         }
                     }
-                    Body { kind, close, need, run } => {
+                    Body {
+                        kind,
+                        close,
+                        need,
+                        run,
+                    } => {
                         let b = bytes[i];
                         i += 1;
                         if b == b'>' && run == need {
                             break kind;
                         }
                         let run = if b == close { need.min(run + 1) } else { 0 };
-                        state = Body { kind, close, need, run };
+                        state = Body {
+                            kind,
+                            close,
+                            need,
+                            run,
+                        };
                     }
                     Doctype(Some(end)) => {
                         if seek(end, &mut i) {
@@ -386,11 +423,17 @@ impl Scanner {
                     // to structural byte.
                     StartTag { mut quote, slash } => loop {
                         if quote.is_some_and(|q| !seek(q, &mut i)) {
-                            state = StartTag { quote, slash: false };
+                            state = StartTag {
+                                quote,
+                                slash: false,
+                            };
                             break;
                         }
                         let Some(j) = scan::memchr3(b'>', b'"', b'\'', &bytes[i..]) else {
-                            state = StartTag { quote: None, slash: bytes[n - 1] == b'/' };
+                            state = StartTag {
+                                quote: None,
+                                slash: bytes[n - 1] == b'/',
+                            };
                             i = n;
                             break;
                         };
@@ -399,7 +442,11 @@ impl Scanner {
                         if bytes[at] == b'>' {
                             // The byte before it; at the very front of
                             // `bytes` that is the carried state.
-                            let self_closing = if at == 0 { slash } else { bytes[at - 1] == b'/' };
+                            let self_closing = if at == 0 {
+                                slash
+                            } else {
+                                bytes[at - 1] == b'/'
+                            };
                             break 'token TokenKind::StartTag { self_closing };
                         }
                         quote = Some(bytes[at]);
@@ -454,7 +501,9 @@ impl Scanner {
     fn skip(&mut self, depth: &mut usize, bytes: &[u8]) -> usize {
         let closed = self.feed::<false>(bytes, |kind| {
             match kind {
-                TokenKind::StartTag { self_closing: false } => *depth += 1,
+                TokenKind::StartTag {
+                    self_closing: false,
+                } => *depth += 1,
                 TokenKind::EndTag => *depth -= 1,
                 _ => {}
             }

@@ -25,7 +25,10 @@ pub enum Ev {
 pub fn s(name: &str, attrs: &[(&str, &str)]) -> Ev {
     Ev::Start(
         name.to_string(),
-        attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+        attrs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
     )
 }
 pub fn e(name: &str) -> Ev {
@@ -72,7 +75,8 @@ impl TokenSink for Collect {
     }
 
     fn doctype(&mut self, name: &str, subset: Option<&str>) -> Result<(), ParseError> {
-        self.events.push(Ev::Doctype(name.to_string(), subset.map(str::to_string)));
+        self.events
+            .push(Ev::Doctype(name.to_string(), subset.map(str::to_string)));
         Ok(())
     }
 }

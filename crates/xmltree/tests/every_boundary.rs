@@ -40,7 +40,14 @@ fn corpus() -> Vec<(&'static str, Vec<Ev>, u64)> {
         (
             "<a long=\"some >< value\" b='x \"y\" z' c=\"tail/\"><b k=\"&lt;&#65;\"/></a>",
             vec![
-                s("a", &[("long", "some >< value"), ("b", "x \"y\" z"), ("c", "tail/")]),
+                s(
+                    "a",
+                    &[
+                        ("long", "some >< value"),
+                        ("b", "x \"y\" z"),
+                        ("c", "tail/"),
+                    ],
+                ),
                 s("b", &[("k", "<A")]),
                 e("b"),
                 e("a"),
@@ -49,11 +56,7 @@ fn corpus() -> Vec<(&'static str, Vec<Ev>, u64)> {
         ),
         (
             "<a>fish &amp; chips &#65;&#x42; &quot;done&quot;</a>",
-            vec![
-                s("a", &[]),
-                t("fish & chips AB \"done\""),
-                e("a"),
-            ],
+            vec![s("a", &[]), t("fish & chips AB \"done\""), e("a")],
             3,
         ),
         (
@@ -70,10 +73,7 @@ fn corpus() -> Vec<(&'static str, Vec<Ev>, u64)> {
         ),
         (
             "<a><!-- a -- b --><?pi some data?><!--x--><!-----></a>",
-            vec![
-                s("a", &[]),
-                e("a"),
-            ],
+            vec![s("a", &[]), e("a")],
             6,
         ),
         (
@@ -89,38 +89,22 @@ fn corpus() -> Vec<(&'static str, Vec<Ev>, u64)> {
         ),
         (
             "<!DOCTYPE site SYSTEM \"auction.dtd\"><site/>",
-            vec![
-                d("site", None),
-                s("site", &[]),
-                e("site"),
-            ],
+            vec![d("site", None), s("site", &[]), e("site")],
             3,
         ),
         (
             "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a>x</a>",
-            vec![
-                s("a", &[]),
-                t("x"),
-                e("a"),
-            ],
+            vec![s("a", &[]), t("x"), e("a")],
             3,
         ),
         (
             "<a>héllo wörld — ₤ €</a>",
-            vec![
-                s("a", &[]),
-                t("héllo wörld — ₤ €"),
-                e("a"),
-            ],
+            vec![s("a", &[]), t("héllo wörld — ₤ €"), e("a")],
             3,
         ),
         (
             "<a attr=\"héllo — ₤\">…</a>",
-            vec![
-                s("a", &[("attr", "héllo — ₤")]),
-                t("…"),
-                e("a"),
-            ],
+            vec![s("a", &[("attr", "héllo — ₤")]), t("…"), e("a")],
             3,
         ),
         (
@@ -209,7 +193,11 @@ fn random_three_chunk_splits_match_the_one_chunk_run() {
             "3-chunk split at ({a},{b}) of {doc:?}"
         );
     };
-    seeded("random_three_chunk_splits_match_the_one_chunk_run", 500, run_case);
+    seeded(
+        "random_three_chunk_splits_match_the_one_chunk_run",
+        500,
+        run_case,
+    );
 }
 
 /// A subtree whose raw bytes contain every skip-scanner hazard: fake end
@@ -287,8 +275,14 @@ fn malformed_markup_inside_a_skipped_subtree() {
         ("<![CDAT>x]]>", "expected a name"),
         ("<!ELEMENT a (b)>", "expected a name"),
         ("<>x</y>", "expected a name"),
-        ("<!DOCTYPE a>", "DOCTYPE after the start of the root element"),
-        ("<!DOCTYPE a [<!ELEMENT a EMPTY>]>", "DOCTYPE after the start of the root element"),
+        (
+            "<!DOCTYPE a>",
+            "DOCTYPE after the start of the root element",
+        ),
+        (
+            "<!DOCTYPE a [<!ELEMENT a EMPTY>]>",
+            "DOCTYPE after the start of the root element",
+        ),
     ] {
         let doc = format!("<a><skipme>{body}</skipme><keep/></a>");
         let bytes = doc.as_bytes();
@@ -300,10 +294,18 @@ fn malformed_markup_inside_a_skipped_subtree() {
             let (done, _) = run_with(&[&bytes[..at], &bytes[at..]], &mut sink, true)
                 .unwrap_or_else(|e| panic!("{body:?} split at {at}: {e}"));
             assert_eq!(sink.events, expected, "{body:?} split at {at}");
-            assert_eq!((done.events, done.fast_forwarded), (5, 1), "{body:?} split at {at}");
+            assert_eq!(
+                (done.events, done.fast_forwarded),
+                (5, 1),
+                "{body:?} split at {at}"
+            );
         }
         let err = run_str(&doc).expect_err(body);
-        assert_eq!((err.offset, err.message.as_str()), ("<a><skipme>".len(), error), "{body:?}");
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            ("<a><skipme>".len(), error),
+            "{body:?}"
+        );
     }
 }
 
@@ -340,6 +342,13 @@ fn skip_never_buffers_and_eof_mid_skip_is_an_error() {
     tok.finish_into(&mut sink).unwrap();
     assert_eq!(
         sink.events,
-        [s("r", &[]), s("s", &[]), e("s"), s("k", &[]), e("k"), e("r")]
+        [
+            s("r", &[]),
+            s("s", &[]),
+            e("s"),
+            s("k", &[]),
+            e("k"),
+            e("r")
+        ]
     );
 }

@@ -39,16 +39,76 @@ type Token = (
 );
 
 const TOKENS: &[Token] = &[
-    ("attribute value in double quotes", "<k a=\"", ">", "\"/>", " inside markup, <r> not closed"),
-    ("attribute value in single quotes", "<k a='", "\"", "'/>", " inside markup, <r> not closed"),
-    ("start tag without quotes", "<k", "k", "/>", " inside markup, <r> not closed"),
-    ("end tag", "<k></k", " ", ">", " inside markup, <k> not closed"),
-    ("comment", "<!--", "x", "-->", " inside markup, <r> not closed"),
-    ("comment of dashes", "<!--", "-", "-->", " inside markup, <r> not closed"),
-    ("CDATA of brackets", "<![CDATA[", "]", "]]>", " inside markup, <r> not closed"),
-    ("PI of question marks", "<?p ", "?", "?>", " inside markup, <r> not closed"),
-    ("DOCTYPE with a quoted >", "<!DOCTYPE r SYSTEM \"", ">", "\">", " inside markup"),
-    ("DOCTYPE with > in its subset", "<!DOCTYPE r [", ">", "]>", " inside markup"),
+    (
+        "attribute value in double quotes",
+        "<k a=\"",
+        ">",
+        "\"/>",
+        " inside markup, <r> not closed",
+    ),
+    (
+        "attribute value in single quotes",
+        "<k a='",
+        "\"",
+        "'/>",
+        " inside markup, <r> not closed",
+    ),
+    (
+        "start tag without quotes",
+        "<k",
+        "k",
+        "/>",
+        " inside markup, <r> not closed",
+    ),
+    (
+        "end tag",
+        "<k></k",
+        " ",
+        ">",
+        " inside markup, <k> not closed",
+    ),
+    (
+        "comment",
+        "<!--",
+        "x",
+        "-->",
+        " inside markup, <r> not closed",
+    ),
+    (
+        "comment of dashes",
+        "<!--",
+        "-",
+        "-->",
+        " inside markup, <r> not closed",
+    ),
+    (
+        "CDATA of brackets",
+        "<![CDATA[",
+        "]",
+        "]]>",
+        " inside markup, <r> not closed",
+    ),
+    (
+        "PI of question marks",
+        "<?p ",
+        "?",
+        "?>",
+        " inside markup, <r> not closed",
+    ),
+    (
+        "DOCTYPE with a quoted >",
+        "<!DOCTYPE r SYSTEM \"",
+        ">",
+        "\">",
+        " inside markup",
+    ),
+    (
+        "DOCTYPE with > in its subset",
+        "<!DOCTYPE r [",
+        ">",
+        "]>",
+        " inside markup",
+    ),
     ("text run", "", "x", "", ", <r> not closed"),
     ("text run of &amp;", "", "&amp;", "", ", <r> not closed"),
 ];
@@ -56,7 +116,10 @@ const TOKENS: &[Token] = &[
 /// The token size and the feed sizes: 1 MiB at {1, 7, 4096, 64 Ki}, or
 /// `TESTKIT_HOSTILE_MIB` MiB at 64 KiB.
 fn scale() -> (usize, &'static [usize]) {
-    match std::env::var("TESTKIT_HOSTILE_MIB").ok().and_then(|v| v.parse::<usize>().ok()) {
+    match std::env::var("TESTKIT_HOSTILE_MIB")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+    {
         Some(mib) => (mib << 20, &[64 * 1024]),
         None => (1 << 20, &[1, 7, 4096, 64 * 1024]),
     }
@@ -145,7 +208,11 @@ fn wall(skip: bool) {
                 (false, true) => vec![(giant, last)],
                 (false, false) => match giant.strip_prefix("<k>") {
                     Some(end_tag) => {
-                        vec![piece("<r>", Markup), piece("<k>", Markup), piece(end_tag, last)]
+                        vec![
+                            piece("<r>", Markup),
+                            piece("<k>", Markup),
+                            piece(end_tag, last),
+                        ]
                     }
                     None if opener.is_empty() => vec![piece("<r>", Markup), (giant, Open)],
                     None => vec![piece("<r>", Markup), (giant, last)],
@@ -159,13 +226,21 @@ fn wall(skip: bool) {
                 };
                 pieces.extend(tail.iter().map(|&(text, p)| piece(text, p)));
             }
-            let doc = pieces.iter().map(|(text, _)| text.as_str()).collect::<String>().into_bytes();
+            let doc = pieces
+                .iter()
+                .map(|(text, _)| text.as_str())
+                .collect::<String>()
+                .into_bytes();
             let what = format!("{name}, terminated: {terminated}, skipped: {skip}");
             let whole = drive(&doc, doc.len(), skip);
             match (&whole.outcome, terminated) {
                 (Ok(done), true) => assert_eq!(done.fast_forwarded, u64::from(skip), "{what}"),
                 (Err(e), false) => {
-                    let eof = if skip { ", <s> not closed" } else { top_level_eof };
+                    let eof = if skip {
+                        ", <s> not closed"
+                    } else {
+                        top_level_eof
+                    };
                     assert_eq!(e.message, format!("unexpected end of input{eof}"), "{what}");
                 }
                 (other, _) => panic!("{what}: {other:?}"),
@@ -173,12 +248,19 @@ fn wall(skip: bool) {
             for &chunk in chunks {
                 let run = drive(&doc, chunk, skip);
                 let feeds = format!("{chunk}-byte feeds");
-                assert_eq!(run.scanned, doc.len() as u64, "{what}: bytes examined, {feeds}");
+                assert_eq!(
+                    run.scanned,
+                    doc.len() as u64,
+                    "{what}: bytes examined, {feeds}"
+                );
                 let copied = straddling(&pieces, chunk);
                 assert_eq!(run.carried, copied, "{what}: bytes carried, {feeds}");
                 assert_eq!(run.outcome, whole.outcome, "{what}, {chunk}-byte feeds");
                 // Not `assert_eq!`: a failure would print the token.
-                assert!(run.events == whole.events, "{what}: sink calls differ, {chunk}-byte feeds");
+                assert!(
+                    run.events == whole.events,
+                    "{what}: sink calls differ, {chunk}-byte feeds"
+                );
             }
         }
     }
@@ -205,7 +287,11 @@ fn a_tag_of_many_attributes_is_checked_for_duplicates() {
     let distinct: String = (0..N).map(|i| format!(" a{i}=''")).collect();
     for (attrs, duplicate) in [(distinct, false), (" a=''".repeat(N), true)] {
         for skip in [false, true] {
-            let (head, tail) = if skip { ("<r><s>", "</s></r>") } else { ("<r>", "</r>") };
+            let (head, tail) = if skip {
+                ("<r><s>", "</s></r>")
+            } else {
+                ("<r>", "</r>")
+            };
             let doc = format!("{head}<k{attrs}/>{tail}").into_bytes();
             let what = format!("duplicate: {duplicate}, skipped: {skip}");
             let whole = drive(&doc, doc.len(), skip);
@@ -219,9 +305,15 @@ fn a_tag_of_many_attributes_is_checked_for_duplicates() {
             }
             for chunk in [1, 7, 4096, 64 * 1024] {
                 let run = drive(&doc, chunk, skip);
-                assert!(run.scanned <= 2 * doc.len() as u64 + 64, "{what}, {chunk}-byte feeds");
+                assert!(
+                    run.scanned <= 2 * doc.len() as u64 + 64,
+                    "{what}, {chunk}-byte feeds"
+                );
                 assert_eq!(run.outcome, whole.outcome, "{what}, {chunk}-byte feeds");
-                assert!(run.events == whole.events, "{what}: sink calls differ, {chunk}-byte feeds");
+                assert!(
+                    run.events == whole.events,
+                    "{what}: sink calls differ, {chunk}-byte feeds"
+                );
             }
         }
     }

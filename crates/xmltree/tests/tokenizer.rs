@@ -63,7 +63,11 @@ fn event_counting_rules() {
     let count = |doc: &str| run_str(doc).unwrap().1;
     assert_eq!(count("<a/>"), 2, "self-closing: start + end");
     assert_eq!(count("<a></a>"), 2);
-    assert_eq!(count("<?xml version=\"1.0\"?><a/>"), 2, "XML declaration: 0");
+    assert_eq!(
+        count("<?xml version=\"1.0\"?><a/>"),
+        2,
+        "XML declaration: 0"
+    );
     assert_eq!(count("<!--c--><a/>"), 3, "comment: 1");
     assert_eq!(count("<?pi d?><a/>"), 3, "PI: 1");
     assert_eq!(count("<!DOCTYPE a><a/>"), 3, "DOCTYPE: 1");
@@ -126,7 +130,10 @@ fn content_after_root_and_cdata_outside_it_rejected() {
     assert!(message("<![CDATA[x]]><a/>").contains("CDATA outside the root element"));
     // A DOCTYPE belongs before the root element, once.
     for doc in ["<a><!DOCTYPE a><b>x</b></a>", "<a/><!DOCTYPE a>"] {
-        assert!(message(doc).contains("DOCTYPE after the start of the root element"), "{doc}");
+        assert!(
+            message(doc).contains("DOCTYPE after the start of the root element"),
+            "{doc}"
+        );
     }
     assert!(message("<!DOCTYPE a><!DOCTYPE a><a/>").contains("more than one DOCTYPE"));
     // …but comments, PIs and whitespace after the root are fine.
@@ -165,13 +172,29 @@ fn malformed_markup_rejected() {
 
 #[test]
 fn non_xml_char_references_rejected_everywhere() {
-    for bad in ["&#0;", "&#x1F;", "&#8;", "&#xFFFE;", "&#xFFFF;", "&#xD800;", "&#x110000;"] {
+    for bad in [
+        "&#0;",
+        "&#x1F;",
+        "&#8;",
+        "&#xFFFE;",
+        "&#xFFFF;",
+        "&#xD800;",
+        "&#x110000;",
+    ] {
         assert!(run_str(&format!("<a>{bad}</a>")).is_err(), "{bad} in text");
-        assert!(run_str(&format!("<a b=\"{bad}\"/>")).is_err(), "{bad} in an attribute");
-        assert!(run_str(&format!("<a/>{bad}")).is_err(), "{bad} in trailing text");
+        assert!(
+            run_str(&format!("<a b=\"{bad}\"/>")).is_err(),
+            "{bad} in an attribute"
+        );
+        assert!(
+            run_str(&format!("<a/>{bad}")).is_err(),
+            "{bad} in trailing text"
+        );
     }
     // The boundary cases that *are* Chars still decode.
-    assert!(run_str("<a>&#x9;&#xA;&#xD;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;</a>").is_ok());
+    assert!(
+        run_str("<a>&#x9;&#xA;&#xD;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;&#x10FFFF;</a>").is_ok()
+    );
 }
 
 /// A chunk boundary landing anywhere inside a character reference (even
@@ -207,9 +230,18 @@ fn unknown_entity_surfaces_when_the_text_run_completes() {
 
 #[test]
 fn invalid_utf8_is_a_parse_error_not_a_panic() {
-    assert!(run(&[&b"<a>\xff</a>"[..]]).unwrap_err().message.contains("invalid UTF-8 in text"));
-    assert!(run(&[&b"<a b=\"\xff\"/>"[..]]).unwrap_err().message.contains("invalid UTF-8 in markup"));
-    assert!(run(&[&b"<a/>\xc3"[..]]).unwrap_err().message.contains("invalid UTF-8 in text"));
+    assert!(run(&[&b"<a>\xff</a>"[..]])
+        .unwrap_err()
+        .message
+        .contains("invalid UTF-8 in text"));
+    assert!(run(&[&b"<a b=\"\xff\"/>"[..]])
+        .unwrap_err()
+        .message
+        .contains("invalid UTF-8 in markup"));
+    assert!(run(&[&b"<a/>\xc3"[..]])
+        .unwrap_err()
+        .message
+        .contains("invalid UTF-8 in text"));
 }
 
 #[test]
@@ -356,16 +388,25 @@ fn raw_attrs_yield_pairs_then_fuse_on_the_first_error() {
     assert_eq!(attrs("<a>"), []);
     assert_eq!(
         attrs(r#"<a b="1" c='x "y"'/>"#),
-        [Ok(("b".into(), "1".into())), Ok(("c".into(), "x \"y\"".into()))]
+        [
+            Ok(("b".into(), "1".into())),
+            Ok(("c".into(), "x \"y\"".into()))
+        ]
     );
-    assert_eq!(attrs(r#"<a b = "&lt;">"#), [Ok(("b".into(), "&lt;".into()))]);
+    assert_eq!(
+        attrs(r#"<a b = "&lt;">"#),
+        [Ok(("b".into(), "&lt;".into()))]
+    );
     for bad in ["<a b>", "<a b=>", "<a b=unquoted>", "<a b=\"1\" c>"] {
         let got = attrs(bad);
         assert!(got.last().unwrap().is_err(), "{bad}: {got:?}");
         assert_eq!(got.iter().filter(|r| r.is_err()).count(), 1, "{bad} fuses");
     }
     assert!(split_start_tag("<1bad>").is_err());
-    assert_eq!(split_start_tag("<ns:t a='1'/>").unwrap(), ("ns:t", " a='1'", true));
+    assert_eq!(
+        split_start_tag("<ns:t a='1'/>").unwrap(),
+        ("ns:t", " a='1'", true)
+    );
 }
 
 /// UTF-8 is validated a window of buffered bytes at a time. A document
@@ -390,7 +431,10 @@ fn utf8_validation_is_window_and_chunk_invariant() {
         let mut bad = bytes.to_vec();
         bad[at] = 0xff;
         let whole = run(&[&bad]).unwrap_err();
-        assert!(whole.message.contains("invalid UTF-8"), "byte {at}: {whole}");
+        assert!(
+            whole.message.contains("invalid UTF-8"),
+            "byte {at}: {whole}"
+        );
         assert!(
             whole.offset <= at && at - whole.offset < 64,
             "byte {at} reported against the token at {}",
@@ -398,7 +442,11 @@ fn utf8_validation_is_window_and_chunk_invariant() {
         );
         for size in [7, 4096] {
             let chunks: Vec<&[u8]> = bad.chunks(size).collect();
-            assert_eq!(run(&chunks).unwrap_err(), whole, "byte {at}, chunk size {size}");
+            assert_eq!(
+                run(&chunks).unwrap_err(),
+                whole,
+                "byte {at}, chunk size {size}"
+            );
         }
     }
 }

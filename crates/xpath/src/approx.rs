@@ -357,9 +357,7 @@ mod tests {
     #[test]
     fn paper_example_mixed_predicate() {
         // [position()>1 and parent::node()/book/author="Dante" and year>1313]
-        let a = approx(
-            "//x[position()>1 and parent::node()/book/author=\"Dante\" and year>1313]",
-        );
+        let a = approx("//x[position()>1 and parent::node()/book/author=\"Dante\" and year>1313]");
         let cond = &a.path.steps.last().unwrap().cond;
         // three disjuncts: the two structural paths (dos-suffixed for the
         // string comparisons) + self::node() for position()
@@ -453,9 +451,10 @@ mod tests {
                     .join("/")
             })
             .collect();
-        assert!(strs
-            .iter()
-            .any(|s| s == "parent::node()/child::bidder"), "{strs:?}");
+        assert!(
+            strs.iter().any(|s| s == "parent::node()/child::bidder"),
+            "{strs:?}"
+        );
     }
 
     #[test]

@@ -288,9 +288,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(
-            p.to_string(),
-            "/child::site/descendant::node()[child::a]"
-        );
+        assert_eq!(p.to_string(), "/child::site/descendant::node()[child::a]");
     }
 }

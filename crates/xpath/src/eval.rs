@@ -220,11 +220,7 @@ impl<'d> Evaluator<'d> {
         Ok(out)
     }
 
-    fn filter_predicate(
-        &self,
-        cands: Vec<XNode>,
-        pred: &Expr,
-    ) -> Result<Vec<XNode>, EvalError> {
+    fn filter_predicate(&self, cands: Vec<XNode>, pred: &Expr) -> Result<Vec<XNode>, EvalError> {
         let size = cands.len();
         let mut kept = Vec::with_capacity(size);
         for (i, n) in cands.into_iter().enumerate() {
@@ -350,9 +346,7 @@ impl<'d> Evaluator<'d> {
             Expr::Path(p) => Ok(Value::Nodes(self.eval_path(&[ctx.node], p)?)),
             Expr::RootedPath(base, p) => {
                 let v = self.eval_expr(base, ctx)?;
-                let nodes = v
-                    .into_nodes()
-                    .map_err(EvalError)?;
+                let nodes = v.into_nodes().map_err(EvalError)?;
                 Ok(Value::Nodes(self.eval_path(&nodes, p)?))
             }
             Expr::Literal(s) => Ok(Value::Str(s.clone())),
@@ -414,9 +408,7 @@ impl<'d> Evaluator<'d> {
             }),
             // node-set vs boolean: the node-set converts to its effective
             // boolean value first (XPath 1.0 §3.4) — not existential.
-            (Nodes(_), Bool(_)) | (Bool(_), Nodes(_))
-                if matches!(op, CmpOp::Eq | CmpOp::Ne) =>
-            {
+            (Nodes(_), Bool(_)) | (Bool(_), Nodes(_)) if matches!(op, CmpOp::Eq | CmpOp::Ne) => {
                 let same = a.to_bool() == b.to_bool();
                 if op == CmpOp::Eq {
                     same
@@ -479,7 +471,7 @@ impl<'d> Evaluator<'d> {
             "position" => Ok(Value::Num(ctx.position as f64)),
             "last" => Ok(Value::Num(ctx.size as f64)),
             "count" => Ok(Value::Num(
-                arg(0)?.into_nodes().map_err(EvalError)?.len() as f64,
+                arg(0)?.into_nodes().map_err(EvalError)?.len() as f64
             )),
             "not" => Ok(Value::Bool(!arg(0)?.to_bool())),
             "true" => Ok(Value::Bool(true)),
@@ -488,9 +480,7 @@ impl<'d> Evaluator<'d> {
             "string" | "data" | "text" => Ok(Value::Str(opt_or_ctx(0)?.to_str(self.doc))),
             "number" => Ok(Value::Num(opt_or_ctx(0)?.to_num(self.doc))),
             "contains" => Ok(Value::Bool(
-                arg(0)?
-                    .to_str(self.doc)
-                    .contains(&arg(1)?.to_str(self.doc)),
+                arg(0)?.to_str(self.doc).contains(&arg(1)?.to_str(self.doc)),
             )),
             "starts-with" => Ok(Value::Bool(
                 arg(0)?
@@ -498,7 +488,7 @@ impl<'d> Evaluator<'d> {
                     .starts_with(&arg(1)?.to_str(self.doc)),
             )),
             "string-length" => Ok(Value::Num(
-                opt_or_ctx(0)?.to_str(self.doc).chars().count() as f64,
+                opt_or_ctx(0)?.to_str(self.doc).chars().count() as f64
             )),
             "normalize-space" => Ok(Value::Str(
                 opt_or_ctx(0)?
@@ -523,8 +513,8 @@ impl<'d> Evaluator<'d> {
                 };
                 let chars: Vec<char> = s.chars().collect();
                 let from = (start - 1).clamp(0, chars.len() as i64) as usize;
-                let to = (start.saturating_sub(1).saturating_add(len))
-                    .clamp(0, chars.len() as i64) as usize;
+                let to = (start.saturating_sub(1).saturating_add(len)).clamp(0, chars.len() as i64)
+                    as usize;
                 Ok(Value::Str(chars[from..to.max(from)].iter().collect()))
             }
             "substring-before" => {
@@ -574,9 +564,7 @@ impl<'d> Evaluator<'d> {
             "name" | "local-name" => {
                 let ns = opt_or_ctx(0)?.into_nodes().map_err(EvalError)?;
                 Ok(Value::Str(match ns.first() {
-                    Some(XNode::Tree(id)) => {
-                        self.doc.tag_name(*id).unwrap_or("").to_string()
-                    }
+                    Some(XNode::Tree(id)) => self.doc.tag_name(*id).unwrap_or("").to_string(),
                     Some(XNode::Attr(id, i)) => self
                         .doc
                         .tags
@@ -702,9 +690,7 @@ mod tests {
         let doc = parse(AUCTION).unwrap();
         let r = run(&doc, "/site/people/person[2]/name/text()");
         assert_eq!(
-            r.iter()
-                .map(|&n| string_value(&doc, n))
-                .collect::<Vec<_>>(),
+            r.iter().map(|&n| string_value(&doc, n)).collect::<Vec<_>>(),
             vec!["Bob"]
         );
         let r2 = run(&doc, "/site/people/person[position() = last()]");
@@ -841,7 +827,10 @@ mod tests {
         assert_eq!(ev("string-length(/a)"), Value::Num(5.0));
         assert_eq!(ev("concat(/a, \"!\")"), Value::Str("hello!".into()));
         assert_eq!(ev("substring(/a, 2, 3)"), Value::Str("ell".into()));
-        assert_eq!(ev("normalize-space(\"  x   y \")"), Value::Str("x y".into()));
+        assert_eq!(
+            ev("normalize-space(\"  x   y \")"),
+            Value::Str("x y".into())
+        );
         assert_eq!(ev("name(/a)"), Value::Str("a".into()));
     }
 

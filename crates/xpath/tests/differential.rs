@@ -33,23 +33,17 @@ fn ref_axis(doc: &Document, s: &BTreeSet<NodeId>, axis: Axis) -> BTreeSet<NodeId
                 Axis::DescendantOrSelf => n == ctx || is_ancestor(doc, ctx, n),
                 Axis::AncestorOrSelf => n == ctx || is_ancestor(doc, n, ctx),
                 Axis::FollowingSibling => {
-                    doc.parent(n) == doc.parent(ctx)
-                        && doc.parent(n).is_some()
-                        && n.0 > ctx.0
+                    doc.parent(n) == doc.parent(ctx) && doc.parent(n).is_some() && n.0 > ctx.0
                 }
                 Axis::PrecedingSibling => {
-                    doc.parent(n) == doc.parent(ctx)
-                        && doc.parent(n).is_some()
-                        && n.0 < ctx.0
+                    doc.parent(n) == doc.parent(ctx) && doc.parent(n).is_some() && n.0 < ctx.0
                 }
                 Axis::Following => {
                     // after ctx in document order, not a descendant of ctx
                     n.0 > ctx.0 && !is_ancestor(doc, ctx, n) && n != NodeId::DOCUMENT
                 }
                 Axis::Preceding => {
-                    n.0 < ctx.0
-                        && !is_ancestor(doc, n, ctx)
-                        && n != NodeId::DOCUMENT
+                    n.0 < ctx.0 && !is_ancestor(doc, n, ctx) && n != NodeId::DOCUMENT
                 }
                 Axis::Attribute => false,
             };

@@ -52,7 +52,9 @@ fn position_counts_along_reverse_axes() {
     let r2 = run(&doc, "/r/b/preceding-sibling::a[1]");
     assert_eq!(r2.len(), 1);
     let id_attr = doc.tags.get("id").unwrap();
-    let XNode::Tree(n) = r2[0] else { unreachable!() };
+    let XNode::Tree(n) = r2[0] else {
+        unreachable!()
+    };
     assert_eq!(doc.attribute(n, id_attr), Some("3"));
 }
 

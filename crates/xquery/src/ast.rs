@@ -143,9 +143,7 @@ mod tests {
             )),
             body: Box::new(XQuery::Element {
                 tag: "item".into(),
-                content: Box::new(XQuery::Expr(
-                    xproj_xpath::parse_xpath("$b/name").unwrap(),
-                )),
+                content: Box::new(XQuery::Expr(xproj_xpath::parse_xpath("$b/name").unwrap())),
             }),
         };
         let s = q.to_string();

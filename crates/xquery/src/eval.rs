@@ -12,9 +12,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use xproj_xmltree::document::{escape_attr, escape_text};
 use xproj_xmltree::Document;
+use xproj_xmltree::NodeId;
 use xproj_xpath::ast::Expr;
 use xproj_xpath::eval::{evaluate_expr, string_value, Value, Vars, XNode};
-use xproj_xmltree::NodeId;
 
 /// Evaluation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -297,8 +297,8 @@ fn eval(doc: &Document, q: &XQuery, env: &Bindings) -> Result<Vec<Item>, XQueryE
                     .map_err(|er| XQueryError(er.0))?;
                 keyed.push((v.to_str(doc), it));
             }
-            let all_numeric = !keyed.is_empty()
-                && keyed.iter().all(|(k, _)| k.trim().parse::<f64>().is_ok());
+            let all_numeric =
+                !keyed.is_empty() && keyed.iter().all(|(k, _)| k.trim().parse::<f64>().is_ok());
             if all_numeric {
                 keyed.sort_by(|a, b| {
                     let x: f64 = a.0.trim().parse().unwrap();
@@ -348,12 +348,7 @@ fn copy_subtree(doc: &Document, id: NodeId) -> OutTree {
             tag: doc.tags.resolve(*tag).to_string(),
             attrs: attrs
                 .iter()
-                .map(|a| {
-                    (
-                        doc.tags.resolve(a.name).to_string(),
-                        a.value.to_string(),
-                    )
-                })
+                .map(|a| (doc.tags.resolve(a.name).to_string(), a.value.to_string()))
                 .collect(),
             children: doc.children(id).map(|c| copy_subtree(doc, c)).collect(),
         },
@@ -377,10 +372,11 @@ fn build_vars(doc: &Document, e: &Expr, env: &Bindings) -> Result<Vars, XQueryEr
         let Some(items) = env.get(&name) else {
             return Err(XQueryError(format!("unbound variable ${name}")));
         };
-        let value = items_to_value(doc, items)
-            .ok_or_else(|| XQueryError(format!(
+        let value = items_to_value(doc, items).ok_or_else(|| {
+            XQueryError(format!(
                 "variable ${name} holds constructed content and cannot be navigated"
-            )))?;
+            ))
+        })?;
         vars.insert(name, value);
     }
     Ok(vars)
@@ -497,7 +493,10 @@ mod tests {
     #[test]
     fn let_count() {
         assert_eq!(
-            run(DOC, "let $n := count(/site/people/person) return <total>{$n}</total>"),
+            run(
+                DOC,
+                "let $n := count(/site/people/person) return <total>{$n}</total>"
+            ),
             "<total>2</total>"
         );
     }
@@ -505,7 +504,10 @@ mod tests {
     #[test]
     fn if_else() {
         assert_eq!(
-            run(DOC, "if (count(/site/people/person) > 5) then <big/> else <small/>"),
+            run(
+                DOC,
+                "if (count(/site/people/person) > 5) then <big/> else <small/>"
+            ),
             "<small/>"
         );
     }
@@ -553,10 +555,7 @@ mod tests {
 
     #[test]
     fn variable_as_value() {
-        assert_eq!(
-            run(DOC, "let $n := 21 return <v>{$n * 2}</v>"),
-            "<v>42</v>"
-        );
+        assert_eq!(run(DOC, "let $n := 21 return <v>{$n * 2}</v>"), "<v>42</v>");
     }
 
     #[test]
@@ -576,9 +575,8 @@ mod order_by_eval_tests {
     #[test]
     fn sorts_by_string_key() {
         let doc = parse("<r><p><n>carol</n></p><p><n>alice</n></p><p><n>bob</n></p></r>").unwrap();
-        let q =
-            parse_xquery("for $p in /r/p order by $p/n/text() return <k>{$p/n/text()}</k>")
-                .unwrap();
+        let q = parse_xquery("for $p in /r/p order by $p/n/text() return <k>{$p/n/text()}</k>")
+            .unwrap();
         assert_eq!(
             super::evaluate_query(&doc, &q).unwrap(),
             "<k>alice</k><k>bob</k><k>carol</k>"
@@ -599,9 +597,8 @@ mod order_by_eval_tests {
     #[test]
     fn descending_reverses() {
         let doc = parse("<r><v>1</v><v>3</v><v>2</v></r>").unwrap();
-        let q =
-            parse_xquery("for $v in /r/v order by $v descending return <k>{$v/text()}</k>")
-                .unwrap();
+        let q = parse_xquery("for $v in /r/v order by $v descending return <k>{$v/text()}</k>")
+            .unwrap();
         assert_eq!(
             super::evaluate_query(&doc, &q).unwrap(),
             "<k>3</k><k>2</k><k>1</k>"
@@ -625,7 +622,10 @@ mod quantifier_eval_tests {
     #[test]
     fn some_is_existential() {
         assert_eq!(
-            run(DOC, "for $a in /r/a where some $v in $a/v satisfies $v > 3 return <hit/>"),
+            run(
+                DOC,
+                "for $a in /r/a where some $v in $a/v satisfies $v > 3 return <hit/>"
+            ),
             "<hit/>"
         );
     }
@@ -633,11 +633,17 @@ mod quantifier_eval_tests {
     #[test]
     fn every_is_universal_and_true_on_empty() {
         assert_eq!(
-            run(DOC, "for $a in /r/a where every $v in $a/v satisfies $v >= 1 return <hit/>"),
+            run(
+                DOC,
+                "for $a in /r/a where every $v in $a/v satisfies $v >= 1 return <hit/>"
+            ),
             "<hit/><hit/><hit/>" // includes the empty <a/>
         );
         assert_eq!(
-            run(DOC, "for $a in /r/a where every $v in $a/v satisfies $v > 1 return <hit/>"),
+            run(
+                DOC,
+                "for $a in /r/a where every $v in $a/v satisfies $v > 1 return <hit/>"
+            ),
             "<hit/>" // only the empty one
         );
     }
@@ -670,8 +676,10 @@ mod scoping_tests {
 
     #[test]
     fn for_over_atom_sequence() {
-        assert_eq!(run("<a/>", "for $x in (1, 2, 3) return <v>{$x}</v>"),
-            "<v>1</v><v>2</v><v>3</v>");
+        assert_eq!(
+            run("<a/>", "for $x in (1, 2, 3) return <v>{$x}</v>"),
+            "<v>1</v><v>2</v><v>3</v>"
+        );
     }
 
     #[test]

@@ -32,7 +32,10 @@ impl fmt::Display for ApplyError {
         match self {
             ApplyError::Eval(e) => write!(f, "target evaluation failed: {e}"),
             ApplyError::AttributeTarget => {
-                write!(f, "update targets an attribute — only element and text targets are supported")
+                write!(
+                    f,
+                    "update targets an attribute — only element and text targets are supported"
+                )
             }
             ApplyError::DocumentTarget => write!(f, "update targets the document node"),
         }
@@ -61,15 +64,13 @@ pub fn apply_update(doc: &Document, update: &Update) -> Result<Document, ApplyEr
 /// Evaluates the update's target path to the set of selected tree
 /// nodes. Attribute and document-node selections are errors.
 pub fn evaluate_targets(doc: &Document, update: &Update) -> Result<HashSet<NodeId>, ApplyError> {
-    let hits = xproj_xpath::evaluate(doc, update.target())
-        .map_err(|e| ApplyError::Eval(e.to_string()))?;
+    let hits =
+        xproj_xpath::evaluate(doc, update.target()).map_err(|e| ApplyError::Eval(e.to_string()))?;
     let mut targets = HashSet::with_capacity(hits.len());
     for h in hits {
         match h {
             XNode::Attr(..) => return Err(ApplyError::AttributeTarget),
-            XNode::Tree(id) if id == NodeId::DOCUMENT => {
-                return Err(ApplyError::DocumentTarget)
-            }
+            XNode::Tree(id) if id == NodeId::DOCUMENT => return Err(ApplyError::DocumentTarget),
             XNode::Tree(id) => {
                 targets.insert(id);
             }
@@ -204,7 +205,10 @@ mod tests {
             apply("<r><a>old</a></r>", "replace /r/a/text() with new"),
             "<r><a>new</a></r>"
         );
-        assert_eq!(apply("<r><a>x</a></r>", "delete /r/a/text()"), "<r><a/></r>");
+        assert_eq!(
+            apply("<r><a>x</a></r>", "delete /r/a/text()"),
+            "<r><a/></r>"
+        );
     }
 
     #[test]

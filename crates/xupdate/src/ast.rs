@@ -91,7 +91,9 @@ impl Fragment {
     /// True when any *top-level* node of the fragment is a text run
     /// (such a run becomes a child of the insertion context itself).
     pub fn has_top_level_text(&self) -> bool {
-        self.nodes.iter().any(|n| matches!(n, FragmentNode::Text(_)))
+        self.nodes
+            .iter()
+            .any(|n| matches!(n, FragmentNode::Text(_)))
     }
 }
 

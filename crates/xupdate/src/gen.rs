@@ -44,7 +44,9 @@ fn random_fragment(rng: &mut SplitMix64, tags: &[&str]) -> Fragment {
         };
     }
     let n = rng.range_incl(1, 2);
-    let nodes = (0..n).map(|_| random_fragment_element(rng, tags, 0)).collect();
+    let nodes = (0..n)
+        .map(|_| random_fragment_element(rng, tags, 0))
+        .collect();
     Fragment { nodes }
 }
 

@@ -46,10 +46,7 @@ fn main() {
         dtd.name_count(),
         100.0 * stats.retention()
     );
-    println!(
-        "kept names: {}",
-        union.projector().labels(&dtd).join(", ")
-    );
+    println!("kept names: {}", union.projector().labels(&dtd).join(", "));
 
     // The union projector still answers every query exactly (checked in
     // the test suite); here we just show the document shrank although it

@@ -16,7 +16,10 @@ fn main() {
     let real_dtd = auction_dtd();
     let doc = generate_auction(&real_dtd, &XMarkConfig::at_scale(0.3));
     let xml = doc.to_xml();
-    println!("document: {:.2} MB, no DTD supplied", xml.len() as f64 / 1e6);
+    println!(
+        "document: {:.2} MB, no DTD supplied",
+        xml.len() as f64 / 1e6
+    );
 
     // Infer a dataguide grammar from the document…
     let guide = infer_dtd(&doc).expect("document has a root");

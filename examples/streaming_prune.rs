@@ -29,7 +29,10 @@ fn main() {
         dtd.name_count()
     );
 
-    println!("{:>10} {:>12} {:>10} {:>12} {:>10}", "input", "pruned", "kept %", "time", "MB/s");
+    println!(
+        "{:>10} {:>12} {:>10} {:>12} {:>10}",
+        "input", "pruned", "kept %", "time", "MB/s"
+    );
     for scale in [0.2, 0.5, 1.0, 2.0, 4.0] {
         let doc = generate_auction(&dtd, &XMarkConfig::at_scale(scale));
         let xml = doc.to_xml();

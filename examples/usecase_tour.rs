@@ -26,7 +26,11 @@ fn main() {
             p.star_guarded,
             p.non_recursive,
             p.parent_unambiguous,
-            if p.completeness_ready() { "yes" } else { "sound only" },
+            if p.completeness_ready() {
+                "yes"
+            } else {
+                "sound only"
+            },
         );
     }
 

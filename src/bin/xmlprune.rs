@@ -68,9 +68,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--query" | "-q" => o
                 .queries
                 .push(it.next().ok_or("--query needs a query")?.clone()),
-            "--output" | "-o" => {
-                o.output = Some(it.next().ok_or("--output needs a path")?.clone())
-            }
+            "--output" | "-o" => o.output = Some(it.next().ok_or("--output needs a path")?.clone()),
             "--validate" => o.validate = true,
             "--stats" => o.stats = true,
             "--json" => o.json = true,
@@ -222,7 +220,9 @@ fn run_prune(o: &Opts) -> Result<(), String> {
     let cache = ArtifactCache::new(o.queries.len());
     let mut projector = xml_projection::core::Projector::empty(&dtd);
     for q in &o.queries {
-        let a = cache.get_or_compile(&dtd, q).map_err(|e| format!("{q}: {e}"))?;
+        let a = cache
+            .get_or_compile(&dtd, q)
+            .map_err(|e| format!("{q}: {e}"))?;
         projector = projector.union(&a.projector);
     }
 
@@ -350,7 +350,9 @@ fn run_analyze(o: &Opts) -> Result<(), String> {
     eprintln!("using {source} ({} names)", dtd.name_count());
 
     let coded = |e: AnalyzerError| format!("analyze: [{}] {e}", e.code().as_str());
-    let opts = AnalysisOptions { sample: sample.as_deref() };
+    let opts = AnalysisOptions {
+        sample: sample.as_deref(),
+    };
     let analysis = analyzer::analyze(&dtd, &queries, &opts).map_err(coded)?;
 
     if o.json {

@@ -10,8 +10,7 @@ const DTD: &str = "<!ELEMENT bib (book*)>\n\
     <!ELEMENT title (#PCDATA)>\n\
     <!ELEMENT author (#PCDATA)>\n";
 
-const DOC: &str =
-    "<bib><book><title>T</title><author>A</author></book></bib>";
+const DOC: &str = "<bib><book><title>T</title><author>A</author></book></bib>";
 
 fn write_tmp(name: &str, content: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("xmlprune-cli-tests");
@@ -65,18 +64,23 @@ fn prune_with_external_dtd() {
         ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(
-        stdout.trim(),
-        "<bib><book><title>T</title></book></bib>"
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout.trim(), "<bib><book><title>T</title></book></bib>");
 }
 
 #[test]
 fn prune_from_stdin_with_dataguide() {
     let out = run_with_stdin(&["prune", "--query", "//title"], DOC.as_bytes());
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("<title>T</title>"));
     assert!(!stdout.contains("author"));
@@ -118,7 +122,11 @@ fn analyze_report_has_analysis_sections() {
         ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     for needle in [
         "projector:",
@@ -149,7 +157,11 @@ fn analyze_json_lines_parse() {
             .args(["analyze", "--dtd", dtd, "--root", root, "--json", query])
             .output()
             .unwrap();
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let stdout = String::from_utf8(out.stdout).unwrap();
         let records: Vec<_> = stdout
             .lines()
@@ -164,9 +176,14 @@ fn analyze_json_lines_parse() {
                 .collect::<Vec<_>>()
         };
         for t in ["meta", "path", "name", "dtd", "optimality", "retention"] {
-            assert!(!of_type(t).is_empty(), "{query}: missing {t} record:\n{stdout}");
+            assert!(
+                !of_type(t).is_empty(),
+                "{query}: missing {t} record:\n{stdout}"
+            );
         }
-        let predicted = of_type("retention")[0].get("predicted").and_then(|p| p.as_f64());
+        let predicted = of_type("retention")[0]
+            .get("predicted")
+            .and_then(|p| p.as_f64());
         assert!(
             predicted.is_some_and(|p| 0.0 < p && p < 0.5),
             "{query}: predicted retention {predicted:?}"
@@ -195,7 +212,11 @@ fn analyze_sample_calibrates_retention() {
         ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("calibrated from sample"), "{stdout}");
 }
@@ -336,11 +357,23 @@ fn query_uses_the_internal_subset() {
                   <!ELEMENT title (#PCDATA)><!ELEMENT author (#PCDATA)>]>";
     let query = "for $b in /bib/book return <t>{$b/title/text()}</t>";
     let out = run_with_stdin(&["query", "-q", query], format!("{subset}{DOC}").as_bytes());
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("internal DTD subset"));
     let dtd = write_tmp("books14.dtd", DTD);
     let external = run_with_stdin(
-        &["query", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "-q", query],
+        &[
+            "query",
+            "--dtd",
+            dtd.to_str().unwrap(),
+            "--root",
+            "bib",
+            "-q",
+            query,
+        ],
         DOC.as_bytes(),
     );
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "<t>T</t>");
@@ -366,12 +399,23 @@ fn query_without_any_grammar_infers_a_dataguide() {
         ("//book[@year=\"2005\"]/title/text()", "U"),
         ("//book/@year", "19992005"),
         ("count(//book)", "2"),
-        ("for $b in /bib/book where $b/author return $b/title", "<title>T</title>"),
+        (
+            "for $b in /bib/book where $b/author return $b/title",
+            "<title>T</title>",
+        ),
         ("//nothing", ""),
     ] {
         let out = run_with_stdin(&["query", "--stats", "-q", query], doc.as_bytes());
-        assert!(out.status.success(), "{query}: {}", String::from_utf8_lossy(&out.stderr));
-        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), answer, "{query}");
+        assert!(
+            out.status.success(),
+            "{query}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout).trim(),
+            answer,
+            "{query}"
+        );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("inferred dataguide"), "{query}: {stderr}");
         // `--stats` is the compiled pipeline's own line: there is no
@@ -408,7 +452,11 @@ fn internal_subset_is_used() {
         .args(["prune", "--query", "/bib/book", doc.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("internal DTD subset"));
 }
 
@@ -418,27 +466,59 @@ fn internal_subset_is_used() {
 #[test]
 fn independence_prints_one_verdict_per_pair() {
     let dtd = write_tmp("books15.dtd", DTD);
-    let base = ["independence", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "-q", "/bib/book/title"];
-    let updates = ["-u", "delete /bib/book/author", "--update", "delete /bib/book/title"];
-    let out = Command::new(BIN).args(base).args(updates).arg("--json").output().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let base = [
+        "independence",
+        "--dtd",
+        dtd.to_str().unwrap(),
+        "--root",
+        "bib",
+        "-q",
+        "/bib/book/title",
+    ];
+    let updates = [
+        "-u",
+        "delete /bib/book/author",
+        "--update",
+        "delete /bib/book/title",
+    ];
+    let out = Command::new(BIN)
+        .args(base)
+        .args(updates)
+        .arg("--json")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let verdicts: Vec<String> = String::from_utf8(out.stdout)
         .unwrap()
         .lines()
         .map(|l| {
             let v = xproj_testkit::parse_json(l).unwrap_or_else(|e| panic!("bad JSON ({e}): {l}"));
-            v.get("verdict").and_then(|t| t.as_str()).unwrap().to_string()
+            v.get("verdict")
+                .and_then(|t| t.as_str())
+                .unwrap()
+                .to_string()
         })
         .collect();
     assert_eq!(verdicts, ["independent", "may-conflict"]);
     let text = Command::new(BIN).args(base).args(updates).output().unwrap();
     let text = String::from_utf8(text.stdout).unwrap();
-    assert!(text.contains("verdict: independent") && text.contains("witness: title"), "{text}");
+    assert!(
+        text.contains("verdict: independent") && text.contains("witness: title"),
+        "{text}"
+    );
 
     let missing = Command::new(BIN).args(base).output().unwrap();
     assert_eq!(missing.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&missing.stderr).contains("--update is required"));
-    let bad = Command::new(BIN).args(base).args(["-u", "zap /bib"]).output().unwrap();
+    let bad = Command::new(BIN)
+        .args(base)
+        .args(["-u", "zap /bib"])
+        .output()
+        .unwrap();
     assert_eq!(bad.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&bad.stderr).contains("[bad-query]"));
 }
@@ -448,7 +528,10 @@ fn help_prints_the_usage() {
     for spelling in ["help", "--help", "-h"] {
         let out = Command::new(BIN).arg(spelling).output().unwrap();
         assert!(out.status.success(), "{spelling}");
-        assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage:"), "{spelling}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).starts_with("usage:"),
+            "{spelling}"
+        );
     }
 }
 
@@ -469,7 +552,15 @@ fn chunked_prune_matches_in_memory_prune() {
     let out_path = std::env::temp_dir().join("xmlprune-cli-tests/books6.out");
     let dtd = xml_projection::dtd::parse_dtd(DTD, "bib").unwrap();
     let projection = xml_projection::Projection::for_queries(&dtd, ["/bib/book/title"]).unwrap();
-    let base = ["prune", "--dtd", dtd_path.to_str().unwrap(), "--root", "bib", "--query", "/bib/book/title"];
+    let base = [
+        "prune",
+        "--dtd",
+        dtd_path.to_str().unwrap(),
+        "--root",
+        "bib",
+        "--query",
+        "/bib/book/title",
+    ];
     for validate in [false, true] {
         let (want, _) = if validate {
             projection.prune_validate_str(DOC).unwrap()
@@ -481,16 +572,34 @@ fn chunked_prune_matches_in_memory_prune() {
             args.push("--validate");
         }
         let from_file = Command::new(BIN).args(&args).arg(&doc).output().unwrap();
-        assert!(from_file.status.success(), "{}", String::from_utf8_lossy(&from_file.stderr));
-        assert_eq!(String::from_utf8(from_file.stdout).unwrap(), format!("{want}\n"));
+        assert!(
+            from_file.status.success(),
+            "{}",
+            String::from_utf8_lossy(&from_file.stderr)
+        );
+        assert_eq!(
+            String::from_utf8(from_file.stdout).unwrap(),
+            format!("{want}\n")
+        );
 
         let from_stdin = run_with_stdin(&args, DOC.as_bytes());
-        assert!(from_stdin.status.success(), "{}", String::from_utf8_lossy(&from_stdin.stderr));
-        assert_eq!(String::from_utf8(from_stdin.stdout).unwrap(), format!("{want}\n"));
+        assert!(
+            from_stdin.status.success(),
+            "{}",
+            String::from_utf8_lossy(&from_stdin.stderr)
+        );
+        assert_eq!(
+            String::from_utf8(from_stdin.stdout).unwrap(),
+            format!("{want}\n")
+        );
 
         args.extend(["--stats", "-o", out_path.to_str().unwrap(), "-"]);
         let to_file = run_with_stdin(&args, DOC.as_bytes());
-        assert!(to_file.status.success(), "{}", String::from_utf8_lossy(&to_file.stderr));
+        assert!(
+            to_file.status.success(),
+            "{}",
+            String::from_utf8_lossy(&to_file.stderr)
+        );
         assert!(to_file.stdout.is_empty());
         assert_eq!(std::fs::read_to_string(&out_path).unwrap(), want);
         let stderr = String::from_utf8_lossy(&to_file.stderr);
@@ -505,10 +614,22 @@ fn chunked_prune_matches_in_memory_prune() {
 fn chunked_prune_reads_stdin() {
     let dtd = write_tmp("books7.dtd", DTD);
     let out = run_with_stdin(
-        &["prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--query", "//author"],
+        &[
+            "prune",
+            "--dtd",
+            dtd.to_str().unwrap(),
+            "--root",
+            "bib",
+            "--query",
+            "//author",
+        ],
         DOC.as_bytes(),
     );
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("<author>A</author>"));
     assert!(!stdout.contains("title"));
@@ -519,7 +640,15 @@ fn chunked_prune_reads_stdin() {
 #[test]
 fn prune_rejects_a_misplaced_doctype() {
     let dtd = write_tmp("books12.dtd", DTD);
-    let args = ["prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--query", "//title"];
+    let args = [
+        "prune",
+        "--dtd",
+        dtd.to_str().unwrap(),
+        "--root",
+        "bib",
+        "--query",
+        "//title",
+    ];
     for doc in [
         "<bib><!DOCTYPE bib><book><title>T</title></book></bib>",
         "<bib/><!DOCTYPE bib>",
@@ -528,7 +657,10 @@ fn prune_rejects_a_misplaced_doctype() {
         let out = run_with_stdin(&args, doc.as_bytes());
         assert_eq!(out.status.code(), Some(1), "{doc}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("XML parse error") && stderr.contains("DOCTYPE"), "{doc}: {stderr}");
+        assert!(
+            stderr.contains("XML parse error") && stderr.contains("DOCTYPE"),
+            "{doc}: {stderr}"
+        );
     }
 }
 
@@ -538,10 +670,21 @@ fn prune_rejects_a_misplaced_doctype() {
 fn prune_validates_a_stdin_stream() {
     let dtd = write_tmp("books10.dtd", DTD);
     let args = [
-        "prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--validate", "--query", "//title",
+        "prune",
+        "--dtd",
+        dtd.to_str().unwrap(),
+        "--root",
+        "bib",
+        "--validate",
+        "--query",
+        "//title",
     ];
     let ok = run_with_stdin(&args, DOC.as_bytes());
-    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
     assert_eq!(
         String::from_utf8(ok.stdout).unwrap(),
         "<bib><book><title>T</title></book></bib>\n"
@@ -569,20 +712,38 @@ fn prune_fast_forwards_dead_subtrees_unless_validating() {
         "<bib><book><title>T</title><author><b>x</i></author></book></bib>",
     );
     let base = [
-        "prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--stats",
-        "--query", "/bib/book/title", doc.to_str().unwrap(),
+        "prune",
+        "--dtd",
+        dtd.to_str().unwrap(),
+        "--root",
+        "bib",
+        "--stats",
+        "--query",
+        "/bib/book/title",
+        doc.to_str().unwrap(),
     ];
     let fast = Command::new(BIN).args(base).output().unwrap();
-    assert!(fast.status.success(), "{}", String::from_utf8_lossy(&fast.stderr));
+    assert!(
+        fast.status.success(),
+        "{}",
+        String::from_utf8_lossy(&fast.stderr)
+    );
     assert_eq!(
         String::from_utf8(fast.stdout).unwrap(),
         "<bib><book><title>T</title></book></bib>\n"
     );
     assert!(String::from_utf8_lossy(&fast.stderr).contains("\"subtrees_fast_forwarded\":1"));
-    let checked = Command::new(BIN).args(base).arg("--validate").output().unwrap();
+    let checked = Command::new(BIN)
+        .args(base)
+        .arg("--validate")
+        .output()
+        .unwrap();
     assert_eq!(checked.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&checked.stderr);
-    assert!(stderr.contains("\"error\":\"undeclared-element\""), "{stderr}");
+    assert!(
+        stderr.contains("\"error\":\"undeclared-element\""),
+        "{stderr}"
+    );
 }
 
 /// A 3 MB XMark document on stdin, validated while it is pruned: the
@@ -596,25 +757,47 @@ fn validated_stdin_prune_of_xmark_stays_under_the_engine_bound() {
     assert!(xml.len() > 2 << 20, "document is only {} bytes", xml.len());
     let out = run_with_stdin(
         &[
-            "prune", "--validate", "--stats", "--dtd", dtd.to_str().unwrap(), "--root", "site",
-            "--query", "//keyword",
+            "prune",
+            "--validate",
+            "--stats",
+            "--dtd",
+            dtd.to_str().unwrap(),
+            "--root",
+            "site",
+            "--query",
+            "//keyword",
         ],
         xml.as_bytes(),
     );
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    let line = stderr.lines().find(|l| l.starts_with('{')).expect("a --stats line");
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("a --stats line");
     let stats = xproj_testkit::parse_json(line).unwrap();
     let field = |k: &str| stats.get(k).and_then(|v| v.as_f64()).unwrap() as usize;
     assert_eq!(field("bytes_in"), xml.len());
-    assert_eq!(field("subtrees_fast_forwarded"), 0, "a validating pass skips nothing");
+    assert_eq!(
+        field("subtrees_fast_forwarded"),
+        0,
+        "a validating pass skips nothing"
+    );
     let bound = xml_projection::engine::residency_bound(
         field("max_token_bytes"),
         xml_projection::engine::DEFAULT_CHUNK_SIZE,
         field("max_depth"),
     );
     assert!(field("peak_resident_bytes") <= bound, "{line}");
-    assert!(bound < xml.len() / 4, "bound {bound} is not small against {}", xml.len());
+    assert!(
+        bound < xml.len() / 4,
+        "bound {bound} is not small against {}",
+        xml.len()
+    );
 }
 
 /// One run, one input: a second input is a usage error (exit 1, nothing
@@ -626,10 +809,16 @@ fn several_inputs_need_an_explicit_dtd() {
     let dtd = write_tmp("books8.dtd", DTD);
     let a = write_tmp("books8a.xml", DOC);
     let b = write_tmp("books8b.xml", DOC);
-    let (a, b, dtd) = (a.to_str().unwrap(), b.to_str().unwrap(), dtd.to_str().unwrap());
+    let (a, b, dtd) = (
+        a.to_str().unwrap(),
+        b.to_str().unwrap(),
+        dtd.to_str().unwrap(),
+    );
     for args in [
         vec!["prune", "--query", "//title", a, b],
-        vec!["prune", "--dtd", dtd, "--root", "bib", "--query", "//title", a, b],
+        vec![
+            "prune", "--dtd", dtd, "--root", "bib", "--query", "//title", a, b,
+        ],
         vec!["query", "--query", "//title", a, b],
         vec!["validate", a, b],
         vec!["guide", a, b],
@@ -649,9 +838,23 @@ fn several_inputs_need_an_explicit_dtd() {
 #[test]
 fn unknown_flags_are_usage_errors() {
     let dtd = write_tmp("books12.dtd", DTD);
-    let base = ["prune", "--dtd", dtd.to_str().unwrap(), "--root", "bib", "--query", "//title"];
+    let base = [
+        "prune",
+        "--dtd",
+        dtd.to_str().unwrap(),
+        "--root",
+        "bib",
+        "--query",
+        "//title",
+    ];
     let retired = [
-        "--chunked", "--chunk-size", "--jobs", "-j", "--save", "--projector", "--diff-dtd",
+        "--chunked",
+        "--chunk-size",
+        "--jobs",
+        "-j",
+        "--save",
+        "--projector",
+        "--diff-dtd",
         "--diff-root",
     ];
     for flag in ["--qeury", "-x"].into_iter().chain(retired) {
@@ -659,18 +862,28 @@ fn unknown_flags_are_usage_errors() {
         assert_eq!(out.status.code(), Some(1), "{flag}");
         assert!(out.stdout.is_empty(), "{flag}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("unknown option '{flag}'")), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option '{flag}'")),
+            "{flag}: {stderr}"
+        );
         assert!(!stderr.contains("No such file"), "{flag}: {stderr}");
     }
     let out = run_with_stdin(&[&base[..], &["-"]].concat(), DOC.as_bytes());
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
 fn prune_with_fused_validation_rejects_invalid() {
     let dtd = write_tmp("books5.dtd", DTD);
     // author before title violates the content model
-    let bad = write_tmp("bad5.xml", "<bib><book><author>A</author><title>T</title></book></bib>");
+    let bad = write_tmp(
+        "bad5.xml",
+        "<bib><book><author>A</author><title>T</title></book></bib>",
+    );
     let out = Command::new(BIN)
         .args([
             "prune",

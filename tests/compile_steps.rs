@@ -26,7 +26,14 @@ use xml_projection::xmark::{
 };
 use xml_projection::xquery::{parse_xquery, project_xquery};
 
-const REGIONS: [&str; 6] = ["africa", "asia", "australia", "europe", "namerica", "samerica"];
+const REGIONS: [&str; 6] = [
+    "africa",
+    "asia",
+    "australia",
+    "europe",
+    "namerica",
+    "samerica",
+];
 const ITEM_PATHS: [&str; 16] = [
     "location",
     "quantity",
@@ -69,7 +76,11 @@ fn friendly() -> Vec<(Arc<Dtd>, String, String)> {
     for uc in use_case_dtds() {
         let dtd = Arc::new(parse_use_case(&uc));
         for path in AXIS_FAMILY {
-            out.push((Arc::clone(&dtd), format!("{} {path}", uc.name), path.to_string()));
+            out.push((
+                Arc::clone(&dtd),
+                format!("{} {path}", uc.name),
+                path.to_string(),
+            ));
         }
     }
     assert_eq!(out.len(), 43 + 96 + 5 * use_case_dtds().len());
@@ -107,7 +118,10 @@ fn friendly_compiles_are_exact_fit_the_budget_and_budgeting_changes_nothing() {
         // Two runs of one compile, budgeted or not, spend the same steps.
         let free = QueryArtifact::compile(&dtd, &query).unwrap();
         let budgeted = compile_on_loop(&dtd, &query);
-        assert_eq!(budgeted.compile_steps, free.compile_steps, "{id}: steps are not exact");
+        assert_eq!(
+            budgeted.compile_steps, free.compile_steps,
+            "{id}: steps are not exact"
+        );
         assert_eq!(budgeted.normalized_query, free.normalized_query, "{id}");
         assert_eq!(budgeted.projector, free.projector, "{id}");
         assert_eq!(budgeted.plan, free.plan, "{id}");
@@ -118,7 +132,11 @@ fn friendly_compiles_are_exact_fit_the_budget_and_budgeting_changes_nothing() {
         }
 
         let (off, off_steps) = contexts_off(&dtd, &query, u64::MAX);
-        assert_eq!(contexts_off(&dtd, &query, LOOP_COMPILE_STEPS), (off, off_steps), "{id}");
+        assert_eq!(
+            contexts_off(&dtd, &query, LOOP_COMPILE_STEPS),
+            (off, off_steps),
+            "{id}"
+        );
 
         if free.compile_steps > LOOP_COMPILE_STEPS / 4 {
             over_quarter.push((id, free.compile_steps));
@@ -129,13 +147,19 @@ fn friendly_compiles_are_exact_fit_the_budget_and_budgeting_changes_nothing() {
     // context. It is the one friendly query past a quarter.
     assert_eq!(over_quarter.len(), 1, "{over_quarter:?}");
     assert_eq!(over_quarter[0].0, "QP13");
-    assert!(over_quarter[0].1 <= LOOP_COMPILE_STEPS / 2, "{over_quarter:?}");
+    assert!(
+        over_quarter[0].1 <= LOOP_COMPILE_STEPS / 2,
+        "{over_quarter:?}"
+    );
 }
 
 /// The steps of each group's unbudgeted compiles, summed.
 fn total_steps(queries: impl IntoIterator<Item = (Arc<Dtd>, String)>) -> u64 {
     let compile = |(dtd, q): (Arc<Dtd>, String)| QueryArtifact::compile(&dtd, &q).unwrap();
-    queries.into_iter().map(|dq| compile(dq).compile_steps).sum()
+    queries
+        .into_iter()
+        .map(|dq| compile(dq).compile_steps)
+        .sum()
 }
 
 /// The premise `Σⁱ_τ ≠ ∅` of a downward suffix is one set per suffix,
@@ -149,14 +173,20 @@ fn the_friendly_totals_stay_under_the_per_name_typing() {
     let cold = REGIONS.iter().flat_map(|region| {
         let auction = &auction;
         ITEM_PATHS.iter().map(move |path| {
-            (Arc::clone(auction), format!("/site/regions/{region}/item/{path}"))
+            (
+                Arc::clone(auction),
+                format!("/site/regions/{region}/item/{path}"),
+            )
         })
     });
     let cold = total_steps(cold);
     let bench = xmark_queries().into_iter().chain(xpathmark_queries());
     let bench = total_steps(bench.map(|q| (Arc::clone(&auction), q.text.to_string())));
     assert!(cold * 4 <= 1_276_884 * 3, "96 cold queries: {cold} steps");
-    assert!(bench * 5 <= 2_380_518 * 3, "43 XMark/XPathMark queries: {bench} steps");
+    assert!(
+        bench * 5 <= 2_380_518 * 3,
+        "43 XMark/XPathMark queries: {bench} steps"
+    );
 }
 
 /// The up/down family, `//keyword` + k × `/ancestor::*/descendant::*`, on
@@ -181,7 +211,11 @@ fn the_up_down_family_is_pinned_as_counts() {
         900_784_998,
     ];
     let dtd = Arc::new(auction_dtd());
-    let upto = if cfg!(debug_assertions) { 3 } else { PINNED.len() };
+    let upto = if cfg!(debug_assertions) {
+        3
+    } else {
+        PINNED.len()
+    };
     let steps: Vec<u64> = (1..=upto)
         .map(|k| {
             let query = format!("//keyword{}", "/ancestor::*/descendant::*".repeat(k));
@@ -189,8 +223,15 @@ fn the_up_down_family_is_pinned_as_counts() {
         })
         .collect();
     assert_eq!(steps, PINNED[..upto], "steps of k = 1..={upto}");
-    let first_over = steps.iter().position(|&s| s > LOOP_COMPILE_STEPS).map(|i| i + 1);
-    assert_eq!(first_over, Some(1), "the first k that overruns the loop budget");
+    let first_over = steps
+        .iter()
+        .position(|&s| s > LOOP_COMPILE_STEPS)
+        .map(|i| i + 1);
+    assert_eq!(
+        first_over,
+        Some(1),
+        "the first k that overruns the loop budget"
+    );
 }
 
 /// An overrun stops within one set operation's worth of rows past the
@@ -208,11 +249,17 @@ fn an_overrun_stops_at_the_budget_and_hands_the_miss_back() {
         panic!("k = 2 fit the loop budget");
     };
     let stats = cache.stats();
-    assert_eq!((stats.compiles, stats.lane_compiles, stats.entries), (0, 1, 0));
+    assert_eq!(
+        (stats.compiles, stats.lane_compiles, stats.entries),
+        (0, 1, 0)
+    );
     // One row union per name of the 111-name grammar, at 18 steps each.
     let slack = 111 * 18;
     assert!(stats.compile_steps > LOOP_COMPILE_STEPS, "{stats:?}");
-    assert!(stats.compile_steps <= LOOP_COMPILE_STEPS + slack, "{stats:?}");
+    assert!(
+        stats.compile_steps <= LOOP_COMPILE_STEPS + slack,
+        "{stats:?}"
+    );
 
     let artifact = cache.compile(pending);
     let fresh = QueryArtifact::compile(&dtd, &query).unwrap();
@@ -220,6 +267,12 @@ fn an_overrun_stops_at_the_budget_and_hands_the_miss_back() {
     assert_eq!(artifact.projector, fresh.projector);
     assert_eq!(artifact.plan, fresh.plan);
     let stats = cache.stats();
-    assert_eq!((stats.compiles, stats.lane_compiles, stats.entries), (1, 1, 1));
-    assert!(matches!(cache.lookup(&dtd, &query).unwrap(), Lookup::Hit(_)));
+    assert_eq!(
+        (stats.compiles, stats.lane_compiles, stats.entries),
+        (1, 1, 1)
+    );
+    assert!(matches!(
+        cache.lookup(&dtd, &query).unwrap(),
+        Lookup::Hit(_)
+    ));
 }

@@ -101,9 +101,9 @@ fn random_xquery(rng: &mut SplitMix64) -> String {
              return <r>{{$x/child::{t3}/text()}}</r>"
         ),
         2 => format!("for $x in /child::{t1}/descendant-or-self::{t2} return <n>{{$x}}</n>"),
-        _ => format!(
-            "for $x in /descendant::{t1}, $y in $x/child::{t2} return <p>{{$y/text()}}</p>"
-        ),
+        _ => {
+            format!("for $x in /descendant::{t1}, $y in $x/child::{t2} return <p>{{$y/text()}}</p>")
+        }
     }
 }
 
@@ -139,10 +139,19 @@ fn check_leg(
         .iter()
         .map(|w| format!("{}/{}/{}", w.kind, w.name, w.role))
         .collect();
-    VERDICTS.lock().unwrap().last_mut().unwrap().push_str(&format!(
-        "{:?} {} {} {} {} {witnesses:?}\n",
-        report.verdict, report.query_names, report.updated_names, report.overlap, report.empty_target
-    ));
+    VERDICTS
+        .lock()
+        .unwrap()
+        .last_mut()
+        .unwrap()
+        .push_str(&format!(
+            "{:?} {} {} {} {} {witnesses:?}\n",
+            report.verdict,
+            report.query_names,
+            report.updated_names,
+            report.overlap,
+            report.empty_target
+        ));
     let before = answers(doc);
     let after = answers(updated);
     let changed = before != after;
@@ -230,7 +239,10 @@ fn fuzz_independence_verdicts() {
     let verdicts = VERDICTS.lock().unwrap();
     if verdicts.len() >= PINNED_CASES {
         let got = fnv1a(&verdicts[..PINNED_CASES].concat());
-        assert!(got == PINNED_VERDICTS, "verdicts of the first {PINNED_CASES} cases moved: {got:#018x}");
+        assert!(
+            got == PINNED_VERDICTS,
+            "verdicts of the first {PINNED_CASES} cases moved: {got:#018x}"
+        );
     }
     let ind = INDEPENDENT.load(Ordering::Relaxed);
     let conf = CONFLICT.load(Ordering::Relaxed);
@@ -240,7 +252,11 @@ fn fuzz_independence_verdicts() {
          {ind} independent (all byte-identical), {conf} may-conflict \
          ({real} actually changed the answer, {:.1}% observed conflict rate)",
         ind + conf,
-        if conf == 0 { 0.0 } else { real as f64 * 100.0 / conf as f64 },
+        if conf == 0 {
+            0.0
+        } else {
+            real as f64 * 100.0 / conf as f64
+        },
     );
     // The generator must exercise both verdicts, or the fuzz is vacuous.
     assert!(ind > 0, "no independent verdicts over {cases} cases");

@@ -112,14 +112,17 @@ fn random_xquery(rng: &mut SplitMix64) -> String {
              return <r>{{$x/child::{t3}/text()}}</r>"
         ),
         2 => format!("for $x in /child::{t1}/descendant-or-self::{t2} return <n>{{$x}}</n>"),
-        _ => format!(
-            "for $x in /descendant::{t1}, $y in $x/child::{t2} return <p>{{$y/text()}}</p>"
-        ),
+        _ => {
+            format!("for $x in /descendant::{t1}, $y in $x/child::{t2} return <p>{{$y/text()}}</p>")
+        }
     }
 }
 
 /// Query results as source-document node ids (pruning preserves them).
-fn eval_ids(doc: &Document, path: &xml_projection::xpath::ast::LocationPath) -> Vec<(u32, Option<u32>)> {
+fn eval_ids(
+    doc: &Document,
+    path: &xml_projection::xpath::ast::LocationPath,
+) -> Vec<(u32, Option<u32>)> {
     use xml_projection::xpath::eval::XNode;
     let mut v: Vec<(u32, Option<u32>)> = xml_projection::xpath::evaluate(doc, path)
         .unwrap()
@@ -191,8 +194,7 @@ fn run_case(seed: u64) {
     assert_eq!(fast.max_depth, streamed.max_depth, "for {q}");
 
     // --- the pruned document stays interpretable, restricting interp ---
-    let pruned_interp =
-        interpret(&pruned, &dtd).expect("pruned document must stay interpretable");
+    let pruned_interp = interpret(&pruned, &dtd).expect("pruned document must stay interpretable");
     for n in pruned.all_nodes().skip(1) {
         assert_eq!(
             pruned_interp.name_of(n),

@@ -38,8 +38,14 @@ fn golden_projectors_on_books() {
         ("/bib/book/author", &["author", "bib", "book"]),
         ("/bib/book[price]/title", &["bib", "book", "price", "title"]),
         ("//title", &["bib", "book", "title"]),
-        ("/bib/book/title/text()", &["bib", "book", "title", "title#text"]),
-        ("/bib/book/author/parent::node()", &["author", "bib", "book"]),
+        (
+            "/bib/book/title/text()",
+            &["bib", "book", "title", "title#text"],
+        ),
+        (
+            "/bib/book/author/parent::node()",
+            &["author", "bib", "book"],
+        ),
         // impossible query: everything is pruned
         ("/bib/zzz", &[]),
     ];
@@ -59,7 +65,16 @@ fn golden_projectors_materialized() {
     // whole book subtrees survive
     assert_eq!(
         labels(&dtd, &p2),
-        vec!["author", "author#text", "bib", "book", "price", "price#text", "title", "title#text"]
+        vec![
+            "author",
+            "author#text",
+            "bib",
+            "book",
+            "price",
+            "price#text",
+            "title",
+            "title#text"
+        ]
     );
 }
 
@@ -179,7 +194,9 @@ fn non_strongly_specified_queries_stay_sound() {
         let root = doc.root_element().unwrap();
         let proot = pruned.root_element();
         let orig = eval_from(&doc, root, &path);
-        let prun = proot.map(|r| eval_from(&pruned, r, &path)).unwrap_or_default();
+        let prun = proot
+            .map(|r| eval_from(&pruned, r, &path))
+            .unwrap_or_default();
         let orig_ids: Vec<_> = orig.iter().map(|n| doc.src_id(n.tree_node())).collect();
         let prun_ids: Vec<_> = prun.iter().map(|n| pruned.src_id(n.tree_node())).collect();
         assert_eq!(orig_ids, prun_ids, "seed {seed}");

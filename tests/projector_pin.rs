@@ -16,7 +16,14 @@ use xml_projection::xmark::{
 use xml_projection::xquery::{parse_xquery, project_xquery};
 use xproj_testkit::fnv1a;
 
-const REGIONS: [&str; 6] = ["africa", "asia", "australia", "europe", "namerica", "samerica"];
+const REGIONS: [&str; 6] = [
+    "africa",
+    "asia",
+    "australia",
+    "europe",
+    "namerica",
+    "samerica",
+];
 const ITEM_PATHS: [&str; 16] = [
     "location",
     "quantity",
@@ -65,7 +72,11 @@ fn render(dtd: &Dtd, id: &str, query: &str, xpath: bool, contexts: bool, out: &m
     assert_eq!(plain, traced, "{id}: tracing changed a projector");
     if contexts {
         let prov = trace_workload(dtd, &[query.to_string()]).unwrap();
-        assert_eq!(Some(&prov.projector), plain[0].as_ref(), "{id}: trace_workload");
+        assert_eq!(
+            Some(&prov.projector),
+            plain[0].as_ref(),
+            "{id}: trace_workload"
+        );
     }
     for (entry, p) in ["xquery", "materialized", "exact"].iter().zip(&plain) {
         if let Some(p) = p {
@@ -98,7 +109,14 @@ fn benchmark_queries_are_pinned() {
     assert_eq!(workload.len(), 43);
     check("benchmark queries", BENCH, |contexts, lines| {
         for q in &workload {
-            render(&dtd, q.id, q.text, q.kind == QueryKind::XPath, contexts, lines);
+            render(
+                &dtd,
+                q.id,
+                q.text,
+                q.kind == QueryKind::XPath,
+                contexts,
+                lines,
+            );
         }
     });
 }
@@ -122,7 +140,14 @@ fn use_case_grammars_are_pinned_on_the_axis_family() {
         for uc in use_case_dtds() {
             let dtd = parse_use_case(&uc);
             for path in AXIS_FAMILY {
-                render(&dtd, &format!("{} {path}", uc.name), path, true, contexts, lines);
+                render(
+                    &dtd,
+                    &format!("{} {path}", uc.name),
+                    path,
+                    true,
+                    contexts,
+                    lines,
+                );
             }
         }
     });

@@ -93,10 +93,7 @@ fn query_strategy() -> RcStrategy<String> {
     vec_of((step, pred), 1..4)
         .prop_map(|steps| {
             let mut q = String::from("/");
-            let body: Vec<String> = steps
-                .into_iter()
-                .map(|(s, p)| format!("{s}{p}"))
-                .collect();
+            let body: Vec<String> = steps.into_iter().map(|(s, p)| format!("{s}{p}")).collect();
             q.push_str(&body.join("/"));
             q
         })

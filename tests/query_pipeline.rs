@@ -98,9 +98,9 @@ fn random_xquery(rng: &mut SplitMix64) -> String {
              return <r>{{$x/child::{t3}/text()}}</r>"
         ),
         2 => format!("for $x in /child::{t1}/descendant-or-self::{t2} return <n>{{$x}}</n>"),
-        _ => format!(
-            "for $x in /descendant::{t1}, $y in $x/child::{t2} return <p>{{$y/text()}}</p>"
-        ),
+        _ => {
+            format!("for $x in /descendant::{t1}, $y in $x/child::{t2} return <p>{{$y/text()}}</p>")
+        }
     }
 }
 
@@ -114,13 +114,13 @@ fn answer_split(
     let mut machine = QueryMachine::new(Arc::clone(artifact), QueryOutput::Answer);
     machine.set_fast_forward(fast_forward);
     let mut out = Vec::new();
-    machine.feed(&xml[..split]).unwrap_or_else(|e| {
-        panic!("feed of doc[..{split}] (ff={fast_forward}) failed: {e}")
-    });
+    machine
+        .feed(&xml[..split])
+        .unwrap_or_else(|e| panic!("feed of doc[..{split}] (ff={fast_forward}) failed: {e}"));
     machine.take_output(&mut out);
-    machine.feed(&xml[split..]).unwrap_or_else(|e| {
-        panic!("feed of doc[{split}..] (ff={fast_forward}) failed: {e}")
-    });
+    machine
+        .feed(&xml[split..])
+        .unwrap_or_else(|e| panic!("feed of doc[{split}..] (ff={fast_forward}) failed: {e}"));
     machine.take_output(&mut out);
     machine
         .finish()
@@ -155,7 +155,8 @@ fn check_query(q: &str, dtd: &Arc<Dtd>, doc: &xml_projection::xmltree::Document,
         while split <= bytes.len() {
             let got = answer_split(&artifact, bytes, split, fast_forward);
             assert_eq!(
-                got, want,
+                got,
+                want,
                 "one-pass answer diverged from the unpruned reference\n\
                  query: {q}\nsplit: {split}/{} ff: {fast_forward}\ndoc: {xml}",
                 bytes.len()
@@ -186,7 +187,11 @@ fn run_case(seed: u64) {
 
 #[test]
 fn fuzz_query_machine_matches_unpruned_reference() {
-    seeded("fuzz_query_machine_matches_unpruned_reference", FUZZ_CASES, run_case);
+    seeded(
+        "fuzz_query_machine_matches_unpruned_reference",
+        FUZZ_CASES,
+        run_case,
+    );
 }
 
 /// Mixed content at every level below the root: `p` and `x` interleave
@@ -231,11 +236,7 @@ fn mixed_query(rng: &mut SplitMix64) -> String {
         _ => rng.pick(MIXED_TAGS),
     };
     let last = if rng.chance(0.5) { "text()" } else { "node()" };
-    let path = format!(
-        "/{}{first}/{}{last}",
-        rng.pick(&AXES[1..3]),
-        rng.pick(AXES),
-    );
+    let path = format!("/{}{first}/{}{last}", rng.pick(&AXES[1..3]), rng.pick(AXES),);
     match rng.below(3) {
         0 => format!("count({path})"),
         1 => format!("{path}[{}]", rng.range_incl(1, 3)),
@@ -261,7 +262,11 @@ fn run_mixed_case(seed: u64) {
 
 #[test]
 fn fuzz_mixed_content_keeps_adjacent_text_nodes_apart() {
-    seeded("fuzz_mixed_content_keeps_adjacent_text_nodes_apart", FUZZ_CASES, run_mixed_case);
+    seeded(
+        "fuzz_mixed_content_keeps_adjacent_text_nodes_apart",
+        FUZZ_CASES,
+        run_mixed_case,
+    );
 }
 
 /// Runs `q` on the whole of `xml` in `Answer` form.
@@ -286,16 +291,32 @@ fn fallback_keeps_text_runs_that_pruning_made_adjacent() {
     );
     for (xml, q, want) in [
         // Was 1.
-        ("<d>one <b>bold</b> two<c>cc</c></d>", "count(/d/text())", "2"),
+        (
+            "<d>one <b>bold</b> two<c>cc</c></d>",
+            "count(/d/text())",
+            "2",
+        ),
         // Was `one  two`.
-        ("<d>one <b>bold</b> two<c>cc</c></d>", "/d/text()[1]", "one "),
+        (
+            "<d>one <b>bold</b> two<c>cc</c></d>",
+            "/d/text()[1]",
+            "one ",
+        ),
         // Was 4: the comment goes, and the runs either side of it joined.
-        ("<d>one <!--c--> two<b>bold</b> three<c/></d>", "count(/d/node())", "5"),
+        (
+            "<d>one <!--c--> two<b>bold</b> three<c/></d>",
+            "count(/d/node())",
+            "5",
+        ),
         // Was `x `: the whitespace-only run was kept, glued to `x`.
         ("<d>x<b/> </d>", "/d/text()[1]", "x"),
     ] {
         let doc = parse(xml).unwrap();
-        assert_eq!(evaluate_query(&doc, &parse_xquery(q).unwrap()).unwrap(), want, "{q}");
+        assert_eq!(
+            evaluate_query(&doc, &parse_xquery(q).unwrap()).unwrap(),
+            want,
+            "{q}"
+        );
         assert_eq!(answer(&dtd, q, xml), want, "{q} on {xml}");
         check_query(q, &dtd, &doc, xml);
     }
@@ -309,12 +330,19 @@ fn fallback_keeps_text_runs_that_pruning_made_adjacent() {
         ("count(//text/text())", "168"),
         ("count(//listitem/text/text())", "38"),
     ] {
-        assert_eq!(evaluate_query(&doc, &parse_xquery(q).unwrap()).unwrap(), want, "{q}");
+        assert_eq!(
+            evaluate_query(&doc, &parse_xquery(q).unwrap()).unwrap(),
+            want,
+            "{q}"
+        );
         assert_eq!(answer(&dtd, q, &xml), want, "{q}");
     }
     // Was `<n>1</n>` for every description.
     let q = "for $t in //item/description/text return <n>{count($t/text())}</n>";
     let want = evaluate_query(&doc, &parse_xquery(q).unwrap()).unwrap();
-    assert!(want.split("</n>").any(|n| !n.is_empty() && n != "<n>1"), "{want}");
+    assert!(
+        want.split("</n>").any(|n| !n.is_empty() && n != "<n>1"),
+        "{want}"
+    );
     assert_eq!(answer(&dtd, q, &xml), want, "{q}");
 }

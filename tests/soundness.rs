@@ -12,10 +12,10 @@ use xml_projection::dtd::validate;
 use xml_projection::xmark::{
     auction_dtd, generate_auction, xmark_queries, xpathmark_queries, XMarkConfig,
 };
+use xml_projection::xmltree::{Document, NodeId};
 use xml_projection::xpath::ast::Expr;
 use xml_projection::xpath::eval::XNode;
 use xml_projection::xquery;
-use xml_projection::xmltree::{Document, NodeId};
 
 fn gen_doc(scale: f64, seed: u64) -> Document {
     let dtd = auction_dtd();
@@ -49,18 +49,13 @@ fn xpathmark_queries_are_sound_under_exact_projectors() {
             let on_original = xml_projection::xpath::evaluate(&doc, &path).unwrap();
             let on_pruned = xml_projection::xpath::evaluate(&pruned, &path).unwrap();
 
-            let mut orig: Vec<_> = on_original
-                .iter()
-                .map(|&n| canonical(&doc, n))
-                .collect();
-            let mut prun: Vec<_> = on_pruned
-                .iter()
-                .map(|&n| canonical(&pruned, n))
-                .collect();
+            let mut orig: Vec<_> = on_original.iter().map(|&n| canonical(&doc, n)).collect();
+            let mut prun: Vec<_> = on_pruned.iter().map(|&n| canonical(&pruned, n)).collect();
             orig.sort();
             prun.sort();
             assert_eq!(
-                orig, prun,
+                orig,
+                prun,
                 "{} (seed {seed}): pruning changed the result \
                  ({} vs {} nodes)",
                 q.id,
@@ -102,7 +97,10 @@ fn union_projector_is_sound_for_every_member_query() {
     let dtd = auction_dtd();
     let doc = gen_doc(0.06, 11);
     let interp = validate(&doc, &dtd).unwrap();
-    let workload: Vec<&str> = xpathmark_queries().iter().map(|q| q.text).collect::<Vec<_>>();
+    let workload: Vec<&str> = xpathmark_queries()
+        .iter()
+        .map(|q| q.text)
+        .collect::<Vec<_>>();
     let projection =
         xml_projection::Projection::for_queries(&dtd, workload.iter().copied()).unwrap();
     let pruned = projection.prune_document(&doc, &interp);

@@ -14,7 +14,13 @@ use xml_projection::Projection;
 #[test]
 fn streaming_equals_in_memory_on_the_whole_workload() {
     let dtd = auction_dtd();
-    let doc = generate_auction(&dtd, &XMarkConfig { scale: 0.06, seed: 77 });
+    let doc = generate_auction(
+        &dtd,
+        &XMarkConfig {
+            scale: 0.06,
+            seed: 77,
+        },
+    );
     let xml = doc.to_xml();
     let interp = validate(&doc, &dtd).unwrap();
     let mut sa = StaticAnalyzer::new(&dtd);
@@ -37,7 +43,13 @@ fn streaming_equals_in_memory_on_the_whole_workload() {
 #[test]
 fn streaming_stats_are_consistent() {
     let dtd = auction_dtd();
-    let doc = generate_auction(&dtd, &XMarkConfig { scale: 0.05, seed: 4 });
+    let doc = generate_auction(
+        &dtd,
+        &XMarkConfig {
+            scale: 0.05,
+            seed: 4,
+        },
+    );
     let xml = doc.to_xml();
     let mut sa = StaticAnalyzer::new(&dtd);
     let p = sa.project_query("/site/people/person/name").unwrap();
@@ -57,7 +69,13 @@ fn streaming_stats_are_consistent() {
 fn streamed_prune_reparses_and_revalidates_interpretation() {
     // The streamed output parses, and every element is still declared.
     let dtd = auction_dtd();
-    let doc = generate_auction(&dtd, &XMarkConfig { scale: 0.05, seed: 9 });
+    let doc = generate_auction(
+        &dtd,
+        &XMarkConfig {
+            scale: 0.05,
+            seed: 9,
+        },
+    );
     let xml = doc.to_xml();
     let mut sa = StaticAnalyzer::new(&dtd);
     let p = sa.project_query("//keyword").unwrap();

@@ -29,7 +29,14 @@ use xml_projection::xpath::xpathl::{LAxis, LPath};
 use xml_projection::xquery::{extract_paths, parse_xquery};
 use xproj_testkit::{seeded, SplitMix64};
 
-const REGIONS: [&str; 6] = ["africa", "asia", "australia", "europe", "namerica", "samerica"];
+const REGIONS: [&str; 6] = [
+    "africa",
+    "asia",
+    "australia",
+    "europe",
+    "namerica",
+    "samerica",
+];
 const ITEM_PATHS: [&str; 16] = [
     "location",
     "quantity",
@@ -60,7 +67,10 @@ const AXIS_FAMILY: [&str; 5] = [
 fn reads_context(np: &NormPaths, steps: &[PStep]) -> bool {
     steps.iter().any(|step| match step {
         PStep::AxisNode(axis) => {
-            matches!(axis, LAxis::Parent | LAxis::Ancestor | LAxis::AncestorOrSelf)
+            matches!(
+                axis,
+                LAxis::Parent | LAxis::Ancestor | LAxis::AncestorOrSelf
+            )
         }
         PStep::SelfTest(_) => false,
         PStep::Cond(ids) => ids.iter().any(|&c| reads_context(np, np.steps(c))),
@@ -85,7 +95,10 @@ fn check_path(dtd: &Dtd, path: &LPath, absolute: bool, what: &str) -> usize {
                     assert!(reads_context(&np, &steps[idx..]), "{at}: no set");
                     continue;
                 };
-                assert!(!reads_context(&np, &steps[idx..]), "{at}: a set for a suffix going up");
+                assert!(
+                    !reads_context(&np, &steps[idx..]),
+                    "{at}: a set for a suffix going up"
+                );
                 decided += 1;
                 let below = useful.below(slot);
                 let after_down = idx > 0
@@ -100,12 +113,16 @@ fn check_path(dtd: &Dtd, path: &LPath, absolute: bool, what: &str) -> usize {
                     for kappa in [an.restrict_context(&start, &xs), anc_or_self] {
                         let env = Env::new(xs.clone(), kappa);
                         let typed = !type_path(&an, &np, env.clone(), pid, idx).is_empty();
-                        let name = if x == dtd.doc_name() { "DOC" } else { dtd.label(x) };
+                        let name = if x == dtd.doc_name() {
+                            "DOC"
+                        } else {
+                            dtd.label(x)
+                        };
                         assert_eq!(u.contains(x), typed, "{at}: U at {name}");
                         if let Some(below) = below {
                             let down = type_axis(&an, env, LAxis::Descendant);
-                            let reaches = !down.is_empty()
-                                && !type_path(&an, &np, down, pid, idx).is_empty();
+                            let reaches =
+                                !down.is_empty() && !type_path(&an, &np, down, pid, idx).is_empty();
                             assert_eq!(below.contains(x), reaches, "{at}: below at {name}");
                         }
                     }
@@ -199,9 +216,9 @@ fn random_xquery(rng: &mut SplitMix64) -> String {
              return <r>{{$x/child::{t3}/text()}}</r>"
         ),
         2 => format!("for $x in /child::{t1}/descendant-or-self::{t2} return <n>{{$x}}</n>"),
-        _ => format!(
-            "for $x in /descendant::{t1}, $y in $x/child::{t2} return <p>{{$y/text()}}</p>"
-        ),
+        _ => {
+            format!("for $x in /descendant::{t1}, $y in $x/child::{t2} return <p>{{$y/text()}}</p>")
+        }
     }
 }
 
