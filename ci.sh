@@ -26,6 +26,9 @@ leg() {
 leg "build (release, workspace, offline, locked)"
 cargo build --release --workspace --offline --locked
 
+leg "rustfmt (workspace, check)"
+cargo fmt --all --check
+
 leg "clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 

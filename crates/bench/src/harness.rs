@@ -107,10 +107,9 @@ pub fn document_at(dtd: &Dtd, scale: f64) -> String {
 /// off (every byte is tokenized): the output and the pass's stats.
 pub fn pruned_document(xml: &str, dtd: &Dtd, projector: &Projector) -> (String, EngineStats) {
     let mut out = Vec::with_capacity(xml.len() / 2);
-    let mut pruner = ChunkedPruner::new(dtd, projector, &mut out);
-    pruner.set_fast_forward(false);
-    pruner.feed(xml.as_bytes()).expect("valid input");
-    let stats = pruner.finish().expect("valid input");
+    let stats = ChunkedPruner::new(dtd, projector, &mut out)
+        .run_one_feed(xml)
+        .expect("valid input");
     (String::from_utf8(out).expect("kept bytes are UTF-8"), stats)
 }
 

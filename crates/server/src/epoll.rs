@@ -10,7 +10,7 @@
 //! a slab of [`Slot`]s (socket + machine), its own `SO_REUSEPORT`-bound
 //! listener (the kernel shards accepts across the loops — no shared
 //! accept lock), and its own executor lane: scoped threads that pull
-//! `(token, Job)` off a bounded channel, [`run_job`] them, and push
+//! `(token, Job)` off a channel, [`run_job`] them, and push
 //! `(token, Done)` back through a queue + waker. The loop is the
 //! engine's thread: a job the machine calls `bounded()` — a feed of at
 //! most two buffer units, a streaming finish, a compile within its step
@@ -53,7 +53,7 @@ use std::io::{ErrorKind, IoSlice, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, TrySendError};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use xproj_reactor::{Event, Interest, Mode, Reactor, TimerEntry, TimerWheel, Token, DEFAULT_TICK};
@@ -178,10 +178,9 @@ struct EventLoop<'s> {
     reactor: Reactor,
     wheel: TimerWheel,
     conns: Slab,
-    jobs_tx: mpsc::SyncSender<(u64, Job)>,
-    /// Jobs that did not fit in the bounded channel; retried as
-    /// completions free worker slots.
-    overflow: VecDeque<(u64, Job)>,
+    /// The lane's queue. It is unbounded: a connection has at most one
+    /// job in flight and admission bounds the connections.
+    jobs_tx: mpsc::Sender<(u64, Job)>,
     /// The loop's one receive buffer: a readable event reads into it
     /// once and the machine copies out what it keeps.
     read_buf: Vec<u8>,
@@ -300,9 +299,7 @@ impl EventLoop<'_> {
         }
     }
 
-    /// Hands a job to the executor lane (or queues it when the channel
-    /// is full — the machine keeps one job in flight per connection, so
-    /// per-connection ordering is preserved).
+    /// Hands a job to the executor lane.
     fn dispatch(&mut self, token: u64, job: Job) {
         self.state
             .metrics
@@ -312,28 +309,14 @@ impl EventLoop<'_> {
             .metrics
             .executor_queue_depth
             .fetch_add(1, Ordering::Relaxed);
-        self.overflow.push_back((token, job));
-        self.pump_overflow();
-    }
-
-    fn pump_overflow(&mut self) {
-        while let Some(entry) = self.overflow.pop_front() {
-            match self.jobs_tx.try_send(entry) {
-                Ok(()) => {}
-                Err(TrySendError::Full(entry)) => {
-                    self.overflow.push_front(entry);
-                    return;
-                }
-                Err(TrySendError::Disconnected((token, _))) => {
-                    // Workers gone (teardown): fail the owning
-                    // connection rather than hang it.
-                    self.state
-                        .metrics
-                        .executor_queue_depth
-                        .fetch_sub(1, Ordering::Relaxed);
-                    self.drive(token, Input::Reset, Instant::now());
-                }
-            }
+        if self.jobs_tx.send((token, job)).is_err() {
+            // Workers gone (teardown): fail the owning connection
+            // rather than hang it.
+            self.state
+                .metrics
+                .executor_queue_depth
+                .fetch_sub(1, Ordering::Relaxed);
+            self.drive(token, Input::Reset, Instant::now());
         }
     }
 
@@ -557,7 +540,7 @@ fn run_loop(
     };
     register_listener(&reactor)?;
     let waker = reactor.waker();
-    let (jobs_tx, jobs_rx) = mpsc::sync_channel::<(u64, Job)>(workers * 2);
+    let (jobs_tx, jobs_rx) = mpsc::channel::<(u64, Job)>();
     let jobs_rx = Mutex::new(jobs_rx);
     let dones: Mutex<VecDeque<(u64, Done)>> = Mutex::new(VecDeque::new());
     let reactor_metrics = reactor.metrics();
@@ -582,7 +565,6 @@ fn run_loop(
             wheel: TimerWheel::new(WHEEL_SLOTS, DEFAULT_TICK),
             conns: Slab::new(),
             jobs_tx,
-            overflow: VecDeque::new(),
             read_buf: vec![0; READ_BUDGET],
         };
 
@@ -666,7 +648,6 @@ fn run_loop(
                     .fetch_sub(1, Ordering::Relaxed);
                 lp.drive(token, Input::Done(done), Instant::now());
             }
-            lp.pump_overflow();
 
             // Timers.
             let now = Instant::now();

@@ -152,10 +152,7 @@ pub fn small_config() -> ServerConfig {
 /// response must equal.
 pub fn prune_str(doc: &str, dtd: &Dtd, projector: &Projector) -> Result<String, EngineError> {
     let mut out = Vec::new();
-    let mut pruner = ChunkedPruner::new(dtd, projector, &mut out);
-    pruner.set_fast_forward(false);
-    pruner.feed(doc.as_bytes())?;
-    pruner.finish()?;
+    ChunkedPruner::new(dtd, projector, &mut out).run_one_feed(doc)?;
     Ok(String::from_utf8(out).expect("kept bytes are UTF-8"))
 }
 

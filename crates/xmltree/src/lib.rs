@@ -29,6 +29,13 @@ pub mod parser;
 pub mod push;
 pub mod scan;
 
+/// Deepest nesting any recursive-descent parser in the workspace builds:
+/// XPath and XQuery (one counter across a query and the expressions in
+/// it), DTD content models and XUpdate fragments. Each holds its
+/// recursion, and the depth of the tree its recursive consumers walk,
+/// to this value, so no input can overflow a stack.
+pub const MAX_NESTING: usize = 128;
+
 pub use document::{Attribute, Document, Node, NodeId, NodeKind};
 pub use interner::{Interner, TagId};
 pub use parser::{parse, parse_with_interner, KeptEvents, ParseError, TreeBuilder};

@@ -28,6 +28,6 @@ pub mod xpathl;
 
 pub use ast::{Axis, Expr, LocationPath, NodeTest, Step};
 pub use eval::{evaluate, evaluate_expr, Value, XNode};
-pub use parser::{parse_expr_prefix, parse_xpath, XPathParseError};
+pub use parser::{parse_xpath, QueryParseError};
 pub use spec::{check_strongly_specified, SpecViolation};
 pub use xpathl::{LAxis, LPath, LStep, LTest, SimplePath, SimpleStep};

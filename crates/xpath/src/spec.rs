@@ -32,16 +32,23 @@ impl std::fmt::Display for SpecViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SpecViolation::BackwardAxisInPredicate(a) => {
-                write!(f, "predicate uses the backward axis {}", a.name())
+                write!(
+                    f,
+                    "Def. 4.6(i): predicate uses the backward axis {}",
+                    a.name()
+                )
             }
             SpecViolation::ConsecutiveNodeTests => {
-                write!(f, "two consecutive steps test node()")
+                write!(f, "Def. 4.6(ii): two consecutive steps test node()")
             }
             SpecViolation::MultiplePathsInPredicate => {
-                write!(f, "a predicate contains more than one path")
+                write!(f, "Def. 4.6(iii): a predicate contains more than one path")
             }
             SpecViolation::PredicatePathEndsInNode => {
-                write!(f, "a predicate path terminates with a node() test")
+                write!(
+                    f,
+                    "Def. 4.6(iii): a predicate path terminates with a node() test"
+                )
             }
         }
     }

@@ -34,4 +34,4 @@ pub use eval::{
     evaluate_query, evaluate_query_items, serialize_item, serialize_items, Item, XQueryError,
 };
 pub use extract::{extract_paths, project_xquery, project_xquery_str};
-pub use parser::{parse_xquery, XQueryParseError};
+pub use parser::parse_xquery;

@@ -160,11 +160,9 @@ impl<'d> Projection<'d> {
     ) -> Result<(String, EngineStats), ProjectionError> {
         let mut out = Vec::with_capacity(xml.len() / 2);
         let mut pruner = ChunkedPruner::new(self.dtd, &self.projector, &mut out);
-        pruner.set_fast_forward(false);
         pruner.set_validate(validate);
         let stats = pruner
-            .feed(xml.as_bytes())
-            .and_then(|()| pruner.finish())
+            .run_one_feed(xml)
             .map_err(|e| ProjectionError::Prune(e.to_string()))?;
         Ok((String::from_utf8(out).expect("kept bytes are UTF-8"), stats))
     }
