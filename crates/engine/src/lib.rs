@@ -74,10 +74,10 @@ pub mod query;
 
 pub use chunked::{residency_bound, ChunkedPruner, EngineError, DEFAULT_CHUNK_SIZE};
 pub use metrics::{error_json_line, EngineStats};
-pub use query::{QueryMachine, QueryOutput, QueryStats};
+pub use query::{Finish, QueryMachine, QueryOutput, QueryStats};
 pub use xproj_qc::{
     normalize_query, ArtifactCache, ArtifactCacheStats, Lookup, PendingCompile, QueryArtifact,
-    LOOP_COMPILE_STEPS,
+    LOOP_COMPILE_STEPS, LOOP_EVAL_STEPS,
 };
 
 #[cfg(test)]

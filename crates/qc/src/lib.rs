@@ -43,6 +43,6 @@ pub mod artifact;
 pub mod cache;
 pub mod program;
 
-pub use artifact::{normalize_query, QueryArtifact, LOOP_COMPILE_STEPS};
+pub use artifact::{normalize_query, QueryArtifact, LOOP_COMPILE_STEPS, LOOP_EVAL_STEPS};
 pub use cache::{ArtifactCache, ArtifactCacheStats, Lookup, PendingCompile};
 pub use program::{PathProgram, Plan, StepAxis, StepInstr, StepTest, MAX_STEPS, UNDECLARED};

@@ -21,11 +21,11 @@
 //! turns it into a [`Done`] with the free function [`run_job`],
 //! delivering it back as `Input::Done`. *Where* it runs is the
 //! machine's call too: [`Job::bounded`] says whether something bounds
-//! the job's cost — the buffer unit (a feed, a streaming finish) or the
-//! step budget (a compile) — so a driver with an event loop runs it
-//! there, or nothing does (a DTD, an analysis, a fallback evaluation,
-//! and a compile that overran its budget — those take its executor
-//! lane).
+//! the job's cost — the buffer unit (a feed, a finish) or a step budget
+//! (a compile, a fallback plan's evaluation) — so a driver with an
+//! event loop runs it there, or nothing does (a DTD, an analysis, and a
+//! compile or an evaluation that overran its budget — those take its
+//! executor lane).
 //! What takes microseconds is no job at all: `/healthz`, `/metrics` and
 //! an artifact-cache *hit* are decided while routing. Every other
 //! effect is *read back*: the frame queue to write, whether to read,
@@ -82,8 +82,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xproj_engine::{
-    EngineError, Lookup, PendingCompile, QueryArtifact, QueryMachine, QueryOutput,
-    LOOP_COMPILE_STEPS,
+    EngineError, Finish, Lookup, PendingCompile, QueryArtifact, QueryMachine, QueryOutput,
+    LOOP_COMPILE_STEPS, LOOP_EVAL_STEPS,
 };
 
 /// The most bytes a driver hands the machine in one `Input::Bytes`, so
@@ -299,19 +299,15 @@ impl Job {
     /// driver with an event loop runs it there ([`run_on_loop`]) rather
     /// than pay two thread hand-offs for microseconds of work. That is
     /// a feed (≤ 2`u` decoded bytes — the input gate — through the one
-    /// token loop, O(`u` · open depth)), the finish of a pruning or
-    /// streaming-plan pass (a flush), and a compile, which the loop runs
-    /// under [`LOOP_COMPILE_STEPS`] and hands back if it overruns.
-    /// `false`: nothing bounds it — a DTD, an analysis, and the finish
-    /// of a *fallback* plan, which runs the tree evaluator (nested-loop
-    /// joins) over the pruned tree its feeds built — so it must not
+    /// token loop, O(`u` · open depth)), the finish of a pass (a flush,
+    /// and for a fallback plan an evaluation the loop runs under
+    /// [`LOOP_EVAL_STEPS`]), and a compile, which the loop runs under
+    /// [`LOOP_COMPILE_STEPS`]; either hands back if it overruns.
+    /// `false`: nothing bounds it — a DTD, an analysis — so it must not
     /// stall a loop's other connections.
     pub fn bounded(&self) -> bool {
         match self {
-            Job::Prune {
-                session, finish, ..
-            } => !(*finish && session.plan_label() == "fallback"),
-            Job::Setup { .. } => true,
+            Job::Prune { .. } | Job::Setup { .. } => true,
             Job::Dtd { .. } | Job::Analyze { .. } | Job::Independence { .. } => false,
         }
     }
@@ -356,27 +352,45 @@ fn contained<T>(f: impl FnOnce() -> T, on_panic: impl FnOnce() -> T) -> T {
 }
 
 /// Runs a [`Job::bounded`] job on an event loop: [`run_job`], except
-/// that a compile spends at most [`LOOP_COMPILE_STEPS`]. One that
-/// overruns comes back as the job, to be handed to the executor lane,
-/// where [`run_job`] starts it over with no budget — so a loop
-/// spends at most one budget on any request.
+/// that a compile spends at most [`LOOP_COMPILE_STEPS`] and a fallback
+/// plan's evaluation at most [`LOOP_EVAL_STEPS`]. One that overruns
+/// comes back as the job (a finish whose pass is over, its input
+/// consumed), to be handed to the executor lane, where [`run_job`]
+/// starts it over with no budget — so a loop spends at most one budget
+/// on any request.
 #[allow(clippy::result_large_err)] // the job itself, moved once on an overrun
 pub fn run_on_loop(job: Job, state: &ServerState) -> Result<Done, Job> {
-    let Job::Setup { head, pending } = job else {
-        return Ok(run_job(job, state));
-    };
-    let compiled = contained(
-        || {
-            state
-                .cache
-                .compile_within(pending, LOOP_COMPILE_STEPS)
-                .map(Ok)
-        },
-        || Ok(Err(internal_error())),
-    );
-    match compiled {
-        Ok(result) => Ok(Done::Setup { head, result }),
-        Err(pending) => Err(Job::Setup { head, pending }),
+    match job {
+        Job::Setup { head, pending } => {
+            let compiled = contained(
+                || {
+                    state
+                        .cache
+                        .compile_within(pending, LOOP_COMPILE_STEPS)
+                        .map(Ok)
+                },
+                || Ok(Err(internal_error())),
+            );
+            match compiled {
+                Ok(result) => Ok(Done::Setup { head, result }),
+                Err(pending) => Err(Job::Setup { head, pending }),
+            }
+        }
+        Job::Prune {
+            session,
+            input,
+            finish,
+            chunk,
+        } => run_prune(state, session, &input, finish, chunk, LOOP_EVAL_STEPS).map_err(|session| {
+            state.metrics.lane_evals.fetch_add(1, Ordering::Relaxed);
+            Job::Prune {
+                session,
+                input: Vec::new(),
+                finish: true,
+                chunk,
+            }
+        }),
+        job => Ok(run_job(job, state)),
     }
 }
 
@@ -403,32 +417,62 @@ pub fn run_job(job: Job, state: &ServerState) -> Done {
             Done::Setup { head, result }
         }
         Job::Prune {
-            mut session,
+            session,
             input,
             finish,
             chunk,
-        } => {
-            let (session, result) = contained(
-                move || {
-                    let mut run = || -> Result<(), EngineError> {
-                        // Feed in engine-chunk-size slices: the engine's
-                        // memory bound is stated per feed call.
-                        for piece in input.chunks(chunk.max(1)) {
-                            session.feed(piece)?;
+        } => run_prune(state, session, &input, finish, chunk, u64::MAX)
+            .unwrap_or_else(|_| unreachable!("an unbudgeted evaluation cannot overrun")),
+    }
+}
+
+/// Feeds `input` to a session in engine-chunk-size slices (the engine's
+/// memory bound is stated per feed call) and, when `finish`, finishes it
+/// with its evaluation spending at most `budget` steps. `Err` hands back
+/// the session whose evaluation overran.
+fn run_prune(
+    state: &ServerState,
+    mut session: Box<QueryMachine>,
+    input: &[u8],
+    finish: bool,
+    chunk: usize,
+    budget: u64,
+) -> Result<Done, Box<QueryMachine>> {
+    let (session, result) = contained(
+        move || {
+            // `Ok(false)`: the evaluation overran.
+            let mut run = || -> Result<bool, EngineError> {
+                for piece in input.chunks(chunk.max(1)) {
+                    session.feed(piece)?;
+                }
+                if finish {
+                    let metrics = &state.metrics;
+                    match session.finish_within(budget)? {
+                        Finish::Done(stats) => {
+                            metrics
+                                .eval_steps
+                                .fetch_add(stats.eval_steps, Ordering::Relaxed);
+                            metrics.record_engine(&stats.engine);
                         }
-                        if finish {
-                            let stats = session.finish()?;
-                            state.metrics.record_engine(&stats.engine);
+                        Finish::OverBudget { steps } => {
+                            metrics.eval_steps.fetch_add(steps, Ordering::Relaxed);
+                            return Ok(false);
                         }
-                        Ok(())
-                    };
-                    let result = run().map_err(PruneFail::Engine);
-                    (Some(session), result)
-                },
-                || (None, Err(PruneFail::Panic)),
-            );
-            Done::Prune { session, result }
-        }
+                    }
+                }
+                Ok(true)
+            };
+            let result = run().map_err(PruneFail::Engine);
+            (Some(session), result)
+        },
+        || (None, Err(PruneFail::Panic)),
+    );
+    match (session, result) {
+        (Some(session), Ok(false)) => Err(session),
+        (session, result) => Ok(Done::Prune {
+            session,
+            result: result.map(|_| ()),
+        }),
     }
 }
 

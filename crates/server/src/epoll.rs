@@ -13,11 +13,11 @@
 //! `(token, Job)` off a channel, [`run_job`] them, and push
 //! `(token, Done)` back through a queue + waker. The loop is the
 //! engine's thread: a job the machine calls `bounded()` — a feed of at
-//! most two buffer units, a streaming finish, a compile within its step
-//! budget — runs right here, where it was produced, and only work
-//! nothing bounds (a compile past its budget among it) crosses to the
-//! lane. A
-//! loop runs at most one such unit-bounded slice per job and
+//! most two buffer units, a finish, a compile or a fallback evaluation
+//! within its step budget — runs right here, where it was produced, and
+//! only work nothing bounds (a compile or an evaluation past its budget
+//! among it) crosses to the lane. A
+//! loop runs at most one such bounded slice per job and
 //! [`LOOP_JOBS_PER_EVENT`] jobs per event, and blocks on nothing but
 //! `epoll_wait`. Everything cross-cutting — caches, the DTD registry,
 //! metrics, the admission count — lives behind the shared
@@ -200,12 +200,13 @@ impl EventLoop<'_> {
     }
 
     /// Runs a job where the machine's own policy puts it. One it calls
-    /// `bounded()` runs here ([`run_on_loop`]: a compile under the step
-    /// budget), its `Done` fed back at a fresh clock reading — and so
-    /// does whatever the machine asks for next (a loop, not recursion: a
-    /// read full of pipelined requests must not deepen the stack) until
-    /// it asks for nothing. A job nothing bounds, a compile that overran
-    /// its budget (it restarts there), or the job after this turn's
+    /// `bounded()` runs here ([`run_on_loop`]: a compile or an evaluation
+    /// under its step budget), its `Done` fed back at a fresh clock
+    /// reading — and so does whatever the machine asks for next (a loop,
+    /// not recursion: a read full of pipelined requests must not deepen
+    /// the stack) until it asks for nothing. A job nothing bounds, a
+    /// compile or an evaluation that overran its budget (it restarts
+    /// there), or the job after this turn's
     /// budget is spent, takes the executor lane and comes back as an
     /// event of its own.
     fn place(&mut self, token: u64, mut job: Option<Job>, turn: &mut Turn) {

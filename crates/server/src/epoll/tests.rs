@@ -91,3 +91,21 @@ fn a_panicking_loop_job_costs_one_500_not_the_loop() {
     let reply = read_all(&mut client);
     assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
 }
+
+/// Every feed and every finish is the loop's own work, a fallback
+/// plan's finish included: its evaluation runs under the loop's step
+/// budget, and only an overrun takes the lane.
+#[test]
+fn a_fallback_finish_is_bounded() {
+    let dtd = std::sync::Arc::new(xproj_dtd::parse_dtd(BIB_DTD, "bib").unwrap());
+    let artifact = xproj_engine::QueryArtifact::compile(&dtd, "count(//title)").unwrap();
+    let session = Box::new(QueryMachine::new(artifact, QueryOutput::Frames));
+    assert_eq!(session.plan_label(), "fallback");
+    let finish = Job::Prune {
+        session,
+        input: b"<bib/>".to_vec(),
+        finish: true,
+        chunk: 64,
+    };
+    assert!(finish.bounded());
+}

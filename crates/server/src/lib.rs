@@ -48,9 +48,9 @@
 //! driver (`xproj-reactor`) runs `--reactor-threads` event loops, each
 //! with its own `SO_REUSEPORT` listener, timer wheel and executor lane,
 //! so a slow or idle client costs a slab slot, not a thread; a loop runs
-//! the bounded work (tokenizer feeds, streaming finishes, compiles within
-//! a step budget) itself, and only what nothing bounds (compiles past
-//! the budget, DTDs, analyses, fallback evaluation) goes to the lane and
+//! the bounded work (tokenizer feeds, finishes, compiles and fallback
+//! evaluations within a step budget) itself, and only what nothing
+//! bounds (DTDs, analyses, compiles and evaluations past the budget) goes to the lane and
 //! comes back over an eventfd waker; elsewhere a small portable driver runs one blocking thread
 //! per connection over the same machine. Both enforce the connection
 //! admission limit (`503`).

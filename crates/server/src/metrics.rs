@@ -175,14 +175,21 @@ pub struct ServerMetrics {
     /// instead of spinning on a level-triggered readiness storm.
     pub accept_stalls: AtomicU64,
     /// CPU jobs handed to the executor lane (epoll driver): the work
-    /// nothing bounds — compiles, DTDs, analyses, fallback evaluation —
-    /// and the overflow of a turn's loop-job budget.
+    /// nothing bounds — DTDs, analyses, and compiles and fallback
+    /// evaluations that overran their loop budget — and the overflow of
+    /// a turn's loop-job budget.
     pub executor_jobs: AtomicU64,
     /// CPU jobs currently queued or running on the executor lane.
     pub executor_queue_depth: AtomicUsize,
-    /// Unit-bounded CPU jobs (feeds, streaming finishes) run on an
-    /// event loop, where they were produced (epoll driver).
+    /// Bounded CPU jobs (feeds, finishes, compiles) run on an event
+    /// loop, where they were produced (epoll driver).
     pub loop_jobs: AtomicU64,
+    /// Steps fallback evaluations spent (`xproj_xquery::Steps`),
+    /// overruns included.
+    pub eval_steps: AtomicU64,
+    /// Fallback evaluations that overran the loop's step budget and
+    /// took the executor lane.
+    pub lane_evals: AtomicU64,
     /// High-water mark of one connection's application-level residency
     /// (input + output buffers + the engine session), in bytes — see
     /// [`crate::conn::Connection::resident_bytes`]. The backpressure
@@ -232,6 +239,8 @@ impl ServerMetrics {
             executor_jobs: AtomicU64::new(0),
             executor_queue_depth: AtomicUsize::new(0),
             loop_jobs: AtomicU64::new(0),
+            eval_steps: AtomicU64::new(0),
+            lane_evals: AtomicU64::new(0),
             max_conn_resident: AtomicU64::new(0),
             reactors: Mutex::new(Vec::new()),
             engine: Mutex::new(EngineStats::default()),
@@ -542,7 +551,7 @@ impl ServerMetrics {
                     "reactor",
                     "loop_jobs",
                     "xmlpruned_loop_jobs_total",
-                    "Unit-bounded CPU jobs run on an event loop.",
+                    "Bounded CPU jobs run on an event loop.",
                     Counter,
                     n(&self.loop_jobs),
                 ),
@@ -620,6 +629,22 @@ impl ServerMetrics {
                 "Compiles that overran the event-loop step budget.",
                 Counter,
                 Value::Int(cache.lane_compiles),
+            ),
+            Metric(
+                "cache",
+                "eval_steps",
+                "xmlpruned_eval_steps_total",
+                "Fallback evaluation steps spent, overruns included.",
+                Counter,
+                n(&self.eval_steps),
+            ),
+            Metric(
+                "cache",
+                "lane_evals",
+                "xmlpruned_lane_evals_total",
+                "Fallback evaluations that overran the event-loop step budget.",
+                Counter,
+                n(&self.lane_evals),
             ),
             Metric(
                 "cache",
@@ -957,6 +982,8 @@ mod tests {
                     "compile_micros",
                     "compile_steps",
                     "lane_compiles",
+                    "eval_steps",
+                    "lane_evals",
                     "entries",
                     "resident_bytes",
                     "hit_rate",
@@ -972,7 +999,7 @@ mod tests {
 
         let prom = m.render_prometheus(cache);
         let table = m.table(cache);
-        assert_eq!(table.len(), 9 + 12 + 11 + 10);
+        assert_eq!(table.len(), 9 + 12 + 11 + 12);
         let mut names: Vec<&str> = table.iter().map(|r| r.2).collect();
         names.sort_unstable();
         names.dedup();
@@ -994,6 +1021,36 @@ mod tests {
             "xmlpruned_engine_retention 0.25",
             "xmlpruned_cache_hit_rate 0.75",
             "xmlpruned_reactor_threads 1",
+        ] {
+            assert!(prom.lines().any(|l| l == line), "missing {line:?}:\n{prom}");
+        }
+    }
+
+    /// The evaluation budget's two counters sit beside the compile
+    /// budget's, in JSON and in Prometheus text, with the same values.
+    #[test]
+    fn eval_steps_and_lane_evals_render_beside_the_compile_counters() {
+        let m = ServerMetrics::new();
+        m.eval_steps.fetch_add(123_456, Ordering::Relaxed);
+        m.lane_evals.fetch_add(2, Ordering::Relaxed);
+        let cache = ArtifactCacheStats {
+            compile_steps: 7,
+            lane_compiles: 1,
+            ..Default::default()
+        };
+        let json = m.render_json(cache);
+        assert!(
+            json.contains(
+                "\"compile_steps\":7,\"lane_compiles\":1,\"eval_steps\":123456,\"lane_evals\":2,"
+            ),
+            "{json}"
+        );
+        let prom = m.render_prometheus(cache);
+        for line in [
+            "# TYPE xmlpruned_eval_steps_total counter",
+            "xmlpruned_eval_steps_total 123456",
+            "# TYPE xmlpruned_lane_evals_total counter",
+            "xmlpruned_lane_evals_total 2",
         ] {
             assert!(prom.lines().any(|l| l == line), "missing {line:?}:\n{prom}");
         }

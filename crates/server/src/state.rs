@@ -18,8 +18,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Executor-lane threads, split across the event loops, for the
     /// jobs nothing bounds (`conn::Job::bounded` is false: DTDs,
-    /// analyses, fallback evaluation) and for compiles that overran a
-    /// loop's step budget. Bounded work runs on the loops themselves and
+    /// analyses) and for compiles and fallback evaluations that overran
+    /// a loop's step budget. Bounded work runs on the loops themselves and
     /// never waits for these.
     pub workers: usize,
     /// The read-side deadlines: how long a connection may sit idle

@@ -333,6 +333,22 @@ impl Document {
         }
     }
 
+    /// Nodes in the subtree of `n`, `n` included, in O(depth): arena
+    /// order is document order, so the subtree is the run of ids up to
+    /// the next node that is not a descendant.
+    pub fn subtree_len(&self, n: NodeId) -> usize {
+        let mut at = n;
+        loop {
+            if let Some(s) = self.next_sibling(at) {
+                return s.index() - n.index();
+            }
+            match self.parent(at) {
+                Some(p) => at = p,
+                None => return self.len() - n.index(),
+            }
+        }
+    }
+
     /// Depth of `n` (document node has depth 0).
     pub fn depth(&self, n: NodeId) -> usize {
         self.ancestors(n).count()
@@ -578,6 +594,14 @@ mod tests {
             vec![a, b, t, c]
         );
         assert_eq!(d.descendants(c).count(), 0);
+    }
+
+    #[test]
+    fn subtree_len_counts_the_node_and_its_descendants() {
+        let (d, a, b, t, c) = sample();
+        for n in [NodeId::DOCUMENT, a, b, t, c] {
+            assert_eq!(d.subtree_len(n), 1 + d.descendants(n).count(), "{n:?}");
+        }
     }
 
     #[test]

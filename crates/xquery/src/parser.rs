@@ -55,17 +55,26 @@ fn parse_item_at_depth(p: &mut Parser<'_>) -> Result<XQuery, QueryParseError> {
     if p.rest().starts_with('(') {
         // Either `()`, a parenthesised XQuery sequence, or a
         // parenthesised XPath expression. Try XQuery first; sequences
-        // subsume single expressions.
+        // subsume single expressions. When both fail, the error that got
+        // further into the text is the one to report.
         let save = p.pos();
         p.eat("(");
         if p.eat(")") {
             return Ok(XQuery::Empty);
         }
-        match parse_sequence(p) {
+        let sequence_error = match parse_sequence(p) {
             Ok(q) if p.eat(")") => return Ok(q),
-            _ => p.set_pos(save),
-        }
-        // fall through to XPath
+            Ok(_) => p.err::<()>("expected ')'").unwrap_err(),
+            Err(e) => e,
+        };
+        p.set_pos(save);
+        return parse_xpath_item(p).map_err(|e| {
+            if sequence_error.offset > e.offset {
+                sequence_error
+            } else {
+                e
+            }
+        });
     }
     parse_xpath_item(p)
 }
@@ -477,6 +486,30 @@ mod tests {
                 "expected a name",
             ),
             ("for $i in /a order by $i/b[ return $i", 35, "expected ']'"),
+        ] {
+            let err = parse_xquery(query).unwrap_err();
+            assert_eq!(
+                (err.offset, err.message.as_str()),
+                (offset, message),
+                "{query}"
+            );
+        }
+    }
+
+    /// A parenthesised sequence that fails is retried as one XPath
+    /// expression; when the retry fails too, the error that got further
+    /// into the text is the one reported.
+    #[test]
+    fn a_failed_sequence_reports_the_error_that_got_furthest() {
+        for (query, offset, message) in [
+            // The sequence's own errors, where the retry reported byte 3
+            // and byte 2: "expected ')'".
+            ("(/a, /b[)", 8, "expected a name"),
+            ("(1, 2", 5, "expected ')'"),
+            ("(/a, <b>{ /c[ }</b>)", 14, "expected a name"),
+            // One expression: both attempts fail at the same byte.
+            ("(/a[)", 4, "expected a name"),
+            ("(/a b)", 4, "expected ')'"),
         ] {
             let err = parse_xquery(query).unwrap_err();
             assert_eq!(
