@@ -27,7 +27,7 @@ pub mod spec;
 pub mod xpathl;
 
 pub use ast::{Axis, Expr, LocationPath, NodeTest, Step};
-pub use eval::{evaluate, evaluate_expr, Value, XNode};
+pub use eval::{evaluate, Value, XNode};
 pub use parser::{parse_xpath, QueryParseError};
 pub use spec::{check_strongly_specified, SpecViolation};
 pub use xpathl::{LAxis, LPath, LStep, LTest, SimplePath, SimpleStep};

@@ -3,7 +3,7 @@
 
 use xproj_xmltree::parse;
 use xproj_xpath::ast::Expr;
-use xproj_xpath::eval::{evaluate, evaluate_expr, string_value, Value, Vars, XNode};
+use xproj_xpath::eval::{evaluate, evaluate_expr_within, string_value, Steps, Value, Vars, XNode};
 use xproj_xpath::parse_xpath;
 
 const DOC: &str = "<r>\
@@ -25,11 +25,12 @@ fn values(doc: &xproj_xmltree::Document, q: &str) -> Vec<String> {
 }
 
 fn expr(doc: &xproj_xmltree::Document, q: &str) -> Value {
-    evaluate_expr(
+    evaluate_expr_within(
         doc,
         &parse_xpath(q).unwrap(),
         XNode::Tree(xproj_xmltree::NodeId::DOCUMENT),
         &Vars::new(),
+        &Steps::unbounded(),
     )
     .unwrap()
 }
