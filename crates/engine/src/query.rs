@@ -66,7 +66,7 @@ pub enum QueryOutput {
     /// x-ndjson match frames plus a final summary frame (`/v1/query`).
     Frames,
     /// The bare serialized result sequence, exactly as
-    /// [`xproj_xquery::serialize_items`] would produce it (CLI).
+    /// [`xproj_xquery::evaluate_query`] would produce it (CLI).
     Answer,
     /// The pruned document t∖π itself (`/v1/prune`): by Thm 4.6 just
     /// another answer — the fallback plan's pass, its kept events

@@ -1275,6 +1275,39 @@ fn an_evaluation_that_reads_long_texts_takes_the_lane() {
     assert_eq!(srv.shutdown().aborted, 0);
 }
 
+/// A variable bound to constructed content is an evaluation error, not
+/// a panic: navigating it answers 400 `bad-query`, and the daemon keeps
+/// serving.
+#[test]
+fn navigating_a_constructed_variable_is_a_bad_query() {
+    let srv = TestServer::start(small_config());
+    let id = srv.register_dtd(BIB_DTD, "bib");
+    for q in [
+        "let $x := <b/> return $x/c",
+        "for $x in (<b/>) return string($x)",
+    ] {
+        let resp = srv
+            .client()
+            .request(
+                "POST",
+                &format!("/v1/query?dtd={id}&query={}", urlencode(q)),
+                &[],
+                Some(BIB_DOC.as_bytes()),
+            )
+            .unwrap();
+        assert_eq!(resp.status, 400, "{q}: {}", resp.body_str());
+        assert_eq!(extract_json_str(&resp.body_str(), "code"), "bad-query");
+        assert!(
+            resp.body_str().contains("constructed content"),
+            "{q}: {}",
+            resp.body_str()
+        );
+        let resp = srv.client().request("GET", "/healthz", &[], None).unwrap();
+        assert_eq!(resp.status, 200);
+    }
+    assert_eq!(srv.shutdown().aborted, 0);
+}
+
 /// The fairness bound and its overflow path. One event gives one
 /// connection a fixed number of loop-run jobs (`epoll.rs`'s
 /// `LOOP_JOBS_PER_EVENT`, 8), each feeding at most two buffer units;

@@ -13,7 +13,6 @@
 
 use crate::ast::{ArithOp, Axis, CmpOp, Expr, LocationPath, NodeTest, Step};
 use std::cell::Cell;
-use std::collections::HashMap;
 use xproj_xmltree::{Document, NodeId, NodeKind};
 
 /// A node as seen by XPath: a tree node or an attribute of one.
@@ -135,9 +134,6 @@ fn num_to_str(n: f64) -> String {
     }
 }
 
-/// Variable bindings for expression evaluation (populated by XQuery).
-pub type Vars = HashMap<String, Value>;
-
 /// Evaluation error (unknown function, unbound variable, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalError(pub String);
@@ -167,16 +163,17 @@ pub const BYTES_PER_STEP: u64 = 32;
 ///
 /// A step is one unit of work: a node an axis step visits, a predicate
 /// evaluation, a pair of values a general comparison compares, a node
-/// walked by `string_value` (XQuery adds its bindings, the nodes a
-/// variable hands to XPath, and the nodes serialisation and element
+/// walked by `string_value`, an item of a variable each time it is read
+/// (XQuery adds its bindings and the nodes serialisation and element
 /// construction walk), and every [`BYTES_PER_STEP`] bytes of string a
-/// walk, a string function, a comparison, a literal or a variable copies
-/// or scans (XQuery adds sort keys and the output it serialises), so a
-/// long text costs what reading it costs. The count is exact: the same
-/// query over the same tree spends the same steps, budgeted or not. A
-/// walk or a string is charged before it is read (serialised output
-/// after it is written), everything else as it happens, so an
-/// evaluation stops within one unit of its budget.
+/// walk, a string function, a comparison, a literal or a variable read
+/// copies or scans (XQuery adds sort keys and the output it serialises),
+/// so a long text costs what reading it costs. The count is exact: the
+/// same query over the same tree spends the same steps, budgeted or not.
+/// A walk or a string is charged before it is read (a variable's when
+/// its lookup returns it, serialised output after it is written),
+/// everything else as it happens, so an evaluation stops within one
+/// unit of its budget.
 #[derive(Debug)]
 pub struct Steps {
     spent: Cell<u64>,
@@ -251,10 +248,10 @@ impl Steps {
 /// Evaluates an absolute location path from the document node and returns
 /// the resulting node-set in document order.
 pub fn evaluate(doc: &Document, path: &LocationPath) -> Result<Vec<XNode>, EvalError> {
-    let (vars, steps) = (Vars::new(), Steps::unbounded());
+    let steps = Steps::unbounded();
     let ev = Evaluator {
         doc,
-        vars: &vars,
+        vars: &unbound,
         steps: &steps,
     };
     ev.eval_path(&[XNode::Tree(NodeId::DOCUMENT)], path)
@@ -262,12 +259,13 @@ pub fn evaluate(doc: &Document, path: &LocationPath) -> Result<Vec<XNode>, EvalE
 }
 
 /// Evaluates an arbitrary expression with `ctx` as the context node,
-/// charging `steps` for its work.
+/// charging `steps` for its work. `vars` resolves `$name` each time the
+/// expression reads it ([`unbound`] when nothing is bound).
 pub fn evaluate_expr_within(
     doc: &Document,
     expr: &Expr,
     ctx: XNode,
-    vars: &Vars,
+    vars: &dyn Fn(&str) -> Result<Value, Halt>,
     steps: &Steps,
 ) -> Result<Value, Halt> {
     let ev = Evaluator { doc, vars, steps };
@@ -279,6 +277,11 @@ pub fn evaluate_expr_within(
             size: 1,
         },
     )
+}
+
+/// The variable lookup of a scope that binds nothing.
+pub fn unbound(name: &str) -> Result<Value, Halt> {
+    Err(Halt::Error(format!("unbound variable ${name}")))
 }
 
 fn unbudgeted(halt: Halt) -> EvalError {
@@ -300,7 +303,7 @@ struct Ctx {
 
 struct Evaluator<'d> {
     doc: &'d Document,
-    vars: &'d Vars,
+    vars: &'d dyn Fn(&str) -> Result<Value, Halt>,
     steps: &'d Steps,
 }
 
@@ -558,17 +561,13 @@ impl<'d> Evaluator<'d> {
                 Ok(Value::Nodes(na))
             }
             Expr::Var(name) => {
-                let v = self
-                    .vars
-                    .get(name)
-                    .ok_or_else(|| Halt::Error(format!("unbound variable ${name}")))?;
-                match v {
-                    Value::Nodes(ns) => self
-                        .steps
-                        .charge_bytes(ns.len() * std::mem::size_of::<XNode>())?,
-                    other => self.charge_str(other)?,
-                }
-                Ok(v.clone())
+                let v = (self.vars)(name)?;
+                self.steps.charge(match &v {
+                    Value::Nodes(ns) => ns.len() as u64,
+                    _ => 1,
+                })?;
+                self.charge_str(&v)?;
+                Ok(v)
             }
             Expr::Call(name, args) => self.eval_call(name, args, ctx),
         }
@@ -599,28 +598,26 @@ impl<'d> Evaluator<'d> {
             }
             // node-set vs boolean: the node-set converts to its effective
             // boolean value first (XPath 1.0 §3.4) — not existential.
-            (Nodes(_), Bool(_)) | (Bool(_), Nodes(_)) if matches!(op, CmpOp::Eq | CmpOp::Ne) => {
-                self.steps.charge(1)?;
-                let same = a.to_bool() == b.to_bool();
-                Ok(if op == CmpOp::Eq { same } else { !same })
+            (Nodes(_), Bool(_)) | (Bool(_), Nodes(_)) => {
+                self.compare(op, &Bool(a.to_bool()), &Bool(b.to_bool()))
             }
             (Nodes(ns), other) | (other, Nodes(ns)) => {
-                let flipped = matches!(b, Nodes(_)) && !matches!(a, Nodes(_));
+                let flipped = matches!(b, Nodes(_));
                 for &x in ns {
                     self.steps.charge(1)?;
                     self.charge_str(other)?;
-                    let (l, r): (Value, &Value) = (Str(self.string_value(x)?), other);
-                    let res = match (op, r) {
-                        (CmpOp::Eq, Str(s)) => l.to_str(self.doc) == *s,
-                        (CmpOp::Ne, Str(s)) => l.to_str(self.doc) != *s,
-                        (CmpOp::Eq, Bool(bv)) => l.to_bool() == *bv,
-                        (CmpOp::Ne, Bool(bv)) => l.to_bool() != *bv,
-                        _ => cmp_num(op, l.to_num(self.doc), r.to_num(self.doc)),
-                    };
-                    let holds = if flipped {
-                        flip(op, res, &l, r, self.doc)
-                    } else {
-                        res
+                    let s = self.string_value(x)?;
+                    let holds = match (op, other) {
+                        (CmpOp::Eq, Str(o)) => s == *o,
+                        (CmpOp::Ne, Str(o)) => s != *o,
+                        _ => {
+                            let (l, r) = (str_to_num(&s), other.to_num(self.doc));
+                            if flipped {
+                                cmp_num(op, r, l)
+                            } else {
+                                cmp_num(op, l, r)
+                            }
+                        }
                     };
                     if holds {
                         return Ok(true);
@@ -694,17 +691,19 @@ impl<'d> Evaluator<'d> {
                 Ok(Value::Str(s))
             }
             "substring" => {
+                // The characters at positions p with round(start) <= p <
+                // round(start) + round(len) (XPath 1.0 §4.2): NaN keeps none.
                 let s = str_arg(0)?;
-                let start = num_arg(1)?.round() as i64;
-                let len = match args.get(2) {
-                    Some(_) => num_arg(2)?.round() as i64,
-                    None => i64::MAX,
+                let from = round(num_arg(1)?);
+                let to = match args.get(2) {
+                    Some(_) => from + round(num_arg(2)?),
+                    None => f64::INFINITY,
                 };
-                let chars: Vec<char> = s.chars().collect();
-                let from = (start - 1).clamp(0, chars.len() as i64) as usize;
-                let to = (start.saturating_sub(1).saturating_add(len)).clamp(0, chars.len() as i64)
-                    as usize;
-                Ok(Value::Str(chars[from..to.max(from)].iter().collect()))
+                let kept = s.chars().enumerate().filter(|&(i, _)| {
+                    let p = (i + 1) as f64;
+                    from <= p && p < to
+                });
+                Ok(Value::Str(kept.map(|(_, c)| c).collect()))
             }
             "substring-before" => {
                 let s = str_arg(0)?;
@@ -751,7 +750,7 @@ impl<'d> Evaluator<'d> {
             }
             "floor" => Ok(Value::Num(num_arg(0)?.floor())),
             "ceiling" => Ok(Value::Num(num_arg(0)?.ceil())),
-            "round" => Ok(Value::Num(num_arg(0)?.round())),
+            "round" => Ok(Value::Num(round(num_arg(0)?))),
             "name" | "local-name" => {
                 let ns = nodes(opt_or_ctx(0)?)?;
                 Ok(Value::Str(match ns.first() {
@@ -773,15 +772,14 @@ impl<'d> Evaluator<'d> {
     }
 }
 
-fn flip(op: CmpOp, res: bool, l: &Value, r: &Value, doc: &Document) -> bool {
-    // For symmetric ops the result stands; for relational ops the operands
-    // were evaluated as (node, value) but the syntax was (value, node).
-    match op {
-        CmpOp::Eq | CmpOp::Ne => res,
-        CmpOp::Lt => cmp_num(CmpOp::Lt, r.to_num(doc), l.to_num(doc)),
-        CmpOp::Le => cmp_num(CmpOp::Le, r.to_num(doc), l.to_num(doc)),
-        CmpOp::Gt => cmp_num(CmpOp::Gt, r.to_num(doc), l.to_num(doc)),
-        CmpOp::Ge => cmp_num(CmpOp::Ge, r.to_num(doc), l.to_num(doc)),
+/// XPath 1.0 `round` (§4.4): a half rounds toward +∞, and [−0.5, 0)
+/// rounds to −0.
+fn round(x: f64) -> f64 {
+    let r = x.floor() + if x - x.floor() >= 0.5 { 1.0 } else { 0.0 };
+    if r == 0.0 && x.is_sign_negative() {
+        -0.0
+    } else {
+        r
     }
 }
 
@@ -973,7 +971,7 @@ mod tests {
             &doc,
             &parse_xpath("count(//person) * 2 + 1").unwrap(),
             XNode::Tree(NodeId::DOCUMENT),
-            &Vars::new(),
+            &unbound,
             &Steps::unbounded(),
         )
         .unwrap();
@@ -982,7 +980,7 @@ mod tests {
             &doc,
             &parse_xpath("sum(//increase)").unwrap(),
             XNode::Tree(NodeId::DOCUMENT),
-            &Vars::new(),
+            &unbound,
             &Steps::unbounded(),
         )
         .unwrap();
@@ -991,7 +989,7 @@ mod tests {
             &doc,
             &parse_xpath("string(//name)").unwrap(),
             XNode::Tree(NodeId::DOCUMENT),
-            &Vars::new(),
+            &unbound,
             &Steps::unbounded(),
         )
         .unwrap();
@@ -1002,10 +1000,9 @@ mod tests {
     fn string_functions() {
         let doc = parse("<a>hello</a>").unwrap();
         let ctx = XNode::Tree(NodeId::DOCUMENT);
-        let vars = Vars::new();
         let steps = Steps::unbounded();
         let ev = |q: &str| {
-            evaluate_expr_within(&doc, &parse_xpath(q).unwrap(), ctx, &vars, &steps).unwrap()
+            evaluate_expr_within(&doc, &parse_xpath(q).unwrap(), ctx, &unbound, &steps).unwrap()
         };
         assert_eq!(ev("string-length(/a)"), Value::Num(5.0));
         assert_eq!(ev("concat(/a, \"!\")"), Value::Str("hello!".into()));
@@ -1020,9 +1017,11 @@ mod tests {
     #[test]
     fn variables() {
         let doc = parse(AUCTION).unwrap();
-        let mut vars = Vars::new();
         let people = run(&doc, "//person");
-        vars.insert("p".to_string(), Value::Nodes(people));
+        let vars = |name: &str| match name {
+            "p" => Ok(Value::Nodes(people.clone())),
+            other => unbound(other),
+        };
         let v = evaluate_expr_within(
             &doc,
             &parse_xpath("count($p/name)").unwrap(),
@@ -1041,7 +1040,7 @@ mod tests {
             &doc,
             &parse_xpath("$nope").unwrap(),
             XNode::Tree(NodeId::DOCUMENT),
-            &Vars::new(),
+            &unbound,
             &Steps::unbounded(),
         );
         assert!(r.is_err());

@@ -3,7 +3,9 @@
 
 use xproj_xmltree::parse;
 use xproj_xpath::ast::Expr;
-use xproj_xpath::eval::{evaluate, evaluate_expr_within, string_value, Steps, Value, Vars, XNode};
+use xproj_xpath::eval::{
+    evaluate, evaluate_expr_within, string_value, unbound, Steps, Value, XNode,
+};
 use xproj_xpath::parse_xpath;
 
 const DOC: &str = "<r>\
@@ -29,7 +31,7 @@ fn expr(doc: &xproj_xmltree::Document, q: &str) -> Value {
         doc,
         &parse_xpath(q).unwrap(),
         XNode::Tree(xproj_xmltree::NodeId::DOCUMENT),
-        &Vars::new(),
+        &unbound,
         &Steps::unbounded(),
     )
     .unwrap()
@@ -116,6 +118,13 @@ fn relational_flipping() {
     assert_eq!(expr(&doc, "3 > //a/@id"), Value::Bool(true));
     assert_eq!(expr(&doc, "3 < //a/@id"), Value::Bool(false));
     assert_eq!(expr(&doc, "0 >= //a/@id"), Value::Bool(false));
+    // node-set vs boolean: the node-set is boolean() first (§3.4)
+    let doc = parse("<r><a>0</a></r>").unwrap();
+    assert_eq!(expr(&doc, "/r/a > false()"), Value::Bool(true));
+    assert_eq!(expr(&doc, "/r/a >= true()"), Value::Bool(true));
+    assert_eq!(expr(&doc, "/r/a < true()"), Value::Bool(false));
+    assert_eq!(expr(&doc, "true() <= /r/a"), Value::Bool(true));
+    assert_eq!(expr(&doc, "/r/zzz < true()"), Value::Bool(true));
 }
 
 #[test]
@@ -189,6 +198,19 @@ fn substring_edge_cases() {
     assert_eq!(expr(&doc, "substring(/a, 2)"), Value::Str("ello".into()));
     assert_eq!(expr(&doc, "substring(/a, 1, 0)"), Value::Str("".into()));
     assert_eq!(expr(&doc, "substring(/a, 99)"), Value::Str("".into()));
+    // the worked examples of XPath 1.0 §4.2
+    for (q, want) in [
+        ("substring(\"12345\", 2, 3)", "234"),
+        ("substring(\"12345\", 2)", "2345"),
+        ("substring(\"12345\", 1.5, 2.6)", "234"),
+        ("substring(\"12345\", 0, 3)", "12"),
+        ("substring(\"12345\", 0 div 0, 3)", ""),
+        ("substring(\"12345\", 1, 0 div 0)", ""),
+        ("substring(\"12345\", -42, 1 div 0)", "12345"),
+        ("substring(\"12345\", -1 div 0, 1 div 0)", ""),
+    ] {
+        assert_eq!(expr(&doc, q), Value::Str(want.into()), "{q}");
+    }
 }
 
 #[test]
@@ -198,6 +220,26 @@ fn sum_and_round() {
     assert_eq!(expr(&doc, "round(2.5)"), Value::Num(3.0));
     assert_eq!(expr(&doc, "floor(2.9)"), Value::Num(2.0));
     assert_eq!(expr(&doc, "ceiling(2.1)"), Value::Num(3.0));
+    // XPath 1.0 §4.4: halves round toward +∞, [-0.5, 0) rounds to -0
+    assert_eq!(expr(&doc, "round(-1.5)"), Value::Num(-1.0));
+    assert_eq!(expr(&doc, "round(-2.5)"), Value::Num(-2.0));
+    assert_eq!(expr(&doc, "round(0.5)"), Value::Num(1.0));
+    assert_eq!(expr(&doc, "round(-0.6)"), Value::Num(-1.0));
+    assert_eq!(
+        expr(&doc, "1 div round(-0.5)"),
+        Value::Num(f64::NEG_INFINITY)
+    );
+    assert_eq!(
+        expr(&doc, "1 div round(-0.2)"),
+        Value::Num(f64::NEG_INFINITY)
+    );
+    assert_eq!(expr(&doc, "1 div round(0.2)"), Value::Num(f64::INFINITY));
+    assert_eq!(expr(&doc, "round(1 div 0)"), Value::Num(f64::INFINITY));
+    assert_eq!(expr(&doc, "round(-1 div 0)"), Value::Num(f64::NEG_INFINITY));
+    match expr(&doc, "round(0 div 0)") {
+        Value::Num(n) => assert!(n.is_nan()),
+        other => panic!("{other:?}"),
+    }
 }
 
 #[test]

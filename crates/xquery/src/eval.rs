@@ -8,14 +8,13 @@
 //! pruning).
 
 use crate::ast::XQuery;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
+use std::slice;
 use xproj_xmltree::document::{escape_attr, escape_text};
 use xproj_xmltree::Document;
 use xproj_xmltree::NodeId;
 use xproj_xpath::ast::Expr;
-use xproj_xpath::eval::{evaluate_expr_within, string_value, Halt, Steps, Value, Vars, XNode};
+use xproj_xpath::eval::{evaluate_expr_within, string_value, unbound, Halt, Steps, Value, XNode};
 
 /// Evaluation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,8 +29,7 @@ impl std::fmt::Display for XQueryError {
 impl std::error::Error for XQueryError {}
 
 /// A constructed tree (element construction builds these bottom-up).
-#[derive(Clone, Debug, PartialEq)]
-pub enum OutTree {
+enum OutTree {
     /// Element with (copied) attributes and children.
     Elem {
         /// Tag name.
@@ -78,8 +76,7 @@ impl OutTree {
 }
 
 /// One item of a result sequence.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Item {
+enum Item {
     /// A node of the queried document.
     Node(XNode),
     /// A constructed tree.
@@ -94,7 +91,7 @@ pub enum Item {
 
 impl Item {
     /// True for atomic (non-node, non-constructed) items.
-    pub fn is_atom(&self) -> bool {
+    fn is_atom(&self) -> bool {
         matches!(self, Item::Str(_) | Item::Num(_) | Item::Bool(_))
     }
 
@@ -121,7 +118,7 @@ impl Item {
 /// sequence (nodes serialise their whole subtree; adjacent atoms are
 /// separated by a single space, per XQuery serialisation).
 pub fn evaluate_query(doc: &Document, q: &XQuery) -> Result<String, XQueryError> {
-    match eval(doc, q, &Bindings::new(), &Steps::unbounded()) {
+    match eval(doc, q, None, &Steps::unbounded()) {
         Ok(items) => Ok(serialize_items(doc, &items)),
         Err(Halt::Error(m)) => Err(XQueryError(m)),
         Err(Halt::OverBudget) => unreachable!("an unbudgeted evaluation cannot overrun"),
@@ -138,7 +135,7 @@ pub fn evaluate_query_within(
     q: &XQuery,
     steps: &Steps,
 ) -> Result<Vec<(bool, String)>, Halt> {
-    let items = eval(doc, q, &Bindings::new(), steps)?;
+    let items = eval(doc, q, None, steps)?;
     let mut out = Vec::with_capacity(items.len());
     for it in &items {
         if let Item::Node(n) = it {
@@ -178,7 +175,7 @@ fn serialize_item(doc: &Document, item: &Item) -> String {
 }
 
 /// Serialises a result sequence.
-pub fn serialize_items(doc: &Document, items: &[Item]) -> String {
+fn serialize_items(doc: &Document, items: &[Item]) -> String {
     let mut out = String::new();
     let mut prev_atom = false;
     for it in items {
@@ -191,22 +188,63 @@ pub fn serialize_items(doc: &Document, items: &[Item]) -> String {
     out
 }
 
-/// Variable bindings. A binding is shared, so the environment a `for`
-/// copies per evaluation costs a pointer per variable, not its items.
-type Bindings = HashMap<String, Rc<[Item]>>;
+/// A variable scope: its innermost frame, or `None` outside every
+/// binding.
+type Scope<'a> = Option<&'a Frame<'a>>;
+
+/// One `for`, `let`, `order by` or quantifier binding: the variable,
+/// the items it borrows from the evaluation that bound it, and the scope
+/// it shadows.
+struct Frame<'a> {
+    var: &'a str,
+    items: &'a [Item],
+    outer: Scope<'a>,
+}
+
+impl<'a> Frame<'a> {
+    fn new(var: &'a str, items: &'a [Item], outer: Scope<'a>) -> Frame<'a> {
+        Frame { var, items, outer }
+    }
+}
+
+/// The value XPath reads for `$name`: the items of the innermost frame
+/// binding it, in place — nodes as a node-set, one atom as that atom.
+fn lookup(scope: Scope<'_>, name: &str) -> Result<Value, Halt> {
+    let Some(frame) = std::iter::successors(scope, |f| f.outer).find(|f| f.var == name) else {
+        return unbound(name);
+    };
+    Ok(match frame.items {
+        [Item::Str(s)] => Value::Str(s.clone()),
+        [Item::Num(n)] => Value::Num(*n),
+        [Item::Bool(b)] => Value::Bool(*b),
+        items => Value::Nodes(
+            items
+                .iter()
+                .map(|it| match it {
+                    Item::Node(n) => Ok(*n),
+                    _ => Err(Halt::Error(format!(
+                        "variable ${name} holds constructed content and cannot be navigated"
+                    ))),
+                })
+                .collect::<Result<_, _>>()?,
+        ),
+    })
+}
+
+/// Evaluates an XPath expression from the document node in `scope`.
+fn xpath(doc: &Document, e: &Expr, scope: Scope<'_>, steps: &Steps) -> Result<Value, Halt> {
+    let ctx = XNode::Tree(NodeId::DOCUMENT);
+    evaluate_expr_within(doc, e, ctx, &|name| lookup(scope, name), steps)
+}
 
 /// Effective boolean value of a condition query. Expressions use the
 /// XPath rules; other queries use their item sequence (empty = false,
 /// single atom = its boolean, otherwise true).
-fn query_bool(doc: &Document, q: &XQuery, env: &Bindings, steps: &Steps) -> Result<bool, Halt> {
+fn query_bool(doc: &Document, q: &XQuery, scope: Scope<'_>, steps: &Steps) -> Result<bool, Halt> {
     match q {
-        XQuery::Expr(e) => {
-            let vars = build_vars(doc, e, env, steps)?;
-            let v = evaluate_expr_within(doc, e, XNode::Tree(NodeId::DOCUMENT), &vars, steps)?;
-            Ok(v.to_bool())
-        }
+        XQuery::Expr(e) => Ok(xpath(doc, e, scope, steps)?.to_bool()),
         other => {
-            let items = eval(doc, other, env, steps)?;
+            let items = eval(doc, other, scope, steps)?;
             Ok(match items.as_slice() {
                 [] => false,
                 [Item::Bool(b)] => *b,
@@ -218,14 +256,7 @@ fn query_bool(doc: &Document, q: &XQuery, env: &Bindings, steps: &Steps) -> Resu
     }
 }
 
-/// Binds `var` to one item in `env`: one step.
-fn bind(env: &mut Bindings, var: &str, it: Item, steps: &Steps) -> Result<(), Halt> {
-    steps.charge(1)?;
-    env.insert(var.to_string(), Rc::from([it]));
-    Ok(())
-}
-
-fn eval(doc: &Document, q: &XQuery, env: &Bindings, steps: &Steps) -> Result<Vec<Item>, Halt> {
+fn eval(doc: &Document, q: &XQuery, scope: Scope<'_>, steps: &Steps) -> Result<Vec<Item>, Halt> {
     match q {
         XQuery::Empty => Ok(Vec::new()),
         // Literal constructor text is verbatim content, not an atomised
@@ -237,12 +268,12 @@ fn eval(doc: &Document, q: &XQuery, env: &Bindings, steps: &Steps) -> Result<Vec
         XQuery::Sequence(qs) => {
             let mut out = Vec::new();
             for sub in qs {
-                out.extend(eval(doc, sub, env, steps)?);
+                out.extend(eval(doc, sub, scope, steps)?);
             }
             Ok(out)
         }
         XQuery::Element { tag, content } => {
-            let items = eval(doc, content, env, steps)?;
+            let items = eval(doc, content, scope, steps)?;
             let mut children = Vec::new();
             let mut atom_buf = String::new();
             for it in items {
@@ -271,21 +302,17 @@ fn eval(doc: &Document, q: &XQuery, env: &Bindings, steps: &Steps) -> Result<Vec
                 children,
             })])
         }
-        XQuery::Expr(e) => {
-            let vars = build_vars(doc, e, env, steps)?;
-            let ctx = XNode::Tree(NodeId::DOCUMENT);
-            Ok(match evaluate_expr_within(doc, e, ctx, &vars, steps)? {
-                Value::Nodes(ns) => ns.into_iter().map(Item::Node).collect(),
-                Value::Str(s) => vec![Item::Str(s)],
-                Value::Num(n) => vec![Item::Num(n)],
-                Value::Bool(b) => vec![Item::Bool(b)],
-            })
-        }
+        XQuery::Expr(e) => Ok(match xpath(doc, e, scope, steps)? {
+            Value::Nodes(ns) => ns.into_iter().map(Item::Node).collect(),
+            Value::Str(s) => vec![Item::Str(s)],
+            Value::Num(n) => vec![Item::Num(n)],
+            Value::Bool(b) => vec![Item::Bool(b)],
+        }),
         XQuery::If { cond, then, els } => {
-            if query_bool(doc, cond, env, steps)? {
-                eval(doc, then, env, steps)
+            if query_bool(doc, cond, scope, steps)? {
+                eval(doc, then, scope, steps)
             } else {
-                eval(doc, els, env, steps)
+                eval(doc, els, scope, steps)
             }
         }
         XQuery::Quantified {
@@ -294,30 +321,25 @@ fn eval(doc: &Document, q: &XQuery, env: &Bindings, steps: &Steps) -> Result<Vec
             source,
             cond,
         } => {
-            let src = eval(doc, source, env, steps)?;
-            let mut env2 = env.clone();
-            let mut result = *every; // every: all-true over ∅; some: false
-            for it in src {
-                bind(&mut env2, var, it, steps)?;
-                let holds = query_bool(doc, cond, &env2, steps)?;
-                if *every && !holds {
-                    result = false;
-                    break;
-                }
-                if !*every && holds {
-                    result = true;
-                    break;
+            let src = eval(doc, source, scope, steps)?;
+            // every: all-true over ∅; some: false. A binding whose
+            // condition differs from `every` decides it.
+            for it in &src {
+                steps.charge(1)?;
+                let frame = Frame::new(var, slice::from_ref(it), scope);
+                if query_bool(doc, cond, Some(&frame), steps)? != *every {
+                    return Ok(vec![Item::Bool(!*every)]);
                 }
             }
-            Ok(vec![Item::Bool(result)])
+            Ok(vec![Item::Bool(*every)])
         }
         XQuery::For { var, source, body } => {
-            let src = eval(doc, source, env, steps)?;
+            let src = eval(doc, source, scope, steps)?;
             let mut out = Vec::new();
-            let mut env2 = env.clone();
-            for it in src {
-                bind(&mut env2, var, it, steps)?;
-                out.extend(eval(doc, body, &env2, steps)?);
+            for it in &src {
+                steps.charge(1)?;
+                let frame = Frame::new(var, slice::from_ref(it), scope);
+                out.extend(eval(doc, body, Some(&frame), steps)?);
             }
             Ok(out)
         }
@@ -328,60 +350,51 @@ fn eval(doc: &Document, q: &XQuery, env: &Bindings, steps: &Steps) -> Result<Vec
             descending,
             body,
         } => {
-            let src = eval(doc, source, env, steps)?;
-            let mut env2 = env.clone();
+            let src = eval(doc, source, scope, steps)?;
             // Evaluate the sort key per binding; numeric keys sort
             // numerically when every key parses as a number, else
             // lexicographically (XQuery's untyped-atomic behaviour,
-            // simplified).
-            let mut keyed: Vec<(String, Item)> = Vec::with_capacity(src.len());
-            for it in src {
-                bind(&mut env2, var, it.clone(), steps)?;
-                let vars = build_vars(doc, key, &env2, steps)?;
-                let ctx = XNode::Tree(NodeId::DOCUMENT);
-                let v = evaluate_expr_within(doc, key, ctx, &vars, steps)?;
-                let k = match &v {
+            // simplified). Each key is parsed once.
+            let mut keyed: Vec<(Option<f64>, String, &Item)> = Vec::with_capacity(src.len());
+            for it in &src {
+                steps.charge(1)?;
+                let frame = Frame::new(var, slice::from_ref(it), scope);
+                let k = match xpath(doc, key, Some(&frame), steps)? {
                     Value::Nodes(ns) => match ns.first() {
                         Some(&n) => Item::Node(n).atom_string(doc, steps)?,
                         None => String::new(),
                     },
                     other => other.to_str(doc),
                 };
-                keyed.push((k, it));
+                keyed.push((k.trim().parse().ok(), k, it));
             }
             // The sort makes about n·⌈log₂ n⌉ comparisons, each reading
             // two keys: a step each, and the keys' bytes once a level.
             let levels = (usize::BITS - keyed.len().leading_zeros()) as usize;
-            let key_bytes: usize = keyed.iter().map(|(k, _)| k.len()).sum();
+            let key_bytes: usize = keyed.iter().map(|(_, k, _)| k.len()).sum();
             steps.charge((keyed.len() * levels) as u64)?;
             steps.charge_bytes(key_bytes.saturating_mul(levels))?;
-            let all_numeric =
-                !keyed.is_empty() && keyed.iter().all(|(k, _)| k.trim().parse::<f64>().is_ok());
-            if all_numeric {
-                keyed.sort_by(|a, b| {
-                    let x: f64 = a.0.trim().parse().unwrap();
-                    let y: f64 = b.0.trim().parse().unwrap();
-                    x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal)
-                });
+            if keyed.iter().all(|(x, _, _)| x.is_some()) {
+                keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             } else {
-                keyed.sort_by(|a, b| a.0.cmp(&b.0));
+                keyed.sort_by(|a, b| a.1.cmp(&b.1));
             }
             if *descending {
                 keyed.reverse();
             }
             let mut out = Vec::new();
-            for (_, it) in keyed {
-                bind(&mut env2, var, it, steps)?;
-                out.extend(eval(doc, body, &env2, steps)?);
+            for (_, _, it) in keyed {
+                steps.charge(1)?;
+                let frame = Frame::new(var, slice::from_ref(it), scope);
+                out.extend(eval(doc, body, Some(&frame), steps)?);
             }
             Ok(out)
         }
         XQuery::Let { var, value, body } => {
-            let v = eval(doc, value, env, steps)?;
+            let items = eval(doc, value, scope, steps)?;
             steps.charge(1)?;
-            let mut env2 = env.clone();
-            env2.insert(var.clone(), Rc::from(v));
-            eval(doc, body, &env2, steps)
+            let frame = Frame::new(var, &items, scope);
+            eval(doc, body, Some(&frame), steps)
         }
     }
 }
@@ -416,93 +429,6 @@ fn copy_subtree(doc: &Document, id: NodeId) -> OutTree {
             attrs: Vec::new(),
             children: doc.children(id).map(|c| copy_subtree(doc, c)).collect(),
         },
-    }
-}
-
-/// Converts the needed subset of XQuery bindings into XPath variables,
-/// one step per item handed over. Only bindings actually referenced by
-/// `e` are converted, so queries can bind constructed trees as long as
-/// they never navigate them (the paper's restriction).
-fn build_vars(doc: &Document, e: &Expr, env: &Bindings, steps: &Steps) -> Result<Vars, Halt> {
-    let mut needed = Vec::new();
-    collect_vars(e, &mut needed);
-    let mut vars = Vars::new();
-    for name in needed {
-        let Some(items) = env.get(&name) else {
-            return Err(Halt::Error(format!("unbound variable ${name}")));
-        };
-        steps.charge(items.len() as u64)?;
-        if let [Item::Str(s)] = &items[..] {
-            steps.charge_bytes(s.len())?;
-        }
-        let value = items_to_value(doc, items).ok_or_else(|| {
-            Halt::Error(format!(
-                "variable ${name} holds constructed content and cannot be navigated"
-            ))
-        })?;
-        vars.insert(name, value);
-    }
-    Ok(vars)
-}
-
-fn items_to_value(doc: &Document, items: &[Item]) -> Option<Value> {
-    if items.len() == 1 {
-        match &items[0] {
-            Item::Str(s) => return Some(Value::Str(s.clone())),
-            Item::Num(n) => return Some(Value::Num(*n)),
-            Item::Bool(b) => return Some(Value::Bool(*b)),
-            _ => {}
-        }
-    }
-    let mut nodes = Vec::with_capacity(items.len());
-    for it in items {
-        match it {
-            Item::Node(n) => nodes.push(*n),
-            _ if items.len() == 1 => unreachable!(),
-            _ => return None,
-        }
-    }
-    let _ = doc;
-    Some(Value::Nodes(nodes))
-}
-
-/// Collects every variable name occurring in an expression (used by the
-/// extraction heuristic to check a condition only refers to one binding).
-pub fn collect_vars_pub(e: &Expr, out: &mut Vec<String>) {
-    collect_vars(e, out)
-}
-
-fn collect_vars(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Var(v) => out.push(v.clone()),
-        Expr::Path(p) => collect_path_vars(p, out),
-        Expr::RootedPath(b, p) => {
-            collect_vars(b, out);
-            collect_path_vars(p, out);
-        }
-        Expr::Or(a, b)
-        | Expr::And(a, b)
-        | Expr::Compare(_, a, b)
-        | Expr::Arith(_, a, b)
-        | Expr::Union(a, b) => {
-            collect_vars(a, out);
-            collect_vars(b, out);
-        }
-        Expr::Neg(a) => collect_vars(a, out),
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_vars(a, out);
-            }
-        }
-        Expr::Literal(_) | Expr::Number(_) => {}
-    }
-}
-
-fn collect_path_vars(p: &xproj_xpath::ast::LocationPath, out: &mut Vec<String>) {
-    for s in &p.steps {
-        for pred in &s.predicates {
-            collect_vars(pred, out);
-        }
     }
 }
 
@@ -658,6 +584,17 @@ mod order_by_eval_tests {
     }
 
     #[test]
+    fn numeric_keys_with_whitespace_and_signs_sort_as_numbers() {
+        let doc = parse("<r><v> 3 </v><v>-10</v><v>+2</v><v> -0.5</v></r>").unwrap();
+        let q = parse_xquery("for $v in /r/v order by $v return <k>{$v/text()}</k>").unwrap();
+        // numeric, not lexicographic (" -0.5" < " 3 " < "+2" < "-10")
+        assert_eq!(
+            super::evaluate_query(&doc, &q).unwrap(),
+            "<k>-10</k><k> -0.5</k><k>+2</k><k> 3 </k>"
+        );
+    }
+
+    #[test]
     fn descending_reverses() {
         let doc = parse("<r><v>1</v><v>3</v><v>2</v></r>").unwrap();
         let q = parse_xquery("for $v in /r/v order by $v descending return <k>{$v/text()}</k>")
@@ -750,6 +687,72 @@ mod scoping_tests {
         let d = parse("<a/>").unwrap();
         let q = parse_xquery("(for $x in (1) return $x, $x)").unwrap();
         assert!(super::evaluate_query(&d, &q).is_err());
+    }
+
+    #[test]
+    fn for_shadows_outer_binding() {
+        assert_eq!(
+            run(
+                "<a/>",
+                "for $x in (1, 2) return (for $x in (10) return $x, $x)"
+            ),
+            "10 1 10 2"
+        );
+    }
+
+    #[test]
+    fn quantifier_shadows_outer_binding() {
+        assert_eq!(
+            run(
+                "<a/>",
+                "let $x := 5 return (some $x in (1, 2) satisfies $x = 5, $x)"
+            ),
+            "false 5"
+        );
+        assert_eq!(
+            run(
+                "<a/>",
+                "let $x := 5 return every $x in (1) satisfies $x = 1"
+            ),
+            "true"
+        );
+    }
+
+    #[test]
+    fn let_and_quantifier_variables_not_visible_outside() {
+        let d = parse("<a/>").unwrap();
+        for q in [
+            "(let $x := 1 return $x, $x)",
+            "(some $x in (1) satisfies $x = 1, $x)",
+            "(for $x in (1) order by $x return $x, $x)",
+        ] {
+            let err = super::evaluate_query(&d, &parse_xquery(q).unwrap()).unwrap_err();
+            assert_eq!(err.0, "unbound variable $x", "{q}");
+        }
+    }
+
+    #[test]
+    fn a_variable_is_resolved_when_it_is_read() {
+        assert_eq!(run("<a/>", "false() and $y"), "false");
+        assert_eq!(run("<a/>", "if (false()) then $y else 1"), "1");
+        let d = parse("<a/>").unwrap();
+        let err = super::evaluate_query(&d, &parse_xquery("$y").unwrap()).unwrap_err();
+        assert_eq!(err.0, "unbound variable $y");
+    }
+
+    #[test]
+    fn constructed_content_cannot_be_navigated() {
+        let d = parse("<a/>").unwrap();
+        for q in [
+            "let $x := <b/> return $x/c",
+            "for $x in (<b/>) return string($x)",
+        ] {
+            let err = super::evaluate_query(&d, &parse_xquery(q).unwrap()).unwrap_err();
+            assert_eq!(
+                err.0, "variable $x holds constructed content and cannot be navigated",
+                "{q}"
+            );
+        }
     }
 
     #[test]

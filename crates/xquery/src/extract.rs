@@ -451,8 +451,43 @@ fn substitute_self(e: &Expr, var: &str) -> Expr {
 /// True when every variable occurring in `e` is `var`.
 fn only_refers_to(e: &Expr, var: &str) -> bool {
     let mut vars = Vec::new();
-    super::eval::collect_vars_pub(e, &mut vars);
+    collect_vars(e, &mut vars);
     vars.iter().all(|v| v == var)
+}
+
+/// Collects every variable name occurring in an expression.
+fn collect_vars(e: &Expr, out: &mut Vec<String>) {
+    match e {
+        Expr::Var(v) => out.push(v.clone()),
+        Expr::Path(p) => collect_path_vars(p, out),
+        Expr::RootedPath(b, p) => {
+            collect_vars(b, out);
+            collect_path_vars(p, out);
+        }
+        Expr::Or(a, b)
+        | Expr::And(a, b)
+        | Expr::Compare(_, a, b)
+        | Expr::Arith(_, a, b)
+        | Expr::Union(a, b) => {
+            collect_vars(a, out);
+            collect_vars(b, out);
+        }
+        Expr::Neg(a) => collect_vars(a, out),
+        Expr::Call(_, args) => {
+            for a in args {
+                collect_vars(a, out);
+            }
+        }
+        Expr::Literal(_) | Expr::Number(_) => {}
+    }
+}
+
+fn collect_path_vars(p: &LocationPath, out: &mut Vec<String>) {
+    for s in &p.steps {
+        for pred in &s.predicates {
+            collect_vars(pred, out);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub mod extract;
 pub mod parser;
 
 pub use ast::XQuery;
-pub use eval::{evaluate_query, evaluate_query_within, serialize_items, Item, XQueryError};
+pub use eval::{evaluate_query, evaluate_query_within, XQueryError};
 pub use extract::{extract_paths, project_xquery, project_xquery_str};
 pub use parser::parse_xquery;
 pub use xproj_xpath::eval::{Halt, Steps};

@@ -38,11 +38,11 @@ const PINNED: [(&str, u64); 37] = [
     ("QM05", 20),
     ("QM06", 35),
     ("QM07", 330),
-    ("QM08", 219),
-    ("QM09", 257),
-    ("QM10", 146),
-    ("QM11", 212),
-    ("QM12", 115),
+    ("QM08", 227),
+    ("QM09", 260),
+    ("QM10", 149),
+    ("QM11", 224),
+    ("QM12", 121),
     ("QM13", 46),
     ("QM14", 1_204),
     ("QM15", 5),
@@ -99,8 +99,8 @@ const JOIN: &str = "for $p in /site/people/person for $t in /site/closed_auction
 const JOIN_ROWS: [(u64, u64); 3] = [(80, 886), (320, 3_367), (1_280, 13_140)];
 
 /// Each doubling of the scale quadruples the pairs, and every pair it
-/// adds costs at least the nine steps of its `where`: bind `$t`, hand
-/// `$t` and `$p` to XPath, visit `buyer`, `@person` and `@id`, walk both
+/// adds costs at least the nine steps of its `where`: bind `$t`, read
+/// `$t` and `$p`, visit `buyer`, `@person` and `@id`, walk both
 /// strings and compare them. A count that grew only with the document
 /// would fall behind by the second doubling.
 

@@ -208,11 +208,10 @@ fn eval_from(
     start: xml_projection::xmltree::NodeId,
     path: &xml_projection::xpath::ast::LocationPath,
 ) -> Vec<xml_projection::xpath::eval::XNode> {
-    use xml_projection::xpath::eval::{evaluate_expr_within, Steps, Value, XNode};
+    use xml_projection::xpath::eval::{evaluate_expr_within, unbound, Steps, Value, XNode};
     let expr = Expr::Path(path.clone());
     let steps = Steps::unbounded();
-    match evaluate_expr_within(doc, &expr, XNode::Tree(start), &Default::default(), &steps).unwrap()
-    {
+    match evaluate_expr_within(doc, &expr, XNode::Tree(start), &unbound, &steps).unwrap() {
         Value::Nodes(ns) => ns,
         _ => unreachable!(),
     }
