@@ -6,11 +6,13 @@
 //!   never served for a changed grammar; the fingerprints themselves
 //!   are pinned, because clients hold them as DTD ids.
 //! * A cached projector prunes exactly like a freshly-inferred one.
+//! * Two different queries never share an entry: the normalized query
+//!   parses back to the query it came from.
 
 use std::sync::Arc;
 use xproj_core::StaticAnalyzer;
 use xproj_dtd::parse_dtd;
-use xproj_engine::{normalize_query, ArtifactCache, ChunkedPruner};
+use xproj_engine::{normalize_query, ArtifactCache, ChunkedPruner, QueryMachine, QueryOutput};
 
 const BIB: &str = "<!ELEMENT bib (book*)> <!ELEMENT book (title, author*, year?)>\
                    <!ELEMENT title (#PCDATA)> <!ELEMENT author (#PCDATA)>\
@@ -50,6 +52,44 @@ fn equivalent_spellings_share_one_entry() {
     assert_eq!(stats.misses, 1, "only the first spelling runs the analysis");
     assert_eq!(stats.hits, spellings.len() as u64 - 1);
     assert_eq!(stats.entries, 1);
+
+    // A function is one entry whatever its spelling: the call resolves
+    // `fn:count` and `count` to one function.
+    let count = cache.get_or_compile(&dtd, "count(//book)").unwrap();
+    let fn_count = cache.get_or_compile(&dtd, "fn:count(//book)").unwrap();
+    assert!(Arc::ptr_eq(&count, &fn_count));
+    assert_eq!((cache.stats().misses, cache.stats().entries), (2, 2));
+}
+
+/// Queries whose old normal forms printed alike — constructor text
+/// like a string literal, a literal holding `"` unescaped — are two
+/// entries, each answering for itself.
+#[test]
+fn queries_that_printed_alike_are_two_entries() {
+    let dtd = Arc::new(parse_dtd(BIB, "bib").unwrap());
+    let doc = b"<bib><book><title>T</title></book></bib>";
+    for pair in [
+        [
+            ("<c>a{1}</c>", "<c>a1</c>"),
+            ("<c>{\"a\"}{1}</c>", "<c>a 1</c>"),
+        ],
+        [
+            ("concat('a\", \"b')", "a\", \"b"),
+            ("concat(\"a\", \"b\")", "ab"),
+        ],
+    ] {
+        let cache = ArtifactCache::new(8);
+        for (query, want) in pair {
+            let artifact = cache.get_or_compile(&dtd, query).unwrap();
+            let mut machine = QueryMachine::new(artifact, QueryOutput::Answer);
+            machine.feed(doc).unwrap();
+            machine.finish().unwrap();
+            let mut out = Vec::new();
+            machine.take_output(&mut out);
+            assert_eq!(String::from_utf8(out).unwrap(), want, "{query}");
+        }
+        assert_eq!(cache.stats().entries, 2, "{pair:?}");
+    }
 }
 
 #[test]

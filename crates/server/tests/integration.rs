@@ -1277,15 +1277,99 @@ fn an_evaluation_that_reads_long_texts_takes_the_lane() {
 
 /// A variable bound to constructed content is an evaluation error, not
 /// a panic: navigating it answers 400 `bad-query`, and the daemon keeps
-/// serving.
+/// serving. Reading its string value is no navigation.
 #[test]
 fn navigating_a_constructed_variable_is_a_bad_query() {
     let srv = TestServer::start(small_config());
     let id = srv.register_dtd(BIB_DTD, "bib");
-    for q in [
-        "let $x := <b/> return $x/c",
-        "for $x in (<b/>) return string($x)",
+    let query = |q: &str| {
+        srv.client()
+            .request(
+                "POST",
+                &format!("/v1/query?dtd={id}&query={}", urlencode(q)),
+                &[],
+                Some(BIB_DOC.as_bytes()),
+            )
+            .unwrap()
+    };
+    let q = "let $x := <b/> return $x/c";
+    let resp = query(q);
+    assert_eq!(resp.status, 400, "{q}: {}", resp.body_str());
+    assert_eq!(extract_json_str(&resp.body_str(), "code"), "bad-query");
+    assert!(
+        resp.body_str().contains("constructed content"),
+        "{q}: {}",
+        resp.body_str()
+    );
+    let resp = srv.client().request("GET", "/healthz", &[], None).unwrap();
+    assert_eq!(resp.status, 200);
+    let resp = query("for $x in (<b/>) return string($x)");
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert!(
+        resp.body_str()
+            .starts_with("{\"match\":0,\"atom\":true,\"value\":\"\"}\n{\"done\":true,"),
+        "{}",
+        resp.body_str()
+    );
+    assert_eq!(srv.shutdown().aborted, 0);
+}
+
+/// A variable holds any sequence — atoms, constructed trees, nodes and
+/// atoms mixed — and XPath reads it as it is: each answer is its frames.
+#[test]
+fn variables_hold_any_sequence() {
+    let srv = TestServer::start(small_config());
+    let id = srv.register_dtd("<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>", "r");
+    let frame = |i: usize, atom: bool, value: &str| {
+        format!("{{\"match\":{i},\"atom\":{atom},\"value\":\"{value}\"}}\n")
+    };
+    for (q, frames) in [
+        (
+            "let $x := (1, 2) return $x",
+            frame(0, true, "1") + &frame(1, true, "2"),
+        ),
+        ("for $x in (<b/>) return $x", frame(0, false, "<b/>")),
+        ("let $x := (1,2) return count($x)", frame(0, true, "2")),
+        (
+            "let $x := <b>hi</b> return string($x)",
+            frame(0, true, "hi"),
+        ),
+        (
+            "let $x := (/r/a, 3) return $x",
+            frame(0, false, "<a>1</a>") + &frame(1, false, "<a>2</a>") + &frame(2, true, "3"),
+        ),
     ] {
+        let resp = srv
+            .client()
+            .request(
+                "POST",
+                &format!("/v1/query?dtd={id}&query={}", urlencode(q)),
+                &[],
+                Some(b"<r><a>1</a><a>2</a></r>"),
+            )
+            .unwrap();
+        assert_eq!(resp.status, 200, "{q}: {}", resp.body_str());
+        let body = resp.body_str();
+        let done = body
+            .strip_prefix(frames.as_str())
+            .unwrap_or_else(|| panic!("{q}: {body}"));
+        assert!(
+            done.starts_with("{\"done\":true,\"plan\":\"fallback\","),
+            "{q}: {body}"
+        );
+    }
+    assert_eq!(srv.shutdown().aborted, 0);
+}
+
+/// A call of an unknown function is a parse error: 400 `bad-query`
+/// before any artifact is compiled or any of the body evaluated, however
+/// far from evaluation the call sits, and the daemon keeps serving.
+#[test]
+fn an_unknown_function_is_a_bad_query_before_any_compile() {
+    let srv = TestServer::start(small_config());
+    let id = srv.register_dtd(BIB_DTD, "bib");
+    for q in ["foo(1)", "if (false()) then foo(1) else 2", "true(1)"] {
+        let misses = srv.state.cache.stats().misses;
         let resp = srv
             .client()
             .request(
@@ -1298,13 +1382,15 @@ fn navigating_a_constructed_variable_is_a_bad_query() {
         assert_eq!(resp.status, 400, "{q}: {}", resp.body_str());
         assert_eq!(extract_json_str(&resp.body_str(), "code"), "bad-query");
         assert!(
-            resp.body_str().contains("constructed content"),
+            resp.body_str().contains("XPST0017"),
             "{q}: {}",
             resp.body_str()
         );
+        assert_eq!(srv.state.cache.stats().misses, misses, "{q}");
         let resp = srv.client().request("GET", "/healthz", &[], None).unwrap();
         assert_eq!(resp.status, 200);
     }
+    assert_eq!(srv.state.cache.stats().compiles, 0);
     assert_eq!(srv.shutdown().aborted, 0);
 }
 

@@ -152,29 +152,6 @@ fn convert_test(t: &NodeTest) -> LTest {
     }
 }
 
-/// Whether paths flowing into an argument of function `f` need the whole
-/// subtree (`descendant-or-self::node()` suffix) or just the node itself —
-/// the `F(f, i)` table of §3.3 (the same for every position `i` of the
-/// functions supported). The XQuery extractor reads the same table.
-pub fn function_needs_subtree(f: &str) -> bool {
-    let plain = f.strip_prefix("fn:").unwrap_or(f);
-    !matches!(
-        plain,
-        "count"
-            | "not"
-            | "empty"
-            | "exists"
-            | "boolean"
-            | "position"
-            | "last"
-            | "zero-or-one"
-            | "exactly-one"
-            | "one-or-more"
-            | "name"
-            | "local-name"
-    )
-}
-
 /// The extraction function **P** (§3.3): data needs of an expression.
 pub fn extract_expr(e: &Expr) -> PredicatePaths {
     match e {
@@ -195,7 +172,7 @@ pub fn extract_expr(e: &Expr) -> PredicatePaths {
             }
         }
         Expr::Literal(_) | Expr::Number(_) => PredicatePaths::default(),
-        Expr::Or(a, b) | Expr::And(a, b) => {
+        Expr::Or(a, b) | Expr::And(a, b) | Expr::Union(a, b) => {
             let mut pa = extract_expr(a);
             pa.merge(extract_expr(b));
             pa
@@ -211,11 +188,6 @@ pub fn extract_expr(e: &Expr) -> PredicatePaths {
             pa
         }
         Expr::Neg(inner) => comparison_operand(inner),
-        Expr::Union(a, b) => {
-            let mut pa = extract_expr(a);
-            pa.merge(extract_expr(b));
-            pa
-        }
         Expr::Call(f, args) => {
             let mut out = PredicatePaths {
                 // A function application is never purely structural.
@@ -224,7 +196,7 @@ pub fn extract_expr(e: &Expr) -> PredicatePaths {
             };
             for a in args {
                 let pa = extract_expr(a);
-                out.merge(if function_needs_subtree(f) {
+                out.merge(if f.reads_strings() {
                     suffix_dos(pa)
                 } else {
                     pa
@@ -238,12 +210,11 @@ pub fn extract_expr(e: &Expr) -> PredicatePaths {
             needs_self: true,
             ..Default::default()
         },
-        Expr::RootedPath(base, lp) => {
+        Expr::RootedPath(base, _) => {
             // $x/p inside a predicate: the path contributes needs relative
             // to $x, which the XQuery layer accounts for; locally we only
             // know the filter is non-structural.
             let mut pb = extract_expr(base);
-            let _ = lp;
             pb.needs_self = true;
             pb
         }

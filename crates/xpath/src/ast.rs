@@ -165,16 +165,170 @@ pub enum Expr {
     Arith(ArithOp, Box<Expr>, Box<Expr>),
     /// Unary minus.
     Neg(Box<Expr>),
-    /// Function call.
-    Call(String, Vec<Expr>),
+    /// Call of a built-in function, resolved when it was parsed.
+    Call(Func, Vec<Expr>),
     /// Node-set union `e₁ | e₂`.
     Union(Box<Expr>, Box<Expr>),
-    /// A free variable `$x` (resolved only inside XQuery; evaluating one
-    /// directly is an error).
+    /// A variable `$x`: the items of the XQuery binding in scope, handed
+    /// to XPath as they are (outside XQuery nothing is bound, and reading
+    /// one is an error).
     Var(String),
     /// A path rooted at the value of an expression, e.g. `$x/a/b` or
     /// `(…)/c`. The path is always relative.
     RootedPath(Box<Expr>, LocationPath),
+}
+
+/// A built-in function: the XPath 1.0 core library and the XQuery
+/// functions the XMark workload uses. Each is a row of [`FUNCTIONS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Func {
+    /// `position()`
+    Position,
+    /// `last()`
+    Last,
+    /// `count(s)`
+    Count,
+    /// `not(b)`
+    Not,
+    /// `true()`
+    True,
+    /// `false()`
+    False,
+    /// `boolean(b)`
+    Boolean,
+    /// `string(s?)`, also spelled `data`
+    String,
+    /// `number(s?)`
+    Number,
+    /// `contains(s, t)`
+    Contains,
+    /// `starts-with(s, t)`
+    StartsWith,
+    /// `string-length(s?)`
+    StringLength,
+    /// `normalize-space(s?)`
+    NormalizeSpace,
+    /// `concat(s, …)`, one argument or more (XPath 1.0 asks for two)
+    Concat,
+    /// `substring(s, from, length?)`
+    Substring,
+    /// `substring-before(s, t)`
+    SubstringBefore,
+    /// `substring-after(s, t)`
+    SubstringAfter,
+    /// `translate(s, from, to)`
+    Translate,
+    /// `sum(s)`
+    Sum,
+    /// `floor(n)`
+    Floor,
+    /// `ceiling(n)`
+    Ceiling,
+    /// `round(n)`
+    Round,
+    /// `name(s?)`, also spelled `local-name`
+    Name,
+    /// `empty(s)`
+    Empty,
+    /// `exists(s)`
+    Exists,
+    /// `zero-or-one(s)`, `exactly-one`, `one-or-more`: `s`, unchecked
+    ZeroOrOne,
+}
+
+/// The function table, the one place that knows function names: name
+/// (without `fn:`), function, fewest and most arguments, and whether it
+/// reads its arguments' string values — the `F(f, i)` table of §3.3: a
+/// path flowing into such a function needs its whole subtree. A
+/// function's first row is its canonical name.
+pub const FUNCTIONS: &[(&str, Func, usize, usize, bool)] = &[
+    ("position", Func::Position, 0, 0, false),
+    ("last", Func::Last, 0, 0, false),
+    ("count", Func::Count, 1, 1, false),
+    ("not", Func::Not, 1, 1, false),
+    ("true", Func::True, 0, 0, true),
+    ("false", Func::False, 0, 0, true),
+    ("boolean", Func::Boolean, 1, 1, false),
+    ("string", Func::String, 0, 1, true),
+    ("data", Func::String, 0, 1, true),
+    ("number", Func::Number, 0, 1, true),
+    ("contains", Func::Contains, 2, 2, true),
+    ("starts-with", Func::StartsWith, 2, 2, true),
+    ("string-length", Func::StringLength, 0, 1, true),
+    ("normalize-space", Func::NormalizeSpace, 0, 1, true),
+    ("concat", Func::Concat, 1, usize::MAX, true),
+    ("substring", Func::Substring, 2, 3, true),
+    ("substring-before", Func::SubstringBefore, 2, 2, true),
+    ("substring-after", Func::SubstringAfter, 2, 2, true),
+    ("translate", Func::Translate, 3, 3, true),
+    ("sum", Func::Sum, 1, 1, true),
+    ("floor", Func::Floor, 1, 1, true),
+    ("ceiling", Func::Ceiling, 1, 1, true),
+    ("round", Func::Round, 1, 1, true),
+    ("name", Func::Name, 0, 1, false),
+    ("local-name", Func::Name, 0, 1, false),
+    ("empty", Func::Empty, 1, 1, false),
+    ("exists", Func::Exists, 1, 1, false),
+    ("zero-or-one", Func::ZeroOrOne, 1, 1, false),
+    ("exactly-one", Func::ZeroOrOne, 1, 1, false),
+    ("one-or-more", Func::ZeroOrOne, 1, 1, false),
+];
+
+impl Func {
+    /// The function a call of `name` (`fn:` optional) with `arity`
+    /// arguments names; an unknown name or a wrong arity is XQuery's
+    /// static error XPST0017.
+    pub fn resolve(name: &str, arity: usize) -> Result<Func, String> {
+        let plain = name.strip_prefix("fn:").unwrap_or(name);
+        let Some(&(_, f, min, max, _)) = FUNCTIONS.iter().find(|row| row.0 == plain) else {
+            return Err(format!("unknown function {name}() (XPST0017)"));
+        };
+        if !(min..=max).contains(&arity) {
+            return Err(format!(
+                "{plain}() cannot take {arity} arguments (XPST0017)"
+            ));
+        }
+        Ok(f)
+    }
+
+    /// The row of its canonical name.
+    fn row(self) -> &'static (&'static str, Func, usize, usize, bool) {
+        FUNCTIONS
+            .iter()
+            .find(|row| row.1 == self)
+            .expect("every function has a row")
+    }
+
+    /// Whether a path flowing into an argument needs its whole subtree.
+    pub fn reads_strings(self) -> bool {
+        self.row().4
+    }
+}
+
+impl Expr {
+    /// Whether `pred` holds for this expression or for one inside it: an
+    /// operand, an argument, a path's base or a predicate of its steps.
+    pub fn any(&self, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+        fn in_steps(p: &LocationPath, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
+            p.steps
+                .iter()
+                .flat_map(|s| &s.predicates)
+                .any(|e| e.any(pred))
+        }
+        pred(self)
+            || match self {
+                Expr::Path(p) => in_steps(p, pred),
+                Expr::RootedPath(base, p) => base.any(pred) || in_steps(p, pred),
+                Expr::Or(a, b)
+                | Expr::And(a, b)
+                | Expr::Compare(_, a, b)
+                | Expr::Arith(_, a, b)
+                | Expr::Union(a, b) => a.any(pred) || b.any(pred),
+                Expr::Neg(a) => a.any(pred),
+                Expr::Call(_, args) => args.iter().any(|a| a.any(pred)),
+                Expr::Literal(_) | Expr::Number(_) | Expr::Var(_) => false,
+            }
+    }
 }
 
 impl fmt::Display for NodeTest {
@@ -216,7 +370,11 @@ impl fmt::Display for LocationPath {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // `/` alone would run into a following operator or name.
+            Expr::Path(p) if p.absolute && p.steps.is_empty() => write!(f, "(/)"),
             Expr::Path(p) => write!(f, "{p}"),
+            // A literal cannot escape its quote: it takes the other one.
+            Expr::Literal(s) if s.contains('"') => write!(f, "'{s}'"),
             Expr::Literal(s) => write!(f, "\"{s}\""),
             Expr::Number(n) => write!(f, "{n}"),
             Expr::Or(a, b) => write!(f, "({a} or {b})"),
@@ -243,8 +401,8 @@ impl fmt::Display for Expr {
                 write!(f, "({a} {s} {b})")
             }
             Expr::Neg(e) => write!(f, "(-{e})"),
-            Expr::Call(name, args) => {
-                write!(f, "{name}(")?;
+            Expr::Call(func, args) => {
+                write!(f, "{}(", func.row().0)?;
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -255,7 +413,11 @@ impl fmt::Display for Expr {
             }
             Expr::Union(a, b) => write!(f, "({a} | {b})"),
             Expr::Var(v) => write!(f, "${v}"),
-            Expr::RootedPath(e, p) => write!(f, "{e}/{p}"),
+            Expr::RootedPath(e, p) if matches!(**e, Expr::Var(_) | Expr::Call(..)) => {
+                write!(f, "{e}/{p}")
+            }
+            // Bare, a path or a literal base would read differently.
+            Expr::RootedPath(e, p) => write!(f, "({e})/{p}"),
         }
     }
 }
@@ -270,6 +432,29 @@ mod tests {
         assert!(!Axis::Following.is_reverse());
         assert!(Axis::Ancestor.is_reverse());
         assert!(Axis::PrecedingSibling.is_reverse());
+    }
+
+    /// Every row resolves, under its name and with `fn:`, at each end of
+    /// its arity range and nowhere outside it, and prints as a name of
+    /// its own function.
+    #[test]
+    fn every_function_row_resolves() {
+        for &(name, f, min, max, _) in FUNCTIONS {
+            let most = max.min(min + 2);
+            for arity in [min, most] {
+                assert_eq!(Func::resolve(name, arity), Ok(f), "{name}/{arity}");
+                assert_eq!(Func::resolve(&format!("fn:{name}"), arity), Ok(f));
+            }
+            assert_eq!(Func::resolve(f.row().0, min), Ok(f), "{name}");
+            if min > 0 {
+                assert!(Func::resolve(name, min - 1).is_err(), "{name}");
+            }
+            if max < usize::MAX {
+                assert!(Func::resolve(name, max + 1).is_err(), "{name}");
+            }
+        }
+        assert!(Func::resolve("fn:fn:count", 1).is_err());
+        assert!(Func::resolve("text", 0).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! In-memory XPath 1.0 evaluator.
+//! The in-memory evaluator, and the one value model both evaluators use.
 //!
 //! Implements the W3C semantics that Definitions 3.1–3.3 of the paper
 //! formalise, extended with attributes, all axes, general predicates
@@ -6,13 +6,24 @@
 //! XPath 1.0 core function library and the handful of XQuery functions
 //! the XMark workload uses (`empty`, `exists`, `zero-or-one`, `data`).
 //!
+//! A value is a sequence of [`Item`]s: document nodes, atoms and the
+//! trees XQuery constructs. XPath 1.0's node-set, boolean, number and
+//! string are the sequences it can produce, held compactly as
+//! [`Value`]'s first four cases, and read through the views
+//! [`Value::to_bool`], [`Value::to_num`] and [`Value::to_str`]. Any other
+//! sequence is read by the node-set rules: comparisons are existential,
+//! `string()` and `number()` read its first item, and it is true when it
+//! is not empty. Only document nodes can be navigated.
+//!
 //! In the experiments this evaluator plays the role of the Galax engine:
 //! queries are run against the original and the pruned document and the
 //! results — related through [`Document::src_id`] — must coincide
 //! (Theorem 4.5).
 
-use crate::ast::{ArithOp, Axis, CmpOp, Expr, LocationPath, NodeTest, Step};
+use crate::ast::{ArithOp, Axis, CmpOp, Expr, Func, LocationPath, NodeTest, Step};
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::rc::Rc;
 use xproj_xmltree::{Document, NodeId, NodeKind};
 
 /// A node as seen by XPath: a tree node or an attribute of one.
@@ -42,71 +53,207 @@ impl XNode {
     }
 }
 
-/// An XPath 1.0 value.
+/// One item of a sequence.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    /// A node-set in document order without duplicates.
-    Nodes(Vec<XNode>),
-    /// Boolean.
-    Bool(bool),
-    /// Double.
-    Num(f64),
-    /// String.
+pub enum Item {
+    /// A node of the queried document.
+    Node(XNode),
+    /// A string.
     Str(String),
+    /// A number.
+    Num(f64),
+    /// A boolean.
+    Bool(bool),
+    /// A tree an XQuery constructor built: not part of the document, so
+    /// no path navigates it.
+    Built(Rc<Built>),
+}
+
+impl Item {
+    /// True for an atom: a string, a number or a boolean.
+    pub fn is_atom(&self) -> bool {
+        matches!(self, Item::Str(_) | Item::Num(_) | Item::Bool(_))
+    }
+}
+
+/// A constructed tree.
+#[derive(Debug, PartialEq)]
+pub enum Built {
+    /// An element: its tag and its children, each a document node (whose
+    /// subtree it holds) or a constructed tree.
+    Elem(String, Vec<Item>),
+    /// A text node.
+    Text(String),
+}
+
+/// A sequence of items: the value of every expression and query.
+/// `repr(u64)` keeps each payload word-aligned, so moving a value (every
+/// return does) copies whole words; a byte-offset `Bool` made it stall.
+#[derive(Clone, Debug, PartialEq)]
+#[repr(u64)]
+pub enum Value {
+    /// Document nodes: from a path, a node-set in document order without
+    /// duplicates. The empty sequence is the empty node-set.
+    Nodes(Vec<XNode>),
+    /// One boolean.
+    Bool(bool),
+    /// One number.
+    Num(f64),
+    /// One string.
+    Str(String),
+    /// Any other sequence: several atoms, constructed trees, or atoms and
+    /// nodes mixed.
+    Items(Vec<Item>),
+}
+
+impl From<Item> for Value {
+    /// The sequence of one item.
+    fn from(item: Item) -> Value {
+        match item {
+            Item::Node(n) => Value::Nodes(vec![n]),
+            Item::Str(s) => Value::Str(s),
+            Item::Num(n) => Value::Num(n),
+            Item::Bool(b) => Value::Bool(b),
+            built @ Item::Built(_) => Value::Items(vec![built]),
+        }
+    }
 }
 
 impl Value {
-    /// The empty node-set.
-    pub fn empty() -> Value {
-        Value::Nodes(Vec::new())
+    /// The sequence of `items`, in its compact case when it has one.
+    pub fn from_items(mut items: Vec<Item>) -> Value {
+        let nodes = items.iter().map(|it| match it {
+            Item::Node(n) => Some(*n),
+            _ => None,
+        });
+        if let Some(ns) = nodes.collect::<Option<Vec<_>>>() {
+            Value::Nodes(ns)
+        } else if items.len() == 1 {
+            items.pop().unwrap().into()
+        } else {
+            Value::Items(items)
+        }
     }
 
-    /// Effective boolean value.
+    /// The items, in order.
+    pub fn into_items(self) -> Vec<Item> {
+        match self {
+            Value::Nodes(ns) => ns.into_iter().map(Item::Node).collect(),
+            Value::Bool(b) => vec![Item::Bool(b)],
+            Value::Num(n) => vec![Item::Num(n)],
+            Value::Str(s) => vec![Item::Str(s)],
+            Value::Items(items) => items,
+        }
+    }
+
+    /// The number of items.
+    pub fn len(&self) -> usize {
+        match self {
+            Value::Nodes(ns) => ns.len(),
+            Value::Items(items) => items.len(),
+            _ => 1,
+        }
+    }
+
+    /// Whether this is the empty sequence.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Effective boolean value: a sequence is true when it is not
+    /// empty, one atom gives its own value.
     pub fn to_bool(&self) -> bool {
         match self {
-            Value::Nodes(ns) => !ns.is_empty(),
             Value::Bool(b) => *b,
             Value::Num(n) => *n != 0.0 && !n.is_nan(),
             Value::Str(s) => !s.is_empty(),
+            seq => !seq.is_empty(),
         }
     }
 
-    /// Conversion to number (`number()`).
-    pub fn to_num(&self, doc: &Document) -> f64 {
-        match self {
-            Value::Num(n) => *n,
-            Value::Bool(b) => {
-                if *b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Value::Str(s) => str_to_num(s),
-            Value::Nodes(_) => str_to_num(&self.to_str(doc)),
+    /// `string()`: the string of the first item, its walk or its bytes
+    /// charged.
+    pub fn to_str(&self, doc: &Document, steps: &Steps) -> Result<String, Halt> {
+        if self.is_empty() {
+            return Ok(String::new());
         }
-    }
-
-    /// Conversion to string (`string()`): first node's string-value for
-    /// node-sets.
-    pub fn to_str(&self, doc: &Document) -> String {
-        match self {
-            Value::Str(s) => s.clone(),
+        Ok(match self.atom(0, doc, steps)?.into_owned() {
+            Value::Str(s) => s,
+            Value::Num(n) => num_to_str(n),
             Value::Bool(b) => b.to_string(),
-            Value::Num(n) => num_to_str(*n),
-            Value::Nodes(ns) => ns
-                .first()
-                .map(|&n| string_value(doc, n))
-                .unwrap_or_default(),
+            _ => unreachable!("an atom"),
+        })
+    }
+
+    /// `number()`: the number of the first item, its walk or its bytes
+    /// charged.
+    pub fn to_num(&self, doc: &Document, steps: &Steps) -> Result<f64, Halt> {
+        if self.is_empty() {
+            return Ok(f64::NAN);
+        }
+        Ok(atom_num(&*self.atom(0, doc, steps)?))
+    }
+
+    /// Item `i` as an atom: a node's or a constructed tree's string
+    /// value, its walk charged, or the atom itself, a string's bytes
+    /// charged.
+    fn atom(&self, i: usize, doc: &Document, steps: &Steps) -> Result<Cow<'_, Value>, Halt> {
+        let node = |n: XNode| {
+            steps.charge_walk(doc, n)?;
+            Ok(Cow::Owned(Value::Str(string_value(doc, n))))
+        };
+        match self {
+            Value::Nodes(ns) => node(ns[i]),
+            Value::Items(items) => match &items[i] {
+                Item::Node(n) => node(*n),
+                Item::Built(t) => Ok(Cow::Owned(Value::Str(built_text(doc, t, steps)?))),
+                atom => Ok(Cow::Owned(
+                    Value::from(atom.clone()).atom(0, doc, steps)?.into_owned(),
+                )),
+            },
+            Value::Str(s) => {
+                steps.charge_bytes(s.len())?;
+                Ok(Cow::Borrowed(self))
+            }
+            atom => Ok(Cow::Borrowed(atom)),
         }
     }
 
-    /// The node-set, or an error string naming the offending construct.
-    pub fn into_nodes(self) -> Result<Vec<XNode>, String> {
-        match self {
-            Value::Nodes(ns) => Ok(ns),
-            other => Err(format!("expected a node-set, got {other:?}")),
+    /// Makes this the sequence of `item` alone, reusing its buffer when
+    /// both are nodes.
+    pub fn set_item(&mut self, item: Item) {
+        match (self, item) {
+            (Value::Nodes(ns), Item::Node(n)) => {
+                ns.clear();
+                ns.push(n);
+            }
+            (this, item) => *this = item.into(),
         }
+    }
+}
+
+/// The string value of a constructed tree: a step a node, and the bytes
+/// of its text.
+fn built_text(doc: &Document, t: &Built, steps: &Steps) -> Result<String, Halt> {
+    steps.charge(1)?;
+    match t {
+        Built::Text(s) => {
+            steps.charge_bytes(s.len())?;
+            Ok(s.clone())
+        }
+        Built::Elem(_, children) => children
+            .iter()
+            .map(|child| Value::from(child.clone()).to_str(doc, steps))
+            .collect(),
+    }
+}
+
+/// The number of an atom.
+fn atom_num(v: &Value) -> f64 {
+    match v {
+        Value::Num(n) => *n,
+        Value::Str(s) => str_to_num(s),
+        other => f64::from(u8::from(other.to_bool())),
     }
 }
 
@@ -118,11 +265,22 @@ pub fn string_value(doc: &Document, n: XNode) -> String {
     }
 }
 
-fn str_to_num(s: &str) -> f64 {
-    s.trim().parse::<f64>().unwrap_or(f64::NAN)
+/// A string's number (XPath 1.0 §4.4): optional whitespace, an optional
+/// minus sign, a `Number` (digits with an optional `.` and fraction, or
+/// `.` and digits) and optional whitespace; anything else is NaN.
+pub fn str_to_num(s: &str) -> f64 {
+    let t = s.trim_matches([' ', '\t', '\r', '\n']);
+    let digits = t.strip_prefix('-').unwrap_or(t);
+    let (int, frac) = digits.split_once('.').unwrap_or((digits, ""));
+    let all_digits = |p: &str| p.bytes().all(|b| b.is_ascii_digit());
+    if (int.is_empty() && frac.is_empty()) || !all_digits(int) || !all_digits(frac) {
+        return f64::NAN;
+    }
+    t.parse().unwrap_or(f64::NAN)
 }
 
-fn num_to_str(n: f64) -> String {
+/// A number's string (XPath 1.0 §4.2).
+pub fn num_to_str(n: f64) -> String {
     if n.is_nan() {
         "NaN".to_string()
     } else if n.is_infinite() {
@@ -171,7 +329,7 @@ pub const BYTES_PER_STEP: u64 = 32;
 /// so a long text costs what reading it costs. The count is exact: the
 /// same query over the same tree spends the same steps, budgeted or not.
 /// A walk or a string is charged before it is read (a variable's when
-/// its lookup returns it, serialised output after it is written),
+/// it is read, serialised output after it is written),
 /// everything else as it happens, so an evaluation stops within one
 /// unit of its budget.
 #[derive(Debug)]
@@ -279,7 +437,7 @@ pub fn evaluate_expr_within(
     )
 }
 
-/// The variable lookup of a scope that binds nothing.
+/// The variable reader of a scope that binds nothing.
 pub fn unbound(name: &str) -> Result<Value, Halt> {
     Err(Halt::Error(format!("unbound variable ${name}")))
 }
@@ -289,10 +447,6 @@ fn unbudgeted(halt: Halt) -> EvalError {
         Halt::Error(m) => EvalError(m),
         Halt::OverBudget => unreachable!("an unbudgeted evaluation cannot overrun"),
     }
-}
-
-fn nodes(v: Value) -> Result<Vec<XNode>, Halt> {
-    v.into_nodes().map_err(Halt::Error)
 }
 
 struct Ctx {
@@ -328,7 +482,7 @@ impl<'d> Evaluator<'d> {
             // Candidates in axis order (position() counts this way).
             let mut cands = Vec::new();
             self.axis_nodes(ctx, step.axis, &mut cands)?;
-            cands.retain(|&n| self.test_matches(n, step.axis, &step.test));
+            cands.retain(|&n| self.test_matches(n, &step.test));
             for pred in &step.predicates {
                 cands = self.filter_predicate(cands, pred)?;
             }
@@ -450,7 +604,7 @@ impl<'d> Evaluator<'d> {
         Ok(())
     }
 
-    fn test_matches(&self, n: XNode, axis: Axis, test: &NodeTest) -> bool {
+    fn test_matches(&self, n: XNode, test: &NodeTest) -> bool {
         let doc = self.doc;
         match n {
             XNode::Attr(owner, i) => match test {
@@ -462,12 +616,9 @@ impl<'d> Evaluator<'d> {
                 NodeTest::Text | NodeTest::Element => false,
             },
             XNode::Tree(id) => match test {
-                NodeTest::Node => {
-                    // On non-attribute axes node() matches elements and text;
-                    // the document node too (only reachable via ancestors).
-                    let _ = axis;
-                    true
-                }
+                // Elements and text, the document node too (only reachable
+                // via ancestors).
+                NodeTest::Node => true,
                 NodeTest::Text => doc.is_text(id),
                 NodeTest::Element => doc.is_element(id),
                 NodeTest::Tag(t) => doc.tag_name(id) == Some(t.as_str()),
@@ -481,39 +632,31 @@ impl<'d> Evaluator<'d> {
         Ok(string_value(self.doc, n))
     }
 
-    /// `string()` of a value: [`Value::to_str`], a node-set's walk or a
-    /// string's bytes charged.
-    fn str(&self, v: &Value) -> Result<String, Halt> {
-        match v {
-            Value::Nodes(ns) => match ns.first() {
-                Some(&n) => self.string_value(n),
-                None => Ok(String::new()),
-            },
-            other => {
-                self.charge_str(other)?;
-                Ok(other.to_str(self.doc))
-            }
-        }
+    /// `string()` of `e`'s value.
+    fn str(&self, e: &Expr, ctx: &Ctx) -> Result<String, Halt> {
+        self.eval_expr(e, ctx)?.to_str(self.doc, self.steps)
     }
 
-    /// Charges the bytes of a string value about to be copied or
-    /// scanned; other values are a few bytes.
-    fn charge_str(&self, v: &Value) -> Result<(), Halt> {
-        match v {
-            Value::Str(s) => self.steps.charge_bytes(s.len()),
-            _ => Ok(()),
-        }
+    /// `number()` of `e`'s value.
+    fn num(&self, e: &Expr, ctx: &Ctx) -> Result<f64, Halt> {
+        self.eval_expr(e, ctx)?.to_num(self.doc, self.steps)
     }
 
-    /// `number()` of a value: [`Value::to_num`], a node-set's walk or a
-    /// string's bytes charged.
-    fn num(&self, v: &Value) -> Result<f64, Halt> {
-        match v {
-            Value::Nodes(_) => Ok(str_to_num(&self.str(v)?)),
-            other => {
-                self.charge_str(other)?;
-                Ok(other.to_num(self.doc))
+    /// The document nodes `e` selects: a path navigates, and a function
+    /// names or sums, only those.
+    fn nodes(&self, e: &Expr, ctx: &Ctx) -> Result<Vec<XNode>, Halt> {
+        match self.eval_expr(e, ctx)? {
+            Value::Nodes(ns) => Ok(ns),
+            Value::Items(items) if items.iter().any(|it| matches!(it, Item::Built(_))) => {
+                let what = match e {
+                    Expr::Var(name) => format!("variable ${name}"),
+                    other => other.to_string(),
+                };
+                Err(Halt::Error(format!(
+                    "{what} holds constructed content and cannot be navigated"
+                )))
             }
+            other => Err(Halt::Error(format!("expected a node-set, got {other:?}"))),
         }
     }
 
@@ -521,7 +664,7 @@ impl<'d> Evaluator<'d> {
         match expr {
             Expr::Path(p) => Ok(Value::Nodes(self.eval_path(&[ctx.node], p)?)),
             Expr::RootedPath(base, p) => {
-                let start = nodes(self.eval_expr(base, ctx)?)?;
+                let start = self.nodes(base, ctx)?;
                 Ok(Value::Nodes(self.eval_path(&start, p)?))
             }
             Expr::Literal(s) => {
@@ -541,8 +684,8 @@ impl<'d> Evaluator<'d> {
                 Ok(Value::Bool(self.compare(*op, &va, &vb)?))
             }
             Expr::Arith(op, a, b) => {
-                let x = self.num(&self.eval_expr(a, ctx)?)?;
-                let y = self.num(&self.eval_expr(b, ctx)?)?;
+                let x = self.num(a, ctx)?;
+                let y = self.num(b, ctx)?;
                 Ok(Value::Num(match op {
                     ArithOp::Add => x + y,
                     ArithOp::Sub => x - y,
@@ -551,146 +694,93 @@ impl<'d> Evaluator<'d> {
                     ArithOp::Mod => x % y,
                 }))
             }
-            Expr::Neg(e) => Ok(Value::Num(-self.num(&self.eval_expr(e, ctx)?)?)),
+            Expr::Neg(e) => Ok(Value::Num(-self.num(e, ctx)?)),
             Expr::Union(a, b) => {
-                let mut na = nodes(self.eval_expr(a, ctx)?)?;
-                let nb = nodes(self.eval_expr(b, ctx)?)?;
-                na.extend(nb);
+                let mut na = self.nodes(a, ctx)?;
+                na.extend(self.nodes(b, ctx)?);
                 na.sort_by_key(|n| n.order_key());
                 na.dedup();
                 Ok(Value::Nodes(na))
             }
             Expr::Var(name) => {
                 let v = (self.vars)(name)?;
-                self.steps.charge(match &v {
-                    Value::Nodes(ns) => ns.len() as u64,
-                    _ => 1,
-                })?;
-                self.charge_str(&v)?;
+                let bytes = match &v {
+                    Value::Str(s) => s.len(),
+                    Value::Items(items) => items
+                        .iter()
+                        .map(|it| if let Item::Str(s) = it { s.len() } else { 0 })
+                        .sum(),
+                    _ => 0,
+                };
+                self.steps.charge(v.len() as u64)?;
+                self.steps.charge_bytes(bytes)?;
                 Ok(v)
             }
-            Expr::Call(name, args) => self.eval_call(name, args, ctx),
+            Expr::Call(f, args) => self.eval_call(*f, args, ctx),
         }
     }
 
-    /// XPath 1.0 comparison semantics (existential over node-sets), one
-    /// step per pair of values compared.
+    /// XPath 1.0 comparison, one step per pair of items compared. A
+    /// sequence against a boolean compares its effective boolean value
+    /// (§3.4); otherwise the comparison is existential, item by item,
+    /// each item of the sequence side read once.
     fn compare(&self, op: CmpOp, a: &Value, b: &Value) -> Result<bool, Halt> {
-        use Value::*;
-        match (a, b) {
-            (Nodes(na), Nodes(nb)) => {
-                for &x in na {
-                    let sx = self.string_value(x)?;
-                    for &y in nb {
-                        self.steps.charge(1)?;
-                        let sy = self.string_value(y)?;
-                        let holds = match op {
-                            CmpOp::Eq => sx == sy,
-                            CmpOp::Ne => sx != sy,
-                            _ => cmp_num(op, str_to_num(&sx), str_to_num(&sy)),
-                        };
-                        if holds {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
-            }
-            // node-set vs boolean: the node-set converts to its effective
-            // boolean value first (XPath 1.0 §3.4) — not existential.
-            (Nodes(_), Bool(_)) | (Bool(_), Nodes(_)) => {
-                self.compare(op, &Bool(a.to_bool()), &Bool(b.to_bool()))
-            }
-            (Nodes(ns), other) | (other, Nodes(ns)) => {
-                let flipped = matches!(b, Nodes(_));
-                for &x in ns {
-                    self.steps.charge(1)?;
-                    self.charge_str(other)?;
-                    let s = self.string_value(x)?;
-                    let holds = match (op, other) {
-                        (CmpOp::Eq, Str(o)) => s == *o,
-                        (CmpOp::Ne, Str(o)) => s != *o,
-                        _ => {
-                            let (l, r) = (str_to_num(&s), other.to_num(self.doc));
-                            if flipped {
-                                cmp_num(op, r, l)
-                            } else {
-                                cmp_num(op, l, r)
-                            }
-                        }
-                    };
-                    if holds {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            _ => {
+        let seq = |v: &Value| matches!(v, Value::Nodes(_) | Value::Items(_));
+        if matches!((a, b), (Value::Bool(_), s) | (s, Value::Bool(_)) if seq(s)) {
+            self.steps.charge(1)?;
+            let (x, y) = (Value::Bool(a.to_bool()), Value::Bool(b.to_bool()));
+            return Ok(cmp_atoms(op, &x, &y));
+        }
+        let flip = seq(b) && !seq(a);
+        let (xs, ys) = if flip { (b, a) } else { (a, b) };
+        for i in 0..xs.len() {
+            let x = xs.atom(i, self.doc, self.steps)?;
+            for j in 0..ys.len() {
                 self.steps.charge(1)?;
-                self.charge_str(a)?;
-                self.charge_str(b)?;
-                Ok(match op {
-                    CmpOp::Eq | CmpOp::Ne => {
-                        let eq = match (a, b) {
-                            (Bool(_), _) | (_, Bool(_)) => a.to_bool() == b.to_bool(),
-                            (Num(_), _) | (_, Num(_)) => a.to_num(self.doc) == b.to_num(self.doc),
-                            _ => a.to_str(self.doc) == b.to_str(self.doc),
-                        };
-                        if op == CmpOp::Eq {
-                            eq
-                        } else {
-                            !eq
-                        }
-                    }
-                    _ => cmp_num(op, a.to_num(self.doc), b.to_num(self.doc)),
-                })
+                let y = ys.atom(j, self.doc, self.steps)?;
+                let (l, r) = if flip { (&y, &x) } else { (&x, &y) };
+                if cmp_atoms(op, l, r) {
+                    return Ok(true);
+                }
             }
         }
+        Ok(false)
     }
 
-    fn eval_call(&self, name: &str, args: &[Expr], ctx: &Ctx) -> Result<Value, Halt> {
-        let plain = name.strip_prefix("fn:").unwrap_or(name);
-        let arg = |i: usize| -> Result<Value, Halt> {
-            args.get(i)
-                .map(|e| self.eval_expr(e, ctx))
-                .transpose()?
-                .ok_or_else(|| Halt::Error(format!("{plain}: missing argument {i}")))
+    fn eval_call(&self, f: Func, args: &[Expr], ctx: &Ctx) -> Result<Value, Halt> {
+        let arg = |i: usize| self.eval_expr(&args[i], ctx);
+        let str_arg = |i: usize| self.str(&args[i], ctx);
+        let num_arg = |i: usize| self.num(&args[i], ctx);
+        // The one optional argument, the context node when left out.
+        let opt_or_ctx = || match args.first() {
+            Some(e) => self.eval_expr(e, ctx),
+            None => Ok(Value::Nodes(vec![ctx.node])),
         };
-        let opt_or_ctx = |i: usize| -> Result<Value, Halt> {
-            match args.get(i) {
-                Some(e) => self.eval_expr(e, ctx),
-                None => Ok(Value::Nodes(vec![ctx.node])),
+        let opt_str = || opt_or_ctx()?.to_str(self.doc, self.steps);
+        Ok(match f {
+            Func::Position => Value::Num(ctx.position as f64),
+            Func::Last => Value::Num(ctx.size as f64),
+            Func::Count => Value::Num(arg(0)?.len() as f64),
+            Func::Not => Value::Bool(!arg(0)?.to_bool()),
+            Func::True => Value::Bool(true),
+            Func::False => Value::Bool(false),
+            Func::Boolean => Value::Bool(arg(0)?.to_bool()),
+            Func::String => Value::Str(opt_str()?),
+            Func::Number => Value::Num(opt_or_ctx()?.to_num(self.doc, self.steps)?),
+            Func::Contains => Value::Bool(str_arg(0)?.contains(&str_arg(1)?)),
+            Func::StartsWith => Value::Bool(str_arg(0)?.starts_with(&str_arg(1)?)),
+            Func::StringLength => Value::Num(opt_str()?.chars().count() as f64),
+            Func::NormalizeSpace => {
+                Value::Str(opt_str()?.split_whitespace().collect::<Vec<_>>().join(" "))
             }
-        };
-        let str_arg = |i: usize| -> Result<String, Halt> { self.str(&arg(i)?) };
-        let num_arg = |i: usize| -> Result<f64, Halt> { self.num(&arg(i)?) };
-        match plain {
-            "position" => Ok(Value::Num(ctx.position as f64)),
-            "last" => Ok(Value::Num(ctx.size as f64)),
-            "count" => Ok(Value::Num(nodes(arg(0)?)?.len() as f64)),
-            "not" => Ok(Value::Bool(!arg(0)?.to_bool())),
-            "true" => Ok(Value::Bool(true)),
-            "false" => Ok(Value::Bool(false)),
-            "boolean" => Ok(Value::Bool(arg(0)?.to_bool())),
-            "string" | "data" | "text" => Ok(Value::Str(self.str(&opt_or_ctx(0)?)?)),
-            "number" => Ok(Value::Num(self.num(&opt_or_ctx(0)?)?)),
-            "contains" => Ok(Value::Bool(str_arg(0)?.contains(&str_arg(1)?))),
-            "starts-with" => Ok(Value::Bool(str_arg(0)?.starts_with(&str_arg(1)?))),
-            "string-length" => Ok(Value::Num(self.str(&opt_or_ctx(0)?)?.chars().count() as f64)),
-            "normalize-space" => Ok(Value::Str(
-                self.str(&opt_or_ctx(0)?)?
-                    .split_whitespace()
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            )),
-            "concat" => {
+            Func::Concat => {
                 let mut s = String::new();
-                for (i, _) in args.iter().enumerate() {
+                for i in 0..args.len() {
                     s.push_str(&str_arg(i)?);
                 }
-                Ok(Value::Str(s))
+                Value::Str(s)
             }
-            "substring" => {
+            Func::Substring => {
                 // The characters at positions p with round(start) <= p <
                 // round(start) + round(len) (XPath 1.0 §4.2): NaN keeps none.
                 let s = str_arg(0)?;
@@ -703,25 +793,23 @@ impl<'d> Evaluator<'d> {
                     let p = (i + 1) as f64;
                     from <= p && p < to
                 });
-                Ok(Value::Str(kept.map(|(_, c)| c).collect()))
+                Value::Str(kept.map(|(_, c)| c).collect())
             }
-            "substring-before" => {
+            Func::SubstringBefore => {
                 let s = str_arg(0)?;
                 let pat = str_arg(1)?;
-                Ok(Value::Str(
-                    s.find(&pat).map(|i| s[..i].to_string()).unwrap_or_default(),
-                ))
+                Value::Str(s.find(&pat).map(|i| s[..i].to_string()).unwrap_or_default())
             }
-            "substring-after" => {
+            Func::SubstringAfter => {
                 let s = str_arg(0)?;
                 let pat = str_arg(1)?;
-                Ok(Value::Str(
+                Value::Str(
                     s.find(&pat)
                         .map(|i| s[i + pat.len()..].to_string())
                         .unwrap_or_default(),
-                ))
+                )
             }
-            "translate" => {
+            Func::Translate => {
                 let s = str_arg(0)?;
                 let from: Vec<char> = str_arg(1)?.chars().collect();
                 let to: Vec<char> = str_arg(2)?.chars().collect();
@@ -739,21 +827,24 @@ impl<'d> Evaluator<'d> {
                         None => out.push(c),
                     }
                 }
-                Ok(Value::Str(out))
+                Value::Str(out)
             }
-            "sum" => {
+            Func::Sum => {
                 let mut total = 0.0;
-                for n in nodes(arg(0)?)? {
+                for n in self.nodes(&args[0], ctx)? {
                     total += str_to_num(&self.string_value(n)?);
                 }
-                Ok(Value::Num(total))
+                Value::Num(total)
             }
-            "floor" => Ok(Value::Num(num_arg(0)?.floor())),
-            "ceiling" => Ok(Value::Num(num_arg(0)?.ceil())),
-            "round" => Ok(Value::Num(round(num_arg(0)?))),
-            "name" | "local-name" => {
-                let ns = nodes(opt_or_ctx(0)?)?;
-                Ok(Value::Str(match ns.first() {
+            Func::Floor => Value::Num(num_arg(0)?.floor()),
+            Func::Ceiling => Value::Num(num_arg(0)?.ceil()),
+            Func::Round => Value::Num(round(num_arg(0)?)),
+            Func::Name => {
+                let ns = match args.first() {
+                    Some(e) => self.nodes(e, ctx)?,
+                    None => vec![ctx.node],
+                };
+                Value::Str(match ns.first() {
                     Some(XNode::Tree(id)) => self.doc.tag_name(*id).unwrap_or("").to_string(),
                     Some(XNode::Attr(id, i)) => self
                         .doc
@@ -761,14 +852,26 @@ impl<'d> Evaluator<'d> {
                         .resolve(self.doc.attributes(*id)[*i as usize].name)
                         .to_string(),
                     None => String::new(),
-                }))
+                })
             }
-            "empty" => Ok(Value::Bool(nodes(arg(0)?)?.is_empty())),
-            "exists" => Ok(Value::Bool(!nodes(arg(0)?)?.is_empty())),
-            // XQuery cardinality assertion: identity on singleton-or-empty.
-            "zero-or-one" | "exactly-one" | "one-or-more" => arg(0),
-            other => Err(Halt::Error(format!("unknown function {other}()"))),
+            Func::Empty => Value::Bool(arg(0)?.is_empty()),
+            Func::Exists => Value::Bool(!arg(0)?.is_empty()),
+            Func::ZeroOrOne => arg(0)?,
+        })
+    }
+}
+
+/// Compares two atoms (XPath 1.0 §3.4): `=` and `!=` as booleans when
+/// either is one, as numbers when either is one, else as strings; the
+/// order operators as numbers.
+fn cmp_atoms(op: CmpOp, a: &Value, b: &Value) -> bool {
+    let eq = matches!(op, CmpOp::Eq | CmpOp::Ne);
+    match (a, b) {
+        (Value::Bool(_), _) | (_, Value::Bool(_)) if eq => {
+            (a.to_bool() == b.to_bool()) == (op == CmpOp::Eq)
         }
+        (Value::Str(x), Value::Str(y)) if eq => (x == y) == (op == CmpOp::Eq),
+        _ => cmp_num(op, atom_num(a), atom_num(b)),
     }
 }
 

@@ -15,7 +15,7 @@
 //! offsets, and one depth counter across a query and every XPath
 //! expression inside it.
 
-use crate::ast::{ArithOp, Axis, CmpOp, Expr, LocationPath, NodeTest, Step};
+use crate::ast::{ArithOp, Axis, CmpOp, Expr, Func, LocationPath, NodeTest, Step};
 use std::fmt;
 use xproj_xmltree::MAX_NESTING;
 
@@ -369,39 +369,13 @@ impl<'a> Parser<'a> {
             }
             return self.maybe_rooted(inner);
         }
-        // Function call? name followed by '(' and not an axis or node test.
-        if (c.is_alphabetic() || c == '_') && self.looks_like_function_call() {
-            let name = self.read_name()?.to_string();
-            // allow namespaced fn:... names
-            let name = if self.rest().starts_with(':') && !self.rest().starts_with("::") {
-                self.pos += 1;
-                let local = self.read_name()?;
-                format!("{name}:{local}")
-            } else {
-                name
-            };
-            self.skip_ws();
-            if !self.eat("(") {
-                return self.err("expected '(' in function call");
+        if c.is_alphabetic() || c == '_' {
+            if let Some(call) = self.parse_call()? {
+                return self.maybe_rooted(call);
             }
-            let mut args = Vec::new();
-            self.skip_ws();
-            if !self.eat(")") {
-                loop {
-                    args.push(self.parse_or()?);
-                    if self.eat(")") {
-                        break;
-                    }
-                    if !self.eat(",") {
-                        return self.err("expected ',' or ')' in arguments");
-                    }
-                }
-            }
-            return self.maybe_rooted(Expr::Call(name, args));
         }
         // Otherwise: a location path.
-        let p = self.parse_location_path()?;
-        Ok(Expr::Path(p))
+        Ok(Expr::Path(self.parse_location_path()?))
     }
 
     /// After a primary expression, allow `/relative/path` continuations.
@@ -427,51 +401,45 @@ impl<'a> Parser<'a> {
         Ok(base)
     }
 
-    /// A name followed (modulo whitespace) by `(` is a function call,
-    /// except for the node-test names.
-    fn looks_like_function_call(&self) -> bool {
-        let rest = self.rest();
-        let mut end = 0;
-        for (i, ch) in rest.char_indices() {
-            if (i == 0 && (ch.is_alphabetic() || ch == '_')) || (i > 0 && is_name_char(ch)) {
-                end = i + ch.len_utf8();
-            } else {
-                break;
+    /// A name (`fn:` optional) followed by `(` is a function call,
+    /// except for the node-test names: the call, its function resolved
+    /// against the function table, or `None` with the cursor unmoved.
+    fn parse_call(&mut self) -> Result<Option<Expr>, QueryParseError> {
+        let start = self.pos;
+        let mut name = self.read_name()?.to_string();
+        if self.rest().starts_with(':') && !self.rest().starts_with("::") {
+            let prefix_end = self.pos;
+            self.pos += 1;
+            match self.read_name() {
+                Ok(local) => name = format!("{name}:{local}"),
+                Err(_) => self.pos = prefix_end,
             }
         }
-        if end == 0 {
-            return false;
+        let node_test = matches!(
+            name.as_str(),
+            "node" | "text" | "element" | "comment" | "processing-instruction"
+        );
+        if node_test || !self.eat("(") {
+            self.pos = start;
+            return Ok(None);
         }
-        let name = &rest[..end];
-        let mut after = rest[end..].chars();
-        // namespaced function names: fn:count(...)
-        let mut skip_ns = 0;
-        if rest[end..].starts_with(':') && !rest[end..].starts_with("::") {
-            let ns_rest = &rest[end + 1..];
-            let mut e2 = 0;
-            for (i, ch) in ns_rest.char_indices() {
-                if (i == 0 && (ch.is_alphabetic() || ch == '_')) || (i > 0 && is_name_char(ch)) {
-                    e2 = i + ch.len_utf8();
-                } else {
+        let mut args = Vec::new();
+        if !self.eat(")") {
+            loop {
+                args.push(self.parse_or()?);
+                if self.eat(")") {
                     break;
                 }
+                if !self.eat(",") {
+                    return self.err("expected ',' or ')' in arguments");
+                }
             }
-            if e2 > 0 {
-                skip_ns = 1 + e2;
-                after = rest[end + skip_ns..].chars();
-            }
         }
-        let next = after.find(|c| !c.is_ascii_whitespace());
-        if next != Some('(') {
-            return false;
-        }
-        if skip_ns > 0 {
-            return true;
-        }
-        !matches!(
-            name,
-            "node" | "text" | "element" | "comment" | "processing-instruction"
-        )
+        let func = Func::resolve(&name, args.len()).map_err(|message| QueryParseError {
+            offset: start,
+            message,
+        })?;
+        Ok(Some(Expr::Call(func, args)))
     }
 
     fn parse_location_path(&mut self) -> Result<LocationPath, QueryParseError> {
@@ -520,28 +488,21 @@ impl<'a> Parser<'a> {
 
     fn parse_step(&mut self) -> Result<Step, QueryParseError> {
         self.skip_ws();
-        if self.rest().starts_with("..") {
+        let mut s = if self.rest().starts_with("..") {
             self.pos += 2;
-            let mut s = Step::new(Axis::Parent, NodeTest::Node);
-            self.parse_predicates(&mut s)?;
-            return Ok(s);
-        }
-        if self.rest().starts_with('.') {
+            Step::new(Axis::Parent, NodeTest::Node)
+        } else if self.rest().starts_with('.') {
             self.pos += 1;
-            let mut s = Step::new(Axis::SelfAxis, NodeTest::Node);
-            self.parse_predicates(&mut s)?;
-            return Ok(s);
-        }
-        let axis = if self.rest().starts_with('@') {
-            self.pos += 1;
-            Axis::Attribute
-        } else if let Some(a) = self.try_axis() {
-            a
+            Step::new(Axis::SelfAxis, NodeTest::Node)
         } else {
-            Axis::Child
+            let axis = if self.rest().starts_with('@') {
+                self.pos += 1;
+                Axis::Attribute
+            } else {
+                self.try_axis().unwrap_or(Axis::Child)
+            };
+            Step::new(axis, self.parse_node_test(axis)?)
         };
-        let test = self.parse_node_test(axis)?;
-        let mut s = Step::new(axis, test);
         self.parse_predicates(&mut s)?;
         Ok(s)
     }
@@ -589,24 +550,17 @@ impl<'a> Parser<'a> {
         }
         let name = self.read_name()?;
         self.skip_ws();
-        if self.rest().starts_with('(') {
-            match name {
-                "node" => {
-                    self.expect_empty_parens()?;
-                    return Ok(NodeTest::Node);
-                }
-                "text" => {
-                    self.expect_empty_parens()?;
-                    return Ok(NodeTest::Text);
-                }
-                "element" => {
-                    self.expect_empty_parens()?;
-                    return Ok(NodeTest::Element);
-                }
-                _ => return self.err(format!("unknown node test '{name}()'")),
-            }
+        if !self.rest().starts_with('(') {
+            return Ok(NodeTest::Tag(name.to_string()));
         }
-        Ok(NodeTest::Tag(name.to_string()))
+        let test = match name {
+            "node" => NodeTest::Node,
+            "text" => NodeTest::Text,
+            "element" => NodeTest::Element,
+            _ => return self.err(format!("unknown node test '{name}()'")),
+        };
+        self.expect_empty_parens()?;
+        Ok(test)
     }
 
     fn expect_empty_parens(&mut self) -> Result<(), QueryParseError> {
@@ -754,8 +708,8 @@ mod tests {
         let e = parse_xpath("count(bidder) > 5").unwrap();
         match e {
             Expr::Compare(_, l, _) => match *l {
-                Expr::Call(name, args) => {
-                    assert_eq!(name, "count");
+                Expr::Call(func, args) => {
+                    assert_eq!(func, Func::Count);
                     assert_eq!(args.len(), 1);
                 }
                 other => panic!("{other:?}"),
@@ -835,7 +789,7 @@ mod tests {
     #[test]
     fn namespaced_function() {
         let e = parse_xpath("fn:count(x)").unwrap();
-        assert!(matches!(e, Expr::Call(ref n, _) if n == "fn:count"));
+        assert_eq!(e, parse_xpath("count(x)").unwrap());
     }
 
     #[test]

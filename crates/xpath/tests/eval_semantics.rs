@@ -290,3 +290,87 @@ fn translate() {
         Value::Str("bA".into())
     );
 }
+
+/// `number()` reads XPath 1.0's `Number` production (§4.4): optional
+/// whitespace and minus sign around digits with an optional fraction.
+/// Exponents, a plus sign and the names of infinities are NaN, in
+/// `number()` and in a comparison on document text alike.
+#[test]
+fn number_reads_the_xpath_number_production() {
+    let doc = parse("<r><q>1e3</q><q>+5</q><q>infinity</q><q> -2.5 </q></r>").unwrap();
+    let num = |q: &str| match expr(&doc, q) {
+        Value::Num(n) => n,
+        other => panic!("{q}: {other:?}"),
+    };
+    for q in [
+        "number('1e3')",
+        "number('+5')",
+        "number('infinity')",
+        "number('Infinity')",
+        "number('')",
+        "number('-')",
+        "number('.')",
+        "number('1.2.3')",
+        "number('0x10')",
+    ] {
+        assert!(num(q).is_nan(), "{q}");
+    }
+    assert_eq!(num("number(' -2.5 ')"), -2.5);
+    assert_eq!(num("number('\t7.\n')"), 7.0);
+    assert_eq!(num("number('.5')"), 0.5);
+    assert_eq!(num("number(/r/q[4])"), -2.5);
+    assert_eq!(expr(&doc, "number('infinity') > 1"), Value::Bool(false));
+    assert_eq!(expr(&doc, "count(/r/q[. > 1])"), Value::Num(0.0));
+    assert_eq!(expr(&doc, "count(/r/q[. < 0])"), Value::Num(1.0));
+}
+
+/// Every call names a function of the one table with an arity it
+/// takes, or the query does not parse (XQuery's XPST0017), wherever the
+/// call sits.
+#[test]
+fn unknown_functions_and_bad_arities_do_not_parse() {
+    for (q, offset) in [
+        ("foo(1)", 0),
+        ("true(1)", 0),
+        ("/a[count() = 1]", 3),
+        ("/a[false() and foo(1)]", 15),
+        ("fn:substring('a')", 0),
+        ("concat()", 0),
+        ("fn:text(.)", 0),
+    ] {
+        let err = parse_xpath(q).unwrap_err();
+        assert_eq!(err.offset, offset, "{q}");
+        assert!(err.message.contains("XPST0017"), "{q}: {err}");
+    }
+    assert_eq!(parse_xpath("fn:count(/a)"), parse_xpath("count(/a)"));
+    assert_eq!(parse_xpath("data(/a)"), parse_xpath("string(/a)"));
+}
+
+/// A sequence XPath 1.0 cannot produce is read by the node-set rules.
+#[test]
+fn other_sequences_read_by_the_node_set_rules() {
+    let doc = parse(DOC).unwrap();
+    let seq = Value::Items(vec![
+        xproj_xpath::eval::Item::Num(1.0),
+        xproj_xpath::eval::Item::Str("two".into()),
+    ]);
+    let with = |q: &str| {
+        let vars = |name: &str| match name {
+            "s" => Ok(seq.clone()),
+            other => unbound(other),
+        };
+        let e = parse_xpath(q).unwrap();
+        let ctx = XNode::Tree(xproj_xmltree::NodeId::DOCUMENT);
+        evaluate_expr_within(&doc, &e, ctx, &vars, &Steps::unbounded()).unwrap()
+    };
+    assert_eq!(with("$s = 1"), Value::Bool(true));
+    assert_eq!(with("$s = 'two'"), Value::Bool(true));
+    assert_eq!(with("$s = 'one'"), Value::Bool(false));
+    assert_eq!(with("$s = //x"), Value::Bool(true));
+    assert_eq!(with("$s = false()"), Value::Bool(false));
+    assert_eq!(with("string($s)"), Value::Str("1".into()));
+    assert_eq!(with("number($s) + 1"), Value::Num(2.0));
+    assert_eq!(with("boolean($s)"), Value::Bool(true));
+    assert_eq!(with("count($s)"), Value::Num(2.0));
+    assert_eq!(with("exists($s) and not(empty($s))"), Value::Bool(true));
+}

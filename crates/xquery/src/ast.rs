@@ -18,7 +18,7 @@ pub enum XQuery {
         /// Content query.
         content: Box<XQuery>,
     },
-    /// A literal text chunk inside a constructor.
+    /// A literal text chunk inside a constructor (only there).
     Text(String),
     /// An embedded XPath expression (paths, variables, calls, operators).
     Expr(Expr),
@@ -92,8 +92,24 @@ impl fmt::Display for XQuery {
                 }
                 write!(f, ")")
             }
-            XQuery::Element { tag, content } => write!(f, "<{tag}>{{{content}}}</{tag}>"),
-            XQuery::Text(s) => write!(f, "\"{s}\""),
+            // Constructor content prints as such, so the text parses
+            // back to the same query.
+            XQuery::Element { tag, content } => {
+                let parts = match content.as_ref() {
+                    XQuery::Sequence(parts) => parts.as_slice(),
+                    XQuery::Empty => &[],
+                    one => std::slice::from_ref(one),
+                };
+                write!(f, "<{tag}>")?;
+                for part in parts {
+                    match part {
+                        XQuery::Text(_) | XQuery::Element { .. } => write!(f, "{part}")?,
+                        _ => write!(f, "{{{part}}}")?,
+                    }
+                }
+                write!(f, "</{tag}>")
+            }
+            XQuery::Text(s) => write!(f, "{s}"),
             XQuery::Expr(e) => write!(f, "{e}"),
             XQuery::If { cond, then, els } => {
                 write!(f, "if ({cond}) then {then} else {els}")

@@ -5,16 +5,18 @@
 //! original and the pruned document, whose outputs must be identical
 //! (the XQuery extraction of Fig. 3 adds `descendant-or-self::node()` to
 //! every materialised path precisely so that serialisation survives
-//! pruning).
+//! pruning). Queries and the XPath expressions inside them compute one
+//! value model, `xproj_xpath`'s [`Value`] sequences of [`Item`]s.
 
 use crate::ast::XQuery;
-use std::fmt::Write as _;
-use std::slice;
-use xproj_xmltree::document::{escape_attr, escape_text};
+use std::rc::Rc;
+use xproj_xmltree::document::escape_text;
 use xproj_xmltree::Document;
 use xproj_xmltree::NodeId;
 use xproj_xpath::ast::Expr;
-use xproj_xpath::eval::{evaluate_expr_within, string_value, unbound, Halt, Steps, Value, XNode};
+use xproj_xpath::eval::{
+    evaluate_expr_within, num_to_str, str_to_num, unbound, Built, Halt, Item, Steps, Value, XNode,
+};
 
 /// Evaluation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,120 +30,43 @@ impl std::fmt::Display for XQueryError {
 
 impl std::error::Error for XQueryError {}
 
-/// A constructed tree (element construction builds these bottom-up).
-enum OutTree {
-    /// Element with (copied) attributes and children.
-    Elem {
-        /// Tag name.
-        tag: String,
-        /// Attributes (name, value).
-        attrs: Vec<(String, String)>,
-        /// Children in order.
-        children: Vec<OutTree>,
-    },
-    /// Text node.
-    Text(String),
-}
-
-impl OutTree {
-    fn serialize_into(&self, out: &mut String) {
-        match self {
-            OutTree::Text(s) => escape_text(s, out),
-            OutTree::Elem {
-                tag,
-                attrs,
-                children,
-            } => {
-                out.push('<');
-                out.push_str(tag);
-                for (k, v) in attrs {
-                    let _ = write!(out, " {k}=\"");
-                    escape_attr(v, out);
-                    out.push('"');
-                }
-                if children.is_empty() {
-                    out.push_str("/>");
-                } else {
-                    out.push('>');
-                    for c in children {
-                        c.serialize_into(out);
-                    }
-                    out.push_str("</");
-                    out.push_str(tag);
-                    out.push('>');
-                }
-            }
-        }
-    }
-}
-
-/// One item of a result sequence.
-enum Item {
-    /// A node of the queried document.
-    Node(XNode),
-    /// A constructed tree.
-    Built(OutTree),
-    /// An atomic string.
-    Str(String),
-    /// An atomic number.
-    Num(f64),
-    /// An atomic boolean.
-    Bool(bool),
-}
-
-impl Item {
-    /// True for atomic (non-node, non-constructed) items.
-    fn is_atom(&self) -> bool {
-        matches!(self, Item::Str(_) | Item::Num(_) | Item::Bool(_))
-    }
-
-    /// The atom's string, or a node's string-value, its walk or the
-    /// string's bytes charged.
-    fn atom_string(&self, doc: &Document, steps: &Steps) -> Result<String, Halt> {
-        Ok(match self {
-            Item::Str(s) => {
-                steps.charge_bytes(s.len())?;
-                s.clone()
-            }
-            Item::Num(n) => Value::Num(*n).to_str(doc),
-            Item::Bool(b) => b.to_string(),
-            Item::Node(n) => {
-                steps.charge_walk(doc, *n)?;
-                string_value(doc, *n)
-            }
-            Item::Built(_) => unreachable!("atom_string on built tree"),
-        })
-    }
-}
-
 /// Evaluates a query against a document and serialises the result
 /// sequence (nodes serialise their whole subtree; adjacent atoms are
 /// separated by a single space, per XQuery serialisation).
 pub fn evaluate_query(doc: &Document, q: &XQuery) -> Result<String, XQueryError> {
-    match eval(doc, q, None, &Steps::unbounded()) {
-        Ok(items) => Ok(serialize_items(doc, &items)),
-        Err(Halt::Error(m)) => Err(XQueryError(m)),
+    let items = match eval(doc, q, None, &Steps::unbounded()) {
+        Ok(value) => value.into_items(),
+        Err(Halt::Error(m)) => return Err(XQueryError(m)),
         Err(Halt::OverBudget) => unreachable!("an unbudgeted evaluation cannot overrun"),
+    };
+    let mut out = String::new();
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 && it.is_atom() && items[i - 1].is_atom() {
+            out.push(' ');
+        }
+        serialize(doc, it, &mut out);
     }
+    Ok(out)
 }
 
 /// Evaluates a query and serialises each result item on its own (the
-/// per-frame form `/v1/query` ships), with whether it is an atom,
-/// charging `steps` for the evaluation, for the nodes serialisation
-/// walks and for the bytes it writes. An error is [`Halt::Error`] with the message
-/// [`XQueryError`] would carry.
+/// per-frame form `/v1/query` ships), with whether it is an atom (a
+/// space goes between adjacent atoms), charging `steps` for the
+/// evaluation, the nodes serialisation walks and the bytes it writes. An
+/// error is [`Halt::Error`] with the message [`XQueryError`] would carry.
 pub fn evaluate_query_within(
     doc: &Document,
     q: &XQuery,
     steps: &Steps,
 ) -> Result<Vec<(bool, String)>, Halt> {
-    let items = eval(doc, q, None, steps)?;
+    let items = eval(doc, q, None, steps)?.into_items();
     let mut out = Vec::with_capacity(items.len());
     for it in &items {
         if let Item::Node(n) = it {
             steps.charge_walk(doc, *n)?;
         }
-        let text = serialize_item(doc, it);
+        let mut text = String::new();
+        serialize(doc, it, &mut text);
         // Writing it, and the caller's framing of it, read it again.
         steps.charge_bytes(text.len())?;
         out.push((it.is_atom(), text));
@@ -149,43 +74,27 @@ pub fn evaluate_query_within(
     Ok(out)
 }
 
-/// Serialises one result item in isolation — the per-frame form the
-/// streaming `/v1/query` endpoint ships as x-ndjson match frames. The
-/// caller owns the sequence-level spacing rule: a single space goes
-/// between *adjacent atoms* ([`Item::is_atom`]), nothing elsewhere, so
-/// concatenating per-item strings under that rule reproduces
-/// [`serialize_items`] exactly.
-fn serialize_item(doc: &Document, item: &Item) -> String {
-    let mut out = String::new();
+/// Serialises one item.
+fn serialize(doc: &Document, item: &Item, out: &mut String) {
     match item {
-        Item::Node(n) => match n {
-            XNode::Tree(id) => out.push_str(&doc.subtree_to_xml(*id)),
-            XNode::Attr(id, i) => {
-                // serialise an attribute result as its value
-                let a = &doc.attributes(*id)[*i as usize];
-                escape_text(&a.value, &mut out);
+        Item::Node(XNode::Tree(id)) => out.push_str(&doc.subtree_to_xml(*id)),
+        // An attribute serialises as its value.
+        Item::Node(XNode::Attr(id, i)) => escape_text(&doc.attributes(*id)[*i as usize].value, out),
+        Item::Built(t) => match &**t {
+            Built::Text(s) => escape_text(s, out),
+            Built::Elem(tag, children) if children.is_empty() => out.push_str(&format!("<{tag}/>")),
+            Built::Elem(tag, children) => {
+                out.push_str(&format!("<{tag}>"));
+                for c in children {
+                    serialize(doc, c, out);
+                }
+                out.push_str(&format!("</{tag}>"));
             }
         },
-        Item::Built(t) => t.serialize_into(&mut out),
-        Item::Str(s) => escape_text(s, &mut out),
-        Item::Num(n) => escape_text(&Value::Num(*n).to_str(doc), &mut out),
-        Item::Bool(b) => escape_text(&b.to_string(), &mut out),
+        Item::Str(s) => escape_text(s, out),
+        Item::Num(n) => escape_text(&num_to_str(*n), out),
+        Item::Bool(b) => escape_text(&b.to_string(), out),
     }
-    out
-}
-
-/// Serialises a result sequence.
-fn serialize_items(doc: &Document, items: &[Item]) -> String {
-    let mut out = String::new();
-    let mut prev_atom = false;
-    for it in items {
-        if prev_atom && it.is_atom() {
-            out.push(' ');
-        }
-        out.push_str(&serialize_item(doc, it));
-        prev_atom = it.is_atom();
-    }
-    out
 }
 
 /// A variable scope: its innermost frame, or `None` outside every
@@ -193,127 +102,89 @@ fn serialize_items(doc: &Document, items: &[Item]) -> String {
 type Scope<'a> = Option<&'a Frame<'a>>;
 
 /// One `for`, `let`, `order by` or quantifier binding: the variable,
-/// the items it borrows from the evaluation that bound it, and the scope
+/// the value it borrows from the evaluation that bound it, and the scope
 /// it shadows.
 struct Frame<'a> {
     var: &'a str,
-    items: &'a [Item],
+    value: &'a Value,
     outer: Scope<'a>,
 }
 
-impl<'a> Frame<'a> {
-    fn new(var: &'a str, items: &'a [Item], outer: Scope<'a>) -> Frame<'a> {
-        Frame { var, items, outer }
-    }
-}
-
-/// The value XPath reads for `$name`: the items of the innermost frame
-/// binding it, in place — nodes as a node-set, one atom as that atom.
-fn lookup(scope: Scope<'_>, name: &str) -> Result<Value, Halt> {
-    let Some(frame) = std::iter::successors(scope, |f| f.outer).find(|f| f.var == name) else {
-        return unbound(name);
-    };
-    Ok(match frame.items {
-        [Item::Str(s)] => Value::Str(s.clone()),
-        [Item::Num(n)] => Value::Num(*n),
-        [Item::Bool(b)] => Value::Bool(*b),
-        items => Value::Nodes(
-            items
-                .iter()
-                .map(|it| match it {
-                    Item::Node(n) => Ok(*n),
-                    _ => Err(Halt::Error(format!(
-                        "variable ${name} holds constructed content and cannot be navigated"
-                    ))),
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-    })
-}
-
-/// Evaluates an XPath expression from the document node in `scope`.
+/// Evaluates an XPath expression from the document node in `scope`: a
+/// `$name` it reads is the value of the innermost frame binding it.
 fn xpath(doc: &Document, e: &Expr, scope: Scope<'_>, steps: &Steps) -> Result<Value, Halt> {
-    let ctx = XNode::Tree(NodeId::DOCUMENT);
-    evaluate_expr_within(doc, e, ctx, &|name| lookup(scope, name), steps)
+    let read = |name: &str| match std::iter::successors(scope, |f| f.outer).find(|f| f.var == name)
+    {
+        Some(frame) => Ok(frame.value.clone()),
+        None => unbound(name),
+    };
+    evaluate_expr_within(doc, e, XNode::Tree(NodeId::DOCUMENT), &read, steps)
 }
 
-/// Effective boolean value of a condition query. Expressions use the
-/// XPath rules; other queries use their item sequence (empty = false,
-/// single atom = its boolean, otherwise true).
-fn query_bool(doc: &Document, q: &XQuery, scope: Scope<'_>, steps: &Steps) -> Result<bool, Halt> {
-    match q {
-        XQuery::Expr(e) => Ok(xpath(doc, e, scope, steps)?.to_bool()),
-        other => {
-            let items = eval(doc, other, scope, steps)?;
-            Ok(match items.as_slice() {
-                [] => false,
-                [Item::Bool(b)] => *b,
-                [Item::Num(n)] => *n != 0.0 && !n.is_nan(),
-                [Item::Str(s)] => !s.is_empty(),
-                _ => true,
-            })
-        }
+/// The sequence of the values `parts` produce, in order.
+fn concat(parts: impl Iterator<Item = Result<Value, Halt>>) -> Result<Value, Halt> {
+    let mut items = Vec::new();
+    for part in parts {
+        items.extend(part?.into_items());
     }
+    Ok(Value::from_items(items))
 }
 
-fn eval(doc: &Document, q: &XQuery, scope: Scope<'_>, steps: &Steps) -> Result<Vec<Item>, Halt> {
-    match q {
-        XQuery::Empty => Ok(Vec::new()),
+fn eval(doc: &Document, q: &XQuery, scope: Scope<'_>, steps: &Steps) -> Result<Value, Halt> {
+    // Evaluates `body` with `var` bound to one item, held in `slot`, a
+    // step.
+    let each = |slot: &mut Value, var: &str, item: Item, body: &XQuery| {
+        steps.charge(1)?;
+        slot.set_item(item);
+        let frame = Frame {
+            var,
+            value: slot,
+            outer: scope,
+        };
+        eval(doc, body, Some(&frame), steps)
+    };
+    let mut slot = Value::Nodes(Vec::new());
+    Ok(match q {
+        XQuery::Empty => Value::Nodes(Vec::new()),
         // Literal constructor text is verbatim content, not an atomised
         // value: it must not participate in atom space-separation.
         XQuery::Text(s) => {
             steps.charge_bytes(s.len())?;
-            Ok(vec![Item::Built(OutTree::Text(s.clone()))])
+            Item::Built(Rc::new(Built::Text(s.clone()))).into()
         }
-        XQuery::Sequence(qs) => {
-            let mut out = Vec::new();
-            for sub in qs {
-                out.extend(eval(doc, sub, scope, steps)?);
-            }
-            Ok(out)
-        }
+        XQuery::Sequence(qs) => concat(qs.iter().map(|sub| eval(doc, sub, scope, steps)))?,
         XQuery::Element { tag, content } => {
-            let items = eval(doc, content, scope, steps)?;
             let mut children = Vec::new();
-            let mut atom_buf = String::new();
-            for it in items {
+            let mut atoms = String::new();
+            for it in eval(doc, content, scope, steps)?.into_items() {
                 match it {
-                    Item::Node(n @ XNode::Tree(id)) => {
-                        flush_atoms(&mut atom_buf, &mut children);
-                        steps.charge_walk(doc, n)?;
-                        children.push(copy_subtree(doc, id));
+                    Item::Node(XNode::Tree(_)) | Item::Built(_) => {
+                        if let Item::Node(n) = it {
+                            steps.charge_walk(doc, n)?;
+                        }
+                        flush_atoms(&mut atoms, &mut children);
+                        children.push(it);
                     }
-                    Item::Node(n @ XNode::Attr(id, i)) => {
-                        steps.charge_walk(doc, n)?;
-                        let a = &doc.attributes(id)[i as usize];
-                        push_atom(&mut atom_buf, a.value.as_ref());
+                    // Attributes and atoms join into text.
+                    atom => {
+                        if !atoms.is_empty() {
+                            atoms.push(' ');
+                        }
+                        atoms.push_str(&Value::from(atom).to_str(doc, steps)?);
                     }
-                    Item::Built(t) => {
-                        flush_atoms(&mut atom_buf, &mut children);
-                        children.push(t);
-                    }
-                    atom => push_atom(&mut atom_buf, &atom.atom_string(doc, steps)?),
                 }
             }
-            flush_atoms(&mut atom_buf, &mut children);
-            Ok(vec![Item::Built(OutTree::Elem {
-                tag: tag.clone(),
-                attrs: Vec::new(),
-                children,
-            })])
+            flush_atoms(&mut atoms, &mut children);
+            Item::Built(Rc::new(Built::Elem(tag.clone(), children))).into()
         }
-        XQuery::Expr(e) => Ok(match xpath(doc, e, scope, steps)? {
-            Value::Nodes(ns) => ns.into_iter().map(Item::Node).collect(),
-            Value::Str(s) => vec![Item::Str(s)],
-            Value::Num(n) => vec![Item::Num(n)],
-            Value::Bool(b) => vec![Item::Bool(b)],
-        }),
+        XQuery::Expr(e) => xpath(doc, e, scope, steps)?,
         XQuery::If { cond, then, els } => {
-            if query_bool(doc, cond, scope, steps)? {
-                eval(doc, then, scope, steps)
+            let branch = if eval(doc, cond, scope, steps)?.to_bool() {
+                then
             } else {
-                eval(doc, els, scope, steps)
-            }
+                els
+            };
+            eval(doc, branch, scope, steps)?
         }
         XQuery::Quantified {
             every,
@@ -321,27 +192,22 @@ fn eval(doc: &Document, q: &XQuery, scope: Scope<'_>, steps: &Steps) -> Result<V
             source,
             cond,
         } => {
-            let src = eval(doc, source, scope, steps)?;
             // every: all-true over ∅; some: false. A binding whose
             // condition differs from `every` decides it.
-            for it in &src {
-                steps.charge(1)?;
-                let frame = Frame::new(var, slice::from_ref(it), scope);
-                if query_bool(doc, cond, Some(&frame), steps)? != *every {
-                    return Ok(vec![Item::Bool(!*every)]);
+            for item in eval(doc, source, scope, steps)?.into_items() {
+                if each(&mut slot, var, item, cond)?.to_bool() != *every {
+                    return Ok(Value::Bool(!*every));
                 }
             }
-            Ok(vec![Item::Bool(*every)])
+            Value::Bool(*every)
         }
         XQuery::For { var, source, body } => {
-            let src = eval(doc, source, scope, steps)?;
-            let mut out = Vec::new();
-            for it in &src {
-                steps.charge(1)?;
-                let frame = Frame::new(var, slice::from_ref(it), scope);
-                out.extend(eval(doc, body, Some(&frame), steps)?);
-            }
-            Ok(out)
+            let items = eval(doc, source, scope, steps)?.into_items();
+            concat(
+                items
+                    .into_iter()
+                    .map(|item| each(&mut slot, var, item, body)),
+            )?
         }
         XQuery::SortedFor {
             var,
@@ -350,23 +216,22 @@ fn eval(doc: &Document, q: &XQuery, scope: Scope<'_>, steps: &Steps) -> Result<V
             descending,
             body,
         } => {
-            let src = eval(doc, source, scope, steps)?;
-            // Evaluate the sort key per binding; numeric keys sort
-            // numerically when every key parses as a number, else
-            // lexicographically (XQuery's untyped-atomic behaviour,
-            // simplified). Each key is parsed once.
-            let mut keyed: Vec<(Option<f64>, String, &Item)> = Vec::with_capacity(src.len());
-            for it in &src {
+            let items = eval(doc, source, scope, steps)?.into_items();
+            // Evaluate the sort key per binding; keys sort as numbers
+            // when every key is one (XPath's string-to-number rule),
+            // else as strings (XQuery's untyped-atomic behaviour,
+            // simplified). Each key is converted once.
+            let mut keyed: Vec<(f64, String, usize)> = Vec::with_capacity(items.len());
+            for (i, item) in items.iter().enumerate() {
                 steps.charge(1)?;
-                let frame = Frame::new(var, slice::from_ref(it), scope);
-                let k = match xpath(doc, key, Some(&frame), steps)? {
-                    Value::Nodes(ns) => match ns.first() {
-                        Some(&n) => Item::Node(n).atom_string(doc, steps)?,
-                        None => String::new(),
-                    },
-                    other => other.to_str(doc),
+                slot.set_item(item.clone());
+                let frame = Frame {
+                    var,
+                    value: &slot,
+                    outer: scope,
                 };
-                keyed.push((k.trim().parse().ok(), k, it));
+                let k = xpath(doc, key, Some(&frame), steps)?.to_str(doc, steps)?;
+                keyed.push((str_to_num(&k), k, i));
             }
             // The sort makes about n·⌈log₂ n⌉ comparisons, each reading
             // two keys: a step each, and the keys' bytes once a level.
@@ -374,61 +239,38 @@ fn eval(doc: &Document, q: &XQuery, scope: Scope<'_>, steps: &Steps) -> Result<V
             let key_bytes: usize = keyed.iter().map(|(_, k, _)| k.len()).sum();
             steps.charge((keyed.len() * levels) as u64)?;
             steps.charge_bytes(key_bytes.saturating_mul(levels))?;
-            if keyed.iter().all(|(x, _, _)| x.is_some()) {
-                keyed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            if keyed.iter().all(|(x, _, _)| !x.is_nan()) {
+                keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
             } else {
                 keyed.sort_by(|a, b| a.1.cmp(&b.1));
             }
             if *descending {
                 keyed.reverse();
             }
-            let mut out = Vec::new();
-            for (_, _, it) in keyed {
-                steps.charge(1)?;
-                let frame = Frame::new(var, slice::from_ref(it), scope);
-                out.extend(eval(doc, body, Some(&frame), steps)?);
-            }
-            Ok(out)
+            concat(
+                keyed
+                    .into_iter()
+                    .map(|(_, _, i)| each(&mut slot, var, items[i].clone(), body)),
+            )?
         }
         XQuery::Let { var, value, body } => {
-            let items = eval(doc, value, scope, steps)?;
+            let value = eval(doc, value, scope, steps)?;
             steps.charge(1)?;
-            let frame = Frame::new(var, &items, scope);
-            eval(doc, body, Some(&frame), steps)
+            let frame = Frame {
+                var,
+                value: &value,
+                outer: scope,
+            };
+            eval(doc, body, Some(&frame), steps)?
         }
-    }
+    })
 }
 
-fn push_atom(buf: &mut String, s: &str) {
-    if !buf.is_empty() {
-        buf.push(' ');
-    }
-    buf.push_str(s);
-}
-
-fn flush_atoms(buf: &mut String, children: &mut Vec<OutTree>) {
-    if !buf.is_empty() {
-        children.push(OutTree::Text(std::mem::take(buf)));
-    }
-}
-
-/// Deep copy of an input subtree into a constructed tree.
-fn copy_subtree(doc: &Document, id: NodeId) -> OutTree {
-    match doc.kind(id) {
-        xproj_xmltree::NodeKind::Text(s) => OutTree::Text(s.to_string()),
-        xproj_xmltree::NodeKind::Element { tag, attrs } => OutTree::Elem {
-            tag: doc.tags.resolve(*tag).to_string(),
-            attrs: attrs
-                .iter()
-                .map(|a| (doc.tags.resolve(a.name).to_string(), a.value.to_string()))
-                .collect(),
-            children: doc.children(id).map(|c| copy_subtree(doc, c)).collect(),
-        },
-        xproj_xmltree::NodeKind::Document => OutTree::Elem {
-            tag: "#document".to_string(),
-            attrs: Vec::new(),
-            children: doc.children(id).map(|c| copy_subtree(doc, c)).collect(),
-        },
+/// Ends a run of atoms as one text child.
+fn flush_atoms(atoms: &mut String, children: &mut Vec<Item>) {
+    if !atoms.is_empty() {
+        let text = Built::Text(std::mem::take(atoms));
+        children.push(Item::Built(Rc::new(text)));
     }
 }
 
@@ -585,12 +427,18 @@ mod order_by_eval_tests {
 
     #[test]
     fn numeric_keys_with_whitespace_and_signs_sort_as_numbers() {
-        let doc = parse("<r><v> 3 </v><v>-10</v><v>+2</v><v> -0.5</v></r>").unwrap();
+        let doc = parse("<r><v> 3 </v><v>-10</v><v>2</v><v> -0.5</v></r>").unwrap();
         let q = parse_xquery("for $v in /r/v order by $v return <k>{$v/text()}</k>").unwrap();
-        // numeric, not lexicographic (" -0.5" < " 3 " < "+2" < "-10")
+        // numeric, not lexicographic (" -0.5" < " 3 " < "-10" < "2")
         assert_eq!(
             super::evaluate_query(&doc, &q).unwrap(),
-            "<k>-10</k><k> -0.5</k><k>+2</k><k> 3 </k>"
+            "<k>-10</k><k> -0.5</k><k>2</k><k> 3 </k>"
+        );
+        // "+2" is no XPath number, so the keys sort as strings.
+        let doc = parse("<r><v>3</v><v>+2</v><v>10</v></r>").unwrap();
+        assert_eq!(
+            super::evaluate_query(&doc, &q).unwrap(),
+            "<k>+2</k><k>10</k><k>3</k>"
         );
     }
 
@@ -743,16 +591,30 @@ mod scoping_tests {
     #[test]
     fn constructed_content_cannot_be_navigated() {
         let d = parse("<a/>").unwrap();
-        for q in [
-            "let $x := <b/> return $x/c",
-            "for $x in (<b/>) return string($x)",
-        ] {
-            let err = super::evaluate_query(&d, &parse_xquery(q).unwrap()).unwrap_err();
-            assert_eq!(
-                err.0, "variable $x holds constructed content and cannot be navigated",
-                "{q}"
-            );
-        }
+        let q = parse_xquery("let $x := <b/> return $x/c").unwrap();
+        let err = super::evaluate_query(&d, &q).unwrap_err();
+        assert_eq!(
+            err.0,
+            "variable $x holds constructed content and cannot be navigated"
+        );
+        assert_eq!(run("<a/>", "for $x in (<b/>) return string($x)"), "");
+    }
+
+    /// A variable holds any sequence, and XPath reads it as it is.
+    #[test]
+    fn variables_hold_any_sequence() {
+        assert_eq!(run("<a/>", "let $x := (1, 2) return $x"), "1 2");
+        assert_eq!(run("<a/>", "for $x in (<b/>) return $x"), "<b/>");
+        assert_eq!(run("<a/>", "let $x := (1,2) return count($x)"), "2");
+        assert_eq!(run("<a/>", "let $x := <b>hi</b> return string($x)"), "hi");
+        assert_eq!(
+            run("<r><a>1</a><a>2</a></r>", "let $x := (/r/a, 3) return $x"),
+            "<a>1</a><a>2</a>3"
+        );
+        let d = parse("<a/>").unwrap();
+        let q = parse_xquery("let $x := (1, 2) return $x").unwrap();
+        let frames = super::evaluate_query_within(&d, &q, &super::Steps::unbounded()).unwrap();
+        assert_eq!(frames, [(true, "1".to_string()), (true, "2".to_string())]);
     }
 
     #[test]

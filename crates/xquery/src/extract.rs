@@ -20,7 +20,7 @@
 use crate::ast::XQuery;
 use std::collections::HashMap;
 use xproj_core::{Projector, StaticAnalyzer};
-use xproj_xpath::approx::{approximate_steps, function_needs_subtree, needs_dos};
+use xproj_xpath::approx::{approximate_steps, needs_dos};
 use xproj_xpath::ast::{Axis, Expr, LocationPath, NodeTest, Step};
 use xproj_xpath::xpathl::{LPath, LStep, SimpleStep};
 
@@ -247,7 +247,7 @@ fn extract_from_expr(e: &Expr, gamma: &Gamma, m: u8) -> Vec<LPath> {
             let mut out = Vec::new();
             for a in args {
                 let needs = extract_from_expr(a, gamma, 0);
-                if function_needs_subtree(f) {
+                if f.reads_strings() {
                     out.extend(needs.into_iter().map(with_dos));
                 } else {
                     out.extend(needs);
@@ -440,54 +440,16 @@ fn substitute_self(e: &Expr, var: &str) -> Expr {
             Box::new(substitute_self(a, var)),
             Box::new(substitute_self(b, var)),
         ),
-        Expr::Call(f, args) => Expr::Call(
-            f.clone(),
-            args.iter().map(|a| substitute_self(a, var)).collect(),
-        ),
+        Expr::Call(f, args) => {
+            Expr::Call(*f, args.iter().map(|a| substitute_self(a, var)).collect())
+        }
         other => other.clone(),
     }
 }
 
 /// True when every variable occurring in `e` is `var`.
 fn only_refers_to(e: &Expr, var: &str) -> bool {
-    let mut vars = Vec::new();
-    collect_vars(e, &mut vars);
-    vars.iter().all(|v| v == var)
-}
-
-/// Collects every variable name occurring in an expression.
-fn collect_vars(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::Var(v) => out.push(v.clone()),
-        Expr::Path(p) => collect_path_vars(p, out),
-        Expr::RootedPath(b, p) => {
-            collect_vars(b, out);
-            collect_path_vars(p, out);
-        }
-        Expr::Or(a, b)
-        | Expr::And(a, b)
-        | Expr::Compare(_, a, b)
-        | Expr::Arith(_, a, b)
-        | Expr::Union(a, b) => {
-            collect_vars(a, out);
-            collect_vars(b, out);
-        }
-        Expr::Neg(a) => collect_vars(a, out),
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_vars(a, out);
-            }
-        }
-        Expr::Literal(_) | Expr::Number(_) => {}
-    }
-}
-
-fn collect_path_vars(p: &LocationPath, out: &mut Vec<String>) {
-    for s in &p.steps {
-        for pred in &s.predicates {
-            collect_vars(pred, out);
-        }
-    }
+    !e.any(&mut |x| matches!(x, Expr::Var(v) if v != var))
 }
 
 #[cfg(test)]

@@ -92,52 +92,34 @@ fn parse_flwr(p: &mut Parser<'_>) -> Result<XQuery, QueryParseError> {
         Let(String, XQuery),
     }
     let mut clauses: Vec<Clause> = Vec::new();
-    loop {
-        if p.eat_kw("for") {
-            loop {
-                if !p.eat("$") {
-                    return p.err("expected '$variable' after 'for'");
-                }
-                let var = p.read_name()?.to_string();
-                if !p.eat_kw("in") {
-                    return p.err("expected 'in'");
-                }
-                let src = parse_item(p)?;
-                clauses.push(Clause::For(var, src));
-                if !p.eat(",") {
-                    break;
-                }
+    while let Some(kw) = ["for", "let"].into_iter().find(|kw| p.eat_kw(kw)) {
+        loop {
+            if !p.eat("$") {
+                return p.err(format!("expected '$variable' after '{kw}'"));
             }
-        } else if p.eat_kw("let") {
-            loop {
-                if !p.eat("$") {
-                    return p.err("expected '$variable' after 'let'");
-                }
-                let var = p.read_name()?.to_string();
-                if !p.eat(":=") && !p.eat("=") {
-                    return p.err("expected ':='");
-                }
-                let val = parse_item(p)?;
-                clauses.push(Clause::Let(var, val));
-                if !p.eat(",") {
-                    break;
-                }
+            let var = p.read_name()?.to_string();
+            if kw == "for" && !p.eat_kw("in") {
+                return p.err("expected 'in'");
             }
-        } else {
-            break;
+            if kw == "let" && !p.eat(":=") && !p.eat("=") {
+                return p.err("expected ':='");
+            }
+            let item = parse_item(p)?;
+            clauses.push(if kw == "for" {
+                Clause::For(var, item)
+            } else {
+                Clause::Let(var, item)
+            });
+            if !p.eat(",") {
+                break;
+            }
         }
     }
     if clauses.is_empty() {
         return p.err("expected 'for' or 'let'");
     }
     let cond = if p.eat_kw("where") {
-        // a quantified expression or a plain XPath expression
-        p.skip_ws();
-        if p.peek_kw("some") || p.peek_kw("every") {
-            Some(parse_quantified(p)?)
-        } else {
-            Some(parse_xpath_item(p)?)
-        }
+        Some(parse_condition(p)?)
     } else {
         None
     };
@@ -215,12 +197,7 @@ fn parse_if(p: &mut Parser<'_>) -> Result<XQuery, QueryParseError> {
     if !p.eat("(") {
         return p.err("expected '(' after 'if'");
     }
-    p.skip_ws();
-    let cond = if p.peek_kw("some") || p.peek_kw("every") {
-        parse_quantified(p)?
-    } else {
-        parse_xpath_item(p)?
-    };
+    let cond = parse_condition(p)?;
     if !p.eat(")") {
         return p.err("expected ')' after condition");
     }
@@ -237,6 +214,16 @@ fn parse_if(p: &mut Parser<'_>) -> Result<XQuery, QueryParseError> {
         then: Box::new(then),
         els: Box::new(els),
     })
+}
+
+/// A `where` or `if` condition: a quantified expression or a plain
+/// XPath expression.
+fn parse_condition(p: &mut Parser<'_>) -> Result<XQuery, QueryParseError> {
+    if p.peek_kw("some") || p.peek_kw("every") {
+        parse_quantified(p)
+    } else {
+        parse_xpath_item(p)
+    }
 }
 
 fn parse_quantified(p: &mut Parser<'_>) -> Result<XQuery, QueryParseError> {

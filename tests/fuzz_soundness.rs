@@ -244,3 +244,84 @@ fn run_case(seed: u64) {
 fn fuzz_theorem_4_6_soundness() {
     seeded("fuzz_theorem_4_6_soundness", FUZZ_CASES, run_case);
 }
+
+/// `q`'s normal form (its `Display`, the artifact cache's key) parses
+/// back to `q`, so two different queries never print alike.
+fn assert_prints_back(text: &str) {
+    let q = parse_xquery(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+    let printed = q.to_string();
+    let again =
+        parse_xquery(&printed).unwrap_or_else(|e| panic!("{text:?} printed {printed:?}: {e}"));
+    assert_eq!(again, q, "{text:?} printed {printed:?}");
+}
+
+/// A random string literal: either quote, and any character but it.
+fn random_literal(rng: &mut SplitMix64) -> String {
+    let quote = *rng.pick(&["\"", "'"]);
+    let other = if quote == "\"" { "'" } else { "\"" };
+    let body: String = (0..rng.below(6))
+        .map(|_| *rng.pick(&["a", " ", ",", "(", ")", "{", "}", "<", "$x", other]))
+        .collect();
+    format!("{quote}{body}{quote}")
+}
+
+/// Random constructor text: anything but `<` and `{`.
+fn random_text(rng: &mut SplitMix64) -> String {
+    (0..rng.range_incl(1, 5))
+        .map(|_| *rng.pick(&["a", " ", "}", "\"", "'", "&amp;", "1", ")"]))
+        .collect()
+}
+
+#[test]
+fn normal_forms_parse_back_to_their_queries() {
+    for q in xml_projection::xmark::xmark_queries()
+        .into_iter()
+        .chain(xml_projection::xmark::xpathmark_queries())
+    {
+        assert_prints_back(q.text);
+    }
+    for q in [
+        "count((/a)/b)",
+        "count((//a | //b)/c)",
+        "count(/) * 2 + (/) and /a",
+        "-(1) - -2",
+        "count((\"x\")/a)",
+        "count(($x/a)/b)",
+        "fn:exactly-one(/a)/b",
+        "for $x in /a where ($x/b | $x/c)/d return $x",
+        "if ((/a)/b) then 1 else ()",
+        "some $x in /a satisfies $x = 'q\"'",
+        "for $i in /a order by $i/b descending return $i",
+        "let $x := /a return <r>{$x} text</r>",
+        "<r/>",
+        "<r>{()}</r>",
+    ] {
+        assert_prints_back(q);
+    }
+    seeded(
+        "normal_forms_parse_back_to_their_queries",
+        FUZZ_CASES,
+        |seed| {
+            let mut rng = SplitMix64::new(seed);
+            let (l1, l2) = (random_literal(&mut rng), random_literal(&mut rng));
+            let (t1, t2, t3) = (
+                random_text(&mut rng),
+                random_text(&mut rng),
+                random_text(&mut rng),
+            );
+            for q in [
+                random_query(&mut rng),
+                random_xquery(&mut rng),
+                format!("concat({l1}, {l2})"),
+                format!("//a[. = {l1} or {l2} != .]/b"),
+                format!("({l1}, {l2}, 1)"),
+                format!("<c>{t1}{{{l1}}}{t2}<d>{t3}</d>{{1, {l2}}}</c>"),
+                format!("<c>{t1}</c>"),
+                format!("<c>{{{l1}}}{{1}}</c>"),
+                format!("for $x in (<b>{t2}</b>) return <c>{t3}{{$x}}</c>"),
+            ] {
+                assert_prints_back(&q);
+            }
+        },
+    );
+}
